@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench bench-serve bench-scale benchdiff serve-smoke serve-restart-smoke chaos-smoke stress pprof fuzz
+.PHONY: all build test vet fmt check bench-test bench bench-serve bench-scale benchdiff serve-smoke serve-restart-smoke chaos-smoke stress pprof fuzz
 
 all: build
 
@@ -17,6 +17,12 @@ fmt:
 	gofmt -l .
 
 check: fmt vet build test
+
+# bench-test vets and tests the repository benchmark (BENCHMARK.json). It
+# is a module of its own (bench/go.mod), so `go vet ./...` and
+# `go test ./...` from the root never reach it.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the hot-path micro-benchmarks with -benchmem and appends the
 # next BENCH_<n>.json perf-trajectory record (see bench.sh).

@@ -21,8 +21,9 @@
 //     (§II-C, §III-C, §V-A), split into a model plane (the reference
 //     Algorithm 1/2 loops whose iteration counts define the simulated
 //     compute charge) and a host plane (per-rank Scratch kernels —
-//     branch-free merge, stamp-set bitmap, galloping finger replay —
-//     that produce identical counts and charges much faster; DESIGN.md §5)
+//     branch-free merge, stamp-set bitmap with its rank index, galloping
+//     finger replay — that produce identical counts and charges much
+//     faster; DESIGN.md §5)
 //   - internal/lcc — the paper's contribution: fully asynchronous
 //     distributed TC/LCC over RMA with caching (§III); shared-memory
 //     kernels, the Schank–Wagner forward algorithm and orientations (§V);

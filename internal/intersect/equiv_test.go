@@ -180,6 +180,103 @@ func equalV(a, b []graph.V) bool {
 	return true
 }
 
+// checkAgainstReference holds one Scratch call pair — Count and Elements,
+// pivot first — to the reference kernels' (count, ops).
+func checkAgainstReference(t *testing.T, s *Scratch, m Method, pivot, other []graph.V, what string) {
+	t.Helper()
+	wantCount, wantOps := Count(m, pivot, other)
+	if count, ops := s.Count(m, pivot, other); count != wantCount || ops != wantOps {
+		t.Fatalf("%s method %v (|pivot|=%d,|other|=%d): Count = (%d,%d), want (%d,%d)",
+			what, m, len(pivot), len(other), count, ops, wantCount, wantOps)
+	}
+	want, wantElemOps := Elements(m, pivot, other, nil)
+	if got, ops := s.Elements(m, pivot, other, nil); ops != wantElemOps || !equalV(got, want) {
+		t.Fatalf("%s method %v (|pivot|=%d,|other|=%d): Elements = %v/%d, want %v/%d",
+			what, m, len(pivot), len(other), got, ops, want, wantElemOps)
+	}
+}
+
+// TestScratchRankMatchesReference drives the rank-indexed kernel — the
+// tree is the stamped pivot — against the reference Binary: keys below the
+// pivot's first id, above its last id and beyond the bitmap's extent, and
+// a stale index never served across re-Stamp, Unstamp and grow.
+func TestScratchRankMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := NewScratch()
+	for trial := 0; trial < 2000; trial++ {
+		n := stampMinLen + rng.Intn(400)
+		lo := graph.V(rng.Intn(5000))
+		pivot := randSet(rng, n, n*(1+rng.Intn(64*rankSpanWords)))
+		for i := range pivot {
+			pivot[i] += lo
+		}
+		// Keys straddle the pivot's id range on both sides; the top ones
+		// lie past the bitmap (sized by the pivot's last id alone here).
+		keys := randSet(rng, 1+rng.Intn(stampMinLen), int(lo)+2*int(pivot[n-1]-lo)+200)
+		m := []Method{MethodBinary, MethodHybrid}[trial%2]
+		switch trial % 5 {
+		case 1:
+			s.Unstamp() // the call below stamps the pivot itself
+		case 2:
+			s.Stamp(keys) // another list's stamp (and index) is live
+			s.Count(MethodBinary, keys, keys[:1])
+		case 3:
+			s = NewScratch() // grow doubles: a shared bitmap would outgrow memory
+			s.Count(MethodBinary, pivot, keys)
+			s.EnsureUniverse(64 * (len(s.words) + 1)) // grow under a live index
+		}
+		for call := 0; call < 2; call++ {
+			checkAgainstReference(t, s, m, pivot, keys, "pivot first")
+			checkAgainstReference(t, s, m, keys, pivot, "pivot second")
+		}
+		if m == MethodBinary {
+			span := int(pivot[n-1]>>6) - int(pivot[0]>>6) + 1
+			if want := span <= rankSpanWords*n; s.rankOK != want {
+				t.Fatalf("trial %d: rank index live = %v with span %d words over %d elements", trial, s.rankOK, span, n)
+			}
+		}
+	}
+}
+
+// TestScratchRankSpanGuard puts one list on each side of the span guard:
+// both charge like the reference, only the dense one is indexed, and the
+// choice does not depend on the bitmap's capacity.
+func TestScratchRankSpanGuard(t *testing.T) {
+	keys := []graph.V{0, 5, 64, 255, 256, 257, 9000, 1 << 20}
+	for _, universe := range []int{0, 1 << 22} {
+		for _, step := range []int{32 * rankSpanWords, 128 * rankSpanWords} {
+			s := NewScratch()
+			s.EnsureUniverse(universe)
+			pivot := stride(2*stampMinLen, step)
+			for call := 0; call < 3; call++ {
+				checkAgainstReference(t, s, MethodBinary, pivot, keys, "guard")
+			}
+			if want := step < 64*rankSpanWords; s.rankOK != want {
+				t.Errorf("universe %d step %d: rank index live = %v, want %v", universe, step, s.rankOK, want)
+			}
+		}
+	}
+}
+
+// TestScratchRankToleratesUnsorted feeds the rank path what a flipped
+// offset bit produces (the serving plane's scrubber tests run queries over
+// exactly that): lists whose first or last element belongs to a neighbour
+// list. The result is unspecified; the kernels must not fault.
+func TestScratchRankToleratesUnsorted(t *testing.T) {
+	s := NewScratch()
+	s.EnsureUniverse(1 << 12)
+	pivot := stride(2*stampMinLen, 7)
+	keys := []graph.V{100, 130, 131, 300}
+	headOff := append([]graph.V{4000}, pivot[1:]...)
+	tailOff := append(append([]graph.V{}, pivot[1:]...), 3)
+	for _, tree := range [][]graph.V{headOff, tailOff, pivot} {
+		for _, ks := range [][]graph.V{{4000, 130, 131}, {100, 130, 2}, keys} {
+			s.Count(MethodBinary, tree, ks)
+			s.Elements(MethodBinary, tree, ks, nil)
+		}
+	}
+}
+
 // TestScratchStampedAcrossSizes exercises bitmap growth: stamping lists
 // with increasing maxima must keep probes exact, and Unstamp must leave
 // the bitmap empty for the next pivot.
@@ -229,6 +326,16 @@ func TestScratchTopOfIDSpace(t *testing.T) {
 		if count != wantCount || ops != wantOps {
 			t.Fatalf("call %d: (%d,%d), want (%d,%d)", call, count, ops, wantCount, wantOps)
 		}
+	}
+	// The rank index over the same stamp: bit 63 of the last word is set
+	// (0xFFFFFFFF joins the pivot), keys sit on it and around it.
+	a = append(a, 1<<32-1)
+	for _, m := range []Method{MethodBinary, MethodHybrid} {
+		checkAgainstReference(t, s, m, a, b, "top of id space")
+		checkAgainstReference(t, s, m, a, []graph.V{1<<32 - 1}, "top of id space")
+	}
+	if !s.rankOK {
+		t.Fatal("rank index not engaged on the top-of-space pivot")
 	}
 }
 

@@ -1,6 +1,7 @@
 package intersect
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,40 +11,55 @@ import (
 // contract: for arbitrary sorted-set pairs and every method, each host
 // kernel's count must match the map oracle, and the analytic/replayed
 // charge must match the reference loops' ops — across repeated calls on
-// one Scratch so the stamped and finger paths are both exercised.
+// one Scratch so the stamped, rank-indexed and finger paths are all
+// exercised.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint8(2))
 	f.Add([]byte{0, 0, 9, 9, 200}, []byte{9}, uint8(1))
 	f.Add([]byte{}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
 	f.Add([]byte{255, 254, 253, 1, 1, 2}, []byte{253, 255, 7, 7}, uint8(3))
+	// The rank-indexed path: a dense list long enough to stamp as the
+	// tree, with keys below, inside and above it and past the bitmap, on
+	// either argument side; and a list of the same length past the span
+	// guard. (16-bit deltas cannot reach the top of the id space densely;
+	// TestScratchTopOfIDSpace covers it.)
+	dense := bytes.Repeat([]byte{0, 40}, 3*stampMinLen) // id step 41
+	f.Add(dense, []byte{0, 3, 0, 200, 2, 0, 9, 9, 255, 255}, uint8(1))
+	f.Add([]byte{0, 100, 0, 39, 0, 40, 1, 0}, dense, uint8(2))
+	f.Add(bytes.Repeat([]byte{1, 10}, 3*stampMinLen), []byte{0, 5, 1, 10, 200, 0}, uint8(1)) // id step 267
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, methodByte uint8) {
 		a := setFromBytes(rawA)
 		b := setFromBytes(rawB)
 		m := Method(methodByte % 4)
 
-		oracle := oracleCount(a, b)
-		wantCount, wantOps := Count(m, a, b)
-		if wantCount != oracle {
-			t.Fatalf("reference Count(%v) = %d, oracle %d", m, wantCount, oracle)
-		}
-		wantElems, wantElemOps := Elements(m, a, b, nil)
-
 		s := GetScratch()
 		defer PutScratch(s)
-		var elems []graph.V
-		// Three rounds walk the dispatch through its states: fresh (merge
-		// or finger), stamp, stamped probe.
-		for call := 0; call < 3; call++ {
-			count, ops := s.Count(m, a, b)
-			if count != wantCount || ops != wantOps {
-				t.Fatalf("call %d method %v: Scratch.Count = (%d,%d), want (%d,%d)",
-					call, m, count, ops, wantCount, wantOps)
+		// Both argument orders on one scratch, so either list gets to be
+		// the pivot side — and the second order meets the first's stamp.
+		for _, pair := range [][2][]graph.V{{a, b}, {b, a}} {
+			a, b := pair[0], pair[1]
+			oracle := oracleCount(a, b)
+			wantCount, wantOps := Count(m, a, b)
+			if wantCount != oracle {
+				t.Fatalf("reference Count(%v) = %d, oracle %d", m, wantCount, oracle)
 			}
-			var elemOps int
-			elems, elemOps = s.Elements(m, a, b, elems[:0])
-			if elemOps != wantElemOps || !equalV(elems, wantElems) {
-				t.Fatalf("call %d method %v: Scratch.Elements = %v/%d, want %v/%d",
-					call, m, elems, elemOps, wantElems, wantElemOps)
+			wantElems, wantElemOps := Elements(m, a, b, nil)
+
+			var elems []graph.V
+			// Three rounds walk the dispatch through its states: fresh
+			// (merge or finger), stamp, stamped probe or rank index.
+			for call := 0; call < 3; call++ {
+				count, ops := s.Count(m, a, b)
+				if count != wantCount || ops != wantOps {
+					t.Fatalf("call %d method %v: Scratch.Count = (%d,%d), want (%d,%d)",
+						call, m, count, ops, wantCount, wantOps)
+				}
+				var elemOps int
+				elems, elemOps = s.Elements(m, a, b, elems[:0])
+				if elemOps != wantElemOps || !equalV(elems, wantElems) {
+					t.Fatalf("call %d method %v: Scratch.Elements = %v/%d, want %v/%d",
+						call, m, elems, elemOps, wantElems, wantElemOps)
+				}
 			}
 		}
 	})

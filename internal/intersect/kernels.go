@@ -9,7 +9,7 @@ import "repro/internal/graph"
 // kernel's own exit positions. All kernels require strictly increasing
 // inputs (adjacency lists are sorted and deduplicated sets).
 //
-// Three kernels cover the host dispatch:
+// Four kernels cover the host dispatch:
 //
 //   - MergeCount: a 4-way unrolled branch-free merge. The scalar SSI loop
 //     takes one unpredictable branch per element; on power-law adjacency
@@ -21,6 +21,10 @@ import "repro/internal/graph"
 //     exact — the pivot list is stamped once and every neighbour list is
 //     counted with one bit test per element, amortizing the build over
 //     deg(pivot) intersections exactly like the reusable HashIndex.
+//   - the rank index over that stamp (scratch.go): when the Algorithm 1
+//     tree is the stamped pivot, a key's insertion point is a prefix
+//     popcount of the bitmap and its charge one load from a per-size depth
+//     table (fillDepth below) — no branch on the data, no tree access.
 //   - the finger-stack binary search (below): Algorithm 1's bisection with
 //     the path cached across the (ascending) keys, so consecutive keys
 //     replay only the divergent suffix of the search path while the ops
@@ -188,8 +192,9 @@ func fingerBinary(stack []fingerFrame, keys, tree []graph.V, wantDst bool, dst [
 	if int(n) <= fingerTailLen {
 		// Frameless fast path: the whole tree is one LUT frame, so the
 		// reference charge for every key is a single table load at the
-		// cursor's insertion point — no stack, no replay. Dominant on
-		// power-law graphs, where most adjacency lists are short.
+		// cursor's insertion point — no stack, no replay. Such trees are
+		// many but carry few keys: 0.4 % of the Binary-charged keys of the
+		// pull-rmat benchmark workload.
 		base := int(n) * (fingerTailLen + 1)
 		q := 0
 		for _, x := range keys {
@@ -308,6 +313,24 @@ func fingerBinary(stack []fingerFrame, keys, tree []graph.V, wantDst bool, dst [
 		ops += sp - 1 + int(tailMissLUT[(hi-lo)*(fingerTailLen+1)+(p-lo)])
 	}
 	return count, ops, dst
+}
+
+// fillDepth tabulates Algorithm 1's iteration counts for every outcome
+// inside the interval [lo, hi) that the reference loop enters after d
+// iterations: hit[p] for a key equal to tree[p], miss[p] for an absent key
+// with insertion point p. It is the tail tables' argument at any size —
+// every tree[mid] comparison is an index comparison against p, so the
+// trajectory depends on the tree's length alone. The left spine is walked
+// in the loop, right subtrees by recursion (depth ≤ log2 of the size).
+func fillDepth(miss, hit []uint8, lo, hi int, d uint8) {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		d++
+		hit[mid] = d
+		fillDepth(miss, hit, mid+1, hi, d)
+		hi = mid
+	}
+	miss[lo] = d
 }
 
 // upperBound returns the number of elements of s that are ≤ x (s strictly

@@ -1,14 +1,16 @@
 package intersect
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/graph"
 )
 
 // Scratch is the per-rank reusable state of the cost-decoupled kernel
-// layer: a uint64 stamp-set bitmap for the amortized pivot kernel and the
-// finger stack of the shared-path binary search. Engines acquire one per
+// layer: a uint64 stamp-set bitmap for the amortized pivot kernel, its
+// rank index for Binary-charged probes into the pivot, and the finger
+// stack of the shared-path binary search. Engines acquire one per
 // simulated rank (GetScratch/PutScratch) and route every intersection
 // through Count/Elements; after warm-up the kernels allocate nothing.
 //
@@ -37,12 +39,31 @@ type Scratch struct {
 	stampPtr *graph.V
 	stampLen int
 
+	// The rank index over the stamp (rankBinary): rank[i] is the number of
+	// stamped ids below word rankBase+i, for the words the stamped list
+	// spans. Built on the stamp's first Binary-charged use, dropped
+	// (rankOK) whenever the stamp or the bitmap changes.
+	rank     []uint32
+	rankBase int
+	rankOK   bool
+	// depth holds Algorithm 1's iteration counts for a tree of depthN
+	// elements (fillDepth); it depends on the size alone, so it outlives
+	// the stamp it was built for.
+	depth  []uint8
+	depthN int
+
 	stack []fingerFrame
 }
 
 // stampMinLen is the smallest pivot worth stamping: below it the
 // branch-free merge beats the stamp+probe round trip even with reuse.
 const stampMinLen = 32
+
+// rankSpanWords bounds the rank index's O(span) prefix build: the stamped
+// list may span at most this many bitmap words per element (one element
+// per 256 ids), which keeps the build within a small constant of the
+// stamp's own O(len) cost. Sparser lists stay on fingerBinary.
+const rankSpanWords = 4
 
 // NewScratch returns a ready-to-use Scratch. Most callers should prefer
 // GetScratch/PutScratch, which recycle instances across runs.
@@ -71,6 +92,7 @@ func (s *Scratch) grow(need int) {
 	for _, v := range s.stamped {
 		s.words[v>>6] |= 1 << (v & 63)
 	}
+	s.rankOK = false
 }
 
 // Reset clears the stamp set, dropping every reference into caller data
@@ -114,6 +136,7 @@ func (s *Scratch) Unstamp() {
 	}
 	s.stamped = s.stamped[:0]
 	s.stampPtr, s.stampLen = nil, 0
+	s.rankOK = false
 }
 
 // Has reports whether v is in the stamped set.
@@ -193,6 +216,115 @@ func (s *Scratch) hostSSI(a, b []graph.V) (count, ops int) {
 	return count, ssiOps(a, b, count)
 }
 
+// rankTree reports whether rankBinary can serve a Binary-charged pair whose
+// longer side is tree, stamping and indexing it if need be. a is the
+// caller's pivot argument. The choice reads only the input: tree must be
+// the stamped list, or the pivot side and worth stamping, and its own id
+// span (first to last element, in bitmap words) must stay within
+// rankSpanWords per element so the prefix build amortizes like the stamp
+// does. The bitmap's capacity plays no part, so a rank sees the same
+// kernels whichever pooled Scratch it drew.
+func (s *Scratch) rankTree(a, tree []graph.V) bool {
+	n := len(tree)
+	stamped := sameList(tree, s.stampPtr, s.stampLen)
+	if stamped && s.rankOK {
+		return true
+	}
+	if !stamped && (n < stampMinLen || len(a) != n || &a[0] != &tree[0]) {
+		return false
+	}
+	base := int(tree[0] >> 6)
+	span := int(tree[n-1]>>6) - base + 1
+	// span < 1: the list is not ascending (a corrupted snapshot can serve
+	// one); the finger replay tolerates that, the index would not.
+	if span < 1 || span > rankSpanWords*n {
+		return false
+	}
+	if !stamped {
+		s.Stamp(tree)
+	}
+	s.indexStamp(base, span)
+	return true
+}
+
+// indexStamp builds the rank index over the stamped list, which spans the
+// span bitmap words from base: the prefix popcounts, and the depth table
+// if the previous one was for another length. Both buffers are reused.
+func (s *Scratch) indexStamp(base, span int) {
+	if cap(s.rank) < span {
+		s.rank = make([]uint32, max(span, 2*cap(s.rank)))
+	}
+	s.rank = s.rank[:span]
+	below := uint32(0)
+	for i, w := range s.words[base : base+span] {
+		s.rank[i] = below
+		below += uint32(bits.OnesCount64(w))
+	}
+	s.rankBase, s.rankOK = base, true
+	if n := s.stampLen; s.depthN != n {
+		if cap(s.depth) < 2*n+1 {
+			s.depth = make([]uint8, max(2*n+1, 2*cap(s.depth)))
+		}
+		s.depth = s.depth[:2*n+1]
+		fillDepth(s.depth[:n+1], s.depth[n+1:], 0, n, 0)
+		s.depthN = n
+	}
+}
+
+// rankBinary is fingerBinary for the case where the tree is the stamped
+// list and rankTree has indexed it: same count, same Algorithm 1 charge,
+// without touching the tree. A key x's insertion point is the number of
+// stamped ids below it,
+//
+//	p = rank[x>>6] + popcount(words[x>>6] & (1<<(x&63) - 1)),
+//
+// its bitmap bit is the hit, and the reference iteration count is a pure
+// function of (len(tree), p, hit) that fillDepth tabulated — two L1 loads,
+// a popcount and a table load per key, no data-dependent branch. The one
+// branch tests whether the key falls in the words the list spans; keys are
+// ascending, so it flips at most twice per call (below: p = 0, above:
+// p = len(tree)), and it keeps every index in range whatever the input.
+func (s *Scratch) rankBinary(keys []graph.V, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
+	assertOriented(keys, s.stamped)
+	n := s.stampLen
+	depth := s.depth[:2*n+1]
+	below, above := int(depth[0]), int(depth[n])
+	rank, base := s.rank, s.rankBase
+	words := s.words[base : base+len(rank)]
+	rank = rank[:len(words)]
+	for _, x := range keys {
+		w := int(x>>6) - base
+		if uint(w) >= uint(len(rank)) {
+			if w < 0 {
+				ops += below
+			} else {
+				ops += above
+			}
+			continue
+		}
+		word, bit := words[w], x&63
+		hit := int(word >> bit & 1)
+		p := int(rank[w]) + bits.OnesCount64(word&(1<<bit-1))
+		count += hit
+		ops += int(depth[p+hit*(n+1)])
+		if wantDst && hit != 0 {
+			dst = append(dst, x)
+		}
+	}
+	return count, ops, dst
+}
+
+// binary serves an Algorithm 1-charged pair (keys the shorter list) with
+// the kernel the input admits: the rank index when the tree is the
+// stamped or stampable pivot, the finger replay otherwise — the opposite
+// orientation (pivot as keys, fetched list as tree) and sparse pivots.
+func (s *Scratch) binary(a, keys, tree []graph.V, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
+	if s.rankTree(a, tree) {
+		return s.rankBinary(keys, wantDst, dst)
+	}
+	return fingerBinary(s.stack, keys, tree, wantDst, dst)
+}
+
 // Count returns (|a ∩ b|, modeled ops), bit-identical to the reference
 // Count for every method, with the count produced by the fast host
 // kernels. The first argument should be the reused side (the engines'
@@ -207,7 +339,7 @@ func (s *Scratch) Count(method Method, a, b []graph.V) (count, ops int) {
 	case MethodSSI:
 		return s.hostSSI(a, b)
 	case MethodBinary:
-		count, ops, _ = fingerBinary(s.stack, sa, sb, false, nil)
+		count, ops, _ = s.binary(a, sa, sb, false, nil)
 		return count, ops
 	case MethodHash:
 		return Hash(sa, sb)
@@ -215,7 +347,7 @@ func (s *Scratch) Count(method Method, a, b []graph.V) (count, ops int) {
 		if PreferSSI(len(sa), len(sb)) {
 			return s.hostSSI(a, b)
 		}
-		count, ops, _ = fingerBinary(s.stack, sa, sb, false, nil)
+		count, ops, _ = s.binary(a, sa, sb, false, nil)
 		return count, ops
 	}
 }
@@ -238,7 +370,7 @@ func (s *Scratch) Elements(method Method, a, b []graph.V, dst []graph.V) ([]grap
 		ssiCharged = PreferSSI(len(sa), len(sb))
 	}
 	if !ssiCharged {
-		_, ops, out := fingerBinary(s.stack, sa, sb, true, dst)
+		_, ops, out := s.binary(a, sa, sb, true, dst)
 		return out, ops
 	}
 	before := len(dst)

@@ -9,8 +9,8 @@ import (
 // Allocation guards for the scratch-based kernels, in the style of
 // clampi/zeroalloc_test.go: after warm-up (bitmap sized, stack in place)
 // the steady-state paths — branch-free merge, stamp + probe, galloping
-// finger replay, and the Elements variants into a pre-grown destination —
-// must not touch the heap at all.
+// finger replay, the rank index over the stamp, and the Elements variants
+// into a pre-grown destination — must not touch the heap at all.
 
 func stride(n, step int) []graph.V {
 	out := make([]graph.V, n)
@@ -48,6 +48,16 @@ func TestScratchZeroAlloc(t *testing.T) {
 	})
 	assertZeroAllocs(t, "finger binary", func() { s.Count(MethodBinary, keys, tree) })
 	assertZeroAllocs(t, "hybrid dispatch", func() { s.Count(MethodHybrid, keys, tree) })
+	s.Count(MethodBinary, tree, keys) // warm: tree is the pivot side, so it is stamped and indexed
+	if !s.rankOK {
+		t.Fatal("rank index not engaged with the tree as pivot")
+	}
+	assertZeroAllocs(t, "rank binary", func() { s.Count(MethodHybrid, tree, keys) })
+	assertZeroAllocs(t, "rank rebuild", func() {
+		s.Count(MethodBinary, pivot, keys) // stamps and indexes pivot (dropping tree's index)
+		s.Count(MethodBinary, tree, keys)  // and back: rank and depth buffers are reused
+	})
+	assertZeroAllocs(t, "elements rank", func() { dst, _ = s.Elements(MethodBinary, tree, keys, dst[:0]) })
 	assertZeroAllocs(t, "elements merge", func() { dst, _ = s.Elements(MethodSSI, small, other, dst[:0]) })
 	assertZeroAllocs(t, "elements stamped", func() { dst, _ = s.Elements(MethodSSI, pivot, other, dst[:0]) })
 	assertZeroAllocs(t, "elements finger", func() { dst, _ = s.Elements(MethodBinary, keys, tree, dst[:0]) })
@@ -65,20 +75,26 @@ func TestScratchZeroAlloc(t *testing.T) {
 }
 
 // TestScratchPoolRecycles pins the pool contract the engines rely on: a
-// released scratch comes back with its capacity (no regrowth allocations)
-// and without stale stamp state.
+// released scratch comes back with its capacity (no regrowth allocations,
+// rank and depth buffers included) and without stale stamp state.
 func TestScratchPoolRecycles(t *testing.T) {
 	s := GetScratch()
 	s.EnsureUniverse(1 << 12)
 	pivot := stride(256, 3)
+	keys := stride(8, 11)
 	s.Count(MethodSSI, pivot, stride(256, 5)) // leaves pivot stamped
+	s.Count(MethodBinary, pivot, keys)        // and indexed
 	PutScratch(s)
 
 	s2 := GetScratch()
 	defer PutScratch(s2)
-	if len(s2.stamped) != 0 {
-		t.Fatal("pooled scratch still stamped after PutScratch")
+	if len(s2.stamped) != 0 || s2.rankOK {
+		t.Fatal("pooled scratch still stamped or indexed after PutScratch")
 	}
+	assertZeroAllocs(t, "rank path on a recycled scratch", func() {
+		s2.Count(MethodBinary, pivot, keys)
+		s2.Unstamp()
+	})
 	for i, w := range s2.words {
 		if w != 0 {
 			t.Fatalf("pooled scratch bitmap word %d nonzero: %#x", i, w)

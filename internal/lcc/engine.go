@@ -632,6 +632,7 @@ func newWorker(r *rma.Rank, kind graph.Kind, pt *part.Partition, lc *part.LocalC
 	w.compWin = wAdj.Kind() == rma.CompressedVertices
 	w.scanDecLi, w.ownDecLi = -1, -1
 	w.its = intersect.GetScratch()
+	w.its.EnsureUniverse(pt.NumVertices())
 	r.LockAll(wOff)
 	r.LockAll(wAdj)
 	if opt.Caching {

@@ -100,3 +100,36 @@ func TestScratchReuseWorkerSweep(t *testing.T) {
 		})
 	}
 }
+
+// TestCompressedLocalsRankDispatch drives DESIGN.md §9's sharp edge through
+// the rank-indexed kernel: with StorageCompressed locals every pivot is
+// decoded into the same buffer, so consecutive pivots share a slice
+// identity, and the Unstamp in the engine's adjOwned must drop the rank
+// index together with the stamp. MethodBinary sends every pair through the
+// Algorithm 1 dispatch, MethodHybrid is the golden pull configuration; the
+// bits are the pins of the plain-storage engines.
+func TestCompressedLocalsRankDispatch(t *testing.T) {
+	g := gen.MustLoad("fb-sim")
+	for _, tc := range []struct {
+		method  intersect.Method
+		simBits uint64
+	}{
+		{intersect.MethodHybrid, 0x419e343dbb9986d8}, // goldenConfigs "pull"
+		{intersect.MethodBinary, 0x419ea7a3ab99865f}, // same configuration, read at PR 11
+	} {
+		for _, wk := range []int{1, 4} {
+			res, err := lcc.Run(g, lcc.Options{Ranks: 4, Workers: wk, Method: tc.method,
+				DoubleBuffer: true, Storage: lcc.StorageCompressed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := math.Float64bits(res.SimTime); got != tc.simBits {
+				t.Errorf("%v workers=%d: SimTime bits = %#x, want %#x", tc.method, wk, got, tc.simBits)
+			}
+			if res.Triangles != goldenTriangles || res.SumT != goldenSumT {
+				t.Errorf("%v workers=%d: Triangles/SumT = %d/%d, want %d/%d", tc.method, wk,
+					res.Triangles, res.SumT, goldenTriangles, goldenSumT)
+			}
+		}
+	}
+}
