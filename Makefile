@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench-test bench bench-serve bench-scale benchdiff serve-smoke serve-restart-smoke chaos-smoke stress pprof fuzz
+.PHONY: all build test vet fmt check bench-test bench bench-serve bench-scale benchdiff serve-smoke serve-restart-smoke chaos-smoke stress pprof pprof-cached fuzz
 
 all: build
 
@@ -85,6 +85,16 @@ pprof:
 	$(GO) test -run '^$$' -bench '^BenchmarkEngineNonCached$$' -benchtime 3x \
 		-cpuprofile cpu.pprof -o repro.test .
 	$(GO) tool pprof -top -nodecount 25 repro.test cpu.pprof
+
+# pprof-cached is pprof for the cached engine: CPU and allocation profiles
+# of BenchmarkEngineCached, where CLaMPI bookkeeping rather than the
+# kernels carries the host time and where allocated bytes (not counts) are
+# the number to watch. Artifacts: repro.test + cpu.pprof + mem.pprof.
+pprof-cached:
+	$(GO) test -run '^$$' -bench '^BenchmarkEngineCached$$' -benchtime 3x \
+		-cpuprofile cpu.pprof -memprofile mem.pprof -o repro.test .
+	$(GO) tool pprof -top -nodecount 25 repro.test cpu.pprof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 repro.test mem.pprof
 
 # fuzz runs the intersection-kernel, varint-codec and fault-schedule
 # fuzzers briefly — the same smokes CI runs.

@@ -38,12 +38,7 @@ type allocator struct {
 }
 
 func newAllocator(capacity int) *allocator {
-	return newAllocatorSized(capacity, 0)
-}
-
-// newAllocatorSized pre-sizes the block pool's first slab (0 = default).
-func newAllocatorSized(capacity, slabHint int) *allocator {
-	a := &allocator{slab: slabHint}
+	a := &allocator{}
 	a.init(capacity)
 	return a
 }
@@ -60,8 +55,10 @@ func (a *allocator) init(capacity int) {
 }
 
 // reset returns every block and tree node to the pools and restores the
-// single pristine free region, without reallocating any structure.
-func (a *allocator) reset() {
+// single pristine free region of the given capacity (the current one on a
+// flush, the configured one when the cache is recycled after adaptive
+// growth), without reallocating any structure.
+func (a *allocator) reset(capacity int) {
 	for b := a.head; b != nil; {
 		next := b.next
 		a.putBlock(b)
@@ -69,7 +66,7 @@ func (a *allocator) reset() {
 	}
 	a.head, a.tail = nil, nil
 	a.tree.reset()
-	a.init(a.capacity)
+	a.init(capacity)
 }
 
 func (a *allocator) newBlock() *block {

@@ -137,7 +137,7 @@ func TestAllocatorResetRestoresPristineState(t *testing.T) {
 	for i := 0; i < len(live); i += 2 {
 		a.free(live[i])
 	}
-	a.reset()
+	a.reset(a.capacity)
 	if a.used != 0 || a.freeBytes() != 1<<10 || a.largestFree() != 1<<10 {
 		t.Fatalf("reset left used=%d free=%d largest=%d", a.used, a.freeBytes(), a.largestFree())
 	}

@@ -134,11 +134,16 @@ func (s Stats) MissRate() float64 {
 // no heap allocations: entries, buffer blocks and AVL nodes recycle through
 // pools, requests and pending misses come from free lists, and the victim
 // heap, hash table and compulsory-miss set reuse their backing arrays.
+// Filling those structures is what costs memory (megabytes per instance at
+// the paper's cache sizes), so an instance is reusable: Reset rebinds it to
+// another rank and window in the exact state New returns, keeping every
+// backing array. What a Cache carries from one use to the next is host
+// memory only — no model-visible state (DESIGN.md §2, "Instance
+// recycling").
 type Cache struct {
 	rank  *rma.Rank
 	win   *rma.Window
 	cfg   Config
-	model rma.CostModel
 	coder keyCoder
 
 	tab     *table
@@ -195,12 +200,39 @@ type pendingMiss struct {
 
 // New wraps window w for rank r with a cache configured by cfg.
 func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
-	c := &Cache{
-		rank:  r,
-		win:   w,
-		cfg:   cfg.withDefaults(),
-		model: rmaModel(r),
+	return new(Cache).Reset(r, w, cfg)
+}
+
+// Reset binds the cache to rank r and window w under cfg and puts it in the
+// state of a just-constructed instance, in place: empty table at cfg's
+// geometry and one pristine free region of cfg's capacity (so adaptive
+// growth of an earlier use is undone), empty victim heap with every entry
+// and dead remnant back in the pool, tick, compulsory-miss set, statistics
+// and observation window zeroed, completed pending misses dropped. It is
+// the only initialiser — New is Reset on the zero Cache — so a recycled
+// instance and a fresh one cannot differ in anything the model can see;
+// they differ in how much backing storage is already there. Returns c.
+//
+// Reset panics on a cache that is mid-operation or has a miss in flight:
+// such an instance was abandoned by an unwinding rank and its transfer
+// belongs to a run that no longer exists.
+func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
+	if c.busy {
+		panic("clampi: Reset of a cache that is mid-operation")
 	}
+	for _, pm := range c.pending {
+		if !pm.done {
+			panic("clampi: Reset of a cache with an incomplete miss")
+		}
+	}
+	for i, pm := range c.pending {
+		c.dropFromPending(pm)
+		c.pending[i] = nil
+	}
+	c.pending = c.pending[:0]
+
+	c.rank, c.win = r, w
+	c.cfg = cfg.withDefaults()
 	maxRegion := 0
 	for t := 0; t < r.NumRanks(); t++ {
 		if s := w.SizeAt(t); s > maxRegion {
@@ -208,26 +240,31 @@ func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 		}
 	}
 	c.coder = newKeyCoder(r.NumRanks(), maxRegion)
-	c.tab = newTable(c.cfg.Buckets, c.cfg.Assoc)
-	// Pre-size the pools from the buffer capacity so filling the cache
-	// costs a handful of slab allocations instead of a doubling cascade
-	// per structure. Entry counts depend on the (unknown) entry-size mix;
-	// capacity/1024 is a low-cost floor the slabs double past when needed
-	// — oversizing here inflates the per-instance memory footprint, which
-	// is itself a host-speed concern (metadata competes with graph data
-	// for last-level cache).
-	hint := clampRange(c.cfg.Capacity/1024, 64, 8192)
-	c.entries.slab = hint
-	c.entries.free = make([]*entry, 0, hint)
-	c.alloc = newAllocatorSized(c.cfg.Capacity, hint)
-	c.victims = newVictimHeap(c.priority, c.stampOf, c.entries.put)
-	c.victims.h = make([]heapItem, 0, hint)
-	c.seen.presize(clampRange(c.cfg.Capacity/64, 64, 1<<14))
+
+	if c.tab == nil {
+		// First use. Pre-size the pools from the buffer capacity so filling
+		// the cache costs a handful of slab allocations instead of a
+		// doubling cascade per structure. Entry counts depend on the
+		// (unknown) entry-size mix; capacity/1024 is a low-cost floor the
+		// slabs double past when needed — oversizing here inflates the
+		// per-instance memory footprint, which is itself a host-speed
+		// concern (metadata competes with graph data for last-level cache).
+		hint := clampRange(c.cfg.Capacity/1024, 64, 8192)
+		c.tab = &table{}
+		c.entries.slab = hint
+		c.entries.free = make([]*entry, 0, hint)
+		c.alloc = &allocator{slab: hint}
+		c.victims = newVictimHeap(c.priority, c.stampOf, c.entries.put)
+		c.victims.h = make([]heapItem, 0, hint)
+		c.seen.presize(clampRange(c.cfg.Capacity/64, 64, 1<<14))
+	}
+	c.empty()
+	c.seen.clear()
+	c.tick = 0
+	c.stats = Stats{}
+	c.obsOps, c.obsConflicts, c.obsCapacity = 0, 0, 0
 	return c
 }
-
-// rmaModel extracts the cost model; indirection keeps New's signature tidy.
-func rmaModel(r *rma.Rank) rma.CostModel { return r.Model() }
 
 func clampRange(x, lo, hi int) int {
 	if x < lo {
@@ -306,8 +343,12 @@ func (c *Cache) newPM() *pendingMiss {
 		pm := c.pmFree[n-1]
 		c.pmFree[n-1] = nil
 		c.pmFree = c.pmFree[:n-1]
-		buf, vbuf := pm.buf, pm.vbuf
-		*pm = pendingMiss{buf: buf[:0], vbuf: vbuf[:0]}
+		// get assigns the coordinates, score, transfer and inPending. The
+		// rest is reset field by field: a whole-struct literal is built on
+		// the stack and copied over, once per miss.
+		pm.done, pm.released = false, false
+		pm.data, pm.u64, pm.verts = nil, nil, nil
+		pm.buf, pm.vbuf = pm.buf[:0], pm.vbuf[:0]
 		return pm
 	}
 	return &pendingMiss{}
@@ -337,8 +378,11 @@ func (q *Request) Release() {
 			c.pmFree = append(c.pmFree, pm)
 		}
 	}
-	buf, vbuf := q.buf, q.vbuf
-	*q = Request{cache: c, pooled: true, buf: buf[:0], vbuf: vbuf[:0]}
+	// Field by field, like newPM: q.cache never changes.
+	q.hit, q.pooled = false, true
+	q.data, q.u64, q.verts = nil, nil, nil
+	q.buf, q.vbuf = q.buf[:0], q.vbuf[:0]
+	q.under, q.pm = nil, nil
 	c.reqFree = append(c.reqFree, q)
 	c.leave()
 }
@@ -752,17 +796,22 @@ func (c *Cache) Contains(target, offset, size int) bool {
 // Flush empties the cache (user-defined mode, or internal use by the
 // adaptive heuristic and the transparent mode). All structures are cleared
 // in place: entries recycle to the pool, the allocator returns to one
-// pristine free region, and the table keeps its slot array unless the
-// adaptive heuristic changed its geometry.
+// pristine free region, and the table keeps its slot arrays unless the
+// adaptive heuristic grew it past them.
 func (c *Cache) Flush() {
+	c.empty()
+	c.stats.Flushes++
+}
+
+// empty is Flush without the count: Reset uses it under a new configuration.
+func (c *Cache) empty() {
 	c.tab.each(func(e *entry) { e.dead = true })
 	// Every live entry sits in the heap (inserts push, only eviction pops),
 	// so resetting the heap recycles the whole population, dead conflict
 	// remnants included.
 	c.victims.reset()
 	c.tab.clearFor(c.cfg.Buckets, c.cfg.Assoc)
-	c.alloc.reset()
-	c.stats.Flushes++
+	c.alloc.reset(c.cfg.Capacity)
 }
 
 // Available reports whether the cache can serve the next access,

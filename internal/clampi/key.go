@@ -211,6 +211,15 @@ func (s *seenSet) presize(slots int) {
 	s.shift = uint(64 - bits.TrailingZeros(uint(cap)))
 }
 
+// clear forgets every key, keeping the table (Cache.Reset: a recycled cache
+// has seen nothing, so every first access is a compulsory miss again).
+func (s *seenSet) clear() {
+	for i := range s.tab {
+		s.tab[i] = 0
+	}
+	s.n, s.hasZero = 0, false
+}
+
 func (s *seenSet) grow() {
 	newCap := 64
 	if len(s.tab) > 0 {

@@ -1,0 +1,141 @@
+package clampi
+
+import (
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// churn drives a seeded mix of scored and unscored gets over rank 1's
+// region, flushing every few operations, and returns the rank's clock.
+func churn(c *Cache, seed uint64, ops, region int) float64 {
+	rng := rand.New(rand.NewPCG(seed, 1))
+	for i := 0; i < ops; i++ {
+		size := 8 + 8*rng.IntN(24)
+		off := rng.IntN((region-size)/8/4) * 8 // skewed: a quarter of the region
+		var q *Request
+		if i%3 == 0 {
+			q = c.GetScored(1, off, size, float64(size))
+		} else {
+			q = c.Get(1, off, size)
+		}
+		if i%5 == 4 {
+			c.FlushWindow()
+		} else {
+			q.Wait()
+		}
+		q.Release()
+	}
+	c.FlushWindow()
+	return c.Rank().Clock().Now()
+}
+
+// TestResetUndoesAdaptiveGrowth: a cache whose adaptive heuristic grew both
+// the table and the buffer returns to the configured geometry, empty, with
+// no trace of the first use in its statistics.
+func TestResetUndoesAdaptiveGrowth(t *testing.T) {
+	const region = 1 << 16
+	cfg := Config{Capacity: 1 << 10, MaxCapacity: 1 << 15, Buckets: 2, Assoc: 1, Adaptive: true, Mode: AlwaysCache}
+	r, w, c := testSetup(t, region, cfg)
+	for round := 0; round < 80; round++ {
+		for off := 0; off < 1<<13; off += 64 {
+			c.Get(1, off, 64)
+			c.FlushWindow()
+		}
+	}
+	if s := c.Stats(); s.Resizes == 0 || s.BufferResizes == 0 {
+		t.Fatalf("setup: want both kinds of growth, got %+v", s)
+	}
+	if got := c.Reset(r, w, cfg); got != c {
+		t.Fatal("Reset must return its receiver")
+	}
+	if c.cfg.Buckets != 2 || c.cfg.Capacity != 1<<10 {
+		t.Errorf("cfg after Reset: buckets %d capacity %d, want 2 and 1024", c.cfg.Buckets, c.cfg.Capacity)
+	}
+	if c.tab.buckets != 2 || len(c.tab.ents) != 2 || c.alloc.capacity != 1<<10 || c.alloc.largestFree() != 1<<10 {
+		t.Errorf("structures after Reset: table %d buckets/%d slots, buffer %d with largest free %d",
+			c.tab.buckets, len(c.tab.ents), c.alloc.capacity, c.alloc.largestFree())
+	}
+	if s := c.Stats(); s != (Stats{}) {
+		t.Errorf("stats after Reset = %+v, want zero (Reset is not a Flush)", s)
+	}
+	if c.tick != 0 || c.seen.len() != 0 || c.victims.len() != 0 || c.obsOps != 0 {
+		t.Errorf("tick %d, seen %d, heap %d, obsOps %d after Reset; want all zero", c.tick, c.seen.len(), c.victims.len(), c.obsOps)
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetMatchesNew: after a differently configured use, a recycled cache
+// is indistinguishable from a fresh one — same statistics, same residency,
+// same charges to the float bit — under the default and the scored policy,
+// with and without adaptive growth.
+func TestResetMatchesNew(t *testing.T) {
+	const region = 1 << 16
+	cfgs := []Config{
+		{Capacity: 1 << 12, Buckets: 64, Mode: AlwaysCache},
+		{Capacity: 1 << 11, Buckets: 4, Assoc: 2, MaxCapacity: 1 << 14, Adaptive: true, Mode: AlwaysCache},
+		{Capacity: 1 << 13, Buckets: 512, Mode: Transparent},
+	}
+	_, _, used := testSetup(t, region, Config{Capacity: 1 << 14, Buckets: 16, Adaptive: true, Mode: AlwaysCache})
+	churn(used, 99, 6000, region)
+	for i, cfg := range cfgs {
+		rf, _, fresh := testSetup(t, region, cfg)
+		rr, wr, _ := testSetup(t, region, cfg)
+		used.Reset(rr, wr, cfg)
+		if used.Rank() != rr {
+			t.Fatal("Reset did not rebind the rank")
+		}
+		tf, tr := churn(fresh, uint64(i), 6000, region), churn(used, uint64(i), 6000, region)
+		if math.Float64bits(tf) != math.Float64bits(tr) {
+			t.Errorf("cfg %d: clock fresh %v, recycled %v", i, tf, tr)
+		}
+		if sf, sr := fresh.Stats(), used.Stats(); sf != sr {
+			t.Errorf("cfg %d: stats differ\n fresh    %+v\n recycled %+v", i, sf, sr)
+		}
+		if rf.Counters() != rr.Counters() {
+			t.Errorf("cfg %d: rank counters differ", i)
+		}
+		for off := 0; off < region/4; off += 8 {
+			if fresh.Contains(1, off, 64) != used.Contains(1, off, 64) {
+				t.Fatalf("cfg %d: residency of (1,%d,64) differs", i, off)
+			}
+		}
+		if err := used.checkInvariants(); err != nil {
+			t.Fatalf("cfg %d: %v", i, err)
+		}
+	}
+}
+
+// TestResetRefusesAbandonedCache: a cache with a miss in flight, or one
+// that is mid-operation, was left behind by an unwinding rank.
+func TestResetRefusesAbandonedCache(t *testing.T) {
+	cfg := Config{Capacity: 1 << 10, Mode: AlwaysCache}
+	r, w, c := testSetup(t, 1<<12, cfg)
+	q := c.Get(1, 0, 64)
+	mustPanicClampi(t, "Reset with a miss in flight", func() { c.Reset(r, w, cfg) })
+	q.Wait()
+	c.Reset(r, w, cfg) // completed but still listed as pending: dropped
+	if len(c.pending) != 0 {
+		t.Errorf("%d pending misses survived Reset", len(c.pending))
+	}
+	q.Release() // a request from before the Reset is still the caller's to release
+	c.busy = true
+	mustPanicClampi(t, "Reset of a busy cache", func() { c.Reset(r, w, cfg) })
+}
+
+// TestResetKeepsBackingStorage: the second use of an instance allocates
+// nothing a first use already paid for.
+func TestResetKeepsBackingStorage(t *testing.T) {
+	const region = 1 << 16
+	cfg := Config{Capacity: 1 << 12, Buckets: 256, Mode: AlwaysCache}
+	r, w, c := testSetup(t, region, cfg)
+	churn(c, 7, 4000, region)
+	if got := testing.AllocsPerRun(5, func() {
+		c.Reset(r, w, cfg)
+		churn(c, 7, 4000, region)
+	}); got > 2 { // churn's own rand source
+		t.Errorf("recycled use allocated %.0f times, want none beyond the test's rng", got)
+	}
+}

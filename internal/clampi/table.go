@@ -109,7 +109,9 @@ func newTable(buckets, assoc int) *table {
 }
 
 // clearFor empties the table for the given geometry, reusing the backing
-// arrays when the geometry is unchanged (the steady-state flush path).
+// arrays whenever they are large enough: always on the steady-state flush
+// (unchanged geometry), and when a recycled cache returns to a geometry it
+// has held before (Cache.Reset undoing adaptive growth).
 func (t *table) clearFor(buckets, assoc int) {
 	if buckets < 1 {
 		buckets = 1
@@ -120,18 +122,23 @@ func (t *table) clearFor(buckets, assoc int) {
 	if t.buckets != buckets || t.assoc != assoc {
 		t.buckets, t.assoc = buckets, assoc
 		t.magic = newDivMagic(uint64(buckets))
-		t.lane = make([]uint64, buckets*2*assoc)
-		t.ents = make([]*entry, buckets*assoc)
-		t.n = 0
+	}
+	t.n = 0
+	nl, ne := buckets*2*assoc, buckets*assoc
+	if cap(t.lane) < nl || cap(t.ents) < ne {
+		t.lane = make([]uint64, nl)
+		t.ents = make([]*entry, ne)
 		return
 	}
+	// Zero the words in use, then reslice: everything past len is zero
+	// already (make zeroed it, and a shrink zeroes before it reslices).
 	for i := range t.lane {
 		t.lane[i] = 0
 	}
 	for i := range t.ents {
 		t.ents[i] = nil
 	}
-	t.n = 0
+	t.lane, t.ents = t.lane[:nl], t.ents[:ne]
 }
 
 func (t *table) bucketOf(h uint64) int { return int(t.magic.mod(h)) }

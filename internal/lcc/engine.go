@@ -623,8 +623,12 @@ func (w *worker) popEdge() (pipeEdge, bool) {
 	return e, true
 }
 
+// newWorker builds rank r's execution state. With caching on, the rank's
+// two CLaMPI instances come from pool when it has a pair to recycle and are
+// constructed otherwise; pool is nil for the engines that run without a
+// snapshot.
 func newWorker(r *rma.Rank, kind graph.Kind, pt *part.Partition, lc *part.LocalCSR,
-	wOff, wAdj *rma.Window, resolve []uint64, opt Options) *worker {
+	wOff, wAdj *rma.Window, resolve []uint64, opt Options, pool *cachePool) *worker {
 	w := &worker{r: r, kind: kind, pt: pt, lc: lc, wOff: wOff, wAdj: wAdj, opt: opt}
 	w.resolve = resolve
 	w.slot = r.ID()
@@ -636,19 +640,24 @@ func newWorker(r *rma.Rank, kind graph.Kind, pt *part.Partition, lc *part.LocalC
 	r.LockAll(wOff)
 	r.LockAll(wAdj)
 	if opt.Caching {
-		w.cOff = clampi.New(r, wOff, clampi.Config{
+		offCfg := clampi.Config{
 			Capacity: opt.OffsetsCacheBytes,
 			Buckets:  opt.OffsetsBuckets,
 			Mode:     clampi.AlwaysCache,
 			Adaptive: opt.Adaptive,
-		})
-		w.cAdj = clampi.New(r, wAdj, clampi.Config{
+		}
+		adjCfg := clampi.Config{
 			Capacity:    opt.AdjCacheBytes,
 			Buckets:     opt.AdjBuckets,
 			Mode:        clampi.AlwaysCache,
 			Adaptive:    opt.Adaptive,
 			MaxCapacity: opt.AdjCacheMaxBytes,
-		})
+		}
+		if cp, ok := pool.take(); ok {
+			w.cOff, w.cAdj = cp.off.Reset(r, wOff, offCfg), cp.adj.Reset(r, wAdj, adjCfg)
+		} else {
+			w.cOff, w.cAdj = clampi.New(r, wOff, offCfg), clampi.New(r, wAdj, adjCfg)
+		}
 	}
 	return w
 }

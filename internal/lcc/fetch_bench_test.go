@@ -57,7 +57,7 @@ func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode) *f
 	locals := extractLocals(g, pt, storage, 0)
 	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
 	wOff, wAdj := makeGraphWindows(comm, locals)
-	w := newWorker(comm.Rank(0), g.Kind(), pt, locals[0], wOff, wAdj, buildResolve(pt), opt)
+	w := newWorker(comm.Rank(0), g.Kind(), pt, locals[0], wOff, wAdj, buildResolve(pt), opt, nil)
 	h := &fetchHarness{w: w}
 	// Pick a rank-0 and a rank-1 vertex with non-empty adjacency.
 	for v := graph.V(0); int(v) < n; v++ {

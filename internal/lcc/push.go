@@ -157,7 +157,7 @@ func RunPushCtx(ctx context.Context, g graph.Store, opt PushOptions) (*Result, e
 	stats := make([]RankStats, opt.Ranks)
 
 	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
-		w := newWorker(r, g.Kind(), pt, locals[r.ID()], wOff, wAdj, resolve, opt.Options)
+		w := newWorker(r, g.Kind(), pt, locals[r.ID()], wOff, wAdj, resolve, opt.Options, nil)
 		w.deleg = deleg
 		defer w.close()
 		sumT := w.runPush(lccOut, wTri, bar, opt.Aggregation)

@@ -85,7 +85,7 @@ func RunReplicatedCtx(ctx context.Context, g graph.Store, opt ReplicatedOptions)
 
 	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
 		group, slot := r.ID()/q, r.ID()%q
-		w := newWorker(r, g.Kind(), pt, slots[slot], wOff, wAdj, resolve, opt.Options)
+		w := newWorker(r, g.Kind(), pt, slots[slot], wOff, wAdj, resolve, opt.Options, nil)
 		w.deleg = deleg
 		// All fetches stay inside the rank's own group: the shared
 		// resolve table yields slot coordinates, and ownerBase maps a

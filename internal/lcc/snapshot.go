@@ -3,7 +3,9 @@ package lcc
 import (
 	"context"
 	"fmt"
+	"sync"
 
+	"repro/internal/clampi"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -21,6 +23,16 @@ import (
 // The split is conservative by construction: Snapshot.RunCtx builds its
 // windows from the same pair arrays makeGraphWindows would compute, so a
 // run through a snapshot is bit-identical to the corresponding lcc.Run.
+//
+// The one mutable thing a snapshot owns is host memory: a free list of
+// CLaMPI instances (caches) that cached runs recycle instead of rebuilding
+// their hash tables, heaps and slabs per rank per query. clampi.Cache.Reset
+// hands each out in the just-constructed state, so the list carries no
+// model-visible per-run state and a run's results do not depend on what ran
+// before it. It holds at most Workers × concurrent cached runs pairs (a
+// rank body holds one pair, and internal/sched runs at most Workers bodies
+// of a run at once), is not counted by LocalBytes, and is freed with the
+// snapshot.
 type Snapshot struct {
 	src           graph.Store
 	kind          graph.Kind
@@ -40,6 +52,51 @@ type Snapshot struct {
 	// (integrity.go); Verify re-checks them for the snapshot's lifetime.
 	sums       []rankSums
 	resolveSum uint32
+
+	caches cachePool
+}
+
+// cachePair is one rank's (C_offsets, C_adj) instances. They recycle as a
+// pair so each keeps its role, and with it backing arrays of the right
+// shape: the two caches differ 16× in capacity and in table geometry.
+type cachePair struct{ off, adj *clampi.Cache }
+
+// cachePool is a snapshot's free list of cache pairs (Snapshot.caches).
+type cachePool struct {
+	mu   sync.Mutex
+	free []cachePair
+}
+
+// take removes a pair from the pool; ok is false when the pool is empty or
+// nil.
+func (p *cachePool) take() (cp cachePair, ok bool) {
+	if p == nil {
+		return cp, false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return cp, false
+	}
+	cp, p.free[n-1] = p.free[n-1], cachePair{}
+	p.free = p.free[:n-1]
+	return cp, true
+}
+
+// recycle hands w's caches to the pool. Only a rank body that ran to
+// completion may call it, after its last use of them (w.stats): the caches
+// of a rank that unwound — cancellation, panic, stall-cancel, crash-stop —
+// may hold a miss in flight and are left to the garbage collector.
+func (p *cachePool) recycle(w *worker) {
+	if w.cOff == nil {
+		return
+	}
+	cp := cachePair{w.cOff, w.cAdj}
+	w.cOff, w.cAdj = nil, nil
+	p.mu.Lock()
+	p.free = append(p.free, cp)
+	p.mu.Unlock()
 }
 
 // SnapshotOptions are the per-graph half of Options: everything the
@@ -110,7 +167,8 @@ func LoadSnapshot(name string, ranks int, scheme part.Scheme, delegateBytes int)
 func (s *Snapshot) Graph() graph.Store { return s.src }
 
 // LocalBytes reports the host bytes the extracted per-rank adjacency
-// planes occupy — the quantity the storage budget governs.
+// planes occupy — the quantity the storage budget governs. The recycled
+// cache instances are not part of it (see Snapshot for their bound).
 func (s *Snapshot) LocalBytes() int64 {
 	var b int64
 	for _, lc := range s.locals {
@@ -154,8 +212,9 @@ func (s *Snapshot) windows(comm *rma.Comm) (wOff, wAdj *rma.Window) {
 // sched.ErrRunCanceled; a rank panic surfaces as *sched.PanicError; a
 // fail-fast crash-stop fault as *fault.CrashError. On any error the
 // result is nil — a supervised run yields complete results or none —
-// and the snapshot itself is untouched: it holds no per-run state, so
-// the caller can simply run again.
+// and the snapshot itself is untouched: it holds no model-visible per-run
+// state (the caches of a rank that unwound never return to the free list),
+// so the caller can simply run again.
 func (s *Snapshot) RunCtx(ctx context.Context, opt Options) (*Result, error) {
 	opt = s.options(opt)
 	n := s.n
@@ -168,7 +227,7 @@ func (s *Snapshot) RunCtx(ctx context.Context, opt Options) (*Result, error) {
 	stats := make([]RankStats, s.ranks)
 
 	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
-		w := newWorker(r, s.kind, s.pt, s.locals[r.ID()], wOff, wAdj, s.resolve, opt)
+		w := newWorker(r, s.kind, s.pt, s.locals[r.ID()], wOff, wAdj, s.resolve, opt, &s.caches)
 		w.deleg = s.deleg
 		// The deferred close repools the scratch and closes the epochs on
 		// the cancel/panic unwind path; the explicit close keeps the
@@ -179,6 +238,7 @@ func (s *Snapshot) RunCtx(ctx context.Context, opt Options) (*Result, error) {
 		w.close()
 		triOut[r.ID()] = sumT
 		stats[r.ID()] = w.stats()
+		s.caches.recycle(w)
 	})
 	if err != nil {
 		return nil, err
@@ -213,7 +273,7 @@ func (s *Snapshot) RunJaccardCtx(ctx context.Context, opt Options) (*JaccardResu
 	}
 
 	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
-		w := newWorker(r, s.kind, s.pt, s.locals[r.ID()], wOff, wAdj, s.resolve, opt)
+		w := newWorker(r, s.kind, s.pt, s.locals[r.ID()], wOff, wAdj, s.resolve, opt, &s.caches)
 		w.deleg = s.deleg
 		defer w.close()
 		arc := base[r.ID()]
@@ -231,6 +291,7 @@ func (s *Snapshot) RunJaccardCtx(ctx context.Context, opt Options) (*JaccardResu
 		})
 		w.close()
 		stats[r.ID()] = w.stats()
+		s.caches.recycle(w)
 	})
 	if err != nil {
 		return nil, err
