@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench-test bench bench-serve bench-scale benchdiff serve-smoke serve-restart-smoke chaos-smoke stress pprof pprof-cached fuzz
+.PHONY: all build test vet fmt check bench-test bench-ab bench bench-serve bench-scale benchdiff serve-smoke serve-restart-smoke chaos-smoke stress pprof pprof-cached fuzz
 
 all: build
 
@@ -23,6 +23,18 @@ check: fmt vet build test
 # `go test ./...` from the root never reach it.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-ab is the interleaved A/B a performance claim rests on
+# (cmd/benchab): it clones REF into a temporary directory and runs ten
+# alternating pairs of the benchmark's single-workload command, REF's
+# checkout against the working tree, then prints per end-to-end metric both
+# sides' median and quartiles, the pairs the working tree won and the
+# verdict. ~15 minutes on an idle machine.
+#	make bench-ab REF=HEAD~1 W=pull-rmat [SEEDS=0,7,11,23] [PAIRS=10]
+SEEDS ?= 0,7,11,23
+PAIRS ?= 10
+bench-ab:
+	$(GO) run ./cmd/benchab -ref "$(REF)" -workload "$(W)" -seeds "$(SEEDS)" -pairs $(PAIRS)
 
 # bench runs the hot-path micro-benchmarks with -benchmem and appends the
 # next BENCH_<n>.json perf-trajectory record (see bench.sh).

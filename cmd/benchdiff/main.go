@@ -227,11 +227,12 @@ func load(path string) (*record, error) {
 
 var benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
-// newestPair returns the two highest-numbered BENCH_<n>.json files in dir
-// that share a bench mode. Records of different modes interleave freely on
-// the trajectory (a serve record can land between two micro records); the
-// scan compares within the mode whose newest record is most recent and has
-// a predecessor, so a first-of-its-mode record never breaks the diff.
+// newestPair returns the pair of BENCH_<n>.json files in dir to diff by
+// default: the newest record that has an older record of its bench mode,
+// and the newest such predecessor. Records of different modes interleave
+// freely on the trajectory (a serve record can land between two micro
+// records), and a first-of-its-mode record never breaks the diff — it is
+// skipped until a second one of its mode lands.
 func newestPair(dir string) (old, new string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -248,19 +249,33 @@ func newestPair(dir string) (old, new string, err error) {
 		return "", "", fmt.Errorf("need at least two BENCH_<n>.json records in %s, found %d", dir, len(nums))
 	}
 	sort.Ints(nums)
-	// Newest-first: the first mode seen twice is the pair to diff.
-	latest := map[string]string{} // mode -> newest record path of that mode
-	for i := len(nums) - 1; i >= 0; i-- {
-		path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", nums[i]))
-		rec, err := load(path)
+	paths := make([]string, len(nums))
+	modes := make([]string, len(nums))
+	for i, n := range nums {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", n))
+		rec, err := load(paths[i])
 		if err != nil {
 			return "", "", err
 		}
-		mode := rec.benchMode()
-		if prev, ok := latest[mode]; ok {
-			return path, prev, nil
-		}
-		latest[mode] = path
+		modes[i] = rec.benchMode()
 	}
-	return "", "", fmt.Errorf("no two BENCH_<n>.json records in %s share a bench mode", dir)
+	o, n, ok := pickPair(modes)
+	if !ok {
+		return "", "", fmt.Errorf("no two BENCH_<n>.json records in %s share a bench mode", dir)
+	}
+	return paths[o], paths[n], nil
+}
+
+// pickPair is newestPair's choice over the records' bench modes, oldest
+// record first: the indices of the pair, or ok false when no two records
+// share a mode.
+func pickPair(modes []string) (old, new int, ok bool) {
+	for new = len(modes) - 1; new > 0; new-- {
+		for old = new - 1; old >= 0; old-- {
+			if modes[old] == modes[new] {
+				return old, new, true
+			}
+		}
+	}
+	return 0, 0, false
 }

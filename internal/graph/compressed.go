@@ -132,13 +132,20 @@ func (ca *CompressedAdj) DecodeList(i int, buf []V) []V {
 // offset off (both in plain-image units: off = start*4, size = deg*4). The
 // coordinates must address exactly one whole list — the engines always
 // fetch whole vertex runs, and partial-run reads would let host
-// representation leak into behaviour — otherwise DecodeAt panics.
+// representation leak into behaviour — otherwise DecodeAt panics. A read of
+// size 0 is the empty list wherever it points: empty lists share their
+// plain offset with the list that follows them, so the offset names none.
 func (ca *CompressedAdj) DecodeAt(off, size int, buf []V) []V {
 	if off%4 != 0 || size%4 != 0 {
 		panic(fmt.Sprintf("graph: unaligned compressed read (offset %d, size %d)", off, size))
 	}
+	if size == 0 {
+		return buf[:0]
+	}
+	// The list that holds arc start is the first one ending past it; the
+	// empty lists before it, which start there too, end at it.
 	start := uint64(off / 4)
-	i := sort.Search(ca.lists, func(i int) bool { return ca.plainOffAt(i) >= start })
+	i := sort.Search(ca.lists, func(i int) bool { return ca.plainOffAt(i+1) > start })
 	if i >= ca.lists || ca.plainOffAt(i) != start || ca.DegreeOf(i) != size/4 {
 		panic(fmt.Sprintf("graph: compressed read (offset %d, size %d) is not a whole list", off, size))
 	}

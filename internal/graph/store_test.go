@@ -92,6 +92,25 @@ func TestCompressedAdjDecodeAt(t *testing.T) {
 			}
 		}
 	}
+	// Isolated vertices: an empty list shares its plain offset with the
+	// next non-empty one, which must still decode, as must the empty read.
+	sparse, err := Build(Undirected, 12, []Edge{{3, 7}, {7, 8}, {8, 11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sca := CompressGraph(sparse).Adjacency()
+	for v := 0; v < sparse.NumVertices(); v++ {
+		want := sparse.Adj(V(v))
+		buf = sca.DecodeAt(int(sparse.Offsets()[v])*4, len(want)*4, buf)
+		if len(buf) != len(want) {
+			t.Fatalf("sparse DecodeAt(%d) = %v, want %v", v, buf, want)
+		}
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("sparse DecodeAt(%d) = %v, want %v", v, buf, want)
+			}
+		}
+	}
 	// Partial-run and misaligned reads must panic: the engines fetch whole
 	// vertex runs only, and anything else would leak representation.
 	for _, bad := range [][2]int{{2, 4}, {0, 2}} {
@@ -268,6 +287,9 @@ func FuzzVarintAdjacency(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, uint16(1))
 	f.Add([]byte{0x80}, uint16(1))
 	f.Add([]byte{}, uint16(0))
+	// Direction 4's empty-list seed: deg 1 cuts the ids into one-id lists
+	// with an empty list before each — lists that start where one ended.
+	f.Add([]byte{5, 0, 9, 200, 1}, uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, degRaw uint16) {
 		deg := int(degRaw%512) + 1
 		// Direction 1: decode arbitrary bytes — must stay in bounds and,
@@ -314,6 +336,19 @@ func FuzzVarintAdjacency(f *testing.F) {
 			}
 			syn = append(syn, V(next))
 			prev = next
+		}
+		// Direction 4: the same ids as a CompressedAdj of deg-id lists, each
+		// preceded by an empty one, read back by plain-image coordinates.
+		off := []uint64{0}
+		for at := 0; at < len(syn); at += deg {
+			off = append(off, uint64(at), uint64(min(at+deg, len(syn))))
+		}
+		ca := NewCompressedAdj(off, func(i int, _ []V) []V { return syn[off[i]:off[i+1]] })
+		for i := 0; i+1 < len(off); i++ {
+			l := ca.DecodeAt(int(off[i])*4, int(off[i+1]-off[i])*4, nil)
+			if len(l) != int(off[i+1]-off[i]) || (len(l) > 0 && (l[0] != syn[off[i]] || l[len(l)-1] != syn[off[i+1]-1])) {
+				t.Fatalf("DecodeAt(list %d of %d, arcs %d..%d) = %v", i, len(off)-1, off[i], off[i+1], l)
+			}
 		}
 		enc := appendDeltaList(nil, syn)
 		got, n2, ok2 := decodeDeltaList(enc, len(syn), nil)

@@ -378,3 +378,176 @@ func TestBinaryOrientationAssert(t *testing.T) {
 	}()
 	Binary(tree, keys)
 }
+
+// strideFrom returns n ids from lo in steps of step, without wrapping.
+func strideFrom(n int, lo, step graph.V) []graph.V {
+	out := make([]graph.V, n)
+	for i := range out {
+		out[i] = lo + graph.V(i)*step
+	}
+	return out
+}
+
+// checkDepthBinary holds depthBinary — bare, with dir and with stale, a
+// directory over some other list — and the Scratch dispatch above it to the
+// reference Binary and to the finger replay, counting and listing.
+func checkDepthBinary(t *testing.T, s *Scratch, keys, tree []graph.V, stale *Directory, what string) {
+	t.Helper()
+	wantCount, wantOps := Binary(keys, tree)
+	wantElems, _ := BinaryElements(keys, tree, nil)
+	if c, o, _ := fingerBinary(s.stack, keys, tree, false, nil); c != wantCount || o != wantOps {
+		t.Fatalf("%s: fingerBinary = (%d,%d), reference (%d,%d)", what, c, o, wantCount, wantOps)
+	}
+	dir, ok := NewDirectory(tree)
+	if !ok {
+		t.Fatalf("%s: no directory over %d ids", what, len(tree))
+	}
+	if got := dir.MemBytes(); got > len(tree) {
+		t.Fatalf("%s: directory of %d bytes over %d ids, want at most one byte per id", what, got, len(tree))
+	}
+	depth := s.depthFor(len(tree))
+	if depth == nil {
+		t.Fatalf("%s: no depth table for %d ids", what, len(tree))
+	}
+	for _, d := range []*Directory{nil, &dir, stale} {
+		name := map[*Directory]string{nil: "no directory", &dir: "directory", stale: "stale directory"}[d]
+		if c, o, _ := depthBinary(depth, keys, tree, d, false, nil); c != wantCount || o != wantOps {
+			t.Fatalf("%s, %s (|keys|=%d,|tree|=%d): depthBinary = (%d,%d), want (%d,%d)",
+				what, name, len(keys), len(tree), c, o, wantCount, wantOps)
+		}
+		if c, o, elems := depthBinary(depth, keys, tree, d, true, nil); c != wantCount || o != wantOps || !equalV(elems, wantElems) {
+			t.Fatalf("%s, %s: listing depthBinary = %v (%d,%d), want %v (%d,%d)",
+				what, name, elems, c, o, wantElems, wantCount, wantOps)
+		}
+		for _, m := range []Method{MethodBinary, MethodHybrid} {
+			wc, wo := Count(m, keys, tree)
+			if c, o := s.CountIndexed(m, keys, tree, d); c != wc || o != wo {
+				t.Fatalf("%s, %s: CountIndexed(%v) = (%d,%d), want (%d,%d)", what, name, m, c, o, wc, wo)
+			}
+		}
+	}
+}
+
+// TestDepthBinaryMatchesReference drives the depth-table kernel against
+// the reference Binary and the finger replay: keys below, inside and above
+// the tree, hits on its first and last id, 0xFFFFFFFF in the tree, with no
+// directory, the tree's own and one built over another list of the same
+// length (same terminator, so only the per-key confirmation rejects it).
+func TestDepthBinaryMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	s := NewScratch()
+	for trial := 0; trial < 2000; trial++ {
+		n := fingerTailLen + 1 + rng.Intn(600)
+		if trial%10 == 0 {
+			n = fingerTailLen + 1
+		}
+		lo := graph.V(rng.Intn(5000))
+		tree := randSet(rng, n, n*(1+rng.Intn(300)))
+		for i := range tree {
+			tree[i] += lo
+		}
+		if trial%7 == 0 {
+			tree[n-1] = 1<<32 - 1
+		}
+		keys := randSet(rng, 1+rng.Intn(fingerTailLen), int(lo)+2*int(tree[n-2]-lo)+200)
+		switch trial % 4 {
+		case 1: // hits at both ends of the tree
+			keys = append(keys, tree[0], tree[n-1])
+			sortV(keys)
+			keys = dedupV(keys)
+		case 2: // every key above the tree, or on its last id
+			for i := range keys {
+				keys[i] = tree[n-2] + 1 + graph.V(i)
+			}
+		case 3: // every key below the tree, or on its first id
+			keys = keys[:1]
+			keys[0] = tree[0] - graph.V(rng.Intn(2))*min(tree[0], 3)
+		}
+		other := strideFrom(n, graph.V(rng.Intn(100)), graph.V(1+rng.Intn(50)))
+		stale, _ := NewDirectory(other)
+		checkDepthBinary(t, s, keys, tree, &stale, "random")
+		// And one whose bucket starts are noise, in range and out of it,
+		// behind a terminator that still matches.
+		for i := range stale.starts[:len(stale.starts)-1] {
+			stale.starts[i] = uint32(rng.Intn(2*n)) << uint(rng.Intn(2)*20)
+		}
+		stale.base, stale.shift = tree[rng.Intn(n)], uint8(rng.Intn(12))
+		checkDepthBinary(t, s, keys, tree, &stale, "noise")
+	}
+}
+
+func dedupV(s []graph.V) []graph.V {
+	out := s[:0]
+	for i, v := range s {
+		if i == 0 || v != s[i-1] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestDepthCacheBounds walks the depth-table cache to both of its bounds:
+// a tree of depthMaxLen ids is tabulated, one id more goes to the finger
+// replay, and once depthMaxBytes of tables are in place a new length does
+// too — all three charging like the reference.
+func TestDepthCacheBounds(t *testing.T) {
+	s := NewScratch()
+	keys := []graph.V{0, 3, 4, 5, 50000, 98301, 98304, 1 << 20}
+	stale, _ := NewDirectory(strideFrom(depthMaxLen, 7, 2))
+	check := func(n int, cached bool) {
+		t.Helper()
+		tree := strideFrom(n, 3, 3)
+		wantCount, wantOps := Binary(keys, tree)
+		dir, _ := NewDirectory(tree)
+		for _, d := range []*Directory{nil, &dir, &stale} {
+			if c, o := s.CountIndexed(MethodBinary, keys, tree, d); c != wantCount || o != wantOps {
+				t.Fatalf("%d ids: CountIndexed = (%d,%d), want (%d,%d)", n, c, o, wantCount, wantOps)
+			}
+		}
+		if got := s.cachedDepth(n) != nil; got != cached {
+			t.Fatalf("%d ids: depth table cached = %v, want %v", n, got, cached)
+		}
+	}
+	check(fingerTailLen+1, true)
+	check(depthMaxLen, true)
+	check(depthMaxLen+1, false)
+	for n := depthMaxLen - 1; len(s.depthBuf)+2*n+1 <= depthMaxBytes; n-- {
+		check(n, true)
+	}
+	if len(s.depthBuf) > depthMaxBytes || cap(s.depthBuf) > depthMaxBytes+depthGrowBytes {
+		t.Fatalf("depth cache holds %d bytes (cap %d), bound %d", len(s.depthBuf), cap(s.depthBuf), depthMaxBytes)
+	}
+	check(depthMaxLen/2, false) // in length range, out of bytes
+	check(fingerTailLen+1, true)
+
+	// The rank path needs no cache entry: a pivot of an uncached length.
+	pivot := strideFrom(depthMaxLen/2, 3, 3)
+	for call := 0; call < 2; call++ {
+		checkAgainstReference(t, s, MethodBinary, pivot, keys, "pivot past the byte bound")
+	}
+	if !s.rankOK || s.cachedDepth(len(pivot)) != nil {
+		t.Fatalf("rank index live = %v, pivot length cached = %v; want the spill table", s.rankOK, s.cachedDepth(len(pivot)) != nil)
+	}
+}
+
+// TestDirectoryToleratesUnsorted feeds the directory builder and the
+// kernel what a flipped offset bit produces: a list whose first or last id
+// belongs to a neighbour. The result is unspecified; nothing may fault.
+func TestDirectoryToleratesUnsorted(t *testing.T) {
+	s := NewScratch()
+	good := strideFrom(3*fingerTailLen, 10, 7)
+	headOff := append([]graph.V{4000}, good[1:]...)
+	tailOff := append(append([]graph.V{}, good[1:]...), 3)
+	gdir, _ := NewDirectory(good)
+	for _, tree := range [][]graph.V{headOff, tailOff} {
+		dir, ok := NewDirectory(tree)
+		for _, d := range []*Directory{&gdir, &dir} {
+			if d == &dir && !ok {
+				continue
+			}
+			for _, keys := range [][]graph.V{{0, 9, 10, 11, 300, 4000, 5000}, {700}, good[:20]} {
+				s.CountIndexed(MethodBinary, keys, tree, d)
+			}
+		}
+	}
+}

@@ -11,8 +11,9 @@ import (
 // contract: for arbitrary sorted-set pairs and every method, each host
 // kernel's count must match the map oracle, and the analytic/replayed
 // charge must match the reference loops' ops — across repeated calls on
-// one Scratch so the stamped, rank-indexed and finger paths are all
-// exercised.
+// one Scratch so the stamped, rank-indexed, depth-table and finger paths
+// are all exercised, the depth-table one with the tree's own directory and
+// with a stale one.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint8(2))
 	f.Add([]byte{0, 0, 9, 9, 200}, []byte{9}, uint8(1))
@@ -27,6 +28,13 @@ func FuzzIntersectKernels(f *testing.F) {
 	f.Add(dense, []byte{0, 3, 0, 200, 2, 0, 9, 9, 255, 255}, uint8(1))
 	f.Add([]byte{0, 100, 0, 39, 0, 40, 1, 0}, dense, uint8(2))
 	f.Add(bytes.Repeat([]byte{1, 10}, 3*stampMinLen), []byte{0, 5, 1, 10, 200, 0}, uint8(1)) // id step 267
+	// The depth-table path: a sparse tree (past the span guard, so never
+	// rank-indexed) as the second argument, keys on its first and last id,
+	// between and beyond; and a tree with one far outlier, whose directory
+	// puts every other id in one bucket.
+	sparse := bytes.Repeat([]byte{2, 0}, 3*stampMinLen) // id step 513
+	f.Add([]byte{2, 0, 0, 9, 2, 0, 100, 0, 255, 255}, sparse, uint8(1))
+	f.Add([]byte{0, 1, 0, 1, 0, 50, 255, 255}, append(bytes.Repeat([]byte{0, 1}, 2*stampMinLen), 255, 255), uint8(2))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, methodByte uint8) {
 		a := setFromBytes(rawA)
 		b := setFromBytes(rawB)
@@ -45,6 +53,27 @@ func FuzzIntersectKernels(f *testing.F) {
 			}
 			wantElems, wantElemOps := Elements(m, a, b, nil)
 
+			// A directory over b, and one over another list of b's length:
+			// both may only be hints.
+			var dirs []*Directory
+			if dir, ok := NewDirectory(b); ok {
+				other := make([]graph.V, len(b))
+				for i, v := range b {
+					other[i] = v>>1 + graph.V(i)
+				}
+				stale, _ := NewDirectory(other)
+				dirs = []*Directory{&dir, &stale}
+				// The kernel itself, whatever the dispatch would pick.
+				if len(a) <= len(b) && len(b) <= depthMaxLen {
+					bc, bo := Binary(a, b)
+					for _, d := range append(dirs, nil) {
+						if c, o, _ := depthBinary(s.depthFor(len(b)), a, b, d, false, nil); c != bc || o != bo {
+							t.Fatalf("depthBinary = (%d,%d), reference Binary (%d,%d)", c, o, bc, bo)
+						}
+					}
+				}
+			}
+
 			var elems []graph.V
 			// Three rounds walk the dispatch through its states: fresh
 			// (merge or finger), stamp, stamped probe or rank index.
@@ -53,6 +82,12 @@ func FuzzIntersectKernels(f *testing.F) {
 				if count != wantCount || ops != wantOps {
 					t.Fatalf("call %d method %v: Scratch.Count = (%d,%d), want (%d,%d)",
 						call, m, count, ops, wantCount, wantOps)
+				}
+				for _, d := range dirs {
+					if count, ops := s.CountIndexed(m, a, b, d); count != wantCount || ops != wantOps {
+						t.Fatalf("call %d method %v: Scratch.CountIndexed = (%d,%d), want (%d,%d)",
+							call, m, count, ops, wantCount, wantOps)
+					}
 				}
 				var elemOps int
 				elems, elemOps = s.Elements(m, a, b, elems[:0])

@@ -1,6 +1,11 @@
 package intersect
 
-import "repro/internal/graph"
+import (
+	"math"
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // This file holds the fast *host* kernels of the cost-decoupled layer
 // (DESIGN.md §5). They compute |a ∩ b| for the engines' wall-clock, while
@@ -9,7 +14,7 @@ import "repro/internal/graph"
 // kernel's own exit positions. All kernels require strictly increasing
 // inputs (adjacency lists are sorted and deduplicated sets).
 //
-// Four kernels cover the host dispatch:
+// Five kernels cover the host dispatch:
 //
 //   - MergeCount: a 4-way unrolled branch-free merge. The scalar SSI loop
 //     takes one unpredictable branch per element; on power-law adjacency
@@ -25,11 +30,15 @@ import "repro/internal/graph"
 //     tree is the stamped pivot, a key's insertion point is a prefix
 //     popcount of the bitmap and its charge one load from a per-size depth
 //     table (fillDepth below) — no branch on the data, no tree access.
-//   - the finger-stack binary search (below): Algorithm 1's bisection with
-//     the path cached across the (ascending) keys, so consecutive keys
-//     replay only the divergent suffix of the search path while the ops
-//     charge still counts the full root-to-leaf depth the reference loop
-//     would execute.
+//   - the depth-table binary search (depthBinary below): for any other
+//     tree up to depthMaxLen, a galloping cursor — or the snapshot's bucket
+//     Directory over a fetched hub list — finds the insertion point and
+//     the same per-size depth table, cached per Scratch, gives the charge.
+//   - the finger-stack binary search (fingerBinary below): Algorithm 1's
+//     bisection replayed on indices with the path cached across the
+//     (ascending) keys. It serves trees of at most fingerTailLen ids with
+//     one table load per key, trees the depth cache cannot hold, and the
+//     tests as the oracle of the two kernels above.
 
 // The merge kernels turn comparison flags into 0/1 with pure integer
 // arithmetic on 64-bit zero-extended operands, so the compiler emits flag
@@ -220,33 +229,8 @@ func fingerBinary(stack []fingerFrame, keys, tree []graph.V, wantDst bool, dst [
 	nn := len(tree)
 	for _, x := range keys {
 		// Memory half: advance the cursor to p = lowerBound(tree, x).
-		// Short gaps walk linearly (sequential, predictor-friendly);
-		// longer ones gallop and bisect the final bracket.
 		if q < nn && tree[q] < x {
-			q++
-			for steps := 0; q < nn && tree[q] < x; steps++ {
-				q++
-				if steps == 8 {
-					d := 8
-					for q+d < nn && tree[q+d] < x {
-						q += d
-						d <<= 1
-					}
-					hi2 := q + d
-					if hi2 > nn {
-						hi2 = nn
-					}
-					for q < hi2 {
-						m := int(uint(q+hi2) >> 1)
-						if tree[m] < x {
-							q = m + 1
-						} else {
-							hi2 = m
-						}
-					}
-					break
-				}
-			}
+			q = gallop(tree, q+1, x)
 		}
 		p := int32(q)
 		hit := q < nn && tree[q] == x
@@ -311,6 +295,162 @@ func fingerBinary(stack []fingerFrame, keys, tree []graph.V, wantDst bool, dst [
 			sp++
 		}
 		ops += sp - 1 + int(tailMissLUT[(hi-lo)*(fingerTailLen+1)+(p-lo)])
+	}
+	return count, ops, dst
+}
+
+// gallop returns lowerBound(tree, x) given that every element before q is
+// below x. Short gaps walk linearly (sequential, predictor-friendly);
+// longer ones double the stride and bisect the final bracket.
+func gallop(tree []graph.V, q int, x graph.V) int {
+	nn := len(tree)
+	for steps := 0; q < nn && tree[q] < x; steps++ {
+		q++
+		if steps == 8 {
+			d := 8
+			for q+d < nn && tree[q+d] < x {
+				q += d
+				d <<= 1
+			}
+			hi := q + d
+			if hi > nn {
+				hi = nn
+			}
+			for q < hi {
+				m := int(uint(q+hi) >> 1)
+				if tree[m] < x {
+					q = m + 1
+				} else {
+					hi = m
+				}
+			}
+			break
+		}
+	}
+	return q
+}
+
+// Directory is a bucket index over one strictly increasing list: the id
+// range [first, last] cut into equal power-of-two buckets, about one per
+// four ids, with starts[b] the number of ids below bucket b. A key's
+// insertion point is then one load plus a look at the few ids sharing its
+// bucket, instead of a search over the list. The lcc snapshot keeps one per
+// hub adjacency list (fetched again and again, Observation 3.1) and hands
+// it to CountIndexed with the list.
+//
+// A Directory is only ever a hint: depthBinary takes a start from it when
+// the ids around that position confirm it and gallops otherwise, so a
+// directory built from another list, or damaged in memory, costs time but
+// cannot change a count or a charge. It is immutable once built and costs
+// at most one byte per indexed id.
+type Directory struct {
+	base   graph.V
+	shift  uint8
+	starts []uint32 // one per bucket plus the list length as terminator
+}
+
+// NewDirectory indexes list. Lists of at most fingerTailLen ids get none
+// (ok false): depthBinary is never reached with them as the tree.
+func NewDirectory(list []graph.V) (d Directory, ok bool) {
+	n := len(list)
+	if n <= fingerTailLen || uint64(n) > math.MaxUint32 || list[n-1] < list[0] {
+		return Directory{}, false
+	}
+	first := list[0]
+	span := uint64(list[n-1] - first)
+	// At most n/4 words in starts: n/4-1 buckets and the terminator.
+	shift := uint8(0)
+	for span>>shift >= uint64(n/4-1) {
+		shift++
+	}
+	nb := int(span>>shift) + 1
+	starts := make([]uint32, nb+1)
+	b := 0
+	for i, v := range list {
+		// An id below first (the list is not ascending) wraps to a huge
+		// bucket and the loop runs out of buckets early; harmless.
+		for vb := uint64(v-first) >> shift; b < nb && uint64(b) <= vb; b++ {
+			starts[b] = uint32(i)
+		}
+	}
+	for ; b <= nb; b++ {
+		starts[b] = uint32(n)
+	}
+	return Directory{base: first, shift: shift, starts: starts}, true
+}
+
+// Equal reports whether two directories hold the same index.
+func (d *Directory) Equal(o *Directory) bool {
+	return d.base == o.base && d.shift == o.shift && slices.Equal(d.starts, o.starts)
+}
+
+// MemBytes is the directory's heap footprint.
+func (d *Directory) MemBytes() int { return 4 * len(d.starts) }
+
+// dirWindow is how many ids past a bucket's start depthBinary compares
+// against a key without branching. Buckets hold about four ids, so a key's
+// insertion point almost always lies inside the window.
+const dirWindow = 8
+
+// depthBinary returns |keys ∩ tree| and the exact probe-iteration count of
+// the reference Binary loop for a tree of fingerTailLen < n ≤ depthMaxLen
+// ids, given depth, the fillDepth table for n (miss counts in depth[:n+1],
+// hit counts after them). Like fingerBinary it splits memory from
+// arithmetic, but the arithmetic half is gone: the reference iteration
+// count is a pure function of (n, p, hit), so once the insertion point p of
+// a key is known its charge is depth[p + hit·(n+1)] — one load where the
+// finger replay pops and pushes frames.
+//
+// The memory half is a monotone cursor advanced by gallop. A directory over
+// tree (dir != nil, and its terminator matches the tree's length) replaces
+// it key by key: the key's bucket starts at h, and if tree[h-1] < x — all a
+// lower bound needs — p is h plus the number of the next dirWindow ids
+// below x, counted with flag arithmetic. No load then depends on the
+// previous key, so the misses of consecutive keys on a cold hub list
+// overlap instead of queueing behind mispredicted scan branches. A start
+// the tree does not confirm, a full window and the last dirWindow ids fall
+// back to the cursor; whatever the directory holds, p is the true lower
+// bound for an ascending tree and stays in [0, n] for any input.
+func depthBinary(depth []uint8, keys, tree []graph.V, dir *Directory, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
+	assertOriented(keys, tree)
+	n := len(tree)
+	depth = depth[:2*n+1]
+	var starts []uint32
+	var base graph.V
+	var shift uint8
+	if dir != nil && len(dir.starts) > 0 && int(dir.starts[len(dir.starts)-1]) == n {
+		starts, base, shift = dir.starts, dir.base, dir.shift
+	}
+	q := 0 // cursor: a lower bound of every later key's insertion point
+	for _, x := range keys {
+		xx := uint64(x)
+		hinted := false
+		if len(starts) != 0 && x >= base {
+			b := int(uint64(x-base) >> shift)
+			if b >= len(starts) {
+				b = len(starts) - 1
+			}
+			if h := int(starts[b]); h > 0 && h+dirWindow <= n && tree[h-1] < x {
+				win := tree[h : h+dirWindow : h+dirWindow] // eight terms below
+				c := int((uint64(win[0])-xx)>>63 + (uint64(win[1])-xx)>>63 +
+					(uint64(win[2])-xx)>>63 + (uint64(win[3])-xx)>>63 +
+					(uint64(win[4])-xx)>>63 + (uint64(win[5])-xx)>>63 +
+					(uint64(win[6])-xx)>>63 + (uint64(win[7])-xx)>>63)
+				q, hinted = h+c, c < dirWindow
+			}
+		}
+		if !hinted && q < n && tree[q] < x {
+			q = gallop(tree, q+1, x)
+		}
+		hit := 0
+		if q < n {
+			hit = int(((uint64(tree[q]) ^ xx) - 1) >> 63)
+		}
+		count += hit
+		ops += int(depth[q+hit*(n+1)])
+		if wantDst && hit != 0 {
+			dst = append(dst, x)
+		}
 	}
 	return count, ops, dst
 }

@@ -9,10 +9,12 @@ import (
 
 // Scratch is the per-rank reusable state of the cost-decoupled kernel
 // layer: a uint64 stamp-set bitmap for the amortized pivot kernel, its
-// rank index for Binary-charged probes into the pivot, and the finger
-// stack of the shared-path binary search. Engines acquire one per
-// simulated rank (GetScratch/PutScratch) and route every intersection
-// through Count/Elements; after warm-up the kernels allocate nothing.
+// rank index for Binary-charged probes into the pivot, the cache of
+// Algorithm 1 depth tables both Binary-charged kernels read their charge
+// from, and the finger stack of the shared-path binary search. Engines
+// acquire one per simulated rank (GetScratch/PutScratch) and route every
+// intersection through Count/Elements; after warm-up the kernels allocate
+// nothing.
 //
 // Count and Elements return exactly the (count, ops) pair of the
 // reference Count/Elements in intersect.go: the count is computed by the
@@ -46,11 +48,15 @@ type Scratch struct {
 	rank     []uint32
 	rankBase int
 	rankOK   bool
-	// depth holds Algorithm 1's iteration counts for a tree of depthN
-	// elements (fillDepth); it depends on the size alone, so it outlives
-	// the stamp it was built for.
-	depth  []uint8
-	depthN int
+	// The depth-table cache (depthFor): Algorithm 1's iteration counts
+	// for a tree of n elements (fillDepth) depend on n alone, so a table
+	// outlives every list it was built for and stays with a pooled scratch.
+	// depthOff[n] is 1 + the table's offset in depthBuf, 0 while there is
+	// none; spill is the rank path's table for a pivot length not cached.
+	depthOff []uint32
+	depthBuf []uint8
+	spill    []uint8
+	spillN   int
 
 	stack []fingerFrame
 }
@@ -64,6 +70,17 @@ const stampMinLen = 32
 // per 256 ids), which keeps the build within a small constant of the
 // stamp's own O(len) cost. Sparser lists stay on fingerBinary.
 const rankSpanWords = 4
+
+// depthMaxLen and depthMaxBytes bound a scratch's depth-table cache: tables
+// for trees of up to depthMaxLen ids (2n+1 bytes each, and 4 bytes of
+// depthOff per length up to the longest cached), depthMaxBytes of tables in
+// all. A hub list is fetched thousands of times per run, so the lengths that
+// carry the keys arrive early and stay; nothing is evicted.
+const (
+	depthMaxLen    = 1 << 15
+	depthMaxBytes  = 1 << 20
+	depthGrowBytes = 1 << 16
+)
 
 // NewScratch returns a ready-to-use Scratch. Most callers should prefer
 // GetScratch/PutScratch, which recycle instances across runs.
@@ -248,8 +265,7 @@ func (s *Scratch) rankTree(a, tree []graph.V) bool {
 }
 
 // indexStamp builds the rank index over the stamped list, which spans the
-// span bitmap words from base: the prefix popcounts, and the depth table
-// if the previous one was for another length. Both buffers are reused.
+// span bitmap words from base: the prefix popcounts, into a reused buffer.
 func (s *Scratch) indexStamp(base, span int) {
 	if cap(s.rank) < span {
 		s.rank = make([]uint32, max(span, 2*cap(s.rank)))
@@ -261,14 +277,61 @@ func (s *Scratch) indexStamp(base, span int) {
 		below += uint32(bits.OnesCount64(w))
 	}
 	s.rankBase, s.rankOK = base, true
-	if n := s.stampLen; s.depthN != n {
-		if cap(s.depth) < 2*n+1 {
-			s.depth = make([]uint8, max(2*n+1, 2*cap(s.depth)))
-		}
-		s.depth = s.depth[:2*n+1]
-		fillDepth(s.depth[:n+1], s.depth[n+1:], 0, n, 0)
-		s.depthN = n
+}
+
+// cachedDepth returns the cached fillDepth table of a tree of n elements,
+// nil if there is none.
+func (s *Scratch) cachedDepth(n int) []uint8 {
+	if n >= len(s.depthOff) || s.depthOff[n] == 0 {
+		return nil
 	}
+	off := int(s.depthOff[n] - 1)
+	return s.depthBuf[off : off+2*n+1]
+}
+
+// depthFor returns the fillDepth table of a tree of n elements: misses in
+// [:n+1], hits after them. Tables are cached by length within depthMaxLen
+// and depthMaxBytes; past either bound the result is nil.
+func (s *Scratch) depthFor(n int) []uint8 {
+	if t := s.cachedDepth(n); t != nil {
+		return t
+	}
+	off := len(s.depthBuf)
+	if n > depthMaxLen || off+2*n+1 > depthMaxBytes {
+		return nil
+	}
+	if n >= len(s.depthOff) {
+		s.depthOff = append(s.depthOff, make([]uint32, n+1-len(s.depthOff))...)
+	}
+	if cap(s.depthBuf) < off+2*n+1 {
+		// Grow by a fixed step, not by doubling: the buffer is long-lived
+		// and ends up a few hundred KiB, slack would only be resident.
+		s.depthBuf = append(make([]uint8, 0, off+max(2*n+1, depthGrowBytes)), s.depthBuf...)
+	}
+	s.depthBuf = s.depthBuf[:off+2*n+1]
+	s.depthOff[n] = uint32(off + 1)
+	t := s.depthBuf[off:]
+	fillDepth(t[:n+1], t[n+1:], 0, n, 0)
+	return t
+}
+
+// pivotDepth is depthFor for the rank path, which needs a table whatever
+// the stamped pivot's length: a cached one if there is one, else the spill
+// table, refilled when the pivot's length changes — once per pivot, a small
+// part of stamping it, so pivot lengths do not take up the cache.
+func (s *Scratch) pivotDepth(n int) []uint8 {
+	if t := s.cachedDepth(n); t != nil {
+		return t
+	}
+	if s.spillN != n {
+		if cap(s.spill) < 2*n+1 {
+			s.spill = make([]uint8, max(2*n+1, 2*cap(s.spill)))
+		}
+		s.spill = s.spill[:2*n+1]
+		fillDepth(s.spill[:n+1], s.spill[n+1:], 0, n, 0)
+		s.spillN = n
+	}
+	return s.spill
 }
 
 // rankBinary is fingerBinary for the case where the tree is the stamped
@@ -287,7 +350,7 @@ func (s *Scratch) indexStamp(base, span int) {
 func (s *Scratch) rankBinary(keys []graph.V, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
 	assertOriented(keys, s.stamped)
 	n := s.stampLen
-	depth := s.depth[:2*n+1]
+	depth := s.pivotDepth(n)
 	below, above := int(depth[0]), int(depth[n])
 	rank, base := s.rank, s.rankBase
 	words := s.words[base : base+len(rank)]
@@ -315,12 +378,20 @@ func (s *Scratch) rankBinary(keys []graph.V, wantDst bool, dst []graph.V) (count
 }
 
 // binary serves an Algorithm 1-charged pair (keys the shorter list) with
-// the kernel the input admits: the rank index when the tree is the
-// stamped or stampable pivot, the finger replay otherwise — the opposite
-// orientation (pivot as keys, fetched list as tree) and sparse pivots.
-func (s *Scratch) binary(a, keys, tree []graph.V, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
+// the kernel the input admits: the rank index when the tree is the stamped
+// or stampable pivot; otherwise — the opposite orientation (pivot as keys,
+// fetched list as tree) and sparse pivots — the depth-table search, with
+// treeDir (nil, or a directory over tree) to seed its cursor; the finger
+// replay for trees of at most fingerTailLen ids, whose frameless path is
+// one table load per key already, and for lengths the depth cache refuses.
+func (s *Scratch) binary(a, keys, tree []graph.V, treeDir *Directory, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
 	if s.rankTree(a, tree) {
 		return s.rankBinary(keys, wantDst, dst)
+	}
+	if n := len(tree); n > fingerTailLen && len(keys) > 0 {
+		if depth := s.depthFor(n); depth != nil {
+			return depthBinary(depth, keys, tree, treeDir, wantDst, dst)
+		}
 	}
 	return fingerBinary(s.stack, keys, tree, wantDst, dst)
 }
@@ -331,15 +402,24 @@ func (s *Scratch) binary(a, keys, tree []graph.V, wantDst bool, dst []graph.V) (
 // pivot adj(v_i)) so the stamp-set amortization can engage; correctness
 // does not depend on it.
 func (s *Scratch) Count(method Method, a, b []graph.V) (count, ops int) {
+	return s.CountIndexed(method, a, b, nil)
+}
+
+// CountIndexed is Count for a caller that holds a Directory over b (nil
+// for none): when b ends up as the Algorithm 1 tree, its directory places
+// each key instead of a search. Result and charge are Count's, whatever the
+// directory holds.
+func (s *Scratch) CountIndexed(method Method, a, b []graph.V, bDir *Directory) (count, ops int) {
 	sa, sb := a, b
 	if len(sa) > len(sb) {
 		sa, sb = sb, sa
+		bDir = nil // the tree is a
 	}
 	switch method {
 	case MethodSSI:
 		return s.hostSSI(a, b)
 	case MethodBinary:
-		count, ops, _ = s.binary(a, sa, sb, false, nil)
+		count, ops, _ = s.binary(a, sa, sb, bDir, false, nil)
 		return count, ops
 	case MethodHash:
 		return Hash(sa, sb)
@@ -347,7 +427,7 @@ func (s *Scratch) Count(method Method, a, b []graph.V) (count, ops int) {
 		if PreferSSI(len(sa), len(sb)) {
 			return s.hostSSI(a, b)
 		}
-		count, ops, _ = s.binary(a, sa, sb, false, nil)
+		count, ops, _ = s.binary(a, sa, sb, bDir, false, nil)
 		return count, ops
 	}
 }
@@ -370,7 +450,7 @@ func (s *Scratch) Elements(method Method, a, b []graph.V, dst []graph.V) ([]grap
 		ssiCharged = PreferSSI(len(sa), len(sb))
 	}
 	if !ssiCharged {
-		_, ops, out := s.binary(a, sa, sb, true, dst)
+		_, ops, out := s.binary(a, sa, sb, nil, true, dst)
 		return out, ops
 	}
 	before := len(dst)

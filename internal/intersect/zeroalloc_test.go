@@ -8,9 +8,10 @@ import (
 
 // Allocation guards for the scratch-based kernels, in the style of
 // clampi/zeroalloc_test.go: after warm-up (bitmap sized, stack in place)
-// the steady-state paths — branch-free merge, stamp + probe, galloping
-// finger replay, the rank index over the stamp, and the Elements variants
-// into a pre-grown destination — must not touch the heap at all.
+// the steady-state paths — branch-free merge, stamp + probe, the depth-table
+// search once its table is cached, the finger replay, the rank index over
+// the stamp, and the Elements variants into a pre-grown destination — must
+// not touch the heap at all.
 
 func stride(n, step int) []graph.V {
 	out := make([]graph.V, n)
@@ -46,8 +47,20 @@ func TestScratchZeroAlloc(t *testing.T) {
 		s.Count(MethodSSI, pivot, other) // stamps pivot (unstamping alt)
 		s.Count(MethodSSI, alt, small)   // stamps alt (unstamping pivot)
 	})
-	assertZeroAllocs(t, "finger binary", func() { s.Count(MethodBinary, keys, tree) })
+	s.Count(MethodBinary, keys, tree) // warm: tabulates the depths of a 4096-id tree
+	if s.cachedDepth(len(tree)) == nil {
+		t.Fatal("depth table not cached after a Binary-charged call")
+	}
+	assertZeroAllocs(t, "depth binary", func() { s.Count(MethodBinary, keys, tree) })
 	assertZeroAllocs(t, "hybrid dispatch", func() { s.Count(MethodHybrid, keys, tree) })
+	dir, _ := NewDirectory(tree)
+	assertZeroAllocs(t, "depth binary with a directory", func() { s.CountIndexed(MethodBinary, keys, tree, &dir) })
+	short := tree[:fingerTailLen]
+	long := stride(depthMaxLen+1, 3)
+	assertZeroAllocs(t, "finger binary", func() {
+		s.Count(MethodBinary, keys[:8], short) // the frameless tail path
+		s.Count(MethodBinary, keys, long)      // past the depth cache's length bound
+	})
 	s.Count(MethodBinary, tree, keys) // warm: tree is the pivot side, so it is stamped and indexed
 	if !s.rankOK {
 		t.Fatal("rank index not engaged with the tree as pivot")
@@ -60,7 +73,8 @@ func TestScratchZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, "elements rank", func() { dst, _ = s.Elements(MethodBinary, tree, keys, dst[:0]) })
 	assertZeroAllocs(t, "elements merge", func() { dst, _ = s.Elements(MethodSSI, small, other, dst[:0]) })
 	assertZeroAllocs(t, "elements stamped", func() { dst, _ = s.Elements(MethodSSI, pivot, other, dst[:0]) })
-	assertZeroAllocs(t, "elements finger", func() { dst, _ = s.Elements(MethodBinary, keys, tree, dst[:0]) })
+	assertZeroAllocs(t, "elements depth", func() { dst, _ = s.Elements(MethodBinary, keys, tree, dst[:0]) })
+	assertZeroAllocs(t, "elements finger", func() { dst, _ = s.Elements(MethodBinary, keys, long, dst[:0]) })
 	assertZeroAllocs(t, "grid accumulator", func() {
 		s.Stamp(pivot)
 		n := 0
@@ -76,7 +90,7 @@ func TestScratchZeroAlloc(t *testing.T) {
 
 // TestScratchPoolRecycles pins the pool contract the engines rely on: a
 // released scratch comes back with its capacity (no regrowth allocations,
-// rank and depth buffers included) and without stale stamp state.
+// rank buffer and depth tables included) and without stale stamp state.
 func TestScratchPoolRecycles(t *testing.T) {
 	s := GetScratch()
 	s.EnsureUniverse(1 << 12)
@@ -84,6 +98,8 @@ func TestScratchPoolRecycles(t *testing.T) {
 	keys := stride(8, 11)
 	s.Count(MethodSSI, pivot, stride(256, 5)) // leaves pivot stamped
 	s.Count(MethodBinary, pivot, keys)        // and indexed
+	tree := stride(300, 300)                  // too sparse to stamp: the depth-table path
+	s.Count(MethodBinary, keys, tree)
 	PutScratch(s)
 
 	s2 := GetScratch()
@@ -91,6 +107,10 @@ func TestScratchPoolRecycles(t *testing.T) {
 	if len(s2.stamped) != 0 || s2.rankOK {
 		t.Fatal("pooled scratch still stamped or indexed after PutScratch")
 	}
+	if s2.cachedDepth(len(tree)) == nil {
+		t.Fatal("pooled scratch lost its depth tables")
+	}
+	assertZeroAllocs(t, "depth path on a recycled scratch", func() { s2.Count(MethodBinary, keys, tree) })
 	assertZeroAllocs(t, "rank path on a recycled scratch", func() {
 		s2.Count(MethodBinary, pivot, keys)
 		s2.Unstamp()

@@ -495,6 +495,10 @@ type worker struct {
 	// empty when delegation is off.
 	deleg *Delegation
 
+	// orient is the snapshot's orientation index (orient.go); nil for the
+	// engines that run without a snapshot, which search per edge.
+	orient *orientIndex
+
 	// its is the rank's pooled intersection scratch: the fast host
 	// kernels (branch-free merge, stamp-set bitmap, galloping replay)
 	// that report the exact Algorithm 1/2 modeled charge (DESIGN.md §5).
@@ -936,10 +940,11 @@ func (w *worker) run(lccOut []float64) int64 {
 
 	w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {
 		adjI := w.adjOwned(li)
+		var dirJ *intersect.Directory
 		if w.kind == graph.Undirected {
-			adjJ = intersect.UpperSlice(adjJ, vj)
+			adjJ, dirJ = w.orient.upper(vj, adjJ)
 		}
-		c, ops := w.its.Count(method, adjI, adjJ)
+		c, ops := w.its.CountIndexed(method, adjI, adjJ, dirJ)
 		// A small per-edge constant covers loop and bookkeeping costs.
 		w.r.Compute(ops + 4)
 		perVertexT[li] += int64(c)

@@ -12,10 +12,12 @@ package lcc
 // Coverage: each rank's offset table and adjacency plane (plain vertex
 // array, or the compressed stream plus both of its offset indexes), and
 // the global packed resolve table. All of it is immutable after build and
-// read on every query. The checksums themselves are host-side metadata:
-// the model plane never observes them, so recording or verifying them
-// cannot move a single simulated bit (the same invisibility contract as
-// the storage plane, DESIGN.md §9).
+// read on every query. The orientation index (orient.go) fills while
+// queries run, so it has no build-time sum: Verify recomputes each filled
+// entry from the tables it has just checked. The checksums themselves are
+// host-side metadata: the model plane never observes them, so recording or
+// verifying them cannot move a single simulated bit (the same invisibility
+// contract as the storage plane, DESIGN.md §9).
 
 import (
 	"encoding/binary"
@@ -30,21 +32,28 @@ const (
 	SectionOffsets   = "offsets"
 	SectionAdjacency = "adjacency"
 	SectionResolve   = "resolve"
+	SectionIndex     = "index"
 )
 
 var integrityCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // IntegrityError reports a checksum mismatch in a snapshot's resident
 // state: the rank and section whose bytes no longer match the build-time
-// CRC-32C. Rank is -1 for the global resolve table.
+// CRC-32C. Rank is -1 for the global resolve table and for the orientation
+// index, which has no checksum: Vertex names the entry that no longer
+// matches its adjacency list.
 type IntegrityError struct {
 	Rank    int
 	Section string
 	Want    uint32
 	Got     uint32
+	Vertex  graph.V // SectionIndex only
 }
 
 func (e *IntegrityError) Error() string {
+	if e.Section == SectionIndex {
+		return fmt.Sprintf("lcc: snapshot integrity: orientation index entry of vertex %d does not match its adjacency list", e.Vertex)
+	}
 	if e.Rank < 0 {
 		return fmt.Sprintf("lcc: snapshot integrity: %s table checksum mismatch (want %08x, got %08x)",
 			e.Section, e.Want, e.Got)
@@ -103,7 +112,9 @@ func (s *Snapshot) computeSums() {
 // Verify re-checksums the snapshot's resident state against the sums
 // recorded at build time and returns a *IntegrityError naming the first
 // mismatching (rank, section), or nil when every section still matches.
-// Safe to call concurrently with runs — everything covered is immutable,
+// The filled part of the orientation index is checked last, by recomputing
+// it from the lists that just passed. Safe to call concurrently with runs —
+// the checksummed tables are immutable, index entries are published whole,
 // Verify only reads — though the scrubber calls it on idle instances so a
 // detected fault can quarantine before the next query, not after.
 func (s *Snapshot) Verify() error {
@@ -124,15 +135,33 @@ func (s *Snapshot) Verify() error {
 	if got := checksumU64s(0, s.resolve, integrityCRC); got != s.resolveSum {
 		return &IntegrityError{Rank: -1, Section: SectionResolve, Want: s.resolveSum, Got: got}
 	}
+	if v, ok := s.orient.verify(s.adjInto); !ok {
+		return &IntegrityError{Rank: -1, Section: SectionIndex, Vertex: v}
+	}
 	return nil
 }
 
-// CorruptForTest flips one bit in the named section — rank < 0 with
-// SectionResolve targets the resolve table — so the integrity tests and
-// the chaos harness can stage the fault Verify exists to catch. Never
-// call it while a run is in flight on the snapshot.
+// adjInto returns adj(v) from the resident per-rank tables, decoding into
+// buf when they are compressed.
+func (s *Snapshot) adjInto(v graph.V, buf []graph.V) []graph.V {
+	rv := s.resolve[v]
+	return s.locals[rv>>resolveLiBits].AdjInto(int(rv&(1<<resolveLiBits-1)), buf)
+}
+
+// CorruptForTest flips one bit in the named section — SectionResolve and
+// SectionIndex (an entry some run has filled) ignore rank — so the integrity
+// tests and the chaos harness can stage the fault Verify exists to catch.
+// Never call it while a run is in flight on the snapshot.
 func (s *Snapshot) CorruptForTest(rank int, section string) error {
 	switch {
+	case section == SectionIndex:
+		for v := range s.orient.word {
+			if w := s.orient.word[v].Load(); w > 1 { // 1 would flip to "not filled"
+				s.orient.word[v].Store(w ^ 1)
+				return nil
+			}
+		}
+		return fmt.Errorf("lcc: orientation index has no entry to flip")
 	case section == SectionResolve:
 		if len(s.resolve) == 0 {
 			return fmt.Errorf("lcc: empty resolve table")

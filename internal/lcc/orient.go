@@ -1,0 +1,173 @@
+package lcc
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/graph"
+	"repro/internal/intersect"
+)
+
+// orientIndex is a snapshot's per-vertex orientation index (Snapshot.orient):
+// what Algorithm 3's visit needs to know about adj(v_j) beyond its ids, and
+// would otherwise recompute for every edge that fetches it.
+//
+//   - the upper offset |{x ∈ adj(v) : x ≤ v}|: the edge-centric method
+//     counts only common neighbours above v_j (§II-C), so every visit
+//     starts by cutting adj(v_j) there;
+//   - for an upper list of more than 32 ids, an intersect.Directory over
+//     it, which places a key of adj(v_i) in the hub's list with one load.
+//
+// Entries are constants of the graph, filled by whichever rank first
+// fetches the vertex, from the fetched list itself — every source of
+// adj(v_j) (owner CSR, window view, cache hit, delegation replica, decode
+// buffer) holds the same ids — and published with atomics, so concurrent
+// runs share one index and a run's results do not depend on what ran
+// before. Host memory only: 4 bytes per vertex, plus at most one byte per
+// indexed id and a 48-byte entry per hub (allocated a page at a time); not
+// counted by LocalBytes, freed with the snapshot.
+//
+// Nothing read from the index is trusted: upper validates the offset
+// against the list in hand and the kernel treats the directory as a hint
+// (intersect.Directory), so a damaged word or a list that changed under
+// the index falls back to the searches. Snapshot.Verify recomputes every
+// filled entry.
+type orientIndex struct {
+	// word[v] is 0 until v is filled, then 1 + upper offset, or hubFlag
+	// plus the slot of v's hubEntry.
+	word []atomic.Uint32
+
+	// The hub entries, in pages so that a published slot never moves:
+	// fillers write the next slot under mu and then publish it in word,
+	// readers reach it through word's atomic load alone. A graph has at
+	// most one hub per vertex, which sizes page.
+	mu   sync.Mutex
+	hubs uint32
+	page []atomic.Pointer[hubPage]
+}
+
+const (
+	hubFlag     = 1 << 31
+	hubPageBits = 8
+)
+
+type hubPage [1 << hubPageBits]hubEntry
+
+// hubEntry is the index of a vertex whose upper list has a directory.
+// Immutable once published; filled is false in the slots past the last one.
+type hubEntry struct {
+	filled bool
+	upper  int
+	dir    intersect.Directory
+}
+
+func newOrientIndex(n int) *orientIndex {
+	return &orientIndex{
+		word: make([]atomic.Uint32, n),
+		page: make([]atomic.Pointer[hubPage], n>>hubPageBits+1),
+	}
+}
+
+// upper cuts list = adj(vj) down to the ids above vj and returns the
+// directory over that upper list, nil when it has none. A nil index — the
+// engines that run without a snapshot — searches, like every entry that
+// fails validation.
+func (ix *orientIndex) upper(vj graph.V, list []graph.V) ([]graph.V, *intersect.Directory) {
+	if ix == nil || int(vj) >= len(ix.word) {
+		return intersect.UpperSlice(list, vj), nil
+	}
+	w := ix.word[vj].Load()
+	if w == 0 {
+		return ix.fill(vj, list)
+	}
+	u := int(w) - 1
+	var dir *intersect.Directory
+	if w&hubFlag != 0 {
+		h := ix.hub(w &^ hubFlag)
+		if h == nil {
+			return intersect.UpperSlice(list, vj), nil
+		}
+		u, dir = h.upper, &h.dir
+	}
+	// u is the upper offset of an ascending list iff its two neighbours say so.
+	if u > len(list) || (u > 0 && list[u-1] > vj) || (u < len(list) && list[u] <= vj) {
+		return intersect.UpperSlice(list, vj), nil
+	}
+	return list[u:], dir
+}
+
+// hub returns the entry in slot, nil if there is none (a damaged word).
+func (ix *orientIndex) hub(slot uint32) *hubEntry {
+	if int(slot>>hubPageBits) >= len(ix.page) {
+		return nil
+	}
+	pg := ix.page[slot>>hubPageBits].Load()
+	if pg == nil {
+		return nil
+	}
+	if h := &pg[slot&(1<<hubPageBits-1)]; h.filled {
+		return h
+	}
+	return nil
+}
+
+// fill computes vj's entry from list, publishes it unless another rank got
+// there first, and returns what upper would.
+func (ix *orientIndex) fill(vj graph.V, list []graph.V) ([]graph.V, *intersect.Directory) {
+	up := intersect.UpperSlice(list, vj)
+	u := len(list) - len(up)
+	dir, ok := intersect.NewDirectory(up)
+	if !ok {
+		if u+1 < hubFlag {
+			ix.word[vj].CompareAndSwap(0, uint32(u+1))
+		}
+		return up, nil
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.word[vj].Load() != 0 {
+		// Another rank published while this one built. Returning &dir
+		// would move every fill's dir to the heap; this one call searches.
+		return up, nil
+	}
+	slot := ix.hubs
+	pg := ix.page[slot>>hubPageBits].Load()
+	if pg == nil {
+		pg = new(hubPage)
+		ix.page[slot>>hubPageBits].Store(pg)
+	}
+	h := &pg[slot&(1<<hubPageBits-1)]
+	*h = hubEntry{filled: true, upper: u, dir: dir}
+	ix.hubs++
+	ix.word[vj].Store(hubFlag | slot)
+	return up, &h.dir
+}
+
+// verify recomputes every filled entry from adj, the snapshot's own copy of
+// a vertex's list, and reports the first vertex whose entry differs.
+func (ix *orientIndex) verify(adj func(v graph.V, buf []graph.V) []graph.V) (bad graph.V, ok bool) {
+	var buf []graph.V
+	for v := range ix.word {
+		w := ix.word[v].Load()
+		if w == 0 {
+			continue
+		}
+		buf = adj(graph.V(v), buf)
+		up := intersect.UpperSlice(buf, graph.V(v))
+		u := len(buf) - len(up)
+		dir, isHub := intersect.NewDirectory(up)
+		if !isHub {
+			if w != uint32(u+1) {
+				return graph.V(v), false
+			}
+			continue
+		}
+		if w&hubFlag == 0 {
+			return graph.V(v), false
+		}
+		if h := ix.hub(w &^ hubFlag); h == nil || h.upper != u || !h.dir.Equal(&dir) {
+			return graph.V(v), false
+		}
+	}
+	return 0, true
+}

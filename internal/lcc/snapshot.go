@@ -24,15 +24,20 @@ import (
 // windows from the same pair arrays makeGraphWindows would compute, so a
 // run through a snapshot is bit-identical to the corresponding lcc.Run.
 //
-// The one mutable thing a snapshot owns is host memory: a free list of
-// CLaMPI instances (caches) that cached runs recycle instead of rebuilding
-// their hash tables, heaps and slabs per rank per query. clampi.Cache.Reset
-// hands each out in the just-constructed state, so the list carries no
-// model-visible per-run state and a run's results do not depend on what ran
-// before it. It holds at most Workers × concurrent cached runs pairs (a
-// rank body holds one pair, and internal/sched runs at most Workers bodies
-// of a run at once), is not counted by LocalBytes, and is freed with the
-// snapshot.
+// The two mutable things a snapshot owns are host memory, invisible to the
+// model. One is a free list of CLaMPI instances (caches) that cached runs
+// recycle instead of rebuilding their hash tables, heaps and slabs per rank
+// per query. clampi.Cache.Reset hands each out in the just-constructed
+// state, so the list carries no model-visible per-run state and a run's
+// results do not depend on what ran before it. It holds at most Workers ×
+// concurrent cached runs pairs (a rank body holds one pair, and
+// internal/sched runs at most Workers bodies of a run at once). The other is
+// the orientation index (orient, see orientIndex): per-vertex constants of
+// the graph — where adj(v) crosses v, and a bucket directory over a hub's
+// upper list — that RunCtx's ranks fill on first fetch and every later edge
+// and run reads instead of searching. It grows to at most 4 bytes per vertex
+// plus one byte per indexed id. Neither is counted by LocalBytes; both are
+// freed with the snapshot.
 type Snapshot struct {
 	src           graph.Store
 	kind          graph.Kind
@@ -54,6 +59,7 @@ type Snapshot struct {
 	resolveSum uint32
 
 	caches cachePool
+	orient *orientIndex
 }
 
 // cachePair is one rank's (C_offsets, C_adj) instances. They recycle as a
@@ -149,6 +155,7 @@ func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 		pt:      pt, locals: locals, pairs: pairs,
 		resolve: buildResolve(pt),
 		deleg:   BuildDelegation(g, so.DelegateBytes),
+		orient:  newOrientIndex(g.NumVertices()),
 	}
 	s.computeSums()
 	return s, nil
@@ -168,7 +175,8 @@ func (s *Snapshot) Graph() graph.Store { return s.src }
 
 // LocalBytes reports the host bytes the extracted per-rank adjacency
 // planes occupy — the quantity the storage budget governs. The recycled
-// cache instances are not part of it (see Snapshot for their bound).
+// cache instances and the orientation index are not part of it (see
+// Snapshot for their bounds).
 func (s *Snapshot) LocalBytes() int64 {
 	var b int64
 	for _, lc := range s.locals {
@@ -228,7 +236,7 @@ func (s *Snapshot) RunCtx(ctx context.Context, opt Options) (*Result, error) {
 
 	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
 		w := newWorker(r, s.kind, s.pt, s.locals[r.ID()], wOff, wAdj, s.resolve, opt, &s.caches)
-		w.deleg = s.deleg
+		w.deleg, w.orient = s.deleg, s.orient
 		// The deferred close repools the scratch and closes the epochs on
 		// the cancel/panic unwind path; the explicit close keeps the
 		// epoch-close charges ahead of the stats snapshot, as the charge

@@ -114,7 +114,7 @@ func TestWatchdogSparesHealthyRuns(t *testing.T) {
 	}
 }
 
-// TestScrubQuarantineReload corrupts each checksummed section in turn at
+// TestScrubQuarantineReload corrupts each verified section in turn at
 // Workers ∈ {1,4}: the scrub must detect exactly the damaged section,
 // quarantine with a typed *ScrubError, auto-reload from the dataset
 // source, and serve golden bits again — and the supervisor's sweep
@@ -123,11 +123,12 @@ func TestScrubQuarantineReload(t *testing.T) {
 	sections := []struct {
 		section  string
 		rank     int
-		wantRank int // rank recorded in the IntegrityError (-1 = resolve table)
+		wantRank int // rank recorded in the IntegrityError (-1 = resolve table, index)
 	}{
 		{serve.SectionOffsets, 1, 1},
 		{serve.SectionAdjacency, 2, 2},
 		{serve.SectionResolve, 0, -1},
+		{serve.SectionIndex, 0, -1}, // filled by the pre-corruption run
 	}
 	for _, w := range []int{1, 4} {
 		for _, tc := range sections {

@@ -24,12 +24,13 @@ import (
 // the concrete *ScrubError names the corrupt rank and section.
 var ErrQuarantined = errors.New("serve: instance quarantined")
 
-// Checksummed snapshot sections, re-exported for CorruptResident callers
+// Verified snapshot sections, re-exported for CorruptResident callers
 // (tests, the chaos harness).
 const (
 	SectionOffsets   = lcc.SectionOffsets
 	SectionAdjacency = lcc.SectionAdjacency
 	SectionResolve   = lcc.SectionResolve
+	SectionIndex     = lcc.SectionIndex
 )
 
 // ScrubError reports a snapshot integrity failure: which instance was

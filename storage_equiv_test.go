@@ -11,13 +11,16 @@ package repro_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/intersect"
 	"repro/internal/lcc"
+	"repro/internal/serve"
 )
 
 // goldenStores materializes the fb-sim golden graph in each source-store
@@ -122,4 +125,41 @@ func TestSnapshotStorageBudget(t *testing.T) {
 		t.Fatalf("compressed locals occupy %d bytes, plain %d: no win", comp.LocalBytes(), plain.LocalBytes())
 	}
 	runGoldenConfig(t, "pull") // plain pins still hold after the sweep above
+}
+
+// TestCompressedLocalsWithIsolatedVertices runs compressed locals over a
+// graph straight out of the generator: an R-MAT before gen.Prepare keeps its
+// zero-degree vertices, and an empty list shares its window offset with the
+// list after it — the read CompressedAdj.DecodeAt used to refuse. Cached
+// and uncached, every quantity must match the plain locals' bit for bit.
+func TestCompressedLocalsWithIsolatedVertices(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(10, 8, graph.Undirected, 5))
+	isolated := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.OutDegree(graph.V(v)) == 0 {
+			isolated++
+		}
+	}
+	if isolated == 0 {
+		t.Fatal("the generated graph has no isolated vertex to exercise")
+	}
+	for _, caching := range []bool{false, true} {
+		opt := lcc.Options{Ranks: 8, Workers: 2, Method: intersect.MethodHybrid, DoubleBuffer: true,
+			Caching: caching, OffsetsCacheBytes: 1 << 10, AdjCacheBytes: 1 << 13, DegreeScores: true}
+		opt.Storage = lcc.StoragePlain
+		want, err := lcc.Run(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Storage = lcc.StorageCompressed
+		got, err := lcc.Run(g, opt)
+		if err != nil {
+			t.Fatalf("caching=%v: compressed locals: %v", caching, err)
+		}
+		if math.Float64bits(got.SimTime) != math.Float64bits(want.SimTime) ||
+			got.Triangles != want.Triangles || serve.ScoreBits(got.LCC) != serve.ScoreBits(want.LCC) {
+			t.Errorf("caching=%v: compressed locals: SimTime %v triangles %d, plain %v and %d",
+				caching, got.SimTime, got.Triangles, want.SimTime, want.Triangles)
+		}
+	}
 }
