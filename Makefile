@@ -89,19 +89,23 @@ chaos-smoke:
 stress:
 	$(GO) test -race -run 'Lifecycle|Cancel|Panic' -count=10 ./internal/serve ./internal/sched
 
-# pprof captures and symbolizes a CPU profile of the end-to-end non-cached
-# engine benchmark, so perf PRs start from evidence instead of guesses.
-# Artifacts: repro.test + cpu.pprof (git-ignored working files); drill
-# further with `go tool pprof repro.test cpu.pprof`.
+# pprof profiles one workload of the repository benchmark (BENCHMARK.json)
+# from outside bench/, so perf PRs start from evidence about the thing they
+# will be judged on (cmd/benchprof): the workload's registry graph, ranks and
+# options on one worker, one untimed run, then RUNS profiled ones, top 25.
+# Artifact: cpu.pprof (git-ignored; symbols travel in it), drill further with
+# `go tool pprof -list <regexp> cpu.pprof`.
+#	make pprof [W=pull-rmat|cached-rmat|cached-uniform|serve-http] [RUNS=5]
+RUNS ?= 5
 pprof:
-	$(GO) test -run '^$$' -bench '^BenchmarkEngineNonCached$$' -benchtime 3x \
-		-cpuprofile cpu.pprof -o repro.test .
-	$(GO) tool pprof -top -nodecount 25 repro.test cpu.pprof
+	$(GO) run ./cmd/benchprof -workload "$(or $(W),pull-rmat)" -runs $(RUNS) -o cpu.pprof
+	$(GO) tool pprof -top -nodecount 25 cpu.pprof
 
-# pprof-cached is pprof for the cached engine: CPU and allocation profiles
-# of BenchmarkEngineCached, where CLaMPI bookkeeping rather than the
-# kernels carries the host time and where allocated bytes (not counts) are
-# the number to watch. Artifacts: repro.test + cpu.pprof + mem.pprof.
+# pprof-cached adds the allocation profile `make pprof W=cached-uniform`
+# does not take: CPU and allocated bytes of BenchmarkEngineCached, where
+# CLaMPI bookkeeping rather than the kernels carries the host time and where
+# allocated bytes (not counts) are the number to watch. Artifacts:
+# repro.test + cpu.pprof + mem.pprof.
 pprof-cached:
 	$(GO) test -run '^$$' -bench '^BenchmarkEngineCached$$' -benchtime 3x \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o repro.test .

@@ -1,0 +1,120 @@
+// Command benchprof takes a CPU profile of one of the repository benchmark's
+// workloads (BENCHMARK.json) from outside bench/: the workload's registry
+// graph, rank count and options as bench/workloads.go has them at seed 0, on
+// one worker so the samples are the engine's and not the scheduler's. It
+// builds the snapshot, makes one untimed run — the orientation index, the
+// depth tables and the cache instances fill there, as they have when the
+// benchmark times an op — then profiles the given number of runs.
+//
+//	make pprof W=pull-rmat            # five runs, top 25
+//	go run ./cmd/benchprof -workload cached-uniform -runs 3 -o /tmp/cpu.pprof
+//
+// Symbols travel in the profile: `go tool pprof -list <regexp> cpu.pprof`
+// reads on from there.
+package main
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"os"
+	"runtime/pprof"
+	"slices"
+	"time"
+
+	"repro/internal/gen"
+	"repro/internal/intersect"
+	"repro/internal/lcc"
+	"repro/internal/part"
+	"repro/internal/stats"
+)
+
+// workload is bench/workloads.go's table at seed 0. The benchmark is a module
+// of its own and cannot be imported; its pinned fingerprints (expected.json)
+// are the check that a configuration here has not drifted from it.
+type workload struct {
+	name, dataset string
+	ranks         int
+	opt           lcc.Options
+}
+
+func workloads() []workload {
+	pull := lcc.Options{Method: intersect.MethodHybrid, DoubleBuffer: true}
+	cached := func(policy lcc.ScorePolicy) lcc.Options {
+		o := pull
+		o.Caching, o.OffsetsCacheBytes, o.AdjCacheBytes, o.AdjScorePolicy = true, 1<<18, 1<<22, policy
+		return o
+	}
+	return []workload{
+		{"pull-rmat", "rmat-s15-ef16", 32, pull},
+		{"cached-rmat", "rmat-s15-ef16", 32, cached(lcc.ScoreDegree)},
+		{"cached-uniform", "uniform", 32, cached(lcc.ScoreLRU)},
+		{"serve-http", "fb-sim", 4, pull}, // the engine's part of a query, without lccd around it
+	}
+}
+
+func main() {
+	name := flag.String("workload", "pull-rmat", "benchmark workload to profile")
+	runs := flag.Int("runs", 5, "profiled runs, after one untimed")
+	out := flag.String("o", "cpu.pprof", "CPU profile to write")
+	flag.Parse()
+	if err := run(*name, *runs, *out); err != nil {
+		fmt.Fprintln(os.Stderr, "benchprof:", err)
+		os.Exit(1)
+	}
+}
+
+func run(name string, runs int, out string) error {
+	var w *workload
+	var names []string
+	all := workloads()
+	for i := range all {
+		names = append(names, all[i].name)
+		if all[i].name == name {
+			w = &all[i]
+		}
+	}
+	if w == nil || runs < 1 {
+		return fmt.Errorf("want one of the workloads %v and runs >= 1, got %q and %d", names, name, runs)
+	}
+	g, err := gen.Load(w.dataset)
+	if err != nil {
+		return err
+	}
+	snap, err := lcc.NewSnapshot(g, w.ranks, part.Block, 0)
+	if err != nil {
+		return err
+	}
+	opt := w.opt
+	opt.Workers = 1
+	ctx := context.Background()
+	if _, err := snap.RunCtx(ctx, opt); err != nil {
+		return err
+	}
+
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	var res *lcc.Result
+	var ms []float64
+	for i := 0; i < runs && err == nil; i++ {
+		started := time.Now()
+		res, err = snap.RunCtx(ctx, opt)
+		ms = append(ms, time.Since(started).Seconds()*1e3)
+	}
+	pprof.StopCPUProfile()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s: %s on %d ranks, 1 worker: %d runs, median %.1f ms (fastest %.1f), %d triangles, sim time %.3f ms; profile in %s\n",
+		w.name, w.dataset, w.ranks, runs, stats.Median(ms), slices.Min(ms), res.Triangles, res.SimTime/1e6, out)
+	return nil
+}

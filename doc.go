@@ -21,9 +21,10 @@
 //     (§II-C, §III-C, §V-A), split into a model plane (the reference
 //     Algorithm 1/2 loops whose iteration counts define the simulated
 //     compute charge) and a host plane (per-rank Scratch kernels —
-//     branch-free merge, stamp-set bitmap with its rank index, depth-table
-//     search over bucket directories, finger replay — that produce
-//     identical counts and charges much faster; DESIGN.md §5)
+//     branch-free merge, stamp-set bitmap, word-parallel AND and rank
+//     queries over dense sets, depth-table search over bucket directories,
+//     finger replay — that produce identical counts and charges much
+//     faster; DESIGN.md §5)
 //   - internal/lcc — the paper's contribution: fully asynchronous
 //     distributed TC/LCC over RMA with caching (§III); shared-memory
 //     kernels, the Schank–Wagner forward algorithm and orientations (§V);
@@ -149,9 +150,10 @@
 // while host wall-clock does not pay for the simulation's bookkeeping
 // (DESIGN.md §5; differential and fuzz tests enforce the equivalence).
 // What such a kernel would recompute per edge although it is a constant of
-// the graph — where adj(v) crosses v, where an id falls in a hub's list —
-// an lcc.Snapshot keeps in a lazily filled orientation index its runs
-// share (DESIGN.md §8).
+// the graph — where adj(v) crosses v, where an id falls in a hub's list,
+// a long dense hub list as the bitmap the kernels would make of it — an
+// lcc.Snapshot keeps in a lazily filled orientation index its runs share
+// (DESIGN.md §8); every use re-checks it against the list in hand.
 //
 // The fetch pipeline completes the decoupling with a charge tape: every
 // simulated cost is a (kind, bytes) descriptor in one canonical per-rank

@@ -242,8 +242,8 @@ func TestGoldenWorkerSweep(t *testing.T) {
 // TestEngineCachedAllocBudget is TestEngineFetchAllocFree's cached-engine
 // companion guard: the allocation-free metadata plane (pooled entries/
 // blocks/AVL nodes, packed keys, lane tables, open-addressed seen set)
-// brings a full CLaMPI-cached run from ~302k heap allocations to about a
-// thousand — cache construction plus a bounded number of slab/pool
+// brings a full CLaMPI-cached run from ~302k heap allocations to a few
+// hundred — cache construction plus a bounded number of slab/pool
 // ramp-ups. The budget leaves modest headroom; the benchmark-visible
 // number (BENCH_*.json) is the precise trajectory.
 func TestEngineCachedAllocBudget(t *testing.T) {
@@ -262,9 +262,10 @@ func TestEngineCachedAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	allocs := m1.Mallocs - m0.Mallocs
 	// The seed's cached run allocated ~300k objects (per-miss entries,
-	// boxed heap snapshots, map traffic). Setup for 4 ranks x 2 caches
-	// plus pool ramp-up fits comfortably in 2000.
-	const budget = 2000
+	// boxed heap snapshots, map traffic). Setup for 4 ranks x 2 caches,
+	// pool ramp-up and the orientation index a one-shot Run refills — its
+	// 832 directories come out of a handful of slab chunks — measure ~325.
+	const budget = 400
 	if allocs > budget {
 		t.Errorf("cached run allocated %d objects, budget %d: per-access allocation crept back into the cache", allocs, budget)
 	}

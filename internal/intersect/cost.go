@@ -27,19 +27,24 @@ import "repro/internal/graph"
 //	a[m−1] > b[n−1]:  jEnd = n,  iEnd = |{x ∈ a : x ≤ b[n−1]}|
 //
 // (when the maxima are equal both cursors run out: the first case yields
-// jEnd = n). ssiOps computes this with one O(log) search instead of the
-// O(m+n) replay; equiv and fuzz tests hold it bit-identical to the
-// reference loop on randomized inputs.
+// jEnd = n). ssiOps computes this with one O(log) search — or one rank query,
+// when the searched list comes with a DenseSet — instead of the O(m+n)
+// replay; equiv and fuzz tests hold it bit-identical to the reference loop
+// on randomized inputs.
 
 // ssiOps returns the exact Algorithm 2 iteration count for a ∩ b, given
-// count = |a ∩ b|. It is symmetric in its list arguments, like the
-// reference loop's charge. Inputs must be strictly increasing.
-func ssiOps(a, b []graph.V, count int) int {
+// count = |a ∩ b|. bSet is nil, or a DenseSet bound to b. It is symmetric in
+// its list arguments, like the reference loop's charge. Inputs must be
+// strictly increasing.
+func ssiOps(a, b []graph.V, count int, bSet *DenseSet) int {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
 		return 0
 	}
 	if a[m-1] <= b[n-1] {
+		if bSet != nil {
+			return m + bSet.upperBound(b, a[m-1]) - count
+		}
 		return m + upperBound(b, a[m-1]) - count
 	}
 	return upperBound(a, b[n-1]) + n - count

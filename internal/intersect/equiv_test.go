@@ -73,12 +73,12 @@ func TestSSIOpsAnalytic(t *testing.T) {
 	for trial := 0; trial < 5000; trial++ {
 		a, b := randPair(rng)
 		count, ops := SSI(a, b)
-		if got := ssiOps(a, b, count); got != ops {
+		if got := ssiOps(a, b, count, nil); got != ops {
 			t.Fatalf("trial %d: ssiOps(|a|=%d,|b|=%d,count=%d) = %d, reference SSI ops = %d",
 				trial, len(a), len(b), count, got, ops)
 		}
 		// The charge is symmetric, like the reference loop's.
-		if got := ssiOps(b, a, count); got != ops {
+		if got := ssiOps(b, a, count, nil); got != ops {
 			t.Fatalf("trial %d: ssiOps not symmetric: %d vs %d", trial, got, ops)
 		}
 	}
@@ -388,6 +388,14 @@ func strideFrom(n int, lo, step graph.V) []graph.V {
 	return out
 }
 
+// asIndex wraps a directory, nil for none, the way NewIndex hands it out.
+func asIndex(d *Directory) *Index {
+	if d == nil {
+		return nil
+	}
+	return &Index{dir: *d}
+}
+
 // checkDepthBinary holds depthBinary — bare, with dir and with stale, a
 // directory over some other list — and the Scratch dispatch above it to the
 // reference Binary and to the finger replay, counting and listing.
@@ -398,11 +406,11 @@ func checkDepthBinary(t *testing.T, s *Scratch, keys, tree []graph.V, stale *Dir
 	if c, o, _ := fingerBinary(s.stack, keys, tree, false, nil); c != wantCount || o != wantOps {
 		t.Fatalf("%s: fingerBinary = (%d,%d), reference (%d,%d)", what, c, o, wantCount, wantOps)
 	}
-	dir, ok := NewDirectory(tree)
+	dir, ok := newDirectory(tree, nil)
 	if !ok {
 		t.Fatalf("%s: no directory over %d ids", what, len(tree))
 	}
-	if got := dir.MemBytes(); got > len(tree) {
+	if got := 4 * len(dir.starts); got > len(tree) {
 		t.Fatalf("%s: directory of %d bytes over %d ids, want at most one byte per id", what, got, len(tree))
 	}
 	depth := s.depthFor(len(tree))
@@ -421,7 +429,7 @@ func checkDepthBinary(t *testing.T, s *Scratch, keys, tree []graph.V, stale *Dir
 		}
 		for _, m := range []Method{MethodBinary, MethodHybrid} {
 			wc, wo := Count(m, keys, tree)
-			if c, o := s.CountIndexed(m, keys, tree, d); c != wc || o != wo {
+			if c, o := s.CountIndexed(m, keys, tree, asIndex(d)); c != wc || o != wo {
 				t.Fatalf("%s, %s: CountIndexed(%v) = (%d,%d), want (%d,%d)", what, name, m, c, o, wc, wo)
 			}
 		}
@@ -464,7 +472,7 @@ func TestDepthBinaryMatchesReference(t *testing.T) {
 			keys[0] = tree[0] - graph.V(rng.Intn(2))*min(tree[0], 3)
 		}
 		other := strideFrom(n, graph.V(rng.Intn(100)), graph.V(1+rng.Intn(50)))
-		stale, _ := NewDirectory(other)
+		stale, _ := newDirectory(other, nil)
 		checkDepthBinary(t, s, keys, tree, &stale, "random")
 		// And one whose bucket starts are noise, in range and out of it,
 		// behind a terminator that still matches.
@@ -493,14 +501,14 @@ func dedupV(s []graph.V) []graph.V {
 func TestDepthCacheBounds(t *testing.T) {
 	s := NewScratch()
 	keys := []graph.V{0, 3, 4, 5, 50000, 98301, 98304, 1 << 20}
-	stale, _ := NewDirectory(strideFrom(depthMaxLen, 7, 2))
+	stale, _ := newDirectory(strideFrom(depthMaxLen, 7, 2), nil)
 	check := func(n int, cached bool) {
 		t.Helper()
 		tree := strideFrom(n, 3, 3)
 		wantCount, wantOps := Binary(keys, tree)
-		dir, _ := NewDirectory(tree)
+		dir, _ := newDirectory(tree, nil)
 		for _, d := range []*Directory{nil, &dir, &stale} {
-			if c, o := s.CountIndexed(MethodBinary, keys, tree, d); c != wantCount || o != wantOps {
+			if c, o := s.CountIndexed(MethodBinary, keys, tree, asIndex(d)); c != wantCount || o != wantOps {
 				t.Fatalf("%d ids: CountIndexed = (%d,%d), want (%d,%d)", n, c, o, wantCount, wantOps)
 			}
 		}
@@ -538,15 +546,15 @@ func TestDirectoryToleratesUnsorted(t *testing.T) {
 	good := strideFrom(3*fingerTailLen, 10, 7)
 	headOff := append([]graph.V{4000}, good[1:]...)
 	tailOff := append(append([]graph.V{}, good[1:]...), 3)
-	gdir, _ := NewDirectory(good)
+	gdir, _ := newDirectory(good, nil)
 	for _, tree := range [][]graph.V{headOff, tailOff} {
-		dir, ok := NewDirectory(tree)
+		dir, ok := newDirectory(tree, nil)
 		for _, d := range []*Directory{&gdir, &dir} {
 			if d == &dir && !ok {
 				continue
 			}
 			for _, keys := range [][]graph.V{{0, 9, 10, 11, 300, 4000, 5000}, {700}, good[:20]} {
-				s.CountIndexed(MethodBinary, keys, tree, d)
+				s.CountIndexed(MethodBinary, keys, tree, asIndex(d))
 			}
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // kernel's count must match the map oracle, and the analytic/replayed
 // charge must match the reference loops' ops — across repeated calls on
 // one Scratch so the stamped, rank-indexed, depth-table and finger paths
-// are all exercised, the depth-table one with the tree's own directory and
-// with a stale one.
+// are all exercised, with the second list's own Index — Directory or
+// DenseSet —, a stale one, and a DenseSet with one bit flipped.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint8(2))
 	f.Add([]byte{0, 0, 9, 9, 200}, []byte{9}, uint8(1))
@@ -35,6 +35,15 @@ func FuzzIntersectKernels(f *testing.F) {
 	sparse := bytes.Repeat([]byte{2, 0}, 3*stampMinLen) // id step 513
 	f.Add([]byte{2, 0, 0, 9, 2, 0, 100, 0, 255, 255}, sparse, uint8(1))
 	f.Add([]byte{0, 1, 0, 1, 0, 50, 255, 255}, append(bytes.Repeat([]byte{0, 1}, 2*stampMinLen), 255, 255), uint8(2))
+	// The DenseSet paths: a list long and dense enough for one as the second
+	// argument (300 ids, step 41), under a pivot long enough for Algorithm 2
+	// (the word-parallel AND, ssiOps by rank query) and under a few keys
+	// (the rank query per key), below, inside and above its span.
+	set := bytes.Repeat([]byte{0, 40}, denseMinLen+44)
+	f.Add(bytes.Repeat([]byte{0, 100}, 80), set, uint8(2))
+	f.Add(bytes.Repeat([]byte{0, 100}, 80), set, uint8(0))
+	f.Add([]byte{0, 3, 0, 36, 0, 40, 1, 0, 40, 0, 200, 0}, set, uint8(1))
+	f.Add(append([]byte{20, 0}, bytes.Repeat([]byte{0, 6}, 40)...), set, uint8(2))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, methodByte uint8) {
 		a := setFromBytes(rawA)
 		b := setFromBytes(rawB)
@@ -53,23 +62,41 @@ func FuzzIntersectKernels(f *testing.F) {
 			}
 			wantElems, wantElemOps := Elements(m, a, b, nil)
 
-			// A directory over b, and one over another list of b's length:
-			// both may only be hints.
-			var dirs []*Directory
-			if dir, ok := NewDirectory(b); ok {
+			// An index over b — whichever form NewIndex gives it — and ones
+			// that only look like it: a directory over another list of b's
+			// length; the dense set b had one id ago, and b's own with a bit
+			// flipped in a word or in a rank entry. All may only be hints.
+			var hints []*Index
+			if dir, ok := newDirectory(b, nil); ok {
 				other := make([]graph.V, len(b))
 				for i, v := range b {
 					other[i] = v>>1 + graph.V(i)
 				}
-				stale, _ := NewDirectory(other)
-				dirs = []*Directory{&dir, &stale}
+				stale, _ := newDirectory(other, nil)
+				hints = []*Index{{dir: dir}, {dir: stale}}
 				// The kernel itself, whatever the dispatch would pick.
 				if len(a) <= len(b) && len(b) <= depthMaxLen {
 					bc, bo := Binary(a, b)
-					for _, d := range append(dirs, nil) {
+					for _, d := range []*Directory{&dir, &stale, nil} {
 						if c, o, _ := depthBinary(s.depthFor(len(b)), a, b, d, false, nil); c != bc || o != bo {
 							t.Fatalf("depthBinary = (%d,%d), reference Binary (%d,%d)", c, o, bc, bo)
 						}
+					}
+				}
+			}
+			if set, ok := newDenseSet(b, nil); ok {
+				k := (len(rawA) + int(methodByte)) % len(set.words)
+				word, rank := copySet(set), copySet(set)
+				word.words[k] ^= 1 << (k & 63)
+				rank.rank[k] ^= 1 << (k & 7)
+				hints = append(hints, &Index{set: set}, &Index{set: word}, &Index{set: rank})
+				if stale, ok := newDenseSet(b[:len(b)-1], nil); ok {
+					hints = append(hints, &Index{set: stale})
+				}
+				if len(a) <= len(b) && len(b) <= depthMaxLen {
+					bc, bo := Binary(a, b)
+					if c, o, _, ok := rankBinary(set, s.depthFor(len(b)), a, true, false, nil); !ok || c != bc || o != bo {
+						t.Fatalf("rankBinary = (%d,%d,%v), reference Binary (%d,%d)", c, o, ok, bc, bo)
 					}
 				}
 			}
@@ -83,8 +110,8 @@ func FuzzIntersectKernels(f *testing.F) {
 					t.Fatalf("call %d method %v: Scratch.Count = (%d,%d), want (%d,%d)",
 						call, m, count, ops, wantCount, wantOps)
 				}
-				for _, d := range dirs {
-					if count, ops := s.CountIndexed(m, a, b, d); count != wantCount || ops != wantOps {
+				for _, ix := range hints {
+					if count, ops := s.CountIndexed(m, a, b, ix); count != wantCount || ops != wantOps {
 						t.Fatalf("call %d method %v: Scratch.CountIndexed = (%d,%d), want (%d,%d)",
 							call, m, count, ops, wantCount, wantOps)
 					}

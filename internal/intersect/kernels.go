@@ -1,8 +1,7 @@
 package intersect
 
 import (
-	"math"
-	"slices"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -14,7 +13,7 @@ import (
 // kernel's own exit positions. All kernels require strictly increasing
 // inputs (adjacency lists are sorted and deduplicated sets).
 //
-// Five kernels cover the host dispatch:
+// Six kernels cover the host dispatch:
 //
 //   - MergeCount: a 4-way unrolled branch-free merge. The scalar SSI loop
 //     takes one unpredictable branch per element; on power-law adjacency
@@ -26,8 +25,12 @@ import (
 //     exact — the pivot list is stamped once and every neighbour list is
 //     counted with one bit test per element, amortizing the build over
 //     deg(pivot) intersections exactly like the reusable HashIndex.
-//   - the rank index over that stamp (scratch.go): when the Algorithm 1
-//     tree is the stamped pivot, a key's insertion point is a prefix
+//   - the word-parallel AND (scratch.go andCount): when the neighbour list
+//     comes with a DenseSet (index.go) — its own bitmap — the count is the
+//     popcount of stamp AND set over the words the set spans, 64 ids a step.
+//   - the rank query (rankBinary below): when the Algorithm 1 tree is a
+//     DenseSet — the stamped pivot's, which the Scratch builds, or a fetched
+//     hub's, which the caller hands in — a key's insertion point is a prefix
 //     popcount of the bitmap and its charge one load from a per-size depth
 //     table (fillDepth below) — no branch on the data, no tree access.
 //   - the depth-table binary search (depthBinary below): for any other
@@ -38,7 +41,7 @@ import (
 //     bisection replayed on indices with the path cached across the
 //     (ascending) keys. It serves trees of at most fingerTailLen ids with
 //     one table load per key, trees the depth cache cannot hold, and the
-//     tests as the oracle of the two kernels above.
+//     tests as the oracle of the kernels above.
 
 // The merge kernels turn comparison flags into 0/1 with pure integer
 // arithmetic on 64-bit zero-extended operands, so the compiler emits flag
@@ -330,63 +333,6 @@ func gallop(tree []graph.V, q int, x graph.V) int {
 	return q
 }
 
-// Directory is a bucket index over one strictly increasing list: the id
-// range [first, last] cut into equal power-of-two buckets, about one per
-// four ids, with starts[b] the number of ids below bucket b. A key's
-// insertion point is then one load plus a look at the few ids sharing its
-// bucket, instead of a search over the list. The lcc snapshot keeps one per
-// hub adjacency list (fetched again and again, Observation 3.1) and hands
-// it to CountIndexed with the list.
-//
-// A Directory is only ever a hint: depthBinary takes a start from it when
-// the ids around that position confirm it and gallops otherwise, so a
-// directory built from another list, or damaged in memory, costs time but
-// cannot change a count or a charge. It is immutable once built and costs
-// at most one byte per indexed id.
-type Directory struct {
-	base   graph.V
-	shift  uint8
-	starts []uint32 // one per bucket plus the list length as terminator
-}
-
-// NewDirectory indexes list. Lists of at most fingerTailLen ids get none
-// (ok false): depthBinary is never reached with them as the tree.
-func NewDirectory(list []graph.V) (d Directory, ok bool) {
-	n := len(list)
-	if n <= fingerTailLen || uint64(n) > math.MaxUint32 || list[n-1] < list[0] {
-		return Directory{}, false
-	}
-	first := list[0]
-	span := uint64(list[n-1] - first)
-	// At most n/4 words in starts: n/4-1 buckets and the terminator.
-	shift := uint8(0)
-	for span>>shift >= uint64(n/4-1) {
-		shift++
-	}
-	nb := int(span>>shift) + 1
-	starts := make([]uint32, nb+1)
-	b := 0
-	for i, v := range list {
-		// An id below first (the list is not ascending) wraps to a huge
-		// bucket and the loop runs out of buckets early; harmless.
-		for vb := uint64(v-first) >> shift; b < nb && uint64(b) <= vb; b++ {
-			starts[b] = uint32(i)
-		}
-	}
-	for ; b <= nb; b++ {
-		starts[b] = uint32(n)
-	}
-	return Directory{base: first, shift: shift, starts: starts}, true
-}
-
-// Equal reports whether two directories hold the same index.
-func (d *Directory) Equal(o *Directory) bool {
-	return d.base == o.base && d.shift == o.shift && slices.Equal(d.starts, o.starts)
-}
-
-// MemBytes is the directory's heap footprint.
-func (d *Directory) MemBytes() int { return 4 * len(d.starts) }
-
 // dirWindow is how many ids past a bucket's start depthBinary compares
 // against a key without branching. Buckets hold about four ids, so a key's
 // insertion point almost always lies inside the window.
@@ -453,6 +399,70 @@ func depthBinary(depth []uint8, keys, tree []graph.V, dir *Directory, wantDst bo
 		}
 	}
 	return count, ops, dst
+}
+
+// rankBinary returns |keys ∩ tree| and the exact probe-iteration count of the
+// reference Binary loop for a tree given as set, a DenseSet the caller has
+// bound to it (the Scratch's own over its stamp, or Index.dense), and depth,
+// the fillDepth table for the tree's length n — without touching the tree. A
+// key x's insertion point is the number of the set's ids below it,
+//
+//	p = rank[w] + popcount(words[w] & (1<<(x&63) - 1)),  w = x>>6 - first>>6,
+//
+// its bitmap bit is the hit, and the reference iteration count is a pure
+// function of (n, p, hit) that fillDepth tabulated — two L1 loads, a popcount
+// and a table load per key, no data-dependent branch. The one branch tests
+// whether the key falls in the words the set spans; keys are ascending, so it
+// flips at most twice per call (below: p = 0, above: p = n), and it keeps
+// every index in range whatever the input.
+//
+// check is set for a set that is not the Scratch's own: each word read must
+// then hold rank[w+1] − rank[w] bits (a second popcount; half again the cost
+// of a key, which the scratch's own bitmap need not pay). ok is false — and
+// the other results void — when one does not, or a position leaves the
+// table: the set is damaged, and the caller redoes the pair without it.
+func rankBinary(set *DenseSet, depth []uint8, keys []graph.V, check, wantDst bool, dst []graph.V) (count, ops int, out []graph.V, ok bool) {
+	n := (len(depth) - 1) / 2
+	base := int(set.first >> 6)
+	words := set.words
+	rank, next := set.rank[:len(words)], set.rank[1:len(words)+1] // no bounds checks below
+	bad := 0
+	for _, x := range keys {
+		w := int(x>>6) - base
+		if uint(w) >= uint(len(words)) {
+			if w < 0 {
+				ops += int(depth[0])
+			} else {
+				ops += int(depth[n])
+			}
+			continue
+		}
+		word, bit := words[w], x&63
+		hit := int(word >> bit & 1)
+		p := int(rank[w]) + bits.OnesCount64(word&(1<<bit-1))
+		if check {
+			bad |= p + bits.OnesCount64(word>>bit) - int(next[w])
+		}
+		at := uint(p + hit*(n+1))
+		if at >= uint(len(depth)) {
+			return 0, 0, dst, false
+		}
+		count += hit
+		ops += int(depth[at])
+	}
+	if bad != 0 {
+		return 0, 0, dst, false
+	}
+	// Listing is a second pass, so that the loop above keeps its few values
+	// in registers: an append in it spills them all, every key.
+	if wantDst && count > 0 {
+		for _, x := range keys {
+			if w := int(x>>6) - base; uint(w) < uint(len(words)) && words[w]>>(x&63)&1 != 0 {
+				dst = append(dst, x)
+			}
+		}
+	}
+	return count, ops, dst, true
 }
 
 // fillDepth tabulates Algorithm 1's iteration counts for every outcome

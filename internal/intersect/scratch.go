@@ -8,9 +8,9 @@ import (
 )
 
 // Scratch is the per-rank reusable state of the cost-decoupled kernel
-// layer: a uint64 stamp-set bitmap for the amortized pivot kernel, its
-// rank index for Binary-charged probes into the pivot, the cache of
-// Algorithm 1 depth tables both Binary-charged kernels read their charge
+// layer: a uint64 stamp-set bitmap for the amortized pivot kernel, the
+// DenseSet over it for Binary-charged probes into the pivot, the cache of
+// Algorithm 1 depth tables the Binary-charged kernels read their charge
 // from, and the finger stack of the shared-path binary search. Engines
 // acquire one per simulated rank (GetScratch/PutScratch) and route every
 // intersection through Count/Elements; after warm-up the kernels allocate
@@ -41,13 +41,12 @@ type Scratch struct {
 	stampPtr *graph.V
 	stampLen int
 
-	// The rank index over the stamp (rankBinary): rank[i] is the number of
-	// stamped ids below word rankBase+i, for the words the stamped list
-	// spans. Built on the stamp's first Binary-charged use, dropped
+	// index is the stamp as a DenseSet (rankBinary): its words are the
+	// bitmap words the stamped list spans, its rank a buffer of the
+	// scratch's. Built on the stamp's first Binary-charged use, dropped
 	// (rankOK) whenever the stamp or the bitmap changes.
-	rank     []uint32
-	rankBase int
-	rankOK   bool
+	index  DenseSet
+	rankOK bool
 	// The depth-table cache (depthFor): Algorithm 1's iteration counts
 	// for a tree of n elements (fillDepth) depend on n alone, so a table
 	// outlives every list it was built for and stays with a pooled scratch.
@@ -208,38 +207,70 @@ func (s *Scratch) probeElements(b []graph.V, dst []graph.V) []graph.V {
 	return dst
 }
 
-// hostSSI computes the Algorithm 2-charged intersection of (a, b) where a
-// is the caller's pivot side. Host dispatch (the Eq. (3) refinement that
-// exists only on the host): a stamped pivot is probed with one bit test
-// per element of the other list; a pivot of useful size is stamped first
-// (the cost is linear like the merge's, but every op is independent —
-// no data-dependent branches, no loop-carried load chain — and the stamp
-// amortizes across the pivot's whole adjacency walk); small pairs take
-// the branch-free merge, whose exit positions carry the charge.
-func (s *Scratch) hostSSI(a, b []graph.V) (count, ops int) {
-	switch {
-	case sameList(a, s.stampPtr, s.stampLen):
-		count = s.probeCount(b)
-	case sameList(b, s.stampPtr, s.stampLen):
-		count = s.probeCount(a)
-	case len(a) >= stampMinLen:
-		s.Stamp(a)
-		count = s.probeCount(b)
-	default:
-		var iEnd, jEnd int
-		count, iEnd, jEnd = MergeCount(a, b)
-		return count, iEnd + jEnd - count
+// andCount counts the stamped ids in set, a DenseSet over the list being
+// counted, 64 ids a step: the popcount of stamp AND set over the words the
+// set spans (nothing is stamped past the bitmap's extent). ok is false when
+// the set's words no longer add up to the sum recorded with them; the count
+// is then void.
+func (s *Scratch) andCount(set *DenseSet) (count int, ok bool) {
+	var stamp []uint64
+	if base := int(set.first >> 6); base < len(s.words) {
+		stamp = s.words[base:]
 	}
-	return count, ssiOps(a, b, count)
+	n := min(len(set.words), len(stamp))
+	words, stamp := set.words[:n], stamp[:n]
+	var sum uint64
+	for i, w := range words {
+		count += bits.OnesCount64(w & stamp[i])
+		sum += w
+	}
+	for _, w := range set.words[n:] {
+		sum += w
+	}
+	return count, sum == set.sum
 }
 
-// rankTree reports whether rankBinary can serve a Binary-charged pair whose
-// longer side is tree, stamping and indexing it if need be. a is the
-// caller's pivot argument. The choice reads only the input: tree must be
-// the stamped list, or the pivot side and worth stamping, and its own id
-// span (first to last element, in bitmap words) must stay within
-// rankSpanWords per element so the prefix build amortizes like the stamp
-// does. The bitmap's capacity plays no part, so a rank sees the same
+// hostSSI computes the Algorithm 2-charged intersection of (a, b) where a
+// is the caller's pivot side and bSet nil or a DenseSet bound to b. Host
+// dispatch (the Eq. (3) refinement that exists only on the host): a stamped
+// pivot is probed with one AND per word of the other list's DenseSet, if it
+// comes with one that holds up, or with one bit test per element of it; a
+// pivot of useful size is stamped first (the cost is linear like the
+// merge's, but every op is independent — no data-dependent branches, no
+// loop-carried load chain — and the stamp amortizes across the pivot's whole
+// adjacency walk); small pairs take the branch-free merge, whose exit
+// positions carry the charge.
+func (s *Scratch) hostSSI(a, b []graph.V, bSet *DenseSet) (count, ops int) {
+	if !sameList(a, s.stampPtr, s.stampLen) {
+		switch {
+		case sameList(b, s.stampPtr, s.stampLen):
+			count = s.probeCount(a)
+			return count, ssiOps(a, b, count, nil)
+		case len(a) >= stampMinLen:
+			s.Stamp(a)
+		default:
+			var iEnd, jEnd int
+			count, iEnd, jEnd = MergeCount(a, b)
+			return count, iEnd + jEnd - count
+		}
+	}
+	ok := false
+	if bSet != nil {
+		count, ok = s.andCount(bSet)
+	}
+	if !ok {
+		count = s.probeCount(b)
+	}
+	return count, ssiOps(a, b, count, bSet)
+}
+
+// rankTree reports whether the scratch's own DenseSet (index) can serve a
+// Binary-charged pair whose longer side is tree, stamping and indexing it if
+// need be. a is the caller's pivot argument. The choice reads only the
+// input: tree must be the stamped list, or the pivot side and worth stamping,
+// and its own id span (first to last element, in bitmap words) must stay
+// within rankSpanWords per element so the prefix build amortizes like the
+// stamp does. The bitmap's capacity plays no part, so a rank sees the same
 // kernels whichever pooled Scratch it drew.
 func (s *Scratch) rankTree(a, tree []graph.V) bool {
 	n := len(tree)
@@ -260,23 +291,14 @@ func (s *Scratch) rankTree(a, tree []graph.V) bool {
 	if !stamped {
 		s.Stamp(tree)
 	}
-	s.indexStamp(base, span)
+	// The set's words are the stamp's; its ranks go into a reused buffer.
+	if cap(s.index.rank) < span+1 {
+		s.index.rank = make([]uint32, max(span+1, 2*cap(s.index.rank)))
+	}
+	s.index = DenseSet{first: tree[0], last: tree[n-1], words: s.words[base : base+span], rank: s.index.rank[:span+1]}
+	s.index.fill()
+	s.rankOK = true
 	return true
-}
-
-// indexStamp builds the rank index over the stamped list, which spans the
-// span bitmap words from base: the prefix popcounts, into a reused buffer.
-func (s *Scratch) indexStamp(base, span int) {
-	if cap(s.rank) < span {
-		s.rank = make([]uint32, max(span, 2*cap(s.rank)))
-	}
-	s.rank = s.rank[:span]
-	below := uint32(0)
-	for i, w := range s.words[base : base+span] {
-		s.rank[i] = below
-		below += uint32(bits.OnesCount64(w))
-	}
-	s.rankBase, s.rankOK = base, true
 }
 
 // cachedDepth returns the cached fillDepth table of a tree of n elements,
@@ -315,10 +337,10 @@ func (s *Scratch) depthFor(n int) []uint8 {
 	return t
 }
 
-// pivotDepth is depthFor for the rank path, which needs a table whatever
-// the stamped pivot's length: a cached one if there is one, else the spill
-// table, refilled when the pivot's length changes — once per pivot, a small
-// part of stamping it, so pivot lengths do not take up the cache.
+// pivotDepth is depthFor for the stamped pivot, which needs a table whatever
+// its length: a cached one if there is one, else the spill table, refilled
+// when the pivot's length changes — once per pivot, a small part of stamping
+// it, so pivot lengths do not take up the cache.
 func (s *Scratch) pivotDepth(n int) []uint8 {
 	if t := s.cachedDepth(n); t != nil {
 		return t
@@ -334,63 +356,35 @@ func (s *Scratch) pivotDepth(n int) []uint8 {
 	return s.spill
 }
 
-// rankBinary is fingerBinary for the case where the tree is the stamped
-// list and rankTree has indexed it: same count, same Algorithm 1 charge,
-// without touching the tree. A key x's insertion point is the number of
-// stamped ids below it,
-//
-//	p = rank[x>>6] + popcount(words[x>>6] & (1<<(x&63) - 1)),
-//
-// its bitmap bit is the hit, and the reference iteration count is a pure
-// function of (len(tree), p, hit) that fillDepth tabulated — two L1 loads,
-// a popcount and a table load per key, no data-dependent branch. The one
-// branch tests whether the key falls in the words the list spans; keys are
-// ascending, so it flips at most twice per call (below: p = 0, above:
-// p = len(tree)), and it keeps every index in range whatever the input.
-func (s *Scratch) rankBinary(keys []graph.V, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
-	assertOriented(keys, s.stamped)
-	n := s.stampLen
-	depth := s.pivotDepth(n)
-	below, above := int(depth[0]), int(depth[n])
-	rank, base := s.rank, s.rankBase
-	words := s.words[base : base+len(rank)]
-	rank = rank[:len(words)]
-	for _, x := range keys {
-		w := int(x>>6) - base
-		if uint(w) >= uint(len(rank)) {
-			if w < 0 {
-				ops += below
-			} else {
-				ops += above
-			}
-			continue
-		}
-		word, bit := words[w], x&63
-		hit := int(word >> bit & 1)
-		p := int(rank[w]) + bits.OnesCount64(word&(1<<bit-1))
-		count += hit
-		ops += int(depth[p+hit*(n+1)])
-		if wantDst && hit != 0 {
-			dst = append(dst, x)
-		}
-	}
-	return count, ops, dst
-}
-
 // binary serves an Algorithm 1-charged pair (keys the shorter list) with
-// the kernel the input admits: the rank index when the tree is the stamped
-// or stampable pivot; otherwise — the opposite orientation (pivot as keys,
-// fetched list as tree) and sparse pivots — the depth-table search, with
-// treeDir (nil, or a directory over tree) to seed its cursor; the finger
+// the kernel the input admits: the rank query when the tree has a DenseSet —
+// it is the stamped or stampable pivot, or treeIx (nil, or an Index over
+// tree) holds one; otherwise — the opposite orientation (pivot as keys,
+// fetched list as tree), sparse pivots and short or sparse hubs — the
+// depth-table search, with treeIx's Directory to seed its cursor; the finger
 // replay for trees of at most fingerTailLen ids, whose frameless path is
 // one table load per key already, and for lengths the depth cache refuses.
-func (s *Scratch) binary(a, keys, tree []graph.V, treeDir *Directory, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
-	if s.rankTree(a, tree) {
-		return s.rankBinary(keys, wantDst, dst)
+func (s *Scratch) binary(a, keys, tree []graph.V, treeIx *Index, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
+	assertOriented(keys, tree)
+	n := len(tree)
+	var set *DenseSet
+	var depth []uint8
+	own := s.rankTree(a, tree)
+	if own {
+		set, depth = &s.index, s.pivotDepth(n)
+	} else if len(keys) > 0 {
+		if set = treeIx.dense(tree); set != nil {
+			depth = s.depthFor(n)
+		}
 	}
-	if n := len(tree); n > fingerTailLen && len(keys) > 0 {
+	if depth != nil {
+		if count, ops, out, ok := rankBinary(set, depth, keys, !own, wantDst, dst); ok {
+			return count, ops, out
+		}
+	}
+	if n > fingerTailLen && len(keys) > 0 {
 		if depth := s.depthFor(n); depth != nil {
-			return depthBinary(depth, keys, tree, treeDir, wantDst, dst)
+			return depthBinary(depth, keys, tree, treeIx.directory(), wantDst, dst)
 		}
 	}
 	return fingerBinary(s.stack, keys, tree, wantDst, dst)
@@ -405,29 +399,30 @@ func (s *Scratch) Count(method Method, a, b []graph.V) (count, ops int) {
 	return s.CountIndexed(method, a, b, nil)
 }
 
-// CountIndexed is Count for a caller that holds a Directory over b (nil
-// for none): when b ends up as the Algorithm 1 tree, its directory places
-// each key instead of a search. Result and charge are Count's, whatever the
-// directory holds.
-func (s *Scratch) CountIndexed(method Method, a, b []graph.V, bDir *Directory) (count, ops int) {
+// CountIndexed is Count for a caller that holds an Index over b (nil for
+// none): a Directory places each key when b ends up as the Algorithm 1 tree,
+// a DenseSet stands in for b under either charge. Result and charge are
+// Count's, whatever the index holds.
+func (s *Scratch) CountIndexed(method Method, a, b []graph.V, bIx *Index) (count, ops int) {
 	sa, sb := a, b
+	treeIx := bIx
 	if len(sa) > len(sb) {
 		sa, sb = sb, sa
-		bDir = nil // the tree is a
+		treeIx = nil // the tree is a
 	}
 	switch method {
 	case MethodSSI:
-		return s.hostSSI(a, b)
+		return s.hostSSI(a, b, bIx.dense(b))
 	case MethodBinary:
-		count, ops, _ = s.binary(a, sa, sb, bDir, false, nil)
+		count, ops, _ = s.binary(a, sa, sb, treeIx, false, nil)
 		return count, ops
 	case MethodHash:
 		return Hash(sa, sb)
 	default:
 		if PreferSSI(len(sa), len(sb)) {
-			return s.hostSSI(a, b)
+			return s.hostSSI(a, b, bIx.dense(b))
 		}
-		count, ops, _ = s.binary(a, sa, sb, bDir, false, nil)
+		count, ops, _ = s.binary(a, sa, sb, treeIx, false, nil)
 		return count, ops
 	}
 }
@@ -467,7 +462,7 @@ func (s *Scratch) Elements(method Method, a, b []graph.V, dst []graph.V) ([]grap
 		dst, iEnd, jEnd = mergeElements(sa, sb, dst)
 		return dst, iEnd + jEnd - (len(dst) - before)
 	}
-	return dst, ssiOps(a, b, len(dst)-before)
+	return dst, ssiOps(a, b, len(dst)-before, nil)
 }
 
 // --- pool ------------------------------------------------------------------

@@ -10,8 +10,8 @@ import (
 // clampi/zeroalloc_test.go: after warm-up (bitmap sized, stack in place)
 // the steady-state paths — branch-free merge, stamp + probe, the depth-table
 // search once its table is cached, the finger replay, the rank index over
-// the stamp, and the Elements variants into a pre-grown destination — must
-// not touch the heap at all.
+// the stamp, both uses of a caller's DenseSet, and the Elements variants
+// into a pre-grown destination — must not touch the heap at all.
 
 func stride(n, step int) []graph.V {
 	out := make([]graph.V, n)
@@ -53,8 +53,18 @@ func TestScratchZeroAlloc(t *testing.T) {
 	}
 	assertZeroAllocs(t, "depth binary", func() { s.Count(MethodBinary, keys, tree) })
 	assertZeroAllocs(t, "hybrid dispatch", func() { s.Count(MethodHybrid, keys, tree) })
-	dir, _ := NewDirectory(tree)
-	assertZeroAllocs(t, "depth binary with a directory", func() { s.CountIndexed(MethodBinary, keys, tree, &dir) })
+	dir, _ := newDirectory(tree, nil)
+	assertZeroAllocs(t, "depth binary with a directory", func() { s.CountIndexed(MethodBinary, keys, tree, &Index{dir: dir}) })
+	otherIx, _ := NewIndex(other, nil) // 1024 ids in 80 words: a DenseSet
+	if !otherIx.Dense() {
+		t.Fatal("no dense set over the SSI-charged partner")
+	}
+	s.CountIndexed(MethodBinary, keys, other, &otherIx) // warm: the depths of a 1024-id tree
+	assertZeroAllocs(t, "dense set rank query", func() { s.CountIndexed(MethodBinary, keys, other, &otherIx) })
+	assertZeroAllocs(t, "dense set AND", func() {
+		s.CountIndexed(MethodSSI, pivot, other, &otherIx) // stamps pivot
+		s.CountIndexed(MethodHybrid, pivot, other, &otherIx)
+	})
 	short := tree[:fingerTailLen]
 	long := stride(depthMaxLen+1, 3)
 	assertZeroAllocs(t, "finger binary", func() {

@@ -940,11 +940,11 @@ func (w *worker) run(lccOut []float64) int64 {
 
 	w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {
 		adjI := w.adjOwned(li)
-		var dirJ *intersect.Directory
+		var ixJ *intersect.Index
 		if w.kind == graph.Undirected {
-			adjJ, dirJ = w.orient.upper(vj, adjJ)
+			adjJ, ixJ = w.orient.upper(vj, adjJ)
 		}
-		c, ops := w.its.CountIndexed(method, adjI, adjJ, dirJ)
+		c, ops := w.its.CountIndexed(method, adjI, adjJ, ixJ)
 		// A small per-edge constant covers loop and bookkeeping costs.
 		w.r.Compute(ops + 4)
 		perVertexT[li] += int64(c)

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/intersect"
 )
@@ -21,35 +23,69 @@ func pullOpts(workers int, m intersect.Method) Options {
 	return Options{Workers: workers, Method: m, DoubleBuffer: true}
 }
 
-// indexCensus counts the filled entries of s's index, those with a
-// directory, and the bytes it holds.
-func indexCensus(s *Snapshot) (filled, hubs int, bytes int64) {
-	ix := s.orient
+// orientGraph is recycleGraph four times the size: R-MAT s10 has no upper
+// list of 256 ids, this one has seven, all dense enough for a DenseSet, next
+// to some 150 with a Directory.
+func orientGraph() *graph.Graph {
+	return gen.Prepare(gen.RMAT(gen.DefaultRMAT(11, 16, graph.Undirected, 5)), 5)
+}
+
+// hubEntries returns the filled hub entries of ix, by vertex.
+func hubEntries(ix *orientIndex) map[graph.V]*hubEntry {
+	hubs := map[graph.V]*hubEntry{}
 	for v := range ix.word {
-		if w := ix.word[v].Load(); w != 0 {
-			filled++
-			if w&hubFlag != 0 {
-				hubs++
+		if w := ix.word[v].Load(); w&hubFlag != 0 {
+			if h := ix.hub(w &^ hubFlag); h != nil {
+				hubs[graph.V(v)] = h
 			}
 		}
 	}
-	bytes = int64(4*len(ix.word) + 8*len(ix.page))
+	return hubs
+}
+
+// indexCensus counts the filled entries of s's index, those with an Index,
+// those whose Index is a DenseSet, the bytes of the indexes' arrays and the
+// bytes the index holds in all.
+func indexCensus(s *Snapshot) (filled, hubs, dense int, arrays, bytes int64) {
+	ix := s.orient
+	for v := range ix.word {
+		if ix.word[v].Load() != 0 {
+			filled++
+		}
+	}
+	for _, h := range hubEntries(ix) {
+		hubs++
+		if h.ix.Dense() {
+			dense++
+		}
+		arrays += int64(h.ix.MemBytes())
+	}
+	bytes = int64(4*len(ix.word)+8*len(ix.page)) + int64(ix.mem.MemBytes())
 	for i := range ix.page {
 		if pg := ix.page[i].Load(); pg != nil {
 			bytes += int64(unsafe.Sizeof(*pg))
-			for j := range pg {
-				bytes += int64(pg[j].dir.MemBytes())
-			}
 		}
 	}
-	return filled, hubs, bytes
+	return filled, hubs, dense, arrays, bytes
+}
+
+// setArrays reaches into a DenseSet index for its words and rank arrays, so
+// a test can damage them in place: intersect exports no way to, on purpose.
+func setArrays(t *testing.T, ix *intersect.Index) (words []uint64, rank []uint32) {
+	t.Helper()
+	if !ix.Dense() {
+		t.Fatal("not a dense set")
+	}
+	set := reflect.ValueOf(ix).Elem().FieldByName("set").Elem()
+	w, r := set.FieldByName("words"), set.FieldByName("rank")
+	return unsafe.Slice((*uint64)(w.UnsafePointer()), w.Len()), unsafe.Slice((*uint32)(r.UnsafePointer()), r.Len())
 }
 
 // TestWarmIndexMatchesFresh compares every query on a snapshot of its own,
 // whose ranks fill the index as they go, with the same query on a snapshot
 // earlier runs have filled completely.
 func TestWarmIndexMatchesFresh(t *testing.T) {
-	g := recycleGraph()
+	g := orientGraph()
 	methods := []intersect.Method{intersect.MethodHybrid, intersect.MethodBinary}
 	for _, storage := range []StorageMode{StoragePlain, StorageCompressed} {
 		warm := recycleSnapshot(t, g, storage)
@@ -58,15 +94,19 @@ func TestWarmIndexMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		filled, hubs, bytes := indexCensus(warm)
-		if filled == 0 || hubs == 0 {
-			t.Fatalf("%v: warm index has %d entries, %d directories; the graph must exercise both", storage, filled, hubs)
+		filled, hubs, dense, arrays, bytes := indexCensus(warm)
+		if filled == hubs || dense == 0 || hubs == dense {
+			t.Fatalf("%v: warm index has %d entries, %d with an index, %d of them dense sets; the graph must exercise all three",
+				storage, filled, hubs, dense)
 		}
-		// 4 B per vertex and 1 B per indexed id (an upper list is at most
-		// the whole list), plus the page table and the entries themselves.
+		// 4 B per vertex, the page table and the entries themselves, and
+		// the arrays: 1 B per id under a directory, 12 B per id and a
+		// terminator under a dense set (an upper list is at most the whole
+		// list), a third on top for chunk tails, and the two open chunks.
 		n := int64(g.NumVertices())
-		if bound := 4*n + int64(g.NumArcs()) + 8*(n>>hubPageBits+1) + int64(hubs+1<<hubPageBits)*int64(unsafe.Sizeof(hubEntry{})); bytes > bound {
-			t.Errorf("%v: index holds %d bytes, bound %d", storage, bytes, bound)
+		if bound := 4*n + 8*(n>>hubPageBits+1) + int64(hubs+1<<hubPageBits)*int64(unsafe.Sizeof(hubEntry{})) +
+			arrays*4/3 + 2<<16; arrays > 12*int64(g.NumArcs())+4*int64(dense) || bytes > bound {
+			t.Errorf("%v: index holds %d bytes (%d in arrays), bound %d", storage, bytes, arrays, bound)
 		}
 		for _, workers := range []int{1, 2, 4} {
 			for _, m := range methods {
@@ -76,8 +116,9 @@ func TestWarmIndexMatchesFresh(t *testing.T) {
 				diffRuns(t, name, got, want, gotSum, wantSum)
 			}
 		}
-		if f, h, _ := indexCensus(warm); f != filled || h != hubs {
-			t.Errorf("%v: index went from %d/%d entries/directories to %d/%d on reruns", storage, filled, hubs, f, h)
+		if f, h, d, _, b := indexCensus(warm); f != filled || h != hubs || d != dense || b != bytes {
+			t.Errorf("%v: index went from %d/%d/%d entries/indexes/dense sets in %d bytes to %d/%d/%d in %d on reruns",
+				storage, filled, hubs, dense, bytes, f, h, d, b)
 		}
 		if err := warm.Verify(); err != nil {
 			t.Errorf("%v: Verify on a warm snapshot: %v", storage, err)
@@ -89,7 +130,7 @@ func TestWarmIndexMatchesFresh(t *testing.T) {
 // once, so their ranks race to fill and publish the same entries. Not
 // skipped under -short: the race lane covers the publish through it.
 func TestConcurrentFirstRunsFillIndex(t *testing.T) {
-	g := recycleGraph()
+	g := orientGraph()
 	opts := []Options{pullOpts(2, intersect.MethodHybrid), pullOpts(2, intersect.MethodBinary), pullOpts(1, intersect.MethodHybrid)}
 	want := make([]*Result, len(opts))
 	for i, o := range opts {
@@ -127,13 +168,30 @@ func TestConcurrentFirstRunsFillIndex(t *testing.T) {
 	}
 }
 
-// TestDamagedIndexIsCaughtAndHarmless flips bits in a filled index. Verify
-// must name the entry; and because every use re-validates what it reads, a
-// query over the damaged index still returns the fresh snapshot's bits.
+// TestDamagedIndexIsCaughtAndHarmless damages a filled index every way its
+// memory can go wrong. Verify must name the entry; and because every use
+// binds what it reads to the list in hand and checks it, a query over the
+// damaged index still returns the fresh snapshot's bits.
 func TestDamagedIndexIsCaughtAndHarmless(t *testing.T) {
-	g := recycleGraph()
+	g := orientGraph()
 	opt := pullOpts(2, intersect.MethodHybrid)
 	want, wantSum := runDigested(t, recycleSnapshot(t, g, StoragePlain), opt)
+	// filledSnapshot returns a snapshot whose index a run has filled.
+	filledSnapshot := func() *Snapshot {
+		s := recycleSnapshot(t, g, StoragePlain)
+		runDigested(t, s, opt)
+		return s
+	}
+	// damaged requires Verify to name the index and a query not to notice.
+	damaged := func(s *Snapshot, what string) {
+		t.Helper()
+		var ie *IntegrityError
+		if err := s.Verify(); !errors.As(err, &ie) || ie.Section != SectionIndex || ie.Rank != -1 {
+			t.Errorf("%s: Verify = %v, want an index IntegrityError", what, err)
+		}
+		got, gotSum := runDigested(t, s, opt)
+		diffRuns(t, what, got, want, gotSum, wantSum)
+	}
 
 	s := recycleSnapshot(t, g, StoragePlain)
 	if err := s.CorruptForTest(-1, SectionIndex); err == nil {
@@ -143,16 +201,11 @@ func TestDamagedIndexIsCaughtAndHarmless(t *testing.T) {
 	if err := s.CorruptForTest(-1, SectionIndex); err != nil {
 		t.Fatal(err)
 	}
-	var ie *IntegrityError
-	if err := s.Verify(); !errors.As(err, &ie) || ie.Section != SectionIndex || ie.Rank != -1 {
-		t.Fatalf("Verify over a flipped index word = %v, want an index IntegrityError", err)
-	}
-	got, gotSum := runDigested(t, s, opt)
-	diffRuns(t, "flipped word", got, want, gotSum, wantSum)
+	damaged(s, "flipped word")
 
 	// Most words off by a little or a lot — upper offsets past their list,
 	// hub slots that were never filled — and every hub with its neighbour's
-	// upper offset nudged and directory swapped in.
+	// upper offset nudged and index swapped in.
 	ix := s.orient
 	for v := range ix.word {
 		if w := ix.word[v].Load(); w != 0 && v%3 != 0 {
@@ -164,13 +217,96 @@ func TestDamagedIndexIsCaughtAndHarmless(t *testing.T) {
 			for j := range pg {
 				pg[j].upper += j%3 - 1
 				if j%2 == 1 {
-					pg[j].dir, pg[j-1].dir = pg[j-1].dir, pg[j].dir
+					pg[j].ix, pg[j-1].ix = pg[j-1].ix, pg[j].ix
 				}
 			}
 		}
 	}
-	got, gotSum = runDigested(t, s, opt)
-	diffRuns(t, "damaged throughout", got, want, gotSum, wantSum)
+	damaged(s, "damaged throughout")
+
+	// The dense sets. A bit flipped in every other word, then in every
+	// other rank entry, of each.
+	// denseHubs returns the hub entries of s that hold a dense set.
+	denseHubs := func(s *Snapshot) map[graph.V]*hubEntry {
+		hubs := hubEntries(s.orient)
+		for v, h := range hubs {
+			if !h.ix.Dense() {
+				delete(hubs, v)
+			}
+		}
+		if len(hubs) < 2 {
+			t.Fatalf("%d dense sets in the filled index; the graph must have some", len(hubs))
+		}
+		return hubs
+	}
+	s = filledSnapshot()
+	for _, h := range denseHubs(s) {
+		words, _ := setArrays(t, &h.ix)
+		for i := 0; i < len(words); i += 2 {
+			words[i] ^= 1 << uint(i%64)
+		}
+	}
+	damaged(s, "set words flipped")
+	s = filledSnapshot()
+	for _, h := range denseHubs(s) {
+		_, rank := setArrays(t, &h.ix)
+		for i := 1; i < len(rank); i += 2 {
+			rank[i] ^= 1 << uint(i%10)
+		}
+	}
+	damaged(s, "set ranks flipped")
+
+	// Each dense hub with the next one's set: intact sets of other lists.
+	s = filledSnapshot()
+	var sets []*hubEntry
+	for _, h := range denseHubs(s) {
+		sets = append(sets, h)
+	}
+	first := sets[0].ix
+	for i := range sets {
+		if i+1 < len(sets) {
+			sets[i].ix = sets[i+1].ix
+		} else {
+			sets[i].ix = first
+		}
+	}
+	damaged(s, "sets swapped between hubs")
+
+	// A set left behind a list that has since changed: each dense hub gets
+	// the set of its upper list less the last id, as if the list had grown.
+	s = filledSnapshot()
+	var buf []graph.V
+	var twinOf graph.V
+	for v, h := range denseHubs(s) {
+		buf = s.adjInto(v, buf)
+		up := intersect.UpperSlice(buf, v)
+		stale, ok := intersect.NewIndex(up[:len(up)-1], nil)
+		if !ok || !stale.Dense() {
+			t.Fatalf("vertex %d: no dense set over its upper list less one id", v)
+		}
+		h.ix, twinOf = stale, v
+	}
+	damaged(s, "sets of shorter lists")
+
+	// What no use can catch and Verify alone does: the set of a list of the
+	// same length and ends with another id between them. The query runs —
+	// nothing may fault — and answers for the set's list, not the graph's.
+	buf = s.adjInto(twinOf, buf)
+	up := append([]graph.V(nil), intersect.UpperSlice(buf, twinOf)...)
+	for k := 1; k+1 < len(up); k++ {
+		if up[k]+1 < up[k+1] {
+			up[k]++
+			break
+		}
+	}
+	twin, _ := intersect.NewIndex(up, nil)
+	s = filledSnapshot()
+	hubEntries(s.orient)[twinOf].ix = twin
+	var ie *IntegrityError
+	if err := s.Verify(); !errors.As(err, &ie) || ie.Section != SectionIndex || ie.Vertex != twinOf {
+		t.Errorf("twin set: Verify = %v, want an index IntegrityError at vertex %d", err, twinOf)
+	}
+	runDigested(t, s, opt)
 }
 
 // TestCorruptResidentThenRun flips a bit of the resident offsets or
@@ -179,7 +315,7 @@ func TestDamagedIndexIsCaughtAndHarmless(t *testing.T) {
 // without a fault the supervisor would have to catch: lists that stopped
 // matching their entries fall back to the searches.
 func TestCorruptResidentThenRun(t *testing.T) {
-	g := recycleGraph()
+	g := orientGraph()
 	for _, section := range []string{SectionOffsets, SectionAdjacency} {
 		for _, warm := range []bool{false, true} {
 			for rank := 0; rank < recycleRanks; rank++ {

@@ -46,19 +46,22 @@ func TriangleCount(kind graph.Kind, sumT int64) int64 {
 func VertexTriangles(g *graph.Graph, vi graph.V, method intersect.Method) (t int64, ops int) {
 	its := intersect.GetScratch()
 	defer intersect.PutScratch(its)
-	return vertexTriangles(g, vi, method, its)
+	return vertexTriangles(g, vi, method, its, nil)
 }
 
 // vertexTriangles is VertexTriangles with a caller-held scratch, so loops
-// over many vertices amortize the stamp set across pivots.
-func vertexTriangles(g *graph.Graph, vi graph.V, method intersect.Method, its *intersect.Scratch) (t int64, ops int) {
+// over many vertices amortize the stamp set across pivots, and the engine's
+// visit (worker.run): adj(v_j) is cut and indexed through orient, which a
+// loop over the whole graph brings along and a single vertex leaves nil.
+func vertexTriangles(g *graph.Graph, vi graph.V, method intersect.Method, its *intersect.Scratch, orient *orientIndex) (t int64, ops int) {
 	adjI := g.Adj(vi)
 	for _, vj := range adjI {
 		adjJ := g.Adj(vj)
+		var ixJ *intersect.Index
 		if g.Kind() == graph.Undirected {
-			adjJ = intersect.UpperSlice(adjJ, vj)
+			adjJ, ixJ = orient.upper(vj, adjJ)
 		}
-		c, o := its.Count(method, adjI, adjJ)
+		c, o := its.CountIndexed(method, adjI, adjJ, ixJ)
 		t += int64(c)
 		ops += o
 	}
@@ -75,7 +78,10 @@ type SharedResult struct {
 
 // SharedLCC computes LCC for every vertex on a single node with the given
 // intersection method — the shared-memory baseline of §IV-C and the ground
-// truth the distributed engines are tested against.
+// truth the distributed engines are tested against. It runs the kernels the
+// distributed engine runs, behind an orientation index of its own, so its
+// wall time is the engine's with the fetch plane taken away; BruteForceLCC
+// is the oracle that shares nothing with either.
 func SharedLCC(g *graph.Graph, method intersect.Method) *SharedResult {
 	n := g.NumVertices()
 	res := &SharedResult{
@@ -84,9 +90,10 @@ func SharedLCC(g *graph.Graph, method intersect.Method) *SharedResult {
 	}
 	its := intersect.GetScratch()
 	defer intersect.PutScratch(its)
+	orient := newOrientIndex(n)
 	var sum int64
 	for v := 0; v < n; v++ {
-		t, ops := vertexTriangles(g, graph.V(v), method, its)
+		t, ops := vertexTriangles(g, graph.V(v), method, its, orient)
 		res.PerVertex[v] = t
 		res.LCC[v] = Score(g.Kind(), t, g.OutDegree(graph.V(v)))
 		res.Ops += int64(ops)
