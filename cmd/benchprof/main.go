@@ -4,7 +4,9 @@
 // one worker so the samples are the engine's and not the scheduler's. It
 // builds the snapshot, makes one untimed run — the orientation index, the
 // depth tables and the cache instances fill there, as they have when the
-// benchmark times an op — then profiles the given number of runs.
+// benchmark times an op — then profiles the given number of runs, and fails
+// if their triangles or SimTime bits are not the workload's pinned ones in
+// bench/expected.json. Run it from the repository root.
 //
 //	make pprof W=pull-rmat            # five runs, top 25
 //	go run ./cmd/benchprof -workload cached-uniform -runs 3 -o /tmp/cpu.pprof
@@ -15,8 +17,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/pprof"
 	"slices"
@@ -30,8 +34,9 @@ import (
 )
 
 // workload is bench/workloads.go's table at seed 0. The benchmark is a module
-// of its own and cannot be imported; its pinned fingerprints (expected.json)
-// are the check that a configuration here has not drifted from it.
+// of its own and cannot be imported; its pinned fingerprints (expected.json,
+// see checkPinned) are the check that a configuration here has not drifted
+// from it.
 type workload struct {
 	name, dataset string
 	ranks         int
@@ -51,6 +56,34 @@ func workloads() []workload {
 		{"cached-uniform", "uniform", 32, cached(lcc.ScoreLRU)},
 		{"serve-http", "fb-sim", 4, pull}, // the engine's part of a query, without lccd around it
 	}
+}
+
+// checkPinned compares res with the workload's entry in the benchmark's
+// bench/expected.json, which it only reads: a copy of the workload table
+// that profiles another graph, rank count or option set than the benchmark
+// times would mislead every measurement taken with it.
+func checkPinned(name string, res *lcc.Result) error {
+	const path = "bench/expected.json"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var pinned map[string]struct {
+		Triangles int64  `json:"triangles"`
+		SimBits   string `json:"sim_time_bits"`
+	}
+	if err := json.Unmarshal(raw, &pinned); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	want, ok := pinned[name]
+	if !ok {
+		return fmt.Errorf("%s has no entry for %s", path, name)
+	}
+	if got := fmt.Sprintf("%#016x", math.Float64bits(res.SimTime)); res.Triangles != want.Triangles || got != want.SimBits {
+		return fmt.Errorf("%s drifted from the benchmark: %d triangles, sim time bits %s; %s pins %d, %s",
+			name, res.Triangles, got, path, want.Triangles, want.SimBits)
+	}
+	return nil
 }
 
 func main() {
@@ -110,6 +143,9 @@ func run(name string, runs int, out string) error {
 	pprof.StopCPUProfile()
 	if cerr := f.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil {
+		err = checkPinned(w.name, res)
 	}
 	if err != nil {
 		return err

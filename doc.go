@@ -22,9 +22,8 @@
 //     Algorithm 1/2 loops whose iteration counts define the simulated
 //     compute charge) and a host plane (per-rank Scratch kernels —
 //     branch-free merge, stamp-set bitmap, word-parallel AND and rank
-//     queries over dense sets, depth-table search over bucket directories,
-//     finger replay — that produce identical counts and charges much
-//     faster; DESIGN.md §5)
+//     queries over dense sets, depth-table search — that produce
+//     identical counts and charges much faster; DESIGN.md §5)
 //   - internal/lcc — the paper's contribution: fully asynchronous
 //     distributed TC/LCC over RMA with caching (§III); shared-memory
 //     kernels, the Schank–Wagner forward algorithm and orientations (§V);
@@ -150,8 +149,8 @@
 // while host wall-clock does not pay for the simulation's bookkeeping
 // (DESIGN.md §5; differential and fuzz tests enforce the equivalence).
 // What such a kernel would recompute per edge although it is a constant of
-// the graph — where adj(v) crosses v, where an id falls in a hub's list,
-// a long dense hub list as the bitmap the kernels would make of it — an
+// the graph — where adj(v) crosses v, a long dense hub list as the bitmap
+// the kernels would make of it — an
 // lcc.Snapshot keeps in a lazily filled orientation index its runs share
 // (DESIGN.md §8); every use re-checks it against the list in hand.
 //
@@ -161,8 +160,8 @@
 // host side of a fetch — lookahead-k edge staging, precomputed resolve
 // tables, inline cache hits served as window views without materializing
 // a request, caller-owned value requests — to be flat straight-line code.
-// An op-for-op equivalence test replays every golden configuration under
-// deferred folding and diffs the full charge sequences (DESIGN.md §6).
+// A golden per-rank digest of the observed charge sequence pins it for
+// every golden configuration (DESIGN.md §6).
 //
 // A deterministic fault plane rides the same machinery: Options.Faults (or
 // lccrun -faults) installs a seeded schedule of transient RMA failures,

@@ -19,12 +19,9 @@ type Options struct {
 	// GOMAXPROCS. Results are bit-identical at any worker count.
 	Workers int
 
-	// ChargeObserver / DeferredCharges expose the rma charge-tape
-	// diagnostics (see lcc.Options): observe every folded charge in
-	// canonical order, or defer folds to the observation points as the
-	// verification schedule.
-	ChargeObserver  rma.ChargeObserver
-	DeferredCharges bool
+	// ChargeObserver exposes the rma charge-tape diagnostic (see
+	// lcc.Options): it observes every folded charge in canonical order.
+	ChargeObserver rma.ChargeObserver
 
 	// Faults installs a deterministic fault schedule (see lcc.Options).
 	Faults *fault.Spec
@@ -84,9 +81,6 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
 	if opt.ChargeObserver != nil {
 		comm.SetChargeObserver(opt.ChargeObserver)
-	}
-	if opt.DeferredCharges {
-		comm.SetDeferredCharges(true)
 	}
 	if opt.Faults != nil {
 		comm.SetFaults(opt.Faults)

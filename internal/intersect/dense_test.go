@@ -30,13 +30,13 @@ func copySet(d *DenseSet) *DenseSet {
 	return &c
 }
 
-// checkDense holds every way a kernel can be handed ix for list b — the AND
+// checkDense holds every way a kernel can be handed set for list b — the AND
 // count and ssiOps, the rank query counting and listing, and CountIndexed
 // under the three methods, pivot first and second — to the reference loops.
-func checkDense(t *testing.T, s *Scratch, a, b []graph.V, ix *Index, what string) {
+func checkDense(t *testing.T, s *Scratch, a, b []graph.V, set *DenseSet, what string) {
 	t.Helper()
 	wantCount, wantOps := SSI(a, b)
-	if set := ix.dense(b); set != nil && len(a) >= stampMinLen {
+	if set := set.boundTo(b); set != nil && len(a) >= stampMinLen {
 		s.Stamp(a)
 		if c, ok := s.andCount(set); ok && c != wantCount {
 			t.Fatalf("%s: andCount = %d, SSI counts %d", what, c, wantCount)
@@ -47,18 +47,15 @@ func checkDense(t *testing.T, s *Scratch, a, b []graph.V, ix *Index, what string
 	}
 	if len(a) <= len(b) {
 		bc, bo := Binary(a, b)
-		if c, o, _ := fingerBinary(s.stack, a, b, false, nil); c != bc || o != bo {
-			t.Fatalf("%s: fingerBinary = (%d,%d), reference (%d,%d)", what, c, o, bc, bo)
-		}
 		want, _ := BinaryElements(a, b, nil)
-		if c, o, got := s.binary(nil, a, b, ix, true, nil); c != bc || o != bo || !equalV(got, want) {
+		if c, o, got := s.binary(nil, a, b, set.boundTo(b), true, nil); c != bc || o != bo || !equalV(got, want) {
 			t.Fatalf("%s: listing binary = %v (%d,%d), want %v (%d,%d)", what, got, c, o, want, bc, bo)
 		}
 	}
 	for _, m := range []Method{MethodHybrid, MethodSSI, MethodBinary} {
 		wc, wo := Count(m, a, b)
 		for call := 0; call < 2; call++ { // the second meets the first's stamp
-			if c, o := s.CountIndexed(m, a, b, ix); c != wc || o != wo {
+			if c, o := s.CountIndexed(m, a, b, set); c != wc || o != wo {
 				t.Fatalf("%s: CountIndexed(%v) call %d = (%d,%d), want (%d,%d)", what, m, call, c, o, wc, wo)
 			}
 		}
@@ -77,17 +74,17 @@ func TestDenseSetMatchesReference(t *testing.T) {
 		trials = 150 // the race lane: a trial makes some three hundred kernel calls
 	}
 	for trial := 0; trial < trials; trial++ {
-		n := denseMinLen + rng.Intn(1200)
+		n := DenseMinLen + rng.Intn(1200)
 		last := graph.V(64*n + rng.Intn(1<<20))
 		if trial%7 == 0 {
 			last = 1<<32 - 1
 		}
 		b := denseList(rng, n, 2+rng.Intn(40), last)
-		ix, ok := NewIndex(b, nil)
-		if !ok || !ix.Dense() || ix.directory() != nil {
+		set, ok := NewDenseSet(b, nil)
+		if !ok {
 			t.Fatalf("trial %d: %d ids in %d words got no dense set", trial, n, int(b[n-1]>>6)-int(b[0]>>6)+1)
 		}
-		if got := ix.MemBytes(); got > 12*n+4 {
+		if got := set.MemBytes(); got > 12*n+4 {
 			t.Fatalf("trial %d: set of %d bytes over %d ids, want at most 12 per id", trial, got, n)
 		}
 		// The pivot: short enough for Algorithm 1 or long enough for
@@ -120,14 +117,14 @@ func TestDenseSetMatchesReference(t *testing.T) {
 			}
 			a = dedupV(a)
 		}
-		checkDense(t, s, a, b, &ix, "own set")
+		checkDense(t, s, a, b, set, "own set")
 		// An intact set must also pass its checks, or the kernels above
 		// were only ever the fallbacks.
-		if _, ok := s.andCount(ix.set); !ok {
+		if _, ok := s.andCount(set); !ok {
 			t.Fatalf("trial %d: andCount refuses the list's own set", trial)
 		}
 		if depth := s.depthFor(n); depth != nil && len(a) <= n { // nil: the scratch's table cache is full
-			if _, _, _, ok := rankBinary(ix.set, depth, a, true, false, nil); !ok {
+			if _, _, _, ok := rankBinary(set, depth, a, true, false, nil); !ok {
 				t.Fatalf("trial %d: rankBinary refuses the list's own set", trial)
 			}
 		}
@@ -148,90 +145,89 @@ func TestDenseSetMatchesReference(t *testing.T) {
 		sortV(with)
 		with = dedupV(with)
 		for name, other := range others {
-			stale, ok := NewIndex(other, nil)
-			if !ok || !stale.Dense() {
+			stale, ok := NewDenseSet(other, nil)
+			if !ok {
 				continue // the change took the list over the density bound
 			}
-			if stale.dense(b) != nil {
+			if stale.boundTo(b) != nil {
 				t.Fatalf("trial %d: the set of a list with %s binds", trial, name)
 			}
-			checkDense(t, s, with, b, &stale, "set of a list with "+name)
+			checkDense(t, s, with, b, stale, "set of a list with "+name)
 		}
 		// The third binds, and no use can tell: recomputing it is what does
 		// (Snapshot.Verify). The kernels must stay in range over it.
 		twin := slices.Clone(b)
 		if twin[k]+1 < twin[k+1] {
 			twin[k]++
-			foreign, _ := NewIndex(twin, nil)
-			if foreign.dense(b) == nil || foreign.Equal(&ix) {
-				t.Fatalf("trial %d: the set of a twin list: binds %v, equal %v", trial, foreign.dense(b) != nil, foreign.Equal(&ix))
+			foreign, _ := NewDenseSet(twin, nil)
+			if foreign.boundTo(b) == nil || foreign.Equal(set) {
+				t.Fatalf("trial %d: the set of a twin list: binds %v, equal %v", trial, foreign.boundTo(b) != nil, foreign.Equal(set))
 			}
 			for _, m := range []Method{MethodHybrid, MethodSSI, MethodBinary} {
-				s.CountIndexed(m, a, b, &foreign)
+				s.CountIndexed(m, a, b, foreign)
 			}
 		}
 
 		// Noise behind a matching header. (32-bit noise: a rank entry drawn
 		// from [0, n) would pass for its word's popcount once in n reads.)
-		noise := Index{set: copySet(ix.set)}
-		for i := range noise.set.words {
-			noise.set.words[i] = rng.Uint64()
+		noise := copySet(set)
+		for i := range noise.words {
+			noise.words[i] = rng.Uint64()
 		}
-		for i := 1; i < len(noise.set.rank)-1; i++ {
-			noise.set.rank[i] = rng.Uint32()
+		for i := 1; i < len(noise.rank)-1; i++ {
+			noise.rank[i] = rng.Uint32()
 		}
-		noise.set.sum = rng.Uint64()
-		if noise.dense(b) == nil {
+		noise.sum = rng.Uint64()
+		if noise.boundTo(b) == nil {
 			t.Fatalf("trial %d: noise behind b's header does not bind", trial)
 		}
-		checkDense(t, s, a, b, &noise, "noise")
+		checkDense(t, s, a, b, noise, "noise")
 
 		// One flipped bit: in a word, on an id of a where it would change
 		// the count; in the rank entry a key's insertion point starts from;
 		// in the header.
 		x := a[rng.Intn(len(a))]
 		w := int(x>>6) - int(b[0]>>6)
-		if w < 0 || w >= len(ix.set.words) {
+		if w < 0 || w >= len(set.words) {
 			x = b[rng.Intn(n)]
 			w = int(x>>6) - int(b[0]>>6)
 		}
-		flipped := Index{set: copySet(ix.set)}
-		flipped.set.words[w] ^= 1 << (x & 63)
-		checkDense(t, s, a, b, &flipped, "flipped word")
-		flipped = Index{set: copySet(ix.set)}
-		flipped.set.rank[w+rng.Intn(2)] ^= 1 << uint(rng.Intn(12))
-		checkDense(t, s, a, b, &flipped, "flipped rank entry")
-		flipped = Index{set: copySet(ix.set)}
-		flipped.set.sum ^= 1 << uint(rng.Intn(64))
-		checkDense(t, s, a, b, &flipped, "flipped sum")
-		flipped = Index{set: copySet(ix.set)}
-		flipped.set.last ^= 1 << uint(rng.Intn(32))
-		checkDense(t, s, a, b, &flipped, "flipped last id")
+		flipped := copySet(set)
+		flipped.words[w] ^= 1 << (x & 63)
+		checkDense(t, s, a, b, flipped, "flipped word")
+		flipped = copySet(set)
+		flipped.rank[w+rng.Intn(2)] ^= 1 << uint(rng.Intn(12))
+		checkDense(t, s, a, b, flipped, "flipped rank entry")
+		flipped = copySet(set)
+		flipped.sum ^= 1 << uint(rng.Intn(64))
+		checkDense(t, s, a, b, flipped, "flipped sum")
+		flipped = copySet(set)
+		flipped.last ^= 1 << uint(rng.Intn(32))
+		checkDense(t, s, a, b, flipped, "flipped last id")
 	}
 }
 
 // TestDenseSpanGuard puts lists on both sides of the length floor and the
-// density bound: each gets the one form NewIndex promises, or none.
+// density bound: NewDenseSet builds a set for those inside both, and none for
+// the rest.
 func TestDenseSpanGuard(t *testing.T) {
 	for _, c := range []struct {
-		name         string
-		list         []graph.V
-		indexed, set bool
+		name string
+		list []graph.V
+		set  bool
 	}{
-		{"below the floor, one word per 64", strideFrom(denseMinLen-1, 5, 1), true, false},
-		{"at the floor, consecutive ids", strideFrom(denseMinLen, 5, 1), true, true},
-		{"at the floor, one id per word", strideFrom(denseMinLen, 0, 64), true, true},
-		{"one word too many", append(strideFrom(denseMinLen-1, 0, 64), 64*denseMinLen), true, false},
-		{"long and sparse", strideFrom(4*denseMinLen, 7, 65), true, false},
-		{"long and dense at the top of the id space", strideFrom(2*denseMinLen, 1<<32-1-3*(2*denseMinLen-1), 3), true, true},
-		{"short", strideFrom(MinIndexLen-1, 0, 1), false, false},
-		{"not ascending", append(strideFrom(denseMinLen, 1000, 1), 3), false, false},
-		{"an id twice", append(strideFrom(denseMinLen, 0, 1), denseMinLen-1, denseMinLen), true, false},
+		{"below the floor, one word per 64", strideFrom(DenseMinLen-1, 5, 1), false},
+		{"at the floor, consecutive ids", strideFrom(DenseMinLen, 5, 1), true},
+		{"at the floor, one id per word", strideFrom(DenseMinLen, 0, 64), true},
+		{"one word too many", append(strideFrom(DenseMinLen-1, 0, 64), 64*DenseMinLen), false},
+		{"long and sparse", strideFrom(4*DenseMinLen, 7, 65), false},
+		{"long and dense at the top of the id space", strideFrom(2*DenseMinLen, 1<<32-1-3*(2*DenseMinLen-1), 3), true},
+		{"empty", nil, false},
+		{"not ascending", append(strideFrom(DenseMinLen, 1000, 1), 3), false},
+		{"an id twice", append(strideFrom(DenseMinLen, 0, 1), DenseMinLen-1, DenseMinLen), false},
 	} {
-		ix, ok := NewIndex(c.list, nil)
-		if ok != c.indexed || ix.Dense() != c.set || (ix.directory() != nil) != (c.indexed && !c.set) {
-			t.Errorf("%s: indexed %v, dense set %v, directory %v; want indexed %v, dense set %v",
-				c.name, ok, ix.Dense(), ix.directory() != nil, c.indexed, c.set)
+		if set, ok := NewDenseSet(c.list, nil); ok != c.set || (set != nil) != ok {
+			t.Errorf("%s: dense set %v (%v), want %v", c.name, ok, set != nil, c.set)
 		}
 	}
 }
@@ -243,16 +239,16 @@ func TestDenseSpanGuard(t *testing.T) {
 func TestDenseSetToleratesUnsorted(t *testing.T) {
 	s := NewScratch()
 	s.EnsureUniverse(1 << 14) // as the engines do: the probes index the bitmap unchecked
-	good := strideFrom(2*denseMinLen, 100, 3)
-	gix, _ := NewIndex(good, nil)
+	good := strideFrom(2*DenseMinLen, 100, 3)
+	gset, _ := NewDenseSet(good, nil)
 	headOff := append([]graph.V{9000}, good[1:]...)
 	tailOff := append(slices.Clone(good[1:]), 3)
 	for _, b := range [][]graph.V{headOff, tailOff} {
-		own, _ := NewIndex(b, nil)
-		for _, ix := range []*Index{&gix, &own} {
+		own, _ := NewDenseSet(b, nil) // nil if the builder refuses the list
+		for _, set := range []*DenseSet{gset, own} {
 			for _, a := range [][]graph.V{{0, 99, 100, 101, 3000, 9000}, good[:100], strideFrom(400, 0, 5)} {
 				for _, m := range []Method{MethodHybrid, MethodSSI, MethodBinary} {
-					s.CountIndexed(m, a, b, ix)
+					s.CountIndexed(m, a, b, set)
 				}
 			}
 		}

@@ -101,10 +101,11 @@ func TestMergeCountMatchesSSI(t *testing.T) {
 	}
 }
 
-// TestFingerBinaryMatchesReference replays the reference Algorithm 1 loop
-// against the finger-stack descent: identical count and identical
-// full-depth probe charge for every key.
-func TestFingerBinaryMatchesReference(t *testing.T) {
+// TestDepthBinaryRandomPairs replays the reference Algorithm 1 loop against
+// the depth-table search on the randomized pair profile: identical count
+// and identical full-depth probe charge, for trees from empty to thousands
+// of ids and keys from none to as many.
+func TestDepthBinaryRandomPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 5000; trial++ {
 		a, b := randPair(rng)
@@ -113,12 +114,20 @@ func TestFingerBinaryMatchesReference(t *testing.T) {
 			keys, tree = tree, keys
 		}
 		wantCount, wantOps := Binary(keys, tree)
-		count, ops, _ := fingerBinary(make([]fingerFrame, 1, fingerStackCap), keys, tree, false, nil)
+		count, ops, _ := depthBinary(depthTable(len(tree)), keys, tree, false, nil)
 		if count != wantCount || ops != wantOps {
-			t.Fatalf("trial %d: fingerBinary(|keys|=%d,|tree|=%d) = (%d,%d), want (%d,%d)",
+			t.Fatalf("trial %d: depthBinary(|keys|=%d,|tree|=%d) = (%d,%d), want (%d,%d)",
 				trial, len(keys), len(tree), count, ops, wantCount, wantOps)
 		}
 	}
+}
+
+// depthTable returns the fillDepth table of a tree of n ids, outside any
+// scratch's cache and its bounds.
+func depthTable(n int) []uint8 {
+	t := make([]uint8, 2*n+1)
+	fillDepth(t[:n+1], t[n+1:], 0, n, 0)
+	return t
 }
 
 // TestScratchCountMatchesReference drives Scratch.Count against the
@@ -388,99 +397,68 @@ func strideFrom(n int, lo, step graph.V) []graph.V {
 	return out
 }
 
-// asIndex wraps a directory, nil for none, the way NewIndex hands it out.
-func asIndex(d *Directory) *Index {
-	if d == nil {
-		return nil
-	}
-	return &Index{dir: *d}
-}
-
-// checkDepthBinary holds depthBinary — bare, with dir and with stale, a
-// directory over some other list — and the Scratch dispatch above it to the
-// reference Binary and to the finger replay, counting and listing.
-func checkDepthBinary(t *testing.T, s *Scratch, keys, tree []graph.V, stale *Directory, what string) {
+// checkDepthBinary holds depthBinary, counting and listing, and the Scratch
+// dispatch above it to the reference Binary and BinaryElements.
+func checkDepthBinary(t *testing.T, s *Scratch, keys, tree []graph.V, what string) {
 	t.Helper()
 	wantCount, wantOps := Binary(keys, tree)
 	wantElems, _ := BinaryElements(keys, tree, nil)
-	if c, o, _ := fingerBinary(s.stack, keys, tree, false, nil); c != wantCount || o != wantOps {
-		t.Fatalf("%s: fingerBinary = (%d,%d), reference (%d,%d)", what, c, o, wantCount, wantOps)
-	}
-	dir, ok := newDirectory(tree, nil)
-	if !ok {
-		t.Fatalf("%s: no directory over %d ids", what, len(tree))
-	}
-	if got := 4 * len(dir.starts); got > len(tree) {
-		t.Fatalf("%s: directory of %d bytes over %d ids, want at most one byte per id", what, got, len(tree))
-	}
 	depth := s.depthFor(len(tree))
 	if depth == nil {
 		t.Fatalf("%s: no depth table for %d ids", what, len(tree))
 	}
-	for _, d := range []*Directory{nil, &dir, stale} {
-		name := map[*Directory]string{nil: "no directory", &dir: "directory", stale: "stale directory"}[d]
-		if c, o, _ := depthBinary(depth, keys, tree, d, false, nil); c != wantCount || o != wantOps {
-			t.Fatalf("%s, %s (|keys|=%d,|tree|=%d): depthBinary = (%d,%d), want (%d,%d)",
-				what, name, len(keys), len(tree), c, o, wantCount, wantOps)
-		}
-		if c, o, elems := depthBinary(depth, keys, tree, d, true, nil); c != wantCount || o != wantOps || !equalV(elems, wantElems) {
-			t.Fatalf("%s, %s: listing depthBinary = %v (%d,%d), want %v (%d,%d)",
-				what, name, elems, c, o, wantElems, wantCount, wantOps)
-		}
-		for _, m := range []Method{MethodBinary, MethodHybrid} {
-			wc, wo := Count(m, keys, tree)
-			if c, o := s.CountIndexed(m, keys, tree, asIndex(d)); c != wc || o != wo {
-				t.Fatalf("%s, %s: CountIndexed(%v) = (%d,%d), want (%d,%d)", what, name, m, c, o, wc, wo)
-			}
-		}
+	if c, o, _ := depthBinary(depth, keys, tree, false, nil); c != wantCount || o != wantOps {
+		t.Fatalf("%s (|keys|=%d,|tree|=%d): depthBinary = (%d,%d), want (%d,%d)",
+			what, len(keys), len(tree), c, o, wantCount, wantOps)
+	}
+	if c, o, elems := depthBinary(depth, keys, tree, true, nil); c != wantCount || o != wantOps || !equalV(elems, wantElems) {
+		t.Fatalf("%s: listing depthBinary = %v (%d,%d), want %v (%d,%d)",
+			what, elems, c, o, wantElems, wantCount, wantOps)
+	}
+	for _, m := range []Method{MethodBinary, MethodHybrid} {
+		checkAgainstReference(t, s, m, keys, tree, what)
 	}
 }
 
 // TestDepthBinaryMatchesReference drives the depth-table kernel against
-// the reference Binary and the finger replay: keys below, inside and above
-// the tree, hits on its first and last id, 0xFFFFFFFF in the tree, with no
-// directory, the tree's own and one built over another list of the same
-// length (same terminator, so only the per-key confirmation rejects it).
+// the reference Binary: trees of every length from one id up, keys below,
+// inside and above the tree or none at all, hits on its first and last id,
+// 0xFFFFFFFF in the tree.
 func TestDepthBinaryMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s := NewScratch()
 	for trial := 0; trial < 2000; trial++ {
-		n := fingerTailLen + 1 + rng.Intn(600)
+		n := 1 + rng.Intn(633)
 		if trial%10 == 0 {
-			n = fingerTailLen + 1
+			n = []int{1, 2, 32, 33}[trial/10%4]
 		}
 		lo := graph.V(rng.Intn(5000))
 		tree := randSet(rng, n, n*(1+rng.Intn(300)))
 		for i := range tree {
 			tree[i] += lo
 		}
-		if trial%7 == 0 {
+		if trial%7 == 0 && n > 1 {
 			tree[n-1] = 1<<32 - 1
 		}
-		keys := randSet(rng, 1+rng.Intn(fingerTailLen), int(lo)+2*int(tree[n-2]-lo)+200)
-		switch trial % 4 {
+		below := tree[max(n-2, 0)] // an id with room above it
+		keys := randSet(rng, 1+rng.Intn(min(n, 32)), int(lo)+2*int(below-lo)+200)
+		switch trial % 5 {
 		case 1: // hits at both ends of the tree
 			keys = append(keys, tree[0], tree[n-1])
 			sortV(keys)
 			keys = dedupV(keys)
+			keys = keys[:min(len(keys), n)]
 		case 2: // every key above the tree, or on its last id
 			for i := range keys {
-				keys[i] = tree[n-2] + 1 + graph.V(i)
+				keys[i] = below + 1 + graph.V(i)
 			}
 		case 3: // every key below the tree, or on its first id
 			keys = keys[:1]
 			keys[0] = tree[0] - graph.V(rng.Intn(2))*min(tree[0], 3)
+		case 4: // no key at all
+			keys = keys[:0]
 		}
-		other := strideFrom(n, graph.V(rng.Intn(100)), graph.V(1+rng.Intn(50)))
-		stale, _ := newDirectory(other, nil)
-		checkDepthBinary(t, s, keys, tree, &stale, "random")
-		// And one whose bucket starts are noise, in range and out of it,
-		// behind a terminator that still matches.
-		for i := range stale.starts[:len(stale.starts)-1] {
-			stale.starts[i] = uint32(rng.Intn(2*n)) << uint(rng.Intn(2)*20)
-		}
-		stale.base, stale.shift = tree[rng.Intn(n)], uint8(rng.Intn(12))
-		checkDepthBinary(t, s, keys, tree, &stale, "noise")
+		checkDepthBinary(t, s, keys, tree, "random")
 	}
 }
 
@@ -495,28 +473,29 @@ func dedupV(s []graph.V) []graph.V {
 }
 
 // TestDepthCacheBounds walks the depth-table cache to both of its bounds:
-// a tree of depthMaxLen ids is tabulated, one id more goes to the finger
-// replay, and once depthMaxBytes of tables are in place a new length does
-// too — all three charging like the reference.
+// a tree of depthMaxLen ids is tabulated, one id more goes to the reference
+// loops, and once depthMaxBytes of tables are in place a new length does
+// too — all three charging like the reference, the refused two without
+// allocating.
 func TestDepthCacheBounds(t *testing.T) {
 	s := NewScratch()
 	keys := []graph.V{0, 3, 4, 5, 50000, 98301, 98304, 1 << 20}
-	stale, _ := newDirectory(strideFrom(depthMaxLen, 7, 2), nil)
+	dst := make([]graph.V, 0, len(keys))
 	check := func(n int, cached bool) {
 		t.Helper()
 		tree := strideFrom(n, 3, 3)
-		wantCount, wantOps := Binary(keys, tree)
-		dir, _ := newDirectory(tree, nil)
-		for _, d := range []*Directory{nil, &dir, &stale} {
-			if c, o := s.CountIndexed(MethodBinary, keys, tree, asIndex(d)); c != wantCount || o != wantOps {
-				t.Fatalf("%d ids: CountIndexed = (%d,%d), want (%d,%d)", n, c, o, wantCount, wantOps)
-			}
-		}
+		checkAgainstReference(t, s, MethodBinary, keys, tree, "cache bounds")
 		if got := s.cachedDepth(n) != nil; got != cached {
 			t.Fatalf("%d ids: depth table cached = %v, want %v", n, got, cached)
 		}
+		if !cached {
+			assertZeroAllocs(t, "reference fallback", func() {
+				s.Count(MethodBinary, keys, tree)
+				dst, _ = s.Elements(MethodBinary, keys, tree, dst[:0])
+			})
+		}
 	}
-	check(fingerTailLen+1, true)
+	check(33, true)
 	check(depthMaxLen, true)
 	check(depthMaxLen+1, false)
 	for n := depthMaxLen - 1; len(s.depthBuf)+2*n+1 <= depthMaxBytes; n-- {
@@ -526,7 +505,7 @@ func TestDepthCacheBounds(t *testing.T) {
 		t.Fatalf("depth cache holds %d bytes (cap %d), bound %d", len(s.depthBuf), cap(s.depthBuf), depthMaxBytes)
 	}
 	check(depthMaxLen/2, false) // in length range, out of bytes
-	check(fingerTailLen+1, true)
+	check(33, true)
 
 	// The rank path needs no cache entry: a pivot of an uncached length.
 	pivot := strideFrom(depthMaxLen/2, 3, 3)
@@ -538,24 +517,24 @@ func TestDepthCacheBounds(t *testing.T) {
 	}
 }
 
-// TestDirectoryToleratesUnsorted feeds the directory builder and the
-// kernel what a flipped offset bit produces: a list whose first or last id
-// belongs to a neighbour. The result is unspecified; nothing may fault.
-func TestDirectoryToleratesUnsorted(t *testing.T) {
+// TestSearchesTolerateUnsorted feeds the depth-table search and the
+// reference fallback what a flipped offset bit produces: a tree whose first
+// or last id belongs to a neighbour. The result is unspecified; every index
+// must stay in range.
+func TestSearchesTolerateUnsorted(t *testing.T) {
 	s := NewScratch()
-	good := strideFrom(3*fingerTailLen, 10, 7)
-	headOff := append([]graph.V{4000}, good[1:]...)
-	tailOff := append(append([]graph.V{}, good[1:]...), 3)
-	gdir, _ := newDirectory(good, nil)
-	for _, tree := range [][]graph.V{headOff, tailOff} {
-		dir, ok := newDirectory(tree, nil)
-		for _, d := range []*Directory{&gdir, &dir} {
-			if d == &dir && !ok {
-				continue
+	for _, n := range []int{96, depthMaxLen + 1} { // depthBinary, the reference loops
+		good := strideFrom(n, 10, 7)
+		headOff := append([]graph.V{1 << 30}, good[1:]...)
+		tailOff := append(append([]graph.V{}, good[1:]...), 3)
+		for _, tree := range [][]graph.V{headOff, tailOff} {
+			for _, keys := range [][]graph.V{{0, 9, 10, 11, 300, 4000, 1 << 30, 1<<30 + 1}, {700}, good[:20]} {
+				s.Count(MethodBinary, keys, tree)
+				s.Elements(MethodBinary, keys, tree, nil)
 			}
-			for _, keys := range [][]graph.V{{0, 9, 10, 11, 300, 4000, 5000}, {700}, good[:20]} {
-				s.CountIndexed(MethodBinary, keys, tree, asIndex(d))
-			}
+		}
+		if cached := s.cachedDepth(n) != nil; cached != (n <= depthMaxLen) {
+			t.Fatalf("%d ids: depth table cached = %v", n, cached)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // contract: for arbitrary sorted-set pairs and every method, each host
 // kernel's count must match the map oracle, and the analytic/replayed
 // charge must match the reference loops' ops — across repeated calls on
-// one Scratch so the stamped, rank-indexed, depth-table and finger paths
-// are all exercised, with the second list's own Index — Directory or
-// DenseSet —, a stale one, and a DenseSet with one bit flipped.
+// one Scratch so the stamped, rank-indexed and depth-table paths are all
+// exercised, with the second list's own DenseSet, a stale one, and one with
+// a bit flipped.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint8(2))
 	f.Add([]byte{0, 0, 9, 9, 200}, []byte{9}, uint8(1))
@@ -30,8 +30,7 @@ func FuzzIntersectKernels(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1, 10}, 3*stampMinLen), []byte{0, 5, 1, 10, 200, 0}, uint8(1)) // id step 267
 	// The depth-table path: a sparse tree (past the span guard, so never
 	// rank-indexed) as the second argument, keys on its first and last id,
-	// between and beyond; and a tree with one far outlier, whose directory
-	// puts every other id in one bucket.
+	// between and beyond; and a tree with one far outlier.
 	sparse := bytes.Repeat([]byte{2, 0}, 3*stampMinLen) // id step 513
 	f.Add([]byte{2, 0, 0, 9, 2, 0, 100, 0, 255, 255}, sparse, uint8(1))
 	f.Add([]byte{0, 1, 0, 1, 0, 50, 255, 255}, append(bytes.Repeat([]byte{0, 1}, 2*stampMinLen), 255, 255), uint8(2))
@@ -39,7 +38,7 @@ func FuzzIntersectKernels(f *testing.F) {
 	// argument (300 ids, step 41), under a pivot long enough for Algorithm 2
 	// (the word-parallel AND, ssiOps by rank query) and under a few keys
 	// (the rank query per key), below, inside and above its span.
-	set := bytes.Repeat([]byte{0, 40}, denseMinLen+44)
+	set := bytes.Repeat([]byte{0, 40}, DenseMinLen+44)
 	f.Add(bytes.Repeat([]byte{0, 100}, 80), set, uint8(2))
 	f.Add(bytes.Repeat([]byte{0, 100}, 80), set, uint8(0))
 	f.Add([]byte{0, 3, 0, 36, 0, 40, 1, 0, 40, 0, 200, 0}, set, uint8(1))
@@ -62,40 +61,29 @@ func FuzzIntersectKernels(f *testing.F) {
 			}
 			wantElems, wantElemOps := Elements(m, a, b, nil)
 
-			// An index over b — whichever form NewIndex gives it — and ones
-			// that only look like it: a directory over another list of b's
-			// length; the dense set b had one id ago, and b's own with a bit
-			// flipped in a word or in a rank entry. All may only be hints.
-			var hints []*Index
-			if dir, ok := newDirectory(b, nil); ok {
-				other := make([]graph.V, len(b))
-				for i, v := range b {
-					other[i] = v>>1 + graph.V(i)
-				}
-				stale, _ := newDirectory(other, nil)
-				hints = []*Index{{dir: dir}, {dir: stale}}
-				// The kernel itself, whatever the dispatch would pick.
-				if len(a) <= len(b) && len(b) <= depthMaxLen {
-					bc, bo := Binary(a, b)
-					for _, d := range []*Directory{&dir, &stale, nil} {
-						if c, o, _ := depthBinary(s.depthFor(len(b)), a, b, d, false, nil); c != bc || o != bo {
-							t.Fatalf("depthBinary = (%d,%d), reference Binary (%d,%d)", c, o, bc, bo)
-						}
-					}
+			// The depth-table kernel itself, whatever the dispatch would pick.
+			if len(a) <= len(b) {
+				bc, bo := Binary(a, b)
+				if c, o, _ := depthBinary(depthTable(len(b)), a, b, false, nil); c != bc || o != bo {
+					t.Fatalf("depthBinary = (%d,%d), reference Binary (%d,%d)", c, o, bc, bo)
 				}
 			}
-			if set, ok := newDenseSet(b, nil); ok {
+			// A set over b, and ones that only look like it: the set b had one
+			// id ago, and b's own with a bit flipped in a word or in a rank
+			// entry. All may only be hints.
+			var hints []*DenseSet
+			if set, ok := NewDenseSet(b, nil); ok {
 				k := (len(rawA) + int(methodByte)) % len(set.words)
 				word, rank := copySet(set), copySet(set)
-				word.words[k] ^= 1 << (k & 63)
-				rank.rank[k] ^= 1 << (k & 7)
-				hints = append(hints, &Index{set: set}, &Index{set: word}, &Index{set: rank})
-				if stale, ok := newDenseSet(b[:len(b)-1], nil); ok {
-					hints = append(hints, &Index{set: stale})
+				word.CorruptForTest(DenseWords, k)
+				rank.CorruptForTest(DenseRank, k)
+				hints = append(hints, set, word, rank)
+				if stale, ok := NewDenseSet(b[:len(b)-1], nil); ok {
+					hints = append(hints, stale)
 				}
-				if len(a) <= len(b) && len(b) <= depthMaxLen {
+				if len(a) <= len(b) {
 					bc, bo := Binary(a, b)
-					if c, o, _, ok := rankBinary(set, s.depthFor(len(b)), a, true, false, nil); !ok || c != bc || o != bo {
+					if c, o, _, ok := rankBinary(set, depthTable(len(b)), a, true, false, nil); !ok || c != bc || o != bo {
 						t.Fatalf("rankBinary = (%d,%d,%v), reference Binary (%d,%d)", c, o, ok, bc, bo)
 					}
 				}
@@ -103,15 +91,15 @@ func FuzzIntersectKernels(f *testing.F) {
 
 			var elems []graph.V
 			// Three rounds walk the dispatch through its states: fresh
-			// (merge or finger), stamp, stamped probe or rank index.
+			// (merge or depth table), stamp, stamped probe or rank index.
 			for call := 0; call < 3; call++ {
 				count, ops := s.Count(m, a, b)
 				if count != wantCount || ops != wantOps {
 					t.Fatalf("call %d method %v: Scratch.Count = (%d,%d), want (%d,%d)",
 						call, m, count, ops, wantCount, wantOps)
 				}
-				for _, ix := range hints {
-					if count, ops := s.CountIndexed(m, a, b, ix); count != wantCount || ops != wantOps {
+				for _, set := range hints {
+					if count, ops := s.CountIndexed(m, a, b, set); count != wantCount || ops != wantOps {
 						t.Fatalf("call %d method %v: Scratch.CountIndexed = (%d,%d), want (%d,%d)",
 							call, m, count, ops, wantCount, wantOps)
 					}

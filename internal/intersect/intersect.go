@@ -9,10 +9,10 @@
 // kernels in this file and elements.go define the *modeled* compute
 // charge: their loop-iteration counts are what the simulation bills to
 // SimTime, pinned bit-for-bit by the golden tests. The *host* execution
-// plane — Scratch with its branch-free merge, stamp-set bitmap and
-// finger-stack binary search (scratch.go, kernels.go, cost.go) — computes
-// the same counts and the same charges much faster, and is what every
-// engine actually runs. Differential and fuzz tests hold the two planes
+// plane — Scratch with its branch-free merge, stamp-set bitmap, dense sets
+// and depth-table binary search (scratch.go, kernels.go, index.go, cost.go)
+// — computes the same counts and the same charges much faster, and is what
+// every engine actually runs. Differential and fuzz tests hold the two planes
 // bit-identical.
 package intersect
 

@@ -13,7 +13,8 @@ import (
 // kernel's own exit positions. All kernels require strictly increasing
 // inputs (adjacency lists are sorted and deduplicated sets).
 //
-// Six kernels cover the host dispatch:
+// Algorithm 2-charged pairs have three kernels and Algorithm 1-charged pairs
+// two, with the reference loops of intersect.go behind them:
 //
 //   - MergeCount: a 4-way unrolled branch-free merge. The scalar SSI loop
 //     takes one unpredictable branch per element; on power-law adjacency
@@ -34,14 +35,12 @@ import (
 //     popcount of the bitmap and its charge one load from a per-size depth
 //     table (fillDepth below) — no branch on the data, no tree access.
 //   - the depth-table binary search (depthBinary below): for any other
-//     tree up to depthMaxLen, a galloping cursor — or the snapshot's bucket
-//     Directory over a fetched hub list — finds the insertion point and
-//     the same per-size depth table, cached per Scratch, gives the charge.
-//   - the finger-stack binary search (fingerBinary below): Algorithm 1's
-//     bisection replayed on indices with the path cached across the
-//     (ascending) keys. It serves trees of at most fingerTailLen ids with
-//     one table load per key, trees the depth cache cannot hold, and the
-//     tests as the oracle of the kernels above.
+//     tree whose depth table the Scratch has or can cache, a galloping
+//     cursor finds the insertion point and the same table gives the charge.
+//
+// A tree the depth cache turns away (longer than depthMaxLen, or arriving
+// after depthMaxBytes of tables) is searched by Binary/BinaryElements
+// themselves, which are also the oracle the tests hold every kernel to.
 
 // The merge kernels turn comparison flags into 0/1 with pure integer
 // arithmetic on 64-bit zero-extended operands, so the compiler emits flag
@@ -104,204 +103,6 @@ func mergeElements(a, b []graph.V, dst []graph.V) ([]graph.V, int, int) {
 	return dst, i, j
 }
 
-// fingerFrame is one interval [lo, hi) of Algorithm 1's bisection; the
-// frame's index on the stack is its depth, i.e. the number of probe
-// iterations the reference loop executes to reach it from (0, len(tree)).
-type fingerFrame struct {
-	lo, hi int32
-}
-
-// fingerStackCap bounds the bisection depth: ceil(log2(n))+1 frames for
-// n < 2³¹, plus the root.
-const fingerStackCap = 40
-
-// fingerTailLen is the interval size at or below which the replay stops
-// framing and finishes with one table lookup (see fingerBinary). 32 keeps
-// the two tables at ~2 KiB total — a few L1 lines next to the hot loop
-// (64 was measurably worse: the 4× larger tables push the dense-key
-// replay's working set out of the first-level cache) — while still
-// letting every tree up to 32 elements take the frameless fast path.
-const fingerTailLen = 32
-
-// The tail lookup tables close the bisection arithmetically. Because
-// mid = lo + floor((hi-lo)/2), the whole trajectory of Algorithm 1 inside
-// an interval depends only on the interval's size s and the insertion
-// point's offset r = p - lo, never on the absolute position — so the
-// iteration count is a pure function of (s, r), tabulated once at init:
-//
-//	tailMissLUT[s][r]: iterations for the interval to converge to (p, p)
-//	tailHitLUT[s][r]:  iterations until mid == p, including the match
-//
-// Each table is (fingerTailLen+1)² bytes — a few L1 lines.
-var tailMissLUT, tailHitLUT [(fingerTailLen + 1) * (fingerTailLen + 1)]uint8
-
-func init() {
-	for s := 0; s <= fingerTailLen; s++ {
-		for r := 0; r <= s; r++ {
-			lo, hi, it := 0, s, 0
-			for lo < hi {
-				it++
-				if mid := (lo + hi) / 2; mid < r {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			tailMissLUT[s*(fingerTailLen+1)+r] = uint8(it)
-			if r < s {
-				lo, hi, it = 0, s, 0
-				for {
-					it++
-					mid := (lo + hi) / 2
-					if mid == r {
-						break
-					}
-					if mid < r {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-				tailHitLUT[s*(fingerTailLen+1)+r] = uint8(it)
-			}
-		}
-	}
-}
-
-// fingerBinary returns |keys ∩ tree| and the exact probe-iteration count
-// of the reference Binary loop (Algorithm 1), in one pass over the
-// ascending keys that splits the work into a memory half and an
-// arithmetic half:
-//
-//   - a monotone galloping cursor locates each key's insertion point p
-//     (linear steps for dense gaps, doubling probes plus a bracketed
-//     bisection for sparse ones) — the only part that touches the tree;
-//   - the reference bisection is then *replayed on indices alone*: every
-//     tree[mid] comparison the reference makes is equivalent to comparing
-//     mid against p (with a hit exactly at mid == p), so the per-key
-//     full-depth charge is reproduced bit for bit without loading a
-//     single tree element.
-//
-// The replay shares the path across keys with a finger stack: the frames
-// of the previous key's path that still contain p resume the charge at
-// their stored depth (a frame at stack index d costs the reference d
-// iterations to reach), and only the divergent suffix is walked —
-// amortized O(log(|tree|/|keys|)) per key. Below fingerTailLen the suffix
-// is finished without frame traffic: consecutive keys usually land in the
-// same small frame, and re-walking a few index-only steps is cheaper than
-// pushing and popping the stack's bottom levels. Trees at or below
-// fingerTailLen skip the machinery entirely: their whole charge is one
-// table load at the cursor position.
-//
-// When wantDst is set, matched keys are appended to dst (the
-// BinaryElements variant); the returned slice is dst extended, ascending.
-func fingerBinary(stack []fingerFrame, keys, tree []graph.V, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
-	assertOriented(keys, tree)
-	n := int32(len(tree))
-	if n == 0 || len(keys) == 0 {
-		return 0, 0, dst
-	}
-	if int(n) <= fingerTailLen {
-		// Frameless fast path: the whole tree is one LUT frame, so the
-		// reference charge for every key is a single table load at the
-		// cursor's insertion point — no stack, no replay. Such trees are
-		// many but carry few keys: 0.4 % of the Binary-charged keys of the
-		// pull-rmat benchmark workload.
-		base := int(n) * (fingerTailLen + 1)
-		q := 0
-		for _, x := range keys {
-			for q < int(n) && tree[q] < x {
-				q++
-			}
-			if q < int(n) && tree[q] == x {
-				count++
-				if wantDst {
-					dst = append(dst, x)
-				}
-				ops += int(tailHitLUT[base+q])
-			} else {
-				ops += int(tailMissLUT[base+q])
-			}
-		}
-		return count, ops, dst
-	}
-	st := stack[:fingerStackCap]
-	st[0] = fingerFrame{0, n}
-	sp := 1
-	q := 0 // cursor: lowerBound(tree, previous key), monotone over the call
-	nn := len(tree)
-	for _, x := range keys {
-		// Memory half: advance the cursor to p = lowerBound(tree, x).
-		if q < nn && tree[q] < x {
-			q = gallop(tree, q+1, x)
-		}
-		p := int32(q)
-		hit := q < nn && tree[q] == x
-		if hit {
-			count++
-			if wantDst {
-				dst = append(dst, x)
-			}
-		}
-		// Arithmetic half: replay the reference bisection on indices.
-		// Pop frames that are not on x's path (each frame is popped at
-		// most once, so pops are amortized O(1) per key): tree[hi] < x
-		// ⟺ hi < p means the interval cannot contain p, and tree[hi] ==
-		// x ⟺ hi == p on a hit means the reference terminates at the
-		// ancestor that probes hi and never enters this frame. Both
-		// collapse into one integer threshold.
-		popT := p
-		if hit {
-			popT++
-		}
-		for sp > 1 && st[sp-1].hi < popT {
-			sp--
-		}
-		// Resume from the deepest shared frame. Iteration accounting is
-		// free on the framed part: the frame's stack index is its depth
-		// and every non-match iteration pushes exactly one frame, so the
-		// framed charge is sp-1 after the descent (plus the match
-		// iteration itself on a hit).
-		f := st[sp-1]
-		lo, hi := f.lo, f.hi
-		if hit {
-			matched := false
-			for hi-lo > fingerTailLen {
-				mid := int32(uint32(lo+hi) >> 1)
-				if mid == p {
-					matched = true
-					break
-				}
-				if mid < p {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-				st[sp] = fingerFrame{lo, hi}
-				sp++
-			}
-			if matched {
-				ops += sp // sp-1 framed iterations + the match
-			} else {
-				ops += sp - 1 + int(tailHitLUT[(hi-lo)*(fingerTailLen+1)+(p-lo)])
-			}
-			continue
-		}
-		for hi-lo > fingerTailLen {
-			mid := int32(uint32(lo+hi) >> 1)
-			if mid < p {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-			st[sp] = fingerFrame{lo, hi}
-			sp++
-		}
-		ops += sp - 1 + int(tailMissLUT[(hi-lo)*(fingerTailLen+1)+(p-lo)])
-	}
-	return count, ops, dst
-}
-
 // gallop returns lowerBound(tree, x) given that every element before q is
 // below x. Short gaps walk linearly (sequential, predictor-friendly);
 // longer ones double the stride and bisect the final bracket.
@@ -333,64 +134,31 @@ func gallop(tree []graph.V, q int, x graph.V) int {
 	return q
 }
 
-// dirWindow is how many ids past a bucket's start depthBinary compares
-// against a key without branching. Buckets hold about four ids, so a key's
-// insertion point almost always lies inside the window.
-const dirWindow = 8
-
 // depthBinary returns |keys ∩ tree| and the exact probe-iteration count of
-// the reference Binary loop for a tree of fingerTailLen < n ≤ depthMaxLen
-// ids, given depth, the fillDepth table for n (miss counts in depth[:n+1],
-// hit counts after them). Like fingerBinary it splits memory from
-// arithmetic, but the arithmetic half is gone: the reference iteration
-// count is a pure function of (n, p, hit), so once the insertion point p of
-// a key is known its charge is depth[p + hit·(n+1)] — one load where the
-// finger replay pops and pushes frames.
+// the reference Binary loop, given depth, the fillDepth table for the tree's
+// length n (miss counts in depth[:n+1], hit counts after them). Every
+// tree[mid] comparison the reference makes is equivalent to comparing mid
+// against the key's insertion point p (with a hit exactly at mid == p), so
+// the reference iteration count is a pure function of (n, p, hit): once p is
+// known the charge is depth[p + hit·(n+1)], one load. Finding p is the only
+// part that touches the tree: keys ascend, so a monotone cursor gallops on
+// from the previous key's. For an ascending tree p is the true lower bound;
+// for any input it stays in [0, n].
 //
-// The memory half is a monotone cursor advanced by gallop. A directory over
-// tree (dir != nil, and its terminator matches the tree's length) replaces
-// it key by key: the key's bucket starts at h, and if tree[h-1] < x — all a
-// lower bound needs — p is h plus the number of the next dirWindow ids
-// below x, counted with flag arithmetic. No load then depends on the
-// previous key, so the misses of consecutive keys on a cold hub list
-// overlap instead of queueing behind mispredicted scan branches. A start
-// the tree does not confirm, a full window and the last dirWindow ids fall
-// back to the cursor; whatever the directory holds, p is the true lower
-// bound for an ascending tree and stays in [0, n] for any input.
-func depthBinary(depth []uint8, keys, tree []graph.V, dir *Directory, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
+// When wantDst is set, matched keys are appended to dst (the
+// BinaryElements variant); the returned slice is dst extended, ascending.
+func depthBinary(depth []uint8, keys, tree []graph.V, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
 	assertOriented(keys, tree)
 	n := len(tree)
 	depth = depth[:2*n+1]
-	var starts []uint32
-	var base graph.V
-	var shift uint8
-	if dir != nil && len(dir.starts) > 0 && int(dir.starts[len(dir.starts)-1]) == n {
-		starts, base, shift = dir.starts, dir.base, dir.shift
-	}
-	q := 0 // cursor: a lower bound of every later key's insertion point
+	q := 0 // cursor: lowerBound(tree, previous key), monotone over the call
 	for _, x := range keys {
-		xx := uint64(x)
-		hinted := false
-		if len(starts) != 0 && x >= base {
-			b := int(uint64(x-base) >> shift)
-			if b >= len(starts) {
-				b = len(starts) - 1
-			}
-			if h := int(starts[b]); h > 0 && h+dirWindow <= n && tree[h-1] < x {
-				win := tree[h : h+dirWindow : h+dirWindow] // eight terms below
-				c := int((uint64(win[0])-xx)>>63 + (uint64(win[1])-xx)>>63 +
-					(uint64(win[2])-xx)>>63 + (uint64(win[3])-xx)>>63 +
-					(uint64(win[4])-xx)>>63 + (uint64(win[5])-xx)>>63 +
-					(uint64(win[6])-xx)>>63 + (uint64(win[7])-xx)>>63)
-				q, hinted = h+c, c < dirWindow
-			}
-		}
-		if !hinted && q < n && tree[q] < x {
+		if q < n && tree[q] < x {
 			q = gallop(tree, q+1, x)
 		}
 		hit := 0
 		if q < n {
-			hit = int(((uint64(tree[q]) ^ xx) - 1) >> 63)
+			hit = int(((uint64(tree[q]) ^ uint64(x)) - 1) >> 63)
 		}
 		count += hit
 		ops += int(depth[q+hit*(n+1)])
@@ -403,7 +171,7 @@ func depthBinary(depth []uint8, keys, tree []graph.V, dir *Directory, wantDst bo
 
 // rankBinary returns |keys ∩ tree| and the exact probe-iteration count of the
 // reference Binary loop for a tree given as set, a DenseSet the caller has
-// bound to it (the Scratch's own over its stamp, or Index.dense), and depth,
+// bound to it (the Scratch's own over its stamp, or a caller's), and depth,
 // the fillDepth table for the tree's length n — without touching the tree. A
 // key x's insertion point is the number of the set's ids below it,
 //
@@ -468,10 +236,10 @@ func rankBinary(set *DenseSet, depth []uint8, keys []graph.V, check, wantDst boo
 // fillDepth tabulates Algorithm 1's iteration counts for every outcome
 // inside the interval [lo, hi) that the reference loop enters after d
 // iterations: hit[p] for a key equal to tree[p], miss[p] for an absent key
-// with insertion point p. It is the tail tables' argument at any size —
-// every tree[mid] comparison is an index comparison against p, so the
-// trajectory depends on the tree's length alone. The left spine is walked
-// in the loop, right subtrees by recursion (depth ≤ log2 of the size).
+// with insertion point p. Every tree[mid] comparison is an index comparison
+// against p, so the trajectory depends on the tree's length alone. The left
+// spine is walked in the loop, right subtrees by recursion (depth ≤ log2 of
+// the size).
 func fillDepth(miss, hit []uint8, lo, hi int, d uint8) {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

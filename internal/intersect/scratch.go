@@ -9,12 +9,11 @@ import (
 
 // Scratch is the per-rank reusable state of the cost-decoupled kernel
 // layer: a uint64 stamp-set bitmap for the amortized pivot kernel, the
-// DenseSet over it for Binary-charged probes into the pivot, the cache of
-// Algorithm 1 depth tables the Binary-charged kernels read their charge
-// from, and the finger stack of the shared-path binary search. Engines
-// acquire one per simulated rank (GetScratch/PutScratch) and route every
-// intersection through Count/Elements; after warm-up the kernels allocate
-// nothing.
+// DenseSet over it for Binary-charged probes into the pivot, and the cache
+// of Algorithm 1 depth tables the Binary-charged kernels read their charge
+// from. Engines acquire one per simulated rank (GetScratch/PutScratch) and
+// route every intersection through Count/Elements; after warm-up the
+// kernels allocate nothing.
 //
 // Count and Elements return exactly the (count, ops) pair of the
 // reference Count/Elements in intersect.go: the count is computed by the
@@ -56,8 +55,6 @@ type Scratch struct {
 	depthBuf []uint8
 	spill    []uint8
 	spillN   int
-
-	stack []fingerFrame
 }
 
 // stampMinLen is the smallest pivot worth stamping: below it the
@@ -67,7 +64,7 @@ const stampMinLen = 32
 // rankSpanWords bounds the rank index's O(span) prefix build: the stamped
 // list may span at most this many bitmap words per element (one element
 // per 256 ids), which keeps the build within a small constant of the
-// stamp's own O(len) cost. Sparser lists stay on fingerBinary.
+// stamp's own O(len) cost. Sparser lists go to depthBinary.
 const rankSpanWords = 4
 
 // depthMaxLen and depthMaxBytes bound a scratch's depth-table cache: tables
@@ -83,9 +80,7 @@ const (
 
 // NewScratch returns a ready-to-use Scratch. Most callers should prefer
 // GetScratch/PutScratch, which recycle instances across runs.
-func NewScratch() *Scratch {
-	return &Scratch{stack: make([]fingerFrame, 1, fingerStackCap)}
-}
+func NewScratch() *Scratch { return new(Scratch) }
 
 // EnsureUniverse pre-sizes the bitmap for vertex ids in [0, n), so the
 // steady state performs no growth allocations. Stamping grows the bitmap
@@ -284,7 +279,7 @@ func (s *Scratch) rankTree(a, tree []graph.V) bool {
 	base := int(tree[0] >> 6)
 	span := int(tree[n-1]>>6) - base + 1
 	// span < 1: the list is not ascending (a corrupted snapshot can serve
-	// one); the finger replay tolerates that, the index would not.
+	// one); the searches tolerate that, the index would not.
 	if span < 1 || span > rankSpanWords*n {
 		return false
 	}
@@ -356,38 +351,40 @@ func (s *Scratch) pivotDepth(n int) []uint8 {
 	return s.spill
 }
 
-// binary serves an Algorithm 1-charged pair (keys the shorter list) with
-// the kernel the input admits: the rank query when the tree has a DenseSet —
-// it is the stamped or stampable pivot, or treeIx (nil, or an Index over
-// tree) holds one; otherwise — the opposite orientation (pivot as keys,
-// fetched list as tree), sparse pivots and short or sparse hubs — the
-// depth-table search, with treeIx's Directory to seed its cursor; the finger
-// replay for trees of at most fingerTailLen ids, whose frameless path is
-// one table load per key already, and for lengths the depth cache refuses.
-func (s *Scratch) binary(a, keys, tree []graph.V, treeIx *Index, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
+// binary serves an Algorithm 1-charged pair (keys the shorter list) with the
+// first of three kernels the input admits: rankBinary when the tree has a
+// DenseSet — it is the stamped or stampable pivot, or treeSet (nil, or a set
+// bound to tree) is the caller's; depthBinary — the opposite orientation
+// (pivot as keys, fetched list as tree), sparse pivots and short or sparse
+// hubs — while the depth cache has or takes the tree's length; the reference
+// Binary/BinaryElements loops for what is left.
+func (s *Scratch) binary(a, keys, tree []graph.V, treeSet *DenseSet, wantDst bool, dst []graph.V) (count, ops int, out []graph.V) {
 	assertOriented(keys, tree)
 	n := len(tree)
-	var set *DenseSet
-	var depth []uint8
 	own := s.rankTree(a, tree)
+	if len(keys) == 0 {
+		return 0, 0, dst
+	}
+	var depth []uint8
 	if own {
-		set, depth = &s.index, s.pivotDepth(n)
-	} else if len(keys) > 0 {
-		if set = treeIx.dense(tree); set != nil {
-			depth = s.depthFor(n)
-		}
+		treeSet, depth = &s.index, s.pivotDepth(n)
+	} else {
+		depth = s.depthFor(n)
 	}
 	if depth != nil {
-		if count, ops, out, ok := rankBinary(set, depth, keys, !own, wantDst, dst); ok {
-			return count, ops, out
+		if treeSet != nil {
+			if count, ops, out, ok := rankBinary(treeSet, depth, keys, !own, wantDst, dst); ok {
+				return count, ops, out
+			}
 		}
+		return depthBinary(depth, keys, tree, wantDst, dst)
 	}
-	if n > fingerTailLen && len(keys) > 0 {
-		if depth := s.depthFor(n); depth != nil {
-			return depthBinary(depth, keys, tree, treeIx.directory(), wantDst, dst)
-		}
+	if !wantDst {
+		count, ops = Binary(keys, tree)
+		return count, ops, dst
 	}
-	return fingerBinary(s.stack, keys, tree, wantDst, dst)
+	out, ops = BinaryElements(keys, tree, dst)
+	return len(out) - len(dst), ops, out
 }
 
 // Count returns (|a ∩ b|, modeled ops), bit-identical to the reference
@@ -399,30 +396,32 @@ func (s *Scratch) Count(method Method, a, b []graph.V) (count, ops int) {
 	return s.CountIndexed(method, a, b, nil)
 }
 
-// CountIndexed is Count for a caller that holds an Index over b (nil for
-// none): a Directory places each key when b ends up as the Algorithm 1 tree,
-// a DenseSet stands in for b under either charge. Result and charge are
-// Count's, whatever the index holds.
-func (s *Scratch) CountIndexed(method Method, a, b []graph.V, bIx *Index) (count, ops int) {
+// CountIndexed is Count for a caller that holds a DenseSet over b (nil for
+// none), which stands in for b under either charge once boundTo accepts it.
+// Result and charge are Count's, whatever the set holds.
+func (s *Scratch) CountIndexed(method Method, a, b []graph.V, bSet *DenseSet) (count, ops int) {
+	if bSet != nil {
+		bSet = bSet.boundTo(b)
+	}
 	sa, sb := a, b
-	treeIx := bIx
+	treeSet := bSet
 	if len(sa) > len(sb) {
 		sa, sb = sb, sa
-		treeIx = nil // the tree is a
+		treeSet = nil // the tree is a
 	}
 	switch method {
 	case MethodSSI:
-		return s.hostSSI(a, b, bIx.dense(b))
+		return s.hostSSI(a, b, bSet)
 	case MethodBinary:
-		count, ops, _ = s.binary(a, sa, sb, treeIx, false, nil)
+		count, ops, _ = s.binary(a, sa, sb, treeSet, false, nil)
 		return count, ops
 	case MethodHash:
 		return Hash(sa, sb)
 	default:
 		if PreferSSI(len(sa), len(sb)) {
-			return s.hostSSI(a, b, bIx.dense(b))
+			return s.hostSSI(a, b, bSet)
 		}
-		count, ops, _ = s.binary(a, sa, sb, treeIx, false, nil)
+		count, ops, _ = s.binary(a, sa, sb, treeSet, false, nil)
 		return count, ops
 	}
 }

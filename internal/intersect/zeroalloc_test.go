@@ -9,9 +9,9 @@ import (
 // Allocation guards for the scratch-based kernels, in the style of
 // clampi/zeroalloc_test.go: after warm-up (bitmap sized, stack in place)
 // the steady-state paths — branch-free merge, stamp + probe, the depth-table
-// search once its table is cached, the finger replay, the rank index over
-// the stamp, both uses of a caller's DenseSet, and the Elements variants
-// into a pre-grown destination — must not touch the heap at all.
+// search once its table is cached, the reference loops behind it, the rank
+// index over the stamp, both uses of a caller's DenseSet, and the Elements
+// variants into a pre-grown destination — must not touch the heap at all.
 
 func stride(n, step int) []graph.V {
 	out := make([]graph.V, n)
@@ -53,24 +53,18 @@ func TestScratchZeroAlloc(t *testing.T) {
 	}
 	assertZeroAllocs(t, "depth binary", func() { s.Count(MethodBinary, keys, tree) })
 	assertZeroAllocs(t, "hybrid dispatch", func() { s.Count(MethodHybrid, keys, tree) })
-	dir, _ := newDirectory(tree, nil)
-	assertZeroAllocs(t, "depth binary with a directory", func() { s.CountIndexed(MethodBinary, keys, tree, &Index{dir: dir}) })
-	otherIx, _ := NewIndex(other, nil) // 1024 ids in 80 words: a DenseSet
-	if !otherIx.Dense() {
+	otherSet, ok := NewDenseSet(other, nil) // 1024 ids in 80 words
+	if !ok {
 		t.Fatal("no dense set over the SSI-charged partner")
 	}
-	s.CountIndexed(MethodBinary, keys, other, &otherIx) // warm: the depths of a 1024-id tree
-	assertZeroAllocs(t, "dense set rank query", func() { s.CountIndexed(MethodBinary, keys, other, &otherIx) })
+	s.CountIndexed(MethodBinary, keys, other, otherSet) // warm: the depths of a 1024-id tree
+	assertZeroAllocs(t, "dense set rank query", func() { s.CountIndexed(MethodBinary, keys, other, otherSet) })
 	assertZeroAllocs(t, "dense set AND", func() {
-		s.CountIndexed(MethodSSI, pivot, other, &otherIx) // stamps pivot
-		s.CountIndexed(MethodHybrid, pivot, other, &otherIx)
+		s.CountIndexed(MethodSSI, pivot, other, otherSet) // stamps pivot
+		s.CountIndexed(MethodHybrid, pivot, other, otherSet)
 	})
-	short := tree[:fingerTailLen]
-	long := stride(depthMaxLen+1, 3)
-	assertZeroAllocs(t, "finger binary", func() {
-		s.Count(MethodBinary, keys[:8], short) // the frameless tail path
-		s.Count(MethodBinary, keys, long)      // past the depth cache's length bound
-	})
+	long := stride(depthMaxLen+1, 3) // past the depth cache's length bound
+	assertZeroAllocs(t, "reference binary", func() { s.Count(MethodBinary, keys, long) })
 	s.Count(MethodBinary, tree, keys) // warm: tree is the pivot side, so it is stamped and indexed
 	if !s.rankOK {
 		t.Fatal("rank index not engaged with the tree as pivot")
@@ -84,7 +78,7 @@ func TestScratchZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, "elements merge", func() { dst, _ = s.Elements(MethodSSI, small, other, dst[:0]) })
 	assertZeroAllocs(t, "elements stamped", func() { dst, _ = s.Elements(MethodSSI, pivot, other, dst[:0]) })
 	assertZeroAllocs(t, "elements depth", func() { dst, _ = s.Elements(MethodBinary, keys, tree, dst[:0]) })
-	assertZeroAllocs(t, "elements finger", func() { dst, _ = s.Elements(MethodBinary, keys, long, dst[:0]) })
+	assertZeroAllocs(t, "elements reference", func() { dst, _ = s.Elements(MethodBinary, keys, long, dst[:0]) })
 	assertZeroAllocs(t, "grid accumulator", func() {
 		s.Stamp(pivot)
 		n := 0

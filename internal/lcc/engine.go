@@ -82,16 +82,9 @@ type Options struct {
 
 	// ChargeObserver, when set, observes every modeled charge of the run
 	// at its fold point, in canonical per-rank order (rma.ChargeObserver).
-	// Diagnostic surface: the charge-tape equivalence tests record and
-	// diff whole runs with it. Observers run on rank goroutines.
+	// Diagnostic surface: the charge-digest tests record whole runs with
+	// it (DESIGN.md §6). Observers run on rank goroutines.
 	ChargeObserver rma.ChargeObserver
-	// DeferredCharges queues every charge on the rank's tape and folds it
-	// at the next observation of simulated time instead of at its
-	// canonical point. Results are bit-identical either way (the
-	// charge-tape contract, DESIGN.md §6); the deferred mode is the
-	// verification schedule the equivalence tests diff against the
-	// default.
-	DeferredCharges bool
 
 	// Faults installs a deterministic fault schedule on the world
 	// (internal/fault): seeded transient RMA failures, latency spikes,
@@ -192,9 +185,6 @@ func extractLocals(g graph.Store, pt *part.Partition, storage StorageMode, budge
 func (o Options) configureCharges(comm *rma.Comm) {
 	if o.ChargeObserver != nil {
 		comm.SetChargeObserver(o.ChargeObserver)
-	}
-	if o.DeferredCharges {
-		comm.SetDeferredCharges(true)
 	}
 	if o.Faults != nil {
 		comm.SetFaults(o.Faults)
@@ -940,11 +930,11 @@ func (w *worker) run(lccOut []float64) int64 {
 
 	w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {
 		adjI := w.adjOwned(li)
-		var ixJ *intersect.Index
+		var setJ *intersect.DenseSet
 		if w.kind == graph.Undirected {
-			adjJ, ixJ = w.orient.upper(vj, adjJ)
+			adjJ, setJ = w.orient.upper(vj, adjJ)
 		}
-		c, ops := w.its.CountIndexed(method, adjI, adjJ, ixJ)
+		c, ops := w.its.CountIndexed(method, adjI, adjJ, setJ)
 		// A small per-edge constant covers loop and bookkeeping costs.
 		w.r.Compute(ops + 4)
 		perVertexT[li] += int64(c)

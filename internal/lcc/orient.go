@@ -15,28 +15,27 @@ import (
 //   - the upper offset |{x ∈ adj(v) : x ≤ v}|: the edge-centric method
 //     counts only common neighbours above v_j (§II-C), so every visit
 //     starts by cutting adj(v_j) there;
-//   - for an upper list of more than 32 ids, an intersect.Index over it:
-//     a Directory, which places a key of adj(v_i) in the hub's list with one
-//     load, or — for the few hundred lists long and dense enough — a
-//     DenseSet, the list's own bitmap, which the kernels intersect with the
-//     stamped adj(v_i) 64 ids a step and rank-query instead of searching.
+//   - for the few hundred upper lists long and dense enough, an
+//     intersect.DenseSet — the list's own bitmap, which the kernels intersect
+//     with the stamped adj(v_i) 64 ids a step and rank-query instead of
+//     searching.
 //
 // Entries are constants of the graph, filled by whichever rank first
 // fetches the vertex, from the fetched list itself — every source of
 // adj(v_j) (owner CSR, window view, cache hit, delegation replica, decode
 // buffer) holds the same ids — and published with atomics, so concurrent
 // runs share one index and a run's results do not depend on what ran
-// before. Host memory only: 4 bytes per vertex, a 64-byte entry per hub
-// (allocated a page at a time), and the indexes' arrays, carved from 64 KiB
-// chunks (mem) — at most one byte per id under a Directory, twelve per
-// spanned 64-id word (at most twelve per id) under a DenseSet; not counted
-// by LocalBytes, freed with the snapshot.
+// before. Host memory only: 4 bytes per vertex, and per dense hub a 16-byte
+// entry (allocated a page at a time), the set's 64-byte header and its
+// arrays, twelve bytes per spanned 64-id word (at most twelve per id), both
+// carved from 64 KiB chunks (mem); not counted by LocalBytes, freed with the
+// snapshot.
 //
 // Nothing read from the index is trusted: upper validates the offset
-// against the list in hand and the kernels treat the Index as a hint
-// (intersect.Directory and intersect.DenseSet say what each use checks), so
-// a damaged word or a list that changed under the index falls back to the
-// searches. Snapshot.Verify recomputes every filled entry.
+// against the list in hand and the kernels treat the set as a hint
+// (intersect.DenseSet says what each use checks), so a damaged word or a
+// list that changed under the index falls back to the searches.
+// Snapshot.Verify recomputes every filled entry.
 type orientIndex struct {
 	// word[v] is 0 until v is filled, then 1 + upper offset, or hubFlag
 	// plus the slot of v's hubEntry.
@@ -45,8 +44,8 @@ type orientIndex struct {
 	// The hub entries, in pages so that a published slot never moves:
 	// fillers write the next slot under mu and then publish it in word,
 	// readers reach it through word's atomic load alone. A graph has at
-	// most one hub per vertex, which sizes page. mem is where their
-	// indexes' arrays come from, under mu like the slots.
+	// most one hub per vertex, which sizes page. mem is where their sets
+	// come from, under mu like the slots.
 	mu   sync.Mutex
 	hubs uint32
 	mem  intersect.Slab
@@ -60,15 +59,11 @@ const (
 
 type hubPage [1 << hubPageBits]hubEntry
 
-// hubEntry is the index of a vertex whose upper list has an Index.
-// Immutable once published; filled is false in the slots past the last one.
-// Padded to 64 bytes: an edge reads one entry of a table too large for the
-// first-level cache, and should miss on one line of it, not two.
+// hubEntry is the index of a vertex whose upper list has a DenseSet.
+// Immutable once published; set is nil in the slots past the last one.
 type hubEntry struct {
-	filled bool
-	upper  int
-	ix     intersect.Index
-	_      [8]byte
+	upper int
+	set   *intersect.DenseSet
 }
 
 func newOrientIndex(n int) *orientIndex {
@@ -79,10 +74,10 @@ func newOrientIndex(n int) *orientIndex {
 }
 
 // upper cuts list = adj(vj) down to the ids above vj and returns the
-// Index over that upper list, nil when it has none. A nil index — the
+// DenseSet over that upper list, nil when it has none. A nil index — the
 // engines that run without a snapshot — searches, like every entry that
 // fails validation.
-func (ix *orientIndex) upper(vj graph.V, list []graph.V) ([]graph.V, *intersect.Index) {
+func (ix *orientIndex) upper(vj graph.V, list []graph.V) ([]graph.V, *intersect.DenseSet) {
 	if ix == nil || int(vj) >= len(ix.word) {
 		return intersect.UpperSlice(list, vj), nil
 	}
@@ -91,19 +86,19 @@ func (ix *orientIndex) upper(vj graph.V, list []graph.V) ([]graph.V, *intersect.
 		return ix.fill(vj, list)
 	}
 	u := int(w) - 1
-	var upIx *intersect.Index
+	var set *intersect.DenseSet
 	if w&hubFlag != 0 {
 		h := ix.hub(w &^ hubFlag)
 		if h == nil {
 			return intersect.UpperSlice(list, vj), nil
 		}
-		u, upIx = h.upper, &h.ix
+		u, set = h.upper, h.set
 	}
 	// u is the upper offset of an ascending list iff its two neighbours say so.
 	if uint(u) > uint(len(list)) || (u > 0 && list[u-1] > vj) || (u < len(list) && list[u] <= vj) {
 		return intersect.UpperSlice(list, vj), nil
 	}
-	return list[u:], upIx
+	return list[u:], set
 }
 
 // hub returns the entry in slot, nil if there is none (a damaged word).
@@ -115,7 +110,7 @@ func (ix *orientIndex) hub(slot uint32) *hubEntry {
 	if pg == nil {
 		return nil
 	}
-	if h := &pg[slot&(1<<hubPageBits-1)]; h.filled {
+	if h := &pg[slot&(1<<hubPageBits-1)]; h.set != nil {
 		return h
 	}
 	return nil
@@ -123,27 +118,26 @@ func (ix *orientIndex) hub(slot uint32) *hubEntry {
 
 // fill computes vj's entry from list, publishes it unless another rank got
 // there first, and returns what upper would.
-func (ix *orientIndex) fill(vj graph.V, list []graph.V) ([]graph.V, *intersect.Index) {
+func (ix *orientIndex) fill(vj graph.V, list []graph.V) ([]graph.V, *intersect.DenseSet) {
 	up := intersect.UpperSlice(list, vj)
 	u := len(list) - len(up)
-	if len(up) >= intersect.MinIndexLen {
+	if len(up) >= intersect.DenseMinLen {
 		ix.mu.Lock()
 		defer ix.mu.Unlock()
 		if ix.word[vj].Load() != 0 {
 			return up, nil // another rank published meanwhile; this one call searches
 		}
-		if upIx, ok := intersect.NewIndex(up, &ix.mem); ok {
+		if set, ok := intersect.NewDenseSet(up, &ix.mem); ok {
 			slot := ix.hubs
 			pg := ix.page[slot>>hubPageBits].Load()
 			if pg == nil {
 				pg = new(hubPage)
 				ix.page[slot>>hubPageBits].Store(pg)
 			}
-			h := &pg[slot&(1<<hubPageBits-1)]
-			*h = hubEntry{filled: true, upper: u, ix: upIx}
+			pg[slot&(1<<hubPageBits-1)] = hubEntry{upper: u, set: set}
 			ix.hubs++
 			ix.word[vj].Store(hubFlag | slot)
-			return up, &h.ix
+			return up, set
 		}
 	}
 	if u+1 < hubFlag {
@@ -164,7 +158,7 @@ func (ix *orientIndex) verify(adj func(v graph.V, buf []graph.V) []graph.V) (bad
 		buf = adj(graph.V(v), buf)
 		up := intersect.UpperSlice(buf, graph.V(v))
 		u := len(buf) - len(up)
-		upIx, isHub := intersect.NewIndex(up, nil)
+		set, isHub := intersect.NewDenseSet(up, nil)
 		if !isHub {
 			if w != uint32(u+1) {
 				return graph.V(v), false
@@ -174,7 +168,7 @@ func (ix *orientIndex) verify(adj func(v graph.V, buf []graph.V) []graph.V) (bad
 		if w&hubFlag == 0 {
 			return graph.V(v), false
 		}
-		if h := ix.hub(w &^ hubFlag); h == nil || h.upper != u || !h.ix.Equal(&upIx) {
+		if h := ix.hub(w &^ hubFlag); h == nil || h.upper != u || !h.set.Equal(set) {
 			return graph.V(v), false
 		}
 	}

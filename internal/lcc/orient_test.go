@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
@@ -24,8 +23,7 @@ func pullOpts(workers int, m intersect.Method) Options {
 }
 
 // orientGraph is recycleGraph four times the size: R-MAT s10 has no upper
-// list of 256 ids, this one has seven, all dense enough for a DenseSet, next
-// to some 150 with a Directory.
+// list of 256 ids, this one has seven, all dense enough for a DenseSet.
 func orientGraph() *graph.Graph {
 	return gen.Prepare(gen.RMAT(gen.DefaultRMAT(11, 16, graph.Undirected, 5)), 5)
 }
@@ -43,10 +41,9 @@ func hubEntries(ix *orientIndex) map[graph.V]*hubEntry {
 	return hubs
 }
 
-// indexCensus counts the filled entries of s's index, those with an Index,
-// those whose Index is a DenseSet, the bytes of the indexes' arrays and the
-// bytes the index holds in all.
-func indexCensus(s *Snapshot) (filled, hubs, dense int, arrays, bytes int64) {
+// indexCensus counts the filled entries of s's index, those with a DenseSet,
+// the bytes of the sets' arrays and the bytes the index holds in all.
+func indexCensus(s *Snapshot) (filled, hubs int, arrays, bytes int64) {
 	ix := s.orient
 	for v := range ix.word {
 		if ix.word[v].Load() != 0 {
@@ -55,10 +52,7 @@ func indexCensus(s *Snapshot) (filled, hubs, dense int, arrays, bytes int64) {
 	}
 	for _, h := range hubEntries(ix) {
 		hubs++
-		if h.ix.Dense() {
-			dense++
-		}
-		arrays += int64(h.ix.MemBytes())
+		arrays += int64(h.set.MemBytes())
 	}
 	bytes = int64(4*len(ix.word)+8*len(ix.page)) + int64(ix.mem.MemBytes())
 	for i := range ix.page {
@@ -66,19 +60,7 @@ func indexCensus(s *Snapshot) (filled, hubs, dense int, arrays, bytes int64) {
 			bytes += int64(unsafe.Sizeof(*pg))
 		}
 	}
-	return filled, hubs, dense, arrays, bytes
-}
-
-// setArrays reaches into a DenseSet index for its words and rank arrays, so
-// a test can damage them in place: intersect exports no way to, on purpose.
-func setArrays(t *testing.T, ix *intersect.Index) (words []uint64, rank []uint32) {
-	t.Helper()
-	if !ix.Dense() {
-		t.Fatal("not a dense set")
-	}
-	set := reflect.ValueOf(ix).Elem().FieldByName("set").Elem()
-	w, r := set.FieldByName("words"), set.FieldByName("rank")
-	return unsafe.Slice((*uint64)(w.UnsafePointer()), w.Len()), unsafe.Slice((*uint32)(r.UnsafePointer()), r.Len())
+	return filled, hubs, arrays, bytes
 }
 
 // TestWarmIndexMatchesFresh compares every query on a snapshot of its own,
@@ -94,18 +76,18 @@ func TestWarmIndexMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		filled, hubs, dense, arrays, bytes := indexCensus(warm)
-		if filled == hubs || dense == 0 || hubs == dense {
-			t.Fatalf("%v: warm index has %d entries, %d with an index, %d of them dense sets; the graph must exercise all three",
-				storage, filled, hubs, dense)
+		filled, hubs, arrays, bytes := indexCensus(warm)
+		if hubs == 0 || filled == hubs {
+			t.Fatalf("%v: warm index has %d entries, %d of them with a dense set; the graph must exercise both kinds",
+				storage, filled, hubs)
 		}
-		// 4 B per vertex, the page table and the entries themselves, and
-		// the arrays: 1 B per id under a directory, 12 B per id and a
-		// terminator under a dense set (an upper list is at most the whole
-		// list), a third on top for chunk tails, and the two open chunks.
+		// 4 B per vertex, the page table and the entries themselves; per
+		// set a 64 B header, in chunks of 64, and the arrays: 12 B per id
+		// and a terminator (an upper list is at most the whole list), a
+		// third on top for chunk tails, and the two open chunks.
 		n := int64(g.NumVertices())
 		if bound := 4*n + 8*(n>>hubPageBits+1) + int64(hubs+1<<hubPageBits)*int64(unsafe.Sizeof(hubEntry{})) +
-			arrays*4/3 + 2<<16; arrays > 12*int64(g.NumArcs())+4*int64(dense) || bytes > bound {
+			int64(hubs+64)*64 + arrays*4/3 + 2<<16; arrays > 12*int64(g.NumArcs())+4*int64(hubs) || bytes > bound {
 			t.Errorf("%v: index holds %d bytes (%d in arrays), bound %d", storage, bytes, arrays, bound)
 		}
 		for _, workers := range []int{1, 2, 4} {
@@ -116,9 +98,9 @@ func TestWarmIndexMatchesFresh(t *testing.T) {
 				diffRuns(t, name, got, want, gotSum, wantSum)
 			}
 		}
-		if f, h, d, _, b := indexCensus(warm); f != filled || h != hubs || d != dense || b != bytes {
-			t.Errorf("%v: index went from %d/%d/%d entries/indexes/dense sets in %d bytes to %d/%d/%d in %d on reruns",
-				storage, filled, hubs, dense, bytes, f, h, d, b)
+		if f, h, _, b := indexCensus(warm); f != filled || h != hubs || b != bytes {
+			t.Errorf("%v: index went from %d/%d entries/dense sets in %d bytes to %d/%d in %d on reruns",
+				storage, filled, hubs, bytes, f, h, b)
 		}
 		if err := warm.Verify(); err != nil {
 			t.Errorf("%v: Verify on a warm snapshot: %v", storage, err)
@@ -204,8 +186,7 @@ func TestDamagedIndexIsCaughtAndHarmless(t *testing.T) {
 	damaged(s, "flipped word")
 
 	// Most words off by a little or a lot — upper offsets past their list,
-	// hub slots that were never filled — and every hub with its neighbour's
-	// upper offset nudged and index swapped in.
+	// hub slots that were never filled — and every hub's upper offset nudged.
 	ix := s.orient
 	for v := range ix.word {
 		if w := ix.word[v].Load(); w != 0 && v%3 != 0 {
@@ -216,75 +197,70 @@ func TestDamagedIndexIsCaughtAndHarmless(t *testing.T) {
 		if pg := ix.page[i].Load(); pg != nil {
 			for j := range pg {
 				pg[j].upper += j%3 - 1
-				if j%2 == 1 {
-					pg[j].ix, pg[j-1].ix = pg[j-1].ix, pg[j].ix
-				}
 			}
 		}
 	}
 	damaged(s, "damaged throughout")
 
-	// The dense sets. A bit flipped in every other word, then in every
-	// other rank entry, of each.
-	// denseHubs returns the hub entries of s that hold a dense set.
-	denseHubs := func(s *Snapshot) map[graph.V]*hubEntry {
+	// The dense sets, by vertex, of a snapshot whose index a run has filled.
+	denseHubs := func() (*Snapshot, map[graph.V]*hubEntry) {
+		s := filledSnapshot()
 		hubs := hubEntries(s.orient)
-		for v, h := range hubs {
-			if !h.ix.Dense() {
-				delete(hubs, v)
-			}
-		}
 		if len(hubs) < 2 {
 			t.Fatalf("%d dense sets in the filled index; the graph must have some", len(hubs))
 		}
-		return hubs
+		return s, hubs
 	}
-	s = filledSnapshot()
-	for _, h := range denseHubs(s) {
-		words, _ := setArrays(t, &h.ix)
-		for i := 0; i < len(words); i += 2 {
-			words[i] ^= 1 << uint(i%64)
+	// A bit flipped in every other word, in every other rank entry, in the
+	// recorded sum, in the header, of each.
+	for _, c := range []struct {
+		what  string
+		field intersect.DenseField
+		from  int
+		all   bool
+	}{
+		{"set words flipped", intersect.DenseWords, 0, true},
+		{"set ranks flipped", intersect.DenseRank, 1, true},
+		{"set sums flipped", intersect.DenseSum, 5, false},
+		{"set headers flipped", intersect.DenseLast, 3, false},
+	} {
+		s, hubs := denseHubs()
+		for _, h := range hubs {
+			for i := c.from; h.set.CorruptForTest(c.field, i) && c.all; i += 2 {
+			}
 		}
+		damaged(s, c.what)
 	}
-	damaged(s, "set words flipped")
-	s = filledSnapshot()
-	for _, h := range denseHubs(s) {
-		_, rank := setArrays(t, &h.ix)
-		for i := 1; i < len(rank); i += 2 {
-			rank[i] ^= 1 << uint(i%10)
-		}
-	}
-	damaged(s, "set ranks flipped")
 
 	// Each dense hub with the next one's set: intact sets of other lists.
-	s = filledSnapshot()
-	var sets []*hubEntry
-	for _, h := range denseHubs(s) {
-		sets = append(sets, h)
+	s, hubs := denseHubs()
+	var entries []*hubEntry
+	for _, h := range hubs {
+		entries = append(entries, h)
 	}
-	first := sets[0].ix
-	for i := range sets {
-		if i+1 < len(sets) {
-			sets[i].ix = sets[i+1].ix
+	first := entries[0].set
+	for i, h := range entries {
+		if i+1 < len(entries) {
+			h.set = entries[i+1].set
 		} else {
-			sets[i].ix = first
+			h.set = first
 		}
 	}
-	damaged(s, "sets swapped between hubs")
+	damaged(s, "sets rotated between hubs")
 
 	// A set left behind a list that has since changed: each dense hub gets
 	// the set of its upper list less the last id, as if the list had grown.
-	s = filledSnapshot()
+	s, hubs = denseHubs()
 	var buf []graph.V
 	var twinOf graph.V
-	for v, h := range denseHubs(s) {
+	for v, h := range hubs {
 		buf = s.adjInto(v, buf)
 		up := intersect.UpperSlice(buf, v)
-		stale, ok := intersect.NewIndex(up[:len(up)-1], nil)
-		if !ok || !stale.Dense() {
+		stale, ok := intersect.NewDenseSet(up[:len(up)-1], nil)
+		if !ok {
 			t.Fatalf("vertex %d: no dense set over its upper list less one id", v)
 		}
-		h.ix, twinOf = stale, v
+		h.set, twinOf = stale, v
 	}
 	damaged(s, "sets of shorter lists")
 
@@ -299,9 +275,9 @@ func TestDamagedIndexIsCaughtAndHarmless(t *testing.T) {
 			break
 		}
 	}
-	twin, _ := intersect.NewIndex(up, nil)
-	s = filledSnapshot()
-	hubEntries(s.orient)[twinOf].ix = twin
+	twin, _ := intersect.NewDenseSet(up, nil)
+	s, hubs = denseHubs()
+	hubs[twinOf].set = twin
 	var ie *IntegrityError
 	if err := s.Verify(); !errors.As(err, &ie) || ie.Section != SectionIndex || ie.Vertex != twinOf {
 		t.Errorf("twin set: Verify = %v, want an index IntegrityError at vertex %d", err, twinOf)

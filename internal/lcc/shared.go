@@ -57,11 +57,11 @@ func vertexTriangles(g *graph.Graph, vi graph.V, method intersect.Method, its *i
 	adjI := g.Adj(vi)
 	for _, vj := range adjI {
 		adjJ := g.Adj(vj)
-		var ixJ *intersect.Index
+		var setJ *intersect.DenseSet
 		if g.Kind() == graph.Undirected {
-			adjJ, ixJ = orient.upper(vj, adjJ)
+			adjJ, setJ = orient.upper(vj, adjJ)
 		}
-		c, o := its.CountIndexed(method, adjI, adjJ, ixJ)
+		c, o := its.CountIndexed(method, adjI, adjJ, setJ)
 		t += int64(c)
 		ops += o
 	}

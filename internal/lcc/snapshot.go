@@ -33,12 +33,11 @@ import (
 // concurrent cached runs pairs (a rank body holds one pair, and
 // internal/sched runs at most Workers bodies of a run at once). The other is
 // the orientation index (orient, see orientIndex): per-vertex constants of
-// the graph — where adj(v) crosses v, and a bucket directory or a dense set
-// over a hub's upper list — that RunCtx's ranks fill on first fetch and every
-// later edge and run reads instead of searching. It grows to at most 4 bytes
-// per vertex plus one byte per id under a directory and twelve per spanned
-// 64-id word under a dense set. Neither is counted by LocalBytes; both are
-// freed with the snapshot.
+// the graph — where adj(v) crosses v, and a dense set over a long, dense
+// hub's upper list — that RunCtx's ranks fill on first fetch and every later
+// edge and run reads instead of searching. It grows to at most 4 bytes per
+// vertex plus, per dense hub, 80 bytes and twelve per spanned 64-id word.
+// Neither is counted by LocalBytes; both are freed with the snapshot.
 type Snapshot struct {
 	src           graph.Store
 	kind          graph.Kind

@@ -45,7 +45,6 @@ func (r *Rank) Accumulate(w *Window, target, offset int, delta uint64) *Request 
 	if w.kind != WritableBytes {
 		panic(fmt.Sprintf("rma: rank %d: Accumulate on %v window %q", r.id, w.kind, w.name))
 	}
-	r.fold() // the completion time below reads the clock eagerly
 	if offset < 0 || offset+8 > len(w.loc[target]) {
 		panic(fmt.Sprintf("rma: rank %d: Accumulate %q target %d [%d:+8) out of range (len %d)",
 			r.id, w.name, target, offset, len(w.loc[target])))
@@ -62,7 +61,6 @@ func (r *Rank) Accumulate(w *Window, target, offset int, delta uint64) *Request 
 	}
 	if r.faults != nil {
 		r.injectFaults(fault.ClassAccumulate, 8)
-		r.fold() // the completion time below reads the clock eagerly
 	}
 	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(8))
 	q.completeAt = r.clock.Now() + cost
@@ -86,7 +84,6 @@ func (r *Rank) FetchAdd64(w *Window, target, offset int, delta uint64) uint64 {
 	if w.kind != WritableBytes {
 		panic(fmt.Sprintf("rma: rank %d: FetchAdd64 on %v window %q", r.id, w.kind, w.name))
 	}
-	r.fold() // blocking round trip: charges fold before the clock advances
 	region := w.loc[target]
 	if offset < 0 || offset+8 > len(region) {
 		panic(fmt.Sprintf("rma: rank %d: FetchAdd64 %q target %d [%d:+8) out of range (len %d)",
@@ -106,7 +103,6 @@ func (r *Rank) FetchAdd64(w *Window, target, offset int, delta uint64) uint64 {
 	}
 	if r.faults != nil {
 		r.injectFaults(fault.ClassAccumulate, 8)
-		r.fold() // blocking round trip reads the clock eagerly
 	}
 	r.clock.Advance(r.comm.model.RemoteCost(8))
 	r.ctr.Puts++
@@ -140,7 +136,6 @@ func (r *Rank) AccumulateBatch(w *Window, target int, ups []Update) *Request {
 	if w.kind != WritableBytes {
 		panic(fmt.Sprintf("rma: rank %d: AccumulateBatch on %v window %q", r.id, w.kind, w.name))
 	}
-	r.fold() // the completion time below reads the clock eagerly
 	region := w.loc[target]
 	for _, u := range ups {
 		if u.Offset < 0 || u.Offset+8 > len(region) {
@@ -161,7 +156,6 @@ func (r *Rank) AccumulateBatch(w *Window, target int, ups []Update) *Request {
 	}
 	if r.faults != nil {
 		r.injectFaults(fault.ClassAccumulate, size)
-		r.fold() // the completion time below reads the clock eagerly
 	}
 	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
 	q.completeAt = r.clock.Now() + cost
@@ -221,7 +215,6 @@ func (c *Comm) NewBarrier() *Barrier {
 // the crash-stop recovery point — the rank's clock at release is recorded
 // as the state a recovered crash re-executes from (fault.go).
 func (b *Barrier) Wait(r *Rank) {
-	r.fold() // the rendezvous publishes this rank's clock to the world
 	pool := r.comm.pool
 	if r.running {
 		pool.Checkpoint()

@@ -49,8 +49,7 @@ func (c *Comm) Faults() *fault.Spec { return c.faults }
 // backoff sleep and the retransmitted wire time, then any absorbed
 // latency spike on the successful attempt. Decisions are a pure function
 // of (seed, rank, op-index, attempt), so the charge sequence is identical
-// under either fold schedule and at any worker count. Callers must hold
-// r.faults != nil.
+// at any worker count. Callers must hold r.faults != nil.
 func (r *Rank) injectFaults(cl fault.Class, size int) {
 	o := r.faults.Op(cl)
 	if o.Crashed() {
@@ -104,11 +103,8 @@ func (r *Rank) crashStop(o fault.Outcome) {
 	if !o.CrashRecovers() {
 		sched.Abort(o.CrashError(r.id))
 	}
-	// The redo duration reads the clock at the canonical issue point:
-	// fold any deferred charges first, like every eager clock read — and
-	// before the restart charge lands, so the measured redo is the same
-	// under either fold schedule.
-	r.fold()
+	// The redo duration reads the clock at the canonical issue point,
+	// before the restart charge lands.
 	redo := r.clock.Now() - r.ckptT
 	r.charge(ChargeCrashRestart, 0, o.CrashRestartNS(), nil)
 	if redo > 0 {

@@ -18,9 +18,8 @@ type Comm struct {
 	model CostModel
 	pool  *sched.Pool
 
-	// deferred / observer configure the charge plane of every rank created
-	// from this world (tape.go); both must be set before Run.
-	deferred bool
+	// observer, when set, sees every charge of every rank created from this
+	// world (tape.go); it must be set before Run.
 	observer ChargeObserver
 
 	// faults is the deterministic fault schedule every rank binds at
@@ -290,8 +289,7 @@ func (c *Counters) Merge(o Counters) {
 
 // Rank is one process of the world. A Rank must be used from a single
 // goroutine; different Ranks may run concurrently. That single-goroutine
-// contract is what makes the request free list (and the charge tape) safe
-// without locking.
+// contract is what makes the request free list safe without locking.
 type Rank struct {
 	id      int
 	comm    *Comm
@@ -299,13 +297,7 @@ type Rank struct {
 	ctr     Counters
 	running bool // inside a pool-scheduled Run body (holds a worker slot)
 
-	// tape is the rank's deferred-charge tape (tape.go): descriptors in
-	// canonical program order, folded into the clock at observation
-	// points when deferred mode is on. The default folds each charge at
-	// its canonical point and never touches the tape; observer sees every
-	// fold in either mode.
-	tape     []tapeOp
-	deferred bool
+	// observer, when set, sees every charge in canonical order (tape.go).
 	observer ChargeObserver
 
 	// epochs is the set of windows with an open access epoch. A flat
@@ -363,15 +355,10 @@ func (c *Comm) Rank(id int) *Rank {
 	if id < 0 || id >= c.p {
 		panic(fmt.Sprintf("rma: rank %d out of range [0,%d)", id, c.p))
 	}
-	r := &Rank{id: id, comm: c, deferred: c.deferred, observer: c.observer}
+	r := &Rank{id: id, comm: c, observer: c.observer}
 	// Every engine here opens at most three epochs (offsets, adjacency,
 	// and possibly a counter window); one slab keeps LockAll append-free.
 	r.epochs = make([]*Window, 0, 4)
-	if r.deferred {
-		// One slab covers any realistic inter-fold charge burst; folds
-		// keep the backing array, so the tape never allocates again.
-		r.tape = make([]tapeOp, 0, 64)
-	}
 	r.clock.SetNoise(c.model.Noise, id)
 	r.faults = fault.New(c.faults, id)
 	r.prog = c.prog
@@ -390,19 +377,11 @@ func (r *Rank) NumRanks() int { return r.comm.p }
 // Model returns the cost model of the rank's communicator.
 func (r *Rank) Model() CostModel { return r.comm.model }
 
-// Clock returns the rank's simulated clock, folding any deferred charges
-// first so the returned clock reads true simulated time.
-func (r *Rank) Clock() *Clock {
-	r.fold()
-	return &r.clock
-}
+// Clock returns the rank's simulated clock.
+func (r *Rank) Clock() *Clock { return &r.clock }
 
-// Counters returns a snapshot of the rank's counters, folding any deferred
-// charges first.
-func (r *Rank) Counters() Counters {
-	r.fold()
-	return r.ctr
-}
+// Counters returns a snapshot of the rank's counters.
+func (r *Rank) Counters() Counters { return r.ctr }
 
 // Compute charges modeled computation time (ops × κ) to the rank's clock.
 func (r *Rank) Compute(ops int) {
@@ -418,11 +397,9 @@ func (r *Rank) Compute(ops int) {
 
 // AdvanceBy charges an arbitrary simulated duration (used for modeled
 // costs that are not per-op, e.g. OpenMP region entry in the shared-memory
-// experiments). Raw durations do not fit the (kind, bytes) tape, so
-// AdvanceBy is itself a fold point: deferred charges land first, then the
-// duration applies eagerly — the same canonical order either way.
+// experiments). A raw duration is not a function of (kind, bytes), so an
+// observer is handed it as ns.
 func (r *Rank) AdvanceBy(ns float64) {
-	r.fold()
 	r.clock.Advance(ns)
 	r.ctr.ComputeTime += ns
 	if r.observer != nil {
@@ -609,12 +586,7 @@ func (q *Request) Vertices() []graph.V {
 }
 
 // CompleteAt returns the simulated time at which the transfer finishes.
-// Completion times are established when the issue charge folds, so the
-// rank's tape is folded first.
-func (q *Request) CompleteAt() float64 {
-	q.rank.fold()
-	return q.completeAt
-}
+func (q *Request) CompleteAt() float64 { return q.completeAt }
 
 // Wait completes this single request, advancing the rank's clock to the
 // request's completion time if needed (MPI_Win_flush_local on one op).
@@ -623,7 +595,6 @@ func (q *Request) Wait() {
 		return
 	}
 	r := q.rank
-	r.fold()
 	before := r.clock.Now()
 	r.clock.AdvanceTo(q.completeAt)
 	r.ctr.FlushWait += r.clock.Now() - before
@@ -719,8 +690,7 @@ func (r *Rank) Get(w *Window, target, offset, size int) *Request {
 	}
 	// The issue charges nothing to the clock; the in-flight duration and
 	// the completion time are established here, at the canonical issue
-	// point (or at the fold of this position's descriptor in deferred
-	// mode).
+	// point.
 	if r.plain() {
 		cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
 		q.completeAt = r.clock.Now() + cost
@@ -799,7 +769,6 @@ func (r *Rank) Put(w *Window, target, offset int, data []byte) *Request {
 	if !r.inEpoch(w) {
 		panic(fmt.Sprintf("rma: rank %d: Put on %q outside an access epoch", r.id, w.name))
 	}
-	r.fold() // Put reads the clock (and noise stream) eagerly below
 	if w.kind != WritableBytes {
 		panic(fmt.Sprintf("rma: rank %d: Put on %v window %q", r.id, w.kind, w.name))
 	}
@@ -822,10 +791,7 @@ func (r *Rank) Put(w *Window, target, offset int, data []byte) *Request {
 		return q
 	}
 	if r.faults != nil {
-		// Put reads the clock eagerly below, so the recovery charges must
-		// be folded, not just appended, before the completion arithmetic.
 		r.injectFaults(fault.ClassPut, len(data))
-		r.fold()
 	}
 	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(len(data)))
 	q.completeAt = r.clock.Now() + cost
@@ -841,7 +807,6 @@ func (r *Rank) Put(w *Window, target, offset int, data []byte) *Request {
 // requests return to the pool, and the pending list is compacted. Shared
 // by FlushAll and the per-target Flush.
 func (r *Rank) completePending(match func(q *Request) bool) {
-	r.fold()
 	before := r.clock.Now()
 	rest := r.pending[:0]
 	for _, q := range r.pending {

@@ -12,27 +12,16 @@ package rma
 // tests pin — and nothing can PROVE that a host-side restructuring left
 // that order intact.
 //
-// The tape names every charge as a (kind, bytes) descriptor recorded in
-// canonical program order. Two modes fold descriptors into the float
-// clock:
-//
-//   - Default: a descriptor folds at its canonical point — the exact
-//     positions the pre-tape AdvanceBy/Get/Wait folded, for free (the
-//     fold IS the op's own charge arithmetic).
-//   - Deferred (SetDeferredCharges): descriptors queue on a small
-//     per-rank append-only tape and fold — in exactly that order, with
-//     exactly the same float operations and RNG draws — at the points
-//     where simulated time is actually observed: waits, flushes,
-//     barriers, clock/counter reads. Between two observation points the
-//     host's own schedule is provably irrelevant to the model.
-//
-// Both modes are bit-identical; the tape-equivalence test drives every
-// golden configuration through both and diffs the full per-rank charge
-// sequence (kind, bytes, folded clock value) op-for-op via the observer.
-// That equivalence is what licenses the fetch plane's host-side freedoms
-// — the lookahead-k pipeline, inline cache hits that never materialize a
-// request, caller-owned requests — and pins down what may NOT move: a
-// charge's canonical position. DESIGN.md §6 states the contract.
+// The tape names every charge as a (kind, bytes) descriptor in canonical
+// program order. A descriptor folds into the float clock at its canonical
+// point — the fold IS the op's own charge arithmetic, so it is free — and
+// a ChargeObserver, when one is installed, sees each fold: kind, bytes, raw
+// duration and the clock after it. The recorded per-rank sequences of the
+// golden configurations are pinned as digests (tape_equiv_test.go), which
+// is what licenses the fetch plane's host-side freedoms — the lookahead-k
+// pipeline, inline cache hits that never materialize a request,
+// caller-owned requests — and pins down what may NOT move: a charge's
+// canonical position. DESIGN.md §6 states the contract.
 
 // ChargeKind identifies the cost expression a tape entry folds. The kinds
 // mirror the charge sites of the simulated machine, not Go call sites: one
@@ -46,10 +35,8 @@ const (
 	// and counted as ComputeTime (the engines' local adjacency reads).
 	ChargeLocalRead
 	// ChargeNS is a raw modeled duration in ns, counted as ComputeTime
-	// (AdvanceBy's generic form). Raw durations cannot ride the
-	// (kind, bytes) tape; AdvanceBy is therefore itself a fold point and
-	// applies eagerly — the kind exists so observers still see the charge
-	// in sequence (ns carries the value, bytes is 0).
+	// (AdvanceBy's generic form). The duration is not a function of
+	// (kind, bytes): observers get it as ns, and bytes is 0.
 	ChargeNS
 	// ChargeGetLocal is a one-sided read served from the rank's own
 	// region: LocalCost(bytes), LocalGets/LocalBytes counters, and the
@@ -140,7 +127,7 @@ func (k ChargeKind) String() string {
 // canonical order per rank: kind and bytes identify the descriptor, ns is
 // the raw duration for ChargeNS entries (0 otherwise), and now is the
 // rank's clock immediately after the fold. Observers are a diagnostic
-// surface (the tape-equivalence test records tapes with one); they run on
+// surface (the charge-digest tests record tapes with one); they run on
 // the rank's goroutine, so an observer may keep per-rank state without
 // locking but must not touch shared state.
 type ChargeObserver func(rank int, kind ChargeKind, bytes int, ns, now float64)
@@ -149,125 +136,54 @@ type ChargeObserver func(rank int, kind ChargeKind, bytes int, ns, now float64)
 // must be called before Run; installing one mid-run is a race.
 func (c *Comm) SetChargeObserver(o ChargeObserver) { c.observer = o }
 
-// SetDeferredCharges switches every rank of the world to deferred
-// charging: each charge queues on the rank's tape and folds at the next
-// observation of simulated time instead of at its canonical point.
-// Results are bit-identical either way — that equivalence is the tape's
-// whole contract, and the tape-equivalence test proves it by diffing both
-// modes op-for-op. Deferred mode is the diagnostic/verification mode; the
-// default folds each charge at its canonical point at zero cost. It must
-// be set before Run.
-func (c *Comm) SetDeferredCharges(deferred bool) { c.deferred = deferred }
-
-// tapeOp is one deferred charge: the kind in the low byte of word, the
-// byte count in the high bits, and the charge's *unperturbed* cost in ns.
-// The cost is a pure function of (kind, bytes) under the world's model —
-// no clock or noise state — so computing it at the append point is free of
-// ordering concerns and keeps the fold to an Advance plus a counter
-// update, exactly the arithmetic the eager code ran. req is set only for
-// the get kinds, whose fold establishes the request's completion time
-// (remote gets perturb cost under noise at the fold, where the RNG draw
-// belongs). Raw-ns charges — AdvanceBy — are fold points themselves and
-// never appear on the tape.
-type tapeOp struct {
-	cost float64
-	word uint64 // uint64(bytes)<<8 | uint64(kind)
-	req  *Request
-}
-
-// charge routes one descriptor: deferred mode appends it to the tape
-// (folding a full tape in place first — folding early is always legal,
-// fold order equals append order either way, so a fixed one-slab tape
-// suffices and a caller that never observes its clock cannot grow it
-// without bound); the default applies it at this, its canonical, point.
+// charge folds one descriptor that the plain paths of the charge helpers
+// did not take inline, with the same float expressions, counter updates and
+// noise draws in the same order, and shows it to the observer. cost is the
+// descriptor's unperturbed cost in ns under the world's model; req is set
+// only for the get kinds, whose fold establishes the request's completion
+// time.
 func (r *Rank) charge(kind ChargeKind, bytes int, cost float64, req *Request) {
-	op := tapeOp{cost: cost, word: uint64(bytes)<<8 | uint64(kind), req: req}
-	if !r.deferred {
-		r.applyCharge(op)
-		return
-	}
-	if len(r.tape) == cap(r.tape) {
-		r.foldTape()
-	}
-	r.tape = append(r.tape, op)
-}
-
-// fold drains the tape in append (= canonical) order. Every operation that
-// observes simulated time — Wait, the flushes, barriers, Clock, Counters,
-// CompleteAt, and the write-side RMA ops that read the clock eagerly —
-// folds first. The empty-tape check inlines at every fold point; the
-// drain itself is the out-of-line slow path.
-func (r *Rank) fold() {
-	if len(r.tape) != 0 {
-		r.foldTape()
-	}
-}
-
-// foldTape replays the deferred descriptors in append (= canonical) order.
-func (r *Rank) foldTape() {
-	for i := range r.tape {
-		r.applyCharge(r.tape[i])
-		r.tape[i].req = nil
-	}
-	r.tape = r.tape[:0]
-}
-
-// applyCharge folds one descriptor: the same float expressions, counter
-// updates and noise draws the eager code performed, in the same order.
-// The pure cost was computed at the append point; only clock folds and
-// RNG draws happen here.
-func (r *Rank) applyCharge(op tapeOp) {
-	kind := ChargeKind(op.word & 0xff)
-	bytes := int(op.word >> 8)
 	obsNS := 0.0
 	switch kind {
 	case ChargeOps, ChargeLocalRead:
-		r.clock.Advance(op.cost)
-		r.ctr.ComputeTime += op.cost
+		r.clock.Advance(cost)
+		r.ctr.ComputeTime += cost
 	case ChargeGetLocal:
-		r.clock.Advance(op.cost)
+		r.clock.Advance(cost)
 		r.ctr.LocalGets++
 		r.ctr.LocalBytes += int64(bytes)
-		op.req.completeAt = r.clock.Now()
+		req.completeAt = r.clock.Now()
 	case ChargeGetRemote:
-		cost := r.clock.PerturbDuration(op.cost)
-		op.req.completeAt = r.clock.Now() + cost
+		cost = r.clock.PerturbDuration(cost)
+		req.completeAt = r.clock.Now() + cost
 		r.ctr.Gets++
 		r.ctr.RemoteBytes += int64(bytes)
 		r.ctr.GetCost += cost
-	case ChargeRetryBackoff, ChargeTimeout, ChargeStall:
+	case ChargeRetryBackoff, ChargeTimeout, ChargeStall, ChargeRetransmit, ChargeCrashRestart, ChargeCrashRedo:
 		// Fault-plane recovery: raw folds — blocking, never perturbed,
 		// no RNG draws (see Clock.AdvanceRaw). The duration is not a
 		// pure function of (kind, bytes), so it rides to the observer.
-		r.clock.AdvanceRaw(op.cost)
-		r.ctr.FaultWait += op.cost
-		obsNS = op.cost
-	case ChargeRetransmit:
-		r.clock.AdvanceRaw(op.cost)
-		r.ctr.FaultWait += op.cost
-		r.ctr.Retries++
-		obsNS = op.cost
-	case ChargeCrashRestart:
-		r.clock.AdvanceRaw(op.cost)
-		r.ctr.FaultWait += op.cost
-		r.ctr.Crashes++
-		obsNS = op.cost
-	case ChargeCrashRedo:
-		r.clock.AdvanceRaw(op.cost)
-		r.ctr.FaultWait += op.cost
-		obsNS = op.cost
+		r.clock.AdvanceRaw(cost)
+		r.ctr.FaultWait += cost
+		obsNS = cost
+		switch kind {
+		case ChargeRetransmit:
+			r.ctr.Retries++
+		case ChargeCrashRestart:
+			r.ctr.Crashes++
+		}
 	default: // the cache kinds: clock only, stats live in the cache
-		r.clock.Advance(op.cost)
+		r.clock.Advance(cost)
 	}
 	if r.observer != nil {
 		r.observer(r.id, kind, bytes, obsNS, r.clock.Now())
 	}
 }
 
-// plain reports whether charges take the zero-overhead canonical path:
-// no deferral, no observer. The hot charge helpers below fold their
-// arithmetic inline in that case and only build descriptors otherwise.
-func (r *Rank) plain() bool { return !r.deferred && r.observer == nil }
+// plain reports whether charges take the zero-overhead path: no observer.
+// The hot charge helpers fold their arithmetic inline in that case and only
+// build descriptors otherwise.
+func (r *Rank) plain() bool { return r.observer == nil }
 
 // ChargeLocalRead charges a local memory read of the given byte count at
 // LocalCost, accounted as compute time — the engines' charge for reading
