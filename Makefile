@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench-test bench-ab bench bench-serve bench-scale benchdiff serve-smoke serve-restart-smoke chaos-smoke stress pprof pprof-cached fuzz
+.PHONY: all build test vet fmt check bench-test bench-ab bench bench-serve bench-scale benchdiff daemon-test stress pprof pprof-cached fuzz
 
 all: build
 
@@ -61,27 +61,13 @@ bench-scale:
 benchdiff:
 	$(GO) run ./cmd/benchdiff
 
-# serve-smoke boots the lccd daemon on an ephemeral port, loads fb-sim
-# over its HTTP API, runs one supervised query, checks health, drains and
-# exits — the end-to-end serving-layer check CI runs.
-serve-smoke:
-	$(GO) run ./cmd/lccd -smoke
-
-# serve-restart-smoke is the crash-recovery lane: it boots a real lccd
-# daemon with a state dir, loads fb-sim and takes a golden reading, kills
-# the daemon with SIGKILL (no drain — the crash-stop case), restarts it,
-# and asserts the instance recovers from its manifest and the same query
-# returns bit-identical SimTime/Triangles/ScoreBits.
-serve-restart-smoke:
-	$(GO) run ./cmd/lccd -restart-smoke
-
-# chaos-smoke is the self-healing lane (DESIGN.md §10): a seeded campaign
-# of kill/restart, manifest and graph-cache corruption, request storms and
-# wedge-induced stalls against a real re-exec'd lccd daemon. After every
-# cycle the daemon must answer, every rejection must carry a typed reason,
-# and the golden query must return bit-identical pinned results.
-chaos-smoke:
-	$(GO) run ./cmd/lccd -chaos-smoke
+# daemon-test runs cmd/lccd's tests against a real lccd (the test binary
+# re-exec'd as the daemon): the load/query/health/drain loop, the handlers'
+# typed rejections, and the seed-1 chaos campaign (DESIGN.md §10) whose
+# prologue is the kill -9 restart-recovery lane. `go test ./...` runs them
+# too; this target prints every cycle.
+daemon-test:
+	$(GO) test -count=1 -run 'TestDaemon' -v ./cmd/lccd
 
 # stress hammers the serving layer's lifecycle machinery under the race
 # detector: repeated cancellation, panic isolation and transition-edge

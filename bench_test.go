@@ -221,7 +221,7 @@ func BenchmarkIntersectBinary(b *testing.B) {
 // BenchmarkIntersectHybrid measures the hybrid intersection on the path
 // the engines actually execute: the scratch-based host kernels with the
 // decoupled Algorithm 1/2 charge (this pair is Binary-charged under
-// Eq. (3), so it exercises the galloping finger replay). The reference
+// Eq. (3), so it exercises the depth-table search). The reference
 // loops it replaced are tracked by BenchmarkIntersectSSI/Binary above.
 func BenchmarkIntersectHybrid(b *testing.B) {
 	x := sortedList(256, 7)
@@ -239,7 +239,8 @@ func BenchmarkIntersectHybrid(b *testing.B) {
 // over |A|,|B| ∈ {16, 256, 4k, 64k} (upper triangle; the dispatch orients
 // internally, so the transposed cells are identical). The diagonal cells
 // are SSI-charged and engage the stamp set; the skewed cells are
-// Binary-charged and engage the galloping finger replay.
+// Binary-charged and engage the depth-table search, or past its 32k-id
+// bound the reference Binary loop.
 func BenchmarkIntersectSweep(b *testing.B) {
 	sizes := []int{16, 256, 4096, 65536}
 	for _, na := range sizes {
@@ -291,8 +292,9 @@ func BenchmarkKernelStampProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelFingerBinary is the galloping finger replay on the same
-// pair as BenchmarkIntersectBinary (its per-key reference).
+// BenchmarkKernelFingerBinary is the cursor + depth-table search
+// (depthBinary; bench.sh and the BENCH records key on the old name) on the
+// same pair as BenchmarkIntersectBinary (its per-key reference).
 func BenchmarkKernelFingerBinary(b *testing.B) {
 	keys := sortedList(64, 37)
 	tree := sortedList(4096, 3)

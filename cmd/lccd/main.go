@@ -21,9 +21,6 @@
 //	lccd -mem-budget 2147483648              # park idle instances past 2 GiB
 //	lccd -run-cap 16                         # shed runs past 16 in flight fleet-wide
 //	lccd -scrub-period 1m                    # background snapshot integrity scrubbing
-//	lccd -smoke            # self-contained smoke run: load, query, drain, exit
-//	lccd -restart-smoke    # crash-recovery smoke: boot, load, kill -9, restart, verify
-//	lccd -chaos-smoke      # seeded chaos campaign: kill/corrupt/storm a real daemon
 //
 // API (JSON bodies, JSON replies):
 //
@@ -57,7 +54,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"strconv"
@@ -83,28 +79,16 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lccd", flag.ContinueOnError)
 	var (
-		addr         = fs.String("addr", "127.0.0.1:8090", "listen address for the HTTP API")
-		drain        = fs.Duration("drain", 30*time.Second, "how long a shutdown waits for in-flight runs")
-		stateDir     = fs.String("state-dir", "", "directory for instance manifests; enables restart recovery")
-		recoverMode  = fs.String("recover", "lazy", "manifest recovery mode: lazy (parked, rebuild on first query) or eager")
-		memBudget    = fs.Int64("mem-budget", 0, "total resident snapshot bytes before idle instances are parked LRU (0 = unbounded)")
-		runCap       = fs.Int("run-cap", 0, "server-wide cap on supervised runs in flight; past it runs shed with 429 (0 = unbounded)")
-		scrubPeriod  = fs.Duration("scrub-period", 0, "background snapshot integrity-scrub period, jittered ±25% (0 = off)")
-		scrubSeed    = fs.Uint64("scrub-seed", 1, "seed for the scrub period jitter")
-		smoke        = fs.Bool("smoke", false, "start on an ephemeral port, load fb-sim, run one query, drain, exit")
-		restartSmoke = fs.Bool("restart-smoke", false, "crash-recovery smoke: boot with a state dir, load, kill -9, restart, verify pinned bits")
-		chaosSmoke   = fs.Bool("chaos-smoke", false, "seeded chaos campaign against a real re-exec'd daemon: kill -9, corrupt state, storm, verify bits")
-		chaosCycles  = fs.Int("chaos-cycles", 20, "number of chaos campaign cycles")
-		chaosSeed    = fs.Uint64("chaos-seed", 1, "seed for the chaos campaign schedule")
+		addr        = fs.String("addr", "127.0.0.1:8090", "listen address for the HTTP API")
+		drain       = fs.Duration("drain", 30*time.Second, "how long a shutdown waits for in-flight runs")
+		stateDir    = fs.String("state-dir", "", "directory for instance manifests; enables restart recovery")
+		recoverMode = fs.String("recover", "lazy", "manifest recovery mode: lazy (parked, rebuild on first query) or eager")
+		memBudget   = fs.Int64("mem-budget", 0, "total resident snapshot bytes before idle instances are parked LRU (0 = unbounded)")
+		runCap      = fs.Int("run-cap", 0, "server-wide cap on supervised runs in flight; past it runs shed with 429 (0 = unbounded)")
+		scrubPeriod = fs.Duration("scrub-period", 0, "background snapshot integrity-scrub period, jittered ±25% (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *restartSmoke {
-		return runRestartSmoke(out)
-	}
-	if *chaosSmoke {
-		return runChaosSmoke(out, *chaosCycles, *chaosSeed)
 	}
 
 	srv := newServer()
@@ -115,7 +99,7 @@ func run(args []string, out io.Writer) error {
 		srv.sup.SetRunCap(*runCap)
 	}
 	if *scrubPeriod > 0 {
-		srv.scrubber = srv.sup.StartScrubber(*scrubPeriod, *scrubSeed)
+		srv.scrubber = srv.sup.StartScrubber(*scrubPeriod)
 	}
 	if *stateDir != "" {
 		ms, err := serve.NewManifestStore(*stateDir)
@@ -147,9 +131,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "lccd: recovered %d instance(s) from %s (%s): %s\n",
 				len(rep.Restored), *stateDir, mode, strings.Join(rep.Restored, ", "))
 		}
-	}
-	if *smoke {
-		return srv.smoke(out, *drain)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -196,7 +177,7 @@ func newServer() *server {
 }
 
 // writeAddrFile records the bound address in the state dir so ops tooling
-// (and the restart smoke) can find a daemon that bound an ephemeral port.
+// (and the package's tests) can find a daemon that bound an ephemeral port.
 // Best-effort: no state dir, no file.
 func (s *server) writeAddrFile(addr string) {
 	if s.stateDir == "" {
@@ -320,9 +301,14 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-request", err)
 		return
 	}
+	method, err := intersect.ParseMethod(req.Method)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad-request", err)
+		return
+	}
 	opt := lcc.Options{
 		Workers:      req.Workers,
-		Method:       parseMethod(req.Method),
+		Method:       method,
 		DoubleBuffer: !req.NoOverlap,
 		Caching:      req.Caching,
 		DegreeScores: req.DegreeScores,
@@ -528,247 +514,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, reason string, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error(), Reason: reason})
-}
-
-func parseMethod(s string) intersect.Method {
-	switch s {
-	case "ssi":
-		return intersect.MethodSSI
-	case "binary":
-		return intersect.MethodBinary
-	case "hash":
-		return intersect.MethodHash
-	default:
-		return intersect.MethodHybrid
-	}
-}
-
-// smoke exercises the full service loop in one process — the make
-// serve-smoke / CI step: serve on an ephemeral port, load a graph over
-// HTTP, run one query, list instances, then drain and exit. Any failure
-// is fatal.
-func (s *server) smoke(out io.Writer, drain time.Duration) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go func() { _ = s.http.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-
-	post := func(path string, body string, want int) (map[string]any, error) {
-		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		var m map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != want {
-			return m, fmt.Errorf("%s: status %d (want %d): %v", path, resp.StatusCode, want, m)
-		}
-		return m, nil
-	}
-
-	if _, err := post("/v1/load", `{"name":"fb","dataset":"fb-sim","ranks":4,"max_concurrent":2,"queue_depth":4}`, http.StatusOK); err != nil {
-		return err
-	}
-	res, err := post("/v1/run", `{"instance":"fb","method":"hybrid","timeout_ms":60000}`, http.StatusOK)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "lccd smoke: run ok: triangles=%v sim_time_ns=%v\n", res["triangles"], res["sim_time_ns"])
-	if res["triangles"] == nil {
-		return errors.New("smoke run returned no triangle count")
-	}
-	resp, err := http.Get(base + "/v1/health")
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("health: status %d", resp.StatusCode)
-	}
-	// Body-bound hardening: an oversized request must bounce with a typed
-	// 413, not be read without limit.
-	huge := `{"instance":"fb","method":"` + strings.Repeat("x", maxBodyBytes+1) + `"}`
-	if m, err := post("/v1/run", huge, http.StatusRequestEntityTooLarge); err != nil {
-		return err
-	} else if m["reason"] != "body-too-large" {
-		return fmt.Errorf("oversized body: reason = %v, want body-too-large", m["reason"])
-	}
-	if _, err := post("/v1/stop", `{"instance":"fb"}`, http.StatusOK); err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := s.sup.Shutdown(ctx); err != nil {
-		return err
-	}
-	if err := s.http.Shutdown(ctx); err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "lccd smoke: ok")
-	return nil
-}
-
-// smokeResult is the typed decode of a /v1/run reply: score_bits must
-// round-trip as a uint64 (a float64 decode would lose the low bits of the
-// checksum and defeat the bit-identity assertion).
-type smokeResult struct {
-	SimTime   float64 `json:"sim_time_ns"`
-	Triangles int64   `json:"triangles"`
-	SumT      int64   `json:"sum_t"`
-	ScoreBits uint64  `json:"score_bits"`
-}
-
-// psView is the typed client-side decode of GET /v1/ps, shared by the
-// restart smoke and the chaos harness.
-type psView struct {
-	Server struct {
-		States     map[string]int   `json:"states"`
-		ActiveRuns int              `json:"active_runs"`
-		Scrub      serve.ScrubStats `json:"scrub"`
-	} `json:"server"`
-	Instances []struct {
-		Name     string         `json:"name"`
-		State    string         `json:"state"`
-		Counters serve.Counters `json:"counters"`
-	} `json:"instances"`
-}
-
-// runRestartSmoke is the crash-recovery lane (make serve-restart-smoke):
-// it re-execs this binary as a real daemon with a state dir, loads fb-sim
-// and records a golden query, SIGKILLs the daemon — no drain, no goodbye,
-// the crash-stop case — restarts it, and asserts /v1/ps still knows the
-// instance (recovered parked from its manifest) and that the same query
-// returns bit-identical SimTime/Triangles/ScoreBits through the
-// transparent reload.
-func runRestartSmoke(out io.Writer) error {
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "lccd-restart-smoke-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	addrFile := filepath.Join(dir, "lccd.addr")
-
-	boot := func() (*exec.Cmd, string, error) {
-		_ = os.Remove(addrFile)
-		cmd := exec.Command(exe, "-addr", "127.0.0.1:0", "-state-dir", dir)
-		cmd.Stdout, cmd.Stderr = out, out
-		if err := cmd.Start(); err != nil {
-			return nil, "", err
-		}
-		for i := 0; i < 200; i++ {
-			if raw, err := os.ReadFile(addrFile); err == nil && len(raw) > 0 {
-				return cmd, "http://" + strings.TrimSpace(string(raw)), nil
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return nil, "", errors.New("restart smoke: daemon did not write its address file")
-	}
-
-	post := func(base, path, body string) (*http.Response, error) {
-		return http.Post(base+path, "application/json", strings.NewReader(body))
-	}
-	runQuery := func(base string) (*smokeResult, error) {
-		resp, err := post(base, "/v1/run", `{"instance":"fb","method":"hybrid","timeout_ms":120000}`)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			raw, _ := io.ReadAll(resp.Body)
-			return nil, fmt.Errorf("run: status %d: %s", resp.StatusCode, raw)
-		}
-		var res smokeResult
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			return nil, err
-		}
-		return &res, nil
-	}
-
-	// Boot 1: load the instance and take the pre-crash golden reading.
-	d1, base1, err := boot()
-	if err != nil {
-		return err
-	}
-	resp, err := post(base1, "/v1/load", `{"name":"fb","dataset":"fb-sim","ranks":4,"max_concurrent":2,"queue_depth":4}`)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("load: status %d", resp.StatusCode)
-	}
-	before, err := runQuery(base1)
-	if err != nil {
-		return err
-	}
-	if before.Triangles == 0 {
-		return errors.New("restart smoke: pre-crash run returned no triangles")
-	}
-	fmt.Fprintf(out, "lccd restart-smoke: pre-crash: triangles=%d score_bits=%#x\n", before.Triangles, before.ScoreBits)
-
-	// Crash-stop: SIGKILL, no drain. The manifest on disk is now the only
-	// record the instance ever existed.
-	if err := d1.Process.Kill(); err != nil {
-		return err
-	}
-	_ = d1.Wait()
-
-	// Boot 2: recover from the state dir and verify the fleet and the bits.
-	d2, base2, err := boot()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_ = d2.Process.Signal(syscall.SIGTERM)
-		_ = d2.Wait()
-	}()
-	psResp, err := http.Get(base2 + "/v1/ps")
-	if err != nil {
-		return err
-	}
-	var ps psView
-	err = json.NewDecoder(psResp.Body).Decode(&ps)
-	psResp.Body.Close()
-	if err != nil {
-		return err
-	}
-	found := ""
-	for _, info := range ps.Instances {
-		if info.Name == "fb" {
-			found = info.State
-		}
-	}
-	if found == "" {
-		return fmt.Errorf("restart smoke: ps after restart does not list instance fb: %+v", ps.Instances)
-	}
-	// The server block must agree: lazy recovery brings the fleet back
-	// parked, and the state counts are the ops-visible proof of it.
-	if got := ps.Server.States["parked"]; got != 1 {
-		return fmt.Errorf("restart smoke: server.states[parked] = %d, want 1 (states %v)", got, ps.Server.States)
-	}
-	fmt.Fprintf(out, "lccd restart-smoke: recovered: fb state=%s server states=%v\n", found, ps.Server.States)
-
-	after, err := runQuery(base2)
-	if err != nil {
-		return err
-	}
-	if *after != *before {
-		return fmt.Errorf("restart smoke: results drifted across crash recovery:\n  before %+v\n  after  %+v", *before, *after)
-	}
-	fmt.Fprintf(out, "lccd restart-smoke: post-restart bits identical: triangles=%d score_bits=%#x\n", after.Triangles, after.ScoreBits)
-	fmt.Fprintln(out, "lccd restart-smoke: ok")
-	return nil
 }

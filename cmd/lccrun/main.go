@@ -84,6 +84,11 @@ func run(args []string, out *os.File) error {
 		return fmt.Errorf("-faults: %w", err)
 	}
 
+	meth, err := intersect.ParseMethod(*method)
+	if err != nil {
+		return fmt.Errorf("-method: %w", err)
+	}
+
 	g, err := loadGraph(*dataset, *in, *format, *directed)
 	if err != nil {
 		return err
@@ -92,7 +97,7 @@ func run(args []string, out *os.File) error {
 	opt := lcc.Options{
 		Ranks:        *ranks,
 		Workers:      *workers,
-		Method:       parseMethod(*method),
+		Method:       meth,
 		DoubleBuffer: !*noOverlap,
 		Caching:      *caching,
 		DegreeScores: *degScores,
@@ -218,18 +223,5 @@ func readGraph(f *os.File, format string, directed bool) (*graph.Graph, error) {
 		return graph.ReadMatrixMarket(f)
 	default:
 		return nil, fmt.Errorf("unknown format %q", format)
-	}
-}
-
-func parseMethod(s string) intersect.Method {
-	switch s {
-	case "ssi":
-		return intersect.MethodSSI
-	case "binary":
-		return intersect.MethodBinary
-	case "hash":
-		return intersect.MethodHash
-	default:
-		return intersect.MethodHybrid
 	}
 }

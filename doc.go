@@ -114,9 +114,9 @@
 // typed reasons: a global run cap (lccd -run-cap, HTTP 429 "run-cap")
 // and a resident-memory brownout for new loads when the budget is
 // exhausted and nothing is evictable (HTTP 503 "memory-brownout").
-// `make chaos-smoke` drives a real daemon through seeded kill/corrupt/
-// storm/stall campaigns asserting none of this ever loses a run or
-// perturbs a pinned bit.
+// `make daemon-test` (cmd/lccd's TestDaemonChaos) drives a real daemon
+// through a seeded kill/corrupt/storm/stall campaign asserting none of
+// this ever loses a run or perturbs a pinned bit.
 //
 // Simulated ranks execute on real goroutines under a deterministic
 // multicore scheduler (internal/sched): Workers bounds how many run

@@ -17,6 +17,7 @@
 package intersect
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 
@@ -54,6 +55,23 @@ func (m Method) String() string {
 		return "hash"
 	default:
 		return "unknown"
+	}
+}
+
+// ParseMethod is the inverse of Method.String. The empty string selects
+// the paper's default, MethodHybrid.
+func ParseMethod(s string) (Method, error) {
+	switch s {
+	case "", "hybrid":
+		return MethodHybrid, nil
+	case "ssi":
+		return MethodSSI, nil
+	case "binary":
+		return MethodBinary, nil
+	case "hash":
+		return MethodHash, nil
+	default:
+		return MethodHybrid, fmt.Errorf(`intersect: unknown method %q (want "hybrid", "ssi", "binary" or "hash")`, s)
 	}
 }
 

@@ -262,4 +262,15 @@ func TestMethodString(t *testing.T) {
 	if MethodSSI.String() != "ssi" || MethodBinary.String() != "binary" || MethodHybrid.String() != "hybrid" {
 		t.Error("Method.String broken")
 	}
+	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash} {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := ParseMethod(""); err != nil || got != MethodHybrid {
+		t.Errorf(`ParseMethod("") = %v, %v, want hybrid`, got, err)
+	}
+	if _, err := ParseMethod("hybird"); err == nil {
+		t.Error(`ParseMethod("hybird") accepted a misspelling`)
+	}
 }

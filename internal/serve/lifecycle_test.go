@@ -76,6 +76,30 @@ func TestLifecycleLoadFailure(t *testing.T) {
 	}
 }
 
+// TestSupervisorFailedLoadRegistersNothing: a first load that fails
+// leaves no instance behind — the fleet stays healthy and the corrected
+// load of the same name is admitted, not refused as already running.
+func TestSupervisorFailedLoadRegistersNothing(t *testing.T) {
+	sup := serve.NewSupervisor()
+	for _, bad := range []serve.Config{
+		{Dataset: "no-such-dataset"},
+		{Dataset: "fb-sim", Ranks: -3},
+	} {
+		if inst, err := sup.Load("x", bad); err == nil || inst != nil {
+			t.Fatalf("Load(%+v) = %v, %v, want nil and an error", bad, inst, err)
+		}
+		if got := sup.List(); len(got) != 0 {
+			t.Fatalf("failed load left %+v registered", got)
+		}
+		if !sup.Healthy() {
+			t.Fatal("failed load left the fleet unhealthy")
+		}
+	}
+	if _, err := sup.Load("x", serve.Config{Dataset: "fb-sim", Ranks: 4}); err != nil {
+		t.Fatalf("corrected load of the same name: %v", err)
+	}
+}
+
 // TestLifecycleUnknownEngine: a bad query fails the run, not the
 // instance.
 func TestLifecycleUnknownEngine(t *testing.T) {

@@ -186,14 +186,11 @@ func (s *Supervisor) ScrubStats() ScrubStats {
 }
 
 // Scrubber is the background integrity-scrubbing loop: a full-fleet
-// ScrubNow sweep on a jittered period. The jitter (±25%, deterministic
-// from the seed) keeps a fleet of daemons from synchronizing their
-// sweeps — the usual thundering-herd discipline, applied to CPU spent
-// checksumming.
+// ScrubNow sweep on a jittered period (±25%, a fixed splitmix64 stream),
+// so sweeps do not fall into step with other periodic work on the host.
 type Scrubber struct {
 	sup    *Supervisor
 	period time.Duration
-	seed   uint64
 	stopC  chan struct{}
 	done   chan struct{}
 }
@@ -201,11 +198,11 @@ type Scrubber struct {
 // StartScrubber starts the background loop; period <= 0 selects a
 // minute. Stop the returned Scrubber before shutting the supervisor
 // down.
-func (s *Supervisor) StartScrubber(period time.Duration, seed uint64) *Scrubber {
+func (s *Supervisor) StartScrubber(period time.Duration) *Scrubber {
 	if period <= 0 {
 		period = time.Minute
 	}
-	sc := &Scrubber{sup: s, period: period, seed: seed,
+	sc := &Scrubber{sup: s, period: period,
 		stopC: make(chan struct{}), done: make(chan struct{})}
 	go sc.loop()
 	return sc
@@ -223,7 +220,7 @@ func splitmix64(x uint64) uint64 {
 func (sc *Scrubber) loop() {
 	defer close(sc.done)
 	for i := uint64(0); ; i++ {
-		u := float64(splitmix64(sc.seed^i)>>11) / (1 << 53) // [0,1)
+		u := float64(splitmix64(i)>>11) / (1 << 53) // [0,1)
 		d := time.Duration((0.75 + 0.5*u) * float64(sc.period))
 		t := time.NewTimer(d)
 		select {

@@ -141,10 +141,10 @@ func (s *Supervisor) admitLoad() error {
 
 // Load creates, registers and starts an instance under name. A live
 // instance already holding the name is an error (ErrAlreadyRunning); an
-// exited one is replaced. On a load failure the instance stays registered
-// in its unhealthy state — ps and health report the cause — and the error
-// is returned alongside it. A successful load persists the instance's
-// manifest (when a store is set) and enforces the memory budget.
+// exited one is replaced. A load that fails registers nothing — like a
+// shed, it leaves no state behind, so health stays green and the corrected
+// retry of the same name is admitted. A successful load persists the
+// instance's manifest (when a store is set) and enforces the memory budget.
 func (s *Supervisor) Load(name string, cfg Config) (*Instance, error) {
 	// Global admission first (shed.go): a browned-out server refuses the
 	// load before an instance is ever registered, so a shed leaves no
@@ -162,7 +162,12 @@ func (s *Supervisor) Load(name string, cfg Config) (*Instance, error) {
 	s.instances[name] = inst
 	s.mu.Unlock()
 	if err := inst.Start(); err != nil {
-		return inst, err
+		s.mu.Lock()
+		if s.instances[name] == inst { // a Stop mid-load may have let a newer Load replace it
+			delete(s.instances, name)
+		}
+		s.mu.Unlock()
+		return nil, err
 	}
 	s.persistManifest(inst)
 	return inst, nil
@@ -376,8 +381,8 @@ func (s *Supervisor) Healthy() bool {
 
 // ServerInfo is the fleet-level half of the ps view: lifecycle-state
 // counts across all instances plus the global-admission and robustness
-// counters. The restart smoke asserts recovery against the state counts
-// (e.g. states["parked"] after a lazy Recover).
+// counters. cmd/lccd's TestDaemonChaos prologue asserts recovery against
+// the state counts (states["parked"] after a lazy Recover).
 type ServerInfo struct {
 	Instances     int            `json:"instances"`
 	States        map[string]int `json:"states"`
