@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench-test bench-ab bench bench-serve bench-scale benchdiff daemon-test stress pprof pprof-cached fuzz
+.PHONY: all build test vet fmt check bench-test bench-ab bench bench-serve bench-scale benchdiff daemon-test stress pprof fuzz
 
 all: build
 
@@ -79,24 +79,17 @@ stress:
 # from outside bench/, so perf PRs start from evidence about the thing they
 # will be judged on (cmd/benchprof): the workload's registry graph, ranks and
 # options on one worker, one untimed run, then RUNS profiled ones, top 25.
-# Artifact: cpu.pprof (git-ignored; symbols travel in it), drill further with
+# MEM=1 adds the live heap after those runs (one collection first) and prints
+# its top 15 by inuse_space: what the snapshot, its pooled CLaMPI instances
+# and its orientation index hold between queries. Artifacts: cpu.pprof and
+# mem.pprof (git-ignored; symbols travel in them), drill further with
 # `go tool pprof -list <regexp> cpu.pprof`.
-#	make pprof [W=pull-rmat|cached-rmat|cached-uniform|serve-http] [RUNS=5]
+#	make pprof [W=pull-rmat|cached-rmat|cached-uniform|serve-http] [RUNS=5] [MEM=1]
 RUNS ?= 5
 pprof:
-	$(GO) run ./cmd/benchprof -workload "$(or $(W),pull-rmat)" -runs $(RUNS) -o cpu.pprof
+	$(GO) run ./cmd/benchprof -workload "$(or $(W),pull-rmat)" -runs $(RUNS) -o cpu.pprof $(if $(MEM),-mem mem.pprof)
 	$(GO) tool pprof -top -nodecount 25 cpu.pprof
-
-# pprof-cached adds the allocation profile `make pprof W=cached-uniform`
-# does not take: CPU and allocated bytes of BenchmarkEngineCached, where
-# CLaMPI bookkeeping rather than the kernels carries the host time and where
-# allocated bytes (not counts) are the number to watch. Artifacts:
-# repro.test + cpu.pprof + mem.pprof.
-pprof-cached:
-	$(GO) test -run '^$$' -bench '^BenchmarkEngineCached$$' -benchtime 3x \
-		-cpuprofile cpu.pprof -memprofile mem.pprof -o repro.test .
-	$(GO) tool pprof -top -nodecount 25 repro.test cpu.pprof
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 repro.test mem.pprof
+	$(if $(MEM),$(GO) tool pprof -sample_index=inuse_space -top -nodecount 15 mem.pprof)
 
 # fuzz runs the intersection-kernel, varint-codec and fault-schedule
 # fuzzers briefly — the same smokes CI runs.

@@ -6,9 +6,13 @@
 // depth tables and the cache instances fill there, as they have when the
 // benchmark times an op — then profiles the given number of runs, and fails
 // if their triangles or SimTime bits are not the workload's pinned ones in
-// bench/expected.json. Run it from the repository root.
+// bench/expected.json. With -mem it also writes, after the profiled runs and
+// one collection, a heap profile: what the snapshot, its cache pool and its
+// orientation index hold between queries (inuse_space). Run it from the
+// repository root.
 //
 //	make pprof W=pull-rmat            # five runs, top 25
+//	make pprof W=cached-uniform MEM=1 # ... and the top 15 of the live heap
 //	go run ./cmd/benchprof -workload cached-uniform -runs 3 -o /tmp/cpu.pprof
 //
 // Symbols travel in the profile: `go tool pprof -list <regexp> cpu.pprof`
@@ -22,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"slices"
 	"time"
@@ -86,18 +91,34 @@ func checkPinned(name string, res *lcc.Result) error {
 	return nil
 }
 
+// writeHeapProfile collects once, so the profile holds what is live — the
+// snapshot is, the finished runs' garbage is not — and writes it to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	err = pprof.Lookup("heap").WriteTo(f, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func main() {
 	name := flag.String("workload", "pull-rmat", "benchmark workload to profile")
 	runs := flag.Int("runs", 5, "profiled runs, after one untimed")
 	out := flag.String("o", "cpu.pprof", "CPU profile to write")
+	mem := flag.String("mem", "", "heap profile to write after the profiled runs (inuse_space; none if empty)")
 	flag.Parse()
-	if err := run(*name, *runs, *out); err != nil {
+	if err := run(*name, *runs, *out, *mem); err != nil {
 		fmt.Fprintln(os.Stderr, "benchprof:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name string, runs int, out string) error {
+func run(name string, runs int, out, mem string) error {
 	var w *workload
 	var names []string
 	all := workloads()
@@ -146,6 +167,10 @@ func run(name string, runs int, out string) error {
 	}
 	if err == nil {
 		err = checkPinned(w.name, res)
+	}
+	if err == nil && mem != "" {
+		err = writeHeapProfile(mem)
+		runtime.KeepAlive(snap) // what it holds between queries is the point
 	}
 	if err != nil {
 		return err

@@ -14,7 +14,10 @@
 //   - internal/rma — simulated MPI-3 RMA runtime with per-rank clocks (§II-E)
 //   - internal/p2p — simulated two-sided MPI / BSP substrate (TriC baseline)
 //   - internal/clampi — the CLaMPI RMA caching layer, reimplemented, with
-//     the paper's application-defined eviction scores (§II-F, §III-B)
+//     the paper's application-defined eviction scores (§II-F, §III-B);
+//     its metadata is one slab of records addressed by uint32 id under a
+//     hash table, a victim heap and a free-region tree of ids, recycled
+//     across ranks and runs (DESIGN.md §2)
 //   - internal/fault — deterministic, seeded fault schedules injected
 //     into the substrates (DESIGN.md §7)
 //   - internal/intersect — binary search, SSI, hybrid and hash kernels

@@ -2,202 +2,203 @@ package clampi
 
 import "fmt"
 
-// block is one region of the cache's memory buffer: either the extent of an
-// allocated entry or a free region. All blocks — allocated and free — form
-// an address-ordered doubly-linked list that tiles [0, capacity) with no
-// gaps (boundary-tag style). The links make freeing O(1): a block's
-// potential coalescing partners are exactly its prev/next neighbors, which
-// replaces the byStart/byEnd offset maps the seed allocator used. The same
-// hops answer the adjacent-free query behind the positional eviction score.
-type block struct {
-	off, size  int
-	prev, next *block
-	free       bool
-	poolNext   *block // pool linkage while recycled
+// record is one extent of the cache's memory buffer and, while that extent
+// is allocated, the cache entry living in it. Records sit in one slab and
+// name each other by uint32 id — id 0 is "none" — so the hash table, the
+// victim heap and the free-region tree hold four-byte ids instead of
+// pointers, and emptying the cache is rewinding the slab.
+//
+// All extents — allocated and free — form an address-ordered doubly-linked
+// list that tiles [0, capacity) with no gaps (boundary-tag style): an
+// extent's coalescing partners are exactly its prev/next neighbours, which
+// makes freeing O(1) and answers the adjacent-free query behind the
+// positional eviction score. An entry's key, LRU tick and revalidation stamp
+// live in its table lane (see table), which the hit path never leaves; the
+// byte copy a writable window's entry owns lives in Cache.bytes, which
+// read-only windows never allocate.
+type record struct {
+	off, size  int     // extent in the memory buffer (size = the get's size)
+	prev, next uint32  // address-order neighbours; next links the free list of unused records
+	score      float64 // application-defined score; NaN = unset (§III-B-2)
+	slot       uint32  // home table slot of an entry; freeSlot marks a free region
+	meta       uint32  // index of the slot's meta word in table.lane
 }
 
+// freeSlot in record.slot marks a free region (no table has 2^32-1 slots:
+// clearFor refuses a lane array past uint32 indexing).
+const freeSlot = ^uint32(0)
+
 // allocator manages the cache's memory buffer: a contiguous region of
-// `capacity` bytes from which variable-size entries are carved. Free blocks
+// `capacity` bytes from which variable-size entries are carved. Free regions
 // are additionally indexed by an AVL tree keyed by (size, offset) for
 // best-fit allocation (§II-F). External fragmentation is real in this
 // design: an allocation fails when no single free region is large enough,
 // even if the total free space would suffice — exactly the condition
 // CLaMPI's positional eviction score exists to fight.
 //
-// Blocks and tree nodes are pooled (slab-grown), so steady-state
-// alloc/free/coalesce traffic performs no heap allocations, and reset()
-// restores the pristine one-free-region state in place.
+// It owns the record slab: a bump pointer (len(recs)) plus a free list of
+// returned records, so steady-state alloc/free/coalesce traffic performs no
+// heap allocations and reset() restores the pristine one-free-region state
+// by truncating the slab. The slab grows by append, so no *record may be
+// held across newRec.
 type allocator struct {
-	capacity int
-	used     int
-	tree     avlTree
-	head     *block // address-ordered list, lowest offset first
-	tail     *block
-	pool     *block
-	slab     int
+	capacity   int
+	used       int
+	tree       avlTree
+	recs       []record // recs[0] is never handed out
+	unused     uint32   // free list of returned records
+	head, tail uint32   // address-ordered list, lowest offset first
 }
 
 func newAllocator(capacity int) *allocator {
 	a := &allocator{}
-	a.init(capacity)
+	a.reset(capacity)
 	return a
 }
 
-func (a *allocator) init(capacity int) {
-	a.capacity = capacity
-	a.used = 0
-	if capacity > 0 {
-		b := a.newBlock()
-		b.off, b.size, b.free = 0, capacity, true
-		a.head, a.tail = b, b
-		a.tree.insert(b.size, b.off, b)
-	}
-}
-
-// reset returns every block and tree node to the pools and restores the
-// single pristine free region of the given capacity (the current one on a
-// flush, the configured one when the cache is recycled after adaptive
-// growth), without reallocating any structure.
+// reset rewinds the slab and restores the single pristine free region of the
+// given capacity (the current one on a flush, the configured one when the
+// cache is recycled after adaptive growth), without reallocating anything.
 func (a *allocator) reset(capacity int) {
-	for b := a.head; b != nil; {
-		next := b.next
-		a.putBlock(b)
-		b = next
-	}
-	a.head, a.tail = nil, nil
+	a.recs = append(a.recs[:0], record{})
+	a.unused, a.head, a.tail = 0, 0, 0
 	a.tree.reset()
-	a.init(capacity)
-}
-
-func (a *allocator) newBlock() *block {
-	if a.pool == nil {
-		if a.slab == 0 {
-			a.slab = 32
-		}
-		blocks := make([]block, a.slab)
-		if a.slab < 4096 {
-			a.slab *= 2
-		}
-		for i := range blocks {
-			blocks[i].poolNext = a.pool
-			a.pool = &blocks[i]
-		}
+	a.capacity, a.used = capacity, 0
+	if capacity > 0 {
+		a.head = a.newRec(record{size: capacity, slot: freeSlot})
+		a.tail = a.head
+		a.tree.insert(capacity, 0, a.head)
 	}
-	b := a.pool
-	a.pool = b.poolNext
-	*b = block{}
-	return b
 }
 
-func (a *allocator) putBlock(b *block) {
-	*b = block{poolNext: a.pool}
-	a.pool = b
+func (a *allocator) newRec(r record) uint32 {
+	id := a.unused
+	if id == 0 {
+		a.recs = append(a.recs, r)
+		return uint32(len(a.recs) - 1)
+	}
+	a.unused = a.recs[id].next
+	a.recs[id] = r
+	return id
 }
 
-// mustRemove drops a free block's tree node, panicking if the tree and the
-// block list ever desynchronize — fail fast at the corruption site rather
+func (a *allocator) putRec(id uint32) {
+	a.recs[id].next = a.unused
+	a.unused = id
+}
+
+// mustRemove drops a free region's tree node, panicking if the tree and the
+// extent list ever desynchronize — fail fast at the corruption site rather
 // than letting bestFit hand out overlapping regions later.
-func (a *allocator) mustRemove(b *block) {
+func (a *allocator) mustRemove(b *record) {
 	if !a.tree.remove(b.size, b.off) {
 		panic(fmt.Sprintf("clampi: allocator free-list corruption at [%d,+%d)", b.off, b.size))
 	}
 }
 
-// alloc reserves size bytes, best-fit, and returns the allocated block.
-// The block handle is what free and adjacentFree operate on; its offset is
-// the position in the simulated memory buffer.
-func (a *allocator) alloc(size int) (*block, bool) {
+// alloc reserves size bytes, best-fit, and returns the allocated record's
+// id. Its offset is the position in the simulated memory buffer.
+func (a *allocator) alloc(size int) (uint32, bool) {
 	if size <= 0 {
-		return nil, false
+		return 0, false
 	}
-	n := a.tree.bestFit(size)
+	n, least := a.tree.bestFit(size)
 	if n == nil {
-		return nil, false
+		return 0, false
 	}
-	b := n.blk
-	a.mustRemove(b)
+	id := n.id
 	a.used += size
-	if b.size > size {
-		// Carve the allocated head off b; the tail of b stays free, which
-		// matches the seed allocator's best-fit split (entry at the
-		// region's start, remainder re-freed).
-		nb := a.newBlock()
-		nb.off, nb.size = b.off, size
-		nb.prev, nb.next = b.prev, b
-		if b.prev != nil {
-			b.prev.next = nb
-		} else {
-			a.head = nb
-		}
-		b.prev = nb
-		b.off += size
-		b.size -= size
-		a.tree.insert(b.size, b.off, b)
-		return nb, true
+	if b := &a.recs[id]; b.size == size {
+		a.mustRemove(b)
+		b.slot = 0
+		return id, true
 	}
-	b.free = false
-	return b, true
+	// Carve the allocated head off b; the tail of b stays free, which
+	// matches the seed allocator's best-fit split (entry at the region's
+	// start, remainder re-freed).
+	nb := a.newRec(record{off: a.recs[id].off, size: size, prev: a.recs[id].prev, next: id})
+	b := &a.recs[id]
+	if b.prev != 0 {
+		a.recs[b.prev].next = nb
+	} else {
+		a.head = nb
+	}
+	b.prev = nb
+	if least {
+		// The tree's least region shrank: it is still the least, so its
+		// node keeps its place. Always the case before the first eviction,
+		// when the tree holds the one region every entry is carved from.
+		n.size, n.off = b.size-size, b.off+size
+	} else {
+		a.mustRemove(b)
+		a.tree.insert(b.size-size, b.off+size, id)
+	}
+	b.off += size
+	b.size -= size
+	return nb, true
 }
 
-// free releases an allocated block, coalescing with free neighbors in O(1)
-// via the address links. The neighbors' blocks are absorbed and recycled.
-func (a *allocator) free(b *block) {
-	if b == nil || b.free {
+// free releases an allocated extent, coalescing with free neighbours in O(1)
+// via the address links. The neighbours' records are absorbed and recycled.
+func (a *allocator) free(id uint32) {
+	b := &a.recs[id]
+	if id == 0 || b.slot == freeSlot {
 		return
 	}
 	a.used -= b.size
-	if l := b.prev; l != nil && l.free {
-		a.mustRemove(l)
-		b.off = l.off
-		b.size += l.size
-		b.prev = l.prev
-		if l.prev != nil {
-			l.prev.next = b
+	if l := b.prev; l != 0 && a.recs[l].slot == freeSlot {
+		lr := &a.recs[l]
+		a.mustRemove(lr)
+		b.off = lr.off
+		b.size += lr.size
+		b.prev = lr.prev
+		if lr.prev != 0 {
+			a.recs[lr.prev].next = id
 		} else {
-			a.head = b
+			a.head = id
 		}
-		a.putBlock(l)
+		a.putRec(l)
 	}
-	if r := b.next; r != nil && r.free {
-		a.mustRemove(r)
-		b.size += r.size
-		b.next = r.next
-		if r.next != nil {
-			r.next.prev = b
+	if r := b.next; r != 0 && a.recs[r].slot == freeSlot {
+		rr := &a.recs[r]
+		a.mustRemove(rr)
+		b.size += rr.size
+		b.next = rr.next
+		if rr.next != 0 {
+			a.recs[rr.next].prev = id
 		} else {
-			a.tail = b
+			a.tail = id
 		}
-		a.putBlock(r)
+		a.putRec(r)
 	}
-	b.free = true
-	a.tree.insert(b.size, b.off, b)
+	b.slot = freeSlot
+	a.tree.insert(b.size, b.off, id)
 }
 
 // grow extends the buffer by extra bytes. The new tail merges with a
 // trailing free region if one ends at the old capacity, so a grown buffer
 // is indistinguishable from one created at the larger size with the same
-// entries. Existing blocks keep their offsets — growth never invalidates.
+// entries. Existing extents keep their offsets — growth never invalidates.
 func (a *allocator) grow(extra int) {
 	if extra <= 0 {
 		return
 	}
 	a.capacity += extra
-	if t := a.tail; t != nil && t.free {
-		a.mustRemove(t)
-		t.size += extra
-		a.tree.insert(t.size, t.off, t)
+	if t := a.tail; t != 0 && a.recs[t].slot == freeSlot {
+		tr := &a.recs[t]
+		a.mustRemove(tr)
+		tr.size += extra
+		a.tree.insert(tr.size, tr.off, t)
 		return
 	}
-	b := a.newBlock()
-	b.off, b.size, b.free = a.capacity-extra, extra, true
-	b.prev = a.tail
-	if a.tail != nil {
-		a.tail.next = b
+	id := a.newRec(record{off: a.capacity - extra, size: extra, prev: a.tail, slot: freeSlot})
+	if a.tail != 0 {
+		a.recs[a.tail].next = id
 	} else {
-		a.head = b
+		a.head = id
 	}
-	a.tail = b
-	a.tree.insert(b.size, b.off, b)
+	a.tail = id
+	a.tree.insert(extra, a.capacity-extra, id)
 }
 
 // freeBytes returns the total number of unallocated bytes.
@@ -212,15 +213,15 @@ func (a *allocator) largestFree() int {
 	return n.size
 }
 
-// adjacentFree returns how many free bytes border the allocated block on
+// adjacentFree returns how many free bytes border the allocated extent on
 // either side — the merge potential that feeds the positional component of
-// the eviction score. Two pointer hops, no map lookups.
-func (a *allocator) adjacentFree(b *block) int {
+// the eviction score. Two hops through the slab, no map lookups.
+func (a *allocator) adjacentFree(b *record) int {
 	adj := 0
-	if l := b.prev; l != nil && l.free {
+	if l := &a.recs[b.prev]; b.prev != 0 && l.slot == freeSlot {
 		adj += l.size
 	}
-	if r := b.next; r != nil && r.free {
+	if r := &a.recs[b.next]; b.next != 0 && r.slot == freeSlot {
 		adj += r.size
 	}
 	return adj
@@ -236,59 +237,68 @@ func (a *allocator) fragmentation() float64 {
 	return 1 - float64(a.largestFree())/float64(free)
 }
 
-// check verifies allocator invariants (tests only): the block list tiles
-// [0, capacity) exactly, free blocks are fully coalesced and indexed by the
-// tree, and used/free byte accounting matches.
+// check verifies allocator invariants (tests only): the extent list tiles
+// [0, capacity) exactly, free regions are fully coalesced and indexed by the
+// tree under their own ids, every record is either in the list or unused,
+// and used/free byte accounting matches.
 func (a *allocator) check() error {
 	if n := a.tree.checkBalance(); n < 0 {
 		return fmt.Errorf("clampi: AVL invariants violated")
 	}
-	treeRegions := map[[2]int]bool{}
+	treeRegions := map[[2]int]uint32{}
 	treeTotal := 0
-	a.tree.walk(func(size, off int) {
-		treeRegions[[2]int{off, size}] = true
-		treeTotal += size
+	a.tree.walk(func(n *avlNode) {
+		treeRegions[[2]int{n.off, n.size}] = n.id
+		treeTotal += n.size
 	})
 	if treeTotal != a.freeBytes() {
 		return fmt.Errorf("clampi: free bytes %d != tracked %d", treeTotal, a.freeBytes())
 	}
-	pos, usedSum, freeCount := 0, 0, 0
-	var prev *block
-	for b := a.head; b != nil; b = b.next {
+	pos, usedSum, freeCount, listed := 0, 0, 0, 0
+	var prev uint32
+	for id := a.head; id != 0; id = a.recs[id].next {
+		b := &a.recs[id]
 		if b.off != pos {
-			return fmt.Errorf("clampi: block list gap: block at %d, expected %d", b.off, pos)
+			return fmt.Errorf("clampi: extent list gap: extent at %d, expected %d", b.off, pos)
 		}
 		if b.size <= 0 {
-			return fmt.Errorf("clampi: non-positive block size %d at %d", b.size, b.off)
+			return fmt.Errorf("clampi: non-positive extent size %d at %d", b.size, b.off)
 		}
 		if b.prev != prev {
 			return fmt.Errorf("clampi: broken prev link at offset %d", b.off)
 		}
-		if b.free {
+		if b.slot == freeSlot {
 			freeCount++
-			if prev != nil && prev.free {
+			if prev != 0 && a.recs[prev].slot == freeSlot {
 				return fmt.Errorf("clampi: uncoalesced adjacent free regions at %d", b.off)
 			}
-			if !treeRegions[[2]int{b.off, b.size}] {
-				return fmt.Errorf("clampi: free block [%d,+%d) missing from tree", b.off, b.size)
+			if tid, ok := treeRegions[[2]int{b.off, b.size}]; !ok || tid != id {
+				return fmt.Errorf("clampi: free region [%d,+%d) missing from tree or indexed under record %d, not %d", b.off, b.size, tid, id)
 			}
 		} else {
 			usedSum += b.size
 		}
 		pos += b.size
-		prev = b
+		prev = id
+		listed++
 	}
 	if a.capacity > 0 && pos != a.capacity {
-		return fmt.Errorf("clampi: block list covers %d bytes of %d", pos, a.capacity)
+		return fmt.Errorf("clampi: extent list covers %d bytes of %d", pos, a.capacity)
 	}
 	if prev != a.tail {
 		return fmt.Errorf("clampi: tail link out of sync")
 	}
 	if usedSum != a.used {
-		return fmt.Errorf("clampi: allocated blocks hold %d bytes but used=%d", usedSum, a.used)
+		return fmt.Errorf("clampi: allocated extents hold %d bytes but used=%d", usedSum, a.used)
 	}
 	if freeCount != len(treeRegions) || freeCount != a.tree.len() {
 		return fmt.Errorf("clampi: tree holds %d regions, list holds %d", a.tree.len(), freeCount)
+	}
+	for id := a.unused; id != 0; id = a.recs[id].next {
+		listed++
+	}
+	if listed != len(a.recs)-1 {
+		return fmt.Errorf("clampi: %d records listed or unused of %d in the slab", listed, len(a.recs)-1)
 	}
 	return nil
 }

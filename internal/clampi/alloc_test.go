@@ -8,12 +8,12 @@ import (
 func TestAllocatorBasic(t *testing.T) {
 	a := newAllocator(100)
 	b1, ok := a.alloc(40)
-	if !ok || b1.off != 0 {
-		t.Fatalf("alloc(40) = (%v,%v), want (0,true)", b1, ok)
+	if !ok || a.recs[b1].off != 0 {
+		t.Fatalf("alloc(40) = (record %d at %d,%v), want offset 0", b1, a.recs[b1].off, ok)
 	}
 	b2, ok := a.alloc(60)
-	if !ok || b2.off != 40 {
-		t.Fatalf("alloc(60) = (%v,%v), want (40,true)", b2, ok)
+	if !ok || a.recs[b2].off != 40 {
+		t.Fatalf("alloc(60) = (record %d at %d,%v), want offset 40", b2, a.recs[b2].off, ok)
 	}
 	if _, ok := a.alloc(1); ok {
 		t.Error("alloc on a full buffer succeeded")
@@ -69,7 +69,7 @@ func TestAllocatorExternalFragmentation(t *testing.T) {
 	// region bigger than 10 — an alloc(20) must fail. This is exactly the
 	// external fragmentation §II-F describes.
 	a := newAllocator(100)
-	blks := make([]*block, 10)
+	blks := make([]uint32, 10)
 	for i := range blks {
 		b, ok := a.alloc(10)
 		if !ok {
@@ -101,7 +101,7 @@ func TestAllocatorAdjacentFree(t *testing.T) {
 	_, _ = a.alloc(60)   // [40,100)
 	a.free(b1)
 	// b2 has 20 free bytes on its left, none on its right.
-	if adj := a.adjacentFree(b2); adj != 20 {
+	if adj := a.adjacentFree(&a.recs[b2]); adj != 20 {
 		t.Errorf("adjacentFree = %d, want 20", adj)
 	}
 }
@@ -128,7 +128,7 @@ func TestAllocatorRejectsNonPositive(t *testing.T) {
 
 func TestAllocatorResetRestoresPristineState(t *testing.T) {
 	a := newAllocator(1 << 10)
-	var live []*block
+	var live []uint32
 	for i := 0; i < 20; i++ {
 		if b, ok := a.alloc(17 + i); ok {
 			live = append(live, b)
@@ -160,7 +160,7 @@ func TestAllocatorResetRestoresPristineState(t *testing.T) {
 func TestAllocatorChurnInvariants(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	a := newAllocator(1 << 16)
-	var live []*block
+	var live []uint32
 	for i := 0; i < 20000; i++ {
 		if rng.Float64() < 0.55 {
 			size := 1 + rng.IntN(512)
@@ -179,7 +179,7 @@ func TestAllocatorChurnInvariants(t *testing.T) {
 			}
 			want := 0
 			for _, b := range live {
-				want += b.size
+				want += a.recs[b].size
 			}
 			if a.used != want {
 				t.Fatalf("step %d: used = %d, want %d", i, a.used, want)
@@ -203,7 +203,7 @@ func TestAllocatedBlocksNeverOverlap(t *testing.T) {
 	a := newAllocator(4096)
 	type region struct{ off, size int }
 	var live []region
-	var blks []*block
+	var blks []uint32
 	overlap := func(x, y region) bool {
 		return x.off < y.off+y.size && y.off < x.off+x.size
 	}
@@ -211,7 +211,7 @@ func TestAllocatedBlocksNeverOverlap(t *testing.T) {
 		if rng.Float64() < 0.6 {
 			size := 1 + rng.IntN(128)
 			if b, ok := a.alloc(size); ok {
-				nb := region{b.off, size}
+				nb := region{a.recs[b].off, size}
 				for _, r := range live {
 					if overlap(nb, r) {
 						t.Fatalf("step %d: alloc returned overlapping block", i)

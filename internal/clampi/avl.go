@@ -10,10 +10,13 @@
 // and an adaptive heuristic can resize the hash table by observing misses,
 // conflicts and evictions.
 //
-// The metadata plane is allocation-free at steady state: entries, free-list
-// blocks and AVL nodes are recycled through per-cache pools, the victim
-// heap and hash table reuse their backing arrays, and epoch flushes clear
-// the structures in place.
+// The metadata plane is one slab of records addressed by uint32 id — a
+// record is an extent of the memory buffer and, while allocated, the entry
+// cached in it — plus three arrays of ids and words over it: the hash
+// table's lanes and slots, the victim heap with its position index, and the
+// compulsory-miss set. It is allocation-free at steady state, an epoch flush
+// rewinds it in place, and Reset hands the whole instance to another rank
+// (DESIGN.md §2).
 package clampi
 
 // avlTree is a balanced tree over free buffer regions ordered by
@@ -26,24 +29,26 @@ type avlTree struct {
 	n    int
 	pool *avlNode // free nodes, linked through right
 	slab int      // next slab size (doubles up to a cap)
+	made int      // nodes allocated so far (MemBytes)
 }
 
 type avlNode struct {
 	size, off   int
-	blk         *block // the free block this node indexes (nil in bare tests)
+	id          uint32 // the free region's record (0 in bare tests)
 	left, right *avlNode
 	height      int
 }
 
 func (t *avlTree) len() int { return t.n }
 
-func (t *avlTree) newNode(size, off int, b *block) *avlNode {
+func (t *avlTree) newNode(size, off int, id uint32) *avlNode {
 	if t.pool == nil {
 		if t.slab == 0 {
 			t.slab = 32
 		}
 		nodes := make([]avlNode, t.slab)
-		if t.slab < 4096 {
+		t.made += t.slab
+		if t.slab < 1024 {
 			t.slab *= 2
 		}
 		for i := range nodes {
@@ -53,7 +58,7 @@ func (t *avlTree) newNode(size, off int, b *block) *avlNode {
 	}
 	n := t.pool
 	t.pool = n.right
-	*n = avlNode{size: size, off: off, blk: b, height: 1}
+	*n = avlNode{size: size, off: off, id: id, height: 1}
 	return n
 }
 
@@ -140,23 +145,23 @@ func rebalance(n *avlNode) *avlNode {
 	return n
 }
 
-// insert adds the region (size, off) carrying payload b. Duplicate keys must
-// not occur (free regions are disjoint); inserting one panics, exposing
+// insert adds the region (size, off) of record id. Duplicate keys must not
+// occur (free regions are disjoint); inserting one panics, exposing
 // allocator bugs.
-func (t *avlTree) insert(size, off int, b *block) {
-	t.root = t.avlInsert(t.root, size, off, b)
+func (t *avlTree) insert(size, off int, id uint32) {
+	t.root = t.avlInsert(t.root, size, off, id)
 	t.n++
 }
 
-func (t *avlTree) avlInsert(n *avlNode, size, off int, b *block) *avlNode {
+func (t *avlTree) avlInsert(n *avlNode, size, off int, id uint32) *avlNode {
 	if n == nil {
-		return t.newNode(size, off, b)
+		return t.newNode(size, off, id)
 	}
 	switch {
 	case regionLess(size, off, n.size, n.off):
-		n.left = t.avlInsert(n.left, size, off, b)
+		n.left = t.avlInsert(n.left, size, off, id)
 	case regionLess(n.size, n.off, size, off):
-		n.right = t.avlInsert(n.right, size, off, b)
+		n.right = t.avlInsert(n.right, size, off, id)
 	default:
 		panic("clampi: duplicate free region in AVL tree")
 	}
@@ -201,25 +206,29 @@ func (t *avlTree) avlRemove(n *avlNode, size, off int) (*avlNode, bool) {
 		for s.left != nil {
 			s = s.left
 		}
-		n.size, n.off, n.blk = s.size, s.off, s.blk
+		n.size, n.off, n.id = s.size, s.off, s.id
 		n.right, _ = t.avlRemove(n.right, s.size, s.off)
 	}
 	return rebalance(n), removed
 }
 
-// bestFit returns the smallest region with size >= want, or nil.
-func (t *avlTree) bestFit(want int) *avlNode {
-	var best *avlNode
+// bestFit returns the smallest region with size >= want, or nil, and
+// whether it is the tree's least region (the descent never went right). The
+// least region may shrink in place: it stays the least, so neither the order
+// nor the shape of the tree changes.
+func (t *avlTree) bestFit(want int) (best *avlNode, least bool) {
+	least = true
 	n := t.root
 	for n != nil {
 		if n.size >= want {
 			best = n
 			n = n.left
 		} else {
+			least = false
 			n = n.right
 		}
 	}
-	return best
+	return best, least
 }
 
 // max returns the largest region in the tree, or nil if empty.
@@ -234,14 +243,14 @@ func (t *avlTree) max() *avlNode {
 }
 
 // walk visits every region in (size, offset) order.
-func (t *avlTree) walk(f func(size, off int)) {
+func (t *avlTree) walk(f func(n *avlNode)) {
 	var rec func(n *avlNode)
 	rec = func(n *avlNode) {
 		if n == nil {
 			return
 		}
 		rec(n.left)
-		f(n.size, n.off)
+		f(n)
 		rec(n.right)
 	}
 	rec(t.root)
@@ -280,6 +289,6 @@ func (t *avlTree) checkBalance() int {
 		return -1
 	}
 	count := 0
-	t.walk(func(int, int) { count++ })
+	t.walk(func(*avlNode) { count++ })
 	return count
 }

@@ -8,21 +8,21 @@ import (
 
 func TestAVLInsertRemoveBestFit(t *testing.T) {
 	var tr avlTree
-	tr.insert(10, 0, nil)
-	tr.insert(5, 100, nil)
-	tr.insert(20, 200, nil)
+	tr.insert(10, 0, 0)
+	tr.insert(5, 100, 0)
+	tr.insert(20, 200, 0)
 	if tr.len() != 3 {
 		t.Fatalf("len = %d, want 3", tr.len())
 	}
-	n := tr.bestFit(6)
+	n, _ := tr.bestFit(6)
 	if n == nil || n.size != 10 || n.off != 0 {
 		t.Errorf("bestFit(6) = %v, want (10,0)", n)
 	}
-	n = tr.bestFit(11)
+	n, _ = tr.bestFit(11)
 	if n == nil || n.size != 20 || n.off != 200 {
 		t.Errorf("bestFit(11) = %v, want (20,200)", n)
 	}
-	if tr.bestFit(21) != nil {
+	if n, _ := tr.bestFit(21); n != nil {
 		t.Error("bestFit(21) found a region in a tree whose max is 20")
 	}
 	if !tr.remove(10, 0) {
@@ -31,7 +31,7 @@ func TestAVLInsertRemoveBestFit(t *testing.T) {
 	if tr.remove(10, 0) {
 		t.Error("remove(10,0) succeeded twice")
 	}
-	n = tr.bestFit(6)
+	n, _ = tr.bestFit(6)
 	if n == nil || n.size != 20 || n.off != 200 {
 		t.Errorf("after removal bestFit(6) = %v, want (20,200)", n)
 	}
@@ -39,10 +39,10 @@ func TestAVLInsertRemoveBestFit(t *testing.T) {
 
 func TestAVLTiesBrokenByOffset(t *testing.T) {
 	var tr avlTree
-	tr.insert(8, 300, nil)
-	tr.insert(8, 100, nil)
-	tr.insert(8, 200, nil)
-	n := tr.bestFit(8)
+	tr.insert(8, 300, 0)
+	tr.insert(8, 100, 0)
+	tr.insert(8, 200, 0)
+	n, _ := tr.bestFit(8)
 	if n == nil || n.off != 100 {
 		t.Errorf("bestFit(8) = %v, want offset 100 (lowest offset among equal sizes)", n)
 	}
@@ -56,9 +56,9 @@ func TestAVLMax(t *testing.T) {
 	if tr.max() != nil {
 		t.Error("max of empty tree reported a node")
 	}
-	tr.insert(3, 0, nil)
-	tr.insert(9, 50, nil)
-	tr.insert(7, 80, nil)
+	tr.insert(3, 0, 0)
+	tr.insert(9, 50, 0)
+	tr.insert(7, 80, 0)
 	n := tr.max()
 	if n == nil || n.size != 9 {
 		t.Errorf("max = %v, want size 9", n)
@@ -75,7 +75,7 @@ func TestAVLStaysBalancedUnderChurn(t *testing.T) {
 		if rng.Float64() < 0.6 || len(live) == 0 {
 			r := region{size: 1 + rng.IntN(100), off: nextOff}
 			nextOff += 1000
-			tr.insert(r.size, r.off, nil)
+			tr.insert(r.size, r.off, 0)
 			live[r] = true
 		} else {
 			for r := range live {
@@ -100,14 +100,14 @@ func TestAVLStaysBalancedUnderChurn(t *testing.T) {
 func TestAVLNodePoolRecycles(t *testing.T) {
 	var tr avlTree
 	for i := 0; i < 64; i++ {
-		tr.insert(i+1, i*100, nil)
+		tr.insert(i+1, i*100, 0)
 	}
 	for i := 0; i < 64; i++ {
 		tr.remove(i+1, i*100)
 	}
 	if got := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			tr.insert(i+1, i*100, nil)
+			tr.insert(i+1, i*100, 0)
 		}
 		for i := 0; i < 64; i++ {
 			tr.remove(i+1, i*100)
@@ -123,16 +123,17 @@ func TestAVLNodePoolRecycles(t *testing.T) {
 
 func TestAVLDuplicatePanics(t *testing.T) {
 	var tr avlTree
-	tr.insert(4, 4, nil)
+	tr.insert(4, 4, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate insert did not panic")
 		}
 	}()
-	tr.insert(4, 4, nil)
+	tr.insert(4, 4, 0)
 }
 
-// Property: bestFit always returns the minimal adequate region.
+// Property: bestFit always returns the minimal adequate region, and says
+// "least" exactly when that is the smallest region of all.
 func TestAVLBestFitProperty(t *testing.T) {
 	f := func(sizes []uint8, want uint8) bool {
 		var tr avlTree
@@ -140,18 +141,19 @@ func TestAVLBestFitProperty(t *testing.T) {
 		var all [][2]int
 		for _, s := range sizes {
 			size := int(s)%64 + 1
-			tr.insert(size, off, nil)
+			tr.insert(size, off, 0)
 			all = append(all, [2]int{size, off})
 			off += 100
 		}
 		w := int(want)%64 + 1
-		n := tr.bestFit(w)
+		n, least := tr.bestFit(w)
 		// Reference scan.
-		bestSize, bestOff, refOK := 0, 0, false
+		bestSize, bestOff, refOK, smaller := 0, 0, false, false
 		for _, r := range all {
 			if r[0] >= w && (!refOK || regionLess(r[0], r[1], bestSize, bestOff)) {
 				bestSize, bestOff, refOK = r[0], r[1], true
 			}
+			smaller = smaller || r[0] < w
 		}
 		if (n != nil) != refOK {
 			return false
@@ -159,7 +161,7 @@ func TestAVLBestFitProperty(t *testing.T) {
 		if n == nil {
 			return true
 		}
-		return n.size == bestSize && n.off == bestOff
+		return n.size == bestSize && n.off == bestOff && least == !smaller
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -3,6 +3,7 @@ package clampi
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/rma"
@@ -131,25 +132,27 @@ func (s Stats) MissRate() float64 {
 // the cache owns one copy of every resident entry, as real CLaMPI does.
 //
 // Steady-state operation — hit, miss, insert, evict, epoch flush — performs
-// no heap allocations: entries, buffer blocks and AVL nodes recycle through
-// pools, requests and pending misses come from free lists, and the victim
-// heap, hash table and compulsory-miss set reuse their backing arrays.
-// Filling those structures is what costs memory (megabytes per instance at
-// the paper's cache sizes), so an instance is reusable: Reset rebinds it to
-// another rank and window in the exact state New returns, keeping every
-// backing array. What a Cache carries from one use to the next is host
-// memory only — no model-visible state (DESIGN.md §2, "Instance
-// recycling").
+// no heap allocations: entries and buffer extents are records of one slab
+// (see record), AVL nodes recycle through a pool, requests and pending
+// misses come from free lists, and the victim heap, hash table and
+// compulsory-miss set reuse their backing arrays. Filling those structures
+// is what costs memory (MemBytes; 2.5 and 4.9 MB for a rank's two instances
+// at the benchmark's cache sizes), so an instance is reusable: Reset rebinds
+// it to another rank and window in the exact state New returns, keeping
+// every backing array the new configuration can use. What a Cache carries
+// from one use to the next is host memory only — no model-visible state
+// (DESIGN.md §2, "Instance recycling").
 type Cache struct {
 	rank  *rma.Rank
 	win   *rma.Window
 	cfg   Config
 	coder keyCoder
 
-	tab     *table
-	alloc   *allocator
-	victims *victimHeap
-	entries entryPool
+	tab     table
+	alloc   allocator
+	victims victimHeap
+	bytes   [][]byte // by record id: a writable window's entry's copy of its region
+	sized   int      // records the slab and heap were allocated for (Reset)
 	tick    uint64
 	seen    seenSet
 	stats   Stats
@@ -166,6 +169,10 @@ type Cache struct {
 	// on this field, and reentrant use panics outright. Cost on the hot
 	// path: two unordered byte stores, no locks, no atomics.
 	busy bool
+
+	// onEvict, when a test sets it, observes every eviction before it
+	// happens: its kind, the victim's packed key and the cache's tick.
+	onEvict func(conflict bool, key, tick uint64)
 
 	// adaptive-tuning observation window
 	obsOps       int64
@@ -206,12 +213,19 @@ func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 // Reset binds the cache to rank r and window w under cfg and puts it in the
 // state of a just-constructed instance, in place: empty table at cfg's
 // geometry and one pristine free region of cfg's capacity (so adaptive
-// growth of an earlier use is undone), empty victim heap with every entry
-// and dead remnant back in the pool, tick, compulsory-miss set, statistics
-// and observation window zeroed, completed pending misses dropped. It is
-// the only initialiser — New is Reset on the zero Cache — so a recycled
-// instance and a fresh one cannot differ in anything the model can see;
-// they differ in how much backing storage is already there. Returns c.
+// growth of an earlier use is undone), the record slab rewound, the victim
+// heap emptied, tick, compulsory-miss set, statistics and observation window
+// zeroed, completed pending misses dropped. It is the only initialiser — New
+// is Reset on the zero Cache — so a recycled instance and a fresh one cannot
+// differ in anything the model can see; they differ in how much backing
+// storage is already there. Returns c.
+//
+// Backing arrays are kept unless cfg could not use a quarter of one — the
+// table's arrays and the slab's and heap's first allocation against the
+// size cfg asks for, what a use grew (slab, heap, tree pool, compulsory-miss
+// set) against the most records cfg's geometry can hold — so one query with
+// a large cache does not pin its footprint in a pool for the pool's
+// lifetime, and a steady stream of equal queries never reallocates.
 //
 // Reset panics on a cache that is mid-operation or has a miss in flight:
 // such an instance was abandoned by an unwinding rank and its transfer
@@ -241,39 +255,45 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 	}
 	c.coder = newKeyCoder(r.NumRanks(), maxRegion)
 
-	if c.tab == nil {
-		// First use. Pre-size the pools from the buffer capacity so filling
-		// the cache costs a handful of slab allocations instead of a
-		// doubling cascade per structure. Entry counts depend on the
-		// (unknown) entry-size mix; capacity/1024 is a low-cost floor the
-		// slabs double past when needed — oversizing here inflates the
-		// per-instance memory footprint, which is itself a host-speed
-		// concern (metadata competes with graph data for last-level cache).
-		hint := clampRange(c.cfg.Capacity/1024, 64, 8192)
-		c.tab = &table{}
-		c.entries.slab = hint
-		c.entries.free = make([]*entry, 0, hint)
-		c.alloc = &allocator{slab: hint}
-		c.victims = newVictimHeap(c.priority, c.stampOf, c.entries.put)
-		c.victims.h = make([]heapItem, 0, hint)
-		c.seen.presize(clampRange(c.cfg.Capacity/64, 64, 1<<14))
+	// The slab and the heap start at a record per bucket — the table size is
+	// the configuration's own estimate of the population (§III-B-1 sizes it
+	// to the entries expected) — plus id 0 and the pristine free region, and
+	// grow by append, a quarter at a time, when the estimate was low. They
+	// are released when the configuration that sized them asked for over four
+	// times as much, or a use grew them past four times what cfg's geometry
+	// can fill: every entry holds a slot and at least a byte of the buffer,
+	// and free regions alternate with entries.
+	most := 2*min(c.cfg.Buckets*c.cfg.Assoc, max(c.cfg.Capacity, 0)) + 2
+	hint := min(c.cfg.Buckets+2, most)
+	if c.sized == 0 || c.sized > 4*hint || max(cap(c.alloc.recs), cap(c.victims.h)) > 4*most {
+		c.sized = hint
+		c.alloc = allocator{recs: make([]record, 1, hint)}
+		c.victims = victimHeap{h: make([]heapItem, 0, hint), pos: make([]int32, 0, hint)}
+		c.bytes = nil
 	}
+	c.seen.clearFor(min(max(c.cfg.Capacity/64, 64), 1<<14), most)
 	c.empty()
-	c.seen.clear()
 	c.tick = 0
 	c.stats = Stats{}
 	c.obsOps, c.obsConflicts, c.obsCapacity = 0, 0, 0
 	return c
 }
 
-func clampRange(x, lo, hi int) int {
-	if x < lo {
-		return lo
+// MemBytes returns the bytes of every backing array the instance holds:
+// table lanes and slots, record slab, victim heap and positions, free-region
+// tree nodes, compulsory-miss set, and — over a writable window — the
+// entries' byte copies. (Requests and pending misses, a handful of small
+// objects per instance, are not arrays and not counted.) It is what an idle
+// instance in a pool costs its snapshot.
+func (c *Cache) MemBytes() int {
+	n := 8*cap(c.tab.lane) + 4*cap(c.tab.ents) +
+		int(unsafe.Sizeof(record{}))*cap(c.alloc.recs) + int(unsafe.Sizeof(avlNode{}))*c.alloc.tree.made +
+		int(unsafe.Sizeof(heapItem{}))*cap(c.victims.h) + 4*cap(c.victims.pos) +
+		8*len(c.seen.tab) + int(unsafe.Sizeof([]byte{}))*cap(c.bytes)
+	for _, b := range c.bytes[:cap(c.bytes)] {
+		n += cap(b)
 	}
-	if x > hi {
-		return hi
-	}
-	return x
+	return n
 }
 
 // Rank returns the owning rank.
@@ -297,17 +317,38 @@ func (c *Cache) Stats() Stats {
 // With an application-defined score the priority IS that score (the paper's
 // extension: for LCC, the remote vertex's degree), trading the spatial
 // anti-fragmentation effect for application knowledge.
-func (c *Cache) priority(e *entry) float64 {
-	if e.hasAppScore() {
-		return e.appScore
+func (c *Cache) priority(e *record) float64 {
+	if !math.IsNaN(e.score) {
+		return e.score
 	}
-	mergeable := float64(c.alloc.adjacentFree(e.blk))
-	return float64(c.tab.tickOf(int(e.slot))) - c.cfg.PosWeight*mergeable/float64(e.size()+1)
+	mergeable := float64(c.alloc.adjacentFree(e))
+	return float64(c.tab.tick(e.meta)) - c.cfg.PosWeight*mergeable/float64(e.size+1)
 }
 
-// stampOf reads a live entry's revalidation stamp from its table slot (the
-// stamp lives in the bucket lane so hits stay single-cache-line; see table).
-func (c *Cache) stampOf(e *entry) uint64 { return c.tab.stampOf(int(e.slot)) }
+// settleVictims revalidates the victim heap's root until it is current — a
+// live entry whose stamp and priority are the ones it was pushed with — and
+// reports whether one is left. Tombstones are dropped; a stale item is
+// popped and pushed back under its current priority and stamp (the stamp
+// lives in the entry's bucket lane, so hits stay single-cache-line; see
+// table).
+func (c *Cache) settleVictims() bool {
+	v := &c.victims
+	for len(v.h) > 0 {
+		it := v.h[0]
+		if it.id == 0 {
+			v.pop()
+			continue
+		}
+		e := &c.alloc.recs[it.id]
+		prio, stamp := c.priority(e), c.tab.stamp(e.meta)
+		if stamp == it.stamp && prio == it.prio {
+			return true
+		}
+		v.pop()
+		v.push(it.id, prio, stamp)
+	}
+	return false
+}
 
 // Request is the result of a cached Get: either served from cache (done
 // immediately) or backed by an underlying RMA request that completes at the
@@ -534,7 +575,7 @@ func (c *Cache) serveView(q *Request, target, offset, size, slot int) {
 		q.verts = c.win.ReadVertices(target, offset, size, q.vbuf)
 		q.vbuf = q.verts
 	default:
-		q.buf = append(q.buf[:0], c.tab.entryAt(slot).bytes.data...)
+		q.buf = append(q.buf[:0], c.bytes[c.tab.ents[slot]]...)
 		q.data = q.buf
 	}
 }
@@ -680,9 +721,9 @@ func (c *Cache) complete(pm *pendingMiss) {
 // insert stores a region under the packed key pk (bucket hash h), evicting
 // victims as needed. CLaMPI caches a missing entry only if it has (or can
 // free) the resources to store it. data is the retrieved byte copy for
-// writable windows (copied again into entry-owned pooled storage) and nil
-// for read-only windows, whose entries are bookkeeping-only (hits re-slice
-// the window region).
+// writable windows (copied again into entry-owned storage) and nil for
+// read-only windows, whose entries are bookkeeping-only (hits re-slice the
+// window region).
 func (c *Cache) insert(pk, h uint64, size int, data []byte, score float64) {
 	if c.cfg.Capacity <= 0 || size > c.cfg.Capacity || size == 0 {
 		c.stats.RejectedInserts++
@@ -692,22 +733,31 @@ func (c *Cache) insert(pk, h uint64, size int, data []byte, score float64) {
 		return // duplicate in-flight get; entry already present
 	}
 	c.tick++
+	scored := !math.IsNaN(score)
 	newPrio := float64(c.tick)
-	if !math.IsNaN(score) {
+	if scored {
 		newPrio = score
 	}
 
 	// Hash-table space: a full bucket forces a conflict eviction.
 	slot := c.tab.freeSlot(h)
 	if slot < 0 {
-		victim, vPrio := c.tab.bucketVictim(h, c.priority)
-		if victim == nil || vPrio >= newPrio {
+		// The victim is the bucket's entry of strictly minimal priority, in
+		// slot order (the seed's scan order and tie rule).
+		base := c.tab.bucketOf(h) * c.tab.assoc
+		victim, vPrio := uint32(0), math.Inf(1)
+		for _, id := range c.tab.ents[base : base+c.tab.assoc] {
+			if p := c.priority(&c.alloc.recs[id]); p < vPrio {
+				victim, vPrio = id, p
+			}
+		}
+		if victim == 0 || vPrio >= newPrio {
 			// All residents are more valuable than the newcomer
 			// (possible only under app-defined scores).
 			c.stats.RejectedInserts++
 			return
 		}
-		c.evict(victim)
+		c.evict(victim, true)
 		c.stats.ConflictEvictions++
 		c.obsConflicts++
 		slot = c.tab.freeSlot(h)
@@ -715,55 +765,48 @@ func (c *Cache) insert(pk, h uint64, size int, data []byte, score float64) {
 
 	// Buffer space: evict ascending-priority victims until the allocation
 	// succeeds. Under app-defined scores, stop as soon as the cheapest
-	// victim is at least as valuable as the newcomer.
-	blk, ok := c.alloc.alloc(size)
+	// victim is at least as valuable as the newcomer; an unscored newcomer
+	// outranks every resident, so it goes straight to the pop (which
+	// revalidates the root exactly as the peek would have).
+	id, ok := c.alloc.alloc(size)
 	for !ok {
-		if c.victims.peekMinPrio() >= newPrio && !math.IsNaN(score) {
+		if !c.settleVictims() || scored && c.victims.h[0].prio >= newPrio {
 			c.stats.RejectedInserts++
 			return
 		}
-		v := c.victims.popMin()
-		if v == nil {
-			c.stats.RejectedInserts++
-			return
-		}
-		c.evict(v)
+		c.evict(c.victims.pop().id, false)
 		c.stats.CapacityEvictions++
 		c.obsCapacity++
-		blk, ok = c.alloc.alloc(size)
+		id, ok = c.alloc.alloc(size)
 	}
 
-	e := c.entries.get()
-	e.key = pk
-	e.blk = blk
 	if data != nil {
-		if e.bytes == nil {
-			e.bytes = &entryData{}
+		for int(id) >= len(c.bytes) {
+			c.bytes = append(c.bytes, nil)
 		}
-		e.bytes.buf = append(e.bytes.buf[:0], data...)
-		e.bytes.data = e.bytes.buf
+		c.bytes[id] = append(c.bytes[id][:0], data...)
 	}
-	e.appScore = score
-	c.tab.insertAt(slot, e, c.tick)
-	c.victims.push(e)
+	e := &c.alloc.recs[id]
+	e.score = score
+	e.slot, e.meta = uint32(slot), c.tab.insertAt(slot, id, pk, c.tick)
+	c.victims.push(id, c.priority(e), 0)
 	c.stats.Inserts++
 }
 
-// evict removes e from the table and frees its buffer block. A capacity
-// victim was already popped off the heap and recycles immediately; a
-// conflict victim leaves a dead remnant in the heap (preserving the seed's
-// lazy shape — see the victimHeap determinism contract) and recycles when
-// a later pop or reset collects it. The dead flag alone retires the
-// remnant: every heap path checks it before consulting the stamp, so no
-// stamp bump is needed (the slot's meta now belongs to the next tenant).
-func (c *Cache) evict(e *entry) {
-	e.dead = true
-	c.tab.remove(e)
-	c.alloc.free(e.blk)
-	e.blk = nil
-	if e.heapIdx < 0 {
-		c.entries.put(e)
+// evict removes entry id from the table and frees its extent, record
+// included. A capacity victim was already popped off the heap; a conflict
+// victim leaves a tombstone there (preserving the seed's lazy shape — see
+// the victimHeap determinism contract) that a later pop or flush collects.
+// The tombstone names no record, so the extent — alone or coalesced — can
+// host a newcomer at once.
+func (c *Cache) evict(id uint32, conflict bool) {
+	e := &c.alloc.recs[id]
+	if c.onEvict != nil {
+		c.onEvict(conflict, c.tab.lane[int(e.meta)-c.tab.assoc], c.tick)
 	}
+	c.victims.bury(id)
+	c.tab.remove(e.slot, e.meta)
+	c.alloc.free(id)
 }
 
 // SetScore assigns (or updates) the application-defined score of an already
@@ -776,10 +819,11 @@ func (c *Cache) SetScore(target, offset, size int, score float64) {
 		pk := c.coder.pack(target, offset, size)
 		h := c.coder.hash(target, offset, size)
 		if slot := c.tab.lookup(pk, h); slot >= 0 {
-			e := c.tab.entryAt(slot)
-			e.appScore = score
-			c.tab.bumpStamp(slot)
-			c.victims.update(e)
+			id := c.tab.ents[slot]
+			e := &c.alloc.recs[id]
+			e.score = score
+			c.tab.bumpStamp(e.meta)
+			c.victims.update(id, c.priority(e), c.tab.stamp(e.meta))
 		}
 	}
 	c.leave()
@@ -795,21 +839,20 @@ func (c *Cache) Contains(target, offset, size int) bool {
 
 // Flush empties the cache (user-defined mode, or internal use by the
 // adaptive heuristic and the transparent mode). All structures are cleared
-// in place: entries recycle to the pool, the allocator returns to one
-// pristine free region, and the table keeps its slot arrays unless the
-// adaptive heuristic grew it past them.
+// in place: the heap is truncated, the slab rewinds to the one record of a
+// pristine free region, and the table keeps its arrays unless the adaptive
+// heuristic grew it past them.
 func (c *Cache) Flush() {
 	c.empty()
 	c.stats.Flushes++
 }
 
 // empty is Flush without the count: Reset uses it under a new configuration.
+// Nothing is walked but the table's words: positions are written on push and
+// a writable window's byte copies are overwritten by their record's next
+// entry, so neither needs clearing.
 func (c *Cache) empty() {
-	c.tab.each(func(e *entry) { e.dead = true })
-	// Every live entry sits in the heap (inserts push, only eviction pops),
-	// so resetting the heap recycles the whole population, dead conflict
-	// remnants included.
-	c.victims.reset()
+	c.victims.h = c.victims.h[:0]
 	c.tab.clearFor(c.cfg.Buckets, c.cfg.Assoc)
 	c.alloc.reset(c.cfg.Capacity)
 }
@@ -883,26 +926,21 @@ func (c *Cache) checkInvariants() error {
 	if err := c.alloc.check(); err != nil {
 		return err
 	}
-	bytes := 0
-	count := 0
-	var err error
-	c.tab.each(func(e *entry) {
-		if e.dead {
-			err = fmt.Errorf("clampi: dead entry %#x still in table", e.key)
+	bytes, count := 0, 0
+	for slot, id := range c.tab.ents {
+		if id == 0 {
+			continue
 		}
-		if e.heapIdx < 0 {
-			err = fmt.Errorf("clampi: live entry %#x missing from victim heap", e.key)
-		} else if c.victims.h[e.heapIdx].e != e {
-			err = fmt.Errorf("clampi: heap index of entry %#x out of sync", e.key)
+		e := &c.alloc.recs[id]
+		key := c.tab.lane[int(e.meta)-c.tab.assoc]
+		if int(e.slot) != slot || key == 0 || c.tab.lookup(key, c.coder.hash(c.coder.unpack(key))) != slot {
+			return fmt.Errorf("clampi: record %d (key %#x) in slot %d is out of sync with its lane", id, key, slot)
 		}
-		if e.blk == nil || e.blk.free {
-			err = fmt.Errorf("clampi: entry %#x block out of sync", e.key)
+		if i := c.victims.pos[id]; i < 0 || c.victims.h[i].id != id {
+			return fmt.Errorf("clampi: live entry %#x missing from victim heap", key)
 		}
-		bytes += e.size()
+		bytes += e.size
 		count++
-	})
-	if err != nil {
-		return err
 	}
 	if bytes != c.alloc.used {
 		return fmt.Errorf("clampi: table holds %d bytes but allocator used=%d", bytes, c.alloc.used)
@@ -911,14 +949,17 @@ func (c *Cache) checkInvariants() error {
 		return fmt.Errorf("clampi: table count %d != tracked %d", count, c.tab.n)
 	}
 	live := 0
-	for i := range c.victims.h {
-		it := c.victims.h[i]
-		if int(it.e.heapIdx) != i {
-			return fmt.Errorf("clampi: heap item %d has stale heapIdx %d", i, it.e.heapIdx)
+	for i, it := range c.victims.h {
+		if it.id == 0 {
+			continue
 		}
-		if !it.e.dead {
-			live++
+		if int(c.victims.pos[it.id]) != i {
+			return fmt.Errorf("clampi: heap item %d has stale position %d", i, c.victims.pos[it.id])
 		}
+		if e := &c.alloc.recs[it.id]; e.slot == freeSlot || c.tab.ents[e.slot] != it.id {
+			return fmt.Errorf("clampi: heap item %d names record %d, which is no entry", i, it.id)
+		}
+		live++
 	}
 	if live != count {
 		return fmt.Errorf("clampi: heap holds %d live entries, table %d", live, count)

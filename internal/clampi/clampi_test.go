@@ -400,3 +400,67 @@ func TestCachedDataAlwaysMatchesWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestExtentReuseAfterConflictEviction is the tombstone rule's test: a
+// conflict victim's record goes back to the slab at once — here the very
+// next insert takes both its extent and its id — while the victim's heap
+// item stays behind. Capacity pops must step over that item without
+// touching the newcomer.
+func TestExtentReuseAfterConflictEviction(t *testing.T) {
+	const size = 64
+	_, _, c := testSetup(t, 1<<12, Config{Capacity: 4 * size, Buckets: 2, Mode: AlwaysCache})
+	var home [2][]int // offsets by bucket
+	for off := 0; off < 1<<12; off += size {
+		b := c.tab.bucketOf(c.coder.hash(1, off, size))
+		home[b] = append(home[b], off)
+	}
+	if len(home[0]) < 5 || len(home[1]) < 4 {
+		t.Fatalf("hash spread %d/%d keys over the two buckets", len(home[0]), len(home[1]))
+	}
+	fetch := func(off int) {
+		t.Helper()
+		q := c.Get(1, off, size)
+		c.FlushWindow()
+		for i, b := range q.Data() {
+			if b != byte(off+i) {
+				t.Fatalf("region at %d: byte %d = %d, want %d", off, i, b, byte(off+i))
+			}
+		}
+		q.Release()
+		if err := c.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, off := range home[0][:4] {
+		fetch(off) // fills bucket 0 and the buffer
+	}
+	victim, newcomer := home[0][0], home[0][4]
+	id := idOf(c, 1, victim, size)
+	fetch(newcomer)
+	if s := c.Stats(); s.ConflictEvictions != 1 || s.CapacityEvictions != 0 || c.Contains(1, victim, size) {
+		t.Fatalf("setup: want one conflict eviction of the oldest entry, got %+v", s)
+	}
+	if got := idOf(c, 1, newcomer, size); got != id {
+		t.Fatalf("setup: newcomer lives in record %d, the victim's was %d", got, id)
+	}
+	if c.victims.len() != 5 {
+		t.Fatalf("heap holds %d items, want the four entries and the tombstone", c.victims.len())
+	}
+	fetch(newcomer) // a hit: most recently used from here on
+	for i, off := range home[1][:3] {
+		fetch(off) // bucket 1 has room, the buffer has none: capacity pops
+		if s := c.Stats(); s.ConflictEvictions != 1 || int(s.CapacityEvictions) != i+1 {
+			t.Fatalf("insert %d: %+v", i, s)
+		}
+		if !c.Contains(1, newcomer, size) {
+			t.Fatalf("insert %d evicted the newcomer through the tombstone of record %d", i, id)
+		}
+	}
+	if c.victims.len() != 4 {
+		t.Errorf("heap holds %d items, want 4: the first pop collects the tombstone", c.victims.len())
+	}
+	fetch(newcomer)
+	if s := c.Stats(); s.Hits != 2 {
+		t.Errorf("newcomer was not served from the cache: %+v", s)
+	}
+}

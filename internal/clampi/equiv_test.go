@@ -1,7 +1,6 @@
 package clampi
 
 import (
-	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -100,7 +99,7 @@ func (a *refAllocator) regions() [][2]int {
 	return rs
 }
 
-// TestAllocatorEquivalence drives the pooled intrusive allocator and the
+// TestAllocatorEquivalence drives the record-slab allocator and the
 // reference model through ~10^5 random alloc/free (evict) sequences and
 // asserts identical best-fit choices, coalescing results and fragmentation
 // ratios at every step.
@@ -110,7 +109,7 @@ func TestAllocatorEquivalence(t *testing.T) {
 	a := newAllocator(capacity)
 	ref := newRefAllocator(capacity)
 	type live struct {
-		blk  *block
+		blk  uint32
 		off  int
 		size int
 	}
@@ -124,10 +123,10 @@ func TestAllocatorEquivalence(t *testing.T) {
 				t.Fatalf("step %d: alloc(%d) ok=%v, reference %v", step, size, ok, refOK)
 			}
 			if ok {
-				if blk.off != refOff {
-					t.Fatalf("step %d: best-fit chose offset %d, reference %d", step, blk.off, refOff)
+				if off := a.recs[blk].off; off != refOff {
+					t.Fatalf("step %d: best-fit chose offset %d, reference %d", step, off, refOff)
 				}
-				blocks = append(blocks, live{blk, blk.off, size})
+				blocks = append(blocks, live{blk, refOff, size})
 			}
 		} else {
 			j := rng.IntN(len(blocks))
@@ -152,8 +151,8 @@ func TestAllocatorEquivalence(t *testing.T) {
 			// Full structural comparison: identical free-region sets.
 			want := ref.regions()
 			var got [][2]int
-			for b := a.head; b != nil; b = b.next {
-				if b.free {
+			for id := a.head; id != 0; id = a.recs[id].next {
+				if b := a.recs[id]; b.slot == freeSlot {
 					got = append(got, [2]int{b.off, b.size})
 				}
 			}
@@ -181,6 +180,8 @@ func TestTableEquivalence(t *testing.T) {
 	coder := newKeyCoder(8, 1<<12)
 	tab := newTable(buckets, assoc)
 	refSlots := make([]uint64, buckets*assoc) // 0 = empty
+	metas := make([]uint32, buckets*assoc)    // meta word index insertAt returned
+	wantMeta := func(slot int) uint32 { return uint32(slot/assoc*2*assoc + assoc + slot%assoc) }
 	refFind := func(k, h uint64) int {
 		b := int(h % uint64(buckets))
 		for i := 0; i < assoc; i++ {
@@ -214,13 +215,15 @@ func TestTableEquivalence(t *testing.T) {
 		}
 		switch slot := tab.lookup(k, h); {
 		case slot >= 0 && rng.Float64() < 0.4:
-			e := tab.entryAt(slot)
-			tab.remove(e)
+			if metas[slot] != wantMeta(slot) {
+				t.Fatalf("step %d: slot %d has meta word %d, want %d", step, slot, metas[slot], wantMeta(slot))
+			}
+			tab.remove(uint32(slot), metas[slot])
 			refSlots[slot] = 0
 		case slot < 0:
 			if free := tab.freeSlot(h); free >= 0 {
 				tick++
-				tab.insertAt(free, &entry{key: k, appScore: math.NaN()}, tick)
+				metas[free] = tab.insertAt(free, uint32(free+1), k, tick)
 				refSlots[free] = k
 			}
 		}

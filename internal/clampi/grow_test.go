@@ -24,8 +24,8 @@ func TestAllocatorGrow(t *testing.T) {
 	if !ok {
 		t.Fatal("alloc 80 after grow failed: tail did not coalesce")
 	}
-	if b2.off < b1.off+40 {
-		t.Fatalf("grown allocation at %d overlaps the first at %d", b2.off, b1.off)
+	if a.recs[b2].off < a.recs[b1].off+40 {
+		t.Fatalf("grown allocation at %d overlaps the first at %d", a.recs[b2].off, a.recs[b1].off)
 	}
 	if err := a.check(); err != nil {
 		t.Fatal(err)
@@ -38,8 +38,8 @@ func TestAllocatorGrowFullBuffer(t *testing.T) {
 		t.Fatal("alloc full buffer failed")
 	}
 	a.grow(16) // no trailing free region to merge with
-	if b, ok := a.alloc(16); !ok || b.off != 32 {
-		t.Fatalf("alloc after grow = (%v,%v), want (32,true)", b, ok)
+	if b, ok := a.alloc(16); !ok || a.recs[b].off != 32 {
+		t.Fatalf("alloc after grow = (record %d at %d,%v), want offset 32", b, a.recs[b].off, ok)
 	}
 	a.grow(0) // no-op
 	a.grow(-5)

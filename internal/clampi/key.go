@@ -196,11 +196,16 @@ func (s *seenSet) addIfMissing(k uint64) bool {
 	}
 }
 
-// presize allocates the table for about `slots` keys up front (rounded up
-// to a power of two), avoiding the doubling cascade while a fresh cache
-// sees its compulsory misses. No-op on a non-empty set.
-func (s *seenSet) presize(slots int) {
-	if len(s.tab) != 0 || slots <= 0 {
+// clearFor forgets every key (Cache.Reset: a recycled cache has seen
+// nothing, so every first access is a compulsory miss again). The table is
+// kept unless it is more than four times what a cache of at most `most`
+// records is sized for; a missing table is allocated for about `slots` keys
+// (rounded up to a power of two), avoiding the doubling cascade while a
+// fresh cache sees its compulsory misses.
+func (s *seenSet) clearFor(slots, most int) {
+	s.n, s.hasZero = 0, false
+	if len(s.tab) != 0 && len(s.tab) <= 4*max(slots, most) {
+		clear(s.tab)
 		return
 	}
 	cap := 64
@@ -209,15 +214,6 @@ func (s *seenSet) presize(slots int) {
 	}
 	s.tab = make([]uint64, cap)
 	s.shift = uint(64 - bits.TrailingZeros(uint(cap)))
-}
-
-// clear forgets every key, keeping the table (Cache.Reset: a recycled cache
-// has seen nothing, so every first access is a compulsory miss again).
-func (s *seenSet) clear() {
-	for i := range s.tab {
-		s.tab[i] = 0
-	}
-	s.n, s.hasZero = 0, false
 }
 
 func (s *seenSet) grow() {

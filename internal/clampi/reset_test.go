@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/rma"
 )
 
 // churn drives a seeded mix of scored and unscored gets over rank 1's
@@ -137,5 +139,55 @@ func TestResetKeepsBackingStorage(t *testing.T) {
 		churn(c, 7, 4000, region)
 	}); got > 2 { // churn's own rand source
 		t.Errorf("recycled use allocated %.0f times, want none beyond the test's rng", got)
+	}
+}
+
+// TestResetReleasesOversizedStorage: an instance that served one query with
+// a large table and buffer does not pin that footprint once it is recycled
+// under the benchmark's C_offsets geometry — and is still indistinguishable
+// from a fresh instance there. A tiny geometry then releases the slab, heap
+// and compulsory-miss set as well.
+func TestResetReleasesOversizedStorage(t *testing.T) {
+	const region = 1 << 16
+	setup := func() (*rma.Rank, *rma.Window) {
+		comm := rma.NewComm(2, rma.DefaultCostModel())
+		w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, region)})
+		r := comm.Rank(0)
+		r.LockAll(w)
+		return r, w
+	}
+	big := Config{Capacity: 1 << 24, Buckets: 1 << 17, Mode: AlwaysCache}
+	bench := Config{Capacity: 1 << 18, Buckets: 1 << 14, Mode: AlwaysCache}
+	r, w := setup()
+	used := New(r, w, big)
+	churn(used, 3, 20000, region)
+	held := used.MemBytes()
+
+	rf, wf := setup()
+	fresh := New(rf, wf, bench)
+	rr, wr := setup()
+	used.Reset(rr, wr, bench)
+	if got, want := used.MemBytes(), fresh.MemBytes(); got > 2*want {
+		t.Errorf("recycled from %d B, the instance still holds %d B; a fresh one holds %d B", held, got, want)
+	}
+	tf, tr := churn(fresh, 4, 6000, region), churn(used, 4, 6000, region)
+	if math.Float64bits(tf) != math.Float64bits(tr) {
+		t.Errorf("clock fresh %v, recycled %v", tf, tr)
+	}
+	if sf, sr := fresh.Stats(), used.Stats(); sf != sr {
+		t.Errorf("stats differ\n fresh    %+v\n recycled %+v", sf, sr)
+	}
+	for off := 0; off < region/4; off += 8 {
+		if fresh.Contains(1, off, 64) != used.Contains(1, off, 64) {
+			t.Fatalf("residency of (1,%d,64) differs", off)
+		}
+	}
+	if err := used.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	tiny := Config{Capacity: 1 << 10, Buckets: 2, Assoc: 1, Mode: AlwaysCache}
+	if got, want := used.Reset(rr, wr, tiny).MemBytes(), New(rf, wf, tiny).MemBytes(); got != want {
+		t.Errorf("under a tiny geometry the instance holds %d B, a fresh one %d B", got, want)
 	}
 }

@@ -1,8 +1,10 @@
 package clampi
 
 import (
+	"container/heap"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -127,63 +129,80 @@ func TestTableLookupInsertRemove(t *testing.T) {
 	if tab.lookup(k, h) >= 0 {
 		t.Fatal("lookup found entry in empty table")
 	}
-	e := &entry{key: k, appScore: math.NaN()}
 	slot := tab.freeSlot(h)
 	if slot < 0 {
 		t.Fatal("no free slot in empty table")
 	}
-	tab.insertAt(slot, e, 7)
+	const id = 5
+	mi := tab.insertAt(slot, id, k, 7)
 	got := tab.lookup(k, h)
-	if got < 0 || tab.entryAt(got) != e {
+	if got != slot || tab.ents[got] != id || tab.lane[int(mi)-tab.assoc] != k {
 		t.Fatal("lookup missed inserted entry")
 	}
-	if tab.tickOf(got) != 7 || tab.stampOf(got) != 0 {
-		t.Errorf("fresh slot meta = (tick %d, stamp %d), want (7, 0)", tab.tickOf(got), tab.stampOf(got))
+	if tab.tick(mi) != 7 || tab.stamp(mi) != 0 {
+		t.Errorf("fresh slot meta = (tick %d, stamp %d), want (7, 0)", tab.tick(mi), tab.stamp(mi))
 	}
 	if hit := tab.lookupTouch(k, h, 9); hit != got {
 		t.Fatalf("lookupTouch = %d, want %d", hit, got)
 	}
-	if tab.tickOf(got) != 9 || tab.stampOf(got) != 1 {
-		t.Errorf("touched slot meta = (tick %d, stamp %d), want (9, 1)", tab.tickOf(got), tab.stampOf(got))
+	if tab.tick(mi) != 9 || tab.stamp(mi) != 1 {
+		t.Errorf("touched slot meta = (tick %d, stamp %d), want (9, 1)", tab.tick(mi), tab.stamp(mi))
 	}
-	tab.bumpStamp(got)
-	if tab.tickOf(got) != 9 || tab.stampOf(got) != 2 {
-		t.Errorf("bumped slot meta = (tick %d, stamp %d), want (9, 2)", tab.tickOf(got), tab.stampOf(got))
+	tab.bumpStamp(mi)
+	if tab.tick(mi) != 9 || tab.stamp(mi) != 2 {
+		t.Errorf("bumped slot meta = (tick %d, stamp %d), want (9, 2)", tab.tick(mi), tab.stamp(mi))
 	}
 	if tab.n != 1 {
 		t.Errorf("n = %d", tab.n)
 	}
-	tab.remove(e)
-	if tab.lookup(k, h) >= 0 || tab.n != 0 {
+	tab.remove(uint32(slot), mi)
+	if tab.lookup(k, h) >= 0 || tab.n != 0 || tab.ents[slot] != 0 {
 		t.Error("remove did not unlink entry")
 	}
 }
 
-func TestTableBucketFullConflict(t *testing.T) {
-	c := newKeyCoder(2, 1<<12)
-	tab := newTable(1, 2) // one bucket, 2-way: third key conflicts
-	for i := 0; i < 2; i++ {
-		k, h := c.pack(0, i*16, 16), c.hash(0, i*16, 16)
-		e := &entry{key: k, appScore: float64(10 * (i + 1))}
-		tab.insertAt(tab.freeSlot(h), e, uint64(i))
+// idOf returns the record id of a resident region (0 if absent).
+func idOf(c *Cache, target, offset, size int) uint32 {
+	slot := c.tab.lookup(c.coder.pack(target, offset, size), c.coder.hash(target, offset, size))
+	if slot < 0 {
+		return 0
 	}
-	h := c.hash(0, 99, 16)
-	if tab.freeSlot(h) != -1 {
+	return c.tab.ents[slot]
+}
+
+func TestTableBucketFullConflict(t *testing.T) {
+	// One bucket, 2-way: the third key conflicts, and the bucket's entry of
+	// strictly minimal priority is the victim — unless the newcomer is worth
+	// no more than it.
+	_, _, c := testSetup(t, 1<<12, Config{Capacity: 1 << 10, Buckets: 1, Assoc: 2, Mode: AlwaysCache})
+	for i := 0; i < 2; i++ {
+		c.GetScored(1, i*16, 16, float64(10*(i+1)))
+		c.FlushWindow()
+	}
+	if c.tab.freeSlot(c.coder.hash(1, 99, 16)) != -1 {
 		t.Error("full bucket reported a free slot")
 	}
-	prio := func(e *entry) float64 { return e.appScore }
-	victim, vPrio := tab.bucketVictim(h, prio)
-	if victim == nil || vPrio != 10 {
-		t.Errorf("bucketVictim = (%v,%v), want the score-10 entry", victim, vPrio)
+	c.GetScored(1, 64, 16, 10)
+	c.FlushWindow()
+	if c.Contains(1, 64, 16) || c.Stats().RejectedInserts != 1 {
+		t.Error("a newcomer no better than the bucket's minimum was cached")
+	}
+	c.GetScored(1, 96, 16, 15)
+	c.FlushWindow()
+	if c.Contains(1, 0, 16) || !c.Contains(1, 16, 16) || !c.Contains(1, 96, 16) || c.Stats().ConflictEvictions != 1 {
+		t.Errorf("conflict eviction did not take the score-10 entry: %+v", c.Stats())
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestTableClearForReusesSlots(t *testing.T) {
 	tab := newTable(8, 2)
-	tab.insertAt(0, &entry{key: 1}, 1)
+	tab.insertAt(0, 1, 1, 1)
 	before := &tab.ents[0]
 	tab.clearFor(8, 2)
-	if tab.n != 0 || tab.ents[0] != nil || tab.lane[0] != 0 {
+	if tab.n != 0 || tab.ents[0] != 0 || tab.lane[0] != 0 {
 		t.Error("clearFor left entries")
 	}
 	if &tab.ents[0] != before {
@@ -193,102 +212,173 @@ func TestTableClearForReusesSlots(t *testing.T) {
 	if len(tab.ents) != 32 || len(tab.lane) != 64 {
 		t.Errorf("clearFor(16,2) slots = %d/%d, want 64/32", len(tab.lane), len(tab.ents))
 	}
+	tab.clearFor(4, 2) // a quarter: kept
+	if cap(tab.lane) != 64 || len(tab.lane) != 16 || len(tab.ents) != 8 {
+		t.Errorf("clearFor(4,2) lane len %d cap %d, want 16 of 64", len(tab.lane), cap(tab.lane))
+	}
+	tab.clearFor(3, 2) // less than a quarter: released
+	if cap(tab.lane) != 12 || cap(tab.ents) != 6 {
+		t.Errorf("clearFor(3,2) kept %d lane words and %d slots, want 12 and 6", cap(tab.lane), cap(tab.ents))
+	}
 }
 
-// testHeap builds a victimHeap whose priorities come from appScore and
-// whose stamps come from a test-owned side map (in the cache the stamps
-// live in the table's bucket lanes).
-func testHeap() (*victimHeap, map[*entry]uint64) {
-	stamps := map[*entry]uint64{}
-	prio := func(e *entry) float64 { return e.appScore }
-	stamp := func(e *entry) uint64 { return stamps[e] }
-	return newVictimHeap(prio, stamp, nil), stamps
+// refHeap is container/heap over the same items — the seed's victim heap —
+// with the position index kept by Swap.
+type refHeap struct {
+	h   []heapItem
+	pos map[uint32]int
+}
+
+func (r *refHeap) Len() int           { return len(r.h) }
+func (r *refHeap) Less(i, j int) bool { return r.h[i].prio < r.h[j].prio }
+func (r *refHeap) Swap(i, j int) {
+	r.h[i], r.h[j] = r.h[j], r.h[i]
+	r.pos[r.h[i].id], r.pos[r.h[j].id] = i, j
+}
+func (r *refHeap) Push(x any) {
+	r.pos[x.(heapItem).id] = len(r.h)
+	r.h = append(r.h, x.(heapItem))
+}
+func (r *refHeap) Pop() any {
+	it := r.h[len(r.h)-1]
+	r.h = r.h[:len(r.h)-1]
+	delete(r.pos, it.id)
+	return it
+}
+
+// TestVictimHeapMatchesContainerHeap is the determinism contract's proof:
+// under random pushes, pops, re-keys and burials with priorities drawn from
+// a handful of values (ties everywhere), the hole sifts leave the array
+// exactly as container/heap's swaps do, after every operation.
+func TestVictimHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 12))
+	var v victimHeap
+	ref := &refHeap{pos: map[uint32]int{}}
+	var live []uint32
+	next := uint32(1)
+	for step := 0; step < 50_000; step++ {
+		prio, stamp := float64(rng.IntN(6)), uint32(rng.IntN(4))
+		switch op := rng.IntN(10); {
+		case op < 4 || len(v.h) == 0:
+			v.push(next, prio, stamp)
+			heap.Push(ref, heapItem{prio, stamp, next})
+			live = append(live, next)
+			next++
+		case op < 7:
+			got, want := v.pop(), heap.Pop(ref).(heapItem)
+			if got != want {
+				t.Fatalf("step %d: pop = %+v, container/heap %+v", step, got, want)
+			}
+			if i := slices.Index(live, got.id); i >= 0 {
+				live = slices.Delete(live, i, i+1)
+			}
+		case len(live) > 0 && op < 9:
+			id := live[rng.IntN(len(live))]
+			v.update(id, prio, stamp)
+			i := ref.pos[id]
+			ref.h[i].prio, ref.h[i].stamp = prio, stamp
+			heap.Fix(ref, i)
+		case len(live) > 0:
+			j := rng.IntN(len(live))
+			id := live[j]
+			v.bury(id)
+			ref.h[ref.pos[id]].id = 0
+			delete(ref.pos, id)
+			live = slices.Delete(live, j, j+1)
+		}
+		if !slices.Equal(v.h, ref.h) {
+			t.Fatalf("step %d: heap arrays diverged", step)
+		}
+		for _, id := range live {
+			if int(v.pos[id]) != ref.pos[id] {
+				t.Fatalf("step %d: pos[%d] = %d, container/heap has it at %d", step, id, v.pos[id], ref.pos[id])
+			}
+		}
+	}
+}
+
+// scoredCache caches n scored 64-byte regions, region i under score i+1,
+// and returns their record ids.
+func scoredCache(t *testing.T, n int) (*Cache, []uint32) {
+	_, _, c := testSetup(t, 1<<14, Config{Capacity: 1 << 13, Mode: AlwaysCache})
+	ids := make([]uint32, n)
+	for i := range ids {
+		c.GetScored(1, 64*i, 64, float64(i+1))
+		c.FlushWindow()
+		ids[i] = idOf(c, 1, 64*i, 64)
+	}
+	return c, ids
+}
+
+// popVictim is the capacity-eviction pop without the eviction.
+func popVictim(c *Cache) uint32 {
+	if !c.settleVictims() {
+		return 0
+	}
+	return c.victims.pop().id
 }
 
 func TestVictimHeapOrdersByPriority(t *testing.T) {
-	h, _ := testHeap()
-	es := []*entry{
-		{appScore: 30, heapIdx: -1}, {appScore: 10, heapIdx: -1}, {appScore: 20, heapIdx: -1},
+	c, ids := scoredCache(t, 3)
+	if got := popVictim(c); got != ids[0] {
+		t.Errorf("popped record %d, want the score-1 entry %d", got, ids[0])
 	}
-	for _, e := range es {
-		h.push(e)
-	}
-	if got := h.popMin(); got.appScore != 10 {
-		t.Errorf("popMin = %v, want 10", got.appScore)
-	}
-	if got := h.peekMinPrio(); got != 20 {
-		t.Errorf("peekMinPrio = %v, want 20", got)
+	if !c.settleVictims() || c.victims.h[0].prio != 2 {
+		t.Errorf("minimum after the pop = %+v, want priority 2", c.victims.h)
 	}
 }
 
 func TestVictimHeapSkipsDeadAndStale(t *testing.T) {
-	h, stamps := testHeap()
-	dead := &entry{appScore: 1, heapIdx: -1}
-	stale := &entry{appScore: 2, heapIdx: -1}
-	live := &entry{appScore: 3, heapIdx: -1}
-	h.push(dead)
-	h.push(stale)
-	h.push(live)
-	dead.dead = true
-	stale.appScore = 99 // priority drift: must be re-ranked, not returned at 2
-	stamps[stale]++
-	if got := h.popMin(); got != live {
-		t.Errorf("popMin returned %v, want the live entry (3)", got.appScore)
+	c, ids := scoredCache(t, 3)
+	dead, stale, live := ids[0], ids[1], ids[2]
+	c.evict(dead, true) // conflict eviction: a tombstone stays behind
+	e := &c.alloc.recs[stale]
+	e.score = 99 // priority drift: must be re-ranked, not returned at 2
+	c.tab.bumpStamp(e.meta)
+	if got := popVictim(c); got != live {
+		t.Errorf("popped record %d, want the live entry %d (score 3)", got, live)
 	}
-	if got := h.popMin(); got != stale {
+	if got := popVictim(c); got != stale {
 		t.Error("re-ranked stale entry lost")
 	}
-	if h.popMin() != nil {
+	if popVictim(c) != 0 {
 		t.Error("dead entry resurrected")
 	}
 }
 
 func TestVictimHeapEmptyBehaviour(t *testing.T) {
-	h, _ := testHeap()
-	if h.popMin() != nil {
-		t.Error("popMin on empty heap")
+	c, _ := scoredCache(t, 0)
+	if popVictim(c) != 0 {
+		t.Error("a victim in an empty cache")
 	}
-	if !math.IsInf(h.peekMinPrio(), 1) {
-		t.Error("peekMinPrio on empty heap should be +Inf")
-	}
-	h.push(&entry{heapIdx: -1})
-	h.reset()
-	if h.popMin() != nil {
-		t.Error("reset did not clear the heap")
+	c, _ = scoredCache(t, 1)
+	c.Flush()
+	if c.victims.len() != 0 || popVictim(c) != 0 {
+		t.Error("Flush did not clear the heap")
 	}
 }
 
-// TestVictimHeapUpdateKeepsOneItemPerEntry pins the intrusive-update
-// contract: re-scoring an entry re-keys it in place instead of stranding a
-// duplicate snapshot, and heapIdx tracks positions through sifts.
+// TestVictimHeapUpdateKeepsOneItemPerEntry pins the in-place re-key
+// contract: re-scoring an entry moves its one item instead of stranding a
+// duplicate snapshot, and pos tracks positions through sifts.
 func TestVictimHeapUpdateKeepsOneItemPerEntry(t *testing.T) {
-	h, stamps := testHeap()
-	var es []*entry
-	for i := 0; i < 16; i++ {
-		e := &entry{appScore: float64(i), heapIdx: -1}
-		es = append(es, e)
-		h.push(e)
-	}
+	c, ids := scoredCache(t, 16)
 	for round := 0; round < 100; round++ {
-		e := es[round%len(es)]
-		e.appScore = float64((round * 37) % 100)
-		stamps[e]++
-		h.update(e)
-		if h.len() != len(es) {
-			t.Fatalf("round %d: heap len %d, want %d", round, h.len(), len(es))
+		c.SetScore(1, 64*(round%len(ids)), 64, float64((round*37)%100))
+		if c.victims.len() != len(ids) {
+			t.Fatalf("round %d: heap len %d, want %d", round, c.victims.len(), len(ids))
 		}
 	}
-	for i, it := range h.h {
-		if int(it.e.heapIdx) != i {
-			t.Fatalf("item %d has heapIdx %d", i, it.e.heapIdx)
-		}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	// Popping everything yields ascending priorities.
 	last := math.Inf(-1)
-	for e := h.popMin(); e != nil; e = h.popMin() {
-		if e.appScore < last {
-			t.Fatalf("pop order not ascending: %v after %v", e.appScore, last)
+	for id := popVictim(c); id != 0; id = popVictim(c) {
+		if s := c.alloc.recs[id].score; s < last {
+			t.Fatalf("pop order not ascending: %v after %v", s, last)
+		} else {
+			last = s
 		}
-		last = e.appScore
 	}
 }

@@ -283,3 +283,38 @@ func TestCachedRunAllocationGuard(t *testing.T) {
 		t.Errorf("second cached run allocated %.1f MB, want under %d MB", float64(got)/(1<<20), limit>>20)
 	}
 }
+
+// TestCachePoolFootprint is the guard's twin for what the pool holds rather
+// than what a run allocates: the uniform graph at the benchmark's sizes
+// (cached-uniform: 32 ranks, 256 KiB + 4 MiB under LRU) on two workers, two
+// runs, then every backing array of every pooled instance. The pointer-based
+// CLaMPI structures held 23.5 MB here (two pairs); the record slab must
+// stay under 70 % of that.
+func TestCachePoolFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two cached runs on the benchmark's uniform graph")
+	}
+	g, err := gen.Load("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSnapshot(g, 32, part.Block, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := cachedOpts(2, 1<<18, 1<<22, ScoreLRU)
+	for run := 0; run < 2; run++ {
+		if _, err := s.RunCtx(context.Background(), opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := 0
+	for _, cp := range s.caches.free {
+		held += cp.off.MemBytes() + cp.adj.MemBytes()
+	}
+	const parent = 23.5e6
+	t.Logf("%d pooled pairs hold %.1f MB", len(s.caches.free), float64(held)/1e6)
+	if float64(held) > 0.7*parent {
+		t.Errorf("pool holds %.1f MB, want at most 70 %% of the %.1f MB before the record slab", float64(held)/1e6, parent/1e6)
+	}
+}
