@@ -16,7 +16,10 @@ vet:
 fmt:
 	gofmt -l .
 
-check: fmt vet build test
+# check is the local one-command gate, the lanes CI runs: bench-test is in
+# it because nothing else here compiles bench/, which calls the rma and
+# clampi request surface directly (bench/replay.go).
+check: fmt vet build test bench-test
 
 # bench-test vets and tests the repository benchmark (BENCHMARK.json). It
 # is a module of its own (bench/go.mod), so `go vet ./...` and

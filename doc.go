@@ -161,8 +161,8 @@
 // simulated cost is a (kind, bytes) descriptor in one canonical per-rank
 // sequence, folded into the float clock at pinned points, which frees the
 // host side of a fetch — lookahead-k edge staging, precomputed resolve
-// tables, inline cache hits served as window views without materializing
-// a request, caller-owned value requests — to be flat straight-line code.
+// tables, caller-owned value requests for direct and cached gets alike —
+// to be flat straight-line code.
 // A golden per-rank digest of the observed charge sequence pins it for
 // every golden configuration (DESIGN.md §6).
 //

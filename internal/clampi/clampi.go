@@ -3,6 +3,7 @@ package clampi
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/graph"
@@ -133,15 +134,15 @@ func (s Stats) MissRate() float64 {
 //
 // Steady-state operation — hit, miss, insert, evict, epoch flush — performs
 // no heap allocations: entries and buffer extents are records of one slab
-// (see record), AVL nodes recycle through a pool, requests and pending
-// misses come from free lists, and the victim heap, hash table and
-// compulsory-miss set reuse their backing arrays. Filling those structures
-// is what costs memory (MemBytes; 2.5 and 4.9 MB for a rank's two instances
-// at the benchmark's cache sizes), so an instance is reusable: Reset rebinds
-// it to another rank and window in the exact state New returns, keeping
-// every backing array the new configuration can use. What a Cache carries
-// from one use to the next is host memory only — no model-visible state
-// (DESIGN.md §2, "Instance recycling").
+// (see record), AVL nodes recycle through a pool, requests are the caller's
+// own values or come from a free list (see Request), and the victim heap,
+// hash table and compulsory-miss set reuse their backing arrays. Filling
+// those structures is what costs memory (MemBytes; 2.5 and 4.9 MB for a
+// rank's two instances at the benchmark's cache sizes), so an instance is
+// reusable: Reset rebinds it to another rank and window in the exact state
+// New returns, keeping every backing array the new configuration can use.
+// What a Cache carries from one use to the next is host memory only — no
+// model-visible state (DESIGN.md §2, "Instance recycling").
 type Cache struct {
 	rank  *rma.Rank
 	win   *rma.Window
@@ -156,11 +157,15 @@ type Cache struct {
 	tick    uint64
 	seen    seenSet
 	stats   Stats
-	pending []*pendingMiss
 
-	// free lists; single-goroutine like the owning rank, so no locking.
-	reqFree []*Request
-	pmFree  []*pendingMiss
+	// inflight counts the misses issued and not yet completed, under either
+	// ownership. pending lists the pooled ones among them in issue order —
+	// FlushWindow completes those; a caller-owned miss is its caller's to
+	// Wait on. reqFree recycles pooled requests; single-goroutine like the
+	// owning rank, so no locking.
+	inflight int
+	pending  []*Request
+	reqFree  []*Request
 
 	// busy asserts the single-owner contract now that ranks execute on
 	// concurrent worker goroutines: operational entry points set and clear
@@ -180,31 +185,6 @@ type Cache struct {
 	obsCapacity  int64
 }
 
-// pendingMiss carries an in-flight miss from issue to completion. After
-// complete() it holds the retrieved data (view or owned copy) so the
-// application-facing Request stays valid after the underlying RMA request
-// returned to its pool.
-type pendingMiss struct {
-	target, offset, size int
-	pk, h                uint64  // packed key and bucket hash of the access
-	score                float64 // application-defined score, NaN if unset
-	under                *rma.Request
-	done                 bool
-
-	// A pm is referenced from up to two places: the cache's pending list
-	// and the application's Request. It returns to the free list only
-	// after both drop it (inPending cleared by FlushWindow or the
-	// compaction sweep, released set by Request.Release).
-	inPending bool
-	released  bool
-
-	data  []byte
-	buf   []byte // pooled storage backing data on writable windows
-	u64   []uint64
-	verts []graph.V
-	vbuf  []graph.V // pooled decode storage on compressed windows
-}
-
 // New wraps window w for rank r with a cache configured by cfg.
 func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 	return new(Cache).Reset(r, w, cfg)
@@ -215,10 +195,9 @@ func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 // geometry and one pristine free region of cfg's capacity (so adaptive
 // growth of an earlier use is undone), the record slab rewound, the victim
 // heap emptied, tick, compulsory-miss set, statistics and observation window
-// zeroed, completed pending misses dropped. It is the only initialiser — New
-// is Reset on the zero Cache — so a recycled instance and a fresh one cannot
-// differ in anything the model can see; they differ in how much backing
-// storage is already there. Returns c.
+// zeroed. It is the only initialiser — New is Reset on the zero Cache — so a
+// recycled instance and a fresh one cannot differ in anything the model can
+// see; they differ in how much backing storage is already there. Returns c.
 //
 // Backing arrays are kept unless cfg could not use a quarter of one — the
 // table's arrays and the slab's and heap's first allocation against the
@@ -234,16 +213,9 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 	if c.busy {
 		panic("clampi: Reset of a cache that is mid-operation")
 	}
-	for _, pm := range c.pending {
-		if !pm.done {
-			panic("clampi: Reset of a cache with an incomplete miss")
-		}
+	if c.inflight != 0 {
+		panic("clampi: Reset of a cache with an incomplete miss")
 	}
-	for i, pm := range c.pending {
-		c.dropFromPending(pm)
-		c.pending[i] = nil
-	}
-	c.pending = c.pending[:0]
 
 	c.rank, c.win = r, w
 	c.cfg = cfg.withDefaults()
@@ -282,9 +254,9 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 // MemBytes returns the bytes of every backing array the instance holds:
 // table lanes and slots, record slab, victim heap and positions, free-region
 // tree nodes, compulsory-miss set, and — over a writable window — the
-// entries' byte copies. (Requests and pending misses, a handful of small
-// objects per instance, are not arrays and not counted.) It is what an idle
-// instance in a pool costs its snapshot.
+// entries' byte copies. (Pooled requests, a handful of small objects per
+// instance, are not arrays and not counted.) It is what an idle instance in a
+// pool costs its snapshot.
 func (c *Cache) MemBytes() int {
 	n := 8*cap(c.tab.lane) + 4*cap(c.tab.ents) +
 		int(unsafe.Sizeof(record{}))*cap(c.alloc.recs) + int(unsafe.Sizeof(avlNode{}))*c.alloc.tree.made +
@@ -350,22 +322,48 @@ func (c *Cache) settleVictims() bool {
 	return false
 }
 
-// Request is the result of a cached Get: either served from cache (done
-// immediately) or backed by an underlying RMA request that completes at the
-// next FlushWindow/Wait. Requests come from a per-cache free list; call
-// Release when done to return one (see the rma request contract — data
-// views from read-only windows stay valid after Release).
+// Request is one cached get, from issue to the last read of its data: served
+// at issue (a hit, or a local access that bypassed the cache), or a miss whose
+// transfer completes — and whose region is offered to the cache — at Wait or
+// FlushWindow. Like rma.Request it has one of two owners, and one body (get)
+// fills both:
+//
+//   - Get/GetScored return a pooled request from the cache's free list. Its
+//     miss is a tracked rank.Get, so FlushWindow — or a raw rank-level flush —
+//     completes the transfer; call Release when done with the data.
+//   - GetInto fills a request the caller owns, typically a value in its own
+//     pipeline state: no free list, no pending list, the transfer a
+//     rank.GetInto into the request itself. Only q.Wait() completes it and it
+//     is never released.
+//
+// Data read over a read-only window aliases the window and outlives the
+// request; over a writable or compressed window it lives in storage the
+// request owns, valid until Release (pooled) or the request's next use
+// (caller-owned).
 type Request struct {
 	cache  *Cache
-	hit    bool
+	hit    bool // nothing to complete: a cache hit or a local bypass
+	done   bool // a miss, completed: transfer finished, region offered to the cache
+	owned  bool // caller-owned (GetInto): never on the free or pending list
 	pooled bool // currently on the free list (double-release guard)
-	data   []byte
-	buf    []byte // pooled storage backing data for writable-window hits
-	u64    []uint64
-	verts  []graph.V
-	vbuf   []graph.V    // pooled decode storage for compressed-window hits
-	under  *rma.Request // local bypass on a writable window: owns data until Release
-	pm     *pendingMiss
+
+	// A cache hit's data: window views, or a copy in buf (writable window:
+	// entry storage is recycled on eviction) or vbuf (compressed window:
+	// entries store no bytes, the run is decoded again).
+	data  []byte
+	u64   []uint64
+	verts []graph.V
+	buf   []byte
+	vbuf  []graph.V
+
+	// A miss's key and score, kept for the insertion at completion, and the
+	// transfer the data of a miss or a local bypass is read from: own for a
+	// caller-owned request, a pooled rank.Get held until Release otherwise.
+	size  int
+	pk, h uint64
+	score float64 // application-defined, NaN if unset
+	under *rma.Request
+	own   rma.Request
 }
 
 func (c *Cache) newReq() *Request {
@@ -379,120 +377,87 @@ func (c *Cache) newReq() *Request {
 	return &Request{cache: c}
 }
 
-func (c *Cache) newPM() *pendingMiss {
-	if n := len(c.pmFree); n > 0 {
-		pm := c.pmFree[n-1]
-		c.pmFree[n-1] = nil
-		c.pmFree = c.pmFree[:n-1]
-		// get assigns the coordinates, score, transfer and inPending. The
-		// rest is reset field by field: a whole-struct literal is built on
-		// the stack and copied over, once per miss.
-		pm.done, pm.released = false, false
-		pm.data, pm.u64, pm.verts = nil, nil, nil
-		pm.buf, pm.vbuf = pm.buf[:0], pm.vbuf[:0]
-		return pm
-	}
-	return &pendingMiss{}
-}
-
-// Release returns the request (and its completed pending-miss record, if
-// any) to the cache's free lists. Releasing a miss that has not completed
-// panics: complete it first (Wait or FlushWindow).
+// Release returns a pooled request, and the transfer it holds, to their free
+// lists. Releasing a miss that has not completed panics: complete it first
+// (Wait or FlushWindow).
 func (q *Request) Release() {
-	c := q.cache
 	// Precondition checks precede enter(): these panics are recoverable
 	// contract assertions (tests exercise them) and must not leave the
 	// single-owner flag set.
+	if q.owned {
+		panic("clampi: Release of a caller-owned request (GetInto); the caller owns its storage")
+	}
 	if q.pooled {
 		panic("clampi: Release of an already-released request")
 	}
-	if q.pm != nil && !q.pm.done {
+	if !q.hit && !q.done {
 		panic("clampi: Release of an incomplete miss; Wait or FlushWindow first")
 	}
+	c := q.cache
 	c.enter()
 	if q.under != nil {
 		q.under.Release()
 	}
-	if pm := q.pm; pm != nil {
-		pm.released = true
-		if !pm.inPending {
-			c.pmFree = append(c.pmFree, pm)
-		}
-	}
-	// Field by field, like newPM: q.cache never changes.
-	q.hit, q.pooled = false, true
+	// Field by field (a whole-struct literal is built on the stack and
+	// copied over, once per access); q.cache never changes.
+	q.hit, q.done, q.pooled = false, false, true
 	q.data, q.u64, q.verts = nil, nil, nil
 	q.buf, q.vbuf = q.buf[:0], q.vbuf[:0]
-	q.under, q.pm = nil, nil
+	q.under = nil
 	c.reqFree = append(c.reqFree, q)
 	c.leave()
-}
-
-// dropFromPending marks pm as removed from the pending list and recycles
-// it if the application already released its Request.
-func (c *Cache) dropFromPending(pm *pendingMiss) {
-	pm.inPending = false
-	if pm.released {
-		c.pmFree = append(c.pmFree, pm)
-	}
 }
 
 // Hit reports whether the request was served from cache.
 func (q *Request) Hit() bool { return q.hit }
 
 // Done reports whether the data accessors may be called.
-func (q *Request) Done() bool { return q.hit || q.pm.done || q.pm.under.Done() }
+func (q *Request) Done() bool { return q.hit || q.done || q.under.Done() }
 
 // Wait completes this request (flushing only its own transfer on a miss).
 func (q *Request) Wait() {
-	if q.hit || q.pm.done {
+	if q.hit || q.done {
 		return
 	}
 	c := q.cache
 	c.enter()
-	q.pm.under.Wait()
-	c.complete(q.pm)
+	q.under.Wait()
+	if !q.owned {
+		// Ordered, so FlushWindow keeps completing the rest in issue order.
+		i := slices.Index(c.pending, q)
+		c.pending = slices.Delete(c.pending, i, i+1)
+	}
+	c.complete(q)
 	c.leave()
 }
 
-// Data returns the bytes read from a byte window. The slice must be
-// treated as read-only; over a read-only window it aliases the window
-// region and stays valid after Release. Over a writable window the bytes
-// are a request-owned copy, valid until Release. Panics if called before
-// the request completed, like the underlying RMA request. A miss whose
-// transfer was completed by a raw rank-level flush (rather than Wait or
-// FlushWindow) is readable too — its cache insertion simply happens later,
-// matching Done().
+// Data returns the bytes read from a byte window; treat them as read-only
+// (see Request for how long they stay valid). Panics if called before the
+// request completed, like the underlying RMA request. A miss whose transfer
+// was completed by a raw rank-level flush (rather than Wait or FlushWindow)
+// is readable too — its cache insertion simply happens later, matching
+// Done().
 func (q *Request) Data() []byte {
-	if q.hit {
-		return q.data
+	if q.under != nil {
+		return q.under.Data() // panics before completion, like rma
 	}
-	if q.pm.done {
-		return q.pm.data
-	}
-	return q.pm.under.Data() // panics before completion, like rma
+	return q.data
 }
 
 // Uint64s returns the typed view read from a ReadOnlyUint64s window.
 func (q *Request) Uint64s() []uint64 {
-	if q.hit {
-		return q.u64
+	if q.under != nil {
+		return q.under.Uint64s()
 	}
-	if q.pm.done {
-		return q.pm.u64
-	}
-	return q.pm.under.Uint64s()
+	return q.u64
 }
 
-// Vertices returns the typed view read from a ReadOnlyVertices window.
+// Vertices returns the vertex list read from a vertex window.
 func (q *Request) Vertices() []graph.V {
-	if q.hit {
-		return q.verts
+	if q.under != nil {
+		return q.under.Vertices()
 	}
-	if q.pm.done {
-		return q.pm.verts
-	}
-	return q.pm.under.Vertices()
+	return q.verts
 }
 
 // enter asserts the single-owner contract on an operational entry point;
@@ -506,12 +471,22 @@ func (c *Cache) enter() {
 
 func (c *Cache) leave() { c.busy = false }
 
+// enterGet is enter for the three get entry points. Like Release's, its
+// contract panic precedes enter(), so a caller that recovers it finds the
+// cache usable.
+func (c *Cache) enterGet(target, offset, size int) {
+	if target != c.rank.ID() && !c.coder.fits(target, offset, size) {
+		// The seed compared three exact ints and panicked later inside
+		// rma on the out-of-window access; packed keys would alias a
+		// valid entry instead, so fail at the boundary.
+		panic(fmt.Sprintf("clampi: get (target %d, offset %d, size %d) outside window geometry", target, offset, size))
+	}
+	c.enter()
+}
+
 // Get issues a cached one-sided read (no application score).
 func (c *Cache) Get(target, offset, size int) *Request {
-	c.enter()
-	q := c.get(target, offset, size, math.NaN())
-	c.leave()
-	return q
+	return c.GetScored(target, offset, size, math.NaN())
 }
 
 // GetScored issues a cached one-sided read carrying an application-defined
@@ -519,102 +494,49 @@ func (c *Cache) Get(target, offset, size int) *Request {
 // adjacency cache the score is the remote vertex's out-degree, which the
 // engine knows from the preceding offsets get.
 func (c *Cache) GetScored(target, offset, size int, score float64) *Request {
-	c.enter()
-	q := c.get(target, offset, size, score)
+	c.enterGet(target, offset, size)
+	q := c.newReq()
+	c.get(q, target, offset, size, score)
 	c.leave()
 	return q
 }
 
-// TryGet is the inline hit fast path over a read-only window: if the exact
-// region is resident it performs the full hit bookkeeping — LRU touch,
-// stamp bump, statistics, and the HitCost charge on the rank's tape — and
-// returns true; the caller then reads the data directly as an aliased
-// window view (ViewUint64s/ViewVertices/ViewBytes), with no Request
-// materialized at all. On a miss (or a local target, a writable window, or
-// coordinates outside the window geometry) it changes nothing and returns
-// false; the caller falls back to Get/GetScored, which then performs the
-// one further bucket probe and the whole miss protocol. The split keeps
-// exact parity with Get: hits and misses each count once, in the same
-// order, with the same charges — TryGet+Get is Get, minus the hit-path
-// request pooling.
-func (c *Cache) TryGet(target, offset, size int) bool {
-	if !c.win.ReadOnly() || target == c.rank.ID() || !c.coder.fits(target, offset, size) {
-		return false
+// GetInto is GetScored into a caller-owned request (see Request; a NaN score
+// is Get): q is reset and filled in place, keeping its buffers, so a request
+// embedded in the caller's state serves every access of a pipeline slot with
+// no pool traffic. Statistics, charges and cache transitions are exactly
+// GetScored's.
+func (c *Cache) GetInto(q *Request, target, offset, size int, score float64) {
+	if q.under != nil && !q.hit && !q.done {
+		panic("clampi: GetInto on a request whose miss is still in flight; Wait first")
 	}
-	c.enter()
-	slot := c.tab.lookupTouch(c.coder.pack(target, offset, size), c.coder.hash(target, offset, size), c.tick+1)
-	if slot < 0 {
-		c.leave()
-		return false
-	}
-	c.obsOps++
-	c.tick++
-	c.stats.Hits++
-	c.stats.HitBytes += int64(size)
-	c.stats.HitTime += c.rank.ChargeCacheHit(size)
+	c.enterGet(target, offset, size)
+	q.cache, q.owned = c, true
+	q.hit, q.done = false, false
+	q.data, q.u64, q.verts = nil, nil, nil
+	q.under = nil
+	c.get(q, target, offset, size, score)
 	c.leave()
-	return true
 }
 
-// serveView fills q's data fields for a resident region: aliased window
-// views for read-only windows (the entry itself is never touched), a
-// pooled request-owned copy of the entry's bytes otherwise (entry storage
-// is recycled on eviction, so hits must not alias it past the entry's
-// lifetime).
-func (c *Cache) serveView(q *Request, target, offset, size, slot int) {
-	switch c.win.Kind() {
-	case rma.ReadOnlyBytes:
-		q.data = c.win.ViewBytes(target, offset, size)
-	case rma.ReadOnlyUint64s:
-		q.u64 = c.win.ViewUint64s(target, offset, size)
-	case rma.ReadOnlyVertices:
-		q.verts = c.win.ViewVertices(target, offset, size)
-	case rma.CompressedVertices:
-		// Decode into the request's pooled buffer: the hit must not hand
-		// out window-internal compressed bytes, and entries store no data.
-		q.verts = c.win.ReadVertices(target, offset, size, q.vbuf)
-		q.vbuf = q.verts
-	default:
-		q.buf = append(q.buf[:0], c.bytes[c.tab.ents[slot]]...)
-		q.data = q.buf
+// transfer issues q's one-sided read under q's ownership.
+func (c *Cache) transfer(q *Request, target, offset, size int) {
+	if q.owned {
+		c.rank.GetInto(&q.own, c.win, target, offset, size)
+		q.under = &q.own
+	} else {
+		q.under = c.rank.Get(c.win, target, offset, size)
 	}
 }
 
-func (c *Cache) get(target, offset, size int, score float64) *Request {
+// get fills q, a reset request of either ownership, for one access.
+func (c *Cache) get(q *Request, target, offset, size int, score float64) {
 	// Local accesses bypass the cache entirely: the partition owner reads
 	// its own memory (Fig. 3: node A reads adj(0), adj(2) locally).
 	if target == c.rank.ID() {
-		uq := c.rank.Get(c.win, target, offset, size)
-		q := c.newReq()
 		q.hit = true
-		switch c.win.Kind() {
-		case rma.ReadOnlyUint64s:
-			q.u64 = uq.Uint64s()
-			uq.Release()
-		case rma.ReadOnlyVertices:
-			q.verts = uq.Vertices()
-			uq.Release()
-		case rma.CompressedVertices:
-			// uq's decode storage recycles with uq; copy before Release.
-			q.vbuf = append(q.vbuf[:0], uq.Vertices()...)
-			q.verts = q.vbuf
-			uq.Release()
-		case rma.ReadOnlyBytes:
-			q.data = uq.Data()
-			uq.Release()
-		default:
-			// Writable window: the snapshot belongs to uq; hold it
-			// until this request is released.
-			q.data = uq.Data()
-			q.under = uq
-		}
-		return q
-	}
-	if !c.coder.fits(target, offset, size) {
-		// The seed compared three exact ints and panicked later inside
-		// rma on the out-of-window access; packed keys would alias a
-		// valid entry instead, so fail at the boundary.
-		panic(fmt.Sprintf("clampi: get (target %d, offset %d, size %d) outside window geometry", target, offset, size))
+		c.transfer(q, target, offset, size)
+		return
 	}
 	pk := c.coder.pack(target, offset, size)
 	h := c.coder.hash(target, offset, size)
@@ -624,10 +546,24 @@ func (c *Cache) get(target, offset, size int, score float64) *Request {
 		c.stats.Hits++
 		c.stats.HitBytes += int64(size)
 		c.stats.HitTime += c.rank.ChargeCacheHit(size)
-		q := c.newReq()
 		q.hit = true
-		c.serveView(q, target, offset, size, slot)
-		return q
+		// Over a read-only window the entry is bookkeeping and never
+		// touched: the data is the window's own.
+		switch c.win.Kind() {
+		case rma.ReadOnlyBytes:
+			q.data = c.win.ViewBytes(target, offset, size)
+		case rma.ReadOnlyUint64s:
+			q.u64 = c.win.ViewUint64s(target, offset, size)
+		case rma.ReadOnlyVertices:
+			q.verts = c.win.ViewVertices(target, offset, size)
+		case rma.CompressedVertices:
+			q.verts = c.win.ReadVertices(target, offset, size, q.vbuf)
+			q.vbuf = q.verts
+		default:
+			q.buf = append(q.buf[:0], c.bytes[c.tab.ents[slot]]...)
+			q.data = q.buf
+		}
+		return
 	}
 	// Miss: issue the real RMA get; the entry is inserted when the
 	// transfer completes (at flush), since only then is the data known.
@@ -637,35 +573,13 @@ func (c *Cache) get(target, offset, size int, score float64) *Request {
 	c.stats.Misses++
 	c.stats.MissBytes += int64(size)
 	c.stats.OverheadTime += c.rank.ChargeCacheMissOverhead()
-	pm := c.newPM()
-	pm.target, pm.offset, pm.size = target, offset, size
-	pm.pk, pm.h = pk, h
-	pm.score = score
-	pm.under = c.rank.Get(c.win, target, offset, size)
-	pm.inPending = true
-	// Compact completed pendings so callers that use per-request Wait
-	// (instead of FlushWindow) don't accumulate stale records. Host-side
-	// list management only — no modeled cost, so the threshold is free to
-	// be small, which keeps the pm pool (and its ramp-up) small too.
-	if len(c.pending) >= 8 {
-		keep := c.pending[:0]
-		for _, p := range c.pending {
-			if !p.done {
-				keep = append(keep, p)
-			} else {
-				c.dropFromPending(p)
-			}
-		}
-		for i := len(keep); i < len(c.pending); i++ {
-			c.pending[i] = nil
-		}
-		c.pending = keep
+	q.size, q.pk, q.h, q.score = size, pk, h, score
+	c.transfer(q, target, offset, size)
+	c.inflight++
+	if !q.owned {
+		c.pending = append(c.pending, q)
 	}
-	c.pending = append(c.pending, pm)
 	c.maybeResize()
-	q := c.newReq()
-	q.pm = pm
-	return q
 }
 
 // FlushWindow completes all outstanding RMA operations on the window
@@ -674,48 +588,29 @@ func (c *Cache) get(target, offset, size int, score float64) *Request {
 func (c *Cache) FlushWindow() {
 	c.enter()
 	c.rank.FlushAll(c.win)
-	for i, pm := range c.pending {
-		c.complete(pm)
-		c.dropFromPending(pm)
+	for i, q := range c.pending {
+		c.complete(q)
 		c.pending[i] = nil
 	}
 	c.pending = c.pending[:0]
 	c.leave()
 }
 
-func (c *Cache) complete(pm *pendingMiss) {
-	if pm.done {
-		return
-	}
-	pm.done = true
-	// Capture the retrieved data before the underlying request returns to
-	// its pool: read-only windows yield stable aliased views; a writable
-	// window's snapshot is copied once into the pm's pooled buffer.
-	var own []byte
-	switch c.win.Kind() {
-	case rma.ReadOnlyBytes:
-		pm.data = pm.under.Data()
-	case rma.ReadOnlyUint64s:
-		pm.u64 = pm.under.Uint64s()
-	case rma.ReadOnlyVertices:
-		pm.verts = pm.under.Vertices()
-	case rma.CompressedVertices:
-		pm.vbuf = append(pm.vbuf[:0], pm.under.Vertices()...)
-		pm.verts = pm.vbuf
-	default:
-		pm.buf = append(pm.buf[:0], pm.under.Data()...)
-		pm.data = pm.buf
-		own = pm.buf
-	}
-	pm.under.Release()
-	pm.under = nil
+// complete offers a miss whose transfer finished to the cache.
+func (c *Cache) complete(q *Request) {
+	q.done = true
+	c.inflight--
 	// Storing an entry costs real work: hash insert, allocator search,
 	// and copying the retrieved bytes into the memory buffer. Together
 	// with CacheMissOverhead this is the cache-management overhead that
 	// makes caching a net loss when compulsory misses dominate (§IV-D-2
 	// scenario 2, the LiveJournal case).
-	c.stats.OverheadTime += c.rank.ChargeCacheManage(pm.size)
-	c.insert(pm.pk, pm.h, pm.size, own, pm.score)
+	c.stats.OverheadTime += c.rank.ChargeCacheManage(q.size)
+	var snapshot []byte
+	if !c.win.ReadOnly() {
+		snapshot = q.under.Data()
+	}
+	c.insert(q.pk, q.h, q.size, snapshot, q.score)
 }
 
 // insert stores a region under the packed key pk (bucket hash h), evicting

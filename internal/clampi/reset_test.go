@@ -110,17 +110,23 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
-// TestResetRefusesAbandonedCache: a cache with a miss in flight, or one
-// that is mid-operation, was left behind by an unwinding rank.
+// TestResetRefusesAbandonedCache: a cache with a miss in flight, under either
+// ownership, or one that is mid-operation, was left behind by an unwinding
+// rank.
 func TestResetRefusesAbandonedCache(t *testing.T) {
 	cfg := Config{Capacity: 1 << 10, Mode: AlwaysCache}
 	r, w, c := testSetup(t, 1<<12, cfg)
 	q := c.Get(1, 0, 64)
-	mustPanicClampi(t, "Reset with a miss in flight", func() { c.Reset(r, w, cfg) })
+	mustPanicClampi(t, "Reset with a pooled miss in flight", func() { c.Reset(r, w, cfg) })
 	q.Wait()
-	c.Reset(r, w, cfg) // completed but still listed as pending: dropped
-	if len(c.pending) != 0 {
-		t.Errorf("%d pending misses survived Reset", len(c.pending))
+	var own Request
+	c.GetInto(&own, 1, 64, 64, math.NaN())
+	mustPanicClampi(t, "Reset with a caller-owned miss in flight", func() { c.Reset(r, w, cfg) })
+	mustPanicClampi(t, "GetInto over a miss in flight", func() { c.GetInto(&own, 1, 128, 64, math.NaN()) })
+	own.Wait()
+	c.Reset(r, w, cfg)
+	if len(c.pending) != 0 || c.inflight != 0 {
+		t.Errorf("pending %d, inflight %d after Reset", len(c.pending), c.inflight)
 	}
 	q.Release() // a request from before the Reset is still the caller's to release
 	c.busy = true

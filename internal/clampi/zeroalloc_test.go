@@ -1,6 +1,8 @@
 package clampi
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/graph"
@@ -47,70 +49,166 @@ func TestHitAllocFree(t *testing.T) {
 	}
 }
 
-// TestTryGetAllocFree guards the inline hit fast path: a TryGet hit does
-// the full hit bookkeeping (touch, stats, charge) with zero allocations
-// and no request, and a TryGet miss touches nothing — so probing before
-// the pooled Get is free.
-func TestTryGetAllocFree(t *testing.T) {
+// TestGetIntoAllocFree guards the caller-owned ownership: a hit and a
+// miss + Wait through GetInto allocate nothing and leave the pooled
+// ownership's lists — and, once waited, the in-flight count — untouched.
+func TestGetIntoAllocFree(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
 	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<16)})
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 16, Mode: AlwaysCache})
-	q := c.Get(1, 0, 256)
+	c := New(r, w, Config{Capacity: 1 << 10, Mode: AlwaysCache})
+	var q Request
+	c.GetInto(&q, 1, 0, 256, math.NaN())
+	if q.Hit() || c.inflight != 1 {
+		t.Fatalf("first access: hit %v, inflight %d; want a miss in flight", q.Hit(), c.inflight)
+	}
 	q.Wait()
-	q.Release()
-	if !c.TryGet(1, 0, 256) {
-		t.Fatal("TryGet missed a resident region")
-	}
 	if got := testing.AllocsPerRun(200, func() {
-		if !c.TryGet(1, 0, 256) {
-			t.Fatal("TryGet missed mid-run")
+		c.GetInto(&q, 1, 0, 256, math.NaN())
+		if !q.Hit() {
+			t.Fatal("GetInto missed a resident region")
 		}
-		_ = w.ViewBytes(1, 0, 256)
+		_ = q.Data()
 	}); got != 0 {
-		t.Errorf("TryGet hit allocates %.1f/op, want 0", got)
+		t.Errorf("GetInto hit allocates %.1f/op, want 0", got)
 	}
-	missesBefore := c.Stats().Misses
+	i := 0
 	if got := testing.AllocsPerRun(200, func() {
-		if c.TryGet(1, 4096, 256) {
-			t.Fatal("TryGet hit a region that was never fetched")
-		}
+		i++
+		c.GetInto(&q, 1, (i%64)*1024, 512, float64(i)) // 1 KiB cache: misses and evicts
+		q.Wait()
+		_ = q.Data()
 	}); got != 0 {
-		t.Errorf("TryGet miss allocates %.1f/op, want 0", got)
+		t.Errorf("GetInto miss+Wait allocates %.1f/op, want 0", got)
 	}
-	if s := c.Stats(); s.Misses != missesBefore {
-		t.Errorf("TryGet miss changed the miss count (%d -> %d); the fallback Get owns miss accounting", missesBefore, s.Misses)
+	if s := c.Stats(); s.Misses < 200 || s.CapacityEvictions == 0 {
+		t.Fatalf("the miss loop did not miss and evict: %+v", s)
+	}
+	if len(c.pending) != 0 || len(c.reqFree) != 0 || c.inflight != 0 {
+		t.Errorf("caller-owned gets left pending %d, reqFree %d, inflight %d; want all zero",
+			len(c.pending), len(c.reqFree), c.inflight)
+	}
+	mustPanicClampi(t, "Release of a caller-owned request", func() { q.Release() })
+	if c.busy {
+		t.Error("the Release contract panic left the cache busy")
 	}
 }
 
-// TestTryGetMatchesGet pins TryGet+Get parity: interleaving TryGet probes
-// with pooled Gets yields the same statistics as the pooled path alone.
-func TestTryGetMatchesGet(t *testing.T) {
-	run := func(useTry bool) Stats {
-		comm := rma.NewComm(2, rma.DefaultCostModel())
-		w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<16)})
-		r := comm.Rank(0)
-		r.LockAll(w)
-		defer r.UnlockAll(w)
-		c := New(r, w, Config{Capacity: 1 << 12, Mode: AlwaysCache})
-		access := func(off, size int) {
-			if useTry && c.TryGet(1, off, size) {
-				return
-			}
-			q := c.Get(1, off, size)
-			q.Wait()
-			q.Release()
-		}
-		for i := 0; i < 400; i++ {
-			access((i%24)*512, 256)
-		}
-		return c.Stats()
+// TestGetIntoMatchesGet pins the two ownerships to one behaviour: the same
+// scored access stream through pooled GetScored+Wait+Release and through
+// GetInto+Wait on one caller-owned request yields equal statistics, equal
+// clock bits, equal residency and equal data, over every window kind.
+func TestGetIntoMatchesGet(t *testing.T) {
+	const region = 1 << 14
+	raw := make([]byte, region)
+	u64s := make([]uint64, region/8)
+	verts := make([]graph.V, region/4)
+	for i := range raw {
+		raw[i] = byte(i * 7)
 	}
-	a, b := run(false), run(true)
-	if a != b {
-		t.Errorf("TryGet-fronted stats differ from pooled-only stats:\n  pooled: %+v\n  trygot: %+v", a, b)
+	for i := range u64s {
+		u64s[i] = uint64(i) * 3
+	}
+	// Sorted runs of 16 vertices, one per 64-byte slot: the unit the stream
+	// fetches and the compressed container addresses.
+	offsets := make([]uint64, 0, len(verts)/16+1)
+	for i := range verts {
+		verts[i] = graph.V(i * 5)
+		if i%16 == 0 {
+			offsets = append(offsets, uint64(i))
+		}
+	}
+	offsets = append(offsets, uint64(len(verts)))
+	kinds := map[string]func(*rma.Comm) *rma.Window{
+		"readonly-bytes": func(c *rma.Comm) *rma.Window { return c.CreateReadOnlyWindow("w", [][]byte{nil, raw}) },
+		"uint64":         func(c *rma.Comm) *rma.Window { return c.CreateUint64Window("w", [][]uint64{nil, u64s}) },
+		"vertices":       func(c *rma.Comm) *rma.Window { return c.CreateVertexWindow("w", [][]graph.V{nil, verts}) },
+		"compressed": func(c *rma.Comm) *rma.Window {
+			return c.CreateCompressedVertexWindow("w", []*graph.CompressedAdj{
+				graph.NewCompressedAdj([]uint64{0}, nil),
+				graph.NewCompressedAdj(offsets, func(i int, _ []graph.V) []graph.V { return verts[offsets[i]:offsets[i+1]] }),
+			})
+		},
+		"writable": func(c *rma.Comm) *rma.Window {
+			return c.CreateWindow("w", [][]byte{nil, append([]byte(nil), raw...)})
+		},
+	}
+	type outcome struct {
+		stats    Stats
+		clock    uint64
+		resident [region / 64]bool
+		sum      uint64
+	}
+	for name, mk := range kinds {
+		run := func(owned bool) (o outcome) {
+			comm := rma.NewComm(2, rma.DefaultCostModel())
+			w := mk(comm)
+			r := comm.Rank(0)
+			r.LockAll(w)
+			defer r.UnlockAll(w)
+			c := New(r, w, Config{Capacity: 1 << 10, Buckets: 16, Assoc: 2, Mode: AlwaysCache})
+			var own Request
+			rng := rand.New(rand.NewPCG(5, 9))
+			for i := 0; i < 2000; i++ {
+				off := 64 * rng.IntN(region/64/4) // skewed: hits, capacity and conflict evictions
+				score := math.NaN()
+				if i%3 != 0 {
+					score = float64(off % 448)
+				}
+				q := &own
+				if owned {
+					c.GetInto(q, 1, off, 64, score)
+				} else {
+					q = c.GetScored(1, off, 64, score)
+				}
+				q.Wait()
+				switch w.Kind() {
+				case rma.ReadOnlyUint64s:
+					o.sum += q.Uint64s()[7]
+				case rma.ReadOnlyVertices, rma.CompressedVertices:
+					o.sum += uint64(q.Vertices()[15])
+				default:
+					o.sum += uint64(q.Data()[63])
+				}
+				if !owned {
+					q.Release()
+				}
+			}
+			if err := c.checkInvariants(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i := range o.resident {
+				o.resident[i] = c.Contains(1, 64*i, 64)
+			}
+			o.stats, o.clock = c.Stats(), math.Float64bits(r.Clock().Now())
+			return o
+		}
+		pooled, owned := run(false), run(true)
+		if pooled.stats.Hits == 0 || pooled.stats.CapacityEvictions == 0 || pooled.stats.ConflictEvictions == 0 {
+			t.Fatalf("%s: the stream must hit and evict both ways: %+v", name, pooled.stats)
+		}
+		if pooled != owned {
+			t.Errorf("%s: ownerships differ\n pooled: %+v clock %#x sum %d\n owned:  %+v clock %#x sum %d", name,
+				pooled.stats, pooled.clock, pooled.sum, owned.stats, owned.clock, owned.sum)
+		}
+	}
+}
+
+// TestGetPanicLeavesCacheUsable: the geometry contract panic of a get
+// precedes enter(), like Release's, so a caller that recovers it can go on
+// using the cache.
+func TestGetPanicLeavesCacheUsable(t *testing.T) {
+	_, _, c := testSetup(t, 1<<12, Config{Capacity: 1 << 10, Mode: AlwaysCache})
+	var own Request
+	mustPanicClampi(t, "Get outside the window geometry", func() { c.Get(1, 1<<40, 64) })
+	mustPanicClampi(t, "GetInto outside the window geometry", func() { c.GetInto(&own, 7, 0, 64, math.NaN()) })
+	q := c.Get(1, 0, 64)
+	q.Wait()
+	q.Release()
+	if !c.Contains(1, 0, 64) || c.Stats().Misses != 1 {
+		t.Errorf("after the recovered panics the cache did not serve a get: %+v", c.Stats())
 	}
 }
 
@@ -163,9 +261,10 @@ func TestTypedWindowCacheServesViews(t *testing.T) {
 	lq.Release()
 }
 
-// TestRequestPoolRoundTrip checks request/pendingMiss recycling across the
+// TestRequestPoolRoundTrip checks pooled-request recycling across the
 // miss → wait → release lifecycle, including out-of-order completion via
-// FlushWindow.
+// FlushWindow: a request leaves the pending list when it completes, whichever
+// way, and returns to the free list — with its transfer — at Release.
 func TestRequestPoolRoundTrip(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
 	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<12)})
@@ -176,25 +275,37 @@ func TestRequestPoolRoundTrip(t *testing.T) {
 
 	q1 := c.Get(1, 0, 64)
 	q2 := c.Get(1, 64, 64)
+	q3 := c.Get(1, 128, 64)
 	mustPanicClampi(t, "release incomplete miss", func() { q1.Release() })
+	q2.Wait() // out of order: the others stay listed, in issue order
+	if len(c.pending) != 2 || c.pending[0] != q1 || c.pending[1] != q3 || c.inflight != 2 {
+		t.Fatalf("after one Wait: pending %d, inflight %d; want q1, q3 listed", len(c.pending), c.inflight)
+	}
 	c.FlushWindow()
-	if !q1.Done() || !q2.Done() {
+	if !q1.Done() || !q3.Done() {
 		t.Fatal("FlushWindow left requests incomplete")
+	}
+	if len(c.pending) != 0 || c.inflight != 0 {
+		t.Errorf("after FlushWindow: pending %d, inflight %d; want none", len(c.pending), c.inflight)
 	}
 	q1.Release()
 	q2.Release()
-	if len(c.pmFree) != 2 || len(c.reqFree) != 2 {
-		t.Errorf("free lists = pm:%d req:%d, want 2/2", len(c.pmFree), len(c.reqFree))
+	q3.Release()
+	if len(c.reqFree) != 3 {
+		t.Errorf("free list = %d, want 3", len(c.reqFree))
 	}
-	// Steady state: repeated distinct misses must not grow the pending
-	// list or leak pool entries.
+	// Steady state: every completed miss leaves the pending list empty and
+	// the pool at its size.
 	for i := 0; i < 200; i++ {
 		q := c.Get(1, (i%32)*128, 128)
 		q.Wait()
+		if len(c.pending) != 0 || c.inflight != 0 {
+			t.Fatalf("access %d: pending %d, inflight %d after Wait", i, len(c.pending), c.inflight)
+		}
 		q.Release()
 	}
-	if len(c.pending) > 9 {
-		t.Errorf("pending list grew to %d; stale records not compacted", len(c.pending))
+	if len(c.reqFree) != 3 {
+		t.Errorf("free list = %d after the steady state, want 3", len(c.reqFree))
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -235,8 +346,8 @@ func TestMissReadableAfterRawFlush(t *testing.T) {
 
 // TestMissEvictAllocFree guards the full metadata plane at steady state: a
 // workload where every access misses and evicts (tiny cache, wide key set)
-// must not allocate once the pools have warmed — entries, blocks, AVL
-// nodes, heap items, pending misses and requests all recycle. Checked over
+// must not allocate once the pools have warmed — records, AVL nodes, heap
+// items, requests and their transfers all recycle. Checked over
 // both a writable window (cache-owned byte copies) and a typed read-only
 // window (bookkeeping-only entries).
 func TestMissEvictAllocFree(t *testing.T) {

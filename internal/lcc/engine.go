@@ -522,8 +522,8 @@ type worker struct {
 	scanLi, scanJ     int
 	fetchA, fetchB    fetch
 
-	// Compressed-locals decode state. compLoc/compWin are resolved once
-	// at construction so the per-edge paths branch on a flag, not an
+	// Compressed-locals decode state. compLoc is resolved once at
+	// construction so the per-edge paths branch on a flag, not an
 	// interface. Each consumer of an owned list keeps its own reuse
 	// buffer, so decoded runs stay valid across the pipeline stages that
 	// interleave them; all of it is dormant for plain locals, where the
@@ -531,7 +531,6 @@ type worker struct {
 	// decode to once per owned vertex — both the ring scan and the visit
 	// side walk local indices in CSR order.
 	compLoc   bool      // lc stores adjacency varint/delta-compressed
-	compWin   bool      // wAdj is a CompressedVertices window
 	scanDec   []graph.V // refillRing's staged owned list
 	scanDecLi int
 	ownDec    []graph.V // visit-side adjI (run/runPush/runSlice/jaccard)
@@ -627,7 +626,6 @@ func newWorker(r *rma.Rank, kind graph.Kind, pt *part.Partition, lc *part.LocalC
 	w.resolve = resolve
 	w.slot = r.ID()
 	w.compLoc = lc.Compressed()
-	w.compWin = wAdj.Kind() == rma.CompressedVertices
 	w.scanDecLi, w.ownDecLi = -1, -1
 	w.its = intersect.GetScratch()
 	w.its.EnsureUniverse(pt.NumVertices())
@@ -659,48 +657,36 @@ func newWorker(r *rma.Rank, kind graph.Kind, pt *part.Partition, lc *part.LocalC
 // fetch is the two-get remote read of one adjacency list, pipelined in up
 // to three stages (issue offsets get → issue adjacency get → resolve).
 //
-// The handles are a union of concrete types — at most one of each
-// (rma, clampi) pair is live, selected by branches the worker resolves
-// statically (caching on or off) — so every Wait/Uint64s/Vertices/Release
-// on the per-edge path is a direct call: no itab dispatch, no interface
-// resets. An inline cache hit (clampi.TryGet) materializes no handle at
-// all: the list/offView fields carry the aliased window view directly.
+// Each get has one request per flavor, all caller-owned values (rma.GetInto,
+// clampi.GetInto), so the per-edge path touches no request pool and no
+// pending list, and every Wait and view is a direct call on a concrete type.
 type fetch struct {
-	target graph.V
-	owner  int
-	local  bool
-	list   []graph.V // resolved adjacency list
+	owner int
+	local bool
+	list  []graph.V // a local fetch's list, resolved by start
 
 	// adjacency-window coordinates of the second get (set by mid), used
 	// by the score policies to address the cached entry
 	adjOff, adjSize int
 
-	offView []uint64 // inline offsets-cache hit: the (start,end) view
+	// offQ/adjQ are the direct gets, offC/adjC the ones through C_offsets
+	// and C_adj. A stage picks its flavor when it issues — cached if the
+	// worker has caches and the fault schedule leaves this access's cache
+	// available — and records it for the stage that waits.
+	offQ, adjQ           rma.Request
+	offC, adjC           clampi.Request
+	offCached, adjCached bool
 
-	// offQ/adjQ are caller-owned value requests (rma.GetInto) for the
-	// non-cached path: no pool traffic, no pending-list traffic. offR/adjR
-	// flag them live. The cache misses of the cached path go through
-	// pooled clampi requests (offC/adjC), whose lifecycle the cache owns.
-	offQ, adjQ rma.Request
-	offR, adjR bool
-	offC       *clampi.Request
-	adjC       *clampi.Request
-
-	// dec is the slot's decode buffer for compressed adjacency: local
-	// fetches and inline cache hits decode into it instead of aliasing
-	// CSR/window storage. Per-slot ownership makes the pipeline safe —
-	// the next decode into this slot happens only after the current
-	// edge's visit — and reuse keeps the steady state allocation-free.
+	// dec is the slot's decode buffer for a local fetch of compressed
+	// adjacency (a remote one decodes into its request's own storage).
+	// Per-slot ownership makes the pipeline safe — the next decode into
+	// this slot happens only after the current edge's visit — and reuse
+	// keeps the steady state allocation-free.
 	dec []graph.V
 }
 
 // start issues the first get (or resolves a local list immediately).
 func (w *worker) start(f *fetch, vj graph.V) {
-	f.target = vj
-	f.offR, f.adjR = false, false
-	f.offC, f.adjC = nil, nil
-	f.offView = nil
-	f.list = nil
 	rv := w.resolve[vj]
 	slot := int(rv >> resolveLiBits)
 	li := int(rv & (1<<resolveLiBits - 1))
@@ -732,20 +718,14 @@ func (w *worker) start(f *fetch, vj graph.V) {
 	if w.opt.OnRemoteRead != nil {
 		w.opt.OnRemoteRead(w.r.ID(), vj)
 	}
-	off := 16 * li
-	if w.cOff == nil || !w.cOff.Available() {
-		// No cache, or the fault schedule degraded it for this access:
-		// the direct-RMA flavor serves the same window bytes uncached.
-		w.r.GetInto(&f.offQ, w.wOff, f.owner, off, 16)
-		f.offR = true
-		return
+	// No cache, or the fault schedule degraded it for this access: the
+	// direct get serves the same window bytes uncached.
+	f.offCached = w.cOff != nil && w.cOff.Available()
+	if f.offCached {
+		w.cOff.GetInto(&f.offC, f.owner, 16*li, 16, math.NaN())
+	} else {
+		w.r.GetInto(&f.offQ, w.wOff, f.owner, 16*li, 16)
 	}
-	if w.cOff.TryGet(f.owner, off, 16) {
-		// Inline hit: the pair is read straight off the window.
-		f.offView = w.wOff.ViewUint64s(f.owner, off, 16)
-		return
-	}
-	f.offC = w.cOff.Get(f.owner, off, 16)
 }
 
 // mid completes the offsets get and issues the adjacency get.
@@ -754,83 +734,55 @@ func (w *worker) mid(f *fetch) {
 		return
 	}
 	var pair []uint64
-	switch {
-	case f.offR:
-		f.offQ.Wait()
-		pair = f.offQ.Uint64s()
-		f.offR = false
-	case f.offView != nil:
-		pair = f.offView
-		f.offView = nil
-	default:
+	if f.offCached {
 		f.offC.Wait()
 		pair = f.offC.Uint64s()
-		f.offC.Release()
-		f.offC = nil
+	} else {
+		f.offQ.Wait()
+		pair = f.offQ.Uint64s()
 	}
 	start, end := pair[0], pair[1]
 	deg := int(end - start)
 	f.adjOff, f.adjSize = int(start)*4, deg*4
-	if w.cAdj == nil || !w.cAdj.Available() {
+	f.adjCached = w.cAdj != nil && w.cAdj.Available()
+	if !f.adjCached {
 		w.r.GetInto(&f.adjQ, w.wAdj, f.owner, f.adjOff, f.adjSize)
-		f.adjR = true
 		return
 	}
-	// Hits are the steady state of the Fig. 7/8 regime: probe the inline
-	// fast path first. A hit performs the full bookkeeping and charge
-	// inside TryGet and resolves the list as a window view with no
-	// request at all; scores only matter on insertion, so the policies
-	// below join in only on the miss path (plus the recency refresh).
-	if w.cAdj.TryGet(f.owner, f.adjOff, f.adjSize) {
-		if w.compWin {
-			f.dec = w.wAdj.ReadVertices(f.owner, f.adjOff, f.adjSize, f.dec)
-			f.list = f.dec
-		} else {
-			f.list = w.wAdj.ViewVertices(f.owner, f.adjOff, f.adjSize)
-		}
-		if w.opt.AdjScorePolicy == ScoreDegreeRecency {
-			w.seq++
-			w.cAdj.SetScore(f.owner, f.adjOff, f.adjSize, float64(deg)*(1+float64(w.seq)*1e-7))
-		}
-		return
-	}
-	// Miss: issue through the cache. After the offsets get we know the
-	// remote vertex's degree; the non-default policies pass an
-	// application-defined score derived from it (§III-B-2 and future
-	// work iii).
+	// After the offsets get we know the remote vertex's degree; the
+	// non-default policies pass an application-defined score derived from
+	// it (§III-B-2 and future work iii). A score matters on insertion, so
+	// a hit ignores it — except the recency refresh below.
+	score := math.NaN()
 	switch w.opt.AdjScorePolicy {
 	case ScoreDegree:
-		f.adjC = w.cAdj.GetScored(f.owner, f.adjOff, f.adjSize, float64(deg))
+		score = float64(deg)
 	case ScoreCostBenefit:
-		score := w.opt.Model.RemoteCost(f.adjSize) / float64(f.adjSize+1)
-		f.adjC = w.cAdj.GetScored(f.owner, f.adjOff, f.adjSize, score)
+		score = w.opt.Model.RemoteCost(f.adjSize) / float64(f.adjSize+1)
 	case ScoreDegreeRecency:
 		w.seq++
-		score := float64(deg) * (1 + float64(w.seq)*1e-7)
-		f.adjC = w.cAdj.GetScored(f.owner, f.adjOff, f.adjSize, score)
-	default:
-		f.adjC = w.cAdj.Get(f.owner, f.adjOff, f.adjSize)
+		score = float64(deg) * (1 + float64(w.seq)*1e-7)
+	}
+	w.cAdj.GetInto(&f.adjC, f.owner, f.adjOff, f.adjSize, score)
+	if w.opt.AdjScorePolicy == ScoreDegreeRecency && f.adjC.Hit() {
+		w.cAdj.SetScore(f.owner, f.adjOff, f.adjSize, score)
 	}
 }
 
-// finish completes the adjacency get and resolves the list as an aliased
-// view of the adjacency window — no decode, no copy. Local fetches and
-// inline cache hits arrive already resolved.
+// finish completes the adjacency get and resolves the list: an aliased view
+// of the adjacency window — no decode, no copy — or, over compressed
+// storage, the run decoded into the request's own buffer. Local fetches
+// arrive already resolved.
 func (w *worker) finish(f *fetch) []graph.V {
-	if f.local || f.list != nil {
+	if f.local {
 		return f.list
 	}
-	if f.adjR {
-		f.adjQ.Wait()
-		f.list = f.adjQ.Vertices()
-		f.adjR = false
-		return f.list
+	if f.adjCached {
+		f.adjC.Wait()
+		return f.adjC.Vertices()
 	}
-	f.adjC.Wait()
-	f.list = f.adjC.Vertices()
-	f.adjC.Release()
-	f.adjC = nil
-	return f.list
+	f.adjQ.Wait()
+	return f.adjQ.Vertices()
 }
 
 // fetchLookahead is the depth k of the host-side software pipeline in
@@ -858,8 +810,8 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 	w.ringHead, w.ringLen = 0, 0
 	w.scanLi, w.scanJ = 0, 0
 
-	// Two fetch slots flipped by pointer: the devirtualized handles are
-	// reset by start, so no per-edge struct zeroing is needed.
+	// Two fetch slots flipped by pointer: each stage resets the request it
+	// issues through, so no per-edge struct zeroing is needed.
 	cur, nxt := &w.fetchA, &w.fetchB
 
 	e, ok := w.popEdge()

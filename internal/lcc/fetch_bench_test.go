@@ -4,14 +4,15 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/rma"
 )
 
 // Fetch-plane micro-benchmarks: the three flavors of one adjacency fetch —
-// a local partition read, a remote two-get pipeline, and an inline CLaMPI
-// hit — isolated from the intersection kernels, so the perf trajectory
+// a local partition read, a remote two-get pipeline, and a CLaMPI hit on
+// both gets — isolated from the intersection kernels, so the perf trajectory
 // (BENCH_*.json) tracks the flat fetch plane on its own. The companion
 // alloc guards pin the steady state of all three flavors, plus the
 // lookahead pipeline itself, at zero heap allocations.
@@ -27,13 +28,14 @@ type fetchHarness struct {
 // selects the CLaMPI-wrapped worker (C_offsets + C_adj, ScoreDegree — the
 // golden cached configuration's policy).
 func newFetchHarness(tb testing.TB, caching bool) *fetchHarness {
-	return newFetchHarnessStorage(tb, caching, StoragePlain)
+	return newFetchHarnessStorage(tb, caching, StoragePlain, nil)
 }
 
 // newFetchHarnessStorage is newFetchHarness with the locals representation
 // selected explicitly: StorageCompressed exercises the varint/delta decode
-// on every flavor of the fetch plane.
-func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode) *fetchHarness {
+// on every flavor of the fetch plane. A non-nil faults installs that schedule
+// on the harness world.
+func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode, faults *fault.Spec) *fetchHarness {
 	tb.Helper()
 	rng := rand.New(rand.NewPCG(11, 13))
 	const n = 256
@@ -42,7 +44,7 @@ func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode) *f
 		edges[i] = graph.Edge{Src: graph.V(rng.IntN(n)), Dst: graph.V(rng.IntN(n))}
 	}
 	g := graph.MustBuild(graph.Undirected, n, edges)
-	opt := Options{Ranks: 2, DoubleBuffer: true, Storage: storage}
+	opt := Options{Ranks: 2, DoubleBuffer: true, Storage: storage, Faults: faults}
 	if caching {
 		opt.Caching = true
 		opt.OffsetsCacheBytes = 1 << 14
@@ -56,6 +58,7 @@ func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode) *f
 	}
 	locals := extractLocals(g, pt, storage, 0)
 	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
+	opt.configureCharges(comm)
 	wOff, wAdj := makeGraphWindows(comm, locals)
 	w := newWorker(comm.Rank(0), g.Kind(), pt, locals[0], wOff, wAdj, buildResolve(pt), opt, nil)
 	h := &fetchHarness{w: w}
@@ -110,8 +113,8 @@ func BenchmarkFetchRemoteMiss(b *testing.B) {
 }
 
 // BenchmarkFetchCachedHit is the steady-state cached flavor: both the
-// offsets and the adjacency access are inline CLaMPI hits (TryGet), served
-// as window views with no request materialized at all.
+// offsets and the adjacency access are CLaMPI hits (clampi.GetInto on the
+// slot's own requests), served as window views.
 func BenchmarkFetchCachedHit(b *testing.B) {
 	h := newFetchHarness(b, true)
 	h.fetchOnce(h.remote) // compulsory misses: populate both caches
@@ -123,25 +126,38 @@ func BenchmarkFetchCachedHit(b *testing.B) {
 }
 
 // TestFetchFlavorsAllocFree pins all three fetch flavors at zero
-// steady-state heap allocations.
+// steady-state heap allocations, and a fourth: the degraded one, where the
+// worker has caches but the fault schedule makes every access find them
+// unavailable, so both gets go direct.
 func TestFetchFlavorsAllocFree(t *testing.T) {
 	cases := []struct {
 		name    string
 		caching bool
+		faults  *fault.Spec
 		target  func(h *fetchHarness) graph.V
 	}{
-		{"local", false, func(h *fetchHarness) graph.V { return h.local }},
-		{"remote-miss", false, func(h *fetchHarness) graph.V { return h.remote }},
-		{"cached-hit", true, func(h *fetchHarness) graph.V { return h.remote }},
+		{"local", false, nil, func(h *fetchHarness) graph.V { return h.local }},
+		{"remote-miss", false, nil, func(h *fetchHarness) graph.V { return h.remote }},
+		{"cached-hit", true, nil, func(h *fetchHarness) graph.V { return h.remote }},
+		{"degraded", true, &fault.Spec{CacheFailPct: 1}, func(h *fetchHarness) graph.V { return h.remote }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			h := newFetchHarness(t, tc.caching)
+			h := newFetchHarnessStorage(t, tc.caching, StoragePlain, tc.faults)
 			vj := tc.target(h)
 			h.fetchOnce(vj) // warm pools / populate caches
 			if allocs := testing.AllocsPerRun(100, func() { h.fetchOnce(vj) }); allocs > 0 {
 				t.Errorf("%s fetch allocates %.1f objects per op, want 0", tc.name, allocs)
+			}
+			if tc.faults == nil {
+				return
+			}
+			off, adj, ctr := h.w.cOff.Stats(), h.w.cAdj.Stats(), h.w.r.Counters()
+			cached := off.Hits + off.Misses + adj.Hits + adj.Misses
+			if off.DegradedOps == 0 || adj.DegradedOps != off.DegradedOps || cached != 0 || ctr.Gets != 2*off.DegradedOps {
+				t.Errorf("degraded fetches: C_offsets %+v, C_adj %+v, %d direct gets; want every access degraded, none cached, two gets a fetch",
+					off, adj, ctr.Gets)
 			}
 		})
 	}
@@ -173,7 +189,7 @@ func TestLookaheadPipelineAllocFree(t *testing.T) {
 // zero steady-state heap allocations across every flavor that reaches it:
 // the local fetch (decode into the slot's dec buffer), the remote two-get
 // pipeline (decode into the caller-owned request's vbuf at issue), the
-// inline cache hit (ReadVertices into the slot buffer), and the full
+// cache hit (decode into the cached request's own buffer), and the full
 // lookahead walk — ring-scan decode, fetch-slot decode, and the visit
 // side's adjOwned memo all reusing their warm buffers.
 func TestCompressedDecodeAllocFree(t *testing.T) {
@@ -189,7 +205,7 @@ func TestCompressedDecodeAllocFree(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			h := newFetchHarnessStorage(t, tc.caching, StorageCompressed)
+			h := newFetchHarnessStorage(t, tc.caching, StorageCompressed, nil)
 			if !h.w.compLoc || h.w.wAdj.Kind() != rma.CompressedVertices {
 				t.Fatal("harness did not build compressed locals")
 			}
@@ -201,7 +217,7 @@ func TestCompressedDecodeAllocFree(t *testing.T) {
 		})
 	}
 	t.Run("lookahead-walk", func(t *testing.T) {
-		h := newFetchHarnessStorage(t, false, StorageCompressed)
+		h := newFetchHarnessStorage(t, false, StorageCompressed, nil)
 		walk := func() {
 			h.w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {
 				_ = h.w.adjOwned(li) // the visit side's decode memo

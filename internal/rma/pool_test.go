@@ -1,8 +1,10 @@
 package rma
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -167,5 +169,62 @@ func TestGetAllocFree(t *testing.T) {
 			t.Errorf("%s window: Get+Wait+Release allocates %.1f/op, want 0", name, got)
 		}
 		r.UnlockAll(w)
+	}
+}
+
+// TestGetIntoMatchesGet holds the two ownerships of a get to their one issue
+// body: the same stream of local and remote reads, with a fault schedule
+// armed, through pooled Get+Wait+Release and through GetInto+Wait on one
+// caller-owned request yields equal counters, equal clock bits and equal
+// data — and the caller-owned stream never touches the pool or the pending
+// list, is invisible to a window flush, and refuses Release.
+func TestGetIntoMatchesGet(t *testing.T) {
+	region := make([]byte, 1024)
+	for i := range region {
+		region[i] = byte(i * 3)
+	}
+	run := func(owned bool) (Counters, uint64, int) {
+		c := testComm(2)
+		c.SetFaults(&fault.Spec{Seed: 3, GetFailPct: 0.2, SpikePct: 0.1, SpikeNS: 500})
+		w := c.CreateWindow("rw", [][]byte{append([]byte(nil), region...), append([]byte(nil), region...)})
+		r := c.Rank(0)
+		r.LockAll(w)
+		defer r.UnlockAll(w)
+		var own Request
+		sum := 0
+		for i := 0; i < 300; i++ {
+			q := &own
+			if owned {
+				r.GetInto(q, w, i%2, (i*8)%960, 64)
+			} else {
+				q = r.Get(w, i%2, (i*8)%960, 64)
+			}
+			if owned && i%2 == 1 {
+				r.FlushAll(w)
+				if q.Done() || len(r.pending) != 0 {
+					t.Fatal("a window flush completed a caller-owned request")
+				}
+			}
+			q.Wait()
+			sum += int(q.Data()[63])
+			if !owned {
+				q.Release()
+			}
+		}
+		if owned {
+			if len(r.free) != 0 || len(r.pending) != 0 {
+				t.Errorf("caller-owned gets left %d pooled and %d pending requests", len(r.free), len(r.pending))
+			}
+			mustPanic(t, "Release of a caller-owned request", func() { own.Release() })
+		}
+		return r.Counters(), math.Float64bits(r.Clock().Now()), sum
+	}
+	pc, pt, ps := run(false)
+	oc, ot, os := run(true)
+	if pc.Retries == 0 {
+		t.Fatal("the fault schedule injected nothing")
+	}
+	if pc != oc || pt != ot || ps != os {
+		t.Errorf("ownerships differ:\n pooled %+v clock %#x sum %d\n owned  %+v clock %#x sum %d", pc, pt, ps, oc, ot, os)
 	}
 }

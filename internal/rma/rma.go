@@ -444,10 +444,12 @@ func (r *Rank) UnlockAll(w *Window) {
 
 // Request is an outstanding non-blocking RMA operation. The data accessors
 // are valid only after the request completed (a flush on its window, or
-// Wait). Requests come from a per-rank free list: call Release when done
-// with a request to return it — the allocation-free discipline every hot
-// path here relies on. A request that is never released is ordinary
-// garbage, exactly as before pooling.
+// Wait). A request has one of two owners. Pooled requests (Get, Put, the
+// accumulates) come from a per-rank free list: call Release when done with
+// one to return it — the allocation-free discipline every hot path here
+// relies on; one that is never released is ordinary garbage. A caller-owned
+// request (GetInto) is a value in the caller's own state: only its Wait
+// completes it and it is never released.
 type Request struct {
 	rank       *Rank
 	win        *Window
@@ -655,7 +657,42 @@ func (q *Request) resolve(w *Window, target, offset, size int) {
 // later flush waits for it (this is what makes double buffering effective,
 // §III-A). Reads targeting the rank itself are served at local-memory cost
 // and complete immediately.
+//
+// Get and GetInto are the two ownerships of one operation (issueGet): Get's
+// request comes from the rank's pool, goes on the pending list so window
+// flushes complete it, and returns to the pool at Release.
 func (r *Rank) Get(w *Window, target, offset, size int) *Request {
+	q := r.newRequest(w, target, reqGet)
+	r.issueGet(q, w, target, offset, size)
+	if !q.done {
+		q.tracked = true
+		r.pending = append(r.pending, q)
+	}
+	return q
+}
+
+// GetInto is Get into a caller-owned request: q is typically embedded by
+// value in the caller's own pipeline state, so the per-rank request pool
+// and the pending list are bypassed entirely — no pool pop/push, no
+// pending append, no swap-remove on completion. The trade is a narrower
+// contract, which the engines' fetch pipeline satisfies by construction:
+// the caller must complete the request with q.Wait() (window-level flushes
+// do not see it) and must not Release it (it owns the storage, including the
+// snapshot and decode buffers q keeps from one use to the next). Everything
+// else — charges, completion time, counters, data views — is Get's own.
+func (r *Rank) GetInto(q *Request, w *Window, target, offset, size int) {
+	q.rank, q.win, q.target, q.kind = r, w, target, reqGet
+	q.done, q.owned = false, true
+	q.data, q.u64, q.verts = nil, nil, nil
+	r.issueGet(q, w, target, offset, size)
+}
+
+// issueGet is the one body of a get, at its canonical charge-tape position:
+// it validates the access, resolves q's data, and charges the read — a local
+// one completes here, a remote one first pays whatever the fault schedule
+// injects and then gets its completion time, to be waited for. q arrives with
+// its identity set and its data fields and done cleared by its owner.
+func (r *Rank) issueGet(q *Request, w *Window, target, offset, size int) {
 	r.checkpoint()
 	if !r.inEpoch(w) {
 		panic(fmt.Sprintf("rma: rank %d: Get on %q outside an access epoch", r.id, w.name))
@@ -669,70 +706,6 @@ func (r *Rank) Get(w *Window, target, offset, size int) *Request {
 		// own accumulates must observe them (staged.go).
 		r.commitStaged(w, target)
 	}
-	q := r.newRequest(w, target, reqGet)
-	q.resolve(w, target, offset, size)
-	if target == r.id {
-		q.done = true
-		if r.plain() {
-			r.clock.Advance(r.comm.model.LocalCost(size))
-			r.ctr.LocalGets++
-			r.ctr.LocalBytes += int64(size)
-			q.completeAt = r.clock.Now()
-		} else {
-			r.charge(ChargeGetLocal, size, r.comm.model.LocalCost(size), q)
-		}
-		return q
-	}
-	// Fault plane: recovery charges land before the canonical op charge,
-	// modeling a rank blocked in its retry loop at the issue point.
-	if r.faults != nil {
-		r.injectFaults(fault.ClassGet, size)
-	}
-	// The issue charges nothing to the clock; the in-flight duration and
-	// the completion time are established here, at the canonical issue
-	// point.
-	if r.plain() {
-		cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
-		q.completeAt = r.clock.Now() + cost
-		r.ctr.Gets++
-		r.ctr.RemoteBytes += int64(size)
-		r.ctr.GetCost += cost
-	} else {
-		r.charge(ChargeGetRemote, size, r.comm.model.RemoteCost(size), q)
-	}
-	q.tracked = true
-	r.pending = append(r.pending, q)
-	return q
-}
-
-// GetInto is Get into a caller-owned request: q is typically embedded by
-// value in the caller's own pipeline state, so the per-rank request pool
-// and the pending list are bypassed entirely — no pool pop/push, no
-// pending append, no swap-remove on completion. The trade is a narrower
-// contract, which the engines' fetch pipeline satisfies by construction:
-// the caller must complete the request with q.Wait() (window-level flushes
-// do not see it) and must not Release it (it owns the storage). Everything
-// else — charges, completion time, counters, data views — is identical to
-// Get, including the canonical charge-tape position.
-func (r *Rank) GetInto(q *Request, w *Window, target, offset, size int) {
-	r.checkpoint()
-	if !r.inEpoch(w) {
-		panic(fmt.Sprintf("rma: rank %d: GetInto on %q outside an access epoch", r.id, w.name))
-	}
-	if rl := w.SizeAt(target); offset < 0 || size < 0 || offset+size > rl {
-		panic(fmt.Sprintf("rma: rank %d: GetInto %q target %d [%d:+%d) out of range (len %d)",
-			r.id, w.name, target, offset, size, rl))
-	}
-	if r.stagedOps > 0 && w.kind == WritableBytes {
-		r.commitStaged(w, target)
-	}
-	q.rank = r
-	q.win = w
-	q.target = target
-	q.kind = reqGet
-	q.done = false
-	q.owned = true
-	q.data, q.u64, q.verts = nil, nil, nil
 	q.resolve(w, target, offset, size)
 	if target == r.id {
 		q.done = true
@@ -746,9 +719,14 @@ func (r *Rank) GetInto(q *Request, w *Window, target, offset, size int) {
 		}
 		return
 	}
+	// Fault plane: recovery charges land before the canonical op charge,
+	// modeling a rank blocked in its retry loop at the issue point.
 	if r.faults != nil {
 		r.injectFaults(fault.ClassGet, size)
 	}
+	// The issue charges nothing to the clock; the in-flight duration and
+	// the completion time are established here, at the canonical issue
+	// point.
 	if r.plain() {
 		cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
 		q.completeAt = r.clock.Now() + cost
