@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench-test bench-ab bench bench-serve bench-scale benchdiff daemon-test stress pprof fuzz
+.PHONY: all build test vet fmt check loc bench-test bench-ab bench bench-serve bench-scale benchdiff daemon-test stress pprof fuzz
 
 all: build
 
@@ -20,6 +20,18 @@ fmt:
 # it because nothing else here compiles bench/, which calls the rma and
 # clampi request surface directly (bench/replay.go).
 check: fmt vet build test bench-test
+
+# loc prints what the working tree adds to and removes from REF in non-test
+# Go, per directory, then the total with bench/ (the benchmark's own module)
+# apart — the number ROADMAP's pacing rule asks every PR to state. A new file
+# counts once it is staged (git add).
+#	make loc REF=HEAD~1
+loc:
+	@git diff --numstat "$(REF)" -- '*.go' ':!*_test.go' | awk '\
+		{ d = $$3; if (!sub("/[^/]*$$", "", d)) d = "."; k = d ~ "^bench(/|$$)" ? "bench/" : "total"; \
+		  a[d] += $$1; r[d] += $$2; a[k] += $$1; r[k] += $$2; if (!(d in seen)) { seen[d]; order[n++] = d } } \
+		END { order[n++] = "total"; order[n++] = "bench/"; \
+		  for (i = 0; i < n; i++) { d = order[i]; printf "%-24s +%-5d -%-5d net %+d\n", d, a[d], r[d], a[d] - r[d] } }'
 
 # bench-test vets and tests the repository benchmark (BENCHMARK.json). It
 # is a module of its own (bench/go.mod), so `go vet ./...` and

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -51,7 +52,7 @@ func main() {
 // run parses args and executes one engine run, writing the report to out.
 // All failures — bad flags, unreadable input, engine errors — surface as a
 // returned error so main can exit non-zero in exactly one place.
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lccrun", flag.ContinueOnError)
 	var (
 		dataset   = fs.String("dataset", "", "registered dataset name (see graphgen -list)")
@@ -60,7 +61,7 @@ func run(args []string, out *os.File) error {
 		directed  = fs.Bool("directed", false, "treat edge-list input as directed")
 		ranks     = fs.Int("ranks", 4, "number of simulated computing nodes")
 		workers   = fs.Int("workers", 0, "host worker goroutines executing simulated ranks (0 = GOMAXPROCS); results are identical at any setting")
-		scheme    = fs.String("scheme", "block", `1D distribution: "block" or "cyclic"`)
+		scheme    = fs.String("scheme", "block", `1D distribution: "block", "cyclic", or "block-arcs"`)
 		method    = fs.String("method", "hybrid", `intersection method: "hybrid", "ssi", "binary", or "hash"`)
 		caching   = fs.Bool("cache", false, "enable CLaMPI RMA caching (C_offsets + C_adj)")
 		offBytes  = fs.Int("cache-offsets", 0, "C_offsets capacity in bytes (0 = paper sizing)")
@@ -89,6 +90,21 @@ func run(args []string, out *os.File) error {
 		return fmt.Errorf("-method: %w", err)
 	}
 
+	sch, err := part.ParseScheme(*scheme)
+	if err != nil {
+		return fmt.Errorf("-scheme: %w", err)
+	}
+
+	var agg lcc.PushAggregation
+	switch *pushAgg {
+	case "batched":
+		agg = lcc.PushBatched
+	case "direct":
+		agg = lcc.PushDirect
+	default:
+		return fmt.Errorf(`-push-agg: unknown value %q (want "batched" or "direct")`, *pushAgg)
+	}
+
 	g, err := loadGraph(*dataset, *in, *format, *directed)
 	if err != nil {
 		return err
@@ -97,14 +113,12 @@ func run(args []string, out *os.File) error {
 	opt := lcc.Options{
 		Ranks:        *ranks,
 		Workers:      *workers,
+		Scheme:       sch,
 		Method:       meth,
 		DoubleBuffer: !*noOverlap,
 		Caching:      *caching,
 		DegreeScores: *degScores,
 		Faults:       faultSpec,
-	}
-	if *scheme == "cyclic" {
-		opt.Scheme = part.Cyclic
 	}
 	if *caching {
 		opt.OffsetsCacheBytes = *offBytes
@@ -131,10 +145,6 @@ func run(args []string, out *os.File) error {
 	case "pull":
 		res, err = lcc.RunCtx(ctx, g, opt)
 	case "push":
-		agg := lcc.PushBatched
-		if *pushAgg == "direct" {
-			agg = lcc.PushDirect
-		}
 		res, err = lcc.RunPushCtx(ctx, g, lcc.PushOptions{Options: opt, Aggregation: agg})
 	case "replicated":
 		res, err = lcc.RunReplicatedCtx(ctx, g, lcc.ReplicatedOptions{Options: opt, Replication: *replicas})
@@ -148,7 +158,7 @@ func run(args []string, out *os.File) error {
 	fmt.Fprintf(out, "graph: %s, n=%d, m=%d, csr=%d bytes\n",
 		g.Kind(), g.NumVertices(), g.NumEdges(), g.CSRSizeBytes())
 	fmt.Fprintf(out, "engine=%s ranks=%d scheme=%s method=%s caching=%v overlap=%v\n",
-		*engine, *ranks, *scheme, *method, *caching, !*noOverlap)
+		*engine, *ranks, sch, *method, *caching, !*noOverlap)
 	if *delegate > 0 {
 		fmt.Fprintf(out, "delegation: %d vertices, %d bytes per rank\n",
 			res.DelegatedVertices, res.DelegationBytes)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/clampi"
 	"repro/internal/fault"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/part"
@@ -372,69 +371,29 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 // that keep the graph loaded across queries should build the Snapshot once
 // and call its RunCtx directly; this entry point rebuilds it per run.
 func RunCtx(ctx context.Context, g graph.Store, opt Options) (*Result, error) {
-	opt = opt.withDefaults(g.NumVertices())
-	if opt.Ranks < 1 {
-		return nil, fmt.Errorf("lcc: invalid rank count %d", opt.Ranks)
-	}
-	snap, err := NewSnapshotOpts(g, SnapshotOptions{
-		Ranks: opt.Ranks, Scheme: opt.Scheme, DelegateBytes: opt.DelegateBytes,
-		Storage: opt.Storage, MemBudgetBytes: opt.MemBudgetBytes,
-	})
+	snap, err := opt.snapshot(g, 1)
 	if err != nil {
 		return nil, err
 	}
 	return snap.RunCtx(ctx, opt)
 }
 
-// RunDataset is Run over a named dataset from the registry.
-func RunDataset(name string, opt Options) (*Result, error) {
-	g, err := gen.Load(name)
-	if err != nil {
-		return nil, err
+// snapshot builds the one-shot snapshot behind Run, RunJaccard, RunPush and
+// RunReplicated: g partitioned over the Ranks/c slots of one replica group
+// (c = 1 everywhere but the replicated engine). The rank-count default and
+// checks live here and in NewSnapshotOpts, so every entry point rejects the
+// same inputs.
+func (o Options) snapshot(g graph.Store, c int) (*Snapshot, error) {
+	if o.Ranks == 0 {
+		o.Ranks = 1
 	}
-	return Run(g, opt)
-}
-
-// makeGraphWindows builds the two typed, read-only RMA windows every
-// engine exposes: (start,end) offset pairs as native []uint64 and the
-// adjacency arrays as native []graph.V (aliasing the partitions' own CSR
-// storage — the O(|E|) encode copy of the byte-window design is gone).
-// Each rank exposes (start,end) pairs rather than the raw offsets array:
-// one 16-byte get fetches both bounds of an adjacency list (Fig. 3 reads
-// offsets[li] and offsets[li+1] in one operation).
-func makeGraphWindows(comm *rma.Comm, locals []*part.LocalCSR) (wOff, wAdj *rma.Window) {
-	pairs := make([][]uint64, len(locals))
-	for s, lc := range locals {
-		pairs[s] = offsetPairs(lc)
+	if c < 1 || o.Ranks%c != 0 {
+		return nil, fmt.Errorf("lcc: replication factor %d does not divide %d ranks", c, o.Ranks)
 	}
-	return windowsFromPairs(comm, locals, pairs)
-}
-
-// windowsFromPairs is makeGraphWindows with the pair arrays precomputed —
-// the snapshot path reuses them across runs. Compressed locals get a
-// CompressedVertices adjacency window: same name, same byte geometry, same
-// charges and cache keys — only the host-side backing store differs.
-func windowsFromPairs(comm *rma.Comm, locals []*part.LocalCSR, pairs [][]uint64) (wOff, wAdj *rma.Window) {
-	p := comm.NumRanks()
-	// Replicas of a slot (the 1.5D engine passes fewer locals than ranks)
-	// share one pairs array, like they share the CSR storage itself.
-	offs := make([][]uint64, p)
-	for r := 0; r < p; r++ {
-		offs[r] = pairs[r%len(locals)]
-	}
-	wOff = comm.CreateUint64Window("offsets", offs)
-	if locals[0].Compressed() {
-		comps := make([]*graph.CompressedAdj, p)
-		for r := 0; r < p; r++ {
-			comps[r] = locals[r%len(locals)].Comp
-		}
-		return wOff, comm.CreateCompressedVertexWindow("adjacencies", comps)
-	}
-	adjs := make([][]graph.V, p)
-	for r := 0; r < p; r++ {
-		adjs[r] = locals[r%len(locals)].Adj
-	}
-	return wOff, comm.CreateVertexWindow("adjacencies", adjs)
+	return NewSnapshotOpts(g, SnapshotOptions{
+		Ranks: o.Ranks / c, Scheme: o.Scheme, DelegateBytes: o.DelegateBytes,
+		Storage: o.Storage, MemBudgetBytes: o.MemBudgetBytes,
+	})
 }
 
 // offsetPairs lays the rank's offsets out as (start,end) pairs, the window
@@ -458,8 +417,8 @@ const resolveLiBits = 40
 // index (pt.LocalIndex) in one packed word, so the per-edge cost is a
 // single flat array load instead of two function calls and a division.
 // The table is immutable and shared read-only by all ranks of a run; the
-// replicated-groups engine reuses the slot field unchanged and redirects
-// only the target rank (worker.ownerBase).
+// replicas of a slot read the slot field unchanged and redirect only the
+// target rank (worker.ownerBase).
 func buildResolve(pt *part.Partition) []uint64 {
 	tbl := make([]uint64, pt.NumVertices())
 	for v := range tbl {
@@ -485,8 +444,7 @@ type worker struct {
 	// empty when delegation is off.
 	deleg *Delegation
 
-	// orient is the snapshot's orientation index (orient.go); nil for the
-	// engines that run without a snapshot, which search per edge.
+	// orient is the snapshot's orientation index (orient.go).
 	orient *orientIndex
 
 	// its is the rank's pooled intersection scratch: the fast host
@@ -495,7 +453,7 @@ type worker struct {
 	// Acquired by newWorker, released by close.
 	its *intersect.Scratch
 
-	// resolve is the shared per-run table mapping a vertex to its packed
+	// resolve is the snapshot's table mapping a vertex to its packed
 	// (owner slot, local index) fetch coordinate; slot is the rank's own
 	// slot in that table (fetches to it are local), and ownerBase maps a
 	// slot to the target rank id (0 for the 1D engines; group·q for the
@@ -511,7 +469,8 @@ type worker struct {
 
 	// edgeFilter, when set, restricts forEachEdge to the (li, vj) pairs
 	// it accepts. The push engine uses it to walk only the upper wedge
-	// vj > vi so each triangle is discovered exactly once.
+	// vj > vi so each triangle is discovered exactly once, a replica to
+	// walk its interleaved share of the slot's vertices.
 	edgeFilter func(li int, vj graph.V) bool
 
 	// Lookahead pipeline state (forEachEdge): the edge ring and the two
@@ -533,7 +492,7 @@ type worker struct {
 	compLoc   bool      // lc stores adjacency varint/delta-compressed
 	scanDec   []graph.V // refillRing's staged owned list
 	scanDecLi int
-	ownDec    []graph.V // visit-side adjI (run/runPush/runSlice/jaccard)
+	ownDec    []graph.V // visit-side adjI (run/runPush/jaccard)
 	ownDecLi  int
 }
 
@@ -616,19 +575,20 @@ func (w *worker) popEdge() (pipeEdge, bool) {
 	return e, true
 }
 
-// newWorker builds rank r's execution state. With caching on, the rank's
-// two CLaMPI instances come from pool when it has a pair to recycle and are
-// constructed otherwise; pool is nil for the engines that run without a
-// snapshot.
-func newWorker(r *rma.Rank, kind graph.Kind, pt *part.Partition, lc *part.LocalCSR,
-	wOff, wAdj *rma.Window, resolve []uint64, opt Options, pool *cachePool) *worker {
-	w := &worker{r: r, kind: kind, pt: pt, lc: lc, wOff: wOff, wAdj: wAdj, opt: opt}
-	w.resolve = resolve
-	w.slot = r.ID()
-	w.compLoc = lc.Compressed()
+// newWorker builds rank r's execution state over snapshot s, in a world of
+// one or more replica groups of s.ranks ranks each (Snapshot.windows): r
+// holds the partition of slot r mod s.ranks and fetches inside its own
+// group. With caching on, the rank's two CLaMPI instances come from the
+// snapshot's pool when it has a pair to recycle and are constructed
+// otherwise.
+func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *worker {
+	slot := r.ID() % s.ranks
+	w := &worker{r: r, kind: s.kind, pt: s.pt, lc: s.locals[slot], wOff: wOff, wAdj: wAdj, opt: opt,
+		deleg: s.deleg, orient: s.orient, resolve: s.resolve, slot: slot, ownerBase: r.ID() - slot}
+	w.compLoc = w.lc.Compressed()
 	w.scanDecLi, w.ownDecLi = -1, -1
 	w.its = intersect.GetScratch()
-	w.its.EnsureUniverse(pt.NumVertices())
+	w.its.EnsureUniverse(s.n)
 	r.LockAll(wOff)
 	r.LockAll(wAdj)
 	if opt.Caching {
@@ -645,7 +605,7 @@ func newWorker(r *rma.Rank, kind graph.Kind, pt *part.Partition, lc *part.LocalC
 			Adaptive:    opt.Adaptive,
 			MaxCapacity: opt.AdjCacheMaxBytes,
 		}
-		if cp, ok := pool.take(); ok {
+		if cp, ok := s.caches.take(); ok {
 			w.cOff, w.cAdj = cp.off.Reset(r, wOff, offCfg), cp.adj.Reset(r, wAdj, adjCfg)
 		} else {
 			w.cOff, w.cAdj = clampi.New(r, wOff, offCfg), clampi.New(r, wAdj, adjCfg)
@@ -871,14 +831,19 @@ func (w *worker) close() {
 	w.its = nil
 }
 
-// run executes Algorithm 3 for the rank's owned vertices, writing LCC
-// scores into the global output slice (each rank touches only its own
-// range) and returning Σ t_i over owned vertices.
-func (w *worker) run(lccOut []float64) int64 {
+// run executes Algorithm 3 for the rank's share of its slot's vertices —
+// local indices li ≡ phase (mod c): all of them for the 1D engine (c = 1),
+// an interleaved 1/c for a replica, whose skipped vertices never issue
+// communication — writing LCC scores into the global output slice (each
+// vertex is scored by exactly one rank) and returning Σ t_i over the share.
+func (w *worker) run(lccOut []float64, phase, c int) int64 {
 	var sumT int64
 	method := w.opt.Method
 	nLocal := w.lc.NumLocal()
 	perVertexT := make([]int64, nLocal)
+	if c > 1 {
+		w.edgeFilter = func(li int, _ graph.V) bool { return li%c == phase }
+	}
 
 	w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {
 		adjI := w.adjOwned(li)
@@ -886,14 +851,14 @@ func (w *worker) run(lccOut []float64) int64 {
 		if w.kind == graph.Undirected {
 			adjJ, setJ = w.orient.upper(vj, adjJ)
 		}
-		c, ops := w.its.CountIndexed(method, adjI, adjJ, setJ)
+		cnt, ops := w.its.CountIndexed(method, adjI, adjJ, setJ)
 		// A small per-edge constant covers loop and bookkeeping costs.
 		w.r.Compute(ops + 4)
-		perVertexT[li] += int64(c)
+		perVertexT[li] += int64(cnt)
 	})
 
-	for li := 0; li < nLocal; li++ {
-		v := w.pt.VertexAt(w.r.ID(), li)
+	for li := phase; li < nLocal; li += c {
+		v := w.pt.VertexAt(w.slot, li)
 		d := w.lc.DegreeOf(li)
 		lccOut[v] = Score(w.kind, perVertexT[li], d)
 		sumT += perVertexT[li]

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/part"
 	"repro/internal/rma"
 )
 
@@ -51,16 +50,15 @@ func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode, fa
 		opt.AdjCacheBytes = 1 << 16
 		opt.AdjScorePolicy = ScoreDegree
 	}
-	opt = opt.withDefaults(n)
-	pt, err := part.Build(opt.Scheme, g, opt.Ranks)
+	s, err := opt.snapshot(g, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	locals := extractLocals(g, pt, storage, 0)
+	opt, pt := s.options(opt), s.pt
 	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
 	opt.configureCharges(comm)
-	wOff, wAdj := makeGraphWindows(comm, locals)
-	w := newWorker(comm.Rank(0), g.Kind(), pt, locals[0], wOff, wAdj, buildResolve(pt), opt, nil)
+	wOff, wAdj := s.windows(comm)
+	w := newWorker(comm.Rank(0), s, wOff, wAdj, opt)
 	h := &fetchHarness{w: w}
 	// Pick a rank-0 and a rank-1 vertex with non-empty adjacency.
 	for v := graph.V(0); int(v) < n; v++ {

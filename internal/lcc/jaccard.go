@@ -3,7 +3,6 @@ package lcc
 import (
 	"context"
 
-	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -35,28 +34,13 @@ func RunJaccard(g graph.Store, opt Options) (*JaccardResult, error) {
 }
 
 // RunJaccardCtx is RunJaccard under supervision, with the same
-// cancellation, panic-isolation and crash-stop contract as RunCtx. The
-// setup rides the Snapshot path, so arc-balanced (BlockArcs) partitions
-// now work for Jaccard too.
+// cancellation, panic-isolation and crash-stop contract as RunCtx.
 func RunJaccardCtx(ctx context.Context, g graph.Store, opt Options) (*JaccardResult, error) {
-	opt = opt.withDefaults(g.NumVertices())
-	snap, err := NewSnapshotOpts(g, SnapshotOptions{
-		Ranks: opt.Ranks, Scheme: opt.Scheme, DelegateBytes: opt.DelegateBytes,
-		Storage: opt.Storage, MemBudgetBytes: opt.MemBudgetBytes,
-	})
+	snap, err := opt.snapshot(g, 1)
 	if err != nil {
 		return nil, err
 	}
 	return snap.RunJaccardCtx(ctx, opt)
-}
-
-// RunJaccardDataset is RunJaccard over a named dataset from the registry.
-func RunJaccardDataset(name string, opt Options) (*JaccardResult, error) {
-	g, err := gen.Load(name)
-	if err != nil {
-		return nil, err
-	}
-	return RunJaccard(g, opt)
 }
 
 // BruteForceJaccard is the O(m·d) reference used by tests.

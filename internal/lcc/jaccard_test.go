@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/intersect"
+	"repro/internal/part"
 )
 
 func TestJaccardKnownGraph(t *testing.T) {
@@ -31,21 +32,23 @@ func TestJaccardMatchesBruteForce(t *testing.T) {
 	for _, kind := range []graph.Kind{graph.Undirected, graph.Directed} {
 		g := randomSimpleGraph(kind, 80, 500, 9)
 		want := BruteForceJaccard(g)
-		for _, ranks := range []int{1, 3, 8} {
-			for _, caching := range []bool{false, true} {
-				opt := Options{Ranks: ranks, Method: intersect.MethodHybrid, DoubleBuffer: true, Caching: caching}
-				if caching {
-					opt.OffsetsCacheBytes = 1 << 12
-					opt.AdjCacheBytes = 1 << 14
-				}
-				res, err := RunJaccard(g, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range want {
-					if math.Abs(res.Scores[k]-want[k]) > 1e-12 {
-						t.Fatalf("%v p=%d caching=%v: arc %d J = %v, want %v",
-							kind, ranks, caching, k, res.Scores[k], want[k])
+		for _, scheme := range []part.Scheme{part.Block, part.Cyclic, part.BlockArcs} {
+			for _, ranks := range []int{1, 3, 8} {
+				for _, caching := range []bool{false, true} {
+					opt := Options{Ranks: ranks, Scheme: scheme, Method: intersect.MethodHybrid, DoubleBuffer: true, Caching: caching}
+					if caching {
+						opt.OffsetsCacheBytes = 1 << 12
+						opt.AdjCacheBytes = 1 << 14
+					}
+					res, err := RunJaccard(g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := range want {
+						if math.Abs(res.Scores[k]-want[k]) > 1e-12 {
+							t.Fatalf("%v %v p=%d caching=%v: arc %d J = %v, want %v",
+								kind, scheme, ranks, caching, k, res.Scores[k], want[k])
+						}
 					}
 				}
 			}
@@ -103,7 +106,7 @@ func TestJaccardScoresInRange(t *testing.T) {
 }
 
 func TestJaccardDataset(t *testing.T) {
-	res, err := RunJaccardDataset("fb-sim", Options{Ranks: 2, Method: intersect.MethodHybrid, DoubleBuffer: true})
+	res, err := RunJaccard(gen.MustLoad("fb-sim"), Options{Ranks: 2, Method: intersect.MethodHybrid, DoubleBuffer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +119,5 @@ func TestJaccardDataset(t *testing.T) {
 	}
 	if max < 0.3 {
 		t.Errorf("max Jaccard = %v, want clustered pairs (>= 0.3)", max)
-	}
-	if _, err := RunJaccardDataset("nope", Options{Ranks: 2}); err == nil {
-		t.Error("RunJaccardDataset accepted unknown dataset")
 	}
 }

@@ -358,16 +358,13 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestRunDataset(t *testing.T) {
-	res, err := RunDataset("fb-sim", Options{Ranks: 2, Method: intersect.MethodHybrid, DoubleBuffer: true})
+func TestRunOnRegistryGraph(t *testing.T) {
+	res, err := Run(gen.MustLoad("fb-sim"), Options{Ranks: 2, Method: intersect.MethodHybrid, DoubleBuffer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Triangles <= 0 {
 		t.Errorf("fb-sim Triangles = %d, want > 0 (dense social circles)", res.Triangles)
-	}
-	if _, err := RunDataset("nope", Options{Ranks: 2}); err == nil {
-		t.Error("RunDataset accepted unknown dataset")
 	}
 }
 

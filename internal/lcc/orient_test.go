@@ -316,7 +316,7 @@ func TestCorruptResidentThenRun(t *testing.T) {
 	}
 }
 
-// TestUpperWithoutIndex pins the nil index of the snapshot-less engines and
+// TestUpperWithoutIndex pins the nil index of a single VertexTriangles call and
 // the entry points of a filled one against the search they replace.
 func TestUpperWithoutIndex(t *testing.T) {
 	list := []graph.V{2, 3, 5, 8, 13, 21}

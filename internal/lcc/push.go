@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/part"
 	"repro/internal/rma"
 )
 
@@ -125,57 +124,27 @@ func RunPushCtx(ctx context.Context, g graph.Store, opt PushOptions) (*Result, e
 	if g.Kind() != graph.Undirected {
 		return nil, fmt.Errorf("lcc: push engine requires an undirected graph (directed LCC has no smallest-corner discovery rule)")
 	}
-	n := g.NumVertices()
-	opt.Options = opt.Options.withDefaults(n)
-	if opt.Ranks < 1 {
-		return nil, fmt.Errorf("lcc: invalid rank count %d", opt.Ranks)
-	}
-	pt, err := part.Build(opt.Scheme, g, opt.Ranks)
+	s, err := opt.snapshot(g, 1)
 	if err != nil {
 		return nil, err
 	}
-	locals := extractLocals(g, pt, opt.Storage, opt.MemBudgetBytes)
-
 	// The graph windows are typed and read-only; the triangle-counter
 	// window stays a writable byte window — it is the one region peers
 	// write (Accumulate), so its gets keep snapshot-copy semantics.
-	triBufs := make([][]byte, opt.Ranks)
-	for r, lc := range locals {
-		triBufs[r] = make([]byte, 8*lc.NumLocal())
+	var wTri *rma.Window
+	var bar *rma.Barrier
+	prepare := func(comm *rma.Comm) {
+		triBufs := make([][]byte, s.ranks)
+		for r, lc := range s.locals {
+			triBufs[r] = make([]byte, 8*lc.NumLocal())
+		}
+		wTri = comm.CreateWindow("triangles", triBufs)
+		bar = comm.NewBarrier()
 	}
-
-	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
-	opt.configureCharges(comm)
-	wOff, wAdj := makeGraphWindows(comm, locals)
-	wTri := comm.CreateWindow("triangles", triBufs)
-	bar := comm.NewBarrier()
-	resolve := buildResolve(pt)
-	deleg := BuildDelegation(g, opt.DelegateBytes)
-
-	lccOut := make([]float64, n)
-	triOut := make([]int64, opt.Ranks)
-	stats := make([]RankStats, opt.Ranks)
-
-	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
-		w := newWorker(r, g.Kind(), pt, locals[r.ID()], wOff, wAdj, resolve, opt.Options, nil)
-		w.deleg = deleg
-		defer w.close()
-		sumT := w.runPush(lccOut, wTri, bar, opt.Aggregation)
-		w.close()
-		triOut[r.ID()] = sumT
-		stats[r.ID()] = w.stats()
+	lccOut := make([]float64, s.n)
+	return s.launch(ctx, opt.Options, 1, lccOut, prepare, func(w *worker) int64 {
+		return w.runPush(lccOut, wTri, bar, opt.Aggregation)
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{LCC: lccOut, PerRank: stats, SimTime: rma.MaxClock(ranks),
-		DelegatedVertices: deleg.Len(), DelegationBytes: deleg.Bytes()}
-	for _, t := range triOut {
-		res.SumT += t
-	}
-	res.Triangles = TriangleCount(g.Kind(), res.SumT)
-	return res, nil
 }
 
 // runPush walks the rank's upper wedges, discovers each triangle once,

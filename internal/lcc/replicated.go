@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/intersect"
 	"repro/internal/part"
-	"repro/internal/rma"
 )
 
 // This file implements replicated-groups 1D distribution — "1.5D" — the
@@ -52,91 +50,21 @@ func RunReplicated(g graph.Store, opt ReplicatedOptions) (*Result, error) {
 // RunReplicatedCtx is RunReplicated under supervision, with the same
 // cancellation, panic-isolation and crash-stop contract as RunCtx.
 func RunReplicatedCtx(ctx context.Context, g graph.Store, opt ReplicatedOptions) (*Result, error) {
-	n := g.NumVertices()
-	opt.Options = opt.Options.withDefaults(n)
 	c := opt.Replication
 	if c == 0 {
 		c = 1
 	}
-	if c < 1 || opt.Ranks%c != 0 {
-		return nil, fmt.Errorf("lcc: replication factor %d does not divide %d ranks", c, opt.Ranks)
-	}
-	q := opt.Ranks / c
-	pt, err := part.Build(opt.Scheme, g, q)
+	// One snapshot over the q = p/c slots of a group; launch exposes it c
+	// times over (rank r = group·q + slot), and all of a rank's fetches stay
+	// inside its own group.
+	s, err := opt.snapshot(g, c)
 	if err != nil {
 		return nil, err
 	}
-	slots := extractLocals(g, pt, opt.Storage, opt.MemBudgetBytes)
-
-	// Rank r = group·q + slot exposes partition `slot` (makeGraphWindows
-	// wraps the slot index modulo len(slots)). The per-rank window sizes
-	// — and hence the memory accounting of the 2.5D trade — are identical
-	// across replicas of a slot; the host-side storage is now shared,
-	// which is exactly the zero-copy point.
-	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
-	opt.configureCharges(comm)
-	wOff, wAdj := makeGraphWindows(comm, slots)
-	resolve := buildResolve(pt)
-	deleg := BuildDelegation(g, opt.DelegateBytes)
-
-	lccOut := make([]float64, n)
-	triOut := make([]int64, opt.Ranks)
-	stats := make([]RankStats, opt.Ranks)
-
-	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
-		group, slot := r.ID()/q, r.ID()%q
-		w := newWorker(r, g.Kind(), pt, slots[slot], wOff, wAdj, resolve, opt.Options, nil)
-		w.deleg = deleg
-		// All fetches stay inside the rank's own group: the shared
-		// resolve table yields slot coordinates, and ownerBase maps a
-		// slot to the replica this rank reads from.
-		w.slot, w.ownerBase = slot, group*q
-		defer w.close()
-		sumT := w.runSlice(lccOut, slot, group, c)
-		w.close()
-		triOut[r.ID()] = sumT
-		stats[r.ID()] = w.stats()
+	lccOut := make([]float64, s.n)
+	return s.launch(ctx, opt.Options, c, lccOut, nil, func(w *worker) int64 {
+		return w.run(lccOut, w.r.ID()/s.ranks, c)
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{LCC: lccOut, PerRank: stats, SimTime: rma.MaxClock(ranks),
-		DelegatedVertices: deleg.Len(), DelegationBytes: deleg.Bytes()}
-	for _, t := range triOut {
-		res.SumT += t
-	}
-	res.Triangles = TriangleCount(g.Kind(), res.SumT)
-	return res, nil
-}
-
-// runSlice executes Algorithm 3 for the 1/c interleaved share of the
-// rank's partition: local indices li ≡ phase (mod c). The walk reuses the
-// standard fetch pipeline; skipped vertices never issue communication.
-func (w *worker) runSlice(lccOut []float64, slot, phase, c int) int64 {
-	nLocal := w.lc.NumLocal()
-	perVertexT := make([]int64, nLocal)
-	w.edgeFilter = func(li int, vj graph.V) bool { return li%c == phase }
-
-	w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {
-		adjI := w.adjOwned(li)
-		if w.kind == graph.Undirected {
-			adjJ = intersect.UpperSlice(adjJ, vj)
-		}
-		cnt, ops := w.its.Count(w.opt.Method, adjI, adjJ)
-		w.r.Compute(ops + 4)
-		perVertexT[li] += int64(cnt)
-	})
-
-	var sumT int64
-	for li := phase; li < nLocal; li += c {
-		v := w.pt.VertexAt(slot, li)
-		d := w.lc.DegreeOf(li)
-		lccOut[v] = Score(w.kind, perVertexT[li], d)
-		sumT += perVertexT[li]
-		w.r.Compute(2)
-	}
-	return sumT
 }
 
 // ReplicaWindowBytes reports the per-rank window memory of a replicated

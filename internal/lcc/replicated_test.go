@@ -1,6 +1,7 @@
 package lcc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,9 +11,33 @@ import (
 )
 
 // TestReplicatedEqualsPlain: for every replication factor, the
-// replicated-groups engine returns bit-identical LCC and triangle counts.
+// replicated-groups engine returns bit-identical LCC and triangle counts —
+// and with c = 1 it is the pull engine: same SimTime bits, same RankStats in
+// every field, same charge sequence on every rank, over plain and compressed
+// storage, cached and not.
 func TestReplicatedEqualsPlain(t *testing.T) {
 	for name, g := range pushTestGraphs(t) {
+		for _, storage := range []StorageMode{StoragePlain, StorageCompressed} {
+			for _, caching := range []bool{false, true} {
+				opt := Options{Ranks: recycleRanks, Method: intersect.MethodHybrid, DoubleBuffer: true, Storage: storage}
+				if caching {
+					opt.Caching, opt.OffsetsCacheBytes, opt.AdjCacheBytes = true, 1<<12, 1<<14
+					opt.AdjScorePolicy = ScoreDegree
+				}
+				pullTape, replTape := newChargeDigest(), newChargeDigest()
+				opt.ChargeObserver = pullTape.observe
+				pull, err := Run(g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt.ChargeObserver = replTape.observe
+				repl, err := RunReplicated(g, ReplicatedOptions{Options: opt, Replication: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffRuns(t, fmt.Sprintf("%s %v caching=%v c=1 vs pull", name, storage, caching), repl, pull, replTape.sum, pullTape.sum)
+			}
+		}
 		base, err := Run(g, Options{Ranks: 8, Method: intersect.MethodHybrid})
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/clampi"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/rma"
@@ -20,9 +19,9 @@ import (
 // snapshot is shared by any number of sequential or concurrent runs over
 // the same graph (the serving layer keeps exactly one per loaded instance).
 //
-// The split is conservative by construction: Snapshot.RunCtx builds its
-// windows from the same pair arrays makeGraphWindows would compute, so a
-// run through a snapshot is bit-identical to the corresponding lcc.Run.
+// Every engine runs on one: the one-shot entry points (Run, RunJaccard,
+// RunPush, RunReplicated) build a snapshot and launch on it, so a run through
+// a kept snapshot is bit-identical to the corresponding lcc.Run.
 //
 // The two mutable things a snapshot owns are host memory, invisible to the
 // model. One is a free list of CLaMPI instances (caches) that cached runs
@@ -73,12 +72,8 @@ type cachePool struct {
 	free []cachePair
 }
 
-// take removes a pair from the pool; ok is false when the pool is empty or
-// nil.
+// take removes a pair from the pool; ok is false when the pool is empty.
 func (p *cachePool) take() (cp cachePair, ok bool) {
-	if p == nil {
-		return cp, false
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.free)
@@ -161,15 +156,6 @@ func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 	return s, nil
 }
 
-// LoadSnapshot is NewSnapshot over a named dataset from the registry.
-func LoadSnapshot(name string, ranks int, scheme part.Scheme, delegateBytes int) (*Snapshot, error) {
-	g, err := gen.Load(name)
-	if err != nil {
-		return nil, err
-	}
-	return NewSnapshot(g, ranks, scheme, delegateBytes)
-}
-
 // Graph returns the snapshot's source graph store.
 func (s *Snapshot) Graph() graph.Store { return s.src }
 
@@ -208,43 +194,73 @@ func (s *Snapshot) options(opt Options) Options {
 	return opt.withDefaults(s.n)
 }
 
-// windows exposes the snapshot's partitions in a fresh communicator,
-// reusing the precomputed pair arrays.
+// windows exposes the snapshot's partitions in a fresh communicator as the
+// two typed, read-only RMA windows every engine reads: offsets as (start,end)
+// uint64 pairs — one 16-byte get fetches both bounds of an adjacency list
+// (Fig. 3 reads offsets[li] and offsets[li+1] in one operation) — and the
+// adjacency arrays as native []graph.V aliasing the partitions' own CSR
+// storage. Compressed locals get a CompressedVertices adjacency window: same
+// name, same byte geometry, same charges and cache keys — only the host-side
+// backing store differs. A communicator of c·Ranks ranks holds c replica
+// groups: rank r exposes partition r mod Ranks, and the replicas of a slot
+// share its arrays, so the window sizes — the memory accounting of the 2.5D
+// trade — are those of c copies while the host holds one.
 func (s *Snapshot) windows(comm *rma.Comm) (wOff, wAdj *rma.Window) {
-	return windowsFromPairs(comm, s.locals, s.pairs)
+	p := comm.NumRanks()
+	offs := make([][]uint64, p)
+	for r := range offs {
+		offs[r] = s.pairs[r%s.ranks]
+	}
+	wOff = comm.CreateUint64Window("offsets", offs)
+	if s.locals[0].Compressed() {
+		comps := make([]*graph.CompressedAdj, p)
+		for r := range comps {
+			comps[r] = s.locals[r%s.ranks].Comp
+		}
+		return wOff, comm.CreateCompressedVertexWindow("adjacencies", comps)
+	}
+	adjs := make([][]graph.V, p)
+	for r := range adjs {
+		adjs[r] = s.locals[r%s.ranks].Adj
+	}
+	return wOff, comm.CreateVertexWindow("adjacencies", adjs)
 }
 
-// RunCtx executes the fully asynchronous LCC computation (Algorithm 3)
-// over the snapshot, under supervision: ctx cancellation unwinds every
+// launch is the one body every engine's run goes through: a fresh world of
+// c replica groups over the snapshot's partitions — the communicator, the
+// diagnostic charge plane, the two graph windows, then whatever prepare adds
+// for the engine (the push engine's counter window and fence barrier) — and
+// per rank a worker, body (which returns the rank's Σ t_i and scores into
+// lccOut, the result's LCC), the rank's stats and its caches back to the
+// pool. Supervision is rma.Comm.RunCtx's: ctx cancellation unwinds every
 // rank at its next checkpoint or barrier and returns an error wrapping
 // sched.ErrRunCanceled; a rank panic surfaces as *sched.PanicError; a
-// fail-fast crash-stop fault as *fault.CrashError. On any error the
-// result is nil — a supervised run yields complete results or none —
-// and the snapshot itself is untouched: it holds no model-visible per-run
-// state (the caches of a rank that unwound never return to the free list),
-// so the caller can simply run again.
-func (s *Snapshot) RunCtx(ctx context.Context, opt Options) (*Result, error) {
+// fail-fast crash-stop fault as *fault.CrashError. On any error the result
+// is nil — a supervised run yields complete results or none — and the
+// snapshot itself is untouched: it holds no model-visible per-run state (the
+// caches of a rank that unwound never return to the free list), so the
+// caller can simply run again.
+func (s *Snapshot) launch(ctx context.Context, opt Options, c int, lccOut []float64,
+	prepare func(*rma.Comm), body func(*worker) int64) (*Result, error) {
 	opt = s.options(opt)
-	n := s.n
-	comm := rma.NewCommWorkers(s.ranks, opt.Model, opt.Workers)
+	comm := rma.NewCommWorkers(s.ranks*c, opt.Model, opt.Workers)
 	opt.configureCharges(comm)
 	wOff, wAdj := s.windows(comm)
-
-	lccOut := make([]float64, n)
-	triOut := make([]int64, s.ranks)
-	stats := make([]RankStats, s.ranks)
+	if prepare != nil {
+		prepare(comm)
+	}
+	triOut := make([]int64, s.ranks*c)
+	stats := make([]RankStats, s.ranks*c)
 
 	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
-		w := newWorker(r, s.kind, s.pt, s.locals[r.ID()], wOff, wAdj, s.resolve, opt, &s.caches)
-		w.deleg, w.orient = s.deleg, s.orient
+		w := newWorker(r, s, wOff, wAdj, opt)
 		// The deferred close repools the scratch and closes the epochs on
 		// the cancel/panic unwind path; the explicit close keeps the
 		// epoch-close charges ahead of the stats snapshot, as the charge
 		// order always had them.
 		defer w.close()
-		sumT := w.run(lccOut)
+		triOut[r.ID()] = body(w)
 		w.close()
-		triOut[r.ID()] = sumT
 		stats[r.ID()] = w.stats()
 		s.caches.recycle(w)
 	})
@@ -261,35 +277,34 @@ func (s *Snapshot) RunCtx(ctx context.Context, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// RunCtx executes the fully asynchronous LCC computation (Algorithm 3)
+// over the snapshot, under launch's supervision contract.
+func (s *Snapshot) RunCtx(ctx context.Context, opt Options) (*Result, error) {
+	lccOut := make([]float64, s.n)
+	return s.launch(ctx, opt, 1, lccOut, nil, func(w *worker) int64 { return w.run(lccOut, 0, 1) })
+}
+
 // RunJaccardCtx executes the per-edge Jaccard computation (jaccard.go)
 // over the snapshot, under the same supervision contract as RunCtx.
 func (s *Snapshot) RunJaccardCtx(ctx context.Context, opt Options) (*JaccardResult, error) {
-	opt = s.options(opt)
-	comm := rma.NewCommWorkers(s.ranks, opt.Model, opt.Workers)
-	opt.configureCharges(comm)
-	wOff, wAdj := s.windows(comm)
-
 	scores := make([]float64, s.src.NumArcs())
-	stats := make([]RankStats, s.ranks)
-
-	// Global arc index of each rank's first arc: offsets of preceding
-	// ranks' partitions sum up because Extract preserves CSR order. The
-	// last offset is the partition's arc count in any representation.
-	base := make([]uint64, s.ranks+1)
-	for r, lc := range s.locals {
-		base[r+1] = base[r] + lc.Offsets[lc.NumLocal()]
+	// Global arc index of every vertex's first arc. A rank's arcs are
+	// contiguous in the graph's CSR order only under the block schemes, so
+	// scores are placed per owned vertex, not per rank.
+	first := make([]int, s.n+1)
+	for v := 0; v < s.n; v++ {
+		first[v+1] = first[v] + s.src.OutDegree(graph.V(v))
 	}
-
-	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
-		w := newWorker(r, s.kind, s.pt, s.locals[r.ID()], wOff, wAdj, s.resolve, opt, &s.caches)
-		w.deleg = s.deleg
-		defer w.close()
-		arc := base[r.ID()]
-		// forEachEdge visits arcs in exactly CSR order, so `arc`
-		// advances in lockstep.
+	res, err := s.launch(ctx, opt, 1, nil, nil, func(w *worker) int64 {
+		// forEachEdge visits an owned vertex's arcs consecutively and in
+		// CSR order, so arc advances in lockstep within one.
+		arc, of := 0, -1
 		w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {
+			if li != of {
+				arc, of = first[w.pt.VertexAt(w.slot, li)], li
+			}
 			adjI := w.adjOwned(li)
-			inter, ops := w.its.Count(opt.Method, adjI, adjJ)
+			inter, ops := w.its.Count(w.opt.Method, adjI, adjJ)
 			union := len(adjI) + len(adjJ) - inter
 			if union > 0 {
 				scores[arc] = float64(inter) / float64(union)
@@ -297,17 +312,10 @@ func (s *Snapshot) RunJaccardCtx(ctx context.Context, opt Options) (*JaccardResu
 			arc++
 			w.r.Compute(ops + 6)
 		})
-		w.close()
-		stats[r.ID()] = w.stats()
-		s.caches.recycle(w)
+		return 0
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	return &JaccardResult{
-		Scores:  scores,
-		SimTime: rma.MaxClock(ranks),
-		PerRank: stats,
-	}, nil
+	return &JaccardResult{Scores: scores, SimTime: res.SimTime, PerRank: res.PerRank}, nil
 }
