@@ -85,8 +85,9 @@ daemon-test:
 	$(GO) test -count=1 -run 'TestDaemon' -v ./cmd/lccd
 
 # stress hammers the serving layer's lifecycle machinery under the race
-# detector: repeated cancellation, panic isolation and transition-edge
-# runs across the scheduler and supervision plane.
+# detector: repeated cancellation, panic isolation, transition-edge and
+# model-driven (TestLifecycleModel) runs across the scheduler and
+# supervision plane.
 stress:
 	$(GO) test -race -run 'Lifecycle|Cancel|Panic' -count=10 ./internal/serve ./internal/sched
 
@@ -106,9 +107,10 @@ pprof:
 	$(GO) tool pprof -top -nodecount 25 cpu.pprof
 	$(if $(MEM),$(GO) tool pprof -sample_index=inuse_space -top -nodecount 15 mem.pprof)
 
-# fuzz runs the intersection-kernel, varint-codec and fault-schedule
-# fuzzers briefly — the same smokes CI runs.
+# fuzz runs the intersection-kernel, varint-codec, fault-schedule and
+# lccd-wire fuzzers briefly — the same smokes CI runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersectKernels$$' -fuzztime 30s ./internal/intersect
 	$(GO) test -run '^$$' -fuzz '^FuzzVarintAdjacency$$' -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultSchedule$$' -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz '^FuzzLCCDRequest$$' -fuzztime 30s ./cmd/lccd

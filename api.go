@@ -454,55 +454,24 @@ func NewSnapshot(g GraphStore, ranks int, scheme Scheme, delegateBytes int) (*Sn
 	return lcc.NewSnapshot(g, ranks, scheme, delegateBytes)
 }
 
-// The supervised serving layer (internal/serve, cmd/lccd): Instances own
-// a Snapshot and move through loading → ready → busy → unhealthy →
-// exited, plus parked (snapshot evicted, config retained, transparently
-// rebuilt on the next query); a Supervisor manages them by name, enforces
-// a global memory budget by LRU parking, and — given a manifest store —
-// persists instance configs so a daemon restart (even kill -9) recovers
-// the fleet. Runs carry deadlines, cancellation, panic isolation,
-// admission control and bounded priority queueing.
+// The supervised serving layer (internal/serve, cmd/lccd): a Supervisor
+// manages named instances, each owning a Snapshot behind a five-state
+// lifecycle (loading, ready, unhealthy, parked, exited — DESIGN.md §8),
+// enforces a global memory budget by LRU parking, and — given a manifest
+// store — persists instance configs so a daemon restart (even kill -9)
+// recovers the fleet. Runs carry deadlines, cancellation, panic isolation,
+// admission control and bounded priority queueing. The facade names what
+// examples/quickstart uses; everything else is internal/serve's.
 type (
-	// ServeInstance is one loaded graph serving supervised queries.
-	ServeInstance = serve.Instance
 	// ServeConfig describes what an instance loads and how it admits runs.
 	ServeConfig = serve.Config
 	// ServeQuery selects the engine and per-run options of one query.
 	ServeQuery = serve.Query
-	// ServeResult summarizes one completed supervised run.
-	ServeResult = serve.QueryResult
 	// ServeSupervisor is the named-instance registry behind cmd/lccd.
 	ServeSupervisor = serve.Supervisor
-	// ServeManifest is the durable record of one loaded instance.
-	ServeManifest = serve.Manifest
 	// ServeManifestStore persists instance manifests in a state directory.
 	ServeManifestStore = serve.ManifestStore
-	// ServeQueueTimeoutError carries the measured wait of a run whose
-	// deadline-in-queue expired (wraps ErrServeQueueTimeout).
-	ServeQueueTimeoutError = serve.QueueTimeoutError
-	// ServeStallError is the run watchdog's diagnostic: per-rank progress
-	// counters and worker stacks at the moment a run was force-canceled
-	// for making no progress (wraps ErrServeStalled).
-	ServeStallError = serve.StallError
-	// ServeScrubError names the instance, rank and section whose resident
-	// checksum failed verification (wraps ErrServeQuarantined).
-	ServeScrubError = serve.ScrubError
-	// ServeShedError is a structured global-admission rejection: run cap
-	// (wraps ErrServeServerBusy) or memory brownout (ErrServeBrownout).
-	ServeShedError = serve.ShedError
-	// ServeScrubber is the background integrity-scrubbing loop
-	// (ServeSupervisor.StartScrubber).
-	ServeScrubber = serve.Scrubber
-	// IntegrityError is a snapshot checksum mismatch: rank, section,
-	// wanted and observed CRC-32C.
-	IntegrityError = lcc.IntegrityError
 )
-
-// NewServeInstance creates an instance in the loading state; Start loads
-// it.
-func NewServeInstance(name string, cfg ServeConfig) *ServeInstance {
-	return serve.NewInstance(name, cfg)
-}
 
 // NewServeSupervisor creates an empty instance registry.
 func NewServeSupervisor() *ServeSupervisor { return serve.NewSupervisor() }
@@ -512,35 +481,6 @@ func NewServeSupervisor() *ServeSupervisor { return serve.NewSupervisor() }
 func NewServeManifestStore(dir string) (*ServeManifestStore, error) {
 	return serve.NewManifestStore(dir)
 }
-
-// Typed serving errors (errors.Is targets).
-var (
-	ErrServeAlreadyRunning = serve.ErrAlreadyRunning
-	ErrServeInstanceExited = serve.ErrInstanceExited
-	ErrServeNotReady       = serve.ErrNotReady
-	ErrServeUnhealthy      = serve.ErrUnhealthy
-	ErrServeBusy           = serve.ErrBusy
-	ErrServeUnknown        = serve.ErrUnknownInstance
-	// ErrServeQueueTimeout rejects a queued run whose deadline-in-queue
-	// expired before a slot freed.
-	ErrServeQueueTimeout = serve.ErrQueueTimeout
-	// ErrServeManifestCorrupt / ErrServeManifestVersion classify manifests
-	// recovery skips.
-	ErrServeManifestCorrupt = serve.ErrManifestCorrupt
-	ErrServeManifestVersion = serve.ErrManifestVersion
-	// ErrServeStalled marks a run the watchdog force-canceled for lack of
-	// progress (check before ErrRunCanceled — a stall unwinds through the
-	// cancellation plane).
-	ErrServeStalled = serve.ErrStalled
-	// ErrServeQuarantined marks an instance whose resident snapshot
-	// failed integrity verification; the scrubber auto-reloads it.
-	ErrServeQuarantined = serve.ErrQuarantined
-	// ErrServeServerBusy / ErrServeBrownout are the server-wide shedding
-	// sentinels: fleet run cap reached, memory over budget with nothing
-	// evictable.
-	ErrServeServerBusy = serve.ErrServerBusy
-	ErrServeBrownout   = serve.ErrBrownout
-)
 
 // --- caching ----------------------------------------------------------------
 

@@ -315,36 +315,41 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
-// TestDaemonHandlers walks the handlers' rejection paths in one pass, and
-// the two load rules: a failed first load registers nothing, a live name
-// is not loaded twice.
-func TestDaemonHandlers(t *testing.T) {
-	load := func(fields string) string { return `{"name":"fb","dataset":"fb-sim"` + fields + `}` }
-	startDaemon(t).expect([]row{
-		{name: "malformed load", path: "/v1/load", body: `{"name":`, status: 400, reason: "bad-request"},
-		{name: "malformed run", path: "/v1/run", body: `not json`, status: 400, reason: "bad-request"},
-		{name: "malformed stop", path: "/v1/stop", body: `[`, status: 400, reason: "bad-request"},
-		{name: "load without dataset", path: "/v1/load", body: `{"name":"fb"}`, status: 400, reason: "bad-request"},
-		{name: "unknown scheme", path: "/v1/load", body: load(`,"scheme":"diagonal"`), status: 400, reason: "bad-request"},
-		{name: "unknown storage", path: "/v1/load", body: load(`,"storage":"tape"`), status: 400, reason: "bad-request"},
-		{name: "unknown dataset", path: "/v1/load", body: `{"name":"fb","dataset":"nope"}`, status: 400, reason: "bad-request"},
-		{name: "negative ranks", path: "/v1/load", body: load(`,"ranks":-3`), status: 400, reason: "bad-request"},
-		{name: "health after failed loads", method: http.MethodGet, path: "/v1/health", status: 200},
-		{name: "corrected load of the same name", path: "/v1/load", body: load(`,"ranks":4`), status: 200},
-		{name: "duplicate load", path: "/v1/load", body: load(`,"ranks":4`), status: 409, reason: "already-running"},
-		{name: "run on unknown instance", path: "/v1/run", body: `{"instance":"ghost"}`, status: 404, reason: "unknown-instance"},
-		{name: "stop on unknown instance", path: "/v1/stop", body: `{"instance":"ghost"}`, status: 404, reason: "unknown-instance"},
-		{name: "unknown method", path: "/v1/run", body: `{"instance":"fb","method":"hybird"}`, status: 400, reason: "bad-request"},
-		{name: "unknown engine", path: "/v1/run", body: `{"instance":"fb","engine":"bogus"}`, status: 400, reason: "bad-request"},
-		{name: "unknown fault", path: "/v1/run", body: `{"instance":"fb","faults":"gremlins=1"}`, status: 400, reason: "bad-request"},
-		oversized,
-		{name: "header deadline", path: "/v1/run", body: `{"instance":"fb"}`,
-			header: []string{"Request-Timeout", "0.001"}, status: 504, reason: "canceled"},
-		{name: "run after the rejections", path: "/v1/run", body: runFB, status: 200},
-		{name: "stop", path: "/v1/stop", body: `{"instance":"fb"}`, status: 200},
-		{name: "run after stop", path: "/v1/run", body: runFB, status: 410, reason: "instance-exited"},
-	})
+// loadFBWith is a load of fb-sim as "fb" with extra fields.
+func loadFBWith(fields string) string { return `{"name":"fb","dataset":"fb-sim"` + fields + `}` }
+
+// handlerRows walks the handlers' rejection paths in one pass, and the two
+// load rules: a failed first load registers nothing, a live name is not
+// loaded twice. FuzzLCCDRequest takes its seed corpus from the same rows.
+var handlerRows = []row{
+	{name: "malformed load", path: "/v1/load", body: `{"name":`, status: 400, reason: "bad-request"},
+	{name: "malformed run", path: "/v1/run", body: `not json`, status: 400, reason: "bad-request"},
+	{name: "malformed stop", path: "/v1/stop", body: `[`, status: 400, reason: "bad-request"},
+	{name: "load without dataset", path: "/v1/load", body: `{"name":"fb"}`, status: 400, reason: "bad-request"},
+	{name: "unknown scheme", path: "/v1/load", body: loadFBWith(`,"scheme":"diagonal"`), status: 400, reason: "bad-request"},
+	{name: "unknown storage", path: "/v1/load", body: loadFBWith(`,"storage":"tape"`), status: 400, reason: "bad-request"},
+	{name: "unknown dataset", path: "/v1/load", body: `{"name":"fb","dataset":"nope"}`, status: 400, reason: "bad-request"},
+	{name: "negative ranks", path: "/v1/load", body: loadFBWith(`,"ranks":-3`), status: 400, reason: "bad-request"},
+	{name: "ranks past the limit", path: "/v1/load", body: loadFBWith(`,"ranks":1000000000`), status: 400, reason: "bad-request"},
+	{name: "health after failed loads", method: http.MethodGet, path: "/v1/health", status: 200},
+	{name: "corrected load of the same name", path: "/v1/load", body: loadFBWith(`,"ranks":4`), status: 200},
+	{name: "duplicate load", path: "/v1/load", body: loadFBWith(`,"ranks":4`), status: 409, reason: "already-running"},
+	{name: "run on unknown instance", path: "/v1/run", body: `{"instance":"ghost"}`, status: 404, reason: "unknown-instance"},
+	{name: "stop on unknown instance", path: "/v1/stop", body: `{"instance":"ghost"}`, status: 404, reason: "unknown-instance"},
+	{name: "unknown method", path: "/v1/run", body: `{"instance":"fb","method":"hybird"}`, status: 400, reason: "bad-request"},
+	{name: "unknown engine", path: "/v1/run", body: `{"instance":"fb","engine":"bogus"}`, status: 400, reason: "bad-request"},
+	{name: "unknown fault", path: "/v1/run", body: `{"instance":"fb","faults":"gremlins=1"}`, status: 400, reason: "bad-request"},
+	{name: "workers past the limit", path: "/v1/run", body: `{"instance":"fb","workers":1000000000}`, status: 400, reason: "bad-request"},
+	{name: "offsets cache past the limit", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_offsets_bytes":1000000000000}`, status: 400, reason: "bad-request"},
+	oversized,
+	{name: "header deadline", path: "/v1/run", body: `{"instance":"fb"}`,
+		header: []string{"Request-Timeout", "0.001"}, status: 504, reason: "canceled"},
+	{name: "run after the rejections", path: "/v1/run", body: runFB, status: 200},
+	{name: "stop", path: "/v1/stop", body: `{"instance":"fb"}`, status: 200},
+	{name: "run after stop", path: "/v1/run", body: runFB, status: 410, reason: "instance-exited"},
 }
+
+func TestDaemonHandlers(t *testing.T) { startDaemon(t).expect(handlerRows) }
 
 // TestStatusFor: every error a handler can be handed maps to its
 // documented status and reason, and none of them falls to the default arm.

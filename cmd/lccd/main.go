@@ -32,16 +32,21 @@
 //	GET  /v1/ps
 //	GET  /v1/health
 //
+// The /v1/load body is a serve.Manifest, the record the state directory
+// keeps. ps and health report an instance as loading, ready, unhealthy,
+// parked or exited — or busy: ready with runs in flight (DESIGN.md §8).
+//
 // Typed serve errors map to statuses, and every error body carries a
 // machine-readable "reason" code alongside the message: 429
 // busy/queue-overflow or the server-wide run cap (with Retry-After), 404
 // unknown instance, 410 exited, 503 loading/unhealthy/memory-brownout,
 // 504 deadline, cancellation or queue timeout (the JSON body carries the
 // queue wait), 500 isolated panic or a watchdog-detected stall, 413
-// oversized request body. A client timeout_ms (or Request-Timeout
-// header, in seconds) becomes the run context's deadline, so queue wait
-// and execution share one budget. SIGTERM/SIGINT drains in-flight runs
-// before exit; manifests survive the drain.
+// oversized request body, 400 anything malformed or past the limits on
+// ranks, workers and the offsets cache. A client timeout_ms (or
+// Request-Timeout header, in seconds) becomes the run context's deadline,
+// so queue wait and execution share one budget. SIGTERM/SIGINT drains
+// in-flight runs before exit; manifests survive the drain.
 package main
 
 import (
@@ -64,7 +69,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
-	"repro/internal/part"
 	"repro/internal/sched"
 	"repro/internal/serve"
 )
@@ -147,6 +151,16 @@ func run(args []string, out io.Writer) error {
 // instead of an unbounded read.
 const maxBodyBytes = 1 << 20
 
+// The numbers of a request that size allocations whatever the graph —
+// per-rank state, scheduler slots, the offsets cache's hash table (a bucket,
+// ~140 host bytes, per 16 bytes asked for; C_adj's is bounded by the vertex
+// count) — are bounded the same way: past these it gets 400, not the memory.
+const (
+	maxRanks             = 1 << 10
+	maxWorkers           = 1 << 8
+	maxOffsetsCacheBytes = 1 << 24
+)
+
 // server binds the supervisor to the HTTP surface.
 type server struct {
 	sup      *serve.Supervisor
@@ -219,52 +233,21 @@ func (s *server) serve(ln net.Listener, out io.Writer, drain time.Duration) erro
 	return nil
 }
 
-// loadRequest is the POST /v1/load body.
-type loadRequest struct {
-	Name           string `json:"name"`
-	Dataset        string `json:"dataset"`
-	Ranks          int    `json:"ranks"`
-	Scheme         string `json:"scheme"`
-	DelegateBytes  int    `json:"delegate_bytes"`
-	Storage        string `json:"storage"`
-	MemBudgetBytes int64  `json:"mem_budget_bytes"`
-	MaxConcurrent  int    `json:"max_concurrent"`
-	QueueDepth     int    `json:"queue_depth"`
-	TimeoutMS      int64  `json:"default_timeout_ms"`
-	StallTimeoutMS int64  `json:"stall_timeout_ms"`
-}
-
+// handleLoad's body is a serve.Manifest: what is asked for is what is kept.
 func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	var req loadRequest
+	var req serve.Manifest
 	if err := decodeBody(w, r, &req); err != nil {
 		return
 	}
-	if req.Name == "" || req.Dataset == "" {
-		writeError(w, http.StatusBadRequest, "bad-request", errors.New("load needs name and dataset"))
-		return
+	cfg, err := req.Config()
+	if err == nil && cfg.Ranks > maxRanks {
+		err = fmt.Errorf("ranks %d past the limit of %d", cfg.Ranks, maxRanks)
 	}
-	scheme, err := part.ParseScheme(req.Scheme)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad-request", err)
 		return
 	}
-	storage, err := lcc.ParseStorageMode(req.Storage)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err)
-		return
-	}
-	inst, err := s.sup.Load(req.Name, serve.Config{
-		Dataset:        req.Dataset,
-		Ranks:          req.Ranks,
-		Scheme:         scheme,
-		DelegateBytes:  req.DelegateBytes,
-		Storage:        storage,
-		MemBudgetBytes: req.MemBudgetBytes,
-		MaxConcurrent:  req.MaxConcurrent,
-		QueueDepth:     req.QueueDepth,
-		DefaultTimeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		StallTimeout:   time.Duration(req.StallTimeoutMS) * time.Millisecond,
-	})
+	inst, err := s.sup.Load(req.Name, cfg)
 	if err != nil {
 		writeServeError(w, err)
 		return
@@ -297,12 +280,13 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, err := fault.ParseSpec(req.Faults)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err)
-		return
+	method, merr := intersect.ParseMethod(req.Method)
+	var lerr error
+	if req.Workers > maxWorkers || req.CacheOffsets > maxOffsetsCacheBytes {
+		lerr = fmt.Errorf("workers %d, cache_offsets_bytes %d: the limits are %d and %d",
+			req.Workers, req.CacheOffsets, maxWorkers, maxOffsetsCacheBytes)
 	}
-	method, err := intersect.ParseMethod(req.Method)
-	if err != nil {
+	if err = errors.Join(err, merr, lerr); err != nil {
 		writeError(w, http.StatusBadRequest, "bad-request", err)
 		return
 	}

@@ -77,12 +77,12 @@
 // setup once and run it supervised — or start the daemon and drive it
 // over HTTP:
 //
-//	inst := repro.NewServeInstance("fb", repro.ServeConfig{
+//	sup := repro.NewServeSupervisor()
+//	_, err := sup.Load("fb", repro.ServeConfig{
 //		Dataset: "fb-sim", Ranks: 8, MaxConcurrent: 2,
 //		StallTimeout: time.Minute, // watchdog: force-cancel wedged runs
 //	})
-//	_ = inst.Start()
-//	res, err := inst.Run(ctx, repro.ServeQuery{
+//	res, err := sup.Run(ctx, "fb", repro.ServeQuery{
 //		Options: repro.LCCOptions{Method: repro.MethodHybrid, DoubleBuffer: true},
 //		Timeout: 30 * time.Second,
 //	})
@@ -107,8 +107,8 @@
 // The serving plane also heals itself (DESIGN.md §10). ServeConfig's
 // StallTimeout (stall_timeout_ms over HTTP) arms a per-run watchdog on a
 // scheduler-level progress counter: a run making no progress for the
-// full window is force-canceled with a typed *repro.ServeStallError
-// (errors.Is(err, repro.ErrServeStalled)) carrying per-rank progress and
+// full window is force-canceled with a typed stall error (internal/serve's
+// *StallError; HTTP 500 "stalled") carrying per-rank progress and
 // goroutine stacks — distinct from a deadline, which stays
 // ErrRunCanceled. Snapshots carry per-rank CRC-32C sums; the daemon's
 // background scrubber (lccd -scrub-period) re-verifies idle instances

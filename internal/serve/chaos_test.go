@@ -172,7 +172,12 @@ func TestChaosSupervisorStorm(t *testing.T) {
 						}
 					}
 				case 5: // observers
-					_ = sup.List()
+					for _, info := range sup.List() {
+						serving := info.State == "ready" || info.State == "busy"
+						if serving && (info.State == "busy") != (info.Active > 0) {
+							t.Errorf("%s reports state=%s with active=%d: busy must mean runs in flight", info.Name, info.State, info.Active)
+						}
+					}
 					_ = sup.ServerInfo()
 					_ = sup.Healthy()
 				}

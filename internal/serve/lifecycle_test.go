@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +74,54 @@ func TestLifecycleLoadFailure(t *testing.T) {
 	}
 	if st := inst.State(); st != serve.StateUnhealthy {
 		t.Fatalf("state after failed Reload = %v, want unhealthy", st)
+	}
+}
+
+// TestLifecycleReloadDuringLoad: a Reload that lands while a query's unpark
+// load is in flight is refused with ErrBusy. Before the lifecycle went
+// through one transition function it started a second build, and that
+// build's install put ready over the state of the run the first had
+// admitted. The query blocks in its first remote read, so the run cannot
+// drain before the Reload whichever side of the install it lands on; a
+// round that never sees the loading window asserts only the busy view.
+func TestLifecycleReloadDuringLoad(t *testing.T) {
+	inst := fbInstance(t)
+	windows := 0
+	for round := 0; round < 10; round++ {
+		if err := inst.Park(); err != nil {
+			t.Fatalf("round %d: Park: %v", round, err)
+		}
+		q, entered, release := blockingQuery(2)
+		done := make(chan error, 1)
+		go func() {
+			_, err := inst.Run(context.Background(), q)
+			done <- err
+		}()
+		st := inst.State()
+		for deadline := time.Now().Add(5 * time.Second); st == serve.StateParked && time.Now().Before(deadline); st = inst.State() {
+			runtime.Gosched()
+		}
+		if st == serve.StateLoading {
+			windows++
+			if err := inst.Reload(); !errors.Is(err, serve.ErrBusy) {
+				t.Errorf("round %d: Reload during the unpark load: err = %v, want ErrBusy", round, err)
+			}
+		}
+		select {
+		case <-entered:
+		case err := <-done:
+			t.Fatalf("round %d: query against parked instance: %v", round, err)
+		}
+		if info := inst.Info(); info.State != "busy" || info.Active != 1 {
+			t.Errorf("round %d: run in flight reported as state=%s active=%d, want busy 1", round, info.State, info.Active)
+		}
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatalf("round %d: blocked run: %v", round, err)
+		}
+	}
+	if windows == 0 {
+		t.Skip("no round observed the loading window")
 	}
 }
 

@@ -17,12 +17,13 @@ import (
 	"repro/internal/part"
 )
 
-// Manifest is the durable record of one loaded instance: everything the
-// daemon needs to rebuild the instance after a crash-stop of the *process*
-// — dataset spec, distribution, storage mode, memory budget and admission
-// config. It deliberately holds no graph bytes: the dataset registry (and
-// its disk cache) is the source of truth for data; the manifest is the
-// source of truth for *which instances exist and how they are configured*.
+// Manifest is the durable record of one loaded instance, and the body of
+// lccd's /v1/load that asks for one: everything the daemon needs to
+// rebuild the instance after a crash-stop of the *process* — dataset spec,
+// distribution, storage mode, memory budget and admission config. It
+// deliberately holds no graph bytes: the dataset registry (and its disk
+// cache) is the source of truth for data; the manifest is the source of
+// truth for *which instances exist and how they are configured*.
 //
 // On disk a manifest is a small framed file (DESIGN.md §8):
 //
@@ -85,18 +86,24 @@ func (e *ManifestError) Error() string {
 
 func (e *ManifestError) Unwrap() error { return e.Err }
 
-// config converts the manifest back into the instance Config it was taken
-// from. Unknown scheme or storage names fail typed — a manifest written by
-// a future version with new enum values must not silently load under the
-// wrong distribution.
-func (m *Manifest) config() (Config, error) {
+// Config converts the manifest into the instance Config it describes — the
+// one mapping between the wire/disk schema and Config, shared by recovery
+// and lccd's /v1/load. A record without a name or a dataset, or with an
+// unknown scheme or storage name, fails with the plain error: a manifest
+// written by a future version with new enum values must not silently load
+// under the wrong distribution (Recover reports it as ErrManifestCorrupt),
+// and a load request like it is a bad request.
+func (m *Manifest) Config() (Config, error) {
+	if m.Name == "" || m.Dataset == "" {
+		return Config{}, errors.New("serve: manifest needs name and dataset")
+	}
 	scheme, err := part.ParseScheme(m.Scheme)
 	if err != nil {
-		return Config{}, fmt.Errorf("%w: %v", ErrManifestCorrupt, err)
+		return Config{}, err
 	}
 	storage, err := lcc.ParseStorageMode(m.Storage)
 	if err != nil {
-		return Config{}, fmt.Errorf("%w: %v", ErrManifestCorrupt, err)
+		return Config{}, err
 	}
 	return Config{
 		Dataset:        m.Dataset,
@@ -272,9 +279,6 @@ func (ms *ManifestStore) Load(path string) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return nil, &ManifestError{Path: path, Reason: fmt.Sprintf("payload: %v", err), Err: ErrManifestCorrupt}
-	}
-	if m.Name == "" || m.Dataset == "" {
-		return nil, &ManifestError{Path: path, Reason: "payload missing name or dataset", Err: ErrManifestCorrupt}
 	}
 	return &m, nil
 }

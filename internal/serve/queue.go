@@ -111,8 +111,9 @@ func (inst *Instance) flushQueueLocked(err error) {
 
 // enqueueLocked parks the caller in the admission queue and blocks until
 // granted, fenced, canceled or expired. Takes the instance lock held and
-// releases it; returns with the lock released.
-func (inst *Instance) enqueueLocked(q Query, done <-chan struct{}, cause func() error) (*waiterOutcome, error) {
+// releases it; returns with the lock released, and on a grant the snapshot
+// to run against and the measured wait.
+func (inst *Instance) enqueueLocked(q Query, done <-chan struct{}, cause func() error) (*lcc.Snapshot, time.Duration, error) {
 	w := &waiter{priority: q.Priority, seq: inst.seq, ready: make(chan struct{})}
 	inst.seq++
 	heap.Push(&inst.queue, w)
@@ -135,29 +136,23 @@ func (inst *Instance) enqueueLocked(q Query, done <-chan struct{}, cause func() 
 			inst.mu.Lock()
 			inst.ctr.Rejected++
 			inst.mu.Unlock()
-			return nil, w.err
+			return nil, 0, w.err
 		}
 		// Granted: a slot is already claimed on our behalf. Re-validate
 		// the lifecycle — the instance may have flipped unhealthy or
 		// exited between the grant and this wakeup — and capture the
 		// snapshot under the lock.
 		inst.mu.Lock()
-		switch inst.state {
-		case StateExited:
-			abandonErr = ErrInstanceExited
-		case StateUnhealthy:
-			abandonErr = fmt.Errorf("%w (cause: %v)", ErrUnhealthy, inst.failure)
-		}
-		if abandonErr != nil {
+		if abandonErr = inst.refusalLocked(); abandonErr != nil {
 			inst.releaseSlotLocked()
 			inst.ctr.Rejected++
 			inst.mu.Unlock()
-			return nil, abandonErr
+			return nil, 0, abandonErr
 		}
 		snap := inst.snap
 		inst.touchLocked()
 		inst.mu.Unlock()
-		return &waiterOutcome{snap: snap, wait: wait}, nil
+		return snap, wait, nil
 	case <-done:
 		abandonErr = fmt.Errorf("serve: canceled while queued: %w", cause())
 	case <-timeC:
@@ -179,23 +174,14 @@ func (inst *Instance) enqueueLocked(q Query, done <-chan struct{}, cause func() 
 		inst.ctr.Canceled++
 	}
 	inst.mu.Unlock()
-	return nil, abandonErr
+	return nil, 0, abandonErr
 }
 
-// waiterOutcome is a successful queue exit: the snapshot to run against
-// and the measured wait.
-type waiterOutcome struct {
-	snap *lcc.Snapshot
-	wait time.Duration
-}
-
-// releaseSlotLocked returns an unclaimed slot to the pool: the mirror of
-// the claim grantLocked made. Called under the instance lock.
+// releaseSlotLocked returns a slot to the pool — a finished run's, or one
+// grantLocked claimed for a waiter that then gave up — and hands it on to
+// the queue. Called under the instance lock.
 func (inst *Instance) releaseSlotLocked() {
 	inst.active--
 	inst.grantLocked()
-	if inst.state == StateBusy && inst.active == 0 {
-		inst.state = StateReady
-	}
 	inst.cond.Broadcast()
 }

@@ -4,13 +4,13 @@ package serve
 // resident-memory corruption. Snapshots record per-rank CRC-32C over
 // their adjacency, offset and resolve tables at build time
 // (lcc/integrity.go); the scrubber re-verifies idle instances on a
-// jittered period and, on a mismatch, quarantines the instance — the
-// corrupt snapshot is discarded before another query can read it — and
-// auto-reloads from the dataset source, reusing the parking machinery's
-// rebuild path. Queries arriving mid-quarantine wait out the reload
-// (admit's quarantined branch) or, when the reload itself fails, get the
-// typed unhealthy error; no query ever computes over bits that failed
-// their checksum.
+// jittered period and, on a mismatch, quarantines the instance — an event,
+// not a state: one critical section records the *ScrubError and takes the
+// ready → loading edge, which discards the corrupt snapshot before another
+// query can read it, and the rebuild is the one an unpark takes. Queries
+// arriving meanwhile wait out the reload (admit's loading branch) or, when
+// the reload itself fails, get the typed unhealthy error; no query ever
+// computes over bits that failed their checksum.
 
 import (
 	"errors"
@@ -55,15 +55,14 @@ func (e *ScrubError) Unwrap() error { return e.Integrity }
 // queued. Busy, parked, loading and exited instances are skipped
 // (checked=false — skipped, not failed: parked instances hold no bytes
 // to corrupt, and a busy instance is re-checked on the next sweep). On a
-// mismatch the instance is quarantined — state flips, the corrupt
-// snapshot is dropped, failure records the *ScrubError — and then
-// immediately reloaded from its dataset source. The returned *ScrubError
-// is non-nil exactly when corruption was found; err reports a reload
-// that failed afterwards (the instance is then unhealthy with the reload
-// cause).
+// mismatch the instance is quarantined — failure records the *ScrubError
+// and the move to loading drops the corrupt snapshot — and reloaded from
+// its dataset source. The returned *ScrubError is non-nil exactly when
+// corruption was found; err reports a reload that failed afterwards (the
+// instance is then unhealthy with the reload cause).
 func (inst *Instance) Scrub() (checked bool, se *ScrubError, err error) {
 	inst.mu.Lock()
-	if inst.state != StateReady || inst.active > 0 || inst.queue.Len() > 0 || inst.snap == nil {
+	if inst.state != StateReady || !inst.idleLocked() {
 		inst.mu.Unlock()
 		return false, nil, nil
 	}
@@ -85,25 +84,22 @@ func (inst *Instance) Scrub() (checked bool, se *ScrubError, err error) {
 	se = &ScrubError{Instance: inst.name, Integrity: ie}
 
 	inst.mu.Lock()
-	if inst.snap != snap || inst.state != StateReady || inst.active > 0 || inst.queue.Len() > 0 {
-		// Raced with a reload, park, stop or admission while verifying.
+	if inst.snap != snap || !inst.idleLocked() {
+		// Raced with a reload, park, stop or admission while verifying
+		// (only a ready instance holds a snapshot, so the same snapshot
+		// still installed means still ready).
 		// The corruption (if the snapshot is even still installed) will be
 		// re-detected on the next idle sweep; quarantining under a live
 		// run would yank the state transitions out from under it.
 		inst.mu.Unlock()
 		return true, se, nil
 	}
-	inst.state = StateQuarantined
-	inst.snap = nil
-	inst.failure = se
-	inst.cond.Broadcast()
-	inst.mu.Unlock()
-
 	// Auto-reload from the dataset source — the same rebuild path an
 	// unpark takes. Success clears failure and restores ready; a failure
-	// flips unhealthy with the load error and fences any queries that
-	// queued up behind the quarantine.
-	return true, se, inst.reloadFromQuarantine()
+	// flips unhealthy with the load error, which the queries that waited
+	// behind the quarantine then get.
+	inst.failure = se
+	return true, se, inst.loadLocked()
 }
 
 // CorruptResident flips one bit in the named section of the resident
@@ -116,24 +112,10 @@ func (inst *Instance) Scrub() (checked bool, se *ScrubError, err error) {
 func (inst *Instance) CorruptResident(rank int, section string) error {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	if inst.state != StateReady || inst.active > 0 || inst.snap == nil {
+	if inst.state != StateReady || !inst.idleLocked() {
 		return ErrNotReady
 	}
 	return inst.snap.CorruptForTest(rank, section)
-}
-
-// reloadFromQuarantine rebuilds the snapshot of a quarantined instance.
-// A state change since quarantine (an explicit Reload or Stop racing in)
-// makes it a no-op — whoever changed the state owns the instance now.
-func (inst *Instance) reloadFromQuarantine() error {
-	inst.mu.Lock()
-	if inst.state != StateQuarantined {
-		inst.mu.Unlock()
-		return nil
-	}
-	inst.state = StateLoading
-	inst.mu.Unlock()
-	return inst.loadAndNote()
 }
 
 // ScrubStats aggregates the supervisor's scrub outcomes.
@@ -150,14 +132,8 @@ type ScrubStats struct {
 // sweep. The background Scrubber calls this on its period; tests and the
 // chaos harness call it directly.
 func (s *Supervisor) ScrubNow() []string {
-	s.mu.Lock()
-	insts := make([]*Instance, 0, len(s.instances))
-	for _, inst := range s.instances {
-		insts = append(insts, inst)
-	}
-	s.mu.Unlock()
 	var quarantined []string
-	for _, inst := range insts {
+	for _, inst := range s.fleet() {
 		checked, se, err := inst.Scrub()
 		s.mu.Lock()
 		switch {

@@ -9,9 +9,10 @@
 // queries share the snapshot and nothing else; results are bit-identical
 // to the corresponding one-shot lcc.Run.
 //
-// The instance moves through loading → ready → busy → unhealthy → exited,
-// plus the parked state (snapshot evicted, config retained) under a
-// per-instance lock. Runs are supervised end to end:
+// The instance stores one of five states — loading, ready, unhealthy,
+// parked (snapshot evicted, config retained), exited — changed only along
+// the edges table under a per-instance lock; a ready instance with runs in
+// flight reports busy. Runs are supervised end to end:
 //
 //   - Deadlines and cancellation: the run context threads through
 //     rma.Comm.RunCtx into the scheduler; ranks observe cancellation at
@@ -45,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,20 +58,11 @@ import (
 	"repro/internal/sched"
 )
 
-// State is the lifecycle state of an Instance. Transitions happen under
-// the instance lock; every edge not drawn below is rejected with a typed
-// error rather than racing:
-//
-//	loading → ready      (Start/Reload succeeds)
-//	loading → unhealthy  (load fails)
-//	ready   ⇄ busy       (run admitted / last run drains)
-//	busy    → unhealthy  (a run panics, or the watchdog detects a stall)
-//	unhealthy → loading  (Reload)
-//	ready   → parked     (Park: snapshot evicted, config retained)
-//	parked  → loading    (next query or Reload rebuilds the snapshot)
-//	ready   → quarantined (scrub checksum mismatch: snapshot discarded)
-//	quarantined → loading (the scrubber auto-reloads from the source)
-//	any     → exited     (Stop; terminal)
+// State is the lifecycle state of an Instance. Five are stored — loading,
+// ready, unhealthy, parked, exited; StateBusy never is: State and Info
+// report it for a ready instance with runs in flight. The stored state
+// changes only in toLocked, along the edges below; any other request is
+// rejected with a typed error rather than racing.
 type State int32
 
 const (
@@ -79,8 +72,18 @@ const (
 	StateUnhealthy
 	StateExited
 	StateParked
-	StateQuarantined
 )
+
+// edges lists, per stored state, the states an instance may move to.
+// DESIGN.md §8 prints the same table with the event behind each row, and
+// TestLifecycleTableMatchesDesign holds the two equal.
+var edges = map[State][]State{
+	StateLoading:   {StateReady, StateUnhealthy, StateExited},
+	StateReady:     {StateLoading, StateUnhealthy, StateParked, StateExited},
+	StateUnhealthy: {StateLoading, StateExited},
+	StateParked:    {StateLoading, StateExited},
+	StateExited:    {},
+}
 
 func (s State) String() string {
 	switch s {
@@ -96,8 +99,6 @@ func (s State) String() string {
 		return "exited"
 	case StateParked:
 		return "parked"
-	case StateQuarantined:
-		return "quarantined"
 	default:
 		return "unknown"
 	}
@@ -194,11 +195,11 @@ type Instance struct {
 	name string
 	cfg  Config
 
-	// onResident, when set (by the Supervisor, before Start), observes
-	// every successful snapshot load — initial, Reload and unpark — so
-	// the global memory budget can be (re-)enforced. Called outside the
-	// instance lock.
-	onResident func(*Instance)
+	// onResident, when set (to the Supervisor's EnsureBudget, before
+	// Start), runs after every successful snapshot load — initial, Reload
+	// and unpark — so the global memory budget can be (re-)enforced; the
+	// result is admitLoad's to use. Called outside the instance lock.
+	onResident func(*Instance) int64
 
 	mu        sync.Mutex
 	cond      *sync.Cond // signaled whenever active drops or state changes
@@ -244,11 +245,56 @@ func newParkedInstance(name string, cfg Config) *Instance {
 // Name returns the instance name.
 func (inst *Instance) Name() string { return inst.name }
 
-// State returns the current lifecycle state.
+// State returns the current lifecycle state, with a ready instance that
+// has runs in flight reported as busy.
 func (inst *Instance) State() State {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
+	return inst.viewLocked()
+}
+
+func (inst *Instance) viewLocked() State {
+	if inst.state == StateReady && inst.active > 0 {
+		return StateBusy
+	}
 	return inst.state
+}
+
+// idleLocked reports that no run is in flight or queued.
+func (inst *Instance) idleLocked() bool { return inst.active == 0 && inst.queue.Len() == 0 }
+
+// toLocked is the only place the stored state changes after construction.
+// A move outside the edges table is a bug in this package and panics; every
+// state but ready gives up the snapshot; waiters on cond are woken.
+func (inst *Instance) toLocked(to State) {
+	if !slices.Contains(edges[inst.state], to) {
+		panic(fmt.Sprintf("serve: instance %q: no lifecycle edge %v → %v", inst.name, inst.state, to))
+	}
+	inst.state = to
+	if to != StateReady {
+		inst.snap = nil
+	}
+	inst.cond.Broadcast()
+}
+
+// refusalLocked is the typed error an instance that has stopped serving
+// hands out; nil while it serves, or may again without a Reload.
+func (inst *Instance) refusalLocked() error {
+	switch inst.state {
+	case StateExited:
+		return ErrInstanceExited
+	case StateUnhealthy:
+		return fmt.Errorf("%w (cause: %v)", ErrUnhealthy, inst.failure)
+	}
+	return nil
+}
+
+// failLocked ends service with err as the recorded cause — a failed load, a
+// panicked run, a stalled run — and fences the queue with it.
+func (inst *Instance) failLocked(err error) {
+	inst.failure = err
+	inst.toLocked(StateUnhealthy)
+	inst.flushQueueLocked(inst.refusalLocked())
 }
 
 // Failure returns the error that flipped the instance unhealthy, nil when
@@ -295,16 +341,25 @@ func (inst *Instance) Start() error {
 		inst.mu.Unlock()
 		return ErrAlreadyRunning
 	}
-	inst.started = true
-	inst.mu.Unlock()
-	return inst.loadAndNote()
+	return inst.loadLocked()
 }
 
-// loadAndNote is load plus the residency hook: a successful load may push
-// total resident bytes past the supervisor's budget, so the supervisor
-// gets to park someone (outside the instance lock — the hook may park
-// *other* instances, never this one).
-func (inst *Instance) loadAndNote() error {
+// loadLocked is the one way a load starts: Start, Reload, admit's unpark
+// and a scrub mismatch call it with the lock held; it moves to loading
+// (Start is there already), releases the lock and builds. A load already in
+// flight refuses with ErrBusy — a second build would install over the first
+// under the runs the first had admitted. A successful load ends in the
+// residency hook, outside the lock: the new bytes may push the fleet past
+// the supervisor's budget, and the hook parks *other* instances only.
+func (inst *Instance) loadLocked() error {
+	if inst.state != StateLoading {
+		inst.toLocked(StateLoading)
+	} else if inst.started {
+		inst.mu.Unlock()
+		return ErrBusy
+	}
+	inst.started = true
+	inst.mu.Unlock()
 	if err := inst.load(); err != nil {
 		return err
 	}
@@ -338,24 +393,20 @@ func (inst *Instance) load() error {
 		return ErrInstanceExited
 	}
 	if err != nil {
-		inst.state = StateUnhealthy
-		inst.failure = err
-		inst.flushQueueLocked(fmt.Errorf("%w (cause: %v)", ErrUnhealthy, err))
-		inst.cond.Broadcast()
+		inst.failLocked(err)
 		return err
 	}
+	inst.toLocked(StateReady)
 	inst.snap, inst.failure = snap, nil
-	inst.state = StateReady
 	inst.everReady = true
 	inst.touchLocked()
-	inst.cond.Broadcast()
 	return nil
 }
 
 // Reload rebuilds the snapshot and restores service — the recovery path
 // out of unhealthy and the eager path out of parked. It refuses while
-// runs are in flight or queued (ErrBusy), before Start (ErrNotReady) and
-// after Stop (ErrInstanceExited).
+// runs are in flight or queued or another load is (ErrBusy), before Start
+// (ErrNotReady) and after Stop (ErrInstanceExited).
 func (inst *Instance) Reload() error {
 	inst.mu.Lock()
 	switch {
@@ -365,14 +416,11 @@ func (inst *Instance) Reload() error {
 	case !inst.started:
 		inst.mu.Unlock()
 		return ErrNotReady
-	case inst.active > 0 || inst.queue.Len() > 0:
+	case !inst.idleLocked():
 		inst.mu.Unlock()
 		return ErrBusy
 	}
-	inst.state = StateLoading
-	inst.snap = nil
-	inst.mu.Unlock()
-	return inst.loadAndNote()
+	return inst.loadLocked()
 }
 
 // Park evicts the snapshot of an idle instance while keeping it
@@ -390,14 +438,12 @@ func (inst *Instance) Park() error {
 		return ErrInstanceExited
 	case inst.state == StateParked:
 		return nil
-	case inst.state == StateBusy || inst.active > 0 || inst.queue.Len() > 0:
+	case !inst.idleLocked():
 		return ErrBusy
 	case inst.state != StateReady:
 		return ErrNotReady
 	}
-	inst.state = StateParked
-	inst.snap = nil
-	inst.cond.Broadcast()
+	inst.toLocked(StateParked)
 	return nil
 }
 
@@ -412,10 +458,8 @@ func (inst *Instance) Stop() error {
 	if inst.state == StateExited {
 		return ErrInstanceExited
 	}
-	inst.state = StateExited
-	inst.snap = nil
+	inst.toLocked(StateExited)
 	inst.flushQueueLocked(ErrInstanceExited)
-	inst.cond.Broadcast()
 	return nil
 }
 
@@ -436,7 +480,7 @@ func (inst *Instance) Quiesce(ctx context.Context) error {
 	}()
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	for (inst.active > 0 || inst.queue.Len() > 0) && ctx.Err() == nil {
+	for !inst.idleLocked() && ctx.Err() == nil {
 		inst.cond.Wait()
 	}
 	return ctx.Err()
@@ -550,9 +594,7 @@ func (inst *Instance) admit(ctx context.Context, q Query) (*lcc.Snapshot, time.D
 			// Transparent unpark: the first query flips the instance to
 			// loading and rebuilds the snapshot; concurrent queries take
 			// the loading branch below and wait for it.
-			inst.state = StateLoading
-			inst.mu.Unlock()
-			if err := inst.loadAndNote(); err != nil {
+			if err := inst.loadLocked(); err != nil {
 				return nil, 0, err
 			}
 			inst.mu.Lock()
@@ -560,33 +602,23 @@ func (inst *Instance) admit(ctx context.Context, q Query) (*lcc.Snapshot, time.D
 		case StateLoading:
 			if !inst.everReady {
 				// Initial load: rejecting is the contract (ErrNotReady);
-				// only reloads of a previously serving instance are
-				// waited out.
+				// only reloads of a previously serving instance — an
+				// unpark, a Reload, the rebuild after a scrub mismatch —
+				// are waited out. If that reload fails the woken waiter
+				// gets the typed unhealthy error.
 				inst.mu.Unlock()
 				return nil, 0, ErrNotReady
 			}
 			inst.cond.Wait()
 			continue
-		case StateQuarantined:
-			// The scrubber found corruption and its auto-reload is about
-			// to rebuild the snapshot from the source: wait it out like a
-			// reload in flight. If the reload fails the state flips
-			// unhealthy and the woken waiter gets the typed error; queries
-			// never observe the corrupted bits.
-			inst.cond.Wait()
-			continue
-		case StateUnhealthy:
-			err := fmt.Errorf("%w (cause: %v)", ErrUnhealthy, inst.failure)
+		case StateUnhealthy, StateExited:
+			err := inst.refusalLocked()
 			inst.mu.Unlock()
 			return nil, 0, err
-		case StateExited:
-			inst.mu.Unlock()
-			return nil, 0, ErrInstanceExited
 		}
-		// Ready or busy: claim a slot, queue, or reject.
+		// Ready: claim a slot, queue, or reject.
 		if inst.active < inst.cfg.MaxConcurrent {
 			inst.active++
-			inst.state = StateBusy
 			inst.touchLocked()
 			snap := inst.snap
 			inst.mu.Unlock()
@@ -597,22 +629,17 @@ func (inst *Instance) admit(ctx context.Context, q Query) (*lcc.Snapshot, time.D
 			inst.mu.Unlock()
 			return nil, 0, ErrBusy
 		}
-		out, err := inst.enqueueLocked(q, ctx.Done(), func() error { return context.Cause(ctx) })
-		if err != nil {
-			return nil, 0, err
-		}
-		return out.snap, out.wait, nil
+		return inst.enqueueLocked(q, ctx.Done(), func() error { return context.Cause(ctx) })
 	}
 }
 
-// finish releases the run slot and applies the outcome to the lifecycle:
-// panics flip the instance unhealthy, discard the snapshot and fence the
-// queue; every other outcome leaves it serving, granting freed slots to
-// queued runs and returning to ready once the last in-flight run drains.
+// finish applies the run's outcome to the lifecycle and releases its slot:
+// a panic or a stall of a serving instance flips it unhealthy (failLocked);
+// every other outcome leaves it serving and hands the freed slot to the
+// queue.
 func (inst *Instance) finish(err error) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	inst.active--
 	var pe *sched.PanicError
 	var se *StallError
 	switch {
@@ -625,30 +652,19 @@ func (inst *Instance) finish(err error) {
 		// and the next run would inherit it. Checked before the canceled
 		// class — a stall error wraps the cancellation sentinel.
 		inst.ctr.Stalled++
-		if inst.state == StateBusy {
-			inst.state = StateUnhealthy
-			inst.failure = err
-			inst.snap = nil
-			inst.flushQueueLocked(fmt.Errorf("%w (cause: %v)", ErrUnhealthy, err))
-		}
 	case errors.Is(err, sched.ErrRunCanceled):
 		inst.ctr.Canceled++
 	case errors.As(err, &pe):
 		inst.ctr.Panicked++
-		if inst.state == StateBusy {
-			inst.state = StateUnhealthy
-			inst.failure = err
-			inst.snap = nil
-			inst.flushQueueLocked(fmt.Errorf("%w (cause: %v)", ErrUnhealthy, err))
-		}
 	default:
 		inst.ctr.Failed++
 	}
-	inst.grantLocked()
-	if inst.state == StateBusy && inst.active == 0 {
-		inst.state = StateReady
+	// A stall or a panic ends service, unless the instance has left ready
+	// already: a sibling run failed first, or Stop came in between.
+	if (se != nil || pe != nil) && inst.state == StateReady {
+		inst.failLocked(err)
 	}
-	inst.cond.Broadcast()
+	inst.releaseSlotLocked()
 }
 
 // execute dispatches the query to its engine on the captured snapshot.
@@ -705,7 +721,7 @@ func (inst *Instance) Info() InstanceInfo {
 	info := InstanceInfo{
 		Name:     inst.name,
 		Dataset:  inst.cfg.Dataset,
-		State:    inst.state.String(),
+		State:    inst.viewLocked().String(),
 		Ranks:    inst.cfg.Ranks,
 		Active:   inst.active,
 		Queued:   inst.queue.Len(),
@@ -732,6 +748,5 @@ func (inst *Instance) residency() (resident, idle bool, lastUsed uint64, bytes i
 	if inst.snap == nil {
 		return false, false, inst.lastUsed, 0
 	}
-	idle = inst.state == StateReady && inst.active == 0 && inst.queue.Len() == 0
-	return true, idle, inst.lastUsed, inst.snap.LocalBytes()
+	return true, inst.state == StateReady && inst.idleLocked(), inst.lastUsed, inst.snap.LocalBytes()
 }

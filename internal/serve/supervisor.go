@@ -113,30 +113,19 @@ func (s *Supervisor) releaseRun() {
 // refusing to fit the ones it has. EnsureBudget runs first so the load
 // is only refused after eviction genuinely came up empty.
 func (s *Supervisor) admitLoad() error {
-	s.mu.Lock()
-	budget := s.memBudget
-	s.mu.Unlock()
-	if budget <= 0 {
-		return nil
-	}
-	s.EnsureBudget(nil)
-	var total int64
+	total := s.EnsureBudget(nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, inst := range s.instances {
-		_, _, _, bytes := inst.residency()
-		total += bytes
+	if s.memBudget <= 0 || total <= s.memBudget {
+		return nil
 	}
-	if total > budget {
-		s.shedLoads++
-		return &ShedError{
-			Reason:        "memory-brownout",
-			ResidentBytes: total,
-			BudgetBytes:   budget,
-			sentinel:      ErrBrownout,
-		}
+	s.shedLoads++
+	return &ShedError{
+		Reason:        "memory-brownout",
+		ResidentBytes: total,
+		BudgetBytes:   s.memBudget,
+		sentinel:      ErrBrownout,
 	}
-	return nil
 }
 
 // Load creates, registers and starts an instance under name. A live
@@ -158,7 +147,7 @@ func (s *Supervisor) Load(name string, cfg Config) (*Instance, error) {
 		return nil, fmt.Errorf("serve: instance %q: %w", name, ErrAlreadyRunning)
 	}
 	inst := NewInstance(name, cfg)
-	inst.onResident = s.noteResident
+	inst.onResident = s.EnsureBudget
 	s.instances[name] = inst
 	s.mu.Unlock()
 	if err := inst.Start(); err != nil {
@@ -188,40 +177,32 @@ func (s *Supervisor) persistManifest(inst *Instance) {
 	}
 }
 
-// noteResident is the instances' residency hook: after any successful
-// load (initial, Reload, unpark) the newly resident bytes may overshoot
-// the budget, so enforcement runs with the loading instance exempt — the
-// query that triggered the load must win, every other idle instance is a
-// parking candidate.
-func (s *Supervisor) noteResident(inst *Instance) {
-	s.EnsureBudget(inst)
-}
-
 // EnsureBudget enforces the memory budget now: while total resident
 // snapshot bytes exceed it, the least-recently-used idle instance is
 // parked (its manifest already persists, so it stays recoverable and
 // serveable). Busy, queued, loading and exclude instances are never
 // parked; when nothing is evictable the fleet is allowed to overshoot —
-// parking running work would be worse than the memory pressure.
-func (s *Supervisor) EnsureBudget(exclude *Instance) {
+// parking running work would be worse than the memory pressure. It
+// returns the resident total it stopped at (0 with no budget set).
+//
+// It is also the instances' residency hook: after any successful load
+// (initial, Reload, unpark) the newly resident bytes may overshoot the
+// budget, so enforcement runs with the loading instance as exclude — the
+// query that triggered the load must win, every other idle instance is a
+// parking candidate.
+func (s *Supervisor) EnsureBudget(exclude *Instance) (resident int64) {
 	s.mu.Lock()
 	budget := s.memBudget
-	insts := make([]*Instance, 0, len(s.instances))
-	for _, inst := range s.instances {
-		insts = append(insts, inst)
-	}
 	s.mu.Unlock()
 	if budget <= 0 {
-		return
+		return 0
 	}
+	insts := s.fleet()
 	for {
-		type candidate struct {
-			inst     *Instance
-			lastUsed uint64
-		}
 		var (
-			total int64
-			cands []candidate
+			total       int64
+			coldest     *Instance
+			coldestUsed uint64
 		)
 		for _, inst := range insts {
 			resident, idle, lastUsed, bytes := inst.residency()
@@ -229,17 +210,16 @@ func (s *Supervisor) EnsureBudget(exclude *Instance) {
 				continue
 			}
 			total += bytes
-			if idle && inst != exclude {
-				cands = append(cands, candidate{inst, lastUsed})
+			if idle && inst != exclude && (coldest == nil || lastUsed < coldestUsed) {
+				coldest, coldestUsed = inst, lastUsed
 			}
 		}
-		if total <= budget || len(cands) == 0 {
-			return
+		if total <= budget || coldest == nil {
+			return total
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].lastUsed < cands[j].lastUsed })
 		// Park the coldest candidate; a race with a fresh admission makes
 		// Park return ErrBusy, which simply moves on to the next round.
-		if err := cands[0].inst.Park(); err == nil {
+		if err := coldest.Park(); err == nil {
 			s.mu.Lock()
 			s.parks++
 			s.mu.Unlock()
@@ -274,7 +254,7 @@ func (s *Supervisor) Recover(eager bool) RecoveryReport {
 	manifests, skipped := ms.LoadAll()
 	rep.Skipped = skipped
 	for _, m := range manifests {
-		cfg, err := m.config()
+		cfg, err := m.Config()
 		if err != nil {
 			rep.Skipped = append(rep.Skipped, &ManifestError{
 				Path: ms.Path(m.Name), Reason: err.Error(), Err: ErrManifestCorrupt,
@@ -287,7 +267,7 @@ func (s *Supervisor) Recover(eager bool) RecoveryReport {
 			continue
 		}
 		inst := newParkedInstance(m.Name, cfg)
-		inst.onResident = s.noteResident
+		inst.onResident = s.EnsureBudget
 		s.instances[m.Name] = inst
 		s.mu.Unlock()
 		if eager {
@@ -299,6 +279,18 @@ func (s *Supervisor) Recover(eager bool) RecoveryReport {
 		rep.Restored = append(rep.Restored, m.Name)
 	}
 	return rep
+}
+
+// fleet returns every registered instance, in no order: callers walk the
+// copy without holding the registry lock.
+func (s *Supervisor) fleet() []*Instance {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	insts := make([]*Instance, 0, len(s.instances))
+	for _, inst := range s.instances {
+		insts = append(insts, inst)
+	}
+	return insts
 }
 
 // Get returns the named instance or ErrUnknownInstance.
@@ -351,12 +343,7 @@ func (s *Supervisor) Stop(name string) error {
 
 // List reports every registered instance, sorted by name.
 func (s *Supervisor) List() []InstanceInfo {
-	s.mu.Lock()
-	insts := make([]*Instance, 0, len(s.instances))
-	for _, inst := range s.instances {
-		insts = append(insts, inst)
-	}
-	s.mu.Unlock()
+	insts := s.fleet()
 	infos := make([]InstanceInfo, len(insts))
 	for i, inst := range insts {
 		infos[i] = inst.Info()
@@ -367,12 +354,12 @@ func (s *Supervisor) List() []InstanceInfo {
 
 // Healthy reports whether every non-exited instance is serving (ready,
 // busy, or parked — a parked instance serves via transparent reload) —
-// the health-endpoint predicate. A quarantined instance is not healthy:
-// its auto-reload is in flight and may yet fail.
+// the health-endpoint predicate. A loading instance is not healthy: its
+// load (the rebuild after a scrub mismatch too) may yet fail.
 func (s *Supervisor) Healthy() bool {
 	for _, info := range s.List() {
 		switch info.State {
-		case StateLoading.String(), StateUnhealthy.String(), StateQuarantined.String():
+		case StateLoading.String(), StateUnhealthy.String():
 			return false
 		}
 	}
@@ -398,11 +385,8 @@ type ServerInfo struct {
 
 // ServerInfo reports the fleet-level view.
 func (s *Supervisor) ServerInfo() ServerInfo {
+	insts := s.fleet()
 	s.mu.Lock()
-	insts := make([]*Instance, 0, len(s.instances))
-	for _, inst := range s.instances {
-		insts = append(insts, inst)
-	}
 	info := ServerInfo{
 		Instances:   len(insts),
 		States:      make(map[string]int),
@@ -430,12 +414,7 @@ func (s *Supervisor) ServerInfo() ServerInfo {
 // regardless. Manifests are retained — a drained daemon restarts into the
 // same fleet.
 func (s *Supervisor) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	insts := make([]*Instance, 0, len(s.instances))
-	for _, inst := range s.instances {
-		insts = append(insts, inst)
-	}
-	s.mu.Unlock()
+	insts := s.fleet()
 	for _, inst := range insts {
 		// Fence admissions and flush queues first so the quiesce below
 		// can only shrink.
