@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -58,7 +57,7 @@ func OpenBinary(path string) (*FileCSR, error) {
 }
 
 func (fc *FileCSR) init() error {
-	h, err := decodeBinHeader(bufio.NewReader(bytes.NewReader(fc.mapped)))
+	h, err := decodeBinHeader(bytes.NewReader(fc.mapped))
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-)
+import "hash/crc32"
 
 // In-memory integrity support for the compressed adjacency plane: the
 // serving layer's scrubber (internal/serve) re-checksums resident
@@ -18,33 +15,10 @@ import (
 // fatal to decoding as corruption of the stream itself.
 func (ca *CompressedAdj) Checksum(crc uint32, tab *crc32.Table) uint32 {
 	crc = crc32.Update(crc, tab, ca.data)
-	var buf [8192]byte
-	stage32 := func(s []uint32) {
-		n := 0
-		for _, v := range s {
-			binary.LittleEndian.PutUint32(buf[n:], v)
-			if n += 4; n == len(buf) {
-				crc = crc32.Update(crc, tab, buf[:n])
-				n = 0
-			}
-		}
-		crc = crc32.Update(crc, tab, buf[:n])
-	}
-	stage64 := func(s []uint64) {
-		n := 0
-		for _, v := range s {
-			binary.LittleEndian.PutUint64(buf[n:], v)
-			if n += 8; n == len(buf) {
-				crc = crc32.Update(crc, tab, buf[:n])
-				n = 0
-			}
-		}
-		crc = crc32.Update(crc, tab, buf[:n])
-	}
-	stage32(ca.po32)
-	stage64(ca.po64)
-	stage32(ca.bo32)
-	stage64(ca.bo64)
+	crc = crc32.Update(crc, tab, LEBytes(ca.po32))
+	crc = crc32.Update(crc, tab, LEBytes(ca.po64))
+	crc = crc32.Update(crc, tab, LEBytes(ca.bo32))
+	crc = crc32.Update(crc, tab, LEBytes(ca.bo64))
 	return crc
 }
 

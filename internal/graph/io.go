@@ -235,9 +235,9 @@ func (h *binHeader) encode() []byte {
 // cannot drive a huge allocation before its checksum is ever verified.
 const maxSectionBytes = 1 << 38
 
-func decodeBinHeader(br *bufio.Reader) (*binHeader, error) {
+func decodeBinHeader(r io.Reader) (*binHeader, error) {
 	head := make([]byte, 40)
-	if _, err := io.ReadFull(br, head); err != nil {
+	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, &CorruptError{Section: "header", Reason: fmt.Sprintf("short read: %v", err)}
 	}
 	if *(*[8]byte)(head[:8]) != binaryMagic {
@@ -267,7 +267,7 @@ func decodeBinHeader(br *bufio.Reader) (*binHeader, error) {
 		return nil, &CorruptError{Section: "header", Reason: fmt.Sprintf("implausible section count %d", nsect)}
 	}
 	table := make([]byte, 16*nsect+4)
-	if _, err := io.ReadFull(br, table); err != nil {
+	if _, err := io.ReadFull(r, table); err != nil {
 		return nil, &CorruptError{Section: "header", Reason: fmt.Sprintf("short section table: %v", err)}
 	}
 	crc := crc32.Checksum(head, castagnoli)
@@ -324,28 +324,98 @@ func sectionName(id uint32) string {
 	return fmt.Sprintf("section-%d", id)
 }
 
-// readSection reads and checksum-verifies one payload.
-func readSection(br *bufio.Reader, s sectionEntry) ([]byte, error) {
-	buf := make([]byte, s.length)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, &CorruptError{Section: sectionName(s.id), Reason: fmt.Sprintf("short read: %v", err)}
-	}
-	if got := crc32.Checksum(buf, castagnoli); got != s.crc {
-		return nil, &CorruptError{Section: sectionName(s.id), Reason: fmt.Sprintf("checksum mismatch (stored %#x, computed %#x)", s.crc, got)}
-	}
-	return buf, nil
+// readChunk bounds one read of a section: small enough that the chunk is
+// still in cache when it is folded into the section's CRC.
+const readChunk = 256 << 10
+
+// sectionReader reads one section's payload in pieces, folding every chunk
+// into the section's CRC-32C as it lands.
+type sectionReader struct {
+	r   io.Reader
+	s   sectionEntry
+	crc uint32
 }
 
-func decodeOffsets(payload []byte, n int, width int) ([]uint64, error) {
-	offsets := make([]uint64, n+1)
-	for i := range offsets {
-		if width == 4 {
-			offsets[i] = uint64(binary.LittleEndian.Uint32(payload[4*i:]))
-		} else {
-			offsets[i] = binary.LittleEndian.Uint64(payload[8*i:])
+// fill reads the next len(dst) bytes of the payload into dst.
+func (sr *sectionReader) fill(dst []byte) error {
+	for len(dst) > 0 {
+		chunk := dst[:min(len(dst), readChunk)]
+		if _, err := io.ReadFull(sr.r, chunk); err != nil {
+			return &CorruptError{Section: sectionName(sr.s.id), Reason: fmt.Sprintf("short read: %v", err)}
+		}
+		sr.crc = crc32.Update(sr.crc, castagnoli, chunk)
+		dst = dst[len(chunk):]
+	}
+	return nil
+}
+
+// verify compares the CRC of everything filled with the section table's.
+func (sr *sectionReader) verify() error {
+	if sr.crc != sr.s.crc {
+		return &CorruptError{Section: sectionName(sr.s.id), Reason: fmt.Sprintf("checksum mismatch (stored %#x, computed %#x)", sr.s.crc, sr.crc)}
+	}
+	return nil
+}
+
+// readBytes fills dst with section s's payload and verifies its checksum.
+func readBytes(r io.Reader, s sectionEntry, dst []byte) error {
+	sr := sectionReader{r: r, s: s}
+	if err := sr.fill(dst); err != nil {
+		return err
+	}
+	return sr.verify()
+}
+
+// readArray fills a — the resident array itself, never a staged copy of the
+// section — with section s's payload and verifies its checksum: straight
+// from the reader where a's memory is its byte image, one decoded chunk at
+// a time elsewhere.
+func readArray[T uint32 | uint64](r io.Reader, s sectionEntry, a []T) error {
+	if b, ok := leView(a); ok || len(a) == 0 {
+		return readBytes(r, s, b)
+	}
+	sr := sectionReader{r: r, s: s}
+	size := int(s.length) / len(a)
+	stage := make([]byte, min(readChunk, int(s.length)))
+	for rest := a; len(rest) > 0; {
+		chunk := stage[:min(len(stage), size*len(rest))]
+		if err := sr.fill(chunk); err != nil {
+			return err
+		}
+		decodeLE(rest, chunk)
+		rest = rest[len(chunk)/size:]
+	}
+	return sr.verify()
+}
+
+// readOffsets reads an offsets section of n+1 entries in the width its flag
+// selects and checks that the entries never decrease and end at end: every
+// reader of a store slices by them unchecked.
+func readOffsets(r io.Reader, s sectionEntry, n int, is32 bool, end uint64) (o32 []uint32, o64 []uint64, err error) {
+	if is32 {
+		o32 = make([]uint32, n+1)
+		if err = readArray(r, s, o32); err == nil {
+			err = checkOffsets(s, o32, end)
+		}
+	} else {
+		o64 = make([]uint64, n+1)
+		if err = readArray(r, s, o64); err == nil {
+			err = checkOffsets(s, o64, end)
 		}
 	}
-	return offsets, nil
+	return o32, o64, err
+}
+
+func checkOffsets[T uint32 | uint64](s sectionEntry, off []T, end uint64) error {
+	for i := 1; i < len(off); i++ {
+		if off[i-1] > off[i] {
+			return &CorruptError{Section: sectionName(s.id), Reason: fmt.Sprintf("not monotone at %d", i-1)}
+		}
+	}
+	if last := uint64(off[len(off)-1]); last != end {
+		return &CorruptError{Section: sectionName(s.id), Reason: fmt.Sprintf("last entry %d, want %d", last, end)}
+	}
+	return nil
 }
 
 // WriteBinary serializes g in the raw (uncompressed) binary container
@@ -360,85 +430,49 @@ func WriteBinary(w io.Writer, g *Graph) error {
 // image. Offset arrays are written 32-bit whenever their values fit.
 func WriteBinaryStore(w io.Writer, st Store) error {
 	if c, ok := st.(*CompressedCSR); ok {
-		return writeBinaryCompressed(w, c)
+		ca := c.ca
+		h := &binHeader{kind: c.kind, n: c.NumVertices(), arcs: c.NumArcs(), flags: flagVarint}
+		offPayload, boPayload := LEBytes(ca.po64), LEBytes(ca.bo64)
+		if ca.po32 != nil {
+			h.flags |= flagOff32
+			offPayload = LEBytes(ca.po32)
+		}
+		if ca.bo32 != nil {
+			h.flags |= flagByte32
+			boPayload = LEBytes(ca.bo32)
+		}
+		return writePayloads(w, h, offPayload, ca.data, boPayload)
 	}
 	g := Materialize(st)
 	h := &binHeader{kind: g.kind, n: g.NumVertices(), arcs: g.NumArcs()}
-	offPayload := encodeOffsetArray(g.offsets, &h.flags, flagOff32)
-	adjPayload := make([]byte, 4*len(g.adj))
-	for i, v := range g.adj {
-		binary.LittleEndian.PutUint32(adjPayload[4*i:], v)
-	}
-	h.sects = []sectionEntry{
-		{id: sectOffsets, length: uint64(len(offPayload)), crc: crc32.Checksum(offPayload, castagnoli)},
-		{id: sectAdj, length: uint64(len(adjPayload)), crc: crc32.Checksum(adjPayload, castagnoli)},
-	}
-	return writePayloads(w, h, offPayload, adjPayload)
-}
-
-func writeBinaryCompressed(w io.Writer, c *CompressedCSR) error {
-	ca := c.ca
-	h := &binHeader{kind: c.kind, n: c.NumVertices(), arcs: c.NumArcs(), flags: flagVarint}
-	var offPayload, boPayload []byte
-	if ca.po32 != nil {
+	offPayload := LEBytes(g.offsets)
+	if g.offsets[h.n] < 1<<32 {
 		h.flags |= flagOff32
-		offPayload = encodeU32Array(ca.po32)
-	} else {
-		offPayload = encodeU64Array(ca.po64)
+		off32 := make([]uint32, len(g.offsets))
+		for i, o := range g.offsets {
+			off32[i] = uint32(o)
+		}
+		offPayload = LEBytes(off32)
 	}
-	if ca.bo32 != nil {
-		h.flags |= flagByte32
-		boPayload = encodeU32Array(ca.bo32)
-	} else {
-		boPayload = encodeU64Array(ca.bo64)
-	}
-	h.sects = []sectionEntry{
-		{id: sectOffsets, length: uint64(len(offPayload)), crc: crc32.Checksum(offPayload, castagnoli)},
-		{id: sectAdj, length: uint64(len(ca.data)), crc: crc32.Checksum(ca.data, castagnoli)},
-		{id: sectByteOff, length: uint64(len(boPayload)), crc: crc32.Checksum(boPayload, castagnoli)},
-	}
-	return writePayloads(w, h, offPayload, ca.data, boPayload)
+	return writePayloads(w, h, offPayload, LEBytes(g.adj))
 }
 
+// writePayloads writes the header and then the sections, given in canonical
+// order, each straight from the bytes it was checksummed over.
 func writePayloads(w io.Writer, h *binHeader, payloads ...[]byte) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(h.encode()); err != nil {
+	ids := [...]uint32{sectOffsets, sectAdj, sectByteOff}
+	for i, p := range payloads {
+		h.sects = append(h.sects, sectionEntry{id: ids[i], length: uint64(len(p)), crc: crc32.Checksum(p, castagnoli)})
+	}
+	if _, err := w.Write(h.encode()); err != nil {
 		return err
 	}
 	for _, p := range payloads {
-		if _, err := bw.Write(p); err != nil {
+		if _, err := w.Write(p); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
-}
-
-func encodeOffsetArray(off []uint64, flags *uint32, fit32 uint32) []byte {
-	if off[len(off)-1] < 1<<32 {
-		*flags |= fit32
-		buf := make([]byte, 4*len(off))
-		for i, o := range off {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(o))
-		}
-		return buf
-	}
-	return encodeU64Array(off)
-}
-
-func encodeU32Array(a []uint32) []byte {
-	buf := make([]byte, 4*len(a))
-	for i, x := range a {
-		binary.LittleEndian.PutUint32(buf[4*i:], x)
-	}
-	return buf
-}
-
-func encodeU64Array(a []uint64) []byte {
-	buf := make([]byte, 8*len(a))
-	for i, x := range a {
-		binary.LittleEndian.PutUint64(buf[8*i:], x)
-	}
-	return buf
+	return nil
 }
 
 // ReadBinary deserializes a graph written by WriteBinary/WriteBinaryStore
@@ -461,86 +495,44 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 
 // ReadBinaryStore deserializes a binary graph file into the resident
 // representation it was written in: raw files load as *Graph, varint files
-// as *CompressedCSR (the stream is adopted verbatim, no decode pass). All
-// checksums are verified; raw files additionally pass ValidateQuick.
+// as *CompressedCSR (the stream is adopted verbatim, no decode pass). Every
+// resident array is allocated once and filled from r chunk by chunk
+// (readArray), so the read's peak is one copy of the container. No store is
+// returned unless the header and every section match their checksums and
+// both offset arrays are monotone and end where they must; raw files
+// additionally pass ValidateQuick.
 func ReadBinaryStore(r io.Reader) (Store, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	h, err := decodeBinHeader(br)
+	h, err := decodeBinHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	offPayload, err := readSection(br, h.sects[0])
+	po32, po64, err := readOffsets(r, h.sects[0], h.n, h.flags&flagOff32 != 0, uint64(h.arcs))
 	if err != nil {
 		return nil, err
-	}
-	adjPayload, err := readSection(br, h.sects[1])
-	if err != nil {
-		return nil, err
-	}
-	offsets, err := decodeOffsets(offPayload, h.n, h.offWidth())
-	if err != nil {
-		return nil, err
-	}
-	if offsets[h.n] != uint64(h.arcs) {
-		return nil, &CorruptError{Section: "offsets", Reason: fmt.Sprintf("offsets[n] = %d, want arcs = %d", offsets[h.n], h.arcs)}
 	}
 	if h.flags&flagVarint == 0 {
-		adj := make([]V, h.arcs)
-		for i := range adj {
-			adj[i] = binary.LittleEndian.Uint32(adjPayload[4*i:])
+		if po32 != nil {
+			po64 = make([]uint64, len(po32))
+			for i, o := range po32 {
+				po64[i] = uint64(o)
+			}
 		}
-		g := &Graph{kind: h.kind, offsets: offsets, adj: adj}
+		g := &Graph{kind: h.kind, offsets: po64, adj: make([]V, h.arcs)}
+		if err := readArray(r, h.sects[1], g.adj); err != nil {
+			return nil, err
+		}
 		if err := g.ValidateQuick(); err != nil {
 			return nil, &CorruptError{Section: "adjacency", Reason: err.Error()}
 		}
 		return g, nil
 	}
-	boPayload, err := readSection(br, h.sects[2])
+	ca := &CompressedAdj{lists: h.n, po32: po32, po64: po64, data: make([]byte, h.sects[1].length)}
+	if err := readBytes(r, h.sects[1], ca.data); err != nil {
+		return nil, err
+	}
+	ca.bo32, ca.bo64, err = readOffsets(r, h.sects[2], h.n, h.flags&flagByte32 != 0, h.sects[1].length)
 	if err != nil {
 		return nil, err
 	}
-	ca := &CompressedAdj{lists: h.n, data: adjPayload}
-	if h.flags&flagOff32 != 0 {
-		ca.po32 = make([]uint32, h.n+1)
-		for i := range ca.po32 {
-			ca.po32[i] = binary.LittleEndian.Uint32(offPayload[4*i:])
-		}
-	} else {
-		ca.po64 = offsets
-	}
-	if err := adoptByteOffsets(ca, boPayload, h); err != nil {
-		return nil, err
-	}
 	return &CompressedCSR{kind: h.kind, ca: ca}, nil
-}
-
-func adoptByteOffsets(ca *CompressedAdj, boPayload []byte, h *binHeader) error {
-	last := uint64(0)
-	if h.flags&flagByte32 != 0 {
-		ca.bo32 = make([]uint32, h.n+1)
-		for i := range ca.bo32 {
-			ca.bo32[i] = binary.LittleEndian.Uint32(boPayload[4*i:])
-		}
-		last = uint64(ca.bo32[h.n])
-		for i := 0; i < h.n; i++ {
-			if ca.bo32[i] > ca.bo32[i+1] {
-				return &CorruptError{Section: "byte-offsets", Reason: fmt.Sprintf("not monotone at %d", i)}
-			}
-		}
-	} else {
-		ca.bo64 = make([]uint64, h.n+1)
-		for i := range ca.bo64 {
-			ca.bo64[i] = binary.LittleEndian.Uint64(boPayload[8*i:])
-		}
-		last = ca.bo64[h.n]
-		for i := 0; i < h.n; i++ {
-			if ca.bo64[i] > ca.bo64[i+1] {
-				return &CorruptError{Section: "byte-offsets", Reason: fmt.Sprintf("not monotone at %d", i)}
-			}
-		}
-	}
-	if last != uint64(len(ca.data)) {
-		return &CorruptError{Section: "byte-offsets", Reason: fmt.Sprintf("byte-offsets[n] = %d, want stream length %d", last, len(ca.data))}
-	}
-	return nil
 }

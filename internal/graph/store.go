@@ -67,7 +67,12 @@ func Materialize(st Store) *Graph {
 	}
 	adj := make([]V, st.NumArcs())
 	for v := 0; v < n; v++ {
-		copy(adj[offsets[v]:offsets[v+1]], st.AdjInto(V(v), nil))
+		// Decoding stores fill the list in place; one that hands back its
+		// own memory instead is copied.
+		dst := adj[offsets[v]:offsets[v+1]:offsets[v+1]]
+		if got := st.AdjInto(V(v), dst); len(got) > 0 && &got[0] != &dst[0] {
+			copy(dst, got)
+		}
 	}
 	return &Graph{kind: st.Kind(), offsets: offsets, adj: adj}
 }

@@ -3,9 +3,11 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -205,6 +207,190 @@ func TestBinaryCorruptSectionsFailTyped(t *testing.T) {
 		var ce *CorruptError
 		if !errors.As(err, &ce) {
 			t.Errorf("%s: truncated file: error %v is not a *CorruptError", st.ReprName(), err)
+		}
+	}
+
+	// A container whose adjacency section spans more than two read chunks:
+	// damage inside every chunk, and a cut at every section boundary and
+	// mid-chunk, must name the section it lands in.
+	big := randomStoreGraph(t, 60000, 300000, 9)
+	for _, st := range []Store{big, CompressGraph(big)} {
+		var buf bytes.Buffer
+		if err := WriteBinaryStore(&buf, st); err != nil {
+			t.Fatal(err)
+		}
+		clean := buf.Bytes()
+		h, err := decodeBinHeader(bytes.NewReader(clean))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSection := func(what string, data []byte, want string) {
+			t.Helper()
+			_, err := ReadBinaryStore(bytes.NewReader(data))
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Section != want {
+				t.Errorf("%s: %s: got %v, want a *CorruptError in %q", st.ReprName(), what, err, want)
+			}
+		}
+		flip := func(pos int) []byte {
+			bad := append([]byte(nil), clean...)
+			bad[pos] ^= 0x40
+			return bad
+		}
+		start := 40 + 16*len(h.sects) + 4
+		wantSection("cut inside the header", clean[:start-2], "header")
+		for _, s := range h.sects {
+			name, length := sectionName(s.id), int(s.length)
+			if s.id == sectAdj && length <= 2*readChunk {
+				t.Fatalf("%s: adjacency section is %d bytes, want more than two read chunks", st.ReprName(), length)
+			}
+			wantSection("cut at the start of "+name, clean[:start], name)
+			for off := 0; off < length; off += readChunk {
+				mid := start + off + min(readChunk, length-off)/2
+				wantSection("flip inside "+name, flip(mid), name)
+				wantSection("cut inside "+name, clean[:mid], name)
+			}
+			wantSection("flip at the end of "+name, flip(start+length-1), name)
+			start += length
+		}
+		if start != len(clean) {
+			t.Fatalf("%s: sections end at %d, container is %d bytes", st.ReprName(), start, len(clean))
+		}
+	}
+}
+
+// TestReadBinaryStoreRejectsNonMonotoneOffsets: a container can carry valid
+// checksums over plain arc offsets that decrease. Every reader slices by
+// them unchecked — Materialize of such a varint store used to panic in the
+// list after the swap — so no store is returned from one.
+func TestReadBinaryStoreRejectsNonMonotoneOffsets(t *testing.T) {
+	ring := make([]Edge, 6)
+	for i := range ring {
+		ring[i] = Edge{V(i), V((i + 1) % 6)}
+	}
+	g := MustBuild(Undirected, 6, ring)
+
+	swapped32 := CompressGraph(g)
+	po := swapped32.ca.po32
+	po[2], po[3] = po[3], po[2]
+
+	decreasing64 := CompressGraph(g)
+	ca := decreasing64.ca
+	ca.po64 = make([]uint64, len(ca.po32))
+	for i, o := range ca.po32 {
+		ca.po64[i] = uint64(o)
+	}
+	ca.po32 = nil
+	ca.po64[4] = ca.po64[3] - 1
+
+	var raw64 bytes.Buffer
+	off := append([]uint64(nil), g.offsets...)
+	off[2], off[3] = off[3], off[2]
+	h := &binHeader{kind: g.kind, n: g.NumVertices(), arcs: g.NumArcs()}
+	if err := writePayloads(&raw64, h, LEBytes(off), LEBytes(g.adj)); err != nil {
+		t.Fatal(err)
+	}
+
+	containers := map[string][]byte{"raw, 64-bit offsets swapped": raw64.Bytes()}
+	for name, c := range map[string]*CompressedCSR{"varint, 32-bit offsets swapped": swapped32, "varint, 64-bit offset decreasing": decreasing64} {
+		var buf bytes.Buffer
+		if err := WriteBinaryStore(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		containers[name] = buf.Bytes()
+	}
+	for name, data := range containers {
+		st, err := ReadBinaryStore(bytes.NewReader(data))
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Section != "offsets" {
+			t.Errorf("%s: got store %v, error %v; want a *CorruptError in \"offsets\"", name, st, err)
+		}
+	}
+}
+
+// TestMaterializeDecodesInPlace: a compressed store materializes into the
+// two arrays of the plain graph and nothing per vertex.
+func TestMaterializeDecodesInPlace(t *testing.T) {
+	g := randomStoreGraph(t, 2000, 12000, 8)
+	c := CompressGraph(g)
+	sameStore(t, g, Materialize(c))
+	if allocs := testing.AllocsPerRun(5, func() { Materialize(c) }); allocs > 4 {
+		t.Errorf("Materialize of a compressed %d-vertex store: %.0f allocations, want a small constant", g.NumVertices(), allocs)
+	}
+	// A store that hands back its own memory instead of filling buf is
+	// still copied whole.
+	sameStore(t, g, Materialize(struct{ Store }{g}))
+}
+
+// TestReadBinaryStoreSingleCopy: reading a raw container allocates its two
+// resident arrays and little else — no second image of the adjacency
+// section is ever held.
+func TestReadBinaryStoreSingleCopy(t *testing.T) {
+	g := randomStoreGraph(t, 60000, 300000, 10)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := ReadBinaryStore(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := uint64(4*g.NumArcs()+8*(g.NumVertices()+1)) + 1<<20
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("reading a %d-byte container allocated %d bytes, budget %d (one copy of each resident array + 1 MiB)", buf.Len(), got, budget)
+	}
+	sameStore(t, g, st)
+}
+
+// TestPortableBytesMatchByteView holds the encode/decode fallback to the
+// byte view: the same container bytes written, the same store read back
+// from them, the same checksums over the resident arrays.
+func TestPortableBytesMatchByteView(t *testing.T) {
+	if portableBytes {
+		t.Skip("this host has no byte view to compare with")
+	}
+	defer func() { portableBytes = false }()
+	g := randomStoreGraph(t, 70000, 150000, 11) // both sections over one read chunk
+	for _, st := range []Store{g, CompressGraph(g)} {
+		var images [2][]byte
+		var sums [2]uint32
+		for i, portable := range []bool{false, true} {
+			portableBytes = portable
+			var buf bytes.Buffer
+			if err := WriteBinaryStore(&buf, st); err != nil {
+				t.Fatal(err)
+			}
+			images[i] = buf.Bytes()
+			if c, ok := st.(*CompressedCSR); ok {
+				sums[i] = c.ca.Checksum(0, castagnoli)
+			} else {
+				sums[i] = crc32.Update(crc32.Checksum(LEBytes(g.offsets), castagnoli), castagnoli, LEBytes(g.adj))
+			}
+		}
+		if !bytes.Equal(images[0], images[1]) {
+			t.Fatalf("%s: the fallback writes a different container than the byte view", st.ReprName())
+		}
+		if sums[0] != sums[1] {
+			t.Errorf("%s: checksum %08x through the byte view, %08x through the fallback", st.ReprName(), sums[0], sums[1])
+		}
+		for _, portable := range []bool{false, true} {
+			portableBytes = portable
+			back, err := ReadBinaryStore(bytes.NewReader(images[0]))
+			if err != nil {
+				t.Fatalf("%s: read with portable=%v: %v", st.ReprName(), portable, err)
+			}
+			if back.ReprName() != st.ReprName() {
+				t.Fatalf("%s: read back as %s", st.ReprName(), back.ReprName())
+			}
+			sameStore(t, g, back)
+			bad := append([]byte(nil), images[0]...)
+			bad[len(bad)/2] ^= 1
+			if _, err := ReadBinaryStore(bytes.NewReader(bad)); err == nil {
+				t.Errorf("%s: portable=%v: damaged container loaded silently", st.ReprName(), portable)
+			}
 		}
 	}
 }

@@ -20,7 +20,6 @@ package lcc
 // contract as the storage plane, DESIGN.md §9).
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -68,30 +67,10 @@ type rankSums struct {
 	adj     uint32
 }
 
-func checksumU64s(crc uint32, s []uint64, tab *crc32.Table) uint32 {
-	var buf [8192]byte
-	n := 0
-	for _, v := range s {
-		binary.LittleEndian.PutUint64(buf[n:], v)
-		if n += 8; n == len(buf) {
-			crc = crc32.Update(crc, tab, buf[:n])
-			n = 0
-		}
-	}
-	return crc32.Update(crc, tab, buf[:n])
-}
-
-func checksumVs(crc uint32, s []graph.V, tab *crc32.Table) uint32 {
-	var buf [8192]byte
-	n := 0
-	for _, v := range s {
-		binary.LittleEndian.PutUint32(buf[n:], uint32(v))
-		if n += 4; n == len(buf) {
-			crc = crc32.Update(crc, tab, buf[:n])
-			n = 0
-		}
-	}
-	return crc32.Update(crc, tab, buf[:n])
+// checksum is the CRC-32C of s's little-endian byte image — on a
+// little-endian host its own memory, so a sum costs one read of the array.
+func checksum[T uint32 | uint64](s []T) uint32 {
+	return crc32.Checksum(graph.LEBytes(s), integrityCRC)
 }
 
 // computeSums records the build-time checksums of every rank's resident
@@ -99,14 +78,14 @@ func checksumVs(crc uint32, s []graph.V, tab *crc32.Table) uint32 {
 func (s *Snapshot) computeSums() {
 	s.sums = make([]rankSums, len(s.locals))
 	for r, lc := range s.locals {
-		s.sums[r].offsets = checksumU64s(0, lc.Offsets, integrityCRC)
+		s.sums[r].offsets = checksum(lc.Offsets)
 		if lc.Comp != nil {
 			s.sums[r].adj = lc.Comp.Checksum(0, integrityCRC)
 		} else {
-			s.sums[r].adj = checksumVs(0, lc.Adj, integrityCRC)
+			s.sums[r].adj = checksum(lc.Adj)
 		}
 	}
-	s.resolveSum = checksumU64s(0, s.resolve, integrityCRC)
+	s.resolveSum = checksum(s.resolve)
 }
 
 // Verify re-checksums the snapshot's resident state against the sums
@@ -119,20 +98,20 @@ func (s *Snapshot) computeSums() {
 // detected fault can quarantine before the next query, not after.
 func (s *Snapshot) Verify() error {
 	for r, lc := range s.locals {
-		if got := checksumU64s(0, lc.Offsets, integrityCRC); got != s.sums[r].offsets {
+		if got := checksum(lc.Offsets); got != s.sums[r].offsets {
 			return &IntegrityError{Rank: r, Section: SectionOffsets, Want: s.sums[r].offsets, Got: got}
 		}
 		var got uint32
 		if lc.Comp != nil {
 			got = lc.Comp.Checksum(0, integrityCRC)
 		} else {
-			got = checksumVs(0, lc.Adj, integrityCRC)
+			got = checksum(lc.Adj)
 		}
 		if got != s.sums[r].adj {
 			return &IntegrityError{Rank: r, Section: SectionAdjacency, Want: s.sums[r].adj, Got: got}
 		}
 	}
-	if got := checksumU64s(0, s.resolve, integrityCRC); got != s.resolveSum {
+	if got := checksum(s.resolve); got != s.resolveSum {
 		return &IntegrityError{Rank: -1, Section: SectionResolve, Want: s.resolveSum, Got: got}
 	}
 	if v, ok := s.orient.verify(s.adjInto); !ok {

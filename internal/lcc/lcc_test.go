@@ -385,3 +385,18 @@ func TestAvgRemoteReadTimeAndMissRates(t *testing.T) {
 		t.Errorf("miss rates out of range: off=%v adj=%v", offR, adjR)
 	}
 }
+
+// BenchmarkNewSnapshot is the snapshot half of set-up on the benchmark's
+// R-MAT graph at its rank count: partition, per-rank extraction, resolve
+// and pair tables, integrity sums.
+func BenchmarkNewSnapshot(b *testing.B) {
+	g := gen.MustLoad("rmat-s15-ef16")
+	b.SetBytes(g.CSRSizeBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 32}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -287,7 +287,23 @@ type LocalCSR struct {
 // Extract builds rank's LocalCSR from the full graph. In a real deployment
 // each node reads only its chunk from disk (Fig. 3 step 1); here the
 // in-memory store plays the role of the shared file.
+//
+// A rank's range of a plain graph under Block/BlockArcs is contiguous in
+// both arrays, so it is one rebased copy of each. The local never aliases g:
+// a snapshot's resident tables must be damageable and reloadable on their
+// own (serve's scrub recovery rebuilds from g).
 func Extract(g graph.Store, pt *Partition, rank int) *LocalCSR {
+	if pg, ok := g.(*graph.Graph); ok && pt.scheme != Cyclic {
+		lo, hi := pt.Range(rank)
+		src := pg.Offsets()[lo : hi+1]
+		offsets := make([]uint64, len(src))
+		for i, o := range src {
+			offsets[i] = o - src[0]
+		}
+		adj := make([]graph.V, offsets[len(offsets)-1])
+		copy(adj, pg.Arcs()[src[0]:])
+		return &LocalCSR{Rank: rank, Part: pt, Offsets: offsets, Adj: adj}
+	}
 	size := pt.Size(rank)
 	offsets := make([]uint64, size+1)
 	total := 0

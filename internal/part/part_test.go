@@ -1,6 +1,7 @@
 package part
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -159,4 +160,41 @@ func TestRangePanicsForCyclic(t *testing.T) {
 		}
 	}()
 	MustNew(Cyclic, 10, 2).Range(0)
+}
+
+// TestExtractBulkMatchesPerVertex holds the one-copy extraction of a plain
+// graph's contiguous rank ranges to the per-vertex path every other store
+// and scheme takes — ranks with no vertices and vertices with no arcs
+// included — and pins that a local never shares memory with the graph it
+// was cut from: serve's scrub recovery damages locals and rebuilds from g.
+func TestExtractBulkMatchesPerVertex(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		n := 40 + 37*int(seed)
+		g := gen.ErdosRenyi(n, 3*n/int(seed), graph.Undirected, seed) // sparser with seed: isolated vertices
+		pristine := g.Clone()
+		perVertex := struct{ graph.Store }{g} // not a *graph.Graph: no bulk path
+		for _, scheme := range []Scheme{Block, BlockArcs, Cyclic} {
+			for _, p := range []int{1, 3, 32, n + 5} {
+				pt, err := Build(scheme, g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < p; r++ {
+					got, want := Extract(g, pt, r), Extract(perVertex, pt, r)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d %v p=%d rank %d: bulk extract\n%+v\nper-vertex extract\n%+v", seed, scheme, p, r, got, want)
+					}
+					for i := range got.Adj {
+						got.Adj[i] ^= 1
+					}
+					for i := range got.Offsets {
+						got.Offsets[i] ^= 1
+					}
+				}
+				if !reflect.DeepEqual(g, pristine) {
+					t.Fatalf("seed %d %v p=%d: writing to the locals changed the source graph", seed, scheme, p)
+				}
+			}
+		}
+	}
 }
