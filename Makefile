@@ -95,15 +95,19 @@ stress:
 # from outside bench/, so perf PRs start from evidence about the thing they
 # will be judged on (cmd/benchprof): the workload's registry graph, ranks and
 # options on one worker, one untimed run, then RUNS profiled ones, top 25.
+# WORKERS=2 is the count the benchmark runs at on the two-core reference host
+# (Workers=0 there): two ranks share the last-level cache, so the cache-miss
+# lines weigh what they weigh in op_p50_ms.
 # MEM=1 adds the live heap after those runs (one collection first) and prints
 # its top 15 by inuse_space: what the snapshot, its pooled CLaMPI instances
 # and its orientation index hold between queries. Artifacts: cpu.pprof and
 # mem.pprof (git-ignored; symbols travel in them), drill further with
 # `go tool pprof -list <regexp> cpu.pprof`.
-#	make pprof [W=pull-rmat|cached-rmat|cached-uniform|serve-http] [RUNS=5] [MEM=1]
+#	make pprof [W=pull-rmat|cached-rmat|cached-uniform|serve-http] [RUNS=5] [WORKERS=1] [MEM=1]
 RUNS ?= 5
+WORKERS ?= 1
 pprof:
-	$(GO) run ./cmd/benchprof -workload "$(or $(W),pull-rmat)" -runs $(RUNS) -o cpu.pprof $(if $(MEM),-mem mem.pprof)
+	$(GO) run ./cmd/benchprof -workload "$(or $(W),pull-rmat)" -runs $(RUNS) -workers $(WORKERS) -o cpu.pprof $(if $(MEM),-mem mem.pprof)
 	$(GO) tool pprof -top -nodecount 25 cpu.pprof
 	$(if $(MEM),$(GO) tool pprof -sample_index=inuse_space -top -nodecount 15 mem.pprof)
 

@@ -1,7 +1,9 @@
 // Command benchprof takes a CPU profile of one of the repository benchmark's
 // workloads (BENCHMARK.json) from outside bench/: the workload's registry
 // graph, rank count and options as bench/workloads.go has them at seed 0, on
-// one worker so the samples are the engine's and not the scheduler's. It
+// one worker by default so the samples are the engine's and not the
+// scheduler's (-workers 2 is the benchmark's own count on the reference host,
+// where two ranks share the last-level cache as they do when it times an op). It
 // builds the snapshot, makes one untimed run — the orientation index, the
 // depth tables and the cache instances fill there, as they have when the
 // benchmark times an op — then profiles the given number of runs, and fails
@@ -13,6 +15,7 @@
 //
 //	make pprof W=pull-rmat            # five runs, top 25
 //	make pprof W=cached-uniform MEM=1 # ... and the top 15 of the live heap
+//	make pprof W=cached-uniform WORKERS=2
 //	go run ./cmd/benchprof -workload cached-uniform -runs 3 -o /tmp/cpu.pprof
 //
 // Symbols travel in the profile: `go tool pprof -list <regexp> cpu.pprof`
@@ -111,14 +114,15 @@ func main() {
 	runs := flag.Int("runs", 5, "profiled runs, after one untimed")
 	out := flag.String("o", "cpu.pprof", "CPU profile to write")
 	mem := flag.String("mem", "", "heap profile to write after the profiled runs (inuse_space; none if empty)")
+	workers := flag.Int("workers", 1, "ranks executing at once (lcc.Options.Workers)")
 	flag.Parse()
-	if err := run(*name, *runs, *out, *mem); err != nil {
+	if err := run(*name, *runs, *workers, *out, *mem); err != nil {
 		fmt.Fprintln(os.Stderr, "benchprof:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name string, runs int, out, mem string) error {
+func run(name string, runs, workers int, out, mem string) error {
 	var w *workload
 	var names []string
 	all := workloads()
@@ -128,8 +132,8 @@ func run(name string, runs int, out, mem string) error {
 			w = &all[i]
 		}
 	}
-	if w == nil || runs < 1 {
-		return fmt.Errorf("want one of the workloads %v and runs >= 1, got %q and %d", names, name, runs)
+	if w == nil || runs < 1 || workers < 1 {
+		return fmt.Errorf("want one of the workloads %v, runs >= 1 and workers >= 1, got %q, %d and %d", names, name, runs, workers)
 	}
 	g, err := gen.Load(w.dataset)
 	if err != nil {
@@ -140,7 +144,7 @@ func run(name string, runs int, out, mem string) error {
 		return err
 	}
 	opt := w.opt
-	opt.Workers = 1
+	opt.Workers = workers
 	ctx := context.Background()
 	if _, err := snap.RunCtx(ctx, opt); err != nil {
 		return err
@@ -175,7 +179,7 @@ func run(name string, runs int, out, mem string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %s on %d ranks, 1 worker: %d runs, median %.1f ms (fastest %.1f), %d triangles, sim time %.3f ms; profile in %s\n",
-		w.name, w.dataset, w.ranks, runs, stats.Median(ms), slices.Min(ms), res.Triangles, res.SimTime/1e6, out)
+	fmt.Printf("%s: %s on %d ranks, workers=%d: %d runs, median %.1f ms (fastest %.1f), %d triangles, sim time %.3f ms; profile in %s\n",
+		w.name, w.dataset, w.ranks, workers, runs, stats.Median(ms), slices.Min(ms), res.Triangles, res.SimTime/1e6, out)
 	return nil
 }

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lcc"
 	"repro/internal/sched"
 	"repro/internal/serve"
 )
@@ -352,12 +353,12 @@ var handlerRows = []row{
 func TestDaemonHandlers(t *testing.T) { startDaemon(t).expect(handlerRows) }
 
 // TestStatusFor: every error a handler can be handed maps to its
-// documented status and reason, and none of them falls to the default arm.
-// serve.ErrQuarantined and the two manifest sentinels are absent by design:
-// a scrub failure reaches clients as the cause text of ErrUnhealthy, a
-// manifest error only as a line of the recovery report.
+// documented status and reason, and none of them falls to the default arm —
+// nor does a typed failure of the scrubber or the manifest store, which no
+// handler is handed today: a server-side fault must never read as a 400.
 func TestStatusFor(t *testing.T) {
 	wrap := func(err error) error { return fmt.Errorf("instance %q: %w", "fb", err) }
+	scrub := &serve.ScrubError{Instance: "fb", Integrity: &lcc.IntegrityError{Rank: 1, Section: lcc.SectionOffsets}}
 	for _, tc := range []struct {
 		err    error
 		status int
@@ -382,6 +383,13 @@ func TestStatusFor(t *testing.T) {
 		{wrap(context.DeadlineExceeded), 504, "canceled"},
 		{wrap(context.Canceled), 504, "canceled"},
 		{wrap(&sched.PanicError{Rank: 2, Value: "boom"}), 500, "panic"},
+		{wrap(serve.ErrQuarantined), 503, "quarantined"},
+		{wrap(scrub), 503, "quarantined"},
+		// An unhealthy instance whose recorded failure is a scrub error stays
+		// "unhealthy": the state the client can act on wins over its cause.
+		{errors.Join(serve.ErrUnhealthy, scrub), 503, "unhealthy"},
+		{wrap(&serve.ManifestError{Path: "fb.lcm", Err: serve.ErrManifestCorrupt}), 500, "manifest-corrupt"},
+		{wrap(&serve.ManifestError{Path: "fb.lcm", Err: serve.ErrManifestVersion}), 500, "manifest-version"},
 		{errors.New("serve: unknown engine"), 400, "bad-request"},
 	} {
 		status, reason := statusFor(tc.err)

@@ -413,7 +413,12 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // wrap each other: a *StallError unwinds through the cancellation plane,
 // so it matches ErrRunCanceled too and must be classified first; the
 // server-wide ErrServerBusy is checked before the per-instance ErrBusy
-// so a fleet-cap shed is distinguishable from one full queue.
+// so a fleet-cap shed is distinguishable from one full queue. The last
+// three arms before the default are the store's and the scrubber's typed
+// failures: no handler is handed one today (a scrub failure reaches a client
+// as the cause text of ErrUnhealthy or as not-ready while the instance
+// reloads, a manifest error as a line of the recovery report), and one that
+// is must not read as the client's bad request.
 func statusFor(err error) (int, string) {
 	var pe *sched.PanicError
 	switch {
@@ -443,6 +448,12 @@ func statusFor(err error) (int, string) {
 		return http.StatusGatewayTimeout, "canceled"
 	case errors.As(err, &pe):
 		return http.StatusInternalServerError, "panic"
+	case errors.Is(err, serve.ErrQuarantined):
+		return http.StatusServiceUnavailable, "quarantined"
+	case errors.Is(err, serve.ErrManifestCorrupt):
+		return http.StatusInternalServerError, "manifest-corrupt"
+	case errors.Is(err, serve.ErrManifestVersion):
+		return http.StatusInternalServerError, "manifest-version"
 	default:
 		return http.StatusBadRequest, "bad-request"
 	}

@@ -732,6 +732,40 @@ func (c *Cache) Contains(target, offset, size int) bool {
 	return c.tab.lookup(c.coder.pack(target, offset, size), c.coder.hash(target, offset, size)) >= 0
 }
 
+// Region is the window coordinate of one get.
+type Region struct{ Target, Offset, Size int }
+
+// Preload reads, for each region, the two words a get of it would miss the
+// host's cache on first — the head of the bucket lane it probes and, for the
+// miss path, its slot in the compulsory-miss set — so that their lines are
+// resident by the time the gets arrive. Every address is computed before any
+// is loaded, so the loads issue back to back and their misses overlap, where
+// the gets would take them one at a time (lcc's stageAhead calls this for a
+// batch of upcoming gets). It is invisible to the model and to the cache: no
+// statistic, tick, stamp or entry changes, and it is not an operation of the
+// single-owner contract (no enter). A region outside the window geometry is
+// skipped. The returned sum of the words means nothing; it is there so that
+// the loads are not dead code.
+func (c *Cache) Preload(regions []Region) (sum uint64) {
+	var lane, seen [16]int
+	for len(regions) > 0 {
+		chunk := regions[:min(len(regions), len(lane))]
+		regions = regions[len(chunk):]
+		n := 0
+		for _, r := range chunk {
+			if c.coder.fits(r.Target, r.Offset, r.Size) {
+				lane[n] = c.tab.bucketOf(c.coder.hash(r.Target, r.Offset, r.Size)) * 2 * c.tab.assoc
+				seen[n] = c.seen.slot(c.coder.pack(r.Target, r.Offset, r.Size))
+				n++
+			}
+		}
+		for i := range n {
+			sum += c.tab.lane[lane[i]] + c.seen.tab[seen[i]]
+		}
+	}
+	return sum
+}
+
 // Flush empties the cache (user-defined mode, or internal use by the
 // adaptive heuristic and the transparent mode). All structures are cleared
 // in place: the heap is truncated, the slab rewinds to the one record of a

@@ -32,24 +32,28 @@ func evictionDigest(c *Cache) func() (uint64, int) {
 
 // The churns below are fixed-seed access streams over rank 1's 64 KiB
 // region. Each completes its misses in small batches so several inserts
-// (and their evictions) land per flush.
+// (and their evictions) land per flush, and calls between — which must not
+// be able to change anything — between every two operations on the cache.
 const digestRegion = 1 << 16
 
-func flushEvery(c *Cache, i, every int, q *Request) {
+func flushEvery(c *Cache, i, every int, q *Request, between func()) {
+	between()
 	if i%every == every-1 {
 		c.FlushWindow()
 	} else {
 		q.Wait()
 	}
+	between()
 	q.Release()
 }
 
 // churnLRU: unscored gets of mixed sizes over a working set a few times the
 // buffer, re-touching recent regions so hits stale the heap's snapshots.
-func churnLRU(c *Cache, seed uint64) {
+func churnLRU(c *Cache, seed uint64, between func()) {
 	rng := rand.New(rand.NewPCG(seed, 2))
 	var recent [16][2]int
 	for i := 0; i < 12000; i++ {
+		between()
 		size := 8 + 8*rng.IntN(40)
 		off := 8 * rng.IntN((digestRegion/2-size)/8)
 		if rng.IntN(3) == 0 {
@@ -59,7 +63,7 @@ func churnLRU(c *Cache, seed uint64) {
 			}
 		}
 		recent[i%len(recent)] = [2]int{off, size}
-		flushEvery(c, i, 4, c.Get(1, off, size))
+		flushEvery(c, i, 4, c.Get(1, off, size), between)
 	}
 	c.FlushWindow()
 }
@@ -68,67 +72,73 @@ func churnLRU(c *Cache, seed uint64) {
 // capacity pops see ties at the minimum and many newcomers are rejected. A
 // degree-scored cache converges on its top scores and then stops evicting,
 // so the cache is flushed every 2000 gets and fills again.
-func churnDegree(c *Cache, seed uint64) {
+func churnDegree(c *Cache, seed uint64, between func()) {
 	rng := rand.New(rand.NewPCG(seed, 3))
 	for i := 0; i < 12000; i++ {
 		if i%2000 == 1999 {
 			c.FlushWindow()
 			c.Flush()
 		}
+		between()
 		size := 16 + 16*rng.IntN(12)
 		off := 16 * rng.IntN((digestRegion/2-size)/16)
 		score := float64(1 + (off/16)%8)
-		flushEvery(c, i, 5, c.GetScored(1, off, size, score))
+		flushEvery(c, i, 5, c.GetScored(1, off, size, score), between)
 	}
 	c.FlushWindow()
 }
 
 // churnUpdate: scored and unscored inserts mixed with SetScore on resident
 // regions (heap re-keys in place) and plain re-reads (stamp bumps).
-func churnUpdate(c *Cache, seed uint64) {
+func churnUpdate(c *Cache, seed uint64, between func()) {
 	rng := rand.New(rand.NewPCG(seed, 4))
 	for i := 0; i < 12000; i++ {
+		between()
 		size := 32 + 32*rng.IntN(4)
 		off := 32 * rng.IntN(digestRegion/4/32)
 		switch rng.IntN(4) {
 		case 0:
 			c.SetScore(1, off, size, float64(rng.IntN(6)))
 		case 1:
-			flushEvery(c, i, 3, c.GetScored(1, off, size, float64(rng.IntN(6))))
+			flushEvery(c, i, 3, c.GetScored(1, off, size, float64(rng.IntN(6))), between)
 		default:
-			flushEvery(c, i, 3, c.Get(1, off, size))
+			flushEvery(c, i, 3, c.Get(1, off, size), between)
 		}
 	}
 	c.FlushWindow()
 }
 
-// TestVictimOrderDigest pins the order of evictions — conflict and capacity,
-// with every tie-break the victim heap's array mechanics and the best-fit
-// allocator decide — for fixed-seed churns. The constants were recorded at
+// digestCases are the churns whose eviction order TestVictimOrderDigest
+// pins — conflict and capacity, with every tie-break the victim heap's array
+// mechanics and the best-fit allocator decide. The constants were recorded at
 // the commit before the record slab (pointer entries, container/heap-style
 // swaps): the host structures are free to change, these are not.
+var digestCases = []struct {
+	name   string
+	cfg    Config
+	churn  func(*Cache, uint64, func())
+	digest uint64
+	count  int
+}{
+	{"lru-positional", Config{Capacity: 1 << 13, Buckets: 128, Mode: AlwaysCache}, churnLRU, 0x7cba31266a1ce334, 8081},
+	{"lru-conflicts", Config{Capacity: 1 << 13, Buckets: 36, Assoc: 2, PosWeight: 512, Mode: AlwaysCache}, churnLRU, 0x247c0b201af2ee70, 8779},
+	{"degree-ties", Config{Capacity: 1 << 13, Buckets: 96, Mode: AlwaysCache}, churnDegree, 0xc62e066b86db7753, 2864},
+	{"score-updates", Config{Capacity: 1 << 12, Buckets: 64, Mode: AlwaysCache}, churnUpdate, 0x0bea60cfe5b3fac1, 7195},
+	{"adaptive-growth", Config{Capacity: 1 << 11, Buckets: 4, Assoc: 2, MaxCapacity: 1 << 14, Adaptive: true, Mode: AlwaysCache}, churnLRU, 0xae38181179e04b4a, 8319},
+}
+
+// TestVictimOrderDigest holds a fresh instance and a recycled one to the
+// recorded eviction order of every churn.
 func TestVictimOrderDigest(t *testing.T) {
-	cases := []struct {
-		name   string
-		cfg    Config
-		churn  func(*Cache, uint64)
-		digest uint64
-		count  int
-	}{
-		{"lru-positional", Config{Capacity: 1 << 13, Buckets: 128, Mode: AlwaysCache}, churnLRU, 0x7cba31266a1ce334, 8081},
-		{"lru-conflicts", Config{Capacity: 1 << 13, Buckets: 36, Assoc: 2, PosWeight: 512, Mode: AlwaysCache}, churnLRU, 0x247c0b201af2ee70, 8779},
-		{"degree-ties", Config{Capacity: 1 << 13, Buckets: 96, Mode: AlwaysCache}, churnDegree, 0xc62e066b86db7753, 2864},
-		{"score-updates", Config{Capacity: 1 << 12, Buckets: 64, Mode: AlwaysCache}, churnUpdate, 0x0bea60cfe5b3fac1, 7195},
-		{"adaptive-growth", Config{Capacity: 1 << 11, Buckets: 4, Assoc: 2, MaxCapacity: 1 << 14, Adaptive: true, Mode: AlwaysCache}, churnLRU, 0xae38181179e04b4a, 8319},
-	}
+	idle := func() {}
 	// One instance is recycled through every case after its fresh twin ran
 	// it: Reset followed by the same churn must evict in the same order.
 	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8, Adaptive: true, Mode: AlwaysCache})
-	churnDegree(used, 5)
-	for i, tc := range cases {
+	churnDegree(used, 5, idle)
+	for i, tc := range digestCases {
 		_, _, fresh := testSetup(t, digestRegion, tc.cfg)
 		sum := evictionDigest(fresh)
-		tc.churn(fresh, uint64(i))
+		tc.churn(fresh, uint64(i), idle)
 		got, n := sum()
 		if got != tc.digest || n != tc.count {
 			t.Errorf("%s: digest %#x over %d evictions, recorded %#x over %d", tc.name, got, n, tc.digest, tc.count)
@@ -141,9 +151,65 @@ func TestVictimOrderDigest(t *testing.T) {
 		}
 		r, w, _ := testSetup(t, digestRegion, tc.cfg)
 		sum = evictionDigest(used.Reset(r, w, tc.cfg))
-		tc.churn(used, uint64(i))
+		tc.churn(used, uint64(i), idle)
 		if again, _ := sum(); again != got {
 			t.Errorf("%s: recycled instance digest %#x, fresh %#x", tc.name, again, got)
+		}
+	}
+}
+
+// TestPreloadIsModelInvisible replays the churns with Preload called between
+// every two operations — on regions that are cached, that are not, and that
+// lie outside the window geometry; on a fresh instance and on one just Reset;
+// across the churns' own flushes and the adaptive table resizes — and requires
+// the recorded eviction order, the statistics of the undisturbed run to the
+// bit, and consistent structures.
+func TestPreloadIsModelInvisible(t *testing.T) {
+	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8, Adaptive: true, Mode: AlwaysCache})
+	for i, tc := range digestCases {
+		_, _, quiet := testSetup(t, digestRegion, tc.cfg)
+		tc.churn(quiet, uint64(i), func() {})
+		want := quiet.Stats()
+
+		r, w, fresh := testSetup(t, digestRegion, tc.cfg)
+		for _, c := range []*Cache{fresh, used.Reset(r, w, tc.cfg)} {
+			rng := rand.New(rand.NewPCG(uint64(i), 9))
+			preload := func() {
+				var regions [24]Region // more than one of Preload's chunks
+				n := 1 + rng.IntN(len(regions))
+				for j := range regions[:n] {
+					switch rng.IntN(8) {
+					case 0: // no such rank, offset or size
+						regions[j] = [...]Region{
+							{2 + rng.IntN(1<<20), rng.IntN(digestRegion), 8},
+							{1, -1 - rng.IntN(digestRegion), 8},
+							{1, 0, 2*digestRegion + rng.IntN(1<<40)},
+						}[rng.IntN(3)]
+					case 1: // the rank's own region, which a get would not cache
+						regions[j] = Region{0, rng.IntN(digestRegion), 8}
+					default:
+						regions[j] = Region{1, 8 * rng.IntN(digestRegion/8), 8 + 8*rng.IntN(40)}
+					}
+				}
+				c.Preload(regions[:n])
+			}
+			preload()
+			sum := evictionDigest(c)
+			tc.churn(c, uint64(i), preload)
+			preload()
+			if got, n := sum(); got != tc.digest || n != tc.count {
+				t.Errorf("%s: digest %#x over %d evictions with Preload between operations, recorded %#x over %d",
+					tc.name, got, n, tc.digest, tc.count)
+			}
+			if got := c.Stats(); got != want {
+				t.Errorf("%s: statistics with Preload between operations\n got  %+v\n want %+v", tc.name, got, want)
+			}
+			if err := c.checkInvariants(); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			if c.busy {
+				t.Errorf("%s: Preload left the cache marked mid-operation", tc.name)
+			}
 		}
 	}
 }

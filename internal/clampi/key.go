@@ -182,7 +182,7 @@ func (s *seenSet) addIfMissing(k uint64) bool {
 		s.grow()
 	}
 	mask := uint64(len(s.tab) - 1)
-	i := k * seenMul >> s.shift
+	i := uint64(s.slot(k))
 	for {
 		switch v := s.tab[i]; v {
 		case k:
@@ -195,6 +195,9 @@ func (s *seenSet) addIfMissing(k uint64) bool {
 		i = (i + 1) & mask
 	}
 }
+
+// slot is where the probe for k starts.
+func (s *seenSet) slot(k uint64) int { return int(k * seenMul >> s.shift) }
 
 // clearFor forgets every key (Cache.Reset: a recycled cache has seen
 // nothing, so every first access is a compulsory miss again). The table is

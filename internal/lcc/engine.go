@@ -462,6 +462,15 @@ type worker struct {
 	slot      int
 	ownerBase int
 
+	// pairs and locals are the snapshot's resident offset pairs and per-slot
+	// CSRs — the memory behind both windows — which stageAhead reads directly
+	// when the snapshot says it pays (Snapshot.ahead); sink is where
+	// everything it loads ends up.
+	pairs  [][]uint64
+	locals []*part.LocalCSR
+	ahead  bool
+	sink   uint64
+
 	remoteReads    int64
 	localReads     int64
 	delegatedReads int64
@@ -473,9 +482,10 @@ type worker struct {
 	// walk its interleaved share of the slot's vertices.
 	edgeFilter func(li int, vj graph.V) bool
 
-	// Lookahead pipeline state (forEachEdge): the edge ring and the two
-	// fetch slots live on the worker so the steady-state loop allocates
-	// nothing and captures nothing.
+	// Lookahead pipeline state (forEachEdge): the staged batch (ring[
+	// ringHead:ringLen] is what is left of it) and the two fetch slots live
+	// on the worker so the steady-state loop allocates nothing and captures
+	// nothing.
 	ring              [fetchLookahead]pipeEdge
 	ringHead, ringLen int
 	scanLi, scanJ     int
@@ -530,16 +540,20 @@ func (w *worker) adjOwned(li int) []graph.V {
 }
 
 // pipeEdge is one staged (owned vertex, neighbour) pair of the lookahead
-// ring.
+// batch, with the neighbour's packed resolve word — the one thing read at
+// staging time that the per-edge path consumes (start).
 type pipeEdge struct {
 	li int32
 	vj graph.V
+	rv uint64
 }
 
-// refillRing stages upcoming edges of the CSR walk until the ring is full
+// refillRing stages the next batch of the CSR walk, until the ring is full
 // or the walk is exhausted. Pure host work: the filter is evaluated at
-// staging time, ahead of the model (see fetchLookahead).
+// staging time, ahead of the model (see fetchLookahead). Called on an empty
+// ring only.
 func (w *worker) refillRing() {
+	w.ringHead, w.ringLen = 0, 0
 	nLocal := w.lc.NumLocal()
 	for w.scanLi < nLocal {
 		adj := w.scanAdj()
@@ -549,7 +563,7 @@ func (w *worker) refillRing() {
 			if w.edgeFilter != nil && !w.edgeFilter(w.scanLi, vj) {
 				continue
 			}
-			w.ring[(w.ringHead+w.ringLen)%fetchLookahead] = pipeEdge{int32(w.scanLi), vj}
+			w.ring[w.ringLen] = pipeEdge{int32(w.scanLi), vj, w.resolve[vj]}
 			w.ringLen++
 			if w.ringLen == fetchLookahead {
 				return
@@ -560,18 +574,110 @@ func (w *worker) refillRing() {
 	}
 }
 
-// popEdge takes the next staged edge, refilling the ring in a batch when
-// it runs dry.
+// stageMinBytes is the resident size (Snapshot.LocalBytes) from which a
+// snapshot's runs read ahead (Snapshot.ahead): below it the offset pairs, the
+// lists and the cache lanes stay in a core's private cache between their uses,
+// there is no miss to overlap and stageAhead is pure overhead (+4.6 % host
+// time on fb-sim's 0.7 MB; the benchmark's R-MAT and uniform graphs hold 3.7
+// and 4.5 MB).
+const stageMinBytes = 2 << 20
+
+// stageAhead loads, for every edge of the batch just staged, the host memory
+// the per-edge path will read for it first — level by level, every loop up
+// to fetchLookahead loads whose addresses do not depend on one another, so
+// that their cache misses overlap where the per-edge path takes the same
+// misses one dependent load after another:
+//
+//  1. the neighbour's orientation word (refillRing staged its resolve word);
+//  2. its owner's (start, end) offset pair;
+//  3. the line of its list the visit cuts at — start + upper offset, the
+//     middle of the list while the word is unfilled or names a hub entry —
+//     and, for a remote neighbour with caching on, what its two gets probe
+//     first in C_offsets and C_adj (clampi.Cache.Preload).
+//
+// Level 3 computes every address before it loads any: the loads of one edge
+// behind the address arithmetic of the next would keep only two or three in
+// flight.
+//
+// Nothing loaded here reaches the model: the values are summed into sink and
+// never read, and every get, cache transition, wait, charge and kernel reads
+// its data again at its canonical position. Every index is checked, not
+// trusted: the orientation word may be damaged (orientIndex), and a corrupt
+// resolve word or pair is for start and the window to fault on, as before.
+func (w *worker) stageAhead(batch []pipeEdge) {
+	var word [fetchLookahead]uint32
+	for i := range batch {
+		if vj := int(batch[i].vj); vj < len(w.orient.word) {
+			word[i] = w.orient.word[vj].Load()
+		}
+	}
+	var pair [fetchLookahead][2]uint64
+	for i := range batch {
+		slot, li := unpackResolve(batch[i].rv)
+		if slot < len(w.pairs) && 2*li+1 < len(w.pairs[slot]) {
+			pair[i] = [2]uint64{w.pairs[slot][2*li], w.pairs[slot][2*li+1]}
+		}
+	}
+	var line [fetchLookahead]*graph.V
+	var off, adj [fetchLookahead]clampi.Region
+	lines, remote := 0, 0
+	for i := range batch {
+		slot, li := unpackResolve(batch[i].rv)
+		start, end := pair[i][0], pair[i][1]
+		if start >= end {
+			continue // an empty list, or a pair level 2 would not read
+		}
+		if list, at := w.locals[slot].Adj, stageIndex(word[i], start, end); at < uint64(len(list)) {
+			line[lines] = &list[at] // compressed locals have no plain list to read
+			lines++
+		}
+		if w.cOff != nil && slot != w.slot {
+			owner := w.ownerBase + slot
+			off[remote] = clampi.Region{Target: owner, Offset: 16 * li, Size: 16}
+			adj[remote] = clampi.Region{Target: owner, Offset: 4 * int(start), Size: 4 * int(end-start)}
+			remote++
+		}
+	}
+	sink := w.sink
+	for _, id := range line[:lines] {
+		sink += uint64(*id)
+	}
+	if remote > 0 {
+		sink += w.cOff.Preload(off[:remote]) + w.cAdj.Preload(adj[:remote])
+	}
+	w.sink = sink
+}
+
+// stageIndex is where in the non-empty list [start, end) stageAhead reads:
+// the upper offset a plain orientation word carries, clamped to the list's
+// last id, and the middle for an unfilled word or a hub's.
+func stageIndex(word uint32, start, end uint64) uint64 {
+	if word == 0 || word&hubFlag != 0 {
+		return start + (end-start)/2
+	}
+	return min(start+uint64(word-1), end-1)
+}
+
+// unpackResolve splits a packed resolve word (buildResolve).
+func unpackResolve(rv uint64) (slot, li int) {
+	return int(rv >> resolveLiBits), int(rv & (1<<resolveLiBits - 1))
+}
+
+// popEdge takes the next staged edge. When the ring runs dry it is refilled
+// in a batch and, on a snapshot large enough (Snapshot.ahead), read ahead for
+// (stageAhead).
 func (w *worker) popEdge() (pipeEdge, bool) {
-	if w.ringLen == 0 {
+	if w.ringHead == w.ringLen {
 		w.refillRing()
 		if w.ringLen == 0 {
 			return pipeEdge{}, false
 		}
+		if w.ahead {
+			w.stageAhead(w.ring[:w.ringLen])
+		}
 	}
 	e := w.ring[w.ringHead]
-	w.ringHead = (w.ringHead + 1) % fetchLookahead
-	w.ringLen--
+	w.ringHead++
 	return e, true
 }
 
@@ -584,7 +690,8 @@ func (w *worker) popEdge() (pipeEdge, bool) {
 func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *worker {
 	slot := r.ID() % s.ranks
 	w := &worker{r: r, kind: s.kind, pt: s.pt, lc: s.locals[slot], wOff: wOff, wAdj: wAdj, opt: opt,
-		deleg: s.deleg, orient: s.orient, resolve: s.resolve, slot: slot, ownerBase: r.ID() - slot}
+		deleg: s.deleg, orient: s.orient, resolve: s.resolve, slot: slot, ownerBase: r.ID() - slot,
+		pairs: s.pairs, locals: s.locals, ahead: s.ahead}
 	w.compLoc = w.lc.Compressed()
 	w.scanDecLi, w.ownDecLi = -1, -1
 	w.its = intersect.GetScratch()
@@ -645,11 +752,10 @@ type fetch struct {
 	dec []graph.V
 }
 
-// start issues the first get (or resolves a local list immediately).
-func (w *worker) start(f *fetch, vj graph.V) {
-	rv := w.resolve[vj]
-	slot := int(rv >> resolveLiBits)
-	li := int(rv & (1<<resolveLiBits - 1))
+// start issues e's first get (or resolves a local list immediately).
+func (w *worker) start(f *fetch, e pipeEdge) {
+	vj := e.vj
+	slot, li := unpackResolve(e.rv)
 	if slot == w.slot {
 		f.local = true
 		w.localReads++
@@ -747,12 +853,14 @@ func (w *worker) finish(f *fetch) []graph.V {
 
 // fetchLookahead is the depth k of the host-side software pipeline in
 // forEachEdge: edge enumeration (CSR scan, filter evaluation, ring
-// staging) runs up to k edges ahead of the model in tight refill batches.
-// Only host work moves — every model-visible operation (charge appends,
-// get issues, cache transitions) still fires at its canonical
-// lookahead-one position, which is what the charge-tape contract
-// (DESIGN.md §6) requires for bit-identical SimTime.
-const fetchLookahead = 8
+// staging) and the read-ahead over each staged batch (stageAhead) run up to
+// k edges ahead of the model in tight refill batches; sixteen is as many
+// independent loads as a core keeps in flight, and 32 measured no better.
+// Only host work moves — every model-visible operation (charge appends, get
+// issues, cache transitions) still fires at its canonical lookahead-one
+// position, which is what the charge-tape contract (DESIGN.md §6) requires
+// for bit-identical SimTime.
+const fetchLookahead = 16
 
 // forEachEdge streams the rank's (owned vertex, neighbour, neighbour's
 // adjacency list) triples through visit, running the paper's fetch
@@ -776,7 +884,7 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 
 	e, ok := w.popEdge()
 	if ok {
-		w.start(cur, e.vj)
+		w.start(cur, e)
 	}
 	for ok {
 		// Complete the offsets get and fire the dependent adjacency
@@ -796,7 +904,7 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 		if w.opt.DoubleBuffer {
 			en, okn = w.popEdge()
 			if okn {
-				w.start(nxt, en.vj)
+				w.start(nxt, en)
 			}
 		}
 
@@ -808,7 +916,7 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 		} else {
 			e, ok = w.popEdge()
 			if ok {
-				w.start(cur, e.vj)
+				w.start(cur, e)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rma"
 )
@@ -50,16 +51,8 @@ func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode, fa
 		opt.AdjCacheBytes = 1 << 16
 		opt.AdjScorePolicy = ScoreDegree
 	}
-	s, err := opt.snapshot(g, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	opt, pt := s.options(opt), s.pt
-	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
-	opt.configureCharges(comm)
-	wOff, wAdj := s.windows(comm)
-	w := newWorker(comm.Rank(0), s, wOff, wAdj, opt)
-	h := &fetchHarness{w: w}
+	h := &fetchHarness{w: harnessWorker(tb, g, opt)}
+	pt := h.w.pt
 	// Pick a rank-0 and a rank-1 vertex with non-empty adjacency.
 	for v := graph.V(0); int(v) < n; v++ {
 		if len(g.Adj(v)) == 0 {
@@ -78,11 +71,27 @@ func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode, fa
 	return h
 }
 
+// harnessWorker builds rank 0's worker over a fresh world on g, outside any
+// run, with the read-ahead stage forced on (stageAhead) whatever g's size.
+func harnessWorker(tb testing.TB, g graph.Store, opt Options) *worker {
+	tb.Helper()
+	s, err := opt.snapshot(g, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.ahead = true
+	opt = s.options(opt)
+	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
+	opt.configureCharges(comm)
+	wOff, wAdj := s.windows(comm)
+	return newWorker(comm.Rank(0), s, wOff, wAdj, opt)
+}
+
 // fetchOnce drives one full start→mid→finish fetch of vj on the harness
 // worker and returns the resolved list length.
 func (h *fetchHarness) fetchOnce(vj graph.V) int {
 	f := &h.w.fetchA
-	h.w.start(f, vj)
+	h.w.start(f, pipeEdge{vj: vj, rv: h.w.resolve[vj]})
 	h.w.mid(f)
 	return len(h.w.finish(f))
 }
@@ -120,6 +129,24 @@ func BenchmarkFetchCachedHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.fetchOnce(h.remote)
+	}
+}
+
+// BenchmarkForEachEdgeStaged is one rank's whole walk — refills with their
+// read-ahead stage, two cached gets per remote edge, an empty visit — on the
+// benchmark's cached-uniform configuration: 32 ranks, C_offsets 256 KiB,
+// C_adj 4 MiB, LRU scores. Rank 0 owns a thirty-second of the snapshot's
+// 4.5 MB; the stage reads the rest of it where the gets' views will.
+func BenchmarkForEachEdgeStaged(b *testing.B) {
+	opt := cachedOpts(1, 1<<18, 1<<22, ScoreLRU)
+	opt.Ranks = 32
+	w := harnessWorker(b, gen.MustLoad("uniform"), opt)
+	walk := func() { w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {}) }
+	walk() // compulsory misses, pools, slab growth
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		walk()
 	}
 }
 
@@ -162,8 +189,9 @@ func TestFetchFlavorsAllocFree(t *testing.T) {
 }
 
 // TestLookaheadPipelineAllocFree pins the full forEachEdge lookahead
-// pipeline — ring refills, fetch slot flips, visits — at zero steady-state
-// allocations for both the plain and the cached worker.
+// pipeline — ring refills with their read-ahead stage, fetch slot flips,
+// visits — at zero steady-state allocations for both the plain and the cached
+// worker.
 func TestLookaheadPipelineAllocFree(t *testing.T) {
 	for _, caching := range []bool{false, true} {
 		name := "plain"
@@ -176,6 +204,9 @@ func TestLookaheadPipelineAllocFree(t *testing.T) {
 				h.w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {})
 			}
 			walk() // warm pools, populate caches
+			if h.w.sink == 0 {
+				t.Fatal("the walk staged nothing ahead: the guard below would not cover stageAhead")
+			}
 			if allocs := testing.AllocsPerRun(5, walk); allocs > 0 {
 				t.Errorf("lookahead pipeline (%s) allocates %.1f objects per walk, want 0", name, allocs)
 			}

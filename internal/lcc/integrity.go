@@ -123,8 +123,8 @@ func (s *Snapshot) Verify() error {
 // adjInto returns adj(v) from the resident per-rank tables, decoding into
 // buf when they are compressed.
 func (s *Snapshot) adjInto(v graph.V, buf []graph.V) []graph.V {
-	rv := s.resolve[v]
-	return s.locals[rv>>resolveLiBits].AdjInto(int(rv&(1<<resolveLiBits-1)), buf)
+	slot, li := unpackResolve(s.resolve[v])
+	return s.locals[slot].AdjInto(li, buf)
 }
 
 // CorruptForTest flips one bit in the named section — SectionResolve and

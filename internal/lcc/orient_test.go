@@ -185,21 +185,7 @@ func TestDamagedIndexIsCaughtAndHarmless(t *testing.T) {
 	}
 	damaged(s, "flipped word")
 
-	// Most words off by a little or a lot — upper offsets past their list,
-	// hub slots that were never filled — and every hub's upper offset nudged.
-	ix := s.orient
-	for v := range ix.word {
-		if w := ix.word[v].Load(); w != 0 && v%3 != 0 {
-			ix.word[v].Store(w + uint32(1+v%5)<<uint(v%31))
-		}
-	}
-	for i := range ix.page {
-		if pg := ix.page[i].Load(); pg != nil {
-			for j := range pg {
-				pg[j].upper += j%3 - 1
-			}
-		}
-	}
+	damageIndex(s.orient)
 	damaged(s, "damaged throughout")
 
 	// The dense sets, by vertex, of a snapshot whose index a run has filled.

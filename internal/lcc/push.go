@@ -128,6 +128,11 @@ func RunPushCtx(ctx context.Context, g graph.Store, opt PushOptions) (*Result, e
 	if err != nil {
 		return nil, err
 	}
+	return s.runPushCtx(ctx, opt)
+}
+
+// runPushCtx is RunPushCtx over a snapshot of an undirected graph.
+func (s *Snapshot) runPushCtx(ctx context.Context, opt PushOptions) (*Result, error) {
 	// The graph windows are typed and read-only; the triangle-counter
 	// window stays a writable byte window — it is the one region peers
 	// write (Accumulate), so its gets keep snapshot-copy semantics.
@@ -168,9 +173,7 @@ func (w *worker) runPush(lccOut []float64, wTri *rma.Window, bar *rma.Barrier, a
 			w.r.Compute(1)
 			return
 		}
-		rv := w.resolve[u]
-		owner := int(rv >> resolveLiBits)
-		li := int(rv & (1<<resolveLiBits - 1))
+		owner, li := unpackResolve(w.resolve[u])
 		// Fire-and-forget: release immediately so the pooled request is
 		// recycled at the next flush instead of becoming garbage.
 		w.r.Accumulate(wTri, owner, 8*li, 1).Release()
@@ -242,9 +245,8 @@ func (w *worker) runPush(lccOut []float64, wTri *rma.Window, bar *rma.Barrier, a
 func (w *worker) flushCombined(wTri *rma.Window, combined map[graph.V]uint64) {
 	byOwner := make(map[int][]rma.Update)
 	for u, cnt := range combined {
-		rv := w.resolve[u]
-		owner := int(rv >> resolveLiBits)
-		byOwner[owner] = append(byOwner[owner], rma.Update{Offset: 8 * int(rv&(1<<resolveLiBits-1)), Delta: cnt})
+		owner, li := unpackResolve(w.resolve[u])
+		byOwner[owner] = append(byOwner[owner], rma.Update{Offset: 8 * li, Delta: cnt})
 	}
 	owners := make([]int, 0, len(byOwner))
 	for o := range byOwner {

@@ -61,8 +61,14 @@ func RunReplicatedCtx(ctx context.Context, g graph.Store, opt ReplicatedOptions)
 	if err != nil {
 		return nil, err
 	}
+	return s.runReplicatedCtx(ctx, opt.Options, c)
+}
+
+// runReplicatedCtx runs c replica groups over s, a snapshot of one group's
+// slots.
+func (s *Snapshot) runReplicatedCtx(ctx context.Context, opt Options, c int) (*Result, error) {
 	lccOut := make([]float64, s.n)
-	return s.launch(ctx, opt.Options, c, lccOut, nil, func(w *worker) int64 {
+	return s.launch(ctx, opt, c, lccOut, nil, func(w *worker) int64 {
 		return w.run(lccOut, w.r.ID()/s.ranks, c)
 	})
 }

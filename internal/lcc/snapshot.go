@@ -59,6 +59,10 @@ type Snapshot struct {
 
 	caches cachePool
 	orient *orientIndex
+
+	// ahead says the resident tables are past what a core's private cache
+	// holds (stageMinBytes), so runs read ahead of the model (stageAhead).
+	ahead bool
 }
 
 // cachePair is one rank's (C_offsets, C_adj) instances. They recycle as a
@@ -152,6 +156,7 @@ func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 		deleg:   BuildDelegation(g, so.DelegateBytes),
 		orient:  newOrientIndex(g.NumVertices()),
 	}
+	s.ahead = s.LocalBytes() >= stageMinBytes
 	s.computeSums()
 	return s, nil
 }
