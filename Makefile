@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check loc bench-test bench-ab bench bench-serve bench-scale benchdiff daemon-test stress pprof fuzz
+.PHONY: all build test vet fmt check loc bench-test bench-ab bench-scale daemon-test stress pprof fuzz
 
 all: build
 
@@ -44,37 +44,23 @@ bench-test:
 # alternating pairs of the benchmark's single-workload command, REF's
 # checkout against the working tree, then prints per end-to-end metric both
 # sides' median and quartiles, the pairs the working tree won and the
-# verdict. ~15 minutes on an idle machine.
+# verdict. ~15 minutes on an idle machine. It is also the gate: the exit
+# status is 1 when an end-to-end metric reads worse than its BENCHMARK.json
+# bound, a run reports correct=false, or the working tree fails a larger
+# share of its operations than REF.
 #	make bench-ab REF=HEAD~1 W=pull-rmat [SEEDS=0,7,11,23] [PAIRS=10]
 SEEDS ?= 0,7,11,23
 PAIRS ?= 10
 bench-ab:
 	$(GO) run ./cmd/benchab -ref "$(REF)" -workload "$(W)" -seeds "$(SEEDS)" -pairs $(PAIRS)
 
-# bench runs the hot-path micro-benchmarks with -benchmem and appends the
-# next BENCH_<n>.json perf-trajectory record (see bench.sh).
-bench:
-	./bench.sh
-
-# bench-serve appends the next serving-layer record: the sustained-QPS
-# benchmark through the supervision plane, tagged "mode":"serve" so
-# benchdiff never diffs it against the micro-benchmark trajectory.
-bench-serve:
-	BENCH_MODE=serve ./bench.sh
-
-# bench-scale appends the next storage-plane scale record: a scale-series
-# dataset (~100× the golden suite) materialized through the graph disk
-# cache, recording edges, bytes on disk, compression ratio, load time and
-# RSS peak, tagged "mode":"scale" (cmd/scalebench). First run generates
-# the dataset into .graph-cache — minutes for half a billion edges.
+# bench-scale prints the storage-plane scale record: a scale-series dataset
+# (~100× the golden suite) materialized through the graph disk cache —
+# edges, bytes on disk, compression ratio, load time and RSS peak
+# (cmd/scalebench; -dataset, -cache and -out are its flags). First run
+# generates the dataset into .graph-cache — minutes for half a billion edges.
 bench-scale:
-	BENCH_MODE=scale ./bench.sh
-
-# benchdiff compares the two newest committed BENCH_<n>.json records that
-# share a bench mode and fails on per-benchmark regressions past the
-# thresholds (cmd/benchdiff).
-benchdiff:
-	$(GO) run ./cmd/benchdiff
+	$(GO) run ./cmd/scalebench
 
 # daemon-test runs cmd/lccd's tests against a real lccd (the test binary
 # re-exec'd as the daemon): the load/query/health/drain loop, the handlers'

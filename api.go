@@ -120,7 +120,7 @@ func LoadDatasetStore(name string, budget int64) (GraphStore, error) {
 }
 
 // ScaleDatasetNames lists the scale-series datasets (~100× the golden
-// suite's edge count; the BENCH_MODE=scale subjects). They load like any
+// suite's edge count; cmd/scalebench's subjects). They load like any
 // dataset but are excluded from DatasetNames so sweeps never pick them up.
 func ScaleDatasetNames() []string { return gen.ScaleNames() }
 
@@ -449,9 +449,14 @@ func RunJaccardCtx(ctx context.Context, g GraphStore, opt LCCOptions) (*JaccardR
 // bit-identical to the corresponding one-shot entrypoint.
 type Snapshot = lcc.Snapshot
 
-// NewSnapshot distributes g over ranks once for repeated querying.
-func NewSnapshot(g GraphStore, ranks int, scheme Scheme, delegateBytes int) (*Snapshot, error) {
-	return lcc.NewSnapshot(g, ranks, scheme, delegateBytes)
+// SnapshotOptions are the per-graph half of LCCOptions a Snapshot pins for
+// every query run on it: rank count, distribution scheme, delegation budget
+// and the storage mode (with its memory budget) of the per-rank adjacency.
+type SnapshotOptions = lcc.SnapshotOptions
+
+// NewSnapshot distributes g once for repeated querying.
+func NewSnapshot(g GraphStore, opt SnapshotOptions) (*Snapshot, error) {
+	return lcc.NewSnapshotOpts(g, opt)
 }
 
 // The supervised serving layer (internal/serve, cmd/lccd): a Supervisor

@@ -1,25 +1,19 @@
-// Benchmark harness: one testing.B per table and figure of the paper's
-// evaluation (§IV), plus micro-benchmarks of the hot kernels. The macro
-// benchmarks delegate to internal/experiments — the same code path as
-// cmd/figures — render the regenerated table to stdout, and report the
-// headline quantity via b.ReportMetric so `go test -bench` output carries
-// the comparison numbers.
-//
-// Macro experiments take seconds to minutes each; run a single one with
-// e.g. `go test -bench=Fig7 -benchtime=1x`.
+// Micro-benchmarks of the hot kernels and substrates, plus the end-to-end
+// engine runs. They carry no claim — host-speed claims go through
+// BENCHMARK.json and `make bench-ab` — and no gate: the zero-alloc budgets
+// they sit beside are tier-1 tests (TestGetAllocFree, TestHitAllocFree,
+// TestEngineFetchAllocFree, TestEngineCachedAllocBudget). CI runs each once
+// (-benchtime=1x) so none rots. The paper's tables and figures are
+// cmd/figures' (internal/experiments), asserted by shape_test.go there.
 package repro_test
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/clampi"
 	"repro/internal/disttc"
-	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/grid"
@@ -29,168 +23,6 @@ import (
 	"repro/internal/spmat"
 	"repro/internal/tric"
 )
-
-// renderOnce renders each experiment table at most once per process, so
-// repeated b.N iterations don't spam stdout.
-var renderedMu sync.Mutex
-var rendered = map[string]bool{}
-
-func runExperiment(b *testing.B, id string) *experiments.Table {
-	b.Helper()
-	e, ok := experiments.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = e.Make()
-	}
-	renderedMu.Lock()
-	if !rendered[id] {
-		rendered[id] = true
-		t.Render(os.Stdout)
-	}
-	renderedMu.Unlock()
-	return t
-}
-
-// cell parses table cell (r, c) as a float; non-numeric cells return NaN-ish 0.
-func cell(t *experiments.Table, r, c int) float64 {
-	if r >= len(t.Rows) || c >= len(t.Rows[r]) {
-		return 0
-	}
-	v, err := strconv.ParseFloat(t.Rows[r][c], 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-// --- one benchmark per table / figure -------------------------------------
-
-func BenchmarkTable2Datasets(b *testing.B)   { runExperiment(b, "table2") }
-func BenchmarkFig1DataReuse(b *testing.B)    { runExperiment(b, "fig1") }
-func BenchmarkFig5CacheEntries(b *testing.B) { runExperiment(b, "fig5") }
-func BenchmarkAblationCutoff(b *testing.B)   { runExperiment(b, "ablation-cutoff") }
-func BenchmarkAblationOverlap(b *testing.B)  { runExperiment(b, "ablation-overlap") }
-func BenchmarkAblationCyclic(b *testing.B)   { runExperiment(b, "ablation-cyclic") }
-func BenchmarkAblationScores(b *testing.B)   { runExperiment(b, "ablation-scores") }
-
-func BenchmarkAblationOrientation(b *testing.B) { runExperiment(b, "ablation-orientation") }
-func BenchmarkTable3Hash(b *testing.B)          { runExperiment(b, "table3x") }
-func BenchmarkAblationPushPull(b *testing.B)    { runExperiment(b, "ablation-pushpull") }
-func BenchmarkAblationDelegation(b *testing.B)  { runExperiment(b, "ablation-delegation") }
-func BenchmarkAblationRelabel(b *testing.B)     { runExperiment(b, "ablation-relabel") }
-func BenchmarkAblationReplication(b *testing.B) { runExperiment(b, "ablation-replication") }
-
-func BenchmarkAblation2D(b *testing.B) {
-	t := runExperiment(b, "ablation-2d")
-	// Last row = most ranks: columns 3/4 are MB per rank for 1D and 2D.
-	if n := len(t.Rows); n > 0 {
-		one, two := cell(t, n-1, 3), cell(t, n-1, 4)
-		if two > 0 {
-			b.ReportMetric(one/two, "1d-vs-2d-traffic-x")
-		}
-	}
-}
-
-func BenchmarkEngine2D(b *testing.B) {
-	g := gen.MustLoad("rmat-s14-ef16")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := grid.Run(g, grid.Options{Ranks: 16}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationNoise(b *testing.B) {
-	t := runExperiment(b, "ablation-noise")
-	// Last row = highest noise level; column 5 is the BSP penalty factor.
-	if n := len(t.Rows); n > 0 {
-		b.ReportMetric(cell(t, n-1, 5), "bsp-noise-penalty-x")
-	}
-}
-
-func BenchmarkAblationDistTC(b *testing.B) {
-	t := runExperiment(b, "ablation-disttc")
-	// Last row = most ranks; column 4 is "NN%" precompute share.
-	if n := len(t.Rows); n > 0 {
-		var v float64
-		fmt.Sscanf(t.Rows[n-1][4], "%f%%", &v)
-		b.ReportMetric(v, "disttc-precompute-%")
-	}
-}
-
-func BenchmarkFig4DataReuse(b *testing.B) {
-	t := runExperiment(b, "fig4")
-	// Row 1 is the R-MAT case; column 2 holds "NN.N%".
-	if len(t.Rows) > 1 {
-		var v float64
-		fmt.Sscanf(t.Rows[1][2], "%f%%", &v)
-		b.ReportMetric(v, "rmat-top10-%")
-	}
-}
-
-func BenchmarkTable3Intersection(b *testing.B) {
-	t := runExperiment(b, "table3")
-	if len(t.Rows) > 0 {
-		b.ReportMetric(cell(t, 0, 2), "hybrid-edges/µs")
-	}
-}
-
-func BenchmarkFig6SharedScaling(b *testing.B) {
-	t := runExperiment(b, "fig6")
-	// Last row of the first dataset block (threads=16) carries the speedup.
-	if len(t.Rows) >= 5 {
-		var sp float64
-		fmt.Sscanf(t.Rows[4][4], "%fx", &sp)
-		b.ReportMetric(sp, "speedup-16t")
-	}
-}
-
-func BenchmarkFig7CacheSize(b *testing.B) {
-	t := runExperiment(b, "fig7")
-	// Final C_adj row = full-size cache; column 3 is comm time (ms).
-	if n := len(t.Rows); n > 0 {
-		b.ReportMetric(cell(t, n-1, 3), "cadj-full-comm-ms")
-	}
-}
-
-func BenchmarkFig8Scores(b *testing.B) {
-	t := runExperiment(b, "fig8")
-	if len(t.Rows) >= 2 {
-		lru := cell(t, 0, 2)
-		deg := cell(t, 1, 2)
-		if deg > 0 {
-			b.ReportMetric(lru/deg, "read-time-improvement-x")
-		}
-	}
-}
-
-func BenchmarkFig9SmallScale(b *testing.B) {
-	t := runExperiment(b, "fig9")
-	// First dataset block: rows 0 (p=4) and 4 (p=64), column 2 = non-cached ms.
-	if len(t.Rows) >= 5 {
-		base, last := cell(t, 0, 2), cell(t, 4, 2)
-		if last > 0 {
-			b.ReportMetric(base/last, "rmat-speedup-4to64")
-		}
-	}
-}
-
-func BenchmarkFig10LargeScale(b *testing.B) {
-	t := runExperiment(b, "fig10")
-	if len(t.Rows) >= 3 {
-		base, last := cell(t, 0, 2), cell(t, 2, 2)
-		if last > 0 {
-			b.ReportMetric(base/last, "rmat-speedup-128to512")
-		}
-	}
-}
-
-// --- micro-benchmarks of the hot kernels -----------------------------------
 
 func sortedList(n, stride int) []graph.V {
 	out := make([]graph.V, n)
@@ -293,8 +125,8 @@ func BenchmarkKernelStampProbe(b *testing.B) {
 }
 
 // BenchmarkKernelFingerBinary is the cursor + depth-table search
-// (depthBinary; bench.sh and the BENCH records key on the old name) on the
-// same pair as BenchmarkIntersectBinary (its per-key reference).
+// (depthBinary; the name predates it) on the same pair as
+// BenchmarkIntersectBinary (its per-key reference).
 func BenchmarkKernelFingerBinary(b *testing.B) {
 	keys := sortedList(64, 37)
 	tree := sortedList(4096, 3)
@@ -469,10 +301,8 @@ func BenchmarkSharedLCC(b *testing.B) {
 	b.ReportMetric(float64(g.NumArcs()), "arcs")
 }
 
-// The two trajectory benchmarks pin Workers: 1 — the serial baseline
-// BENCH_1/BENCH_2 recorded (the default went parallel with the rank
-// scheduler, so an explicit pin is what keeps the trajectory
-// semantically one series). The *Parallel variants below are the
+// The two serial engine benchmarks pin Workers: 1 (the default went
+// parallel with the rank scheduler); the *Parallel variants below are the
 // scaling numbers.
 func BenchmarkEngineNonCached(b *testing.B) {
 	g := gen.MustLoad("rmat-s14-ef16")
@@ -503,9 +333,7 @@ func BenchmarkEngineCached(b *testing.B) {
 // BenchmarkEngineNonCachedParallel opens the rank scheduler to every host
 // core (Workers=GOMAXPROCS, also the default; explicit so the record is
 // self-describing). Results are bit-identical to the serial run; only
-// host wall-clock changes, which is why BENCH_*.json records carry
-// go_max_procs and benchdiff refuses to compare times across differing
-// values.
+// host wall-clock changes.
 func BenchmarkEngineNonCachedParallel(b *testing.B) {
 	g := gen.MustLoad("rmat-s14-ef16")
 	b.ReportAllocs()
@@ -544,6 +372,17 @@ func BenchmarkTriC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tric.Run(g, tric.Options{Ranks: 8, Method: intersect.MethodHybrid}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEngine2D(b *testing.B) {
+	g := gen.MustLoad("rmat-s14-ef16")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := grid.Run(g, grid.Options{Ranks: 16}); err != nil {
 			b.Fatal(err)
 		}
 	}

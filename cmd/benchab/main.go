@@ -6,7 +6,10 @@
 // and prints, per end-to-end metric, each side's median and quartiles, the
 // pairs the working tree won, and whether that amounts to a gain (at least
 // nine pairs in ten, medians further apart than the reference's own
-// quartiles) or to a regression past the metric's bound.
+// quartiles) or to a regression past the metric's bound. It is the gate as
+// well as the report: the exit status is 1 when any end-to-end metric reads
+// worse than its bound, when a run reports correct=false, or when the working
+// tree fails a larger share of its operations than the reference.
 //
 //	make bench-ab REF=HEAD~1 W=pull-rmat            # ten pairs, seeds 0,7,11,23
 //	go run ./cmd/benchab -ref b0c8119 -workload cached-rmat -pairs 4 -seeds 0,3
@@ -19,6 +22,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -116,6 +120,7 @@ func run(ctx context.Context, ref, workload string, pairs int, seedList string) 
 		values[m.Name] = &[2][]float64{}
 	}
 	var attempted, failed [2]int
+	incorrect := 0
 	for p := 0; p < pairs; p++ {
 		seed := seeds[p%len(seeds)]
 		var got [2]result
@@ -135,6 +140,7 @@ func run(ctx context.Context, ref, workload string, pairs int, seedList string) 
 			attempted[side] += got[side].Attempted
 			failed[side] += got[side].Failed
 			if !got[side].Correct {
+				incorrect++
 				fmt.Printf("pair %d, %s: the run reports correct=false\n", p+1, sides[side].name)
 			}
 		}
@@ -149,40 +155,99 @@ func run(ctx context.Context, ref, workload string, pairs int, seedList string) 
 	}
 
 	fmt.Printf("\n%-12s %-36s %-36s %8s %6s  verdict\n", "metric", "ref median [q1, q3]", "change median [q1, q3]", "change", "won")
+	var pastBound []string
 	for _, m := range sp.EndToEnd {
 		r, c := values[m.Name][0], values[m.Name][1]
-		sign := 1.0 // +1 when larger is better
-		if m.Better == "lower" {
-			sign = -1
-		}
-		won, ties := 0, 0
-		for i := range r {
-			switch d := sign * (c[i] - r[i]); {
-			case d > 0:
-				won++
-			case d == 0:
-				ties++
-			}
-		}
-		rm, cm := stats.Median(r), stats.Median(c)
-		iqr := stats.Quantile(r, 0.75) - stats.Quantile(r, 0.25)
-		gain := sign * (cm - rm) // > 0: the change is better
-		verdict := "no change shown"
-		switch {
-		case 10*won >= 9*len(r) && gain > iqr:
-			verdict = "gain"
-		case -gain > m.Bound*rm:
-			verdict = fmt.Sprintf("WORSE than the %g%% bound", 100*m.Bound)
-		case 10*(len(r)-won-ties) >= 9*len(r) && -gain > iqr:
-			verdict = "worse, inside the bound"
+		j := judge(r, c, m.Better == "lower", m.Bound)
+		if j.verdict == worsePastBound {
+			pastBound = append(pastBound, fmt.Sprintf("%s (%g%%)", m.Name, 100*m.Bound))
 		}
 		fmt.Printf("%-12s %-36s %-36s %+7.1f%% %3d/%-2d  %s\n", m.Name, spread(r), spread(c),
-			100*(cm-rm)/rm, won, len(r), verdict)
+			j.changePct, j.won, len(r), j.verdict)
 	}
 	for k, s := range sides {
 		fmt.Printf("%s: %d of %d operations failed\n", s.name, failed[k], attempted[k])
 	}
-	return nil
+	return gate(pastBound, incorrect, attempted, failed)
+}
+
+// verdict is what one end-to-end metric's pairs of runs amount to, as the
+// report prints it.
+type verdict string
+
+const (
+	noChange       verdict = "no change shown"         // neither rule below is met
+	gain           verdict = "gain"                    // won ≥ 9/10 of the pairs, medians apart by more than the ref's IQR
+	worseInside    verdict = "worse, inside the bound" // lost ≥ 9/10 of the pairs by more than the ref's IQR
+	worsePastBound verdict = "WORSE than the bound"    // the median is worse than the ref's by more than the metric's bound
+)
+
+// judgement is one metric's row of the report.
+type judgement struct {
+	won       int     // pairs the change won; a tie counts for neither side
+	changePct float64 // change median against the ref median, signed as measured
+	verdict   verdict
+}
+
+// judge reads one metric's paired values (ref[i] and change[i] are one pair)
+// by the rule claims are held to: a gain needs nine pairs in ten and medians
+// further apart than the distance between the reference's own quartiles; a
+// median worse than the reference's by more than bound × that median is past
+// the bound whatever the pairs say.
+func judge(ref, change []float64, lowerIsBetter bool, bound float64) judgement {
+	sign := 1.0 // +1 when larger is better
+	if lowerIsBetter {
+		sign = -1
+	}
+	won, ties := 0, 0
+	for i := range ref {
+		switch d := sign * (change[i] - ref[i]); {
+		case d > 0:
+			won++
+		case d == 0:
+			ties++
+		}
+	}
+	n := len(ref)
+	rm, cm := stats.Median(ref), stats.Median(change)
+	iqr := stats.Quantile(ref, 0.75) - stats.Quantile(ref, 0.25)
+	better := sign * (cm - rm) // > 0: the change is better
+	j := judgement{won: won, verdict: noChange}
+	if cm != rm { // equal medians read 0 %, also at a zero median
+		j.changePct = 100 * (cm - rm) / rm
+	}
+	switch {
+	case 10*won >= 9*n && better > iqr:
+		j.verdict = gain
+	case -better > bound*rm:
+		j.verdict = worsePastBound
+	case 10*(n-won-ties) >= 9*n && -better > iqr:
+		j.verdict = worseInside
+	}
+	return j
+}
+
+// gate is the exit decision: nil when the comparison passes, otherwise an
+// error naming every reason it does not — a metric past its bound, a run that
+// reported correct=false on either side, or the change (index 1) failing a
+// larger share of the operations it attempted than the reference (index 0).
+func gate(pastBound []string, incorrectRuns int, attempted, failed [2]int) error {
+	var why []string
+	if len(pastBound) > 0 {
+		why = append(why, "worse than the bound: "+strings.Join(pastBound, ", "))
+	}
+	if incorrectRuns > 0 {
+		why = append(why, fmt.Sprintf("%d runs reported correct=false", incorrectRuns))
+	}
+	// failed[1]/attempted[1] > failed[0]/attempted[0], without the division
+	if failed[1]*attempted[0] > failed[0]*attempted[1] {
+		why = append(why, fmt.Sprintf("the change failed %d of %d operations, the ref %d of %d",
+			failed[1], attempted[1], failed[0], attempted[0]))
+	}
+	if len(why) == 0 {
+		return nil
+	}
+	return errors.New(strings.Join(why, "; "))
 }
 
 func spread(xs []float64) string {

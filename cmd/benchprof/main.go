@@ -37,7 +37,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
-	"repro/internal/part"
 	"repro/internal/stats"
 )
 
@@ -139,7 +138,7 @@ func run(name string, runs, workers int, out, mem string) error {
 	if err != nil {
 		return err
 	}
-	snap, err := lcc.NewSnapshot(g, w.ranks, part.Block, 0)
+	snap, err := lcc.NewSnapshotOpts(g, lcc.SnapshotOptions{Ranks: w.ranks})
 	if err != nil {
 		return err
 	}

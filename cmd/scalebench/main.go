@@ -1,15 +1,10 @@
 // Command scalebench measures the storage plane at scale: it materializes
-// one of the large scale-series datasets (internal/gen, BENCH_MODE=scale)
-// through the disk cache and records the quantities the perf trajectory
-// tracks for graphs two orders of magnitude past the golden suite — edge
-// count, bytes on disk, compression ratio of the varint/delta adjacency
-// stream against the plain CSR image, checksummed load wall-time, and the
-// process's resident-set peak.
-//
-// The record lands in the same BENCH_<n>.json container as the micro and
-// serve series, tagged "mode":"scale"; benchdiff pairs records within a
-// mode, so scale points diff against earlier scale points and never
-// against substrate micro-benchmarks.
+// one of the large scale-series datasets (internal/gen) through the disk
+// cache and prints one JSON record of the quantities that matter for graphs
+// two orders of magnitude past the golden suite — edge count, bytes on disk,
+// compression ratio of the varint/delta adjacency stream against the plain
+// CSR image, checksummed load wall-time, and the process's resident-set
+// peak.
 //
 // The first run against an empty cache directory generates the dataset
 // (minutes for half a billion edges) and persists it; subsequent runs are
@@ -17,9 +12,9 @@
 // is meant to pin. Generation time, when it happened, is reported
 // separately and never folded into load_ns.
 //
-// Usage:
+// Usage (also `make bench-scale`):
 //
-//	scalebench [-dataset rmat-s21-ef256] [-cache DIR] [-out BENCH_7.json]
+//	scalebench [-dataset rmat-s21-ef256] [-cache DIR] [-out scale.json]
 package main
 
 import (
@@ -41,10 +36,7 @@ type scaleRecord struct {
 	Date       string      `json:"date"`
 	GoMaxProcs int         `json:"go_max_procs"`
 	CPUModel   string      `json:"cpu_model"`
-	Faults     string      `json:"faults"`
-	Mode       string      `json:"mode"`
 	Scale      scaleDetail `json:"scale"`
-	Benchmarks []benchRow  `json:"benchmarks"`
 }
 
 type scaleDetail struct {
@@ -59,14 +51,6 @@ type scaleDetail struct {
 	LoadNS             int64   `json:"load_ns"`
 	GenNS              int64   `json:"gen_ns,omitempty"`
 	PeakRSSBytes       int64   `json:"peak_rss_bytes"`
-}
-
-type benchRow struct {
-	Name     string  `json:"name"`
-	Iters    int64   `json:"iters"`
-	NsPerOp  float64 `json:"ns_per_op"`
-	BPerOp   float64 `json:"bytes_per_op"`
-	AllocsOp float64 `json:"allocs_per_op"`
 }
 
 func main() {
@@ -145,12 +129,7 @@ func main() {
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		CPUModel:   cpuModel(),
-		Faults:     "off",
-		Mode:       "scale",
 		Scale:      det,
-		Benchmarks: []benchRow{
-			{Name: "ScaleBinaryLoad", Iters: 1, NsPerOp: float64(loadNS), BPerOp: float64(info.Size()), AllocsOp: 0},
-		},
 	}
 
 	buf, err := json.MarshalIndent(&rec, "", "  ")

@@ -244,8 +244,8 @@ func TestGoldenWorkerSweep(t *testing.T) {
 // blocks/AVL nodes, packed keys, lane tables, open-addressed seen set)
 // brings a full CLaMPI-cached run from ~302k heap allocations to a few
 // hundred — cache construction plus a bounded number of slab/pool
-// ramp-ups. The budget leaves modest headroom; the benchmark-visible
-// number (BENCH_*.json) is the precise trajectory.
+// ramp-ups. The budget leaves modest headroom; the benchmark's traced pass
+// reports the precise number as lcc.allocs_per_run.
 func TestEngineCachedAllocBudget(t *testing.T) {
 	g := gen.MustLoad("fb-sim")
 	opt := goldenBase()

@@ -2,11 +2,11 @@ package gen
 
 import "repro/internal/graph"
 
-// scaleRegistry lists the large-scale datasets of the BENCH_MODE=scale
-// series. They are loaded by name exactly like regular datasets — Lookup,
-// Load, LoadStore and the disk cache all apply — but they are excluded
-// from Names(): generating half a billion edges must be opted into
-// explicitly, never hit by a registry sweep in tests or benchmarks.
+// scaleRegistry lists the large-scale datasets of the scale series
+// (cmd/scalebench). They are loaded by name exactly like regular datasets —
+// Lookup, Load, LoadStore and the disk cache all apply — but they are
+// excluded from Names(): generating half a billion edges must be opted
+// into explicitly, never hit by a registry sweep in tests or benchmarks.
 //
 // rmat-s21-ef256 is ~100× the arc count of rmat-s18-ef16, the largest
 // standard dataset: 2^21 vertex ids at edge factor 256 sample ~537M edge

@@ -38,7 +38,7 @@ type Store interface {
 	// mapped pages are reclaimable).
 	MemBytes() int64
 	// ReprName names the representation ("plain", "compressed", "file") for
-	// logs and BENCH records.
+	// logs and benchmark records.
 	ReprName() string
 }
 

@@ -363,7 +363,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	return RunCtx(context.Background(), g, opt)
 }
 
-// RunCtx is Run under supervision: the setup is snapshotted (NewSnapshot)
+// RunCtx is Run under supervision: the setup is snapshotted (NewSnapshotOpts)
 // and the rank bodies execute under rma.Comm.RunCtx, so ctx cancellation
 // unwinds the run at its checkpoints (error wraps sched.ErrRunCanceled), a
 // rank panic surfaces as *sched.PanicError instead of killing the process,

@@ -12,8 +12,8 @@ import (
 
 // Fetch-plane micro-benchmarks: the three flavors of one adjacency fetch —
 // a local partition read, a remote two-get pipeline, and a CLaMPI hit on
-// both gets — isolated from the intersection kernels, so the perf trajectory
-// (BENCH_*.json) tracks the flat fetch plane on its own. The companion
+// both gets — isolated from the intersection kernels, so the flat fetch
+// plane can be timed on its own. The companion
 // alloc guards pin the steady state of all three flavors, plus the
 // lookahead pipeline itself, at zero heap allocations.
 

@@ -264,7 +264,7 @@ func TestConcurrentCachedRunsShareSnapshot(t *testing.T) {
 // recycling run allocates 0.2 MB.
 func TestCachedRunAllocationGuard(t *testing.T) {
 	g := gen.ErdosRenyi(1<<12, 1<<16, graph.Undirected, 1)
-	s, err := NewSnapshot(g, 32, part.Block, 0)
+	s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestCachePoolFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSnapshot(g, 32, part.Block, 0)
+	s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,16 +121,11 @@ type SnapshotOptions struct {
 	MemBudgetBytes int64
 }
 
-// NewSnapshot partitions g over the given rank count and precomputes every
-// per-graph table of the engine setup. ranks == 0 selects 1. The snapshot
-// pins the distribution: queries executed on it inherit its rank count,
-// scheme and delegation budget regardless of what their Options say.
-func NewSnapshot(g graph.Store, ranks int, scheme part.Scheme, delegateBytes int) (*Snapshot, error) {
-	return NewSnapshotOpts(g, SnapshotOptions{Ranks: ranks, Scheme: scheme, DelegateBytes: delegateBytes})
-}
-
-// NewSnapshotOpts is NewSnapshot with the full per-graph option set,
-// including the storage mode the per-rank CSRs are extracted in.
+// NewSnapshotOpts partitions g over so.Ranks ranks and precomputes every
+// per-graph table of the engine setup, extracting the per-rank CSRs in
+// so.Storage. The snapshot pins the distribution: queries executed on it
+// inherit its rank count, scheme and delegation budget regardless of what
+// their Options say.
 func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 	if so.Ranks == 0 {
 		so.Ranks = 1

@@ -67,19 +67,19 @@ func (r *Rank) injectFaults(cl fault.Class, size int) {
 		r.comm.pool.WedgeUntilCanceled()
 	}
 	if st := o.StallNS(); st > 0 {
-		r.charge(ChargeStall, 0, st, nil)
+		r.charge(ChargeStall, 0, st)
 	}
 	if n := o.Failed(); n > 0 {
 		pol := r.faults.Policy()
 		cost := r.comm.model.RemoteCost(size)
 		for a := 0; a < n; a++ {
-			r.charge(ChargeTimeout, 0, pol.TimeoutNS, nil)
-			r.charge(ChargeRetryBackoff, 0, o.BackoffNS(a), nil)
-			r.charge(ChargeRetransmit, size, cost, nil)
+			r.charge(ChargeTimeout, 0, pol.TimeoutNS)
+			r.charge(ChargeRetryBackoff, 0, o.BackoffNS(a))
+			r.charge(ChargeRetransmit, size, cost)
 		}
 	}
 	if sp := o.SpikeNS(); sp > 0 {
-		r.charge(ChargeTimeout, 0, sp, nil)
+		r.charge(ChargeTimeout, 0, sp)
 	}
 }
 
@@ -106,9 +106,9 @@ func (r *Rank) crashStop(o fault.Outcome) {
 	// The redo duration reads the clock at the canonical issue point,
 	// before the restart charge lands.
 	redo := r.clock.Now() - r.ckptT
-	r.charge(ChargeCrashRestart, 0, o.CrashRestartNS(), nil)
+	r.charge(ChargeCrashRestart, 0, o.CrashRestartNS())
 	if redo > 0 {
-		r.charge(ChargeCrashRedo, 0, redo, nil)
+		r.charge(ChargeCrashRedo, 0, redo)
 	}
 }
 

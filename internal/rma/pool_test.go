@@ -148,7 +148,8 @@ func TestPendingSwapRemove(t *testing.T) {
 
 // TestGetAllocFree is the allocation regression guard of the zero-copy
 // substrate: a Get+Wait+Release cycle must not allocate, on any window
-// kind (the writable path reuses the request's snapshot buffer).
+// kind (the writable path reuses the request's snapshot buffer), and neither
+// may the write side — a staged accumulate with its flush, a fetch-and-add.
 func TestGetAllocFree(t *testing.T) {
 	c := testComm(2)
 	ro := c.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1024)})
@@ -156,19 +157,27 @@ func TestGetAllocFree(t *testing.T) {
 	wu := c.CreateUint64Window("u64", [][]uint64{nil, make([]uint64, 128)})
 	wv := c.CreateVertexWindow("verts", [][]graph.V{nil, make([]graph.V, 256)})
 	r := c.Rank(0)
-	for name, f := range map[string]func(){
-		"readonly": func() { q := r.Get(ro, 1, 64, 64); q.Wait(); q.Release() },
-		"writable": func() { q := r.Get(rw, 1, 64, 64); q.Wait(); q.Release() },
-		"uint64":   func() { q := r.Get(wu, 1, 64, 64); q.Wait(); q.Release() },
-		"vertices": func() { q := r.Get(wv, 1, 64, 64); q.Wait(); q.Release() },
+	get := func(w *Window) func() {
+		return func() { q := r.Get(w, 1, 64, 64); q.Wait(); q.Release() }
+	}
+	for _, row := range []struct {
+		name string
+		w    *Window
+		f    func()
+	}{
+		{"readonly Get+Wait+Release", ro, get(ro)},
+		{"writable Get+Wait+Release", rw, get(rw)},
+		{"uint64 Get+Wait+Release", wu, get(wu)},
+		{"vertices Get+Wait+Release", wv, get(wv)},
+		{"Accumulate+Release+FlushAll", rw, func() { r.Accumulate(rw, 1, 64, 1).Release(); r.FlushAll(rw) }},
+		{"FetchAdd64", rw, func() { r.FetchAdd64(rw, 1, 0, 1) }},
 	} {
-		w := map[string]*Window{"readonly": ro, "writable": rw, "uint64": wu, "vertices": wv}[name]
-		r.LockAll(w)
-		f() // warm the pool (first cycle may allocate the request/buffer)
-		if got := testing.AllocsPerRun(100, f); got != 0 {
-			t.Errorf("%s window: Get+Wait+Release allocates %.1f/op, want 0", name, got)
+		r.LockAll(row.w)
+		row.f() // warm the pool (first cycle may allocate the request/buffer)
+		if got := testing.AllocsPerRun(100, row.f); got != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", row.name, got)
 		}
-		r.UnlockAll(w)
+		r.UnlockAll(row.w)
 	}
 }
 

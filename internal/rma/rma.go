@@ -387,12 +387,11 @@ func (r *Rank) Counters() Counters { return r.ctr }
 func (r *Rank) Compute(ops int) {
 	r.checkpoint()
 	d := float64(ops) * r.comm.model.ComputePerOp
-	if r.plain() {
-		r.clock.Advance(d)
-		r.ctr.ComputeTime += d
-		return
+	r.clock.Advance(d)
+	r.ctr.ComputeTime += d
+	if r.observer != nil {
+		r.observer(r.id, ChargeOps, ops, 0, r.clock.Now())
 	}
-	r.charge(ChargeOps, ops, d, nil)
 }
 
 // AdvanceBy charges an arbitrary simulated duration (used for modeled
@@ -709,13 +708,12 @@ func (r *Rank) issueGet(q *Request, w *Window, target, offset, size int) {
 	q.resolve(w, target, offset, size)
 	if target == r.id {
 		q.done = true
-		if r.plain() {
-			r.clock.Advance(r.comm.model.LocalCost(size))
-			r.ctr.LocalGets++
-			r.ctr.LocalBytes += int64(size)
-			q.completeAt = r.clock.Now()
-		} else {
-			r.charge(ChargeGetLocal, size, r.comm.model.LocalCost(size), q)
+		r.clock.Advance(r.comm.model.LocalCost(size))
+		r.ctr.LocalGets++
+		r.ctr.LocalBytes += int64(size)
+		q.completeAt = r.clock.Now()
+		if r.observer != nil {
+			r.observer(r.id, ChargeGetLocal, size, 0, r.clock.Now())
 		}
 		return
 	}
@@ -727,14 +725,13 @@ func (r *Rank) issueGet(q *Request, w *Window, target, offset, size int) {
 	// The issue charges nothing to the clock; the in-flight duration and
 	// the completion time are established here, at the canonical issue
 	// point.
-	if r.plain() {
-		cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
-		q.completeAt = r.clock.Now() + cost
-		r.ctr.Gets++
-		r.ctr.RemoteBytes += int64(size)
-		r.ctr.GetCost += cost
-	} else {
-		r.charge(ChargeGetRemote, size, r.comm.model.RemoteCost(size), q)
+	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
+	q.completeAt = r.clock.Now() + cost
+	r.ctr.Gets++
+	r.ctr.RemoteBytes += int64(size)
+	r.ctr.GetCost += cost
+	if r.observer != nil {
+		r.observer(r.id, ChargeGetRemote, size, 0, r.clock.Now())
 	}
 }
 

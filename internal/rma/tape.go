@@ -136,54 +136,24 @@ type ChargeObserver func(rank int, kind ChargeKind, bytes int, ns, now float64)
 // must be called before Run; installing one mid-run is a race.
 func (c *Comm) SetChargeObserver(o ChargeObserver) { c.observer = o }
 
-// charge folds one descriptor that the plain paths of the charge helpers
-// did not take inline, with the same float expressions, counter updates and
-// noise draws in the same order, and shows it to the observer. cost is the
-// descriptor's unperturbed cost in ns under the world's model; req is set
-// only for the get kinds, whose fold establishes the request's completion
-// time.
-func (r *Rank) charge(kind ChargeKind, bytes int, cost float64, req *Request) {
-	obsNS := 0.0
+// charge folds one fault-plane recovery descriptor (internal/rma/fault.go) and
+// shows it to the observer. Recovery is blocking, not work: the fold is raw —
+// never perturbed, no RNG draws (see Clock.AdvanceRaw) — and its duration is
+// not a pure function of (kind, bytes), so it rides to the observer as ns.
+// Every other kind folds at its own site, one straight-line body each.
+func (r *Rank) charge(kind ChargeKind, bytes int, ns float64) {
+	r.clock.AdvanceRaw(ns)
+	r.ctr.FaultWait += ns
 	switch kind {
-	case ChargeOps, ChargeLocalRead:
-		r.clock.Advance(cost)
-		r.ctr.ComputeTime += cost
-	case ChargeGetLocal:
-		r.clock.Advance(cost)
-		r.ctr.LocalGets++
-		r.ctr.LocalBytes += int64(bytes)
-		req.completeAt = r.clock.Now()
-	case ChargeGetRemote:
-		cost = r.clock.PerturbDuration(cost)
-		req.completeAt = r.clock.Now() + cost
-		r.ctr.Gets++
-		r.ctr.RemoteBytes += int64(bytes)
-		r.ctr.GetCost += cost
-	case ChargeRetryBackoff, ChargeTimeout, ChargeStall, ChargeRetransmit, ChargeCrashRestart, ChargeCrashRedo:
-		// Fault-plane recovery: raw folds — blocking, never perturbed,
-		// no RNG draws (see Clock.AdvanceRaw). The duration is not a
-		// pure function of (kind, bytes), so it rides to the observer.
-		r.clock.AdvanceRaw(cost)
-		r.ctr.FaultWait += cost
-		obsNS = cost
-		switch kind {
-		case ChargeRetransmit:
-			r.ctr.Retries++
-		case ChargeCrashRestart:
-			r.ctr.Crashes++
-		}
-	default: // the cache kinds: clock only, stats live in the cache
-		r.clock.Advance(cost)
+	case ChargeRetransmit:
+		r.ctr.Retries++
+	case ChargeCrashRestart:
+		r.ctr.Crashes++
 	}
 	if r.observer != nil {
-		r.observer(r.id, kind, bytes, obsNS, r.clock.Now())
+		r.observer(r.id, kind, bytes, ns, r.clock.Now())
 	}
 }
-
-// plain reports whether charges take the zero-overhead path: no observer.
-// The hot charge helpers fold their arithmetic inline in that case and only
-// build descriptors otherwise.
-func (r *Rank) plain() bool { return r.observer == nil }
 
 // ChargeLocalRead charges a local memory read of the given byte count at
 // LocalCost, accounted as compute time — the engines' charge for reading
@@ -192,25 +162,24 @@ func (r *Rank) plain() bool { return r.observer == nil }
 func (r *Rank) ChargeLocalRead(bytes int) {
 	r.checkpoint()
 	cost := r.comm.model.LocalCost(bytes)
-	if r.plain() {
-		r.clock.Advance(cost)
-		r.ctr.ComputeTime += cost
-		return
+	r.clock.Advance(cost)
+	r.ctr.ComputeTime += cost
+	if r.observer != nil {
+		r.observer(r.id, ChargeLocalRead, bytes, 0, r.clock.Now())
 	}
-	r.charge(ChargeLocalRead, bytes, cost, nil)
 }
 
 // ChargeCacheHit charges serving bytes from an RMA cache (HitCost) and
 // returns the unperturbed cost for the cache's own statistics. Part of the
 // cache charge surface the CLaMPI layer records as descriptors instead of
-// reaching through Clock().
+// reaching through Clock(); the cache kinds move the clock only, their
+// statistics live in the cache.
 func (r *Rank) ChargeCacheHit(bytes int) float64 {
 	cost := r.comm.model.HitCost(bytes)
-	if r.plain() {
-		r.clock.Advance(cost)
-		return cost
+	r.clock.Advance(cost)
+	if r.observer != nil {
+		r.observer(r.id, ChargeCacheHit, bytes, 0, r.clock.Now())
 	}
-	r.charge(ChargeCacheHit, bytes, cost, nil)
 	return cost
 }
 
@@ -218,11 +187,10 @@ func (r *Rank) ChargeCacheHit(bytes int) float64 {
 // and returns it.
 func (r *Rank) ChargeCacheMissOverhead() float64 {
 	cost := r.comm.model.CacheMissOverhead
-	if r.plain() {
-		r.clock.Advance(cost)
-		return cost
+	r.clock.Advance(cost)
+	if r.observer != nil {
+		r.observer(r.id, ChargeCacheMiss, 0, 0, r.clock.Now())
 	}
-	r.charge(ChargeCacheMiss, 0, cost, nil)
 	return cost
 }
 
@@ -230,10 +198,9 @@ func (r *Rank) ChargeCacheMissOverhead() float64 {
 // local-memory cost (entry installation, buffer growth) and returns it.
 func (r *Rank) ChargeCacheManage(bytes int) float64 {
 	cost := r.comm.model.LocalCost(bytes)
-	if r.plain() {
-		r.clock.Advance(cost)
-		return cost
+	r.clock.Advance(cost)
+	if r.observer != nil {
+		r.observer(r.id, ChargeCacheManage, bytes, 0, r.clock.Now())
 	}
-	r.charge(ChargeCacheManage, bytes, cost, nil)
 	return cost
 }

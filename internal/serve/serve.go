@@ -139,7 +139,7 @@ type Config struct {
 	Graph *graph.Graph
 
 	// Ranks, Scheme and DelegateBytes pin the snapshot's distribution
-	// (lcc.NewSnapshot); queries inherit them regardless of their own
+	// (lcc.NewSnapshotOpts); queries inherit them regardless of their own
 	// Options. Ranks 0 selects 1.
 	Ranks         int
 	Scheme        part.Scheme
