@@ -1,22 +1,16 @@
 package repro
 
 import (
-	"context"
-	"io"
-
 	"repro/internal/clampi"
-	"repro/internal/disttc"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/grid"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
 	"repro/internal/part"
 	"repro/internal/rma"
 	"repro/internal/sched"
 	"repro/internal/serve"
-	"repro/internal/spmat"
 	"repro/internal/tric"
 )
 
@@ -54,44 +48,9 @@ func BuildGraph(kind Kind, n int, edges []Edge) (*Graph, error) {
 	return graph.Build(kind, n, edges)
 }
 
-// ReadEdgeList parses a SNAP-style "src dst" text stream.
-func ReadEdgeList(r io.Reader, kind Kind) (*Graph, error) {
-	return graph.ReadEdgeList(r, kind)
-}
-
-// ReadBinaryGraph reads the binary CSR container written by
-// WriteBinaryGraph or cmd/graphgen, fully materialized as a plain *Graph.
-func ReadBinaryGraph(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
-
-// ReadBinaryGraphStore reads the binary CSR container preserving its
-// on-disk representation: raw files load as plain *Graph, varint files as
-// the compressed CSR — at roughly a third of the plain footprint.
-func ReadBinaryGraphStore(r io.Reader) (GraphStore, error) { return graph.ReadBinaryStore(r) }
-
-// WriteBinaryGraph writes the versioned, per-section-checksummed binary
-// CSR container format.
-func WriteBinaryGraph(w io.Writer, g *Graph) error { return graph.WriteBinary(w, g) }
-
-// WriteBinaryGraphStore writes any representation to the binary container:
-// a compressed store writes its varint/delta stream verbatim, everything
-// else the raw plain image.
-func WriteBinaryGraphStore(w io.Writer, st GraphStore) error {
-	return graph.WriteBinaryStore(w, st)
-}
-
-// OpenBinaryGraph maps a binary container file as a file-backed store:
-// adjacency reads are served from the mapped (or pread) file with only the
-// offset index resident, so graphs larger than RAM open in seconds.
-func OpenBinaryGraph(path string) (GraphStore, error) { return graph.OpenBinary(path) }
-
 // CompressGraph re-encodes g's adjacency as the varint/delta compressed
 // CSR (DESIGN.md §9) — same answers through GraphStore, ~3× smaller.
 func CompressGraph(g *Graph) GraphStore { return graph.CompressGraph(g) }
-
-// GraphCorruptError is the typed failure of every binary-container read: a
-// bad magic/version, an implausible header, or a section whose CRC does not
-// match. Corrupt files fail loud; they never load garbage.
-type GraphCorruptError = graph.CorruptError
 
 // Prepare applies the paper's §II-B preprocessing: iterated degree<2
 // removal plus a seeded random relabeling.
@@ -99,14 +58,8 @@ func Prepare(g *Graph, seed uint64) *Graph { return gen.Prepare(g, seed) }
 
 // --- datasets and generators ----------------------------------------------
 
-// DatasetNames lists the registered evaluation datasets (Table II
-// stand-ins; see DESIGN.md §1 for the mapping to the paper's graphs).
-func DatasetNames() []string { return gen.Names() }
-
-// LoadDataset generates (memoized) and prepares a registered dataset.
-func LoadDataset(name string) (*Graph, error) { return gen.Load(name) }
-
-// MustLoadDataset is LoadDataset for names known at compile time.
+// MustLoadDataset generates (memoized) and prepares a registered dataset
+// (Table II stand-ins; DESIGN.md §1), panicking on an unknown name.
 func MustLoadDataset(name string) *Graph { return gen.MustLoad(name) }
 
 // LoadDatasetStore loads a dataset as the cheapest representation that
@@ -118,11 +71,6 @@ func MustLoadDataset(name string) *Graph { return gen.MustLoad(name) }
 func LoadDatasetStore(name string, budget int64) (GraphStore, error) {
 	return gen.LoadStore(name, budget)
 }
-
-// ScaleDatasetNames lists the scale-series datasets (~100× the golden
-// suite's edge count; cmd/scalebench's subjects). They load like any
-// dataset but are excluded from DatasetNames so sweeps never pick them up.
-func ScaleDatasetNames() []string { return gen.ScaleNames() }
 
 // SetGraphCacheDir enables the dataset disk cache: generated graphs
 // persist to dir in the binary container format on first load and load
@@ -142,11 +90,6 @@ func ErdosRenyi(n, m int, kind Kind, seed uint64) *Graph {
 	return gen.ErdosRenyi(n, m, kind, seed)
 }
 
-// BarabasiAlbert generates a preferential-attachment power-law graph.
-func BarabasiAlbert(n, m int, kind Kind, seed uint64) *Graph {
-	return gen.BarabasiAlbert(n, m, kind, seed)
-}
-
 // WattsStrogatz generates the small-world graph of the paper's reference
 // [9] (the origin of the LCC metric): a ring lattice of degree k with each
 // edge rewired with probability beta.
@@ -157,20 +100,6 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) *Graph {
 // RingLatticeLCC returns the closed-form clustering coefficient of the
 // beta=0 Watts–Strogatz lattice, 3(k−2)/(4(k−1)).
 func RingLatticeLCC(k int) float64 { return gen.RingLatticeLCC(k) }
-
-// Kronecker generates a stochastic Kronecker graph from a 2x2 initiator
-// [[a,b],[c,d]] raised to the given scale (R-MAT's exact counterpart).
-func Kronecker(scale int, a, b, c, d float64, kind Kind, seed uint64) *Graph {
-	return gen.Kronecker(scale, a, b, c, d, kind, seed)
-}
-
-// ReadMatrixMarket parses a MatrixMarket coordinate file (the SuiteSparse
-// exchange format): symmetric matrices become undirected graphs, general
-// ones directed.
-func ReadMatrixMarket(r io.Reader) (*Graph, error) { return graph.ReadMatrixMarket(r) }
-
-// WriteMatrixMarket writes g as a MatrixMarket coordinate pattern file.
-func WriteMatrixMarket(w io.Writer, g *Graph) error { return graph.WriteMatrixMarket(w, g) }
 
 // --- intersection kernels ---------------------------------------------------
 
@@ -233,19 +162,13 @@ type FaultSpec = fault.Spec
 // mixed-fault preset). An empty string yields (nil, nil): faults off.
 func ParseFaultSpec(s string) (*FaultSpec, error) { return fault.ParseSpec(s) }
 
-// ChaosFaultSpec returns the mixed-fault preset used by the chaos CI lane:
-// low-rate transient failures on every RMA class, latency spikes, periodic
-// stalls, dropped messages and rare cache faults, all keyed on seed.
-func ChaosFaultSpec(seed uint64) FaultSpec { return fault.ChaosSpec(seed) }
-
 // --- LCC / TC engines -------------------------------------------------------
 
 // LCCOptions configure the asynchronous distributed engine (Algorithm 3 +
 // §III-B caching). The Workers field bounds how many simulated ranks
 // execute concurrently on host goroutines (0 = GOMAXPROCS); every engine
 // result is bit-identical at any worker count, so Workers is purely a
-// host-performance knob. TriCOptions, DistTCOptions and LCC2DOptions
-// carry the same field.
+// host-performance knob. TriCOptions carries the same field.
 type LCCOptions = lcc.Options
 
 // StorageMode selects the host-side representation of the per-rank local
@@ -266,6 +189,10 @@ const (
 // communication/caching statistics.
 type LCCResult = lcc.Result
 
+// CacheStats reports the hit/miss/eviction counters of one CLaMPI cache
+// instance (§II-F), as carried in each rank's statistics.
+type CacheStats = clampi.Stats
+
 // RunLCC executes the paper's fully asynchronous distributed TC+LCC
 // computation on a simulated p-rank machine. g may be any GraphStore —
 // plain, compressed, or file-backed; results are identical.
@@ -277,31 +204,6 @@ type SharedResult = lcc.SharedResult
 // SharedLCC computes TC+LCC on a single node (§IV-C baseline and ground
 // truth).
 func SharedLCC(g *Graph, method Method) *SharedResult { return lcc.SharedLCC(g, method) }
-
-// ForwardLCC computes TC+LCC on a single node with the Schank–Wagner
-// forward algorithm over a degree-ordered orientation (§V reference), an
-// independent baseline that needs no upper-triangle offsetting.
-func ForwardLCC(g *Graph) (*SharedResult, error) { return lcc.ForwardLCC(g) }
-
-// Triangle is one enumerated triangle.
-type Triangle = lcc.Triangle
-
-// ListTriangles enumerates every triangle of an undirected graph exactly
-// once, in deterministic order.
-func ListTriangles(g *Graph) ([]Triangle, error) { return lcc.ListTriangles(g) }
-
-// AlgebraicResult is the output of the masked-SpGEMM triangle computation.
-type AlgebraicResult = spmat.TriangleCountResult
-
-// AlgebraicTriangles counts triangles with the algebraic method the paper
-// surveys in §V-B: C = L·U ∘ A for undirected graphs, C = A·A ∘ A for
-// directed ones. An independent cross-check for the edge-centric engines.
-func AlgebraicTriangles(g *Graph) (*AlgebraicResult, error) {
-	if g.Kind() == Undirected {
-		return spmat.CountLU(g)
-	}
-	return spmat.CountAAA(g)
-}
 
 // ScorePolicy selects the C_adj eviction score: CLaMPI's LRU+positional
 // default, the paper's degree scores (§III-B-2), or the future-work
@@ -376,31 +278,6 @@ type TriCResult = tric.Result
 // substrate.
 func RunTriC(g GraphStore, opt TriCOptions) (*TriCResult, error) { return tric.Run(g, opt) }
 
-// DistTCOptions configure the DistTC baseline (Hoang et al., HPEC'19; §I,
-// §V-C).
-type DistTCOptions = disttc.Options
-
-// DistTCResult is the output of a DistTC run, including the
-// precompute/compute split and the shadow-edge replication factor.
-type DistTCResult = disttc.Result
-
-// RunDistTC executes the DistTC shadow-edge baseline: communication-free
-// triangle counting after a precomputed ghost-edge exchange.
-func RunDistTC(g GraphStore, opt DistTCOptions) (*DistTCResult, error) { return disttc.Run(g, opt) }
-
-// LCC2DOptions configure the asynchronous 2D block engine (future work i,
-// §VI). Ranks must be a perfect square.
-type LCC2DOptions = grid.Options
-
-// LCC2DResult is the output of a 2D run, including the per-rank traffic
-// counters the 1D-vs-2D comparison (ablation A9) reports.
-type LCC2DResult = grid.Result
-
-// RunLCC2D executes TC+LCC over a √p×√p block distribution with the same
-// fully asynchronous one-sided discipline as RunLCC: each rank pulls the
-// 2(√p−1) operand blocks it needs and never synchronizes.
-func RunLCC2D(g GraphStore, opt LCC2DOptions) (*LCC2DResult, error) { return grid.Run(g, opt) }
-
 // --- cancellation and supervised serving ------------------------------------
 
 // ErrRunCanceled is wrapped by every error a canceled engine run returns:
@@ -414,50 +291,6 @@ var ErrRunCanceled = sched.ErrRunCanceled
 // carrying the simulated rank, the panic value, and the goroutine stack.
 // The panicking run fails; the process does not.
 type PanicError = sched.PanicError
-
-// CrashError reports a crash-stop fault (FaultSpec.CrashAtOp) in fail-fast
-// mode: the deterministic, typed outcome of the simulated rank's death.
-type CrashError = fault.CrashError
-
-// RunLCCCtx is RunLCC under a context: cancellation or deadline expiry
-// unwinds the simulated ranks at their next checkpoint and returns an
-// error wrapping ErrRunCanceled. RunLCCPushCtx, RunLCCReplicatedCtx and
-// RunJaccardCtx do the same for their engines.
-func RunLCCCtx(ctx context.Context, g GraphStore, opt LCCOptions) (*LCCResult, error) {
-	return lcc.RunCtx(ctx, g, opt)
-}
-
-// RunLCCPushCtx is RunLCCPush under a context.
-func RunLCCPushCtx(ctx context.Context, g GraphStore, opt LCCPushOptions) (*LCCResult, error) {
-	return lcc.RunPushCtx(ctx, g, opt)
-}
-
-// RunLCCReplicatedCtx is RunLCCReplicated under a context.
-func RunLCCReplicatedCtx(ctx context.Context, g GraphStore, opt LCCReplicatedOptions) (*LCCResult, error) {
-	return lcc.RunReplicatedCtx(ctx, g, opt)
-}
-
-// RunJaccardCtx is RunJaccard under a context.
-func RunJaccardCtx(ctx context.Context, g GraphStore, opt LCCOptions) (*JaccardResult, error) {
-	return lcc.RunJaccardCtx(ctx, g, opt)
-}
-
-// Snapshot is the immutable per-graph half of the engine setup —
-// partition, per-rank CSRs, window layouts, delegation — shared by every
-// run against the same distribution. Build once, query many times; each
-// run gets fresh communicator, clock and cache state, so results are
-// bit-identical to the corresponding one-shot entrypoint.
-type Snapshot = lcc.Snapshot
-
-// SnapshotOptions are the per-graph half of LCCOptions a Snapshot pins for
-// every query run on it: rank count, distribution scheme, delegation budget
-// and the storage mode (with its memory budget) of the per-rank adjacency.
-type SnapshotOptions = lcc.SnapshotOptions
-
-// NewSnapshot distributes g once for repeated querying.
-func NewSnapshot(g GraphStore, opt SnapshotOptions) (*Snapshot, error) {
-	return lcc.NewSnapshotOpts(g, opt)
-}
 
 // The supervised serving layer (internal/serve, cmd/lccd): a Supervisor
 // manages named instances, each owning a Snapshot behind a five-state
@@ -486,19 +319,3 @@ func NewServeSupervisor() *ServeSupervisor { return serve.NewSupervisor() }
 func NewServeManifestStore(dir string) (*ServeManifestStore, error) {
 	return serve.NewManifestStore(dir)
 }
-
-// --- caching ----------------------------------------------------------------
-
-// CacheConfig tunes a CLaMPI cache instance (buffer capacity, hash table,
-// consistency mode, adaptive resizing; §II-F).
-type CacheConfig = clampi.Config
-
-// CacheStats reports hit/miss/eviction counters of a cache instance.
-type CacheStats = clampi.Stats
-
-// Cache consistency modes.
-const (
-	CacheTransparent = clampi.Transparent
-	CacheAlways      = clampi.AlwaysCache
-	CacheUserDefined = clampi.UserDefined
-)

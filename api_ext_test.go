@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -11,78 +10,6 @@ import (
 // Facade coverage for the extension API: every exported entry point added
 // beyond the paper's core engine, exercised end to end through package
 // repro only.
-
-func TestFacadeForwardAndAlgebraicAgree(t *testing.T) {
-	g := repro.RMAT(9, 8, repro.Undirected, 11)
-	g = repro.Prepare(g, 1)
-	want := repro.SharedLCC(g, repro.MethodHybrid)
-
-	fwd, err := repro.ForwardLCC(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fwd.Triangles != want.Triangles {
-		t.Errorf("forward %d vs shared %d", fwd.Triangles, want.Triangles)
-	}
-
-	alg, err := repro.AlgebraicTriangles(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alg.Triangles != want.Triangles {
-		t.Errorf("algebraic %d vs shared %d", alg.Triangles, want.Triangles)
-	}
-
-	tris, err := repro.ListTriangles(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(tris)) != want.Triangles {
-		t.Errorf("ListTriangles returned %d, want %d", len(tris), want.Triangles)
-	}
-}
-
-func TestFacadeAlgebraicDirected(t *testing.T) {
-	g := repro.RMAT(8, 8, repro.Directed, 5)
-	g = repro.Prepare(g, 1)
-	want := repro.SharedLCC(g, repro.MethodHybrid)
-	alg, err := repro.AlgebraicTriangles(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alg.Triangles != want.Triangles {
-		t.Errorf("directed algebraic %d vs shared %d", alg.Triangles, want.Triangles)
-	}
-}
-
-func TestFacadeDistTCAnd2D(t *testing.T) {
-	g := repro.RMAT(9, 8, repro.Undirected, 23)
-	g = repro.Prepare(g, 2)
-	want := repro.SharedLCC(g, repro.MethodHybrid)
-
-	dt, err := repro.RunDistTC(g, repro.DistTCOptions{Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dt.Triangles != want.Triangles {
-		t.Errorf("DistTC %d vs shared %d", dt.Triangles, want.Triangles)
-	}
-	if dt.PrecomputeTime <= 0 || dt.ReplicationFactor <= 1 {
-		t.Errorf("DistTC stats implausible: precompute %.0f, replication %.2f",
-			dt.PrecomputeTime, dt.ReplicationFactor)
-	}
-
-	td, err := repro.RunLCC2D(g, repro.LCC2DOptions{Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if td.Triangles != want.Triangles {
-		t.Errorf("2D %d vs shared %d", td.Triangles, want.Triangles)
-	}
-	if _, err := repro.RunLCC2D(g, repro.LCC2DOptions{Ranks: 6}); err == nil {
-		t.Error("2D engine accepted non-square rank count")
-	}
-}
 
 func TestFacadeMethodHash(t *testing.T) {
 	g := repro.RMAT(8, 8, repro.Undirected, 7)
@@ -102,28 +29,6 @@ func TestFacadeSmallWorld(t *testing.T) {
 		if math.Abs(c-want) > 1e-12 {
 			t.Fatalf("lattice LCC[%d] = %g, closed form %g", v, c, want)
 		}
-	}
-}
-
-func TestFacadeKronecker(t *testing.T) {
-	g := repro.Kronecker(9, 0.57, 0.19, 0.19, 0.05, repro.Undirected, 3)
-	if g.NumVertices() != 512 || g.NumEdges() == 0 {
-		t.Fatalf("Kronecker: n=%d m=%d", g.NumVertices(), g.NumEdges())
-	}
-}
-
-func TestFacadeMatrixMarket(t *testing.T) {
-	g := repro.ErdosRenyi(64, 256, repro.Undirected, 5)
-	var buf bytes.Buffer
-	if err := repro.WriteMatrixMarket(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := repro.ReadMatrixMarket(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumEdges() != g.NumEdges() {
-		t.Errorf("mtx round trip: %d edges, want %d", back.NumEdges(), g.NumEdges())
 	}
 }
 

@@ -1,8 +1,11 @@
 package repro_test
 
 import (
-	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"repro"
@@ -46,47 +49,6 @@ func TestFacadeTriCAgrees(t *testing.T) {
 	}
 }
 
-func TestFacadeDatasets(t *testing.T) {
-	names := repro.DatasetNames()
-	if len(names) < 10 {
-		t.Fatalf("only %d datasets registered", len(names))
-	}
-	g, err := repro.LoadDataset("fb-sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() == 0 {
-		t.Error("empty dataset")
-	}
-	if _, err := repro.LoadDataset("bogus"); err == nil {
-		t.Error("LoadDataset accepted unknown name")
-	}
-}
-
-func TestFacadeGraphIO(t *testing.T) {
-	g := repro.ErdosRenyi(128, 512, repro.Undirected, 9)
-	var buf bytes.Buffer
-	if err := repro.WriteBinaryGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := repro.ReadBinaryGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != g.NumEdges() || g2.NumVertices() != g.NumVertices() {
-		t.Error("binary round-trip changed the graph")
-	}
-
-	el := "0 1\n1 2\n2 0\n"
-	g3, err := repro.ReadEdgeList(bytes.NewBufferString(el), repro.Undirected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repro.SharedLCC(g3, repro.MethodHybrid).Triangles != 1 {
-		t.Error("edge-list triangle lost")
-	}
-}
-
 func TestFacadeCostModel(t *testing.T) {
 	m := repro.DefaultCostModel()
 	if m.RemoteLatency != 2000 {
@@ -94,7 +56,7 @@ func TestFacadeCostModel(t *testing.T) {
 	}
 	// A custom model flows through to results: zero-cost network makes
 	// remote reads free, halving-ish the simulated time.
-	g := repro.BarabasiAlbert(512, 8, repro.Undirected, 4)
+	g := repro.RMAT(9, 8, repro.Undirected, 4)
 	g = repro.Prepare(g, 2)
 	slow, err := repro.RunLCC(g, repro.LCCOptions{Ranks: 4, Method: repro.MethodHybrid, DoubleBuffer: true, Model: m})
 	if err != nil {
@@ -112,5 +74,44 @@ func TestFacadeCostModel(t *testing.T) {
 	}
 	if quick.Triangles != slow.Triangles {
 		t.Error("cost model changed the computed result")
+	}
+}
+
+// TestFacadeFuncsHaveCallers keeps the facade from growing back without a
+// caller: every exported func api.go declares must be called as repro.F by
+// a program under examples/ or by an Example in example_test.go.
+func TestFacadeFuncsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	api, err := parser.ParseFile(fset, "api.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(callers) == 0 {
+		t.Fatalf("no examples found (%v)", err)
+	}
+	used := map[string]bool{}
+	for _, path := range append(callers, "example_test.go") {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "repro" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var orphans []string
+	for _, d := range api.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() && !used[fn.Name.Name] {
+			orphans = append(orphans, fn.Name.Name)
+		}
+	}
+	if len(orphans) > 0 {
+		t.Errorf("api.go funcs no example calls: %v — add a caller or delete them", orphans)
 	}
 }

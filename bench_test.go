@@ -20,7 +20,6 @@ import (
 	"repro/internal/intersect"
 	"repro/internal/lcc"
 	"repro/internal/rma"
-	"repro/internal/spmat"
 	"repro/internal/tric"
 )
 
@@ -171,17 +170,6 @@ func BenchmarkForwardLCC(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(g.NumArcs()), "arcs")
-}
-
-func BenchmarkAlgebraicLU(b *testing.B) {
-	g := gen.MustLoad("rmat-s14-ef8")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := spmat.CountLU(g); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkDistTC(b *testing.B) {

@@ -4,7 +4,7 @@
 // asynchronous RMA engine (cached and non-cached), its push-mode (§VI ii)
 // and replicated-groups 1.5D (§VI i) variants, the TriC and TriC-Buffered
 // baselines (§IV-B), the DistTC shadow-edge baseline (§I), and the
-// single-node shared-memory, forward and algebraic references.
+// single-node shared-memory and forward references.
 //
 // Usage:
 //
@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/disttc"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
-	"repro/internal/spmat"
 	"repro/internal/tric"
 
 	"repro/internal/graph"
@@ -33,15 +33,14 @@ func main() {
 	var (
 		dataset = flag.String("dataset", "rmat-s14-ef16", "registered dataset name (see graphgen -list)")
 		ranks   = flag.Int("ranks", 8, "number of simulated computing nodes")
-		skip    = flag.String("skip", "", "comma-separated engines to skip: tric,tricbuf,disttc,algebraic,forward,push,replicated,2d")
+		skip    = flag.String("skip", "", "comma-separated engines to skip: "+strings.Join(skippable, ","))
 	)
 	flag.Parse()
 
-	skipped := map[string]bool{}
-	for _, s := range strings.Split(*skip, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			skipped[s] = true
-		}
+	skipped, err := parseSkip(*skip)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "compare:", err)
+		os.Exit(2)
 	}
 
 	g, err := gen.Load(*dataset)
@@ -72,20 +71,6 @@ func main() {
 		}
 		rows = append(rows, row{name: "forward (Schank–Wagner)", tricnt: fwd.Triangles,
 			checked: true, notes: fmt.Sprintf("%d merge ops", fwd.Ops)})
-	}
-	if !skipped["algebraic"] {
-		var alg *spmat.TriangleCountResult
-		var err error
-		if g.Kind() == graph.Undirected {
-			alg, err = spmat.CountLU(g)
-		} else {
-			alg, err = spmat.CountAAA(g)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		rows = append(rows, row{name: "algebraic (LU∘A)", tricnt: alg.Triangles,
-			checked: true, notes: fmt.Sprintf("%d flops", alg.Flops)})
 	}
 
 	async, err := lcc.Run(g, lcc.Options{Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true})
@@ -181,6 +166,27 @@ func main() {
 		fatal(fmt.Errorf("engines disagree on the triangle count"))
 	}
 	fmt.Printf("all engines agree: %d triangles ✓\n", want)
+}
+
+// skippable lists the engines -skip accepts. The shared-memory reference
+// every row is checked against and the two async pull runs always run.
+var skippable = []string{"tric", "tricbuf", "disttc", "forward", "push", "replicated", "2d"}
+
+// parseSkip parses the -skip list: comma-separated engine names, blanks
+// ignored, any name outside skippable an error that lists the valid ones.
+func parseSkip(list string) (map[string]bool, error) {
+	skipped := map[string]bool{}
+	for _, s := range strings.Split(list, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		if !slices.Contains(skippable, s) {
+			return nil, fmt.Errorf("-skip: unknown engine %q (valid: %s)", s, strings.Join(skippable, ", "))
+		}
+		skipped[s] = true
+	}
+	return skipped, nil
 }
 
 func fatal(err error) {

@@ -34,7 +34,6 @@
 //     static vertex delegation (the abstract's framing, as an oracle
 //     baseline) and the replicated-groups 1.5D engine (future work i)
 //   - internal/grid — future work (i): the asynchronous 2D block engine
-//   - internal/spmat — algebraic triangle counting, C = L·U ∘ A (§V-B)
 //   - internal/tric — the TriC query-response baseline (§IV-B)
 //   - internal/disttc — the DistTC shadow-edge baseline (§I)
 //   - internal/experiments — regenerates every table and figure of §IV
@@ -47,45 +46,21 @@
 //     quarantine/auto-reload cycle, a per-run stall watchdog, and
 //     server-wide load shedding (DESIGN.md §10)
 //
-// Quick start:
+// The facade exports only what a caller uses: every func in api.go is
+// called by a program under examples/ or an Example in example_test.go
+// (TestFacadeFuncsHaveCallers). Everything else is reached through the
+// internal packages by the commands under cmd/.
 //
-//	g := repro.MustLoadDataset("fb-sim")
-//	res, err := repro.RunLCC(g, repro.LCCOptions{
-//		Ranks:        8,
-//		Workers:      0, // host cores running the ranks; 0 = GOMAXPROCS
-//		Method:       repro.MethodHybrid,
-//		DoubleBuffer: true,
-//		Caching:      true,
-//	})
-//
-// Large graphs load instead of regenerate: enable the disk cache and
-// every dataset persists to the versioned, per-section-checksummed binary
-// container on first generation. The engines accept any GraphStore —
-// plain CSR, varint/delta-compressed CSR (~3× smaller), or a file-backed
-// CSR mapped straight from the container — and simulated results are
-// bit-identical regardless of representation (DESIGN.md §9):
-//
-//	repro.SetGraphCacheDir(".graph-cache") // or LCC_GRAPH_CACHE=...
-//	st, err := repro.LoadDatasetStore("rmat-s21-ef256", 8<<30) // cheapest form under 8 GiB
-//	res, err := repro.RunLCC(st, repro.LCCOptions{
-//		Ranks:   64,
-//		Caching: true,
-//		Storage: repro.StorageCompressed, // per-rank locals stay compressed too
-//	})
-//
-// For repeated queries against one distribution, build the immutable
-// setup once and run it supervised — or start the daemon and drive it
-// over HTTP:
-//
-//	sup := repro.NewServeSupervisor()
-//	_, err := sup.Load("fb", repro.ServeConfig{
-//		Dataset: "fb-sim", Ranks: 8, MaxConcurrent: 2,
-//		StallTimeout: time.Minute, // watchdog: force-cancel wedged runs
-//	})
-//	res, err := sup.Run(ctx, "fb", repro.ServeQuery{
-//		Options: repro.LCCOptions{Method: repro.MethodHybrid, DoubleBuffer: true},
-//		Timeout: 30 * time.Second,
-//	})
+// Three compiled Examples show the entry points. ExampleRunLCC is a
+// one-shot run of the cached engine. ExampleLoadDatasetStore loads a large
+// graph instead of regenerating it: with the disk cache on, every dataset
+// persists to the versioned, per-section-checksummed binary container on
+// first generation. The engines accept any GraphStore — plain CSR,
+// varint/delta-compressed CSR (~3× smaller), or a file-backed CSR mapped
+// straight from the container — and simulated results are bit-identical
+// regardless of representation (DESIGN.md §9). ExampleNewServeSupervisor
+// builds the immutable setup once and runs queries against it supervised.
+// The daemon serves the same over HTTP:
 //
 //	$ go run ./cmd/lccd -state-dir /var/lib/lccd &
 //	$ curl -d '{"name":"fb","dataset":"fb-sim","ranks":8,"queue_depth":8}' localhost:8090/v1/load
