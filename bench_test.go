@@ -247,11 +247,11 @@ func BenchmarkRMAGetReadOnly(b *testing.B) {
 
 func BenchmarkClampiHit(b *testing.B) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateWindow("bench", [][]byte{nil, make([]byte, 1<<16)})
+	w := comm.CreateReadOnlyWindow("bench", [][]byte{nil, make([]byte, 1<<16)})
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	c := clampi.New(r, w, clampi.Config{Capacity: 1 << 16, Mode: clampi.AlwaysCache})
+	c := clampi.New(r, w, clampi.Config{Capacity: 1 << 16})
 	q := c.Get(1, 0, 256)
 	q.Wait()
 	q.Release()
@@ -264,12 +264,12 @@ func BenchmarkClampiHit(b *testing.B) {
 
 func BenchmarkClampiMissEvict(b *testing.B) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateWindow("bench", [][]byte{nil, make([]byte, 1<<20)})
+	w := comm.CreateReadOnlyWindow("bench", [][]byte{nil, make([]byte, 1<<20)})
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
 	// Tiny cache: every access misses and evicts.
-	c := clampi.New(r, w, clampi.Config{Capacity: 1 << 10, Mode: clampi.AlwaysCache})
+	c := clampi.New(r, w, clampi.Config{Capacity: 1 << 10})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

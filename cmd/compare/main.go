@@ -83,7 +83,7 @@ func main() {
 
 	cachedOpt := lcc.Options{
 		Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true,
-		Caching: true, DegreeScores: true,
+		Caching: true, AdjScorePolicy: lcc.ScoreDegree,
 		OffsetsCacheBytes: 16 * (2 * g.NumVertices() / 5),
 		AdjCacheBytes:     64 << 20,
 	}

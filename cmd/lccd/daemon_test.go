@@ -342,6 +342,9 @@ var handlerRows = []row{
 	{name: "unknown fault", path: "/v1/run", body: `{"instance":"fb","faults":"gremlins=1"}`, status: 400, reason: "bad-request"},
 	{name: "workers past the limit", path: "/v1/run", body: `{"instance":"fb","workers":1000000000}`, status: 400, reason: "bad-request"},
 	{name: "offsets cache past the limit", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_offsets_bytes":1000000000000}`, status: 400, reason: "bad-request"},
+	{name: "negative workers", path: "/v1/run", body: `{"instance":"fb","workers":-1}`, status: 400, reason: "bad-request"},
+	{name: "negative offsets cache", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_offsets_bytes":-16}`, status: 400, reason: "bad-request"},
+	{name: "negative adjacency cache", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_adj_bytes":-1}`, status: 400, reason: "bad-request"},
 	oversized,
 	{name: "header deadline", path: "/v1/run", body: `{"instance":"fb"}`,
 		header: []string{"Request-Timeout", "0.001"}, status: 504, reason: "canceled"},

@@ -59,6 +59,7 @@ func FuzzLCCDRequest(f *testing.F) {
 	}
 	f.Add(uint8(1), []byte(`{"instance":"fb","engine":"jaccard","caching":true,"degree_scores":true,"priority":3,"queue_timeout_ms":5}`), "1e-3")
 	f.Add(uint8(1), []byte(`{"instance":"fb","faults":"wedge=0:40","timeout_ms":50}`), "NaN")
+	f.Add(uint8(1), []byte(`{"instance":"fb","workers":-4,"cache_offsets_bytes":-1,"cache_adj_bytes":-2}`), "")
 
 	f.Fuzz(func(t *testing.T, which uint8, body []byte, timeout string) {
 		// The handlers bound ranks, workers and the offsets cache (rows of

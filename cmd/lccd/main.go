@@ -42,11 +42,12 @@
 // unknown instance, 410 exited, 503 loading/unhealthy/memory-brownout,
 // 504 deadline, cancellation or queue timeout (the JSON body carries the
 // queue wait), 500 isolated panic or a watchdog-detected stall, 413
-// oversized request body, 400 anything malformed or past the limits on
-// ranks, workers and the offsets cache. A client timeout_ms (or
-// Request-Timeout header, in seconds) becomes the run context's deadline,
-// so queue wait and execution share one budget. SIGTERM/SIGINT drains
-// in-flight runs before exit; manifests survive the drain.
+// oversized request body, 400 anything malformed, a negative workers or
+// cache size, or past the limits on ranks, workers and the offsets cache.
+// A client timeout_ms (or Request-Timeout header, in seconds) becomes the
+// run context's deadline, so queue wait and execution share one budget.
+// SIGTERM/SIGINT drains in-flight runs before exit; manifests survive the
+// drain.
 package main
 
 import (
@@ -282,7 +283,10 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	spec, err := fault.ParseSpec(req.Faults)
 	method, merr := intersect.ParseMethod(req.Method)
 	var lerr error
-	if req.Workers > maxWorkers || req.CacheOffsets > maxOffsetsCacheBytes {
+	if min(req.Workers, req.CacheOffsets, req.CacheAdj) < 0 {
+		lerr = fmt.Errorf("workers %d, cache_offsets_bytes %d, cache_adj_bytes %d: none may be negative",
+			req.Workers, req.CacheOffsets, req.CacheAdj)
+	} else if req.Workers > maxWorkers || req.CacheOffsets > maxOffsetsCacheBytes {
 		lerr = fmt.Errorf("workers %d, cache_offsets_bytes %d: the limits are %d and %d",
 			req.Workers, req.CacheOffsets, maxWorkers, maxOffsetsCacheBytes)
 	}
@@ -295,8 +299,10 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Method:       method,
 		DoubleBuffer: !req.NoOverlap,
 		Caching:      req.Caching,
-		DegreeScores: req.DegreeScores,
 		Faults:       spec,
+	}
+	if req.DegreeScores {
+		opt.AdjScorePolicy = lcc.ScoreDegree
 	}
 	if req.Caching {
 		opt.OffsetsCacheBytes = req.CacheOffsets

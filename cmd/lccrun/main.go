@@ -117,8 +117,10 @@ func run(args []string, out io.Writer) error {
 		Method:       meth,
 		DoubleBuffer: !*noOverlap,
 		Caching:      *caching,
-		DegreeScores: *degScores,
 		Faults:       faultSpec,
+	}
+	if *degScores {
+		opt.AdjScorePolicy = lcc.ScoreDegree
 	}
 	if *caching {
 		opt.OffsetsCacheBytes = *offBytes

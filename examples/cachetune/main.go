@@ -57,20 +57,20 @@ func main() {
 	// Under eviction pressure, the paper's application-defined scores
 	// keep the high-degree (most reused) entries resident.
 	fmt.Println("\neviction scores at 25% capacity:")
-	for _, deg := range []bool{false, true} {
+	for _, policy := range []repro.ScorePolicy{repro.ScoreLRU, repro.ScoreDegree} {
 		res, err := repro.RunLCC(g, repro.LCCOptions{
 			Ranks: ranks, Method: repro.MethodHybrid, DoubleBuffer: true,
 			Caching:           true,
 			OffsetsCacheBytes: 16 * g.NumVertices(),
 			AdjCacheBytes:     adjFull / 4,
-			DegreeScores:      deg,
+			AdjScorePolicy:    policy,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		_, adjMiss := res.CacheMissRates()
 		name := "LRU+positional"
-		if deg {
+		if policy == repro.ScoreDegree {
 			name = "degree scores "
 		}
 		fmt.Printf("  %s: miss rate %.3f, avg remote read %.2f µs, sim time %.2f ms\n",

@@ -30,7 +30,7 @@ func main() {
 		Caching:           true,
 		OffsetsCacheBytes: 16 * g.NumVertices(),
 		AdjCacheBytes:     32 << 20,
-		DegreeScores:      true,
+		AdjScorePolicy:    repro.ScoreDegree,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -32,7 +32,7 @@ func run(g *repro.Graph, name string, ranks int) {
 	}
 	cached, err := repro.RunLCC(g, repro.LCCOptions{
 		Ranks: ranks, Method: repro.MethodHybrid, DoubleBuffer: true,
-		Caching: true, DegreeScores: true,
+		Caching: true, AdjScorePolicy: repro.ScoreDegree,
 		// The paper's Fig. 9 budget: C_offsets sized for the vertex set,
 		// C_adj ample ("the rest of 16 GiB" at paper scale).
 		OffsetsCacheBytes: 16 * g.NumVertices(),

@@ -13,9 +13,8 @@ import "fmt"
 // extent's coalescing partners are exactly its prev/next neighbours, which
 // makes freeing O(1) and answers the adjacent-free query behind the
 // positional eviction score. An entry's key, LRU tick and revalidation stamp
-// live in its table lane (see table), which the hit path never leaves; the
-// byte copy a writable window's entry owns lives in Cache.bytes, which
-// read-only windows never allocate.
+// live in its table lane (see table), which the hit path never leaves; its
+// bytes are the window's own, never copied.
 type record struct {
 	off, size  int     // extent in the memory buffer (size = the get's size)
 	prev, next uint32  // address-order neighbours; next links the free list of unused records

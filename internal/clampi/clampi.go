@@ -3,41 +3,19 @@ package clampi
 import (
 	"fmt"
 	"math"
-	"slices"
 	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/rma"
 )
 
-// Mode selects CLaMPI's consistency policy (§II-F).
+// Mode is CLaMPI's consistency policy (§II-F).
 type Mode uint8
 
-const (
-	// Transparent makes no assumption about the cached data and flushes
-	// the cache at every epoch closure; reuse is exploited only within
-	// an epoch.
-	Transparent Mode = iota
-	// AlwaysCache assumes RMA-read data is read-only, so the cache never
-	// needs flushing. The LCC engine uses this mode: the graph is not
-	// modified during the computation (§III-B).
-	AlwaysCache
-	// UserDefined leaves flushing to the application (explicit Flush).
-	UserDefined
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Transparent:
-		return "transparent"
-	case AlwaysCache:
-		return "always-cache"
-	case UserDefined:
-		return "user-defined"
-	default:
-		return fmt.Sprintf("Mode(%d)", uint8(m))
-	}
-}
+// AlwaysCache, the zero Mode and the only one, assumes RMA-read data is
+// read-only, so the cache never needs flushing for consistency: the graph is
+// not modified during the computation (§III-B).
+const AlwaysCache Mode = 0
 
 // Config tunes one cache instance. Both the hash-table size and the memory
 // buffer capacity are the use-case-specific parameters §II-F describes;
@@ -50,7 +28,8 @@ type Config struct {
 	Buckets int
 	// Assoc is the bucket associativity (entries per bucket). Default 4.
 	Assoc int
-	// Mode is the consistency mode. Default Transparent, like CLaMPI.
+	// Mode is the consistency mode. AlwaysCache is the only one; the field
+	// stays because the benchmark's replay (bench/replay.go) names it.
 	Mode Mode
 	// Adaptive enables the hash-table auto-tuning heuristic: when the
 	// conflict-eviction rate is high the table doubles (and the cache is
@@ -125,14 +104,13 @@ func (s Stats) MissRate() float64 {
 // C_offsets and C_adj; §III-B). A Cache must be used from the rank's own
 // goroutine, like the rank itself.
 //
-// Over read-only windows (including the typed uint64/vertex windows) the
-// cache stores no bytes at all: the window region is immutable, so cached
-// entries are bookkeeping only and hits are served as aliased views of the
-// window. The memory buffer, eviction and fragmentation behaviour are
-// simulated exactly as if the bytes were resident. Over writable windows
-// the cache owns one copy of every resident entry, as real CLaMPI does.
+// A cache serves read-only windows only (New panics on a writable one) and
+// stores no bytes: the window region is immutable, so cached entries are
+// bookkeeping only and hits are served as aliased views of the window (or,
+// compressed, decoded again). The memory buffer, eviction and fragmentation
+// behaviour are simulated exactly as if the bytes were resident.
 //
-// Steady-state operation — hit, miss, insert, evict, epoch flush — performs
+// Steady-state operation — hit, miss, insert, evict, flush — performs
 // no heap allocations: entries and buffer extents are records of one slab
 // (see record), AVL nodes recycle through a pool, requests are the caller's
 // own values or come from a free list (see Request), and the victim heap,
@@ -152,19 +130,15 @@ type Cache struct {
 	tab     table
 	alloc   allocator
 	victims victimHeap
-	bytes   [][]byte // by record id: a writable window's entry's copy of its region
-	sized   int      // records the slab and heap were allocated for (Reset)
+	sized   int // records the slab and heap were allocated for (Reset)
 	tick    uint64
 	seen    seenSet
 	stats   Stats
 
-	// inflight counts the misses issued and not yet completed, under either
-	// ownership. pending lists the pooled ones among them in issue order —
-	// FlushWindow completes those; a caller-owned miss is its caller's to
-	// Wait on. reqFree recycles pooled requests; single-goroutine like the
+	// inflight counts the misses issued and not yet waited for, under either
+	// ownership. reqFree recycles pooled requests; single-goroutine like the
 	// owning rank, so no locking.
 	inflight int
-	pending  []*Request
 	reqFree  []*Request
 
 	// busy asserts the single-owner contract now that ranks execute on
@@ -185,7 +159,7 @@ type Cache struct {
 	obsCapacity  int64
 }
 
-// New wraps window w for rank r with a cache configured by cfg.
+// New wraps read-only window w for rank r with a cache configured by cfg.
 func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 	return new(Cache).Reset(r, w, cfg)
 }
@@ -206,10 +180,13 @@ func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 // a large cache does not pin its footprint in a pool for the pool's
 // lifetime, and a steady stream of equal queries never reallocates.
 //
-// Reset panics on a cache that is mid-operation or has a miss in flight:
-// such an instance was abandoned by an unwinding rank and its transfer
-// belongs to a run that no longer exists.
+// Reset panics on a writable window. It panics too on a cache that is
+// mid-operation or has a miss in flight: such an instance was abandoned by an
+// unwinding rank and its transfer belongs to a run that no longer exists.
 func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
+	if !w.ReadOnly() {
+		panic(fmt.Sprintf("clampi: window %q is writable; a cache serves read-only windows only", w.Name()))
+	}
 	if c.busy {
 		panic("clampi: Reset of a cache that is mid-operation")
 	}
@@ -241,7 +218,6 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 		c.sized = hint
 		c.alloc = allocator{recs: make([]record, 1, hint)}
 		c.victims = victimHeap{h: make([]heapItem, 0, hint), pos: make([]int32, 0, hint)}
-		c.bytes = nil
 	}
 	c.seen.clearFor(min(max(c.cfg.Capacity/64, 64), 1<<14), most)
 	c.empty()
@@ -253,19 +229,14 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 
 // MemBytes returns the bytes of every backing array the instance holds:
 // table lanes and slots, record slab, victim heap and positions, free-region
-// tree nodes, compulsory-miss set, and — over a writable window — the
-// entries' byte copies. (Pooled requests, a handful of small objects per
-// instance, are not arrays and not counted.) It is what an idle instance in a
-// pool costs its snapshot.
+// tree nodes and compulsory-miss set. (Pooled requests, a handful of small
+// objects per instance, are not arrays and not counted.) It is what an idle
+// instance in a pool costs its snapshot.
 func (c *Cache) MemBytes() int {
-	n := 8*cap(c.tab.lane) + 4*cap(c.tab.ents) +
+	return 8*cap(c.tab.lane) + 4*cap(c.tab.ents) +
 		int(unsafe.Sizeof(record{}))*cap(c.alloc.recs) + int(unsafe.Sizeof(avlNode{}))*c.alloc.tree.made +
 		int(unsafe.Sizeof(heapItem{}))*cap(c.victims.h) + 4*cap(c.victims.pos) +
-		8*len(c.seen.tab) + int(unsafe.Sizeof([]byte{}))*cap(c.bytes)
-	for _, b := range c.bytes[:cap(c.bytes)] {
-		n += cap(b)
-	}
-	return n
+		8*len(c.seen.tab)
 }
 
 // Rank returns the owning rank.
@@ -324,45 +295,38 @@ func (c *Cache) settleVictims() bool {
 
 // Request is one cached get, from issue to the last read of its data: served
 // at issue (a hit, or a local access that bypassed the cache), or a miss whose
-// transfer completes — and whose region is offered to the cache — at Wait or
-// FlushWindow. Like rma.Request it has one of two owners, and one body (get)
-// fills both:
+// transfer completes — and whose region is offered to the cache — at Wait and
+// nowhere else. The transfer is a rank.GetInto into the request's own
+// rma.Request. One body (get) fills a request of either owner:
 //
-//   - Get/GetScored return a pooled request from the cache's free list. Its
-//     miss is a tracked rank.Get, so FlushWindow — or a raw rank-level flush —
-//     completes the transfer; call Release when done with the data.
+//   - Get/GetScored return a pooled request from the cache's free list; call
+//     Release when done with the data.
 //   - GetInto fills a request the caller owns, typically a value in its own
-//     pipeline state: no free list, no pending list, the transfer a
-//     rank.GetInto into the request itself. Only q.Wait() completes it and it
-//     is never released.
+//     pipeline state: no free list, and it is never released.
 //
 // Data read over a read-only window aliases the window and outlives the
-// request; over a writable or compressed window it lives in storage the
-// request owns, valid until Release (pooled) or the request's next use
-// (caller-owned).
+// request; over a compressed window it lives in storage the request owns,
+// valid until Release (pooled) or the request's next use (caller-owned).
 type Request struct {
 	cache  *Cache
 	hit    bool // nothing to complete: a cache hit or a local bypass
 	done   bool // a miss, completed: transfer finished, region offered to the cache
-	owned  bool // caller-owned (GetInto): never on the free or pending list
+	xfer   bool // the data is own's: a miss or a local bypass
+	owned  bool // caller-owned (GetInto): never on the free list
 	pooled bool // currently on the free list (double-release guard)
 
-	// A cache hit's data: window views, or a copy in buf (writable window:
-	// entry storage is recycled on eviction) or vbuf (compressed window:
-	// entries store no bytes, the run is decoded again).
+	// A cache hit's data: window views, or a decode into vbuf (compressed
+	// window: entries store no bytes, the run is decoded again).
 	data  []byte
 	u64   []uint64
 	verts []graph.V
-	buf   []byte
 	vbuf  []graph.V
 
 	// A miss's key and score, kept for the insertion at completion, and the
-	// transfer the data of a miss or a local bypass is read from: own for a
-	// caller-owned request, a pooled rank.Get held until Release otherwise.
+	// transfer the data of a miss or a local bypass is read from.
 	size  int
 	pk, h uint64
 	score float64 // application-defined, NaN if unset
-	under *rma.Request
 	own   rma.Request
 }
 
@@ -377,9 +341,8 @@ func (c *Cache) newReq() *Request {
 	return &Request{cache: c}
 }
 
-// Release returns a pooled request, and the transfer it holds, to their free
-// lists. Releasing a miss that has not completed panics: complete it first
-// (Wait or FlushWindow).
+// Release returns a pooled request to the free list. Releasing a miss that
+// has not completed panics: Wait first.
 func (q *Request) Release() {
 	// Precondition checks precede enter(): these panics are recoverable
 	// contract assertions (tests exercise them) and must not leave the
@@ -391,19 +354,15 @@ func (q *Request) Release() {
 		panic("clampi: Release of an already-released request")
 	}
 	if !q.hit && !q.done {
-		panic("clampi: Release of an incomplete miss; Wait or FlushWindow first")
+		panic("clampi: Release of an incomplete miss; Wait first")
 	}
 	c := q.cache
 	c.enter()
-	if q.under != nil {
-		q.under.Release()
-	}
 	// Field by field (a whole-struct literal is built on the stack and
 	// copied over, once per access); q.cache never changes.
-	q.hit, q.done, q.pooled = false, false, true
+	q.hit, q.done, q.xfer, q.pooled = false, false, false, true
 	q.data, q.u64, q.verts = nil, nil, nil
-	q.buf, q.vbuf = q.buf[:0], q.vbuf[:0]
-	q.under = nil
+	q.vbuf = q.vbuf[:0]
 	c.reqFree = append(c.reqFree, q)
 	c.leave()
 }
@@ -411,51 +370,45 @@ func (q *Request) Release() {
 // Hit reports whether the request was served from cache.
 func (q *Request) Hit() bool { return q.hit }
 
-// Done reports whether the data accessors may be called.
-func (q *Request) Done() bool { return q.hit || q.done || q.under.Done() }
+// Done reports whether the data accessors may be called: false for a miss
+// until Wait, and for a request never issued.
+func (q *Request) Done() bool { return q.hit || q.done }
 
-// Wait completes this request (flushing only its own transfer on a miss).
+// Wait completes this request: on a miss it waits for the transfer and
+// offers the region to the cache.
 func (q *Request) Wait() {
 	if q.hit || q.done {
 		return
 	}
 	c := q.cache
 	c.enter()
-	q.under.Wait()
-	if !q.owned {
-		// Ordered, so FlushWindow keeps completing the rest in issue order.
-		i := slices.Index(c.pending, q)
-		c.pending = slices.Delete(c.pending, i, i+1)
-	}
+	q.own.Wait()
 	c.complete(q)
 	c.leave()
 }
 
 // Data returns the bytes read from a byte window; treat them as read-only
 // (see Request for how long they stay valid). Panics if called before the
-// request completed, like the underlying RMA request. A miss whose transfer
-// was completed by a raw rank-level flush (rather than Wait or FlushWindow)
-// is readable too — its cache insertion simply happens later, matching
-// Done().
+// request completed, like the underlying RMA request.
 func (q *Request) Data() []byte {
-	if q.under != nil {
-		return q.under.Data() // panics before completion, like rma
+	if q.xfer {
+		return q.own.Data() // panics before completion, like rma
 	}
 	return q.data
 }
 
 // Uint64s returns the typed view read from a ReadOnlyUint64s window.
 func (q *Request) Uint64s() []uint64 {
-	if q.under != nil {
-		return q.under.Uint64s()
+	if q.xfer {
+		return q.own.Uint64s()
 	}
 	return q.u64
 }
 
 // Vertices returns the vertex list read from a vertex window.
 func (q *Request) Vertices() []graph.V {
-	if q.under != nil {
-		return q.under.Vertices()
+	if q.xfer {
+		return q.own.Vertices()
 	}
 	return q.verts
 }
@@ -507,26 +460,15 @@ func (c *Cache) GetScored(target, offset, size int, score float64) *Request {
 // no pool traffic. Statistics, charges and cache transitions are exactly
 // GetScored's.
 func (c *Cache) GetInto(q *Request, target, offset, size int, score float64) {
-	if q.under != nil && !q.hit && !q.done {
+	if q.xfer && !q.Done() {
 		panic("clampi: GetInto on a request whose miss is still in flight; Wait first")
 	}
 	c.enterGet(target, offset, size)
 	q.cache, q.owned = c, true
-	q.hit, q.done = false, false
+	q.hit, q.done, q.xfer = false, false, false
 	q.data, q.u64, q.verts = nil, nil, nil
-	q.under = nil
 	c.get(q, target, offset, size, score)
 	c.leave()
-}
-
-// transfer issues q's one-sided read under q's ownership.
-func (c *Cache) transfer(q *Request, target, offset, size int) {
-	if q.owned {
-		c.rank.GetInto(&q.own, c.win, target, offset, size)
-		q.under = &q.own
-	} else {
-		q.under = c.rank.Get(c.win, target, offset, size)
-	}
 }
 
 // get fills q, a reset request of either ownership, for one access.
@@ -534,21 +476,21 @@ func (c *Cache) get(q *Request, target, offset, size int, score float64) {
 	// Local accesses bypass the cache entirely: the partition owner reads
 	// its own memory (Fig. 3: node A reads adj(0), adj(2) locally).
 	if target == c.rank.ID() {
-		q.hit = true
-		c.transfer(q, target, offset, size)
+		q.hit, q.xfer = true, true
+		c.rank.GetInto(&q.own, c.win, target, offset, size)
 		return
 	}
 	pk := c.coder.pack(target, offset, size)
 	h := c.coder.hash(target, offset, size)
 	c.obsOps++
-	if slot := c.tab.lookupTouch(pk, h, c.tick+1); slot >= 0 {
+	if c.tab.lookupTouch(pk, h, c.tick+1) >= 0 {
 		c.tick++
 		c.stats.Hits++
 		c.stats.HitBytes += int64(size)
 		c.stats.HitTime += c.rank.ChargeCacheHit(size)
 		q.hit = true
-		// Over a read-only window the entry is bookkeeping and never
-		// touched: the data is the window's own.
+		// The entry is bookkeeping and never touched: the data is the
+		// window's own.
 		switch c.win.Kind() {
 		case rma.ReadOnlyBytes:
 			q.data = c.win.ViewBytes(target, offset, size)
@@ -559,44 +501,25 @@ func (c *Cache) get(q *Request, target, offset, size int, score float64) {
 		case rma.CompressedVertices:
 			q.verts = c.win.ReadVertices(target, offset, size, q.vbuf)
 			q.vbuf = q.verts
-		default:
-			q.buf = append(q.buf[:0], c.bytes[c.tab.ents[slot]]...)
-			q.data = q.buf
 		}
 		return
 	}
 	// Miss: issue the real RMA get; the entry is inserted when the
-	// transfer completes (at flush), since only then is the data known.
+	// transfer completes (at Wait), since only then is the data known.
 	if c.seen.addIfMissing(pk) {
 		c.stats.CompulsoryMisses++
 	}
 	c.stats.Misses++
 	c.stats.MissBytes += int64(size)
 	c.stats.OverheadTime += c.rank.ChargeCacheMissOverhead()
-	q.size, q.pk, q.h, q.score = size, pk, h, score
-	c.transfer(q, target, offset, size)
+	q.size, q.pk, q.h, q.score, q.xfer = size, pk, h, score, true
+	c.rank.GetInto(&q.own, c.win, target, offset, size)
 	c.inflight++
-	if !q.owned {
-		c.pending = append(c.pending, q)
-	}
 	c.maybeResize()
 }
 
-// FlushWindow completes all outstanding RMA operations on the window
-// (MPI_Win_flush_all) and stores the retrieved data in the cache (Fig. 3,
+// complete offers a miss whose transfer finished to the cache (Fig. 3,
 // step 6).
-func (c *Cache) FlushWindow() {
-	c.enter()
-	c.rank.FlushAll(c.win)
-	for i, q := range c.pending {
-		c.complete(q)
-		c.pending[i] = nil
-	}
-	c.pending = c.pending[:0]
-	c.leave()
-}
-
-// complete offers a miss whose transfer finished to the cache.
 func (c *Cache) complete(q *Request) {
 	q.done = true
 	c.inflight--
@@ -606,20 +529,13 @@ func (c *Cache) complete(q *Request) {
 	// makes caching a net loss when compulsory misses dominate (§IV-D-2
 	// scenario 2, the LiveJournal case).
 	c.stats.OverheadTime += c.rank.ChargeCacheManage(q.size)
-	var snapshot []byte
-	if !c.win.ReadOnly() {
-		snapshot = q.under.Data()
-	}
-	c.insert(q.pk, q.h, q.size, snapshot, q.score)
+	c.insert(q.pk, q.h, q.size, q.score)
 }
 
 // insert stores a region under the packed key pk (bucket hash h), evicting
 // victims as needed. CLaMPI caches a missing entry only if it has (or can
-// free) the resources to store it. data is the retrieved byte copy for
-// writable windows (copied again into entry-owned storage) and nil for
-// read-only windows, whose entries are bookkeeping-only (hits re-slice the
-// window region).
-func (c *Cache) insert(pk, h uint64, size int, data []byte, score float64) {
+// free) the resources to store it.
+func (c *Cache) insert(pk, h uint64, size int, score float64) {
 	if c.cfg.Capacity <= 0 || size > c.cfg.Capacity || size == 0 {
 		c.stats.RejectedInserts++
 		return
@@ -675,12 +591,6 @@ func (c *Cache) insert(pk, h uint64, size int, data []byte, score float64) {
 		id, ok = c.alloc.alloc(size)
 	}
 
-	if data != nil {
-		for int(id) >= len(c.bytes) {
-			c.bytes = append(c.bytes, nil)
-		}
-		c.bytes[id] = append(c.bytes[id][:0], data...)
-	}
 	e := &c.alloc.recs[id]
 	e.score = score
 	e.slot, e.meta = uint32(slot), c.tab.insertAt(slot, id, pk, c.tick)
@@ -766,9 +676,8 @@ func (c *Cache) Preload(regions []Region) (sum uint64) {
 	return sum
 }
 
-// Flush empties the cache (user-defined mode, or internal use by the
-// adaptive heuristic and the transparent mode). All structures are cleared
-// in place: the heap is truncated, the slab rewinds to the one record of a
+// Flush empties the cache: the adaptive heuristic's table resize and a
+// degraded access (Available) take it. All structures are cleared in place: the heap is truncated, the slab rewinds to the one record of a
 // pristine free region, and the table keeps its arrays unless the adaptive
 // heuristic grew it past them.
 func (c *Cache) Flush() {
@@ -777,9 +686,8 @@ func (c *Cache) Flush() {
 }
 
 // empty is Flush without the count: Reset uses it under a new configuration.
-// Nothing is walked but the table's words: positions are written on push and
-// a writable window's byte copies are overwritten by their record's next
-// entry, so neither needs clearing.
+// Nothing is walked but the table's words: positions are written on push, so
+// they need no clearing.
 func (c *Cache) empty() {
 	c.victims.h = c.victims.h[:0]
 	c.tab.clearFor(c.cfg.Buckets, c.cfg.Assoc)
@@ -805,15 +713,6 @@ func (c *Cache) Available() bool {
 	c.Flush()
 	c.leave()
 	return false
-}
-
-// CloseEpoch signals an epoch closure on the window. In transparent mode
-// this flushes the cache (cached data does not persist across epochs); in
-// always-cache and user-defined modes it is a no-op.
-func (c *Cache) CloseEpoch() {
-	if c.cfg.Mode == Transparent {
-		c.Flush()
-	}
 }
 
 // maybeResize implements the adaptive parameter-tuning heuristic (§II-F:

@@ -8,8 +8,9 @@ import (
 	"repro/internal/rma"
 )
 
-// testSetup builds a 2-rank world where rank 1 exposes `size` bytes with
-// value pattern b[i] = i&0xff, and returns rank 0's handle plus the window.
+// testSetup builds a 2-rank world where rank 1 exposes `size` read-only bytes
+// with value pattern b[i] = i&0xff, and returns rank 0's handle plus the
+// window.
 func testSetup(t testing.TB, size int, cfg Config) (*rma.Rank, *rma.Window, *Cache) {
 	t.Helper()
 	c := rma.NewComm(2, rma.DefaultCostModel())
@@ -17,7 +18,7 @@ func testSetup(t testing.TB, size int, cfg Config) (*rma.Rank, *rma.Window, *Cac
 	for i := range region {
 		region[i] = byte(i)
 	}
-	w := c.CreateWindow("data", [][]byte{nil, region})
+	w := c.CreateReadOnlyWindow("data", [][]byte{nil, region})
 	r := c.Rank(0)
 	r.LockAll(w)
 	cache := New(r, w, cfg)
@@ -25,12 +26,12 @@ func testSetup(t testing.TB, size int, cfg Config) (*rma.Rank, *rma.Window, *Cac
 }
 
 func TestCacheHitReturnsSameBytes(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 512, Mode: AlwaysCache})
+	_, _, c := testSetup(t, 1024, Config{Capacity: 512})
 	q1 := c.Get(1, 100, 50)
 	if q1.Hit() {
 		t.Fatal("first access reported a hit")
 	}
-	c.FlushWindow()
+	q1.Wait()
 	direct := q1.Data()
 
 	q2 := c.Get(1, 100, 50)
@@ -50,9 +51,8 @@ func TestCacheHitReturnsSameBytes(t *testing.T) {
 }
 
 func TestCacheHitIsCheap(t *testing.T) {
-	r, _, c := testSetup(t, 1024, Config{Capacity: 512, Mode: AlwaysCache})
-	c.Get(1, 0, 100)
-	c.FlushWindow()
+	r, _, c := testSetup(t, 1024, Config{Capacity: 512})
+	c.Get(1, 0, 100).Wait()
 	before := r.Clock().Now()
 	c.Get(1, 0, 100)
 	hitCost := r.Clock().Now() - before
@@ -66,10 +66,10 @@ func TestCacheHitIsCheap(t *testing.T) {
 
 func TestLocalAccessBypassesCache(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateWindow("d", [][]byte{{1, 2, 3, 4}, nil})
+	w := comm.CreateReadOnlyWindow("d", [][]byte{{1, 2, 3, 4}, nil})
 	r := comm.Rank(0)
 	r.LockAll(w)
-	c := New(r, w, Config{Capacity: 128, Mode: AlwaysCache})
+	c := New(r, w, Config{Capacity: 128})
 	q := c.Get(0, 1, 2)
 	if !q.Done() {
 		t.Fatal("local get not immediately done")
@@ -84,11 +84,13 @@ func TestLocalAccessBypassesCache(t *testing.T) {
 }
 
 func TestDistinctRegionsAreDistinctEntries(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 1024, Mode: AlwaysCache})
-	c.Get(1, 0, 16)
-	c.Get(1, 16, 16)
-	c.Get(1, 0, 32) // same offset, different size: different entry
-	c.FlushWindow()
+	_, _, c := testSetup(t, 1024, Config{Capacity: 1024})
+	q1 := c.Get(1, 0, 16)
+	q2 := c.Get(1, 16, 16)
+	q3 := c.Get(1, 0, 32) // same offset, different size: different entry
+	q1.Wait()
+	q2.Wait()
+	q3.Wait()
 	if got := c.Stats().Inserts; got != 3 {
 		t.Errorf("Inserts = %d, want 3", got)
 	}
@@ -100,14 +102,11 @@ func TestDistinctRegionsAreDistinctEntries(t *testing.T) {
 func TestCapacityEvictionLRU(t *testing.T) {
 	// Capacity for exactly two 40-byte entries; touching A keeps it alive
 	// and the third insert evicts B (least recently used).
-	_, _, c := testSetup(t, 1024, Config{Capacity: 80, Mode: AlwaysCache})
-	c.Get(1, 0, 40) // A
-	c.FlushWindow()
-	c.Get(1, 40, 40) // B
-	c.FlushWindow()
-	c.Get(1, 0, 40)  // hit A -> A more recent than B
-	c.Get(1, 80, 40) // C: needs eviction
-	c.FlushWindow()
+	_, _, c := testSetup(t, 1024, Config{Capacity: 80})
+	c.Get(1, 0, 40).Wait()  // A
+	c.Get(1, 40, 40).Wait() // B
+	c.Get(1, 0, 40)         // hit A -> A more recent than B
+	c.Get(1, 80, 40).Wait() // C: needs eviction
 	if !c.Contains(1, 0, 40) {
 		t.Error("recently-used entry A was evicted")
 	}
@@ -127,9 +126,8 @@ func TestCapacityEvictionLRU(t *testing.T) {
 }
 
 func TestEntryLargerThanCapacityNotCached(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 64, Mode: AlwaysCache})
-	c.Get(1, 0, 100)
-	c.FlushWindow()
+	_, _, c := testSetup(t, 1024, Config{Capacity: 64})
+	c.Get(1, 0, 100).Wait()
 	if c.Contains(1, 0, 100) {
 		t.Error("entry larger than the whole buffer was cached")
 	}
@@ -142,13 +140,10 @@ func TestAppScoreProtectsHighDegreeEntries(t *testing.T) {
 	// With application-defined scores (the paper's extension), a low-score
 	// newcomer must NOT evict higher-score residents — unlike LRU where
 	// the newcomer always wins.
-	_, _, c := testSetup(t, 1024, Config{Capacity: 80, Mode: AlwaysCache})
-	c.GetScored(1, 0, 40, 100) // high-degree entry
-	c.FlushWindow()
-	c.GetScored(1, 40, 40, 90) // second high-degree entry
-	c.FlushWindow()
-	c.GetScored(1, 80, 40, 5) // low-degree: must be rejected
-	c.FlushWindow()
+	_, _, c := testSetup(t, 1024, Config{Capacity: 80})
+	c.GetScored(1, 0, 40, 100).Wait() // high-degree entry
+	c.GetScored(1, 40, 40, 90).Wait() // second high-degree entry
+	c.GetScored(1, 80, 40, 5).Wait()  // low-degree: must be rejected
 	if !c.Contains(1, 0, 40) || !c.Contains(1, 40, 40) {
 		t.Error("high-score entries were evicted by a low-score newcomer")
 	}
@@ -156,8 +151,7 @@ func TestAppScoreProtectsHighDegreeEntries(t *testing.T) {
 		t.Error("low-score newcomer was cached despite full buffer of better entries")
 	}
 	// A higher-score newcomer evicts the lowest-score resident.
-	c.GetScored(1, 120, 40, 95)
-	c.FlushWindow()
+	c.GetScored(1, 120, 40, 95).Wait()
 	if !c.Contains(1, 120, 40) {
 		t.Error("score-95 newcomer rejected")
 	}
@@ -173,15 +167,12 @@ func TestAppScoreProtectsHighDegreeEntries(t *testing.T) {
 }
 
 func TestSetScoreChangesVictim(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 80, Mode: AlwaysCache})
-	c.GetScored(1, 0, 40, 10)
-	c.FlushWindow()
-	c.GetScored(1, 40, 40, 20)
-	c.FlushWindow()
+	_, _, c := testSetup(t, 1024, Config{Capacity: 80})
+	c.GetScored(1, 0, 40, 10).Wait()
+	c.GetScored(1, 40, 40, 20).Wait()
 	// Raise the first entry's score above the second's.
 	c.SetScore(1, 0, 40, 30)
-	c.GetScored(1, 80, 40, 25)
-	c.FlushWindow()
+	c.GetScored(1, 80, 40, 25).Wait()
 	if !c.Contains(1, 0, 40) {
 		t.Error("re-scored entry was evicted")
 	}
@@ -192,11 +183,9 @@ func TestSetScoreChangesVictim(t *testing.T) {
 
 func TestConflictEviction(t *testing.T) {
 	// A 1-bucket, 1-way table: every distinct key conflicts.
-	_, _, c := testSetup(t, 1024, Config{Capacity: 1024, Buckets: 1, Assoc: 1, Mode: AlwaysCache})
-	c.Get(1, 0, 8)
-	c.FlushWindow()
-	c.Get(1, 8, 8)
-	c.FlushWindow()
+	_, _, c := testSetup(t, 1024, Config{Capacity: 1024, Buckets: 1, Assoc: 1})
+	c.Get(1, 0, 8).Wait()
+	c.Get(1, 8, 8).Wait()
 	s := c.Stats()
 	if s.ConflictEvictions != 1 {
 		t.Errorf("ConflictEvictions = %d, want 1", s.ConflictEvictions)
@@ -212,55 +201,12 @@ func TestConflictEviction(t *testing.T) {
 	}
 }
 
-func TestTransparentModeFlushesOnEpochClose(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 512, Mode: Transparent})
-	c.Get(1, 0, 32)
-	c.FlushWindow()
-	if !c.Contains(1, 0, 32) {
-		t.Fatal("entry not cached within epoch")
-	}
-	c.CloseEpoch()
-	if c.Contains(1, 0, 32) {
-		t.Error("transparent mode kept data across epoch closure")
-	}
-	if c.Stats().Flushes != 1 {
-		t.Errorf("Flushes = %d, want 1", c.Stats().Flushes)
-	}
-}
-
-func TestAlwaysCacheModeSurvivesEpochClose(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 512, Mode: AlwaysCache})
-	c.Get(1, 0, 32)
-	c.FlushWindow()
-	c.CloseEpoch()
-	if !c.Contains(1, 0, 32) {
-		t.Error("always-cache mode flushed on epoch closure")
-	}
-}
-
-func TestUserDefinedModeExplicitFlush(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 512, Mode: UserDefined})
-	c.Get(1, 0, 32)
-	c.FlushWindow()
-	c.CloseEpoch()
-	if !c.Contains(1, 0, 32) {
-		t.Error("user-defined mode flushed on epoch closure")
-	}
-	c.Flush()
-	if c.Contains(1, 0, 32) {
-		t.Error("explicit Flush did not clear the cache")
-	}
-}
-
 func TestCompulsoryVsCapacityMisses(t *testing.T) {
 	// Re-reading an evicted entry is a miss but NOT a compulsory miss.
-	_, _, c := testSetup(t, 1024, Config{Capacity: 40, Mode: AlwaysCache})
-	c.Get(1, 0, 40)
-	c.FlushWindow()
-	c.Get(1, 40, 40) // evicts the first (only room for one)
-	c.FlushWindow()
-	c.Get(1, 0, 40) // capacity miss
-	c.FlushWindow()
+	_, _, c := testSetup(t, 1024, Config{Capacity: 40})
+	c.Get(1, 0, 40).Wait()
+	c.Get(1, 40, 40).Wait() // evicts the first (only room for one)
+	c.Get(1, 0, 40).Wait()  // capacity miss
 	s := c.Stats()
 	if s.Misses != 3 {
 		t.Errorf("Misses = %d, want 3", s.Misses)
@@ -271,7 +217,7 @@ func TestCompulsoryVsCapacityMisses(t *testing.T) {
 }
 
 func TestRequestWaitCompletesSingleMiss(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 512, Mode: AlwaysCache})
+	_, _, c := testSetup(t, 1024, Config{Capacity: 512})
 	q := c.Get(1, 0, 16)
 	q.Wait()
 	if !q.Done() {
@@ -280,8 +226,8 @@ func TestRequestWaitCompletesSingleMiss(t *testing.T) {
 	if !c.Contains(1, 0, 16) {
 		t.Error("Wait did not insert the entry")
 	}
-	// FlushWindow afterwards must not double-insert.
-	c.FlushWindow()
+	// A second Wait must not double-insert.
+	q.Wait()
 	if c.Stats().Inserts != 1 {
 		t.Errorf("Inserts = %d, want 1", c.Stats().Inserts)
 	}
@@ -289,12 +235,11 @@ func TestRequestWaitCompletesSingleMiss(t *testing.T) {
 
 func TestAdaptiveResizeOnConflicts(t *testing.T) {
 	_, _, c := testSetup(t, 1<<20, Config{
-		Capacity: 1 << 20, Buckets: 1, Assoc: 1, Adaptive: true, Mode: AlwaysCache,
+		Capacity: 1 << 20, Buckets: 1, Assoc: 1, Adaptive: true,
 	})
 	// Thrash distinct keys through the 1-slot table.
 	for i := 0; i < 3000; i++ {
-		c.Get(1, (i%4000)*8, 8)
-		c.FlushWindow()
+		c.Get(1, (i%4000)*8, 8).Wait()
 	}
 	s := c.Stats()
 	if s.Resizes == 0 {
@@ -324,15 +269,11 @@ func TestPositionalScorePrefersFragmentingVictims(t *testing.T) {
 	// positional weight, C must be chosen over the older A and B —
 	// the paper's "poorly placed entries evict first even at higher
 	// temporal locality" behaviour (§II-F).
-	_, _, c := testSetup(t, 4096, Config{Capacity: 140, Mode: AlwaysCache, PosWeight: 1e9})
-	c.Get(1, 0, 40) // A at buffer [0,40)
-	c.FlushWindow()
-	c.Get(1, 40, 40) // B at [40,80)
-	c.FlushWindow()
-	c.Get(1, 80, 40) // C at [80,120), most recent, adjacent to free [120,140)
-	c.FlushWindow()
-	c.Get(1, 200, 60) // D: needs 60 contiguous bytes
-	c.FlushWindow()
+	_, _, c := testSetup(t, 4096, Config{Capacity: 140, PosWeight: 1e9})
+	c.Get(1, 0, 40).Wait()   // A at buffer [0,40)
+	c.Get(1, 40, 40).Wait()  // B at [40,80)
+	c.Get(1, 80, 40).Wait()  // C at [80,120), most recent, adjacent to free [120,140)
+	c.Get(1, 200, 60).Wait() // D: needs 60 contiguous bytes
 	if c.Contains(1, 80, 40) {
 		t.Error("positional score did not evict the mergeable victim C")
 	}
@@ -347,9 +288,18 @@ func TestPositionalScorePrefersFragmentingVictims(t *testing.T) {
 	}
 }
 
+// waitAll waits for qs in issue order and returns qs emptied for reuse.
+func waitAll(qs []*Request) []*Request {
+	for _, q := range qs {
+		q.Wait()
+	}
+	return qs[:0]
+}
+
 func TestCacheChurnInvariants(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
-	_, _, c := testSetup(t, 1<<16, Config{Capacity: 4096, Buckets: 16, Assoc: 2, Mode: AlwaysCache})
+	_, _, c := testSetup(t, 1<<16, Config{Capacity: 4096, Buckets: 16, Assoc: 2})
+	var pending []*Request
 	for i := 0; i < 4000; i++ {
 		// Keys repeat: a bounded universe of (offset,size) pairs so the
 		// trace mixes hits with misses like a real reuse pattern.
@@ -357,21 +307,21 @@ func TestCacheChurnInvariants(t *testing.T) {
 		off := slot * 512
 		size := 1 + (slot*37)%200
 		if rng.Float64() < 0.3 {
-			c.GetScored(1, off, size, float64(size))
+			pending = append(pending, c.GetScored(1, off, size, float64(size)))
 		} else {
-			c.Get(1, off, size)
+			pending = append(pending, c.Get(1, off, size))
 		}
 		if rng.Float64() < 0.5 {
-			c.FlushWindow()
+			pending = waitAll(pending)
 		}
 		if i%500 == 0 {
-			c.FlushWindow()
+			pending = waitAll(pending)
 			if err := c.checkInvariants(); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
 		}
 	}
-	c.FlushWindow()
+	waitAll(pending)
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +335,7 @@ func TestCachedDataAlwaysMatchesWindow(t *testing.T) {
 	// Property-style: after any access sequence, every Get result equals
 	// the window's ground truth.
 	rng := rand.New(rand.NewPCG(21, 22))
-	_, _, c := testSetup(t, 4096, Config{Capacity: 512, Buckets: 4, Assoc: 2, Mode: AlwaysCache})
+	_, _, c := testSetup(t, 4096, Config{Capacity: 512, Buckets: 4, Assoc: 2})
 	truth := make([]byte, 4096)
 	for i := range truth {
 		truth[i] = byte(i)
@@ -408,7 +358,7 @@ func TestCachedDataAlwaysMatchesWindow(t *testing.T) {
 // touching the newcomer.
 func TestExtentReuseAfterConflictEviction(t *testing.T) {
 	const size = 64
-	_, _, c := testSetup(t, 1<<12, Config{Capacity: 4 * size, Buckets: 2, Mode: AlwaysCache})
+	_, _, c := testSetup(t, 1<<12, Config{Capacity: 4 * size, Buckets: 2})
 	var home [2][]int // offsets by bucket
 	for off := 0; off < 1<<12; off += size {
 		b := c.tab.bucketOf(c.coder.hash(1, off, size))
@@ -420,7 +370,7 @@ func TestExtentReuseAfterConflictEviction(t *testing.T) {
 	fetch := func(off int) {
 		t.Helper()
 		q := c.Get(1, off, size)
-		c.FlushWindow()
+		q.Wait()
 		for i, b := range q.Data() {
 			if b != byte(off+i) {
 				t.Fatalf("region at %d: byte %d = %d, want %d", off, i, b, byte(off+i))

@@ -31,18 +31,14 @@ func evictionDigest(c *Cache) func() (uint64, int) {
 }
 
 // The churns below are fixed-seed access streams over rank 1's 64 KiB
-// region. Each completes its misses in small batches so several inserts
-// (and their evictions) land per flush, and calls between — which must not
-// be able to change anything — between every two operations on the cache.
+// region. Each completes every get before issuing the next, and calls
+// between — which must not be able to change anything — between every two
+// operations on the cache.
 const digestRegion = 1 << 16
 
-func flushEvery(c *Cache, i, every int, q *Request, between func()) {
+func complete(q *Request, between func()) {
 	between()
-	if i%every == every-1 {
-		c.FlushWindow()
-	} else {
-		q.Wait()
-	}
+	q.Wait()
 	between()
 	q.Release()
 }
@@ -63,9 +59,8 @@ func churnLRU(c *Cache, seed uint64, between func()) {
 			}
 		}
 		recent[i%len(recent)] = [2]int{off, size}
-		flushEvery(c, i, 4, c.Get(1, off, size), between)
+		complete(c.Get(1, off, size), between)
 	}
-	c.FlushWindow()
 }
 
 // churnDegree: scored gets whose scores come from eight values, so most
@@ -76,16 +71,14 @@ func churnDegree(c *Cache, seed uint64, between func()) {
 	rng := rand.New(rand.NewPCG(seed, 3))
 	for i := 0; i < 12000; i++ {
 		if i%2000 == 1999 {
-			c.FlushWindow()
 			c.Flush()
 		}
 		between()
 		size := 16 + 16*rng.IntN(12)
 		off := 16 * rng.IntN((digestRegion/2-size)/16)
 		score := float64(1 + (off/16)%8)
-		flushEvery(c, i, 5, c.GetScored(1, off, size, score), between)
+		complete(c.GetScored(1, off, size, score), between)
 	}
-	c.FlushWindow()
 }
 
 // churnUpdate: scored and unscored inserts mixed with SetScore on resident
@@ -100,12 +93,11 @@ func churnUpdate(c *Cache, seed uint64, between func()) {
 		case 0:
 			c.SetScore(1, off, size, float64(rng.IntN(6)))
 		case 1:
-			flushEvery(c, i, 3, c.GetScored(1, off, size, float64(rng.IntN(6))), between)
+			complete(c.GetScored(1, off, size, float64(rng.IntN(6))), between)
 		default:
-			flushEvery(c, i, 3, c.Get(1, off, size), between)
+			complete(c.Get(1, off, size), between)
 		}
 	}
-	c.FlushWindow()
 }
 
 // digestCases are the churns whose eviction order TestVictimOrderDigest
@@ -120,11 +112,11 @@ var digestCases = []struct {
 	digest uint64
 	count  int
 }{
-	{"lru-positional", Config{Capacity: 1 << 13, Buckets: 128, Mode: AlwaysCache}, churnLRU, 0x7cba31266a1ce334, 8081},
-	{"lru-conflicts", Config{Capacity: 1 << 13, Buckets: 36, Assoc: 2, PosWeight: 512, Mode: AlwaysCache}, churnLRU, 0x247c0b201af2ee70, 8779},
-	{"degree-ties", Config{Capacity: 1 << 13, Buckets: 96, Mode: AlwaysCache}, churnDegree, 0xc62e066b86db7753, 2864},
-	{"score-updates", Config{Capacity: 1 << 12, Buckets: 64, Mode: AlwaysCache}, churnUpdate, 0x0bea60cfe5b3fac1, 7195},
-	{"adaptive-growth", Config{Capacity: 1 << 11, Buckets: 4, Assoc: 2, MaxCapacity: 1 << 14, Adaptive: true, Mode: AlwaysCache}, churnLRU, 0xae38181179e04b4a, 8319},
+	{"lru-positional", Config{Capacity: 1 << 13, Buckets: 128}, churnLRU, 0x7cba31266a1ce334, 8081},
+	{"lru-conflicts", Config{Capacity: 1 << 13, Buckets: 36, Assoc: 2, PosWeight: 512}, churnLRU, 0x247c0b201af2ee70, 8779},
+	{"degree-ties", Config{Capacity: 1 << 13, Buckets: 96}, churnDegree, 0xc62e066b86db7753, 2864},
+	{"score-updates", Config{Capacity: 1 << 12, Buckets: 64}, churnUpdate, 0x0bea60cfe5b3fac1, 7195},
+	{"adaptive-growth", Config{Capacity: 1 << 11, Buckets: 4, Assoc: 2, MaxCapacity: 1 << 14, Adaptive: true}, churnLRU, 0xae38181179e04b4a, 8319},
 }
 
 // TestVictimOrderDigest holds a fresh instance and a recycled one to the
@@ -133,7 +125,7 @@ func TestVictimOrderDigest(t *testing.T) {
 	idle := func() {}
 	// One instance is recycled through every case after its fresh twin ran
 	// it: Reset followed by the same churn must evict in the same order.
-	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8, Adaptive: true, Mode: AlwaysCache})
+	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8, Adaptive: true})
 	churnDegree(used, 5, idle)
 	for i, tc := range digestCases {
 		_, _, fresh := testSetup(t, digestRegion, tc.cfg)
@@ -165,7 +157,7 @@ func TestVictimOrderDigest(t *testing.T) {
 // the recorded eviction order, the statistics of the undisturbed run to the
 // bit, and consistent structures.
 func TestPreloadIsModelInvisible(t *testing.T) {
-	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8, Adaptive: true, Mode: AlwaysCache})
+	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8, Adaptive: true})
 	for i, tc := range digestCases {
 		_, _, quiet := testSetup(t, digestRegion, tc.cfg)
 		tc.churn(quiet, uint64(i), func() {})

@@ -17,10 +17,10 @@ func faultSetup(t testing.TB, spec *fault.Spec) (*rma.Rank, *Cache) {
 	for i := range region {
 		region[i] = byte(i)
 	}
-	w := c.CreateWindow("data", [][]byte{nil, region})
+	w := c.CreateReadOnlyWindow("data", [][]byte{nil, region})
 	r := c.Rank(0)
 	r.LockAll(w)
-	return r, New(r, w, Config{Capacity: 512, Mode: AlwaysCache})
+	return r, New(r, w, Config{Capacity: 512})
 }
 
 // TestAvailableWithoutFaults: with no schedule the cache is always
@@ -46,8 +46,7 @@ func TestDegradedModeFlushes(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		if c.Available() {
 			// Populate so the next fault has something to flush.
-			c.Get(1, (i%8)*64, 64)
-			c.FlushWindow()
+			c.Get(1, (i%8)*64, 64).Wait()
 			continue
 		}
 		degraded++

@@ -41,9 +41,9 @@ func TestCacheFootprint(t *testing.T) {
 		c    *Cache
 		get  func(c *Cache, v int) *Request
 	}{
-		{"offsets", New(r, wOff, Config{Capacity: 1 << 18, Buckets: 1 << 14, Mode: AlwaysCache}),
+		{"offsets", New(r, wOff, Config{Capacity: 1 << 18, Buckets: 1 << 14}),
 			func(c *Cache, v int) *Request { return c.Get(1, 16*v, 16) }},
-		{"adjacency", New(r, wAdj, Config{Capacity: 1 << 22, Buckets: 1 << 15, Mode: AlwaysCache}),
+		{"adjacency", New(r, wAdj, Config{Capacity: 1 << 22, Buckets: 1 << 15}),
 			func(c *Cache, v int) *Request { return c.Get(1, 4*int(pairs[2*v]), 4*int(pairs[2*v+1]-pairs[2*v])) }},
 	} {
 		c, peak := tc.c, 0

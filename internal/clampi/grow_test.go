@@ -61,7 +61,6 @@ func TestAdaptiveBufferGrowth(t *testing.T) {
 		Capacity:    1 << 10,
 		MaxCapacity: 1 << 15,
 		Buckets:     1 << 12, // ample: isolate the capacity dimension
-		Mode:        AlwaysCache,
 		Adaptive:    true,
 	})
 	// Cycle over a working set 8x the initial capacity; every round trips
@@ -70,8 +69,7 @@ func TestAdaptiveBufferGrowth(t *testing.T) {
 	// enough windows to reach a comfortably oversized buffer.
 	for round := 0; round < 80; round++ {
 		for off := 0; off < 1<<13; off += 64 {
-			c.Get(1, off, 64)
-			c.FlushWindow()
+			c.Get(1, off, 64).Wait()
 		}
 	}
 	s := c.Stats()
@@ -105,13 +103,11 @@ func TestAdaptiveBufferGrowthDisabled(t *testing.T) {
 	_, _, c := testSetup(t, 1<<15, Config{
 		Capacity: 1 << 10,
 		Buckets:  1 << 12,
-		Mode:     AlwaysCache,
 		Adaptive: true,
 	})
 	for round := 0; round < 8; round++ {
 		for off := 0; off < 1<<13; off += 64 {
-			c.Get(1, off, 64)
-			c.FlushWindow()
+			c.Get(1, off, 64).Wait()
 		}
 	}
 	s := c.Stats()
@@ -130,11 +126,9 @@ func TestBufferGrowthKeepsData(t *testing.T) {
 		Capacity:    1 << 9,
 		MaxCapacity: 1 << 14,
 		Buckets:     1 << 12,
-		Mode:        AlwaysCache,
 		Adaptive:    true,
 	})
-	c.Get(1, 128, 64)
-	c.FlushWindow()
+	c.Get(1, 128, 64).Wait()
 	want := make([]byte, 64)
 	for i := range want {
 		want[i] = byte(128 + i)
@@ -142,17 +136,18 @@ func TestBufferGrowthKeepsData(t *testing.T) {
 	for round := 0; round < 16; round++ {
 		// Keep the probe entry hot so eviction never selects it while
 		// the sweep below applies capacity pressure.
-		c.Get(1, 128, 64)
+		probe := c.Get(1, 128, 64)
 		for off := 1 << 10; off < 1<<13; off += 64 {
-			c.Get(1, off, 64)
-			c.FlushWindow()
+			q := c.Get(1, off, 64)
+			probe.Wait() // in issue order with the first sweep get; a no-op after
+			q.Wait()
 		}
 	}
 	if c.Stats().BufferResizes == 0 {
 		t.Skip("pressure pattern did not trigger growth (heuristic changed?)")
 	}
 	q := c.Get(1, 128, 64)
-	c.FlushWindow()
+	q.Wait()
 	if !bytes.Equal(q.Data(), want) {
 		t.Error("entry bytes corrupted across buffer growth")
 	}
@@ -167,14 +162,12 @@ func TestBufferGrowthChargesOverhead(t *testing.T) {
 		Capacity:    1 << 9,
 		MaxCapacity: 1 << 14,
 		Buckets:     1 << 12,
-		Mode:        AlwaysCache,
 		Adaptive:    true,
 	})
 	_ = r
 	for round := 0; round < 16; round++ {
 		for off := 0; off < 1<<13; off += 64 {
-			c.Get(1, off, 64)
-			c.FlushWindow()
+			c.Get(1, off, 64).Wait()
 		}
 	}
 	s := c.Stats()

@@ -9,7 +9,7 @@ import (
 )
 
 // churn drives a seeded mix of scored and unscored gets over rank 1's
-// region, flushing every few operations, and returns the rank's clock.
+// region, each waited for before the next, and returns the rank's clock.
 func churn(c *Cache, seed uint64, ops, region int) float64 {
 	rng := rand.New(rand.NewPCG(seed, 1))
 	for i := 0; i < ops; i++ {
@@ -21,14 +21,9 @@ func churn(c *Cache, seed uint64, ops, region int) float64 {
 		} else {
 			q = c.Get(1, off, size)
 		}
-		if i%5 == 4 {
-			c.FlushWindow()
-		} else {
-			q.Wait()
-		}
+		q.Wait()
 		q.Release()
 	}
-	c.FlushWindow()
 	return c.Rank().Clock().Now()
 }
 
@@ -37,12 +32,11 @@ func churn(c *Cache, seed uint64, ops, region int) float64 {
 // no trace of the first use in its statistics.
 func TestResetUndoesAdaptiveGrowth(t *testing.T) {
 	const region = 1 << 16
-	cfg := Config{Capacity: 1 << 10, MaxCapacity: 1 << 15, Buckets: 2, Assoc: 1, Adaptive: true, Mode: AlwaysCache}
+	cfg := Config{Capacity: 1 << 10, MaxCapacity: 1 << 15, Buckets: 2, Assoc: 1, Adaptive: true}
 	r, w, c := testSetup(t, region, cfg)
 	for round := 0; round < 80; round++ {
 		for off := 0; off < 1<<13; off += 64 {
-			c.Get(1, off, 64)
-			c.FlushWindow()
+			c.Get(1, off, 64).Wait()
 		}
 	}
 	if s := c.Stats(); s.Resizes == 0 || s.BufferResizes == 0 {
@@ -76,11 +70,11 @@ func TestResetUndoesAdaptiveGrowth(t *testing.T) {
 func TestResetMatchesNew(t *testing.T) {
 	const region = 1 << 16
 	cfgs := []Config{
-		{Capacity: 1 << 12, Buckets: 64, Mode: AlwaysCache},
-		{Capacity: 1 << 11, Buckets: 4, Assoc: 2, MaxCapacity: 1 << 14, Adaptive: true, Mode: AlwaysCache},
-		{Capacity: 1 << 13, Buckets: 512, Mode: Transparent},
+		{Capacity: 1 << 12, Buckets: 64},
+		{Capacity: 1 << 11, Buckets: 4, Assoc: 2, MaxCapacity: 1 << 14, Adaptive: true},
+		{Capacity: 1 << 13, Buckets: 512},
 	}
-	_, _, used := testSetup(t, region, Config{Capacity: 1 << 14, Buckets: 16, Adaptive: true, Mode: AlwaysCache})
+	_, _, used := testSetup(t, region, Config{Capacity: 1 << 14, Buckets: 16, Adaptive: true})
 	churn(used, 99, 6000, region)
 	for i, cfg := range cfgs {
 		rf, _, fresh := testSetup(t, region, cfg)
@@ -114,7 +108,7 @@ func TestResetMatchesNew(t *testing.T) {
 // ownership, or one that is mid-operation, was left behind by an unwinding
 // rank.
 func TestResetRefusesAbandonedCache(t *testing.T) {
-	cfg := Config{Capacity: 1 << 10, Mode: AlwaysCache}
+	cfg := Config{Capacity: 1 << 10}
 	r, w, c := testSetup(t, 1<<12, cfg)
 	q := c.Get(1, 0, 64)
 	mustPanicClampi(t, "Reset with a pooled miss in flight", func() { c.Reset(r, w, cfg) })
@@ -125,8 +119,8 @@ func TestResetRefusesAbandonedCache(t *testing.T) {
 	mustPanicClampi(t, "GetInto over a miss in flight", func() { c.GetInto(&own, 1, 128, 64, math.NaN()) })
 	own.Wait()
 	c.Reset(r, w, cfg)
-	if len(c.pending) != 0 || c.inflight != 0 {
-		t.Errorf("pending %d, inflight %d after Reset", len(c.pending), c.inflight)
+	if c.inflight != 0 {
+		t.Errorf("inflight %d after Reset", c.inflight)
 	}
 	q.Release() // a request from before the Reset is still the caller's to release
 	c.busy = true
@@ -137,7 +131,7 @@ func TestResetRefusesAbandonedCache(t *testing.T) {
 // nothing a first use already paid for.
 func TestResetKeepsBackingStorage(t *testing.T) {
 	const region = 1 << 16
-	cfg := Config{Capacity: 1 << 12, Buckets: 256, Mode: AlwaysCache}
+	cfg := Config{Capacity: 1 << 12, Buckets: 256}
 	r, w, c := testSetup(t, region, cfg)
 	churn(c, 7, 4000, region)
 	if got := testing.AllocsPerRun(5, func() {
@@ -162,8 +156,8 @@ func TestResetReleasesOversizedStorage(t *testing.T) {
 		r.LockAll(w)
 		return r, w
 	}
-	big := Config{Capacity: 1 << 24, Buckets: 1 << 17, Mode: AlwaysCache}
-	bench := Config{Capacity: 1 << 18, Buckets: 1 << 14, Mode: AlwaysCache}
+	big := Config{Capacity: 1 << 24, Buckets: 1 << 17}
+	bench := Config{Capacity: 1 << 18, Buckets: 1 << 14}
 	r, w := setup()
 	used := New(r, w, big)
 	churn(used, 3, 20000, region)
@@ -192,7 +186,7 @@ func TestResetReleasesOversizedStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tiny := Config{Capacity: 1 << 10, Buckets: 2, Assoc: 1, Mode: AlwaysCache}
+	tiny := Config{Capacity: 1 << 10, Buckets: 2, Assoc: 1}
 	if got, want := used.Reset(rr, wr, tiny).MemBytes(), New(rf, wf, tiny).MemBytes(); got != want {
 		t.Errorf("under a tiny geometry the instance holds %d B, a fresh one %d B", got, want)
 	}

@@ -174,21 +174,18 @@ func TestTableBucketFullConflict(t *testing.T) {
 	// One bucket, 2-way: the third key conflicts, and the bucket's entry of
 	// strictly minimal priority is the victim — unless the newcomer is worth
 	// no more than it.
-	_, _, c := testSetup(t, 1<<12, Config{Capacity: 1 << 10, Buckets: 1, Assoc: 2, Mode: AlwaysCache})
+	_, _, c := testSetup(t, 1<<12, Config{Capacity: 1 << 10, Buckets: 1, Assoc: 2})
 	for i := 0; i < 2; i++ {
-		c.GetScored(1, i*16, 16, float64(10*(i+1)))
-		c.FlushWindow()
+		c.GetScored(1, i*16, 16, float64(10*(i+1))).Wait()
 	}
 	if c.tab.freeSlot(c.coder.hash(1, 99, 16)) != -1 {
 		t.Error("full bucket reported a free slot")
 	}
-	c.GetScored(1, 64, 16, 10)
-	c.FlushWindow()
+	c.GetScored(1, 64, 16, 10).Wait()
 	if c.Contains(1, 64, 16) || c.Stats().RejectedInserts != 1 {
 		t.Error("a newcomer no better than the bucket's minimum was cached")
 	}
-	c.GetScored(1, 96, 16, 15)
-	c.FlushWindow()
+	c.GetScored(1, 96, 16, 15).Wait()
 	if c.Contains(1, 0, 16) || !c.Contains(1, 16, 16) || !c.Contains(1, 96, 16) || c.Stats().ConflictEvictions != 1 {
 		t.Errorf("conflict eviction did not take the score-10 entry: %+v", c.Stats())
 	}
@@ -300,11 +297,10 @@ func TestVictimHeapMatchesContainerHeap(t *testing.T) {
 // scoredCache caches n scored 64-byte regions, region i under score i+1,
 // and returns their record ids.
 func scoredCache(t *testing.T, n int) (*Cache, []uint32) {
-	_, _, c := testSetup(t, 1<<14, Config{Capacity: 1 << 13, Mode: AlwaysCache})
+	_, _, c := testSetup(t, 1<<14, Config{Capacity: 1 << 13})
 	ids := make([]uint32, n)
 	for i := range ids {
-		c.GetScored(1, 64*i, 64, float64(i+1))
-		c.FlushWindow()
+		c.GetScored(1, 64*i, 64, float64(i+1)).Wait()
 		ids[i] = idOf(c, 1, 64*i, 64)
 	}
 	return c, ids

@@ -3,6 +3,7 @@ package clampi
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -17,7 +18,7 @@ func TestHitAllocFree(t *testing.T) {
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 16, Mode: AlwaysCache})
+	c := New(r, w, Config{Capacity: 1 << 16})
 	q := c.Get(1, 0, 256)
 	q.Wait()
 	q.Release()
@@ -31,34 +32,18 @@ func TestHitAllocFree(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("cache hit allocates %.1f/op, want 0", got)
 	}
-	// The writable-window hit path must also be allocation-free: the
-	// entry's owned copy is served directly.
-	ww := comm.CreateWindow("rw", [][]byte{nil, make([]byte, 1<<16)})
-	r.LockAll(ww)
-	defer r.UnlockAll(ww)
-	cw := New(r, ww, Config{Capacity: 1 << 16, Mode: AlwaysCache})
-	q = cw.Get(1, 0, 256)
-	q.Wait()
-	q.Release()
-	if got := testing.AllocsPerRun(200, func() {
-		hq := cw.Get(1, 0, 256)
-		_ = hq.Data()
-		hq.Release()
-	}); got != 0 {
-		t.Errorf("writable-window cache hit allocates %.1f/op, want 0", got)
-	}
 }
 
 // TestGetIntoAllocFree guards the caller-owned ownership: a hit and a
 // miss + Wait through GetInto allocate nothing and leave the pooled
-// ownership's lists — and, once waited, the in-flight count — untouched.
+// ownership's free list — and, once waited, the in-flight count — untouched.
 func TestGetIntoAllocFree(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
 	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<16)})
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 10, Mode: AlwaysCache})
+	c := New(r, w, Config{Capacity: 1 << 10})
 	var q Request
 	c.GetInto(&q, 1, 0, 256, math.NaN())
 	if q.Hit() || c.inflight != 1 {
@@ -86,9 +71,8 @@ func TestGetIntoAllocFree(t *testing.T) {
 	if s := c.Stats(); s.Misses < 200 || s.CapacityEvictions == 0 {
 		t.Fatalf("the miss loop did not miss and evict: %+v", s)
 	}
-	if len(c.pending) != 0 || len(c.reqFree) != 0 || c.inflight != 0 {
-		t.Errorf("caller-owned gets left pending %d, reqFree %d, inflight %d; want all zero",
-			len(c.pending), len(c.reqFree), c.inflight)
+	if len(c.reqFree) != 0 || c.inflight != 0 {
+		t.Errorf("caller-owned gets left reqFree %d, inflight %d; want both zero", len(c.reqFree), c.inflight)
 	}
 	mustPanicClampi(t, "Release of a caller-owned request", func() { q.Release() })
 	if c.busy {
@@ -99,7 +83,8 @@ func TestGetIntoAllocFree(t *testing.T) {
 // TestGetIntoMatchesGet pins the two ownerships to one behaviour: the same
 // scored access stream through pooled GetScored+Wait+Release and through
 // GetInto+Wait on one caller-owned request yields equal statistics, equal
-// clock bits, equal residency and equal data, over every window kind.
+// clock bits, equal residency and equal data, over every read-only window
+// kind.
 func TestGetIntoMatchesGet(t *testing.T) {
 	const region = 1 << 14
 	raw := make([]byte, region)
@@ -131,9 +116,6 @@ func TestGetIntoMatchesGet(t *testing.T) {
 				graph.NewCompressedAdj(offsets, func(i int, _ []graph.V) []graph.V { return verts[offsets[i]:offsets[i+1]] }),
 			})
 		},
-		"writable": func(c *rma.Comm) *rma.Window {
-			return c.CreateWindow("w", [][]byte{nil, append([]byte(nil), raw...)})
-		},
 	}
 	type outcome struct {
 		stats    Stats
@@ -148,7 +130,7 @@ func TestGetIntoMatchesGet(t *testing.T) {
 			r := comm.Rank(0)
 			r.LockAll(w)
 			defer r.UnlockAll(w)
-			c := New(r, w, Config{Capacity: 1 << 10, Buckets: 16, Assoc: 2, Mode: AlwaysCache})
+			c := New(r, w, Config{Capacity: 1 << 10, Buckets: 16, Assoc: 2})
 			var own Request
 			rng := rand.New(rand.NewPCG(5, 9))
 			for i := 0; i < 2000; i++ {
@@ -200,7 +182,7 @@ func TestGetIntoMatchesGet(t *testing.T) {
 // precedes enter(), like Release's, so a caller that recovers it can go on
 // using the cache.
 func TestGetPanicLeavesCacheUsable(t *testing.T) {
-	_, _, c := testSetup(t, 1<<12, Config{Capacity: 1 << 10, Mode: AlwaysCache})
+	_, _, c := testSetup(t, 1<<12, Config{Capacity: 1 << 10})
 	var own Request
 	mustPanicClampi(t, "Get outside the window geometry", func() { c.Get(1, 1<<40, 64) })
 	mustPanicClampi(t, "GetInto outside the window geometry", func() { c.GetInto(&own, 7, 0, 64, math.NaN()) })
@@ -225,8 +207,8 @@ func TestTypedWindowCacheServesViews(t *testing.T) {
 	r.LockAll(wu)
 	defer r.UnlockAll(wv)
 	defer r.UnlockAll(wu)
-	cv := New(r, wv, Config{Capacity: 1 << 12, Mode: AlwaysCache})
-	cu := New(r, wu, Config{Capacity: 1 << 12, Mode: AlwaysCache})
+	cv := New(r, wv, Config{Capacity: 1 << 12})
+	cu := New(r, wu, Config{Capacity: 1 << 12})
 
 	// Miss path: the completed request exposes a window view.
 	mq := cv.Get(1, 4, 8)
@@ -262,31 +244,33 @@ func TestTypedWindowCacheServesViews(t *testing.T) {
 }
 
 // TestRequestPoolRoundTrip checks pooled-request recycling across the
-// miss → wait → release lifecycle, including out-of-order completion via
-// FlushWindow: a request leaves the pending list when it completes, whichever
-// way, and returns to the free list — with its transfer — at Release.
+// miss → wait → release lifecycle, including out-of-order completion: each
+// Wait completes its own miss only, and a request returns to the free list at
+// Release.
 func TestRequestPoolRoundTrip(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
 	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<12)})
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 12, Mode: AlwaysCache})
+	c := New(r, w, Config{Capacity: 1 << 12})
 
 	q1 := c.Get(1, 0, 64)
 	q2 := c.Get(1, 64, 64)
 	q3 := c.Get(1, 128, 64)
 	mustPanicClampi(t, "release incomplete miss", func() { q1.Release() })
-	q2.Wait() // out of order: the others stay listed, in issue order
-	if len(c.pending) != 2 || c.pending[0] != q1 || c.pending[1] != q3 || c.inflight != 2 {
-		t.Fatalf("after one Wait: pending %d, inflight %d; want q1, q3 listed", len(c.pending), c.inflight)
+	q2.Wait() // out of order: the others stay in flight
+	if q1.Done() || q3.Done() || c.inflight != 2 || !c.Contains(1, 64, 64) || c.Contains(1, 0, 64) {
+		t.Fatalf("after one Wait: inflight %d; want q1 and q3 in flight, only q2 inserted", c.inflight)
 	}
-	c.FlushWindow()
-	if !q1.Done() || !q3.Done() {
-		t.Fatal("FlushWindow left requests incomplete")
+	r.FlushAll(w) // a window flush does not complete a cached get
+	if q1.Done() || c.inflight != 2 {
+		t.Fatalf("a raw window flush completed a cached miss (inflight %d)", c.inflight)
 	}
-	if len(c.pending) != 0 || c.inflight != 0 {
-		t.Errorf("after FlushWindow: pending %d, inflight %d; want none", len(c.pending), c.inflight)
+	q1.Wait()
+	q3.Wait()
+	if c.inflight != 0 || !c.Contains(1, 0, 64) || !c.Contains(1, 128, 64) {
+		t.Errorf("after every Wait: inflight %d; want none, all three inserted", c.inflight)
 	}
 	q1.Release()
 	q2.Release()
@@ -294,13 +278,13 @@ func TestRequestPoolRoundTrip(t *testing.T) {
 	if len(c.reqFree) != 3 {
 		t.Errorf("free list = %d, want 3", len(c.reqFree))
 	}
-	// Steady state: every completed miss leaves the pending list empty and
-	// the pool at its size.
+	// Steady state: every completed miss leaves nothing in flight and the
+	// pool at its size.
 	for i := 0; i < 200; i++ {
 		q := c.Get(1, (i%32)*128, 128)
 		q.Wait()
-		if len(c.pending) != 0 || c.inflight != 0 {
-			t.Fatalf("access %d: pending %d, inflight %d after Wait", i, len(c.pending), c.inflight)
+		if c.inflight != 0 {
+			t.Fatalf("access %d: inflight %d after Wait", i, c.inflight)
 		}
 		q.Release()
 	}
@@ -310,58 +294,53 @@ func TestRequestPoolRoundTrip(t *testing.T) {
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	var zero Request
+	if zero.Done() {
+		t.Error("a request never issued reports Done")
+	}
 }
 
-// TestMissReadableAfterRawFlush pins the Done/Data contract for a miss
-// whose transfer was completed by a rank-level FlushAll rather than Wait
-// or FlushWindow: Done() reports true and the data accessors work; the
-// cache insertion simply happens at the next FlushWindow.
-func TestMissReadableAfterRawFlush(t *testing.T) {
+// TestNewRefusesWritableWindow: a cache serves read-only windows only, and
+// New and Reset say which window they refused.
+func TestNewRefusesWritableWindow(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
-	region := make([]byte, 1<<12)
-	region[5] = 42
-	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, region})
+	ww := comm.CreateWindow("counters", [][]byte{nil, make([]byte, 64)})
 	r := comm.Rank(0)
-	r.LockAll(w)
-	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 12, Mode: AlwaysCache})
-
-	q := c.Get(1, 0, 64)
-	r.FlushAll(w) // raw rank-level flush, bypassing the cache
-	if !q.Done() {
-		t.Fatal("Done() = false after the transfer completed")
+	refused := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, `"counters"`) || !strings.Contains(msg, "writable") {
+				t.Errorf("%s: panic %q, want one naming the writable window", name, msg)
+			}
+		}()
+		f()
 	}
-	if got := q.Data(); got[5] != 42 {
-		t.Errorf("Data()[5] = %d, want 42", got[5])
-	}
-	if c.Contains(1, 0, 64) {
-		t.Error("entry inserted before the cache observed completion")
-	}
-	c.FlushWindow()
+	refused("New", func() { New(r, ww, Config{Capacity: 1 << 10}) })
+	rr, _, c := testSetup(t, 1<<10, Config{Capacity: 1 << 10})
+	refused("Reset", func() { c.Reset(rr, ww, Config{Capacity: 1 << 10}) })
+	c.Get(1, 0, 64).Wait()
 	if !c.Contains(1, 0, 64) {
-		t.Error("FlushWindow did not insert the completed miss")
+		t.Error("the refused Reset left the cache unable to serve its own window")
 	}
-	q.Release()
 }
 
 // TestMissEvictAllocFree guards the full metadata plane at steady state: a
 // workload where every access misses and evicts (tiny cache, wide key set)
 // must not allocate once the pools have warmed — records, AVL nodes, heap
-// items, requests and their transfers all recycle. Checked over
-// both a writable window (cache-owned byte copies) and a typed read-only
-// window (bookkeeping-only entries).
+// items and requests all recycle. Checked over a byte and a vertex window.
 func TestMissEvictAllocFree(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
-	ww := comm.CreateWindow("rw", [][]byte{nil, make([]byte, 1<<20)})
+	wb := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<20)})
 	wv := comm.CreateVertexWindow("adj", [][]graph.V{nil, make([]graph.V, 1<<18)})
 	r := comm.Rank(0)
-	r.LockAll(ww)
+	r.LockAll(wb)
 	r.LockAll(wv)
-	defer r.UnlockAll(ww)
+	defer r.UnlockAll(wb)
 	defer r.UnlockAll(wv)
 	for name, c := range map[string]*Cache{
-		"writable": New(r, ww, Config{Capacity: 1 << 10, Mode: AlwaysCache}),
-		"readonly": New(r, wv, Config{Capacity: 1 << 10, Mode: AlwaysCache}),
+		"bytes":    New(r, wb, Config{Capacity: 1 << 10}),
+		"vertices": New(r, wv, Config{Capacity: 1 << 10}),
 	} {
 		i := 0
 		cycle := func() {
@@ -382,32 +361,33 @@ func TestMissEvictAllocFree(t *testing.T) {
 	}
 }
 
-// TestEpochFlushAllocFree: transparent-mode epoch closures must clear the
-// table, allocator and heap in place — a steady epoch loop allocates
-// nothing (the seed rebuilt table+allocator every epoch).
+// TestEpochFlushAllocFree: Flush — what the adaptive table resize and a
+// degraded access (Available) take — must clear the table, allocator and heap
+// in place, so a steady fill-and-flush loop allocates nothing (the seed
+// rebuilt table+allocator on every flush).
 func TestEpochFlushAllocFree(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
 	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<16)})
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 12, Mode: Transparent})
+	c := New(r, w, Config{Capacity: 1 << 12})
 	epoch := func() {
 		for i := 0; i < 16; i++ {
 			q := c.Get(1, i*256, 256)
 			q.Wait()
 			q.Release()
 		}
-		c.CloseEpoch()
+		c.Flush()
 	}
 	for i := 0; i < 8; i++ {
 		epoch()
 	}
 	if got := testing.AllocsPerRun(100, epoch); got != 0 {
-		t.Errorf("steady-state epoch flush allocates %.1f/op, want 0", got)
+		t.Errorf("steady-state fill and flush allocates %.1f/op, want 0", got)
 	}
-	if c.Stats().Flushes == 0 {
-		t.Fatal("transparent mode never flushed")
+	if s := c.Stats(); s.Flushes == 0 || s.Hits != 0 {
+		t.Fatalf("the loop must flush every entry before its next get: %+v", s)
 	}
 }
 
@@ -422,7 +402,7 @@ func TestVictimHeapStaysCompact(t *testing.T) {
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 14, Mode: AlwaysCache})
+	c := New(r, w, Config{Capacity: 1 << 14})
 	const entries = 64
 	for i := 0; i < entries; i++ {
 		q := c.GetScored(1, i*256, 256, float64(i))
@@ -456,7 +436,7 @@ func TestZeroKeyIsNeverAHit(t *testing.T) {
 	r := comm.Rank(1) // target 0 is remote from rank 1
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 10, Mode: AlwaysCache})
+	c := New(r, w, Config{Capacity: 1 << 10})
 	if c.Contains(0, 0, 0) {
 		t.Fatal("empty cache claims to contain the zero key")
 	}

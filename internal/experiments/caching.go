@@ -126,12 +126,12 @@ func Fig8Scores() *Table {
 	totalAdjBytes := 4 * g.NumArcs()
 	for _, p := range []int{4, 8, 16, 32, 64} {
 		nonLocal := totalAdjBytes * (p - 1) / p
-		for _, deg := range []bool{false, true} {
+		for _, policy := range []lcc.ScorePolicy{lcc.ScoreLRU, lcc.ScoreDegree} {
 			opt := baseEngineOptions(p)
 			opt.Caching = true
 			opt.OffsetsCacheBytes, _ = paperCacheBytes(g)
 			opt.AdjCacheBytes = nonLocal / 4
-			opt.DegreeScores = deg
+			opt.AdjScorePolicy = policy
 			res, err := lcc.Run(g, opt)
 			if err != nil {
 				panic(err)
@@ -142,7 +142,7 @@ func Fig8Scores() *Table {
 				evict += s.AdjCache.CapacityEvictions + s.AdjCache.ConflictEvictions
 			}
 			label := "LRU+positional"
-			if deg {
+			if policy == lcc.ScoreDegree {
 				label = "degree"
 			}
 			t.AddRow(p, label, res.AvgRemoteReadTime()/1e3, adjRate,

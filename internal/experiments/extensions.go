@@ -294,7 +294,7 @@ func AblationPushPull() *Table {
 			_, adjBytes := paperCacheBytes(g)
 			cachedOpt.OffsetsCacheBytes = 16 * g.NumVertices()
 			cachedOpt.AdjCacheBytes = adjBytes / 4
-			cachedOpt.DegreeScores = true
+			cachedOpt.AdjScorePolicy = lcc.ScoreDegree
 			cached, err := lcc.Run(g, cachedOpt)
 			if err != nil {
 				panic(err)
@@ -369,7 +369,7 @@ func AblationDelegation() *Table {
 		cachedOpt.Caching = true
 		cachedOpt.OffsetsCacheBytes = 16 * g.NumVertices()
 		cachedOpt.AdjCacheBytes = budget
-		cachedOpt.DegreeScores = true
+		cachedOpt.AdjScorePolicy = lcc.ScoreDegree
 		cached, err := lcc.Run(g, cachedOpt)
 		if err != nil {
 			panic(err)

@@ -49,14 +49,11 @@ type Options struct {
 	// power-law-discounted for C_adj with α=2).
 	OffsetsBuckets int
 	AdjBuckets     int
-	// DegreeScores switches C_adj eviction from LRU+positional to the
-	// paper's application-defined score: the remote vertex's out-degree
-	// (§III-B-2). Equivalent to AdjScorePolicy = ScoreDegree.
-	DegreeScores bool
 	// AdjScorePolicy selects the C_adj eviction score; see ScorePolicy.
-	// The non-default policies implement the paper's future-work
-	// direction (iii): "studying other application-specific scores for
-	// cached entries".
+	// ScoreDegree is the paper's application-defined score (§III-B-2); the
+	// other non-default policies implement its future-work direction
+	// (iii): "studying other application-specific scores for cached
+	// entries".
 	AdjScorePolicy ScorePolicy
 	// Adaptive enables CLaMPI's hash-table auto-tuning.
 	Adaptive bool
@@ -237,9 +234,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.Model == (rma.CostModel{}) {
 		o.Model = rma.DefaultCostModel()
-	}
-	if o.DegreeScores && o.AdjScorePolicy == ScoreLRU {
-		o.AdjScorePolicy = ScoreDegree
 	}
 	// Method zero value is MethodSSI; the engine's conventional default
 	// is the hybrid, selected explicitly by callers that want it. We keep
@@ -702,13 +696,11 @@ func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *w
 		offCfg := clampi.Config{
 			Capacity: opt.OffsetsCacheBytes,
 			Buckets:  opt.OffsetsBuckets,
-			Mode:     clampi.AlwaysCache,
 			Adaptive: opt.Adaptive,
 		}
 		adjCfg := clampi.Config{
 			Capacity:    opt.AdjCacheBytes,
 			Buckets:     opt.AdjBuckets,
-			Mode:        clampi.AlwaysCache,
 			Adaptive:    opt.Adaptive,
 			MaxCapacity: opt.AdjCacheMaxBytes,
 		}

@@ -215,7 +215,7 @@ func TestDistributedDegreeScores(t *testing.T) {
 	got, err := Run(g, Options{
 		Ranks: 4, Method: intersect.MethodHybrid, DoubleBuffer: true,
 		Caching: true, OffsetsCacheBytes: 1 << 13, AdjCacheBytes: 1 << 14,
-		DegreeScores: true,
+		AdjScorePolicy: ScoreDegree,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,18 +53,6 @@ func TestDegreeBeatsLRUUnderPressure(t *testing.T) {
 	}
 }
 
-func TestDegreeScoresFlagMapsToPolicy(t *testing.T) {
-	o := Options{DegreeScores: true}.withDefaults(100)
-	if o.AdjScorePolicy != ScoreDegree {
-		t.Errorf("DegreeScores did not map to ScoreDegree (got %v)", o.AdjScorePolicy)
-	}
-	// An explicit policy wins over the legacy flag.
-	o = Options{DegreeScores: true, AdjScorePolicy: ScoreCostBenefit}.withDefaults(100)
-	if o.AdjScorePolicy != ScoreCostBenefit {
-		t.Errorf("explicit policy overridden (got %v)", o.AdjScorePolicy)
-	}
-}
-
 func TestScorePolicyString(t *testing.T) {
 	for policy, want := range map[ScorePolicy]string{
 		ScoreLRU: "lru+positional", ScoreDegree: "degree",

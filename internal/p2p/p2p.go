@@ -54,15 +54,6 @@ type Rank struct {
 	clock rma.Clock
 	ctr   Counters
 
-	// tape defers the superstep body's charges (compute, protocol
-	// handling, send costs) until the clock is observed — the same
-	// model/host decoupling as the rma charge tape, specialized to the
-	// two counter destinations a BSP rank has. Charges fold in append
-	// (= program) order at Clock/Counters reads and at the exchange
-	// boundary, so noise draws and float accumulation keep the exact
-	// canonical sequence.
-	tape []p2pCharge
-
 	outbox [][]Message // staged sends, indexed by destination
 	inbox  []Message   // messages delivered by the previous exchange
 
@@ -71,76 +62,25 @@ type Rank struct {
 	faults *fault.Sched
 }
 
-// p2pCharge is one deferred charge: a modeled duration plus its
-// destination — compute time, send cost, or fault recovery (ack timeouts
-// and retransmissions, which fold as raw advances: recovery is blocking,
-// so it is never noise-perturbed and consumes no noise draws).
-type p2pCharge struct {
-	ns   float64
-	kind uint8
-}
-
-const (
-	chargeCompute uint8 = iota
-	chargeSend
-	chargeFault
-)
-
-// push appends a charge, folding a full tape in place first (folding
-// early is always legal — fold order equals append order either way — so
-// the tape stays one fixed slab however long a superstep body runs).
-func (r *Rank) push(c p2pCharge) {
-	if len(r.tape) == cap(r.tape) {
-		r.fold()
-	}
-	r.tape = append(r.tape, c)
-}
-
-// fold drains the deferred charges in program order.
-func (r *Rank) fold() {
-	if len(r.tape) == 0 {
-		return
-	}
-	for _, c := range r.tape {
-		switch c.kind {
-		case chargeSend:
-			r.clock.Advance(c.ns)
-			r.ctr.SendCost += c.ns
-		case chargeFault:
-			r.clock.AdvanceRaw(c.ns)
-			r.ctr.FaultWait += c.ns
-		default:
-			r.clock.Advance(c.ns)
-			r.ctr.ComputeTime += c.ns
-		}
-	}
-	r.tape = r.tape[:0]
-}
-
 // ID returns the rank id.
 func (r *Rank) ID() int { return r.id }
 
-// Clock returns the rank's simulated clock, folding deferred charges first.
-func (r *Rank) Clock() *rma.Clock {
-	r.fold()
-	return &r.clock
-}
+// Clock returns the rank's simulated clock.
+func (r *Rank) Clock() *rma.Clock { return &r.clock }
 
-// Counters returns a snapshot of the rank's counters, folding first.
-func (r *Rank) Counters() Counters {
-	r.fold()
-	return r.ctr
-}
+// Counters returns a snapshot of the rank's counters.
+func (r *Rank) Counters() Counters { return r.ctr }
 
 // Compute charges ops × κ of modeled computation.
 func (r *Rank) Compute(ops int) {
-	r.push(p2pCharge{ns: float64(ops) * r.world.model.ComputePerOp})
+	r.AdvanceBy(float64(ops) * r.world.model.ComputePerOp)
 }
 
 // AdvanceBy charges an arbitrary modeled duration in ns (e.g. per-query
 // protocol processing that is not proportional to intersection ops).
 func (r *Rank) AdvanceBy(ns float64) {
-	r.push(p2pCharge{ns: ns})
+	r.clock.Advance(ns)
+	r.ctr.ComputeTime += ns
 }
 
 // Send stages a []byte message for dst; it is delivered by the next
@@ -165,7 +105,8 @@ func (r *Rank) SendPayload(dst int, payload interface{}, size int) {
 	if dst == r.id {
 		cost = m.LocalCost(size)
 	}
-	r.push(p2pCharge{ns: cost, kind: chargeSend})
+	r.clock.Advance(cost)
+	r.ctr.SendCost += cost
 	if r.faults != nil && dst != r.id {
 		// Fault plane: the schedule may drop this message in flight d
 		// times. The sender detects each loss at the ack-timeout budget
@@ -173,12 +114,16 @@ func (r *Rank) SendPayload(dst int, payload interface{}, size int) {
 		// returns — so delivery content and the canonical
 		// (sender, send-order) exchange fold are untouched, only the
 		// sender's clock pays. Decisions key on the rank-local send
-		// sequence, making them identical at any worker count.
+		// sequence, making them identical at any worker count. Recovery is
+		// blocking, so its advances are raw: never noise-perturbed, no
+		// noise draws.
 		if d := r.faults.MsgDrops(); d > 0 {
 			pol := r.faults.Policy()
 			for i := 0; i < d; i++ {
-				r.push(p2pCharge{ns: pol.TimeoutNS, kind: chargeFault})
-				r.push(p2pCharge{ns: cost, kind: chargeFault})
+				r.clock.AdvanceRaw(pol.TimeoutNS)
+				r.clock.AdvanceRaw(cost)
+				r.ctr.FaultWait += pol.TimeoutNS
+				r.ctr.FaultWait += cost
 			}
 			r.ctr.Retransmits += int64(d)
 		}
@@ -221,7 +166,7 @@ func NewWorldWorkers(p int, model rma.CostModel, workers int) *World {
 	w := &World{p: p, model: model, pool: sched.New(workers)}
 	w.ranks = make([]*Rank, p)
 	for i := range w.ranks {
-		w.ranks[i] = &Rank{id: i, world: w, outbox: make([][]Message, p), tape: make([]p2pCharge, 0, 512)}
+		w.ranks[i] = &Rank{id: i, world: w, outbox: make([][]Message, p)}
 		w.ranks[i].clock.SetNoise(model.Noise, i)
 	}
 	return w
@@ -267,12 +212,9 @@ func (w *World) Superstep(body func(r *Rank)) {
 // the blocking all-to-all step whose cost TriC pays every round.
 func (w *World) Exchange() {
 	w.steps++
-	// Barrier: all ranks wait for the slowest. Superstep bodies have
-	// finished, so folding their deferred charges here is safe and makes
-	// every clock read true simulated time.
+	// Barrier: all ranks wait for the slowest.
 	max := 0.0
 	for _, r := range w.ranks {
-		r.fold()
 		if t := r.clock.Now(); t > max {
 			max = t
 		}
@@ -323,7 +265,6 @@ func (w *World) AllreduceSum(vals []int64) int64 {
 	cost := float64(depth) * (w.model.SendRecvOverhead + w.model.RemoteCost(8))
 	max := 0.0
 	for _, r := range w.ranks {
-		r.fold()
 		if t := r.clock.Now(); t > max {
 			max = t
 		}
@@ -341,7 +282,6 @@ func (w *World) AllreduceSum(vals []int64) int64 {
 func (w *World) MaxClock() float64 {
 	max := 0.0
 	for _, r := range w.ranks {
-		r.fold()
 		if t := r.clock.Now(); t > max {
 			max = t
 		}

@@ -145,7 +145,8 @@ func TestCompressedLocalsWithIsolatedVertices(t *testing.T) {
 	}
 	for _, caching := range []bool{false, true} {
 		opt := lcc.Options{Ranks: 8, Workers: 2, Method: intersect.MethodHybrid, DoubleBuffer: true,
-			Caching: caching, OffsetsCacheBytes: 1 << 10, AdjCacheBytes: 1 << 13, DegreeScores: true}
+			Caching: caching, OffsetsCacheBytes: 1 << 10, AdjCacheBytes: 1 << 13,
+			AdjScorePolicy: lcc.ScoreDegree}
 		opt.Storage = lcc.StoragePlain
 		want, err := lcc.Run(g, opt)
 		if err != nil {
