@@ -69,7 +69,7 @@ func Fig6SharedScaling() *Table {
 		Header: []string{"dataset", "paper graph", "threads", "edges/µs", "speedup"},
 		Notes: []string{
 			"modeled-time executor: per-edge parallel-region cost + chunked work, the bottleneck §IV-C profiles",
-			"single-core host: real goroutine scaling is available via intersect.ParallelCount on multicore machines",
+			"threads are modeled, not run: the engines parallelize across simulated ranks (internal/sched), never inside one intersection",
 		},
 	}
 	cases := []struct{ name, paper string }{

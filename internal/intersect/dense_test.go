@@ -23,6 +23,15 @@ func denseList(rng *rand.Rand, n, perWord int, last graph.V) []graph.V {
 	return list
 }
 
+// denseSet is NewDenseSet without a slab, on the heap: nil when it refuses.
+func denseSet(list []graph.V) (*DenseSet, bool) {
+	d, ok := NewDenseSet(list, nil)
+	if !ok {
+		return nil, false
+	}
+	return &d, true
+}
+
 // copySet returns a deep copy of d, for a trial to damage.
 func copySet(d *DenseSet) *DenseSet {
 	c := *d
@@ -80,7 +89,7 @@ func TestDenseSetMatchesReference(t *testing.T) {
 			last = 1<<32 - 1
 		}
 		b := denseList(rng, n, 2+rng.Intn(40), last)
-		set, ok := NewDenseSet(b, nil)
+		set, ok := denseSet(b)
 		if !ok {
 			t.Fatalf("trial %d: %d ids in %d words got no dense set", trial, n, int(b[n-1]>>6)-int(b[0]>>6)+1)
 		}
@@ -145,7 +154,7 @@ func TestDenseSetMatchesReference(t *testing.T) {
 		sortV(with)
 		with = dedupV(with)
 		for name, other := range others {
-			stale, ok := NewDenseSet(other, nil)
+			stale, ok := denseSet(other)
 			if !ok {
 				continue // the change took the list over the density bound
 			}
@@ -159,7 +168,7 @@ func TestDenseSetMatchesReference(t *testing.T) {
 		twin := slices.Clone(b)
 		if twin[k]+1 < twin[k+1] {
 			twin[k]++
-			foreign, _ := NewDenseSet(twin, nil)
+			foreign, _ := denseSet(twin)
 			if foreign.boundTo(b) == nil || foreign.Equal(set) {
 				t.Fatalf("trial %d: the set of a twin list: binds %v, equal %v", trial, foreign.boundTo(b) != nil, foreign.Equal(set))
 			}
@@ -226,8 +235,8 @@ func TestDenseSpanGuard(t *testing.T) {
 		{"not ascending", append(strideFrom(DenseMinLen, 1000, 1), 3), false},
 		{"an id twice", append(strideFrom(DenseMinLen, 0, 1), DenseMinLen-1, DenseMinLen), false},
 	} {
-		if set, ok := NewDenseSet(c.list, nil); ok != c.set || (set != nil) != ok {
-			t.Errorf("%s: dense set %v (%v), want %v", c.name, ok, set != nil, c.set)
+		if _, ok := NewDenseSet(c.list, nil); ok != c.set {
+			t.Errorf("%s: dense set %v, want %v", c.name, ok, c.set)
 		}
 	}
 }
@@ -240,11 +249,11 @@ func TestDenseSetToleratesUnsorted(t *testing.T) {
 	s := NewScratch()
 	s.EnsureUniverse(1 << 14) // as the engines do: the probes index the bitmap unchecked
 	good := strideFrom(2*DenseMinLen, 100, 3)
-	gset, _ := NewDenseSet(good, nil)
+	gset, _ := denseSet(good)
 	headOff := append([]graph.V{9000}, good[1:]...)
 	tailOff := append(slices.Clone(good[1:]), 3)
 	for _, b := range [][]graph.V{headOff, tailOff} {
-		own, _ := NewDenseSet(b, nil) // nil if the builder refuses the list
+		own, _ := denseSet(b) // nil if the builder refuses the list
 		for _, set := range []*DenseSet{gset, own} {
 			for _, a := range [][]graph.V{{0, 99, 100, 101, 3000, 9000}, good[:100], strideFrom(400, 0, 5)} {
 				for _, m := range []Method{MethodHybrid, MethodSSI, MethodBinary} {

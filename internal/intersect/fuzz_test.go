@@ -2,6 +2,7 @@ package intersect
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -13,7 +14,9 @@ import (
 // charge must match the reference loops' ops — across repeated calls on
 // one Scratch so the stamped, rank-indexed and depth-table paths are all
 // exercised, with the second list's own DenseSet, a stale one, and one with
-// a bit flipped.
+// a bit flipped. On a host with the stamp kernels' AVX-512 bodies all of it
+// runs once with them and once with the Go loops, and each body is held to
+// the other on the pair directly.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint8(2))
 	f.Add([]byte{0, 0, 9, 9, 200}, []byte{9}, uint8(1))
@@ -48,71 +51,100 @@ func FuzzIntersectKernels(f *testing.F) {
 		b := setFromBytes(rawB)
 		m := Method(methodByte % 4)
 
-		s := GetScratch()
-		defer PutScratch(s)
-		// Both argument orders on one scratch, so either list gets to be
-		// the pivot side — and the second order meets the first's stamp.
-		for _, pair := range [][2][]graph.V{{a, b}, {b, a}} {
-			a, b := pair[0], pair[1]
-			oracle := oracleCount(a, b)
-			wantCount, wantOps := Count(m, a, b)
-			if wantCount != oracle {
-				t.Fatalf("reference Count(%v) = %d, oracle %d", m, wantCount, oracle)
-			}
-			wantElems, wantElemOps := Elements(m, a, b, nil)
+		// Where the host has both bodies of the stamp kernels: each one on
+		// this input, and everything below once under each.
+		paths := []bool{false}
+		if hostAVX512 {
+			paths = []bool{true, false}
+			checkStampBodies(t, a, b)
+		}
+		defer func(on bool) { useAVX512 = on }(useAVX512)
+		for _, simd := range paths {
+			useAVX512 = simd
+			s := GetScratch()
+			// Both argument orders on one scratch, so either list gets to be
+			// the pivot side — and the second order meets the first's stamp.
+			for _, pair := range [][2][]graph.V{{a, b}, {b, a}} {
+				a, b := pair[0], pair[1]
+				oracle := oracleCount(a, b)
+				wantCount, wantOps := Count(m, a, b)
+				if wantCount != oracle {
+					t.Fatalf("reference Count(%v) = %d, oracle %d", m, wantCount, oracle)
+				}
+				wantElems, wantElemOps := Elements(m, a, b, nil)
 
-			// The depth-table kernel itself, whatever the dispatch would pick.
-			if len(a) <= len(b) {
-				bc, bo := Binary(a, b)
-				if c, o, _ := depthBinary(depthTable(len(b)), a, b, false, nil); c != bc || o != bo {
-					t.Fatalf("depthBinary = (%d,%d), reference Binary (%d,%d)", c, o, bc, bo)
-				}
-			}
-			// A set over b, and ones that only look like it: the set b had one
-			// id ago, and b's own with a bit flipped in a word or in a rank
-			// entry. All may only be hints.
-			var hints []*DenseSet
-			if set, ok := NewDenseSet(b, nil); ok {
-				k := (len(rawA) + int(methodByte)) % len(set.words)
-				word, rank := copySet(set), copySet(set)
-				word.CorruptForTest(DenseWords, k)
-				rank.CorruptForTest(DenseRank, k)
-				hints = append(hints, set, word, rank)
-				if stale, ok := NewDenseSet(b[:len(b)-1], nil); ok {
-					hints = append(hints, stale)
-				}
+				// The depth-table kernel itself, whatever the dispatch would pick.
 				if len(a) <= len(b) {
 					bc, bo := Binary(a, b)
-					if c, o, _, ok := rankBinary(set, depthTable(len(b)), a, true, false, nil); !ok || c != bc || o != bo {
-						t.Fatalf("rankBinary = (%d,%d,%v), reference Binary (%d,%d)", c, o, ok, bc, bo)
+					if c, o, _ := depthBinary(depthTable(len(b)), a, b, false, nil); c != bc || o != bo {
+						t.Fatalf("depthBinary = (%d,%d), reference Binary (%d,%d)", c, o, bc, bo)
 					}
 				}
-			}
-
-			var elems []graph.V
-			// Three rounds walk the dispatch through its states: fresh
-			// (merge or depth table), stamp, stamped probe or rank index.
-			for call := 0; call < 3; call++ {
-				count, ops := s.Count(m, a, b)
-				if count != wantCount || ops != wantOps {
-					t.Fatalf("call %d method %v: Scratch.Count = (%d,%d), want (%d,%d)",
-						call, m, count, ops, wantCount, wantOps)
+				// A set over b, and ones that only look like it: the set b had one
+				// id ago, and b's own with a bit flipped in a word or in a rank
+				// entry. All may only be hints.
+				var hints []*DenseSet
+				if set, ok := denseSet(b); ok {
+					k := (len(rawA) + int(methodByte)) % len(set.words)
+					word, rank := copySet(set), copySet(set)
+					word.CorruptForTest(DenseWords, k)
+					rank.CorruptForTest(DenseRank, k)
+					hints = append(hints, set, word, rank)
+					if stale, ok := denseSet(b[:len(b)-1]); ok {
+						hints = append(hints, stale)
+					}
+					if len(a) <= len(b) {
+						bc, bo := Binary(a, b)
+						if c, o, _, ok := rankBinary(set, depthTable(len(b)), a, true, false, nil); !ok || c != bc || o != bo {
+							t.Fatalf("rankBinary = (%d,%d,%v), reference Binary (%d,%d)", c, o, ok, bc, bo)
+						}
+					}
 				}
-				for _, set := range hints {
-					if count, ops := s.CountIndexed(m, a, b, set); count != wantCount || ops != wantOps {
-						t.Fatalf("call %d method %v: Scratch.CountIndexed = (%d,%d), want (%d,%d)",
+
+				var elems []graph.V
+				// Three rounds walk the dispatch through its states: fresh
+				// (merge or depth table), stamp, stamped probe or rank index.
+				for call := 0; call < 3; call++ {
+					count, ops := s.Count(m, a, b)
+					if count != wantCount || ops != wantOps {
+						t.Fatalf("call %d method %v: Scratch.Count = (%d,%d), want (%d,%d)",
 							call, m, count, ops, wantCount, wantOps)
 					}
-				}
-				var elemOps int
-				elems, elemOps = s.Elements(m, a, b, elems[:0])
-				if elemOps != wantElemOps || !equalV(elems, wantElems) {
-					t.Fatalf("call %d method %v: Scratch.Elements = %v/%d, want %v/%d",
-						call, m, elems, elemOps, wantElems, wantElemOps)
+					for _, set := range hints {
+						if count, ops := s.CountIndexed(m, a, b, set); count != wantCount || ops != wantOps {
+							t.Fatalf("call %d method %v: Scratch.CountIndexed = (%d,%d), want (%d,%d)",
+								call, m, count, ops, wantCount, wantOps)
+						}
+					}
+					var elemOps int
+					elems, elemOps = s.Elements(m, a, b, elems[:0])
+					if elemOps != wantElemOps || !equalV(elems, wantElems) {
+						t.Fatalf("call %d method %v: Scratch.Elements = %v/%d, want %v/%d",
+							call, m, elems, elemOps, wantElems, wantElemOps)
+					}
 				}
 			}
+			PutScratch(s)
 		}
 	})
+}
+
+// checkStampBodies holds the AVX-512 stamp kernels to the Go loops on a fuzzed
+// pair: b probed into a's stamp as given and reversed (so that ids past the
+// stamp's extent come first), and b's own set ANDed with the stamp.
+func checkStampBodies(t *testing.T, a, b []graph.V) {
+	t.Helper()
+	k := NewScratch()
+	k.Stamp(a)
+	checkProbe(t, k.words, b, "b into a's stamp")
+	back := slices.Clone(b)
+	slices.Reverse(back)
+	checkProbe(t, k.words, back, "b reversed into a's stamp")
+	if set, ok := NewDenseSet(b, nil); ok {
+		stamp := k.words[min(int(set.first>>6), len(k.words)):]
+		n := min(len(set.words), len(stamp))
+		checkAnd(t, set.words[:n], stamp[:n], "b's set and a's stamp")
+	}
 }
 
 // setFromBytes builds a strictly increasing vertex list from fuzz bytes:

@@ -148,39 +148,6 @@ func TestMethodHashViaCount(t *testing.T) {
 	}
 }
 
-func TestParallelCountHash(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	mk := func(n, mod int) []graph.V {
-		seen := map[graph.V]bool{}
-		out := []graph.V{}
-		for len(out) < n {
-			v := graph.V(rng.Intn(mod))
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	a := mk(2000, 20000)
-	b := mk(5000, 20000)
-	want, _ := SSI(a, b)
-	for _, threads := range []int{1, 2, 4, 8} {
-		got := ParallelCount(MethodHash, a, b, ParallelConfig{Threads: threads, Cutoff: 64})
-		if got != want {
-			t.Fatalf("ParallelCount(hash, %d threads) = %d, want %d", threads, got, want)
-		}
-	}
-	// Below cutoff falls back to sequential one-shot hash.
-	small := mk(8, 100)
-	wantSmall, _ := SSI(small, b)
-	got := ParallelCount(MethodHash, small, b, ParallelConfig{Threads: 4, Cutoff: 64})
-	if got != wantSmall {
-		t.Fatalf("ParallelCount(hash, small) = %d, want %d", got, wantSmall)
-	}
-}
-
 func TestBinsFor(t *testing.T) {
 	cases := []struct{ n, min, max int }{
 		{0, 1, 1},

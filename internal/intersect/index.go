@@ -68,14 +68,14 @@ func denseSpan(list []graph.V) (span int, ok bool) {
 	return span, span >= 1 && span <= n
 }
 
-// NewDenseSet builds list's DenseSet, taking its header and arrays from mem
-// (nil: from the heap, one allocation each); ok is false when denseSpan
-// refuses the list or its ids do not amount to len(list) distinct bits inside
-// the span (not an ascending set).
-func NewDenseSet(list []graph.V, mem *Slab) (d *DenseSet, ok bool) {
+// NewDenseSet builds list's DenseSet, taking its arrays from mem (nil: from
+// the heap, one allocation each); ok is false, and d the zero set, when
+// denseSpan refuses the list or its ids do not amount to len(list) distinct
+// bits inside the span (not an ascending set).
+func NewDenseSet(list []graph.V, mem *Slab) (d DenseSet, ok bool) {
 	span, ok := denseSpan(list)
 	if !ok {
-		return nil, false
+		return DenseSet{}, false
 	}
 	base := int(list[0] >> 6)
 	words := mem.uint64s(span)
@@ -84,10 +84,9 @@ func NewDenseSet(list []graph.V, mem *Slab) (d *DenseSet, ok bool) {
 			words[w] |= 1 << (v & 63)
 		}
 	}
-	d = mem.denseSet()
-	*d = DenseSet{first: list[0], last: list[len(list)-1], words: words, rank: mem.uint32s(span + 1)}
+	d = DenseSet{first: list[0], last: list[len(list)-1], words: words, rank: mem.uint32s(span + 1)}
 	if d.fill() != len(list) {
-		return nil, false
+		return DenseSet{}, false
 	}
 	return d, true
 }
@@ -183,25 +182,21 @@ func (d *DenseSet) upperBound(list []graph.V, x graph.V) int {
 	return int(r) + bits.OnesCount64(word&(2<<(x&63)-1))
 }
 
-// Slab carves the headers and arrays of the sets built with it out of chunks,
-// so the owner of hundreds of sets allocates per chunk and not per set. A
-// carved array is never moved or handed out twice, and lives as long as
-// anything refers into its chunk. The zero value is ready; a nil *Slab
-// allocates every array on its own. Not for concurrent use.
+// Slab carves the arrays of the sets built with it out of chunks, so the
+// owner of hundreds of sets allocates per chunk and not per set. A carved
+// array is never moved or handed out twice, and lives as long as anything
+// refers into its chunk. The zero value is ready; a nil *Slab allocates every
+// array on its own. Not for concurrent use.
 type Slab struct {
 	u32   []uint32
 	u64   []uint64
-	sets  []DenseSet
 	bytes int
 }
 
-// slabChunkBytes is the size of a chunk of array elements (DenseSet headers
-// come in chunks of slabSets). An array of more than a quarter of a chunk
-// gets an allocation of its own, so a chunk's unused tail stays below that.
-const (
-	slabChunkBytes = 64 << 10
-	slabSets       = 64
-)
+// slabChunkBytes is the size of a chunk. An array of more than a quarter of a
+// chunk gets an allocation of its own, so a chunk's unused tail stays below
+// that.
+const slabChunkBytes = 64 << 10
 
 // MemBytes is the size of everything the slab has allocated.
 func (m *Slab) MemBytes() int { return m.bytes }
@@ -218,13 +213,6 @@ func (m *Slab) uint64s(n int) []uint64 {
 		return make([]uint64, n)
 	}
 	return carve(&m.u64, &m.bytes, n, slabChunkBytes/8)
-}
-
-func (m *Slab) denseSet() *DenseSet {
-	if m == nil {
-		return new(DenseSet)
-	}
-	return &carve(&m.sets, &m.bytes, 1, slabSets)[0]
 }
 
 // carve cuts n elements off *free, replacing it with a fresh chunk of that

@@ -1,7 +1,7 @@
 // Package intersect implements the sorted-adjacency intersection kernels of
 // §II-C — binary search (Algorithm 1) and sorted set intersection
-// (Algorithm 2) — plus the hybrid decision rule of Eq. (3) and the
-// OpenMP-style parallel variants of §III-C. The intersection size
+// (Algorithm 2) — plus the hybrid decision rule of Eq. (3) and a model of
+// the OpenMP-style parallel intersection of §III-C. The intersection size
 // |adj(v_i) ∩ adj(v_j)| is the number of triangles closed by edge e_ij, the
 // primitive on which both TC and LCC are built.
 //
@@ -19,7 +19,6 @@ package intersect
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -192,97 +191,6 @@ func UpperSlice(b []graph.V, floor graph.V) []graph.V {
 	return b[lo:]
 }
 
-// --- parallel variants (§III-C) ------------------------------------------
-
-// ParallelConfig controls the OpenMP-style parallel intersection: work is
-// chunked over Threads goroutines, but only when the work exceeds Cutoff
-// (too-small parallel regions cost more to enter than they save; §III-C
-// determines a cut-off value below which the intersection is sequential).
-type ParallelConfig struct {
-	Threads int
-	// Cutoff is the minimum length of the split list for going parallel.
-	Cutoff int
-}
-
-// DefaultParallel mirrors the paper's shared-memory setup.
-func DefaultParallel(threads int) ParallelConfig {
-	return ParallelConfig{Threads: threads, Cutoff: 512}
-}
-
-// ParallelCount computes |a ∩ b| with real goroutines. For binary search
-// the shorter (keys) array is split into equal chunks; for SSI the longer
-// array is split and every thread intersects its chunk with the shorter
-// list (§III-C). Falls back to sequential below the cutoff.
-func ParallelCount(method Method, a, b []graph.V, cfg ParallelConfig) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	useSSI := method == MethodSSI || (method == MethodHybrid && PreferSSI(len(a), len(b)))
-	if cfg.Threads <= 1 {
-		c, _ := Count(method, a, b)
-		return c
-	}
-	if method == MethodHash {
-		// The index over the longer list is built once and shared
-		// read-only; the probe (keys) array is chunked like binary
-		// search's.
-		if len(a) < cfg.Cutoff {
-			c, _ := Hash(a, b)
-			return c
-		}
-		ix, _ := BuildHashIndex(b)
-		return parallelChunks(len(a), cfg.Threads, func(lo, hi int) int {
-			c, _ := ix.CountKeys(a[lo:hi])
-			return c
-		})
-	}
-	if useSSI {
-		if len(b) < cfg.Cutoff {
-			c, _ := SSI(a, b)
-			return c
-		}
-		return parallelChunks(len(b), cfg.Threads, func(lo, hi int) int {
-			// Intersect the chunk of the longer list with the full
-			// shorter list; chunks partition b, so counts add up.
-			c, _ := SSI(a, b[lo:hi])
-			return c
-		})
-	}
-	if len(a) < cfg.Cutoff {
-		c, _ := Binary(a, b)
-		return c
-	}
-	return parallelChunks(len(a), cfg.Threads, func(lo, hi int) int {
-		c, _ := Binary(a[lo:hi], b)
-		return c
-	})
-}
-
-// parallelChunks splits [0,n) into `threads` chunks, runs f on each in its
-// own goroutine, and sums the results.
-func parallelChunks(n, threads int, f func(lo, hi int) int) int {
-	if threads > n {
-		threads = n
-	}
-	results := make([]int, threads)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		lo := t * n / threads
-		hi := (t + 1) * n / threads
-		wg.Add(1)
-		go func(t, lo, hi int) {
-			defer wg.Done()
-			results[t] = f(lo, hi)
-		}(t, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range results {
-		total += c
-	}
-	return total
-}
-
 // --- modeled-time parallel executor (Fig. 6 substitute) ------------------
 
 // ThreadModel models the shared-memory execution of §III-C on a machine
@@ -297,7 +205,7 @@ type ThreadModel struct {
 	// RegionNS is the cost of entering+leaving a parallel region once
 	// (OpenMP fork/join bookkeeping; lower with OMP_WAIT_POLICY=active).
 	RegionNS float64
-	Cutoff   int // sequential below this size, as in ParallelConfig
+	Cutoff   int // sequential below this length of the split list (§III-C)
 }
 
 // DefaultThreadModel calibrates against the paper's observations: ~1 ns per

@@ -1,7 +1,6 @@
 package intersect
 
 import (
-	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -125,42 +124,6 @@ func TestAllMethodsMatchOracle(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-}
-
-// Property: parallel variants agree with sequential for every method and
-// several thread counts, both above and below the cutoff.
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	for trial := 0; trial < 40; trial++ {
-		la := 1 + rng.IntN(3000)
-		lb := 1 + rng.IntN(3000)
-		a := randSorted(rng, la, 8000)
-		b := randSorted(rng, lb, 8000)
-		want := refIntersect(a, b)
-		for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid} {
-			for _, threads := range []int{1, 2, 4, 16} {
-				cfg := ParallelConfig{Threads: threads, Cutoff: 256}
-				if got := ParallelCount(m, a, b, cfg); got != want {
-					t.Fatalf("trial %d method %v threads %d: got %d, want %d",
-						trial, m, threads, got, want)
-				}
-			}
-		}
-	}
-}
-
-func randSorted(rng *rand.Rand, n, universe int) []graph.V {
-	seen := map[graph.V]bool{}
-	out := make([]graph.V, 0, n)
-	for len(out) < n {
-		v := graph.V(rng.IntN(universe))
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func TestPreferSSIRule(t *testing.T) {

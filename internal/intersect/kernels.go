@@ -29,6 +29,8 @@ import (
 //   - the word-parallel AND (scratch.go andCount): when the neighbour list
 //     comes with a DenseSet (index.go) — its own bitmap — the count is the
 //     popcount of stamp AND set over the words the set spans, 64 ids a step.
+//     It and the probe run eight words or ids per instruction on a CPU with
+//     AVX-512 (stamp_amd64.s), their Go loops elsewhere.
 //   - the rank query (rankBinary below): when the Algorithm 1 tree is a
 //     DenseSet — the stamped pivot's, which the Scratch builds, or a fetched
 //     hub's, which the caller hands in — a key's insertion point is a prefix

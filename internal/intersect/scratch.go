@@ -156,34 +156,57 @@ func (s *Scratch) Has(v graph.V) bool {
 	return w < len(s.words) && s.words[w]>>(v&63)&1 != 0
 }
 
+// useAVX512 selects the AVX-512 bodies of the two stamp kernels, andCount's
+// AND and probeCount's bit tests (stamp_amd64.s), once at init from CPUID;
+// elsewhere their Go loops run. Tests clear it to run the Go loops on a host
+// that has the assembly.
+var useAVX512 = avx512Missing() == ""
+
 // probeCount counts the elements of b present in the stamped set with one
 // bit test each. b is ascending, so everything at or past the bitmap's
-// extent is absent and the scan can stop.
+// extent is absent and the scan can stop; a damaged b that is not stops at
+// its first such id all the same.
 func (s *Scratch) probeCount(b []graph.V) int {
-	words := s.words
+	if useAVX512 {
+		count, _ := probeCountAVX512(s.words, b)
+		return count
+	}
+	count, _ := probeCountGeneric(s.words, b)
+	return count
+}
+
+// probeCountGeneric counts the ids of b whose bit is set in words, up to n,
+// the index of the first id past the bitmap's extent (len(b) if none is) —
+// where the scan stops, whatever order b is in.
+func probeCountGeneric(words []uint64, b []graph.V) (count, n int) {
 	// 64-bit limit: len(words)*64 can reach 2³² exactly when the stamped
 	// ids touch the top of the uint32 space, which would wrap graph.V.
 	limit := uint64(len(words)) * 64
-	count := 0
-	// 4-way unroll: b is ascending, so one limit test on the last element
-	// covers the quad, and the four bit probes are independent loads the
-	// core can overlap.
 	i := 0
-	for ; i+4 <= len(b) && uint64(b[i+3]) < limit; i += 4 {
-		v0, v1, v2, v3 := b[i], b[i+1], b[i+2], b[i+3]
-		count += int(words[v0>>6]>>(v0&63)&1) +
-			int(words[v1>>6]>>(v1&63)&1) +
-			int(words[v2>>6]>>(v2&63)&1) +
-			int(words[v3>>6]>>(v3&63)&1)
-	}
-	for ; i < len(b); i++ {
+	for i < len(b) {
+		// 4-way unroll: the OR of four ids is at least the largest, so one
+		// limit test covers the quad, and the four bit probes are
+		// independent loads the core can overlap. A quad the test refuses
+		// advances one id at a time.
+		if i+4 <= len(b) {
+			q := b[i : i+4 : i+4]
+			if v0, v1, v2, v3 := q[0], q[1], q[2], q[3]; uint64(v0|v1|v2|v3) < limit {
+				count += int(words[v0>>6]>>(v0&63)&1) +
+					int(words[v1>>6]>>(v1&63)&1) +
+					int(words[v2>>6]>>(v2&63)&1) +
+					int(words[v3>>6]>>(v3&63)&1)
+				i += 4
+				continue
+			}
+		}
 		v := b[i]
 		if uint64(v) >= limit {
 			break
 		}
 		count += int(words[v>>6] >> (v & 63) & 1)
+		i++
 	}
-	return count
+	return count, i
 }
 
 // probeElements appends the elements of b present in the stamped set to
@@ -213,16 +236,27 @@ func (s *Scratch) andCount(set *DenseSet) (count int, ok bool) {
 		stamp = s.words[base:]
 	}
 	n := min(len(set.words), len(stamp))
-	words, stamp := set.words[:n], stamp[:n]
 	var sum uint64
-	for i, w := range words {
-		count += bits.OnesCount64(w & stamp[i])
-		sum += w
+	if useAVX512 {
+		count, sum = andCountAVX512(set.words[:n], stamp[:n])
+	} else {
+		count, sum = andCountGeneric(set.words[:n], stamp[:n])
 	}
 	for _, w := range set.words[n:] {
 		sum += w
 	}
 	return count, sum == set.sum
+}
+
+// andCountGeneric returns Σ popcount(words[i] & stamp[i]) and Σ words[i]
+// over the words; stamp is at least as long.
+func andCountGeneric(words, stamp []uint64) (count int, sum uint64) {
+	stamp = stamp[:len(words)]
+	for i, w := range words {
+		count += bits.OnesCount64(w & stamp[i])
+		sum += w
+	}
+	return count, sum
 }
 
 // hostSSI computes the Algorithm 2-charged intersection of (a, b) where a

@@ -53,7 +53,7 @@ func TestScratchZeroAlloc(t *testing.T) {
 	}
 	assertZeroAllocs(t, "depth binary", func() { s.Count(MethodBinary, keys, tree) })
 	assertZeroAllocs(t, "hybrid dispatch", func() { s.Count(MethodHybrid, keys, tree) })
-	otherSet, ok := NewDenseSet(other, nil) // 1024 ids in 80 words
+	otherSet, ok := denseSet(other) // 1024 ids in 80 words
 	if !ok {
 		t.Fatal("no dense set over the SSI-charged partner")
 	}
@@ -63,6 +63,10 @@ func TestScratchZeroAlloc(t *testing.T) {
 		s.CountIndexed(MethodSSI, pivot, other, otherSet) // stamps pivot
 		s.CountIndexed(MethodHybrid, pivot, other, otherSet)
 	})
+	if hostAVX512 { // the stamp kernels' assembly, which the rows above reach through the dispatch
+		assertZeroAllocs(t, "AVX-512 AND", func() { andCountAVX512(otherSet.words, s.words[:len(otherSet.words)]) })
+		assertZeroAllocs(t, "AVX-512 probe", func() { probeCountAVX512(s.words, other) })
+	}
 	long := stride(depthMaxLen+1, 3) // past the depth cache's length bound
 	assertZeroAllocs(t, "reference binary", func() { s.Count(MethodBinary, keys, long) })
 	s.Count(MethodBinary, tree, keys) // warm: tree is the pivot side, so it is stamped and indexed

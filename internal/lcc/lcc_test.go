@@ -132,18 +132,6 @@ func TestSharedMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestSharedParallelMatchesSequential(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(10, 8, graph.Undirected, 42))
-	want := SharedLCC(g, intersect.MethodHybrid)
-	got := SharedLCCParallel(g, intersect.MethodHybrid, intersect.ParallelConfig{Threads: 4, Cutoff: 64})
-	if got.Triangles != want.Triangles {
-		t.Errorf("parallel Triangles = %d, want %d", got.Triangles, want.Triangles)
-	}
-	if !lccClose(got.LCC, want.LCC) {
-		t.Error("parallel LCC differs from sequential")
-	}
-}
-
 func randomSimpleGraph(kind graph.Kind, n, m int, seed uint64) *graph.Graph {
 	rng := rand.New(rand.NewPCG(seed, seed*7+1))
 	edges := make([]graph.Edge, m)

@@ -25,9 +25,9 @@ import (
 // adj(v_j) (owner CSR, window view, cache hit, delegation replica, decode
 // buffer) holds the same ids — and published with atomics, so concurrent
 // runs share one index and a run's results do not depend on what ran
-// before. Host memory only: 4 bytes per vertex, and per dense hub a 16-byte
-// entry (allocated a page at a time), the set's 64-byte header and its
-// arrays, twelve bytes per spanned 64-id word (at most twelve per id), both
+// before. Host memory only: 4 bytes per vertex, and per dense hub a 72-byte
+// entry that holds the set's header (allocated a page at a time) and the
+// set's arrays, twelve bytes per spanned 64-id word (at most twelve per id),
 // carved from 64 KiB chunks (mem); not counted by LocalBytes, freed with the
 // snapshot.
 //
@@ -44,8 +44,8 @@ type orientIndex struct {
 	// The hub entries, in pages so that a published slot never moves:
 	// fillers write the next slot under mu and then publish it in word,
 	// readers reach it through word's atomic load alone. A graph has at
-	// most one hub per vertex, which sizes page. mem is where their sets
-	// come from, under mu like the slots.
+	// most one hub per vertex, which sizes page. mem is where their sets'
+	// arrays come from, under mu like the slots.
 	mu   sync.Mutex
 	hubs uint32
 	mem  intersect.Slab
@@ -60,10 +60,11 @@ const (
 type hubPage [1 << hubPageBits]hubEntry
 
 // hubEntry is the index of a vertex whose upper list has a DenseSet.
-// Immutable once published; set is nil in the slots past the last one.
+// Immutable once published; the slots past the last one hold the zero entry,
+// whose set has no words.
 type hubEntry struct {
 	upper int
-	set   *intersect.DenseSet
+	set   intersect.DenseSet
 }
 
 func newOrientIndex(n int) *orientIndex {
@@ -92,7 +93,7 @@ func (ix *orientIndex) upper(vj graph.V, list []graph.V) ([]graph.V, *intersect.
 		if h == nil {
 			return intersect.UpperSlice(list, vj), nil
 		}
-		u, set = h.upper, h.set
+		u, set = h.upper, &h.set
 	}
 	// u is the upper offset of an ascending list iff its two neighbours say so.
 	if uint(u) > uint(len(list)) || (u > 0 && list[u-1] > vj) || (u < len(list) && list[u] <= vj) {
@@ -110,7 +111,7 @@ func (ix *orientIndex) hub(slot uint32) *hubEntry {
 	if pg == nil {
 		return nil
 	}
-	if h := &pg[slot&(1<<hubPageBits-1)]; h.set != nil {
+	if h := &pg[slot&(1<<hubPageBits-1)]; h.set.MemBytes() != 0 {
 		return h
 	}
 	return nil
@@ -134,10 +135,11 @@ func (ix *orientIndex) fill(vj graph.V, list []graph.V) ([]graph.V, *intersect.D
 				pg = new(hubPage)
 				ix.page[slot>>hubPageBits].Store(pg)
 			}
-			pg[slot&(1<<hubPageBits-1)] = hubEntry{upper: u, set: set}
+			h := &pg[slot&(1<<hubPageBits-1)]
+			*h = hubEntry{upper: u, set: set}
 			ix.hubs++
 			ix.word[vj].Store(hubFlag | slot)
-			return up, set
+			return up, &h.set
 		}
 	}
 	if u+1 < hubFlag {
@@ -168,7 +170,7 @@ func (ix *orientIndex) verify(adj func(v graph.V, buf []graph.V) []graph.V) (bad
 		if w&hubFlag == 0 {
 			return graph.V(v), false
 		}
-		if h := ix.hub(w &^ hubFlag); h == nil || h.upper != u || !h.set.Equal(set) {
+		if h := ix.hub(w &^ hubFlag); h == nil || h.upper != u || !h.set.Equal(&set) {
 			return graph.V(v), false
 		}
 	}

@@ -103,34 +103,6 @@ func SharedLCC(g *graph.Graph, method intersect.Method) *SharedResult {
 	return res
 }
 
-// SharedLCCParallel is SharedLCC with the per-edge intersection computed on
-// `threads` goroutines (the paper's OpenMP scheme: parallelism inside each
-// intersection, not across edges, for low imbalance; §III-C).
-func SharedLCCParallel(g *graph.Graph, method intersect.Method, cfg intersect.ParallelConfig) *SharedResult {
-	n := g.NumVertices()
-	res := &SharedResult{
-		LCC:       make([]float64, n),
-		PerVertex: make([]int64, n),
-	}
-	var sum int64
-	for v := 0; v < n; v++ {
-		adjI := g.Adj(graph.V(v))
-		var t int64
-		for _, vj := range adjI {
-			adjJ := g.Adj(vj)
-			if g.Kind() == graph.Undirected {
-				adjJ = intersect.UpperSlice(adjJ, vj)
-			}
-			t += int64(intersect.ParallelCount(method, adjI, adjJ, cfg))
-		}
-		res.PerVertex[v] = t
-		res.LCC[v] = Score(g.Kind(), t, len(adjI))
-		sum += t
-	}
-	res.Triangles = TriangleCount(g.Kind(), sum)
-	return res
-}
-
 // BruteForceLCC is the O(n·d²) reference used only by tests: it checks
 // every neighbour pair with HasEdge.
 func BruteForceLCC(g *graph.Graph) *SharedResult {
