@@ -173,7 +173,8 @@ type LCCOptions = lcc.Options
 
 // StorageMode selects the host-side representation of the per-rank local
 // CSRs (LCCOptions.Storage): plain arrays, varint/delta-compressed, or
-// automatic under LCCOptions.MemBudgetBytes. Purely a host memory/speed
+// automatic under a snapshot's budget (lcc.SnapshotOptions.MemBudgetBytes;
+// a one-shot run has none, so auto is plain). Purely a host memory/speed
 // trade — every simulated bit is identical across modes (DESIGN.md §9).
 type StorageMode = lcc.StorageMode
 

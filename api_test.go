@@ -4,8 +4,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"math"
+	"path"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro"
@@ -113,5 +117,204 @@ func TestFacadeFuncsHaveCallers(t *testing.T) {
 	}
 	if len(orphans) > 0 {
 		t.Errorf("api.go funcs no example calls: %v — add a caller or delete them", orphans)
+	}
+}
+
+// TestConfigFieldsHaveCallers keeps the configuration structs from carrying
+// knobs nobody turns: every field of lcc.Options, lcc.SnapshotOptions and
+// clampi.Config must be set by a non-test file outside the type's own
+// package, under cmd/, examples/, internal/ or bench/. A field is set by a
+// key of a composite literal of its type (lcc.Options{…},
+// repro.LCCOptions{…}, clampi.Config{…}, or an element of a slice or map
+// literal of one), or by an assignment to a selector of its name in a file
+// importing the type's package (o.Workers = …). A value that only forwards
+// a field of a parameter of one of the three types (Buckets: opt.X) sets
+// nothing unless that field is set itself.
+func TestConfigFieldsHaveCallers(t *testing.T) {
+	home := map[string]string{"lcc.Options": "internal/lcc", "lcc.SnapshotOptions": "internal/lcc", "clampi.Config": "internal/clampi"}
+	// Set by clampi's own tests only: TestVictimOrderDigest's conflict and
+	// positional rows pin them.
+	allow := map[string]bool{"clampi.Config.Assoc": true, "clampi.Config.PosWeight": true}
+
+	type file struct {
+		dir string
+		ast *ast.File
+	}
+	var files []file
+	fset := token.NewFileSet()
+	for _, root := range []string{"cmd", "examples", "internal", "bench"} {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, p, nil, 0)
+			files = append(files, file{filepath.ToSlash(filepath.Dir(p)), f})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// typeOf names the type e spells in a file of package pkg: "lcc.Options"
+	// for Options in package lcc, lcc.Options and repro.LCCOptions alike.
+	typeOf := func(e ast.Expr, pkg string) string {
+		if s, ok := e.(*ast.StarExpr); ok {
+			e = s.X
+		}
+		switch e := e.(type) {
+		case *ast.Ident:
+			return pkg + "." + e.Name
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok && x.Name+"."+e.Sel.Name == "repro.LCCOptions" {
+				return "lcc.Options"
+			} else if ok {
+				return x.Name + "." + e.Sel.Name
+			}
+		}
+		return ""
+	}
+
+	fields := map[string][]string{} // checked type → its field names, in order
+	isField := map[string]bool{}    // "lcc.Options.Workers"
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			typ := f.ast.Name.Name + "." + ts.Name.Name
+			if st, isStruct := ts.Type.(*ast.StructType); isStruct && home[typ] == f.dir {
+				for _, fl := range st.Fields.List {
+					for _, name := range fl.Names {
+						fields[typ] = append(fields[typ], name.Name)
+						isField[typ+"."+name.Name] = true
+					}
+				}
+			}
+			return false
+		})
+	}
+	if len(fields) != len(home) {
+		t.Fatalf("found %d of the %d checked types", len(fields), len(home))
+	}
+
+	// Every site that sets a field, with the field its value forwards, if any.
+	type site struct{ field, from string }
+	var sites []site
+	for _, f := range files {
+		pkg := f.ast.Name.Name
+		imports := map[string]bool{}
+		for _, im := range f.ast.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			imports[path.Base(p)] = true
+		}
+		// checked names the type e spells if it is checked here: a checked
+		// type outside its own package.
+		checked := func(e ast.Expr) string {
+			if typ := typeOf(e, pkg); home[typ] != "" && home[typ] != f.dir {
+				return typ
+			}
+			return ""
+		}
+		for _, d := range f.ast.Decls {
+			params := map[string]string{} // parameter of a checked type → the type
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				for _, fl := range []*ast.FieldList{fn.Recv, fn.Type.Params} {
+					if fl == nil {
+						continue
+					}
+					for _, p := range fl.List {
+						if typ := typeOf(p.Type, pkg); home[typ] != "" {
+							for _, name := range p.Names {
+								params[name.Name] = typ
+							}
+						}
+					}
+				}
+			}
+			forwards := func(v ast.Expr) string {
+				if s, ok := v.(*ast.SelectorExpr); ok {
+					if x, ok := s.X.(*ast.Ident); ok && isField[params[x.Name]+"."+s.Sel.Name] {
+						return params[x.Name] + "." + s.Sel.Name
+					}
+				}
+				return ""
+			}
+			literal := func(typ string, lit *ast.CompositeLit) {
+				for _, el := range lit.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							sites = append(sites, site{typ + "." + k.Name, forwards(kv.Value)})
+						}
+					}
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if typ := checked(n.Type); typ != "" {
+						literal(typ, n)
+					}
+					// A slice, array or map literal's elements may elide the type.
+					var elt ast.Expr
+					switch lt := n.Type.(type) {
+					case *ast.ArrayType:
+						elt = lt.Elt
+					case *ast.MapType:
+						elt = lt.Value
+					}
+					if typ := checked(elt); typ != "" {
+						for _, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								el = kv.Value
+							}
+							if lit, ok := el.(*ast.CompositeLit); ok && lit.Type == nil {
+								literal(typ, lit)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						sel, ok := lhs.(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						from := ""
+						if len(n.Rhs) == len(n.Lhs) {
+							from = forwards(n.Rhs[i])
+						}
+						for typ, dir := range home {
+							pkgName, _, _ := strings.Cut(typ, ".")
+							imported := imports[pkgName] || typ == "lcc.Options" && imports["repro"]
+							if dir != f.dir && imported && isField[typ+"."+sel.Sel.Name] {
+								sites = append(sites, site{typ + "." + sel.Sel.Name, from})
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	set := map[string]bool{}
+	for changed := true; changed; {
+		changed = false
+		for _, s := range sites {
+			if !set[s.field] && (s.from == "" || set[s.from]) {
+				set[s.field], changed = true, true
+			}
+		}
+	}
+	var orphans []string
+	for _, typ := range []string{"clampi.Config", "lcc.Options", "lcc.SnapshotOptions"} {
+		for _, name := range fields[typ] {
+			if key := typ + "." + name; !set[key] && !allow[key] {
+				orphans = append(orphans, key)
+			}
+		}
+	}
+	if len(orphans) > 0 {
+		t.Errorf("fields no program outside their package sets: %v — give each a caller or delete it", orphans)
 	}
 }

@@ -198,18 +198,6 @@ func BenchmarkRMAAccumulate(b *testing.B) {
 	}
 }
 
-func BenchmarkRMAFetchAdd(b *testing.B) {
-	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateWindow("bench", [][]byte{nil, make([]byte, 8)})
-	r := comm.Rank(0)
-	r.LockAll(w)
-	defer r.UnlockAll(w)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.FetchAdd64(w, 1, 0, 1)
-	}
-}
-
 func BenchmarkWattsStrogatz(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

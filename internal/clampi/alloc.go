@@ -56,8 +56,7 @@ func newAllocator(capacity int) *allocator {
 }
 
 // reset rewinds the slab and restores the single pristine free region of the
-// given capacity (the current one on a flush, the configured one when the
-// cache is recycled after adaptive growth), without reallocating anything.
+// given capacity, without reallocating anything.
 func (a *allocator) reset(capacity int) {
 	a.recs = append(a.recs[:0], record{})
 	a.unused, a.head, a.tail = 0, 0, 0
@@ -172,32 +171,6 @@ func (a *allocator) free(id uint32) {
 	}
 	b.slot = freeSlot
 	a.tree.insert(b.size, b.off, id)
-}
-
-// grow extends the buffer by extra bytes. The new tail merges with a
-// trailing free region if one ends at the old capacity, so a grown buffer
-// is indistinguishable from one created at the larger size with the same
-// entries. Existing extents keep their offsets — growth never invalidates.
-func (a *allocator) grow(extra int) {
-	if extra <= 0 {
-		return
-	}
-	a.capacity += extra
-	if t := a.tail; t != 0 && a.recs[t].slot == freeSlot {
-		tr := &a.recs[t]
-		a.mustRemove(tr)
-		tr.size += extra
-		a.tree.insert(tr.size, tr.off, t)
-		return
-	}
-	id := a.newRec(record{off: a.capacity - extra, size: extra, prev: a.tail, slot: freeSlot})
-	if a.tail != 0 {
-		a.recs[a.tail].next = id
-	} else {
-		a.head = id
-	}
-	a.tail = id
-	a.tree.insert(extra, a.capacity-extra, id)
 }
 
 // freeBytes returns the total number of unallocated bytes.

@@ -6,9 +6,11 @@
 // As in the original system, variable-size entries are supported with two
 // data structures: a hash table indexing cached entries and an AVL tree
 // storing the free regions of the memory buffer reserved for caching
-// (§II-F). Both the hash-table size and the buffer capacity are tunable,
-// and an adaptive heuristic can resize the hash table by observing misses,
-// conflicts and evictions.
+// (§II-F). Both the hash-table size and the buffer capacity are tunable.
+// The original's adaptive heuristic, which resizes the table by observing
+// conflicts and evictions and flushes the cache each time, is left out: the
+// paper sizes both caches up front by its §III-B-1 rule instead, so a
+// cache's geometry is the configuration's from one Reset to the next.
 //
 // The metadata plane is one slab of records addressed by uint32 id — a
 // record is an extent of the memory buffer and, while allocated, the entry

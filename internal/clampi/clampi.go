@@ -19,32 +19,18 @@ const AlwaysCache Mode = 0
 
 // Config tunes one cache instance. Both the hash-table size and the memory
 // buffer capacity are the use-case-specific parameters §II-F describes;
-// §III-B-1 derives good starting values for the two caches of the LCC
-// engine.
+// §III-B-1 derives them for the two caches of the LCC engine, and they hold
+// from one Reset to the next.
 type Config struct {
 	// Capacity is the memory buffer reserved for cached data, in bytes.
 	Capacity int
-	// Buckets is the initial hash-table size (number of buckets).
+	// Buckets is the hash-table size (number of buckets). Default 1024.
 	Buckets int
 	// Assoc is the bucket associativity (entries per bucket). Default 4.
 	Assoc int
 	// Mode is the consistency mode. AlwaysCache is the only one; the field
 	// stays because the benchmark's replay (bench/replay.go) names it.
 	Mode Mode
-	// Adaptive enables the hash-table auto-tuning heuristic: when the
-	// conflict-eviction rate is high the table doubles (and the cache is
-	// flushed, which is why §III-B-1 stresses good starting values).
-	Adaptive bool
-	// MaxBuckets bounds adaptive growth. Default 1<<22.
-	MaxBuckets int
-	// MaxCapacity enables adaptive growth of the memory buffer (§II-F:
-	// the heuristic resizes "the hash table and the memory buffer"):
-	// when capacity evictions dominate an observation window, the buffer
-	// doubles, up to this many bytes. 0 disables buffer growth. Unlike a
-	// hash-table resize, buffer growth keeps every cached entry — the
-	// region is extended in place and the realloc copy is charged as
-	// management overhead.
-	MaxCapacity int
 	// PosWeight scales the positional (fragmentation) component of the
 	// default eviction score. Default 64 ticks.
 	PosWeight float64
@@ -56,9 +42,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Buckets == 0 {
 		c.Buckets = 1024
-	}
-	if c.MaxBuckets == 0 {
-		c.MaxBuckets = 1 << 22
 	}
 	if c.PosWeight == 0 {
 		c.PosWeight = 64
@@ -80,23 +63,12 @@ type Stats struct {
 	Inserts            int64
 	RejectedInserts    int64
 	Flushes            int64
-	Resizes            int64
-	BufferResizes      int64
 	HitTime            float64 // ns charged for cache hits
 	OverheadTime       float64 // ns of cache-management overhead on misses
 	BytesCached        int64   // current buffer occupancy
 	EntriesCached      int64   // current entry count
 	FragmentationRatio float64 // 1 - largestFree/freeBytes at snapshot time
 	DegradedOps        int64   // accesses served degraded: cache fault, direct-RMA fallback
-}
-
-// MissRate returns Misses/(Hits+Misses), or 0 before any access.
-func (s Stats) MissRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
 }
 
 // Cache is one CLaMPI instance: it transparently caches the gets a single
@@ -152,11 +124,6 @@ type Cache struct {
 	// onEvict, when a test sets it, observes every eviction before it
 	// happens: its kind, the victim's packed key and the cache's tick.
 	onEvict func(conflict bool, key, tick uint64)
-
-	// adaptive-tuning observation window
-	obsOps       int64
-	obsConflicts int64
-	obsCapacity  int64
 }
 
 // New wraps read-only window w for rank r with a cache configured by cfg.
@@ -166,9 +133,8 @@ func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 
 // Reset binds the cache to rank r and window w under cfg and puts it in the
 // state of a just-constructed instance, in place: empty table at cfg's
-// geometry and one pristine free region of cfg's capacity (so adaptive
-// growth of an earlier use is undone), the record slab rewound, the victim
-// heap emptied, tick, compulsory-miss set, statistics and observation window
+// geometry and one pristine free region of cfg's capacity, the record slab
+// rewound, the victim heap emptied, tick, compulsory-miss set and statistics
 // zeroed. It is the only initialiser — New is Reset on the zero Cache — so a
 // recycled instance and a fresh one cannot differ in anything the model can
 // see; they differ in how much backing storage is already there. Returns c.
@@ -223,7 +189,6 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 	c.empty()
 	c.tick = 0
 	c.stats = Stats{}
-	c.obsOps, c.obsConflicts, c.obsCapacity = 0, 0, 0
 	return c
 }
 
@@ -482,7 +447,6 @@ func (c *Cache) get(q *Request, target, offset, size int, score float64) {
 	}
 	pk := c.coder.pack(target, offset, size)
 	h := c.coder.hash(target, offset, size)
-	c.obsOps++
 	if c.tab.lookupTouch(pk, h, c.tick+1) >= 0 {
 		c.tick++
 		c.stats.Hits++
@@ -515,7 +479,6 @@ func (c *Cache) get(q *Request, target, offset, size int, score float64) {
 	q.size, q.pk, q.h, q.score, q.xfer = size, pk, h, score, true
 	c.rank.GetInto(&q.own, c.win, target, offset, size)
 	c.inflight++
-	c.maybeResize()
 }
 
 // complete offers a miss whose transfer finished to the cache (Fig. 3,
@@ -570,7 +533,6 @@ func (c *Cache) insert(pk, h uint64, size int, score float64) {
 		}
 		c.evict(victim, true)
 		c.stats.ConflictEvictions++
-		c.obsConflicts++
 		slot = c.tab.freeSlot(h)
 	}
 
@@ -587,7 +549,6 @@ func (c *Cache) insert(pk, h uint64, size int, score float64) {
 		}
 		c.evict(c.victims.pop().id, false)
 		c.stats.CapacityEvictions++
-		c.obsCapacity++
 		id, ok = c.alloc.alloc(size)
 	}
 
@@ -676,10 +637,9 @@ func (c *Cache) Preload(regions []Region) (sum uint64) {
 	return sum
 }
 
-// Flush empties the cache: the adaptive heuristic's table resize and a
-// degraded access (Available) take it. All structures are cleared in place: the heap is truncated, the slab rewinds to the one record of a
-// pristine free region, and the table keeps its arrays unless the adaptive
-// heuristic grew it past them.
+// Flush empties the cache; a degraded access (Available) takes it. All
+// structures are cleared in place: the heap is truncated, the slab rewinds to
+// the one record of a pristine free region, and the table keeps its arrays.
 func (c *Cache) Flush() {
 	c.empty()
 	c.stats.Flushes++
@@ -713,40 +673,6 @@ func (c *Cache) Available() bool {
 	c.Flush()
 	c.leave()
 	return false
-}
-
-// maybeResize implements the adaptive parameter-tuning heuristic (§II-F:
-// CLaMPI "automatically resizes the hash table and the memory buffer by
-// observing indicators such as cache misses, conflicts in the hash table,
-// and evictions due to lack of space"). Every observation window:
-//
-//   - if conflict evictions dominate, the hash table doubles and the
-//     cache is flushed (the behaviour §III-B-1 works around by choosing
-//     good initial sizes);
-//   - if capacity evictions dominate and Config.MaxCapacity allows, the
-//     memory buffer doubles. Growth extends the region in place, so
-//     cached entries survive; the realloc copy of the resident bytes is
-//     charged as management overhead.
-func (c *Cache) maybeResize() {
-	const window = 1024
-	if !c.cfg.Adaptive || c.obsOps < window {
-		return
-	}
-	conflictRate := float64(c.obsConflicts) / float64(c.obsOps)
-	capacityRate := float64(c.obsCapacity) / float64(c.obsOps)
-	c.obsOps, c.obsConflicts, c.obsCapacity = 0, 0, 0
-	if conflictRate > 0.10 && c.cfg.Buckets*2 <= c.cfg.MaxBuckets {
-		c.cfg.Buckets *= 2
-		c.stats.Resizes++
-		c.Flush()
-		return
-	}
-	if capacityRate > 0.10 && c.cfg.MaxCapacity > 0 && 2*c.cfg.Capacity <= c.cfg.MaxCapacity {
-		c.stats.OverheadTime += c.rank.ChargeCacheManage(c.alloc.used)
-		c.alloc.grow(c.cfg.Capacity)
-		c.cfg.Capacity *= 2
-		c.stats.BufferResizes++
-	}
 }
 
 // checkInvariants validates cross-structure consistency (tests only).

@@ -233,34 +233,6 @@ func TestRequestWaitCompletesSingleMiss(t *testing.T) {
 	}
 }
 
-func TestAdaptiveResizeOnConflicts(t *testing.T) {
-	_, _, c := testSetup(t, 1<<20, Config{
-		Capacity: 1 << 20, Buckets: 1, Assoc: 1, Adaptive: true,
-	})
-	// Thrash distinct keys through the 1-slot table.
-	for i := 0; i < 3000; i++ {
-		c.Get(1, (i%4000)*8, 8).Wait()
-	}
-	s := c.Stats()
-	if s.Resizes == 0 {
-		t.Errorf("adaptive heuristic never resized (conflicts=%d)", s.ConflictEvictions)
-	}
-	if c.cfg.Buckets <= 1 {
-		t.Errorf("buckets = %d, want grown", c.cfg.Buckets)
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("MissRate of empty stats != 0")
-	}
-	s.Hits, s.Misses = 3, 1
-	if got := s.MissRate(); got != 0.25 {
-		t.Errorf("MissRate = %v, want 0.25", got)
-	}
-}
-
 func TestPositionalScorePrefersFragmentingVictims(t *testing.T) {
 	// Capacity 140 holds A[0,40) B[40,80) C[80,120) plus a 20-byte free
 	// tail adjacent to C. Inserting a 60-byte entry needs an eviction;

@@ -116,7 +116,6 @@ var digestCases = []struct {
 	{"lru-conflicts", Config{Capacity: 1 << 13, Buckets: 36, Assoc: 2, PosWeight: 512}, churnLRU, 0x247c0b201af2ee70, 8779},
 	{"degree-ties", Config{Capacity: 1 << 13, Buckets: 96}, churnDegree, 0xc62e066b86db7753, 2864},
 	{"score-updates", Config{Capacity: 1 << 12, Buckets: 64}, churnUpdate, 0x0bea60cfe5b3fac1, 7195},
-	{"adaptive-growth", Config{Capacity: 1 << 11, Buckets: 4, Assoc: 2, MaxCapacity: 1 << 14, Adaptive: true}, churnLRU, 0xae38181179e04b4a, 8319},
 }
 
 // TestVictimOrderDigest holds a fresh instance and a recycled one to the
@@ -125,7 +124,7 @@ func TestVictimOrderDigest(t *testing.T) {
 	idle := func() {}
 	// One instance is recycled through every case after its fresh twin ran
 	// it: Reset followed by the same churn must evict in the same order.
-	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8, Adaptive: true})
+	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8})
 	churnDegree(used, 5, idle)
 	for i, tc := range digestCases {
 		_, _, fresh := testSetup(t, digestRegion, tc.cfg)
@@ -153,11 +152,11 @@ func TestVictimOrderDigest(t *testing.T) {
 // TestPreloadIsModelInvisible replays the churns with Preload called between
 // every two operations — on regions that are cached, that are not, and that
 // lie outside the window geometry; on a fresh instance and on one just Reset;
-// across the churns' own flushes and the adaptive table resizes — and requires
+// across the churns' own flushes — and requires
 // the recorded eviction order, the statistics of the undisturbed run to the
 // bit, and consistent structures.
 func TestPreloadIsModelInvisible(t *testing.T) {
-	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8, Adaptive: true})
+	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8})
 	for i, tc := range digestCases {
 		_, _, quiet := testSetup(t, digestRegion, tc.cfg)
 		tc.churn(quiet, uint64(i), func() {})

@@ -27,54 +27,16 @@ func churn(c *Cache, seed uint64, ops, region int) float64 {
 	return c.Rank().Clock().Now()
 }
 
-// TestResetUndoesAdaptiveGrowth: a cache whose adaptive heuristic grew both
-// the table and the buffer returns to the configured geometry, empty, with
-// no trace of the first use in its statistics.
-func TestResetUndoesAdaptiveGrowth(t *testing.T) {
-	const region = 1 << 16
-	cfg := Config{Capacity: 1 << 10, MaxCapacity: 1 << 15, Buckets: 2, Assoc: 1, Adaptive: true}
-	r, w, c := testSetup(t, region, cfg)
-	for round := 0; round < 80; round++ {
-		for off := 0; off < 1<<13; off += 64 {
-			c.Get(1, off, 64).Wait()
-		}
-	}
-	if s := c.Stats(); s.Resizes == 0 || s.BufferResizes == 0 {
-		t.Fatalf("setup: want both kinds of growth, got %+v", s)
-	}
-	if got := c.Reset(r, w, cfg); got != c {
-		t.Fatal("Reset must return its receiver")
-	}
-	if c.cfg.Buckets != 2 || c.cfg.Capacity != 1<<10 {
-		t.Errorf("cfg after Reset: buckets %d capacity %d, want 2 and 1024", c.cfg.Buckets, c.cfg.Capacity)
-	}
-	if c.tab.buckets != 2 || len(c.tab.ents) != 2 || c.alloc.capacity != 1<<10 || c.alloc.largestFree() != 1<<10 {
-		t.Errorf("structures after Reset: table %d buckets/%d slots, buffer %d with largest free %d",
-			c.tab.buckets, len(c.tab.ents), c.alloc.capacity, c.alloc.largestFree())
-	}
-	if s := c.Stats(); s != (Stats{}) {
-		t.Errorf("stats after Reset = %+v, want zero (Reset is not a Flush)", s)
-	}
-	if c.tick != 0 || c.seen.len() != 0 || c.victims.len() != 0 || c.obsOps != 0 {
-		t.Errorf("tick %d, seen %d, heap %d, obsOps %d after Reset; want all zero", c.tick, c.seen.len(), c.victims.len(), c.obsOps)
-	}
-	if err := c.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestResetMatchesNew: after a differently configured use, a recycled cache
 // is indistinguishable from a fresh one — same statistics, same residency,
-// same charges to the float bit — under the default and the scored policy,
-// with and without adaptive growth.
+// same charges to the float bit — under the default and the scored policy.
 func TestResetMatchesNew(t *testing.T) {
 	const region = 1 << 16
 	cfgs := []Config{
 		{Capacity: 1 << 12, Buckets: 64},
-		{Capacity: 1 << 11, Buckets: 4, Assoc: 2, MaxCapacity: 1 << 14, Adaptive: true},
 		{Capacity: 1 << 13, Buckets: 512},
 	}
-	_, _, used := testSetup(t, region, Config{Capacity: 1 << 14, Buckets: 16, Adaptive: true})
+	_, _, used := testSetup(t, region, Config{Capacity: 1 << 14, Buckets: 16})
 	churn(used, 99, 6000, region)
 	for i, cfg := range cfgs {
 		rf, _, fresh := testSetup(t, region, cfg)

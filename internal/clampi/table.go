@@ -5,7 +5,7 @@ import "math"
 // table is the set-associative hash index. A lookup probes the `assoc`
 // slots of one bucket; inserting into a full bucket forces a *conflict*
 // eviction, distinct from the capacity evictions forced by the memory
-// buffer (CLaMPI's adaptive heuristic watches the two separately).
+// buffer (Stats counts the two separately).
 //
 // The bucket of a key is h % buckets where h is the keyCoder hash — a
 // mapping pinned by the golden tests (it decides which keys conflict), so

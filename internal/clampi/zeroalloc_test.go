@@ -361,8 +361,8 @@ func TestMissEvictAllocFree(t *testing.T) {
 	}
 }
 
-// TestEpochFlushAllocFree: Flush — what the adaptive table resize and a
-// degraded access (Available) take — must clear the table, allocator and heap
+// TestEpochFlushAllocFree: Flush — what a degraded access (Available)
+// takes — must clear the table, allocator and heap
 // in place, so a steady fill-and-flush loop allocates nothing (the seed
 // rebuilt table+allocator on every flush).
 func TestEpochFlushAllocFree(t *testing.T) {

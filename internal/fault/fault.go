@@ -36,7 +36,7 @@ const (
 	ClassGet Class = iota
 	// ClassPut covers one-sided writes.
 	ClassPut
-	// ClassAccumulate covers Accumulate, AccumulateBatch and FetchAdd64.
+	// ClassAccumulate covers Accumulate and AccumulateBatch.
 	ClassAccumulate
 )
 

@@ -203,33 +203,3 @@ func TestDelegationQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestAdaptiveAdjBufferGrowthInEngine: with a deliberately undersized
-// C_adj and growth headroom, the adaptive heuristic must enlarge the
-// buffer during a run — and never change the results.
-func TestAdaptiveAdjBufferGrowthInEngine(t *testing.T) {
-	g := gen.Prepare(gen.RMAT(gen.DefaultRMAT(12, 16, graph.Undirected, 43)), 43)
-	base, err := Run(g, Options{Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown, err := Run(g, Options{
-		Ranks: 4, Caching: true, Adaptive: true,
-		OffsetsCacheBytes: 1 << 16,
-		AdjCacheBytes:     1 << 12,
-		AdjCacheMaxBytes:  1 << 22,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lccClose(grown.LCC, base.LCC) || grown.Triangles != base.Triangles {
-		t.Error("adaptive buffer growth changed results")
-	}
-	var resizes int64
-	for _, s := range grown.PerRank {
-		resizes += s.AdjCache.BufferResizes
-	}
-	if resizes == 0 {
-		t.Error("no rank grew its C_adj buffer under pressure")
-	}
-}

@@ -29,8 +29,9 @@ type Options struct {
 	// Model is the machine calibration; zero value selects the default
 	// Cray-Aries-like model.
 	Model rma.CostModel
-	// Method selects the intersection kernel; default MethodHybrid
-	// (§III-C: the hybrid always beat pure SSI or binary search).
+	// Method selects the intersection kernel. The zero value is MethodSSI;
+	// callers that want the paper's choice set MethodHybrid (§III-C: the
+	// hybrid always beat pure SSI or binary search).
 	Method intersect.Method
 	// DoubleBuffer overlaps the communication of the next edge with the
 	// processing of the current one (§III-A). The A2 ablation turns it
@@ -41,26 +42,16 @@ type Options struct {
 	Caching bool
 	// OffsetsCacheBytes / AdjCacheBytes are the per-rank buffer
 	// capacities. The Fig. 9/10 configuration reserves 16 GiB per node
-	// split as 0.8·|V| bytes for C_offsets and the rest for C_adj.
+	// split as 0.8·|V| bytes for C_offsets and the rest for C_adj. The
+	// hash tables are sized from them by the §III-B-1 rule (cacheConfigs).
 	OffsetsCacheBytes int
 	AdjCacheBytes     int
-	// OffsetsBuckets / AdjBuckets override the hash-table sizing; 0
-	// applies the §III-B-1 rule (linear in capacity for C_offsets,
-	// power-law-discounted for C_adj with α=2).
-	OffsetsBuckets int
-	AdjBuckets     int
 	// AdjScorePolicy selects the C_adj eviction score; see ScorePolicy.
 	// ScoreDegree is the paper's application-defined score (§III-B-2); the
 	// other non-default policies implement its future-work direction
 	// (iii): "studying other application-specific scores for cached
 	// entries".
 	AdjScorePolicy ScorePolicy
-	// Adaptive enables CLaMPI's hash-table auto-tuning.
-	Adaptive bool
-	// AdjCacheMaxBytes additionally lets the adaptive heuristic grow the
-	// C_adj memory buffer (doubling under sustained capacity evictions)
-	// up to this many bytes. 0 keeps the buffer fixed at AdjCacheBytes.
-	AdjCacheMaxBytes int
 
 	// DelegateBytes enables static vertex delegation (the A11 ablation):
 	// before the run, the adjacency lists of the highest in-degree
@@ -103,11 +94,6 @@ type Options struct {
 	// plane, so every simulated result is bit-identical across modes
 	// (DESIGN.md §9); only host memory and host wall-clock differ.
 	Storage StorageMode
-	// MemBudgetBytes caps the host bytes the extracted per-rank CSRs may
-	// occupy under StorageAuto: when the plain layout would overshoot it,
-	// the engine stores adjacency varint/delta-compressed instead.
-	// 0 means no budget (plain). Ignored outside StorageAuto.
-	MemBudgetBytes int64
 }
 
 // StorageMode selects how the engine stores the per-rank adjacency lists
@@ -117,7 +103,7 @@ type StorageMode uint8
 
 const (
 	// StorageAuto picks the cheapest representation that fits
-	// Options.MemBudgetBytes — plain when no budget is set.
+	// SnapshotOptions.MemBudgetBytes — plain when no budget is set.
 	StorageAuto StorageMode = iota
 	// StoragePlain forces plain CSR locals (aliased window views,
 	// zero decode cost).
@@ -228,25 +214,22 @@ func (s ScorePolicy) String() string {
 	}
 }
 
-func (o Options) withDefaults(n int) Options {
+func (o Options) withDefaults() Options {
 	if o.Ranks == 0 {
 		o.Ranks = 1
 	}
 	if o.Model == (rma.CostModel{}) {
 		o.Model = rma.DefaultCostModel()
 	}
-	// Method zero value is MethodSSI; the engine's conventional default
-	// is the hybrid, selected explicitly by callers that want it. We keep
-	// the zero value meaningful (SSI) and do not override it here.
-	if o.Caching {
-		if o.OffsetsBuckets == 0 {
-			o.OffsetsBuckets = clampOne(o.OffsetsCacheBytes / 16)
-		}
-		if o.AdjBuckets == 0 {
-			o.AdjBuckets = adjBuckets(n, o.AdjCacheBytes)
-		}
-	}
 	return o
+}
+
+// cacheConfigs sizes a rank's two CLaMPI instances for a graph of n vertices
+// by the §III-B-1 rule: C_offsets gets a bucket per 16-byte offset pair its
+// buffer holds, C_adj the power-law-discounted count of adjBuckets.
+func cacheConfigs(n int, opt Options) (off, adj clampi.Config) {
+	return clampi.Config{Capacity: opt.OffsetsCacheBytes, Buckets: clampOne(opt.OffsetsCacheBytes / 16)},
+		clampi.Config{Capacity: opt.AdjCacheBytes, Buckets: adjBuckets(n, opt.AdjCacheBytes)}
 }
 
 func clampOne(x int) int {
@@ -385,8 +368,7 @@ func (o Options) snapshot(g graph.Store, c int) (*Snapshot, error) {
 		return nil, fmt.Errorf("lcc: replication factor %d does not divide %d ranks", c, o.Ranks)
 	}
 	return NewSnapshotOpts(g, SnapshotOptions{
-		Ranks: o.Ranks / c, Scheme: o.Scheme, DelegateBytes: o.DelegateBytes,
-		Storage: o.Storage, MemBudgetBytes: o.MemBudgetBytes,
+		Ranks: o.Ranks / c, Scheme: o.Scheme, DelegateBytes: o.DelegateBytes, Storage: o.Storage,
 	})
 }
 
@@ -693,17 +675,7 @@ func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *w
 	r.LockAll(wOff)
 	r.LockAll(wAdj)
 	if opt.Caching {
-		offCfg := clampi.Config{
-			Capacity: opt.OffsetsCacheBytes,
-			Buckets:  opt.OffsetsBuckets,
-			Adaptive: opt.Adaptive,
-		}
-		adjCfg := clampi.Config{
-			Capacity:    opt.AdjCacheBytes,
-			Buckets:     opt.AdjBuckets,
-			Adaptive:    opt.Adaptive,
-			MaxCapacity: opt.AdjCacheMaxBytes,
-		}
+		offCfg, adjCfg := cacheConfigs(s.n, opt)
 		if cp, ok := s.caches.take(); ok {
 			w.cOff, w.cAdj = cp.off.Reset(r, wOff, offCfg), cp.adj.Reset(r, wAdj, adjCfg)
 		} else {
@@ -1033,15 +1005,6 @@ func (res *Result) AvgRemoteReadTime() float64 {
 		return 0
 	}
 	return cost / float64(reads)
-}
-
-// TotalCommTime sums the per-rank communication time.
-func (res *Result) TotalCommTime() float64 {
-	var t float64
-	for _, s := range res.PerRank {
-		t += s.CommTime
-	}
-	return t
 }
 
 // MaxCommTime returns the largest per-rank communication time, a proxy for

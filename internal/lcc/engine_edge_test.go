@@ -3,6 +3,7 @@ package lcc
 import (
 	"testing"
 
+	"repro/internal/clampi"
 	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/rma"
@@ -177,19 +178,24 @@ func TestEngineCustomModelPropagates(t *testing.T) {
 }
 
 func TestOptionsBucketSizing(t *testing.T) {
-	// §III-B-1 sizing: C_offsets buckets linear in capacity; C_adj
-	// buckets discounted by the power-law factor (α=2).
-	o := Options{Caching: true, OffsetsCacheBytes: 16000, AdjCacheBytes: 32000}
-	o = o.withDefaults(1000)
-	if o.OffsetsBuckets != 1000 {
-		t.Errorf("OffsetsBuckets = %d, want 1000 (capacity/16)", o.OffsetsBuckets)
-	}
-	if o.AdjBuckets < 1 || o.AdjBuckets > 1000 {
-		t.Errorf("AdjBuckets = %d, want within (0, n]", o.AdjBuckets)
-	}
-	big := Options{Caching: true, OffsetsCacheBytes: 16, AdjCacheBytes: 1 << 30}
-	big = big.withDefaults(1000)
-	if big.AdjBuckets != 1000 {
-		t.Errorf("ample C_adj should size buckets to ~n, got %d", big.AdjBuckets)
+	// §III-B-1 sizing of the configurations newWorker builds for a graph of
+	// 1000 vertices: C_offsets buckets linear in capacity; C_adj buckets
+	// n·f² for a cache holding share f of ~32 B a vertex (α=2).
+	for _, tc := range []struct {
+		offBytes, adjBytes     int
+		offBuckets, adjBuckets int
+	}{
+		{16000, 32000, 1000, 1000}, // f = 1
+		{16, 1 << 30, 1, 1000},     // f capped at 1
+		{160, 8000, 10, 62},        // f = 1/4
+		{0, 0, 1, 1},               // empty caches still get a bucket
+	} {
+		off, adj := cacheConfigs(1000, Options{Caching: true, OffsetsCacheBytes: tc.offBytes, AdjCacheBytes: tc.adjBytes})
+		if off != (clampi.Config{Capacity: tc.offBytes, Buckets: tc.offBuckets}) {
+			t.Errorf("C_offsets for %d bytes: %+v, want %d buckets", tc.offBytes, off, tc.offBuckets)
+		}
+		if adj != (clampi.Config{Capacity: tc.adjBytes, Buckets: tc.adjBuckets}) {
+			t.Errorf("C_adj for %d bytes: %+v, want %d buckets", tc.adjBytes, adj, tc.adjBuckets)
+		}
 	}
 }

@@ -117,7 +117,10 @@ type SnapshotOptions struct {
 	// adjacency plane; see StorageMode. Host-side only — results are
 	// bit-identical across modes.
 	Storage StorageMode
-	// MemBudgetBytes is the StorageAuto budget; see Options.
+	// MemBudgetBytes caps the host bytes the extracted per-rank CSRs may
+	// occupy under StorageAuto: when the plain layout would overshoot it,
+	// the adjacency is stored varint/delta-compressed instead. 0 means no
+	// budget (plain). Ignored outside StorageAuto.
 	MemBudgetBytes int64
 }
 
@@ -191,7 +194,7 @@ func (s *Snapshot) Scheme() part.Scheme { return s.scheme }
 func (s *Snapshot) options(opt Options) Options {
 	opt.Ranks, opt.Scheme, opt.DelegateBytes = s.ranks, s.scheme, s.delegateBytes
 	opt.Storage = s.storage
-	return opt.withDefaults(s.n)
+	return opt.withDefaults()
 }
 
 // windows exposes the snapshot's partitions in a fresh communicator as the

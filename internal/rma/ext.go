@@ -1,7 +1,6 @@
 package rma
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -11,7 +10,7 @@ import (
 // This file extends the simulated runtime beyond the operations the LCC
 // engine itself needs, covering the rest of the MPI-3 RMA surface the
 // paper's §II-E describes: per-target flushes, atomic accumulates
-// (MPI_Accumulate / MPI_Fetch_and_op), and active-target fence epochs.
+// (MPI_Accumulate), and active-target fence epochs.
 // The Jaccard extension and the examples exercise them; they also make the
 // substrate reusable for the push-style algorithms of the paper's
 // future-work list (§VI ii), which accumulate partial results at the owner
@@ -69,45 +68,6 @@ func (r *Rank) Accumulate(w *Window, target, offset int, delta uint64) *Request 
 	q.tracked = true
 	r.pending = append(r.pending, q)
 	return q
-}
-
-// FetchAdd64 atomically adds delta to the uint64 at byte offset in
-// target's region and returns the previous value (MPI_Fetch_and_op with
-// MPI_SUM). Unlike Accumulate it blocks until the round trip completes:
-// fetch-and-op is a synchronizing read-modify-write, so the issuing rank
-// cannot proceed without the old value.
-func (r *Rank) FetchAdd64(w *Window, target, offset int, delta uint64) uint64 {
-	r.checkpoint()
-	if !r.inEpoch(w) {
-		panic(fmt.Sprintf("rma: rank %d: FetchAdd64 on %q outside an access epoch", r.id, w.name))
-	}
-	if w.kind != WritableBytes {
-		panic(fmt.Sprintf("rma: rank %d: FetchAdd64 on %v window %q", r.id, w.kind, w.name))
-	}
-	region := w.loc[target]
-	if offset < 0 || offset+8 > len(region) {
-		panic(fmt.Sprintf("rma: rank %d: FetchAdd64 %q target %d [%d:+8) out of range (len %d)",
-			r.id, w.name, target, offset, len(region)))
-	}
-	applyMu.Lock()
-	// Same-origin ordering: this rank's earlier accumulates to the word
-	// must be visible in the fetched value (MPI orders atomics per
-	// origin-target pair).
-	r.commitStagedLocked(w, target)
-	old := binary.LittleEndian.Uint64(region[offset:])
-	binary.LittleEndian.PutUint64(region[offset:], old+delta)
-	applyMu.Unlock()
-	if target == r.id {
-		r.clock.Advance(r.comm.model.LocalCost(8))
-		return old
-	}
-	if r.faults != nil {
-		r.injectFaults(fault.ClassAccumulate, 8)
-	}
-	r.clock.Advance(r.comm.model.RemoteCost(8))
-	r.ctr.Puts++
-	r.ctr.RemoteBytes += 8
-	return old
 }
 
 // Update is one element of a batched accumulate: add Delta to the uint64 at

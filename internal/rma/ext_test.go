@@ -80,65 +80,6 @@ func TestAccumulateConcurrentRanks(t *testing.T) {
 	}
 }
 
-func TestFetchAdd64(t *testing.T) {
-	c, w := twoRankComm()
-	r := c.Rank(0)
-	r.LockAll(w)
-	if old := r.FetchAdd64(w, 1, 0, 10); old != 0 {
-		t.Fatalf("first FetchAdd returned %d, want 0", old)
-	}
-	if old := r.FetchAdd64(w, 1, 0, 5); old != 10 {
-		t.Fatalf("second FetchAdd returned %d, want 10", old)
-	}
-	if got := binary.LittleEndian.Uint64(w.loc[1]); got != 15 {
-		t.Fatalf("final value %d, want 15", got)
-	}
-	// FetchAdd blocks: the clock must have advanced by at least two
-	// remote round trips.
-	if r.Clock().Now() < 2*c.Model().RemoteCost(8) {
-		t.Fatalf("clock %.0f after two remote fetch-adds, want >= %.0f",
-			r.Clock().Now(), 2*c.Model().RemoteCost(8))
-	}
-	r.UnlockAll(w)
-}
-
-func TestFetchAdd64ConcurrentUnique(t *testing.T) {
-	// Fetch-and-add must hand out unique, gap-free tickets across ranks.
-	const perRank = 100
-	const ranks = 4
-	c := NewComm(ranks, DefaultCostModel())
-	w := c.CreateWindow("tickets", [][]byte{make([]byte, 8), nil, nil, nil})
-	got := make([][]uint64, ranks)
-	var wg sync.WaitGroup
-	for i := 0; i < ranks; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			r := c.Rank(id)
-			r.LockAll(w)
-			for k := 0; k < perRank; k++ {
-				got[id] = append(got[id], r.FetchAdd64(w, 0, 0, 1))
-			}
-			r.UnlockAll(w)
-		}(i)
-	}
-	wg.Wait()
-	seen := make(map[uint64]bool)
-	for _, ts := range got {
-		for _, v := range ts {
-			if seen[v] {
-				t.Fatalf("ticket %d issued twice", v)
-			}
-			seen[v] = true
-		}
-	}
-	for v := uint64(0); v < ranks*perRank; v++ {
-		if !seen[v] {
-			t.Fatalf("ticket %d never issued", v)
-		}
-	}
-}
-
 func TestBarrierAlignsClocks(t *testing.T) {
 	c := NewComm(4, DefaultCostModel())
 	b := c.NewBarrier()
@@ -446,8 +387,9 @@ func TestAccessors(t *testing.T) {
 		t.Errorf("SizeAt(1) = %d, want 64", w.SizeAt(1))
 	}
 	r.LockAll(w)
-	q := r.Get(w, 1, 0, 8)
-	if q.CompleteAt() <= r.Clock().Now() {
+	issued := r.Clock().Now()
+	r.Get(w, 1, 0, 8).Wait()
+	if r.Clock().Now() <= issued {
 		t.Error("remote get completes no later than issue time")
 	}
 	r.FlushAll(w)

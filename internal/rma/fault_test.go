@@ -127,8 +127,8 @@ func TestFaultDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestFaultWriteOps: the write-side ops (Put, Accumulate, AccumulateBatch,
-// FetchAdd64) consult the schedule too, and results are unchanged.
+// TestFaultWriteOps: the write-side ops (Put, Accumulate, AccumulateBatch)
+// consult the schedule too, and results are unchanged.
 func TestFaultWriteOps(t *testing.T) {
 	run := func(spec *fault.Spec) (Counters, uint64, float64) {
 		c := NewComm(2, DefaultCostModel())
@@ -142,7 +142,6 @@ func TestFaultWriteOps(t *testing.T) {
 				r.Accumulate(w, 1-r.ID(), 0, 1).Release()
 				r.AccumulateBatch(w, 1-r.ID(), []Update{{Offset: 8, Delta: 2}}).Release()
 				r.Put(w, 1-r.ID(), 16+8*r.ID(), []byte{1, 2, 3, 4}).Release()
-				r.FetchAdd64(w, 1-r.ID(), 24, 3)
 				r.FlushAll(w)
 			}
 			b.Wait(r)

@@ -149,7 +149,7 @@ func TestPendingSwapRemove(t *testing.T) {
 // TestGetAllocFree is the allocation regression guard of the zero-copy
 // substrate: a Get+Wait+Release cycle must not allocate, on any window
 // kind (the writable path reuses the request's snapshot buffer), and neither
-// may the write side — a staged accumulate with its flush, a fetch-and-add.
+// may the write side — a staged accumulate with its flush.
 func TestGetAllocFree(t *testing.T) {
 	c := testComm(2)
 	ro := c.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1024)})
@@ -170,7 +170,6 @@ func TestGetAllocFree(t *testing.T) {
 		{"uint64 Get+Wait+Release", wu, get(wu)},
 		{"vertices Get+Wait+Release", wv, get(wv)},
 		{"Accumulate+Release+FlushAll", rw, func() { r.Accumulate(rw, 1, 64, 1).Release(); r.FlushAll(rw) }},
-		{"FetchAdd64", rw, func() { r.FetchAdd64(rw, 1, 0, 1) }},
 	} {
 		r.LockAll(row.w)
 		row.f() // warm the pool (first cycle may allocate the request/buffer)

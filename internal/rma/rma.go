@@ -72,8 +72,8 @@ func (c *Comm) Workers() int { return c.pool.Workers() }
 type WindowKind uint8
 
 const (
-	// WritableBytes is the classic window: a byte region peers may Put,
-	// Accumulate and FetchAdd into. Get snapshots the region at issue
+	// WritableBytes is the classic window: a byte region peers may Put
+	// and Accumulate into. Get snapshots the region at issue
 	// time into a request-owned buffer.
 	WritableBytes WindowKind = iota
 	// ReadOnlyBytes exposes immutable byte data: Get returns an aliased
@@ -586,9 +586,6 @@ func (q *Request) Vertices() []graph.V {
 	return q.verts
 }
 
-// CompleteAt returns the simulated time at which the transfer finishes.
-func (q *Request) CompleteAt() float64 { return q.completeAt }
-
 // Wait completes this single request, advancing the rank's clock to the
 // request's completion time if needed (MPI_Win_flush_local on one op).
 func (q *Request) Wait() {
@@ -907,18 +904,4 @@ func DecodeVertices(b []byte) []graph.V {
 		out[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return out
-}
-
-// DecodeVerticesInto is DecodeVertices into a caller-provided buffer,
-// avoiding the allocation on the caller's hot path.
-func DecodeVerticesInto(dst []graph.V, b []byte) []graph.V {
-	n := len(b) / 4
-	if cap(dst) < n {
-		dst = make([]graph.V, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return dst
 }

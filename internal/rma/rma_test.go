@@ -236,18 +236,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeVerticesIntoReusesBuffer(t *testing.T) {
-	b := EncodeVertices([]graph.V{1, 2, 3})
-	buf := make([]graph.V, 0, 16)
-	out := DecodeVerticesInto(buf, b)
-	if &out[0] != &buf[:1][0] {
-		t.Error("DecodeVerticesInto allocated although capacity sufficed")
-	}
-	if !reflect.DeepEqual(out, []graph.V{1, 2, 3}) {
-		t.Errorf("out = %v", out)
-	}
-}
-
 func TestCostModelShape(t *testing.T) {
 	m := DefaultCostModel()
 	// Remote reads are orders of magnitude above DRAM (§III-B).

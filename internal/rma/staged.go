@@ -26,12 +26,12 @@ import (
 // additions, which commute and associate exactly (mod 2^64), so the final
 // region bytes cannot depend on which commit path ran first; the
 // barrier's origin-rank order makes the canonical schedule explicit.
-// Same-origin program order — an origin's own Get/Put/FetchAdd64
-// observing its earlier accumulates — is preserved by committing the
-// origin's buffers before those operations touch the region (rma.go,
-// ext.go). Readers on OTHER ranks may only touch a region that peers
-// accumulate into after a synchronization (the MPI separation rule every
-// engine here already obeys), at which point all buffers have landed.
+// Same-origin program order — an origin's own Get/Put observing its
+// earlier accumulates — is preserved by committing the origin's buffers
+// before those operations touch the region (rma.go). Readers on OTHER
+// ranks may only touch a region that peers accumulate into after a
+// synchronization (the MPI separation rule every engine here already
+// obeys), at which point all buffers have landed.
 //
 // applyMu serializes the replays themselves: commits from different ranks
 // may race in host time, and the read-modify-write of one uint64 word
