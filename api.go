@@ -147,7 +147,7 @@ func DefaultCostModel() CostModel { return rma.DefaultCostModel() }
 type NoiseSpec = rma.NoiseSpec
 
 // FaultSpec describes a deterministic, seeded fault schedule for the RMA
-// and exchange substrates: transient Get/Put/Accumulate failures recovered
+// and exchange substrates: transient Get/Accumulate failures recovered
 // by retry with capped exponential backoff, per-op latency spikes, rank
 // stall windows, dropped exchange messages recovered by retransmission,
 // and CLaMPI cache unavailability degraded to direct RMA. Set any engine's
@@ -157,7 +157,7 @@ type NoiseSpec = rma.NoiseSpec
 type FaultSpec = fault.Spec
 
 // ParseFaultSpec parses a command-line fault specification of the form
-// "seed=N,get=P,put=P,acc=P,spike=P:NS,stall=N:NS,drop=P,cache=P" (see
+// "seed=N,get=P,acc=P,spike=P:NS,stall=N:NS,drop=P,cache=P" (see
 // fault.ParseSpec for the full grammar; "chaos" selects a ready-made
 // mixed-fault preset). An empty string yields (nil, nil): faults off.
 func ParseFaultSpec(s string) (*FaultSpec, error) { return fault.ParseSpec(s) }

@@ -191,7 +191,7 @@ func BenchmarkRMAAccumulate(b *testing.B) {
 	defer r.UnlockAll(w)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Accumulate(w, 1, (i%512)*8, 1).Release()
+		r.Accumulate(w, 1, (i%512)*8, 1)
 		if i%64 == 63 {
 			r.FlushAll(w)
 		}
@@ -211,11 +211,11 @@ func BenchmarkRMAGet(b *testing.B) {
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
+	var q rma.Request
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := r.Get(w, 1, (i*64)%(1<<19), 64)
+		r.GetInto(&q, w, 1, (i*64)%(1<<19), 64)
 		q.Wait()
-		q.Release()
 	}
 }
 
@@ -225,11 +225,11 @@ func BenchmarkRMAGetReadOnly(b *testing.B) {
 	r := comm.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
+	var q rma.Request
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := r.Get(w, 1, (i*64)%(1<<19), 64)
+		r.GetInto(&q, w, 1, (i*64)%(1<<19), 64)
 		q.Wait()
-		q.Release()
 	}
 }
 

@@ -113,8 +113,8 @@
 // kinds: writable byte windows keep snapshot-copy Gets (they are the
 // regions peers write), while read-only windows — including the typed
 // uint64/vertex windows the engines expose graph data through — serve
-// every Get as an aliased view of the window region, and requests are
-// recycled through per-rank free lists (issue → flush → data → Release).
+// every Get as an aliased view of the window region, and each request is a
+// caller-owned value reused from one get to the next (issue → Wait → data).
 // The aliasing contract is specified in DESIGN.md §2, and golden_test.go
 // pins that this substrate change left every simulated result — SimTime,
 // counters, LCC scores, triangle counts — bit-identical to the copying

@@ -36,7 +36,7 @@ var faultScenarios = []struct {
 }{
 	// Transient remote-op failures on every class: the retry/backoff/
 	// retransmit loop is the only recovery path exercised.
-	{"retry-storm", fault.Spec{Seed: 101, GetFailPct: 0.02, PutFailPct: 0.02, AccFailPct: 0.02}},
+	{"retry-storm", fault.Spec{Seed: 101, GetFailPct: 0.02, AccFailPct: 0.02}},
 	// Pure latency faults: spikes and periodic stall windows, no retries.
 	{"spikes-stalls", fault.Spec{Seed: 202, SpikePct: 0.01, SpikeNS: 2e4, StallPeriodOps: 4096, StallNS: 1e5}},
 	// Exchange drops plus cache degradation riding on a low failure rate:

@@ -56,8 +56,8 @@ func TestCacheHitIsCheap(t *testing.T) {
 	before := r.Clock().Now()
 	c.Get(1, 0, 100)
 	hitCost := r.Clock().Now() - before
-	if hitCost >= r.Model().RemoteLatency {
-		t.Errorf("hit cost %v ns not below remote latency %v", hitCost, r.Model().RemoteLatency)
+	if alpha := rma.DefaultCostModel().RemoteLatency; hitCost >= alpha {
+		t.Errorf("hit cost %v ns not below remote latency %v", hitCost, alpha)
 	}
 	if r.Counters().Gets != 1 {
 		t.Errorf("hit issued a network get (Gets=%d)", r.Counters().Gets)

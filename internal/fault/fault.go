@@ -4,7 +4,7 @@
 // recover from by charging simulated time — never by changing results.
 //
 // The paper's asynchronous design is pitched at 1024-rank clusters, where
-// transient Get/Put failures, latency spikes, stalled ranks, dropped
+// transient one-sided failures, latency spikes, stalled ranks, dropped
 // messages and flaky cache state are the norm. The schedule makes that
 // regime reproducible: every decision is a pure function of
 // (seed, rank, channel, op-index, attempt) hashed through splitmix64, so a
@@ -31,13 +31,15 @@ import (
 type Class uint8
 
 const (
-	// ClassGet covers one-sided reads (Get/GetInto), including the
-	// fetches CLaMPI issues on a cache miss.
-	ClassGet Class = iota
-	// ClassPut covers one-sided writes.
-	ClassPut
-	// ClassAccumulate covers Accumulate and AccumulateBatch.
-	ClassAccumulate
+	// ClassGet covers one-sided reads (GetInto), including the fetches
+	// CLaMPI issues on a cache miss.
+	ClassGet Class = 0
+	// ClassAccumulate covers Accumulate and AccumulateBatch. Its value is
+	// spelled out rather than counted by iota: Sched.u mixes the class
+	// value into every failure draw, so renumbering a class reshuffles the
+	// schedules its pinned runs were recorded under. 1 belonged to the
+	// retired put class.
+	ClassAccumulate Class = 2
 )
 
 // Decision channels beyond the op classes. Kept in the same keyspace so
@@ -103,10 +105,9 @@ type Spec struct {
 	// specs replay the same faults everywhere.
 	Seed uint64
 
-	// GetFailPct, PutFailPct and AccFailPct are the per-attempt transient
-	// failure probabilities of remote one-sided operations by class.
+	// GetFailPct and AccFailPct are the per-attempt transient failure
+	// probabilities of remote one-sided operations by class.
 	GetFailPct float64
-	PutFailPct float64
 	AccFailPct float64
 
 	// SpikePct injects a latency spike on a remote op's successful
@@ -164,7 +165,7 @@ type Spec struct {
 
 // Enabled reports whether the spec can inject any fault at all.
 func (s Spec) Enabled() bool {
-	return s.GetFailPct > 0 || s.PutFailPct > 0 || s.AccFailPct > 0 ||
+	return s.GetFailPct > 0 || s.AccFailPct > 0 ||
 		(s.SpikePct > 0 && s.SpikeNS > 0) ||
 		(s.StallPeriodOps > 0 && s.StallNS > 0) ||
 		s.DropPct > 0 || s.CacheFailPct > 0 || s.CrashAtOp > 0 ||
@@ -199,7 +200,6 @@ func ChaosSpec(seed uint64) Spec {
 	return Spec{
 		Seed:           seed,
 		GetFailPct:     0.01,
-		PutFailPct:     0.01,
 		AccFailPct:     0.01,
 		SpikePct:       0.005,
 		SpikeNS:        2e4,
@@ -258,14 +258,10 @@ func (s *Sched) u(ch uint64, idx, sub uint64) float64 {
 }
 
 func (s *Sched) failPct(cl Class) float64 {
-	switch cl {
-	case ClassGet:
+	if cl == ClassGet {
 		return s.spec.GetFailPct
-	case ClassPut:
-		return s.spec.PutFailPct
-	default:
-		return s.spec.AccFailPct
 	}
+	return s.spec.AccFailPct
 }
 
 // Outcome is the fault decision of one remote one-sided operation: how
@@ -394,8 +390,8 @@ func (s *Sched) MsgDrops() int {
 // key=value settings.
 //
 //	seed=N            schedule seed (default 1)
-//	get=P put=P acc=P per-attempt transient failure probability by class
-//	p=P               shorthand: get, put, acc and drop at once
+//	get=P acc=P       per-attempt transient failure probability by class
+//	p=P               shorthand: get, acc and drop at once
 //	spike=P:NS        latency spikes: probability and magnitude
 //	stall=N:NS        a stall window every N remote ops, ~NS ns each
 //	drop=P            p2p message drop probability
@@ -483,13 +479,10 @@ func ParseSpec(s string) (*Spec, error) {
 				spec.Seed = uint64(f)
 			case "get":
 				spec.GetFailPct = f
-			case "put":
-				spec.PutFailPct = f
 			case "acc":
 				spec.AccFailPct = f
 			case "p":
-				spec.GetFailPct, spec.PutFailPct = f, f
-				spec.AccFailPct, spec.DropPct = f, f
+				spec.GetFailPct, spec.AccFailPct, spec.DropPct = f, f, f
 			case "drop":
 				spec.DropPct = f
 			case "cache":
@@ -519,7 +512,7 @@ func ParseSpec(s string) (*Spec, error) {
 
 func prob(k string) bool {
 	switch k {
-	case "get", "put", "acc", "p", "drop", "cache":
+	case "get", "acc", "p", "drop", "cache":
 		return true
 	}
 	return false
@@ -535,7 +528,6 @@ func (s Spec) String() string {
 		}
 	}
 	add("get", s.GetFailPct)
-	add("put", s.PutFailPct)
 	add("acc", s.AccFailPct)
 	if s.SpikePct > 0 && s.SpikeNS > 0 {
 		fmt.Fprintf(&b, ",spike=%g:%g", s.SpikePct, s.SpikeNS)

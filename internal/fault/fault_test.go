@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -110,12 +111,12 @@ func TestStallWindows(t *testing.T) {
 
 // TestParseSpec exercises the -faults grammar round trip and its errors.
 func TestParseSpec(t *testing.T) {
-	spec, err := ParseSpec("seed=42,get=0.01,put=0.02,acc=0.03,spike=0.01:25000,stall=4096:200000,drop=0.05,cache=0.001,retries=4,timeout=30000,backoff=1000:8000")
+	spec, err := ParseSpec("seed=42,get=0.01,acc=0.03,spike=0.01:25000,stall=4096:200000,drop=0.05,cache=0.001,retries=4,timeout=30000,backoff=1000:8000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Spec{
-		Seed: 42, GetFailPct: 0.01, PutFailPct: 0.02, AccFailPct: 0.03,
+		Seed: 42, GetFailPct: 0.01, AccFailPct: 0.03,
 		SpikePct: 0.01, SpikeNS: 25000, StallPeriodOps: 4096, StallNS: 200000,
 		DropPct: 0.05, CacheFailPct: 0.001,
 		Retry: RetryPolicy{MaxAttempts: 4, TimeoutNS: 30000, BackoffBaseNS: 1000, BackoffMaxNS: 8000},
@@ -129,7 +130,7 @@ func TestParseSpec(t *testing.T) {
 	if s, err := ParseSpec("seed=7,chaos"); err != nil || s.Seed != 7 || !s.Enabled() {
 		t.Fatalf("chaos preset: %+v, %v", s, err)
 	}
-	if s, err := ParseSpec("p=0.05"); err != nil || s.GetFailPct != 0.05 || s.DropPct != 0.05 {
+	if s, err := ParseSpec("p=0.05"); err != nil || s.GetFailPct != 0.05 || s.AccFailPct != 0.05 || s.DropPct != 0.05 {
 		t.Fatalf("p shorthand: %+v, %v", s, err)
 	}
 	if s, err := ParseSpec("seed=9,wedge=2:512"); err != nil || s.WedgeRank != 2 || s.WedgeAtOp != 512 {
@@ -147,6 +148,10 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
+	}
+	// No operation issues one-sided puts, so no key schedules their faults.
+	if _, err := ParseSpec("put=0.1"); err == nil || !strings.Contains(err.Error(), `unknown key "put"`) {
+		t.Errorf("ParseSpec(put=0.1) = %v, want an unknown-key error", err)
 	}
 }
 

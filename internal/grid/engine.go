@@ -123,11 +123,10 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 			}
 			rLo2, rHi2 := gr.Chunk(br)
 			cLo2, cHi2 := gr.Chunk(bc)
-			qreq := r.Get(win, owner, 0, win.SizeAt(owner))
+			var qreq rma.Request
+			r.GetInto(&qreq, win, owner, 0, win.SizeAt(owner))
 			qreq.Wait()
-			blk, err := DeserializeBlock(qreq.Data(), rLo2, rHi2, cLo2, cHi2)
-			qreq.Release()
-			return blk, err
+			return DeserializeBlock(qreq.Data(), rLo2, rHi2, cLo2, cHi2)
 		}
 
 		for k := 0; k < q; k++ {

@@ -689,8 +689,8 @@ func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *w
 // to three stages (issue offsets get → issue adjacency get → resolve).
 //
 // Each get has one request per flavor, all caller-owned values (rma.GetInto,
-// clampi.GetInto), so the per-edge path touches no request pool and no
-// pending list, and every Wait and view is a direct call on a concrete type.
+// clampi.GetInto), so the per-edge path touches no request pool, and every
+// Wait and view is a direct call on a concrete type.
 type fetch struct {
 	owner int
 	local bool

@@ -174,9 +174,7 @@ func (w *worker) runPush(lccOut []float64, wTri *rma.Window, bar *rma.Barrier, a
 			return
 		}
 		owner, li := unpackResolve(w.resolve[u])
-		// Fire-and-forget: release immediately so the pooled request is
-		// recycled at the next flush instead of becoming garbage.
-		w.r.Accumulate(wTri, owner, 8*li, 1).Release()
+		w.r.Accumulate(wTri, owner, 8*li, 1)
 		if owner != w.r.ID() {
 			outstanding++
 			if outstanding >= maxOutstandingAccumulates {
@@ -222,9 +220,9 @@ func (w *worker) runPush(lccOut []float64, wTri *rma.Window, bar *rma.Barrier, a
 
 	// Fold the locally-kept smallest-corner counts into the window image
 	// and score. The local region is read back with one local get.
-	req := w.r.Get(wTri, w.r.ID(), 0, 8*nLocal)
+	var req rma.Request
+	w.r.GetInto(&req, wTri, w.r.ID(), 0, 8*nLocal)
 	pushed := rma.DecodeUint64s(req.Data())
-	req.Release()
 
 	var sumT int64
 	for li := 0; li < nLocal; li++ {
@@ -257,6 +255,6 @@ func (w *worker) flushCombined(wTri *rma.Window, combined map[graph.V]uint64) {
 		ups := byOwner[o]
 		sort.Slice(ups, func(i, j int) bool { return ups[i].Offset < ups[j].Offset })
 		w.r.Compute(len(ups))
-		w.r.AccumulateBatch(wTri, o, ups).Release()
+		w.r.AccumulateBatch(wTri, o, ups)
 	}
 }

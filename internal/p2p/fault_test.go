@@ -14,17 +14,18 @@ import (
 // rank (the logical result), aggregate counters, and final SimTime.
 func faultExchange(t *testing.T, spec *fault.Spec) ([][]string, Counters, float64) {
 	t.Helper()
-	w := NewWorld(3, rma.DefaultCostModel())
+	w := NewWorldWorkers(3, rma.DefaultCostModel(), 0)
 	w.SetFaults(spec)
 	got := make([][]string, 3)
 	for step := 0; step < 4; step++ {
 		w.Superstep(func(r *Rank) {
 			for _, m := range r.Inbox() {
-				got[r.ID()] = append(got[r.ID()], string(m.Data()))
+				got[r.ID()] = append(got[r.ID()], m.Payload.(string))
 			}
 			for dst := 0; dst < 3; dst++ {
 				if dst != r.ID() {
-					r.Send(dst, []byte(fmt.Sprintf("s%d.%d>%d", step, r.ID(), dst)))
+					msg := fmt.Sprintf("s%d.%d>%d", step, r.ID(), dst)
+					r.SendPayload(dst, msg, len(msg))
 				}
 			}
 			r.Compute(50)

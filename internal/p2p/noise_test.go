@@ -18,7 +18,7 @@ func TestBarrierAmplifiesNoise(t *testing.T) {
 	run := func(noise rma.NoiseSpec) (maxClock float64, sumWait float64) {
 		model := rma.DefaultCostModel()
 		model.Noise = noise
-		w := NewWorld(ranks, model)
+		w := NewWorldWorkers(ranks, model, 0)
 		for s := 0; s < steps; s++ {
 			w.Superstep(func(r *Rank) {
 				r.AdvanceBy(workNS)
@@ -55,11 +55,11 @@ func TestNoiseDeterministicInBSP(t *testing.T) {
 	run := func() float64 {
 		model := rma.DefaultCostModel()
 		model.Noise = rma.NoiseSpec{Amp: 0.3, SpikePeriodNS: 20000, SpikeNS: 5000, Seed: 9}
-		w := NewWorld(4, model)
+		w := NewWorldWorkers(4, model, 0)
 		for s := 0; s < 20; s++ {
 			w.Superstep(func(r *Rank) {
 				r.AdvanceBy(5000)
-				r.Send((r.ID()+1)%4, make([]byte, 64))
+				r.SendPayload((r.ID()+1)%4, nil, 64)
 			})
 		}
 		return w.MaxClock()

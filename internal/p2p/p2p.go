@@ -23,16 +23,12 @@ import (
 // Message is a delivered two-sided message. Payload travels by reference —
 // the simulation runs in one address space, so copying real bytes would
 // only burn wall-clock time — while Size is the modeled wire size in bytes
-// that all costs are charged from. Data is a convenience accessor for
-// []byte payloads.
+// that all costs are charged from.
 type Message struct {
 	From    int
 	Size    int
 	Payload interface{}
 }
-
-// Data returns the payload as []byte; it panics for non-byte payloads.
-func (m Message) Data() []byte { return m.Payload.([]byte) }
 
 // Counters aggregates a rank's two-sided communication activity.
 type Counters struct {
@@ -65,9 +61,6 @@ type Rank struct {
 // ID returns the rank id.
 func (r *Rank) ID() int { return r.id }
 
-// Clock returns the rank's simulated clock.
-func (r *Rank) Clock() *rma.Clock { return &r.clock }
-
 // Counters returns a snapshot of the rank's counters.
 func (r *Rank) Counters() Counters { return r.ctr }
 
@@ -83,16 +76,11 @@ func (r *Rank) AdvanceBy(ns float64) {
 	r.ctr.ComputeTime += ns
 }
 
-// Send stages a []byte message for dst; it is delivered by the next
-// Exchange. The send cost (matching overhead + α + s·β) is charged
+// SendPayload stages a payload for dst with an explicit modeled wire size;
+// it is delivered by the next Exchange. Callers shipping large derived data
+// (e.g. TriC's candidate lists) charge the full cost without materializing
+// the bytes. The send cost (matching overhead + α + s·β) is charged
 // immediately, as with a blocking MPI_Send in rendezvous mode.
-func (r *Rank) Send(dst int, data []byte) {
-	r.SendPayload(dst, data, len(data))
-}
-
-// SendPayload stages an arbitrary payload with an explicit modeled wire
-// size. Callers shipping large derived data (e.g. TriC's candidate lists)
-// use this to charge the full cost without materializing the bytes.
 func (r *Rank) SendPayload(dst int, payload interface{}, size int) {
 	if dst < 0 || dst >= r.world.p {
 		panic(fmt.Sprintf("p2p: rank %d: Send to invalid rank %d", r.id, dst))
@@ -146,15 +134,9 @@ type World struct {
 	steps int
 }
 
-// NewWorld creates a BSP world of p ranks sharing the given cost model,
-// with superstep bodies running on up to GOMAXPROCS concurrent workers
-// (see NewWorldWorkers).
-func NewWorld(p int, model rma.CostModel) *World {
-	return NewWorldWorkers(p, model, 0)
-}
-
-// NewWorldWorkers creates a BSP world whose superstep bodies execute on at
-// most workers concurrent goroutines; workers <= 0 selects GOMAXPROCS.
+// NewWorldWorkers creates a BSP world of p ranks sharing the given cost
+// model, whose superstep bodies execute on at most workers concurrent
+// goroutines; workers <= 0 selects GOMAXPROCS.
 // Supersteps are barrier-phased — ranks interact only through the
 // host-serial Exchange between steps — so results are bit-identical at
 // every worker count provided bodies keep their writes rank-disjoint (the
@@ -181,9 +163,6 @@ func (w *World) SetFaults(spec *fault.Spec) {
 		r.faults = fault.New(spec, i)
 	}
 }
-
-// NumRanks returns the world size.
-func (w *World) NumRanks() int { return w.p }
 
 // Ranks returns the rank handles (for reading clocks/counters after a run).
 func (w *World) Ranks() []*Rank { return w.ranks }

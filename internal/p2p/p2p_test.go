@@ -9,10 +9,10 @@ import (
 )
 
 func TestSuperstepDeliversMessages(t *testing.T) {
-	w := NewWorld(4, rma.DefaultCostModel())
+	w := NewWorldWorkers(4, rma.DefaultCostModel(), 0)
 	// Everyone sends its id to rank (id+1) mod p.
 	w.Superstep(func(r *Rank) {
-		r.Send((r.ID()+1)%4, []byte{byte(r.ID())})
+		r.SendPayload((r.ID()+1)%4, []byte{byte(r.ID())}, 1)
 	})
 	w.Superstep(func(r *Rank) {
 		in := r.Inbox()
@@ -21,18 +21,18 @@ func TestSuperstepDeliversMessages(t *testing.T) {
 			return
 		}
 		want := (r.ID() + 3) % 4
-		if in[0].From != want || int(in[0].Data()[0]) != want {
+		if in[0].From != want || int(in[0].Payload.([]byte)[0]) != want {
 			t.Errorf("rank %d got message %v, want from %d", r.ID(), in[0], want)
 		}
 	})
 }
 
 func TestInboxOrderDeterministic(t *testing.T) {
-	w := NewWorld(3, rma.DefaultCostModel())
+	w := NewWorldWorkers(3, rma.DefaultCostModel(), 0)
 	w.Superstep(func(r *Rank) {
 		for dst := 0; dst < 3; dst++ {
-			r.Send(dst, []byte(fmt.Sprintf("%d.a", r.ID())))
-			r.Send(dst, []byte(fmt.Sprintf("%d.b", r.ID())))
+			r.SendPayload(dst, fmt.Sprintf("%d.a", r.ID()), 3)
+			r.SendPayload(dst, fmt.Sprintf("%d.b", r.ID()), 3)
 		}
 	})
 	w.Superstep(func(r *Rank) {
@@ -42,8 +42,8 @@ func TestInboxOrderDeterministic(t *testing.T) {
 		}
 		want := []string{"0.a", "0.b", "1.a", "1.b", "2.a", "2.b"}
 		for i, m := range in {
-			if string(m.Data()) != want[i] {
-				t.Errorf("rank %d inbox[%d] = %q, want %q", r.ID(), i, m.Data(), want[i])
+			if m.Payload != want[i] {
+				t.Errorf("rank %d inbox[%d] = %q, want %q", r.ID(), i, m.Payload, want[i])
 			}
 		}
 	})
@@ -51,14 +51,14 @@ func TestInboxOrderDeterministic(t *testing.T) {
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	m := rma.DefaultCostModel()
-	w := NewWorld(3, m)
+	w := NewWorldWorkers(3, m, 0)
 	w.Superstep(func(r *Rank) {
 		r.Compute(1000 * (r.ID() + 1)) // rank 2 is the straggler
 	})
 	slowest := 3000 * m.ComputePerOp
 	wantMin := slowest + m.BarrierLatency
 	for _, r := range w.Ranks() {
-		if got := r.Clock().Now(); got < wantMin-1e-9 {
+		if got := r.clock.Now(); got < wantMin-1e-9 {
 			t.Errorf("rank %d clock = %v, want >= %v after barrier", r.ID(), got, wantMin)
 		}
 	}
@@ -72,10 +72,10 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 
 func TestSendChargesMatchingOverhead(t *testing.T) {
 	m := rma.DefaultCostModel()
-	w := NewWorld(2, m)
+	w := NewWorldWorkers(2, m, 0)
 	w.Superstep(func(r *Rank) {
 		if r.ID() == 0 {
-			r.Send(1, make([]byte, 100))
+			r.SendPayload(1, nil, 100)
 		}
 	})
 	ctr := w.Ranks()[0].Counters()
@@ -91,10 +91,10 @@ func TestSendChargesMatchingOverhead(t *testing.T) {
 
 func TestSelfSendIsLocalCost(t *testing.T) {
 	m := rma.DefaultCostModel()
-	w := NewWorld(2, m)
+	w := NewWorldWorkers(2, m, 0)
 	w.Superstep(func(r *Rank) {
 		if r.ID() == 0 {
-			r.Send(0, make([]byte, 10))
+			r.SendPayload(0, nil, 10)
 		}
 	})
 	ctr := w.Ranks()[0].Counters()
@@ -104,7 +104,7 @@ func TestSelfSendIsLocalCost(t *testing.T) {
 }
 
 func TestAllreduceSum(t *testing.T) {
-	w := NewWorld(4, rma.DefaultCostModel())
+	w := NewWorldWorkers(4, rma.DefaultCostModel(), 0)
 	got := w.AllreduceSum([]int64{1, 2, 3, 4})
 	if got != 10 {
 		t.Errorf("AllreduceSum = %d, want 10", got)
@@ -113,16 +113,16 @@ func TestAllreduceSum(t *testing.T) {
 		t.Error("AllreduceSum charged no time")
 	}
 	// All clocks equal after an allreduce.
-	c0 := w.Ranks()[0].Clock().Now()
+	c0 := w.Ranks()[0].clock.Now()
 	for _, r := range w.Ranks() {
-		if r.Clock().Now() != c0 {
+		if r.clock.Now() != c0 {
 			t.Errorf("clocks diverge after allreduce")
 		}
 	}
 }
 
 func TestAllreduceValidatesLength(t *testing.T) {
-	w := NewWorld(2, rma.DefaultCostModel())
+	w := NewWorldWorkers(2, rma.DefaultCostModel(), 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("AllreduceSum accepted wrong-length input")
@@ -132,17 +132,17 @@ func TestAllreduceValidatesLength(t *testing.T) {
 }
 
 func TestSendValidatesRank(t *testing.T) {
-	w := NewWorld(2, rma.DefaultCostModel())
+	w := NewWorldWorkers(2, rma.DefaultCostModel(), 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("Send accepted invalid destination")
 		}
 	}()
-	w.Superstep(func(r *Rank) { r.Send(7, nil) })
+	w.Superstep(func(r *Rank) { r.SendPayload(7, nil, 0) })
 }
 
 func TestStepsCount(t *testing.T) {
-	w := NewWorld(2, rma.DefaultCostModel())
+	w := NewWorldWorkers(2, rma.DefaultCostModel(), 0)
 	w.Superstep(func(r *Rank) {})
 	w.Superstep(func(r *Rank) {})
 	if w.Steps() != 2 {
@@ -154,7 +154,7 @@ func TestManySuperstepsAccumulateBarrierCost(t *testing.T) {
 	// Even with zero compute and no messages, every superstep costs at
 	// least the barrier latency: the synchronization tax TriC pays.
 	m := rma.DefaultCostModel()
-	w := NewWorld(4, m)
+	w := NewWorldWorkers(4, m, 0)
 	const rounds = 10
 	for i := 0; i < rounds; i++ {
 		w.Superstep(func(r *Rank) {})

@@ -50,6 +50,8 @@ func TestClockMonotoneProperty(t *testing.T) {
 	}
 }
 
+// TestMultipleWindowsIndependentFlush: each open epoch keeps its own flush
+// horizon and staged writes, so flushing w1 waits for w1's accumulates only.
 func TestMultipleWindowsIndependentFlush(t *testing.T) {
 	c := NewComm(2, DefaultCostModel())
 	w1 := c.CreateWindow("w1", [][]byte{nil, make([]byte, 64)})
@@ -57,17 +59,22 @@ func TestMultipleWindowsIndependentFlush(t *testing.T) {
 	r := c.Rank(0)
 	r.LockAll(w1)
 	r.LockAll(w2)
-	q1 := r.Get(w1, 1, 0, 8)
-	q2 := r.Get(w2, 1, 0, 8)
+	r.Accumulate(w1, 1, 0, 1)
+	r.AdvanceBy(1000)
+	r.Accumulate(w2, 1, 0, 1)
+	cost := DefaultCostModel().RemoteCost(8)
 	r.FlushAll(w1)
-	if !q1.Done() {
-		t.Error("flush of w1 left its request pending")
+	if got := r.Clock().Now(); got != cost {
+		t.Errorf("flush of w1 ended at %v, want w1's horizon %v", got, cost)
 	}
-	if q2.Done() {
-		t.Error("flush of w1 completed a w2 request")
+	if w1.loc[1][0] != 1 || w2.loc[1][0] != 0 {
+		t.Errorf("flush of w1 committed w1=%d w2=%d, want 1 and 0", w1.loc[1][0], w2.loc[1][0])
 	}
 	r.UnlockAll(w2) // implies flush
-	if !q2.Done() {
+	if got := r.Clock().Now(); got != 1000+cost {
+		t.Errorf("UnlockAll(w2) ended at %v, want w2's horizon %v", got, 1000+cost)
+	}
+	if w2.loc[1][0] != 1 {
 		t.Error("UnlockAll did not flush w2")
 	}
 	r.UnlockAll(w1)
@@ -79,24 +86,12 @@ func TestComputeVsAdvanceByCounters(t *testing.T) {
 	r.Compute(100)
 	r.AdvanceBy(500)
 	ctr := r.Counters()
-	want := 100*c.Model().ComputePerOp + 500
+	want := 100*DefaultCostModel().ComputePerOp + 500
 	if math.Abs(ctr.ComputeTime-want) > 1e-9 {
 		t.Errorf("ComputeTime = %v, want %v", ctr.ComputeTime, want)
 	}
 	if math.Abs(r.Clock().Now()-want) > 1e-9 {
 		t.Errorf("clock = %v, want %v", r.Clock().Now(), want)
-	}
-}
-
-func TestPutLocalNoNetworkCounters(t *testing.T) {
-	c := NewComm(2, DefaultCostModel())
-	w := c.CreateWindow("w", [][]byte{make([]byte, 8), nil})
-	r := c.Rank(0)
-	r.LockAll(w)
-	r.Put(w, 0, 0, []byte{1, 2})
-	r.UnlockAll(w)
-	if ctr := r.Counters(); ctr.Puts != 0 || ctr.RemoteBytes != 0 {
-		t.Errorf("local put touched network counters: %+v", ctr)
 	}
 }
 

@@ -7,38 +7,26 @@ import (
 	"repro/internal/fault"
 )
 
-// This file extends the simulated runtime beyond the operations the LCC
-// engine itself needs, covering the rest of the MPI-3 RMA surface the
-// paper's §II-E describes: per-target flushes, atomic accumulates
-// (MPI_Accumulate), and active-target fence epochs.
-// The Jaccard extension and the examples exercise them; they also make the
-// substrate reusable for the push-style algorithms of the paper's
-// future-work list (§VI ii), which accumulate partial results at the owner
-// instead of pulling adjacency lists.
-
-// Flush completes every outstanding operation of this rank addressed to
-// one target on w (MPI_Win_flush): staged accumulates for that target
-// land in the region, and the clock advances to the latest completion
-// time among the pending operations. Operations to other targets stay
-// pending (and staged).
-func (r *Rank) Flush(w *Window, target int) {
-	if r.stagedOps > 0 {
-		r.commitStaged(w, target)
-	}
-	r.completePending(func(q *Request) bool { return q.win == w && q.target == target })
-}
+// This file extends the simulated runtime beyond the reads the pull engine
+// needs, covering the rest of the MPI-3 RMA surface the paper's §II-E
+// describes: atomic accumulates (MPI_Accumulate), barriers and
+// active-target fence epochs. They are what the push engine of the paper's
+// future-work list (§VI ii) runs on: it accumulates partial results at the
+// owner instead of pulling adjacency lists.
 
 // Accumulate atomically adds delta to the uint64 at byte offset in
-// target's region (MPI_Accumulate with MPI_SUM). Like Put, the operation
-// is non-blocking; its completion — and, since the parallel scheduler,
-// its effect on the target region — is observed by a flush or barrier:
-// the update is staged per (origin, target) and committed there
-// (staged.go), so issuing an accumulate is a rank-local append rather
-// than a serializing read-modify-write. Accumulates targeting the rank
-// itself commit immediately, preserving local program order.
-func (r *Rank) Accumulate(w *Window, target, offset int, delta uint64) *Request {
+// target's region (MPI_Accumulate with MPI_SUM). The operation is
+// non-blocking; its completion — and, since the parallel scheduler, its
+// effect on the target region — is observed by a flush or barrier: the
+// update is staged per (origin, target) and committed there (staged.go), so
+// issuing an accumulate is a rank-local append rather than a serializing
+// read-modify-write. A remote accumulate raises its epoch's flush horizon
+// to its completion time. Accumulates targeting the rank itself commit
+// immediately, preserving local program order.
+func (r *Rank) Accumulate(w *Window, target, offset int, delta uint64) {
 	r.checkpoint()
-	if !r.inEpoch(w) {
+	e := r.epochOf(w)
+	if e == nil {
 		panic(fmt.Sprintf("rma: rank %d: Accumulate on %q outside an access epoch", r.id, w.name))
 	}
 	if w.kind != WritableBytes {
@@ -49,25 +37,26 @@ func (r *Rank) Accumulate(w *Window, target, offset int, delta uint64) *Request 
 			r.id, w.name, target, offset, len(w.loc[target])))
 	}
 	r.stage(w, target, offset, delta)
+	r.issueWrite(e, target, 8)
+}
 
-	q := r.newRequest(w, target, reqAccumulate)
+// issueWrite charges one accumulate message of size wire bytes to target
+// once its updates are staged: a local one commits and pays local-memory
+// cost here; a remote one pays whatever the fault schedule injects and
+// raises e's flush horizon to its completion time.
+func (r *Rank) issueWrite(e *epoch, target, size int) {
 	if target == r.id {
-		r.commitStaged(w, target)
-		r.clock.Advance(r.comm.model.LocalCost(8))
-		q.completeAt = r.clock.Now()
-		q.done = true
-		return q
+		r.commitStaged(e.w, target)
+		r.clock.Advance(r.comm.model.LocalCost(size))
+		return
 	}
 	if r.faults != nil {
-		r.injectFaults(fault.ClassAccumulate, 8)
+		r.injectFaults(fault.ClassAccumulate, size)
 	}
-	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(8))
-	q.completeAt = r.clock.Now() + cost
+	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
+	e.until = max(e.until, r.clock.Now()+cost)
 	r.ctr.Puts++
-	r.ctr.RemoteBytes += 8
-	q.tracked = true
-	r.pending = append(r.pending, q)
-	return q
+	r.ctr.RemoteBytes += int64(size)
 }
 
 // Update is one element of a batched accumulate: add Delta to the uint64 at
@@ -88,9 +77,10 @@ const updateWireBytes = 12
 // this is what makes local combining pay off for push-style algorithms:
 // k scattered Accumulates cost k·(α + 8β), the combined batch α + 12k·β.
 // Like Accumulate it is non-blocking; completion is observed by a flush.
-func (r *Rank) AccumulateBatch(w *Window, target int, ups []Update) *Request {
+func (r *Rank) AccumulateBatch(w *Window, target int, ups []Update) {
 	r.checkpoint()
-	if !r.inEpoch(w) {
+	e := r.epochOf(w)
+	if e == nil {
 		panic(fmt.Sprintf("rma: rank %d: AccumulateBatch on %q outside an access epoch", r.id, w.name))
 	}
 	if w.kind != WritableBytes {
@@ -104,26 +94,7 @@ func (r *Rank) AccumulateBatch(w *Window, target int, ups []Update) *Request {
 		}
 	}
 	r.stageBatch(w, target, ups)
-
-	size := updateWireBytes * len(ups)
-	q := r.newRequest(w, target, reqAccumulateBatch)
-	if target == r.id {
-		r.commitStaged(w, target)
-		r.clock.Advance(r.comm.model.LocalCost(size))
-		q.completeAt = r.clock.Now()
-		q.done = true
-		return q
-	}
-	if r.faults != nil {
-		r.injectFaults(fault.ClassAccumulate, size)
-	}
-	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
-	q.completeAt = r.clock.Now() + cost
-	r.ctr.Puts++
-	r.ctr.RemoteBytes += int64(size)
-	q.tracked = true
-	r.pending = append(r.pending, q)
-	return q
+	r.issueWrite(e, target, updateWireBytes*len(ups))
 }
 
 // Barrier synchronizes all p ranks of a communicator: real goroutine
@@ -232,11 +203,10 @@ func (b *Barrier) Wait(r *Rank) {
 }
 
 // Fence closes the current active-target epoch on w and opens the next one
-// (MPI_Win_fence): all pending operations of this rank on w complete, and
-// all ranks synchronize at the given barrier. The paper's engine never
-// fences — passive target is the whole point — but the substrate supports
-// it so the synchronization cost of an active-target design can be
-// measured against the passive one (see the rma tests and the A7 bench).
+// (MPI_Win_fence): all outstanding writes of this rank on w complete, and
+// all ranks synchronize at the given barrier. The paper's pull engine never
+// fences — passive target is the whole point — but the push engine does,
+// once, so every contribution has landed before scores are read.
 func (r *Rank) Fence(w *Window, b *Barrier) {
 	r.FlushAll(w)
 	b.Wait(r)

@@ -13,30 +13,6 @@ func twoRankComm() (*Comm, *Window) {
 	return c, w
 }
 
-func TestFlushSingleTarget(t *testing.T) {
-	c := NewComm(3, DefaultCostModel())
-	w := c.CreateWindow("w", [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 16)})
-	r := c.Rank(0)
-	r.LockAll(w)
-	q1 := r.Get(w, 1, 0, 8)
-	q2 := r.Get(w, 2, 0, 8)
-	r.Flush(w, 1)
-	if !q1.Done() {
-		t.Fatal("Flush(target 1) did not complete the target-1 get")
-	}
-	if q2.Done() {
-		t.Fatal("Flush(target 1) completed the target-2 get")
-	}
-	if q1.Target() != 1 || q2.Target() != 2 {
-		t.Fatalf("targets = %d,%d, want 1,2", q1.Target(), q2.Target())
-	}
-	r.FlushAll(w)
-	if !q2.Done() {
-		t.Fatal("FlushAll left a pending get")
-	}
-	r.UnlockAll(w)
-}
-
 func TestAccumulate(t *testing.T) {
 	c, w := twoRankComm()
 	r := c.Rank(0)
@@ -48,10 +24,10 @@ func TestAccumulate(t *testing.T) {
 	if got != 12 {
 		t.Fatalf("accumulated value = %d, want 12", got)
 	}
-	// Local accumulate completes immediately.
-	q := r.Accumulate(w, 0, 0, 3)
-	if !q.Done() {
-		t.Fatal("local accumulate not immediately done")
+	// A local accumulate lands at issue.
+	r.Accumulate(w, 0, 0, 3)
+	if got := binary.LittleEndian.Uint64(w.loc[0][0:]); got != 3 {
+		t.Fatalf("local accumulate not applied at issue: %d, want 3", got)
 	}
 	r.UnlockAll(w)
 }
@@ -88,7 +64,7 @@ func TestBarrierAlignsClocks(t *testing.T) {
 		r.AdvanceBy(float64(r.ID()) * 10000)
 		b.Wait(r)
 	})
-	want := 30000 + c.Model().BarrierLatency
+	want := 30000 + DefaultCostModel().BarrierLatency
 	for _, r := range ranks {
 		if r.Clock().Now() != want {
 			t.Fatalf("rank %d clock %.0f after barrier, want %.0f", r.ID(), r.Clock().Now(), want)
@@ -121,10 +97,10 @@ func TestFence(t *testing.T) {
 	b := c.NewBarrier()
 	ranks := c.Run(func(r *Rank) {
 		r.LockAll(w)
-		q := r.Get(w, 1-r.ID(), 0, 32)
+		r.Accumulate(w, 1-r.ID(), 0, uint64(r.ID())+1)
 		r.Fence(w, b)
-		if !q.Done() {
-			t.Errorf("rank %d: fence did not complete the pending get", r.ID())
+		if got := binary.LittleEndian.Uint64(w.loc[r.ID()]); got != uint64(2-r.ID()) {
+			t.Errorf("rank %d: fence left the peer's accumulate unapplied: %d", r.ID(), got)
 		}
 		r.UnlockAll(w)
 	})
@@ -250,7 +226,8 @@ func TestNoiseFlowsThroughCostModel(t *testing.T) {
 	w := c.CreateWindow("w", [][]byte{make([]byte, 16), make([]byte, 16)})
 	r := c.Rank(0)
 	r.LockAll(w)
-	q := r.Get(w, 1, 0, 16)
+	var q Request
+	r.GetInto(&q, w, 1, 0, 16)
 	q.Wait()
 	r.UnlockAll(w)
 	exact := model.RemoteCost(16)
@@ -263,18 +240,15 @@ func TestAccumulateBatch(t *testing.T) {
 	c, w := twoRankComm()
 	r := c.Rank(0)
 	r.LockAll(w)
-	q := r.AccumulateBatch(w, 1, []Update{
+	r.AccumulateBatch(w, 1, []Update{
 		{Offset: 0, Delta: 3},
 		{Offset: 8, Delta: 5},
 		{Offset: 0, Delta: 4}, // repeated offset folds into the same word
 	})
-	if q.Done() {
-		t.Fatal("remote batch reported done before flush")
+	if got := binary.LittleEndian.Uint64(w.loc[1][0:]); got != 0 {
+		t.Fatalf("remote batch landed before the flush: word 0 = %d", got)
 	}
 	r.FlushAll(w)
-	if !q.Done() {
-		t.Fatal("FlushAll left the batch pending")
-	}
 	if got := binary.LittleEndian.Uint64(w.loc[1][0:]); got != 7 {
 		t.Errorf("word 0 = %d, want 7", got)
 	}
@@ -295,10 +269,7 @@ func TestAccumulateBatchLocal(t *testing.T) {
 	c, w := twoRankComm()
 	r := c.Rank(1)
 	r.LockAll(w)
-	q := r.AccumulateBatch(w, 1, []Update{{Offset: 16, Delta: 9}})
-	if !q.Done() {
-		t.Fatal("local batch should complete immediately")
-	}
+	r.AccumulateBatch(w, 1, []Update{{Offset: 16, Delta: 9}})
 	if got := binary.LittleEndian.Uint64(w.loc[1][16:]); got != 9 {
 		t.Errorf("local word = %d, want 9", got)
 	}
@@ -380,15 +351,14 @@ func TestAccessors(t *testing.T) {
 		t.Errorf("NumRanks = %d, want 2", c.NumRanks())
 	}
 	r := c.Rank(0)
-	if r.Model() != c.Model() {
-		t.Error("rank model differs from comm model")
-	}
 	if w.SizeAt(1) != 64 {
 		t.Errorf("SizeAt(1) = %d, want 64", w.SizeAt(1))
 	}
 	r.LockAll(w)
 	issued := r.Clock().Now()
-	r.Get(w, 1, 0, 8).Wait()
+	var q Request
+	r.GetInto(&q, w, 1, 0, 8)
+	q.Wait()
 	if r.Clock().Now() <= issued {
 		t.Error("remote get completes no later than issue time")
 	}

@@ -39,9 +39,6 @@ func (c *Comm) SetFaults(spec *fault.Spec) { c.faults = spec }
 // simulated bit (see sched.Progress).
 func (c *Comm) SetProgress(p *sched.Progress) { c.prog = p }
 
-// Faults returns the world's installed fault schedule, nil if none.
-func (c *Comm) Faults() *fault.Spec { return c.faults }
-
 // injectFaults consults the rank's fault schedule at the issue point of
 // one remote one-sided operation and charges the recovery it dictates, in
 // canonical order ahead of the operation's own charge: the stall window

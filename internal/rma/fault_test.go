@@ -2,7 +2,6 @@ package rma
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -21,10 +20,10 @@ func faultGetRun(t *testing.T, spec *fault.Spec, obs ChargeObserver) ([]Counters
 	w := c.CreateReadOnlyWindow("data", local)
 	ranks := c.Run(func(r *Rank) {
 		r.LockAll(w)
+		var q Request
 		for i := 0; i < 2000; i++ {
-			q := r.Get(w, 1-r.ID(), (i%255)*64, 64)
+			r.GetInto(&q, w, 1-r.ID(), (i%255)*64, 64)
 			q.Wait()
-			q.Release()
 		}
 		r.UnlockAll(w)
 	})
@@ -127,7 +126,7 @@ func TestFaultDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestFaultWriteOps: the write-side ops (Put, Accumulate, AccumulateBatch)
+// TestFaultWriteOps: the write-side ops (Accumulate, AccumulateBatch)
 // consult the schedule too, and results are unchanged.
 func TestFaultWriteOps(t *testing.T) {
 	run := func(spec *fault.Spec) (Counters, uint64, float64) {
@@ -139,9 +138,8 @@ func TestFaultWriteOps(t *testing.T) {
 		ranks := c.Run(func(r *Rank) {
 			r.LockAll(w)
 			for i := 0; i < 200; i++ {
-				r.Accumulate(w, 1-r.ID(), 0, 1).Release()
-				r.AccumulateBatch(w, 1-r.ID(), []Update{{Offset: 8, Delta: 2}}).Release()
-				r.Put(w, 1-r.ID(), 16+8*r.ID(), []byte{1, 2, 3, 4}).Release()
+				r.Accumulate(w, 1-r.ID(), 0, 1)
+				r.AccumulateBatch(w, 1-r.ID(), []Update{{Offset: 8, Delta: 2}})
 				r.FlushAll(w)
 			}
 			b.Wait(r)
@@ -158,7 +156,7 @@ func TestFaultWriteOps(t *testing.T) {
 		return ctr, sum, MaxClock(ranks)
 	}
 	base, baseSum, baseSim := run(nil)
-	spec := &fault.Spec{Seed: 2, PutFailPct: 0.05, AccFailPct: 0.05}
+	spec := &fault.Spec{Seed: 2, AccFailPct: 0.05}
 	got, sum, sim := run(spec)
 	if sum != baseSum {
 		t.Fatalf("accumulated values changed under faults: %d vs %d", sum, baseSum)
@@ -167,40 +165,9 @@ func TestFaultWriteOps(t *testing.T) {
 		t.Fatalf("write ops recorded no recovery: %+v", got)
 	}
 	if got.Puts != base.Puts {
-		t.Fatalf("logical put count changed: %d vs %d", got.Puts, base.Puts)
+		t.Fatalf("logical write count changed: %d vs %d", got.Puts, base.Puts)
 	}
 	if sim <= baseSim {
 		t.Fatalf("faulted SimTime %v not above fault-free %v", sim, baseSim)
 	}
-}
-
-// TestDoubleReleasePanics is the regression test for the free-list guard:
-// releasing a request twice must panic and name the rank and the request
-// kind instead of corrupting the pool.
-func TestDoubleReleasePanics(t *testing.T) {
-	c := NewComm(2, DefaultCostModel())
-	w := c.CreateReadOnlyWindow("data", [][]byte{make([]byte, 64), make([]byte, 64)})
-	c.Run(func(r *Rank) {
-		if r.ID() != 0 {
-			return
-		}
-		r.LockAll(w)
-		defer r.UnlockAll(w)
-		q := r.Get(w, 1, 0, 8)
-		q.Wait()
-		q.Release()
-		defer func() {
-			msg, ok := recover().(string)
-			if !ok {
-				t.Error("double Release did not panic")
-				return
-			}
-			for _, want := range []string{"rank 0", "get request", "double Release"} {
-				if !strings.Contains(msg, want) {
-					t.Errorf("panic %q does not mention %q", msg, want)
-				}
-			}
-		}()
-		q.Release()
-	})
 }

@@ -50,9 +50,9 @@ func TestCountersMergeCoversEveryField(t *testing.T) {
 
 // TestStagedAccumulateVisibility pins the staged-accumulate contract: a
 // remote accumulate is buffered at issue and lands at the origin's flush;
-// same-origin Get/Put observe earlier accumulates without an
-// explicit flush (program order); and a barrier commits every rank's
-// buffers so post-barrier readers see the full sum.
+// a same-origin get observes earlier accumulates without an explicit flush
+// (program order); and a barrier commits every rank's buffers so
+// post-barrier readers see the full sum.
 func TestStagedAccumulateVisibility(t *testing.T) {
 	c, w := twoRankComm()
 	r := c.Rank(0)
@@ -68,22 +68,15 @@ func TestStagedAccumulateVisibility(t *testing.T) {
 		t.Fatalf("after FlushAll, region = %d, want 5", got)
 	}
 
-	// Per-target flush commits that target only.
-	r.Accumulate(w, 1, 0, 2)
-	r.Flush(w, 1)
-	if got := binary.LittleEndian.Uint64(w.loc[1][0:]); got != 7 {
-		t.Fatalf("after Flush(target), region = %d, want 7", got)
-	}
-
-	// Same-origin program order: a snapshot Get observes the rank's own
+	// Same-origin program order: a snapshot get observes the rank's own
 	// staged accumulates.
 	r.Accumulate(w, 1, 0, 3)
-	q := r.Get(w, 1, 0, 8)
+	var q Request
+	r.GetInto(&q, w, 1, 0, 8)
 	q.Wait()
-	if got := binary.LittleEndian.Uint64(q.Data()); got != 10 {
-		t.Fatalf("snapshot after own accumulate = %d, want 10", got)
+	if got := binary.LittleEndian.Uint64(q.Data()); got != 8 {
+		t.Fatalf("snapshot after own accumulate = %d, want 8", got)
 	}
-	q.Release()
 	r.UnlockAll(w)
 }
 
@@ -97,15 +90,14 @@ func TestBarrierCommitsStaged(t *testing.T) {
 	b := c.NewBarrier()
 	c.Run(func(r *Rank) {
 		r.LockAll(w)
-		r.Accumulate(w, 0, 0, uint64(r.ID())+1).Release()
+		r.Accumulate(w, 0, 0, uint64(r.ID())+1)
 		b.Wait(r)
 		if r.ID() == 0 {
-			q := r.Get(w, 0, 0, 8)
-			q.Wait()
+			var q Request
+			r.GetInto(&q, w, 0, 0, 8)
 			if got := binary.LittleEndian.Uint64(q.Data()); got != 1+2+3+4 {
 				t.Errorf("post-barrier sum = %d, want 10", got)
 			}
-			q.Release()
 		}
 		b.Wait(r) // keep rank 0's read inside the epoch for all ranks
 		r.UnlockAll(w)
@@ -126,7 +118,7 @@ func TestRunBoundedWorkers(t *testing.T) {
 			r.LockAll(w)
 			for round := 0; round < 3; round++ {
 				r.AdvanceBy(float64((r.ID()+round)%5) * 777)
-				r.Accumulate(w, (r.ID()+1)%6, 0, 1).Release()
+				r.Accumulate(w, (r.ID()+1)%6, 0, 1)
 				r.Fence(w, b)
 			}
 			r.UnlockAll(w)

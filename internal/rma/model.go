@@ -1,7 +1,7 @@
 // Package rma simulates an MPI-3 RMA runtime: a world of p ranks, windows
-// of network-exposed memory, one-sided non-blocking Get/Put operations, and
-// passive-target synchronization (MPI_Win_lock_all / flush / unlock_all),
-// following §II-E of the paper.
+// of network-exposed memory, one-sided non-blocking gets and accumulates,
+// and passive-target synchronization (MPI_Win_lock_all / flush_all /
+// unlock_all), following §II-E of the paper.
 //
 // Why a simulation: there is no MPI implementation for Go, and this
 // reproduction runs on a single machine (see DESIGN.md §1). Ranks execute as

@@ -59,12 +59,6 @@ func NewCommWorkers(p int, model CostModel, workers int) *Comm {
 // NumRanks returns the world size p.
 func (c *Comm) NumRanks() int { return c.p }
 
-// Model returns the communicator's cost model.
-func (c *Comm) Model() CostModel { return c.model }
-
-// Workers returns the scheduler's concurrency bound.
-func (c *Comm) Workers() int { return c.pool.Workers() }
-
 // WindowKind identifies the storage and aliasing discipline of a window.
 // The modeled communication cost is identical across kinds — only the
 // host-side behaviour of Get differs (snapshot copy vs. aliased view); see
@@ -72,12 +66,12 @@ func (c *Comm) Workers() int { return c.pool.Workers() }
 type WindowKind uint8
 
 const (
-	// WritableBytes is the classic window: a byte region peers may Put
-	// and Accumulate into. Get snapshots the region at issue
-	// time into a request-owned buffer.
+	// WritableBytes is the classic window: a byte region peers may
+	// Accumulate into. Get snapshots the region at issue time into a
+	// request-owned buffer.
 	WritableBytes WindowKind = iota
 	// ReadOnlyBytes exposes immutable byte data: Get returns an aliased
-	// subslice of the target region, no copy. Put/Accumulate panic.
+	// subslice of the target region, no copy. Accumulate panics.
 	ReadOnlyBytes
 	// ReadOnlyUint64s exposes immutable []uint64 data natively (the
 	// offset pairs of Fig. 3); Get returns an aliased []uint64 view via
@@ -93,8 +87,8 @@ const (
 	// therefore every charge and cache key are identical to an equivalent
 	// ReadOnlyVertices window; compression is invisible to the model plane
 	// (DESIGN.md §9). Gets must address whole vertex runs and decode into
-	// request-owned storage: Request.Vertices returns a buffer that is
-	// recycled with the request, not a window alias.
+	// request-owned storage: Request.Vertices returns a buffer the request
+	// reuses for its next get, not a window alias.
 	CompressedVertices
 )
 
@@ -257,7 +251,7 @@ func (w *Window) ReadVertices(target, offset, size int, buf []graph.V) []graph.V
 type Counters struct {
 	Gets        int64   // one-sided reads issued to remote ranks
 	LocalGets   int64   // one-sided reads that targeted the rank itself
-	Puts        int64   // one-sided writes
+	Puts        int64   // one-sided remote writes (accumulates)
 	RemoteBytes int64   // bytes fetched from remote ranks
 	LocalBytes  int64   // bytes read from the local region
 	GetCost     float64 // sum of α+s·β over issued remote gets (ns)
@@ -288,8 +282,7 @@ func (c *Counters) Merge(o Counters) {
 }
 
 // Rank is one process of the world. A Rank must be used from a single
-// goroutine; different Ranks may run concurrently. That single-goroutine
-// contract is what makes the request free list safe without locking.
+// goroutine; different Ranks may run concurrently.
 type Rank struct {
 	id      int
 	comm    *Comm
@@ -302,11 +295,8 @@ type Rank struct {
 
 	// epochs is the set of windows with an open access epoch. A flat
 	// slice: every engine here holds at most three epochs at once, so a
-	// linear scan beats a map lookup on every Get/Put — and allocates
-	// nothing at rank construction.
-	epochs  []*Window
-	pending []*Request
-	free    []*Request // recycled requests (see Request.Release)
+	// linear scan beats a map lookup on every get and accumulate.
+	epochs []epoch
 
 	// Staged accumulates: cross-rank window writes buffered per target
 	// until a flush or barrier commits them (staged.go). stagedOps counts
@@ -328,6 +318,14 @@ type Rank struct {
 	// progress counter, ticked on the same masked cadence as the
 	// cancellation poll. nil keeps the hot path at one predictable branch.
 	prog *sched.Progress
+
+	// Run allocates its ranks back to back and runs them on different
+	// cores, each writing its own clock, counters and ckOps on every
+	// charge. A trailing cache line keeps one rank's last written field
+	// off the line holding the next rank's clock; without it that line
+	// ping-pongs between cores (on a two-core host, the cached-uniform
+	// benchmark's op_p50_ms rose ~8 %).
+	_ [64]byte
 }
 
 // checkpointMask throttles cancellation polling: one atomic load every
@@ -358,7 +356,7 @@ func (c *Comm) Rank(id int) *Rank {
 	r := &Rank{id: id, comm: c, observer: c.observer}
 	// Every engine here opens at most three epochs (offsets, adjacency,
 	// and possibly a counter window); one slab keeps LockAll append-free.
-	r.epochs = make([]*Window, 0, 4)
+	r.epochs = make([]epoch, 0, 4)
 	r.clock.SetNoise(c.model.Noise, id)
 	r.faults = fault.New(c.faults, id)
 	r.prog = c.prog
@@ -373,9 +371,6 @@ func (r *Rank) ID() int { return r.id }
 
 // NumRanks returns the world size of the rank's communicator.
 func (r *Rank) NumRanks() int { return r.comm.p }
-
-// Model returns the cost model of the rank's communicator.
-func (r *Rank) Model() CostModel { return r.comm.model }
 
 // Clock returns the rank's simulated clock.
 func (r *Rank) Clock() *Clock { return &r.clock }
@@ -406,182 +401,97 @@ func (r *Rank) AdvanceBy(ns float64) {
 	}
 }
 
-// inEpoch reports whether the rank has an open access epoch on w.
-func (r *Rank) inEpoch(w *Window) bool {
-	for _, e := range r.epochs {
-		if e == w {
-			return true
+// epoch is one open access epoch: its window and its flush horizon, the
+// latest completion time among the remote accumulates issued on the window.
+// A flush waits for the horizon; AdvanceTo is a running max, so a horizon
+// already passed costs nothing and is never reset.
+type epoch struct {
+	w     *Window
+	until float64
+}
+
+// epochOf returns the rank's open epoch on w, nil if there is none.
+func (r *Rank) epochOf(w *Window) *epoch {
+	for i := range r.epochs {
+		if r.epochs[i].w == w {
+			return &r.epochs[i]
 		}
 	}
-	return false
+	return nil
 }
 
 // LockAll opens a passive-target access epoch on w, after which the rank
 // may issue RMA operations to any peer. As §III-A stresses, this is not a
 // lock and involves no synchronization; here it only flips epoch state.
 func (r *Rank) LockAll(w *Window) {
-	if r.inEpoch(w) {
+	if r.epochOf(w) != nil {
 		panic(fmt.Sprintf("rma: rank %d: LockAll on %q with epoch already open", r.id, w.name))
 	}
-	r.epochs = append(r.epochs, w)
+	r.epochs = append(r.epochs, epoch{w: w})
 }
 
 // UnlockAll closes the access epoch on w, implying a flush. Like the real
 // operation in passive mode, it is local: no peer involvement.
 func (r *Rank) UnlockAll(w *Window) {
-	if !r.inEpoch(w) {
+	if r.epochOf(w) == nil {
 		panic(fmt.Sprintf("rma: rank %d: UnlockAll on %q without open epoch", r.id, w.name))
 	}
 	r.FlushAll(w)
 	for i, e := range r.epochs {
-		if e == w {
+		if e.w == w {
 			r.epochs = append(r.epochs[:i], r.epochs[i+1:]...)
 			break
 		}
 	}
 }
 
-// Request is an outstanding non-blocking RMA operation. The data accessors
-// are valid only after the request completed (a flush on its window, or
-// Wait). A request has one of two owners. Pooled requests (Get, Put, the
-// accumulates) come from a per-rank free list: call Release when done with
-// one to return it — the allocation-free discipline every hot path here
-// relies on; one that is never released is ordinary garbage. A caller-owned
-// request (GetInto) is a value in the caller's own state: only its Wait
-// completes it and it is never released.
+// Request is an outstanding one-sided read. It is owned by its caller —
+// typically a value embedded in the caller's own pipeline state — and GetInto
+// refills it: the snapshot and decode buffers it keeps from one use to the
+// next are what make a get allocation-free. A remote get completes only at
+// its request's Wait, never at a window flush (a local one completes at
+// issue), and the data accessors are valid only once it has.
 type Request struct {
 	rank       *Rank
-	win        *Window
-	target     int
-	kind       reqKind   // operation class that issued this request
 	data       []byte    // byte windows: snapshot (writable) or view (read-only)
 	u64        []uint64  // ReadOnlyUint64s windows: aliased view
 	verts      []graph.V // ReadOnlyVertices: aliased view; CompressedVertices: decoded into vbuf
-	buf        []byte    // owned snapshot storage, reused across pool cycles
-	vbuf       []graph.V // owned decode storage (CompressedVertices), reused across pool cycles
+	buf        []byte    // owned snapshot storage, reused across gets
+	vbuf       []graph.V // owned decode storage (CompressedVertices), reused across gets
 	completeAt float64   // simulated completion time
 	done       bool
-	autoFree   bool // released while pending; recycle at completion
-	pooled     bool // currently on the free list (double-release guard)
-	tracked    bool // on the rank's pending list (flushes complete it)
-	owned      bool // caller-owned storage (GetInto); must never be pooled
 }
 
-// reqKind names the operation class that issued a request, so misuse
-// diagnostics (double Release) can say what was released, not just where.
-type reqKind uint8
-
-const (
-	reqGet reqKind = iota
-	reqPut
-	reqAccumulate
-	reqAccumulateBatch
-)
-
-func (k reqKind) String() string {
-	switch k {
-	case reqGet:
-		return "get"
-	case reqPut:
-		return "put"
-	case reqAccumulate:
-		return "accumulate"
-	case reqAccumulateBatch:
-		return "accumulate-batch"
-	default:
-		return "unknown"
-	}
-}
-
-// newRequest pops a recycled request or allocates one.
-func (r *Rank) newRequest(w *Window, target int, kind reqKind) *Request {
-	var q *Request
-	if n := len(r.free); n > 0 {
-		q = r.free[n-1]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
-		q.pooled = false
-	} else {
-		q = &Request{rank: r}
-	}
-	q.win = w
-	q.target = target
-	q.kind = kind
-	q.data, q.u64, q.verts = nil, nil, nil
-	q.completeAt = 0
-	q.done = false
-	q.autoFree = false
-	return q
-}
-
-// Release returns the request to its rank's free list. If the request is
-// still pending, it is recycled automatically when a flush completes it
-// (the fire-and-forget pattern of the push engine's accumulates). After
-// Release, the request must not be touched again; data obtained from a
-// read-only window remains valid (it aliases the window, not the request),
-// while a writable-window snapshot is invalidated. A second Release of the
-// same request panics — recycling it twice would hand two future
-// operations the same backing storage, and that free-list corruption
-// surfaces far from its cause.
-func (q *Request) Release() {
-	if q.pooled {
-		panic(fmt.Sprintf("rma: rank %d: double Release of %s request",
-			q.rank.id, q.kind))
-	}
-	if q.owned {
-		panic("rma: Release of a caller-owned request (GetInto); the caller owns its storage")
-	}
-	if !q.done {
-		q.autoFree = true
-		return
-	}
-	q.recycle()
-}
-
-func (q *Request) recycle() {
-	q.win = nil
-	q.data, q.u64, q.verts = nil, nil, nil
-	q.autoFree = false
-	q.pooled = true
-	q.rank.free = append(q.rank.free, q)
-}
-
-// Target returns the rank this operation addressed.
-func (q *Request) Target() int { return q.target }
-
-// Done reports whether the request has completed.
-func (q *Request) Done() bool { return q.done }
-
-// Data returns the bytes read by a completed Get on a byte window. It
+// Data returns the bytes read by a completed get on a byte window. It
 // panics if the request has not completed: the MPI RMA semantics the paper
-// relies on forbid touching a get's target buffer before a flush. For
-// writable windows the slice is a request-owned snapshot (valid until
-// Release); for ReadOnlyBytes windows it aliases the window region and
-// outlives the request.
+// relies on forbid touching a get's target buffer before it completes. For
+// writable windows the slice is a request-owned snapshot, valid until the
+// request's next get; for ReadOnlyBytes windows it aliases the window region
+// and outlives the request.
 func (q *Request) Data() []byte {
 	if !q.done {
-		panic("rma: Data() before flush; RMA reads complete only at flush")
+		panic("rma: Data() before Wait; a get completes only at its Wait")
 	}
 	return q.data
 }
 
-// Uint64s returns the typed view read by a completed Get on a
-// ReadOnlyUint64s window. The view aliases the window region and remains
-// valid after Release.
+// Uint64s returns the typed view read by a completed get on a
+// ReadOnlyUint64s window. The view aliases the window region and outlives
+// the request.
 func (q *Request) Uint64s() []uint64 {
 	if !q.done {
-		panic("rma: Uint64s() before flush; RMA reads complete only at flush")
+		panic("rma: Uint64s() before Wait; a get completes only at its Wait")
 	}
 	return q.u64
 }
 
-// Vertices returns the typed view read by a completed Get on a vertex
+// Vertices returns the typed view read by a completed get on a vertex
 // window. Over ReadOnlyVertices the view aliases the window region and
-// remains valid after Release; over CompressedVertices it is request-owned
-// decode storage, valid only until the request is recycled or reused.
+// outlives the request; over CompressedVertices it is request-owned decode
+// storage, valid until the request's next get.
 func (q *Request) Vertices() []graph.V {
 	if !q.done {
-		panic("rma: Vertices() before flush; RMA reads complete only at flush")
+		panic("rma: Vertices() before Wait; a get completes only at its Wait")
 	}
 	return q.verts
 }
@@ -597,31 +507,9 @@ func (q *Request) Wait() {
 	r.clock.AdvanceTo(q.completeAt)
 	r.ctr.FlushWait += r.clock.Now() - before
 	q.done = true
-	if q.tracked {
-		q.tracked = false
-		r.removePending(q)
-	}
-	if q.autoFree {
-		q.recycle()
-	}
 }
 
-// removePending unlinks q with a swap-remove: completion order does not
-// matter to the simulated clock (AdvanceTo is a running max), so the O(n)
-// shift of an ordered delete would buy nothing.
-func (r *Rank) removePending(q *Request) {
-	for i, p := range r.pending {
-		if p == q {
-			last := len(r.pending) - 1
-			r.pending[i] = r.pending[last]
-			r.pending[last] = nil
-			r.pending = r.pending[:last]
-			return
-		}
-	}
-}
-
-// resolve fills the request's data fields for a Get of [offset, offset+size)
+// resolve fills the request's data fields for a get of [offset, offset+size)
 // on the target region: a snapshot copy for writable windows, an aliased
 // view otherwise. Snapshot-at-issue and view semantics coincide for the
 // algorithms here: they only read immutable graph data during epochs, and
@@ -647,50 +535,16 @@ func (q *Request) resolve(w *Window, target, offset, size int) {
 	}
 }
 
-// Get issues a one-sided, non-blocking read of size bytes at offset in the
-// region target exposes in w. The rank's clock is charged only the issue
-// overhead; the transfer completes in the background at now+α+s·β, and a
-// later flush waits for it (this is what makes double buffering effective,
-// §III-A). Reads targeting the rank itself are served at local-memory cost
-// and complete immediately.
-//
-// Get and GetInto are the two ownerships of one operation (issueGet): Get's
-// request comes from the rank's pool, goes on the pending list so window
-// flushes complete it, and returns to the pool at Release.
-func (r *Rank) Get(w *Window, target, offset, size int) *Request {
-	q := r.newRequest(w, target, reqGet)
-	r.issueGet(q, w, target, offset, size)
-	if !q.done {
-		q.tracked = true
-		r.pending = append(r.pending, q)
-	}
-	return q
-}
-
-// GetInto is Get into a caller-owned request: q is typically embedded by
-// value in the caller's own pipeline state, so the per-rank request pool
-// and the pending list are bypassed entirely — no pool pop/push, no
-// pending append, no swap-remove on completion. The trade is a narrower
-// contract, which the engines' fetch pipeline satisfies by construction:
-// the caller must complete the request with q.Wait() (window-level flushes
-// do not see it) and must not Release it (it owns the storage, including the
-// snapshot and decode buffers q keeps from one use to the next). Everything
-// else — charges, completion time, counters, data views — is Get's own.
+// GetInto issues a one-sided, non-blocking read of size bytes at offset in
+// the region target exposes in w, into the caller's request q. The rank's
+// clock is charged only the issue overhead; the transfer completes in the
+// background at now+α+s·β, and q.Wait waits for it (this is what makes
+// double buffering effective, §III-A). Reads targeting the rank itself are
+// served at local-memory cost and complete immediately. A remote read first
+// pays whatever the fault schedule injects at its issue point.
 func (r *Rank) GetInto(q *Request, w *Window, target, offset, size int) {
-	q.rank, q.win, q.target, q.kind = r, w, target, reqGet
-	q.done, q.owned = false, true
-	q.data, q.u64, q.verts = nil, nil, nil
-	r.issueGet(q, w, target, offset, size)
-}
-
-// issueGet is the one body of a get, at its canonical charge-tape position:
-// it validates the access, resolves q's data, and charges the read — a local
-// one completes here, a remote one first pays whatever the fault schedule
-// injects and then gets its completion time, to be waited for. q arrives with
-// its identity set and its data fields and done cleared by its owner.
-func (r *Rank) issueGet(q *Request, w *Window, target, offset, size int) {
 	r.checkpoint()
-	if !r.inEpoch(w) {
+	if r.epochOf(w) == nil {
 		panic(fmt.Sprintf("rma: rank %d: Get on %q outside an access epoch", r.id, w.name))
 	}
 	if rl := w.SizeAt(target); offset < 0 || size < 0 || offset+size > rl {
@@ -702,6 +556,8 @@ func (r *Rank) issueGet(q *Request, w *Window, target, offset, size int) {
 		// own accumulates must observe them (staged.go).
 		r.commitStaged(w, target)
 	}
+	q.rank, q.done = r, false
+	q.data, q.u64, q.verts = nil, nil, nil
 	q.resolve(w, target, offset, size)
 	if target == r.id {
 		q.done = true
@@ -732,83 +588,22 @@ func (r *Rank) issueGet(q *Request, w *Window, target, offset, size int) {
 	}
 }
 
-// Put issues a one-sided write of data into target's region at offset. The
-// write is applied immediately (our callers never race puts against gets in
-// the same epoch, which MPI forbids) but completion time follows the same
-// α+s·β model. Put requires a writable window.
-func (r *Rank) Put(w *Window, target, offset int, data []byte) *Request {
-	r.checkpoint()
-	if !r.inEpoch(w) {
-		panic(fmt.Sprintf("rma: rank %d: Put on %q outside an access epoch", r.id, w.name))
-	}
-	if w.kind != WritableBytes {
-		panic(fmt.Sprintf("rma: rank %d: Put on %v window %q", r.id, w.kind, w.name))
-	}
-	region := w.loc[target]
-	if offset < 0 || offset+len(data) > len(region) {
-		panic(fmt.Sprintf("rma: rank %d: Put %q target %d [%d:+%d) out of range (len %d)",
-			r.id, w.name, target, offset, len(data), len(region)))
-	}
-	if r.stagedOps > 0 {
-		// Same-origin program order: accumulates issued before this Put
-		// land first (staged.go).
-		r.commitStaged(w, target)
-	}
-	copy(region[offset:], data)
-	q := r.newRequest(w, target, reqPut)
-	if target == r.id {
-		r.clock.Advance(r.comm.model.LocalCost(len(data)))
-		q.completeAt = r.clock.Now()
-		q.done = true
-		return q
-	}
-	if r.faults != nil {
-		r.injectFaults(fault.ClassPut, len(data))
-	}
-	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(len(data)))
-	q.completeAt = r.clock.Now() + cost
-	r.ctr.Puts++
-	r.ctr.RemoteBytes += int64(len(data))
-	q.tracked = true
-	r.pending = append(r.pending, q)
-	return q
-}
-
-// completePending completes every pending request that match accepts:
-// the clock advances to the latest completion time among them, auto-freed
-// requests return to the pool, and the pending list is compacted. Shared
-// by FlushAll and the per-target Flush.
-func (r *Rank) completePending(match func(q *Request) bool) {
-	before := r.clock.Now()
-	rest := r.pending[:0]
-	for _, q := range r.pending {
-		if !match(q) {
-			rest = append(rest, q)
-			continue
-		}
-		r.clock.AdvanceTo(q.completeAt)
-		q.done = true
-		q.tracked = false
-		if q.autoFree {
-			q.recycle()
-		}
-	}
-	for i := len(rest); i < len(r.pending); i++ {
-		r.pending[i] = nil
-	}
-	r.pending = rest
-	r.ctr.FlushWait += r.clock.Now() - before
-}
-
-// FlushAll completes every outstanding operation of this rank on w
+// FlushAll completes every outstanding write of this rank on w
 // (MPI_Win_flush_all): staged accumulates on w land in the target regions,
-// and the clock advances to the latest completion time. Completed requests
-// that were released while pending return to the free list here.
+// and the clock advances to the epoch's flush horizon, the latest
+// completion time among the remote accumulates issued on w. Gets are not
+// writes: each completes at its own Wait.
 func (r *Rank) FlushAll(w *Window) {
+	e := r.epochOf(w)
+	if e == nil {
+		panic(fmt.Sprintf("rma: rank %d: FlushAll on %q outside an access epoch", r.id, w.name))
+	}
 	if r.stagedOps > 0 {
 		r.commitStaged(w, -1)
 	}
-	r.completePending(func(q *Request) bool { return q.win == w })
+	before := r.clock.Now()
+	r.clock.AdvanceTo(e.until)
+	r.ctr.FlushWait += r.clock.Now() - before
 }
 
 // Run executes body on every rank concurrently — each rank on its own

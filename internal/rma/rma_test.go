@@ -25,16 +25,16 @@ func TestGetRemoteReadsBytesAndChargesCost(t *testing.T) {
 	w := twoRankWindow(t, c)
 	r := c.Rank(0)
 	r.LockAll(w)
-	q := r.Get(w, 1, 1, 3)
-	if q.Done() {
-		t.Fatal("remote get completed before flush")
+	var q Request
+	r.GetInto(&q, w, 1, 1, 3)
+	if q.done {
+		t.Fatal("remote get completed before its Wait")
 	}
-	r.FlushAll(w)
+	q.Wait()
 	if got, want := q.Data(), []byte{11, 12, 13}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Data = %v, want %v", got, want)
 	}
-	m := c.Model()
-	want := m.RemoteCost(3)
+	want := DefaultCostModel().RemoteCost(3)
 	if got := r.Clock().Now(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("clock = %v, want %v (α+3β)", got, want)
 	}
@@ -50,14 +50,15 @@ func TestGetLocalIsCheapAndImmediate(t *testing.T) {
 	w := twoRankWindow(t, c)
 	r := c.Rank(0)
 	r.LockAll(w)
-	q := r.Get(w, 0, 2, 4)
-	if !q.Done() {
+	var q Request
+	r.GetInto(&q, w, 0, 2, 4)
+	if !q.done {
 		t.Fatal("local get should complete immediately")
 	}
 	if got, want := q.Data(), []byte{2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Data = %v, want %v", got, want)
 	}
-	if r.Clock().Now() >= c.Model().RemoteLatency {
+	if r.Clock().Now() >= DefaultCostModel().RemoteLatency {
 		t.Errorf("local read cost %v should be far below remote latency", r.Clock().Now())
 	}
 	ctr := r.Counters()
@@ -68,16 +69,14 @@ func TestGetLocalIsCheapAndImmediate(t *testing.T) {
 }
 
 func TestNonBlockingOverlap(t *testing.T) {
-	// Issue a get, compute for longer than the transfer, flush: the flush
-	// must not add time (communication fully hidden), matching the
-	// double-buffering rationale of §III-A.
-	c := testComm(2)
-	w := twoRankWindow(t, c)
+	// Issue an accumulate, compute for longer than the transfer, flush: the
+	// flush must not add time (communication fully hidden), matching the
+	// overlap rationale of §III-A.
+	c, w := twoRankComm()
 	r := c.Rank(0)
 	r.LockAll(w)
-	r.Get(w, 1, 0, 4)
-	transfer := c.Model().RemoteCost(4)
-	r.AdvanceBy(2 * transfer)
+	r.Accumulate(w, 1, 0, 1)
+	r.AdvanceBy(2 * DefaultCostModel().RemoteCost(8))
 	before := r.Clock().Now()
 	r.FlushAll(w)
 	if r.Clock().Now() != before {
@@ -90,61 +89,50 @@ func TestNonBlockingOverlap(t *testing.T) {
 }
 
 func TestFlushWaitsForSlowTransfer(t *testing.T) {
-	c := testComm(2)
-	w := twoRankWindow(t, c)
+	c, w := twoRankComm()
 	r := c.Rank(0)
 	r.LockAll(w)
-	r.Get(w, 1, 0, 4)
+	r.Accumulate(w, 1, 0, 1)
 	r.FlushAll(w)
-	want := c.Model().RemoteCost(4)
+	want := DefaultCostModel().RemoteCost(8)
 	if got := r.Counters().FlushWait; math.Abs(got-want) > 1e-9 {
 		t.Errorf("FlushWait = %v, want %v", got, want)
 	}
 	r.UnlockAll(w)
 }
 
+// TestRequestWaitSingle: a Wait completes its own get only, and a window
+// flush completes none.
 func TestRequestWaitSingle(t *testing.T) {
 	c := testComm(2)
 	w := twoRankWindow(t, c)
 	r := c.Rank(0)
 	r.LockAll(w)
-	q1 := r.Get(w, 1, 0, 2)
-	q2 := r.Get(w, 1, 2, 2)
+	var q1, q2 Request
+	r.GetInto(&q1, w, 1, 0, 2)
+	r.GetInto(&q2, w, 1, 2, 2)
 	q1.Wait()
-	if !q1.Done() || q2.Done() {
-		t.Fatalf("Wait completed wrong requests: q1=%v q2=%v", q1.Done(), q2.Done())
+	if !q1.done || q2.done {
+		t.Fatalf("Wait completed wrong requests: q1=%v q2=%v", q1.done, q2.done)
 	}
 	r.FlushAll(w)
-	if !q2.Done() {
-		t.Error("FlushAll left q2 pending")
+	if q2.done {
+		t.Fatal("a window flush completed a get")
+	}
+	q2.Wait()
+	if got, want := q2.Data(), []byte{12, 13}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Data = %v, want %v", got, want)
 	}
 	r.UnlockAll(w)
-}
-
-func TestPutWritesRemote(t *testing.T) {
-	c := testComm(2)
-	w := twoRankWindow(t, c)
-	r := c.Rank(0)
-	r.LockAll(w)
-	r.Put(w, 1, 1, []byte{42, 43})
-	r.FlushAll(w)
-	r.UnlockAll(w)
-
-	r1 := c.Rank(1)
-	r1.LockAll(w)
-	q := r1.Get(w, 1, 0, 4)
-	r1.FlushAll(w)
-	if got, want := q.Data(), []byte{10, 42, 43, 13}; !reflect.DeepEqual(got, want) {
-		t.Errorf("after Put, region = %v, want %v", got, want)
-	}
-	r1.UnlockAll(w)
 }
 
 func TestEpochDiscipline(t *testing.T) {
 	c := testComm(2)
 	w := twoRankWindow(t, c)
 	r := c.Rank(0)
-	mustPanic(t, "Get outside epoch", func() { r.Get(w, 1, 0, 1) })
+	var q Request
+	mustPanic(t, "Get outside epoch", func() { r.GetInto(&q, w, 1, 0, 1) })
+	mustPanic(t, "FlushAll outside epoch", func() { r.FlushAll(w) })
 	r.LockAll(w)
 	mustPanic(t, "double LockAll", func() { r.LockAll(w) })
 	r.UnlockAll(w)
@@ -157,8 +145,9 @@ func TestGetBoundsChecked(t *testing.T) {
 	r := c.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	mustPanic(t, "get past end", func() { r.Get(w, 1, 2, 10) })
-	mustPanic(t, "negative offset", func() { r.Get(w, 1, -1, 1) })
+	var q Request
+	mustPanic(t, "get past end", func() { r.GetInto(&q, w, 1, 2, 10) })
+	mustPanic(t, "negative offset", func() { r.GetInto(&q, w, 1, -1, 1) })
 }
 
 func TestDataBeforeFlushPanics(t *testing.T) {
@@ -167,8 +156,9 @@ func TestDataBeforeFlushPanics(t *testing.T) {
 	r := c.Rank(0)
 	r.LockAll(w)
 	defer r.UnlockAll(w)
-	q := r.Get(w, 1, 0, 2)
-	mustPanic(t, "Data before flush", func() { q.Data() })
+	var q Request
+	r.GetInto(&q, w, 1, 0, 2)
+	mustPanic(t, "Data before Wait", func() { q.Data() })
 }
 
 func TestRunExecutesAllRanksConcurrently(t *testing.T) {
@@ -181,7 +171,7 @@ func TestRunExecutesAllRanksConcurrently(t *testing.T) {
 	if visited != 8 {
 		t.Fatalf("Run visited %d ranks, want 8", visited)
 	}
-	want := 1000 * c.Model().ComputePerOp
+	want := 1000 * DefaultCostModel().ComputePerOp
 	for _, r := range ranks {
 		if got := r.Clock().Now(); math.Abs(got-want) > 1e-9 {
 			t.Errorf("rank %d clock = %v, want %v", r.ID(), got, want)

@@ -16,7 +16,7 @@ import (
 // rank-local append, no lock, no false sharing — and the buffers are
 // replayed into the window regions at the points MPI makes them visible:
 //
-//   - the origin's own flush (MPI_Win_flush / flush_all / unlock) commits
+//   - the origin's own flush (MPI_Win_flush_all / unlock_all) commits
 //     that origin's buffers for the flushed window, and
 //   - a barrier commits every rank's remaining buffers in origin-rank
 //     order, each buffer in issue order — the canonical order the golden
@@ -26,9 +26,9 @@ import (
 // additions, which commute and associate exactly (mod 2^64), so the final
 // region bytes cannot depend on which commit path ran first; the
 // barrier's origin-rank order makes the canonical schedule explicit.
-// Same-origin program order — an origin's own Get/Put observing its
-// earlier accumulates — is preserved by committing the origin's buffers
-// before those operations touch the region (rma.go). Readers on OTHER
+// Same-origin program order — an origin's own get observing its earlier
+// accumulates — is preserved by committing the origin's buffers before the
+// get snapshots the region (rma.go). Readers on OTHER
 // ranks may only touch a region that peers accumulate into after a
 // synchronization (the MPI separation rule every engine here already
 // obeys), at which point all buffers have landed.

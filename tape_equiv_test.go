@@ -108,6 +108,16 @@ var tapeConfigs = []struct {
 			}
 			return res.SimTime
 		}},
+	{"push-direct", [4]tapeDigest{{55128, 0x39fd3e8b6613c39b}, {57376, 0xb322123c2410b0cf}, {58609, 0xdca6ba7b3cf351ab}, {58686, 0xc79f50f5569920bc}},
+		func(t *testing.T, g *graph.Graph, obs rma.ChargeObserver) float64 {
+			opt := goldenBase()
+			opt.ChargeObserver = obs
+			res, err := lcc.RunPush(g, lcc.PushOptions{Options: opt, Aggregation: lcc.PushDirect})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.SimTime
+		}},
 	{"replicated", [4]tapeDigest{{103787, 0x454c1078c8275cc5}, {104124, 0x4da8e0b0e3ee691f}, {103638, 0x68bc6c6669014800}, {103058, 0x20747d80596514ba}},
 		func(t *testing.T, g *graph.Graph, obs rma.ChargeObserver) float64 {
 			opt := goldenBase()
