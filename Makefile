@@ -97,10 +97,11 @@ pprof:
 	$(GO) tool pprof -top -nodecount 25 cpu.pprof
 	$(if $(MEM),$(GO) tool pprof -sample_index=inuse_space -top -nodecount 15 mem.pprof)
 
-# fuzz runs the intersection-kernel, varint-codec, fault-schedule and
-# lccd-wire fuzzers briefly — the same smokes CI runs.
+# fuzz runs the intersection-kernel, varint-codec, binary-container,
+# fault-schedule and lccd-wire fuzzers briefly — the same smokes CI runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersectKernels$$' -fuzztime 30s ./internal/intersect
 	$(GO) test -run '^$$' -fuzz '^FuzzVarintAdjacency$$' -fuzztime 30s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinaryStore$$' -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultSchedule$$' -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz '^FuzzLCCDRequest$$' -fuzztime 30s ./cmd/lccd

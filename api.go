@@ -35,11 +35,11 @@ const (
 	Directed   = graph.Directed
 )
 
-// GraphStore is the adjacency-access contract every graph representation
-// satisfies — plain in-RAM CSR (*Graph), varint/delta-compressed CSR, and
-// file-backed CSR — so every engine entrypoint accepts any of them. The
-// simulated model plane never observes which one a run used: results and
-// SimTime are bit-identical across representations (DESIGN.md §9).
+// GraphStore is the adjacency-access contract both graph representations
+// satisfy — plain in-RAM CSR (*Graph) and varint/delta-compressed CSR — so
+// every engine entrypoint accepts either. The simulated model plane never
+// observes which one a run used: results and SimTime are bit-identical
+// across representations (DESIGN.md §9).
 type GraphStore = graph.Store
 
 // BuildGraph constructs a simple CSR graph from an edge list, dropping
@@ -61,16 +61,6 @@ func Prepare(g *Graph, seed uint64) *Graph { return gen.Prepare(g, seed) }
 // MustLoadDataset generates (memoized) and prepares a registered dataset
 // (Table II stand-ins; DESIGN.md §1), panicking on an unknown name.
 func MustLoadDataset(name string) *Graph { return gen.MustLoad(name) }
-
-// LoadDatasetStore loads a dataset as the cheapest representation that
-// fits a resident-memory budget: plain when it fits, then compressed, then
-// file-backed straight from the disk cache (budget ≤ 0: unconstrained,
-// plain). With the disk cache enabled (SetGraphCacheDir or
-// LCC_GRAPH_CACHE) large graphs load from their binary file instead of
-// regenerating.
-func LoadDatasetStore(name string, budget int64) (GraphStore, error) {
-	return gen.LoadStore(name, budget)
-}
 
 // SetGraphCacheDir enables the dataset disk cache: generated graphs
 // persist to dir in the binary container format on first load and load
@@ -195,8 +185,8 @@ type LCCResult = lcc.Result
 type CacheStats = clampi.Stats
 
 // RunLCC executes the paper's fully asynchronous distributed TC+LCC
-// computation on a simulated p-rank machine. g may be any GraphStore —
-// plain, compressed, or file-backed; results are identical.
+// computation on a simulated p-rank machine. g may be either GraphStore —
+// plain or compressed; results are identical.
 func RunLCC(g GraphStore, opt LCCOptions) (*LCCResult, error) { return lcc.Run(g, opt) }
 
 // SharedResult is the output of the single-node computation.

@@ -54,7 +54,7 @@ type scaleDetail struct {
 }
 
 func main() {
-	dataset := flag.String("dataset", "rmat-s21-ef256", "scale-series dataset name (gen.ScaleNames)")
+	dataset := flag.String("dataset", "rmat-s21-ef256", "scale-series dataset name (internal/gen/scale.go)")
 	cache := flag.String("cache", "", "graph cache directory (default $LCC_GRAPH_CACHE, else .graph-cache)")
 	out := flag.String("out", "", "output record path (default stdout)")
 	flag.Parse()
@@ -108,7 +108,7 @@ func main() {
 
 	comp, ok := st.(*graph.CompressedCSR)
 	if !ok {
-		fatalf("cache file %s loaded as %s, want the compressed representation", path, st.ReprName())
+		fatalf("cache file %s loaded as %T, want the compressed representation", path, st)
 	}
 
 	det := scaleDetail{

@@ -5,9 +5,9 @@
 // The package is the public facade over the internal subsystems:
 //
 //   - internal/graph — CSR graph core, I/O, preprocessing (§II-B), and
-//     the storage plane: plain, varint/delta-compressed and file-backed
-//     CSR behind one Store contract, plus the versioned checksummed
-//     binary container (DESIGN.md §9)
+//     the storage plane: plain and varint/delta-compressed CSR behind
+//     one Store contract, plus the versioned checksummed binary
+//     container (DESIGN.md §9)
 //   - internal/gen — deterministic dataset generators (Table II
 //     stand-ins) with a binary disk cache for the large scale series
 //   - internal/part — 1D block and cyclic vertex distribution (§III-A)
@@ -52,13 +52,13 @@
 // internal packages by the commands under cmd/.
 //
 // Three compiled Examples show the entry points. ExampleRunLCC is a
-// one-shot run of the cached engine. ExampleLoadDatasetStore loads a large
+// one-shot run of the cached engine. ExampleSetGraphCacheDir loads a large
 // graph instead of regenerating it: with the disk cache on, every dataset
 // persists to the versioned, per-section-checksummed binary container on
-// first generation. The engines accept any GraphStore — plain CSR,
-// varint/delta-compressed CSR (~3× smaller), or a file-backed CSR mapped
-// straight from the container — and simulated results are bit-identical
-// regardless of representation (DESIGN.md §9). ExampleNewServeSupervisor
+// first generation. The engines accept either GraphStore — plain CSR or
+// varint/delta-compressed CSR (~3× smaller) — and can keep each rank's
+// locals compressed; simulated results are bit-identical regardless of
+// representation (DESIGN.md §9). ExampleNewServeSupervisor
 // builds the immutable setup once and runs queries against it supervised.
 // The daemon serves the same over HTTP:
 //

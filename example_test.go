@@ -31,17 +31,13 @@ func ExampleRunLCC() {
 }
 
 // A large graph loaded, not regenerated: with the disk cache on, every
-// dataset persists to the checksummed binary container on first generation,
-// and LoadDatasetStore returns the cheapest representation under the budget
-// (plain, compressed or file-backed; DESIGN.md §9). Results are bit-identical
-// whichever it picks.
-func ExampleLoadDatasetStore() {
+// dataset persists to the checksummed binary container on first generation
+// and loads from it afterwards. Compressed per-rank locals shrink what the
+// run holds (DESIGN.md §9); results are bit-identical to plain locals.
+func ExampleSetGraphCacheDir() {
 	repro.SetGraphCacheDir(".graph-cache") // or LCC_GRAPH_CACHE=...
-	st, err := repro.LoadDatasetStore("rmat-s21-ef256", 8<<30)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := repro.RunLCC(st, repro.LCCOptions{
+	g := repro.MustLoadDataset("rmat-s21-ef256")
+	res, err := repro.RunLCC(g, repro.LCCOptions{
 		Ranks:   64,
 		Caching: true,
 		Storage: repro.StorageCompressed, // per-rank locals stay compressed too

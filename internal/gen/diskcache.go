@@ -109,35 +109,3 @@ func persistToDisk(path string, g *graph.Graph) {
 	}
 	os.Rename(tmp.Name(), path)
 }
-
-// LoadStore returns the dataset as the cheapest Store that fits the given
-// resident-memory budget: plain CSR when it fits, varint/delta-compressed
-// when that fits, and the file-backed (mmap) representation when even the
-// compressed form would overshoot and the disk cache holds the dataset.
-// budget <= 0 means no budget (plain). The returned Store may need Close
-// (graph.FileCSR); callers that only want *graph.Graph should use Load.
-func LoadStore(name string, budget int64) (graph.Store, error) {
-	g, err := Load(name)
-	if err != nil {
-		return nil, err
-	}
-	if budget <= 0 {
-		return g, nil
-	}
-	st, fitErr := graph.StoreUnderBudget(g, budget)
-	if fitErr == nil {
-		return st, nil
-	}
-	// Even compressed does not fit: fall back to the file-backed form,
-	// whose resident footprint is zero (pages stream in on demand).
-	if path := CachePath(name); path != "" {
-		if _, statErr := os.Stat(path); statErr == nil {
-			if fc, openErr := graph.OpenBinary(path); openErr == nil {
-				return fc, nil
-			}
-		}
-	}
-	// No disk cache to map: return the compressed form with the same
-	// over-budget error StoreUnderBudget reported.
-	return st, fitErr
-}

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -133,68 +135,59 @@ func TestDiskCacheConcurrentLoads(t *testing.T) {
 	sameGraph(t, graphs[0], graph.Materialize(st))
 }
 
-// TestLoadStoreBudgets pins the representation ladder of LoadStore: no
-// budget → plain, tight budget → compressed, and a budget below even the
-// compressed footprint falls back to the file-backed form when the disk
-// cache holds the dataset.
-func TestLoadStoreBudgets(t *testing.T) {
+// TestDiskCachePoisonedStreamIsAMiss: a cache file whose checksums hold
+// over a varint stream that does not decode is a miss like any other
+// corruption. It used to panic inside the first Load's sync.Once, after
+// which every Load of the name returned (nil, nil).
+func TestDiskCachePoisonedStreamIsAMiss(t *testing.T) {
 	const name = "fb-sim"
 	SetCacheDir(t.TempDir())
 	defer SetCacheDir("")
 	defer evictMemo(name)
+
 	evictMemo(name)
-
-	plain, err := LoadStore(name, 0)
-	if err != nil {
-		t.Fatal(err)
+	want := MustLoad(name)
+	poisonStream(t, CachePath(name))
+	evictMemo(name)
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("load %d from the poisoned cache panicked: %v", i, p)
+				}
+			}()
+			g, err := Load(name)
+			if err != nil || g == nil {
+				t.Errorf("load %d from the poisoned cache: graph %v, error %v", i, g, err)
+				return
+			}
+			sameGraph(t, want, g)
+		}()
 	}
-	if plain.ReprName() != "plain" {
-		t.Fatalf("no budget chose %q, want plain", plain.ReprName())
-	}
-
-	comp, err := LoadStore(name, plain.MemBytes()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.ReprName() != "compressed" {
-		t.Fatalf("tight budget chose %q, want compressed", comp.ReprName())
-	}
-	if comp.MemBytes() >= plain.MemBytes() {
-		t.Fatalf("compressed footprint %d not below plain %d", comp.MemBytes(), plain.MemBytes())
-	}
-
-	fileSt, err := LoadStore(name, 1) // nothing fits in one byte
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, ok := fileSt.(*graph.FileCSR)
-	if !ok {
-		t.Fatalf("1-byte budget returned %T (%s), want *graph.FileCSR", fileSt, fileSt.ReprName())
-	}
-	defer fc.Close()
-	if fc.MemBytes() != 0 {
-		t.Fatalf("file-backed MemBytes = %d, want 0", fc.MemBytes())
-	}
-	sameStoreAdj(t, plain, fc)
 }
 
-func sameStoreAdj(t *testing.T, a, b graph.Store) {
+// poisonStream sets the continuation bit on the byte that ends the first
+// varint of a cache file's adjacency stream, then recomputes the section's
+// and the header's CRC-32C so only a decode can tell.
+func poisonStream(t *testing.T, path string) {
 	t.Helper()
-	if a.NumVertices() != b.NumVertices() || a.NumArcs() != b.NumArcs() {
-		t.Fatalf("store shape differs: n %d/%d arcs %d/%d",
-			a.NumVertices(), b.NumVertices(), a.NumArcs(), b.NumArcs())
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var ba, bb []graph.V
-	for v := 0; v < a.NumVertices(); v++ {
-		ba = a.AdjInto(graph.V(v), ba)
-		bb = b.AdjInto(graph.V(v), bb)
-		if len(ba) != len(bb) {
-			t.Fatalf("vertex %d: degree %d vs %d", v, len(ba), len(bb))
-		}
-		for i := range ba {
-			if ba[i] != bb[i] {
-				t.Fatalf("vertex %d: neighbour %d is %d vs %d", v, i, ba[i], bb[i])
-			}
-		}
+	le := binary.LittleEndian
+	table := raw[40 : 40+16*le.Uint32(raw[36:])] // {id u32, length u64, crc u32} per section
+	headerEnd := len(table) + 44
+	stream := raw[headerEnd+int(le.Uint64(table[4:])):][:le.Uint64(table[20:])]
+	i := 0
+	for stream[i] >= 0x80 {
+		i++
+	}
+	stream[i] |= 0x80
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	le.PutUint32(table[28:], crc32.Checksum(stream, castagnoli))
+	le.PutUint32(raw[headerEnd-4:], crc32.Checksum(raw[:headerEnd-4], castagnoli))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -128,6 +128,36 @@ func (ca *CompressedAdj) DecodeList(i int, buf []V) []V {
 	return out
 }
 
+// validate holds a whole graph's stream to what ValidateQuick asks of a
+// plain adjacency, decoding every list once into one reused buffer: each
+// list is exactly its degree in exactly its byte range, every id is below
+// the list count, and no list holds its own index. Strict order follows
+// from the delta code.
+func (ca *CompressedAdj) validate() error {
+	var buf []V
+	for i := 0; i < ca.lists; i++ {
+		section := ca.data[ca.byteOffAt(i):ca.byteOffAt(i+1)]
+		deg := ca.DegreeOf(i)
+		if deg > len(section) { // every id takes a byte: bounds buf by the stream
+			return fmt.Errorf("list %d has %d ids in %d bytes", i, deg, len(section))
+		}
+		list, used, ok := decodeDeltaList(section, deg, buf)
+		if !ok || used != len(section) {
+			return fmt.Errorf("list %d does not decode to %d ids in exactly its %d bytes", i, deg, len(section))
+		}
+		for _, w := range list {
+			if int(w) >= ca.lists {
+				return fmt.Errorf("list %d has out-of-range id %d (n=%d)", i, w, ca.lists)
+			}
+			if w == V(i) {
+				return fmt.Errorf("list %d has a self-loop", i)
+			}
+		}
+		buf = list
+	}
+	return nil
+}
+
 // DecodeAt decodes the list whose plain image occupies size bytes at byte
 // offset off (both in plain-image units: off = start*4, size = deg*4). The
 // coordinates must address exactly one whole list — the engines always
@@ -158,21 +188,11 @@ type CompressedCSR struct {
 	ca   *CompressedAdj
 }
 
-// CompressStore encodes st as varint/delta-compressed CSR.
-func CompressStore(st Store) *CompressedCSR {
-	n := st.NumVertices()
-	off := make([]uint64, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + uint64(st.OutDegree(V(v)))
-	}
-	ca := NewCompressedAdj(off, func(i int, buf []V) []V {
-		return st.AdjInto(V(i), buf)
-	})
-	return &CompressedCSR{kind: st.Kind(), ca: ca}
+// CompressGraph encodes g as varint/delta-compressed CSR.
+func CompressGraph(g *Graph) *CompressedCSR {
+	ca := NewCompressedAdj(g.offsets, func(i int, _ []V) []V { return g.Adj(V(i)) })
+	return &CompressedCSR{kind: g.kind, ca: ca}
 }
-
-// CompressGraph is CompressStore for a plain graph.
-func CompressGraph(g *Graph) *CompressedCSR { return CompressStore(g) }
 
 // Kind reports whether the graph is directed or undirected.
 func (c *CompressedCSR) Kind() Kind { return c.kind }
@@ -199,12 +219,6 @@ func (c *CompressedCSR) AdjInto(v V, buf []V) []V { return c.ca.DecodeList(int(v
 
 // Adjacency returns the underlying compressed adjacency plane.
 func (c *CompressedCSR) Adjacency() *CompressedAdj { return c.ca }
-
-// MemBytes returns the resident footprint of the compressed form.
-func (c *CompressedCSR) MemBytes() int64 { return c.ca.MemBytes() }
-
-// ReprName identifies the compressed representation.
-func (c *CompressedCSR) ReprName() string { return "compressed" }
 
 // CompressionRatio returns encoded-adjacency bytes over plain-adjacency
 // bytes (lower is better; 1.0 means no win).

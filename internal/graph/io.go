@@ -140,10 +140,10 @@ func ReadEdgeList(r io.Reader, kind Kind) (*Graph, error) {
 //	3  byte-offsets  varint files only: per-vertex byte offsets into the
 //	                 adjacency stream, n+1 entries (uint32 iff flag bit 2)
 //
-// Raw sections are laid out exactly as their in-memory arrays, so a
-// file-backed store (OpenBinary) can serve reads straight from the mapped
-// file. Version-1 files (unversioned sections, no checksums) are rejected
-// with a clear error; cmd/graphgen rewrites them.
+// Sections are laid out exactly as their in-memory arrays, so the reader
+// fills each resident array straight from the file. Version-1 files
+// (unversioned sections, no checksums) are rejected with a clear error;
+// cmd/graphgen rewrites them.
 var binaryMagic = [8]byte{'L', 'C', 'C', 'G', 'R', 'A', 'P', 'H'}
 
 const binaryVersion = 2
@@ -188,15 +188,6 @@ type binHeader struct {
 	arcs  int
 	flags uint32
 	sects []sectionEntry
-}
-
-func (h *binHeader) section(id uint32) (sectionEntry, bool) {
-	for _, s := range h.sects {
-		if s.id == id {
-			return s, true
-		}
-	}
-	return sectionEntry{}, false
 }
 
 func (h *binHeader) offWidth() int {
@@ -389,8 +380,8 @@ func readArray[T uint32 | uint64](r io.Reader, s sectionEntry, a []T) error {
 }
 
 // readOffsets reads an offsets section of n+1 entries in the width its flag
-// selects and checks that the entries never decrease and end at end: every
-// reader of a store slices by them unchecked.
+// selects and checks that the entries start at 0, never decrease and end at
+// end: every reader of a store slices by them unchecked.
 func readOffsets(r io.Reader, s sectionEntry, n int, is32 bool, end uint64) (o32 []uint32, o64 []uint64, err error) {
 	if is32 {
 		o32 = make([]uint32, n+1)
@@ -407,6 +398,9 @@ func readOffsets(r io.Reader, s sectionEntry, n int, is32 bool, end uint64) (o32
 }
 
 func checkOffsets[T uint32 | uint64](s sectionEntry, off []T, end uint64) error {
+	if off[0] != 0 {
+		return &CorruptError{Section: sectionName(s.id), Reason: fmt.Sprintf("first entry %d, want 0", off[0])}
+	}
 	for i := 1; i < len(off); i++ {
 		if off[i-1] > off[i] {
 			return &CorruptError{Section: sectionName(s.id), Reason: fmt.Sprintf("not monotone at %d", i-1)}
@@ -476,31 +470,27 @@ func writePayloads(w io.Writer, h *binHeader, payloads ...[]byte) error {
 }
 
 // ReadBinary deserializes a graph written by WriteBinary/WriteBinaryStore
-// into a plain in-RAM *Graph, decoding compressed files eagerly. Every
-// section is checksum-verified and the result passes the O(n+m) structural
-// checks of ValidateQuick; failures return a *CorruptError. For a
-// representation-preserving resident load use ReadBinaryStore; for a lazy
-// file-backed load use OpenBinary.
+// into a plain in-RAM *Graph, decoding compressed files eagerly, after every
+// check of ReadBinaryStore; failures return a *CorruptError. For a
+// representation-preserving load use ReadBinaryStore.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	st, err := ReadBinaryStore(r)
 	if err != nil {
 		return nil, err
 	}
-	g := Materialize(st)
-	if err := g.ValidateQuick(); err != nil {
-		return nil, &CorruptError{Section: "adjacency", Reason: err.Error()}
-	}
-	return g, nil
+	return Materialize(st), nil
 }
 
 // ReadBinaryStore deserializes a binary graph file into the resident
 // representation it was written in: raw files load as *Graph, varint files
-// as *CompressedCSR (the stream is adopted verbatim, no decode pass). Every
+// as *CompressedCSR (the stream is adopted verbatim, never inflated). Every
 // resident array is allocated once and filled from r chunk by chunk
 // (readArray), so the read's peak is one copy of the container. No store is
-// returned unless the header and every section match their checksums and
-// both offset arrays are monotone and end where they must; raw files
-// additionally pass ValidateQuick.
+// returned unless the header and every section match their checksums, both
+// offset arrays start at 0, never decrease and end where they must, and
+// the adjacency passes the checks of ValidateQuick: raw files directly,
+// varint files through one decode of every list into a reused buffer
+// (validate).
 func ReadBinaryStore(r io.Reader) (Store, error) {
 	h, err := decodeBinHeader(r)
 	if err != nil {
@@ -533,6 +523,9 @@ func ReadBinaryStore(r io.Reader) (Store, error) {
 	ca.bo32, ca.bo64, err = readOffsets(r, h.sects[2], h.n, h.flags&flagByte32 != 0, h.sects[1].length)
 	if err != nil {
 		return nil, err
+	}
+	if err := ca.validate(); err != nil {
+		return nil, &CorruptError{Section: "adjacency", Reason: err.Error()}
 	}
 	return &CompressedCSR{kind: h.kind, ca: ca}, nil
 }

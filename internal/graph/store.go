@@ -1,10 +1,8 @@
 package graph
 
-import "fmt"
-
-// Store is the adjacency-access contract every graph representation
-// satisfies: plain in-RAM CSR (*Graph), delta/varint-compressed CSR
-// (*CompressedCSR), and file-backed CSR (*FileCSR). Consumers that only
+// Store is the adjacency-access contract both graph representations
+// satisfy: plain in-RAM CSR (*Graph) and delta/varint-compressed CSR
+// (*CompressedCSR). Consumers that only
 // traverse adjacency lists — partitioning, local-CSR extraction, the
 // engines' setup paths — accept a Store and therefore work with any
 // representation.
@@ -33,13 +31,6 @@ type Store interface {
 	// buf[:deg(v)]. Either way the result is valid until the next AdjInto
 	// call with the same buf and must not be modified.
 	AdjInto(v V, buf []V) []V
-	// MemBytes returns the resident host-memory footprint of the
-	// representation (on-disk bytes for file-backed stores count as 0 —
-	// mapped pages are reclaimable).
-	MemBytes() int64
-	// ReprName names the representation ("plain", "compressed", "file") for
-	// logs and benchmark records.
-	ReprName() string
 }
 
 // *Graph satisfies Store with aliased, zero-copy views.
@@ -47,12 +38,6 @@ type Store interface {
 // AdjInto returns the adjacency list of v as an aliased view; buf is
 // ignored. It exists so *Graph satisfies Store.
 func (g *Graph) AdjInto(v V, _ []V) []V { return g.Adj(v) }
-
-// MemBytes returns the resident footprint of the plain CSR arrays.
-func (g *Graph) MemBytes() int64 { return g.CSRSizeBytes() }
-
-// ReprName identifies the plain representation.
-func (g *Graph) ReprName() string { return "plain" }
 
 // Materialize decodes any Store into a plain in-RAM *Graph. If st already
 // is one it is returned unchanged (no copy).
@@ -75,31 +60,4 @@ func Materialize(st Store) *Graph {
 		}
 	}
 	return &Graph{kind: st.Kind(), offsets: offsets, adj: adj}
-}
-
-// PlainBytes returns the in-memory size of the plain CSR image for a graph
-// with n vertices and the given arc count: 8 bytes per offsets entry plus 4
-// bytes per adjacency entry.
-func PlainBytes(n, arcs int) int64 {
-	return int64(n+1)*8 + int64(arcs)*4
-}
-
-// StoreUnderBudget returns the cheapest representation of g that fits under
-// budget bytes of resident memory, preferring plain (fastest) over
-// compressed (decode per access). A zero or negative budget means
-// unconstrained and returns g itself. If even the compressed form exceeds
-// the budget it is returned anyway — it is the smallest fully-resident
-// representation available — along with an error describing the overshoot;
-// callers wanting a hard failure can check the error, callers wanting
-// best-effort can ignore it.
-func StoreUnderBudget(g *Graph, budget int64) (Store, error) {
-	if budget <= 0 || g.MemBytes() <= budget {
-		return g, nil
-	}
-	c := CompressGraph(g)
-	if c.MemBytes() <= budget {
-		return c, nil
-	}
-	return c, fmt.Errorf("graph: no resident representation fits budget %d bytes (plain %d, compressed %d)",
-		budget, g.MemBytes(), c.MemBytes())
 }

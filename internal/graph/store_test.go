@@ -2,11 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -42,23 +42,23 @@ func sameStore(t *testing.T, g *Graph, st Store) {
 	t.Helper()
 	if st.Kind() != g.Kind() || st.NumVertices() != g.NumVertices() ||
 		st.NumArcs() != g.NumArcs() || st.NumEdges() != g.NumEdges() {
-		t.Fatalf("%s: shape mismatch: kind=%v n=%d arcs=%d edges=%d, want %v/%d/%d/%d",
-			st.ReprName(), st.Kind(), st.NumVertices(), st.NumArcs(), st.NumEdges(),
+		t.Fatalf("%T: shape mismatch: kind=%v n=%d arcs=%d edges=%d, want %v/%d/%d/%d",
+			st, st.Kind(), st.NumVertices(), st.NumArcs(), st.NumEdges(),
 			g.Kind(), g.NumVertices(), g.NumArcs(), g.NumEdges())
 	}
 	var buf []V
 	for v := 0; v < g.NumVertices(); v++ {
 		if d := st.OutDegree(V(v)); d != g.OutDegree(V(v)) {
-			t.Fatalf("%s: OutDegree(%d) = %d, want %d", st.ReprName(), v, d, g.OutDegree(V(v)))
+			t.Fatalf("%T: OutDegree(%d) = %d, want %d", st, v, d, g.OutDegree(V(v)))
 		}
 		buf = st.AdjInto(V(v), buf)
 		want := g.Adj(V(v))
 		if len(buf) != len(want) {
-			t.Fatalf("%s: AdjInto(%d) returned %d elements, want %d", st.ReprName(), v, len(buf), len(want))
+			t.Fatalf("%T: AdjInto(%d) returned %d elements, want %d", st, v, len(buf), len(want))
 		}
 		for i := range want {
 			if buf[i] != want[i] {
-				t.Fatalf("%s: AdjInto(%d)[%d] = %d, want %d", st.ReprName(), v, i, buf[i], want[i])
+				t.Fatalf("%T: AdjInto(%d)[%d] = %d, want %d", st, v, i, buf[i], want[i])
 			}
 		}
 	}
@@ -138,8 +138,8 @@ func TestBinaryStoreRoundTripCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadBinaryStore: %v", err)
 	}
-	if st.ReprName() != "compressed" {
-		t.Fatalf("round-trip representation = %s, want compressed", st.ReprName())
+	if _, ok := st.(*CompressedCSR); !ok {
+		t.Fatalf("round-trip representation = %T, want *CompressedCSR", st)
 	}
 	sameStore(t, g, st)
 	// The eager reader decodes the same file to a plain graph.
@@ -148,35 +148,6 @@ func TestBinaryStoreRoundTripCompressed(t *testing.T) {
 		t.Fatalf("ReadBinary(compressed file): %v", err)
 	}
 	sameStore(t, g, g2)
-}
-
-func TestFileCSRServesBothEncodings(t *testing.T) {
-	g := randomStoreGraph(t, 1200, 8000, 4)
-	dir := t.TempDir()
-	for name, st := range map[string]Store{"raw.lcc": g, "comp.lcc": CompressGraph(g)} {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteBinaryStore(f, st); err != nil {
-			t.Fatalf("WriteBinaryStore(%s): %v", name, err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		fc, err := OpenBinary(path)
-		if err != nil {
-			t.Fatalf("OpenBinary(%s): %v", name, err)
-		}
-		sameStore(t, g, fc)
-		if fc.DiskBytes() == 0 || fc.MemBytes() != 0 {
-			t.Errorf("%s: DiskBytes=%d MemBytes=%d, want >0 and 0", name, fc.DiskBytes(), fc.MemBytes())
-		}
-		if err := fc.Close(); err != nil {
-			t.Fatalf("Close(%s): %v", name, err)
-		}
-	}
 }
 
 func TestBinaryCorruptSectionsFailTyped(t *testing.T) {
@@ -193,20 +164,20 @@ func TestBinaryCorruptSectionsFailTyped(t *testing.T) {
 			bad[pos] ^= 0x40
 			_, err := ReadBinaryStore(bytes.NewReader(bad))
 			if err == nil {
-				t.Fatalf("%s: corruption at byte %d loaded silently", st.ReprName(), pos)
+				t.Fatalf("%T: corruption at byte %d loaded silently", st, pos)
 			}
 			var ce *CorruptError
 			if !errors.As(err, &ce) && pos != 9 {
 				// Byte 9 flips the version field, which reports a plain
 				// unsupported-version error by design.
-				t.Errorf("%s: corruption at byte %d: error %v is not a *CorruptError", st.ReprName(), pos, err)
+				t.Errorf("%T: corruption at byte %d: error %v is not a *CorruptError", st, pos, err)
 			}
 		}
 		// Truncation fails loud too.
 		_, err := ReadBinaryStore(bytes.NewReader(clean[:len(clean)-10]))
 		var ce *CorruptError
 		if !errors.As(err, &ce) {
-			t.Errorf("%s: truncated file: error %v is not a *CorruptError", st.ReprName(), err)
+			t.Errorf("%T: truncated file: error %v is not a *CorruptError", st, err)
 		}
 	}
 
@@ -229,7 +200,7 @@ func TestBinaryCorruptSectionsFailTyped(t *testing.T) {
 			_, err := ReadBinaryStore(bytes.NewReader(data))
 			var ce *CorruptError
 			if !errors.As(err, &ce) || ce.Section != want {
-				t.Errorf("%s: %s: got %v, want a *CorruptError in %q", st.ReprName(), what, err, want)
+				t.Errorf("%T: %s: got %v, want a *CorruptError in %q", st, what, err, want)
 			}
 		}
 		flip := func(pos int) []byte {
@@ -242,7 +213,7 @@ func TestBinaryCorruptSectionsFailTyped(t *testing.T) {
 		for _, s := range h.sects {
 			name, length := sectionName(s.id), int(s.length)
 			if s.id == sectAdj && length <= 2*readChunk {
-				t.Fatalf("%s: adjacency section is %d bytes, want more than two read chunks", st.ReprName(), length)
+				t.Fatalf("%T: adjacency section is %d bytes, want more than two read chunks", st, length)
 			}
 			wantSection("cut at the start of "+name, clean[:start], name)
 			for off := 0; off < length; off += readChunk {
@@ -254,21 +225,18 @@ func TestBinaryCorruptSectionsFailTyped(t *testing.T) {
 			start += length
 		}
 		if start != len(clean) {
-			t.Fatalf("%s: sections end at %d, container is %d bytes", st.ReprName(), start, len(clean))
+			t.Fatalf("%T: sections end at %d, container is %d bytes", st, start, len(clean))
 		}
 	}
 }
 
 // TestReadBinaryStoreRejectsNonMonotoneOffsets: a container can carry valid
-// checksums over plain arc offsets that decrease. Every reader slices by
-// them unchecked — Materialize of such a varint store used to panic in the
-// list after the swap — so no store is returned from one.
+// checksums over plain arc offsets that decrease or do not start at 0.
+// Every reader slices by them unchecked — Materialize of such a varint store
+// used to panic in the list after the swap, or size its arcs by a first
+// entry alone — so no store is returned from one.
 func TestReadBinaryStoreRejectsNonMonotoneOffsets(t *testing.T) {
-	ring := make([]Edge, 6)
-	for i := range ring {
-		ring[i] = Edge{V(i), V((i + 1) % 6)}
-	}
-	g := MustBuild(Undirected, 6, ring)
+	g := ringGraph(6)
 
 	swapped32 := CompressGraph(g)
 	po := swapped32.ca.po32
@@ -283,6 +251,9 @@ func TestReadBinaryStoreRejectsNonMonotoneOffsets(t *testing.T) {
 	ca.po32 = nil
 	ca.po64[4] = ca.po64[3] - 1
 
+	shifted := CompressGraph(g)
+	shifted.ca.po32[0] = 1
+
 	var raw64 bytes.Buffer
 	off := append([]uint64(nil), g.offsets...)
 	off[2], off[3] = off[3], off[2]
@@ -292,7 +263,7 @@ func TestReadBinaryStoreRejectsNonMonotoneOffsets(t *testing.T) {
 	}
 
 	containers := map[string][]byte{"raw, 64-bit offsets swapped": raw64.Bytes()}
-	for name, c := range map[string]*CompressedCSR{"varint, 32-bit offsets swapped": swapped32, "varint, 64-bit offset decreasing": decreasing64} {
+	for name, c := range map[string]*CompressedCSR{"varint, 32-bit offsets swapped": swapped32, "varint, 64-bit offset decreasing": decreasing64, "varint, first offset 1": shifted} {
 		var buf bytes.Buffer
 		if err := WriteBinaryStore(&buf, c); err != nil {
 			t.Fatal(err)
@@ -303,7 +274,61 @@ func TestReadBinaryStoreRejectsNonMonotoneOffsets(t *testing.T) {
 		st, err := ReadBinaryStore(bytes.NewReader(data))
 		var ce *CorruptError
 		if !errors.As(err, &ce) || ce.Section != "offsets" {
-			t.Errorf("%s: got store %v, error %v; want a *CorruptError in \"offsets\"", name, st, err)
+			t.Errorf("%s: got %T, error %v; want a *CorruptError in \"offsets\"", name, st, err)
+		}
+	}
+}
+
+// ringGraph is the undirected n-cycle: vertex n-1's list is {0, n-2}.
+func ringGraph(n int) *Graph {
+	ring := make([]Edge, n)
+	for i := range ring {
+		ring[i] = Edge{V(i), V((i + 1) % n)}
+	}
+	return MustBuild(Undirected, n, ring)
+}
+
+// malformedVarint returns ring(6) in the varint encoding four ways its
+// checksums cannot catch: a continuation bit on the first stream byte, a
+// byte after the last list, an id n, and a self-loop.
+func malformedVarint() map[string]*CompressedCSR {
+	g := ringGraph(6)
+	withLast := func(list ...V) *CompressedCSR {
+		ca := NewCompressedAdj(g.offsets, func(i int, _ []V) []V {
+			if i == 5 {
+				return list
+			}
+			return g.Adj(V(i))
+		})
+		return &CompressedCSR{kind: g.kind, ca: ca}
+	}
+	continued := CompressGraph(g)
+	continued.ca.data[0] |= 0x80
+	trailing := CompressGraph(g)
+	trailing.ca.data = append(trailing.ca.data, 0)
+	trailing.ca.bo32[6]++
+	return map[string]*CompressedCSR{
+		"continuation bit on the first byte": continued,
+		"byte after the last list":           trailing,
+		"id n in the last list":              withLast(0, 6),
+		"self-loop in the last list":         withLast(4, 5),
+	}
+}
+
+// TestReadBinaryStoreRejectsMalformedVarint: the checksums cover a varint
+// stream's bytes, not whether its lists decode. Materialize of such a store
+// used to panic inside gen.Load's sync.Once, which then served (nil, nil)
+// for the rest of the process, so no store is returned from one.
+func TestReadBinaryStoreRejectsMalformedVarint(t *testing.T) {
+	for name, c := range malformedVarint() {
+		var buf bytes.Buffer
+		if err := WriteBinaryStore(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ReadBinaryStore(bytes.NewReader(buf.Bytes()))
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Section != "adjacency" {
+			t.Errorf("%s: got %T, error %v; want a *CorruptError in \"adjacency\"", name, st, err)
 		}
 	}
 }
@@ -371,25 +396,25 @@ func TestPortableBytesMatchByteView(t *testing.T) {
 			}
 		}
 		if !bytes.Equal(images[0], images[1]) {
-			t.Fatalf("%s: the fallback writes a different container than the byte view", st.ReprName())
+			t.Fatalf("%T: the fallback writes a different container than the byte view", st)
 		}
 		if sums[0] != sums[1] {
-			t.Errorf("%s: checksum %08x through the byte view, %08x through the fallback", st.ReprName(), sums[0], sums[1])
+			t.Errorf("%T: checksum %08x through the byte view, %08x through the fallback", st, sums[0], sums[1])
 		}
 		for _, portable := range []bool{false, true} {
 			portableBytes = portable
 			back, err := ReadBinaryStore(bytes.NewReader(images[0]))
 			if err != nil {
-				t.Fatalf("%s: read with portable=%v: %v", st.ReprName(), portable, err)
+				t.Fatalf("%T: read with portable=%v: %v", st, portable, err)
 			}
-			if back.ReprName() != st.ReprName() {
-				t.Fatalf("%s: read back as %s", st.ReprName(), back.ReprName())
+			if fmt.Sprintf("%T", back) != fmt.Sprintf("%T", st) {
+				t.Fatalf("%T: read back as %T", st, back)
 			}
 			sameStore(t, g, back)
 			bad := append([]byte(nil), images[0]...)
 			bad[len(bad)/2] ^= 1
 			if _, err := ReadBinaryStore(bytes.NewReader(bad)); err == nil {
-				t.Errorf("%s: portable=%v: damaged container loaded silently", st.ReprName(), portable)
+				t.Errorf("%T: portable=%v: damaged container loaded silently", st, portable)
 			}
 		}
 	}
@@ -401,23 +426,6 @@ func TestReadBinaryRejectsVersion1(t *testing.T) {
 	_, err := ReadBinary(bytes.NewReader(old))
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("version")) {
 		t.Fatalf("version-1 file: got %v, want unsupported-version error", err)
-	}
-}
-
-func TestStoreUnderBudget(t *testing.T) {
-	g := randomStoreGraph(t, 2000, 12000, 6)
-	if st, err := StoreUnderBudget(g, 0); err != nil || st != Store(g) {
-		t.Fatalf("unconstrained budget: got %v repr, err %v", st.ReprName(), err)
-	}
-	if st, err := StoreUnderBudget(g, g.MemBytes()); err != nil || st.ReprName() != "plain" {
-		t.Fatalf("roomy budget: got %s, err %v", st.ReprName(), err)
-	}
-	c := CompressGraph(g)
-	if st, err := StoreUnderBudget(g, g.MemBytes()-1); err != nil || st.ReprName() != "compressed" {
-		t.Fatalf("tight budget: got %s, err %v", st.ReprName(), err)
-	}
-	if st, err := StoreUnderBudget(g, c.MemBytes()-1); err == nil || st.ReprName() != "compressed" {
-		t.Fatalf("impossible budget: got %s, err %v — want compressed with error", st.ReprName(), err)
 	}
 }
 
@@ -545,6 +553,75 @@ func FuzzVarintAdjacency(f *testing.F) {
 			if got[i] != syn[i] {
 				t.Fatalf("round-trip mismatch at %d: %d != %d", i, got[i], syn[i])
 			}
+		}
+	})
+}
+
+// FuzzReadBinaryStore frames fuzzed offsets, adjacency and byte-offset
+// payloads as a container with valid checksums (random bytes almost never
+// get past the CRCs) and holds ReadBinaryStore to its contract: a
+// *CorruptError, or a store that materializes without panicking into a
+// graph that passes ValidateQuick. The header's n and arcs follow from the
+// offsets, and the adjacency is cut to where the offsets say it ends.
+func FuzzReadBinaryStore(f *testing.F) {
+	g := ringGraph(6)
+	off32 := make([]uint32, len(g.offsets))
+	for i, o := range g.offsets {
+		off32[i] = uint32(o)
+	}
+	f.Add(uint8(flagOff32), LEBytes(off32), LEBytes(g.adj), []byte(nil))
+	varint := uint8(flagVarint | flagOff32 | flagByte32)
+	c := CompressGraph(g)
+	f.Add(varint, LEBytes(c.ca.po32), c.ca.data, LEBytes(c.ca.bo32))
+	bad := malformedVarint()["continuation bit on the first byte"].ca
+	f.Add(varint, LEBytes(bad.po32), bad.data, LEBytes(bad.bo32))
+	f.Fuzz(func(t *testing.T, flags uint8, off, adj, bo []byte) {
+		h := &binHeader{kind: Undirected, flags: uint32(flags) & flagsKnown}
+		if flags&0x80 != 0 {
+			h.kind = Directed
+		}
+		// entry returns entry i of a little-endian array of width-byte entries.
+		entry := func(b []byte, width, i int) uint64 {
+			if width == 4 {
+				return uint64(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+			return binary.LittleEndian.Uint64(b[8*i:])
+		}
+		h.n = len(off)/h.offWidth() - 1
+		if h.n < 0 {
+			return
+		}
+		off = off[:(h.n+1)*h.offWidth()]
+		arcs := entry(off, h.offWidth(), h.n)
+		h.arcs = int(arcs)
+		payloads := [][]byte{off, adj}
+		if h.flags&flagVarint == 0 {
+			if arcs < uint64(len(adj))/4 {
+				payloads[1] = adj[:4*arcs]
+			}
+		} else {
+			if bw := h.byteOffWidth(); len(bo) >= (h.n+1)*bw {
+				bo = bo[:(h.n+1)*bw]
+				if end := entry(bo, bw, h.n); end < uint64(len(adj)) {
+					payloads[1] = adj[:end]
+				}
+			}
+			payloads = append(payloads, bo)
+		}
+		var buf bytes.Buffer
+		if err := writePayloads(&buf, h, payloads...); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ReadBinaryStore(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("error %v is not a *CorruptError", err)
+			}
+			return
+		}
+		if err := Materialize(st).ValidateQuick(); err != nil {
+			t.Fatalf("%T passed ReadBinaryStore but not ValidateQuick: %v", st, err)
 		}
 	})
 }

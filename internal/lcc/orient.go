@@ -75,9 +75,8 @@ func newOrientIndex(n int) *orientIndex {
 }
 
 // upper cuts list = adj(vj) down to the ids above vj and returns the
-// DenseSet over that upper list, nil when it has none. A nil index — a
-// single VertexTriangles call — searches, like every entry that fails
-// validation.
+// DenseSet over that upper list, nil when it has none. A nil index
+// searches, like every entry that fails validation.
 func (ix *orientIndex) upper(vj graph.V, list []graph.V) ([]graph.V, *intersect.DenseSet) {
 	if ix == nil || int(vj) >= len(ix.word) {
 		return intersect.UpperSlice(list, vj), nil

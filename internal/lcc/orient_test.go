@@ -302,8 +302,8 @@ func TestCorruptResidentThenRun(t *testing.T) {
 	}
 }
 
-// TestUpperWithoutIndex pins the nil index of a single VertexTriangles call and
-// the entry points of a filled one against the search they replace.
+// TestUpperWithoutIndex pins the nil index and the entry points of a filled
+// one against the search they replace.
 func TestUpperWithoutIndex(t *testing.T) {
 	list := []graph.V{2, 3, 5, 8, 13, 21}
 	ix := newOrientIndex(32)

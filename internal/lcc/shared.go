@@ -39,20 +39,13 @@ func TriangleCount(kind graph.Kind, sumT int64) int64 {
 	return sumT
 }
 
-// VertexTriangles returns the edge-centric triangle count t_i of a single
+// vertexTriangles returns the edge-centric triangle count t_i of one
 // vertex: Σ_{v_j ∈ adj(v_i)} |adj(v_i) ∩ adj'(v_j)| where adj' is offset to
 // the upper triangle for undirected graphs (§II-C). ops returns the total
-// intersection iterations, the modeled-compute charge.
-func VertexTriangles(g *graph.Graph, vi graph.V, method intersect.Method) (t int64, ops int) {
-	its := intersect.GetScratch()
-	defer intersect.PutScratch(its)
-	return vertexTriangles(g, vi, method, its, nil)
-}
-
-// vertexTriangles is VertexTriangles with a caller-held scratch, so loops
-// over many vertices amortize the stamp set across pivots, and the engine's
-// visit (worker.run): adj(v_j) is cut and indexed through orient, which a
-// loop over the whole graph brings along and a single vertex leaves nil.
+// intersection iterations, the modeled-compute charge. The caller holds the
+// scratch, so its loop amortizes the stamp set across pivots, and the
+// orientation index that cuts and indexes adj'(v_j), as the engine's visit
+// (worker.run) does.
 func vertexTriangles(g *graph.Graph, vi graph.V, method intersect.Method, its *intersect.Scratch, orient *orientIndex) (t int64, ops int) {
 	adjI := g.Adj(vi)
 	for _, vj := range adjI {

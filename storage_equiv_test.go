@@ -1,12 +1,12 @@
 // Storage-equivalence sweep: the golden pins of golden_test.go replayed
-// over every host-side graph representation. The model plane addresses
+// over both host-side graph representations. The model plane addresses
 // windows by plain-image byte coordinates regardless of how the host
-// stores adjacency (DESIGN.md §9), so a run over a compressed or
-// file-backed source store — and a run whose per-rank locals are
-// varint/delta-compressed — must reproduce every pinned quantity bit for
-// bit: SimTime float bits, triangle counts, LCC checksums, and the cache
-// hit/miss counts asserted inside the "cached" configuration. Any drift
-// means the storage plane leaked into the simulation.
+// stores adjacency (DESIGN.md §9), so a run over a compressed source store
+// — in memory or read back from its binary container — and a run whose
+// per-rank locals are varint/delta-compressed must reproduce every pinned
+// quantity bit for bit: SimTime float bits, triangle counts, LCC checksums,
+// and the cache hit/miss counts asserted inside the "cached" configuration.
+// Any drift means the storage plane leaked into the simulation.
 package repro_test
 
 import (
@@ -23,9 +23,10 @@ import (
 	"repro/internal/serve"
 )
 
-// goldenStores materializes the fb-sim golden graph in each source-store
-// representation. The file-backed store round-trips through the versioned
-// binary container in a temp dir.
+// goldenStores materializes the fb-sim golden graph as each source store:
+// plain, compressed, and the compressed container written to a file and
+// read back by graph.ReadBinaryStore — the route that keeps a disk-cached
+// dataset compressed.
 func goldenStores(t *testing.T) []struct {
 	name string
 	st   graph.Store
@@ -45,11 +46,14 @@ func goldenStores(t *testing.T) []struct {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fc, err := graph.OpenBinary(path)
+	if f, err = os.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	file, err := graph.ReadBinaryStore(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { fc.Close() })
 
 	return []struct {
 		name string
@@ -57,16 +61,18 @@ func goldenStores(t *testing.T) []struct {
 	}{
 		{"plain", g},
 		{"compressed", comp},
-		{"file", fc},
+		{"file", file},
 	}
 }
 
 // TestGoldenStorageEquivalence sweeps every golden configuration over the
-// three source-store representations × {plain, compressed} per-rank
-// locals, at several worker counts, against the single pinned table.
+// source stores × {plain, compressed} per-rank locals, against the single
+// pinned table. Workers are swept exhaustively on the plain path
+// (TestGoldenWorkerSweep); each storage combination runs the boundary
+// counts.
 func TestGoldenStorageEquivalence(t *testing.T) {
 	stores := goldenStores(t)
-	workerCounts := []int{1, 2, 4, 8}
+	workerCounts := []int{1, 8}
 	if testing.Short() {
 		workerCounts = []int{1, 4}
 	}
@@ -79,14 +85,6 @@ func TestGoldenStorageEquivalence(t *testing.T) {
 				src := src
 				t.Run("src="+src.name, func(t *testing.T) {
 					for _, wk := range workerCounts {
-						// The full cross product × every worker count
-						// would dominate the suite; workers are already
-						// swept exhaustively on the plain path
-						// (TestGoldenWorkerSweep), so each storage
-						// combination runs the boundary counts.
-						if wk != 1 && wk != workerCounts[len(workerCounts)-1] {
-							continue
-						}
 						wk := wk
 						t.Run(fmt.Sprintf("workers=%d", wk), func(t *testing.T) {
 							for _, cfg := range goldenConfigs {
