@@ -132,7 +132,7 @@ func TestDenseSetMatchesReference(t *testing.T) {
 		if _, ok := s.andCount(set); !ok {
 			t.Fatalf("trial %d: andCount refuses the list's own set", trial)
 		}
-		if depth := s.depthFor(n); depth != nil && len(a) <= n { // nil: the scratch's table cache is full
+		if depth := s.depthFor(n, false); depth != nil && len(a) <= n { // nil: the scratch's table cache is full
 			if _, _, _, ok := rankBinary(set, depth, a, true, false, nil); !ok {
 				t.Fatalf("trial %d: rankBinary refuses the list's own set", trial)
 			}

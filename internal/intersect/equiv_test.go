@@ -123,9 +123,9 @@ func TestDepthBinaryRandomPairs(t *testing.T) {
 }
 
 // depthTable returns the fillDepth table of a tree of n ids, outside any
-// scratch's cache and its bounds.
+// scratch's cache and its bounds, with depthFor's slack past it.
 func depthTable(n int) []uint8 {
-	t := make([]uint8, 2*n+1)
+	t := make([]uint8, 2*n+1, 2*n+1+depthSlack)
 	fillDepth(t[:n+1], t[n+1:], 0, n, 0)
 	return t
 }
@@ -305,13 +305,13 @@ func TestScratchStampedAcrossSizes(t *testing.T) {
 			}
 		}
 		if trial%2 == 0 {
-			s.Reset() // alternate: with and without carrying the stamp over
+			s.Unstamp() // alternate: with and without carrying the stamp over
 		}
 	}
-	s.Reset()
+	s.Unstamp()
 	for i, w := range s.words {
 		if w != 0 {
-			t.Fatalf("word %d nonzero after Reset: %#x", i, w)
+			t.Fatalf("word %d nonzero after Unstamp: %#x", i, w)
 		}
 	}
 }
@@ -403,7 +403,7 @@ func checkDepthBinary(t *testing.T, s *Scratch, keys, tree []graph.V, what strin
 	t.Helper()
 	wantCount, wantOps := Binary(keys, tree)
 	wantElems, _ := BinaryElements(keys, tree, nil)
-	depth := s.depthFor(len(tree))
+	depth := s.depthFor(len(tree), false)
 	if depth == nil {
 		t.Fatalf("%s: no depth table for %d ids", what, len(tree))
 	}
@@ -535,6 +535,33 @@ func TestSearchesTolerateUnsorted(t *testing.T) {
 		}
 		if cached := s.cachedDepth(n) != nil; cached != (n <= depthMaxLen) {
 			t.Fatalf("%d ids: depth table cached = %v", n, cached)
+		}
+	}
+}
+
+// TestStampToleratesUnsorted stamps a pivot whose largest id is not its last,
+// which a damaged list can be: the bitmap, sized from the last id, must grow
+// at the first id past it, every method must return, and Unstamp must leave
+// no bit behind.
+func TestStampToleratesUnsorted(t *testing.T) {
+	a := strideFrom(40, 0, 1)
+	a[20] = 100000
+	keys := []graph.V{1, 2, 3, 100000}
+	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid} {
+		s := NewScratch()
+		for call := 0; call < 3; call++ { // fresh, stamped, rank-indexed
+			s.Count(m, a, keys[:3])
+			s.Count(m, a, keys)
+			s.Elements(m, a, keys, nil)
+		}
+		if !s.Has(100000) || !s.Has(39) {
+			t.Fatalf("method %v: the stamp lacks an id of the pivot", m)
+		}
+		s.Unstamp()
+		for i, w := range s.words {
+			if w != 0 {
+				t.Fatalf("method %v: word %d nonzero after Unstamp: %#x", m, i, w)
+			}
 		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 // charge must match the reference loops' ops — across repeated calls on
 // one Scratch so the stamped, rank-indexed and depth-table paths are all
 // exercised, with the second list's own DenseSet, a stale one, and one with
-// a bit flipped. On a host with the stamp kernels' AVX-512 bodies all of it
-// runs once with them and once with the Go loops, and each body is held to
-// the other on the pair directly.
+// a bit flipped. On a host with the AVX-512 bodies of the stamp kernels and
+// the rank query all of it runs once with them and once with the Go loops,
+// and each body is held to the other on the pair directly.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint8(2))
 	f.Add([]byte{0, 0, 9, 9, 200}, []byte{9}, uint8(1))
@@ -51,7 +51,7 @@ func FuzzIntersectKernels(f *testing.F) {
 		b := setFromBytes(rawB)
 		m := Method(methodByte % 4)
 
-		// Where the host has both bodies of the stamp kernels: each one on
+		// Where the host has both bodies of the assembly kernels: each one on
 		// this input, and everything below once under each.
 		paths := []bool{false}
 		if hostAVX512 {
@@ -129,9 +129,10 @@ func FuzzIntersectKernels(f *testing.F) {
 	})
 }
 
-// checkStampBodies holds the AVX-512 stamp kernels to the Go loops on a fuzzed
-// pair: b probed into a's stamp as given and reversed (so that ids past the
-// stamp's extent come first), and b's own set ANDed with the stamp.
+// checkStampBodies holds the AVX-512 kernels to the Go loops on a fuzzed pair:
+// b probed into a's stamp as given and reversed (so that ids past the stamp's
+// extent come first), b's own set ANDed with the stamp, and b as keys of rank
+// queries into a's own set and a as keys into b's, checked and not.
 func checkStampBodies(t *testing.T, a, b []graph.V) {
 	t.Helper()
 	k := NewScratch()
@@ -144,6 +145,14 @@ func checkStampBodies(t *testing.T, a, b []graph.V) {
 		stamp := k.words[min(int(set.first>>6), len(k.words)):]
 		n := min(len(set.words), len(stamp))
 		checkAnd(t, set.words[:n], stamp[:n], "b's set and a's stamp")
+		for _, check := range []bool{false, true} {
+			checkRank(t, set.words, set.rank, depthTable(len(b)), a, int(set.first>>6), check, "a into b's set")
+		}
+	}
+	if len(a) > 0 && k.rankTree(a, a) {
+		for _, check := range []bool{false, true} {
+			checkRank(t, k.index.words, k.index.rank, k.depthFor(len(a), true), b, int(k.index.first>>6), check, "b into a's own set")
+		}
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 //   - the word-parallel AND (scratch.go andCount): when the neighbour list
 //     comes with a DenseSet (index.go) — its own bitmap — the count is the
 //     popcount of stamp AND set over the words the set spans, 64 ids a step.
-//     It and the probe run eight words or ids per instruction on a CPU with
-//     AVX-512 (stamp_amd64.s), their Go loops elsewhere.
+//     It, the probe and the rank query's key loop run eight words, ids or
+//     keys per instruction on a CPU with AVX-512 (stamp_amd64.s).
 //   - the rank query (rankBinary below): when the Algorithm 1 tree is a
 //     DenseSet — the stamped pivot's, which the Scratch builds, or a fetched
 //     hub's, which the caller hands in — a key's insertion point is a prefix
@@ -181,10 +181,9 @@ func depthBinary(depth []uint8, keys, tree []graph.V, wantDst bool, dst []graph.
 //
 // its bitmap bit is the hit, and the reference iteration count is a pure
 // function of (n, p, hit) that fillDepth tabulated — two L1 loads, a popcount
-// and a table load per key, no data-dependent branch. The one branch tests
-// whether the key falls in the words the set spans; keys are ascending, so it
-// flips at most twice per call (below: p = 0, above: p = n), and it keeps
-// every index in range whatever the input.
+// and a table load per key, no data-dependent branch. A key outside the words
+// the set spans is a miss with p = 0 below them and p = n above; keys ascend,
+// so rankCountGeneric's one branch, on that, flips at most twice per call.
 //
 // check is set for a set that is not the Scratch's own: each word read must
 // then hold rank[w+1] − rank[w] bits (a second popcount; half again the cost
@@ -192,10 +191,35 @@ func depthBinary(depth []uint8, keys, tree []graph.V, wantDst bool, dst []graph.
 // the other results void — when one does not, or a position leaves the
 // table: the set is damaged, and the caller redoes the pair without it.
 func rankBinary(set *DenseSet, depth []uint8, keys []graph.V, check, wantDst bool, dst []graph.V) (count, ops int, out []graph.V, ok bool) {
-	n := (len(depth) - 1) / 2
 	base := int(set.first >> 6)
-	words := set.words
-	rank, next := set.rank[:len(words)], set.rank[1:len(words)+1] // no bounds checks below
+	words, rank := set.words, set.rank[:len(set.words)+1]
+	if useAVX512 && cap(depth)-len(depth) >= depthSlack { // room for its dword gathers
+		count, ops, ok = rankCountAVX512(words, rank, depth, keys, base, check)
+	} else {
+		count, ops, ok = rankCountGeneric(words, rank, depth, keys, base, check)
+	}
+	if !ok {
+		return 0, 0, dst, false
+	}
+	// Listing is a second pass, so that the key loop keeps its few values in
+	// registers: an append in it spills them all, every key.
+	if wantDst && count > 0 {
+		for _, x := range keys {
+			if w := int(x>>6) - base; uint(w) < uint(len(words)) && words[w]>>(x&63)&1 != 0 {
+				dst = append(dst, x)
+			}
+		}
+	}
+	return count, ops, dst, true
+}
+
+// rankCountGeneric is rankBinary's key loop: the hits among keys and the sum
+// of their depth-table charges against the set (words, rank) whose first word
+// is word base of the id space; ok is false, and both sums 0, when a word read
+// fails the check or a position leaves depth. rank is len(words)+1 long.
+func rankCountGeneric(words []uint64, rank []uint32, depth []uint8, keys []graph.V, base int, check bool) (count, ops int, ok bool) {
+	n := (len(depth) - 1) / 2
+	rank, next := rank[:len(words)], rank[1:len(words)+1] // no bounds checks below
 	bad := 0
 	for _, x := range keys {
 		w := int(x>>6) - base
@@ -215,24 +239,15 @@ func rankBinary(set *DenseSet, depth []uint8, keys []graph.V, check, wantDst boo
 		}
 		at := uint(p + hit*(n+1))
 		if at >= uint(len(depth)) {
-			return 0, 0, dst, false
+			return 0, 0, false
 		}
 		count += hit
 		ops += int(depth[at])
 	}
 	if bad != 0 {
-		return 0, 0, dst, false
+		return 0, 0, false
 	}
-	// Listing is a second pass, so that the loop above keeps its few values
-	// in registers: an append in it spills them all, every key.
-	if wantDst && count > 0 {
-		for _, x := range keys {
-			if w := int(x>>6) - base; uint(w) < uint(len(words)) && words[w]>>(x&63)&1 != 0 {
-				dst = append(dst, x)
-			}
-		}
-	}
-	return count, ops, dst, true
+	return count, ops, true
 }
 
 // fillDepth tabulates Algorithm 1's iteration counts for every outcome

@@ -46,11 +46,11 @@ type Scratch struct {
 	// (rankOK) whenever the stamp or the bitmap changes.
 	index  DenseSet
 	rankOK bool
-	// The depth-table cache (depthFor): Algorithm 1's iteration counts
-	// for a tree of n elements (fillDepth) depend on n alone, so a table
-	// outlives every list it was built for and stays with a pooled scratch.
+	// The depth tables (depthFor): Algorithm 1's iteration counts for a
+	// tree of n elements (fillDepth) depend on n alone, so a table outlives
+	// every list it was built for and stays with a pooled scratch.
 	// depthOff[n] is 1 + the table's offset in depthBuf, 0 while there is
-	// none; spill is the rank path's table for a pivot length not cached.
+	// none; spill is the stamped pivot's table when its length is not cached.
 	depthOff []uint32
 	depthBuf []uint8
 	spill    []uint8
@@ -77,6 +77,10 @@ const (
 	depthMaxBytes  = 1 << 20
 	depthGrowBytes = 1 << 16
 )
+
+// depthSlack is how many bytes of its backing array follow every depthFor
+// table: rankCountAVX512 reads depth[at] as the dword at depth+at.
+const depthSlack = 3
 
 // NewScratch returns a ready-to-use Scratch. Most callers should prefer
 // GetScratch/PutScratch, which recycle instances across runs.
@@ -106,12 +110,6 @@ func (s *Scratch) grow(need int) {
 	s.rankOK = false
 }
 
-// Reset clears the stamp set, dropping every reference into caller data
-// while keeping the allocated capacity.
-func (s *Scratch) Reset() {
-	s.Unstamp()
-}
-
 // sameList reports whether x is the identical slice (backing position and
 // length) as the recorded (ptr, n) pair. CSR adjacency lists are disjoint
 // subslices of one arcs array, so the pair identifies a list uniquely.
@@ -133,14 +131,23 @@ func (s *Scratch) Stamp(list []graph.V) {
 	if need := int(list[len(list)-1]>>6) + 1; need > len(s.words) {
 		s.grow(need)
 	}
-	for _, v := range list {
-		s.words[v>>6] |= 1 << (v & 63)
-	}
 	s.stamped = append(s.stamped[:0], list...)
 	s.stampPtr, s.stampLen = &list[0], len(list)
+	// A damaged list whose last id is not its largest grows the bitmap at its
+	// first id past the extent; grow re-derives every stamped bit.
+	words := s.words
+	for _, v := range s.stamped {
+		w := int(v >> 6)
+		if w >= len(words) {
+			s.grow(w + 1)
+			words = s.words
+		}
+		words[w] |= 1 << (v & 63)
+	}
 }
 
-// Unstamp clears the current stamp in O(|stamped|).
+// Unstamp clears the current stamp in O(|stamped|), dropping every reference
+// into caller data while keeping the allocated capacity.
 func (s *Scratch) Unstamp() {
 	for _, v := range s.stamped {
 		s.words[v>>6] &^= 1 << (v & 63)
@@ -156,10 +163,10 @@ func (s *Scratch) Has(v graph.V) bool {
 	return w < len(s.words) && s.words[w]>>(v&63)&1 != 0
 }
 
-// useAVX512 selects the AVX-512 bodies of the two stamp kernels, andCount's
-// AND and probeCount's bit tests (stamp_amd64.s), once at init from CPUID;
-// elsewhere their Go loops run. Tests clear it to run the Go loops on a host
-// that has the assembly.
+// useAVX512 selects the AVX-512 bodies of the three assembly kernels,
+// andCount's AND, probeCount's bit tests and rankBinary's key loop
+// (stamp_amd64.s), once at init from CPUID; elsewhere their Go loops run.
+// Tests clear it to run the Go loops on a host that has the assembly.
 var useAVX512 = avx512Missing() == ""
 
 // probeCount counts the elements of b present in the stamped set with one
@@ -341,11 +348,27 @@ func (s *Scratch) cachedDepth(n int) []uint8 {
 }
 
 // depthFor returns the fillDepth table of a tree of n elements: misses in
-// [:n+1], hits after them. Tables are cached by length within depthMaxLen
-// and depthMaxBytes; past either bound the result is nil.
-func (s *Scratch) depthFor(n int) []uint8 {
+// [:n+1], hits after them, and at least depthSlack bytes of its backing array
+// past them. A table is cached by length, within depthMaxLen and
+// depthMaxBytes; past either bound the result is nil. The stamped pivot
+// (pivot set) needs a table whatever its length: it takes a cached one if
+// there is one, else the spill table, refilled when the pivot's length
+// changes — once per pivot, a small part of stamping it — so that pivot
+// lengths do not take up the cache.
+func (s *Scratch) depthFor(n int, pivot bool) []uint8 {
 	if t := s.cachedDepth(n); t != nil {
 		return t
+	}
+	if pivot {
+		if s.spillN != n {
+			if cap(s.spill) < 2*n+1+depthSlack {
+				s.spill = make([]uint8, max(2*n+1+depthSlack, 2*cap(s.spill)))
+			}
+			s.spill = s.spill[:2*n+1]
+			fillDepth(s.spill[:n+1], s.spill[n+1:], 0, n, 0)
+			s.spillN = n
+		}
+		return s.spill
 	}
 	off := len(s.depthBuf)
 	if n > depthMaxLen || off+2*n+1 > depthMaxBytes {
@@ -354,35 +377,16 @@ func (s *Scratch) depthFor(n int) []uint8 {
 	if n >= len(s.depthOff) {
 		s.depthOff = append(s.depthOff, make([]uint32, n+1-len(s.depthOff))...)
 	}
-	if cap(s.depthBuf) < off+2*n+1 {
+	if cap(s.depthBuf) < off+2*n+1+depthSlack {
 		// Grow by a fixed step, not by doubling: the buffer is long-lived
 		// and ends up a few hundred KiB, slack would only be resident.
-		s.depthBuf = append(make([]uint8, 0, off+max(2*n+1, depthGrowBytes)), s.depthBuf...)
+		s.depthBuf = append(make([]uint8, 0, off+max(2*n+1+depthSlack, depthGrowBytes)), s.depthBuf...)
 	}
 	s.depthBuf = s.depthBuf[:off+2*n+1]
 	s.depthOff[n] = uint32(off + 1)
 	t := s.depthBuf[off:]
 	fillDepth(t[:n+1], t[n+1:], 0, n, 0)
 	return t
-}
-
-// pivotDepth is depthFor for the stamped pivot, which needs a table whatever
-// its length: a cached one if there is one, else the spill table, refilled
-// when the pivot's length changes — once per pivot, a small part of stamping
-// it, so pivot lengths do not take up the cache.
-func (s *Scratch) pivotDepth(n int) []uint8 {
-	if t := s.cachedDepth(n); t != nil {
-		return t
-	}
-	if s.spillN != n {
-		if cap(s.spill) < 2*n+1 {
-			s.spill = make([]uint8, max(2*n+1, 2*cap(s.spill)))
-		}
-		s.spill = s.spill[:2*n+1]
-		fillDepth(s.spill[:n+1], s.spill[n+1:], 0, n, 0)
-		s.spillN = n
-	}
-	return s.spill
 }
 
 // binary serves an Algorithm 1-charged pair (keys the shorter list) with the
@@ -399,13 +403,10 @@ func (s *Scratch) binary(a, keys, tree []graph.V, treeSet *DenseSet, wantDst boo
 	if len(keys) == 0 {
 		return 0, 0, dst
 	}
-	var depth []uint8
 	if own {
-		treeSet, depth = &s.index, s.pivotDepth(n)
-	} else {
-		depth = s.depthFor(n)
+		treeSet = &s.index
 	}
-	if depth != nil {
+	if depth := s.depthFor(n, own); depth != nil {
 		if treeSet != nil {
 			if count, ops, out, ok := rankBinary(treeSet, depth, keys, !own, wantDst, dst); ok {
 				return count, ops, out
@@ -529,7 +530,7 @@ func PutScratch(s *Scratch) {
 	if s == nil {
 		return
 	}
-	s.Reset()
+	s.Unstamp()
 	scratchPool.mu.Lock()
 	scratchPool.free = append(scratchPool.free, s)
 	scratchPool.mu.Unlock()

@@ -2,14 +2,17 @@ package intersect
 
 import "repro/internal/graph"
 
-// The AVX-512 bodies of andCount and probeCount (stamp_amd64.s). Each
-// returns what its Go loop in scratch.go returns for the same input.
+// The AVX-512 bodies of andCount, probeCount and rankBinary's key loop
+// (stamp_amd64.s). Each returns what its Go loop returns for the same input.
 
 //go:noescape
 func andCountAVX512(words, stamp []uint64) (count int, sum uint64)
 
 //go:noescape
 func probeCountAVX512(words []uint64, b []graph.V) (count, n int)
+
+//go:noescape
+func rankCountAVX512(words []uint64, rank []uint32, depth []uint8, keys []graph.V, base int, check bool) (count, ops int, ok bool)
 
 // cpuid runs CPUID for leaf eaxArg, subleaf ecxArg; xgetbv reads XCR0.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -10,8 +10,9 @@ import (
 // clampi/zeroalloc_test.go: after warm-up (bitmap sized, stack in place)
 // the steady-state paths — branch-free merge, stamp + probe, the depth-table
 // search once its table is cached, the reference loops behind it, the rank
-// index over the stamp, both uses of a caller's DenseSet, and the Elements
-// variants into a pre-grown destination — must not touch the heap at all.
+// index over the stamp, both uses of a caller's DenseSet, the assembly bodies
+// and the Elements variants into a pre-grown destination — must not touch the
+// heap at all.
 
 func stride(n, step int) []graph.V {
 	out := make([]graph.V, n)
@@ -63,9 +64,13 @@ func TestScratchZeroAlloc(t *testing.T) {
 		s.CountIndexed(MethodSSI, pivot, other, otherSet) // stamps pivot
 		s.CountIndexed(MethodHybrid, pivot, other, otherSet)
 	})
-	if hostAVX512 { // the stamp kernels' assembly, which the rows above reach through the dispatch
+	if hostAVX512 { // the assembly kernels, which the rows above reach through the dispatch
 		assertZeroAllocs(t, "AVX-512 AND", func() { andCountAVX512(otherSet.words, s.words[:len(otherSet.words)]) })
 		assertZeroAllocs(t, "AVX-512 probe", func() { probeCountAVX512(s.words, other) })
+		depth := s.depthFor(len(other), false)
+		assertZeroAllocs(t, "AVX-512 rank", func() {
+			rankCountAVX512(otherSet.words, otherSet.rank, depth, keys, int(otherSet.first>>6), true)
+		})
 	}
 	long := stride(depthMaxLen+1, 3) // past the depth cache's length bound
 	assertZeroAllocs(t, "reference binary", func() { s.Count(MethodBinary, keys, long) })
