@@ -23,8 +23,8 @@ check: fmt vet build test bench-test
 
 # loc prints what the working tree adds to and removes from REF in non-test
 # Go, per directory, then the total with bench/ (the benchmark's own module)
-# apart — the number ROADMAP's pacing rule asks every PR to state. A new file
-# counts once it is staged (git add).
+# apart — the number ROADMAP's pacing rule asks every PR to state — and last
+# the same for test Go. A new file counts once it is staged (git add).
 #	make loc REF=HEAD~1
 loc:
 	@git diff --numstat "$(REF)" -- '*.go' ':!*_test.go' | awk '\
@@ -32,6 +32,8 @@ loc:
 		  a[d] += $$1; r[d] += $$2; a[k] += $$1; r[k] += $$2; if (!(d in seen)) { seen[d]; order[n++] = d } } \
 		END { order[n++] = "total"; order[n++] = "bench/"; \
 		  for (i = 0; i < n; i++) { d = order[i]; printf "%-24s +%-5d -%-5d net %+d\n", d, a[d], r[d], a[d] - r[d] } }'
+	@git diff --numstat "$(REF)" -- '*_test.go' | awk '{ a += $$1; r += $$2 } \
+		END { printf "%-24s +%-5d -%-5d net %+d\n", "test Go", a, r, a - r }'
 
 # bench-test vets and tests the repository benchmark (BENCHMARK.json). It
 # is a module of its own (bench/go.mod), so `go vet ./...` and

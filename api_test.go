@@ -8,6 +8,7 @@ import (
 	"math"
 	"path"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -316,5 +317,134 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 	}
 	if len(orphans) > 0 {
 		t.Errorf("fields no program outside their package sets: %v — give each a caller or delete it", orphans)
+	}
+}
+
+// TestInternalFuncsHaveCallers keeps internal/ from carrying API that only
+// tests call: every exported func and method a non-test file under internal/
+// declares must be referenced by another non-test file of the repository
+// (bench/ included). A func F of package p counts as referenced by p.F in a
+// file importing p, or by F in another file of p; a method M by any selector
+// x.M, so a name two types share only makes the check more lenient, and
+// methods the standard library calls through an interface are exempt.
+// testOnly lists the exports kept for tests alone, each with the tests that
+// need it; an export only its own package's tests need belongs in a _test.go
+// file of that package instead.
+func TestInternalFuncsHaveCallers(t *testing.T) {
+	testOnly := map[string]string{
+		"disttc.Run":                    "bench_test.go and intersect_engines_test.go take its error; programs call MustRun",
+		"fault.ChaosSpec":               "the fault, rma and serve tests and fault_equiv_test.go build the chaos preset by seed",
+		"graph.Graph.Clone":             "part's TestExtractBulkMatchesPerVertex keeps a pristine copy to detect aliasing",
+		"graph.Graph.Validate":          "the structural oracle the graph and gen tests check every built graph with",
+		"intersect.HashIndex.CountKeys": "BenchmarkHashIndexReuse in bench_test.go times the probe without the build",
+		"intersect.SSI":                 "the Algorithm 2 reference loop the intersect equivalence tests and bench_test.go compare against",
+		"intersect.SetDebugChecks":      "intersect_engines_test.go and equiv_test.go arm the orientation assertion",
+		"lcc.Snapshot.CorruptForTest":   "the fault hook behind serve's CorruptResident and lcc's integrity tests",
+		"lcc.Snapshot.StorageRepr":      "storage_equiv_test.go checks the representation a memory budget chose",
+	}
+	stdIface := map[string]bool{"Error": true, "String": true, "Unwrap": true}
+
+	type decl struct{ key, name, file string }
+	var decls []decl
+	refs := map[string]map[string]bool{} // file → "repro/internal/p.F" and ".M" keys it references
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		// bench/out holds the benchmark's working files, not its source.
+		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "out") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		p = filepath.ToSlash(p)
+		self := path.Join("repro", path.Dir(p))
+		imports := map[string]string{} // local name → import path
+		for _, im := range f.Imports {
+			ip, _ := strconv.Unquote(im.Path.Value)
+			name := path.Base(ip)
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = ip
+		}
+		used := map[string]bool{}
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				used["."+n.Sel.Name] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					used[imports[x.Name]+"."+n.Sel.Name] = true
+				} else {
+					ast.Inspect(n.X, visit)
+				}
+				return false
+			case *ast.Ident:
+				used[self+"."+n.Name] = true
+			}
+			return true
+		}
+		ast.Inspect(f, visit)
+		refs[p] = used
+		if !strings.HasPrefix(p, "internal/") {
+			return nil
+		}
+		for _, dl := range f.Decls {
+			fn, ok := dl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			if fn.Recv == nil {
+				decls = append(decls, decl{self + "." + fn.Name.Name, f.Name.Name + "." + fn.Name.Name, p})
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if s, ok := recv.(*ast.StarExpr); ok {
+				recv = s.X
+			}
+			if ix, ok := recv.(*ast.IndexExpr); ok {
+				recv = ix.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.IsExported() && !stdIface[fn.Name.Name] {
+				decls = append(decls, decl{"." + fn.Name.Name, f.Name.Name + "." + id.Name + "." + fn.Name.Name, p})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orphans []string
+	declared := map[string]bool{}
+	for _, d := range decls {
+		declared[d.name] = true
+		called := false
+		for file, used := range refs {
+			if file != d.file && used[d.key] {
+				called = true
+				break
+			}
+		}
+		if _, kept := testOnly[d.name]; !called && !kept {
+			orphans = append(orphans, d.name)
+		} else if called && kept {
+			t.Errorf("%s is listed as test-only but a program references it: drop it from testOnly", d.name)
+		}
+	}
+	for name := range testOnly {
+		if !declared[name] {
+			t.Errorf("testOnly lists %s, which no internal/ file declares: drop it", name)
+		}
+	}
+	if len(orphans) > 0 {
+		sort.Strings(orphans)
+		t.Errorf("exported internal/ funcs no other non-test file references: %v — give each a caller or delete it", orphans)
 	}
 }

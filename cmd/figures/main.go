@@ -2,7 +2,7 @@
 // evaluation (§IV). With no arguments it lists the available experiments;
 // pass experiment ids (e.g. "fig9 table3") or "all" to run them. Output is
 // aligned text; every table names the paper result it should be compared
-// against, and EXPERIMENTS.md records a full paper-vs-measured pass.
+// against, and DESIGN.md §3 indexes the experiments.
 package main
 
 import (

@@ -79,6 +79,10 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *workers < 0 || *offBytes < 0 || *adjBytes < 0 || *delegate < 0 {
+		return fmt.Errorf("-workers %d, -cache-offsets %d, -cache-adj %d, -delegate %d: none may be negative",
+			*workers, *offBytes, *adjBytes, *delegate)
+	}
 
 	faultSpec, err := fault.ParseSpec(*faults)
 	if err != nil {

@@ -22,6 +22,8 @@ func TestRun(t *testing.T) {
 		{args: "-method hybird", wantErr: "-method"},
 		{args: "-faults get=2", wantErr: "-faults"},
 		{args: "-engine replicated -replicas 3 -ranks 4", wantErr: "does not divide"},
+		{args: "-cache -cache-offsets -16 -cache-adj -100 -workers -3", wantErr: "none may be negative"},
+		{args: "-delegate -1", wantErr: "none may be negative"},
 		{args: "-engine pull -scheme block-arcs", wantOut: "scheme=block-arcs"},
 		{args: "-engine pull -scheme cyclic -cache -degree-scores", wantOut: "scheme=cyclic"},
 		{args: "-engine push -push-agg direct", wantOut: "engine=push"},

@@ -106,8 +106,7 @@
 // the distributed runtime is a simulation: ranks are goroutines with
 // independent simulated clocks and every remote read charges the α + s·β
 // network model the paper itself uses (§IV-D-1). DESIGN.md documents each
-// substitution; EXPERIMENTS.md records paper-vs-measured for every table
-// and figure.
+// substitution and §3 indexes the experiment behind every table and figure.
 //
 // The simulated hot path is allocation-free. RMA windows come in four
 // kinds: writable byte windows keep snapshot-copy Gets (they are the
@@ -133,7 +132,7 @@
 // (DESIGN.md §8); every use re-checks it against the list in hand.
 //
 // The fetch pipeline completes the decoupling with a charge tape: every
-// simulated cost is a (kind, bytes) descriptor in one canonical per-rank
+// fetch-plane cost is a (kind, bytes) descriptor in one canonical per-rank
 // sequence, folded into the float clock at pinned points, which frees the
 // host side of a fetch — lookahead-k edge staging, precomputed resolve
 // tables, caller-owned value requests for direct and cached gets alike —

@@ -1,9 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§IV) as printable tables. Both the cmd/figures CLI and the
-// top-level benchmark harness (bench_test.go) drive these functions, so the
-// numbers reported by `go test -bench` and by the CLI are the same code
-// path. See EXPERIMENTS.md for the paper-vs-measured record and DESIGN.md
-// §3 for the experiment index.
+// evaluation (§IV) as printable tables. The cmd/figures CLI drives these
+// functions and shape_test.go asserts their qualitative shape. See DESIGN.md
+// §3 for the experiment index and what each table is compared against.
 package experiments
 
 import (

@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -152,9 +153,13 @@ func Table2Datasets() *Table {
 	for _, name := range gen.Names() {
 		d, _ := gen.Lookup(name)
 		g := gen.MustLoad(name)
+		deg := make([]float64, g.NumVertices())
+		for v := range deg {
+			deg[v] = float64(g.OutDegree(graph.V(v)))
+		}
 		t.AddRow(name, d.PaperName, g.Kind().String(),
 			g.NumVertices(), g.NumEdges(), fmtBytes(g.CSRSizeBytes()),
-			g.MaxDegree(), graph.GiniCoefficient(g))
+			g.MaxDegree(), stats.Gini(deg))
 	}
 	t.Notes = append(t.Notes, "sizes after one-degree removal, as in the paper's Table II")
 	return t

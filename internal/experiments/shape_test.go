@@ -9,7 +9,7 @@ import (
 // This file runs the cheaper experiments end to end and asserts the
 // *shape* the paper (or DESIGN.md §3) predicts: who wins, what grows, what
 // shrinks. The expensive sweeps (table3, table3x, fig7–fig10, A10, A11)
-// stay bench-only; see bench_test.go at the repository root.
+// are left to cmd/figures.
 
 // cell parses the leading float of a formatted table cell ("123.4",
 // "91.9%", "1.23x", "669.9 KiB" all yield their leading number).

@@ -3,7 +3,6 @@ package gen
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -123,9 +122,8 @@ func Lookup(name string) (Dataset, error) {
 
 // Load generates (or returns the memoized) *prepared* graph for name. The
 // preparation pipeline follows §II-B of the paper: generate, remove
-// vertices of degree < 2, and apply a random relabeling when the vertex
-// order correlates with degree (always, for the BA generator, whose early
-// vertices are the hubs).
+// vertices of degree < 2, and apply a seeded random relabeling (Prepare
+// always relabels: every generator here correlates id with degree).
 //
 // When the disk cache is enabled (SetCacheDir / LCC_GRAPH_CACHE), the
 // first generation persists the prepared graph in the checksummed binary
@@ -192,46 +190,4 @@ func Prepare(g *graph.Graph, seed uint64) *graph.Graph {
 		panic(err) // perm is a permutation by construction
 	}
 	return rl
-}
-
-// degreeCorrelated reports whether vertex id rank correlates with degree
-// rank strongly enough (|Spearman| > 0.5 on a sample) that 1D partitioning
-// would concentrate hubs on few processes.
-func degreeCorrelated(g *graph.Graph) bool {
-	n := g.NumVertices()
-	if n < 4 {
-		return false
-	}
-	const samples = 4096
-	step := n / samples
-	if step < 1 {
-		step = 1
-	}
-	type pair struct {
-		id  int
-		deg int
-	}
-	var pts []pair
-	for v := 0; v < n; v += step {
-		pts = append(pts, pair{v, g.OutDegree(graph.V(v))})
-	}
-	k := len(pts)
-	// Spearman rank correlation between id order and degree rank.
-	byDeg := make([]int, k)
-	for i := range byDeg {
-		byDeg[i] = i
-	}
-	sort.SliceStable(byDeg, func(a, b int) bool { return pts[byDeg[a]].deg < pts[byDeg[b]].deg })
-	rank := make([]float64, k)
-	for r, idx := range byDeg {
-		rank[idx] = float64(r)
-	}
-	var sum float64
-	for i, r := range rank {
-		d := float64(i) - r
-		sum += d * d
-	}
-	fk := float64(k)
-	rho := 1 - 6*sum/(fk*(fk*fk-1))
-	return rho > 0.5 || rho < -0.5
 }

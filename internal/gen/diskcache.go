@@ -45,9 +45,9 @@ func SetCacheDir(dir string) {
 	cacheDir, cacheDirSet = dir, true
 }
 
-// CacheDir returns the active disk-cache directory, or "" when the cache
+// activeCacheDir returns the active disk-cache directory, or "" when the cache
 // is disabled.
-func CacheDir() string {
+func activeCacheDir() string {
 	cacheDirMu.Lock()
 	defer cacheDirMu.Unlock()
 	if cacheDirSet {
@@ -59,7 +59,7 @@ func CacheDir() string {
 // CachePath returns the file the dataset persists to, or "" when the
 // cache is disabled. The file need not exist yet.
 func CachePath(name string) string {
-	dir := CacheDir()
+	dir := activeCacheDir()
 	if dir == "" {
 		return ""
 	}

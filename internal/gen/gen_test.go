@@ -1,11 +1,23 @@
 package gen
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/stats"
 )
+
+// degrees returns g's out-degrees as a sample for stats.Gini and
+// stats.TopShare.
+func degrees(g *graph.Graph) []float64 {
+	d := make([]float64, g.NumVertices())
+	for v := range d {
+		d[v] = float64(g.OutDegree(graph.V(v)))
+	}
+	return d
+}
 
 func TestRMATDeterministic(t *testing.T) {
 	p := DefaultRMAT(10, 8, graph.Undirected, 99)
@@ -42,10 +54,11 @@ func TestRMATValidAndSkewed(t *testing.T) {
 	}
 	// The paper's parameterization is heavily skewed: the Gini coefficient
 	// must be far above a uniform graph's.
-	if gi := graph.GiniCoefficient(g); gi < 0.35 {
+	deg := degrees(g)
+	if gi := stats.Gini(deg); gi < 0.35 {
 		t.Errorf("R-MAT Gini = %.3f, want skewed (>= 0.35)", gi)
 	}
-	if share := graph.TopDegreeShare(g, 0.10); share < 0.4 {
+	if share := stats.TopShare(deg, 0.10); share < 0.4 {
 		t.Errorf("R-MAT top-10%% share = %.2f, want >= 0.4 (paper reports 91.9%% at full scale)", share)
 	}
 }
@@ -55,10 +68,11 @@ func TestErdosRenyiUniform(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if gi := graph.GiniCoefficient(g); gi > 0.25 {
+	deg := degrees(g)
+	if gi := stats.Gini(deg); gi > 0.25 {
 		t.Errorf("Erdos-Renyi Gini = %.3f, want near-uniform (<= 0.25)", gi)
 	}
-	share := graph.TopDegreeShare(g, 0.10)
+	share := stats.TopShare(deg, 0.10)
 	if share < 0.08 || share > 0.25 {
 		t.Errorf("uniform top-10%% share = %.2f, want ~0.12 (paper: 11.7%%)", share)
 	}
@@ -69,11 +83,11 @@ func TestBarabasiAlbertPowerLaw(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if gi := graph.GiniCoefficient(g); gi < 0.3 {
+	if gi := stats.Gini(degrees(g)); gi < 0.3 {
 		t.Errorf("BA Gini = %.3f, want skewed", gi)
 	}
 	// Preferential attachment: max degree far above the mean.
-	if md, avg := g.MaxDegree(), graph.AverageDegree(g); float64(md) < 5*avg {
+	if md, avg := g.MaxDegree(), float64(g.NumArcs())/float64(g.NumVertices()); float64(md) < 5*avg {
 		t.Errorf("BA max degree %d not a hub (avg %.1f)", md, avg)
 	}
 }
@@ -166,7 +180,7 @@ func TestPrepareBreaksDegreeOrder(t *testing.T) {
 
 func TestPreparePreservesEdgeCount(t *testing.T) {
 	raw := RMAT(DefaultRMAT(10, 16, graph.Undirected, 9))
-	pruned, _ := graph.RemoveLowDegree(raw)
+	pruned := graph.RemoveLowDegreeIter(raw)
 	prep := Prepare(raw, 1)
 	if prep.NumEdges() != pruned.NumEdges() {
 		t.Errorf("Prepare changed edge count: %d vs %d", prep.NumEdges(), pruned.NumEdges())
@@ -202,4 +216,46 @@ func TestDirectedGenerators(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatalf("BA Validate: %v", err)
 	}
+}
+
+// degreeCorrelated reports whether vertex id rank correlates with degree
+// rank strongly enough (|Spearman| > 0.5 on a sample) that 1D partitioning
+// would concentrate hubs on few processes.
+func degreeCorrelated(g *graph.Graph) bool {
+	n := g.NumVertices()
+	if n < 4 {
+		return false
+	}
+	const samples = 4096
+	step := n / samples
+	if step < 1 {
+		step = 1
+	}
+	type pair struct {
+		id  int
+		deg int
+	}
+	var pts []pair
+	for v := 0; v < n; v += step {
+		pts = append(pts, pair{v, g.OutDegree(graph.V(v))})
+	}
+	k := len(pts)
+	// Spearman rank correlation between id order and degree rank.
+	byDeg := make([]int, k)
+	for i := range byDeg {
+		byDeg[i] = i
+	}
+	sort.SliceStable(byDeg, func(a, b int) bool { return pts[byDeg[a]].deg < pts[byDeg[b]].deg })
+	rank := make([]float64, k)
+	for r, idx := range byDeg {
+		rank[idx] = float64(r)
+	}
+	var sum float64
+	for i, r := range rank {
+		d := float64(i) - r
+		sum += d * d
+	}
+	fk := float64(k)
+	rho := 1 - 6*sum/(fk*(fk*fk-1))
+	return rho > 0.5 || rho < -0.5
 }

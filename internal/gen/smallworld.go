@@ -87,51 +87,3 @@ func RingLatticeLCC(k int) float64 {
 	}
 	return 3 * float64(k-2) / (4 * float64(k-1))
 }
-
-// Kronecker generates a stochastic Kronecker graph (Leskovec et al.): the
-// k-fold Kronecker power of a 2×2 initiator probability matrix
-// [[a,b],[c,d]]. R-MAT is the edge-sampling approximation of this model;
-// the explicit generator samples each edge independently with its exact
-// product probability, which produces the same degree-distribution family
-// with controllable density — useful for ablations that need graphs whose
-// expected structure is analytically known. The implementation samples
-// per-edge Bernoulli draws by recursive descent over non-negligible
-// subtrees, which is feasible at the scales this reproduction uses.
-func Kronecker(scale int, a, b, c, d float64, kind graph.Kind, seed uint64) *graph.Graph {
-	n := 1 << scale
-	rng := newRNG(seed)
-	var edges []graph.Edge
-	// Expected edge count is (a+b+c+d)^scale; descend the implicit
-	// quadtree, pruning subtrees by a Binomial(expected) draw — the
-	// standard "ball dropping" refinement: instead of exact per-cell
-	// Bernoulli over n² cells (quadratic), drop the expected number of
-	// edges and resolve collisions at the CSR builder.
-	sum := a + b + c + d
-	expected := 1.0
-	for i := 0; i < scale; i++ {
-		expected *= sum
-	}
-	target := int(expected)
-	probs := []float64{a, b, c, d}
-	for e := 0; e < target; e++ {
-		u, v := 0, 0
-		for level := 0; level < scale; level++ {
-			r := rng.Float64() * sum
-			q := 0
-			acc := 0.0
-			for i, p := range probs {
-				acc += p
-				if r < acc {
-					q = i
-					break
-				}
-			}
-			u = u<<1 | q>>1
-			v = v<<1 | q&1
-		}
-		if u != v {
-			edges = append(edges, graph.Edge{Src: graph.V(u), Dst: graph.V(v)})
-		}
-	}
-	return graph.MustBuild(kind, n, edges)
-}

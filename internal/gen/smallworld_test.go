@@ -127,40 +127,3 @@ func TestRingLatticeLCC(t *testing.T) {
 		}
 	}
 }
-
-func TestKroneckerBasic(t *testing.T) {
-	g := gen.Kronecker(10, 0.57, 0.19, 0.19, 0.05, graph.Undirected, 5)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 1024 {
-		t.Fatalf("Kronecker scale 10 has %d vertices, want 1024", g.NumVertices())
-	}
-	if g.NumEdges() == 0 {
-		t.Fatal("Kronecker generated no edges")
-	}
-	// Skewed initiator ⇒ skewed degrees: the max degree must far exceed
-	// the mean.
-	mean := float64(g.NumArcs()) / float64(g.NumVertices())
-	if float64(g.MaxDegree()) < 4*mean {
-		t.Fatalf("Kronecker degree distribution too flat: max %d vs mean %.1f", g.MaxDegree(), mean)
-	}
-}
-
-func TestKroneckerDeterministic(t *testing.T) {
-	a := gen.Kronecker(8, 0.5, 0.2, 0.2, 0.1, graph.Directed, 9)
-	b := gen.Kronecker(8, 0.5, 0.2, 0.2, 0.1, graph.Directed, 9)
-	if a.NumArcs() != b.NumArcs() {
-		t.Fatalf("same seed, different arc counts: %d vs %d", a.NumArcs(), b.NumArcs())
-	}
-}
-
-func TestKroneckerDensityTracksInitiatorSum(t *testing.T) {
-	// Expected edges = (a+b+c+d)^scale before dedup; a larger initiator
-	// sum must produce a denser graph.
-	sparse := gen.Kronecker(9, 0.4, 0.15, 0.15, 0.05, graph.Undirected, 4) // sum 0.75... rises slowly
-	dense := gen.Kronecker(9, 0.57, 0.19, 0.19, 0.05, graph.Undirected, 4) // sum 1.0
-	if sparse.NumEdges() >= dense.NumEdges() {
-		t.Fatalf("sparse initiator gave %d edges >= dense %d", sparse.NumEdges(), dense.NumEdges())
-	}
-}

@@ -81,14 +81,14 @@ func MustBuild(kind Kind, n int, edges []Edge) *Graph {
 	return g
 }
 
-// RemoveLowDegree returns the subgraph induced by vertices whose total
+// removeLowDegree returns the subgraph induced by vertices whose total
 // degree (out-degree, plus in-degree for directed graphs) is at least two,
 // together with the mapping old→new id (entries for dropped vertices are
-// NoVertex). Vertices of degree below two cannot participate in a triangle,
+// noVertex). Vertices of degree below two cannot participate in a triangle,
 // so the paper removes them before distribution (§II-B). The removal is a
 // single pass, as in the paper ("one-degree removal"); it does not iterate
 // to a 2-core.
-func RemoveLowDegree(g *Graph) (*Graph, []V) {
+func removeLowDegree(g *Graph) (*Graph, []V) {
 	n := g.NumVertices()
 	total := g.InDegrees()
 	if g.kind == Directed {
@@ -103,16 +103,16 @@ func RemoveLowDegree(g *Graph) (*Graph, []V) {
 			remap[v] = V(kept)
 			kept++
 		} else {
-			remap[v] = NoVertex
+			remap[v] = noVertex
 		}
 	}
 	edges := make([]Edge, 0, g.NumEdges())
 	for v := 0; v < n; v++ {
-		if remap[v] == NoVertex {
+		if remap[v] == noVertex {
 			continue
 		}
 		for _, u := range g.Adj(V(v)) {
-			if remap[u] == NoVertex {
+			if remap[u] == noVertex {
 				continue
 			}
 			if g.kind == Undirected && u < V(v) {
@@ -125,19 +125,19 @@ func RemoveLowDegree(g *Graph) (*Graph, []V) {
 	return out, remap
 }
 
-// NoVertex marks a vertex removed by RemoveLowDegree in the returned remap.
-const NoVertex = ^V(0)
+// noVertex marks a vertex removed by removeLowDegree in the returned remap.
+const noVertex = ^V(0)
 
-// RemoveLowDegreeIter applies RemoveLowDegree repeatedly until no vertex of
+// RemoveLowDegreeIter applies removeLowDegree repeatedly until no vertex of
 // total degree below two remains (removing a pendant vertex can create new
 // pendants). Triangle counts and LCC numerators are unaffected: a vertex
 // with fewer than two incident edges cannot close a triangle.
 func RemoveLowDegreeIter(g *Graph) *Graph {
 	for {
-		pruned, remap := RemoveLowDegree(g)
+		pruned, remap := removeLowDegree(g)
 		changed := false
 		for _, r := range remap {
-			if r == NoVertex {
+			if r == noVertex {
 				changed = true
 				break
 			}
@@ -183,43 +183,4 @@ func Relabel(g *Graph, perm []V) (*Graph, error) {
 		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
 	}
 	return &Graph{kind: g.kind, offsets: offsets, adj: adj}, nil
-}
-
-// IsDegreeOrdered reports whether vertex ids are (weakly) sorted by
-// non-increasing or non-decreasing out-degree — the situation in which the
-// paper applies a random relabeling before partitioning.
-func IsDegreeOrdered(g *Graph) bool {
-	n := g.NumVertices()
-	if n < 2 {
-		return true
-	}
-	asc, desc := true, true
-	prev := g.OutDegree(0)
-	for v := 1; v < n; v++ {
-		d := g.OutDegree(V(v))
-		if d < prev {
-			asc = false
-		}
-		if d > prev {
-			desc = false
-		}
-		prev = d
-	}
-	return asc || desc
-}
-
-// AsUndirected returns the undirected version of g: every directed arc
-// becomes an undirected edge. Useful for comparing directed datasets against
-// undirected baselines.
-func AsUndirected(g *Graph) *Graph {
-	if g.kind == Undirected {
-		return g.Clone()
-	}
-	edges := make([]Edge, 0, g.NumArcs())
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Adj(V(v)) {
-			edges = append(edges, Edge{V(v), u})
-		}
-	}
-	return MustBuild(Undirected, g.NumVertices(), edges)
 }

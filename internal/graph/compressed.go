@@ -72,9 +72,6 @@ func NewCompressedAdj(off []uint64, list func(i int, buf []V) []V) *CompressedAd
 	return ca
 }
 
-// Lists returns the number of encoded lists.
-func (ca *CompressedAdj) Lists() int { return ca.lists }
-
 func (ca *CompressedAdj) plainOffAt(i int) uint64 {
 	if ca.po32 != nil {
 		return uint64(ca.po32[i])
@@ -198,7 +195,7 @@ func CompressGraph(g *Graph) *CompressedCSR {
 func (c *CompressedCSR) Kind() Kind { return c.kind }
 
 // NumVertices returns n.
-func (c *CompressedCSR) NumVertices() int { return c.ca.Lists() }
+func (c *CompressedCSR) NumVertices() int { return c.ca.lists }
 
 // NumArcs returns the number of stored adjacency entries.
 func (c *CompressedCSR) NumArcs() int { return c.ca.Arcs() }

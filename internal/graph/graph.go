@@ -219,10 +219,3 @@ func (g *Graph) Clone() *Graph {
 	copy(adj, g.adj)
 	return &Graph{kind: g.kind, offsets: off, adj: adj}
 }
-
-// FromCSR wraps pre-built CSR arrays in a Graph without copying. The caller
-// asserts that the invariants checked by Validate hold; tests call Validate
-// on anything built this way.
-func FromCSR(kind Kind, offsets []uint64, adj []V) *Graph {
-	return &Graph{kind: kind, offsets: offsets, adj: adj}
-}

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 // paperGraph builds the 6-vertex example of Fig. 1 (left): vertices 0..5,
@@ -116,14 +118,14 @@ func TestRemoveLowDegree(t *testing.T) {
 	// Vertex 3 is a pendant (degree 1) and vertex 4 is isolated.
 	edges := []Edge{{0, 1}, {1, 2}, {2, 0}, {2, 3}}
 	g := MustBuild(Undirected, 5, edges)
-	pruned, remap := RemoveLowDegree(g)
+	pruned, remap := removeLowDegree(g)
 	if err := pruned.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if got, want := pruned.NumVertices(), 3; got != want {
 		t.Fatalf("kept %d vertices, want %d", got, want)
 	}
-	if remap[3] != NoVertex || remap[4] != NoVertex {
+	if remap[3] != noVertex || remap[4] != noVertex {
 		t.Errorf("pendant/isolated vertices not removed: remap=%v", remap)
 	}
 	if got, want := pruned.NumEdges(), 3; got != want {
@@ -135,7 +137,7 @@ func TestRemoveLowDegreeDirectedUsesTotalDegree(t *testing.T) {
 	// 0->1, 1->2, 2->0 is a directed triangle: every vertex has total
 	// degree 2 and must survive even though each out-degree is 1.
 	g := MustBuild(Directed, 3, []Edge{{0, 1}, {1, 2}, {2, 0}})
-	pruned, _ := RemoveLowDegree(g)
+	pruned, _ := removeLowDegree(g)
 	if got, want := pruned.NumVertices(), 3; got != want {
 		t.Fatalf("kept %d vertices, want %d", got, want)
 	}
@@ -181,30 +183,6 @@ func TestRelabelRejectsBadPerm(t *testing.T) {
 	}
 	if _, err := Relabel(g, []V{0, 1, 2}); err == nil {
 		t.Error("Relabel accepted a short permutation")
-	}
-}
-
-func TestIsDegreeOrdered(t *testing.T) {
-	// A star graph built with the hub first is degree-ordered descending.
-	star := MustBuild(Undirected, 5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	if !IsDegreeOrdered(star) {
-		t.Errorf("star graph should be degree-ordered")
-	}
-	g := paperGraph(t)
-	if IsDegreeOrdered(g) {
-		t.Errorf("paper graph should not be degree-ordered (degrees %v)",
-			[]int{g.OutDegree(0), g.OutDegree(1), g.OutDegree(2), g.OutDegree(3), g.OutDegree(4), g.OutDegree(5)})
-	}
-}
-
-func TestAsUndirected(t *testing.T) {
-	d := MustBuild(Directed, 3, []Edge{{0, 1}, {1, 2}})
-	u := AsUndirected(d)
-	if u.Kind() != Undirected {
-		t.Fatalf("Kind = %v", u.Kind())
-	}
-	if !u.HasEdge(1, 0) || !u.HasEdge(2, 1) {
-		t.Errorf("reverse arcs missing after AsUndirected")
 	}
 }
 
@@ -289,6 +267,15 @@ func TestReadBinaryRejectsCorruption(t *testing.T) {
 	}
 }
 
+// outDegrees returns the out-degree sequence of g as a stats sample.
+func outDegrees(g *Graph) []float64 {
+	deg := make([]float64, g.NumVertices())
+	for v := range deg {
+		deg[v] = float64(g.OutDegree(V(v)))
+	}
+	return deg
+}
+
 func TestGiniCoefficient(t *testing.T) {
 	// A cycle is perfectly uniform: Gini must be ~0.
 	cycle := make([]Edge, 64)
@@ -296,7 +283,7 @@ func TestGiniCoefficient(t *testing.T) {
 		cycle[i] = Edge{V(i), V((i + 1) % 64)}
 	}
 	u := MustBuild(Undirected, 64, cycle)
-	if gi := GiniCoefficient(u); gi > 0.01 {
+	if gi := stats.Gini(outDegrees(u)); gi > 0.01 {
 		t.Errorf("uniform cycle Gini = %.3f, want ~0", gi)
 	}
 	// A star is maximally unequal.
@@ -305,39 +292,36 @@ func TestGiniCoefficient(t *testing.T) {
 		star[i] = Edge{0, V(i + 1)}
 	}
 	s := MustBuild(Undirected, 64, star)
-	if gi := GiniCoefficient(s); gi < 0.4 {
+	if gi := stats.Gini(outDegrees(s)); gi < 0.4 {
 		t.Errorf("star Gini = %.3f, want large", gi)
 	}
 }
 
 func TestTopDegreeShare(t *testing.T) {
+	inDegrees := func(g *Graph) []float64 {
+		in := g.InDegrees()
+		deg := make([]float64, len(in))
+		for v, d := range in {
+			deg[v] = float64(d)
+		}
+		return deg
+	}
 	star := make([]Edge, 99)
 	for i := range star {
 		star[i] = Edge{0, V(i + 1)}
 	}
 	s := MustBuild(Undirected, 100, star)
 	// The hub absorbs half of all arcs; top-10% must cover well over 10%.
-	if share := TopDegreeShare(s, 0.10); share < 0.5 {
-		t.Errorf("TopDegreeShare(star, 0.10) = %.2f, want >= 0.5", share)
+	if share := stats.TopShare(inDegrees(s), 0.10); share < 0.5 {
+		t.Errorf("TopShare(star in-degrees, 0.10) = %.2f, want >= 0.5", share)
 	}
 	cycle := make([]Edge, 100)
 	for i := range cycle {
 		cycle[i] = Edge{V(i), V((i + 1) % 100)}
 	}
 	c := MustBuild(Undirected, 100, cycle)
-	if share := TopDegreeShare(c, 0.10); share > 0.15 {
-		t.Errorf("TopDegreeShare(cycle, 0.10) = %.2f, want ~0.10", share)
-	}
-}
-
-func TestReciprocity(t *testing.T) {
-	full := MustBuild(Directed, 2, []Edge{{0, 1}, {1, 0}})
-	if r := Reciprocity(full); r != 1 {
-		t.Errorf("Reciprocity = %v, want 1", r)
-	}
-	half := MustBuild(Directed, 3, []Edge{{0, 1}, {1, 0}, {1, 2}, {2, 0}})
-	if r := Reciprocity(half); r != 0.5 {
-		t.Errorf("Reciprocity = %v, want 0.5", r)
+	if share := stats.TopShare(inDegrees(c), 0.10); share > 0.15 {
+		t.Errorf("TopShare(cycle in-degrees, 0.10) = %.2f, want ~0.10", share)
 	}
 }
 

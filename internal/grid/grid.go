@@ -49,9 +49,6 @@ func NewGrid(n, p int) (*Grid, error) {
 // Side returns √p, the grid dimension.
 func (gr *Grid) Side() int { return gr.q }
 
-// NumRanks returns p = Side².
-func (gr *Grid) NumRanks() int { return gr.q * gr.q }
-
 // Chunk returns the vertex range [lo,hi) of chunk c ∈ [0,√p).
 func (gr *Grid) Chunk(c int) (lo, hi int) {
 	lo = c * gr.n / gr.q
@@ -74,9 +71,6 @@ type Block struct {
 	Offsets      []uint64 // len RowHi-RowLo+1
 	Cols         []graph.V
 }
-
-// NNZ returns the number of stored entries.
-func (b *Block) NNZ() int { return len(b.Cols) }
 
 // Row returns the global column ids of local row r (global vertex RowLo+r).
 func (b *Block) Row(r int) []graph.V {

@@ -77,7 +77,7 @@ func checkDense(t *testing.T, s *Scratch, a, b []graph.V, set *DenseSet, what st
 
 func TestDenseSetMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	s := NewScratch()
+	s := new(Scratch)
 	trials := 1500
 	if testing.Short() {
 		trials = 150 // the race lane: a trial makes some three hundred kernel calls
@@ -246,7 +246,7 @@ func TestDenseSpanGuard(t *testing.T) {
 // the set of the intact list and under its own. The result is unspecified;
 // nothing may fault.
 func TestDenseSetToleratesUnsorted(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	s.EnsureUniverse(1 << 14) // as the engines do: the probes index the bitmap unchecked
 	good := strideFrom(2*DenseMinLen, 100, 3)
 	gset, _ := denseSet(good)

@@ -10,9 +10,9 @@ import "repro/internal/graph"
 // return the intersection in ascending order and report the same ops charge
 // as their counting counterparts.
 
-// SSIElements appends a ∩ b to dst by simultaneous traversal (Algorithm 2)
+// ssiElements appends a ∩ b to dst by simultaneous traversal (Algorithm 2)
 // and returns the extended slice plus the loop iterations executed.
-func SSIElements(a, b []graph.V, dst []graph.V) ([]graph.V, int) {
+func ssiElements(a, b []graph.V, dst []graph.V) ([]graph.V, int) {
 	i, j, ops := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		ops++
@@ -88,14 +88,14 @@ func Elements(method Method, a, b []graph.V, dst []graph.V) ([]graph.V, int) {
 	}
 	switch method {
 	case MethodSSI:
-		return SSIElements(a, b, dst)
+		return ssiElements(a, b, dst)
 	case MethodBinary:
 		return BinaryElements(a, b, dst)
 	case MethodHash:
 		return HashElements(a, b, dst)
 	default:
 		if PreferSSI(len(a), len(b)) {
-			return SSIElements(a, b, dst)
+			return ssiElements(a, b, dst)
 		}
 		return BinaryElements(a, b, dst)
 	}

@@ -136,7 +136,7 @@ func depthTable(n int) []uint8 {
 // probes — each must charge identically).
 func TestScratchCountMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	s := NewScratch()
+	s := new(Scratch)
 	methods := []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash}
 	for trial := 0; trial < 3000; trial++ {
 		a, b := randPair(rng)
@@ -159,7 +159,7 @@ func TestScratchCountMatchesReference(t *testing.T) {
 // same elements (ascending), same charge, across fresh and stamped calls.
 func TestScratchElementsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := NewScratch()
+	s := new(Scratch)
 	methods := []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash}
 	var got []graph.V
 	for trial := 0; trial < 3000; trial++ {
@@ -211,7 +211,7 @@ func checkAgainstReference(t *testing.T, s *Scratch, m Method, pivot, other []gr
 // a stale index never served across re-Stamp, Unstamp and grow.
 func TestScratchRankMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewScratch()
+	s := new(Scratch)
 	for trial := 0; trial < 2000; trial++ {
 		n := stampMinLen + rng.Intn(400)
 		lo := graph.V(rng.Intn(5000))
@@ -230,7 +230,7 @@ func TestScratchRankMatchesReference(t *testing.T) {
 			s.Stamp(keys) // another list's stamp (and index) is live
 			s.Count(MethodBinary, keys, keys[:1])
 		case 3:
-			s = NewScratch() // grow doubles: a shared bitmap would outgrow memory
+			s = new(Scratch) // grow doubles: a shared bitmap would outgrow memory
 			s.Count(MethodBinary, pivot, keys)
 			s.EnsureUniverse(64 * (len(s.words) + 1)) // grow under a live index
 		}
@@ -254,7 +254,7 @@ func TestScratchRankSpanGuard(t *testing.T) {
 	keys := []graph.V{0, 5, 64, 255, 256, 257, 9000, 1 << 20}
 	for _, universe := range []int{0, 1 << 22} {
 		for _, step := range []int{32 * rankSpanWords, 128 * rankSpanWords} {
-			s := NewScratch()
+			s := new(Scratch)
 			s.EnsureUniverse(universe)
 			pivot := stride(2*stampMinLen, step)
 			for call := 0; call < 3; call++ {
@@ -272,7 +272,7 @@ func TestScratchRankSpanGuard(t *testing.T) {
 // exactly that): lists whose first or last element belongs to a neighbour
 // list. The result is unspecified; the kernels must not fault.
 func TestScratchRankToleratesUnsorted(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	s.EnsureUniverse(1 << 12)
 	pivot := stride(2*stampMinLen, 7)
 	keys := []graph.V{100, 130, 131, 300}
@@ -291,7 +291,7 @@ func TestScratchRankToleratesUnsorted(t *testing.T) {
 // the bitmap empty for the next pivot.
 func TestScratchStampedAcrossSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	s := NewScratch()
+	s := new(Scratch)
 	for trial := 0; trial < 200; trial++ {
 		span := 64 << uint(rng.Intn(10))
 		a := randSet(rng, stampMinLen+rng.Intn(100), span)
@@ -320,7 +320,7 @@ func TestScratchStampedAcrossSizes(t *testing.T) {
 // the bitmap then spans exactly 2³² bits, and the probe limit must not
 // wrap to zero (it is computed in 64 bits).
 func TestScratchTopOfIDSpace(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	a := make([]graph.V, stampMinLen)
 	for i := range a {
 		a[i] = graph.V(1<<32 - 2*(stampMinLen-i)) // ..., 0xFFFFFFFC, 0xFFFFFFFE
@@ -351,7 +351,7 @@ func TestScratchTopOfIDSpace(t *testing.T) {
 // TestScratchGridAccumulator pins the Stamp/Has pair the 2D engine uses as
 // its sparse accumulator.
 func TestScratchGridAccumulator(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	s.EnsureUniverse(1 << 12)
 	mask := []graph.V{3, 64, 65, 700, 4000}
 	s.Stamp(mask)
@@ -426,7 +426,7 @@ func checkDepthBinary(t *testing.T, s *Scratch, keys, tree []graph.V, what strin
 // 0xFFFFFFFF in the tree.
 func TestDepthBinaryMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	s := NewScratch()
+	s := new(Scratch)
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + rng.Intn(633)
 		if trial%10 == 0 {
@@ -478,7 +478,7 @@ func dedupV(s []graph.V) []graph.V {
 // too — all three charging like the reference, the refused two without
 // allocating.
 func TestDepthCacheBounds(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	keys := []graph.V{0, 3, 4, 5, 50000, 98301, 98304, 1 << 20}
 	dst := make([]graph.V, 0, len(keys))
 	check := func(n int, cached bool) {
@@ -522,7 +522,7 @@ func TestDepthCacheBounds(t *testing.T) {
 // or last id belongs to a neighbour. The result is unspecified; every index
 // must stay in range.
 func TestSearchesTolerateUnsorted(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	for _, n := range []int{96, depthMaxLen + 1} { // depthBinary, the reference loops
 		good := strideFrom(n, 10, 7)
 		headOff := append([]graph.V{1 << 30}, good[1:]...)
@@ -548,7 +548,7 @@ func TestStampToleratesUnsorted(t *testing.T) {
 	a[20] = 100000
 	keys := []graph.V{1, 2, 3, 100000}
 	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid} {
-		s := NewScratch()
+		s := new(Scratch)
 		for call := 0; call < 3; call++ { // fresh, stamped, rank-indexed
 			s.Count(m, a, keys[:3])
 			s.Count(m, a, keys)

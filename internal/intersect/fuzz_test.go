@@ -135,7 +135,7 @@ func FuzzIntersectKernels(f *testing.F) {
 // queries into a's own set and a as keys into b's, checked and not.
 func checkStampBodies(t *testing.T, a, b []graph.V) {
 	t.Helper()
-	k := NewScratch()
+	k := new(Scratch)
 	k.Stamp(a)
 	checkProbe(t, k.words, b, "b into a's stamp")
 	back := slices.Clone(b)

@@ -82,10 +82,6 @@ const (
 // table: rankCountAVX512 reads depth[at] as the dword at depth+at.
 const depthSlack = 3
 
-// NewScratch returns a ready-to-use Scratch. Most callers should prefer
-// GetScratch/PutScratch, which recycle instances across runs.
-func NewScratch() *Scratch { return new(Scratch) }
-
 // EnsureUniverse pre-sizes the bitmap for vertex ids in [0, n), so the
 // steady state performs no growth allocations. Stamping grows the bitmap
 // on demand regardless; this is an optimization, not a requirement.
@@ -515,7 +511,7 @@ func GetScratch() *Scratch {
 	n := len(scratchPool.free)
 	if n == 0 {
 		scratchPool.mu.Unlock()
-		return NewScratch()
+		return new(Scratch)
 	}
 	s := scratchPool.free[n-1]
 	scratchPool.free[n-1] = nil

@@ -276,7 +276,7 @@ func BenchmarkStampKernels(b *testing.B) {
 			stampSink = sink
 		})
 	}
-	own := NewScratch()
+	own := new(Scratch)
 	own.EnsureUniverse(universe)
 	if !own.rankTree(pivot, pivot) {
 		b.Fatal("the pivot is not rank-indexed")

@@ -30,7 +30,7 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 }
 
 func TestScratchZeroAlloc(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	s.EnsureUniverse(1 << 15)
 
 	small := stride(16, 3)   // below stampMinLen: merge path

@@ -2,7 +2,6 @@ package lcc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -31,23 +30,31 @@ func Orient(g graph.Store) (*Orientation, error) {
 	if g.Kind() != graph.Undirected {
 		return nil, fmt.Errorf("lcc: Orient requires an undirected graph, got %v", g.Kind())
 	}
-	n := g.NumVertices()
+	rank := make([]uint64, g.NumVertices())
+	for v := range rank {
+		rank[v] = uint64(g.OutDegree(graph.V(v)))<<32 | uint64(v)
+	}
+	return orient(g, rank), nil
+}
+
+// orient builds the orientation with arc u→v iff {u,v} ∈ E and
+// rank[u] < rank[v]. Adjacency lists are sorted by id and filtering keeps
+// their order, so every out-neighbourhood is sorted too.
+func orient(g graph.Store, rank []uint64) *Orientation {
+	n := len(rank)
 	o := &Orientation{out: make([][]graph.V, n), n: n}
 	var buf []graph.V
-	for u := 0; u < n; u++ {
+	for u := range rank {
 		buf = g.AdjInto(graph.V(u), buf)
-		du := len(buf)
 		var nbrs []graph.V
 		for _, v := range buf {
-			dv := g.OutDegree(v)
-			if du < dv || (du == dv && graph.V(u) < v) {
+			if rank[u] < rank[v] {
 				nbrs = append(nbrs, v)
 			}
 		}
-		// buf is sorted by id and filtering preserves order.
 		o.out[u] = nbrs
 	}
-	return o, nil
+	return o
 }
 
 // Out returns the sorted out-neighbourhood of u under the orientation.
@@ -64,15 +71,6 @@ func (o *Orientation) MaxOutDegree() int {
 		}
 	}
 	return max
-}
-
-// NumArcs returns the number of oriented arcs (= m for a simple graph).
-func (o *Orientation) NumArcs() int {
-	total := 0
-	for _, nbrs := range o.out {
-		total += len(nbrs)
-	}
-	return total
 }
 
 // ForwardLCC computes per-vertex triangle counts and LCC scores of an
@@ -93,73 +91,15 @@ func ForwardLCC(g *graph.Graph) (*SharedResult, error) {
 		LCC:       make([]float64, n),
 		PerVertex: make([]int64, n),
 	}
-	for u := 0; u < n; u++ {
-		outU := o.out[u]
-		for _, v := range outU {
-			// Enumerate common oriented out-neighbours w of u and v:
-			// each is the apex of exactly one triangle {u,v,w}.
-			outV := o.out[v]
-			i, j := 0, 0
-			for i < len(outU) && j < len(outV) {
-				res.Ops++
-				switch {
-				case outU[i] == outV[j]:
-					w := outU[i]
-					res.PerVertex[u]++
-					res.PerVertex[v]++
-					res.PerVertex[w]++
-					res.Triangles++
-					i++
-					j++
-				case outU[i] < outV[j]:
-					i++
-				default:
-					j++
-				}
-			}
-		}
-	}
+	res.Triangles, res.Ops = o.merge(func(u, v, w graph.V) {
+		res.PerVertex[u]++
+		res.PerVertex[v]++
+		res.PerVertex[w]++
+	})
 	for v := 0; v < n; v++ {
 		res.LCC[v] = Score(graph.Undirected, res.PerVertex[v], g.OutDegree(graph.V(v)))
 	}
 	return res, nil
-}
-
-// Triangle is one triangle {U, V, W} with U < V < W in orientation order.
-type Triangle struct {
-	U, V, W graph.V
-}
-
-// ListTriangles enumerates every triangle of an undirected graph exactly
-// once via the forward algorithm, in deterministic order. It is used by
-// the community-analysis example and by tests that need the actual
-// triangles rather than counts.
-func ListTriangles(g *graph.Graph) ([]Triangle, error) {
-	o, err := Orient(g)
-	if err != nil {
-		return nil, err
-	}
-	var out []Triangle
-	for u := 0; u < o.n; u++ {
-		outU := o.out[u]
-		for _, v := range outU {
-			outV := o.out[v]
-			i, j := 0, 0
-			for i < len(outU) && j < len(outV) {
-				switch {
-				case outU[i] == outV[j]:
-					out = append(out, Triangle{graph.V(u), v, outU[i]})
-					i++
-					j++
-				case outU[i] < outV[j]:
-					i++
-				default:
-					j++
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // DegeneracyOrder returns a smallest-last (core) ordering of an undirected
@@ -233,33 +173,29 @@ func OrientByOrder(g *graph.Graph, order []graph.V) (*Orientation, error) {
 	if len(order) != n {
 		return nil, fmt.Errorf("lcc: order has %d entries for %d vertices", len(order), n)
 	}
-	pos := make([]int, n)
+	pos := make([]uint64, n)
 	seen := make([]bool, n)
 	for i, v := range order {
 		if int(v) >= n || seen[v] {
 			return nil, fmt.Errorf("lcc: order is not a permutation (entry %d = %d)", i, v)
 		}
 		seen[v] = true
-		pos[v] = i
+		pos[v] = uint64(i)
 	}
-	o := &Orientation{out: make([][]graph.V, n), n: n}
-	for u := 0; u < n; u++ {
-		var nbrs []graph.V
-		for _, v := range g.Adj(graph.V(u)) {
-			if pos[u] < pos[v] {
-				nbrs = append(nbrs, v)
-			}
-		}
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-		o.out[u] = nbrs
-	}
-	return o, nil
+	return orient(g, pos), nil
 }
 
 // CountOriented counts triangles on a prebuilt orientation (each counted
-// once). It is the inner kernel of ForwardLCC exposed for ablations that
-// swap orderings.
+// once). It is ForwardLCC's merge without the per-vertex tallies, for
+// ablations that swap orderings.
 func CountOriented(o *Orientation) (triangles int64, ops int64) {
+	return o.merge(nil)
+}
+
+// merge merges out(u) with out(v) for every arc u→v: each common oriented
+// out-neighbour w is the apex of exactly one triangle {u,v,w}, passed to
+// tri unless it is nil. ops counts merge iterations.
+func (o *Orientation) merge(tri func(u, v, w graph.V)) (triangles int64, ops int64) {
 	for u := 0; u < o.n; u++ {
 		outU := o.out[u]
 		for _, v := range outU {
@@ -269,6 +205,9 @@ func CountOriented(o *Orientation) (triangles int64, ops int64) {
 				ops++
 				switch {
 				case outU[i] == outV[j]:
+					if tri != nil {
+						tri(graph.V(u), v, outU[i])
+					}
 					triangles++
 					i++
 					j++

@@ -2,6 +2,8 @@ package lcc
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -84,8 +86,12 @@ func TestOrientationInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.NumArcs() != g.NumEdges() {
-		t.Fatalf("orientation has %d arcs, want m=%d", o.NumArcs(), g.NumEdges())
+	arcs := 0
+	for u := 0; u < g.NumVertices(); u++ {
+		arcs += len(o.Out(graph.V(u)))
+	}
+	if arcs != g.NumEdges() {
+		t.Fatalf("orientation has %d arcs, want m=%d", arcs, g.NumEdges())
 	}
 	for u := 0; u < g.NumVertices(); u++ {
 		outU := o.Out(graph.V(u))
@@ -107,6 +113,61 @@ func TestOrientationInvariants(t *testing.T) {
 	}
 }
 
+// TestOrientByOrderMatchesOrient holds the two orientation builders and
+// the two merge loops to each other: OrientByOrder given the (degree, id)
+// order reproduces Orient arc for arc, and CountOriented on that orientation
+// reports ForwardLCC's triangles and merge ops.
+func TestOrientByOrderMatchesOrient(t *testing.T) {
+	graphs := []*graph.Graph{gen.RMAT(gen.DefaultRMAT(10, 8, graph.Undirected, 99))}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 30; trial++ {
+		graphs = append(graphs, randomUndirected(rng, 24, 70))
+	}
+	for i, g := range graphs {
+		o, err := Orient(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := make([]graph.V, g.NumVertices())
+		for v := range order {
+			order[v] = graph.V(v)
+		}
+		sort.Slice(order, func(a, b int) bool {
+			da, db := g.OutDegree(order[a]), g.OutDegree(order[b])
+			return da < db || da == db && order[a] < order[b]
+		})
+		byOrder, err := OrientByOrder(g, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < g.NumVertices(); u++ {
+			if !slices.Equal(o.Out(graph.V(u)), byOrder.Out(graph.V(u))) {
+				t.Fatalf("graph %d: out(%d) = %v by order, %v by Orient", i, u, byOrder.Out(graph.V(u)), o.Out(graph.V(u)))
+			}
+		}
+		fwd, err := ForwardLCC(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tris, ops := CountOriented(o); tris != fwd.Triangles || ops != fwd.Ops {
+			t.Fatalf("graph %d: CountOriented = (%d, %d), ForwardLCC = (%d, %d)", i, tris, ops, fwd.Triangles, fwd.Ops)
+		}
+	}
+}
+
+// listTriangles collects the triangles the forward merge reports, each as
+// {u, v, w} in orientation order.
+func listTriangles(t *testing.T, g *graph.Graph) [][3]graph.V {
+	t.Helper()
+	o, err := Orient(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tris [][3]graph.V
+	o.merge(func(u, v, w graph.V) { tris = append(tris, [3]graph.V{u, v, w}) })
+	return tris
+}
+
 func TestListTriangles(t *testing.T) {
 	// K4 has exactly 4 triangles.
 	var edges []graph.Edge
@@ -119,20 +180,17 @@ func TestListTriangles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tris, err := ListTriangles(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tris := listTriangles(t, g)
 	if len(tris) != 4 {
 		t.Fatalf("K4 has %d listed triangles, want 4", len(tris))
 	}
-	seen := map[Triangle]bool{}
+	seen := map[[3]graph.V]bool{}
 	for _, tr := range tris {
 		if seen[tr] {
 			t.Fatalf("duplicate triangle %v", tr)
 		}
 		seen[tr] = true
-		if !g.HasEdge(tr.U, tr.V) || !g.HasEdge(tr.V, tr.W) || !g.HasEdge(tr.U, tr.W) {
+		if !g.HasEdge(tr[0], tr[1]) || !g.HasEdge(tr[1], tr[2]) || !g.HasEdge(tr[0], tr[2]) {
 			t.Fatalf("listed non-triangle %v", tr)
 		}
 	}
@@ -142,15 +200,11 @@ func TestListTrianglesCountsMatch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomUndirected(rng, 20, 60)
-		tris, err := ListTriangles(g)
-		if err != nil {
-			return false
-		}
 		res, err := ForwardLCC(g)
 		if err != nil {
 			return false
 		}
-		return int64(len(tris)) == res.Triangles
+		return int64(len(listTriangles(t, g))) == res.Triangles
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -42,27 +42,3 @@ func RunJaccardCtx(ctx context.Context, g graph.Store, opt Options) (*JaccardRes
 	}
 	return snap.RunJaccardCtx(ctx, opt)
 }
-
-// BruteForceJaccard is the O(m·d) reference used by tests.
-func BruteForceJaccard(g *graph.Graph) []float64 {
-	scores := make([]float64, g.NumArcs())
-	arc := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		adjV := g.Adj(graph.V(v))
-		for _, u := range adjV {
-			adjU := g.Adj(u)
-			inter := 0
-			for _, x := range adjV {
-				if g.HasEdge(u, x) {
-					inter++
-				}
-			}
-			union := len(adjV) + len(adjU) - inter
-			if union > 0 {
-				scores[arc] = float64(inter) / float64(union)
-			}
-			arc++
-		}
-	}
-	return scores
-}

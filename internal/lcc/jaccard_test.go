@@ -121,3 +121,27 @@ func TestJaccardDataset(t *testing.T) {
 		t.Errorf("max Jaccard = %v, want clustered pairs (>= 0.3)", max)
 	}
 }
+
+// BruteForceJaccard is the O(m·d) reference used by tests.
+func BruteForceJaccard(g *graph.Graph) []float64 {
+	scores := make([]float64, g.NumArcs())
+	arc := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		adjV := g.Adj(graph.V(v))
+		for _, u := range adjV {
+			adjU := g.Adj(u)
+			inter := 0
+			for _, x := range adjV {
+				if g.HasEdge(u, x) {
+					inter++
+				}
+			}
+			union := len(adjV) + len(adjU) - inter
+			if union > 0 {
+				scores[arc] = float64(inter) / float64(union)
+			}
+			arc++
+		}
+	}
+	return scores
+}

@@ -95,36 +95,3 @@ func SharedLCC(g *graph.Graph, method intersect.Method) *SharedResult {
 	res.Triangles = TriangleCount(g.Kind(), sum)
 	return res
 }
-
-// BruteForceLCC is the O(n·d²) reference used only by tests: it checks
-// every neighbour pair with HasEdge.
-func BruteForceLCC(g *graph.Graph) *SharedResult {
-	n := g.NumVertices()
-	res := &SharedResult{
-		LCC:       make([]float64, n),
-		PerVertex: make([]int64, n),
-	}
-	var sum int64
-	for v := 0; v < n; v++ {
-		adj := g.Adj(graph.V(v))
-		var t int64
-		for _, vj := range adj {
-			for _, vk := range adj {
-				if g.Kind() == graph.Undirected && vk <= vj {
-					continue
-				}
-				if vj == vk {
-					continue
-				}
-				if g.HasEdge(vj, vk) {
-					t++
-				}
-			}
-		}
-		res.PerVertex[v] = t
-		res.LCC[v] = Score(g.Kind(), t, len(adj))
-		sum += t
-	}
-	res.Triangles = TriangleCount(g.Kind(), sum)
-	return res
-}

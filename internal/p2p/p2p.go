@@ -7,7 +7,7 @@
 // Cost model (shared with internal/rma): a message of s bytes costs the
 // sender SendRecvOverhead + α + s·β (two-sided adds matching overhead over
 // RMA, §II-E) and the receiver a matching overhead plus a local copy. Every
-// Exchange ends with a barrier: all clocks jump to the global maximum plus
+// exchange ends with a barrier: all clocks jump to the global maximum plus
 // BarrierLatency. The simulated time of a run is therefore dominated by the
 // slowest rank of every superstep — the BSP straggler effect.
 package p2p
@@ -77,7 +77,7 @@ func (r *Rank) AdvanceBy(ns float64) {
 }
 
 // SendPayload stages a payload for dst with an explicit modeled wire size;
-// it is delivered by the next Exchange. Callers shipping large derived data
+// it is delivered by the next exchange. Callers shipping large derived data
 // (e.g. TriC's candidate lists) charge the full cost without materializing
 // the bytes. The send cost (matching overhead + α + s·β) is charged
 // immediately, as with a blocking MPI_Send in rendezvous mode.
@@ -121,7 +121,7 @@ func (r *Rank) SendPayload(dst int, payload interface{}, size int) {
 	r.outbox[dst] = append(r.outbox[dst], Message{From: r.id, Size: size, Payload: payload})
 }
 
-// Inbox returns the messages delivered to this rank by the last Exchange,
+// Inbox returns the messages delivered to this rank by the last exchange,
 // in deterministic (sender-rank, send-order) order.
 func (r *Rank) Inbox() []Message { return r.inbox }
 
@@ -138,7 +138,7 @@ type World struct {
 // model, whose superstep bodies execute on at most workers concurrent
 // goroutines; workers <= 0 selects GOMAXPROCS.
 // Supersteps are barrier-phased — ranks interact only through the
-// host-serial Exchange between steps — so results are bit-identical at
+// host-serial exchange between steps — so results are bit-identical at
 // every worker count provided bodies keep their writes rank-disjoint (the
 // contract Superstep documents).
 func NewWorldWorkers(p int, model rma.CostModel, workers int) *World {
@@ -182,14 +182,14 @@ func (w *World) Superstep(body func(r *Rank)) {
 	w.pool.Run(w.p, func(i int) {
 		body(w.ranks[i])
 	})
-	w.Exchange()
+	w.exchange()
 }
 
-// Exchange delivers all staged messages and synchronizes: every clock jumps
+// exchange delivers all staged messages and synchronizes: every clock jumps
 // to the global maximum plus BarrierLatency, and receivers are charged the
 // per-message matching overhead plus a local copy of the payload. This is
 // the blocking all-to-all step whose cost TriC pays every round.
-func (w *World) Exchange() {
+func (w *World) exchange() {
 	w.steps++
 	// Barrier: all ranks wait for the slowest.
 	max := 0.0

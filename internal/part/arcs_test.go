@@ -34,7 +34,7 @@ func TestNewArcBalancedInvariants(t *testing.T) {
 	f := func(seed int64, pRaw uint8) bool {
 		p := 1 + int(pRaw)%16
 		g := skewedGraph(200, seed)
-		pt, err := NewArcBalanced(g, p)
+		pt, err := newArcBalanced(g, p)
 		if err != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestArcBalancedBeatsBlockOnSkew(t *testing.T) {
 	g := skewedGraph(2000, 7)
 	for _, p := range []int{4, 8, 16} {
 		block := MustNew(Block, g.NumVertices(), p)
-		arcs, err := NewArcBalanced(g, p)
+		arcs, err := newArcBalanced(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestArcBalancedUniformNearEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := NewArcBalanced(g, 8)
+	pt, err := newArcBalanced(g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestArcBalancedUniformNearEqual(t *testing.T) {
 
 func TestArcBalancedEveryRankNonEmpty(t *testing.T) {
 	g := skewedGraph(64, 3)
-	pt, err := NewArcBalanced(g, 16)
+	pt, err := newArcBalanced(g, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestBlockArcsSchemeErrors(t *testing.T) {
 		t.Fatal("New accepted BlockArcs without a graph")
 	}
 	g := skewedGraph(20, 1)
-	if _, err := NewArcBalanced(g, 0); err == nil {
-		t.Fatal("NewArcBalanced accepted p=0")
+	if _, err := newArcBalanced(g, 0); err == nil {
+		t.Fatal("newArcBalanced accepted p=0")
 	}
 	if BlockArcs.String() != "block-arcs" {
 		t.Fatalf("String() = %q", BlockArcs.String())

@@ -27,7 +27,7 @@ const (
 	// skewed graphs (§IV-D-2). It keeps Block's contiguity — and thus
 	// its cheap ownership arithmetic on the remote path — while fixing
 	// the work balance; the A10 ablation quantifies the trade.
-	// Partitions with this scheme must be created by NewArcBalanced (the
+	// Partitions with this scheme must be created by Build (the
 	// boundaries depend on the degree sequence).
 	BlockArcs
 )
@@ -72,7 +72,7 @@ type Partition struct {
 }
 
 // New creates a partition of n vertices over p ranks. BlockArcs partitions
-// need the degree sequence and must be created with NewArcBalanced.
+// need the degree sequence and must be created with Build.
 func New(scheme Scheme, n, p int) (*Partition, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("part: need at least one rank, got %d", p)
@@ -81,16 +81,16 @@ func New(scheme Scheme, n, p int) (*Partition, error) {
 		return nil, fmt.Errorf("part: negative vertex count %d", n)
 	}
 	if scheme == BlockArcs {
-		return nil, fmt.Errorf("part: BlockArcs partitions require the graph; use NewArcBalanced")
+		return nil, fmt.Errorf("part: BlockArcs partitions require the graph; use Build")
 	}
 	return &Partition{scheme: scheme, n: n, p: p}, nil
 }
 
-// NewArcBalanced creates a BlockArcs partition of g over p ranks:
+// newArcBalanced creates a BlockArcs partition of g over p ranks:
 // contiguous vertex ranges chosen so every rank holds as close to
 // NumArcs/p adjacency entries as contiguity allows (greedy prefix cut at
 // the target quota, the standard 1D arc-balancing heuristic).
-func NewArcBalanced(g graph.Store, p int) (*Partition, error) {
+func newArcBalanced(g graph.Store, p int) (*Partition, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("part: need at least one rank, got %d", p)
 	}
@@ -119,22 +119,13 @@ func NewArcBalanced(g graph.Store, p int) (*Partition, error) {
 }
 
 // Build constructs a partition of g's vertices under any scheme,
-// dispatching to NewArcBalanced when the scheme needs the degree sequence.
+// dispatching to newArcBalanced when the scheme needs the degree sequence.
 // Engines use it so that Options.Scheme can select all three schemes.
 func Build(scheme Scheme, g graph.Store, p int) (*Partition, error) {
 	if scheme == BlockArcs {
-		return NewArcBalanced(g, p)
+		return newArcBalanced(g, p)
 	}
 	return New(scheme, g.NumVertices(), p)
-}
-
-// MustNew is New that panics on error, for statically valid arguments.
-func MustNew(scheme Scheme, n, p int) *Partition {
-	pt, err := New(scheme, n, p)
-	if err != nil {
-		panic(err)
-	}
-	return pt
 }
 
 // Scheme returns the partitioning scheme.
@@ -284,7 +275,7 @@ type LocalCSR struct {
 	Comp *graph.CompressedAdj
 }
 
-// Extract builds rank's LocalCSR from the full graph. In a real deployment
+// extract builds rank's LocalCSR from the full graph. In a real deployment
 // each node reads only its chunk from disk (Fig. 3 step 1); here the
 // in-memory store plays the role of the shared file.
 //
@@ -292,7 +283,7 @@ type LocalCSR struct {
 // both arrays, so it is one rebased copy of each. The local never aliases g:
 // a snapshot's resident tables must be damageable and reloadable on their
 // own (serve's scrub recovery rebuilds from g).
-func Extract(g graph.Store, pt *Partition, rank int) *LocalCSR {
+func extract(g graph.Store, pt *Partition, rank int) *LocalCSR {
 	if pg, ok := g.(*graph.Graph); ok && pt.scheme != Cyclic {
 		lo, hi := pt.Range(rank)
 		src := pg.Offsets()[lo : hi+1]
@@ -320,12 +311,12 @@ func Extract(g graph.Store, pt *Partition, rank int) *LocalCSR {
 	return &LocalCSR{Rank: rank, Part: pt, Offsets: offsets, Adj: adj}
 }
 
-// ExtractCompressed builds rank's LocalCSR with varint/delta-compressed
+// extractCompressed builds rank's LocalCSR with varint/delta-compressed
 // adjacency, encoding straight from the source store without materializing
-// the plain local lists. The decoded lists are bit-identical to Extract's,
+// the plain local lists. The decoded lists are bit-identical to extract's,
 // so everything downstream of the decode — partitions, windows, charges —
 // is too.
-func ExtractCompressed(g graph.Store, pt *Partition, rank int) *LocalCSR {
+func extractCompressed(g graph.Store, pt *Partition, rank int) *LocalCSR {
 	size := pt.Size(rank)
 	offsets := make([]uint64, size+1)
 	for i := 0; i < size; i++ {
@@ -341,7 +332,7 @@ func ExtractCompressed(g graph.Store, pt *Partition, rank int) *LocalCSR {
 func ExtractAll(g graph.Store, pt *Partition) []*LocalCSR {
 	out := make([]*LocalCSR, pt.NumRanks())
 	for r := range out {
-		out[r] = Extract(g, pt, r)
+		out[r] = extract(g, pt, r)
 	}
 	return out
 }
@@ -350,7 +341,7 @@ func ExtractAll(g graph.Store, pt *Partition) []*LocalCSR {
 func ExtractAllCompressed(g graph.Store, pt *Partition) []*LocalCSR {
 	out := make([]*LocalCSR, pt.NumRanks())
 	for r := range out {
-		out[r] = ExtractCompressed(g, pt, r)
+		out[r] = extractCompressed(g, pt, r)
 	}
 	return out
 }

@@ -180,7 +180,7 @@ func TestExtractBulkMatchesPerVertex(t *testing.T) {
 					t.Fatal(err)
 				}
 				for r := 0; r < p; r++ {
-					got, want := Extract(g, pt, r), Extract(perVertex, pt, r)
+					got, want := extract(g, pt, r), extract(perVertex, pt, r)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d %v p=%d rank %d: bulk extract\n%+v\nper-vertex extract\n%+v", seed, scheme, p, r, got, want)
 					}
@@ -197,4 +197,13 @@ func TestExtractBulkMatchesPerVertex(t *testing.T) {
 			}
 		}
 	}
+}
+
+// MustNew is New that panics on error, for statically valid arguments.
+func MustNew(scheme Scheme, n, p int) *Partition {
+	pt, err := New(scheme, n, p)
+	if err != nil {
+		panic(err)
+	}
+	return pt
 }

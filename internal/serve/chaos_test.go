@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lcc"
 	"repro/internal/sched"
 	"repro/internal/serve"
 )
@@ -97,7 +98,7 @@ func TestChaosSupervisorStorm(t *testing.T) {
 		gate   sync.RWMutex
 		okRuns atomic.Int64
 	)
-	servedBefore := inst.Counters().Served
+	servedBefore := inst.Info().Counters.Served
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -142,7 +143,7 @@ func TestChaosSupervisorStorm(t *testing.T) {
 				case 3: // corrupt-and-sweep, exclusive with client traffic
 					gate.Lock()
 					section := []string{
-						serve.SectionOffsets, serve.SectionAdjacency, serve.SectionResolve,
+						lcc.SectionOffsets, lcc.SectionAdjacency, lcc.SectionResolve,
 					}[rng.intn(3)]
 					if err := inst.CorruptResident(rng.intn(4), section); err != nil {
 						// Not ready/idle right now (e.g. unhealthy from a racing
@@ -188,7 +189,7 @@ func TestChaosSupervisorStorm(t *testing.T) {
 
 	// Settle: quiesce any stragglers, then the books must balance and the
 	// plane must still serve golden bits.
-	served := inst.Counters().Served - servedBefore
+	served := inst.Info().Counters.Served - servedBefore
 	if served != okRuns.Load() {
 		t.Errorf("Served moved %d, clients saw %d successes — lost or duplicated runs", served, okRuns.Load())
 	}

@@ -191,7 +191,7 @@ func TestSupervisorEvictionLRU(t *testing.T) {
 	if st := b.State(); st != serve.StateReady {
 		t.Fatalf("b = %v, want ready", st)
 	}
-	if got := sup.Parks(); got != 1 {
+	if got := sup.ServerInfo().Parks; got != 1 {
 		t.Fatalf("Parks = %d, want 1", got)
 	}
 	// Query the evicted instance: it unparks transparently, wins the
@@ -207,7 +207,7 @@ func TestSupervisorEvictionLRU(t *testing.T) {
 	if st := b.State(); st != serve.StateParked {
 		t.Fatalf("b after a's unpark = %v, want parked", st)
 	}
-	if got := sup.Parks(); got != 2 {
+	if got := sup.ServerInfo().Parks; got != 2 {
 		t.Fatalf("Parks = %d, want 2", got)
 	}
 }
@@ -247,7 +247,7 @@ func TestSupervisorEvictionSparesBusyAndQueued(t *testing.T) {
 	if a.MemBytes() == 0 {
 		t.Fatal("a lost its snapshot while busy")
 	}
-	if got := sup.Parks(); got != 0 {
+	if got := sup.ServerInfo().Parks; got != 0 {
 		t.Fatalf("Parks = %d, want 0 (nothing evictable)", got)
 	}
 

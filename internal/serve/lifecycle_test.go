@@ -159,7 +159,7 @@ func TestLifecycleUnknownEngine(t *testing.T) {
 	if st := inst.State(); st != serve.StateReady {
 		t.Fatalf("state = %v, want ready", st)
 	}
-	if ctr := inst.Counters(); ctr.Failed != 1 {
+	if ctr := inst.Info().Counters; ctr.Failed != 1 {
 		t.Errorf("counters = %+v, want Failed 1", ctr)
 	}
 }
@@ -206,7 +206,7 @@ func TestLifecycleAdmissionControl(t *testing.T) {
 	if st := inst.State(); st != serve.StateReady {
 		t.Fatalf("state after drain = %v, want ready", st)
 	}
-	if ctr := inst.Counters(); ctr.Served != 1 || ctr.Rejected != 1 {
+	if ctr := inst.Info().Counters; ctr.Served != 1 || ctr.Rejected != 1 {
 		t.Errorf("counters = %+v, want Served 1, Rejected 1", ctr)
 	}
 }

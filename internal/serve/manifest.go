@@ -160,9 +160,6 @@ func NewManifestStore(dir string) (*ManifestStore, error) {
 	return &ManifestStore{dir: dir}, nil
 }
 
-// Dir returns the state directory the store persists into.
-func (ms *ManifestStore) Dir() string { return ms.dir }
-
 // Path returns the file the named instance's manifest persists to. The
 // instance name is sanitized for the filesystem and disambiguated with an
 // FNV hash of the raw name, so distinct names never collide.

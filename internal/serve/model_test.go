@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/lcc"
 	"repro/internal/sched"
 	"repro/internal/serve"
 )
@@ -297,7 +298,7 @@ func (d *modelDriver) step(rng *chaosSplitmix) {
 		}
 	case op < 13:
 		d.last = "scrub"
-		d.scrub([]string{serve.SectionIndex, serve.SectionOffsets, serve.SectionAdjacency, serve.SectionResolve}[d.c.scrubs%4], rng.intn(4))
+		d.scrub([]string{lcc.SectionIndex, lcc.SectionOffsets, lcc.SectionAdjacency, lcc.SectionResolve}[d.c.scrubs%4], rng.intn(4))
 	case op < 14:
 		d.last = "panic query"
 		var reads int64
@@ -323,7 +324,7 @@ func (d *modelDriver) step(rng *chaosSplitmix) {
 	if got := d.inst.State(); got != d.m.state {
 		d.t.Errorf("state = %v, model predicts %v", got, d.m.state)
 	}
-	ctr := d.inst.Counters()
+	ctr := d.inst.Info().Counters
 	if ctr != d.m.ctr {
 		d.t.Errorf("counters = %+v, model predicts %+v", ctr, d.m.ctr)
 	}
@@ -359,7 +360,7 @@ func (d *modelDriver) blockedRun() {
 	}
 	d.want("Park while busy", d.inst.Park(), serve.ErrBusy)
 	d.want("Reload while busy", d.inst.Reload(), serve.ErrBusy)
-	d.want("CorruptResident while busy", d.inst.CorruptResident(0, serve.SectionOffsets), serve.ErrNotReady)
+	d.want("CorruptResident while busy", d.inst.CorruptResident(0, lcc.SectionOffsets), serve.ErrNotReady)
 	if checked, se, err := d.inst.Scrub(); checked || se != nil || err != nil {
 		d.t.Errorf("Scrub while busy = %v, %v, %v, want skipped", checked, se, err)
 	}

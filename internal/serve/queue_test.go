@@ -118,7 +118,7 @@ func TestQueueFIFOWithinPriority(t *testing.T) {
 			if fmt.Sprint(started) != fmt.Sprint(want) {
 				t.Fatalf("grant order = %v, want %v", started, want)
 			}
-			if ctr := inst.Counters(); ctr.Served != int64(len(specs))+1 {
+			if ctr := inst.Info().Counters; ctr.Served != int64(len(specs))+1 {
 				t.Errorf("Served = %d, want %d", ctr.Served, len(specs)+1)
 			}
 		})
@@ -149,7 +149,7 @@ func TestQueueCancelWhileQueued(t *testing.T) {
 	}
 	close(release)
 	join()
-	if ctr := inst.Counters(); ctr.Canceled != 1 {
+	if ctr := inst.Info().Counters; ctr.Canceled != 1 {
 		t.Errorf("Canceled = %d, want 1", ctr.Canceled)
 	}
 	res, err := inst.Run(context.Background(), pullQuery(2))
@@ -183,7 +183,7 @@ func TestQueueDeadlineInQueue(t *testing.T) {
 	if got := inst.Info().Queued; got != 0 {
 		t.Fatalf("queued after timeout = %d, want 0", got)
 	}
-	if ctr := inst.Counters(); ctr.TimedOut != 1 {
+	if ctr := inst.Info().Counters; ctr.TimedOut != 1 {
 		t.Errorf("TimedOut = %d, want 1", ctr.TimedOut)
 	}
 }
@@ -227,7 +227,7 @@ func TestQueueFenceOnStop(t *testing.T) {
 	if res := <-blockerRes; res != nil {
 		assertPins(t, res)
 	}
-	if ctr := inst.Counters(); ctr.Rejected != 1 {
+	if ctr := inst.Info().Counters; ctr.Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1 (the fenced waiter)", ctr.Rejected)
 	}
 }
@@ -248,7 +248,7 @@ func TestQueueOverflowTypedRejection(t *testing.T) {
 	if _, err := inst.Run(context.Background(), pullQuery(2)); !errors.Is(err, serve.ErrBusy) {
 		t.Fatalf("overflow err = %v, want ErrBusy", err)
 	}
-	if ctr := inst.Counters(); ctr.Rejected != 1 {
+	if ctr := inst.Info().Counters; ctr.Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1", ctr.Rejected)
 	}
 	close(release)

@@ -73,7 +73,7 @@ func TestWatchdogStall(t *testing.T) {
 			if f := inst.Failure(); !errors.Is(f, serve.ErrStalled) {
 				t.Errorf("Failure = %v, want the stall", f)
 			}
-			if got := inst.Counters().Stalled; got != 1 {
+			if got := inst.Info().Counters.Stalled; got != 1 {
 				t.Errorf("Counters.Stalled = %d, want 1", got)
 			}
 			if _, err := inst.Run(context.Background(), pullQuery(w)); !errors.Is(err, serve.ErrUnhealthy) {
@@ -109,7 +109,7 @@ func TestWatchdogSparesHealthyRuns(t *testing.T) {
 		}
 		assertPins(t, res)
 	}
-	if got := inst.Counters().Stalled; got != 0 {
+	if got := inst.Info().Counters.Stalled; got != 0 {
 		t.Fatalf("Counters.Stalled = %d, want 0", got)
 	}
 }
@@ -125,10 +125,10 @@ func TestScrubQuarantineReload(t *testing.T) {
 		rank     int
 		wantRank int // rank recorded in the IntegrityError (-1 = resolve table, index)
 	}{
-		{serve.SectionOffsets, 1, 1},
-		{serve.SectionAdjacency, 2, 2},
-		{serve.SectionResolve, 0, -1},
-		{serve.SectionIndex, 0, -1}, // filled by the pre-corruption run
+		{lcc.SectionOffsets, 1, 1},
+		{lcc.SectionAdjacency, 2, 2},
+		{lcc.SectionResolve, 0, -1},
+		{lcc.SectionIndex, 0, -1}, // filled by the pre-corruption run
 	}
 	for _, w := range []int{1, 4} {
 		for _, tc := range sections {
@@ -151,7 +151,7 @@ func TestScrubQuarantineReload(t *testing.T) {
 				if len(quarantined) != 1 || quarantined[0] != "fb" {
 					t.Fatalf("ScrubNow quarantined %v, want [fb]", quarantined)
 				}
-				stats := sup.ScrubStats()
+				stats := sup.ServerInfo().Scrub
 				if stats.Quarantines != 1 || stats.Sweeps != 1 || stats.ReloadFailed != 0 {
 					t.Fatalf("scrub stats = %+v, want 1 sweep, 1 quarantine, 0 reload failures", stats)
 				}
@@ -175,7 +175,7 @@ func TestScrubQuarantineReload(t *testing.T) {
 // *lcc.IntegrityError naming the corrupt rank and section.
 func TestScrubErrorTyping(t *testing.T) {
 	inst := fbInstance(t)
-	if err := inst.CorruptResident(1, serve.SectionAdjacency); err != nil {
+	if err := inst.CorruptResident(1, lcc.SectionAdjacency); err != nil {
 		t.Fatalf("CorruptResident: %v", err)
 	}
 	checked, se, err := inst.Scrub()
@@ -192,7 +192,7 @@ func TestScrubErrorTyping(t *testing.T) {
 	if !errors.As(se, &ie) {
 		t.Fatalf("ScrubError does not unwrap to *lcc.IntegrityError")
 	}
-	if ie.Rank != 1 || ie.Section != serve.SectionAdjacency {
+	if ie.Rank != 1 || ie.Section != lcc.SectionAdjacency {
 		t.Errorf("IntegrityError = rank %d section %q, want rank 1 adjacency", ie.Rank, ie.Section)
 	}
 	if ie.Want == ie.Got {
@@ -211,7 +211,7 @@ func TestScrubCompressedStorage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if err := inst.CorruptResident(3, serve.SectionAdjacency); err != nil {
+	if err := inst.CorruptResident(3, lcc.SectionAdjacency); err != nil {
 		t.Fatalf("CorruptResident: %v", err)
 	}
 	if q := sup.ScrubNow(); len(q) != 1 {
@@ -233,14 +233,14 @@ func TestScrubSkipsBusy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if err := inst.CorruptResident(0, serve.SectionOffsets); err != nil {
+	if err := inst.CorruptResident(0, lcc.SectionOffsets); err != nil {
 		t.Fatalf("CorruptResident: %v", err)
 	}
 	release, join := occupy(t, inst, 2)
 	if q := sup.ScrubNow(); len(q) != 0 {
 		t.Fatalf("busy sweep quarantined %v, want none", q)
 	}
-	if got := sup.ScrubStats().Verified; got != 0 {
+	if got := sup.ServerInfo().Scrub.Verified; got != 0 {
 		t.Fatalf("busy sweep verified %d instances, want 0 (skipped)", got)
 	}
 	close(release)

@@ -24,15 +24,6 @@ import (
 // the concrete *ScrubError names the corrupt rank and section.
 var ErrQuarantined = errors.New("serve: instance quarantined")
 
-// Verified snapshot sections, re-exported for CorruptResident callers
-// (tests, the chaos harness).
-const (
-	SectionOffsets   = lcc.SectionOffsets
-	SectionAdjacency = lcc.SectionAdjacency
-	SectionResolve   = lcc.SectionResolve
-	SectionIndex     = lcc.SectionIndex
-)
-
 // ScrubError reports a snapshot integrity failure: which instance was
 // quarantined and the checksum mismatch (rank, section, want/got) that
 // triggered it.
@@ -50,7 +41,7 @@ func (e *ScrubError) Is(target error) bool { return target == ErrQuarantined }
 // Unwrap exposes the underlying *lcc.IntegrityError to errors.As.
 func (e *ScrubError) Unwrap() error { return e.Integrity }
 
-// Scrub verifies the instance's resident snapshot against its build-time
+// scrub verifies the instance's resident snapshot against its build-time
 // checksums, if the instance is idle — ready, no runs in flight or
 // queued. Busy, parked, loading and exited instances are skipped
 // (checked=false — skipped, not failed: parked instances hold no bytes
@@ -60,7 +51,7 @@ func (e *ScrubError) Unwrap() error { return e.Integrity }
 // its dataset source. The returned *ScrubError is non-nil exactly when
 // corruption was found; err reports a reload that failed afterwards (the
 // instance is then unhealthy with the reload cause).
-func (inst *Instance) Scrub() (checked bool, se *ScrubError, err error) {
+func (inst *Instance) scrub() (checked bool, se *ScrubError, err error) {
 	inst.mu.Lock()
 	if inst.state != StateReady || !inst.idleLocked() {
 		inst.mu.Unlock()
@@ -102,22 +93,6 @@ func (inst *Instance) Scrub() (checked bool, se *ScrubError, err error) {
 	return true, se, inst.loadLocked()
 }
 
-// CorruptResident flips one bit in the named section of the resident
-// snapshot — the fault-injection hook behind the scrub tests and the
-// chaos harness. It only touches a ready, idle instance (the same
-// precondition Scrub checks), so the corrupted bytes are exactly the
-// ones the next sweep verifies. The snapshot's adjacency is private to
-// this instance (part.Extract copies out of the source graph), so the
-// damage never leaks into other instances or the dataset cache.
-func (inst *Instance) CorruptResident(rank int, section string) error {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if inst.state != StateReady || !inst.idleLocked() {
-		return ErrNotReady
-	}
-	return inst.snap.CorruptForTest(rank, section)
-}
-
 // ScrubStats aggregates the supervisor's scrub outcomes.
 type ScrubStats struct {
 	Sweeps       int64 `json:"sweeps"`        // completed full-fleet sweeps
@@ -126,15 +101,14 @@ type ScrubStats struct {
 	ReloadFailed int64 `json:"reload_failed"` // auto-reloads that failed (instance left unhealthy)
 }
 
-// ScrubNow sweeps every registered instance once, synchronously:
+// scrubNow sweeps every registered instance once, synchronously:
 // idle-ready instances are verified (and quarantined + reloaded on
 // mismatch). It returns the names of instances quarantined during the
-// sweep. The background Scrubber calls this on its period; tests and the
-// chaos harness call it directly.
-func (s *Supervisor) ScrubNow() []string {
+// sweep. The background Scrubber calls this on its period.
+func (s *Supervisor) scrubNow() []string {
 	var quarantined []string
 	for _, inst := range s.fleet() {
-		checked, se, err := inst.Scrub()
+		checked, se, err := inst.scrub()
 		s.mu.Lock()
 		switch {
 		case se != nil:
@@ -154,15 +128,8 @@ func (s *Supervisor) ScrubNow() []string {
 	return quarantined
 }
 
-// ScrubStats returns the cumulative scrub counters.
-func (s *Supervisor) ScrubStats() ScrubStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scrub
-}
-
 // Scrubber is the background integrity-scrubbing loop: a full-fleet
-// ScrubNow sweep on a jittered period (±25%, a fixed splitmix64 stream),
+// scrubNow sweep on a jittered period (±25%, a fixed splitmix64 stream),
 // so sweeps do not fall into step with other periodic work on the host.
 type Scrubber struct {
 	sup    *Supervisor
@@ -205,7 +172,7 @@ func (sc *Scrubber) loop() {
 			return
 		case <-t.C:
 		}
-		sc.sup.ScrubNow()
+		sc.sup.scrubNow()
 	}
 }
 

@@ -195,7 +195,7 @@ type Instance struct {
 	name string
 	cfg  Config
 
-	// onResident, when set (to the Supervisor's EnsureBudget, before
+	// onResident, when set (to the Supervisor's ensureBudget, before
 	// Start), runs after every successful snapshot load — initial, Reload
 	// and unpark — so the global memory budget can be (re-)enforced; the
 	// result is admitLoad's to use. Called outside the instance lock.
@@ -295,21 +295,6 @@ func (inst *Instance) failLocked(err error) {
 	inst.failure = err
 	inst.toLocked(StateUnhealthy)
 	inst.flushQueueLocked(inst.refusalLocked())
-}
-
-// Failure returns the error that flipped the instance unhealthy, nil when
-// healthy.
-func (inst *Instance) Failure() error {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.failure
-}
-
-// Counters returns a snapshot of the run counters.
-func (inst *Instance) Counters() Counters {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.ctr
 }
 
 // MemBytes reports the resident host bytes of the instance's snapshot

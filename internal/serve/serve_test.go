@@ -92,7 +92,7 @@ func TestRunCancellation(t *testing.T) {
 				t.Fatalf("rerun: %v", err)
 			}
 			assertPins(t, res)
-			if ctr := inst.Counters(); ctr.Canceled != 1 || ctr.Served != 1 {
+			if ctr := inst.Info().Counters; ctr.Canceled != 1 || ctr.Served != 1 {
 				t.Errorf("counters = %+v, want Canceled 1, Served 1", ctr)
 			}
 		})
@@ -165,7 +165,7 @@ func TestPanicIsolation(t *testing.T) {
 				t.Fatalf("rerun after reload: %v", err)
 			}
 			assertPins(t, res)
-			if ctr := inst.Counters(); ctr.Panicked != 1 || ctr.Served != 1 {
+			if ctr := inst.Info().Counters; ctr.Panicked != 1 || ctr.Served != 1 {
 				t.Errorf("counters = %+v, want Panicked 1, Served 1", ctr)
 			}
 		})

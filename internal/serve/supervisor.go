@@ -60,18 +60,11 @@ func (s *Supervisor) SetManifestStore(ms *ManifestStore) {
 
 // SetMemBudget bounds the total resident snapshot bytes across all
 // instances; 0 removes the bound. Enforcement is by LRU parking of idle
-// instances on each load/unpark (see EnsureBudget).
+// instances on each load/unpark (see ensureBudget).
 func (s *Supervisor) SetMemBudget(bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.memBudget = bytes
-}
-
-// Parks reports how many times budget enforcement parked an instance.
-func (s *Supervisor) Parks() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parks
 }
 
 // SetRunCap bounds supervised runs in flight (queued + executing) across
@@ -110,10 +103,10 @@ func (s *Supervisor) releaseRun() {
 // admitLoad applies the memory brownout: when the fleet is over budget
 // and LRU parking has nothing left to evict, new loads shed with a typed
 // *ShedError rather than piling more snapshots onto a host already
-// refusing to fit the ones it has. EnsureBudget runs first so the load
+// refusing to fit the ones it has. ensureBudget runs first so the load
 // is only refused after eviction genuinely came up empty.
 func (s *Supervisor) admitLoad() error {
-	total := s.EnsureBudget(nil)
+	total := s.ensureBudget(nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.memBudget <= 0 || total <= s.memBudget {
@@ -147,7 +140,7 @@ func (s *Supervisor) Load(name string, cfg Config) (*Instance, error) {
 		return nil, fmt.Errorf("serve: instance %q: %w", name, ErrAlreadyRunning)
 	}
 	inst := NewInstance(name, cfg)
-	inst.onResident = s.EnsureBudget
+	inst.onResident = s.ensureBudget
 	s.instances[name] = inst
 	s.mu.Unlock()
 	if err := inst.Start(); err != nil {
@@ -177,7 +170,7 @@ func (s *Supervisor) persistManifest(inst *Instance) {
 	}
 }
 
-// EnsureBudget enforces the memory budget now: while total resident
+// ensureBudget enforces the memory budget now: while total resident
 // snapshot bytes exceed it, the least-recently-used idle instance is
 // parked (its manifest already persists, so it stays recoverable and
 // serveable). Busy, queued, loading and exclude instances are never
@@ -190,7 +183,7 @@ func (s *Supervisor) persistManifest(inst *Instance) {
 // budget, so enforcement runs with the loading instance as exclude — the
 // query that triggered the load must win, every other idle instance is a
 // parking candidate.
-func (s *Supervisor) EnsureBudget(exclude *Instance) (resident int64) {
+func (s *Supervisor) ensureBudget(exclude *Instance) (resident int64) {
 	s.mu.Lock()
 	budget := s.memBudget
 	s.mu.Unlock()
@@ -267,7 +260,7 @@ func (s *Supervisor) Recover(eager bool) RecoveryReport {
 			continue
 		}
 		inst := newParkedInstance(m.Name, cfg)
-		inst.onResident = s.EnsureBudget
+		inst.onResident = s.ensureBudget
 		s.instances[m.Name] = inst
 		s.mu.Unlock()
 		if eager {

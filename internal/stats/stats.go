@@ -49,10 +49,10 @@ func Quantile(xs []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// MedianCI returns the nonparametric 95% confidence interval of the median
+// medianCI returns the nonparametric 95% confidence interval of the median
 // using the binomial order-statistic bounds (the standard distribution-free
 // interval LibLSB reports).
-func MedianCI(xs []float64) (lo, hi float64) {
+func medianCI(xs []float64) (lo, hi float64) {
 	n := len(xs)
 	if n == 0 {
 		return math.NaN(), math.NaN()
@@ -76,33 +76,6 @@ func MedianCI(xs []float64) (lo, hi float64) {
 	return s[loIdx], s[hiIdx]
 }
 
-// Mean returns the arithmetic mean, or NaN for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation (n-1 denominator).
-func Stddev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
 // Measurement is the result of a repeated measurement.
 type Measurement struct {
 	Median  float64
@@ -111,9 +84,9 @@ type Measurement struct {
 	Samples int
 }
 
-// Tight reports whether the CI half-width is within frac of the median —
+// tight reports whether the CI half-width is within frac of the median —
 // the paper's stopping criterion with frac = 0.05.
-func (m Measurement) Tight(frac float64) bool {
+func (m Measurement) tight(frac float64) bool {
 	if m.Median == 0 {
 		return true
 	}
@@ -140,7 +113,7 @@ func Repeat(f func() float64, minRuns, maxRuns int, frac float64) Measurement {
 		xs = append(xs, f())
 		if len(xs) >= minRuns {
 			m := summarize(xs)
-			if m.Tight(frac) {
+			if m.tight(frac) {
 				return m
 			}
 		}
@@ -149,15 +122,6 @@ func Repeat(f func() float64, minRuns, maxRuns int, frac float64) Measurement {
 }
 
 func summarize(xs []float64) Measurement {
-	lo, hi := MedianCI(xs)
+	lo, hi := medianCI(xs)
 	return Measurement{Median: Median(xs), CILo: lo, CIHi: hi, Samples: len(xs)}
-}
-
-// Speedup formats a speedup factor the way the paper annotates its scaling
-// plots ("14.0x").
-func Speedup(base, improved float64) float64 {
-	if improved == 0 {
-		return 0
-	}
-	return base / improved
 }

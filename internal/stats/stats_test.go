@@ -50,20 +50,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMeanStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	// Sample stddev of this classic set is ~2.138.
-	if got := Stddev(xs); math.Abs(got-2.138) > 0.01 {
-		t.Errorf("Stddev = %v, want ~2.138", got)
-	}
-	if Stddev([]float64{1}) != 0 {
-		t.Error("Stddev of one sample should be 0")
-	}
-}
-
 func TestMedianCIContainsMedian(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 1))
@@ -72,7 +58,7 @@ func TestMedianCIContainsMedian(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64()*10 + 50
 		}
-		lo, hi := MedianCI(xs)
+		lo, hi := medianCI(xs)
 		m := Median(xs)
 		return lo <= m && m <= hi
 	}
@@ -82,7 +68,7 @@ func TestMedianCIContainsMedian(t *testing.T) {
 }
 
 func TestMedianCISmallSamples(t *testing.T) {
-	lo, hi := MedianCI([]float64{5, 1, 3})
+	lo, hi := medianCI([]float64{5, 1, 3})
 	if lo != 1 || hi != 5 {
 		t.Errorf("small-sample CI = [%v,%v], want full range", lo, hi)
 	}
@@ -100,7 +86,7 @@ func TestRepeatStopsWhenTight(t *testing.T) {
 	if m.Median != 100 || m.Samples != 5 {
 		t.Errorf("Measurement = %+v", m)
 	}
-	if !m.Tight(0.05) {
+	if !m.tight(0.05) {
 		t.Error("constant measurement not tight")
 	}
 }
@@ -122,20 +108,11 @@ func TestRepeatHitsMaxOnNoisyData(t *testing.T) {
 
 func TestTight(t *testing.T) {
 	m := Measurement{Median: 100, CILo: 97, CIHi: 103}
-	if !m.Tight(0.05) {
+	if !m.tight(0.05) {
 		t.Error("3% CI should be tight at 5%")
 	}
-	if m.Tight(0.01) {
+	if m.tight(0.01) {
 		t.Error("3% CI should not be tight at 1%")
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(140, 10); got != 14 {
-		t.Errorf("Speedup = %v, want 14", got)
-	}
-	if got := Speedup(1, 0); got != 0 {
-		t.Errorf("Speedup by zero = %v, want 0", got)
 	}
 }
 

@@ -31,18 +31,6 @@ func (rec *Recorder) Hook() func(rank int, v graph.V) {
 	}
 }
 
-// RankReads returns the targets read by one rank, in issue order.
-func (rec *Recorder) RankReads(rank int) []graph.V { return rec.perRank[rank] }
-
-// TotalReads returns the number of remote reads across all ranks.
-func (rec *Recorder) TotalReads() int {
-	total := 0
-	for _, r := range rec.perRank {
-		total += len(r)
-	}
-	return total
-}
-
 // Counts returns, for every vertex, how many times it was the target of a
 // remote read (aggregated over ranks, or for a single rank if rank >= 0).
 func (rec *Recorder) Counts(n, rank int) []int {
@@ -83,47 +71,6 @@ func ReuseHistogram(counts []int) []HistogramBin {
 	out := make([]HistogramBin, len(reps))
 	for i, r := range reps {
 		out[i] = HistogramBin{Repetitions: r, Reads: byRep[r]}
-	}
-	return out
-}
-
-// CurvePoint is one point of the Fig. 4 concentration curve.
-type CurvePoint struct {
-	VertexFrac float64 // fraction of targeted vertices (x axis)
-	ReadFrac   float64 // cumulative fraction of remote reads (y axis)
-}
-
-// ConcentrationCurve sorts targeted vertices by read count (descending) and
-// returns the cumulative share of remote reads versus the share of
-// vertices — Fig. 4's axes. points controls the curve resolution.
-func ConcentrationCurve(counts []int, points int) []CurvePoint {
-	var targeted []int
-	total := 0
-	for _, c := range counts {
-		if c > 0 {
-			targeted = append(targeted, c)
-			total += c
-		}
-	}
-	if total == 0 || len(targeted) == 0 {
-		return nil
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(targeted)))
-	if points < 2 {
-		points = 2
-	}
-	out := make([]CurvePoint, 0, points)
-	cum := 0
-	next := 0
-	for i, c := range targeted {
-		cum += c
-		for next < points && (i+1) >= (next+1)*len(targeted)/points {
-			out = append(out, CurvePoint{
-				VertexFrac: float64(i+1) / float64(len(targeted)),
-				ReadFrac:   float64(cum) / float64(total),
-			})
-			next++
-		}
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -16,11 +15,8 @@ func TestRecorderCollectsPerRank(t *testing.T) {
 	hook(0, 4)
 	hook(0, 4)
 	hook(1, 1)
-	if got := rec.TotalReads(); got != 3 {
-		t.Errorf("TotalReads = %d, want 3", got)
-	}
-	if len(rec.RankReads(0)) != 2 || len(rec.RankReads(1)) != 1 {
-		t.Errorf("per-rank reads wrong: %v / %v", rec.RankReads(0), rec.RankReads(1))
+	if len(rec.perRank[0]) != 2 || len(rec.perRank[1]) != 1 {
+		t.Errorf("per-rank reads wrong: %v / %v", rec.perRank[0], rec.perRank[1])
 	}
 	counts := rec.Counts(6, -1)
 	if counts[4] != 2 || counts[1] != 1 {
@@ -44,36 +40,6 @@ func TestReuseHistogram(t *testing.T) {
 	}
 	if bins[1].Repetitions != 3 || bins[1].Reads != 2 {
 		t.Errorf("bin1 = %+v", bins[1])
-	}
-}
-
-func TestConcentrationCurve(t *testing.T) {
-	// One hub with 90 reads, nine vertices with 1, plus untouched ones.
-	counts := make([]int, 20)
-	counts[0] = 90
-	for i := 1; i <= 9; i++ {
-		counts[i] = 1
-	}
-	pts := ConcentrationCurve(counts, 10)
-	if len(pts) == 0 {
-		t.Fatal("empty curve")
-	}
-	// First decile of targeted vertices (the hub) carries ~91% of reads.
-	if pts[0].ReadFrac < 0.9 {
-		t.Errorf("first point ReadFrac = %v, want >= 0.9", pts[0].ReadFrac)
-	}
-	last := pts[len(pts)-1]
-	if math.Abs(last.ReadFrac-1) > 1e-9 || math.Abs(last.VertexFrac-1) > 1e-9 {
-		t.Errorf("curve does not end at (1,1): %+v", last)
-	}
-	// Monotone non-decreasing.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].ReadFrac < pts[i-1].ReadFrac || pts[i].VertexFrac < pts[i-1].VertexFrac {
-			t.Errorf("curve not monotone at %d", i)
-		}
-	}
-	if ConcentrationCurve(make([]int, 5), 4) != nil {
-		t.Error("curve of all-zero counts should be nil")
 	}
 }
 
