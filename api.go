@@ -137,17 +137,16 @@ func DefaultCostModel() CostModel { return rma.DefaultCostModel() }
 type NoiseSpec = rma.NoiseSpec
 
 // FaultSpec describes a deterministic, seeded fault schedule for the RMA
-// and exchange substrates: transient Get/Accumulate failures recovered
-// by retry with capped exponential backoff, per-op latency spikes, rank
-// stall windows, dropped exchange messages recovered by retransmission,
-// and CLaMPI cache unavailability degraded to direct RMA. Set any engine's
-// Options.Faults to run under it; computed results are bit-identical to
+// substrate: transient Get/Accumulate failures recovered by retry with
+// capped exponential backoff, per-op latency spikes, rank stall windows,
+// and CLaMPI cache unavailability degraded to direct RMA. Set
+// LCCOptions.Faults to run under it; computed results are bit-identical to
 // the fault-free run — faults cost simulated time, never correctness — and
 // SimTime is reproducible for a given (spec, config) at any worker count.
 type FaultSpec = fault.Spec
 
 // ParseFaultSpec parses a command-line fault specification of the form
-// "seed=N,get=P,acc=P,spike=P:NS,stall=N:NS,drop=P,cache=P" (see
+// "seed=N,get=P,acc=P,spike=P:NS,stall=N:NS,cache=P" (see
 // fault.ParseSpec for the full grammar; "chaos" selects a ready-made
 // mixed-fault preset). An empty string yields (nil, nil): faults off.
 func ParseFaultSpec(s string) (*FaultSpec, error) { return fault.ParseSpec(s) }

@@ -122,20 +122,41 @@ func TestFacadeFuncsHaveCallers(t *testing.T) {
 }
 
 // TestConfigFieldsHaveCallers keeps the configuration structs from carrying
-// knobs nobody turns: every field of lcc.Options, lcc.SnapshotOptions and
-// clampi.Config must be set by a non-test file outside the type's own
-// package, under cmd/, examples/, internal/ or bench/. A field is set by a
-// key of a composite literal of its type (lcc.Options{…},
-// repro.LCCOptions{…}, clampi.Config{…}, or an element of a slice or map
-// literal of one), or by an assignment to a selector of its name in a file
-// importing the type's package (o.Workers = …). A value that only forwards
-// a field of a parameter of one of the three types (Buckets: opt.X) sets
-// nothing unless that field is set itself.
+// knobs nobody turns: every field of lcc.Options, lcc.SnapshotOptions,
+// clampi.Config and the baselines' tric, disttc and grid Options must be
+// set by a non-test file outside the type's own package, under cmd/,
+// examples/, internal/ or bench/. A field is set by a key of a composite
+// literal of its type (lcc.Options{…}, repro.LCCOptions{…},
+// clampi.Config{…}, or an element of a slice or map literal of one), or by
+// an assignment to a selector of its name in a file importing the type's
+// package (o.Workers = …). A value that only forwards a field of a
+// parameter of a checked type (Buckets: opt.X) sets nothing unless that
+// field is set itself.
 func TestConfigFieldsHaveCallers(t *testing.T) {
-	home := map[string]string{"lcc.Options": "internal/lcc", "lcc.SnapshotOptions": "internal/lcc", "clampi.Config": "internal/clampi"}
-	// Set by clampi's own tests only: TestVictimOrderDigest's conflict and
-	// positional rows pin them.
-	allow := map[string]bool{"clampi.Config.Assoc": true, "clampi.Config.PosWeight": true}
+	home := map[string]string{
+		"lcc.Options": "internal/lcc", "lcc.SnapshotOptions": "internal/lcc", "clampi.Config": "internal/clampi",
+		"tric.Options": "internal/tric", "disttc.Options": "internal/disttc", "grid.Options": "internal/grid",
+	}
+	// The facade's aliases of checked types.
+	facade := map[string]string{"repro.LCCOptions": "lcc.Options", "repro.TriCOptions": "tric.Options"}
+	aliased := map[string]bool{}
+	for _, typ := range facade {
+		aliased[typ] = true
+	}
+	allow := map[string]bool{
+		// Set by clampi's own tests only: TestVictimOrderDigest's conflict
+		// and positional rows pin them.
+		"clampi.Config.Assoc": true, "clampi.Config.PosWeight": true,
+		// The baselines' host worker bound: the golden worker sweep and
+		// TestBaselineSimTimeBits set it to pin bit-identical results at
+		// every worker count; programs take the GOMAXPROCS default.
+		"tric.Options.Workers": true, "disttc.Options.Workers": true, "grid.Options.Workers": true,
+		// TestChargeTapeDigests records grid's charge tape through it.
+		"grid.Options.ChargeObserver": true,
+		// TestFaultEquivalence and TestCrashFailFastDeterminism's grid row
+		// run the 2D engine under fault schedules.
+		"grid.Options.Faults": true,
+	}
 
 	type file struct {
 		dir string
@@ -166,9 +187,10 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 		case *ast.Ident:
 			return pkg + "." + e.Name
 		case *ast.SelectorExpr:
-			if x, ok := e.X.(*ast.Ident); ok && x.Name+"."+e.Sel.Name == "repro.LCCOptions" {
-				return "lcc.Options"
-			} else if ok {
+			if x, ok := e.X.(*ast.Ident); ok {
+				if typ := facade[x.Name+"."+e.Sel.Name]; typ != "" {
+					return typ
+				}
 				return x.Name + "." + e.Sel.Name
 			}
 		}
@@ -286,7 +308,7 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 						}
 						for typ, dir := range home {
 							pkgName, _, _ := strings.Cut(typ, ".")
-							imported := imports[pkgName] || typ == "lcc.Options" && imports["repro"]
+							imported := imports[pkgName] || imports["repro"] && aliased[typ]
 							if dir != f.dir && imported && isField[typ+"."+sel.Sel.Name] {
 								sites = append(sites, site{typ + "." + sel.Sel.Name, from})
 							}
@@ -308,7 +330,12 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 		}
 	}
 	var orphans []string
-	for _, typ := range []string{"clampi.Config", "lcc.Options", "lcc.SnapshotOptions"} {
+	types := make([]string, 0, len(home))
+	for typ := range home {
+		types = append(types, typ)
+	}
+	sort.Strings(types)
+	for _, typ := range types {
 		for _, name := range fields[typ] {
 			if key := typ + "." + name; !set[key] && !allow[key] {
 				orphans = append(orphans, key)
@@ -324,9 +351,10 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 // tests call: every exported func and method a non-test file under internal/
 // declares must be referenced by another non-test file of the repository
 // (bench/ included). A func F of package p counts as referenced by p.F in a
-// file importing p, or by F in another file of p; a method M by any selector
-// x.M, so a name two types share only makes the check more lenient, and
-// methods the standard library calls through an interface are exempt.
+// file importing p, or by F in another file of p other than as a declared
+// name (a method F is not a call of F); a method M by any selector x.M, so a
+// name two types share only makes the check more lenient, and methods the
+// standard library calls through an interface are exempt.
 // testOnly lists the exports kept for tests alone, each with the tests that
 // need it; an export only its own package's tests need belongs in a _test.go
 // file of that package instead.
@@ -336,6 +364,8 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		"fault.ChaosSpec":               "the fault, rma and serve tests and fault_equiv_test.go build the chaos preset by seed",
 		"graph.Graph.Clone":             "part's TestExtractBulkMatchesPerVertex keeps a pristine copy to detect aliasing",
 		"graph.Graph.Validate":          "the structural oracle the graph and gen tests check every built graph with",
+		"intersect.Count":               "the method-dispatch reference the intersect equivalence, elements, dense and fuzz tests hold Scratch.Count to",
+		"intersect.Elements":            "the listing reference the intersect equivalence, elements and fuzz tests hold Scratch.Elements to",
 		"intersect.HashIndex.CountKeys": "BenchmarkHashIndexReuse in bench_test.go times the probe without the build",
 		"intersect.SSI":                 "the Algorithm 2 reference loop the intersect equivalence tests and bench_test.go compare against",
 		"intersect.SetDebugChecks":      "intersect_engines_test.go and equiv_test.go arm the orientation assertion",
@@ -378,6 +408,18 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		var visit func(ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				// A declaration's own name is not a reference to it: a
+				// method M would otherwise count as a call of a package
+				// func M declared in another file.
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, visit)
+				}
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
 			case *ast.SelectorExpr:
 				used["."+n.Sel.Name] = true
 				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {

@@ -16,10 +16,10 @@ import (
 // TestBaselineSimTimeBits pins what the fault-free golden table cannot see,
 // as SimTime float bits and the triangle count on fb-sim at 4 ranks, at one
 // and at four workers. First the two-sided baselines over internal/p2p:
-// TriC, TriC-Buffered (cmd/compare's 256 KiB per-peer buffer) and DistTC,
-// plus TriC under a message-drop schedule; those bits were recorded while
-// p2p still deferred its charges to a tape folded at clock reads, and
-// folding each charge where it is made must reproduce them exactly. Then the
+// TriC, TriC-Buffered (cmd/compare's 256 KiB per-peer buffer) and DistTC;
+// those bits were recorded while p2p still deferred its charges to a tape
+// folded at clock reads, and folding each charge where it is made must
+// reproduce them exactly. Then the
 // push engine's write path under accumulate failures, direct and batched:
 // the fault draws key on the class value, and a remote write's flush waits
 // on its retried completion, so a renumbered fault class or a changed flush
@@ -52,7 +52,6 @@ func TestBaselineSimTimeBits(t *testing.T) {
 	}{
 		{"tric", tricRun(tric.Options{}), 0x41aed6d3c1999998},
 		{"tric-buffered", tricRun(tric.Options{Buffered: true, BufferBytes: 256 << 10}), 0x41ae6c3c7a333330},
-		{"tric-drops", tricRun(tric.Options{Faults: &fault.Spec{Seed: 11, DropPct: 0.2}}), 0x41bc72a619ffff84},
 		{"disttc", func(workers int) (float64, int64) {
 			res := disttc.MustRun(g, disttc.Options{Ranks: 4, Workers: workers})
 			return res.SimTime, res.Triangles

@@ -351,6 +351,9 @@ var handlerRows = []row{
 	{name: "run after the rejections", path: "/v1/run", body: runFB, status: 200},
 	{name: "stop", path: "/v1/stop", body: `{"instance":"fb"}`, status: 200},
 	{name: "run after stop", path: "/v1/run", body: runFB, status: 410, reason: "instance-exited"},
+	// Fault specs parse before the instance lookup, so this row reads 400
+	// after the stop; it sits last to keep the earlier fuzz seeds numbered.
+	{name: "retired drop fault", path: "/v1/run", body: `{"instance":"fb","faults":"drop=0.1"}`, status: 400, reason: "bad-request"},
 }
 
 func TestDaemonHandlers(t *testing.T) { startDaemon(t).expect(handlerRows) }

@@ -73,7 +73,7 @@ func run(args []string, out io.Writer) error {
 		replicas  = fs.Int("replicas", 2, "graph copies c for -engine replicated (must divide -ranks)")
 		delegate  = fs.Int("delegate", 0, "static vertex-delegation budget in bytes per rank (0 = off)")
 		top       = fs.Int("top", 5, "print the top-K vertices by LCC")
-		faults    = fs.String("faults", "", `deterministic fault schedule, e.g. "seed=1,get=0.01,drop=0.02" or "chaos,seed=3" (empty = off); results are unchanged, only simulated time grows`)
+		faults    = fs.String("faults", "", `deterministic fault schedule, e.g. "seed=1,get=0.01,acc=0.02" or "chaos,seed=3" (empty = off); results are unchanged, only simulated time grows`)
 		timeout   = fs.Duration("timeout", 0, "cancel the run after this host-time budget (0 = none); a deadlined run prints nothing and exits with code 3")
 	)
 	if err := fs.Parse(args); err != nil {

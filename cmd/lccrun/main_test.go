@@ -21,6 +21,7 @@ func TestRun(t *testing.T) {
 		{args: "-engine pul", wantErr: "unknown engine"},
 		{args: "-method hybird", wantErr: "-method"},
 		{args: "-faults get=2", wantErr: "-faults"},
+		{args: "-faults drop=0.1", wantErr: `unknown key "drop"`},
 		{args: "-engine replicated -replicas 3 -ranks 4", wantErr: "does not divide"},
 		{args: "-cache -cache-offsets -16 -cache-adj -100 -workers -3", wantErr: "none may be negative"},
 		{args: "-delegate -1", wantErr: "none may be negative"},

@@ -142,9 +142,9 @@
 //
 // A deterministic fault plane rides the same machinery: Options.Faults (or
 // lccrun -faults) installs a seeded schedule of transient RMA failures,
-// latency spikes, stall windows, dropped exchange messages and cache
-// unavailability, recovered by retry with capped exponential backoff,
-// sender-side retransmission and graceful cache degradation to direct RMA.
+// latency spikes, stall windows and cache unavailability, recovered by
+// retry with capped exponential backoff and graceful cache degradation to
+// direct RMA.
 // Faults cost simulated time, never correctness: results stay bit-identical
 // to the fault-free run and the faulted SimTime is itself reproducible at
 // any worker count (DESIGN.md §7; TestFaultEquivalence pins it).

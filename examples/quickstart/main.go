@@ -74,11 +74,11 @@ func main() {
 	fmt.Println("compressed CSR storage: identical results and SimTime ✓")
 
 	// The same run survives injected faults unchanged: a seeded schedule
-	// of transient RMA failures and dropped messages (recovered by retry
-	// with backoff and retransmission — DESIGN.md §7) costs simulated
-	// time but never correctness. `lccrun -faults "seed=1,get=0.01"`
-	// exposes the same knob on the command line.
-	spec, err := repro.ParseFaultSpec("seed=1,get=0.02,drop=0.05")
+	// of transient RMA failures (recovered by retry with backoff —
+	// DESIGN.md §7) costs simulated time but never correctness.
+	// `lccrun -faults "seed=1,get=0.01"` exposes the same knob on the
+	// command line.
+	spec, err := repro.ParseFaultSpec("seed=1,get=0.02")
 	if err != nil {
 		log.Fatal(err)
 	}

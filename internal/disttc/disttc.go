@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
@@ -34,15 +33,6 @@ type Options struct {
 	// Workers bounds concurrent superstep execution on the host; 0
 	// selects GOMAXPROCS. Results are bit-identical at any worker count.
 	Workers int
-	// Scheme is the 1D vertex distribution (Block by default, matching
-	// the repository's other engines; DistTC itself uses an edge-cut
-	// minimizing policy, but the comparison holds the partitioning fixed
-	// so only the communication strategy differs).
-	Scheme part.Scheme
-	// Faults installs a deterministic fault schedule on the exchange
-	// substrate (see lcc.Options); dropped messages are retransmitted by
-	// the sender, results are unchanged.
-	Faults *fault.Spec
 }
 
 func (o Options) withDefaults() Options {
@@ -93,13 +83,19 @@ type Result struct {
 //  4. Credit exchange. Per-vertex triangle credits for remote corners are
 //     shipped to their owners (one aggregated message per peer) and the
 //     global count is reduced.
+//
+// A superstep body that panics ends the run with the *sched.PanicError.
 func Run(g graph.Store, opt Options) (*Result, error) {
 	if g.Kind() != graph.Undirected {
 		return nil, fmt.Errorf("disttc: requires an undirected graph, got %v", g.Kind())
 	}
 	opt = opt.withDefaults()
 	n := g.NumVertices()
-	pt, err := part.Build(opt.Scheme, g, opt.Ranks)
+	// The 1D block distribution, matching the repository's other engines:
+	// DistTC itself uses an edge-cut minimizing policy, but the comparison
+	// holds the partitioning fixed so only the communication strategy
+	// differs.
+	pt, err := part.Build(part.Block, g, opt.Ranks)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +104,6 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 		return nil, err
 	}
 	world := p2p.NewWorldWorkers(opt.Ranks, opt.Model, opt.Workers)
-	world.SetFaults(opt.Faults)
 
 	res := &Result{LCC: make([]float64, n)}
 	perVertexT := make([]int64, n)
@@ -272,6 +267,9 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 		}
 	})
 
+	if err := world.Err(); err != nil {
+		return nil, err
+	}
 	partial := make([]int64, opt.Ranks)
 	for v := 0; v < n; v++ {
 		partial[pt.Owner(graph.V(v))] += perVertexT[v]

@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
-	"repro/internal/part"
 )
 
 func randomUndirected(rng *rand.Rand, n, m int) *graph.Graph {
@@ -133,19 +132,6 @@ func TestDistTCPrecomputeDominates(t *testing.T) {
 	if got.PrecomputeTime <= got.ComputeTime {
 		t.Fatalf("32 ranks: precompute %.0f ns <= compute %.0f ns; expected precompute-dominated",
 			got.PrecomputeTime, got.ComputeTime)
-	}
-}
-
-func TestDistTCCyclicScheme(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomUndirected(rng, 50, 250)
-	want := lcc.SharedLCC(g, intersect.MethodHybrid)
-	got, err := Run(g, Options{Ranks: 4, Scheme: part.Cyclic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Triangles != want.Triangles {
-		t.Fatalf("cyclic: Δ = %d, want %d", got.Triangles, want.Triangles)
 	}
 }
 

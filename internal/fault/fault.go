@@ -1,11 +1,11 @@
 // Package fault is the deterministic fault plane of the simulated machine:
-// a seeded schedule of transient failures that the RMA substrate, the p2p
-// exchange layer and the CLaMPI cache consult at their issue points, and
-// recover from by charging simulated time — never by changing results.
+// a seeded schedule of transient failures that the RMA substrate and the
+// CLaMPI cache consult at their issue points, and recover from by charging
+// simulated time — never by changing results.
 //
 // The paper's asynchronous design is pitched at 1024-rank clusters, where
-// transient one-sided failures, latency spikes, stalled ranks, dropped
-// messages and flaky cache state are the norm. The schedule makes that
+// transient one-sided failures, latency spikes, stalled ranks and flaky
+// cache state are the norm. The schedule makes that
 // regime reproducible: every decision is a pure function of
 // (seed, rank, channel, op-index, attempt) hashed through splitmix64, so a
 // run under faults is bit-identical across replays, host schedules and
@@ -49,12 +49,12 @@ const (
 	chSpike   = 8 + iota // per-op latency spike (probability, magnitude)
 	chStall              // rank stall windows
 	chBackoff            // retry backoff jitter
-	chDrop               // p2p message drops
-	chCache              // CLaMPI unavailability
+	// Spelled out like ClassAccumulate: 11 was the retired p2p drop class.
+	chCache = 12 // CLaMPI unavailability
 )
 
-// RetryPolicy bounds the recovery loop of a failed one-sided operation or
-// dropped message. The zero value selects the defaults.
+// RetryPolicy bounds the recovery loop of a failed one-sided operation.
+// The zero value selects the defaults.
 type RetryPolicy struct {
 	// MaxAttempts caps the retries of one operation; after MaxAttempts
 	// failed attempts the next attempt is forced to succeed, so faults
@@ -122,11 +122,6 @@ type Spec struct {
 	StallPeriodOps int
 	StallNS        float64
 
-	// DropPct is the probability a p2p exchange message is dropped in
-	// flight; the sender detects the missing ack after TimeoutNS and
-	// retransmits (delivery itself is never lost — see internal/p2p).
-	DropPct float64
-
 	// CacheFailPct is the per-access probability the CLaMPI cache is
 	// transiently unavailable: resident entries are flushed and the
 	// access degrades to the direct-RMA fetch flavor.
@@ -168,7 +163,7 @@ func (s Spec) Enabled() bool {
 	return s.GetFailPct > 0 || s.AccFailPct > 0 ||
 		(s.SpikePct > 0 && s.SpikeNS > 0) ||
 		(s.StallPeriodOps > 0 && s.StallNS > 0) ||
-		s.DropPct > 0 || s.CacheFailPct > 0 || s.CrashAtOp > 0 ||
+		s.CacheFailPct > 0 || s.CrashAtOp > 0 ||
 		s.WedgeAtOp > 0
 }
 
@@ -194,8 +189,8 @@ func (e *CrashError) Error() string {
 }
 
 // ChaosSpec returns the moderate everything-on schedule the chaos tests
-// and CI run under: a few percent of transient failures and drops, sparse
-// spikes and stalls, occasional cache unavailability.
+// and CI run under: a few percent of transient failures, sparse spikes and
+// stalls, occasional cache unavailability.
 func ChaosSpec(seed uint64) Spec {
 	return Spec{
 		Seed:           seed,
@@ -205,7 +200,6 @@ func ChaosSpec(seed uint64) Spec {
 		SpikeNS:        2e4,
 		StallPeriodOps: 8192,
 		StallNS:        1e5,
-		DropPct:        0.02,
 		CacheFailPct:   0.001,
 	}
 }
@@ -219,7 +213,6 @@ type Sched struct {
 	rank     int
 	ops      uint64 // remote one-sided op index (all classes)
 	cacheOps uint64 // CLaMPI access index
-	msgs     uint64 // p2p send sequence
 	crashed  bool   // the crash-stop already fired (it fires once)
 	wedged   bool   // the wedge already fired (it fires once)
 }
@@ -369,32 +362,14 @@ func (s *Sched) CacheOp() bool {
 	return s.u(chCache, idx, 0) < s.spec.CacheFailPct
 }
 
-// MsgDrops advances the rank's p2p send sequence and returns how many
-// times this message is dropped in flight before getting through (0 on
-// the fault-free path, bounded by the retry policy).
-func (s *Sched) MsgDrops() int {
-	if s.spec.DropPct <= 0 {
-		s.msgs++
-		return 0
-	}
-	seq := s.msgs
-	s.msgs++
-	d := 0
-	for d < s.spec.Retry.MaxAttempts && s.u(chDrop, seq, uint64(d)) < s.spec.DropPct {
-		d++
-	}
-	return d
-}
-
 // ParseSpec parses the -faults flag grammar: a comma-separated list of
 // key=value settings.
 //
 //	seed=N            schedule seed (default 1)
 //	get=P acc=P       per-attempt transient failure probability by class
-//	p=P               shorthand: get, acc and drop at once
+//	p=P               shorthand: get and acc at once
 //	spike=P:NS        latency spikes: probability and magnitude
 //	stall=N:NS        a stall window every N remote ops, ~NS ns each
-//	drop=P            p2p message drop probability
 //	cache=P           CLaMPI unavailability probability per access
 //	crash=R:OP        crash-stop: rank R dies at its OP-th remote op and
 //	                  the run fails fast with a deterministic error
@@ -482,9 +457,7 @@ func ParseSpec(s string) (*Spec, error) {
 			case "acc":
 				spec.AccFailPct = f
 			case "p":
-				spec.GetFailPct, spec.AccFailPct, spec.DropPct = f, f, f
-			case "drop":
-				spec.DropPct = f
+				spec.GetFailPct, spec.AccFailPct = f, f
 			case "cache":
 				spec.CacheFailPct = f
 			case "retries":
@@ -512,7 +485,7 @@ func ParseSpec(s string) (*Spec, error) {
 
 func prob(k string) bool {
 	switch k {
-	case "get", "acc", "p", "drop", "cache":
+	case "get", "acc", "p", "cache":
 		return true
 	}
 	return false
@@ -535,7 +508,6 @@ func (s Spec) String() string {
 	if s.StallPeriodOps > 0 && s.StallNS > 0 {
 		fmt.Fprintf(&b, ",stall=%d:%g", s.StallPeriodOps, s.StallNS)
 	}
-	add("drop", s.DropPct)
 	add("cache", s.CacheFailPct)
 	if s.CrashAtOp > 0 {
 		k := "crash"

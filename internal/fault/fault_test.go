@@ -36,8 +36,8 @@ func TestDeterministicReplay(t *testing.T) {
 		if oa.Failed() > 0 && oa.BackoffNS(0) != ob.BackoffNS(0) {
 			t.Fatalf("op %d: backoff diverged", i)
 		}
-		if a.CacheOp() != b.CacheOp() || a.MsgDrops() != b.MsgDrops() {
-			t.Fatalf("op %d: cache/drop decisions diverged", i)
+		if a.CacheOp() != b.CacheOp() {
+			t.Fatalf("op %d: cache decisions diverged", i)
 		}
 		if oa.Failed() != oo.Failed() || oa.SpikeNS() != oo.SpikeNS() {
 			diverged = true
@@ -111,14 +111,13 @@ func TestStallWindows(t *testing.T) {
 
 // TestParseSpec exercises the -faults grammar round trip and its errors.
 func TestParseSpec(t *testing.T) {
-	spec, err := ParseSpec("seed=42,get=0.01,acc=0.03,spike=0.01:25000,stall=4096:200000,drop=0.05,cache=0.001,retries=4,timeout=30000,backoff=1000:8000")
+	spec, err := ParseSpec("seed=42,get=0.01,acc=0.03,spike=0.01:25000,stall=4096:200000,cache=0.001,retries=4,timeout=30000,backoff=1000:8000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Spec{
 		Seed: 42, GetFailPct: 0.01, AccFailPct: 0.03,
-		SpikePct: 0.01, SpikeNS: 25000, StallPeriodOps: 4096, StallNS: 200000,
-		DropPct: 0.05, CacheFailPct: 0.001,
+		SpikePct: 0.01, SpikeNS: 25000, StallPeriodOps: 4096, StallNS: 200000, CacheFailPct: 0.001,
 		Retry: RetryPolicy{MaxAttempts: 4, TimeoutNS: 30000, BackoffBaseNS: 1000, BackoffMaxNS: 8000},
 	}
 	if *spec != want {
@@ -130,7 +129,7 @@ func TestParseSpec(t *testing.T) {
 	if s, err := ParseSpec("seed=7,chaos"); err != nil || s.Seed != 7 || !s.Enabled() {
 		t.Fatalf("chaos preset: %+v, %v", s, err)
 	}
-	if s, err := ParseSpec("p=0.05"); err != nil || s.GetFailPct != 0.05 || s.AccFailPct != 0.05 || s.DropPct != 0.05 {
+	if s, err := ParseSpec("p=0.05"); err != nil || s.GetFailPct != 0.05 || s.AccFailPct != 0.05 {
 		t.Fatalf("p shorthand: %+v, %v", s, err)
 	}
 	if s, err := ParseSpec("seed=9,wedge=2:512"); err != nil || s.WedgeRank != 2 || s.WedgeAtOp != 512 {
@@ -149,9 +148,12 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
-	// No operation issues one-sided puts, so no key schedules their faults.
-	if _, err := ParseSpec("put=0.1"); err == nil || !strings.Contains(err.Error(), `unknown key "put"`) {
-		t.Errorf("ParseSpec(put=0.1) = %v, want an unknown-key error", err)
+	// No operation issues one-sided puts or p2p messages, so no key
+	// schedules their faults.
+	for _, k := range []string{"put", "drop"} {
+		if _, err := ParseSpec(k + "=0.1"); err == nil || !strings.Contains(err.Error(), `unknown key "`+k+`"`) {
+			t.Errorf("ParseSpec(%s=0.1) = %v, want an unknown-key error", k, err)
+		}
 	}
 }
 

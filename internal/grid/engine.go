@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fault"
@@ -56,6 +57,8 @@ type Result struct {
 // block once with a single one-sided get. No rank synchronizes with any
 // other between setup and finish — the 2D engine keeps the paper's
 // fully-asynchronous discipline, only the distribution changes.
+// A fail-fast crash-stop (Options.Faults) returns its *fault.CrashError,
+// a rank-body panic a *sched.PanicError naming the rank.
 func Run(g graph.Store, opt Options) (*Result, error) {
 	if g.Kind() != graph.Undirected {
 		return nil, fmt.Errorf("grid: 2D engine requires an undirected graph, got %v", g.Kind())
@@ -79,12 +82,8 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	// Serialized blocks are immutable for the whole run, so the window is
 	// read-only: every block get is served as an aliased view.
 	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
-	if opt.ChargeObserver != nil {
-		comm.SetChargeObserver(opt.ChargeObserver)
-	}
-	if opt.Faults != nil {
-		comm.SetFaults(opt.Faults)
-	}
+	comm.SetChargeObserver(opt.ChargeObserver)
+	comm.SetFaults(opt.Faults)
 	win := comm.CreateReadOnlyWindow("blocks", bufs)
 
 	// Per-row triangle partials: rank (i,j) writes only rows of chunk i;
@@ -96,7 +95,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	partials := make([][]int64, opt.Ranks)
 	stats := make([]rma.Counters, opt.Ranks)
 
-	ranks := comm.Run(func(r *rma.Rank) {
+	ranks, err := comm.RunCtx(context.Background(), func(r *rma.Rank) {
 		i, j := gr.CoordsOf(r.ID())
 		own := blocks[r.ID()]
 		rowLo, rowHi := gr.Chunk(i)
@@ -173,6 +172,9 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 		partials[r.ID()] = mine
 		stats[r.ID()] = r.Counters()
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Host-side reduction (untimed, as in the 1D engine): sum partials
 	// into per-vertex row sums; t_u = rowsum/2, Δ = Σ rowsum / 6.

@@ -28,17 +28,12 @@ type JaccardResult struct {
 }
 
 // RunJaccard computes the per-edge Jaccard similarity with the same fully
-// asynchronous distributed engine as RunLCC.
+// asynchronous distributed engine as RunLCC, and the same panic-isolation
+// and crash-stop contract as RunCtx.
 func RunJaccard(g graph.Store, opt Options) (*JaccardResult, error) {
-	return RunJaccardCtx(context.Background(), g, opt)
-}
-
-// RunJaccardCtx is RunJaccard under supervision, with the same
-// cancellation, panic-isolation and crash-stop contract as RunCtx.
-func RunJaccardCtx(ctx context.Context, g graph.Store, opt Options) (*JaccardResult, error) {
 	snap, err := opt.snapshot(g, 1)
 	if err != nil {
 		return nil, err
 	}
-	return snap.RunJaccardCtx(ctx, opt)
+	return snap.RunJaccardCtx(context.Background(), opt)
 }

@@ -13,9 +13,9 @@
 package p2p
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/rma"
 	"repro/internal/sched"
 )
@@ -38,8 +38,6 @@ type Counters struct {
 	RecvCost    float64 // ns charged for receives
 	BarrierWait float64 // ns spent waiting at barriers for stragglers
 	ComputeTime float64
-	Retransmits int64   // messages dropped in flight and resent (fault plane)
-	FaultWait   float64 // ns lost to ack timeouts and retransmissions
 }
 
 // Rank is one process of the BSP world. Ranks must only be used inside
@@ -52,10 +50,6 @@ type Rank struct {
 
 	outbox [][]Message // staged sends, indexed by destination
 	inbox  []Message   // messages delivered by the previous exchange
-
-	// faults is the rank's bound fault schedule (World.SetFaults); nil —
-	// the default — costs one nil check per send.
-	faults *fault.Sched
 }
 
 // ID returns the rank id.
@@ -95,27 +89,6 @@ func (r *Rank) SendPayload(dst int, payload interface{}, size int) {
 	}
 	r.clock.Advance(cost)
 	r.ctr.SendCost += cost
-	if r.faults != nil && dst != r.id {
-		// Fault plane: the schedule may drop this message in flight d
-		// times. The sender detects each loss at the ack-timeout budget
-		// and resends at full wire cost, all before the rendezvous
-		// returns — so delivery content and the canonical
-		// (sender, send-order) exchange fold are untouched, only the
-		// sender's clock pays. Decisions key on the rank-local send
-		// sequence, making them identical at any worker count. Recovery is
-		// blocking, so its advances are raw: never noise-perturbed, no
-		// noise draws.
-		if d := r.faults.MsgDrops(); d > 0 {
-			pol := r.faults.Policy()
-			for i := 0; i < d; i++ {
-				r.clock.AdvanceRaw(pol.TimeoutNS)
-				r.clock.AdvanceRaw(cost)
-				r.ctr.FaultWait += pol.TimeoutNS
-				r.ctr.FaultWait += cost
-			}
-			r.ctr.Retransmits += int64(d)
-		}
-	}
 	r.ctr.MsgsSent++
 	r.ctr.BytesSent += int64(size)
 	r.outbox[dst] = append(r.outbox[dst], Message{From: r.id, Size: size, Payload: payload})
@@ -132,6 +105,7 @@ type World struct {
 	pool  *sched.Pool
 	ranks []*Rank
 	steps int
+	err   error // the first failed superstep's error; later steps are skipped
 }
 
 // NewWorldWorkers creates a BSP world of p ranks sharing the given cost
@@ -154,16 +128,6 @@ func NewWorldWorkers(p int, model rma.CostModel, workers int) *World {
 	return w
 }
 
-// SetFaults installs a deterministic fault schedule: every rank binds its
-// own decision stream from the spec. Must be called before the first
-// Superstep; a nil or disabled spec leaves the plane off at zero cost.
-// Only the message-drop class applies to the two-sided world.
-func (w *World) SetFaults(spec *fault.Spec) {
-	for i, r := range w.ranks {
-		r.faults = fault.New(spec, i)
-	}
-}
-
 // Ranks returns the rank handles (for reading clocks/counters after a run).
 func (w *World) Ranks() []*Rank { return w.ranks }
 
@@ -178,12 +142,21 @@ func (w *World) Steps() int { return w.steps }
 // write only rank-disjoint state: a body may touch its own rank's
 // staging (outbox, per-rank slices indexed by r.ID(), vertices its rank
 // owns) and read shared immutable data, nothing else.
+//
+// A superstep whose body panics ends the run: no exchange, no later step,
+// and Err reports the *sched.PanicError.
 func (w *World) Superstep(body func(r *Rank)) {
-	w.pool.Run(w.p, func(i int) {
-		body(w.ranks[i])
-	})
-	w.exchange()
+	if w.err == nil {
+		w.err = w.pool.RunCtx(context.Background(), w.p, func(i int) { body(w.ranks[i]) })
+	}
+	if w.err == nil {
+		w.exchange()
+	}
 }
+
+// Err returns the error that ended the run early, nil if every superstep
+// completed. A world with an error holds no valid result.
+func (w *World) Err() error { return w.err }
 
 // exchange delivers all staged messages and synchronizes: every clock jumps
 // to the global maximum plus BarrierLatency, and receivers are charged the

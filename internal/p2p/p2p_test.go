@@ -1,11 +1,13 @@
 package p2p
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/rma"
+	"repro/internal/sched"
 )
 
 func TestSuperstepDeliversMessages(t *testing.T) {
@@ -131,14 +133,21 @@ func TestAllreduceValidatesLength(t *testing.T) {
 	w.AllreduceSum([]int64{1})
 }
 
+// TestSendValidatesRank: a send to an invalid rank panics in its body,
+// which ends the run — Err reports the *sched.PanicError and later
+// supersteps are skipped.
 func TestSendValidatesRank(t *testing.T) {
 	w := NewWorldWorkers(2, rma.DefaultCostModel(), 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("Send accepted invalid destination")
-		}
-	}()
 	w.Superstep(func(r *Rank) { r.SendPayload(7, nil, 0) })
+	var pe *sched.PanicError
+	if !errors.As(w.Err(), &pe) {
+		t.Fatalf("Err = %v, want *sched.PanicError", w.Err())
+	}
+	ran := false
+	w.Superstep(func(r *Rank) { ran = true })
+	if ran || w.Steps() != 0 {
+		t.Errorf("superstep after a failed one ran (ran=%v, steps=%d)", ran, w.Steps())
+	}
 }
 
 func TestStepsCount(t *testing.T) {

@@ -140,7 +140,7 @@ func (c *Comm) NewBarrier() *Barrier {
 // the latest arrival time plus BarrierLatency. The time a rank spends
 // blocked is accounted as FlushWait (it is synchronization, not work).
 //
-// Under a supervised run (Comm.RunCtx) Wait is also a cancellation point:
+// Inside Comm.RunCtx, Wait is also a cancellation point:
 // a waiter woken by a canceled run unwinds instead of completing the
 // round, and an arriving rank checks before joining. A completed Wait is
 // the crash-stop recovery point — the rank's clock at release is recorded

@@ -59,7 +59,7 @@ func TestAccumulateConcurrentRanks(t *testing.T) {
 func TestBarrierAlignsClocks(t *testing.T) {
 	c := NewComm(4, DefaultCostModel())
 	b := c.NewBarrier()
-	ranks := c.Run(func(r *Rank) {
+	ranks := mustRun(t, c, func(r *Rank) {
 		// Rank i works i·10 µs before the barrier.
 		r.AdvanceBy(float64(r.ID()) * 10000)
 		b.Wait(r)
@@ -80,7 +80,7 @@ func TestBarrierAlignsClocks(t *testing.T) {
 func TestBarrierReusable(t *testing.T) {
 	c := NewComm(2, DefaultCostModel())
 	b := c.NewBarrier()
-	ranks := c.Run(func(r *Rank) {
+	ranks := mustRun(t, c, func(r *Rank) {
 		for round := 0; round < 5; round++ {
 			r.AdvanceBy(float64(r.ID()+1) * 1000)
 			b.Wait(r)
@@ -95,7 +95,7 @@ func TestBarrierReusable(t *testing.T) {
 func TestFence(t *testing.T) {
 	c, w := twoRankComm()
 	b := c.NewBarrier()
-	ranks := c.Run(func(r *Rank) {
+	ranks := mustRun(t, c, func(r *Rank) {
 		r.LockAll(w)
 		r.Accumulate(w, 1-r.ID(), 0, uint64(r.ID())+1)
 		r.Fence(w, b)

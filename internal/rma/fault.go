@@ -26,7 +26,7 @@ import (
 
 // SetFaults installs a deterministic fault schedule: every rank created
 // after the call binds its own decision stream from the spec. Like the
-// charge-plane setters it must be called before Run; a nil spec (or one
+// charge-plane setters it must be called before RunCtx; a nil spec (or one
 // that cannot inject anything) keeps the fault plane disabled at the cost
 // of one nil check per issue path.
 func (c *Comm) SetFaults(spec *fault.Spec) { c.faults = spec }
@@ -34,7 +34,7 @@ func (c *Comm) SetFaults(spec *fault.Spec) { c.faults = spec }
 // SetProgress installs a run-progress counter: every rank created after
 // the call ticks it on the masked checkpoint cadence, and barrier round
 // closes bump its generation. Like the charge-plane setters it must be
-// set before Run; nil (the default) costs the hot path one predictable
+// set before RunCtx; nil (the default) costs the hot path one predictable
 // branch. The counter is host-side only — arming it cannot perturb a
 // simulated bit (see sched.Progress).
 func (c *Comm) SetProgress(p *sched.Progress) { c.prog = p }
@@ -56,9 +56,9 @@ func (r *Rank) injectFaults(cl fault.Class, size int) {
 		// The wedge class: this rank is stuck in host code and will never
 		// issue another operation or reach another checkpoint. Park until
 		// an external cancel (caller deadline, serve watchdog) unwinds the
-		// run; under an unsupervised run (no supervision to ever cancel)
-		// the park is a no-op (see sched). Yield semantics require a held
-		// worker slot, hence the r.running guard. No charge folds — a
+		// run. Yield semantics require a held worker slot, hence the
+		// r.running guard: a rank used outside any run has nothing that
+		// could ever cancel it, and skips the park. No charge folds — a
 		// wedged run never completes, so there is no result whose clocks
 		// could observe it.
 		r.comm.pool.WedgeUntilCanceled()
@@ -82,9 +82,8 @@ func (r *Rank) injectFaults(cl fault.Class, size int) {
 
 // crashStop handles the crash-stop class firing at this op's issue point.
 //
-// Fail-fast mode aborts the run with the deterministic CrashError — under
-// a supervised run (Comm.RunCtx) the abort surfaces as the run's error
-// and the remaining ranks unwind; under plain Run it panics.
+// Fail-fast mode aborts the run with the deterministic CrashError: it
+// surfaces as Comm.RunCtx's error and the remaining ranks unwind.
 //
 // Recovery mode models a restart plus re-execution from the rank's last
 // barrier (ckptT, run start if none): the redo REPLAYS deterministically

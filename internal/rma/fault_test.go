@@ -18,7 +18,7 @@ func faultGetRun(t *testing.T, spec *fault.Spec, obs ChargeObserver) ([]Counters
 	}
 	local := [][]byte{make([]byte, 1<<14), make([]byte, 1<<14)}
 	w := c.CreateReadOnlyWindow("data", local)
-	ranks := c.Run(func(r *Rank) {
+	ranks := mustRun(t, c, func(r *Rank) {
 		r.LockAll(w)
 		var q Request
 		for i := 0; i < 2000; i++ {
@@ -135,7 +135,7 @@ func TestFaultWriteOps(t *testing.T) {
 		local := [][]byte{make([]byte, 1024), make([]byte, 1024)}
 		w := c.CreateWindow("acc", local)
 		b := c.NewBarrier()
-		ranks := c.Run(func(r *Rank) {
+		ranks := mustRun(t, c, func(r *Rank) {
 			r.LockAll(w)
 			for i := 0; i < 200; i++ {
 				r.Accumulate(w, 1-r.ID(), 0, 1)

@@ -88,7 +88,7 @@ func TestBarrierCommitsStaged(t *testing.T) {
 	c := NewComm(p, DefaultCostModel())
 	w := c.CreateWindow("ctr", [][]byte{make([]byte, 8), nil, nil, nil})
 	b := c.NewBarrier()
-	c.Run(func(r *Rank) {
+	mustRun(t, c, func(r *Rank) {
 		r.LockAll(w)
 		r.Accumulate(w, 0, 0, uint64(r.ID())+1)
 		b.Wait(r)
@@ -114,7 +114,7 @@ func TestRunBoundedWorkers(t *testing.T) {
 			make([]byte, 64), make([]byte, 64), make([]byte, 64),
 			make([]byte, 64), make([]byte, 64), make([]byte, 64)})
 		b := c.NewBarrier()
-		ranks := c.Run(func(r *Rank) {
+		ranks := mustRun(t, c, func(r *Rank) {
 			r.LockAll(w)
 			for round := 0; round < 3; round++ {
 				r.AdvanceBy(float64((r.ID()+round)%5) * 777)

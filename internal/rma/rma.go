@@ -19,7 +19,7 @@ type Comm struct {
 	pool  *sched.Pool
 
 	// observer, when set, sees every charge of every rank created from this
-	// world (tape.go); it must be set before Run.
+	// world (tape.go); it must be set before RunCtx.
 	observer ChargeObserver
 
 	// faults is the deterministic fault schedule every rank binds at
@@ -288,7 +288,7 @@ type Rank struct {
 	comm    *Comm
 	clock   Clock
 	ctr     Counters
-	running bool // inside a pool-scheduled Run body (holds a worker slot)
+	running bool // inside a RunCtx body (holds a worker slot)
 
 	// observer, when set, sees every charge in canonical order (tape.go).
 	observer ChargeObserver
@@ -319,7 +319,7 @@ type Rank struct {
 	// cancellation poll. nil keeps the hot path at one predictable branch.
 	prog *sched.Progress
 
-	// Run allocates its ranks back to back and runs them on different
+	// RunCtx allocates its ranks back to back and runs them on different
 	// cores, each writing its own clock, counters and ckOps on every
 	// charge. A trailing cache line keeps one rank's last written field
 	// off the line holding the next rank's clock; without it that line
@@ -335,8 +335,8 @@ const checkpointMask = 0xff
 
 // checkpoint polls run cancellation. If the surrounding RunCtx has been
 // canceled, the rank unwinds here (by panic, collected by the scheduler);
-// ops between two checkpoints run exactly as in an unsupervised run, so
-// the poll never perturbs the charge sequence (DESIGN.md §8).
+// ops between two checkpoints run exactly as in an uncanceled run, so the
+// poll never perturbs the charge sequence (DESIGN.md §8).
 func (r *Rank) checkpoint() {
 	r.ckOps++
 	if r.ckOps&checkpointMask == 0 {
@@ -347,8 +347,8 @@ func (r *Rank) checkpoint() {
 	}
 }
 
-// Rank constructs the handle for rank id. Each id should be obtained once,
-// typically inside Run.
+// Rank constructs the handle for rank id. Each id should be obtained once;
+// RunCtx obtains every rank's.
 func (c *Comm) Rank(id int) *Rank {
 	if id < 0 || id >= c.p {
 		panic(fmt.Sprintf("rma: rank %d out of range [0,%d)", id, c.p))
@@ -606,32 +606,18 @@ func (r *Rank) FlushAll(w *Window) {
 	r.ctr.FlushWait += r.clock.Now() - before
 }
 
-// Run executes body on every rank concurrently — each rank on its own
+// RunCtx executes body on every rank concurrently — each rank on its own
 // goroutine, with at most Workers (NewCommWorkers) executing at any
 // moment — and returns the rank handles (with final clocks and counters)
 // once all have finished. This mirrors an SPMD mpirun on a host with
 // Workers cores: fully asynchronous ranks, no hidden synchronization, and
-// results that are bit-identical at every worker count.
-func (c *Comm) Run(body func(r *Rank)) []*Rank {
-	ranks := make([]*Rank, c.p)
-	for i := 0; i < c.p; i++ {
-		ranks[i] = c.Rank(i)
-	}
-	c.pool.Run(c.p, func(i int) {
-		r := ranks[i]
-		r.running = true
-		body(r)
-		r.running = false
-	})
-	return ranks
-}
-
-// RunCtx is Run under supervision (sched.Pool.RunCtx): ranks observe ctx
-// cancellation at their issue-point checkpoints and barrier waits and
-// unwind cleanly; a rank-body panic is converted into a *sched.PanicError
-// with the rank attached; a deterministic abort (the crash-stop class in
-// fail-fast mode) returns its error. On any non-nil error the returned
-// ranks are nil — a supervised run yields complete results or none.
+// results that are bit-identical at every worker count. Under
+// sched.Pool.RunCtx's supervision ranks observe ctx cancellation at their
+// issue-point checkpoints and barrier waits and unwind cleanly; a
+// rank-body panic is converted into a *sched.PanicError with the rank
+// attached; a deterministic abort (the crash-stop class in fail-fast
+// mode) returns its error. On any non-nil error the returned ranks are
+// nil — a run yields complete results or none.
 func (c *Comm) RunCtx(ctx context.Context, body func(r *Rank)) ([]*Rank, error) {
 	ranks := make([]*Rank, c.p)
 	for i := 0; i < c.p; i++ {

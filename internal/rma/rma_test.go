@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sync/atomic"
@@ -11,6 +12,16 @@ import (
 )
 
 func testComm(p int) *Comm { return NewComm(p, DefaultCostModel()) }
+
+// mustRun is Comm.RunCtx for a body that must complete: any run error fails t.
+func mustRun(t *testing.T, c *Comm, body func(r *Rank)) []*Rank {
+	t.Helper()
+	ranks, err := c.RunCtx(context.Background(), body)
+	if err != nil {
+		t.Fatalf("RunCtx = %v", err)
+	}
+	return ranks
+}
 
 func twoRankWindow(t *testing.T, c *Comm) *Window {
 	t.Helper()
@@ -164,12 +175,12 @@ func TestDataBeforeFlushPanics(t *testing.T) {
 func TestRunExecutesAllRanksConcurrently(t *testing.T) {
 	c := testComm(8)
 	var visited int64
-	ranks := c.Run(func(r *Rank) {
+	ranks := mustRun(t, c, func(r *Rank) {
 		atomic.AddInt64(&visited, 1)
 		r.Compute(1000)
 	})
 	if visited != 8 {
-		t.Fatalf("Run visited %d ranks, want 8", visited)
+		t.Fatalf("RunCtx visited %d ranks, want 8", visited)
 	}
 	want := 1000 * DefaultCostModel().ComputePerOp
 	for _, r := range ranks {

@@ -133,7 +133,7 @@ func (k ChargeKind) String() string {
 type ChargeObserver func(rank int, kind ChargeKind, bytes int, ns, now float64)
 
 // SetChargeObserver installs an observer for all ranks of the world. It
-// must be called before Run; installing one mid-run is a race.
+// must be called before RunCtx; installing one mid-run is a race.
 func (c *Comm) SetChargeObserver(o ChargeObserver) { c.observer = o }
 
 // charge folds one fault-plane recovery descriptor (internal/rma/fault.go) and

@@ -3,7 +3,7 @@ package sched
 // Run supervision: context cancellation, deterministic aborts and panic
 // isolation for pool-scheduled rank bodies.
 //
-// RunCtx is Run with an escape hatch. Three things can end a run early:
+// RunCtx is the only way rank bodies run. Three things end a run early:
 //
 //   - The context is canceled (caller deadline, server shutdown). Rank
 //     bodies observe this only at checkpoints — Checkpoint calls the
@@ -84,8 +84,7 @@ type runAbort struct{ err error }
 
 // Abort unwinds the calling rank body and makes the surrounding RunCtx
 // return err (the remaining ranks are canceled). It must be called from
-// inside a body started by RunCtx; under plain Run the abort surfaces as
-// a panic, since plain Run has no error channel.
+// inside a body RunCtx started.
 func Abort(err error) {
 	panic(runAbort{err: err})
 }
@@ -160,8 +159,8 @@ func (p *Pool) Checkpoint() {
 // yielded first, so the wedged rank starves nobody — it is invisible to
 // the pool, to the other ranks, and to every simulated clock. Only an
 // external cancel (the serve watchdog, a caller deadline, run abort)
-// releases it. Under plain Run — no supervision, nothing will ever
-// cancel — it returns immediately rather than deadlock.
+// releases it. Outside any run (bench/replay.go's r0) nothing will ever
+// cancel, so it returns immediately rather than deadlock.
 func (p *Pool) WedgeUntilCanceled() {
 	rs := p.cur.Load()
 	if rs == nil {
@@ -191,11 +190,13 @@ func (p *Pool) cancel(rs *runState, cause error) {
 	}
 }
 
-// RunCtx is Run under supervision: it executes body(i) for every i in
-// [0, n) with at most Workers bodies concurrent, and returns when all
-// have finished — nil on a completed run, ErrRunCanceled (wrapping the
-// context cause) on cancellation, the Abort error on a deterministic
-// abort, or *PanicError when a body panics. On any non-nil return the
+// RunCtx executes body(i) for every i in [0, n), each on its own
+// goroutine but with at most Workers bodies executing at any moment, and
+// returns when all have finished — nil on a completed run,
+// ErrRunCanceled (wrapping the context cause) on cancellation, the Abort
+// error on a deterministic abort, or *PanicError when a body panics.
+// Bodies may block in Yield-routed rendezvous without deadlocking the
+// pool. On any non-nil return the
 // run's outputs must be discarded: some bodies did not finish.
 //
 // A pool supervises one run at a time; RunCtx panics if a run is already

@@ -66,43 +66,15 @@ func (p *Pool) acquire() { <-p.slots }
 // release returns an execution slot.
 func (p *Pool) release() { p.slots <- struct{}{} }
 
-// Run executes body(i) for every i in [0, n), each on its own goroutine
-// but with at most Workers bodies executing at any moment, and returns
-// when all have finished. Bodies may block in Yield-routed rendezvous
-// without deadlocking the pool. A body that panics (outside a Yield
-// section) has its panic re-thrown from Run once the remaining bodies
-// finish, matching the old serial engine loops where a rank's panic
-// unwound through the caller.
-func (p *Pool) Run(n int, body func(i int)) {
-	done := make(chan interface{}, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			p.acquire()
-			defer p.release()
-			defer func() { done <- recover() }()
-			body(i)
-		}(i)
-	}
-	var pv interface{}
-	for i := 0; i < n; i++ {
-		if v := <-done; v != nil {
-			pv = v
-		}
-	}
-	if pv != nil {
-		panic(pv)
-	}
-}
-
 // Yield releases the caller's execution slot, runs blocked (which may
 // block on other ranks — a barrier rendezvous, a condition variable), and
 // reacquires a slot before returning. It must only be called from inside
-// a body started by Run or RunCtx; the caller holds a slot by
-// construction. The reacquire is deferred so that a blocked section that
-// panics — a canceled rank unwinding out of a rendezvous — restores the
-// slot the body's own deferred release is about to return; without it the
-// unwind would release a slot the body no longer holds and corrupt the
-// pool's accounting.
+// a body RunCtx started; the caller holds a slot by construction. The
+// reacquire is deferred so that a blocked section that panics — a
+// canceled rank unwinding out of a rendezvous — restores the slot the
+// body's own deferred release is about to return; without it the unwind
+// would release a slot the body no longer holds and corrupt the pool's
+// accounting.
 func (p *Pool) Yield(blocked func()) {
 	p.release()
 	defer p.acquire()

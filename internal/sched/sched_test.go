@@ -1,17 +1,26 @@
 package sched
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// mustRun is RunCtx for a body that must complete: any run error fails t.
+func mustRun(t *testing.T, p *Pool, n int, body func(i int)) {
+	t.Helper()
+	if err := p.RunCtx(context.Background(), n, body); err != nil {
+		t.Fatalf("RunCtx = %v", err)
+	}
+}
+
 func TestRunExecutesAllOnce(t *testing.T) {
 	p := New(3)
 	const n = 100
 	var counts [n]int32
-	p.Run(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+	mustRun(t, p, n, func(i int) { atomic.AddInt32(&counts[i], 1) })
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("body %d executed %d times, want 1", i, c)
@@ -23,7 +32,7 @@ func TestConcurrencyBounded(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		p := New(workers)
 		var cur, peak int32
-		p.Run(32, func(i int) {
+		mustRun(t, p, 32, func(i int) {
 			c := atomic.AddInt32(&cur, 1)
 			for {
 				old := atomic.LoadInt32(&peak)
@@ -61,7 +70,7 @@ func TestYieldPreventsBarrierDeadlock(t *testing.T) {
 	var mu sync.Mutex
 	cond := sync.NewCond(&mu)
 	arrived := 0
-	p.Run(n, func(i int) {
+	mustRun(t, p, n, func(i int) {
 		p.Yield(func() {
 			mu.Lock()
 			arrived++
@@ -84,7 +93,7 @@ func TestRunMoreRanksThanWorkers(t *testing.T) {
 	p := New(2)
 	var sum int64
 	var mu sync.Mutex
-	p.Run(50, func(i int) {
+	mustRun(t, p, 50, func(i int) {
 		mu.Lock()
 		sum += int64(i)
 		mu.Unlock()

@@ -18,7 +18,6 @@ package tric
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
@@ -40,19 +39,6 @@ type Options struct {
 	// go out in a single exchange.
 	Buffered    bool
 	BufferBytes int
-	// QueryCostNS is the receiver-side processing charge per query:
-	// dispatching the request, locating the target vertex, generating
-	// and accounting the response. The paper's §I observation — TriC's
-	// "synchronization overheads being as costly as communication" —
-	// calibrates the default to 2α (two network latencies' worth of
-	// handling per query-response pair, 4 µs). Without this charge the
-	// aggregated buffered variant would ship candidate volume at pure
-	// bandwidth cost, which no measured TriC deployment achieves.
-	QueryCostNS float64
-	// Faults installs a deterministic fault schedule on the exchange
-	// substrate (see lcc.Options); dropped messages are retransmitted by
-	// the sender, results are unchanged.
-	Faults *fault.Spec
 }
 
 func (o Options) withDefaults() Options {
@@ -64,9 +50,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Buffered && o.BufferBytes == 0 {
 		o.BufferBytes = 16 << 20 // the paper's 16 MiB cap
-	}
-	if o.QueryCostNS == 0 {
-		o.QueryCostNS = 2 * o.Model.RemoteLatency
 	}
 	return o
 }
@@ -119,7 +102,8 @@ type responseBatch []response
 
 func (b responseBatch) wireSize() int { return 8 * len(b) }
 
-// Run executes TriC on g with p ranks over the simulated BSP world.
+// Run executes TriC on g with p ranks over the simulated BSP world; a
+// superstep body that panics ends it with the *sched.PanicError.
 func Run(g graph.Store, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	n := g.NumVertices()
@@ -129,7 +113,6 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	}
 	locals := part.ExtractAll(g, pt)
 	world := p2p.NewWorldWorkers(opt.Ranks, opt.Model, opt.Workers)
-	world.SetFaults(opt.Faults)
 
 	perVertexT := make([]int64, n)
 	res := &Result{LCC: make([]float64, n)}
@@ -269,9 +252,18 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 				}
 				c, ops := its.Count(opt.Method, q.cands, adjJ)
 				// Unpacking the candidate list costs a pass over it,
-				// plus the fixed per-query handling charge.
+				// plus the fixed per-query handling charge: dispatching
+				// the request, locating the target vertex, generating
+				// and accounting the response. The paper's §I
+				// observation — TriC's "synchronization overheads being
+				// as costly as communication" — calibrates it to 2α (two
+				// network latencies' worth of handling per
+				// query-response pair, 4 µs). Without this charge the
+				// aggregated buffered variant would ship candidate
+				// volume at pure bandwidth cost, which no measured TriC
+				// deployment achieves.
 				r.Compute(ops + len(q.cands) + 4)
-				r.AdvanceBy(opt.QueryCostNS)
+				r.AdvanceBy(2 * opt.Model.RemoteLatency)
 				pendingResponses[r.ID()][from] = append(
 					pendingResponses[r.ID()][from],
 					response{vi: q.vi, count: graph.V(c)})
@@ -305,6 +297,9 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 		}
 	}
 
+	if err := world.Err(); err != nil {
+		return nil, err
+	}
 	// Final reduction of the global triangle count (TriC reports the
 	// global value with an MPI_Reduce).
 	partial := make([]int64, opt.Ranks)

@@ -164,9 +164,6 @@ func TestTriCOptionsDefaults(t *testing.T) {
 	if o.Model == (rma.CostModel{}) {
 		t.Error("default model not applied")
 	}
-	if want := 2 * o.Model.RemoteLatency; o.QueryCostNS != want {
-		t.Errorf("QueryCostNS = %v, want 2α = %v", o.QueryCostNS, want)
-	}
 }
 
 func TestTriCDirectedBuffered(t *testing.T) {
@@ -178,18 +175,6 @@ func TestTriCDirectedBuffered(t *testing.T) {
 	}
 	if !lccClose(res.LCC, want.LCC) {
 		t.Error("directed buffered LCC mismatch")
-	}
-}
-
-func TestTriCQueryCostSlowsRun(t *testing.T) {
-	g := randomGraph(graph.Undirected, 200, 1200, 13)
-	cheap := MustRun(g, Options{Ranks: 4, Method: intersect.MethodHybrid, QueryCostNS: 1})
-	costly := MustRun(g, Options{Ranks: 4, Method: intersect.MethodHybrid, QueryCostNS: 50000})
-	if costly.SimTime <= cheap.SimTime {
-		t.Errorf("higher per-query cost did not slow the run: %v vs %v", costly.SimTime, cheap.SimTime)
-	}
-	if costly.Triangles != cheap.Triangles {
-		t.Error("query cost changed the result")
 	}
 }
 
