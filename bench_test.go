@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
@@ -264,6 +265,40 @@ func BenchmarkClampiMissEvict(b *testing.B) {
 		q := c.Get(1, (i%1024)*512, 512)
 		q.Wait()
 		q.Release()
+	}
+}
+
+// BenchmarkClampiCapacitySettle runs CLaMPI at C_offsets' geometry — a
+// 256 KiB buffer of 16-byte LRU entries over 16,384 buckets — on a uniform
+// stream over twice as many regions as it holds: about half the gets hit,
+// bumping stamps, and every miss takes a capacity eviction through a victim
+// heap sixteen thousand entries deep, revalidating the stale roots the hits
+// left (Cache.settleVictims).
+func BenchmarkClampiCapacitySettle(b *testing.B) {
+	const capacity, size = 256 << 10, 16
+	comm := rma.NewComm(2, rma.DefaultCostModel())
+	w := comm.CreateReadOnlyWindow("bench", [][]byte{nil, make([]byte, 2*capacity)})
+	r := comm.Rank(0)
+	r.LockAll(w)
+	defer r.UnlockAll(w)
+	c := clampi.New(r, w, clampi.Config{Capacity: capacity, Buckets: capacity / size})
+	rng := rand.New(rand.NewPCG(1, 2))
+	offs := make([]int, 1<<16)
+	for i := range offs {
+		offs[i] = size * rng.IntN(2*capacity/size)
+	}
+	get := func(i int) {
+		q := c.Get(1, offs[i%len(offs)], size)
+		q.Wait()
+		q.Release()
+	}
+	for i := range offs {
+		get(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get(i)
 	}
 }
 

@@ -121,6 +121,9 @@ type Cache struct {
 	// path: two unordered byte stores, no locks, no atomics.
 	busy bool
 
+	// sink is where warmRoot's loads end up (never read).
+	sink uint64
+
 	// onEvict, when a test sets it, observes every eviction before it
 	// happens: its kind, the victim's packed key and the cache's tick.
 	onEvict func(conflict bool, key, tick uint64)
@@ -252,10 +255,30 @@ func (c *Cache) settleVictims() bool {
 		if stamp == it.stamp && prio == it.prio {
 			return true
 		}
+		c.warmRoot()
 		v.pop()
 		v.push(it.id, prio, stamp)
 	}
 	return false
+}
+
+// warmRoot loads what the next round of settleVictims reads first — the
+// record, lane meta word and address neighbours of the child the root's pop
+// promotes (the smaller, right only if strictly less) — so that their misses
+// overlap the pop and the push. Like Preload, it only sums the words into
+// the sink: no tick, stamp, statistic, entry or heap slot changes. A
+// tombstone's id 0 names the zero record.
+func (c *Cache) warmRoot() {
+	h, recs := c.victims.h, c.alloc.recs
+	if len(h) < 3 {
+		return
+	}
+	j := 1
+	if h[2].prio < h[1].prio {
+		j = 2
+	}
+	e := &recs[h[j].id]
+	c.sink += c.tab.lane[e.meta] + uint64(recs[e.prev].size+recs[e.next].size)
 }
 
 // Request is one cached get, from issue to the last read of its data: served
@@ -290,7 +313,7 @@ type Request struct {
 	// A miss's key and score, kept for the insertion at completion, and the
 	// transfer the data of a miss or a local bypass is read from.
 	size  int
-	pk, h uint64
+	key   Key
 	score float64 // application-defined, NaN if unset
 	own   rma.Request
 }
@@ -389,17 +412,40 @@ func (c *Cache) enter() {
 
 func (c *Cache) leave() { c.busy = false }
 
-// enterGet is enter for the three get entry points. Like Release's, its
-// contract panic precedes enter(), so a caller that recovers it finds the
-// cache usable.
-func (c *Cache) enterGet(target, offset, size int) {
-	if target != c.rank.ID() && !c.coder.fits(target, offset, size) {
-		// The seed compared three exact ints and panicked later inside
-		// rma on the out-of-window access; packed keys would alias a
-		// valid entry instead, so fail at the boundary.
+// Key is one get's coordinate as this cache indexes it: the packed
+// (target, offset, size) word and its bucket's first lane word, so the hash
+// and the bucket division run once per access, in KeyOf. A key is valid for
+// the cache that made it until that cache's next Reset, which may change the
+// table geometry it encodes.
+type Key struct {
+	pk   uint64
+	lane uint32
+}
+
+// KeyOf derives the key of a get of (target, offset, size). A coordinate
+// outside the window geometry would pack into an alias of a valid key, so it
+// panics here, before any operation: a caller that recovers finds the cache
+// usable.
+func (c *Cache) KeyOf(target, offset, size int) Key {
+	if !c.coder.fits(target, offset, size) {
 		panic(fmt.Sprintf("clampi: get (target %d, offset %d, size %d) outside window geometry", target, offset, size))
 	}
-	c.enter()
+	return c.key(target, offset, size)
+}
+
+// key is KeyOf for a coordinate known to fit.
+func (c *Cache) key(target, offset, size int) Key {
+	return Key{c.coder.pack(target, offset, size), c.tab.laneOf(c.coder.hash(target, offset, size))}
+}
+
+// Confirm returns k when it is the key of (target, offset, size) and KeyOf's
+// otherwise, so that a key derived ahead of the get decides nothing the
+// coordinate would not. The check is a pack; the hash runs on a mismatch.
+func (c *Cache) Confirm(k Key, target, offset, size int) Key {
+	if c.coder.fits(target, offset, size) && k.pk == c.coder.pack(target, offset, size) {
+		return k
+	}
+	return c.KeyOf(target, offset, size)
 }
 
 // Get issues a cached one-sided read (no application score).
@@ -412,32 +458,34 @@ func (c *Cache) Get(target, offset, size int) *Request {
 // adjacency cache the score is the remote vertex's out-degree, which the
 // engine knows from the preceding offsets get.
 func (c *Cache) GetScored(target, offset, size int, score float64) *Request {
-	c.enterGet(target, offset, size)
+	k := c.KeyOf(target, offset, size)
+	c.enter()
 	q := c.newReq()
-	c.get(q, target, offset, size, score)
+	c.get(q, k, score)
 	c.leave()
 	return q
 }
 
-// GetInto is GetScored into a caller-owned request (see Request; a NaN score
-// is Get): q is reset and filled in place, keeping its buffers, so a request
-// embedded in the caller's state serves every access of a pipeline slot with
-// no pool traffic. Statistics, charges and cache transitions are exactly
-// GetScored's.
-func (c *Cache) GetInto(q *Request, target, offset, size int, score float64) {
+// GetInto is GetScored of k's coordinate into a caller-owned request (see
+// Request; a NaN score is Get): q is reset and filled in place, keeping its
+// buffers, so a request embedded in the caller's state serves every access
+// of a pipeline slot with no pool traffic. Statistics, charges and cache
+// transitions are exactly GetScored's.
+func (c *Cache) GetInto(q *Request, k Key, score float64) {
 	if q.xfer && !q.Done() {
 		panic("clampi: GetInto on a request whose miss is still in flight; Wait first")
 	}
-	c.enterGet(target, offset, size)
+	c.enter()
 	q.cache, q.owned = c, true
 	q.hit, q.done, q.xfer = false, false, false
 	q.data, q.u64, q.verts = nil, nil, nil
-	c.get(q, target, offset, size, score)
+	c.get(q, k, score)
 	c.leave()
 }
 
 // get fills q, a reset request of either ownership, for one access.
-func (c *Cache) get(q *Request, target, offset, size int, score float64) {
+func (c *Cache) get(q *Request, k Key, score float64) {
+	target, offset, size := c.coder.unpack(k.pk)
 	// Local accesses bypass the cache entirely: the partition owner reads
 	// its own memory (Fig. 3: node A reads adj(0), adj(2) locally).
 	if target == c.rank.ID() {
@@ -445,9 +493,7 @@ func (c *Cache) get(q *Request, target, offset, size int, score float64) {
 		c.rank.GetInto(&q.own, c.win, target, offset, size)
 		return
 	}
-	pk := c.coder.pack(target, offset, size)
-	h := c.coder.hash(target, offset, size)
-	if c.tab.lookupTouch(pk, h, c.tick+1) >= 0 {
+	if c.tab.lookupTouch(k, c.tick+1) >= 0 {
 		c.tick++
 		c.stats.Hits++
 		c.stats.HitBytes += int64(size)
@@ -470,13 +516,13 @@ func (c *Cache) get(q *Request, target, offset, size int, score float64) {
 	}
 	// Miss: issue the real RMA get; the entry is inserted when the
 	// transfer completes (at Wait), since only then is the data known.
-	if c.seen.addIfMissing(pk) {
+	if c.seen.addIfMissing(k.pk) {
 		c.stats.CompulsoryMisses++
 	}
 	c.stats.Misses++
 	c.stats.MissBytes += int64(size)
 	c.stats.OverheadTime += c.rank.ChargeCacheMissOverhead()
-	q.size, q.pk, q.h, q.score, q.xfer = size, pk, h, score, true
+	q.size, q.key, q.score, q.xfer = size, k, score, true
 	c.rank.GetInto(&q.own, c.win, target, offset, size)
 	c.inflight++
 }
@@ -492,18 +538,18 @@ func (c *Cache) complete(q *Request) {
 	// makes caching a net loss when compulsory misses dominate (§IV-D-2
 	// scenario 2, the LiveJournal case).
 	c.stats.OverheadTime += c.rank.ChargeCacheManage(q.size)
-	c.insert(q.pk, q.h, q.size, q.score)
+	c.insert(q.key, q.size, q.score)
 }
 
-// insert stores a region under the packed key pk (bucket hash h), evicting
-// victims as needed. CLaMPI caches a missing entry only if it has (or can
-// free) the resources to store it.
-func (c *Cache) insert(pk, h uint64, size int, score float64) {
+// insert stores a region under key k, evicting victims as needed. CLaMPI
+// caches a missing entry only if it has (or can free) the resources to store
+// it.
+func (c *Cache) insert(k Key, size int, score float64) {
 	if c.cfg.Capacity <= 0 || size > c.cfg.Capacity || size == 0 {
 		c.stats.RejectedInserts++
 		return
 	}
-	if c.tab.lookup(pk, h) >= 0 {
+	if c.tab.lookup(k) >= 0 {
 		return // duplicate in-flight get; entry already present
 	}
 	c.tick++
@@ -514,13 +560,12 @@ func (c *Cache) insert(pk, h uint64, size int, score float64) {
 	}
 
 	// Hash-table space: a full bucket forces a conflict eviction.
-	slot := c.tab.freeSlot(h)
-	if slot < 0 {
+	way := c.tab.freeWay(k)
+	if way < 0 {
 		// The victim is the bucket's entry of strictly minimal priority, in
 		// slot order (the seed's scan order and tie rule).
-		base := c.tab.bucketOf(h) * c.tab.assoc
 		victim, vPrio := uint32(0), math.Inf(1)
-		for _, id := range c.tab.ents[base : base+c.tab.assoc] {
+		for _, id := range c.tab.ents[k.lane/2:][:c.tab.assoc] {
 			if p := c.priority(&c.alloc.recs[id]); p < vPrio {
 				victim, vPrio = id, p
 			}
@@ -533,7 +578,7 @@ func (c *Cache) insert(pk, h uint64, size int, score float64) {
 		}
 		c.evict(victim, true)
 		c.stats.ConflictEvictions++
-		slot = c.tab.freeSlot(h)
+		way = c.tab.freeWay(k)
 	}
 
 	// Buffer space: evict ascending-priority victims until the allocation
@@ -554,7 +599,7 @@ func (c *Cache) insert(pk, h uint64, size int, score float64) {
 
 	e := &c.alloc.recs[id]
 	e.score = score
-	e.slot, e.meta = uint32(slot), c.tab.insertAt(slot, id, pk, c.tick)
+	e.slot, e.meta = c.tab.insertAt(k, way, id, c.tick)
 	c.victims.push(id, c.priority(e), 0)
 	c.stats.Inserts++
 }
@@ -582,9 +627,7 @@ func (c *Cache) SetScore(target, offset, size int, score float64) {
 	c.enter()
 	if c.coder.fits(target, offset, size) {
 		// (Nothing outside the window geometry is ever cached.)
-		pk := c.coder.pack(target, offset, size)
-		h := c.coder.hash(target, offset, size)
-		if slot := c.tab.lookup(pk, h); slot >= 0 {
+		if slot := c.tab.lookup(c.key(target, offset, size)); slot >= 0 {
 			id := c.tab.ents[slot]
 			e := &c.alloc.recs[id]
 			e.score = score
@@ -600,39 +643,20 @@ func (c *Cache) Contains(target, offset, size int) bool {
 	if !c.coder.fits(target, offset, size) {
 		return false
 	}
-	return c.tab.lookup(c.coder.pack(target, offset, size), c.coder.hash(target, offset, size)) >= 0
+	return c.tab.lookup(c.key(target, offset, size)) >= 0
 }
 
-// Region is the window coordinate of one get.
-type Region struct{ Target, Offset, Size int }
-
-// Preload reads, for each region, the two words a get of it would miss the
-// host's cache on first — the head of the bucket lane it probes and, for the
-// miss path, its slot in the compulsory-miss set — so that their lines are
-// resident by the time the gets arrive. Every address is computed before any
-// is loaded, so the loads issue back to back and their misses overlap, where
-// the gets would take them one at a time (lcc's stageAhead calls this for a
-// batch of upcoming gets). It is invisible to the model and to the cache: no
-// statistic, tick, stamp or entry changes, and it is not an operation of the
-// single-owner contract (no enter). A region outside the window geometry is
-// skipped. The returned sum of the words means nothing; it is there so that
-// the loads are not dead code.
-func (c *Cache) Preload(regions []Region) (sum uint64) {
-	var lane, seen [16]int
-	for len(regions) > 0 {
-		chunk := regions[:min(len(regions), len(lane))]
-		regions = regions[len(chunk):]
-		n := 0
-		for _, r := range chunk {
-			if c.coder.fits(r.Target, r.Offset, r.Size) {
-				lane[n] = c.tab.bucketOf(c.coder.hash(r.Target, r.Offset, r.Size)) * 2 * c.tab.assoc
-				seen[n] = c.seen.slot(c.coder.pack(r.Target, r.Offset, r.Size))
-				n++
-			}
-		}
-		for i := range n {
-			sum += c.tab.lane[lane[i]] + c.seen.tab[seen[i]]
-		}
+// Preload reads, for each key, the words a get of it would miss the host's
+// cache on first — the head of the bucket lane it probes, the bucket's
+// record ids a miss's insertion writes, and its slot in the compulsory-miss
+// set — back to back, so that their misses overlap where the gets would take
+// them one at a time (lcc's stageAhead calls this for a batch of upcoming
+// gets). It is invisible to the model and to the cache: no statistic, tick,
+// stamp or entry changes, and it is not an operation of the single-owner
+// contract (no enter). The returned sum means nothing; it keeps the loads.
+func (c *Cache) Preload(keys []Key) (sum uint64) {
+	for _, k := range keys {
+		sum += c.tab.lane[k.lane] + uint64(c.tab.ents[k.lane/2]) + c.seen.tab[c.seen.slot(k.pk)]
 	}
 	return sum
 }
@@ -687,7 +711,7 @@ func (c *Cache) checkInvariants() error {
 		}
 		e := &c.alloc.recs[id]
 		key := c.tab.lane[int(e.meta)-c.tab.assoc]
-		if int(e.slot) != slot || key == 0 || c.tab.lookup(key, c.coder.hash(c.coder.unpack(key))) != slot {
+		if int(e.slot) != slot || key == 0 || c.tab.lookup(c.key(c.coder.unpack(key))) != slot {
 			return fmt.Errorf("clampi: record %d (key %#x) in slot %d is out of sync with its lane", id, key, slot)
 		}
 		if i := c.victims.pos[id]; i < 0 || c.victims.h[i].id != id {

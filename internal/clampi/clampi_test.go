@@ -333,7 +333,7 @@ func TestExtentReuseAfterConflictEviction(t *testing.T) {
 	_, _, c := testSetup(t, 1<<12, Config{Capacity: 4 * size, Buckets: 2})
 	var home [2][]int // offsets by bucket
 	for off := 0; off < 1<<12; off += size {
-		b := c.tab.bucketOf(c.coder.hash(1, off, size))
+		b := int(c.key(1, off, size).lane) / (2 * c.tab.assoc)
 		home[b] = append(home[b], off)
 	}
 	if len(home[0]) < 5 || len(home[1]) < 4 {

@@ -1,6 +1,8 @@
 package clampi
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -43,6 +45,33 @@ func complete(q *Request, between func()) {
 	q.Release()
 }
 
+// churnKeys, when a test sets it, routes the churns' gets through GetInto
+// with keys handed over: each coordinate's key is derived on its first
+// access and reused from then on — across inserts, evictions and flushes,
+// up to the next Reset — and passed through Confirm with the previous
+// access's key when it has none yet. Nil runs the pooled gets, which derive
+// the key at the get.
+var churnKeys map[[3]int]Key
+
+// churnGet is one churn access to rank 1's region.
+func churnGet(c *Cache, off, size int, score float64, between func()) {
+	if churnKeys == nil {
+		complete(c.GetScored(1, off, size, score), between)
+		return
+	}
+	at := [3]int{1, off, size}
+	k, ok := churnKeys[at]
+	if !ok {
+		k = c.Confirm(churnKeys[[3]int{}], 1, off, size)
+		churnKeys[at], churnKeys[[3]int{}] = k, k
+	}
+	var q Request
+	c.GetInto(&q, c.Confirm(k, 1, off, size), score)
+	between()
+	q.Wait()
+	between()
+}
+
 // churnLRU: unscored gets of mixed sizes over a working set a few times the
 // buffer, re-touching recent regions so hits stale the heap's snapshots.
 func churnLRU(c *Cache, seed uint64, between func()) {
@@ -59,7 +88,7 @@ func churnLRU(c *Cache, seed uint64, between func()) {
 			}
 		}
 		recent[i%len(recent)] = [2]int{off, size}
-		complete(c.Get(1, off, size), between)
+		churnGet(c, off, size, math.NaN(), between)
 	}
 }
 
@@ -77,7 +106,7 @@ func churnDegree(c *Cache, seed uint64, between func()) {
 		size := 16 + 16*rng.IntN(12)
 		off := 16 * rng.IntN((digestRegion/2-size)/16)
 		score := float64(1 + (off/16)%8)
-		complete(c.GetScored(1, off, size, score), between)
+		churnGet(c, off, size, score, between)
 	}
 }
 
@@ -93,9 +122,9 @@ func churnUpdate(c *Cache, seed uint64, between func()) {
 		case 0:
 			c.SetScore(1, off, size, float64(rng.IntN(6)))
 		case 1:
-			complete(c.GetScored(1, off, size, float64(rng.IntN(6))), between)
+			churnGet(c, off, size, float64(rng.IntN(6)), between)
 		default:
-			complete(c.Get(1, off, size), between)
+			churnGet(c, off, size, math.NaN(), between)
 		}
 	}
 }
@@ -149,12 +178,68 @@ func TestVictimOrderDigest(t *testing.T) {
 	}
 }
 
+// TestKeysHandedOverMatchDerived runs every churn with its gets fed keys
+// derived long before (churnKeys) and requires what the gets that derive
+// their own produce: the recorded eviction order, the statistics to the bit
+// and consistent structures, on a fresh instance and on one just Reset (whose
+// keys are derived again: a key lasts until its cache's Reset). KeyOf refuses
+// a coordinate outside the window geometry with the get's own panic.
+func TestKeysHandedOverMatchDerived(t *testing.T) {
+	idle := func() {}
+	defer func() { churnKeys = nil }()
+	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8})
+	churnDegree(used, 5, idle)
+	for i, tc := range digestCases {
+		_, _, quiet := testSetup(t, digestRegion, tc.cfg)
+		tc.churn(quiet, uint64(i), idle)
+		want := quiet.Stats()
+
+		r, w, fresh := testSetup(t, digestRegion, tc.cfg)
+		for _, c := range []*Cache{fresh, used.Reset(r, w, tc.cfg)} {
+			churnKeys = map[[3]int]Key{}
+			sum := evictionDigest(c)
+			tc.churn(c, uint64(i), idle)
+			churnKeys = nil
+			if got, n := sum(); got != tc.digest || n != tc.count {
+				t.Errorf("%s: digest %#x over %d evictions with keys handed over, recorded %#x over %d",
+					tc.name, got, n, tc.digest, tc.count)
+			}
+			if got := c.Stats(); got != want {
+				t.Errorf("%s: statistics with keys handed over\n got  %+v\n want %+v", tc.name, got, want)
+			}
+			if err := c.checkInvariants(); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		}
+	}
+	for _, at := range [][3]int{{2 + 1<<20, 0, 8}, {1, -8, 8}, {1, 0, 1 << 40}} {
+		mustPanicWith(t, outsideMsg(at), func() { used.KeyOf(at[0], at[1], at[2]) })
+	}
+}
+
+// outsideMsg is the panic of a get, or a KeyOf, outside the window geometry.
+func outsideMsg(at [3]int) string {
+	return fmt.Sprintf("clampi: get (target %d, offset %d, size %d) outside window geometry", at[0], at[1], at[2])
+}
+
+// mustPanicWith runs f and requires it to panic with exactly msg.
+func mustPanicWith(t *testing.T, msg string, f func()) {
+	t.Helper()
+	defer func() {
+		if got := recover(); got != msg {
+			t.Errorf("panic %v, want %q", got, msg)
+		}
+	}()
+	f()
+}
+
 // TestPreloadIsModelInvisible replays the churns with Preload called between
-// every two operations — on regions that are cached, that are not, and that
-// lie outside the window geometry; on a fresh instance and on one just Reset;
-// across the churns' own flushes — and requires
-// the recorded eviction order, the statistics of the undisturbed run to the
-// bit, and consistent structures.
+// every two operations — on keys of regions that are cached, that are not,
+// and of the rank's own region; on a fresh instance and on one just Reset;
+// across the churns' own flushes, with KeyOf refusing coordinates outside
+// the window geometry in between — and requires the recorded eviction order,
+// the statistics of the undisturbed run to the bit, and consistent
+// structures.
 func TestPreloadIsModelInvisible(t *testing.T) {
 	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8})
 	for i, tc := range digestCases {
@@ -166,23 +251,24 @@ func TestPreloadIsModelInvisible(t *testing.T) {
 		for _, c := range []*Cache{fresh, used.Reset(r, w, tc.cfg)} {
 			rng := rand.New(rand.NewPCG(uint64(i), 9))
 			preload := func() {
-				var regions [24]Region // more than one of Preload's chunks
-				n := 1 + rng.IntN(len(regions))
-				for j := range regions[:n] {
+				var keys [24]Key
+				n := 1 + rng.IntN(len(keys))
+				for j := range keys[:n] {
 					switch rng.IntN(8) {
-					case 0: // no such rank, offset or size
-						regions[j] = [...]Region{
+					case 0: // no such rank, offset or size: no key
+						at := [...][3]int{
 							{2 + rng.IntN(1<<20), rng.IntN(digestRegion), 8},
 							{1, -1 - rng.IntN(digestRegion), 8},
 							{1, 0, 2*digestRegion + rng.IntN(1<<40)},
 						}[rng.IntN(3)]
+						mustPanicWith(t, outsideMsg(at), func() { keys[j] = c.KeyOf(at[0], at[1], at[2]) })
 					case 1: // the rank's own region, which a get would not cache
-						regions[j] = Region{0, rng.IntN(digestRegion), 8}
+						keys[j] = c.KeyOf(0, rng.IntN(digestRegion), 8)
 					default:
-						regions[j] = Region{1, 8 * rng.IntN(digestRegion/8), 8 + 8*rng.IntN(40)}
+						keys[j] = c.KeyOf(1, 8*rng.IntN(digestRegion/8), 8+8*rng.IntN(40))
 					}
 				}
-				c.Preload(regions[:n])
+				c.Preload(keys[:n])
 			}
 			preload()
 			sum := evictionDigest(c)

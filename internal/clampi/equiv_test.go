@@ -207,13 +207,18 @@ func TestTableEquivalence(t *testing.T) {
 		offset := rng.IntN(1<<12 - size)
 		k := coder.pack(target, offset, size)
 		h := coder.hash(target, offset, size)
-		if got, want := tab.lookup(k, h), refFind(k, h); got != want {
+		key := Key{k, tab.laneOf(h)}
+		if got, want := tab.lookup(key), refFind(k, h); got != want {
 			t.Fatalf("step %d: lookup = %d, reference %d", step, got, want)
 		}
-		if got, want := tab.freeSlot(h), refFree(h); got != want {
-			t.Fatalf("step %d: freeSlot = %d, reference %d", step, got, want)
+		free := -1
+		if way := tab.freeWay(key); way >= 0 {
+			free = int(key.lane/2) + way
 		}
-		switch slot := tab.lookup(k, h); {
+		if want := refFree(h); free != want {
+			t.Fatalf("step %d: free slot = %d, reference %d", step, free, want)
+		}
+		switch slot := tab.lookup(key); {
 		case slot >= 0 && rng.Float64() < 0.4:
 			if metas[slot] != wantMeta(slot) {
 				t.Fatalf("step %d: slot %d has meta word %d, want %d", step, slot, metas[slot], wantMeta(slot))
@@ -221,9 +226,13 @@ func TestTableEquivalence(t *testing.T) {
 			tab.remove(uint32(slot), metas[slot])
 			refSlots[slot] = 0
 		case slot < 0:
-			if free := tab.freeSlot(h); free >= 0 {
+			if free >= 0 {
 				tick++
-				metas[free] = tab.insertAt(free, uint32(free+1), k, tick)
+				s, mi := tab.insertAt(key, free-int(key.lane/2), uint32(free+1), tick)
+				if int(s) != free {
+					t.Fatalf("step %d: insertAt filled slot %d, want %d", step, s, free)
+				}
+				metas[free] = mi
 				refSlots[free] = k
 			}
 		}

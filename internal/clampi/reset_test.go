@@ -76,9 +76,9 @@ func TestResetRefusesAbandonedCache(t *testing.T) {
 	mustPanicClampi(t, "Reset with a pooled miss in flight", func() { c.Reset(r, w, cfg) })
 	q.Wait()
 	var own Request
-	c.GetInto(&own, 1, 64, 64, math.NaN())
+	c.GetInto(&own, c.KeyOf(1, 64, 64), math.NaN())
 	mustPanicClampi(t, "Reset with a caller-owned miss in flight", func() { c.Reset(r, w, cfg) })
-	mustPanicClampi(t, "GetInto over a miss in flight", func() { c.GetInto(&own, 1, 128, 64, math.NaN()) })
+	mustPanicClampi(t, "GetInto over a miss in flight", func() { c.GetInto(&own, c.KeyOf(1, 128, 64), math.NaN()) })
 	own.Wait()
 	c.Reset(r, w, cfg)
 	if c.inflight != 0 {

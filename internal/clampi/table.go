@@ -9,7 +9,8 @@ import "math"
 //
 // The bucket of a key is h % buckets where h is the keyCoder hash — a
 // mapping pinned by the golden tests (it decides which keys conflict), so
-// the table takes the hash as an argument rather than choosing its own.
+// the table takes the hash as an argument rather than choosing its own, once
+// per access (laneOf; a Key carries the result).
 //
 // Layout: each bucket owns one contiguous "lane" of 2*assoc words —
 // assoc packed keys followed by assoc meta words. A meta word carries the
@@ -69,21 +70,20 @@ func (t *table) clearFor(buckets, assoc int) {
 	t.lane, t.ents = t.lane[:nl], t.ents[:ne]
 }
 
-func (t *table) bucketOf(h uint64) int { return int(t.magic.mod(h)) }
+// laneOf returns the index of the first lane word of the bucket h selects.
+func (t *table) laneOf(h uint64) uint32 { return uint32(int(t.magic.mod(h)) * 2 * t.assoc) }
 
-// lookup returns the slot index (bucket*assoc + way) holding packed key k,
-// or -1. The probe walks only the bucket's key words. Key 0 — the only
-// packable coordinate with size 0 — is never stored (insert rejects empty
-// regions), and must not match the empty-slot sentinel.
-func (t *table) lookup(k, h uint64) int {
-	if k == 0 {
+// lookup returns the slot index (bucket*assoc + way = k.lane/2 + way)
+// holding k, or -1. The probe walks only the bucket's key words. Key 0 — the
+// only packable coordinate with size 0 — is never stored (insert rejects
+// empty regions), and must not match the empty-slot sentinel.
+func (t *table) lookup(k Key) int {
+	if k.pk == 0 {
 		return -1
 	}
-	b := t.bucketOf(h)
-	base := b * 2 * t.assoc
-	for i := 0; i < t.assoc; i++ {
-		if t.lane[base+i] == k {
-			return b*t.assoc + i
+	for i, w := range t.lane[k.lane:][:t.assoc] {
+		if w == k.pk {
+			return int(k.lane/2) + i
 		}
 	}
 	return -1
@@ -91,20 +91,18 @@ func (t *table) lookup(k, h uint64) int {
 
 // lookupTouch is lookup fused with the hit-path meta refresh: on a match
 // the slot's tick is replaced and its stamp incremented in the same lane
-// line the probe just read, with no slot→bucket back-derivation. Misses
-// leave the table untouched.
-func (t *table) lookupTouch(k, h, tick uint64) int {
-	if k == 0 {
+// line the probe just read. Misses leave the table untouched.
+func (t *table) lookupTouch(k Key, tick uint64) int {
+	if k.pk == 0 {
 		return -1
 	}
-	b := t.bucketOf(h)
-	base := b * 2 * t.assoc
+	base := int(k.lane)
 	for i := 0; i < t.assoc; i++ {
-		if t.lane[base+i] == k {
+		if t.lane[base+i] == k.pk {
 			mi := base + t.assoc + i
 			m := t.lane[mi]
 			t.lane[mi] = tick<<metaStampBits | (m+1)&metaStampMask
-			return b*t.assoc + i
+			return base/2 + i
 		}
 	}
 	return -1
@@ -122,32 +120,29 @@ func (t *table) bumpStamp(mi uint32) {
 	t.lane[mi] = m&^uint64(metaStampMask) | (m+1)&metaStampMask
 }
 
-// freeSlot returns a free slot index in the key's bucket, or -1 if the
-// bucket is full (a conflict). It probes the lane's key words (0 = empty,
-// the same line the preceding lookup warmed) rather than the id array.
-func (t *table) freeSlot(h uint64) int {
-	b := t.bucketOf(h)
-	base := b * 2 * t.assoc
-	for i := 0; i < t.assoc; i++ {
-		if t.lane[base+i] == 0 {
-			return b*t.assoc + i
+// freeWay returns a free way of k's bucket, or -1 if the bucket is full (a
+// conflict). It probes the lane's key words (0 = empty, the same line the
+// preceding lookup warmed) rather than the id array.
+func (t *table) freeWay(k Key) int {
+	for i, w := range t.lane[k.lane:][:t.assoc] {
+		if w == 0 {
+			return i
 		}
 	}
 	return -1
 }
 
-// insertAt places record id under key k in slot idx (previously obtained
-// from freeSlot) with the given insertion tick and a fresh stamp, and
-// returns the index of the slot's meta word: the record keeps it, so
-// nothing after the insert divides by the associativity again.
-func (t *table) insertAt(idx int, id uint32, k, tick uint64) uint32 {
-	b, i := idx/t.assoc, idx%t.assoc
-	mi := b*2*t.assoc + t.assoc + i
-	t.lane[mi-t.assoc] = k
+// insertAt places record id under k in way `way` of its bucket (previously
+// obtained from freeWay) with the given insertion tick and a fresh stamp,
+// and returns the slot and the index of the slot's meta word: the record
+// keeps both, so nothing after the insert derives them again.
+func (t *table) insertAt(k Key, way int, id uint32, tick uint64) (slot, mi uint32) {
+	slot, mi = k.lane/2+uint32(way), k.lane+uint32(t.assoc+way)
+	t.lane[k.lane+uint32(way)] = k.pk
 	t.lane[mi] = tick << metaStampBits
-	t.ents[idx] = id
+	t.ents[slot] = id
 	t.n++
-	return uint32(mi)
+	return slot, mi
 }
 
 // remove empties slot idx, whose meta word is mi.
@@ -185,13 +180,14 @@ type heapItem struct {
 // minimum). The sift routines below therefore leave the array exactly as
 // container/heap's push (append + up) and pop (swap root/last + down from
 // the root) would: they move a hole along the same path instead of swapping
-// the travelling item into every level, which makes the same comparisons —
-// the item against its parent; the smaller child, right only if strictly
-// less, against the item — and the same final placement. Eviction keeps the
-// seed's lazy shape: hits bump stamps without touching the heap, dead
-// conflict victims stay as tombstones until a pop collects them. Do not
-// "optimize" the mechanics — eager invalidation or a different sift order
-// silently changes eviction order and moves SimTime bits
+// the travelling item into every level. up and down make container/heap's
+// comparisons — the item against its parent; the smaller child, right only
+// if strictly less, against the item — and pop walks down's path bottom-up
+// (see pop) to the same final placement. Eviction keeps the seed's lazy
+// shape: hits bump stamps without touching the heap, dead conflict victims
+// stay as tombstones until a pop collects them. Do not "optimize" the
+// mechanics — eager invalidation, decrease-key, a d-ary heap or a different
+// sift order silently changes eviction order and moves SimTime bits
 // (TestVictimOrderDigest).
 //
 // Each entry appears at most once: pos[id] is its index in h (-1 when
@@ -251,13 +247,38 @@ func (v *victimHeap) push(id uint32, prio float64, stamp uint32) {
 	v.up(len(v.h)-1, heapItem{prio, stamp, id})
 }
 
-// pop removes and returns the root item.
+// pop removes and returns the root item, sifting bottom-up: the root's hole
+// walks to a leaf along down's path (the smaller child, right only if
+// strictly less), then the last item climbs while the item above it is not
+// below it. The path's items never decrease, so the climb stops where down
+// stops — at the first path item not below the traveller — ties included,
+// in about half down's comparisons for a traveller bound for the bottom.
 func (v *victimHeap) pop() heapItem {
 	n := len(v.h) - 1
-	it, last := v.h[0], v.h[n]
-	v.h = v.h[:n]
+	it, x := v.h[0], v.h[n]
+	h := v.h[:n]
+	v.h = h
 	if n > 0 {
-		v.down(0, n, last)
+		i := 0
+		for j := 1; j < n; j = 2*i + 1 {
+			if j+1 < n && h[j+1].prio < h[j].prio {
+				j++
+			}
+			h[i] = h[j]
+			v.pos[h[i].id] = int32(i)
+			i = j
+		}
+		for i > 0 {
+			p := (i - 1) / 2
+			if h[p].prio < x.prio {
+				break
+			}
+			h[i] = h[p]
+			v.pos[h[i].id] = int32(i)
+			i = p
+		}
+		h[i] = x
+		v.pos[x.id] = int32(i)
 	}
 	v.pos[it.id] = -1
 	return it

@@ -125,24 +125,25 @@ func TestKeyHashSpreads(t *testing.T) {
 func TestTableLookupInsertRemove(t *testing.T) {
 	c := newKeyCoder(4, 1<<12)
 	tab := newTable(8, 2)
-	k, h := c.pack(1, 32, 8), c.hash(1, 32, 8)
-	if tab.lookup(k, h) >= 0 {
+	k := c.pack(1, 32, 8)
+	key := Key{k, tab.laneOf(c.hash(1, 32, 8))}
+	if tab.lookup(key) >= 0 {
 		t.Fatal("lookup found entry in empty table")
 	}
-	slot := tab.freeSlot(h)
-	if slot < 0 {
-		t.Fatal("no free slot in empty table")
+	way := tab.freeWay(key)
+	if way < 0 {
+		t.Fatal("no free way in empty table")
 	}
 	const id = 5
-	mi := tab.insertAt(slot, id, k, 7)
-	got := tab.lookup(k, h)
-	if got != slot || tab.ents[got] != id || tab.lane[int(mi)-tab.assoc] != k {
+	slot, mi := tab.insertAt(key, way, id, 7)
+	got := tab.lookup(key)
+	if got != int(slot) || tab.ents[got] != id || tab.lane[int(mi)-tab.assoc] != k {
 		t.Fatal("lookup missed inserted entry")
 	}
 	if tab.tick(mi) != 7 || tab.stamp(mi) != 0 {
 		t.Errorf("fresh slot meta = (tick %d, stamp %d), want (7, 0)", tab.tick(mi), tab.stamp(mi))
 	}
-	if hit := tab.lookupTouch(k, h, 9); hit != got {
+	if hit := tab.lookupTouch(key, 9); hit != got {
 		t.Fatalf("lookupTouch = %d, want %d", hit, got)
 	}
 	if tab.tick(mi) != 9 || tab.stamp(mi) != 1 {
@@ -155,15 +156,15 @@ func TestTableLookupInsertRemove(t *testing.T) {
 	if tab.n != 1 {
 		t.Errorf("n = %d", tab.n)
 	}
-	tab.remove(uint32(slot), mi)
-	if tab.lookup(k, h) >= 0 || tab.n != 0 || tab.ents[slot] != 0 {
+	tab.remove(slot, mi)
+	if tab.lookup(key) >= 0 || tab.n != 0 || tab.ents[slot] != 0 {
 		t.Error("remove did not unlink entry")
 	}
 }
 
 // idOf returns the record id of a resident region (0 if absent).
 func idOf(c *Cache, target, offset, size int) uint32 {
-	slot := c.tab.lookup(c.coder.pack(target, offset, size), c.coder.hash(target, offset, size))
+	slot := c.tab.lookup(c.key(target, offset, size))
 	if slot < 0 {
 		return 0
 	}
@@ -178,7 +179,7 @@ func TestTableBucketFullConflict(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		c.GetScored(1, i*16, 16, float64(10*(i+1))).Wait()
 	}
-	if c.tab.freeSlot(c.coder.hash(1, 99, 16)) != -1 {
+	if c.tab.freeWay(c.key(1, 99, 16)) != -1 {
 		t.Error("full bucket reported a free slot")
 	}
 	c.GetScored(1, 64, 16, 10).Wait()
@@ -196,7 +197,7 @@ func TestTableBucketFullConflict(t *testing.T) {
 
 func TestTableClearForReusesSlots(t *testing.T) {
 	tab := newTable(8, 2)
-	tab.insertAt(0, 1, 1, 1)
+	tab.insertAt(Key{1, 0}, 0, 1, 1)
 	before := &tab.ents[0]
 	tab.clearFor(8, 2)
 	if tab.n != 0 || tab.ents[0] != 0 || tab.lane[0] != 0 {
@@ -245,8 +246,9 @@ func (r *refHeap) Pop() any {
 
 // TestVictimHeapMatchesContainerHeap is the determinism contract's proof:
 // under random pushes, pops, re-keys and burials with priorities drawn from
-// a handful of values (ties everywhere), the hole sifts leave the array
-// exactly as container/heap's swaps do, after every operation.
+// a handful of values (ties everywhere), and then through deep heaps of two
+// and of one priority, the hole sifts leave the array exactly as
+// container/heap's swaps do, after every operation.
 func TestVictimHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 12))
 	var v victimHeap
@@ -289,6 +291,45 @@ func TestVictimHeapMatchesContainerHeap(t *testing.T) {
 		for _, id := range live {
 			if int(v.pos[id]) != ref.pos[id] {
 				t.Fatalf("step %d: pos[%d] = %d, container/heap has it at %d", step, id, v.pos[id], ref.pos[id])
+			}
+		}
+	}
+
+	// Two phases where ties dominate, each from an empty heap grown past
+	// 2^12 items, so that pop's bottom-up climb runs a dozen levels: first
+	// over two priorities, pop-heavy once grown, then over one priority
+	// throughout. Ties are the only inputs where the climb's stop rule could
+	// differ from down's.
+	for _, prios := range []int{2, 1} {
+		pop := func(step int) {
+			if got, want := v.pop(), heap.Pop(ref).(heapItem); got != want {
+				t.Fatalf("%d priorities, step %d: pop = %+v, container/heap %+v", prios, step, got, want)
+			}
+		}
+		for len(v.h) > 0 {
+			pop(-1)
+		}
+		grown := false
+		for step := 0; len(v.h) > 0 || !grown; step++ {
+			grown = grown || len(v.h) > 1<<12+1<<10
+			// Growing: three pushes per pop. Grown: three pops per push.
+			if push := rng.IntN(4) != 0; len(v.h) == 0 || push != grown {
+				prio := float64(rng.IntN(prios))
+				v.push(next, prio, 0)
+				heap.Push(ref, heapItem{prio, 0, next})
+				next++
+			} else {
+				pop(step)
+			}
+			if !slices.Equal(v.h, ref.h) {
+				t.Fatalf("%d priorities, step %d: heap arrays diverged", prios, step)
+			}
+			if step%256 == 0 {
+				for id, i := range ref.pos {
+					if int(v.pos[id]) != i {
+						t.Fatalf("%d priorities, step %d: pos[%d] = %d, container/heap has it at %d", prios, step, id, v.pos[id], i)
+					}
+				}
 			}
 		}
 	}

@@ -45,13 +45,13 @@ func TestGetIntoAllocFree(t *testing.T) {
 	defer r.UnlockAll(w)
 	c := New(r, w, Config{Capacity: 1 << 10})
 	var q Request
-	c.GetInto(&q, 1, 0, 256, math.NaN())
+	c.GetInto(&q, c.KeyOf(1, 0, 256), math.NaN())
 	if q.Hit() || c.inflight != 1 {
 		t.Fatalf("first access: hit %v, inflight %d; want a miss in flight", q.Hit(), c.inflight)
 	}
 	q.Wait()
 	if got := testing.AllocsPerRun(200, func() {
-		c.GetInto(&q, 1, 0, 256, math.NaN())
+		c.GetInto(&q, c.KeyOf(1, 0, 256), math.NaN())
 		if !q.Hit() {
 			t.Fatal("GetInto missed a resident region")
 		}
@@ -62,7 +62,7 @@ func TestGetIntoAllocFree(t *testing.T) {
 	i := 0
 	if got := testing.AllocsPerRun(200, func() {
 		i++
-		c.GetInto(&q, 1, (i%64)*1024, 512, float64(i)) // 1 KiB cache: misses and evicts
+		c.GetInto(&q, c.KeyOf(1, (i%64)*1024, 512), float64(i)) // 1 KiB cache: misses and evicts
 		q.Wait()
 		_ = q.Data()
 	}); got != 0 {
@@ -141,7 +141,7 @@ func TestGetIntoMatchesGet(t *testing.T) {
 				}
 				q := &own
 				if owned {
-					c.GetInto(q, 1, off, 64, score)
+					c.GetInto(q, c.KeyOf(1, off, 64), score)
 				} else {
 					q = c.GetScored(1, off, 64, score)
 				}
@@ -178,14 +178,14 @@ func TestGetIntoMatchesGet(t *testing.T) {
 	}
 }
 
-// TestGetPanicLeavesCacheUsable: the geometry contract panic of a get
-// precedes enter(), like Release's, so a caller that recovers it can go on
-// using the cache.
+// TestGetPanicLeavesCacheUsable: the geometry contract panic of a get, or of
+// the KeyOf a GetInto is fed, precedes enter(), like Release's, so a caller
+// that recovers it can go on using the cache.
 func TestGetPanicLeavesCacheUsable(t *testing.T) {
 	_, _, c := testSetup(t, 1<<12, Config{Capacity: 1 << 10})
 	var own Request
 	mustPanicClampi(t, "Get outside the window geometry", func() { c.Get(1, 1<<40, 64) })
-	mustPanicClampi(t, "GetInto outside the window geometry", func() { c.GetInto(&own, 7, 0, 64, math.NaN()) })
+	mustPanicClampi(t, "KeyOf outside the window geometry", func() { c.GetInto(&own, c.KeyOf(7, 0, 64), math.NaN()) })
 	q := c.Get(1, 0, 64)
 	q.Wait()
 	q.Release()

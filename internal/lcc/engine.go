@@ -467,6 +467,12 @@ type worker struct {
 	scanLi, scanJ     int
 	fetchA, fetchB    fetch
 
+	// keys[i] are ring[i]'s C_offsets and C_adj keys, when stageAhead
+	// derived them (a caching worker on a snapshot past the stage gate);
+	// start and mid hand them to the gets, which derive a key again when
+	// one does not match (clampi.Cache.Confirm).
+	keys [fetchLookahead][2]clampi.Key
+
 	// Compressed-locals decode state. compLoc is resolved once at
 	// construction so the per-edge paths branch on a flag, not an
 	// interface. Each consumer of an owned list keeps its own reuse
@@ -569,7 +575,8 @@ const stageMinBytes = 2 << 20
 //  3. the line of its list the visit cuts at — start + upper offset, the
 //     middle of the list while the word is unfilled or names a hub entry —
 //     and, for a remote neighbour with caching on, what its two gets probe
-//     first in C_offsets and C_adj (clampi.Cache.Preload).
+//     first in C_offsets and C_adj (clampi.Cache.Preload), through the two
+//     keys it derives here once and leaves in keys for start and mid.
 //
 // Level 3 computes every address before it loads any: the loads of one edge
 // behind the address arithmetic of the next would keep only two or three in
@@ -595,7 +602,7 @@ func (w *worker) stageAhead(batch []pipeEdge) {
 		}
 	}
 	var line [fetchLookahead]*graph.V
-	var off, adj [fetchLookahead]clampi.Region
+	var off, adj [fetchLookahead]clampi.Key
 	lines, remote := 0, 0
 	for i := range batch {
 		slot, li := unpackResolve(batch[i].rv)
@@ -607,10 +614,12 @@ func (w *worker) stageAhead(batch []pipeEdge) {
 			line[lines] = &list[at] // compressed locals have no plain list to read
 			lines++
 		}
-		if w.cOff != nil && slot != w.slot {
-			owner := w.ownerBase + slot
-			off[remote] = clampi.Region{Target: owner, Offset: 16 * li, Size: 16}
-			adj[remote] = clampi.Region{Target: owner, Offset: 4 * int(start), Size: 4 * int(end-start)}
+		// Level 2 read the pair inside the owner's offsets region, so the
+		// offsets get is inside the window; the list must be too.
+		if owner := w.ownerBase + slot; w.cOff != nil && slot != w.slot && end <= uint64(w.wAdj.SizeAt(owner))/4 {
+			off[remote] = w.cOff.KeyOf(owner, 16*li, 16)
+			adj[remote] = w.cAdj.KeyOf(owner, 4*int(start), 4*int(end-start))
+			w.keys[i] = [2]clampi.Key{off[remote], adj[remote]}
 			remote++
 		}
 	}
@@ -639,22 +648,22 @@ func unpackResolve(rv uint64) (slot, li int) {
 	return int(rv >> resolveLiBits), int(rv & (1<<resolveLiBits - 1))
 }
 
-// popEdge takes the next staged edge. When the ring runs dry it is refilled
-// in a batch and, on a snapshot large enough (Snapshot.ahead), read ahead for
-// (stageAhead).
-func (w *worker) popEdge() (pipeEdge, bool) {
+// popEdge takes the next staged edge and its keys. When the ring runs dry it
+// is refilled in a batch and, on a snapshot large enough (Snapshot.ahead),
+// read ahead for (stageAhead).
+func (w *worker) popEdge() (pipeEdge, *[2]clampi.Key, bool) {
 	if w.ringHead == w.ringLen {
 		w.refillRing()
 		if w.ringLen == 0 {
-			return pipeEdge{}, false
+			return pipeEdge{}, nil, false
 		}
 		if w.ahead {
 			w.stageAhead(w.ring[:w.ringLen])
 		}
 	}
-	e := w.ring[w.ringHead]
+	i := w.ringHead
 	w.ringHead++
-	return e, true
+	return w.ring[i], &w.keys[i], true
 }
 
 // newWorker builds rank r's execution state over snapshot s, in a world of
@@ -697,8 +706,11 @@ type fetch struct {
 	list  []graph.V // a local fetch's list, resolved by start
 
 	// adjacency-window coordinates of the second get (set by mid), used
-	// by the score policies to address the cached entry
+	// by the score policies to address the cached entry, and the key
+	// stageAhead predicted for it (start keeps it for mid to confirm; a
+	// degraded offsets get leaves an earlier edge's, which mid re-derives)
 	adjOff, adjSize int
+	adjKey          clampi.Key
 
 	// offQ/adjQ are the direct gets, offC/adjC the ones through C_offsets
 	// and C_adj. A stage picks its flavor when it issues — cached if the
@@ -716,8 +728,9 @@ type fetch struct {
 	dec []graph.V
 }
 
-// start issues e's first get (or resolves a local list immediately).
-func (w *worker) start(f *fetch, e pipeEdge) {
+// start issues e's first get (or resolves a local list immediately); keys
+// are e's staged keys, possibly stale ones of an earlier edge.
+func (w *worker) start(f *fetch, e pipeEdge, keys *[2]clampi.Key) {
 	vj := e.vj
 	slot, li := unpackResolve(e.rv)
 	if slot == w.slot {
@@ -752,7 +765,8 @@ func (w *worker) start(f *fetch, e pipeEdge) {
 	// direct get serves the same window bytes uncached.
 	f.offCached = w.cOff != nil && w.cOff.Available()
 	if f.offCached {
-		w.cOff.GetInto(&f.offC, f.owner, 16*li, 16, math.NaN())
+		f.adjKey = keys[1]
+		w.cOff.GetInto(&f.offC, w.cOff.Confirm(keys[0], f.owner, 16*li, 16), math.NaN())
 	} else {
 		w.r.GetInto(&f.offQ, w.wOff, f.owner, 16*li, 16)
 	}
@@ -793,7 +807,7 @@ func (w *worker) mid(f *fetch) {
 		w.seq++
 		score = float64(deg) * (1 + float64(w.seq)*1e-7)
 	}
-	w.cAdj.GetInto(&f.adjC, f.owner, f.adjOff, f.adjSize, score)
+	w.cAdj.GetInto(&f.adjC, w.cAdj.Confirm(f.adjKey, f.owner, f.adjOff, f.adjSize), score)
 	if w.opt.AdjScorePolicy == ScoreDegreeRecency && f.adjC.Hit() {
 		w.cAdj.SetScore(f.owner, f.adjOff, f.adjSize, score)
 	}
@@ -846,9 +860,9 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 	// issues through, so no per-edge struct zeroing is needed.
 	cur, nxt := &w.fetchA, &w.fetchB
 
-	e, ok := w.popEdge()
+	e, keys, ok := w.popEdge()
 	if ok {
-		w.start(cur, e)
+		w.start(cur, e, keys)
 	}
 	for ok {
 		// Complete the offsets get and fire the dependent adjacency
@@ -866,9 +880,9 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 		var en pipeEdge
 		var okn bool
 		if w.opt.DoubleBuffer {
-			en, okn = w.popEdge()
+			en, keys, okn = w.popEdge()
 			if okn {
-				w.start(nxt, en)
+				w.start(nxt, en, keys)
 			}
 		}
 
@@ -878,9 +892,9 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 			e, ok = en, okn
 			cur, nxt = nxt, cur
 		} else {
-			e, ok = w.popEdge()
+			e, keys, ok = w.popEdge()
 			if ok {
-				w.start(cur, e)
+				w.start(cur, e, keys)
 			}
 		}
 	}

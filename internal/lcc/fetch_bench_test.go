@@ -91,7 +91,7 @@ func harnessWorker(tb testing.TB, g graph.Store, opt Options) *worker {
 // worker and returns the resolved list length.
 func (h *fetchHarness) fetchOnce(vj graph.V) int {
 	f := &h.w.fetchA
-	h.w.start(f, pipeEdge{vj: vj, rv: h.w.resolve[vj]})
+	h.w.start(f, pipeEdge{vj: vj, rv: h.w.resolve[vj]}, &h.w.keys[0])
 	h.w.mid(f)
 	return len(h.w.finish(f))
 }
