@@ -126,13 +126,19 @@ func (ca *CompressedAdj) DecodeList(i int, buf []V) []V {
 }
 
 // validate holds a whole graph's stream to what ValidateQuick asks of a
-// plain adjacency, decoding every list once into one reused buffer: each
-// list is exactly its degree in exactly its byte range, every id is below
-// the list count, and no list holds its own index. Strict order follows
-// from the delta code.
+// plain adjacency, decoding every list once, a vertex range per core
+// (checkSpans) and one reused buffer per range: each list is exactly its
+// degree in exactly its byte range, every id is below the list count, and
+// no list holds its own index. Strict order follows from the delta code.
+// Both offset arrays must already be checked monotone and bounded.
 func (ca *CompressedAdj) validate() error {
+	return checkSpans(ca.lists, ca.lists+len(ca.data), ca.byteOffAt, ca.validateRange)
+}
+
+// validateRange is validate's pass over lists [lo, hi).
+func (ca *CompressedAdj) validateRange(lo, hi int) error {
 	var buf []V
-	for i := 0; i < ca.lists; i++ {
+	for i := lo; i < hi; i++ {
 		section := ca.data[ca.byteOffAt(i):ca.byteOffAt(i+1)]
 		deg := ca.DegreeOf(i)
 		if deg > len(section) { // every id takes a byte: bounds buf by the stream

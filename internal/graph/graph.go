@@ -165,6 +165,8 @@ func (g *Graph) Validate() error {
 // bounded offsets, strictly sorted in-range adjacency lists, no self-loops.
 // It skips the O(m log d) undirected-symmetry check of Validate, which is
 // what makes it usable on billion-arc loads; the binary readers use it.
+// The vertex ranges are checked on every core (checkSpans); the error
+// reported is the lowest vertex's, as one pass from vertex 0 meets it.
 func (g *Graph) ValidateQuick() error {
 	n := g.NumVertices()
 	if len(g.offsets) == 0 {
@@ -176,21 +178,34 @@ func (g *Graph) ValidateQuick() error {
 	if g.offsets[n] != uint64(len(g.adj)) {
 		return fmt.Errorf("graph: offsets[n] = %d, want %d", g.offsets[n], len(g.adj))
 	}
-	for v := 0; v < n; v++ {
-		if g.offsets[v] > g.offsets[v+1] {
+	return checkSpans(n, n+len(g.adj), func(v int) uint64 { return g.offsets[v] }, g.validateRange)
+}
+
+// validateRange is ValidateQuick's per-vertex pass over vertices [lo, hi).
+// An end past the arcs is reported, not sliced, so no range panics on
+// offsets that decrease only further on.
+func (g *Graph) validateRange(lo, hi int) error {
+	n, off, adj := g.NumVertices(), g.offsets, g.adj
+	for v := lo; v < hi; v++ {
+		start, end := off[v], off[v+1]
+		if start > end {
 			return fmt.Errorf("graph: offsets not monotone at vertex %d", v)
 		}
-		a := g.Adj(V(v))
-		for i, w := range a {
+		if end > uint64(len(adj)) {
+			return fmt.Errorf("graph: offsets[%d] = %d, past the %d arcs", v+1, end, len(adj))
+		}
+		prev := int64(-1)
+		for i, w := range adj[start:end] {
 			if int(w) >= n {
 				return fmt.Errorf("graph: vertex %d has out-of-range neighbour %d (n=%d)", v, w, n)
 			}
 			if w == V(v) {
 				return fmt.Errorf("graph: vertex %d has a self-loop", v)
 			}
-			if i > 0 && a[i-1] >= w {
+			if int64(w) <= prev {
 				return fmt.Errorf("graph: adjacency of vertex %d not strictly sorted at index %d", v, i)
 			}
+			prev = int64(w)
 		}
 	}
 	return nil

@@ -489,8 +489,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 // returned unless the header and every section match their checksums, both
 // offset arrays start at 0, never decrease and end where they must, and
 // the adjacency passes the checks of ValidateQuick: raw files directly,
-// varint files through one decode of every list into a reused buffer
-// (validate).
+// varint files through one decode of every list (validate). Those checks
+// run on every core once the section's checksum has verified, and report
+// what one pass from vertex 0 would (checkSpans).
 func ReadBinaryStore(r io.Reader) (Store, error) {
 	h, err := decodeBinHeader(r)
 	if err != nil {

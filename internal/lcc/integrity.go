@@ -24,6 +24,7 @@ import (
 	"hash/crc32"
 
 	"repro/internal/graph"
+	"repro/internal/part"
 )
 
 // Integrity section names, as reported by IntegrityError.
@@ -73,19 +74,15 @@ func checksum[T uint32 | uint64](s []T) uint32 {
 	return crc32.Checksum(graph.LEBytes(s), integrityCRC)
 }
 
-// computeSums records the build-time checksums of every rank's resident
-// tables plus the resolve table.
-func (s *Snapshot) computeSums() {
-	s.sums = make([]rankSums, len(s.locals))
-	for r, lc := range s.locals {
-		s.sums[r].offsets = checksum(lc.Offsets)
-		if lc.Comp != nil {
-			s.sums[r].adj = lc.Comp.Checksum(0, integrityCRC)
-		} else {
-			s.sums[r].adj = checksum(lc.Adj)
-		}
+// sumsOf returns the checksums of one rank's resident tables.
+func sumsOf(lc *part.LocalCSR) rankSums {
+	sums := rankSums{offsets: checksum(lc.Offsets)}
+	if lc.Comp != nil {
+		sums.adj = lc.Comp.Checksum(0, integrityCRC)
+	} else {
+		sums.adj = checksum(lc.Adj)
 	}
-	s.resolveSum = checksum(s.resolve)
+	return sums
 }
 
 // Verify re-checksums the snapshot's resident state against the sums
@@ -98,17 +95,12 @@ func (s *Snapshot) computeSums() {
 // detected fault can quarantine before the next query, not after.
 func (s *Snapshot) Verify() error {
 	for r, lc := range s.locals {
-		if got := checksum(lc.Offsets); got != s.sums[r].offsets {
-			return &IntegrityError{Rank: r, Section: SectionOffsets, Want: s.sums[r].offsets, Got: got}
+		got, want := sumsOf(lc), s.sums[r]
+		if got.offsets != want.offsets {
+			return &IntegrityError{Rank: r, Section: SectionOffsets, Want: want.offsets, Got: got.offsets}
 		}
-		var got uint32
-		if lc.Comp != nil {
-			got = lc.Comp.Checksum(0, integrityCRC)
-		} else {
-			got = checksum(lc.Adj)
-		}
-		if got != s.sums[r].adj {
-			return &IntegrityError{Rank: r, Section: SectionAdjacency, Want: s.sums[r].adj, Got: got}
+		if got.adj != want.adj {
+			return &IntegrityError{Rank: r, Section: SectionAdjacency, Want: want.adj, Got: got.adj}
 		}
 	}
 	if got := checksum(s.resolve); got != s.resolveSum {

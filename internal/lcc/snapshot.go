@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/rma"
+	"repro/internal/sched"
 )
 
 // Snapshot is the per-graph half of a distributed run: the partition, the
@@ -140,22 +141,29 @@ func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	locals := extractLocals(g, pt, so.Storage, so.MemBudgetBytes)
-	pairs := make([][]uint64, len(locals))
-	for s, lc := range locals {
-		pairs[s] = offsetPairs(lc)
-	}
+	compressed := compressLocals(g, so.Storage, so.MemBudgetBytes)
 	s := &Snapshot{
 		src: g, kind: g.Kind(), n: g.NumVertices(),
 		ranks: so.Ranks, scheme: so.Scheme, delegateBytes: so.DelegateBytes,
 		storage: so.Storage,
-		pt:      pt, locals: locals, pairs: pairs,
-		resolve: buildResolve(pt),
+		pt:      pt,
+		locals:  make([]*part.LocalCSR, so.Ranks),
+		pairs:   make([][]uint64, so.Ranks),
+		resolve: make([]uint64, g.NumVertices()),
+		sums:    make([]rankSums, so.Ranks),
 		deleg:   BuildDelegation(g, so.DelegateBytes),
 		orient:  newOrientIndex(g.NumVertices()),
 	}
+	// A rank's tables are built and summed by one core while they are still
+	// in its cache, the ranks on every core at once.
+	sched.Fan(so.Ranks, g.NumVertices()+g.NumArcs(), func(r int) {
+		lc := part.Extract(g, pt, r, compressed)
+		s.locals[r], s.pairs[r] = lc, offsetPairs(lc)
+		resolveRank(s.resolve, pt, r)
+		s.sums[r] = sumsOf(lc)
+	})
+	s.resolveSum = checksum(s.resolve)
 	s.ahead = s.LocalBytes() >= stageMinBytes
-	s.computeSums()
 	return s, nil
 }
 

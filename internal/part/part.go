@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 // Scheme selects how vertices map to ranks.
@@ -214,6 +215,15 @@ func (pt *Partition) VertexAt(rank, local int) graph.V {
 	}
 }
 
+// Stride is the step between the global ids of a rank's consecutive local
+// vertices: VertexAt(rank, li) = VertexAt(rank, 0) + li*Stride().
+func (pt *Partition) Stride() graph.V {
+	if pt.scheme == Cyclic {
+		return graph.V(pt.p)
+	}
+	return 1
+}
+
 // EdgeCut returns the fraction of arcs (u,v) whose endpoints live on
 // different ranks. The paper observes 95% cut for R-MAT S20 E24 on 8 ranks
 // and uses the cut fraction to explain why communication dominates.
@@ -328,21 +338,20 @@ func extractCompressed(g graph.Store, pt *Partition, rank int) *LocalCSR {
 	return &LocalCSR{Rank: rank, Part: pt, Offsets: offsets, Comp: comp}
 }
 
-// ExtractAll builds every rank's LocalCSR.
-func ExtractAll(g graph.Store, pt *Partition) []*LocalCSR {
-	out := make([]*LocalCSR, pt.NumRanks())
-	for r := range out {
-		out[r] = extract(g, pt, r)
+// Extract builds rank's LocalCSR, its adjacency varint/delta-compressed
+// when compressed is set.
+func Extract(g graph.Store, pt *Partition, rank int, compressed bool) *LocalCSR {
+	if compressed {
+		return extractCompressed(g, pt, rank)
 	}
-	return out
+	return extract(g, pt, rank)
 }
 
-// ExtractAllCompressed builds every rank's LocalCSR in compressed form.
-func ExtractAllCompressed(g graph.Store, pt *Partition) []*LocalCSR {
+// ExtractAll builds every rank's LocalCSR, the ranks on every core
+// (sched.Fan), as each rank reads its own chunk at once in Fig. 3 step 1.
+func ExtractAll(g graph.Store, pt *Partition) []*LocalCSR {
 	out := make([]*LocalCSR, pt.NumRanks())
-	for r := range out {
-		out[r] = extractCompressed(g, pt, r)
-	}
+	sched.Fan(len(out), g.NumVertices()+g.NumArcs(), func(r int) { out[r] = extract(g, pt, r) })
 	return out
 }
 

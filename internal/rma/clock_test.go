@@ -62,7 +62,8 @@ func TestMultipleWindowsIndependentFlush(t *testing.T) {
 	r.Accumulate(w1, 1, 0, 1)
 	r.AdvanceBy(1000)
 	r.Accumulate(w2, 1, 0, 1)
-	cost := DefaultCostModel().RemoteCost(8)
+	m := DefaultCostModel()
+	cost := m.RemoteCost(8)
 	r.FlushAll(w1)
 	if got := r.Clock().Now(); got != cost {
 		t.Errorf("flush of w1 ended at %v, want w1's horizon %v", got, cost)

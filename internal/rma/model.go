@@ -70,17 +70,17 @@ func DefaultCostModel() CostModel {
 }
 
 // RemoteCost returns α + s·β for a remote access of s bytes.
-func (m CostModel) RemoteCost(s int) float64 {
+func (m *CostModel) RemoteCost(s int) float64 {
 	return m.RemoteLatency + float64(s)*m.RemoteBytePeriod
 }
 
 // LocalCost returns the charge for reading s bytes of local memory.
-func (m CostModel) LocalCost(s int) float64 {
+func (m *CostModel) LocalCost(s int) float64 {
 	return m.LocalLatency + float64(s)*m.LocalBytePeriod
 }
 
 // HitCost returns the charge for serving s bytes from the RMA cache.
-func (m CostModel) HitCost(s int) float64 {
+func (m *CostModel) HitCost(s int) float64 {
 	return m.CacheHitLatency + float64(s)*m.LocalBytePeriod
 }
 

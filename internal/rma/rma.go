@@ -336,15 +336,22 @@ const checkpointMask = 0xff
 // checkpoint polls run cancellation. If the surrounding RunCtx has been
 // canceled, the rank unwinds here (by panic, collected by the scheduler);
 // ops between two checkpoints run exactly as in an uncanceled run, so the
-// poll never perturbs the charge sequence (DESIGN.md §8).
+// poll never perturbs the charge sequence (DESIGN.md §8). The counter and
+// the branch inline into every issue point; the poll itself does not.
 func (r *Rank) checkpoint() {
 	r.ckOps++
 	if r.ckOps&checkpointMask == 0 {
-		if r.prog != nil {
-			r.prog.Tick(r.id)
-		}
-		r.comm.pool.Checkpoint()
+		r.poll()
 	}
+}
+
+// poll is checkpoint's every-256th body: the watchdog tick and the
+// cancellation poll.
+func (r *Rank) poll() {
+	if r.prog != nil {
+		r.prog.Tick(r.id)
+	}
+	r.comm.pool.Checkpoint()
 }
 
 // Rank constructs the handle for rank id. Each id should be obtained once;

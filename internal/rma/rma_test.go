@@ -45,7 +45,8 @@ func TestGetRemoteReadsBytesAndChargesCost(t *testing.T) {
 	if got, want := q.Data(), []byte{11, 12, 13}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Data = %v, want %v", got, want)
 	}
-	want := DefaultCostModel().RemoteCost(3)
+	m := DefaultCostModel()
+	want := m.RemoteCost(3)
 	if got := r.Clock().Now(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("clock = %v, want %v (α+3β)", got, want)
 	}
@@ -87,7 +88,8 @@ func TestNonBlockingOverlap(t *testing.T) {
 	r := c.Rank(0)
 	r.LockAll(w)
 	r.Accumulate(w, 1, 0, 1)
-	r.AdvanceBy(2 * DefaultCostModel().RemoteCost(8))
+	m := DefaultCostModel()
+	r.AdvanceBy(2 * m.RemoteCost(8))
 	before := r.Clock().Now()
 	r.FlushAll(w)
 	if r.Clock().Now() != before {
@@ -105,7 +107,8 @@ func TestFlushWaitsForSlowTransfer(t *testing.T) {
 	r.LockAll(w)
 	r.Accumulate(w, 1, 0, 1)
 	r.FlushAll(w)
-	want := DefaultCostModel().RemoteCost(8)
+	m := DefaultCostModel()
+	want := m.RemoteCost(8)
 	if got := r.Counters().FlushWait; math.Abs(got-want) > 1e-9 {
 		t.Errorf("FlushWait = %v, want %v", got, want)
 	}
