@@ -61,6 +61,10 @@ type goldenRun struct {
 	sumT    int64  // closed-triplet sum
 }
 
+// goldenPerRank is the per-rank stats of the last lcc golden run, which
+// TestLedgerLaws reads the ledgers from; the grid run leaves it untouched.
+var goldenPerRank []lcc.RankStats
+
 // goldenConfigs is the single source of the pinned values: the eight
 // engine configurations the individual TestGolden* tests assert and the
 // worker sweep replays. Each run function executes its engine at the
@@ -82,6 +86,7 @@ var goldenConfigs = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
+			goldenPerRank = res.PerRank
 			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
 		},
 	},
@@ -105,6 +110,7 @@ var goldenConfigs = []struct {
 			if h, m := res.PerRank[0].AdjCache.Hits, res.PerRank[0].AdjCache.Misses; faults == nil && (h != 3592 || m != 27335) {
 				t.Errorf("cached: rank-0 C_adj hits/misses = %d/%d, want 3592/27335", h, m)
 			}
+			goldenPerRank = res.PerRank
 			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
 		},
 	},
@@ -121,6 +127,7 @@ var goldenConfigs = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
+			goldenPerRank = res.PerRank
 			return goldenRun{math.Float64bits(res.SimTime), 0, res.Triangles, -1}
 		},
 	},
@@ -135,6 +142,7 @@ var goldenConfigs = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
+			goldenPerRank = res.PerRank
 			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
 		},
 	},
@@ -151,6 +159,7 @@ var goldenConfigs = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
+			goldenPerRank = res.PerRank
 			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
 		},
 	},
@@ -165,6 +174,7 @@ var goldenConfigs = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
+			goldenPerRank = res.PerRank
 			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
 		},
 	},
@@ -179,6 +189,7 @@ var goldenConfigs = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
+			goldenPerRank = res.PerRank
 			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.Scores), -1, -1}
 		},
 	},

@@ -63,8 +63,6 @@ type Stats struct {
 	Inserts            int64
 	RejectedInserts    int64
 	Flushes            int64
-	HitTime            float64 // ns charged for cache hits
-	OverheadTime       float64 // ns of cache-management overhead on misses
 	BytesCached        int64   // current buffer occupancy
 	EntriesCached      int64   // current entry count
 	FragmentationRatio float64 // 1 - largestFree/freeBytes at snapshot time
@@ -497,7 +495,7 @@ func (c *Cache) get(q *Request, k Key, score float64) {
 		c.tick++
 		c.stats.Hits++
 		c.stats.HitBytes += int64(size)
-		c.stats.HitTime += c.rank.ChargeCacheHit(size)
+		c.rank.ChargeCacheHit(size)
 		q.hit = true
 		// The entry is bookkeeping and never touched: the data is the
 		// window's own.
@@ -521,7 +519,7 @@ func (c *Cache) get(q *Request, k Key, score float64) {
 	}
 	c.stats.Misses++
 	c.stats.MissBytes += int64(size)
-	c.stats.OverheadTime += c.rank.ChargeCacheMissOverhead()
+	c.rank.ChargeCacheMissOverhead()
 	q.size, q.key, q.score, q.xfer = size, k, score, true
 	c.rank.GetInto(&q.own, c.win, target, offset, size)
 	c.inflight++
@@ -537,7 +535,7 @@ func (c *Cache) complete(q *Request) {
 	// with CacheMissOverhead this is the cache-management overhead that
 	// makes caching a net loss when compulsory misses dominate (§IV-D-2
 	// scenario 2, the LiveJournal case).
-	c.stats.OverheadTime += c.rank.ChargeCacheManage(q.size)
+	c.rank.ChargeCacheManage(q.size)
 	c.insert(q.key, q.size, q.score)
 }
 

@@ -53,9 +53,9 @@ func TestCacheHitReturnsSameBytes(t *testing.T) {
 func TestCacheHitIsCheap(t *testing.T) {
 	r, _, c := testSetup(t, 1024, Config{Capacity: 512})
 	c.Get(1, 0, 100).Wait()
-	before := r.Clock().Now()
+	before := r.Now()
 	c.Get(1, 0, 100)
-	hitCost := r.Clock().Now() - before
+	hitCost := r.Now() - before
 	if alpha := rma.DefaultCostModel().RemoteLatency; hitCost >= alpha {
 		t.Errorf("hit cost %v ns not below remote latency %v", hitCost, alpha)
 	}

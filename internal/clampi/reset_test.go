@@ -24,7 +24,7 @@ func churn(c *Cache, seed uint64, ops, region int) float64 {
 		q.Wait()
 		q.Release()
 	}
-	return c.Rank().Clock().Now()
+	return c.Rank().Now()
 }
 
 // TestResetMatchesNew: after a differently configured use, a recycled cache

@@ -164,7 +164,7 @@ func TestGetIntoMatchesGet(t *testing.T) {
 			for i := range o.resident {
 				o.resident[i] = c.Contains(1, 64*i, 64)
 			}
-			o.stats, o.clock = c.Stats(), math.Float64bits(r.Clock().Now())
+			o.stats, o.clock = c.Stats(), math.Float64bits(r.Now())
 			return o
 		}
 		pooled, owned := run(false), run(true)

@@ -256,12 +256,11 @@ func adjBuckets(n, capacity int) int {
 // RankStats reports one rank's activity after a run.
 type RankStats struct {
 	Rank           int
-	SimTime        float64 // rank finish time, ns
-	ComputeTime    float64 // modeled compute, ns
-	CommTime       float64 // SimTime - ComputeTime: everything else is communication
-	RemoteReads    int64   // adjacency fetches that crossed ranks
-	LocalReads     int64   // adjacency fetches served locally
-	DelegatedReads int64   // fetches served from the static delegation replica
+	SimTime        float64    // rank finish time, ns
+	Ledger         rma.Ledger // where SimTime went, per charge kind
+	RemoteReads    int64      // adjacency fetches that crossed ranks
+	LocalReads     int64      // adjacency fetches served locally
+	DelegatedReads int64      // fetches served from the static delegation replica
 	RMA            rma.Counters
 	OffsetsCache   clampi.Stats // zero value when caching is off
 	AdjCache       clampi.Stats
@@ -317,7 +316,7 @@ func (res *Result) CommFraction() float64 {
 	worst := 0.0
 	for _, s := range res.PerRank {
 		if s.SimTime == res.SimTime {
-			worst = s.CommTime / s.SimTime
+			worst = s.Ledger.Comm() / s.SimTime
 		}
 	}
 	return worst
@@ -951,19 +950,14 @@ func (w *worker) run(lccOut []float64, phase, c int) int64 {
 }
 
 func (w *worker) stats() RankStats {
-	ctr := w.r.Counters()
 	s := RankStats{
 		Rank:           w.r.ID(),
-		SimTime:        w.r.Clock().Now(),
-		ComputeTime:    ctr.ComputeTime,
+		SimTime:        w.r.Now(),
+		Ledger:         w.r.Ledger(),
 		RemoteReads:    w.remoteReads,
 		LocalReads:     w.localReads,
 		DelegatedReads: w.delegatedReads,
-		RMA:            ctr,
-	}
-	s.CommTime = s.SimTime - s.ComputeTime
-	if s.CommTime < 0 {
-		s.CommTime = 0
+		RMA:            w.r.Counters(),
 	}
 	if w.cOff != nil {
 		s.OffsetsCache = w.cOff.Stats()
@@ -1009,8 +1003,7 @@ func (res *Result) AvgRemoteReadTime() float64 {
 	cost := res.AggregateRMA().GetCost
 	for _, s := range res.PerRank {
 		reads += s.RemoteReads
-		cost += s.OffsetsCache.HitTime + s.AdjCache.HitTime +
-			s.OffsetsCache.OverheadTime + s.AdjCache.OverheadTime
+		cost += s.Ledger[rma.ChargeCacheHit] + s.Ledger[rma.ChargeCacheMiss] + s.Ledger[rma.ChargeCacheManage]
 	}
 	if reads == 0 {
 		return 0
@@ -1023,7 +1016,7 @@ func (res *Result) AvgRemoteReadTime() float64 {
 func (res *Result) MaxCommTime() float64 {
 	var t float64
 	for _, s := range res.PerRank {
-		t = math.Max(t, s.CommTime)
+		t = math.Max(t, s.Ledger.Comm())
 	}
 	return t
 }

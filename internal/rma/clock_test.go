@@ -60,19 +60,19 @@ func TestMultipleWindowsIndependentFlush(t *testing.T) {
 	r.LockAll(w1)
 	r.LockAll(w2)
 	r.Accumulate(w1, 1, 0, 1)
-	r.AdvanceBy(1000)
+	advanceBy(r, 1000)
 	r.Accumulate(w2, 1, 0, 1)
 	m := DefaultCostModel()
 	cost := m.RemoteCost(8)
 	r.FlushAll(w1)
-	if got := r.Clock().Now(); got != cost {
+	if got := r.Now(); got != cost {
 		t.Errorf("flush of w1 ended at %v, want w1's horizon %v", got, cost)
 	}
 	if w1.loc[1][0] != 1 || w2.loc[1][0] != 0 {
 		t.Errorf("flush of w1 committed w1=%d w2=%d, want 1 and 0", w1.loc[1][0], w2.loc[1][0])
 	}
 	r.UnlockAll(w2) // implies flush
-	if got := r.Clock().Now(); got != 1000+cost {
+	if got := r.Now(); got != 1000+cost {
 		t.Errorf("UnlockAll(w2) ended at %v, want w2's horizon %v", got, 1000+cost)
 	}
 	if w2.loc[1][0] != 1 {
@@ -85,14 +85,32 @@ func TestComputeVsAdvanceByCounters(t *testing.T) {
 	c := NewComm(1, DefaultCostModel())
 	r := c.Rank(0)
 	r.Compute(100)
-	r.AdvanceBy(500)
-	ctr := r.Counters()
+	advanceBy(r, 500)
+	l := r.Ledger()
 	want := 100*DefaultCostModel().ComputePerOp + 500
-	if math.Abs(ctr.ComputeTime-want) > 1e-9 {
-		t.Errorf("ComputeTime = %v, want %v", ctr.ComputeTime, want)
+	if got := l[ChargeOps] + l[ChargeNS]; math.Abs(got-want) > 1e-9 || l.Comm() != 0 {
+		t.Errorf("ledger ops+ns = %v, comm = %v, want %v and 0", got, l.Comm(), want)
 	}
-	if math.Abs(r.Clock().Now()-want) > 1e-9 {
-		t.Errorf("clock = %v, want %v", r.Clock().Now(), want)
+	if math.Abs(r.Now()-want) > 1e-9 {
+		t.Errorf("clock = %v, want %v", r.Now(), want)
+	}
+}
+
+// advanceBy charges ns of work to r, booked as ChargeNS: a test's way to
+// stand a rank's clock where it needs it.
+func advanceBy(r *Rank, ns float64) { r.fold(ChargeNS, 0, ns) }
+
+// TestComputeUnderNoiseBooksStretchedTime: the ledger books the movement
+// the clock made, noise included, so stretched work stays work rather than
+// reading as communication.
+func TestComputeUnderNoiseBooksStretchedTime(t *testing.T) {
+	m := DefaultCostModel()
+	m.Noise = NoiseSpec{Amp: 0.3}
+	r := NewComm(1, m).Rank(0)
+	r.Compute(1000)
+	if l := r.Ledger(); l[ChargeOps] != r.Now() || l[ChargeOps] <= 1000*m.ComputePerOp {
+		t.Errorf("ops slot %v, clock %v: want equal and above the unperturbed %v",
+			l[ChargeOps], r.Now(), 1000*m.ComputePerOp)
 	}
 }
 
@@ -104,4 +122,16 @@ func TestRankIDValidation(t *testing.T) {
 		}
 	}()
 	c.Rank(5)
+}
+
+// TestChargeKindNames: every ledger slot, the tape's kinds and the
+// ledger-only ones alike, has a name of its own.
+func TestChargeKindNames(t *testing.T) {
+	seen := map[string]bool{}
+	for k := ChargeKind(0); k < NumLedgerSlots; k++ {
+		if n := k.String(); n == "" || n == "unknown" || seen[n] {
+			t.Errorf("kind %d: name %q empty or repeated", k, n)
+		}
+		seen[k.String()] = true
+	}
 }

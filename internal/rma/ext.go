@@ -47,7 +47,7 @@ func (r *Rank) Accumulate(w *Window, target, offset int, delta uint64) {
 func (r *Rank) issueWrite(e *epoch, target, size int) {
 	if target == r.id {
 		r.commitStaged(e.w, target)
-		r.clock.Advance(r.comm.model.LocalCost(size))
+		r.fold(ChargeAccLocal, size, r.comm.model.LocalCost(size))
 		return
 	}
 	if r.faults != nil {
@@ -138,7 +138,8 @@ func (c *Comm) NewBarrier() *Barrier {
 
 // Wait blocks until all p ranks have arrived, then advances every clock to
 // the latest arrival time plus BarrierLatency. The time a rank spends
-// blocked is accounted as FlushWait (it is synchronization, not work).
+// blocked is booked as barrier-wait and counted in FlushWait (it is
+// synchronization, not work).
 //
 // Inside Comm.RunCtx, Wait is also a cancellation point:
 // a waiter woken by a canceled run unwinds instead of completing the
@@ -196,10 +197,8 @@ func (b *Barrier) Wait(r *Rank) {
 	if canceled {
 		pool.Checkpoint() // Canceled() held above: this unwinds
 	}
-	before := r.clock.Now()
-	r.clock.AdvanceTo(target)
-	r.ctr.FlushWait += r.clock.Now() - before
-	r.ckptT = r.clock.Now()
+	r.waitUntil(ChargeBarrierWait, target)
+	r.ckptT = r.clock.now
 }
 
 // Fence closes the current active-target epoch on w and opens the next one

@@ -61,13 +61,13 @@ func TestBarrierAlignsClocks(t *testing.T) {
 	b := c.NewBarrier()
 	ranks := mustRun(t, c, func(r *Rank) {
 		// Rank i works i·10 µs before the barrier.
-		r.AdvanceBy(float64(r.ID()) * 10000)
+		advanceBy(r, float64(r.ID())*10000)
 		b.Wait(r)
 	})
 	want := 30000 + DefaultCostModel().BarrierLatency
 	for _, r := range ranks {
-		if r.Clock().Now() != want {
-			t.Fatalf("rank %d clock %.0f after barrier, want %.0f", r.ID(), r.Clock().Now(), want)
+		if r.Now() != want {
+			t.Fatalf("rank %d clock %.0f after barrier, want %.0f", r.ID(), r.Now(), want)
 		}
 	}
 	// The straggler (rank 3) waited only the barrier latency; rank 0
@@ -82,13 +82,13 @@ func TestBarrierReusable(t *testing.T) {
 	b := c.NewBarrier()
 	ranks := mustRun(t, c, func(r *Rank) {
 		for round := 0; round < 5; round++ {
-			r.AdvanceBy(float64(r.ID()+1) * 1000)
+			advanceBy(r, float64(r.ID()+1)*1000)
 			b.Wait(r)
 		}
 	})
-	if ranks[0].Clock().Now() != ranks[1].Clock().Now() {
+	if ranks[0].Now() != ranks[1].Now() {
 		t.Fatalf("clocks diverged after repeated barriers: %.0f vs %.0f",
-			ranks[0].Clock().Now(), ranks[1].Clock().Now())
+			ranks[0].Now(), ranks[1].Now())
 	}
 }
 
@@ -104,9 +104,9 @@ func TestFence(t *testing.T) {
 		}
 		r.UnlockAll(w)
 	})
-	if ranks[0].Clock().Now() != ranks[1].Clock().Now() {
+	if ranks[0].Now() != ranks[1].Now() {
 		t.Fatalf("fence left clocks unaligned: %.0f vs %.0f",
-			ranks[0].Clock().Now(), ranks[1].Clock().Now())
+			ranks[0].Now(), ranks[1].Now())
 	}
 }
 
@@ -231,7 +231,7 @@ func TestNoiseFlowsThroughCostModel(t *testing.T) {
 	q.Wait()
 	r.UnlockAll(w)
 	exact := model.RemoteCost(16)
-	if got := r.Clock().Now(); got <= exact {
+	if got := r.Now(); got <= exact {
 		t.Fatalf("noisy get finished at %.1f, want > exact %.1f", got, exact)
 	}
 }
@@ -297,7 +297,7 @@ func TestAccumulateBatchCheaperThanScatter(t *testing.T) {
 		}
 	}
 	scatter.FlushAll(w)
-	scatterTime := scatter.Clock().Now()
+	scatterTime := scatter.Now()
 	scatter.UnlockAll(w)
 
 	c2, w2 := twoRankComm()
@@ -309,7 +309,7 @@ func TestAccumulateBatchCheaperThanScatter(t *testing.T) {
 	}
 	batch.AccumulateBatch(w2, 1, ups)
 	batch.FlushAll(w2)
-	batchTime := batch.Clock().Now()
+	batchTime := batch.Now()
 	batch.UnlockAll(w2)
 
 	// The scatter exposes k/queueBound latencies; the single batch
@@ -355,11 +355,11 @@ func TestAccessors(t *testing.T) {
 		t.Errorf("SizeAt(1) = %d, want 64", w.SizeAt(1))
 	}
 	r.LockAll(w)
-	issued := r.Clock().Now()
+	issued := r.Now()
 	var q Request
 	r.GetInto(&q, w, 1, 0, 8)
 	q.Wait()
-	if r.Clock().Now() <= issued {
+	if r.Now() <= issued {
 		t.Error("remote get completes no later than issue time")
 	}
 	r.FlushAll(w)

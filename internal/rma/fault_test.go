@@ -8,8 +8,8 @@ import (
 )
 
 // faultGetRun drives a 2-rank world of cross-rank gets under the given
-// fault spec and observer, returning final counters and SimTime.
-func faultGetRun(t *testing.T, spec *fault.Spec, obs ChargeObserver) ([]Counters, float64) {
+// fault spec and observer, returning the final ranks and SimTime.
+func faultGetRun(t *testing.T, spec *fault.Spec, obs ChargeObserver) ([]*Rank, float64) {
 	t.Helper()
 	c := NewComm(2, DefaultCostModel())
 	c.SetFaults(spec)
@@ -27,11 +27,16 @@ func faultGetRun(t *testing.T, spec *fault.Spec, obs ChargeObserver) ([]Counters
 		}
 		r.UnlockAll(w)
 	})
-	ctrs := make([]Counters, len(ranks))
-	for i, r := range ranks {
-		ctrs[i] = r.Counters()
+	return ranks, MaxClock(ranks)
+}
+
+// faultWait sums l's six fault-plane slots: the time lost to recovery.
+func faultWait(l Ledger) float64 {
+	var t float64
+	for k := ChargeRetryBackoff; k <= ChargeCrashRedo; k++ {
+		t += l[k]
 	}
-	return ctrs, MaxClock(ranks)
+	return t
 }
 
 // TestFaultRetryCharges: transient get failures charge recovery time and
@@ -41,12 +46,13 @@ func TestFaultRetryCharges(t *testing.T) {
 	base, baseSim := faultGetRun(t, nil, nil)
 	spec := &fault.Spec{Seed: 5, GetFailPct: 0.05}
 	got, sim := faultGetRun(t, spec, nil)
-	for i := range got {
-		if got[i].Retries == 0 || got[i].FaultWait == 0 {
-			t.Fatalf("rank %d: no recovery recorded under 5%% failures: %+v", i, got[i])
+	for i, r := range got {
+		ctr, want := r.Counters(), base[i].Counters()
+		if ctr.Retries == 0 || faultWait(r.Ledger()) == 0 {
+			t.Fatalf("rank %d: no recovery recorded under 5%% failures: %+v", i, ctr)
 		}
-		if got[i].Gets != base[i].Gets || got[i].RemoteBytes != base[i].RemoteBytes {
-			t.Fatalf("rank %d: logical op counts changed under faults: %+v vs %+v", i, got[i], base[i])
+		if ctr.Gets != want.Gets || ctr.RemoteBytes != want.RemoteBytes {
+			t.Fatalf("rank %d: logical op counts changed under faults: %+v vs %+v", i, ctr, want)
 		}
 	}
 	if sim <= baseSim {
@@ -55,17 +61,17 @@ func TestFaultRetryCharges(t *testing.T) {
 }
 
 // TestFaultSpikesAndStalls: latency spikes and stall windows charge
-// FaultWait without any retransmits.
+// fault-plane time without any retransmits.
 func TestFaultSpikesAndStalls(t *testing.T) {
 	_, baseSim := faultGetRun(t, nil, nil)
 	spec := &fault.Spec{Seed: 8, SpikePct: 0.05, SpikeNS: 1e4, StallPeriodOps: 100, StallNS: 5e4}
 	got, sim := faultGetRun(t, spec, nil)
-	for i := range got {
-		if got[i].Retries != 0 {
-			t.Fatalf("rank %d: spikes/stalls must not retransmit: %+v", i, got[i])
+	for i, r := range got {
+		if ctr := r.Counters(); ctr.Retries != 0 {
+			t.Fatalf("rank %d: spikes/stalls must not retransmit: %+v", i, ctr)
 		}
-		if got[i].FaultWait == 0 {
-			t.Fatalf("rank %d: no FaultWait under spikes+stalls", i)
+		if faultWait(r.Ledger()) == 0 {
+			t.Fatalf("rank %d: no fault-plane time under spikes+stalls", i)
 		}
 	}
 	if sim <= baseSim {
@@ -129,7 +135,7 @@ func TestFaultDeterministicReplay(t *testing.T) {
 // TestFaultWriteOps: the write-side ops (Accumulate, AccumulateBatch)
 // consult the schedule too, and results are unchanged.
 func TestFaultWriteOps(t *testing.T) {
-	run := func(spec *fault.Spec) (Counters, uint64, float64) {
+	run := func(spec *fault.Spec) (Counters, float64, uint64, float64) {
 		c := NewComm(2, DefaultCostModel())
 		c.SetFaults(spec)
 		local := [][]byte{make([]byte, 1024), make([]byte, 1024)}
@@ -149,19 +155,20 @@ func TestFaultWriteOps(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			sum += DecodeUint64s(local[i][:8])[0]
 		}
-		ctr := Counters{}
+		ctr, wait := Counters{}, 0.0
 		for _, r := range ranks {
 			ctr.Merge(r.Counters())
+			wait += faultWait(r.Ledger())
 		}
-		return ctr, sum, MaxClock(ranks)
+		return ctr, wait, sum, MaxClock(ranks)
 	}
-	base, baseSum, baseSim := run(nil)
+	base, _, baseSum, baseSim := run(nil)
 	spec := &fault.Spec{Seed: 2, AccFailPct: 0.05}
-	got, sum, sim := run(spec)
+	got, wait, sum, sim := run(spec)
 	if sum != baseSum {
 		t.Fatalf("accumulated values changed under faults: %d vs %d", sum, baseSum)
 	}
-	if got.Retries == 0 || got.FaultWait == 0 {
+	if got.Retries == 0 || wait == 0 {
 		t.Fatalf("write ops recorded no recovery: %+v", got)
 	}
 	if got.Puts != base.Puts {

@@ -117,7 +117,7 @@ func TestRunBoundedWorkers(t *testing.T) {
 		ranks := mustRun(t, c, func(r *Rank) {
 			r.LockAll(w)
 			for round := 0; round < 3; round++ {
-				r.AdvanceBy(float64((r.ID()+round)%5) * 777)
+				advanceBy(r, float64((r.ID()+round)%5)*777)
 				r.Accumulate(w, (r.ID()+1)%6, 0, 1)
 				r.Fence(w, b)
 			}
@@ -125,7 +125,7 @@ func TestRunBoundedWorkers(t *testing.T) {
 		})
 		out := make([]float64, len(ranks))
 		for i, r := range ranks {
-			out[i] = r.Clock().Now()
+			out[i] = r.Now()
 		}
 		return out
 	}

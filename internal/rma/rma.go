@@ -245,9 +245,9 @@ func (w *Window) ReadVertices(target, offset, size int, buf []graph.V) []graph.V
 }
 
 // Counters aggregates a rank's communication activity; the evaluation
-// harness reads these to report remote-read counts, bytes moved, and
-// communication time (the paper reports e.g. the remote/local read ratio
-// and the fraction of runtime spent communicating).
+// harness reads these to report remote-read counts and bytes moved (the
+// paper reports e.g. the remote/local read ratio). Where the rank's time
+// went is its Ledger.
 type Counters struct {
 	Gets        int64   // one-sided reads issued to remote ranks
 	LocalGets   int64   // one-sided reads that targeted the rank itself
@@ -255,10 +255,8 @@ type Counters struct {
 	RemoteBytes int64   // bytes fetched from remote ranks
 	LocalBytes  int64   // bytes read from the local region
 	GetCost     float64 // sum of α+s·β over issued remote gets (ns)
-	FlushWait   float64 // simulated time spent blocked in flushes (ns)
-	ComputeTime float64 // simulated time charged via Compute (ns)
+	FlushWait   float64 // simulated time spent blocked in waits, flushes and barriers (ns)
 	Retries     int64   // failed one-sided attempts retransmitted (fault plane)
-	FaultWait   float64 // simulated time lost to fault recovery (ns)
 	Crashes     int64   // crash-stops recovered by restart + redo (fault plane)
 }
 
@@ -275,9 +273,7 @@ func (c *Counters) Merge(o Counters) {
 	c.LocalBytes += o.LocalBytes
 	c.GetCost += o.GetCost
 	c.FlushWait += o.FlushWait
-	c.ComputeTime += o.ComputeTime
 	c.Retries += o.Retries
-	c.FaultWait += o.FaultWait
 	c.Crashes += o.Crashes
 }
 
@@ -288,7 +284,8 @@ type Rank struct {
 	comm    *Comm
 	clock   Clock
 	ctr     Counters
-	running bool // inside a RunCtx body (holds a worker slot)
+	ledger  Ledger // where the clock's time went, booked at every move
+	running bool   // inside a RunCtx body (holds a worker slot)
 
 	// observer, when set, sees every charge in canonical order (tape.go).
 	observer ChargeObserver
@@ -320,7 +317,7 @@ type Rank struct {
 	prog *sched.Progress
 
 	// RunCtx allocates its ranks back to back and runs them on different
-	// cores, each writing its own clock, counters and ckOps on every
+	// cores, each writing its own clock, ledger, counters and ckOps on every
 	// charge. A trailing cache line keeps one rank's last written field
 	// off the line holding the next rank's clock; without it that line
 	// ping-pongs between cores (on a two-core host, the cached-uniform
@@ -379,32 +376,25 @@ func (r *Rank) ID() int { return r.id }
 // NumRanks returns the world size of the rank's communicator.
 func (r *Rank) NumRanks() int { return r.comm.p }
 
-// Clock returns the rank's simulated clock.
-func (r *Rank) Clock() *Clock { return &r.clock }
+// Now returns the rank's simulated time in ns. Only the rank's own
+// charges move its clock, each booked in the ledger.
+func (r *Rank) Now() float64 { return r.clock.now }
 
 // Counters returns a snapshot of the rank's counters.
 func (r *Rank) Counters() Counters { return r.ctr }
 
-// Compute charges modeled computation time (ops × κ) to the rank's clock.
+// Ledger returns a snapshot of where the rank's simulated time went.
+func (r *Rank) Ledger() Ledger { return r.ledger }
+
+// Compute charges modeled computation time (ops × κ) to the rank's clock:
+// fold's body, written out, since it runs once per edge.
 func (r *Rank) Compute(ops int) {
 	r.checkpoint()
-	d := float64(ops) * r.comm.model.ComputePerOp
-	r.clock.Advance(d)
-	r.ctr.ComputeTime += d
+	before := r.clock.now
+	r.clock.Advance(float64(ops) * r.comm.model.ComputePerOp)
+	r.ledger[ChargeOps] += r.clock.now - before
 	if r.observer != nil {
-		r.observer(r.id, ChargeOps, ops, 0, r.clock.Now())
-	}
-}
-
-// AdvanceBy charges an arbitrary simulated duration (used for modeled
-// costs that are not per-op, e.g. OpenMP region entry in the shared-memory
-// experiments). A raw duration is not a function of (kind, bytes), so an
-// observer is handed it as ns.
-func (r *Rank) AdvanceBy(ns float64) {
-	r.clock.Advance(ns)
-	r.ctr.ComputeTime += ns
-	if r.observer != nil {
-		r.observer(r.id, ChargeNS, 0, ns, r.clock.Now())
+		r.observer(r.id, ChargeOps, ops, 0, r.clock.now)
 	}
 }
 
@@ -509,10 +499,7 @@ func (q *Request) Wait() {
 	if q.done {
 		return
 	}
-	r := q.rank
-	before := r.clock.Now()
-	r.clock.AdvanceTo(q.completeAt)
-	r.ctr.FlushWait += r.clock.Now() - before
+	q.rank.waitUntil(ChargeGetWait, q.completeAt)
 	q.done = true
 }
 
@@ -568,13 +555,10 @@ func (r *Rank) GetInto(q *Request, w *Window, target, offset, size int) {
 	q.resolve(w, target, offset, size)
 	if target == r.id {
 		q.done = true
-		r.clock.Advance(r.comm.model.LocalCost(size))
 		r.ctr.LocalGets++
 		r.ctr.LocalBytes += int64(size)
-		q.completeAt = r.clock.Now()
-		if r.observer != nil {
-			r.observer(r.id, ChargeGetLocal, size, 0, r.clock.Now())
-		}
+		r.fold(ChargeGetLocal, size, r.comm.model.LocalCost(size))
+		q.completeAt = r.clock.now
 		return
 	}
 	// Fault plane: recovery charges land before the canonical op charge,
@@ -608,9 +592,7 @@ func (r *Rank) FlushAll(w *Window) {
 	if r.stagedOps > 0 {
 		r.commitStaged(w, -1)
 	}
-	before := r.clock.Now()
-	r.clock.AdvanceTo(e.until)
-	r.ctr.FlushWait += r.clock.Now() - before
+	r.waitUntil(ChargeFlushWait, e.until)
 }
 
 // RunCtx executes body on every rank concurrently — each rank on its own
@@ -647,7 +629,7 @@ func (c *Comm) RunCtx(ctx context.Context, body func(r *Rank)) ([]*Rank, error) 
 func MaxClock(ranks []*Rank) float64 {
 	max := 0.0
 	for _, r := range ranks {
-		if t := r.Clock().Now(); t > max {
+		if t := r.Now(); t > max {
 			max = t
 		}
 	}

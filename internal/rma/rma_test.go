@@ -47,7 +47,7 @@ func TestGetRemoteReadsBytesAndChargesCost(t *testing.T) {
 	}
 	m := DefaultCostModel()
 	want := m.RemoteCost(3)
-	if got := r.Clock().Now(); math.Abs(got-want) > 1e-9 {
+	if got := r.Now(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("clock = %v, want %v (α+3β)", got, want)
 	}
 	ctr := r.Counters()
@@ -70,8 +70,8 @@ func TestGetLocalIsCheapAndImmediate(t *testing.T) {
 	if got, want := q.Data(), []byte{2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Data = %v, want %v", got, want)
 	}
-	if r.Clock().Now() >= DefaultCostModel().RemoteLatency {
-		t.Errorf("local read cost %v should be far below remote latency", r.Clock().Now())
+	if r.Now() >= DefaultCostModel().RemoteLatency {
+		t.Errorf("local read cost %v should be far below remote latency", r.Now())
 	}
 	ctr := r.Counters()
 	if ctr.LocalGets != 1 || ctr.Gets != 0 {
@@ -89,11 +89,11 @@ func TestNonBlockingOverlap(t *testing.T) {
 	r.LockAll(w)
 	r.Accumulate(w, 1, 0, 1)
 	m := DefaultCostModel()
-	r.AdvanceBy(2 * m.RemoteCost(8))
-	before := r.Clock().Now()
+	advanceBy(r, 2*m.RemoteCost(8))
+	before := r.Now()
 	r.FlushAll(w)
-	if r.Clock().Now() != before {
-		t.Errorf("flush added %v ns although compute covered the transfer", r.Clock().Now()-before)
+	if r.Now() != before {
+		t.Errorf("flush added %v ns although compute covered the transfer", r.Now()-before)
 	}
 	if wait := r.Counters().FlushWait; wait != 0 {
 		t.Errorf("FlushWait = %v, want 0", wait)
@@ -187,7 +187,7 @@ func TestRunExecutesAllRanksConcurrently(t *testing.T) {
 	}
 	want := 1000 * DefaultCostModel().ComputePerOp
 	for _, r := range ranks {
-		if got := r.Clock().Now(); math.Abs(got-want) > 1e-9 {
+		if got := r.Now(); math.Abs(got-want) > 1e-9 {
 			t.Errorf("rank %d clock = %v, want %v", r.ID(), got, want)
 		}
 	}

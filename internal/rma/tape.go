@@ -4,8 +4,8 @@ package rma
 //
 // Every simulated cost a rank incurs used to be an ad-hoc float fold
 // scattered through the call sites: Get computed a completion time inline,
-// Compute and AdvanceBy advanced the clock in place, and the CLaMPI caches
-// reached through Clock() on every hit. That coupling pins the host's
+// Compute advanced the clock in place, and the CLaMPI caches reached
+// through the rank's clock on every hit. That coupling pins the host's
 // execution schedule to the model's charge order: nothing may be batched,
 // hoisted or pipelined without moving float accumulation (and, under
 // noise, the stateful RNG draws) out of the canonical order the golden
@@ -29,14 +29,14 @@ package rma
 type ChargeKind uint8
 
 const (
-	// ChargeOps is modeled computation: ops × κ, counted as ComputeTime.
+	// ChargeOps is modeled computation: ops × κ, the rank's own work.
 	ChargeOps ChargeKind = iota
-	// ChargeLocalRead is a local memory read charged via LocalCost(bytes)
-	// and counted as ComputeTime (the engines' local adjacency reads).
+	// ChargeLocalRead is a local memory read charged via LocalCost(bytes),
+	// work like ChargeOps (the engines' local adjacency reads).
 	ChargeLocalRead
-	// ChargeNS is a raw modeled duration in ns, counted as ComputeTime
-	// (AdvanceBy's generic form). The duration is not a function of
-	// (kind, bytes): observers get it as ns, and bytes is 0.
+	// ChargeNS is a raw modeled duration in ns, work like ChargeOps. Only
+	// tests charge it, to stand a clock where they need it; the kind keeps
+	// its number so the kinds after it, and the tape digests, keep theirs.
 	ChargeNS
 	// ChargeGetLocal is a one-sided read served from the rank's own
 	// region: LocalCost(bytes), LocalGets/LocalBytes counters, and the
@@ -85,42 +85,54 @@ const (
 	// minus clock at the last barrier — is modeled (DESIGN.md §8).
 	ChargeCrashRedo
 
-	numChargeKinds
+	// The ledger-only kinds: clock movements the tape does not record,
+	// booked in the rank's Ledger alone. The time blocked in a Request's
+	// Wait, in FlushAll and in a Barrier's Wait, ...
+	ChargeGetWait
+	ChargeFlushWait
+	ChargeBarrierWait
+	// ... and the local-memory cost of an accumulate that targets the
+	// rank itself.
+	ChargeAccLocal
+
+	// NumLedgerSlots is the length of a Ledger: one slot per kind.
+	NumLedgerSlots
 )
 
-func (k ChargeKind) String() string {
-	switch k {
-	case ChargeOps:
-		return "ops"
-	case ChargeLocalRead:
-		return "local-read"
-	case ChargeNS:
-		return "ns"
-	case ChargeGetLocal:
-		return "get-local"
-	case ChargeGetRemote:
-		return "get-remote"
-	case ChargeCacheHit:
-		return "cache-hit"
-	case ChargeCacheMiss:
-		return "cache-miss"
-	case ChargeCacheManage:
-		return "cache-manage"
-	case ChargeRetryBackoff:
-		return "retry-backoff"
-	case ChargeTimeout:
-		return "timeout"
-	case ChargeRetransmit:
-		return "retransmit"
-	case ChargeStall:
-		return "stall"
-	case ChargeCrashRestart:
-		return "crash-restart"
-	case ChargeCrashRedo:
-		return "crash-redo"
-	default:
-		return "unknown"
+// numChargeKinds bounds the kinds the tape records and an observer sees.
+const numChargeKinds = ChargeGetWait
+
+// Ledger is where a rank's simulated time went: slot k holds the sum of
+// the clock movements charged as kind k. Every movement of a rank's clock
+// is booked in exactly one slot, so the slots sum to the clock up to float
+// regrouping (≤ 2 ulp), and the slots' bits, like the clock's, are the
+// same at every worker count (TestLedgerLaws holds both). ChargeGetRemote's
+// slot stays 0: a remote get moves the clock only at its Wait.
+type Ledger [NumLedgerSlots]float64
+
+// Comm returns the ledger's communication time: every slot after the
+// rank's own work (ChargeOps, ChargeLocalRead, ChargeNS). Waits, cache
+// service, local gets and accumulates and fault recovery all count — the
+// split behind §IV's communication share.
+func (l *Ledger) Comm() float64 {
+	var t float64
+	for k := ChargeGetLocal; k < NumLedgerSlots; k++ {
+		t += l[k]
 	}
+	return t
+}
+
+var chargeKindNames = [NumLedgerSlots]string{
+	"ops", "local-read", "ns", "get-local", "get-remote", "cache-hit", "cache-miss",
+	"cache-manage", "retry-backoff", "timeout", "retransmit", "stall", "crash-restart",
+	"crash-redo", "get-wait", "flush-wait", "barrier-wait", "acc-local",
+}
+
+func (k ChargeKind) String() string {
+	if k < NumLedgerSlots {
+		return chargeKindNames[k]
+	}
+	return "unknown"
 }
 
 // ChargeObserver observes every charge of a run at its fold point, in
@@ -136,14 +148,38 @@ type ChargeObserver func(rank int, kind ChargeKind, bytes int, ns, now float64)
 // must be called before RunCtx; installing one mid-run is a race.
 func (c *Comm) SetChargeObserver(o ChargeObserver) { c.observer = o }
 
+// fold charges a modeled cost of d ns: the clock moves by d, stretched
+// under noise; the movement is booked in kind's ledger slot; and a tape
+// kind is shown to the observer. Compute and ChargeLocalRead, which run once
+// per edge, write the same body out rather than pay a call.
+func (r *Rank) fold(kind ChargeKind, bytes int, d float64) {
+	before := r.clock.now
+	r.clock.Advance(d)
+	r.ledger[kind] += r.clock.now - before
+	if r.observer != nil && kind < numChargeKinds {
+		r.observer(r.id, kind, bytes, 0, r.clock.now)
+	}
+}
+
+// waitUntil blocks the rank until t: the clock moves to t if t is ahead,
+// never stretched by noise, and the time blocked is booked in slot and in
+// Counters.FlushWait.
+func (r *Rank) waitUntil(slot ChargeKind, t float64) {
+	before := r.clock.now
+	r.clock.AdvanceTo(t)
+	d := r.clock.now - before
+	r.ledger[slot] += d
+	r.ctr.FlushWait += d
+}
+
 // charge folds one fault-plane recovery descriptor (internal/rma/fault.go) and
 // shows it to the observer. Recovery is blocking, not work: the fold is raw —
 // never perturbed, no RNG draws (see Clock.AdvanceRaw) — and its duration is
 // not a pure function of (kind, bytes), so it rides to the observer as ns.
-// Every other kind folds at its own site, one straight-line body each.
 func (r *Rank) charge(kind ChargeKind, bytes int, ns float64) {
+	before := r.clock.now
 	r.clock.AdvanceRaw(ns)
-	r.ctr.FaultWait += ns
+	r.ledger[kind] += r.clock.now - before
 	switch kind {
 	case ChargeRetransmit:
 		r.ctr.Retries++
@@ -151,56 +187,40 @@ func (r *Rank) charge(kind ChargeKind, bytes int, ns float64) {
 		r.ctr.Crashes++
 	}
 	if r.observer != nil {
-		r.observer(r.id, kind, bytes, ns, r.clock.Now())
+		r.observer(r.id, kind, bytes, ns, r.clock.now)
 	}
 }
 
 // ChargeLocalRead charges a local memory read of the given byte count at
-// LocalCost, accounted as compute time — the engines' charge for reading
-// an adjacency list out of their own partition (or a delegation replica)
-// without inventing the duration at the call site.
+// LocalCost, the rank's own work — the engines' charge for reading an
+// adjacency list out of their own partition (or a delegation replica)
+// without inventing the duration at the call site. fold's body, written
+// out.
 func (r *Rank) ChargeLocalRead(bytes int) {
 	r.checkpoint()
-	cost := r.comm.model.LocalCost(bytes)
-	r.clock.Advance(cost)
-	r.ctr.ComputeTime += cost
+	before := r.clock.now
+	r.clock.Advance(r.comm.model.LocalCost(bytes))
+	r.ledger[ChargeLocalRead] += r.clock.now - before
 	if r.observer != nil {
-		r.observer(r.id, ChargeLocalRead, bytes, 0, r.clock.Now())
+		r.observer(r.id, ChargeLocalRead, bytes, 0, r.clock.now)
 	}
 }
 
-// ChargeCacheHit charges serving bytes from an RMA cache (HitCost) and
-// returns the unperturbed cost for the cache's own statistics. Part of the
-// cache charge surface the CLaMPI layer records as descriptors instead of
-// reaching through Clock(); the cache kinds move the clock only, their
-// statistics live in the cache.
-func (r *Rank) ChargeCacheHit(bytes int) float64 {
-	cost := r.comm.model.HitCost(bytes)
-	r.clock.Advance(cost)
-	if r.observer != nil {
-		r.observer(r.id, ChargeCacheHit, bytes, 0, r.clock.Now())
-	}
-	return cost
+// ChargeCacheHit charges serving bytes from an RMA cache (HitCost). Part of
+// the cache charge surface the CLaMPI layer records as descriptors instead
+// of reaching into the clock; the cache kinds move the clock only, and the
+// time they take is read from the ledger.
+func (r *Rank) ChargeCacheHit(bytes int) {
+	r.fold(ChargeCacheHit, bytes, r.comm.model.HitCost(bytes))
 }
 
-// ChargeCacheMissOverhead charges CLaMPI's fixed per-miss bookkeeping cost
-// and returns it.
-func (r *Rank) ChargeCacheMissOverhead() float64 {
-	cost := r.comm.model.CacheMissOverhead
-	r.clock.Advance(cost)
-	if r.observer != nil {
-		r.observer(r.id, ChargeCacheMiss, 0, 0, r.clock.Now())
-	}
-	return cost
+// ChargeCacheMissOverhead charges CLaMPI's fixed per-miss bookkeeping cost.
+func (r *Rank) ChargeCacheMissOverhead() {
+	r.fold(ChargeCacheMiss, 0, r.comm.model.CacheMissOverhead)
 }
 
 // ChargeCacheManage charges cache-management work proportional to bytes at
-// local-memory cost (entry installation, buffer growth) and returns it.
-func (r *Rank) ChargeCacheManage(bytes int) float64 {
-	cost := r.comm.model.LocalCost(bytes)
-	r.clock.Advance(cost)
-	if r.observer != nil {
-		r.observer(r.id, ChargeCacheManage, bytes, 0, r.clock.Now())
-	}
-	return cost
+// local-memory cost (entry installation, buffer growth).
+func (r *Rank) ChargeCacheManage(bytes int) {
+	r.fold(ChargeCacheManage, bytes, r.comm.model.LocalCost(bytes))
 }
