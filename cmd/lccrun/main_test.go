@@ -25,6 +25,8 @@ func TestRun(t *testing.T) {
 		{args: "-engine replicated -replicas 3 -ranks 4", wantErr: "does not divide"},
 		{args: "-cache -cache-offsets -16 -cache-adj -100 -workers -3", wantErr: "none may be negative"},
 		{args: "-delegate -1", wantErr: "none may be negative"},
+		{args: "-ranks 0", wantErr: "at least 1"},
+		{args: "-engine replicated -replicas 0", wantErr: "at least 1"},
 		{args: "-engine pull -scheme block-arcs", wantOut: "scheme=block-arcs"},
 		{args: "-engine pull -scheme cyclic -cache -degree-scores", wantOut: "scheme=cyclic"},
 		{args: "-engine push -push-agg direct", wantOut: "engine=push"},

@@ -61,8 +61,8 @@ type goldenRun struct {
 	sumT    int64  // closed-triplet sum
 }
 
-// goldenPerRank is the per-rank stats of the last lcc golden run, which
-// TestLedgerLaws reads the ledgers from; the grid run leaves it untouched.
+// goldenPerRank is the per-rank stats of the last golden run, which
+// TestLedgerLaws reads the ledgers from.
 var goldenPerRank []lcc.RankStats
 
 // goldenConfigs is the single source of the pinned values: the eight
@@ -201,6 +201,7 @@ var goldenConfigs = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
+			goldenPerRank = res.PerRank
 			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, -1}
 		},
 	},

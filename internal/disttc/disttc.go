@@ -52,10 +52,9 @@ type Result struct {
 	SimTime   float64 // slowest rank over the whole run, ns
 
 	// PrecomputeTime is the simulated time of the shadow-edge phase
-	// (request + response + install); ComputeTime is the local counting
+	// (request + response + install), the rest of SimTime the local counting
 	// phase. Their ratio is the paper's argument against the approach.
 	PrecomputeTime float64
-	ComputeTime    float64
 
 	// ShadowArcs is the total number of mirrored adjacency entries
 	// shipped across all ranks; ReplicationFactor is
@@ -65,6 +64,8 @@ type Result struct {
 
 	Supersteps int
 	PerRank    []p2p.Counters
+	// Ledgers is where each rank's time went; every clock ends at SimTime.
+	Ledgers []rma.Ledger
 }
 
 // Run executes DistTC on an undirected graph with p ranks.
@@ -283,7 +284,6 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 		res.LCC[v] = lcc.Score(graph.Undirected, perVertexT[v], g.OutDegree(graph.V(v)))
 	}
 	res.SimTime = world.MaxClock()
-	res.ComputeTime = res.SimTime - res.PrecomputeTime
 	res.Supersteps = world.Steps()
 	localArcs := int64(g.NumEdges()) // oriented arcs = m
 	if localArcs > 0 {
@@ -291,6 +291,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	}
 	for _, r := range world.Ranks() {
 		res.PerRank = append(res.PerRank, r.Counters())
+		res.Ledgers = append(res.Ledgers, r.Ledger())
 	}
 	return res, nil
 }

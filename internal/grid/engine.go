@@ -48,7 +48,8 @@ type Result struct {
 	// 1D engine's stays O(nnz) (§VI i).
 	RemoteBytesMax int64
 	BlockFetches   int64 // total remote block gets across ranks
-	PerRank        []rma.Counters
+	// PerRank is each rank's clock, ledger and counters (no read stats).
+	PerRank []lcc.RankStats
 }
 
 // Run executes asynchronous 2D triangle counting and LCC on an undirected
@@ -93,7 +94,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	// part of the timed computation, matching the 1D engine's
 	// convention).
 	partials := make([][]int64, opt.Ranks)
-	stats := make([]rma.Counters, opt.Ranks)
+	stats := make([]lcc.RankStats, opt.Ranks)
 
 	ranks, err := comm.RunCtx(context.Background(), func(r *rma.Rank) {
 		i, j := gr.CoordsOf(r.ID())
@@ -170,7 +171,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 		}
 		r.UnlockAll(win)
 		partials[r.ID()] = mine
-		stats[r.ID()] = r.Counters()
+		stats[r.ID()] = lcc.RankStats{Rank: r.ID(), SimTime: r.Now(), Ledger: r.Ledger(), RMA: r.Counters()}
 	})
 	if err != nil {
 		return nil, err
@@ -195,10 +196,10 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	res.Triangles = total / 6
 	var agg rma.Counters
 	for _, s := range stats {
-		if s.RemoteBytes > res.RemoteBytesMax {
-			res.RemoteBytesMax = s.RemoteBytes
+		if s.RMA.RemoteBytes > res.RemoteBytesMax {
+			res.RemoteBytesMax = s.RMA.RemoteBytes
 		}
-		agg.Merge(s)
+		agg.Merge(s.RMA)
 	}
 	res.BlockFetches = agg.Gets
 	return res, nil

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/rma"
@@ -25,7 +26,7 @@ func TestBarrierAmplifiesNoise(t *testing.T) {
 			})
 		}
 		for _, r := range w.Ranks() {
-			sumWait += r.Counters().BarrierWait
+			sumWait += r.Ledger()[rma.ChargeBarrierWait]
 		}
 		return w.MaxClock(), sumWait
 	}
@@ -66,5 +67,49 @@ func TestNoiseDeterministicInBSP(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("identical noisy BSP runs diverged: %g vs %g", a, b)
+	}
+}
+
+// TestLedgerUnderNoise: every clock move of a p2p rank is booked in its
+// ledger at the size the clock took it, stretched under noise, so per rank
+// the slots sum to the clock within 2 ulp, and the slots' bits are the same
+// at one worker and at four.
+func TestLedgerUnderNoise(t *testing.T) {
+	run := func(workers int) []*Rank {
+		model := rma.DefaultCostModel()
+		model.Noise = rma.NoiseSpec{Amp: 0.3, Seed: 3}
+		w := NewWorldWorkers(4, model, workers)
+		for s := 0; s < 5; s++ {
+			w.Superstep(func(r *Rank) {
+				r.Compute(1000)
+				r.AdvanceBy(500)
+				r.SendPayload((r.ID()+1)%4, nil, 4<<10)
+			})
+		}
+		w.AllreduceSum(make([]int64, 4))
+		return w.Ranks()
+	}
+	one, four := run(1), run(4)
+	for i, r := range one {
+		l := r.Ledger()
+		var sum float64
+		for _, d := range l {
+			sum += d
+		}
+		clock := r.clock.Now()
+		if ulp := math.Nextafter(clock, math.Inf(1)) - clock; math.Abs(sum-clock) > 2*ulp {
+			t.Errorf("rank %d: slots sum to %v, clock %v (%.1f ulp apart)", i, sum, clock, math.Abs(sum-clock)/ulp)
+		}
+		for _, k := range []rma.ChargeKind{rma.ChargeOps, rma.ChargeNS, rma.ChargeSend, rma.ChargeRecv, rma.ChargeBarrierWait} {
+			if l[k] == 0 {
+				t.Errorf("rank %d: nothing booked as %v", i, k)
+			}
+		}
+		l4 := four[i].Ledger()
+		for k := range l {
+			if math.Float64bits(l4[k]) != math.Float64bits(l[k]) {
+				t.Errorf("rank %d: %v slot %v at workers=4, %v at workers=1", i, rma.ChargeKind(k), l4[k], l[k])
+			}
+		}
 	}
 }

@@ -9,7 +9,9 @@
 // RMA, §II-E) and the receiver a matching overhead plus a local copy. Every
 // exchange ends with a barrier: all clocks jump to the global maximum plus
 // BarrierLatency. The simulated time of a run is therefore dominated by the
-// slowest rank of every superstep — the BSP straggler effect.
+// slowest rank of every superstep — the BSP straggler effect. Each move is
+// booked in the rank's rma.Ledger: work as ops or ns, messages as send and
+// recv, barrier jumps (exchange, AllreduceSum) as barrier-wait.
 package p2p
 
 import (
@@ -30,14 +32,10 @@ type Message struct {
 	Payload interface{}
 }
 
-// Counters aggregates a rank's two-sided communication activity.
+// Counters aggregates a rank's two-sided messaging; its time is its Ledger.
 type Counters struct {
-	MsgsSent    int64
-	BytesSent   int64
-	SendCost    float64 // ns charged for sends
-	RecvCost    float64 // ns charged for receives
-	BarrierWait float64 // ns spent waiting at barriers for stragglers
-	ComputeTime float64
+	MsgsSent  int64
+	BytesSent int64
 }
 
 // Rank is one process of the BSP world. Ranks must only be used inside
@@ -45,7 +43,7 @@ type Counters struct {
 type Rank struct {
 	id    int
 	world *World
-	clock rma.Clock
+	clock rma.Clock // the rank's time, and in its ledger where it went
 	ctr   Counters
 
 	outbox [][]Message // staged sends, indexed by destination
@@ -58,16 +56,18 @@ func (r *Rank) ID() int { return r.id }
 // Counters returns a snapshot of the rank's counters.
 func (r *Rank) Counters() Counters { return r.ctr }
 
+// Ledger returns a snapshot of where the rank's simulated time went.
+func (r *Rank) Ledger() rma.Ledger { return r.clock.Ledger() }
+
 // Compute charges ops × κ of modeled computation.
 func (r *Rank) Compute(ops int) {
-	r.AdvanceBy(float64(ops) * r.world.model.ComputePerOp)
+	r.clock.Advance(rma.ChargeOps, float64(ops)*r.world.model.ComputePerOp)
 }
 
 // AdvanceBy charges an arbitrary modeled duration in ns (e.g. per-query
 // protocol processing that is not proportional to intersection ops).
 func (r *Rank) AdvanceBy(ns float64) {
-	r.clock.Advance(ns)
-	r.ctr.ComputeTime += ns
+	r.clock.Advance(rma.ChargeNS, ns)
 }
 
 // SendPayload stages a payload for dst with an explicit modeled wire size;
@@ -87,8 +87,7 @@ func (r *Rank) SendPayload(dst int, payload interface{}, size int) {
 	if dst == r.id {
 		cost = m.LocalCost(size)
 	}
-	r.clock.Advance(cost)
-	r.ctr.SendCost += cost
+	r.clock.Advance(rma.ChargeSend, cost)
 	r.ctr.MsgsSent++
 	r.ctr.BytesSent += int64(size)
 	r.outbox[dst] = append(r.outbox[dst], Message{From: r.id, Size: size, Payload: payload})
@@ -164,18 +163,7 @@ func (w *World) Err() error { return w.err }
 // the blocking all-to-all step whose cost TriC pays every round.
 func (w *World) exchange() {
 	w.steps++
-	// Barrier: all ranks wait for the slowest.
-	max := 0.0
-	for _, r := range w.ranks {
-		if t := r.clock.Now(); t > max {
-			max = t
-		}
-	}
-	max += w.model.BarrierLatency
-	for _, r := range w.ranks {
-		r.ctr.BarrierWait += max - r.clock.Now()
-		r.clock.AdvanceTo(max)
-	}
+	w.barrier(w.MaxClock() + w.model.BarrierLatency)
 	// Deliver and charge receive costs. Outbox backing arrays are kept
 	// for reuse: the Message values were copied into the inbox, so the
 	// staging slots can be overwritten by the next superstep's sends
@@ -189,8 +177,7 @@ func (w *World) exchange() {
 				if src == dst.id {
 					cost = w.model.LocalCost(m.Size)
 				}
-				dst.clock.Advance(cost)
-				dst.ctr.RecvCost += cost
+				dst.clock.Advance(rma.ChargeRecv, cost)
 				dst.inbox = append(dst.inbox, m)
 				msgs[i].Payload = nil // drop the staging reference
 			}
@@ -215,19 +202,17 @@ func (w *World) AllreduceSum(vals []int64) int64 {
 		depth++
 	}
 	cost := float64(depth) * (w.model.SendRecvOverhead + w.model.RemoteCost(8))
-	max := 0.0
-	for _, r := range w.ranks {
-		if t := r.clock.Now(); t > max {
-			max = t
-		}
-	}
-	max += cost + w.model.BarrierLatency
-	for _, r := range w.ranks {
-		r.ctr.BarrierWait += max - r.clock.Now()
-		r.clock.AdvanceTo(max)
-	}
+	w.barrier(w.MaxClock() + (cost + w.model.BarrierLatency))
 	w.steps++
 	return sum
+}
+
+// barrier moves every rank's clock to t, at or past the slowest rank's,
+// booking each rank's jump as barrier-wait.
+func (w *World) barrier(t float64) {
+	for _, r := range w.ranks {
+		r.clock.AdvanceTo(rma.ChargeBarrierWait, t)
+	}
 }
 
 // MaxClock returns the simulated job time: the slowest rank's clock.

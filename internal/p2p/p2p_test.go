@@ -65,10 +65,10 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 		}
 	}
 	// Rank 0 waited longest.
-	w0 := w.Ranks()[0].Counters().BarrierWait
-	w2 := w.Ranks()[2].Counters().BarrierWait
+	w0 := w.Ranks()[0].Ledger()[rma.ChargeBarrierWait]
+	w2 := w.Ranks()[2].Ledger()[rma.ChargeBarrierWait]
 	if w0 <= w2 {
-		t.Errorf("BarrierWait: rank0 %v should exceed rank2 %v", w0, w2)
+		t.Errorf("barrier-wait: rank0 %v should exceed rank2 %v", w0, w2)
 	}
 }
 
@@ -80,14 +80,14 @@ func TestSendChargesMatchingOverhead(t *testing.T) {
 			r.SendPayload(1, nil, 100)
 		}
 	})
-	ctr := w.Ranks()[0].Counters()
+	send := w.Ranks()[0].Ledger()[rma.ChargeSend]
 	want := m.SendRecvOverhead + m.RemoteCost(100)
-	if math.Abs(ctr.SendCost-want) > 1e-9 {
-		t.Errorf("SendCost = %v, want %v (matching overhead + α + sβ)", ctr.SendCost, want)
+	if math.Abs(send-want) > 1e-9 {
+		t.Errorf("send slot = %v, want %v (matching overhead + α + sβ)", send, want)
 	}
 	// Receiver paid matching + copy.
-	if rc := w.Ranks()[1].Counters().RecvCost; rc <= 0 {
-		t.Errorf("RecvCost = %v, want > 0", rc)
+	if rc := w.Ranks()[1].Ledger()[rma.ChargeRecv]; rc <= 0 {
+		t.Errorf("recv slot = %v, want > 0", rc)
 	}
 }
 
@@ -99,9 +99,8 @@ func TestSelfSendIsLocalCost(t *testing.T) {
 			r.SendPayload(0, nil, 10)
 		}
 	})
-	ctr := w.Ranks()[0].Counters()
-	if ctr.SendCost >= m.SendRecvOverhead {
-		t.Errorf("self-send cost %v should be below matching overhead %v", ctr.SendCost, m.SendRecvOverhead)
+	if send := w.Ranks()[0].Ledger()[rma.ChargeSend]; send >= m.SendRecvOverhead {
+		t.Errorf("self-send cost %v should be below matching overhead %v", send, m.SendRecvOverhead)
 	}
 }
 

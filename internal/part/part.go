@@ -275,7 +275,6 @@ func Imbalance(g graph.Store, pt *Partition) float64 {
 // them to other ranks.
 type LocalCSR struct {
 	Rank    int
-	Part    *Partition
 	Offsets []uint64  // length Size(rank)+1
 	Adj     []graph.V // concatenated adjacency lists, global ids (nil when compressed)
 	// Comp holds the varint/delta-compressed adjacency plane when the rank's
@@ -303,7 +302,7 @@ func extract(g graph.Store, pt *Partition, rank int) *LocalCSR {
 		}
 		adj := make([]graph.V, offsets[len(offsets)-1])
 		copy(adj, pg.Arcs()[src[0]:])
-		return &LocalCSR{Rank: rank, Part: pt, Offsets: offsets, Adj: adj}
+		return &LocalCSR{Rank: rank, Offsets: offsets, Adj: adj}
 	}
 	size := pt.Size(rank)
 	offsets := make([]uint64, size+1)
@@ -318,7 +317,7 @@ func extract(g graph.Store, pt *Partition, rank int) *LocalCSR {
 		adj = append(adj, buf...)
 		offsets[i+1] = uint64(len(adj))
 	}
-	return &LocalCSR{Rank: rank, Part: pt, Offsets: offsets, Adj: adj}
+	return &LocalCSR{Rank: rank, Offsets: offsets, Adj: adj}
 }
 
 // extractCompressed builds rank's LocalCSR with varint/delta-compressed
@@ -335,7 +334,7 @@ func extractCompressed(g graph.Store, pt *Partition, rank int) *LocalCSR {
 	comp := graph.NewCompressedAdj(offsets, func(i int, buf []graph.V) []graph.V {
 		return g.AdjInto(pt.VertexAt(rank, i), buf)
 	})
-	return &LocalCSR{Rank: rank, Part: pt, Offsets: offsets, Comp: comp}
+	return &LocalCSR{Rank: rank, Offsets: offsets, Comp: comp}
 }
 
 // Extract builds rank's LocalCSR, its adjacency varint/delta-compressed

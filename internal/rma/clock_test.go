@@ -11,18 +11,21 @@ func TestClockBasics(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatalf("zero clock reads %v", c.Now())
 	}
-	c.Advance(10)
-	c.Advance(-5) // negative durations are ignored
+	c.Advance(ChargeNS, 10)
+	c.Advance(ChargeNS, -5) // negative durations are ignored
 	if c.Now() != 10 {
 		t.Errorf("Now = %v, want 10", c.Now())
 	}
-	c.AdvanceTo(8) // past: no-op
+	c.AdvanceTo(ChargeGetWait, 8) // past: no-op
 	if c.Now() != 10 {
 		t.Errorf("AdvanceTo(past) moved the clock to %v", c.Now())
 	}
-	c.AdvanceTo(25)
+	c.AdvanceTo(ChargeGetWait, 25)
 	if c.Now() != 25 {
 		t.Errorf("AdvanceTo(future) = %v, want 25", c.Now())
+	}
+	if l := c.Ledger(); l[ChargeNS] != 10 || l[ChargeGetWait] != 15 || l.Comm() != 15 {
+		t.Errorf("ledger ns %v, get-wait %v, comm %v: want 10, 15, 15", l[ChargeNS], l[ChargeGetWait], l.Comm())
 	}
 }
 
@@ -34,9 +37,9 @@ func TestClockMonotoneProperty(t *testing.T) {
 		prev := 0.0
 		for _, s := range steps {
 			if s%2 == 0 {
-				c.Advance(float64(s))
+				c.Advance(ChargeNS, float64(s))
 			} else {
-				c.AdvanceTo(float64(s))
+				c.AdvanceTo(ChargeGetWait, float64(s))
 			}
 			if c.Now() < prev {
 				return false

@@ -138,8 +138,7 @@ func (c *Comm) NewBarrier() *Barrier {
 
 // Wait blocks until all p ranks have arrived, then advances every clock to
 // the latest arrival time plus BarrierLatency. The time a rank spends
-// blocked is booked as barrier-wait and counted in FlushWait (it is
-// synchronization, not work).
+// blocked is booked as barrier-wait (it is synchronization, not work).
 //
 // Inside Comm.RunCtx, Wait is also a cancellation point:
 // a waiter woken by a canceled run unwinds instead of completing the
@@ -197,7 +196,7 @@ func (b *Barrier) Wait(r *Rank) {
 	if canceled {
 		pool.Checkpoint() // Canceled() held above: this unwinds
 	}
-	r.waitUntil(ChargeBarrierWait, target)
+	r.clock.AdvanceTo(ChargeBarrierWait, target)
 	r.ckptT = r.clock.now
 }
 

@@ -141,7 +141,7 @@ func TestNoiseDisabledByDefault(t *testing.T) {
 		t.Fatal("zero NoiseSpec reports enabled")
 	}
 	var c Clock
-	c.Advance(100)
+	c.Advance(ChargeNS, 100)
 	if c.Now() != 100 {
 		t.Fatalf("noise-free clock advanced to %g, want 100", c.Now())
 	}
@@ -152,8 +152,8 @@ func TestNoiseStretchesWork(t *testing.T) {
 	var noisy, exact Clock
 	noisy.SetNoise(spec, 0)
 	for i := 0; i < 1000; i++ {
-		noisy.Advance(100)
-		exact.Advance(100)
+		noisy.Advance(ChargeNS, 100)
+		exact.Advance(ChargeNS, 100)
 	}
 	if noisy.Now() <= exact.Now() {
 		t.Fatalf("noisy clock %.0f not ahead of exact %.0f", noisy.Now(), exact.Now())
@@ -170,7 +170,7 @@ func TestNoiseDeterministic(t *testing.T) {
 		var c Clock
 		c.SetNoise(spec, 3)
 		for i := 0; i < 500; i++ {
-			c.Advance(123)
+			c.Advance(ChargeNS, 123)
 		}
 		return c.Now()
 	}
@@ -185,7 +185,7 @@ func TestNoiseDecorrelatedAcrossRanks(t *testing.T) {
 		var c Clock
 		c.SetNoise(spec, rank)
 		for i := 0; i < 100; i++ {
-			c.Advance(100)
+			c.Advance(ChargeNS, 100)
 		}
 		return c.Now()
 	}
@@ -198,7 +198,7 @@ func TestNoiseSpikes(t *testing.T) {
 	spec := NoiseSpec{SpikePeriodNS: 1000, SpikeNS: 500, Seed: 7}
 	var c Clock
 	c.SetNoise(spec, 0)
-	c.Advance(100000) // crosses ~100 spike periods
+	c.Advance(ChargeNS, 100000) // crosses ~100 spike periods
 	// Expected extra: ~100 spikes × ~500·(0.5+u) each ⇒ well above the
 	// noise-free duration but bounded.
 	if c.Now() < 120000 {
@@ -213,7 +213,7 @@ func TestNoiseWaitsUnperturbed(t *testing.T) {
 	spec := NoiseSpec{Amp: 1.0, Seed: 9}
 	var c Clock
 	c.SetNoise(spec, 0)
-	c.AdvanceTo(5000)
+	c.AdvanceTo(ChargeGetWait, 5000)
 	if c.Now() != 5000 {
 		t.Fatalf("AdvanceTo perturbed by noise: %g, want 5000", c.Now())
 	}

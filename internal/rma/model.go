@@ -84,15 +84,27 @@ func (m *CostModel) HitCost(s int) float64 {
 	return m.CacheHitLatency + float64(s)*m.LocalBytePeriod
 }
 
-// Clock is a rank's simulated time. The zero value reads 0 ns and is
-// noise-free.
+// Clock is a rank's simulated time (rma.Rank's, p2p.Rank's) and, in its
+// Ledger, where it went: each move is booked in its kind's slot. The zero
+// value reads 0 ns and is noise-free.
 type Clock struct {
-	now   float64
-	noise *noiseState
+	now    float64
+	noise  *noiseState
+	ledger Ledger
 }
 
 // Now returns the current simulated time in ns.
 func (c *Clock) Now() float64 { return c.now }
+
+// Ledger returns a snapshot of where the clock's time went.
+func (c *Clock) Ledger() Ledger { return c.ledger }
+
+// move sets the clock to t, never behind now, and books the move in slot
+// k: the one booking rule, which every move of every clock goes through.
+func (c *Clock) move(k ChargeKind, t float64) {
+	c.ledger[k] += t - c.now
+	c.now = t
+}
 
 // SetNoise installs a deterministic noise stream for this clock; the rank
 // id decorrelates streams within a run. A disabled spec clears the stream.
@@ -104,23 +116,23 @@ func (c *Clock) SetNoise(spec NoiseSpec, rank int) {
 	}
 }
 
-// Advance moves the clock forward by d ns (negative d is ignored),
-// stretching the charge under the installed noise stream, if any. Waits
-// (AdvanceTo) are not perturbed: noise models stolen cycles during work,
-// not during blocking.
-func (c *Clock) Advance(d float64) {
+// Advance moves the clock forward by d ns of kind k (negative d is
+// ignored), stretching the charge under the installed noise stream, if
+// any. Waits (AdvanceTo) are not perturbed: noise models stolen cycles
+// during work, not during blocking.
+func (c *Clock) Advance(k ChargeKind, d float64) {
 	if d > 0 {
 		if c.noise != nil {
 			d = c.noise.perturb(c.now, d)
 		}
-		c.now += d
+		c.move(k, c.now+d)
 	}
 }
 
-// AdvanceTo moves the clock to t if t is in the future.
-func (c *Clock) AdvanceTo(t float64) {
+// AdvanceTo moves the clock to t if t is in the future, booked as k.
+func (c *Clock) AdvanceTo(k ChargeKind, t float64) {
 	if t > c.now {
-		c.now = t
+		c.move(k, t)
 	}
 }
 
@@ -132,9 +144,9 @@ func (c *Clock) AdvanceTo(t float64) {
 // stream untouched keeps the fault-free run's draw sequence embedded
 // verbatim in the faulted run, which is what makes SimTime under faults
 // deterministically ≥ the fault-free SimTime.
-func (c *Clock) AdvanceRaw(d float64) {
+func (c *Clock) AdvanceRaw(k ChargeKind, d float64) {
 	if d > 0 {
-		c.now += d
+		c.move(k, c.now+d)
 	}
 }
 

@@ -255,7 +255,7 @@ type Counters struct {
 	RemoteBytes int64   // bytes fetched from remote ranks
 	LocalBytes  int64   // bytes read from the local region
 	GetCost     float64 // sum of α+s·β over issued remote gets (ns)
-	FlushWait   float64 // simulated time spent blocked in waits, flushes and barriers (ns)
+	FlushWait   float64 // simulated time blocked in waits, flushes and barriers (ns), read off the Ledger
 	Retries     int64   // failed one-sided attempts retransmitted (fault plane)
 	Crashes     int64   // crash-stops recovered by restart + redo (fault plane)
 }
@@ -282,10 +282,9 @@ func (c *Counters) Merge(o Counters) {
 type Rank struct {
 	id      int
 	comm    *Comm
-	clock   Clock
+	clock   Clock // the rank's time, and in its ledger where it went
 	ctr     Counters
-	ledger  Ledger // where the clock's time went, booked at every move
-	running bool   // inside a RunCtx body (holds a worker slot)
+	running bool // inside a RunCtx body (holds a worker slot)
 
 	// observer, when set, sees every charge in canonical order (tape.go).
 	observer ChargeObserver
@@ -380,19 +379,22 @@ func (r *Rank) NumRanks() int { return r.comm.p }
 // charges move its clock, each booked in the ledger.
 func (r *Rank) Now() float64 { return r.clock.now }
 
-// Counters returns a snapshot of the rank's counters.
-func (r *Rank) Counters() Counters { return r.ctr }
+// Counters returns a snapshot of the rank's counters, FlushWait filled in
+// from the ledger's wait slots.
+func (r *Rank) Counters() Counters {
+	c := r.ctr
+	c.FlushWait = r.clock.ledger.waits()
+	return c
+}
 
 // Ledger returns a snapshot of where the rank's simulated time went.
-func (r *Rank) Ledger() Ledger { return r.ledger }
+func (r *Rank) Ledger() Ledger { return r.clock.ledger }
 
 // Compute charges modeled computation time (ops × κ) to the rank's clock:
 // fold's body, written out, since it runs once per edge.
 func (r *Rank) Compute(ops int) {
 	r.checkpoint()
-	before := r.clock.now
-	r.clock.Advance(float64(ops) * r.comm.model.ComputePerOp)
-	r.ledger[ChargeOps] += r.clock.now - before
+	r.clock.Advance(ChargeOps, float64(ops)*r.comm.model.ComputePerOp)
 	if r.observer != nil {
 		r.observer(r.id, ChargeOps, ops, 0, r.clock.now)
 	}
@@ -499,7 +501,7 @@ func (q *Request) Wait() {
 	if q.done {
 		return
 	}
-	q.rank.waitUntil(ChargeGetWait, q.completeAt)
+	q.rank.clock.AdvanceTo(ChargeGetWait, q.completeAt)
 	q.done = true
 }
 
@@ -592,7 +594,7 @@ func (r *Rank) FlushAll(w *Window) {
 	if r.stagedOps > 0 {
 		r.commitStaged(w, -1)
 	}
-	r.waitUntil(ChargeFlushWait, e.until)
+	r.clock.AdvanceTo(ChargeFlushWait, e.until)
 }
 
 // RunCtx executes body on every rank concurrently — each rank on its own

@@ -34,7 +34,8 @@ const (
 	// ChargeLocalRead is a local memory read charged via LocalCost(bytes),
 	// work like ChargeOps (the engines' local adjacency reads).
 	ChargeLocalRead
-	// ChargeNS is a raw modeled duration in ns, work like ChargeOps. Only
+	// ChargeNS is a raw modeled duration in ns, work like ChargeOps: a p2p
+	// rank's AdvanceBy (TriC's per-query handling). On an rma rank only
 	// tests charge it, to stand a clock where they need it; the kind keeps
 	// its number so the kinds after it, and the tape digests, keep theirs.
 	ChargeNS
@@ -91,9 +92,12 @@ const (
 	ChargeGetWait
 	ChargeFlushWait
 	ChargeBarrierWait
-	// ... and the local-memory cost of an accumulate that targets the
-	// rank itself.
+	// ... the local-memory cost of an accumulate that targets the rank
+	// itself ...
 	ChargeAccLocal
+	// ... and a p2p rank's sends and receives (matching, wire, copy).
+	ChargeSend
+	ChargeRecv
 
 	// NumLedgerSlots is the length of a Ledger: one slot per kind.
 	NumLedgerSlots
@@ -102,9 +106,9 @@ const (
 // numChargeKinds bounds the kinds the tape records and an observer sees.
 const numChargeKinds = ChargeGetWait
 
-// Ledger is where a rank's simulated time went: slot k holds the sum of
-// the clock movements charged as kind k. Every movement of a rank's clock
-// is booked in exactly one slot, so the slots sum to the clock up to float
+// Ledger is where a Clock's simulated time went: slot k holds the sum of
+// the clock movements charged as kind k. Every movement of a clock is
+// booked in exactly one slot, so the slots sum to the clock up to float
 // regrouping (≤ 2 ulp), and the slots' bits, like the clock's, are the
 // same at every worker count (TestLedgerLaws holds both). ChargeGetRemote's
 // slot stays 0: a remote get moves the clock only at its Wait.
@@ -112,8 +116,8 @@ type Ledger [NumLedgerSlots]float64
 
 // Comm returns the ledger's communication time: every slot after the
 // rank's own work (ChargeOps, ChargeLocalRead, ChargeNS). Waits, cache
-// service, local gets and accumulates and fault recovery all count — the
-// split behind §IV's communication share.
+// service, local gets and accumulates, fault recovery and two-sided
+// messages all count — the split behind §IV's communication share.
 func (l *Ledger) Comm() float64 {
 	var t float64
 	for k := ChargeGetLocal; k < NumLedgerSlots; k++ {
@@ -122,10 +126,16 @@ func (l *Ledger) Comm() float64 {
 	return t
 }
 
+// waits returns the time blocked in gets, flushes and barriers: the
+// Counters.FlushWait a Rank reports.
+func (l *Ledger) waits() float64 {
+	return l[ChargeGetWait] + l[ChargeFlushWait] + l[ChargeBarrierWait]
+}
+
 var chargeKindNames = [NumLedgerSlots]string{
 	"ops", "local-read", "ns", "get-local", "get-remote", "cache-hit", "cache-miss",
 	"cache-manage", "retry-backoff", "timeout", "retransmit", "stall", "crash-restart",
-	"crash-redo", "get-wait", "flush-wait", "barrier-wait", "acc-local",
+	"crash-redo", "get-wait", "flush-wait", "barrier-wait", "acc-local", "send", "recv",
 }
 
 func (k ChargeKind) String() string {
@@ -149,27 +159,14 @@ type ChargeObserver func(rank int, kind ChargeKind, bytes int, ns, now float64)
 func (c *Comm) SetChargeObserver(o ChargeObserver) { c.observer = o }
 
 // fold charges a modeled cost of d ns: the clock moves by d, stretched
-// under noise; the movement is booked in kind's ledger slot; and a tape
-// kind is shown to the observer. Compute and ChargeLocalRead, which run once
-// per edge, write the same body out rather than pay a call.
+// under noise, booked as kind; and a tape kind is shown to the observer.
+// Compute and ChargeLocalRead, which run once per edge, write the same body
+// out rather than pay a call.
 func (r *Rank) fold(kind ChargeKind, bytes int, d float64) {
-	before := r.clock.now
-	r.clock.Advance(d)
-	r.ledger[kind] += r.clock.now - before
+	r.clock.Advance(kind, d)
 	if r.observer != nil && kind < numChargeKinds {
 		r.observer(r.id, kind, bytes, 0, r.clock.now)
 	}
-}
-
-// waitUntil blocks the rank until t: the clock moves to t if t is ahead,
-// never stretched by noise, and the time blocked is booked in slot and in
-// Counters.FlushWait.
-func (r *Rank) waitUntil(slot ChargeKind, t float64) {
-	before := r.clock.now
-	r.clock.AdvanceTo(t)
-	d := r.clock.now - before
-	r.ledger[slot] += d
-	r.ctr.FlushWait += d
 }
 
 // charge folds one fault-plane recovery descriptor (internal/rma/fault.go) and
@@ -177,9 +174,7 @@ func (r *Rank) waitUntil(slot ChargeKind, t float64) {
 // never perturbed, no RNG draws (see Clock.AdvanceRaw) — and its duration is
 // not a pure function of (kind, bytes), so it rides to the observer as ns.
 func (r *Rank) charge(kind ChargeKind, bytes int, ns float64) {
-	before := r.clock.now
-	r.clock.AdvanceRaw(ns)
-	r.ledger[kind] += r.clock.now - before
+	r.clock.AdvanceRaw(kind, ns)
 	switch kind {
 	case ChargeRetransmit:
 		r.ctr.Retries++
@@ -198,9 +193,7 @@ func (r *Rank) charge(kind ChargeKind, bytes int, ns float64) {
 // out.
 func (r *Rank) ChargeLocalRead(bytes int) {
 	r.checkpoint()
-	before := r.clock.now
-	r.clock.Advance(r.comm.model.LocalCost(bytes))
-	r.ledger[ChargeLocalRead] += r.clock.now - before
+	r.clock.Advance(ChargeLocalRead, r.comm.model.LocalCost(bytes))
 	if r.observer != nil {
 		r.observer(r.id, ChargeLocalRead, bytes, 0, r.clock.now)
 	}

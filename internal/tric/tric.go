@@ -65,6 +65,8 @@ type Result struct {
 	// the memory pressure that motivates the buffered variant.
 	MaxQueuedBytes int64
 	PerRank        []p2p.Counters
+	// Ledgers is where each rank's time went; every clock ends at SimTime.
+	Ledgers []rma.Ledger
 }
 
 // query asks the owner of vj to count |candidates ∩ adj'(vj)| and credit
@@ -315,6 +317,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	res.Supersteps = world.Steps()
 	for _, r := range world.Ranks() {
 		res.PerRank = append(res.PerRank, r.Counters())
+		res.Ledgers = append(res.Ledgers, r.Ledger())
 	}
 	return res, nil
 }

@@ -134,9 +134,9 @@ func TestTriCBarrierCostVisible(t *testing.T) {
 	// overhead the paper's async design removes.
 	g := randomGraph(graph.Undirected, 100, 600, 10)
 	res := MustRun(g, Options{Ranks: 4, Method: intersect.MethodHybrid})
-	for i, c := range res.PerRank {
-		if c.BarrierWait <= 0 && c.ComputeTime > 0 {
-			t.Errorf("rank %d: BarrierWait = %v, want > 0", i, c.BarrierWait)
+	for i, l := range res.Ledgers {
+		if l[rma.ChargeBarrierWait] <= 0 && l[rma.ChargeOps] > 0 {
+			t.Errorf("rank %d: barrier-wait slot %v, want > 0", i, l[rma.ChargeBarrierWait])
 		}
 	}
 }
