@@ -82,9 +82,9 @@ func run(args []string, out io.Writer) error {
 	if *ranks < 1 || *replicas < 1 {
 		return fmt.Errorf("-ranks %d, -replicas %d: both must be at least 1", *ranks, *replicas)
 	}
-	if *workers < 0 || *offBytes < 0 || *adjBytes < 0 || *delegate < 0 {
-		return fmt.Errorf("-workers %d, -cache-offsets %d, -cache-adj %d, -delegate %d: none may be negative",
-			*workers, *offBytes, *adjBytes, *delegate)
+	if *workers < 0 || *offBytes < 0 || *adjBytes < 0 || *delegate < 0 || *top < 0 || *timeout < 0 {
+		return fmt.Errorf("-workers %d, -cache-offsets %d, -cache-adj %d, -delegate %d, -top %d, -timeout %v: none may be negative",
+			*workers, *offBytes, *adjBytes, *delegate, *top, *timeout)
 	}
 
 	faultSpec, err := fault.ParseSpec(*faults)

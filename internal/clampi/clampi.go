@@ -431,19 +431,14 @@ func (c *Cache) KeyOf(target, offset, size int) Key {
 	return c.key(target, offset, size)
 }
 
-// key is KeyOf for a coordinate known to fit.
+// key is KeyOf for a coordinate known to fit. It is keyCoder.hash and
+// table.laneOf written out, which saves the access two calls.
 func (c *Cache) key(target, offset, size int) Key {
-	return Key{c.coder.pack(target, offset, size), c.tab.laneOf(c.coder.hash(target, offset, size))}
-}
-
-// Confirm returns k when it is the key of (target, offset, size) and KeyOf's
-// otherwise, so that a key derived ahead of the get decides nothing the
-// coordinate would not. The check is a pack; the hash runs on a mismatch.
-func (c *Cache) Confirm(k Key, target, offset, size int) Key {
-	if c.coder.fits(target, offset, size) && k.pk == c.coder.pack(target, offset, size) {
-		return k
-	}
-	return c.KeyOf(target, offset, size)
+	cd := &c.coder
+	h := fnvMix(fnvOffset64, uint64(target), cd.tgtBytes, cd.tgtTail)
+	h = fnvMix(h, uint64(offset), cd.offBytes, cd.offTail)
+	h = fnvMix(h, uint64(size), cd.offBytes, cd.offTail)
+	return Key{cd.pack(target, offset, size), uint32(int(c.tab.magic.mod(h)) * 2 * c.tab.assoc)}
 }
 
 // Get issues a cached one-sided read (no application score).
@@ -481,6 +476,52 @@ func (c *Cache) GetInto(q *Request, k Key, score float64) {
 	c.leave()
 }
 
+// Verdict is what the cache made of one access: a hit or a miss (Decide),
+// or Degraded, the access that found the cache unavailable (Available
+// false). It is all the rank's charges for the access depend on.
+type Verdict uint8
+
+const (
+	Undecided Verdict = iota // no access decided
+	Hit                      // ChargeCacheHit; the data is a window view
+	Miss                     // miss overhead, direct get, its wait, ChargeCacheManage
+	Degraded                 // a direct get, the cache untouched
+)
+
+// Decide makes the cache transitions GetInto and the request's Wait make for
+// a get of k's coordinate in another rank's region, with score (NaN: none),
+// and charges nothing: the caller charges the verdict. No transition reads
+// the rank's clock, so a caller may decide accesses ahead of their charges,
+// in their order, with Available's draws in theirs.
+func (c *Cache) Decide(k Key, score float64) Verdict {
+	c.enter()
+	v := Hit
+	if _, _, size := c.coder.unpack(k.pk); !c.lookup(k, size) {
+		c.insert(k, size, score)
+		v = Miss
+	}
+	c.leave()
+	return v
+}
+
+// lookup is the first half of the decision body Decide and the request API
+// share: a hit's touch or a miss's statistics. The second, a miss's insert,
+// is Decide's at once and the request's at Wait.
+func (c *Cache) lookup(k Key, size int) bool {
+	if c.tab.lookupTouch(k, c.tick+1) >= 0 {
+		c.tick++
+		c.stats.Hits++
+		c.stats.HitBytes += int64(size)
+		return true
+	}
+	if c.seen.addIfMissing(k.pk) {
+		c.stats.CompulsoryMisses++
+	}
+	c.stats.Misses++
+	c.stats.MissBytes += int64(size)
+	return false
+}
+
 // get fills q, a reset request of either ownership, for one access.
 func (c *Cache) get(q *Request, k Key, score float64) {
 	target, offset, size := c.coder.unpack(k.pk)
@@ -491,10 +532,7 @@ func (c *Cache) get(q *Request, k Key, score float64) {
 		c.rank.GetInto(&q.own, c.win, target, offset, size)
 		return
 	}
-	if c.tab.lookupTouch(k, c.tick+1) >= 0 {
-		c.tick++
-		c.stats.Hits++
-		c.stats.HitBytes += int64(size)
+	if c.lookup(k, size) {
 		c.rank.ChargeCacheHit(size)
 		q.hit = true
 		// The entry is bookkeeping and never touched: the data is the
@@ -514,11 +552,6 @@ func (c *Cache) get(q *Request, k Key, score float64) {
 	}
 	// Miss: issue the real RMA get; the entry is inserted when the
 	// transfer completes (at Wait), since only then is the data known.
-	if c.seen.addIfMissing(k.pk) {
-		c.stats.CompulsoryMisses++
-	}
-	c.stats.Misses++
-	c.stats.MissBytes += int64(size)
 	c.rank.ChargeCacheMissOverhead()
 	q.size, q.key, q.score, q.xfer = size, k, score, true
 	c.rank.GetInto(&q.own, c.win, target, offset, size)
@@ -648,10 +681,11 @@ func (c *Cache) Contains(target, offset, size int) bool {
 // cache on first — the head of the bucket lane it probes, the bucket's
 // record ids a miss's insertion writes, and its slot in the compulsory-miss
 // set — back to back, so that their misses overlap where the gets would take
-// them one at a time (lcc's stageAhead calls this for a batch of upcoming
-// gets). It is invisible to the model and to the cache: no statistic, tick,
-// stamp or entry changes, and it is not an operation of the single-owner
-// contract (no enter). The returned sum means nothing; it keeps the loads.
+// them one at a time (lcc's decision pass calls this for a batch of upcoming
+// accesses before it decides them). It is invisible to the model and to the
+// cache: no statistic, tick, stamp or entry changes, and it is not an
+// operation of the single-owner contract (no enter). The returned sum means
+// nothing; it keeps the loads.
 func (c *Cache) Preload(keys []Key) (sum uint64) {
 	for _, k := range keys {
 		sum += c.tab.lane[k.lane] + uint64(c.tab.ents[k.lane/2]) + c.seen.tab[c.seen.slot(k.pk)]

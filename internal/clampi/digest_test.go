@@ -45,12 +45,11 @@ func complete(q *Request, between func()) {
 	q.Release()
 }
 
-// churnKeys, when a test sets it, routes the churns' gets through GetInto
+// churnKeys, when a test sets it, routes the churns' gets through Decide
 // with keys handed over: each coordinate's key is derived on its first
 // access and reused from then on — across inserts, evictions and flushes,
-// up to the next Reset — and passed through Confirm with the previous
-// access's key when it has none yet. Nil runs the pooled gets, which derive
-// the key at the get.
+// up to the next Reset. Nil runs the pooled gets, which derive the key at
+// the get and insert at the Wait.
 var churnKeys map[[3]int]Key
 
 // churnGet is one churn access to rank 1's region.
@@ -62,13 +61,10 @@ func churnGet(c *Cache, off, size int, score float64, between func()) {
 	at := [3]int{1, off, size}
 	k, ok := churnKeys[at]
 	if !ok {
-		k = c.Confirm(churnKeys[[3]int{}], 1, off, size)
-		churnKeys[at], churnKeys[[3]int{}] = k, k
+		k = c.KeyOf(1, off, size)
+		churnKeys[at] = k
 	}
-	var q Request
-	c.GetInto(&q, c.Confirm(k, 1, off, size), score)
-	between()
-	q.Wait()
+	c.Decide(k, score)
 	between()
 }
 
@@ -178,13 +174,14 @@ func TestVictimOrderDigest(t *testing.T) {
 	}
 }
 
-// TestKeysHandedOverMatchDerived runs every churn with its gets fed keys
-// derived long before (churnKeys) and requires what the gets that derive
-// their own produce: the recorded eviction order, the statistics to the bit
-// and consistent structures, on a fresh instance and on one just Reset (whose
-// keys are derived again: a key lasts until its cache's Reset). KeyOf refuses
-// a coordinate outside the window geometry with the get's own panic.
-func TestKeysHandedOverMatchDerived(t *testing.T) {
+// TestDecideMatchesRequests runs every churn through Decide, with keys
+// derived long before (churnKeys), and requires what the request API's gets
+// and Waits produce: the recorded eviction order, the statistics to the bit
+// and consistent structures, on a fresh instance and on one just Reset
+// (whose keys are derived again: a key lasts until its cache's Reset).
+// KeyOf refuses a coordinate outside the window geometry with the get's own
+// panic.
+func TestDecideMatchesRequests(t *testing.T) {
 	idle := func() {}
 	defer func() { churnKeys = nil }()
 	_, _, used := testSetup(t, digestRegion, Config{Capacity: 1 << 12, Buckets: 8})
@@ -201,11 +198,11 @@ func TestKeysHandedOverMatchDerived(t *testing.T) {
 			tc.churn(c, uint64(i), idle)
 			churnKeys = nil
 			if got, n := sum(); got != tc.digest || n != tc.count {
-				t.Errorf("%s: digest %#x over %d evictions with keys handed over, recorded %#x over %d",
+				t.Errorf("%s: digest %#x over %d evictions through Decide, recorded %#x over %d",
 					tc.name, got, n, tc.digest, tc.count)
 			}
 			if got := c.Stats(); got != want {
-				t.Errorf("%s: statistics with keys handed over\n got  %+v\n want %+v", tc.name, got, want)
+				t.Errorf("%s: statistics through Decide\n got  %+v\n want %+v", tc.name, got, want)
 			}
 			if err := c.checkInvariants(); err != nil {
 				t.Errorf("%s: %v", tc.name, err)

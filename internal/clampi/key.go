@@ -21,14 +21,15 @@ import (
 // the field bounds: only the bytes that can be non-zero are mixed
 // explicitly, and the run of guaranteed-zero bytes folds into one multiply
 // by a precomputed power of the FNV prime (x^=0 is a no-op, so k zero bytes
-// contribute exactly *prime^k).
+// contribute exactly *prime^k) — the same multiply as the last non-zero
+// byte's own, since products mod 2^64 regroup exactly.
 type keyCoder struct {
 	offBits  uint   // bit width of the offset and size fields
 	tgtBits  uint   // bit width of the target field
 	tgtBytes int    // bytes of target that can be non-zero
 	offBytes int    // bytes of offset/size that can be non-zero
-	tgtTail  uint64 // fnvPrime^(8-tgtBytes)
-	offTail  uint64 // fnvPrime^(8-offBytes)
+	tgtTail  uint64 // fnvPrime^(9-tgtBytes): last byte and zero bytes (^8 for none)
+	offTail  uint64 // fnvPrime^(9-offBytes)
 }
 
 const (
@@ -67,8 +68,8 @@ func newKeyCoder(ranks, maxRegion int) keyCoder {
 		tgtBits:  uint(tb),
 		tgtBytes: tgtBytes,
 		offBytes: offBytes,
-		tgtTail:  fnvPow[8-tgtBytes],
-		offTail:  fnvPow[8-offBytes],
+		tgtTail:  fnvPow[min(9-tgtBytes, 8)], // a one-rank world's target has no byte
+		offTail:  fnvPow[9-offBytes],
 	}
 }
 
@@ -103,22 +104,22 @@ func (c keyCoder) hash(target, offset, size int) uint64 {
 }
 
 func fnvMix(h, x uint64, nbytes int, tail uint64) uint64 {
-	for i := 0; i < nbytes; i++ {
+	for ; nbytes > 1; nbytes-- {
 		h ^= x & 0xff
 		h *= fnvPrime64
 		x >>= 8
 	}
-	return h * tail
+	return (h ^ x&0xff) * tail
 }
 
 // divMagic computes n % d without a hardware divide, via Lemire's fastmod:
 // with M = ceil(2^128 / d), n % d = ((M·n mod 2^128) · d) >> 128. The
 // bucket mapping h % buckets is golden-pinned and sits on the lookup hot
 // path, so the replacement must be bit-exact — TestDivMagicExact verifies
-// it against % across divisor shapes.
+// it against % across divisor shapes. A power of two (or 1) takes a mask.
 type divMagic struct {
 	d        uint64
-	mhi, mlo uint64 // M = ceil(2^128/d), valid for d >= 2
+	mhi, mlo uint64 // M = ceil(2^128/d), valid for d >= 2 and unused for powers of two
 }
 
 func newDivMagic(d uint64) divMagic {
@@ -139,8 +140,10 @@ func newDivMagic(d uint64) divMagic {
 }
 
 func (m divMagic) mod(n uint64) uint64 {
-	if m.d < 2 {
-		return 0
+	if m.d&(m.d-1) == 0 {
+		// §III-B-1 sizes both caches to powers of two for power-of-two
+		// graphs and buffers, the benchmark's.
+		return n & (m.d - 1)
 	}
 	// low = (M * n) mod 2^128
 	hi1, lo1 := bits.Mul64(m.mlo, n)

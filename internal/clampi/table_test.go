@@ -28,19 +28,28 @@ func refFNV(target, offset, size int) uint64 {
 
 // TestKeyCoderHashMatchesFNVReference pins the determinism contract: for
 // every coordinate within the coder's bounds, the collapsed hash equals the
-// seed's byte-loop FNV-1a exactly.
+// seed's byte-loop FNV-1a exactly, and so does the one a cache's key
+// derivation writes out, through a bucket count that is a power of two and
+// one that is not.
 func TestKeyCoderHashMatchesFNVReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
-	for _, dims := range [][2]int{{2, 1 << 16}, {7, 3000}, {1, 1}, {4096, 1 << 25}, {3, 1 << 9}} {
+	for d, dims := range [][2]int{{2, 1 << 16}, {7, 3000}, {1, 1}, {4096, 1 << 25}, {3, 1 << 9}} {
 		ranks, maxRegion := dims[0], dims[1]
 		c := newKeyCoder(ranks, maxRegion)
+		cache := &Cache{coder: c}
+		cache.tab.clearFor(1021+3*(d%2), 4)
 		for i := 0; i < 2000; i++ {
 			target := rng.IntN(ranks)
 			size := 1 + rng.IntN(maxRegion)
 			offset := rng.IntN(maxRegion - size + 1)
-			if got, want := c.hash(target, offset, size), refFNV(target, offset, size); got != want {
+			want := refFNV(target, offset, size)
+			if got := c.hash(target, offset, size); got != want {
 				t.Fatalf("coder(%d,%d): hash(%d,%d,%d) = %#x, want %#x",
 					ranks, maxRegion, target, offset, size, got, want)
+			}
+			if got, want := cache.key(target, offset, size), (Key{c.pack(target, offset, size), cache.tab.laneOf(want)}); got != want {
+				t.Fatalf("coder(%d,%d), %d buckets: key(%d,%d,%d) = %+v, want %+v",
+					ranks, maxRegion, cache.tab.buckets, target, offset, size, got, want)
 			}
 		}
 	}

@@ -41,10 +41,11 @@ const delegationEntryOverhead = 16
 // Each entry charges 4 bytes per neighbour plus a 16-byte header. Ties are
 // broken by vertex id so the selection is deterministic.
 func BuildDelegation(g graph.Store, budgetBytes int) *Delegation {
-	d := &Delegation{lists: make(map[graph.V][]graph.V)}
+	d := &Delegation{}
 	if budgetBytes <= 0 {
 		return d
 	}
+	d.lists = make(map[graph.V][]graph.V)
 	n := g.NumVertices()
 	indeg := storeInDegrees(g)
 	order := make([]graph.V, n)
@@ -96,8 +97,10 @@ func storeInDegrees(g graph.Store) []int {
 }
 
 // Lookup returns the replicated adjacency list of v, if v was delegated.
+// An empty delegation — off, or a budget nothing fits — answers from the
+// length check, without a map lookup: every remote fetch asks.
 func (d *Delegation) Lookup(v graph.V) ([]graph.V, bool) {
-	if d == nil || d.lists == nil {
+	if d == nil || len(d.lists) == 0 {
 		return nil, false
 	}
 	l, ok := d.lists[v]

@@ -463,12 +463,6 @@ type worker struct {
 	scanLi, scanJ     int
 	fetchA, fetchB    fetch
 
-	// keys[i] are ring[i]'s C_offsets and C_adj keys, when stageAhead
-	// derived them (a caching worker on a snapshot past the stage gate);
-	// start and mid hand them to the gets, which derive a key again when
-	// one does not match (clampi.Cache.Confirm).
-	keys [fetchLookahead][2]clampi.Key
-
 	// Compressed-locals decode state. compLoc is resolved once at
 	// construction so the per-edge paths branch on a flag, not an
 	// interface. Each consumer of an owned list keeps its own reuse
@@ -518,12 +512,14 @@ func (w *worker) adjOwned(li int) []graph.V {
 }
 
 // pipeEdge is one staged (owned vertex, neighbour) pair of the lookahead
-// batch, with the neighbour's packed resolve word — the one thing read at
-// staging time that the per-edge path consumes (start).
+// batch, with what the per-edge path consumes of the staging: the
+// neighbour's packed resolve word (start) and, for a remote neighbour of a
+// caching rank, its two accesses' verdicts (decide).
 type pipeEdge struct {
-	li int32
-	vj graph.V
-	rv uint64
+	li       int32
+	vj       graph.V
+	rv       uint64
+	off, adj clampi.Verdict
 }
 
 // refillRing stages the next batch of the CSR walk, until the ring is full
@@ -541,7 +537,7 @@ func (w *worker) refillRing() {
 			if w.edgeFilter != nil && !w.edgeFilter(w.scanLi, vj) {
 				continue
 			}
-			w.ring[w.ringLen] = pipeEdge{int32(w.scanLi), vj, w.resolve[vj]}
+			w.ring[w.ringLen] = pipeEdge{li: int32(w.scanLi), vj: vj, rv: w.resolve[vj]}
 			w.ringLen++
 			if w.ringLen == fetchLookahead {
 				return
@@ -569,20 +565,13 @@ const stageMinBytes = 2 << 20
 //  1. the neighbour's orientation word (refillRing staged its resolve word);
 //  2. its owner's (start, end) offset pair;
 //  3. the line of its list the visit cuts at — start + upper offset, the
-//     middle of the list while the word is unfilled or names a hub entry —
-//     and, for a remote neighbour with caching on, what its two gets probe
-//     first in C_offsets and C_adj (clampi.Cache.Preload), through the two
-//     keys it derives here once and leaves in keys for start and mid.
-//
-// Level 3 computes every address before it loads any: the loads of one edge
-// behind the address arithmetic of the next would keep only two or three in
-// flight.
+//     middle of the list while the word is unfilled or names a hub entry.
 //
 // Nothing loaded here reaches the model: the values are summed into sink and
-// never read, and every get, cache transition, wait, charge and kernel reads
-// its data again at its canonical position. Every index is checked, not
-// trusted: the orientation word may be damaged (orientIndex), and a corrupt
-// resolve word or pair is for start and the window to fault on, as before.
+// never read, and every get, wait, charge and kernel reads its data again at
+// its canonical position. Every index is checked, not trusted: the
+// orientation word may be damaged (orientIndex), and a corrupt resolve word
+// or pair is for start and the window to fault on, as before.
 func (w *worker) stageAhead(batch []pipeEdge) {
 	var word [fetchLookahead]uint32
 	for i := range batch {
@@ -597,34 +586,16 @@ func (w *worker) stageAhead(batch []pipeEdge) {
 			pair[i] = [2]uint64{w.pairs[slot][2*li], w.pairs[slot][2*li+1]}
 		}
 	}
-	var line [fetchLookahead]*graph.V
-	var off, adj [fetchLookahead]clampi.Key
-	lines, remote := 0, 0
+	sink := w.sink
 	for i := range batch {
-		slot, li := unpackResolve(batch[i].rv)
+		slot, _ := unpackResolve(batch[i].rv)
 		start, end := pair[i][0], pair[i][1]
 		if start >= end {
 			continue // an empty list, or a pair level 2 would not read
 		}
 		if list, at := w.locals[slot].Adj, stageIndex(word[i], start, end); at < uint64(len(list)) {
-			line[lines] = &list[at] // compressed locals have no plain list to read
-			lines++
+			sink += uint64(list[at]) // compressed locals have no plain list to read
 		}
-		// Level 2 read the pair inside the owner's offsets region, so the
-		// offsets get is inside the window; the list must be too.
-		if owner := w.ownerBase + slot; w.cOff != nil && slot != w.slot && end <= uint64(w.wAdj.SizeAt(owner))/4 {
-			off[remote] = w.cOff.KeyOf(owner, 16*li, 16)
-			adj[remote] = w.cAdj.KeyOf(owner, 4*int(start), 4*int(end-start))
-			w.keys[i] = [2]clampi.Key{off[remote], adj[remote]}
-			remote++
-		}
-	}
-	sink := w.sink
-	for _, id := range line[:lines] {
-		sink += uint64(*id)
-	}
-	if remote > 0 {
-		sink += w.cOff.Preload(off[:remote]) + w.cAdj.Preload(adj[:remote])
 	}
 	w.sink = sink
 }
@@ -644,14 +615,17 @@ func unpackResolve(rv uint64) (slot, li int) {
 	return int(rv >> resolveLiBits), int(rv & (1<<resolveLiBits - 1))
 }
 
-// popEdge takes the next staged edge and its keys. When the ring runs dry it
-// is refilled in a batch and, on a snapshot large enough (Snapshot.ahead),
-// read ahead for (stageAhead).
-func (w *worker) popEdge() (pipeEdge, *[2]clampi.Key, bool) {
+// popEdge takes the next staged edge. When the ring runs dry it is refilled
+// in a batch, decided (decide) by a caching rank and, on a snapshot large
+// enough (Snapshot.ahead), read ahead for (stageAhead).
+func (w *worker) popEdge() (pipeEdge, bool) {
 	if w.ringHead == w.ringLen {
 		w.refillRing()
 		if w.ringLen == 0 {
-			return pipeEdge{}, nil, false
+			return pipeEdge{}, false
+		}
+		if w.cOff != nil {
+			w.decide(w.ring[:w.ringLen])
 		}
 		if w.ahead {
 			w.stageAhead(w.ring[:w.ringLen])
@@ -659,7 +633,91 @@ func (w *worker) popEdge() (pipeEdge, *[2]clampi.Key, bool) {
 	}
 	i := w.ringHead
 	w.ringHead++
-	return w.ring[i], &w.keys[i], true
+	return w.ring[i], true
+}
+
+// decide is a caching rank's decision pass over the batch just staged: the
+// cache transitions of every remote edge's two accesses, in edge order, in
+// one tight pass ahead of the walk that charges them. It reads the owners'
+// pairs from the snapshot (the offsets window's memory), derives all the
+// keys, preloads what their lookups read first (clampi.Cache.Preload) so
+// those misses overlap, then decides each access and leaves the verdicts in
+// the edges. No transition reads the clock (DESIGN.md §6): each cache's
+// operation order and the rank's fault-draw order are the walk's. An edge
+// the pass cannot key — its pair or list outside the owner's regions — ends
+// the pass; the walk decides the rest itself, faulting where it always did.
+func (w *worker) decide(batch []pipeEdge) {
+	var at [fetchLookahead]int
+	var pair [fetchLookahead][2]uint64
+	n := 0
+	for i := range batch {
+		slot, li := unpackResolve(batch[i].rv)
+		if slot == w.slot {
+			continue
+		}
+		if _, ok := w.deleg.Lookup(batch[i].vj); ok {
+			continue
+		}
+		if slot >= len(w.pairs) || 2*li+1 >= len(w.pairs[slot]) {
+			break
+		}
+		at[n], pair[n] = i, [2]uint64{w.pairs[slot][2*li], w.pairs[slot][2*li+1]}
+		n++
+	}
+	var off, adj [fetchLookahead]clampi.Key
+	for j := range n {
+		slot, li := unpackResolve(batch[at[j]].rv)
+		owner, start, end := w.ownerBase+slot, pair[j][0], pair[j][1]
+		if start > end || end > uint64(w.wAdj.SizeAt(owner))/4 {
+			n = j
+			break
+		}
+		off[j] = w.cOff.KeyOf(owner, 16*li, 16)
+		adj[j] = w.cAdj.KeyOf(owner, 4*int(start), 4*int(end-start))
+	}
+	w.sink += w.cOff.Preload(off[:n]) + w.cAdj.Preload(adj[:n])
+	for j := range n {
+		e := &batch[at[j]]
+		slot, li := unpackResolve(e.rv)
+		owner, start, end := w.ownerBase+slot, pair[j][0], pair[j][1]
+		e.off = w.decideAccess(w.cOff, &off[j], owner, 16*li, 16)
+		e.adj = w.decideAccess(w.cAdj, &adj[j], owner, 4*int(start), 4*int(end-start))
+	}
+}
+
+// decideAccess draws the fault schedule of cache c (C_offsets or C_adj) for
+// one access of size bytes at owner's offset off and, when the cache is
+// available, decides it under k — or, for an access the pass left
+// undecided (k nil), under KeyOf's key, which panics on a coordinate
+// outside the window geometry as the get always did. A C_adj access carries
+// the policy's score, derived from the list's degree (§III-B-2 and future
+// work iii); a score matters on insertion, so a hit ignores it — except the
+// recency refresh.
+func (w *worker) decideAccess(c *clampi.Cache, k *clampi.Key, owner, off, size int) clampi.Verdict {
+	if !c.Available() {
+		return clampi.Degraded
+	}
+	score, deg := math.NaN(), size/4
+	if c == w.cAdj {
+		switch w.opt.AdjScorePolicy {
+		case ScoreDegree:
+			score = float64(deg)
+		case ScoreCostBenefit:
+			score = w.opt.Model.RemoteCost(size) / float64(size+1)
+		case ScoreDegreeRecency:
+			w.seq++
+			score = float64(deg) * (1 + float64(w.seq)*1e-7)
+		}
+	}
+	if k == nil {
+		key := c.KeyOf(owner, off, size)
+		k = &key
+	}
+	v := c.Decide(*k, score)
+	if v == clampi.Hit && c == w.cAdj && w.opt.AdjScorePolicy == ScoreDegreeRecency {
+		c.SetScore(owner, off, size, score)
+	}
+	return v
 }
 
 // newWorker builds rank r's execution state over snapshot s, in a world of
@@ -701,32 +759,29 @@ type fetch struct {
 	local bool
 	list  []graph.V // a local fetch's list, resolved by start
 
-	// adjacency-window coordinates of the second get (set by mid), used
-	// by the score policies to address the cached entry, and the key
-	// stageAhead predicted for it (start keeps it for mid to confirm; a
-	// degraded offsets get leaves an earlier edge's, which mid re-derives)
+	// adjacency-window coordinates of the second get (set by mid)
 	adjOff, adjSize int
-	adjKey          clampi.Key
 
-	// offQ/adjQ are the direct gets, offC/adjC the ones through C_offsets
-	// and C_adj. A stage picks its flavor when it issues — cached if the
-	// worker has caches and the fault schedule leaves this access's cache
-	// available — and records it for the stage that waits.
-	offQ, adjQ           rma.Request
-	offC, adjC           clampi.Request
-	offCached, adjCached bool
+	// offV/adjV are the two accesses' verdicts (decide; Undecided without
+	// caches), which the stages charge: a hit reads the window's own view
+	// (pair, for the offsets), a miss or a degraded access the direct get
+	// offQ/adjQ, one caller-owned request per get.
+	offV, adjV clampi.Verdict
+	pair       []uint64
+	offQ, adjQ rma.Request
 
-	// dec is the slot's decode buffer for a local fetch of compressed
-	// adjacency (a remote one decodes into its request's own storage).
+	// dec is the slot's decode buffer for a local fetch, or a cache hit, of
+	// compressed adjacency (a remote get decodes into its request's own
+	// storage).
 	// Per-slot ownership makes the pipeline safe — the next decode into
 	// this slot happens only after the current edge's visit — and reuse
 	// keeps the steady state allocation-free.
 	dec []graph.V
 }
 
-// start issues e's first get (or resolves a local list immediately); keys
-// are e's staged keys, possibly stale ones of an earlier edge.
-func (w *worker) start(f *fetch, e pipeEdge, keys *[2]clampi.Key) {
+// start charges e's first access and issues its get (or resolves a local
+// list immediately).
+func (w *worker) start(f *fetch, e pipeEdge) {
 	vj := e.vj
 	slot, li := unpackResolve(e.rv)
 	if slot == w.slot {
@@ -757,56 +812,51 @@ func (w *worker) start(f *fetch, e pipeEdge, keys *[2]clampi.Key) {
 	if w.opt.OnRemoteRead != nil {
 		w.opt.OnRemoteRead(w.r.ID(), vj)
 	}
-	// No cache, or the fault schedule degraded it for this access: the
-	// direct get serves the same window bytes uncached.
-	f.offCached = w.cOff != nil && w.cOff.Available()
-	if f.offCached {
-		f.adjKey = keys[1]
-		w.cOff.GetInto(&f.offC, w.cOff.Confirm(keys[0], f.owner, 16*li, 16), math.NaN())
-	} else {
-		w.r.GetInto(&f.offQ, w.wOff, f.owner, 16*li, 16)
+	f.offV, f.adjV = e.off, e.adj
+	if f.offV == clampi.Undecided && w.cOff != nil {
+		f.offV = w.decideAccess(w.cOff, nil, f.owner, 16*li, 16)
 	}
+	// A miss charges CLaMPI's overhead ahead of the get it issues; no cache,
+	// or one the fault schedule degraded for this access, leaves the direct
+	// get to serve the same window bytes uncached.
+	switch f.offV {
+	case clampi.Hit:
+		w.r.ChargeCacheHit(16)
+		f.pair = w.wOff.ViewUint64s(f.owner, 16*li, 16)
+		return
+	case clampi.Miss:
+		w.r.ChargeCacheMissOverhead()
+	}
+	w.r.GetInto(&f.offQ, w.wOff, f.owner, 16*li, 16)
 }
 
-// mid completes the offsets get and issues the adjacency get.
+// mid completes the offsets access and charges and issues the adjacency
+// one.
 func (w *worker) mid(f *fetch) {
 	if f.local {
 		return
 	}
-	var pair []uint64
-	if f.offCached {
-		f.offC.Wait()
-		pair = f.offC.Uint64s()
-	} else {
+	pair := f.pair
+	if f.offV != clampi.Hit {
 		f.offQ.Wait()
+		if f.offV == clampi.Miss {
+			w.r.ChargeCacheManage(16)
+		}
 		pair = f.offQ.Uint64s()
 	}
 	start, end := pair[0], pair[1]
-	deg := int(end - start)
-	f.adjOff, f.adjSize = int(start)*4, deg*4
-	f.adjCached = w.cAdj != nil && w.cAdj.Available()
-	if !f.adjCached {
-		w.r.GetInto(&f.adjQ, w.wAdj, f.owner, f.adjOff, f.adjSize)
+	f.adjOff, f.adjSize = int(start)*4, int(end-start)*4
+	if f.adjV == clampi.Undecided && w.cAdj != nil {
+		f.adjV = w.decideAccess(w.cAdj, nil, f.owner, f.adjOff, f.adjSize)
+	}
+	switch f.adjV {
+	case clampi.Hit:
+		w.r.ChargeCacheHit(f.adjSize)
 		return
+	case clampi.Miss:
+		w.r.ChargeCacheMissOverhead()
 	}
-	// After the offsets get we know the remote vertex's degree; the
-	// non-default policies pass an application-defined score derived from
-	// it (§III-B-2 and future work iii). A score matters on insertion, so
-	// a hit ignores it — except the recency refresh below.
-	score := math.NaN()
-	switch w.opt.AdjScorePolicy {
-	case ScoreDegree:
-		score = float64(deg)
-	case ScoreCostBenefit:
-		score = w.opt.Model.RemoteCost(f.adjSize) / float64(f.adjSize+1)
-	case ScoreDegreeRecency:
-		w.seq++
-		score = float64(deg) * (1 + float64(w.seq)*1e-7)
-	}
-	w.cAdj.GetInto(&f.adjC, w.cAdj.Confirm(f.adjKey, f.owner, f.adjOff, f.adjSize), score)
-	if w.opt.AdjScorePolicy == ScoreDegreeRecency && f.adjC.Hit() {
-		w.cAdj.SetScore(f.owner, f.adjOff, f.adjSize, score)
-	}
+	w.r.GetInto(&f.adjQ, w.wAdj, f.owner, f.adjOff, f.adjSize)
 }
 
 // finish completes the adjacency get and resolves the list: an aliased view
@@ -817,24 +867,32 @@ func (w *worker) finish(f *fetch) []graph.V {
 	if f.local {
 		return f.list
 	}
-	if f.adjCached {
-		f.adjC.Wait()
-		return f.adjC.Vertices()
+	if f.adjV == clampi.Hit {
+		if w.compLoc {
+			f.dec = w.wAdj.ReadVertices(f.owner, f.adjOff, f.adjSize, f.dec)
+			return f.dec
+		}
+		return w.wAdj.ViewVertices(f.owner, f.adjOff, f.adjSize)
 	}
 	f.adjQ.Wait()
+	if f.adjV == clampi.Miss {
+		w.r.ChargeCacheManage(f.adjSize)
+	}
 	return f.adjQ.Vertices()
 }
 
 // fetchLookahead is the depth k of the host-side software pipeline in
 // forEachEdge: edge enumeration (CSR scan, filter evaluation, ring
-// staging) and the read-ahead over each staged batch (stageAhead) run up to
-// k edges ahead of the model in tight refill batches; sixteen is as many
-// independent loads as a core keeps in flight, and 32 measured no better.
-// Only host work moves — every model-visible operation (charge appends, get
-// issues, cache transitions) still fires at its canonical lookahead-one
-// position, which is what the charge-tape contract (DESIGN.md §6) requires
-// for bit-identical SimTime.
-const fetchLookahead = 16
+// staging), a caching rank's decision pass (decide) and the read-ahead
+// (stageAhead) run up to k edges ahead of the model in tight refill
+// batches. k is the decision pass's window: on a 2-vCPU Xeon, 64 ran
+// cached-rmat queries 5 % faster than 16 (108 of 150 alternating queries),
+// and 128 measured no better on cached-rmat, cached-uniform or pull-rmat.
+// Only host work moves — every charge append, get issue and wait still
+// fires at its canonical lookahead-one position, and each cache's
+// transitions keep their order — which is what the charge-tape contract
+// (DESIGN.md §6) requires for bit-identical SimTime.
+const fetchLookahead = 64
 
 // forEachEdge streams the rank's (owned vertex, neighbour, neighbour's
 // adjacency list) triples through visit, running the paper's fetch
@@ -856,9 +914,9 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 	// issues through, so no per-edge struct zeroing is needed.
 	cur, nxt := &w.fetchA, &w.fetchB
 
-	e, keys, ok := w.popEdge()
+	e, ok := w.popEdge()
 	if ok {
-		w.start(cur, e, keys)
+		w.start(cur, e)
 	}
 	for ok {
 		// Complete the offsets get and fire the dependent adjacency
@@ -876,9 +934,9 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 		var en pipeEdge
 		var okn bool
 		if w.opt.DoubleBuffer {
-			en, keys, okn = w.popEdge()
+			en, okn = w.popEdge()
 			if okn {
-				w.start(nxt, en, keys)
+				w.start(nxt, en)
 			}
 		}
 
@@ -888,9 +946,9 @@ func (w *worker) forEachEdge(visit func(li int, vj graph.V, adjJ []graph.V)) {
 			e, ok = en, okn
 			cur, nxt = nxt, cur
 		} else {
-			e, keys, ok = w.popEdge()
+			e, ok = w.popEdge()
 			if ok {
-				w.start(cur, e, keys)
+				w.start(cur, e)
 			}
 		}
 	}

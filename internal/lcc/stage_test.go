@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
+	"repro/internal/clampi"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/intersect"
@@ -168,6 +170,122 @@ func checkStageIndex(t *testing.T, s *Snapshot, what string) {
 			if at := stageIndex(word, start, end); at < start || at >= end {
 				t.Fatalf("%s: vertex %d, word %#x: stage index %d outside its list [%d, %d)", what, v, word, at, start, end)
 			}
+		}
+	}
+}
+
+// TestDamagedSnapshotFailsAtTheAccess damages one vertex's offset pair or
+// resolve word every way the decision pass refuses to key (decide), and
+// requires the cached run to fail with the error that access's get has
+// always raised: through the cache, and with every access degraded to the
+// direct get (CacheFailPct 1). The messages were recorded at the commit
+// before the pass existed.
+func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
+	g := stageGraph()
+	const v = 600
+	for _, tc := range []struct {
+		name             string
+		damage           func(s *Snapshot, slot, li int)
+		cached, degraded string
+	}{
+		{"list past its region", func(s *Snapshot, slot, li int) { s.pairs[slot][2*li+1] = uint64(len(s.locals[slot].Adj)) + 3 },
+			`Get "adjacencies" target 4 [4600:+1996) out of range (len 6584)`,
+			`Get "adjacencies" target 4 [4600:+1996) out of range (len 6584)`},
+		{"start after end", func(s *Snapshot, slot, li int) { s.pairs[slot][2*li] = s.pairs[slot][2*li+1] + 2 },
+			"clampi: get (target 4, offset 4680, size -8) outside window geometry",
+			`Get "adjacencies" target 4 [4680:+-8) out of range (len 6584)`},
+		{"pair past its region", func(s *Snapshot, slot, li int) { s.pairs[slot] = s.pairs[slot][:2*li] },
+			`Get "offsets" target 4 [`, `Get "offsets" target 4 [`},
+		{"no such rank", func(s *Snapshot, slot, li int) { s.resolve[v] = uint64(9)<<resolveLiBits | uint64(li) },
+			"clampi: get (target 9, offset 1440, size 16) outside window geometry",
+			"index out of range [9] with length 8"},
+	} {
+		for _, degraded := range []bool{false, true} {
+			s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 8, Scheme: part.Block})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.ahead = true
+			slot, li := unpackResolve(s.resolve[v])
+			tc.damage(s, slot, li)
+			opt, want := cachedOpts(1, 1<<10, 1<<13, ScoreDegree), tc.cached
+			if degraded {
+				opt.Faults, want = &fault.Spec{Seed: 9, CacheFailPct: 1}, tc.degraded
+			}
+			if _, err := s.RunCtx(context.Background(), opt); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, degraded %v: error %v, want one naming %q", tc.name, degraded, err, want)
+			}
+		}
+	}
+}
+
+// TestDecisionPassMatchesRecorded runs each C_adj score policy — cost-benefit
+// and degree+recency, whose recency refresh the pass makes, included —
+// through every engine forEachEdge serves, single- and double-buffered,
+// fault-free and under cache and get faults, over two layouts, and holds a
+// digest of each run's fingerprint and per-rank cache statistics to the one
+// recorded at the commit before the decision pass existed.
+func TestDecisionPassMatchesRecorded(t *testing.T) {
+	g := stageGraph()
+	ctx := context.Background()
+	engines := map[string]func(s *Snapshot, o Options) (*Result, error){
+		"pull": func(s *Snapshot, o Options) (*Result, error) { return s.RunCtx(ctx, o) },
+		"push": func(s *Snapshot, o Options) (*Result, error) { return s.runPushCtx(ctx, PushOptions{Options: o}) },
+		"jaccard": func(s *Snapshot, o Options) (*Result, error) {
+			jr, err := s.RunJaccardCtx(ctx, o)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{LCC: jr.Scores, SimTime: jr.SimTime, PerRank: jr.PerRank}, nil
+		},
+		"replicated-c2": func(s *Snapshot, o Options) (*Result, error) { return s.runReplicatedCtx(ctx, o, 2) },
+	}
+	for _, tc := range []struct {
+		policy ScorePolicy
+		want   uint64
+	}{
+		{ScoreLRU, 0xb6bdeb0732c0f5b6}, {ScoreDegree, 0xd40cfce453c9a076},
+		{ScoreCostBenefit, 0xe91b635cb8e00321}, {ScoreDegreeRecency, 0xfe22331fde9d39b7},
+	} {
+		h := uint64(1469598103934665603)
+		mix := func(x uint64) { h = (h ^ x) * 1099511628211 }
+		for _, so := range []SnapshotOptions{
+			{Ranks: 8, Scheme: part.Block},
+			{Ranks: 4, Scheme: part.Cyclic, Storage: StorageCompressed, DelegateBytes: 1 << 12},
+		} {
+			s, err := NewSnapshotOpts(g, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.ahead = true
+			for _, faults := range []*fault.Spec{nil, {Seed: 7, CacheFailPct: 0.02, GetFailPct: 0.01}} {
+				for _, double := range []bool{true, false} {
+					for _, name := range []string{"pull", "push", "jaccard", "replicated-c2"} {
+						if name == "replicated-c2" && so.Ranks != recycleRanks/2 {
+							continue
+						}
+						d := newChargeDigest()
+						opt := cachedOpts(2, 1<<9, 1<<12, tc.policy)
+						opt.DoubleBuffer, opt.Faults, opt.ChargeObserver = double, faults, d.observe
+						res, err := engines[name](s, opt)
+						if err != nil {
+							t.Fatalf("%v, %s: %v", tc.policy, name, err)
+						}
+						mix(fingerprint(res, d.sum))
+						for _, r := range res.PerRank {
+							for _, c := range []clampi.Stats{r.OffsetsCache, r.AdjCache} {
+								for _, x := range []int64{c.Hits, c.Misses, c.CompulsoryMisses, c.Inserts, c.RejectedInserts,
+									c.ConflictEvictions, c.CapacityEvictions, c.DegradedOps, c.BytesCached} {
+									mix(uint64(x))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if h != tc.want {
+			t.Errorf("%v: digest %#x, recorded %#x", tc.policy, h, tc.want)
 		}
 	}
 }
