@@ -352,9 +352,10 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 // declares must be referenced by another non-test file of the repository
 // (bench/ included). A func F of package p counts as referenced by p.F in a
 // file importing p, or by F in another file of p other than as a declared
-// name (a method F is not a call of F); a method M by any selector x.M, so a
-// name two types share only makes the check more lenient, and methods the
-// standard library calls through an interface are exempt.
+// name (a method F is not a call of F); a method M by any selector x.M whose
+// x is not an imported package's name, so a name two types share only makes
+// the check more lenient, and methods the standard library calls through an
+// interface (errors.Is included) are exempt.
 // testOnly lists the exports kept for tests alone, each with the tests that
 // need it; an export only its own package's tests need belongs in a _test.go
 // file of that package instead.
@@ -372,7 +373,7 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		"lcc.Snapshot.CorruptForTest":   "the fault hook behind serve's CorruptResident and lcc's integrity tests",
 		"lcc.Snapshot.StorageRepr":      "storage_equiv_test.go checks the representation a memory budget chose",
 	}
-	stdIface := map[string]bool{"Error": true, "String": true, "Unwrap": true}
+	stdIface := map[string]bool{"Error": true, "String": true, "Unwrap": true, "Is": true}
 
 	type decl struct{ key, name, file string }
 	var decls []decl
@@ -421,10 +422,12 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 				}
 				return false
 			case *ast.SelectorExpr:
-				used["."+n.Sel.Name] = true
+				// A package-qualified name (slices.Contains) is no method
+				// reference: only a selector on a value counts as x.M.
 				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 					used[imports[x.Name]+"."+n.Sel.Name] = true
 				} else {
+					used["."+n.Sel.Name] = true
 					ast.Inspect(n.X, visit)
 				}
 				return false

@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -234,72 +235,58 @@ func BenchmarkRMAGetReadOnly(b *testing.B) {
 	}
 }
 
+// The CLaMPI benchmarks time KeyOf + Decide, the engines' path (lcc's
+// decision pass): the cache transitions alone, no charge and no get.
 func BenchmarkClampiHit(b *testing.B) {
-	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateReadOnlyWindow("bench", [][]byte{nil, make([]byte, 1<<16)})
-	r := comm.Rank(0)
-	r.LockAll(w)
-	defer r.UnlockAll(w)
-	c := clampi.New(r, w, clampi.Config{Capacity: 1 << 16})
-	q := c.Get(1, 0, 256)
-	q.Wait()
-	q.Release()
+	c := benchCache(1<<16, clampi.Config{Capacity: 1 << 16})
+	c.Decide(c.KeyOf(1, 0, 256), math.NaN())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Get(1, 0, 256).Release()
+		c.Decide(c.KeyOf(1, 0, 256), math.NaN())
 	}
 }
 
 func BenchmarkClampiMissEvict(b *testing.B) {
-	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateReadOnlyWindow("bench", [][]byte{nil, make([]byte, 1<<20)})
-	r := comm.Rank(0)
-	r.LockAll(w)
-	defer r.UnlockAll(w)
 	// Tiny cache: every access misses and evicts.
-	c := clampi.New(r, w, clampi.Config{Capacity: 1 << 10})
+	c := benchCache(1<<20, clampi.Config{Capacity: 1 << 10})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := c.Get(1, (i%1024)*512, 512)
-		q.Wait()
-		q.Release()
+		c.Decide(c.KeyOf(1, (i%1024)*512, 512), math.NaN())
 	}
 }
 
 // BenchmarkClampiCapacitySettle runs CLaMPI at C_offsets' geometry — a
 // 256 KiB buffer of 16-byte LRU entries over 16,384 buckets — on a uniform
-// stream over twice as many regions as it holds: about half the gets hit,
-// bumping stamps, and every miss takes a capacity eviction through a victim
-// heap sixteen thousand entries deep, revalidating the stale roots the hits
-// left (Cache.settleVictims).
+// stream over twice as many regions as it holds: about half the accesses
+// hit, bumping stamps, and every miss takes a capacity eviction through a
+// victim heap sixteen thousand entries deep, revalidating the stale roots the
+// hits left (Cache.settleVictims).
 func BenchmarkClampiCapacitySettle(b *testing.B) {
 	const capacity, size = 256 << 10, 16
-	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateReadOnlyWindow("bench", [][]byte{nil, make([]byte, 2*capacity)})
-	r := comm.Rank(0)
-	r.LockAll(w)
-	defer r.UnlockAll(w)
-	c := clampi.New(r, w, clampi.Config{Capacity: capacity, Buckets: capacity / size})
+	c := benchCache(2*capacity, clampi.Config{Capacity: capacity, Buckets: capacity / size})
 	rng := rand.New(rand.NewPCG(1, 2))
 	offs := make([]int, 1<<16)
 	for i := range offs {
 		offs[i] = size * rng.IntN(2*capacity/size)
 	}
-	get := func(i int) {
-		q := c.Get(1, offs[i%len(offs)], size)
-		q.Wait()
-		q.Release()
-	}
 	for i := range offs {
-		get(i)
+		c.Decide(c.KeyOf(1, offs[i], size), math.NaN())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		get(i)
+		c.Decide(c.KeyOf(1, offs[i%len(offs)], size), math.NaN())
 	}
+}
+
+// benchCache is a cache for rank 0 of a two-rank world over rank 1's region
+// of region read-only bytes.
+func benchCache(region int, cfg clampi.Config) *clampi.Cache {
+	comm := rma.NewComm(2, rma.DefaultCostModel())
+	w := comm.CreateReadOnlyWindow("bench", [][]byte{nil, make([]byte, region)})
+	return clampi.New(comm.Rank(0), w, cfg)
 }
 
 func BenchmarkSharedLCC(b *testing.B) {

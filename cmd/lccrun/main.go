@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -110,6 +111,21 @@ func run(args []string, out io.Writer) error {
 		agg = lcc.PushDirect
 	default:
 		return fmt.Errorf(`-push-agg: unknown value %q (want "batched" or "direct")`, *pushAgg)
+	}
+
+	// A flag for a mode the run is not in would be ignored in silence. Visit
+	// sees only the flags the command line set, so no default trips this.
+	needs := map[string]string{"cache-adj": "-cache", "cache-offsets": "-cache", "degree-scores": "-cache",
+		"push-agg": "-engine push", "replicas": "-engine replicated"}
+	mode := map[string]bool{"-cache": *caching, "-engine " + *engine: true}
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if need := needs[f.Name]; need != "" && !mode[need] {
+			stray = append(stray, fmt.Sprintf("-%s needs %s", f.Name, need))
+		}
+	})
+	if len(stray) > 0 {
+		return errors.New(strings.Join(stray, "; "))
 	}
 
 	g, err := loadGraph(*dataset, *in, *format, *directed)

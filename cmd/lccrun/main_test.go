@@ -29,6 +29,12 @@ func TestRun(t *testing.T) {
 		{args: "-top -1", wantErr: "-top -1,"},
 		{args: "-ranks 0", wantErr: "at least 1"},
 		{args: "-engine replicated -replicas 0", wantErr: "at least 1"},
+		{args: "-ranks 2 -degree-scores -cache-adj 4096", wantErr: "-cache-adj needs -cache; -degree-scores needs -cache"},
+		{args: "-cache=false -cache-offsets 64", wantErr: "-cache-offsets needs -cache"},
+		{args: "-push-agg direct", wantErr: "-push-agg needs -engine push"},
+		{args: "-engine replicated -push-agg batched", wantErr: "-push-agg needs -engine push"},
+		{args: "-replicas 2", wantErr: "-replicas needs -engine replicated"},
+		{args: "-engine push -replicas 1 -push-agg direct", wantErr: "-replicas needs -engine replicated"},
 		{args: "-engine pull -scheme block-arcs", wantOut: "scheme=block-arcs"},
 		{args: "-engine pull -scheme cyclic -cache -degree-scores", wantOut: "scheme=cyclic"},
 		{args: "-engine push -push-agg direct", wantOut: "engine=push"},

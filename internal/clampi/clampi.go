@@ -82,9 +82,9 @@ type Stats struct {
 //
 // Steady-state operation — hit, miss, insert, evict, flush — performs
 // no heap allocations: entries and buffer extents are records of one slab
-// (see record), AVL nodes recycle through a pool, requests are the caller's
-// own values or come from a free list (see Request), and the victim heap,
-// hash table and compulsory-miss set reuse their backing arrays. Filling
+// (see record), AVL nodes recycle through a pool, requests come from a free
+// list (see Request), and the victim heap, hash table and compulsory-miss set
+// reuse their backing arrays. Filling
 // those structures is what costs memory (MemBytes; 2.5 and 4.9 MB for a
 // rank's two instances at the benchmark's cache sizes), so an instance is
 // reusable: Reset rebinds it to another rank and window in the exact state
@@ -105,11 +105,7 @@ type Cache struct {
 	seen    seenSet
 	stats   Stats
 
-	// inflight counts the misses issued and not yet waited for, under either
-	// ownership. reqFree recycles pooled requests; single-goroutine like the
-	// owning rank, so no locking.
-	inflight int
-	reqFree  []*Request
+	reqFree []*Request // released requests; single-goroutine like the rank, so no locking
 
 	// busy asserts the single-owner contract now that ranks execute on
 	// concurrent worker goroutines: operational entry points set and clear
@@ -147,18 +143,14 @@ func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 // a large cache does not pin its footprint in a pool for the pool's
 // lifetime, and a steady stream of equal queries never reallocates.
 //
-// Reset panics on a writable window. It panics too on a cache that is
-// mid-operation or has a miss in flight: such an instance was abandoned by an
-// unwinding rank and its transfer belongs to a run that no longer exists.
+// Reset panics on a writable window, and on a cache that is mid-operation:
+// such an instance was abandoned by an unwinding rank.
 func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 	if !w.ReadOnly() {
 		panic(fmt.Sprintf("clampi: window %q is writable; a cache serves read-only windows only", w.Name()))
 	}
 	if c.busy {
 		panic("clampi: Reset of a cache that is mid-operation")
-	}
-	if c.inflight != 0 {
-		panic("clampi: Reset of a cache with an incomplete miss")
 	}
 
 	c.rank, c.win = r, w
@@ -204,9 +196,6 @@ func (c *Cache) MemBytes() int {
 		int(unsafe.Sizeof(heapItem{}))*cap(c.victims.h) + 4*cap(c.victims.pos) +
 		8*len(c.seen.tab)
 }
-
-// Rank returns the owning rank.
-func (c *Cache) Rank() *rma.Rank { return c.rank }
 
 // Stats returns a snapshot of the cache statistics.
 func (c *Cache) Stats() Stats {
@@ -279,124 +268,66 @@ func (c *Cache) warmRoot() {
 	c.sink += c.tab.lane[e.meta] + uint64(recs[e.prev].size+recs[e.next].size)
 }
 
-// Request is one cached get, from issue to the last read of its data: served
-// at issue (a hit, or a local access that bypassed the cache), or a miss whose
-// transfer completes — and whose region is offered to the cache — at Wait and
-// nowhere else. The transfer is a rank.GetInto into the request's own
-// rma.Request. One body (get) fills a request of either owner:
-//
-//   - Get/GetScored return a pooled request from the cache's free list; call
-//     Release when done with the data.
-//   - GetInto fills a request the caller owns, typically a value in its own
-//     pipeline state: no free list, and it is never released.
-//
-// Data read over a read-only window aliases the window and outlives the
-// request; over a compressed window it lives in storage the request owns,
-// valid until Release (pooled) or the request's next use (caller-owned).
+// Request is one get through the cache, from issue to the last read of its
+// list. Get and GetScored are a charging shell over Decide: the access is
+// decided at issue and its verdict charged to the issuing rank as the
+// engines' fetch plane charges it — a hit ChargeCacheHit and no get; a miss
+// the miss overhead and a direct get, and ChargeCacheManage once, at Wait —
+// while an access to the rank's own region bypasses the cache, a direct get
+// that touches no statistic. Wait touches no cache, so a request waited after
+// its cache's Reset charges the rank that issued it. Requests come from the
+// cache's free list: Release returns one.
 type Request struct {
-	cache  *Cache
-	hit    bool // nothing to complete: a cache hit or a local bypass
-	done   bool // a miss, completed: transfer finished, region offered to the cache
-	xfer   bool // the data is own's: a miss or a local bypass
-	owned  bool // caller-owned (GetInto): never on the free list
-	pooled bool // currently on the free list (double-release guard)
+	cache *Cache
+	rank  *rma.Rank   // the issuing rank, which Wait charges
+	win   *rma.Window // a hit's (nil otherwise): Vertices reads its list there
 
-	// A cache hit's data: window views, or a decode into vbuf (compressed
-	// window: entries store no bytes, the run is decoded again).
-	data  []byte
-	u64   []uint64
-	verts []graph.V
-	vbuf  []graph.V
-
-	// A miss's key and score, kept for the insertion at completion, and the
-	// transfer the data of a miss or a local bypass is read from.
-	size  int
-	key   Key
-	score float64 // application-defined, NaN if unset
-	own   rma.Request
+	target, offset, size int
+	own                  rma.Request // a miss's or a bypass's direct get
+	manage               bool        // a miss's ChargeCacheManage is due at its first Wait
+	pooled               bool        // on the free list
 }
 
-func (c *Cache) newReq() *Request {
-	if n := len(c.reqFree); n > 0 {
-		q := c.reqFree[n-1]
-		c.reqFree[n-1] = nil
-		c.reqFree = c.reqFree[:n-1]
-		q.pooled = false
-		return q
+// Wait completes the request: a miss's or a bypass's get, and a miss's
+// ChargeCacheManage the first time.
+func (q *Request) Wait() {
+	if q.win == nil {
+		q.own.Wait()
 	}
-	return &Request{cache: c}
+	if q.manage {
+		q.manage = false
+		// Storing an entry costs real work: hash insert, allocator search,
+		// and copying the retrieved bytes into the memory buffer. Together
+		// with CacheMissOverhead this is the cache-management overhead that
+		// makes caching a net loss when compulsory misses dominate (§IV-D-2
+		// scenario 2, the LiveJournal case).
+		q.rank.ChargeCacheManage(q.size)
+	}
 }
 
-// Release returns a pooled request to the free list. Releasing a miss that
-// has not completed panics: Wait first.
+// Vertices returns the list read from a vertex window, once waited: a view
+// of the window, or over a compressed window the run decoded — by a hit into
+// fresh storage, by a get into the request's own, valid until Release.
+func (q *Request) Vertices() []graph.V {
+	if q.win != nil {
+		// The entry is bookkeeping and never touched: the data is the
+		// window's own.
+		return q.win.ReadVertices(q.target, q.offset, q.size, nil)
+	}
+	return q.own.Vertices()
+}
+
+// Release returns the request to its cache's free list. Releasing it twice,
+// or a miss before its Wait, panics.
 func (q *Request) Release() {
-	// Precondition checks precede enter(): these panics are recoverable
-	// contract assertions (tests exercise them) and must not leave the
-	// single-owner flag set.
-	if q.owned {
-		panic("clampi: Release of a caller-owned request (GetInto); the caller owns its storage")
-	}
 	if q.pooled {
 		panic("clampi: Release of an already-released request")
 	}
-	if !q.hit && !q.done {
-		panic("clampi: Release of an incomplete miss; Wait first")
+	if q.manage {
+		panic("clampi: Release of a miss before its Wait")
 	}
-	c := q.cache
-	c.enter()
-	// Field by field (a whole-struct literal is built on the stack and
-	// copied over, once per access); q.cache never changes.
-	q.hit, q.done, q.xfer, q.pooled = false, false, false, true
-	q.data, q.u64, q.verts = nil, nil, nil
-	q.vbuf = q.vbuf[:0]
-	c.reqFree = append(c.reqFree, q)
-	c.leave()
-}
-
-// Hit reports whether the request was served from cache.
-func (q *Request) Hit() bool { return q.hit }
-
-// Done reports whether the data accessors may be called: false for a miss
-// until Wait, and for a request never issued.
-func (q *Request) Done() bool { return q.hit || q.done }
-
-// Wait completes this request: on a miss it waits for the transfer and
-// offers the region to the cache.
-func (q *Request) Wait() {
-	if q.hit || q.done {
-		return
-	}
-	c := q.cache
-	c.enter()
-	q.own.Wait()
-	c.complete(q)
-	c.leave()
-}
-
-// Data returns the bytes read from a byte window; treat them as read-only
-// (see Request for how long they stay valid). Panics if called before the
-// request completed, like the underlying RMA request.
-func (q *Request) Data() []byte {
-	if q.xfer {
-		return q.own.Data() // panics before completion, like rma
-	}
-	return q.data
-}
-
-// Uint64s returns the typed view read from a ReadOnlyUint64s window.
-func (q *Request) Uint64s() []uint64 {
-	if q.xfer {
-		return q.own.Uint64s()
-	}
-	return q.u64
-}
-
-// Vertices returns the vertex list read from a vertex window.
-func (q *Request) Vertices() []graph.V {
-	if q.xfer {
-		return q.own.Vertices()
-	}
-	return q.verts
+	q.pooled, q.win = true, nil
+	q.cache.reqFree = append(q.cache.reqFree, q)
 }
 
 // enter asserts the single-owner contract on an operational entry point;
@@ -452,33 +383,34 @@ func (c *Cache) Get(target, offset, size int) *Request {
 // engine knows from the preceding offsets get.
 func (c *Cache) GetScored(target, offset, size int, score float64) *Request {
 	k := c.KeyOf(target, offset, size)
-	c.enter()
-	q := c.newReq()
-	c.get(q, k, score)
-	c.leave()
+	var q *Request
+	if n := len(c.reqFree); n > 0 {
+		q, c.reqFree = c.reqFree[n-1], c.reqFree[:n-1]
+		q.pooled = false
+	} else {
+		q = &Request{cache: c}
+	}
+	q.rank = c.rank
+	switch {
+	case target == c.rank.ID():
+		// Local accesses bypass the cache entirely: the partition owner
+		// reads its own memory (Fig. 3: node A reads adj(0), adj(2) locally).
+		c.rank.GetInto(&q.own, c.win, target, offset, size)
+	case c.Decide(k, score) == Hit:
+		c.rank.ChargeCacheHit(size)
+		q.win, q.target, q.offset, q.size = c.win, target, offset, size
+	default:
+		c.rank.ChargeCacheMissOverhead()
+		q.manage, q.size = true, size
+		c.rank.GetInto(&q.own, c.win, target, offset, size)
+	}
 	return q
 }
 
-// GetInto is GetScored of k's coordinate into a caller-owned request (see
-// Request; a NaN score is Get): q is reset and filled in place, keeping its
-// buffers, so a request embedded in the caller's state serves every access
-// of a pipeline slot with no pool traffic. Statistics, charges and cache
-// transitions are exactly GetScored's.
-func (c *Cache) GetInto(q *Request, k Key, score float64) {
-	if q.xfer && !q.Done() {
-		panic("clampi: GetInto on a request whose miss is still in flight; Wait first")
-	}
-	c.enter()
-	q.cache, q.owned = c, true
-	q.hit, q.done, q.xfer = false, false, false
-	q.data, q.u64, q.verts = nil, nil, nil
-	c.get(q, k, score)
-	c.leave()
-}
-
 // Verdict is what the cache made of one access: a hit or a miss (Decide),
-// or Degraded, the access that found the cache unavailable (Available
-// false). It is all the rank's charges for the access depend on.
+// or Degraded, the access the rank's fault schedule found the cache
+// unavailable for (rma.Rank.CacheFault; Degrade). It is all the rank's
+// charges for the access depend on.
 type Verdict uint8
 
 const (
@@ -488,88 +420,31 @@ const (
 	Degraded                 // a direct get, the cache untouched
 )
 
-// Decide makes the cache transitions GetInto and the request's Wait make for
-// a get of k's coordinate in another rank's region, with score (NaN: none),
-// and charges nothing: the caller charges the verdict. No transition reads
-// the rank's clock, so a caller may decide accesses ahead of their charges,
-// in their order, with Available's draws in theirs.
+// Decide makes the cache transitions of a get of k's coordinate in another
+// rank's region, with score (NaN: none) — a hit's touch, or a miss's
+// statistics and insertion — and charges nothing: the caller charges the
+// verdict. No transition reads the rank's clock, so a caller may decide
+// accesses ahead of their charges, in their order, with its fault draws in
+// theirs.
 func (c *Cache) Decide(k Key, score float64) Verdict {
 	c.enter()
 	v := Hit
-	if _, _, size := c.coder.unpack(k.pk); !c.lookup(k, size) {
+	_, _, size := c.coder.unpack(k.pk)
+	if c.tab.lookupTouch(k, c.tick+1) >= 0 {
+		c.tick++
+		c.stats.Hits++
+		c.stats.HitBytes += int64(size)
+	} else {
+		if c.seen.addIfMissing(k.pk) {
+			c.stats.CompulsoryMisses++
+		}
+		c.stats.Misses++
+		c.stats.MissBytes += int64(size)
 		c.insert(k, size, score)
 		v = Miss
 	}
 	c.leave()
 	return v
-}
-
-// lookup is the first half of the decision body Decide and the request API
-// share: a hit's touch or a miss's statistics. The second, a miss's insert,
-// is Decide's at once and the request's at Wait.
-func (c *Cache) lookup(k Key, size int) bool {
-	if c.tab.lookupTouch(k, c.tick+1) >= 0 {
-		c.tick++
-		c.stats.Hits++
-		c.stats.HitBytes += int64(size)
-		return true
-	}
-	if c.seen.addIfMissing(k.pk) {
-		c.stats.CompulsoryMisses++
-	}
-	c.stats.Misses++
-	c.stats.MissBytes += int64(size)
-	return false
-}
-
-// get fills q, a reset request of either ownership, for one access.
-func (c *Cache) get(q *Request, k Key, score float64) {
-	target, offset, size := c.coder.unpack(k.pk)
-	// Local accesses bypass the cache entirely: the partition owner reads
-	// its own memory (Fig. 3: node A reads adj(0), adj(2) locally).
-	if target == c.rank.ID() {
-		q.hit, q.xfer = true, true
-		c.rank.GetInto(&q.own, c.win, target, offset, size)
-		return
-	}
-	if c.lookup(k, size) {
-		c.rank.ChargeCacheHit(size)
-		q.hit = true
-		// The entry is bookkeeping and never touched: the data is the
-		// window's own.
-		switch c.win.Kind() {
-		case rma.ReadOnlyBytes:
-			q.data = c.win.ViewBytes(target, offset, size)
-		case rma.ReadOnlyUint64s:
-			q.u64 = c.win.ViewUint64s(target, offset, size)
-		case rma.ReadOnlyVertices:
-			q.verts = c.win.ViewVertices(target, offset, size)
-		case rma.CompressedVertices:
-			q.verts = c.win.ReadVertices(target, offset, size, q.vbuf)
-			q.vbuf = q.verts
-		}
-		return
-	}
-	// Miss: issue the real RMA get; the entry is inserted when the
-	// transfer completes (at Wait), since only then is the data known.
-	c.rank.ChargeCacheMissOverhead()
-	q.size, q.key, q.score, q.xfer = size, k, score, true
-	c.rank.GetInto(&q.own, c.win, target, offset, size)
-	c.inflight++
-}
-
-// complete offers a miss whose transfer finished to the cache (Fig. 3,
-// step 6).
-func (c *Cache) complete(q *Request) {
-	q.done = true
-	c.inflight--
-	// Storing an entry costs real work: hash insert, allocator search,
-	// and copying the retrieved bytes into the memory buffer. Together
-	// with CacheMissOverhead this is the cache-management overhead that
-	// makes caching a net loss when compulsory misses dominate (§IV-D-2
-	// scenario 2, the LiveJournal case).
-	c.rank.ChargeCacheManage(q.size)
-	c.insert(q.key, q.size, q.score)
 }
 
 // insert stores a region under key k, evicting victims as needed. CLaMPI
@@ -579,9 +454,6 @@ func (c *Cache) insert(k Key, size int, score float64) {
 	if c.cfg.Capacity <= 0 || size > c.cfg.Capacity || size == 0 {
 		c.stats.RejectedInserts++
 		return
-	}
-	if c.tab.lookup(k) >= 0 {
-		return // duplicate in-flight get; entry already present
 	}
 	c.tick++
 	scored := !math.IsNaN(score)
@@ -669,14 +541,6 @@ func (c *Cache) SetScore(target, offset, size int, score float64) {
 	c.leave()
 }
 
-// Contains reports whether the exact region is currently cached.
-func (c *Cache) Contains(target, offset, size int) bool {
-	if !c.coder.fits(target, offset, size) {
-		return false
-	}
-	return c.tab.lookup(c.key(target, offset, size)) >= 0
-}
-
 // Preload reads, for each key, the words a get of it would miss the host's
 // cache on first — the head of the bucket lane it probes, the bucket's
 // record ids a miss's insertion writes, and its slot in the compulsory-miss
@@ -693,7 +557,7 @@ func (c *Cache) Preload(keys []Key) (sum uint64) {
 	return sum
 }
 
-// Flush empties the cache; a degraded access (Available) takes it. All
+// Flush empties the cache; a degraded access (Degrade) takes it. All
 // structures are cleared in place: the heap is truncated, the slab rewinds to
 // the one record of a pristine free region, and the table keeps its arrays.
 func (c *Cache) Flush() {
@@ -710,25 +574,17 @@ func (c *Cache) empty() {
 	c.alloc.reset(c.cfg.Capacity)
 }
 
-// Available reports whether the cache can serve the next access,
-// consulting the rank's deterministic fault schedule (fault.Spec
-// CacheFailPct). An injected CLaMPI fault makes the cache transiently
-// unavailable: the resident entries are flushed — their state is presumed
-// lost with the failed cache process — the degraded access is counted, and
-// the caller falls back to the direct-RMA fetch flavor for this access
-// (the engine's degradation ladder, DESIGN.md §7). Results are unaffected
-// either way: the cache only ever mirrors immutable window bytes, so
-// serving the access uncached returns the same data at a higher simulated
-// cost. With no fault schedule installed the check is one nil comparison.
-func (c *Cache) Available() bool {
-	if !c.rank.CacheFault() {
-		return true
-	}
+// Degrade takes an injected CLaMPI fault (fault.Spec CacheFailPct, which the
+// caller draws with rma.Rank.CacheFault): the entries are flushed — their
+// state is presumed lost with the failed cache process — and the degraded
+// access is counted; the caller serves it with a direct get (the degradation
+// ladder, DESIGN.md §7), the same immutable window bytes at a higher
+// simulated cost.
+func (c *Cache) Degrade() {
 	c.enter()
 	c.stats.DegradedOps++
 	c.Flush()
 	c.leave()
-	return false
 }
 
 // checkInvariants validates cross-structure consistency (tests only).

@@ -1,10 +1,11 @@
 package clampi
 
 import (
-	"bytes"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/rma"
 )
 
@@ -25,25 +26,52 @@ func testSetup(t testing.TB, size int, cfg Config) (*rma.Rank, *rma.Window, *Cac
 	return r, w, cache
 }
 
-func TestCacheHitReturnsSameBytes(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 512})
-	q1 := c.Get(1, 100, 50)
-	if q1.Hit() {
-		t.Fatal("first access reported a hit")
+// vertexSetup is testSetup over a vertex window: rank 1 exposes n vertices,
+// vertex i at byte offset 4i holding the id i.
+func vertexSetup(t testing.TB, n int, cfg Config) (*rma.Rank, *rma.Window, *Cache) {
+	t.Helper()
+	c := rma.NewComm(2, rma.DefaultCostModel())
+	region := make([]graph.V, n)
+	for i := range region {
+		region[i] = graph.V(i)
 	}
-	q1.Wait()
-	direct := q1.Data()
+	w := c.CreateVertexWindow("adj", [][]graph.V{nil, region})
+	r := c.Rank(0)
+	r.LockAll(w)
+	return r, w, New(r, w, cfg)
+}
 
-	q2 := c.Get(1, 100, 50)
-	if !q2.Hit() {
-		t.Fatal("second access missed")
+// resident reports whether the exact region is cached.
+func resident(c *Cache, target, offset, size int) bool {
+	return c.coder.fits(target, offset, size) && c.tab.lookup(c.key(target, offset, size)) >= 0
+}
+
+// isWindowList reports whether list is the n vertices from byte offset off
+// of vertexSetup's window.
+func isWindowList(list []graph.V, off, n int) bool {
+	if len(list) != n {
+		return false
 	}
-	if !bytes.Equal(q2.Data(), direct) {
-		t.Error("cached data differs from direct RMA read")
+	for i, v := range list {
+		if v != graph.V(off/4+i) {
+			return false
+		}
 	}
-	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.CompulsoryMisses != 1 {
-		t.Errorf("stats = %+v", s)
+	return true
+}
+
+func TestCacheHitReturnsSameBytes(t *testing.T) {
+	_, _, c := vertexSetup(t, 256, Config{Capacity: 512})
+	for i, want := range []Stats{{Misses: 1, CompulsoryMisses: 1}, {Hits: 1, Misses: 1, CompulsoryMisses: 1}} {
+		q := c.Get(1, 100, 48)
+		q.Wait()
+		if !isWindowList(q.Vertices(), 100, 12) {
+			t.Errorf("access %d: list %v is not the window's", i, q.Vertices())
+		}
+		q.Release()
+		if s := c.Stats(); s.Hits != want.Hits || s.Misses != want.Misses || s.CompulsoryMisses != want.CompulsoryMisses {
+			t.Errorf("access %d: stats = %+v", i, s)
+		}
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -66,19 +94,17 @@ func TestCacheHitIsCheap(t *testing.T) {
 
 func TestLocalAccessBypassesCache(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateReadOnlyWindow("d", [][]byte{{1, 2, 3, 4}, nil})
+	w := comm.CreateVertexWindow("adj", [][]graph.V{{1, 2, 3, 4}, nil})
 	r := comm.Rank(0)
 	r.LockAll(w)
 	c := New(r, w, Config{Capacity: 128})
-	q := c.Get(0, 1, 2)
-	if !q.Done() {
-		t.Fatal("local get not immediately done")
+	q := c.Get(0, 4, 8)
+	q.Wait()
+	if got := q.Vertices(); !slices.Equal(got, []graph.V{2, 3}) {
+		t.Errorf("Vertices = %v", got)
 	}
-	if !bytes.Equal(q.Data(), []byte{2, 3}) {
-		t.Errorf("Data = %v", q.Data())
-	}
-	s := c.Stats()
-	if s.Hits+s.Misses != 0 {
+	q.Release()
+	if s := c.Stats(); s != (Stats{}) {
 		t.Errorf("local access touched cache stats: %+v", s)
 	}
 }
@@ -94,7 +120,7 @@ func TestDistinctRegionsAreDistinctEntries(t *testing.T) {
 	if got := c.Stats().Inserts; got != 3 {
 		t.Errorf("Inserts = %d, want 3", got)
 	}
-	if !c.Contains(1, 0, 16) || !c.Contains(1, 16, 16) || !c.Contains(1, 0, 32) {
+	if !resident(c, 1, 0, 16) || !resident(c, 1, 16, 16) || !resident(c, 1, 0, 32) {
 		t.Error("entries missing")
 	}
 }
@@ -107,13 +133,13 @@ func TestCapacityEvictionLRU(t *testing.T) {
 	c.Get(1, 40, 40).Wait() // B
 	c.Get(1, 0, 40)         // hit A -> A more recent than B
 	c.Get(1, 80, 40).Wait() // C: needs eviction
-	if !c.Contains(1, 0, 40) {
+	if !resident(c, 1, 0, 40) {
 		t.Error("recently-used entry A was evicted")
 	}
-	if c.Contains(1, 40, 40) {
+	if resident(c, 1, 40, 40) {
 		t.Error("LRU entry B survived")
 	}
-	if !c.Contains(1, 80, 40) {
+	if !resident(c, 1, 80, 40) {
 		t.Error("new entry C not inserted")
 	}
 	s := c.Stats()
@@ -128,7 +154,7 @@ func TestCapacityEvictionLRU(t *testing.T) {
 func TestEntryLargerThanCapacityNotCached(t *testing.T) {
 	_, _, c := testSetup(t, 1024, Config{Capacity: 64})
 	c.Get(1, 0, 100).Wait()
-	if c.Contains(1, 0, 100) {
+	if resident(c, 1, 0, 100) {
 		t.Error("entry larger than the whole buffer was cached")
 	}
 	if c.Stats().RejectedInserts != 1 {
@@ -144,21 +170,21 @@ func TestAppScoreProtectsHighDegreeEntries(t *testing.T) {
 	c.GetScored(1, 0, 40, 100).Wait() // high-degree entry
 	c.GetScored(1, 40, 40, 90).Wait() // second high-degree entry
 	c.GetScored(1, 80, 40, 5).Wait()  // low-degree: must be rejected
-	if !c.Contains(1, 0, 40) || !c.Contains(1, 40, 40) {
+	if !resident(c, 1, 0, 40) || !resident(c, 1, 40, 40) {
 		t.Error("high-score entries were evicted by a low-score newcomer")
 	}
-	if c.Contains(1, 80, 40) {
+	if resident(c, 1, 80, 40) {
 		t.Error("low-score newcomer was cached despite full buffer of better entries")
 	}
 	// A higher-score newcomer evicts the lowest-score resident.
 	c.GetScored(1, 120, 40, 95).Wait()
-	if !c.Contains(1, 120, 40) {
+	if !resident(c, 1, 120, 40) {
 		t.Error("score-95 newcomer rejected")
 	}
-	if c.Contains(1, 40, 40) {
+	if resident(c, 1, 40, 40) {
 		t.Error("score-90 resident survived over score-95 newcomer")
 	}
-	if !c.Contains(1, 0, 40) {
+	if !resident(c, 1, 0, 40) {
 		t.Error("score-100 resident evicted")
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -173,10 +199,10 @@ func TestSetScoreChangesVictim(t *testing.T) {
 	// Raise the first entry's score above the second's.
 	c.SetScore(1, 0, 40, 30)
 	c.GetScored(1, 80, 40, 25).Wait()
-	if !c.Contains(1, 0, 40) {
+	if !resident(c, 1, 0, 40) {
 		t.Error("re-scored entry was evicted")
 	}
-	if c.Contains(1, 40, 40) {
+	if resident(c, 1, 40, 40) {
 		t.Error("lowest-score entry survived")
 	}
 }
@@ -190,10 +216,10 @@ func TestConflictEviction(t *testing.T) {
 	if s.ConflictEvictions != 1 {
 		t.Errorf("ConflictEvictions = %d, want 1", s.ConflictEvictions)
 	}
-	if c.Contains(1, 0, 8) {
+	if resident(c, 1, 0, 8) {
 		t.Error("conflict victim still present")
 	}
-	if !c.Contains(1, 8, 8) {
+	if !resident(c, 1, 8, 8) {
 		t.Error("newcomer not inserted after conflict eviction")
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -216,21 +242,21 @@ func TestCompulsoryVsCapacityMisses(t *testing.T) {
 	}
 }
 
+// TestRequestWaitCompletesSingleMiss: a miss is decided, and its region
+// inserted, at issue; its Wait completes the get, and a second Wait changes
+// nothing.
 func TestRequestWaitCompletesSingleMiss(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 512})
+	_, _, c := vertexSetup(t, 256, Config{Capacity: 512})
 	q := c.Get(1, 0, 16)
+	if !resident(c, 1, 0, 16) {
+		t.Error("the miss was not inserted at issue")
+	}
 	q.Wait()
-	if !q.Done() {
-		t.Fatal("Wait did not complete the request")
-	}
-	if !c.Contains(1, 0, 16) {
-		t.Error("Wait did not insert the entry")
-	}
-	// A second Wait must not double-insert.
 	q.Wait()
-	if c.Stats().Inserts != 1 {
-		t.Errorf("Inserts = %d, want 1", c.Stats().Inserts)
+	if !isWindowList(q.Vertices(), 0, 4) || c.Stats().Inserts != 1 {
+		t.Errorf("after two Waits: list %v, %d inserts; want the window's list, 1", q.Vertices(), c.Stats().Inserts)
 	}
+	q.Release()
 }
 
 func TestPositionalScorePrefersFragmentingVictims(t *testing.T) {
@@ -246,13 +272,13 @@ func TestPositionalScorePrefersFragmentingVictims(t *testing.T) {
 	c.Get(1, 40, 40).Wait()  // B at [40,80)
 	c.Get(1, 80, 40).Wait()  // C at [80,120), most recent, adjacent to free [120,140)
 	c.Get(1, 200, 60).Wait() // D: needs 60 contiguous bytes
-	if c.Contains(1, 80, 40) {
+	if resident(c, 1, 80, 40) {
 		t.Error("positional score did not evict the mergeable victim C")
 	}
-	if !c.Contains(1, 0, 40) || !c.Contains(1, 40, 40) {
+	if !resident(c, 1, 0, 40) || !resident(c, 1, 40, 40) {
 		t.Error("non-mergeable entries A/B were evicted instead")
 	}
-	if !c.Contains(1, 200, 60) {
+	if !resident(c, 1, 200, 60) {
 		t.Error("new entry D not inserted")
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -307,19 +333,19 @@ func TestCachedDataAlwaysMatchesWindow(t *testing.T) {
 	// Property-style: after any access sequence, every Get result equals
 	// the window's ground truth.
 	rng := rand.New(rand.NewPCG(21, 22))
-	_, _, c := testSetup(t, 4096, Config{Capacity: 512, Buckets: 4, Assoc: 2})
-	truth := make([]byte, 4096)
-	for i := range truth {
-		truth[i] = byte(i)
-	}
+	_, _, c := vertexSetup(t, 1024, Config{Capacity: 512, Buckets: 4, Assoc: 2})
 	for i := 0; i < 2000; i++ {
-		off := rng.IntN(4000)
-		size := 1 + rng.IntN(90)
-		q := c.Get(1, off, size)
+		off := 4 * rng.IntN(1000)
+		n := 1 + rng.IntN(22)
+		q := c.Get(1, off, 4*n)
 		q.Wait()
-		if !bytes.Equal(q.Data(), truth[off:off+size]) {
-			t.Fatalf("step %d: cached read [%d,+%d) returned wrong bytes", i, off, size)
+		if !isWindowList(q.Vertices(), off, n) {
+			t.Fatalf("step %d: cached read [%d,+%d) returned a wrong list", i, off, 4*n)
 		}
+		q.Release()
+	}
+	if s := c.Stats(); s.Hits == 0 || s.CapacityEvictions+s.ConflictEvictions == 0 {
+		t.Errorf("the stream must hit and evict: %+v", s)
 	}
 }
 
@@ -330,7 +356,7 @@ func TestCachedDataAlwaysMatchesWindow(t *testing.T) {
 // touching the newcomer.
 func TestExtentReuseAfterConflictEviction(t *testing.T) {
 	const size = 64
-	_, _, c := testSetup(t, 1<<12, Config{Capacity: 4 * size, Buckets: 2})
+	_, _, c := vertexSetup(t, 1<<10, Config{Capacity: 4 * size, Buckets: 2})
 	var home [2][]int // offsets by bucket
 	for off := 0; off < 1<<12; off += size {
 		b := int(c.key(1, off, size).lane) / (2 * c.tab.assoc)
@@ -343,10 +369,8 @@ func TestExtentReuseAfterConflictEviction(t *testing.T) {
 		t.Helper()
 		q := c.Get(1, off, size)
 		q.Wait()
-		for i, b := range q.Data() {
-			if b != byte(off+i) {
-				t.Fatalf("region at %d: byte %d = %d, want %d", off, i, b, byte(off+i))
-			}
+		if !isWindowList(q.Vertices(), off, size/4) {
+			t.Fatalf("region at %d: list %v is not the window's", off, q.Vertices())
 		}
 		q.Release()
 		if err := c.checkInvariants(); err != nil {
@@ -359,7 +383,7 @@ func TestExtentReuseAfterConflictEviction(t *testing.T) {
 	victim, newcomer := home[0][0], home[0][4]
 	id := idOf(c, 1, victim, size)
 	fetch(newcomer)
-	if s := c.Stats(); s.ConflictEvictions != 1 || s.CapacityEvictions != 0 || c.Contains(1, victim, size) {
+	if s := c.Stats(); s.ConflictEvictions != 1 || s.CapacityEvictions != 0 || resident(c, 1, victim, size) {
 		t.Fatalf("setup: want one conflict eviction of the oldest entry, got %+v", s)
 	}
 	if got := idOf(c, 1, newcomer, size); got != id {
@@ -374,7 +398,7 @@ func TestExtentReuseAfterConflictEviction(t *testing.T) {
 		if s := c.Stats(); s.ConflictEvictions != 1 || int(s.CapacityEvictions) != i+1 {
 			t.Fatalf("insert %d: %+v", i, s)
 		}
-		if !c.Contains(1, newcomer, size) {
+		if !resident(c, 1, newcomer, size) {
 			t.Fatalf("insert %d evicted the newcomer through the tombstone of record %d", i, id)
 		}
 	}
@@ -384,5 +408,88 @@ func TestExtentReuseAfterConflictEviction(t *testing.T) {
 	fetch(newcomer)
 	if s := c.Stats(); s.Hits != 2 {
 		t.Errorf("newcomer was not served from the cache: %+v", s)
+	}
+}
+
+// TestRequestShellCharges holds Get/GetScored, the charging shell over
+// Decide, to the fetch plane's bookings: each row runs its accesses on rank
+// 0 of a fresh two-rank world and is checked against the charges both ranks'
+// tapes record, the cache statistics it leaves and the panic it raises. A
+// hit books ChargeCacheHit and issues no get; a miss its overhead, one get
+// and ChargeCacheManage once, however often it is waited; a local access
+// bypasses the cache; and a request waited after its cache's Reset charges
+// the rank that issued it and touches no cache.
+func TestRequestShellCharges(t *testing.T) {
+	type charge struct {
+		rank  int
+		kind  rma.ChargeKind
+		bytes int
+	}
+	done := func(q *Request) {
+		q.Wait()
+		q.Release()
+	}
+	missed := []charge{{0, rma.ChargeCacheMiss, 0}, {0, rma.ChargeGetRemote, 32}, {0, rma.ChargeCacheManage, 32}}
+	for _, tc := range []struct {
+		name  string
+		run   func(c *Cache, r1 *rma.Rank, w *rma.Window)
+		tape  []charge
+		stats [3]int64 // hits, misses, inserts
+		panic string
+	}{
+		{"local bypass", func(c *Cache, _ *rma.Rank, _ *rma.Window) { done(c.Get(0, 64, 32)) },
+			[]charge{{0, rma.ChargeGetLocal, 32}}, [3]int64{}, ""},
+		{"miss", func(c *Cache, _ *rma.Rank, _ *rma.Window) { done(c.GetScored(1, 64, 32, 8)) },
+			missed, [3]int64{0, 1, 1}, ""},
+		{"hit", func(c *Cache, _ *rma.Rank, _ *rma.Window) {
+			done(c.Get(1, 64, 32))
+			done(c.Get(1, 64, 32))
+		}, append(slices.Clip(missed), charge{0, rma.ChargeCacheHit, 32}), [3]int64{1, 1, 1}, ""},
+		{"miss waited twice", func(c *Cache, _ *rma.Rank, _ *rma.Window) {
+			q := c.Get(1, 64, 32)
+			q.Wait()
+			done(q)
+		}, missed, [3]int64{0, 1, 1}, ""},
+		{"double release", func(c *Cache, _ *rma.Rank, _ *rma.Window) {
+			q := c.Get(1, 64, 32)
+			done(q)
+			q.Release()
+		}, missed, [3]int64{0, 1, 1}, "clampi: Release of an already-released request"},
+		{"release before wait", func(c *Cache, _ *rma.Rank, _ *rma.Window) { c.Get(1, 64, 32).Release() },
+			missed[:2], [3]int64{0, 1, 1}, "clampi: Release of a miss before its Wait"},
+		{"waited after reset", func(c *Cache, r1 *rma.Rank, w *rma.Window) {
+			q := c.Get(1, 64, 32)
+			c.Reset(r1, w, c.cfg)
+			done(q)
+		}, missed, [3]int64{}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			comm := rma.NewComm(2, rma.DefaultCostModel())
+			var tape []charge
+			comm.SetChargeObserver(func(rank int, kind rma.ChargeKind, bytes int, _, _ float64) {
+				tape = append(tape, charge{rank, kind, bytes})
+			})
+			w := comm.CreateVertexWindow("adj", [][]graph.V{make([]graph.V, 64), make([]graph.V, 64)})
+			r0, r1 := comm.Rank(0), comm.Rank(1)
+			r0.LockAll(w)
+			c := New(r0, w, Config{Capacity: 1 << 10})
+			func() {
+				defer func() {
+					if got, _ := recover().(string); got != tc.panic {
+						t.Errorf("panic %q, want %q", got, tc.panic)
+					}
+				}()
+				tc.run(c, r1, w)
+			}()
+			if !slices.Equal(tape, tc.tape) {
+				t.Errorf("tape %v, want %v", tape, tc.tape)
+			}
+			if s := c.Stats(); [3]int64{s.Hits, s.Misses, s.Inserts} != tc.stats {
+				t.Errorf("hits, misses, inserts = %d %d %d, want %v", s.Hits, s.Misses, s.Inserts, tc.stats)
+			}
+			if c.busy {
+				t.Error("the row left the cache marked mid-operation")
+			}
+		})
 	}
 }

@@ -48,8 +48,8 @@ func complete(q *Request, between func()) {
 // churnKeys, when a test sets it, routes the churns' gets through Decide
 // with keys handed over: each coordinate's key is derived on its first
 // access and reused from then on — across inserts, evictions and flushes,
-// up to the next Reset. Nil runs the pooled gets, which derive the key at
-// the get and insert at the Wait.
+// up to the next Reset. Nil runs the request shell's gets, which derive the
+// key at the get.
 var churnKeys map[[3]int]Key
 
 // churnGet is one churn access to rank 1's region.
@@ -175,8 +175,8 @@ func TestVictimOrderDigest(t *testing.T) {
 }
 
 // TestDecideMatchesRequests runs every churn through Decide, with keys
-// derived long before (churnKeys), and requires what the request API's gets
-// and Waits produce: the recorded eviction order, the statistics to the bit
+// derived long before (churnKeys), and requires what the request shell's
+// gets produce: the recorded eviction order, the statistics to the bit
 // and consistent structures, on a fresh instance and on one just Reset
 // (whose keys are derived again: a key lasts until its cache's Reset).
 // KeyOf refuses a coordinate outside the window geometry with the get's own

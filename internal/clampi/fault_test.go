@@ -25,32 +25,20 @@ func faultSetup(t testing.TB, spec *fault.Spec) (*rma.Rank, *Cache) {
 	return r, New(r, w, Config{Capacity: 512})
 }
 
-// TestAvailableWithoutFaults: with no schedule the cache is always
-// available and the probe records nothing.
-func TestAvailableWithoutFaults(t *testing.T) {
-	_, c := faultSetup(t, nil)
-	for i := 0; i < 100; i++ {
-		if !c.Available() {
-			t.Fatal("fault-free cache reported unavailable")
-		}
-	}
-	if s := c.Stats(); s.DegradedOps != 0 {
-		t.Fatalf("fault-free cache recorded degraded ops: %+v", s)
-	}
-}
-
-// TestDegradedModeFlushes: an injected cache fault makes Available report
-// false, counts a degraded op, and flushes the entries — the caller falls
-// back to direct RMA and later repopulates from scratch.
+// TestDegradedModeFlushes: an injected cache fault (the rank's CacheFault
+// draw) degrades the cache, which counts a degraded op and flushes the
+// entries — the caller falls back to direct RMA and later repopulates from
+// scratch.
 func TestDegradedModeFlushes(t *testing.T) {
-	_, c := faultSetup(t, &fault.Spec{Seed: 3, CacheFailPct: 0.2})
+	r, c := faultSetup(t, &fault.Spec{Seed: 3, CacheFailPct: 0.2})
 	degraded := 0
 	for i := 0; i < 200; i++ {
-		if c.Available() {
+		if !r.CacheFault() {
 			// Populate so the next fault has something to flush.
 			c.Get(1, (i%8)*64, 64).Wait()
 			continue
 		}
+		c.Degrade()
 		degraded++
 		if got := c.Stats().EntriesCached; got != 0 {
 			t.Fatalf("degraded cache kept %d entries after flush", got)
@@ -74,9 +62,10 @@ func TestDegradedModeFlushes(t *testing.T) {
 // decided ahead of their charges. One seeded stream — repeats, degree
 // scores, a CacheFailPct schedule — runs through the charging request API on
 // a rank whose clock has advanced and runs under noise, and through the
-// decision pass (a window's keys derived and preloaded together, then
-// Available and Decide per access) on a fresh rank, which it must leave at
-// time zero. Verdicts, statistics and evictions must be the same.
+// decision pass (a window's keys derived and preloaded together, then the
+// rank's CacheFault draw and Decide or Degrade per access) on a fresh rank,
+// which it must leave at time zero. Verdicts, statistics and evictions must
+// be the same.
 func TestCacheDecisionsIgnoreClock(t *testing.T) {
 	type access struct {
 		off, size int
@@ -117,18 +106,20 @@ func TestCacheDecisionsIgnoreClock(t *testing.T) {
 	want := make([]Verdict, len(stream))
 	var direct rma.Request
 	for i, a := range stream {
-		if !charged.Available() {
+		if r.CacheFault() {
+			charged.Degrade()
 			want[i] = Degraded
 			r.GetInto(&direct, w, 1, a.off, a.size)
 			direct.Wait()
 			continue
 		}
-		var q Request
-		charged.GetInto(&q, charged.KeyOf(1, a.off, a.size), a.score)
-		if want[i] = Miss; q.Hit() {
+		hits := charged.Stats().Hits
+		q := charged.GetScored(1, a.off, a.size, a.score)
+		if want[i] = Miss; charged.Stats().Hits > hits {
 			want[i] = Hit
 		}
 		q.Wait()
+		q.Release()
 		r.Compute(1 + i%7)
 	}
 
@@ -143,7 +134,9 @@ func TestCacheDecisionsIgnoreClock(t *testing.T) {
 		}
 		decided.Preload(keys[:len(batch)])
 		for j, a := range batch {
-			if got[lo+j] = Degraded; decided.Available() {
+			if got[lo+j] = Degraded; fresh.CacheFault() {
+				decided.Degrade()
+			} else {
 				got[lo+j] = decided.Decide(keys[j], a.score)
 			}
 		}

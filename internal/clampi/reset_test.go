@@ -9,8 +9,8 @@ import (
 )
 
 // churn drives a seeded mix of scored and unscored gets over rank 1's
-// region, each waited for before the next, and returns the rank's clock.
-func churn(c *Cache, seed uint64, ops, region int) float64 {
+// region, each waited for before the next.
+func churn(c *Cache, seed uint64, ops, region int) {
 	rng := rand.New(rand.NewPCG(seed, 1))
 	for i := 0; i < ops; i++ {
 		size := 8 + 8*rng.IntN(24)
@@ -24,7 +24,6 @@ func churn(c *Cache, seed uint64, ops, region int) float64 {
 		q.Wait()
 		q.Release()
 	}
-	return c.Rank().Now()
 }
 
 // TestResetMatchesNew: after a differently configured use, a recycled cache
@@ -42,11 +41,9 @@ func TestResetMatchesNew(t *testing.T) {
 		rf, _, fresh := testSetup(t, region, cfg)
 		rr, wr, _ := testSetup(t, region, cfg)
 		used.Reset(rr, wr, cfg)
-		if used.Rank() != rr {
-			t.Fatal("Reset did not rebind the rank")
-		}
-		tf, tr := churn(fresh, uint64(i), 6000, region), churn(used, uint64(i), 6000, region)
-		if math.Float64bits(tf) != math.Float64bits(tr) {
+		churn(fresh, uint64(i), 6000, region)
+		churn(used, uint64(i), 6000, region)
+		if tf, tr := rf.Now(), rr.Now(); math.Float64bits(tf) != math.Float64bits(tr) {
 			t.Errorf("cfg %d: clock fresh %v, recycled %v", i, tf, tr)
 		}
 		if sf, sr := fresh.Stats(), used.Stats(); sf != sr {
@@ -56,7 +53,7 @@ func TestResetMatchesNew(t *testing.T) {
 			t.Errorf("cfg %d: rank counters differ", i)
 		}
 		for off := 0; off < region/4; off += 8 {
-			if fresh.Contains(1, off, 64) != used.Contains(1, off, 64) {
+			if resident(fresh, 1, off, 64) != resident(used, 1, off, 64) {
 				t.Fatalf("cfg %d: residency of (1,%d,64) differs", i, off)
 			}
 		}
@@ -66,25 +63,11 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
-// TestResetRefusesAbandonedCache: a cache with a miss in flight, under either
-// ownership, or one that is mid-operation, was left behind by an unwinding
-// rank.
+// TestResetRefusesAbandonedCache: a cache that is mid-operation was left
+// behind by an unwinding rank.
 func TestResetRefusesAbandonedCache(t *testing.T) {
 	cfg := Config{Capacity: 1 << 10}
 	r, w, c := testSetup(t, 1<<12, cfg)
-	q := c.Get(1, 0, 64)
-	mustPanicClampi(t, "Reset with a pooled miss in flight", func() { c.Reset(r, w, cfg) })
-	q.Wait()
-	var own Request
-	c.GetInto(&own, c.KeyOf(1, 64, 64), math.NaN())
-	mustPanicClampi(t, "Reset with a caller-owned miss in flight", func() { c.Reset(r, w, cfg) })
-	mustPanicClampi(t, "GetInto over a miss in flight", func() { c.GetInto(&own, c.KeyOf(1, 128, 64), math.NaN()) })
-	own.Wait()
-	c.Reset(r, w, cfg)
-	if c.inflight != 0 {
-		t.Errorf("inflight %d after Reset", c.inflight)
-	}
-	q.Release() // a request from before the Reset is still the caller's to release
 	c.busy = true
 	mustPanicClampi(t, "Reset of a busy cache", func() { c.Reset(r, w, cfg) })
 }
@@ -132,15 +115,16 @@ func TestResetReleasesOversizedStorage(t *testing.T) {
 	if got, want := used.MemBytes(), fresh.MemBytes(); got > 2*want {
 		t.Errorf("recycled from %d B, the instance still holds %d B; a fresh one holds %d B", held, got, want)
 	}
-	tf, tr := churn(fresh, 4, 6000, region), churn(used, 4, 6000, region)
-	if math.Float64bits(tf) != math.Float64bits(tr) {
+	churn(fresh, 4, 6000, region)
+	churn(used, 4, 6000, region)
+	if tf, tr := rf.Now(), rr.Now(); math.Float64bits(tf) != math.Float64bits(tr) {
 		t.Errorf("clock fresh %v, recycled %v", tf, tr)
 	}
 	if sf, sr := fresh.Stats(), used.Stats(); sf != sr {
 		t.Errorf("stats differ\n fresh    %+v\n recycled %+v", sf, sr)
 	}
 	for off := 0; off < region/4; off += 8 {
-		if fresh.Contains(1, off, 64) != used.Contains(1, off, 64) {
+		if resident(fresh, 1, off, 64) != resident(used, 1, off, 64) {
 			t.Fatalf("residency of (1,%d,64) differs", off)
 		}
 	}

@@ -192,11 +192,11 @@ func TestTableBucketFullConflict(t *testing.T) {
 		t.Error("full bucket reported a free slot")
 	}
 	c.GetScored(1, 64, 16, 10).Wait()
-	if c.Contains(1, 64, 16) || c.Stats().RejectedInserts != 1 {
+	if resident(c, 1, 64, 16) || c.Stats().RejectedInserts != 1 {
 		t.Error("a newcomer no better than the bucket's minimum was cached")
 	}
 	c.GetScored(1, 96, 16, 15).Wait()
-	if c.Contains(1, 0, 16) || !c.Contains(1, 16, 16) || !c.Contains(1, 96, 16) || c.Stats().ConflictEvictions != 1 {
+	if resident(c, 1, 0, 16) || !resident(c, 1, 16, 16) || !resident(c, 1, 96, 16) || c.Stats().ConflictEvictions != 1 {
 		t.Errorf("conflict eviction did not take the score-10 entry: %+v", c.Stats())
 	}
 	if err := c.checkInvariants(); err != nil {

@@ -2,7 +2,7 @@ package clampi
 
 import (
 	"math"
-	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,281 +11,103 @@ import (
 )
 
 // TestHitAllocFree is the allocation regression guard for the cache's hot
-// path: a hit served from a read-only window must not allocate.
+// path: a hit served from a vertex window must not allocate.
 func TestHitAllocFree(t *testing.T) {
-	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<16)})
-	r := comm.Rank(0)
-	r.LockAll(w)
-	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 16})
+	_, _, c := vertexSetup(t, 1<<14, Config{Capacity: 1 << 16})
 	q := c.Get(1, 0, 256)
 	q.Wait()
 	q.Release()
-	if !c.Contains(1, 0, 256) {
+	if !resident(c, 1, 0, 256) {
 		t.Fatal("warm-up miss was not inserted")
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		hq := c.Get(1, 0, 256)
-		_ = hq.Data()
+		hq.Wait()
+		_ = hq.Vertices()
 		hq.Release()
 	}); got != 0 {
 		t.Errorf("cache hit allocates %.1f/op, want 0", got)
 	}
-}
-
-// TestGetIntoAllocFree guards the caller-owned ownership: a hit and a
-// miss + Wait through GetInto allocate nothing and leave the pooled
-// ownership's free list — and, once waited, the in-flight count — untouched.
-func TestGetIntoAllocFree(t *testing.T) {
-	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<16)})
-	r := comm.Rank(0)
-	r.LockAll(w)
-	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 10})
-	var q Request
-	c.GetInto(&q, c.KeyOf(1, 0, 256), math.NaN())
-	if q.Hit() || c.inflight != 1 {
-		t.Fatalf("first access: hit %v, inflight %d; want a miss in flight", q.Hit(), c.inflight)
-	}
-	q.Wait()
-	if got := testing.AllocsPerRun(200, func() {
-		c.GetInto(&q, c.KeyOf(1, 0, 256), math.NaN())
-		if !q.Hit() {
-			t.Fatal("GetInto missed a resident region")
-		}
-		_ = q.Data()
-	}); got != 0 {
-		t.Errorf("GetInto hit allocates %.1f/op, want 0", got)
-	}
-	i := 0
-	if got := testing.AllocsPerRun(200, func() {
-		i++
-		c.GetInto(&q, c.KeyOf(1, (i%64)*1024, 512), float64(i)) // 1 KiB cache: misses and evicts
-		q.Wait()
-		_ = q.Data()
-	}); got != 0 {
-		t.Errorf("GetInto miss+Wait allocates %.1f/op, want 0", got)
-	}
-	if s := c.Stats(); s.Misses < 200 || s.CapacityEvictions == 0 {
-		t.Fatalf("the miss loop did not miss and evict: %+v", s)
-	}
-	if len(c.reqFree) != 0 || c.inflight != 0 {
-		t.Errorf("caller-owned gets left reqFree %d, inflight %d; want both zero", len(c.reqFree), c.inflight)
-	}
-	mustPanicClampi(t, "Release of a caller-owned request", func() { q.Release() })
-	if c.busy {
-		t.Error("the Release contract panic left the cache busy")
-	}
-}
-
-// TestGetIntoMatchesGet pins the two ownerships to one behaviour: the same
-// scored access stream through pooled GetScored+Wait+Release and through
-// GetInto+Wait on one caller-owned request yields equal statistics, equal
-// clock bits, equal residency and equal data, over every read-only window
-// kind.
-func TestGetIntoMatchesGet(t *testing.T) {
-	const region = 1 << 14
-	raw := make([]byte, region)
-	u64s := make([]uint64, region/8)
-	verts := make([]graph.V, region/4)
-	for i := range raw {
-		raw[i] = byte(i * 7)
-	}
-	for i := range u64s {
-		u64s[i] = uint64(i) * 3
-	}
-	// Sorted runs of 16 vertices, one per 64-byte slot: the unit the stream
-	// fetches and the compressed container addresses.
-	offsets := make([]uint64, 0, len(verts)/16+1)
-	for i := range verts {
-		verts[i] = graph.V(i * 5)
-		if i%16 == 0 {
-			offsets = append(offsets, uint64(i))
-		}
-	}
-	offsets = append(offsets, uint64(len(verts)))
-	kinds := map[string]func(*rma.Comm) *rma.Window{
-		"readonly-bytes": func(c *rma.Comm) *rma.Window { return c.CreateReadOnlyWindow("w", [][]byte{nil, raw}) },
-		"uint64":         func(c *rma.Comm) *rma.Window { return c.CreateUint64Window("w", [][]uint64{nil, u64s}) },
-		"vertices":       func(c *rma.Comm) *rma.Window { return c.CreateVertexWindow("w", [][]graph.V{nil, verts}) },
-		"compressed": func(c *rma.Comm) *rma.Window {
-			return c.CreateCompressedVertexWindow("w", []*graph.CompressedAdj{
-				graph.NewCompressedAdj([]uint64{0}, nil),
-				graph.NewCompressedAdj(offsets, func(i int, _ []graph.V) []graph.V { return verts[offsets[i]:offsets[i+1]] }),
-			})
-		},
-	}
-	type outcome struct {
-		stats    Stats
-		clock    uint64
-		resident [region / 64]bool
-		sum      uint64
-	}
-	for name, mk := range kinds {
-		run := func(owned bool) (o outcome) {
-			comm := rma.NewComm(2, rma.DefaultCostModel())
-			w := mk(comm)
-			r := comm.Rank(0)
-			r.LockAll(w)
-			defer r.UnlockAll(w)
-			c := New(r, w, Config{Capacity: 1 << 10, Buckets: 16, Assoc: 2})
-			var own Request
-			rng := rand.New(rand.NewPCG(5, 9))
-			for i := 0; i < 2000; i++ {
-				off := 64 * rng.IntN(region/64/4) // skewed: hits, capacity and conflict evictions
-				score := math.NaN()
-				if i%3 != 0 {
-					score = float64(off % 448)
-				}
-				q := &own
-				if owned {
-					c.GetInto(q, c.KeyOf(1, off, 64), score)
-				} else {
-					q = c.GetScored(1, off, 64, score)
-				}
-				q.Wait()
-				switch w.Kind() {
-				case rma.ReadOnlyUint64s:
-					o.sum += q.Uint64s()[7]
-				case rma.ReadOnlyVertices, rma.CompressedVertices:
-					o.sum += uint64(q.Vertices()[15])
-				default:
-					o.sum += uint64(q.Data()[63])
-				}
-				if !owned {
-					q.Release()
-				}
-			}
-			if err := c.checkInvariants(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for i := range o.resident {
-				o.resident[i] = c.Contains(1, 64*i, 64)
-			}
-			o.stats, o.clock = c.Stats(), math.Float64bits(r.Now())
-			return o
-		}
-		pooled, owned := run(false), run(true)
-		if pooled.stats.Hits == 0 || pooled.stats.CapacityEvictions == 0 || pooled.stats.ConflictEvictions == 0 {
-			t.Fatalf("%s: the stream must hit and evict both ways: %+v", name, pooled.stats)
-		}
-		if pooled != owned {
-			t.Errorf("%s: ownerships differ\n pooled: %+v clock %#x sum %d\n owned:  %+v clock %#x sum %d", name,
-				pooled.stats, pooled.clock, pooled.sum, owned.stats, owned.clock, owned.sum)
-		}
+	if s := c.Stats(); s.Hits < 200 {
+		t.Fatalf("the loop did not hit: %+v", s)
 	}
 }
 
 // TestGetPanicLeavesCacheUsable: the geometry contract panic of a get, or of
-// the KeyOf a GetInto is fed, precedes enter(), like Release's, so a caller
-// that recovers it can go on using the cache.
+// KeyOf, precedes enter(), like Release's, so a caller that recovers it can
+// go on using the cache.
 func TestGetPanicLeavesCacheUsable(t *testing.T) {
 	_, _, c := testSetup(t, 1<<12, Config{Capacity: 1 << 10})
-	var own Request
 	mustPanicClampi(t, "Get outside the window geometry", func() { c.Get(1, 1<<40, 64) })
-	mustPanicClampi(t, "KeyOf outside the window geometry", func() { c.GetInto(&own, c.KeyOf(7, 0, 64), math.NaN()) })
+	mustPanicClampi(t, "KeyOf outside the window geometry", func() { c.KeyOf(7, 0, 64) })
 	q := c.Get(1, 0, 64)
 	q.Wait()
 	q.Release()
-	if !c.Contains(1, 0, 64) || c.Stats().Misses != 1 {
+	if !resident(c, 1, 0, 64) || c.Stats().Misses != 1 {
 		t.Errorf("after the recovered panics the cache did not serve a get: %+v", c.Stats())
 	}
 }
 
-// TestTypedWindowCacheServesViews verifies that a cache over the typed
-// windows serves hits and completed misses as aliased views of the window.
+// TestTypedWindowCacheServesViews verifies that a cache over a vertex window
+// serves hits, completed misses and local bypasses as aliased views of the
+// window, and over a compressed window the same lists decoded.
 func TestTypedWindowCacheServesViews(t *testing.T) {
 	comm := rma.NewComm(2, rma.DefaultCostModel())
-	adj := []graph.V{7, 8, 9, 10}
-	wv := comm.CreateVertexWindow("adj", [][]graph.V{nil, adj})
-	offs := []uint64{0, 2, 2, 4}
-	wu := comm.CreateUint64Window("off", [][]uint64{nil, offs})
+	adj, runs := []graph.V{7, 8, 9, 10}, []uint64{0, 1, 3, 4}
+	wv := comm.CreateVertexWindow("adj", [][]graph.V{adj, adj})
+	wz := comm.CreateCompressedVertexWindow("adjz", []*graph.CompressedAdj{
+		graph.NewCompressedAdj([]uint64{0}, nil),
+		graph.NewCompressedAdj(runs, func(i int, _ []graph.V) []graph.V { return adj[runs[i]:runs[i+1]] }),
+	})
 	r := comm.Rank(0)
 	r.LockAll(wv)
-	r.LockAll(wu)
+	r.LockAll(wz)
 	defer r.UnlockAll(wv)
-	defer r.UnlockAll(wu)
+	defer r.UnlockAll(wz)
 	cv := New(r, wv, Config{Capacity: 1 << 12})
-	cu := New(r, wu, Config{Capacity: 1 << 12})
-
-	// Miss path: the completed request exposes a window view.
-	mq := cv.Get(1, 4, 8)
-	mq.Wait()
-	if got := mq.Vertices(); len(got) != 2 || &got[0] != &adj[1] {
-		t.Errorf("miss Vertices = %v, want aliased view of adj[1:3]", got)
+	cz := New(r, wz, Config{Capacity: 1 << 12})
+	for _, tc := range []struct {
+		name    string
+		c       *Cache
+		target  int
+		aliased bool
+	}{
+		{"miss", cv, 1, true}, {"hit", cv, 1, true}, {"local bypass", cv, 0, true},
+		{"compressed miss", cz, 1, false}, {"compressed hit", cz, 1, false},
+	} {
+		q := tc.c.Get(tc.target, 4, 8)
+		q.Wait()
+		if got := q.Vertices(); !slices.Equal(got, adj[1:3]) || (&got[0] == &adj[1]) != tc.aliased {
+			t.Errorf("%s: Vertices = %v, want adj[1:3], aliased %v", tc.name, got, tc.aliased)
+		}
+		q.Release()
 	}
-	mq.Release()
-
-	// Hit path: ditto, served straight from the table.
-	hq := cv.Get(1, 4, 8)
-	if !hq.Hit() {
-		t.Fatal("second access missed")
+	if s, z := cv.Stats(), cz.Stats(); s.Hits != 1 || s.Misses != 1 || z.Hits != 1 || z.Misses != 1 {
+		t.Errorf("stats %+v and %+v, want a miss then a hit in each", s, z)
 	}
-	if got := hq.Vertices(); len(got) != 2 || got[0] != 8 || &got[0] != &adj[1] {
-		t.Errorf("hit Vertices = %v, want aliased view", got)
-	}
-	hq.Release()
-
-	uq := cu.Get(1, 16, 16)
-	uq.Wait()
-	if got := uq.Uint64s(); len(got) != 2 || got[0] != 2 || &got[0] != &offs[2] {
-		t.Errorf("miss Uint64s = %v, want aliased view of offs[2:4]", got)
-	}
-	uq.Release()
-
-	// Local bypass on a typed window.
-	lq := cv.Get(0, 0, 0)
-	if !lq.Hit() || !lq.Done() {
-		t.Error("local bypass must complete immediately")
-	}
-	lq.Release()
 }
 
-// TestRequestPoolRoundTrip checks pooled-request recycling across the
-// miss → wait → release lifecycle, including out-of-order completion: each
-// Wait completes its own miss only, and a request returns to the free list at
-// Release.
+// TestRequestPoolRoundTrip checks request recycling across the get → wait →
+// release lifecycle, with requests outstanding together and waited out of
+// order: each returns to the free list at its Release, and the steady state
+// neither grows nor drains the list.
 func TestRequestPoolRoundTrip(t *testing.T) {
-	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<12)})
-	r := comm.Rank(0)
-	r.LockAll(w)
-	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 12})
-
+	_, _, c := testSetup(t, 1<<12, Config{Capacity: 1 << 12})
 	q1 := c.Get(1, 0, 64)
 	q2 := c.Get(1, 64, 64)
 	q3 := c.Get(1, 128, 64)
-	mustPanicClampi(t, "release incomplete miss", func() { q1.Release() })
-	q2.Wait() // out of order: the others stay in flight
-	if q1.Done() || q3.Done() || c.inflight != 2 || !c.Contains(1, 64, 64) || c.Contains(1, 0, 64) {
-		t.Fatalf("after one Wait: inflight %d; want q1 and q3 in flight, only q2 inserted", c.inflight)
-	}
-	r.FlushAll(w) // a window flush does not complete a cached get
-	if q1.Done() || c.inflight != 2 {
-		t.Fatalf("a raw window flush completed a cached miss (inflight %d)", c.inflight)
-	}
-	q1.Wait()
+	q2.Wait()
 	q3.Wait()
-	if c.inflight != 0 || !c.Contains(1, 0, 64) || !c.Contains(1, 128, 64) {
-		t.Errorf("after every Wait: inflight %d; want none, all three inserted", c.inflight)
-	}
+	q1.Wait()
 	q1.Release()
 	q2.Release()
 	q3.Release()
 	if len(c.reqFree) != 3 {
 		t.Errorf("free list = %d, want 3", len(c.reqFree))
 	}
-	// Steady state: every completed miss leaves nothing in flight and the
-	// pool at its size.
 	for i := 0; i < 200; i++ {
 		q := c.Get(1, (i%32)*128, 128)
 		q.Wait()
-		if c.inflight != 0 {
-			t.Fatalf("access %d: inflight %d after Wait", i, c.inflight)
-		}
 		q.Release()
 	}
 	if len(c.reqFree) != 3 {
@@ -293,10 +115,6 @@ func TestRequestPoolRoundTrip(t *testing.T) {
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	var zero Request
-	if zero.Done() {
-		t.Error("a request never issued reports Done")
 	}
 }
 
@@ -320,7 +138,7 @@ func TestNewRefusesWritableWindow(t *testing.T) {
 	rr, _, c := testSetup(t, 1<<10, Config{Capacity: 1 << 10})
 	refused("Reset", func() { c.Reset(rr, ww, Config{Capacity: 1 << 10}) })
 	c.Get(1, 0, 64).Wait()
-	if !c.Contains(1, 0, 64) {
+	if !resident(c, 1, 0, 64) {
 		t.Error("the refused Reset left the cache unable to serve its own window")
 	}
 }
@@ -361,7 +179,7 @@ func TestMissEvictAllocFree(t *testing.T) {
 	}
 }
 
-// TestEpochFlushAllocFree: Flush — what a degraded access (Available)
+// TestEpochFlushAllocFree: Flush — what a degraded access (Degrade)
 // takes — must clear the table, allocator and heap
 // in place, so a steady fill-and-flush loop allocates nothing (the seed
 // rebuilt table+allocator on every flush).
@@ -411,11 +229,9 @@ func TestVictimHeapStaysCompact(t *testing.T) {
 	}
 	for round := 0; round < 10000; round++ {
 		i := round % entries
-		q := c.Get(1, i*256, 256) // hit: bumps the entry's stamp
-		if !q.Hit() {
+		if c.Decide(c.KeyOf(1, i*256, 256), math.NaN()) != Hit { // bumps the entry's stamp
 			t.Fatalf("round %d: unexpected miss", round)
 		}
-		q.Release()
 		c.SetScore(1, i*256, 256, float64((round*31)%997)) // re-key in place
 		if got := c.victims.len(); got > c.tab.n {
 			t.Fatalf("round %d: heap holds %d items for %d live entries (stale bloat)", round, got, c.tab.n)
@@ -437,13 +253,10 @@ func TestZeroKeyIsNeverAHit(t *testing.T) {
 	r.LockAll(w)
 	defer r.UnlockAll(w)
 	c := New(r, w, Config{Capacity: 1 << 10})
-	if c.Contains(0, 0, 0) {
+	if resident(c, 0, 0, 0) {
 		t.Fatal("empty cache claims to contain the zero key")
 	}
 	q := c.Get(0, 0, 0)
-	if q.Hit() {
-		t.Fatal("zero-key get reported a phantom hit on an empty cache")
-	}
 	q.Wait()
 	q.Release()
 	s := c.Stats()

@@ -685,16 +685,17 @@ func (w *worker) decide(batch []pipeEdge) {
 	}
 }
 
-// decideAccess draws the fault schedule of cache c (C_offsets or C_adj) for
-// one access of size bytes at owner's offset off and, when the cache is
-// available, decides it under k — or, for an access the pass left
+// decideAccess draws the rank's CacheFault for one access of cache c
+// (C_offsets or C_adj) of size bytes at owner's offset off — a fault degrades
+// c — and otherwise decides it under k, or, for an access the pass left
 // undecided (k nil), under KeyOf's key, which panics on a coordinate
 // outside the window geometry as the get always did. A C_adj access carries
 // the policy's score, derived from the list's degree (§III-B-2 and future
 // work iii); a score matters on insertion, so a hit ignores it — except the
 // recency refresh.
 func (w *worker) decideAccess(c *clampi.Cache, k *clampi.Key, owner, off, size int) clampi.Verdict {
-	if !c.Available() {
+	if w.r.CacheFault() {
+		c.Degrade()
 		return clampi.Degraded
 	}
 	score, deg := math.NaN(), size/4
@@ -751,9 +752,9 @@ func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *w
 // fetch is the two-get remote read of one adjacency list, pipelined in up
 // to three stages (issue offsets get → issue adjacency get → resolve).
 //
-// Each get has one request per flavor, all caller-owned values (rma.GetInto,
-// clampi.GetInto), so the per-edge path touches no request pool, and every
-// Wait and view is a direct call on a concrete type.
+// Each get has one caller-owned request value (rma.GetInto), so the per-edge
+// path touches no request pool, and every Wait and view is a direct call on a
+// concrete type.
 type fetch struct {
 	owner int
 	local bool

@@ -250,7 +250,7 @@ func TestCompressedDecodeAllocFree(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			h := newFetchHarnessStorage(t, tc.caching, StorageCompressed, nil)
-			if !h.w.compLoc || h.w.wAdj.Kind() != rma.CompressedVertices {
+			if !h.w.compLoc {
 				t.Fatal("harness did not build compressed locals")
 			}
 			vj := tc.target(h)

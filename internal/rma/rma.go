@@ -175,9 +175,6 @@ func (c *Comm) CreateCompressedVertexWindow(name string, local []*graph.Compress
 // Name returns the window's debug name.
 func (w *Window) Name() string { return w.name }
 
-// Kind returns the window's storage/aliasing kind.
-func (w *Window) Kind() WindowKind { return w.kind }
-
 // ReadOnly reports whether Gets on this window return aliased views.
 func (w *Window) ReadOnly() bool { return w.kind != WritableBytes }
 
@@ -193,16 +190,6 @@ func (w *Window) SizeAt(rank int) int {
 	default:
 		return len(w.loc[rank])
 	}
-}
-
-// ViewBytes returns the aliased [offset, offset+size) byte view of target's
-// region in a ReadOnlyBytes window. The view is immutable and remains valid
-// for the lifetime of the window (it does not depend on any request).
-func (w *Window) ViewBytes(target, offset, size int) []byte {
-	if w.kind != ReadOnlyBytes {
-		panic(fmt.Sprintf("rma: ViewBytes on %v window %q", w.kind, w.name))
-	}
-	return w.loc[target][offset : offset+size : offset+size]
 }
 
 // ViewUint64s returns the aliased typed view of a byte range in a
