@@ -106,4 +106,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVarintAdjacency$$' -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinaryStore$$' -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultSchedule$$' -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz '^FuzzResidentLaw$$' -fuzztime 30s ./internal/clampi
 	$(GO) test -run '^$$' -fuzz '^FuzzLCCDRequest$$' -fuzztime 30s ./cmd/lccd

@@ -193,9 +193,15 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "remote reads: %.1f%% of adjacency fetches; comm share of critical path: %.1f%%\n",
 		100*res.RemoteReadFraction(), 100*res.CommFraction())
 	if *caching {
+		// The compulsory share of the misses is what no larger cache saves.
+		var off, adj [2]int64
+		for _, s := range res.PerRank {
+			off[0], off[1] = off[0]+s.OffsetsCache.CompulsoryMisses, off[1]+s.OffsetsCache.Misses
+			adj[0], adj[1] = adj[0]+s.AdjCache.CompulsoryMisses, adj[1]+s.AdjCache.Misses
+		}
 		offRate, adjRate := res.CacheMissRates()
-		fmt.Fprintf(out, "cache miss rates: C_offsets %.3f, C_adj %.3f; avg remote read %.2f µs\n",
-			offRate, adjRate, res.AvgRemoteReadTime()/1e3)
+		fmt.Fprintf(out, "cache miss rates: C_offsets %.3f (%.0f%% compulsory), C_adj %.3f (%.0f%% compulsory); avg remote read %.2f µs\n",
+			offRate, share(off), adjRate, share(adj), res.AvgRemoteReadTime()/1e3)
 	}
 
 	if *top > 0 {
@@ -223,6 +229,14 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// share is 100·part/whole for a [part, whole] pair, 0 when whole is.
+func share(pw [2]int64) float64 {
+	if pw[1] == 0 {
+		return 0
+	}
+	return 100 * float64(pw[0]) / float64(pw[1])
 }
 
 func loadGraph(dataset, in, format string, directed bool) (*graph.Graph, error) {

@@ -37,6 +37,7 @@ func TestRun(t *testing.T) {
 		{args: "-engine push -replicas 1 -push-agg direct", wantErr: "-replicas needs -engine replicated"},
 		{args: "-engine pull -scheme block-arcs", wantOut: "scheme=block-arcs"},
 		{args: "-engine pull -scheme cyclic -cache -degree-scores", wantOut: "scheme=cyclic"},
+		{args: "-cache -cache-offsets 16 -cache-adj 4096", wantOut: "% compulsory), C_adj "},
 		{args: "-engine push -push-agg direct", wantOut: "engine=push"},
 		{args: "-engine replicated -replicas 2", wantOut: "engine=replicated"},
 	} {

@@ -155,13 +155,7 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 
 	c.rank, c.win = r, w
 	c.cfg = cfg.withDefaults()
-	maxRegion := 0
-	for t := 0; t < r.NumRanks(); t++ {
-		if s := w.SizeAt(t); s > maxRegion {
-			maxRegion = s
-		}
-	}
-	c.coder = newKeyCoder(r.NumRanks(), maxRegion)
+	c.coder = windowCoder(w, r.NumRanks())
 
 	// The slab and the heap start at a record per bucket — the table size is
 	// the configuration's own estimate of the population (§III-B-1 sizes it
@@ -184,6 +178,20 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 	c.stats = Stats{}
 	return c
 }
+
+// windowCoder is the key coder of w in a world of ranks ranks: offsets and
+// sizes reach its largest region.
+func windowCoder(w *rma.Window, ranks int) keyCoder {
+	maxRegion := 0
+	for t := range ranks {
+		maxRegion = max(maxRegion, w.SizeAt(t))
+	}
+	return newKeyCoder(ranks, maxRegion)
+}
+
+// Unbind drops the cache's rank and window, so that an idle instance in a
+// pool keeps no finished run's world alive. Only Reset makes it usable again.
+func (c *Cache) Unbind() { c.rank, c.win = nil, nil }
 
 // MemBytes returns the bytes of every backing array the instance holds:
 // table lanes and slots, record slab, victim heap and positions, free-region
@@ -357,7 +365,7 @@ type Key struct {
 // usable.
 func (c *Cache) KeyOf(target, offset, size int) Key {
 	if !c.coder.fits(target, offset, size) {
-		panic(fmt.Sprintf("clampi: get (target %d, offset %d, size %d) outside window geometry", target, offset, size))
+		panic(outsideGeometry(target, offset, size))
 	}
 	return c.key(target, offset, size)
 }

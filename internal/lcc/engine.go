@@ -409,6 +409,8 @@ type worker struct {
 	wAdj *rma.Window
 	opt  Options
 
+	// cOff and cAdj are the rank's CLaMPI instances, C_offsets and C_adj; a
+	// cache the snapshot found resident has none (offRes, adjRes).
 	cOff *clampi.Cache
 	cAdj *clampi.Cache
 
@@ -476,6 +478,12 @@ type worker struct {
 	scanDecLi int
 	ownDec    []graph.V // visit-side adjI (run/runPush/jaccard)
 	ownDecLi  int
+
+	// A caching rank's residency laws (resident.go), which the residency
+	// check reads; a resident cache's accesses are decided by its law from
+	// the first-touch map touch, which only a rank with one holds.
+	offRes, adjRes clampi.Resident
+	touch          *touchMap
 }
 
 // scanAdj returns the owned list the ring scan is staging, decoding it at
@@ -624,7 +632,7 @@ func (w *worker) popEdge() (pipeEdge, bool) {
 		if w.ringLen == 0 {
 			return pipeEdge{}, false
 		}
-		if w.cOff != nil {
+		if w.opt.Caching {
 			w.decide(w.ring[:w.ringLen])
 		}
 		if w.ahead {
@@ -646,6 +654,8 @@ func (w *worker) popEdge() (pipeEdge, bool) {
 // operation order and the rank's fault-draw order are the walk's. An edge
 // the pass cannot key — its pair or list outside the owner's regions — ends
 // the pass; the walk decides the rest itself, faulting where it always did.
+// A resident cache takes neither keys nor preloads: its verdicts come from
+// the first-touch map.
 func (w *worker) decide(batch []pipeEdge) {
 	var at [fetchLookahead]int
 	var pair [fetchLookahead][2]uint64
@@ -672,28 +682,43 @@ func (w *worker) decide(batch []pipeEdge) {
 			n = j
 			break
 		}
-		off[j] = w.cOff.KeyOf(owner, 16*li, 16)
-		adj[j] = w.cAdj.KeyOf(owner, 4*int(start), 4*int(end-start))
+		if w.cOff != nil {
+			off[j] = w.cOff.KeyOf(owner, 16*li, 16)
+		}
+		if w.cAdj != nil {
+			adj[j] = w.cAdj.KeyOf(owner, 4*int(start), 4*int(end-start))
+		}
 	}
-	w.sink += w.cOff.Preload(off[:n]) + w.cAdj.Preload(adj[:n])
+	if w.cOff != nil {
+		w.sink += w.cOff.Preload(off[:n])
+	}
+	if w.cAdj != nil {
+		w.sink += w.cAdj.Preload(adj[:n])
+	}
 	for j := range n {
 		e := &batch[at[j]]
 		slot, li := unpackResolve(e.rv)
 		owner, start, end := w.ownerBase+slot, pair[j][0], pair[j][1]
-		e.off = w.decideAccess(w.cOff, &off[j], owner, 16*li, 16)
-		e.adj = w.decideAccess(w.cAdj, &adj[j], owner, 4*int(start), 4*int(end-start))
+		first := w.firstTouch(e.vj)
+		e.off = w.decideAccess(w.cOff, &w.offRes, &off[j], first, owner, 16*li, 16)
+		e.adj = w.decideAccess(w.cAdj, &w.adjRes, &adj[j], first, owner, 4*int(start), 4*int(end-start))
 	}
 }
 
-// decideAccess draws the rank's CacheFault for one access of cache c
-// (C_offsets or C_adj) of size bytes at owner's offset off — a fault degrades
-// c — and otherwise decides it under k, or, for an access the pass left
-// undecided (k nil), under KeyOf's key, which panics on a coordinate
-// outside the window geometry as the get always did. A C_adj access carries
-// the policy's score, derived from the list's degree (§III-B-2 and future
-// work iii); a score matters on insertion, so a hit ignores it — except the
-// recency refresh.
-func (w *worker) decideAccess(c *clampi.Cache, k *clampi.Key, owner, off, size int) clampi.Verdict {
+// decideAccess decides one access of cache c (C_offsets or C_adj) of size
+// bytes at owner's offset off, first saying whether it is the vertex's first
+// fetch. A resident cache (c nil) is decided by its law res, from first.
+// Otherwise it draws the rank's CacheFault — a fault degrades c — and
+// decides under k, or, for an access the pass left undecided (k nil), under
+// KeyOf's key, which panics on a coordinate outside the window geometry as
+// the get always did, and as res does. A C_adj access carries the policy's
+// score, derived from the list's degree (§III-B-2 and future work iii); a
+// score matters on insertion, so a hit ignores it — except the recency
+// refresh.
+func (w *worker) decideAccess(c *clampi.Cache, res *clampi.Resident, k *clampi.Key, first bool, owner, off, size int) clampi.Verdict {
+	if c == nil {
+		return res.Decide(owner, off, size, first)
+	}
 	if w.r.CacheFault() {
 		c.Degrade()
 		return clampi.Degraded
@@ -724,9 +749,10 @@ func (w *worker) decideAccess(c *clampi.Cache, k *clampi.Key, owner, off, size i
 // newWorker builds rank r's execution state over snapshot s, in a world of
 // one or more replica groups of s.ranks ranks each (Snapshot.windows): r
 // holds the partition of slot r mod s.ranks and fetches inside its own
-// group. With caching on, the rank's two CLaMPI instances come from the
-// snapshot's pool when it has a pair to recycle and are constructed
-// otherwise.
+// group. With caching on, a cache the snapshot finds resident for the rank
+// (residentCaches; never under cache faults) is decided by first touch and
+// takes a first-touch map from the snapshot's pool; the others are CLaMPI
+// instances from the pool, recycled or constructed.
 func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *worker {
 	slot := r.ID() % s.ranks
 	w := &worker{r: r, kind: s.kind, pt: s.pt, lc: s.locals[slot], wOff: wOff, wAdj: wAdj, opt: opt,
@@ -740,10 +766,20 @@ func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *w
 	r.LockAll(wAdj)
 	if opt.Caching {
 		offCfg, adjCfg := cacheConfigs(s.n, opt)
-		if cp, ok := s.caches.take(); ok {
-			w.cOff, w.cAdj = cp.off.Reset(r, wOff, offCfg), cp.adj.Reset(r, wAdj, adjCfg)
-		} else {
-			w.cOff, w.cAdj = clampi.New(r, wOff, offCfg), clampi.New(r, wAdj, adjCfg)
+		w.offRes = clampi.NewResident(offCfg, wOff, r.NumRanks())
+		w.adjRes = clampi.NewResident(adjCfg, wAdj, r.NumRanks())
+		var offIn, adjIn bool
+		if opt.Faults == nil || opt.Faults.CacheFailPct <= 0 {
+			offIn, adjIn = s.residentCaches(w, offCfg, adjCfg)
+		}
+		if offIn || adjIn {
+			w.touch = s.caches.takeTouch(s.n)
+		}
+		if !offIn {
+			w.cOff = s.caches.take(&s.caches.off, r, wOff, offCfg)
+		}
+		if !adjIn {
+			w.cAdj = s.caches.take(&s.caches.adj, r, wAdj, adjCfg)
 		}
 	}
 	return w
@@ -766,8 +802,10 @@ type fetch struct {
 	// offV/adjV are the two accesses' verdicts (decide; Undecided without
 	// caches), which the stages charge: a hit reads the window's own view
 	// (pair, for the offsets), a miss or a degraded access the direct get
-	// offQ/adjQ, one caller-owned request per get.
+	// offQ/adjQ, one caller-owned request per get. first is the first-touch
+	// test of an edge the stages decide themselves, made by start for both.
 	offV, adjV clampi.Verdict
+	first      bool
 	pair       []uint64
 	offQ, adjQ rma.Request
 
@@ -814,8 +852,9 @@ func (w *worker) start(f *fetch, e pipeEdge) {
 		w.opt.OnRemoteRead(w.r.ID(), vj)
 	}
 	f.offV, f.adjV = e.off, e.adj
-	if f.offV == clampi.Undecided && w.cOff != nil {
-		f.offV = w.decideAccess(w.cOff, nil, f.owner, 16*li, 16)
+	if f.offV == clampi.Undecided && w.opt.Caching {
+		f.first = w.firstTouch(vj)
+		f.offV = w.decideAccess(w.cOff, &w.offRes, nil, f.first, f.owner, 16*li, 16)
 	}
 	// A miss charges CLaMPI's overhead ahead of the get it issues; no cache,
 	// or one the fault schedule degraded for this access, leaves the direct
@@ -847,8 +886,8 @@ func (w *worker) mid(f *fetch) {
 	}
 	start, end := pair[0], pair[1]
 	f.adjOff, f.adjSize = int(start)*4, int(end-start)*4
-	if f.adjV == clampi.Undecided && w.cAdj != nil {
-		f.adjV = w.decideAccess(w.cAdj, nil, f.owner, f.adjOff, f.adjSize)
+	if f.adjV == clampi.Undecided && w.opt.Caching {
+		f.adjV = w.decideAccess(w.cAdj, &w.adjRes, nil, f.first, f.owner, f.adjOff, f.adjSize)
 	}
 	switch f.adjV {
 	case clampi.Hit:
@@ -1018,8 +1057,13 @@ func (w *worker) stats() RankStats {
 		DelegatedReads: w.delegatedReads,
 		RMA:            w.r.Counters(),
 	}
+	if w.opt.Caching {
+		s.OffsetsCache, s.AdjCache = w.offRes.Stats(), w.adjRes.Stats()
+	}
 	if w.cOff != nil {
 		s.OffsetsCache = w.cOff.Stats()
+	}
+	if w.cAdj != nil {
 		s.AdjCache = w.cAdj.Stats()
 	}
 	return s

@@ -28,14 +28,16 @@ type fetchHarness struct {
 // selects the CLaMPI-wrapped worker (C_offsets + C_adj, ScoreDegree — the
 // golden cached configuration's policy).
 func newFetchHarness(tb testing.TB, caching bool) *fetchHarness {
-	return newFetchHarnessStorage(tb, caching, StoragePlain, nil)
+	return newFetchHarnessStorage(tb, caching, StoragePlain, nil, false)
 }
 
 // newFetchHarnessStorage is newFetchHarness with the locals representation
 // selected explicitly: StorageCompressed exercises the varint/delta decode
 // on every flavor of the fetch plane. A non-nil faults installs that schedule
-// on the harness world.
-func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode, faults *fault.Spec) *fetchHarness {
+// on the harness world. Both caches are resident for rank 0 of this graph;
+// resident says whether the worker may decide by first touch, or must run
+// CLaMPI instances.
+func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode, faults *fault.Spec, resident bool) *fetchHarness {
 	tb.Helper()
 	rng := rand.New(rand.NewPCG(11, 13))
 	const n = 256
@@ -51,7 +53,7 @@ func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode, fa
 		opt.AdjCacheBytes = 1 << 16
 		opt.AdjScorePolicy = ScoreDegree
 	}
-	h := &fetchHarness{w: harnessWorker(tb, g, opt)}
+	h := &fetchHarness{w: harnessWorker(tb, g, opt, resident)}
 	pt := h.w.pt
 	// Pick a rank-0 and a rank-1 vertex with non-empty adjacency.
 	for v := graph.V(0); int(v) < n; v++ {
@@ -73,7 +75,9 @@ func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode, fa
 
 // harnessWorker builds rank 0's worker over a fresh world on g, outside any
 // run, with the read-ahead stage forced on (stageAhead) whatever g's size.
-func harnessWorker(tb testing.TB, g graph.Store, opt Options) *worker {
+// Unless resident, its caches are CLaMPI instances whatever the residency
+// law says.
+func harnessWorker(tb testing.TB, g graph.Store, opt Options, resident bool) *worker {
 	tb.Helper()
 	s, err := opt.snapshot(g, 1)
 	if err != nil {
@@ -81,6 +85,9 @@ func harnessWorker(tb testing.TB, g graph.Store, opt Options) *worker {
 	}
 	s.ahead = true
 	opt = s.options(opt)
+	if !resident {
+		forceCLaMPI(s, opt, opt.Ranks)
+	}
 	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
 	opt.configureCharges(comm)
 	wOff, wAdj := s.windows(comm)
@@ -93,7 +100,7 @@ func harnessWorker(tb testing.TB, g graph.Store, opt Options) *worker {
 func (h *fetchHarness) fetchOnce(vj graph.V) int {
 	w, f := h.w, &h.w.fetchA
 	w.ring[0] = pipeEdge{vj: vj, rv: w.resolve[vj]}
-	if w.cOff != nil {
+	if w.opt.Caching {
 		w.decide(w.ring[:1])
 	}
 	w.start(f, w.ring[0])
@@ -155,7 +162,7 @@ func BenchmarkFetchCachedHit(b *testing.B) {
 func BenchmarkForEachEdgeStaged(b *testing.B) {
 	opt := cachedOpts(1, 1<<18, 1<<22, ScoreLRU)
 	opt.Ranks = 32
-	w := harnessWorker(b, gen.MustLoad("uniform"), opt)
+	w := harnessWorker(b, gen.MustLoad("uniform"), opt, true)
 	walk := func() { w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {}) }
 	walk() // compulsory misses, pools, slab growth
 	b.ReportAllocs()
@@ -165,26 +172,62 @@ func BenchmarkForEachEdgeStaged(b *testing.B) {
 	}
 }
 
+// BenchmarkDecidePass times a caching rank's decision pass (decide) on the
+// benchmark's cached-rmat configuration — R-MAT s15, 32 ranks, C_offsets
+// 256 KiB, C_adj 4 MiB, degree scores — over rank 0's walk staged as 64-edge
+// refills, lap after lap: compulsory misses on the first, hits after. Its
+// caches are resident (first touch) in one sub-benchmark and CLaMPI
+// instances in the other; ns/edge is per staged edge, local ones included.
+func BenchmarkDecidePass(b *testing.B) {
+	for _, resident := range []bool{true, false} {
+		name := "clampi"
+		if resident {
+			name = "resident"
+		}
+		b.Run(name, func(b *testing.B) {
+			opt := cachedOpts(1, 1<<18, 1<<22, ScoreDegree)
+			opt.Ranks = 32
+			w := harnessWorker(b, gen.MustLoad("rmat-s15-ef16"), opt, resident)
+			if resident && (w.cOff != nil || w.cAdj != nil) {
+				b.Fatalf("rank 0's caches are not both resident (C_offsets %v, C_adj %v)", w.cOff == nil, w.cAdj == nil)
+			}
+			var batches [][fetchLookahead]pipeEdge
+			for w.refillRing(); w.ringLen == fetchLookahead; w.refillRing() {
+				batches = append(batches, w.ring)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.decide(batches[i%len(batches)][:])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fetchLookahead), "ns/edge")
+		})
+	}
+}
+
 // TestFetchFlavorsAllocFree pins all three fetch flavors at zero
-// steady-state heap allocations, and a fourth: the degraded one, where the
-// worker has caches but the fault schedule makes every access find them
-// unavailable, so both gets go direct.
+// steady-state heap allocations — the cached one through CLaMPI and through
+// resident caches — and a fourth: the degraded one, where the worker has
+// caches but the fault schedule makes every access find them unavailable, so
+// both gets go direct.
 func TestFetchFlavorsAllocFree(t *testing.T) {
 	cases := []struct {
-		name    string
-		caching bool
-		faults  *fault.Spec
-		target  func(h *fetchHarness) graph.V
+		name     string
+		caching  bool
+		faults   *fault.Spec
+		resident bool
+		target   func(h *fetchHarness) graph.V
 	}{
-		{"local", false, nil, func(h *fetchHarness) graph.V { return h.local }},
-		{"remote-miss", false, nil, func(h *fetchHarness) graph.V { return h.remote }},
-		{"cached-hit", true, nil, func(h *fetchHarness) graph.V { return h.remote }},
-		{"degraded", true, &fault.Spec{CacheFailPct: 1}, func(h *fetchHarness) graph.V { return h.remote }},
+		{"local", false, nil, false, func(h *fetchHarness) graph.V { return h.local }},
+		{"remote-miss", false, nil, false, func(h *fetchHarness) graph.V { return h.remote }},
+		{"cached-hit", true, nil, false, func(h *fetchHarness) graph.V { return h.remote }},
+		{"resident-hit", true, nil, true, func(h *fetchHarness) graph.V { return h.remote }},
+		{"degraded", true, &fault.Spec{CacheFailPct: 1}, false, func(h *fetchHarness) graph.V { return h.remote }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			h := newFetchHarnessStorage(t, tc.caching, StoragePlain, tc.faults)
+			h := newFetchHarnessStorage(t, tc.caching, StoragePlain, tc.faults, tc.resident)
 			vj := tc.target(h)
 			h.fetchOnce(vj) // warm pools / populate caches
 			if allocs := testing.AllocsPerRun(100, func() { h.fetchOnce(vj) }); allocs > 0 {
@@ -249,7 +292,7 @@ func TestCompressedDecodeAllocFree(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			h := newFetchHarnessStorage(t, tc.caching, StorageCompressed, nil)
+			h := newFetchHarnessStorage(t, tc.caching, StorageCompressed, nil, false)
 			if !h.w.compLoc {
 				t.Fatal("harness did not build compressed locals")
 			}
@@ -261,7 +304,7 @@ func TestCompressedDecodeAllocFree(t *testing.T) {
 		})
 	}
 	t.Run("lookahead-walk", func(t *testing.T) {
-		h := newFetchHarnessStorage(t, false, StorageCompressed, nil)
+		h := newFetchHarnessStorage(t, false, StorageCompressed, nil, false)
 		walk := func() {
 			h.w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {
 				_ = h.w.adjOwned(li) // the visit side's decode memo
@@ -302,4 +345,36 @@ func TestFaultPlaneDisabledAllocFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// forceCLaMPI records for every rank of a world of the given size that
+// neither of its caches under opt is resident, so that the runs and workers
+// made after it on s use CLaMPI instances whatever the residency law says.
+func forceCLaMPI(s *Snapshot, opt Options, world int) {
+	off, adj := cacheConfigs(s.n, opt)
+	set := s.residency.answers(residentKey{world, off, adj})
+	for i := range set.ans {
+		set.ans[i].Store(ansChecked)
+	}
+}
+
+// residentRanks counts the rank ids whose kept answers for opt's cache
+// configurations in a world of the given size make C_offsets, and C_adj,
+// resident: what a run under them without cache faults used.
+func residentRanks(s *Snapshot, opt Options, world int) (off, adj int) {
+	o, a := cacheConfigs(s.n, opt)
+	set := s.residency.set
+	if set == nil || set.key != (residentKey{world, o, a}) {
+		return 0, 0
+	}
+	for i := range set.ans {
+		x := set.ans[i].Load()
+		if x&ansOff != 0 {
+			off++
+		}
+		if x&ansAdj != 0 {
+			adj++
+		}
+	}
+	return off, adj
 }

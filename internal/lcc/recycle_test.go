@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/clampi"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -110,7 +112,10 @@ func diffRuns(t *testing.T, name string, got, want *Result, gotSum, wantSum []ui
 // TestRecycledCachesMatchFresh runs a sequence of differently configured
 // cached queries on ONE snapshot — so every query but the first runs on
 // instances some other configuration left behind — and compares each with
-// the same query on a snapshot of its own.
+// the same query on a snapshot of its own. Two of them run resident caches
+// (resident.go): both, and C_offsets alone; the queries after them run on a
+// pool those ranks left untaken, or took only C_adj instances from. Every
+// pooled instance is unbound from the run that used it.
 func TestRecycledCachesMatchFresh(t *testing.T) {
 	g := recycleGraph()
 	const small, large = 1 << 12, 1 << 15
@@ -120,7 +125,9 @@ func TestRecycledCachesMatchFresh(t *testing.T) {
 	}{
 		{"lru-small", func(w int) Options { return cachedOpts(w, small/8, small, ScoreLRU) }},
 		{"degree-large", func(w int) Options { return cachedOpts(w, large/8, large, ScoreDegree) }},
+		{"resident", func(w int) Options { return cachedOpts(w, 16<<10, 256<<10, ScoreDegree) }},
 		{"costbenefit-small", func(w int) Options { return cachedOpts(w, small/8, small, ScoreCostBenefit) }},
+		{"offsets-resident", func(w int) Options { return cachedOpts(w, 16<<10, small, ScoreLRU) }},
 		{"recency-small", func(w int) Options { return cachedOpts(w, small/8, small, ScoreDegreeRecency) }},
 		{"lru-small-again", func(w int) Options { return cachedOpts(w, small/8, small, ScoreLRU) }},
 		{"cache-faults", func(w int) Options {
@@ -138,12 +145,29 @@ func TestRecycledCachesMatchFresh(t *testing.T) {
 				got, gotSum := runDigested(t, shared, q.opt(workers))
 				want, wantSum := runDigested(t, recycleSnapshot(t, g, storage), q.opt(workers))
 				diffRuns(t, name, got, want, gotSum, wantSum)
+				wantOff, wantAdj := 0, 0
+				switch q.name {
+				case "resident":
+					wantOff, wantAdj = recycleRanks, recycleRanks
+				case "offsets-resident":
+					wantOff = recycleRanks
+				}
+				if off, adj := residentRanks(shared, q.opt(workers), recycleRanks); off != wantOff || adj != wantAdj {
+					t.Errorf("%s: C_offsets resident on %d ranks, C_adj on %d, want %d and %d", name, off, adj, wantOff, wantAdj)
+				}
+				for _, c := range append(shared.caches.off, shared.caches.adj...) {
+					if v := reflect.ValueOf(c).Elem(); !v.FieldByName("rank").IsNil() || !v.FieldByName("win").IsNil() {
+						t.Errorf("%s: a pooled cache is still bound to a rank or window", name)
+					}
+				}
 				if q.name == "cache-faults" && got.PerRank[0].AdjCache.Flushes+got.PerRank[0].OffsetsCache.Flushes == 0 {
 					t.Errorf("%s: no fault flush on rank 0; the query must exercise the degraded path", name)
 				}
 			}
-			if n := len(shared.caches.free); n < 1 || n > workers {
-				t.Errorf("%v/workers=%d: pool holds %d pairs after sequential runs, want 1..%d", storage, workers, n, workers)
+			for _, list := range [][]*clampi.Cache{shared.caches.off, shared.caches.adj} {
+				if n := len(list); n < 1 || n > workers {
+					t.Errorf("%v/workers=%d: pool holds %d instances of a role after sequential runs, want 1..%d", storage, workers, n, workers)
+				}
 			}
 		}
 	}
@@ -189,8 +213,8 @@ func TestUnwoundRankCachesNeverRecycle(t *testing.T) {
 			if !errors.Is(err, sched.ErrRunCanceled) {
 				t.Fatalf("%s: err = %v, want ErrRunCanceled", name, err)
 			}
-			if n := len(s.caches.free); n > workers {
-				t.Errorf("%s: pool holds %d pairs after a canceled run, want at most %d", name, n, workers)
+			if n := max(len(s.caches.off), len(s.caches.adj)); n > workers {
+				t.Errorf("%s: pool holds %d instances of a role after a canceled run, want at most %d", name, n, workers)
 			}
 
 			got, gotSum := runDigested(t, s, opt(workers))
@@ -200,16 +224,23 @@ func TestUnwoundRankCachesNeverRecycle(t *testing.T) {
 }
 
 // TestConcurrentCachedRunsShareSnapshot hands caches between the ranks of
-// two runs executing at once on one snapshot. Not skipped under -short: the
-// race lane covers the pool's hand-off through it.
+// runs executing at once on one snapshot — the third with resident caches,
+// so first-touch maps change hands too, and each run's ranks replace the
+// snapshot's kept residency answers while the others' read theirs. Not skipped under -short: the race lane
+// covers the pool's hand-off through it.
 func TestConcurrentCachedRunsShareSnapshot(t *testing.T) {
 	g := recycleGraph()
-	opts := []Options{cachedOpts(2, 1<<9, 1<<12, ScoreLRU), cachedOpts(2, 1<<11, 1<<14, ScoreDegree)}
+	opts := []Options{cachedOpts(2, 1<<9, 1<<12, ScoreLRU), cachedOpts(2, 1<<11, 1<<14, ScoreDegree),
+		cachedOpts(2, 16<<10, 256<<10, ScoreDegree)}
 	want := make([]*Result, len(opts))
 	for i, o := range opts {
+		fresh := recycleSnapshot(t, g, StoragePlain)
 		var err error
-		if want[i], err = recycleSnapshot(t, g, StoragePlain).RunCtx(context.Background(), o); err != nil {
+		if want[i], err = fresh.RunCtx(context.Background(), o); err != nil {
 			t.Fatal(err)
+		}
+		if off, adj := residentRanks(fresh, o, recycleRanks); (off+adj > 0) != (i == 2) {
+			t.Fatalf("query %d: %d resident caches", i, off+adj)
 		}
 	}
 	s := recycleSnapshot(t, g, StoragePlain)
@@ -233,8 +264,10 @@ func TestConcurrentCachedRunsShareSnapshot(t *testing.T) {
 			diffRuns(t, name, got[i], want[i], nil, nil)
 		}
 	}
-	if n := len(s.caches.free); n < 1 || n > 4 {
-		t.Errorf("pool holds %d pairs, want 1..4 (Workers × concurrent runs)", n)
+	for _, list := range [][]*clampi.Cache{s.caches.off, s.caches.adj} {
+		if n := len(list); n < 1 || n > 4 {
+			t.Errorf("pool holds %d instances of a role, want 1..4 (Workers × concurrent non-resident runs)", n)
+		}
 	}
 }
 
@@ -243,26 +276,37 @@ func TestConcurrentCachedRunsShareSnapshot(t *testing.T) {
 // the benchmark's cache sizes and rank count, scaled down 8× in vertices
 // and arcs. Once a first run has built the pool, a run must not allocate
 // what the instances hold: per-run construction cost 100 MB here, a
-// recycling run allocates 0.2 MB.
+// recycling run allocates 0.2 MB. At this scale both caches are resident
+// (resident.go) on most ranks: the guard runs once with them, where the
+// first run has also kept the residency answers and pooled the first-touch
+// maps, and once with every rank held to CLaMPI instances.
 func TestCachedRunAllocationGuard(t *testing.T) {
 	g := gen.ErdosRenyi(1<<12, 1<<16, graph.Undirected, 1)
-	s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := cachedOpts(1, 1<<18, 1<<22, ScoreLRU)
-	if _, err := s.RunCtx(context.Background(), opt); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := s.RunCtx(context.Background(), opt); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	const limit = 4 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-		t.Errorf("second cached run allocated %.1f MB, want under %d MB", float64(got)/(1<<20), limit>>20)
+	for _, resident := range []bool{false, true} {
+		s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := cachedOpts(1, 1<<18, 1<<22, ScoreLRU)
+		if !resident {
+			forceCLaMPI(s, opt, 32)
+		}
+		if _, err := s.RunCtx(context.Background(), opt); err != nil {
+			t.Fatal(err)
+		}
+		if off, adj := residentRanks(s, opt, 32); resident != (off+adj > 0) {
+			t.Fatalf("resident %v: %d resident caches", resident, off+adj)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.RunCtx(context.Background(), opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		const limit = 4 << 20
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("resident %v: second cached run allocated %.1f MB, want under %d MB", resident, float64(got)/(1<<20), limit>>20)
+		}
 	}
 }
 
@@ -291,11 +335,11 @@ func TestCachePoolFootprint(t *testing.T) {
 		}
 	}
 	held := 0
-	for _, cp := range s.caches.free {
-		held += cp.off.MemBytes() + cp.adj.MemBytes()
+	for _, c := range append(s.caches.off, s.caches.adj...) {
+		held += c.MemBytes()
 	}
 	const parent = 23.5e6
-	t.Logf("%d pooled pairs hold %.1f MB", len(s.caches.free), float64(held)/1e6)
+	t.Logf("%d+%d pooled instances hold %.1f MB", len(s.caches.off), len(s.caches.adj), float64(held)/1e6)
 	if float64(held) > 0.7*parent {
 		t.Errorf("pool holds %.1f MB, want at most 70 %% of the %.1f MB before the record slab", float64(held)/1e6, parent/1e6)
 	}

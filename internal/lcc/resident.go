@@ -1,0 +1,153 @@
+package lcc
+
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/clampi"
+	"repro/internal/graph"
+)
+
+// A cache is resident on a rank when every list the rank can fetch through
+// it fits at once (clampi.Resident's law): its accesses are then first-touch
+// — a vertex's first fetch misses, every later one hits, nothing is evicted —
+// so the rank decides them with one bit per vertex (worker.firstTouch) instead
+// of CLaMPI's table, heap and allocator, and reports the same statistics.
+// Whether a rank's caches are resident depends on the snapshot, the world
+// size and the two configurations only, so a snapshot checks each rank once
+// (worker.checkResident) and keeps the answers (residency). A run with cache
+// faults never uses them: a fault flushes the cache, so a later access to a
+// list it held misses again, where first touch would say hit.
+
+// Answer bits of one rank id: checked, then which caches are resident.
+const (
+	ansChecked = 1 << iota
+	ansOff
+	ansAdj
+)
+
+// residency is a snapshot's kept answers: those of the last (world,
+// configurations) a run asked for, replaced when a run asks for others.
+type residency struct {
+	mu  sync.Mutex
+	set *residentSet
+}
+
+type residentKey struct {
+	world    int
+	off, adj clampi.Config
+}
+
+// residentSet holds the answers of one (world, configurations), per rank id:
+// 0 until that rank's first run has checked.
+type residentSet struct {
+	key residentKey
+	ans []atomic.Uint32
+}
+
+// answers returns the set for k, replacing the kept one when its key is
+// another.
+func (rs *residency) answers(k residentKey) *residentSet {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.set == nil || rs.set.key != k {
+		rs.set = &residentSet{key: k, ans: make([]atomic.Uint32, k.world)}
+	}
+	return rs.set
+}
+
+// touchMap is a rank's pooled host memory for its resident caches: the
+// n-bit first-touch map, which the residency check first uses to collect
+// the rank's distinct targets, and the check's bucket census.
+type touchMap struct {
+	bits    []uint64
+	buckets []uint32
+}
+
+// residentCaches says which of w's caches are resident under the run's
+// configurations, from the snapshot's answers or, on the rank's first run
+// under them, by checking with a pooled map and keeping the answer.
+func (s *Snapshot) residentCaches(w *worker, offCfg, adjCfg clampi.Config) (off, adj bool) {
+	ans := &s.residency.answers(residentKey{w.r.NumRanks(), offCfg, adjCfg}).ans[w.r.ID()]
+	a := ans.Load()
+	if a == 0 {
+		tm := s.caches.takeTouch(s.n)
+		a = w.checkResident(tm)
+		s.caches.putTouch(tm)
+		ans.Store(a)
+	}
+	return a&ansOff != 0, a&ansAdj != 0
+}
+
+// checkResident applies the residency law to the rank's remote lists: the
+// targets of every arc of its slot that lie in another slot and are not
+// delegated, once each. That covers what any engine's walk fetches, and any
+// replica's share of it, so the answer holds for every run on the snapshot.
+// A target the snapshot cannot resolve to a pair makes neither cache
+// resident: the walk faults on it as it always did. tm's map is left clear.
+func (w *worker) checkResident(tm *touchMap) uint32 {
+	seen := tm.bits
+	defer clear(seen)
+	defer func() { w.scanLi, w.scanDecLi = 0, -1 }()
+	for li := range w.lc.NumLocal() {
+		w.scanLi = li
+		adj := w.scanAdj()
+		for _, vj := range adj {
+			if int(vj) >= len(w.resolve) {
+				return ansChecked
+			}
+			slot, lj := unpackResolve(w.resolve[vj])
+			if slot == w.slot {
+				continue
+			}
+			if _, ok := w.deleg.Lookup(vj); ok {
+				continue
+			}
+			if slot >= len(w.pairs) || 2*lj+1 >= len(w.pairs[slot]) {
+				return ansChecked
+			}
+			seen[vj/64] |= 1 << (vj % 64)
+		}
+	}
+	coords := func(adj bool) func(yield func(clampi.Coord) bool) {
+		return func(yield func(clampi.Coord) bool) {
+			for i, word := range seen {
+				for ; word != 0; word &= word - 1 {
+					slot, li := unpackResolve(w.resolve[i*64+bits.TrailingZeros64(word)])
+					k := clampi.Coord{Target: w.ownerBase + slot, Offset: 16 * li, Size: 16}
+					if adj {
+						start, end := w.pairs[slot][2*li], w.pairs[slot][2*li+1]
+						k.Offset, k.Size = 4*int(start), 4*int(end-start)
+					}
+					if !yield(k) {
+						return
+					}
+				}
+			}
+		}
+	}
+	a := uint32(ansChecked)
+	var fits bool
+	if fits, tm.buckets = w.offRes.Fits(coords(false), tm.buckets); fits {
+		a |= ansOff
+	}
+	if fits, tm.buckets = w.adjRes.Fits(coords(true), tm.buckets); fits {
+		a |= ansAdj
+	}
+	return a
+}
+
+// firstTouch sets vj's bit in the first-touch map and reports whether it
+// was clear: whether this is the first fetch of vj's lists. One bit serves
+// both caches, since a vertex has one key in each and every remote fetch
+// makes both accesses. Without a resident cache there is no map.
+func (w *worker) firstTouch(vj graph.V) bool {
+	if w.touch == nil {
+		return false
+	}
+	word, bit := &w.touch.bits[vj/64], uint64(1)<<(vj%64)
+	first := *word&bit == 0
+	*word |= bit
+	return first
+}

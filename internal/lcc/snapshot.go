@@ -24,20 +24,24 @@ import (
 // RunPush, RunReplicated) build a snapshot and launch on it, so a run through
 // a kept snapshot is bit-identical to the corresponding lcc.Run.
 //
-// The two mutable things a snapshot owns are host memory, invisible to the
-// model. One is a free list of CLaMPI instances (caches) that cached runs
-// recycle instead of rebuilding their hash tables, heaps and slabs per rank
-// per query. clampi.Cache.Reset hands each out in the just-constructed
-// state, so the list carries no model-visible per-run state and a run's
-// results do not depend on what ran before it. It holds at most Workers ×
-// concurrent cached runs pairs (a rank body holds one pair, and
-// internal/sched runs at most Workers bodies of a run at once). The other is
-// the orientation index (orient, see orientIndex): per-vertex constants of
-// the graph — where adj(v) crosses v, and a dense set over a long, dense
-// hub's upper list — that RunCtx's ranks fill on first fetch and every later
-// edge and run reads instead of searching. It grows to at most 4 bytes per
-// vertex plus, per dense hub, 80 bytes and twelve per spanned 64-id word.
-// Neither is counted by LocalBytes; both are freed with the snapshot.
+// The three mutable things a snapshot owns are host memory, invisible to the
+// model. One is the free lists of CLaMPI instances and first-touch maps
+// (caches) that cached runs recycle instead of rebuilding their hash tables,
+// heaps and slabs per rank per query. clampi.Cache.Reset hands each instance
+// out in the just-constructed state, so the lists carry no model-visible
+// per-run state and a run's results do not depend on what ran before it.
+// They hold at most Workers × concurrent cached runs of each (a rank body
+// holds at most one of each, and internal/sched runs at most Workers bodies
+// of a run at once). Another is the orientation index (orient, see
+// orientIndex): per-vertex constants of the graph — where adj(v) crosses v,
+// and a dense set over a long, dense hub's upper list — that RunCtx's ranks
+// fill on first fetch and every later edge and run reads instead of
+// searching. It grows to at most 4 bytes per vertex plus, per dense hub, 80
+// bytes and twelve per spanned 64-id word. The last is the residency answers
+// (residency, see resident.go): which of each rank's caches hold every list
+// it can fetch, 4 bytes per rank id for the world size and cache
+// configurations a run last asked for, filled by its first run. None is
+// counted by LocalBytes; all are freed with the snapshot.
 type Snapshot struct {
 	src           graph.Store
 	kind          graph.Kind
@@ -58,51 +62,86 @@ type Snapshot struct {
 	sums       []rankSums
 	resolveSum uint32
 
-	caches cachePool
-	orient *orientIndex
+	caches    cachePool
+	orient    *orientIndex
+	residency residency
 
 	// ahead says the resident tables are past what a core's private cache
 	// holds (stageMinBytes), so runs read ahead of the model (stageAhead).
 	ahead bool
 }
 
-// cachePair is one rank's (C_offsets, C_adj) instances. They recycle as a
-// pair so each keeps its role, and with it backing arrays of the right
-// shape: the two caches differ 16× in capacity and in table geometry.
-type cachePair struct{ off, adj *clampi.Cache }
-
-// cachePool is a snapshot's free list of cache pairs (Snapshot.caches).
+// cachePool is a snapshot's free lists of CLaMPI instances and first-touch
+// maps (Snapshot.caches). C_offsets and C_adj instances recycle on lists of
+// their own so each keeps its role, and with it backing arrays of the right
+// shape: the two caches differ 16× in capacity and in table geometry. A
+// pooled instance is unbound (clampi.Cache.Unbind), so it keeps no world of
+// a finished run alive.
 type cachePool struct {
-	mu   sync.Mutex
-	free []cachePair
+	mu       sync.Mutex
+	off, adj []*clampi.Cache
+	touch    []*touchMap
 }
 
-// take removes a pair from the pool; ok is false when the pool is empty.
-func (p *cachePool) take() (cp cachePair, ok bool) {
+// take binds an instance from list — the pool's off or adj — to rank r and
+// window w under cfg, recycled when the list has one and constructed
+// otherwise.
+func (p *cachePool) take(list *[]*clampi.Cache, r *rma.Rank, w *rma.Window, cfg clampi.Config) *clampi.Cache {
+	p.mu.Lock()
+	var c *clampi.Cache
+	if n := len(*list); n > 0 {
+		c, (*list)[n-1] = (*list)[n-1], nil
+		*list = (*list)[:n-1]
+	}
+	p.mu.Unlock()
+	if c == nil {
+		return clampi.New(r, w, cfg)
+	}
+	return c.Reset(r, w, cfg)
+}
+
+// takeTouch returns a clear first-touch map of n bits.
+func (p *cachePool) takeTouch(n int) *touchMap {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		return cp, false
+	if k := len(p.touch); k > 0 {
+		tm := p.touch[k-1]
+		p.touch = p.touch[:k-1]
+		return tm
 	}
-	cp, p.free[n-1] = p.free[n-1], cachePair{}
-	p.free = p.free[:n-1]
-	return cp, true
+	return &touchMap{bits: make([]uint64, (n+63)/64)}
 }
 
-// recycle hands w's caches to the pool. Only a rank body that ran to
-// completion may call it, after its last use of them (w.stats): the caches
-// of a rank that unwound — cancellation, panic, stall-cancel, crash-stop —
-// may hold a miss in flight and are left to the garbage collector.
-func (p *cachePool) recycle(w *worker) {
-	if w.cOff == nil {
-		return
-	}
-	cp := cachePair{w.cOff, w.cAdj}
-	w.cOff, w.cAdj = nil, nil
+// putTouch hands back a map that is clear.
+func (p *cachePool) putTouch(tm *touchMap) {
 	p.mu.Lock()
-	p.free = append(p.free, cp)
+	p.touch = append(p.touch, tm)
 	p.mu.Unlock()
+}
+
+// recycle hands w's caches and first-touch map to the pool. Only a rank body
+// that ran to completion may call it, after its last use of them (w.stats):
+// those of a rank that unwound — cancellation, panic, stall-cancel,
+// crash-stop — may hold a miss in flight and are left to the garbage
+// collector.
+func (p *cachePool) recycle(w *worker) {
+	if w.touch != nil {
+		clear(w.touch.bits)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if w.touch != nil {
+		p.touch = append(p.touch, w.touch)
+	}
+	if w.cOff != nil {
+		w.cOff.Unbind()
+		p.off = append(p.off, w.cOff)
+	}
+	if w.cAdj != nil {
+		w.cAdj.Unbind()
+		p.adj = append(p.adj, w.cAdj)
+	}
+	w.cOff, w.cAdj, w.touch = nil, nil, nil
 }
 
 // SnapshotOptions are the per-graph half of Options: everything the

@@ -179,7 +179,10 @@ func checkStageIndex(t *testing.T, s *Snapshot, what string) {
 // requires the cached run to fail with the error that access's get has
 // always raised: through the cache, and with every access degraded to the
 // direct get (CacheFailPct 1). The messages were recorded at the commit
-// before the pass existed.
+// before the pass existed. The caches are sized so that the layout's ranks
+// are resident (resident.go), and each damage is made twice: before any
+// run, so that the residency check reads it, and after a clean run has kept
+// the answers, so that resident ranks meet it in the walk.
 func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 	g := stageGraph()
 	const v = 600
@@ -200,20 +203,30 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 			"clampi: get (target 9, offset 1440, size 16) outside window geometry",
 			"index out of range [9] with length 8"},
 	} {
-		for _, degraded := range []bool{false, true} {
-			s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 8, Scheme: part.Block})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.ahead = true
-			slot, li := unpackResolve(s.resolve[v])
-			tc.damage(s, slot, li)
-			opt, want := cachedOpts(1, 1<<10, 1<<13, ScoreDegree), tc.cached
-			if degraded {
-				opt.Faults, want = &fault.Spec{Seed: 9, CacheFailPct: 1}, tc.degraded
-			}
-			if _, err := s.RunCtx(context.Background(), opt); err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s, degraded %v: error %v, want one naming %q", tc.name, degraded, err, want)
+		for _, kept := range []bool{false, true} {
+			for _, degraded := range []bool{false, true} {
+				s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 8, Scheme: part.Block})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.ahead = true
+				opt, want := cachedOpts(1, 16<<10, 256<<10, ScoreDegree), tc.cached
+				if kept {
+					if _, err := s.RunCtx(context.Background(), opt); err != nil {
+						t.Fatal(err)
+					}
+					if off, adj := residentRanks(s, opt, 8); off+adj == 0 {
+						t.Fatalf("%s: the clean run ran no resident rank", tc.name)
+					}
+				}
+				slot, li := unpackResolve(s.resolve[v])
+				tc.damage(s, slot, li)
+				if degraded {
+					opt.Faults, want = &fault.Spec{Seed: 9, CacheFailPct: 1}, tc.degraded
+				}
+				if _, err := s.RunCtx(context.Background(), opt); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s, answers kept %v, degraded %v: error %v, want one naming %q", tc.name, kept, degraded, err, want)
+				}
 			}
 		}
 	}
@@ -225,8 +238,68 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 // fault-free and under cache and get faults, over two layouts, and holds a
 // digest of each run's fingerprint and per-rank cache statistics to the one
 // recorded at the commit before the decision pass existed.
+//
+// The resident rows do the same at three cache sizes where the residency
+// law admits ranks — both caches, only C_adj, only C_offsets — with a run
+// under get faults alone added, every statistic in the digest, and digests
+// recorded at the commit before resident caches existed. Each must run a
+// resident rank, and no run with cache faults may: such a run never asks
+// for the answers that make a cache resident.
 func TestDecisionPassMatchesRecorded(t *testing.T) {
 	g := stageGraph()
+	cacheFaults := &fault.Spec{Seed: 7, CacheFailPct: 0.02, GetFailPct: 0.01}
+	s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 8, Scheme: part.Block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := cachedOpts(2, 16<<10, 256<<10, ScoreDegree)
+	opt.Faults = cacheFaults
+	if _, err := s.RunCtx(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	if s.residency.set != nil {
+		t.Error("a run with cache faults asked for residency answers")
+	}
+	for _, tc := range []struct {
+		policy ScorePolicy
+		want   uint64
+	}{
+		{ScoreLRU, 0xb6bdeb0732c0f5b6}, {ScoreDegree, 0xd40cfce453c9a076},
+		{ScoreCostBenefit, 0xe91b635cb8e00321}, {ScoreDegreeRecency, 0xfe22331fde9d39b7},
+	} {
+		h, _ := decisionDigest(t, g, cachedOpts(2, 1<<9, 1<<12, tc.policy), []*fault.Spec{nil, cacheFaults}, false)
+		if h != tc.want {
+			t.Errorf("%v: digest %#x, recorded %#x", tc.policy, h, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		off, adj int
+		want     [4]uint64 // per policy, in ScorePolicy order
+	}{
+		{16 << 10, 256 << 10, [4]uint64{0x2a26fbc4264f8403, 0xbe5f997800e12668, 0xae790be0545f0e14, 0xbe5f997800e12668}},
+		{512, 256 << 10, [4]uint64{0x3785773ac0242a3a, 0xbb037d9f44ac798a, 0xa2fd10cc4c2bd0a1, 0xbb037d9f44ac798a}},
+		{16 << 10, 4 << 10, [4]uint64{0x9f36783572de1cb2, 0x65684cbc15cc7614, 0xe0b7714366c98e04, 0xb33d07253cd141a3}},
+	} {
+		for policy, want := range tc.want {
+			opt := cachedOpts(2, tc.off, tc.adj, ScorePolicy(policy))
+			h, resident := decisionDigest(t, g, opt, []*fault.Spec{nil, cacheFaults, {Seed: 7, GetFailPct: 0.01}}, true)
+			if h != want {
+				t.Errorf("%d/%d bytes, %v: digest %#x, recorded %#x", tc.off, tc.adj, ScorePolicy(policy), h, want)
+			}
+			if resident == 0 {
+				t.Errorf("%d/%d bytes, %v: no rank ran a resident cache", tc.off, tc.adj, ScorePolicy(policy))
+			}
+		}
+	}
+}
+
+// decisionDigest runs opt through every engine forEachEdge serves, single-
+// and double-buffered, under each of faults, on two layouts, and folds each
+// run's fingerprint and per-rank cache statistics — all of them, or the
+// first nine — into one digest. It also returns how many resident caches
+// the runs without cache faults ran, counted per rank from the answers.
+func decisionDigest(t *testing.T, g *graph.Graph, opt Options, faults []*fault.Spec, all bool) (uint64, int) {
+	t.Helper()
 	ctx := context.Background()
 	engines := map[string]func(s *Snapshot, o Options) (*Result, error){
 		"pull": func(s *Snapshot, o Options) (*Result, error) { return s.RunCtx(ctx, o) },
@@ -240,52 +313,53 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		},
 		"replicated-c2": func(s *Snapshot, o Options) (*Result, error) { return s.runReplicatedCtx(ctx, o, 2) },
 	}
-	for _, tc := range []struct {
-		policy ScorePolicy
-		want   uint64
-	}{
-		{ScoreLRU, 0xb6bdeb0732c0f5b6}, {ScoreDegree, 0xd40cfce453c9a076},
-		{ScoreCostBenefit, 0xe91b635cb8e00321}, {ScoreDegreeRecency, 0xfe22331fde9d39b7},
+	h := uint64(1469598103934665603)
+	mix := func(x uint64) { h = (h ^ x) * 1099511628211 }
+	var resident int
+	for _, so := range []SnapshotOptions{
+		{Ranks: 8, Scheme: part.Block},
+		{Ranks: 4, Scheme: part.Cyclic, Storage: StorageCompressed, DelegateBytes: 1 << 12},
 	} {
-		h := uint64(1469598103934665603)
-		mix := func(x uint64) { h = (h ^ x) * 1099511628211 }
-		for _, so := range []SnapshotOptions{
-			{Ranks: 8, Scheme: part.Block},
-			{Ranks: 4, Scheme: part.Cyclic, Storage: StorageCompressed, DelegateBytes: 1 << 12},
-		} {
-			s, err := NewSnapshotOpts(g, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.ahead = true
-			for _, faults := range []*fault.Spec{nil, {Seed: 7, CacheFailPct: 0.02, GetFailPct: 0.01}} {
-				for _, double := range []bool{true, false} {
-					for _, name := range []string{"pull", "push", "jaccard", "replicated-c2"} {
-						if name == "replicated-c2" && so.Ranks != recycleRanks/2 {
-							continue
-						}
-						d := newChargeDigest()
-						opt := cachedOpts(2, 1<<9, 1<<12, tc.policy)
-						opt.DoubleBuffer, opt.Faults, opt.ChargeObserver = double, faults, d.observe
-						res, err := engines[name](s, opt)
-						if err != nil {
-							t.Fatalf("%v, %s: %v", tc.policy, name, err)
-						}
-						mix(fingerprint(res, d.sum))
-						for _, r := range res.PerRank {
-							for _, c := range []clampi.Stats{r.OffsetsCache, r.AdjCache} {
-								for _, x := range []int64{c.Hits, c.Misses, c.CompulsoryMisses, c.Inserts, c.RejectedInserts,
-									c.ConflictEvictions, c.CapacityEvictions, c.DegradedOps, c.BytesCached} {
+		s, err := NewSnapshotOpts(g, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ahead = true
+		for _, faults := range faults {
+			for _, double := range []bool{true, false} {
+				for _, name := range []string{"pull", "push", "jaccard", "replicated-c2"} {
+					if name == "replicated-c2" && so.Ranks != recycleRanks/2 {
+						continue
+					}
+					d := newChargeDigest()
+					opt := opt
+					opt.DoubleBuffer, opt.Faults, opt.ChargeObserver = double, faults, d.observe
+					res, err := engines[name](s, opt)
+					if err != nil {
+						t.Fatalf("%v, %s: %v", opt.AdjScorePolicy, name, err)
+					}
+					if faults == nil || faults.CacheFailPct <= 0 {
+						off, adj := residentRanks(s, opt, len(res.PerRank))
+						resident += off + adj
+					}
+					mix(fingerprint(res, d.sum))
+					for _, r := range res.PerRank {
+						for _, c := range []clampi.Stats{r.OffsetsCache, r.AdjCache} {
+							for _, x := range []int64{c.Hits, c.Misses, c.CompulsoryMisses, c.Inserts, c.RejectedInserts,
+								c.ConflictEvictions, c.CapacityEvictions, c.DegradedOps, c.BytesCached} {
+								mix(uint64(x))
+							}
+							if all {
+								for _, x := range []int64{c.HitBytes, c.MissBytes, c.EntriesCached, c.Flushes} {
 									mix(uint64(x))
 								}
+								mix(math.Float64bits(c.FragmentationRatio))
 							}
 						}
 					}
 				}
 			}
 		}
-		if h != tc.want {
-			t.Errorf("%v: digest %#x, recorded %#x", tc.policy, h, tc.want)
-		}
 	}
+	return h, resident
 }
