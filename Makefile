@@ -85,7 +85,10 @@ stress:
 # options on one worker, one untimed run, then RUNS profiled ones, top 25.
 # WORKERS=2 is the count the benchmark runs at on the two-core reference host
 # (Workers=0 there): two ranks share the last-level cache, so the cache-miss
-# lines weigh what they weigh in op_p50_ms.
+# lines weigh what they weigh in op_p50_ms. The median it prints is raw wall
+# time, comparable to the benchmark's host.op_p50_raw_ms, not to its
+# drift-corrected op_p50_ms: on the reference host it reads about 1.8-2x
+# op_p50_ms.
 # MEM=1 adds the live heap after those runs (one collection first) and prints
 # its top 15 by inuse_space: what the snapshot, its pooled CLaMPI instances
 # and its orientation index hold between queries. Artifacts: cpu.pprof and
@@ -100,11 +103,13 @@ pprof:
 	$(if $(MEM),$(GO) tool pprof -sample_index=inuse_space -top -nodecount 15 mem.pprof)
 
 # fuzz runs the intersection-kernel, varint-codec, binary-container,
-# fault-schedule and lccd-wire fuzzers briefly — the same smokes CI runs.
+# fault-schedule, residency-law, offsets-model and lccd-wire fuzzers briefly
+# — the same smokes CI runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersectKernels$$' -fuzztime 30s ./internal/intersect
 	$(GO) test -run '^$$' -fuzz '^FuzzVarintAdjacency$$' -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinaryStore$$' -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultSchedule$$' -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz '^FuzzResidentLaw$$' -fuzztime 30s ./internal/clampi
+	$(GO) test -run '^$$' -fuzz '^FuzzOneSizeMatchesCLaMPI$$' -fuzztime 30s ./internal/clampi
 	$(GO) test -run '^$$' -fuzz '^FuzzLCCDRequest$$' -fuzztime 30s ./cmd/lccd

@@ -239,11 +239,11 @@ func BenchmarkRMAGetReadOnly(b *testing.B) {
 // decision pass): the cache transitions alone, no charge and no get.
 func BenchmarkClampiHit(b *testing.B) {
 	c := benchCache(1<<16, clampi.Config{Capacity: 1 << 16})
-	c.Decide(c.KeyOf(1, 0, 256), math.NaN())
+	c.Decide(c.KeyOf(1, 0, 256), math.NaN(), false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Decide(c.KeyOf(1, 0, 256), math.NaN())
+		c.Decide(c.KeyOf(1, 0, 256), math.NaN(), false)
 	}
 }
 
@@ -253,32 +253,50 @@ func BenchmarkClampiMissEvict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Decide(c.KeyOf(1, (i%1024)*512, 512), math.NaN())
+		c.Decide(c.KeyOf(1, (i%1024)*512, 512), math.NaN(), false)
 	}
 }
 
-// BenchmarkClampiCapacitySettle runs CLaMPI at C_offsets' geometry — a
-// 256 KiB buffer of 16-byte LRU entries over 16,384 buckets — on a uniform
-// stream over twice as many regions as it holds: about half the accesses
-// hit, bumping stamps, and every miss takes a capacity eviction through a
-// victim heap sixteen thousand entries deep, revalidating the stale roots the
-// hits left (Cache.settleVictims).
+// BenchmarkClampiCapacitySettle runs C_offsets' geometry — a 256 KiB buffer
+// of 16-byte LRU entries over 16,384 buckets — on a uniform stream over
+// twice as many regions as it holds: about half the accesses hit, and every
+// miss takes a capacity eviction. "cache" is a CLaMPI Cache, whose victim
+// heap is sixteen thousand entries deep and revalidates the stale roots the
+// hits left (Cache.settleVictims); "onesize" is the exact model the engines
+// run for C_offsets (clampi.OneSize), which picks the same victims from an
+// LRU list.
 func BenchmarkClampiCapacitySettle(b *testing.B) {
 	const capacity, size = 256 << 10, 16
-	c := benchCache(2*capacity, clampi.Config{Capacity: capacity, Buckets: capacity / size})
+	cfg := clampi.Config{Capacity: capacity, Buckets: capacity / size}
 	rng := rand.New(rand.NewPCG(1, 2))
 	offs := make([]int, 1<<16)
 	for i := range offs {
 		offs[i] = size * rng.IntN(2*capacity/size)
 	}
-	for i := range offs {
-		c.Decide(c.KeyOf(1, offs[i], size), math.NaN())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Decide(c.KeyOf(1, offs[i%len(offs)], size), math.NaN())
-	}
+	b.Run("cache", func(b *testing.B) {
+		c := benchCache(2*capacity, cfg)
+		for i := range offs {
+			c.Decide(c.KeyOf(1, offs[i], size), math.NaN(), false)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Decide(c.KeyOf(1, offs[i%len(offs)], size), math.NaN(), false)
+		}
+	})
+	b.Run("onesize", func(b *testing.B) {
+		comm := rma.NewComm(2, rma.DefaultCostModel())
+		w := comm.CreateReadOnlyWindow("bench", [][]byte{nil, make([]byte, 2*capacity)})
+		m := clampi.NewOneSize(w, 2, cfg)
+		for i := range offs {
+			m.Decide(m.KeyOf(1, offs[i], size), false)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Decide(m.KeyOf(1, offs[i%len(offs)], size), false)
+		}
+	})
 }
 
 // benchCache is a cache for rank 0 of a two-rank world over rank 1's region

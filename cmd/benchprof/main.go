@@ -13,6 +13,11 @@
 // orientation index hold between queries (inuse_space). Run it from the
 // repository root.
 //
+// The median it prints is raw wall time per run, the benchmark's
+// host.op_p50_raw_ms, not its drift-corrected op_p50_ms: on the two-core
+// reference host it reads about 1.8-2x op_p50_ms, so compare it only with
+// itself or with host.op_p50_raw_ms.
+//
 //	make pprof W=pull-rmat            # five runs, top 25
 //	make pprof W=cached-uniform MEM=1 # ... and the top 15 of the live heap
 //	make pprof W=cached-uniform WORKERS=2

@@ -83,37 +83,29 @@ type Stats struct {
 // Steady-state operation — hit, miss, insert, evict, flush — performs
 // no heap allocations: entries and buffer extents are records of one slab
 // (see record), AVL nodes recycle through a pool, requests come from a free
-// list (see Request), and the victim heap, hash table and compulsory-miss set
-// reuse their backing arrays. Filling
-// those structures is what costs memory (MemBytes; 2.5 and 4.9 MB for a
-// rank's two instances at the benchmark's cache sizes), so an instance is
-// reusable: Reset rebinds it to another rank and window in the exact state
-// New returns, keeping every backing array the new configuration can use.
+// list (see Request), and the victim heap and hash table reuse their backing
+// arrays. Filling those structures is what costs memory (MemBytes; 4.6 MB
+// for a C_adj instance at the benchmark's size on its uniform graph), so an
+// instance is reusable: Reset rebinds it to another rank and window in the
+// exact state New returns, keeping every backing array the new
+// configuration can use.
 // What a Cache carries from one use to the next is host memory only — no
 // model-visible state (DESIGN.md §2, "Instance recycling").
 type Cache struct {
-	rank  *rma.Rank
-	win   *rma.Window
-	cfg   Config
-	coder keyCoder
+	rank *rma.Rank
+	win  *rma.Window
+	cfg  Config
+	index
 
-	tab     table
 	alloc   allocator
 	victims victimHeap
 	sized   int // records the slab and heap were allocated for (Reset)
 	tick    uint64
-	seen    seenSet
 	stats   Stats
 
 	reqFree []*Request // released requests; single-goroutine like the rank, so no locking
 
-	// busy asserts the single-owner contract now that ranks execute on
-	// concurrent worker goroutines: operational entry points set and clear
-	// it with PLAIN (unsynchronized) writes — deliberately, so the race
-	// detector flags any cross-goroutine use of one cache as a data race
-	// on this field, and reentrant use panics outright. Cost on the hot
-	// path: two unordered byte stores, no locks, no atomics.
-	busy bool
+	owner
 
 	// sink is where warmRoot's loads end up (never read).
 	sink uint64
@@ -131,15 +123,15 @@ func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 // Reset binds the cache to rank r and window w under cfg and puts it in the
 // state of a just-constructed instance, in place: empty table at cfg's
 // geometry and one pristine free region of cfg's capacity, the record slab
-// rewound, the victim heap emptied, tick, compulsory-miss set and statistics
-// zeroed. It is the only initialiser — New is Reset on the zero Cache — so a
-// recycled instance and a fresh one cannot differ in anything the model can
-// see; they differ in how much backing storage is already there. Returns c.
+// rewound, the victim heap emptied, tick and statistics zeroed. It is the
+// only initialiser — New is Reset on the zero Cache — so a recycled instance
+// and a fresh one cannot differ in anything the model can see; they differ
+// in how much backing storage is already there. Returns c.
 //
 // Backing arrays are kept unless cfg could not use a quarter of one — the
 // table's arrays and the slab's and heap's first allocation against the
-// size cfg asks for, what a use grew (slab, heap, tree pool, compulsory-miss
-// set) against the most records cfg's geometry can hold — so one query with
+// size cfg asks for, what a use grew (slab, heap, tree pool) against the
+// most records cfg's geometry can hold — so one query with
 // a large cache does not pin its footprint in a pool for the pool's
 // lifetime, and a steady stream of equal queries never reallocates.
 //
@@ -172,7 +164,6 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 		c.alloc = allocator{recs: make([]record, 1, hint)}
 		c.victims = victimHeap{h: make([]heapItem, 0, hint), pos: make([]int32, 0, hint)}
 	}
-	c.seen.clearFor(min(max(c.cfg.Capacity/64, 64), 1<<14), most)
 	c.empty()
 	c.tick = 0
 	c.stats = Stats{}
@@ -194,15 +185,14 @@ func windowCoder(w *rma.Window, ranks int) keyCoder {
 func (c *Cache) Unbind() { c.rank, c.win = nil, nil }
 
 // MemBytes returns the bytes of every backing array the instance holds:
-// table lanes and slots, record slab, victim heap and positions, free-region
-// tree nodes and compulsory-miss set. (Pooled requests, a handful of small
-// objects per instance, are not arrays and not counted.) It is what an idle
-// instance in a pool costs its snapshot.
+// table lanes and slots, record slab, victim heap and positions, and
+// free-region tree nodes. (Pooled requests, a handful of small objects per
+// instance, are not arrays and not counted.) It is what an idle instance in
+// a pool costs its snapshot.
 func (c *Cache) MemBytes() int {
-	return 8*cap(c.tab.lane) + 4*cap(c.tab.ents) +
+	return c.tab.memBytes() +
 		int(unsafe.Sizeof(record{}))*cap(c.alloc.recs) + int(unsafe.Sizeof(avlNode{}))*c.alloc.tree.made +
-		int(unsafe.Sizeof(heapItem{}))*cap(c.victims.h) + 4*cap(c.victims.pos) +
-		8*len(c.seen.tab)
+		int(unsafe.Sizeof(heapItem{}))*cap(c.victims.h) + 4*cap(c.victims.pos)
 }
 
 // Stats returns a snapshot of the cache statistics.
@@ -277,7 +267,8 @@ func (c *Cache) warmRoot() {
 }
 
 // Request is one get through the cache, from issue to the last read of its
-// list. Get and GetScored are a charging shell over Decide: the access is
+// list. Get and GetScored are a charging shell over Decide, which counts no
+// compulsory miss for them (first is false): the access is
 // decided at issue and its verdict charged to the issuing rank as the
 // engines' fetch plane charges it — a hit ChargeCacheHit and no get; a miss
 // the miss overhead and a direct get, and ChargeCacheManage once, at Wait —
@@ -338,18 +329,24 @@ func (q *Request) Release() {
 	q.cache.reqFree = append(q.cache.reqFree, q)
 }
 
-// enter asserts the single-owner contract on an operational entry point;
-// leave clears it. See Cache.busy.
-func (c *Cache) enter() {
-	if c.busy {
+// owner asserts a cache's single-owner contract now that ranks execute on
+// concurrent worker goroutines: operational entry points set and clear busy
+// (enter, leave) with PLAIN (unsynchronized) writes — deliberately, so the
+// race detector flags any cross-goroutine use of one cache as a data race
+// on this field, and reentrant use panics outright. Cost on the hot path:
+// two unordered byte stores, no locks, no atomics.
+type owner struct{ busy bool }
+
+func (o *owner) enter() {
+	if o.busy {
 		panic("clampi: concurrent or reentrant use of a single-owner cache")
 	}
-	c.busy = true
+	o.busy = true
 }
 
-func (c *Cache) leave() { c.busy = false }
+func (o *owner) leave() { o.busy = false }
 
-// Key is one get's coordinate as this cache indexes it: the packed
+// Key is one get's coordinate as a cache indexes it: the packed
 // (target, offset, size) word and its bucket's first lane word, so the hash
 // and the bucket division run once per access, in KeyOf. A key is valid for
 // the cache that made it until that cache's next Reset, which may change the
@@ -359,25 +356,47 @@ type Key struct {
 	lane uint32
 }
 
+// index is what a cache — Cache or OneSize — keys its accesses by: the
+// window's key coder and the set-associative table.
+type index struct {
+	coder keyCoder
+	tab   table
+}
+
 // KeyOf derives the key of a get of (target, offset, size). A coordinate
 // outside the window geometry would pack into an alias of a valid key, so it
 // panics here, before any operation: a caller that recovers finds the cache
 // usable.
-func (c *Cache) KeyOf(target, offset, size int) Key {
-	if !c.coder.fits(target, offset, size) {
+func (x *index) KeyOf(target, offset, size int) Key {
+	if !x.coder.fits(target, offset, size) {
 		panic(outsideGeometry(target, offset, size))
 	}
-	return c.key(target, offset, size)
+	return x.key(target, offset, size)
 }
 
 // key is KeyOf for a coordinate known to fit. It is keyCoder.hash and
 // table.laneOf written out, which saves the access two calls.
-func (c *Cache) key(target, offset, size int) Key {
-	cd := &c.coder
+func (x *index) key(target, offset, size int) Key {
+	cd := &x.coder
 	h := fnvMix(fnvOffset64, uint64(target), cd.tgtBytes, cd.tgtTail)
 	h = fnvMix(h, uint64(offset), cd.offBytes, cd.offTail)
 	h = fnvMix(h, uint64(size), cd.offBytes, cd.offTail)
-	return Key{cd.pack(target, offset, size), uint32(int(c.tab.magic.mod(h)) * 2 * c.tab.assoc)}
+	return Key{cd.pack(target, offset, size), uint32(int(x.tab.magic.mod(h)) * 2 * x.tab.assoc)}
+}
+
+// Preload reads, for each key, the words a get of it would miss the host's
+// cache on first — the head of the bucket lane it probes and the bucket's
+// entry ids a miss's insertion writes — back to back, so that their misses
+// overlap where the gets would take them one at a time (lcc's decision pass
+// calls this for a batch of upcoming accesses before it decides them). It is
+// invisible to the model and to the cache: no statistic, tick, stamp or
+// entry changes, and it is not an operation of the single-owner contract (no
+// enter). The returned sum means nothing; it keeps the loads.
+func (x *index) Preload(keys []Key) (sum uint64) {
+	for _, k := range keys {
+		sum += x.tab.lane[k.lane] + uint64(x.tab.ents[k.lane/2])
+	}
+	return sum
 }
 
 // Get issues a cached one-sided read (no application score).
@@ -404,7 +423,7 @@ func (c *Cache) GetScored(target, offset, size int, score float64) *Request {
 		// Local accesses bypass the cache entirely: the partition owner
 		// reads its own memory (Fig. 3: node A reads adj(0), adj(2) locally).
 		c.rank.GetInto(&q.own, c.win, target, offset, size)
-	case c.Decide(k, score) == Hit:
+	case c.Decide(k, score, false) == Hit:
 		c.rank.ChargeCacheHit(size)
 		q.win, q.target, q.offset, q.size = c.win, target, offset, size
 	default:
@@ -431,10 +450,13 @@ const (
 // Decide makes the cache transitions of a get of k's coordinate in another
 // rank's region, with score (NaN: none) — a hit's touch, or a miss's
 // statistics and insertion — and charges nothing: the caller charges the
-// verdict. No transition reads the rank's clock, so a caller may decide
-// accesses ahead of their charges, in their order, with its fault draws in
-// theirs.
-func (c *Cache) Decide(k Key, score float64) Verdict {
+// verdict. first says whether this is the first access to k's coordinate
+// that reaches the cache, which makes a miss compulsory: the caller knows
+// it from its own walk (lcc keeps a first-touch bit per list), and the
+// request shell, whose callers read hits and misses only, says false. No
+// transition reads the rank's clock, so a caller may decide accesses ahead
+// of their charges, in their order, with its fault draws in theirs.
+func (c *Cache) Decide(k Key, score float64, first bool) Verdict {
 	c.enter()
 	v := Hit
 	_, _, size := c.coder.unpack(k.pk)
@@ -443,7 +465,7 @@ func (c *Cache) Decide(k Key, score float64) Verdict {
 		c.stats.Hits++
 		c.stats.HitBytes += int64(size)
 	} else {
-		if c.seen.addIfMissing(k.pk) {
+		if first {
 			c.stats.CompulsoryMisses++
 		}
 		c.stats.Misses++
@@ -547,22 +569,6 @@ func (c *Cache) SetScore(target, offset, size int, score float64) {
 		}
 	}
 	c.leave()
-}
-
-// Preload reads, for each key, the words a get of it would miss the host's
-// cache on first — the head of the bucket lane it probes, the bucket's
-// record ids a miss's insertion writes, and its slot in the compulsory-miss
-// set — back to back, so that their misses overlap where the gets would take
-// them one at a time (lcc's decision pass calls this for a batch of upcoming
-// accesses before it decides them). It is invisible to the model and to the
-// cache: no statistic, tick, stamp or entry changes, and it is not an
-// operation of the single-owner contract (no enter). The returned sum means
-// nothing; it keeps the loads.
-func (c *Cache) Preload(keys []Key) (sum uint64) {
-	for _, k := range keys {
-		sum += c.tab.lane[k.lane] + uint64(c.tab.ents[k.lane/2]) + c.seen.tab[c.seen.slot(k.pk)]
-	}
-	return sum
 }
 
 // Flush empties the cache; a degraded access (Degrade) takes it. All

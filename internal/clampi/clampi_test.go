@@ -1,6 +1,7 @@
 package clampi
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -62,7 +63,7 @@ func isWindowList(list []graph.V, off, n int) bool {
 
 func TestCacheHitReturnsSameBytes(t *testing.T) {
 	_, _, c := vertexSetup(t, 256, Config{Capacity: 512})
-	for i, want := range []Stats{{Misses: 1, CompulsoryMisses: 1}, {Hits: 1, Misses: 1, CompulsoryMisses: 1}} {
+	for i, want := range []Stats{{Misses: 1}, {Hits: 1, Misses: 1}} {
 		q := c.Get(1, 100, 48)
 		q.Wait()
 		if !isWindowList(q.Vertices(), 100, 12) {
@@ -228,11 +229,12 @@ func TestConflictEviction(t *testing.T) {
 }
 
 func TestCompulsoryVsCapacityMisses(t *testing.T) {
-	// Re-reading an evicted entry is a miss but NOT a compulsory miss.
+	// Re-reading an evicted entry is a miss but NOT a compulsory miss: the
+	// caller, which knows the access is not its coordinate's first, says so.
 	_, _, c := testSetup(t, 1024, Config{Capacity: 40})
-	c.Get(1, 0, 40).Wait()
-	c.Get(1, 40, 40).Wait() // evicts the first (only room for one)
-	c.Get(1, 0, 40).Wait()  // capacity miss
+	c.Decide(c.KeyOf(1, 0, 40), math.NaN(), true)
+	c.Decide(c.KeyOf(1, 40, 40), math.NaN(), true) // evicts the first (only room for one)
+	c.Decide(c.KeyOf(1, 0, 40), math.NaN(), false) // capacity miss
 	s := c.Stats()
 	if s.Misses != 3 {
 		t.Errorf("Misses = %d, want 3", s.Misses)

@@ -48,8 +48,9 @@ func complete(q *Request, between func()) {
 // churnKeys, when a test sets it, routes the churns' gets through Decide
 // with keys handed over: each coordinate's key is derived on its first
 // access and reused from then on — across inserts, evictions and flushes,
-// up to the next Reset. Nil runs the request shell's gets, which derive the
-// key at the get.
+// up to the next Reset — and that first access is the one Decide is told is
+// first. Nil runs the request shell's gets, which derive the key at the get
+// and count no compulsory miss.
 var churnKeys map[[3]int]Key
 
 // churnGet is one churn access to rank 1's region.
@@ -64,7 +65,7 @@ func churnGet(c *Cache, off, size int, score float64, between func()) {
 		k = c.KeyOf(1, off, size)
 		churnKeys[at] = k
 	}
-	c.Decide(k, score)
+	c.Decide(k, score, !ok)
 	between()
 }
 
@@ -176,8 +177,9 @@ func TestVictimOrderDigest(t *testing.T) {
 
 // TestDecideMatchesRequests runs every churn through Decide, with keys
 // derived long before (churnKeys), and requires what the request shell's
-// gets produce: the recorded eviction order, the statistics to the bit
-// and consistent structures, on a fresh instance and on one just Reset
+// gets produce: the recorded eviction order, the statistics to the bit —
+// but a compulsory miss for every distinct coordinate, which only Decide's
+// caller knows — and consistent structures, on a fresh instance and on one just Reset
 // (whose keys are derived again: a key lasts until its cache's Reset).
 // KeyOf refuses a coordinate outside the window geometry with the get's own
 // panic.
@@ -196,12 +198,17 @@ func TestDecideMatchesRequests(t *testing.T) {
 			churnKeys = map[[3]int]Key{}
 			sum := evictionDigest(c)
 			tc.churn(c, uint64(i), idle)
+			distinct := int64(len(churnKeys))
 			churnKeys = nil
 			if got, n := sum(); got != tc.digest || n != tc.count {
 				t.Errorf("%s: digest %#x over %d evictions through Decide, recorded %#x over %d",
 					tc.name, got, n, tc.digest, tc.count)
 			}
-			if got := c.Stats(); got != want {
+			got := c.Stats()
+			if got.CompulsoryMisses != distinct {
+				t.Errorf("%s: %d compulsory misses through Decide, %d distinct coordinates", tc.name, got.CompulsoryMisses, distinct)
+			}
+			if got.CompulsoryMisses = 0; got != want {
 				t.Errorf("%s: statistics through Decide\n got  %+v\n want %+v", tc.name, got, want)
 			}
 			if err := c.checkInvariants(); err != nil {

@@ -137,7 +137,7 @@ func TestCacheDecisionsIgnoreClock(t *testing.T) {
 			if got[lo+j] = Degraded; fresh.CacheFault() {
 				decided.Degrade()
 			} else {
-				got[lo+j] = decided.Decide(keys[j], a.score)
+				got[lo+j] = decided.Decide(keys[j], a.score, false)
 			}
 		}
 	}

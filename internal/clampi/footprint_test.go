@@ -16,9 +16,9 @@ import (
 // churned at random; afterwards every backing array together must fit in
 // the table's lanes (64 B a bucket at the default associativity), 4 B per
 // slot, 96 B per entry of the peak live population — record, heap item,
-// position, free regions, tombstones and all growth slack — and the
-// compulsory-miss set. The pointer-based structures before the record slab
-// cost ~150 B per entry before their slabs' doubling slack and 8 B per slot.
+// position, free regions, tombstones and all growth slack. The pointer-based
+// structures before the record slab cost ~150 B per entry before their
+// slabs' doubling slack and 8 B per slot.
 func TestCacheFootprint(t *testing.T) {
 	const vertices = 1 << 16
 	rng := rand.New(rand.NewPCG(18, 1))
@@ -58,11 +58,10 @@ func TestCacheFootprint(t *testing.T) {
 			t.Fatalf("%s: %d capacity evictions over %d peak entries; the churn never turned the cache over", tc.name, s.CapacityEvictions, peak)
 		}
 		slots := c.cfg.Buckets * c.cfg.Assoc
-		seen := 8 * len(c.seen.tab)
-		limit := 64*c.cfg.Buckets + 4*slots + 96*peak + seen
+		limit := 64*c.cfg.Buckets + 4*slots + 96*peak
 		got := c.MemBytes()
-		t.Logf("%s: %d B for %d peak entries: %.1f B per entry past the table (%d B) and seen-set (%d B); limit %d B",
-			tc.name, got, peak, float64(got-seen-64*c.cfg.Buckets-4*slots)/float64(peak), 64*c.cfg.Buckets+4*slots, seen, limit)
+		t.Logf("%s: %d B for %d peak entries: %.1f B per entry past the table (%d B); limit %d B",
+			tc.name, got, peak, float64(got-64*c.cfg.Buckets-4*slots)/float64(peak), 64*c.cfg.Buckets+4*slots, limit)
 		if got > limit {
 			t.Errorf("%s: MemBytes %d over the limit %d", tc.name, got, limit)
 		}

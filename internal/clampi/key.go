@@ -7,17 +7,19 @@ import (
 
 // keyCoder packs the (target, offset, size) coordinate of a cached RMA
 // access into a single uint64, so table lookups compare one word instead of
-// three and the compulsory-miss set can store raw uint64s. The field widths
+// three. The field widths
 // are derived once per cache from the window geometry: offsets and sizes of
 // valid gets are bounded by the largest region any rank exposes, and targets
 // by the world size. Both bounds are fixed for the lifetime of a window, so
 // the packing is total over every get the cache can observe.
 //
-// The coder also produces the hash used for bucket selection. That hash is
-// deliberately bit-identical to FNV-1a over the three fields as 8-byte
-// little-endian words — the mapping the golden tests pinned (which keys
-// share a bucket decides which conflict evictions happen, and those are
-// visible in the pinned hit/miss counts). The FNV loop is collapsed using
+// The coder also produces the hash used for bucket selection: the FNV-1a
+// loop over the three fields as 8-byte little-endian words, but started from
+// the offset basis 1469598103934665603 — the standard 14695981039346656037
+// with its last digit dropped — so it is not FNV-1a, and hash/fnv picks other
+// buckets. The golden tests pinned this mapping (which keys share a bucket
+// decides which conflict evictions happen, and those are visible in the
+// pinned hit/miss counts), so the basis stays. The loop is collapsed using
 // the field bounds: only the bytes that can be non-zero are mixed
 // explicitly, and the run of guaranteed-zero bytes folds into one multiply
 // by a precomputed power of the FNV prime (x^=0 is a no-op, so k zero bytes
@@ -33,7 +35,7 @@ type keyCoder struct {
 }
 
 const (
-	fnvOffset64 = 1469598103934665603
+	fnvOffset64 = 1469598103934665603 // not FNV's 14695981039346656037: see keyCoder
 	fnvPrime64  = 1099511628211
 )
 
@@ -94,9 +96,10 @@ func (c keyCoder) unpack(k uint64) (target, offset, size int) {
 	return int(k >> (2 * c.offBits)), int(k >> c.offBits & mask), int(k & mask)
 }
 
-// hash returns FNV-1a over (target, offset, size) as three 8-byte
-// little-endian words — bit-identical to hashing the unpacked fields byte by
-// byte, but in O(significant bytes) multiplies.
+// hash returns the bucket hash (keyCoder's FNV-1a loop from the pinned
+// basis) over (target, offset, size) as three 8-byte little-endian words —
+// bit-identical to hashing the unpacked fields byte by byte, but in
+// O(significant bytes) multiplies.
 func (c keyCoder) hash(target, offset, size int) uint64 {
 	h := fnvMix(uint64(fnvOffset64), uint64(target), c.tgtBytes, c.tgtTail)
 	h = fnvMix(h, uint64(offset), c.offBytes, c.offTail)
@@ -153,100 +156,4 @@ func (m divMagic) mod(n uint64) uint64 {
 	h3, l3 := bits.Mul64(lowHi, m.d)
 	_, carry := bits.Add64(l3, h2, 0)
 	return h3 + carry
-}
-
-// seenSet is a compact open-addressing set of packed keys, replacing the
-// unbounded map[key]struct{} compulsory-miss tracker. Zero is a valid packed
-// key, so it is tracked out of band and the table's zero word can mean
-// "empty". Unlike the bucket hash, the probe hash here is free to be
-// anything well-distributed (membership has no effect on simulated results),
-// so it uses a single Fibonacci multiply.
-type seenSet struct {
-	tab     []uint64
-	n       int // non-zero keys stored
-	shift   uint
-	hasZero bool
-}
-
-const seenMul = 0x9e3779b97f4a7c15
-
-// addIfMissing inserts k and reports whether it was absent. Amortized
-// allocation-free: the table only reallocates while the set of distinct keys
-// is still growing.
-func (s *seenSet) addIfMissing(k uint64) bool {
-	if k == 0 {
-		if s.hasZero {
-			return false
-		}
-		s.hasZero = true
-		return true
-	}
-	if (s.n+1)*4 > len(s.tab)*3 {
-		s.grow()
-	}
-	mask := uint64(len(s.tab) - 1)
-	i := uint64(s.slot(k))
-	for {
-		switch v := s.tab[i]; v {
-		case k:
-			return false
-		case 0:
-			s.tab[i] = k
-			s.n++
-			return true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// slot is where the probe for k starts.
-func (s *seenSet) slot(k uint64) int { return int(k * seenMul >> s.shift) }
-
-// clearFor forgets every key (Cache.Reset: a recycled cache has seen
-// nothing, so every first access is a compulsory miss again). The table is
-// kept unless it is more than four times what a cache of at most `most`
-// records is sized for; a missing table is allocated for about `slots` keys
-// (rounded up to a power of two), avoiding the doubling cascade while a
-// fresh cache sees its compulsory misses.
-func (s *seenSet) clearFor(slots, most int) {
-	s.n, s.hasZero = 0, false
-	if len(s.tab) != 0 && len(s.tab) <= 4*max(slots, most) {
-		clear(s.tab)
-		return
-	}
-	cap := 64
-	for cap < slots {
-		cap *= 2
-	}
-	s.tab = make([]uint64, cap)
-	s.shift = uint(64 - bits.TrailingZeros(uint(cap)))
-}
-
-func (s *seenSet) grow() {
-	newCap := 64
-	if len(s.tab) > 0 {
-		newCap = 2 * len(s.tab)
-	}
-	old := s.tab
-	s.tab = make([]uint64, newCap)
-	s.shift = uint(64 - bits.TrailingZeros(uint(newCap)))
-	mask := uint64(newCap - 1)
-	for _, k := range old {
-		if k == 0 {
-			continue
-		}
-		i := k * seenMul >> s.shift
-		for s.tab[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.tab[i] = k
-	}
-}
-
-// len returns the number of distinct keys seen.
-func (s *seenSet) len() int {
-	if s.hasZero {
-		return s.n + 1
-	}
-	return s.n
 }

@@ -95,7 +95,7 @@ func checkLaw(t *testing.T, name string, cfg Config, regions []int, keys []Coord
 		if !seen[a.key] {
 			want, seen[a.key] = Miss, true
 		}
-		if got := c.Decide(c.KeyOf(k.Target, k.Offset, k.Size), a.score); got != want {
+		if got := c.Decide(c.KeyOf(k.Target, k.Offset, k.Size), a.score, want == Miss); got != want {
 			t.Fatalf("%s: access %d of %v: Cache verdict %d, want first-touch %d", name, i, k, got, want)
 		}
 		if got := law.Decide(k.Target, k.Offset, k.Size, want == Miss); got != want {

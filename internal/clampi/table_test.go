@@ -2,6 +2,8 @@ package clampi
 
 import (
 	"container/heap"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -9,8 +11,10 @@ import (
 )
 
 // refFNV is the seed's byte-loop FNV-1a over the three key fields as 8-byte
-// little-endian words — the reference the fast keyCoder hash must match bit
-// for bit (bucket selection is pinned by the golden tests).
+// little-endian words, started from the basis 1469598103934665603 — FNV's
+// 14695981039346656037 with the last digit dropped, so not FNV-1a proper —
+// the reference the fast keyCoder hash must match bit for bit (bucket
+// selection is pinned by the golden tests).
 func refFNV(target, offset, size int) uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(x uint64) {
@@ -36,7 +40,7 @@ func TestKeyCoderHashMatchesFNVReference(t *testing.T) {
 	for d, dims := range [][2]int{{2, 1 << 16}, {7, 3000}, {1, 1}, {4096, 1 << 25}, {3, 1 << 9}} {
 		ranks, maxRegion := dims[0], dims[1]
 		c := newKeyCoder(ranks, maxRegion)
-		cache := &Cache{coder: c}
+		cache := &Cache{index: index{coder: c}}
 		cache.tab.clearFor(1021+3*(d%2), 4)
 		for i := 0; i < 2000; i++ {
 			target := rng.IntN(ranks)
@@ -52,6 +56,34 @@ func TestKeyCoderHashMatchesFNVReference(t *testing.T) {
 					ranks, maxRegion, cache.tab.buckets, target, offset, size, got, want)
 			}
 		}
+	}
+}
+
+// TestBucketHashIsNotStdFNV holds the pinned basis in place: hash/fnv's
+// FNV-1a, the standard basis, hashes the same bytes to other words and
+// other buckets. Swapping it in would move every golden digest.
+func TestBucketHashIsNotStdFNV(t *testing.T) {
+	c := newKeyCoder(8, 1<<20)
+	tab := newTable(1024, 4)
+	moved := 0
+	for i := 0; i < 64; i++ {
+		target, offset, size := i%8, 16*i, 16
+		var buf [24]byte
+		binary.LittleEndian.PutUint64(buf[0:], uint64(target))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(offset))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(size))
+		std := fnv.New64a()
+		std.Write(buf[:])
+		h := c.hash(target, offset, size)
+		if h == std.Sum64() {
+			t.Fatalf("hash(%d,%d,%d) = %#x is hash/fnv's FNV-1a; the bucket hash starts from another basis", target, offset, size, h)
+		}
+		if tab.laneOf(h) != tab.laneOf(std.Sum64()) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Error("hash/fnv picks the same bucket for every key; the basis no longer matters")
 	}
 }
 

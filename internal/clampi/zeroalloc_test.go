@@ -229,7 +229,7 @@ func TestVictimHeapStaysCompact(t *testing.T) {
 	}
 	for round := 0; round < 10000; round++ {
 		i := round % entries
-		if c.Decide(c.KeyOf(1, i*256, 256), math.NaN()) != Hit { // bumps the entry's stamp
+		if c.Decide(c.KeyOf(1, i*256, 256), math.NaN(), false) != Hit { // bumps the entry's stamp
 			t.Fatalf("round %d: unexpected miss", round)
 		}
 		c.SetScore(1, i*256, 256, float64((round*31)%997)) // re-key in place

@@ -409,9 +409,10 @@ type worker struct {
 	wAdj *rma.Window
 	opt  Options
 
-	// cOff and cAdj are the rank's CLaMPI instances, C_offsets and C_adj; a
-	// cache the snapshot found resident has none (offRes, adjRes).
-	cOff *clampi.Cache
+	// cOff and cAdj are the rank's caches: C_offsets, CLaMPI's exact
+	// one-size model, and C_adj, a CLaMPI instance. A cache the snapshot
+	// found resident has none (offRes, adjRes).
+	cOff *clampi.OneSize
 	cAdj *clampi.Cache
 
 	// deleg is the shared static replica of hot adjacency lists; nil or
@@ -480,8 +481,8 @@ type worker struct {
 	ownDecLi  int
 
 	// A caching rank's residency laws (resident.go), which the residency
-	// check reads; a resident cache's accesses are decided by its law from
-	// the first-touch map touch, which only a rank with one holds.
+	// check reads and a resident cache's accesses are decided by, and its
+	// first-touch maps (touch), which say which accesses are compulsory.
 	offRes, adjRes clampi.Resident
 	touch          *touchMap
 }
@@ -655,7 +656,7 @@ func (w *worker) popEdge() (pipeEdge, bool) {
 // the pass cannot key — its pair or list outside the owner's regions — ends
 // the pass; the walk decides the rest itself, faulting where it always did.
 // A resident cache takes neither keys nor preloads: its verdicts come from
-// the first-touch map.
+// its first-touch map.
 func (w *worker) decide(batch []pipeEdge) {
 	var at [fetchLookahead]int
 	var pair [fetchLookahead][2]uint64
@@ -698,50 +699,69 @@ func (w *worker) decide(batch []pipeEdge) {
 	for j := range n {
 		e := &batch[at[j]]
 		slot, li := unpackResolve(e.rv)
-		owner, start, end := w.ownerBase+slot, pair[j][0], pair[j][1]
-		first := w.firstTouch(e.vj)
-		e.off = w.decideAccess(w.cOff, &w.offRes, &off[j], first, owner, 16*li, 16)
-		e.adj = w.decideAccess(w.cAdj, &w.adjRes, &adj[j], first, owner, 4*int(start), 4*int(end-start))
+		e.off = w.decideOff(&off[j], e.vj, w.ownerBase+slot, li)
+		e.adj = w.decideAdj(&adj[j], e.vj, slot, li, pair[j][0], pair[j][1])
 	}
 }
 
-// decideAccess decides one access of cache c (C_offsets or C_adj) of size
-// bytes at owner's offset off, first saying whether it is the vertex's first
-// fetch. A resident cache (c nil) is decided by its law res, from first.
-// Otherwise it draws the rank's CacheFault — a fault degrades c — and
-// decides under k, or, for an access the pass left undecided (k nil), under
-// KeyOf's key, which panics on a coordinate outside the window geometry as
-// the get always did, and as res does. A C_adj access carries the policy's
-// score, derived from the list's degree (§III-B-2 and future work iii); a
-// score matters on insertion, so a hit ignores it — except the recency
-// refresh.
-func (w *worker) decideAccess(c *clampi.Cache, res *clampi.Resident, k *clampi.Key, first bool, owner, off, size int) clampi.Verdict {
-	if c == nil {
-		return res.Decide(owner, off, size, first)
+// decideOff decides the C_offsets access of vertex vj, local index li of
+// owner. A resident cache (no cOff) is decided by its law, from vj's
+// first-touch bit. Otherwise it draws the rank's CacheFault — a fault
+// degrades the cache — and decides under k, or, for an access the pass left
+// undecided (k nil), under KeyOf's key, which panics on a coordinate outside
+// the window geometry as the get always did, and as the law does. The
+// first-touch bit is set only by an access that reaches the cache, so a
+// degraded access leaves the next one compulsory.
+func (w *worker) decideOff(k *clampi.Key, vj graph.V, owner, li int) clampi.Verdict {
+	if w.cOff == nil {
+		return w.offRes.Decide(owner, 16*li, 16, firstTouch(w.touch.off, vj))
 	}
 	if w.r.CacheFault() {
-		c.Degrade()
+		w.cOff.Degrade()
+		return clampi.Degraded
+	}
+	if k == nil {
+		key := w.cOff.KeyOf(owner, 16*li, 16)
+		k = &key
+	}
+	return w.cOff.Decide(*k, firstTouch(w.touch.off, vj))
+}
+
+// decideAdj is decideOff for the C_adj access of vj's list [start, end) in
+// slot's adjacency region. The access carries the policy's score, derived
+// from the list's degree (§III-B-2 and future work iii); a score matters on
+// insertion, so a hit ignores it — except the recency refresh. An empty
+// list's key is its slot and start only, which every empty list at that
+// start shares, so their accesses share one first-touch bit (adjTouchVertex).
+func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end uint64) clampi.Verdict {
+	owner, off, size := w.ownerBase+slot, 4*int(start), 4*int(end-start)
+	if start == end {
+		vj = w.adjTouchVertex(vj, slot, li, start)
+	}
+	if w.cAdj == nil {
+		return w.adjRes.Decide(owner, off, size, firstTouch(w.touch.adj, vj))
+	}
+	if w.r.CacheFault() {
+		w.cAdj.Degrade()
 		return clampi.Degraded
 	}
 	score, deg := math.NaN(), size/4
-	if c == w.cAdj {
-		switch w.opt.AdjScorePolicy {
-		case ScoreDegree:
-			score = float64(deg)
-		case ScoreCostBenefit:
-			score = w.opt.Model.RemoteCost(size) / float64(size+1)
-		case ScoreDegreeRecency:
-			w.seq++
-			score = float64(deg) * (1 + float64(w.seq)*1e-7)
-		}
+	switch w.opt.AdjScorePolicy {
+	case ScoreDegree:
+		score = float64(deg)
+	case ScoreCostBenefit:
+		score = w.opt.Model.RemoteCost(size) / float64(size+1)
+	case ScoreDegreeRecency:
+		w.seq++
+		score = float64(deg) * (1 + float64(w.seq)*1e-7)
 	}
 	if k == nil {
-		key := c.KeyOf(owner, off, size)
+		key := w.cAdj.KeyOf(owner, off, size)
 		k = &key
 	}
-	v := c.Decide(*k, score)
-	if v == clampi.Hit && c == w.cAdj && w.opt.AdjScorePolicy == ScoreDegreeRecency {
-		c.SetScore(owner, off, size, score)
+	v := w.cAdj.Decide(*k, score, firstTouch(w.touch.adj, vj))
+	if v == clampi.Hit && w.opt.AdjScorePolicy == ScoreDegreeRecency {
+		w.cAdj.SetScore(owner, off, size, score)
 	}
 	return v
 }
@@ -749,10 +769,11 @@ func (w *worker) decideAccess(c *clampi.Cache, res *clampi.Resident, k *clampi.K
 // newWorker builds rank r's execution state over snapshot s, in a world of
 // one or more replica groups of s.ranks ranks each (Snapshot.windows): r
 // holds the partition of slot r mod s.ranks and fetches inside its own
-// group. With caching on, a cache the snapshot finds resident for the rank
-// (residentCaches; never under cache faults) is decided by first touch and
-// takes a first-touch map from the snapshot's pool; the others are CLaMPI
-// instances from the pool, recycled or constructed.
+// group. With caching on, the rank takes its first-touch maps from the
+// snapshot's pool; a cache the snapshot finds resident for the rank
+// (residentCaches; never under cache faults) is decided by first touch, and
+// the others are CLaMPI instances — C_offsets its one-size model — from the
+// pool, recycled or constructed.
 func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *worker {
 	slot := r.ID() % s.ranks
 	w := &worker{r: r, kind: s.kind, pt: s.pt, lc: s.locals[slot], wOff: wOff, wAdj: wAdj, opt: opt,
@@ -768,18 +789,16 @@ func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *w
 		offCfg, adjCfg := cacheConfigs(s.n, opt)
 		w.offRes = clampi.NewResident(offCfg, wOff, r.NumRanks())
 		w.adjRes = clampi.NewResident(adjCfg, wAdj, r.NumRanks())
+		w.touch = s.caches.takeTouch(s.n)
 		var offIn, adjIn bool
 		if opt.Faults == nil || opt.Faults.CacheFailPct <= 0 {
 			offIn, adjIn = s.residentCaches(w, offCfg, adjCfg)
 		}
-		if offIn || adjIn {
-			w.touch = s.caches.takeTouch(s.n)
-		}
 		if !offIn {
-			w.cOff = s.caches.take(&s.caches.off, r, wOff, offCfg)
+			w.cOff = s.caches.takeOff(wOff, r.NumRanks(), offCfg)
 		}
 		if !adjIn {
-			w.cAdj = s.caches.take(&s.caches.adj, r, wAdj, adjCfg)
+			w.cAdj = s.caches.takeAdj(r, wAdj, adjCfg)
 		}
 	}
 	return w
@@ -802,10 +821,11 @@ type fetch struct {
 	// offV/adjV are the two accesses' verdicts (decide; Undecided without
 	// caches), which the stages charge: a hit reads the window's own view
 	// (pair, for the offsets), a miss or a degraded access the direct get
-	// offQ/adjQ, one caller-owned request per get. first is the first-touch
-	// test of an edge the stages decide themselves, made by start for both.
+	// offQ/adjQ, one caller-owned request per get. vj and li name the
+	// fetched vertex for an access the stages decide themselves.
 	offV, adjV clampi.Verdict
-	first      bool
+	vj         graph.V
+	li         int
 	pair       []uint64
 	offQ, adjQ rma.Request
 
@@ -851,10 +871,9 @@ func (w *worker) start(f *fetch, e pipeEdge) {
 	if w.opt.OnRemoteRead != nil {
 		w.opt.OnRemoteRead(w.r.ID(), vj)
 	}
-	f.offV, f.adjV = e.off, e.adj
+	f.offV, f.adjV, f.vj, f.li = e.off, e.adj, vj, li
 	if f.offV == clampi.Undecided && w.opt.Caching {
-		f.first = w.firstTouch(vj)
-		f.offV = w.decideAccess(w.cOff, &w.offRes, nil, f.first, f.owner, 16*li, 16)
+		f.offV = w.decideOff(nil, vj, f.owner, li)
 	}
 	// A miss charges CLaMPI's overhead ahead of the get it issues; no cache,
 	// or one the fault schedule degraded for this access, leaves the direct
@@ -887,7 +906,7 @@ func (w *worker) mid(f *fetch) {
 	start, end := pair[0], pair[1]
 	f.adjOff, f.adjSize = int(start)*4, int(end-start)*4
 	if f.adjV == clampi.Undecided && w.opt.Caching {
-		f.adjV = w.decideAccess(w.cAdj, &w.adjRes, nil, f.first, f.owner, f.adjOff, f.adjSize)
+		f.adjV = w.decideAdj(nil, f.vj, f.owner-w.ownerBase, f.li, start, end)
 	}
 	switch f.adjV {
 	case clampi.Hit:

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/clampi"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -115,7 +114,8 @@ func diffRuns(t *testing.T, name string, got, want *Result, gotSum, wantSum []ui
 // the same query on a snapshot of its own. Two of them run resident caches
 // (resident.go): both, and C_offsets alone; the queries after them run on a
 // pool those ranks left untaken, or took only C_adj instances from. Every
-// pooled instance is unbound from the run that used it.
+// pooled C_adj instance is unbound from the run that used it (a C_offsets
+// model holds no rank or window).
 func TestRecycledCachesMatchFresh(t *testing.T) {
 	g := recycleGraph()
 	const small, large = 1 << 12, 1 << 15
@@ -155,7 +155,7 @@ func TestRecycledCachesMatchFresh(t *testing.T) {
 				if off, adj := residentRanks(shared, q.opt(workers), recycleRanks); off != wantOff || adj != wantAdj {
 					t.Errorf("%s: C_offsets resident on %d ranks, C_adj on %d, want %d and %d", name, off, adj, wantOff, wantAdj)
 				}
-				for _, c := range append(shared.caches.off, shared.caches.adj...) {
+				for _, c := range shared.caches.adj {
 					if v := reflect.ValueOf(c).Elem(); !v.FieldByName("rank").IsNil() || !v.FieldByName("win").IsNil() {
 						t.Errorf("%s: a pooled cache is still bound to a rank or window", name)
 					}
@@ -164,8 +164,8 @@ func TestRecycledCachesMatchFresh(t *testing.T) {
 					t.Errorf("%s: no fault flush on rank 0; the query must exercise the degraded path", name)
 				}
 			}
-			for _, list := range [][]*clampi.Cache{shared.caches.off, shared.caches.adj} {
-				if n := len(list); n < 1 || n > workers {
+			for _, n := range []int{len(shared.caches.off), len(shared.caches.adj)} {
+				if n < 1 || n > workers {
 					t.Errorf("%v/workers=%d: pool holds %d instances of a role after sequential runs, want 1..%d", storage, workers, n, workers)
 				}
 			}
@@ -264,8 +264,8 @@ func TestConcurrentCachedRunsShareSnapshot(t *testing.T) {
 			diffRuns(t, name, got[i], want[i], nil, nil)
 		}
 	}
-	for _, list := range [][]*clampi.Cache{s.caches.off, s.caches.adj} {
-		if n := len(list); n < 1 || n > 4 {
+	for _, n := range []int{len(s.caches.off), len(s.caches.adj)} {
+		if n < 1 || n > 4 {
 			t.Errorf("pool holds %d instances of a role, want 1..4 (Workers × concurrent non-resident runs)", n)
 		}
 	}
@@ -334,12 +334,16 @@ func TestCachePoolFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	held := 0
-	for _, c := range append(s.caches.off, s.caches.adj...) {
-		held += c.MemBytes()
+	off, adj := 0, 0
+	for _, m := range s.caches.off {
+		off += m.MemBytes()
 	}
+	for _, c := range s.caches.adj {
+		adj += c.MemBytes()
+	}
+	held := off + adj
 	const parent = 23.5e6
-	t.Logf("%d+%d pooled instances hold %.1f MB", len(s.caches.off), len(s.caches.adj), float64(held)/1e6)
+	t.Logf("%d C_offsets models hold %.1f MB, %d C_adj instances %.1f MB", len(s.caches.off), float64(off)/1e6, len(s.caches.adj), float64(adj)/1e6)
 	if float64(held) > 0.7*parent {
 		t.Errorf("pool holds %.1f MB, want at most 70 %% of the %.1f MB before the record slab", float64(held)/1e6, parent/1e6)
 	}

@@ -2,6 +2,7 @@ package lcc
 
 import (
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -12,8 +13,8 @@ import (
 // A cache is resident on a rank when every list the rank can fetch through
 // it fits at once (clampi.Resident's law): its accesses are then first-touch
 // — a vertex's first fetch misses, every later one hits, nothing is evicted —
-// so the rank decides them with one bit per vertex (worker.firstTouch) instead
-// of CLaMPI's table, heap and allocator, and reports the same statistics.
+// so the rank decides them with its first-touch map (firstTouch) instead of
+// CLaMPI's table, heap and allocator, and reports the same statistics.
 // Whether a rank's caches are resident depends on the snapshot, the world
 // size and the two configurations only, so a snapshot checks each rank once
 // (worker.checkResident) and keeps the answers (residency). A run with cache
@@ -57,24 +58,24 @@ func (rs *residency) answers(k residentKey) *residentSet {
 	return rs.set
 }
 
-// touchMap is a rank's pooled host memory for its resident caches: the
-// n-bit first-touch map, which the residency check first uses to collect
-// the rank's distinct targets, and the check's bucket census.
+// touchMap is a caching rank's pooled host memory: an n-bit first-touch map
+// per cache (firstTouch), the first of which the residency check uses
+// beforehand to collect the rank's distinct targets, and the check's bucket
+// census.
 type touchMap struct {
-	bits    []uint64
-	buckets []uint32
+	off, adj []uint64
+	buckets  []uint32
 }
 
 // residentCaches says which of w's caches are resident under the run's
 // configurations, from the snapshot's answers or, on the rank's first run
-// under them, by checking with a pooled map and keeping the answer.
+// under them, by checking with the rank's first-touch maps and keeping the
+// answer.
 func (s *Snapshot) residentCaches(w *worker, offCfg, adjCfg clampi.Config) (off, adj bool) {
 	ans := &s.residency.answers(residentKey{w.r.NumRanks(), offCfg, adjCfg}).ans[w.r.ID()]
 	a := ans.Load()
 	if a == 0 {
-		tm := s.caches.takeTouch(s.n)
-		a = w.checkResident(tm)
-		s.caches.putTouch(tm)
+		a = w.checkResident(w.touch)
 		ans.Store(a)
 	}
 	return a&ansOff != 0, a&ansAdj != 0
@@ -87,7 +88,7 @@ func (s *Snapshot) residentCaches(w *worker, offCfg, adjCfg clampi.Config) (off,
 // A target the snapshot cannot resolve to a pair makes neither cache
 // resident: the walk faults on it as it always did. tm's map is left clear.
 func (w *worker) checkResident(tm *touchMap) uint32 {
-	seen := tm.bits
+	seen := tm.off
 	defer clear(seen)
 	defer func() { w.scanLi, w.scanDecLi = 0, -1 }()
 	for li := range w.lc.NumLocal() {
@@ -138,16 +139,29 @@ func (w *worker) checkResident(tm *touchMap) uint32 {
 	return a
 }
 
-// firstTouch sets vj's bit in the first-touch map and reports whether it
-// was clear: whether this is the first fetch of vj's lists. One bit serves
-// both caches, since a vertex has one key in each and every remote fetch
-// makes both accesses. Without a resident cache there is no map.
-func (w *worker) firstTouch(vj graph.V) bool {
-	if w.touch == nil {
-		return false
-	}
-	word, bit := &w.touch.bits[vj/64], uint64(1)<<(vj%64)
+// firstTouch sets v's bit in a cache's first-touch map and reports whether
+// it was clear: whether this is the first access to v's key that reaches
+// the cache, a compulsory miss if it misses. A vertex has one key in each
+// cache; a cache's bit is set only by an access the cache decides, so a
+// degraded access or a flush leaves what the cache has seen as it was.
+func firstTouch(bits []uint64, v graph.V) bool {
+	word, bit := &bits[v/64], uint64(1)<<(v%64)
 	first := *word&bit == 0
 	*word |= bit
 	return first
+}
+
+// adjTouchVertex is the vertex whose C_adj first-touch bit stands for the
+// empty list of vj, local index li of slot, at start: the slot's first
+// vertex with that start. Offset pairs do not decrease along a slot, and a
+// non-empty list moves the next start past its own, so the vertices with
+// that start are a run of empty lists (and perhaps one non-empty list after
+// them): one key, one bit.
+func (w *worker) adjTouchVertex(vj graph.V, slot, li int, start uint64) graph.V {
+	p := w.pairs[slot]
+	first := sort.Search(li, func(x int) bool { return p[2*x] >= start })
+	if first == li {
+		return vj
+	}
+	return w.pt.VertexAt(slot, first)
 }

@@ -25,10 +25,11 @@ import (
 // a kept snapshot is bit-identical to the corresponding lcc.Run.
 //
 // The three mutable things a snapshot owns are host memory, invisible to the
-// model. One is the free lists of CLaMPI instances and first-touch maps
+// model. One is the free lists of cache instances and first-touch maps
 // (caches) that cached runs recycle instead of rebuilding their hash tables,
-// heaps and slabs per rank per query. clampi.Cache.Reset hands each instance
-// out in the just-constructed state, so the lists carry no model-visible
+// heaps and slabs per rank per query. clampi.Cache.Reset and
+// clampi.OneSize.Reset hand each instance out in the just-constructed state,
+// and a map comes back clear, so the lists carry no model-visible
 // per-run state and a run's results do not depend on what ran before it.
 // They hold at most Workers × concurrent cached runs of each (a rank body
 // holds at most one of each, and internal/sched runs at most Workers bodies
@@ -71,28 +72,48 @@ type Snapshot struct {
 	ahead bool
 }
 
-// cachePool is a snapshot's free lists of CLaMPI instances and first-touch
-// maps (Snapshot.caches). C_offsets and C_adj instances recycle on lists of
-// their own so each keeps its role, and with it backing arrays of the right
-// shape: the two caches differ 16× in capacity and in table geometry. A
-// pooled instance is unbound (clampi.Cache.Unbind), so it keeps no world of
-// a finished run alive.
+// cachePool is a snapshot's free lists of cache instances and first-touch
+// maps (Snapshot.caches). C_offsets models and C_adj instances recycle on
+// lists of their own, each with backing arrays of its role's shape. A pooled
+// C_adj instance is unbound (clampi.Cache.Unbind), so it keeps no world of a
+// finished run alive; a model holds none.
 type cachePool struct {
-	mu       sync.Mutex
-	off, adj []*clampi.Cache
-	touch    []*touchMap
+	mu    sync.Mutex
+	off   []*clampi.OneSize
+	adj   []*clampi.Cache
+	touch []*touchMap
 }
 
-// take binds an instance from list — the pool's off or adj — to rank r and
-// window w under cfg, recycled when the list has one and constructed
-// otherwise.
-func (p *cachePool) take(list *[]*clampi.Cache, r *rma.Rank, w *rma.Window, cfg clampi.Config) *clampi.Cache {
-	p.mu.Lock()
-	var c *clampi.Cache
-	if n := len(*list); n > 0 {
-		c, (*list)[n-1] = (*list)[n-1], nil
-		*list = (*list)[:n-1]
+// pop takes the last element of list, or nil when it is empty; the caller
+// holds p.mu.
+func pop[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
 	}
+	x := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return x
+}
+
+// takeOff returns a C_offsets model of window w in a world of ranks ranks
+// under cfg, recycled when the pool has one and constructed otherwise.
+func (p *cachePool) takeOff(w *rma.Window, ranks int, cfg clampi.Config) *clampi.OneSize {
+	p.mu.Lock()
+	m := pop(&p.off)
+	p.mu.Unlock()
+	if m == nil {
+		return clampi.NewOneSize(w, ranks, cfg)
+	}
+	return m.Reset(w, ranks, cfg)
+}
+
+// takeAdj binds a C_adj instance to rank r and window w under cfg, recycled
+// when the pool has one and constructed otherwise.
+func (p *cachePool) takeAdj(r *rma.Rank, w *rma.Window, cfg clampi.Config) *clampi.Cache {
+	p.mu.Lock()
+	c := pop(&p.adj)
 	p.mu.Unlock()
 	if c == nil {
 		return clampi.New(r, w, cfg)
@@ -100,33 +121,26 @@ func (p *cachePool) take(list *[]*clampi.Cache, r *rma.Rank, w *rma.Window, cfg 
 	return c.Reset(r, w, cfg)
 }
 
-// takeTouch returns a clear first-touch map of n bits.
+// takeTouch returns clear first-touch maps of n bits.
 func (p *cachePool) takeTouch(n int) *touchMap {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if k := len(p.touch); k > 0 {
-		tm := p.touch[k-1]
-		p.touch = p.touch[:k-1]
-		return tm
-	}
-	return &touchMap{bits: make([]uint64, (n+63)/64)}
-}
-
-// putTouch hands back a map that is clear.
-func (p *cachePool) putTouch(tm *touchMap) {
-	p.mu.Lock()
-	p.touch = append(p.touch, tm)
+	tm := pop(&p.touch)
 	p.mu.Unlock()
+	if tm == nil {
+		tm = &touchMap{off: make([]uint64, (n+63)/64), adj: make([]uint64, (n+63)/64)}
+	}
+	return tm
 }
 
-// recycle hands w's caches and first-touch map to the pool. Only a rank body
+// recycle hands w's caches and first-touch maps to the pool. Only a rank body
 // that ran to completion may call it, after its last use of them (w.stats):
 // those of a rank that unwound — cancellation, panic, stall-cancel,
 // crash-stop — may hold a miss in flight and are left to the garbage
 // collector.
 func (p *cachePool) recycle(w *worker) {
 	if w.touch != nil {
-		clear(w.touch.bits)
+		clear(w.touch.off)
+		clear(w.touch.adj)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -134,7 +148,6 @@ func (p *cachePool) recycle(w *worker) {
 		p.touch = append(p.touch, w.touch)
 	}
 	if w.cOff != nil {
-		w.cOff.Unbind()
 		p.off = append(p.off, w.cOff)
 	}
 	if w.cAdj != nil {

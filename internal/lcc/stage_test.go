@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/clampi"
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/part"
@@ -291,6 +292,38 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 			}
 		}
 	}
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		off, adj int
+		want     uint64
+	}{
+		{"directed R-MAT", gen.RMAT(gen.DefaultRMAT(10, 8, graph.Directed, 3)), 512, 4 << 10, 0x83c0cfbc516b52ef},
+		{"uniform, C_offsets 100 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 100, 4 << 10, 0xf3de47e0ba40459d},
+		{"uniform, C_offsets 1000 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 1000, 4 << 10, 0x29af3ceddc98b913},
+	} {
+		opt := cachedOpts(2, tc.off, tc.adj, ScoreLRU)
+		h, _ := decisionDigest(t, tc.g, opt, []*fault.Spec{nil, cacheFaults}, true)
+		if h != tc.want {
+			t.Errorf("%s: digest %#x, recorded %#x", tc.name, h, tc.want)
+		}
+		s, err := NewSnapshotOpts(tc.g, SnapshotOptions{Ranks: 8, Scheme: part.Block})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunCtx(context.Background(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var empty, evictions int64
+		for _, r := range res.PerRank {
+			empty += r.AdjCache.RejectedInserts // under LRU, only an empty list's: every list fits the buffer
+			evictions += r.OffsetsCache.CapacityEvictions + r.OffsetsCache.ConflictEvictions
+		}
+		if (tc.g.Kind() == graph.Directed) != (empty > 0) || evictions == 0 {
+			t.Errorf("%s: %d empty-list fetches, %d C_offsets evictions: the directed row must fetch empty lists, and every row evict", tc.name, empty, evictions)
+		}
+	}
 }
 
 // decisionDigest runs opt through every engine forEachEdge serves, single-
@@ -328,7 +361,7 @@ func decisionDigest(t *testing.T, g *graph.Graph, opt Options, faults []*fault.S
 		for _, faults := range faults {
 			for _, double := range []bool{true, false} {
 				for _, name := range []string{"pull", "push", "jaccard", "replicated-c2"} {
-					if name == "replicated-c2" && so.Ranks != recycleRanks/2 {
+					if name == "replicated-c2" && so.Ranks != recycleRanks/2 || name == "push" && g.Kind() == graph.Directed {
 						continue
 					}
 					d := newChargeDigest()
