@@ -97,13 +97,11 @@ func RingLatticeLCC(k int) float64 { return gen.RingLatticeLCC(k) }
 type Method = intersect.Method
 
 // Intersection methods: sorted set intersection (Algorithm 2), binary
-// search (Algorithm 1), the Eq. (3) hybrid, and the H-INDEX-style hash
-// intersection surveyed in §V-A.
+// search (Algorithm 1) and the Eq. (3) hybrid.
 const (
 	MethodSSI    = intersect.MethodSSI
 	MethodBinary = intersect.MethodBinary
 	MethodHybrid = intersect.MethodHybrid
-	MethodHash   = intersect.MethodHash
 )
 
 // --- distribution -----------------------------------------------------------

@@ -11,16 +11,6 @@ import (
 // beyond the paper's core engine, exercised end to end through package
 // repro only.
 
-func TestFacadeMethodHash(t *testing.T) {
-	g := repro.RMAT(8, 8, repro.Undirected, 7)
-	g = repro.Prepare(g, 1)
-	want := repro.SharedLCC(g, repro.MethodHybrid)
-	got := repro.SharedLCC(g, repro.MethodHash)
-	if got.Triangles != want.Triangles {
-		t.Errorf("hash method %d vs hybrid %d", got.Triangles, want.Triangles)
-	}
-}
-
 func TestFacadeSmallWorld(t *testing.T) {
 	g := repro.WattsStrogatz(300, 6, 0, 1)
 	res := repro.SharedLCC(g, repro.MethodHybrid)

@@ -361,17 +361,16 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 // file of that package instead.
 func TestInternalFuncsHaveCallers(t *testing.T) {
 	testOnly := map[string]string{
-		"disttc.Run":                    "bench_test.go and intersect_engines_test.go take its error; programs call MustRun",
-		"fault.ChaosSpec":               "the fault, rma and serve tests and fault_equiv_test.go build the chaos preset by seed",
-		"graph.Graph.Clone":             "part's TestExtractBulkMatchesPerVertex keeps a pristine copy to detect aliasing",
-		"graph.Graph.Validate":          "the structural oracle the graph and gen tests check every built graph with",
-		"intersect.Count":               "the method-dispatch reference the intersect equivalence, elements, dense and fuzz tests hold Scratch.Count to",
-		"intersect.Elements":            "the listing reference the intersect equivalence, elements and fuzz tests hold Scratch.Elements to",
-		"intersect.HashIndex.CountKeys": "BenchmarkHashIndexReuse in bench_test.go times the probe without the build",
-		"intersect.SSI":                 "the Algorithm 2 reference loop the intersect equivalence tests and bench_test.go compare against",
-		"intersect.SetDebugChecks":      "intersect_engines_test.go and equiv_test.go arm the orientation assertion",
-		"lcc.Snapshot.CorruptForTest":   "the fault hook behind serve's CorruptResident and lcc's integrity tests",
-		"lcc.Snapshot.StorageRepr":      "storage_equiv_test.go checks the representation a memory budget chose",
+		"disttc.Run":                  "bench_test.go and intersect_engines_test.go take its error; programs call MustRun",
+		"fault.ChaosSpec":             "the fault, rma and serve tests and fault_equiv_test.go build the chaos preset by seed",
+		"graph.Graph.Clone":           "part's TestExtractBulkMatchesPerVertex keeps a pristine copy to detect aliasing",
+		"graph.Graph.Validate":        "the structural oracle the graph and gen tests check every built graph with",
+		"intersect.Count":             "the method-dispatch reference the intersect equivalence, elements, dense and fuzz tests hold Scratch.Count to",
+		"intersect.Elements":          "the listing reference the intersect equivalence, elements and fuzz tests hold Scratch.Elements to",
+		"intersect.SSI":               "the Algorithm 2 reference loop the intersect equivalence tests and bench_test.go compare against",
+		"intersect.SetDebugChecks":    "intersect_engines_test.go and equiv_test.go arm the orientation assertion",
+		"lcc.Snapshot.CorruptForTest": "the fault hook behind serve's CorruptResident and lcc's integrity tests",
+		"lcc.Snapshot.StorageRepr":    "storage_equiv_test.go checks the representation a memory budget chose",
 	}
 	stdIface := map[string]bool{"Error": true, "String": true, "Unwrap": true, "Is": true}
 

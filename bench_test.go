@@ -140,28 +140,6 @@ func BenchmarkKernelFingerBinary(b *testing.B) {
 	}
 }
 
-func BenchmarkIntersectHash(b *testing.B) {
-	x := sortedList(256, 7)
-	y := sortedList(8192, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		intersect.Hash(x, y)
-	}
-}
-
-func BenchmarkHashIndexReuse(b *testing.B) {
-	// The amortized pattern of the edge-centric engine: build once, probe
-	// with many key sets.
-	keys := sortedList(256, 7)
-	tree := sortedList(8192, 2)
-	ix, _ := intersect.BuildHashIndex(tree)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.CountKeys(keys)
-	}
-}
-
 func BenchmarkForwardLCC(b *testing.B) {
 	g := gen.MustLoad("rmat-s14-ef16")
 	b.ReportAllocs()

@@ -63,7 +63,7 @@ func run(args []string, out io.Writer) error {
 		ranks     = fs.Int("ranks", 4, "number of simulated computing nodes")
 		workers   = fs.Int("workers", 0, "host worker goroutines executing simulated ranks (0 = GOMAXPROCS); results are identical at any setting")
 		scheme    = fs.String("scheme", "block", `1D distribution: "block", "cyclic", or "block-arcs"`)
-		method    = fs.String("method", "hybrid", `intersection method: "hybrid", "ssi", "binary", or "hash"`)
+		method    = fs.String("method", "hybrid", `intersection method: "hybrid", "ssi" or "binary"`)
 		caching   = fs.Bool("cache", false, "enable CLaMPI RMA caching (C_offsets + C_adj)")
 		offBytes  = fs.Int("cache-offsets", 0, "C_offsets capacity in bytes (0 = paper sizing)")
 		adjBytes  = fs.Int("cache-adj", 0, "C_adj capacity in bytes (0 = paper sizing)")

@@ -20,6 +20,7 @@ func TestRun(t *testing.T) {
 		{args: "-push-agg batch", wantErr: `"batched" or "direct"`},
 		{args: "-engine pul", wantErr: "unknown engine"},
 		{args: "-method hybird", wantErr: "-method"},
+		{args: "-method hash", wantErr: `-method: intersect: unknown method "hash" (want "hybrid", "ssi" or "binary")`},
 		{args: "-faults get=2", wantErr: "-faults"},
 		{args: "-faults drop=0.1", wantErr: `unknown key "drop"`},
 		{args: "-engine replicated -replicas 3 -ranks 4", wantErr: "does not divide"},

@@ -223,8 +223,10 @@ func (a *allocator) check() error {
 		treeRegions[[2]int{n.off, n.size}] = n.id
 		treeTotal += n.size
 	})
-	if treeTotal != a.freeBytes() {
-		return fmt.Errorf("clampi: free bytes %d != tracked %d", treeTotal, a.freeBytes())
+	// A negative capacity is legal (the cache rejects every insert); its
+	// buffer holds no bytes, free or used.
+	if free := max(a.capacity, 0) - a.used; treeTotal != free {
+		return fmt.Errorf("clampi: free bytes %d != tracked %d", treeTotal, free)
 	}
 	pos, usedSum, freeCount, listed := 0, 0, 0, 0
 	var prev uint32

@@ -70,10 +70,8 @@ func matchCLaMPI(t *testing.T, m *OneSize, cfg Config, steps []oneSizeStep) Stat
 			t.Fatalf("cfg %+v, step %d %+v: statistics\n OneSize %+v\n Cache   %+v", cfg, i, s, ms, cs)
 		}
 	}
-	if cfg.Capacity >= 0 { // a negative buffer fails the allocator's byte count by design
-		if err := c.checkInvariants(); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	return c.Stats()
 }

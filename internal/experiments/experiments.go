@@ -104,7 +104,6 @@ func All() []NamedExperiment {
 		{"ablation-cyclic", "Cyclic vs block 1D ablation (A3)", AblationCyclic},
 		{"ablation-scores", "Eviction score policies ablation (A4)", AblationScores},
 		{"ablation-orientation", "Orientation / forward-algorithm ablation (A5)", AblationOrientation},
-		{"table3x", "Extended intersection methods incl. hash (§V-A)", Table3Hash},
 		{"ablation-noise", "Noise sensitivity, async vs BSP (A7)", AblationNoise},
 		{"ablation-disttc", "DistTC shadow-edge baseline (A8)", AblationDistTC},
 		{"ablation-2d", "1D vs 2D asynchronous distribution (A9)", Ablation2D},

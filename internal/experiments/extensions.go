@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/disttc"
 	"repro/internal/gen"
@@ -12,15 +11,14 @@ import (
 	"repro/internal/lcc"
 	"repro/internal/part"
 	"repro/internal/rma"
-	"repro/internal/stats"
 	"repro/internal/tric"
 )
 
 // This file holds the extension experiments that go beyond the paper's own
 // evaluation: the DistTC comparison the paper argues qualitatively (§I),
-// the hash-intersection family of §V-A, the orientation ablation from the
-// Schank–Wagner reference (§V), and the noise-sensitivity study that
-// quantifies the asynchrony argument. Ids follow the DESIGN.md §3 index.
+// the orientation ablation from the Schank–Wagner reference (§V), and the
+// noise-sensitivity study that quantifies the asynchrony argument. Ids
+// follow the DESIGN.md §3 index.
 
 // AblationNoise regenerates A7: identical deterministic OS-style noise is
 // injected into the asynchronous RMA engine and into the BSP TriC baseline
@@ -108,53 +106,6 @@ func AblationDistTC() *Table {
 		t.AddRow(ranks, ms(async.SimTime), ms(tr.SimTime), ms(dt.SimTime),
 			fmt.Sprintf("%.0f%%", 100*dt.PrecomputeTime/dt.SimTime),
 			fmt.Sprintf("%.2fx", dt.ReplicationFactor))
-	}
-	return t
-}
-
-// Table3Hash extends Table III with the §V-A hash intersection (H-INDEX)
-// and the Schank–Wagner forward algorithm, wall-clock measured like the
-// original table.
-func Table3Hash() *Table {
-	t := &Table{
-		ID:     "table3x",
-		Title:  "Extended intersection methods, edges/µs (wall clock, single thread)",
-		Paper:  "§V-A surveys hashing as the third kernel family; §V cites forward as the classic alternative",
-		Header: []string{"dataset", "hybrid", "hash", "forward", "best"},
-		Notes: []string{
-			"hash = one-shot bin index per pair (build + probe); forward amortizes orientation across the whole run",
-			"forward rates use the same edges/µs denominator (arcs of the input graph)",
-		},
-	}
-	cases := []string{"rmat-s14-ef8", "rmat-s14-ef16", "lj-sim"}
-	for _, name := range cases {
-		g := gen.MustLoad(name)
-		rate := func(f func()) float64 {
-			meas := stats.Repeat(func() float64 {
-				start := time.Now()
-				f()
-				return time.Since(start).Seconds() * 1e6
-			}, 3, 7, 0.05)
-			return float64(g.NumArcs()) / meas.Median
-		}
-		hybrid := rate(func() { lcc.SharedLCC(g, intersect.MethodHybrid) })
-		hash := rate(func() { lcc.SharedLCC(g, intersect.MethodHash) })
-		fwd := 0.0
-		if g.Kind() == graph.Undirected {
-			fwd = rate(func() {
-				if _, err := lcc.ForwardLCC(g); err != nil {
-					panic(err)
-				}
-			})
-		}
-		best := "hybrid"
-		switch {
-		case fwd > hybrid && fwd >= hash:
-			best = "forward"
-		case hash > hybrid:
-			best = "hash"
-		}
-		t.AddRow(name, hybrid, hash, fwd, best)
 	}
 	return t
 }

@@ -1,15 +1,22 @@
 package experiments
 
 import (
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/intersect"
+	"repro/internal/lcc"
 )
 
 // This file runs the cheaper experiments end to end and asserts the
 // *shape* the paper (or DESIGN.md §3) predicts: who wins, what grows, what
-// shrinks. The expensive sweeps (table3, table3x, fig7–fig10, A10, A11)
-// are left to cmd/figures.
+// shrinks. The expensive sweeps (fig7–fig10, A10, A11) are left to
+// cmd/figures; table3's wall-clock rates are too, and TestTable3Shape holds
+// its claim in modelled intersection iterations instead.
 
 // cell parses the leading float of a formatted table cell ("123.4",
 // "91.9%", "1.23x", "669.9 KiB" all yield their leading number).
@@ -27,6 +34,56 @@ func cell(t *testing.T, s string) float64 {
 		t.Fatalf("cell %q: %v", s, err)
 	}
 	return v
+}
+
+// TestDesignIndexMatchesRegistry holds DESIGN.md §3's Id column equal to
+// All()'s ids, in order: an experiment added to or removed from either side
+// alone fails here.
+func TestDesignIndexMatchesRegistry(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "## §3 Experiments index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no §3 experiments index")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var doc []string
+	for _, line := range strings.Split(section, "\n") {
+		if id, ok := strings.CutPrefix(line, "| `"); ok {
+			id, _, _ = strings.Cut(id, "`")
+			doc = append(doc, id)
+		}
+	}
+	if !slices.Equal(doc, idList()) {
+		t.Errorf("DESIGN.md §3 lists\n  %v\nAll() registers\n  %v", doc, idList())
+	}
+}
+
+// TestTable3Shape holds Table III's ordinal claim — hybrid ahead of SSI
+// ahead of binary search on every graph — in the modelled metric, SharedLCC's
+// intersection iterations, which unlike the table's wall-clock rates is
+// deterministic. Hybrid must save at least a fifth of SSI's iterations.
+func TestTable3Shape(t *testing.T) {
+	graphs := table3Graphs
+	if testing.Short() {
+		graphs = graphs[:2]
+	}
+	for _, c := range graphs {
+		g := gen.MustLoad(c.name)
+		hybrid := lcc.SharedLCC(g, intersect.MethodHybrid).Ops
+		ssi := lcc.SharedLCC(g, intersect.MethodSSI).Ops
+		binary := lcc.SharedLCC(g, intersect.MethodBinary).Ops
+		t.Logf("table III %s: hybrid %d, ssi %d, binary %d ops (hybrid/ssi %.3f)",
+			c.name, hybrid, ssi, binary, float64(hybrid)/float64(ssi))
+		if float64(hybrid) >= 0.8*float64(ssi) {
+			t.Errorf("%s: hybrid %d ops is not under 0.8 × SSI's %d", c.name, hybrid, ssi)
+		}
+		if ssi >= binary {
+			t.Errorf("%s: SSI %d ops is not under binary search's %d", c.name, ssi, binary)
+		}
+	}
 }
 
 func TestFig4Shape(t *testing.T) {

@@ -11,6 +11,16 @@ import (
 	"repro/internal/stats"
 )
 
+// table3Graphs are Table III's datasets: each stand-in and the paper graph
+// it replaces.
+var table3Graphs = []struct{ name, paper string }{
+	{"rmat-s14-ef8", "R-MAT S20 EF8"},
+	{"rmat-s14-ef16", "R-MAT S20 EF16"},
+	{"rmat-s14-ef32", "R-MAT S20 EF32"},
+	{"lj-sim", "LiveJournal"},
+	{"orkut-sim", "Orkut"},
+}
+
 // Table3Intersection regenerates Table III: edges processed per
 // microsecond for the hybrid, SSI and binary-search intersection methods.
 // These are real wall-clock measurements (the only experiment family that
@@ -27,15 +37,8 @@ func Table3Intersection() *Table {
 			"expectation is ordinal: hybrid first on every row",
 		},
 	}
-	cases := []struct{ name, paper string }{
-		{"rmat-s14-ef8", "R-MAT S20 EF8"},
-		{"rmat-s14-ef16", "R-MAT S20 EF16"},
-		{"rmat-s14-ef32", "R-MAT S20 EF32"},
-		{"lj-sim", "LiveJournal"},
-		{"orkut-sim", "Orkut"},
-	}
 	methods := []intersect.Method{intersect.MethodHybrid, intersect.MethodSSI, intersect.MethodBinary}
-	for _, c := range cases {
+	for _, c := range table3Graphs {
 		g := gen.MustLoad(c.name)
 		rates := make([]float64, len(methods))
 		for i, m := range methods {

@@ -56,28 +56,6 @@ func BinaryElements(keys, tree []graph.V, dst []graph.V) ([]graph.V, int) {
 	return dst, ops
 }
 
-// HashElements appends a ∩ b to dst by building a bin index over the longer
-// list and probing it with the shorter one (§V-A), returning the extended
-// slice plus the build+probe iterations.
-func HashElements(a, b []graph.V, dst []graph.V) ([]graph.V, int) {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) == 0 {
-		return dst, 0
-	}
-	ix, buildOps := BuildHashIndex(b)
-	ops := buildOps
-	for _, x := range a {
-		found, o := ix.Probe(x)
-		ops += o
-		if found {
-			dst = append(dst, x)
-		}
-	}
-	return dst, ops
-}
-
 // Elements appends a ∩ b to dst using the given method, orienting the lists
 // so the shorter one is the key/merge-limited side, and reports the ops
 // executed. The result is ascending and identical for every method; only
@@ -91,8 +69,6 @@ func Elements(method Method, a, b []graph.V, dst []graph.V) ([]graph.V, int) {
 		return ssiElements(a, b, dst)
 	case MethodBinary:
 		return BinaryElements(a, b, dst)
-	case MethodHash:
-		return HashElements(a, b, dst)
 	default:
 		if PreferSSI(len(a), len(b)) {
 			return ssiElements(a, b, dst)

@@ -41,7 +41,7 @@ func refIntersection(a, b []graph.V) []graph.V {
 
 func TestElementsAllMethodsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 0))
-	methods := []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash}
+	methods := []Method{MethodSSI, MethodBinary, MethodHybrid}
 	for trial := 0; trial < 200; trial++ {
 		a := sortedRandomList(rng, rng.IntN(40), 120)
 		b := sortedRandomList(rng, rng.IntN(40), 120)
@@ -60,22 +60,19 @@ func TestElementsAllMethodsAgainstReference(t *testing.T) {
 }
 
 // TestElementsLenEqualsCount: for every method, len(Elements) == Count, and
-// SSI/Binary element variants charge the same ops as their counting twins.
+// the element variants charge the same ops as their counting twins.
 func TestElementsLenEqualsCount(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 1))
 	for trial := 0; trial < 100; trial++ {
 		a := sortedRandomList(rng, rng.IntN(60), 200)
 		b := sortedRandomList(rng, rng.IntN(60), 200)
-		for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash} {
+		for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid} {
 			cnt, cops := Count(m, a, b)
 			els, eops := Elements(m, a, b, nil)
 			if len(els) != cnt {
 				t.Fatalf("method %s: len(Elements)=%d, Count=%d", m, len(els), cnt)
 			}
-			if m != MethodHash && cops != eops {
-				// Hash rebuilds its index per call in both paths, so ops
-				// match there too, but bin iteration order makes the probe
-				// count identical anyway; assert strictly for all.
+			if cops != eops {
 				t.Fatalf("method %s: Elements ops=%d, Count ops=%d", m, eops, cops)
 			}
 		}
@@ -94,7 +91,7 @@ func TestElementsAppendsToDst(t *testing.T) {
 }
 
 func TestElementsEmptyInputs(t *testing.T) {
-	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash} {
+	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid} {
 		if got, ops := Elements(m, nil, nil, nil); len(got) != 0 || ops != 0 {
 			t.Errorf("method %s: Elements(nil,nil) = %v ops=%d, want empty, 0", m, got, ops)
 		}
@@ -106,7 +103,7 @@ func TestElementsEmptyInputs(t *testing.T) {
 
 func TestElementsSelfIntersection(t *testing.T) {
 	a := []graph.V{3, 7, 11, 200}
-	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash} {
+	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid} {
 		got, _ := Elements(m, a, a, nil)
 		if !reflect.DeepEqual(got, a) {
 			t.Errorf("method %s: self-intersection = %v, want %v", m, got, a)
@@ -114,7 +111,7 @@ func TestElementsSelfIntersection(t *testing.T) {
 	}
 }
 
-// TestElementsQuickMethodEquivalence: all four methods return the same
+// TestElementsQuickMethodEquivalence: all three methods return the same
 // set for arbitrary sorted inputs (property-based).
 func TestElementsQuickMethodEquivalence(t *testing.T) {
 	f := func(seedA, seedB uint64, la, lb uint8) bool {
@@ -125,7 +122,6 @@ func TestElementsQuickMethodEquivalence(t *testing.T) {
 		ssi, _ := Elements(MethodSSI, a, b, nil)
 		bin, _ := Elements(MethodBinary, a, b, nil)
 		hyb, _ := Elements(MethodHybrid, a, b, nil)
-		hsh, _ := Elements(MethodHash, a, b, nil)
 		eq := func(x, y []graph.V) bool {
 			if len(x) != len(y) {
 				return false
@@ -137,7 +133,7 @@ func TestElementsQuickMethodEquivalence(t *testing.T) {
 			}
 			return true
 		}
-		return eq(ssi, bin) && eq(ssi, hyb) && eq(ssi, hsh)
+		return eq(ssi, bin) && eq(ssi, hyb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

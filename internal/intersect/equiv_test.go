@@ -137,7 +137,7 @@ func depthTable(n int) []uint8 {
 func TestScratchCountMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := new(Scratch)
-	methods := []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash}
+	methods := []Method{MethodSSI, MethodBinary, MethodHybrid}
 	for trial := 0; trial < 3000; trial++ {
 		a, b := randPair(rng)
 		m := methods[trial%len(methods)]
@@ -160,7 +160,7 @@ func TestScratchCountMatchesReference(t *testing.T) {
 func TestScratchElementsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := new(Scratch)
-	methods := []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash}
+	methods := []Method{MethodSSI, MethodBinary, MethodHybrid}
 	var got []graph.V
 	for trial := 0; trial < 3000; trial++ {
 		a, b := randPair(rng)

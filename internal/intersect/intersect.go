@@ -35,11 +35,6 @@ const (
 	MethodBinary
 	// MethodHybrid picks between the two per pair using Eq. (3).
 	MethodHybrid
-	// MethodHash is the bin-based hash intersection of Pandey et al.
-	// (H-INDEX, HPEC'19; surveyed in §V-A): the longer list is
-	// distributed over power-of-two bins holding a few elements each and
-	// the shorter list probes them. See hash.go.
-	MethodHash
 )
 
 func (m Method) String() string {
@@ -50,8 +45,6 @@ func (m Method) String() string {
 		return "binary"
 	case MethodHybrid:
 		return "hybrid"
-	case MethodHash:
-		return "hash"
 	default:
 		return "unknown"
 	}
@@ -67,10 +60,8 @@ func ParseMethod(s string) (Method, error) {
 		return MethodSSI, nil
 	case "binary":
 		return MethodBinary, nil
-	case "hash":
-		return MethodHash, nil
 	default:
-		return MethodHybrid, fmt.Errorf(`intersect: unknown method %q (want "hybrid", "ssi", "binary" or "hash")`, s)
+		return MethodHybrid, fmt.Errorf(`intersect: unknown method %q (want "hybrid", "ssi" or "binary")`, s)
 	}
 }
 
@@ -164,8 +155,6 @@ func Count(method Method, a, b []graph.V) (count, ops int) {
 		return SSI(a, b)
 	case MethodBinary:
 		return Binary(a, b)
-	case MethodHash:
-		return Hash(a, b)
 	default:
 		if PreferSSI(len(a), len(b)) {
 			return SSI(a, b)

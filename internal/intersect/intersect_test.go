@@ -225,7 +225,7 @@ func TestMethodString(t *testing.T) {
 	if MethodSSI.String() != "ssi" || MethodBinary.String() != "binary" || MethodHybrid.String() != "hybrid" {
 		t.Error("Method.String broken")
 	}
-	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash} {
+	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid} {
 		if got, err := ParseMethod(m.String()); err != nil || got != m {
 			t.Errorf("ParseMethod(%q) = %v, %v", m.String(), got, err)
 		}
@@ -233,7 +233,12 @@ func TestMethodString(t *testing.T) {
 	if got, err := ParseMethod(""); err != nil || got != MethodHybrid {
 		t.Errorf(`ParseMethod("") = %v, %v, want hybrid`, got, err)
 	}
-	if _, err := ParseMethod("hybird"); err == nil {
-		t.Error(`ParseMethod("hybird") accepted a misspelling`)
+	for _, s := range []string{"hybird", "hash"} {
+		if _, err := ParseMethod(s); err == nil {
+			t.Errorf("ParseMethod(%q) accepted a method the engine does not have", s)
+		}
+	}
+	if got := Method(MethodHybrid + 1).String(); got != "unknown" {
+		t.Errorf("Method(%d).String() = %q, want unknown", MethodHybrid+1, got)
 	}
 }

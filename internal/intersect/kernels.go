@@ -21,11 +21,10 @@ import (
 //     data roughly half of them mispredict. The unrolled form turns the
 //     three outcomes (advance i, advance j, match) into flag arithmetic
 //     with no data-dependent branches at all.
-//   - the stamp-set probe (scratch.go): a per-rank reusable uint64 bitmap
-//     in the spirit of H-INDEX's hashed bins (Pandey et al., HPEC'19) but
-//     exact — the pivot list is stamped once and every neighbour list is
-//     counted with one bit test per element, amortizing the build over
-//     deg(pivot) intersections exactly like the reusable HashIndex.
+//   - the stamp-set probe (scratch.go): a per-rank reusable uint64 bitmap —
+//     the pivot list is stamped once and every neighbour list is counted
+//     with one bit test per element, amortizing the build over deg(pivot)
+//     intersections.
 //   - the word-parallel AND (scratch.go andCount): when the neighbour list
 //     comes with a DenseSet (index.go) — its own bitmap — the count is the
 //     popcount of stamp AND set over the words the set spans, 64 ids a step.

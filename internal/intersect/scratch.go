@@ -446,8 +446,6 @@ func (s *Scratch) CountIndexed(method Method, a, b []graph.V, bSet *DenseSet) (c
 	case MethodBinary:
 		count, ops, _ = s.binary(a, sa, sb, treeSet, false, nil)
 		return count, ops
-	case MethodHash:
-		return Hash(sa, sb)
 	default:
 		if PreferSSI(len(sa), len(sb)) {
 			return s.hostSSI(a, b, bSet)
@@ -469,8 +467,6 @@ func (s *Scratch) Elements(method Method, a, b []graph.V, dst []graph.V) ([]grap
 	case MethodSSI:
 		ssiCharged = true
 	case MethodBinary:
-	case MethodHash:
-		return HashElements(sa, sb, dst)
 	default:
 		ssiCharged = PreferSSI(len(sa), len(sb))
 	}

@@ -64,7 +64,7 @@ func TestDistributedPropertyRandomConfigs(t *testing.T) {
 	}
 }
 
-var allMethods = []intersect.Method{intersect.MethodSSI, intersect.MethodBinary, intersect.MethodHybrid, intersect.MethodHash}
+var allMethods = []intersect.Method{intersect.MethodSSI, intersect.MethodBinary, intersect.MethodHybrid}
 
 func randomEdges(rng *rand.Rand, n, m int) []graph.Edge {
 	edges := make([]graph.Edge, 0, m)
@@ -167,19 +167,5 @@ func TestNoisyRunsDeterministic(t *testing.T) {
 	}
 	if a, b := run(1), run(2); a == b {
 		t.Fatal("different noise seeds produced identical sim times")
-	}
-}
-
-// TestHashMethodInEngine runs the full distributed engine with the hash
-// intersection on a real generator graph.
-func TestHashMethodInEngine(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(9, 8, graph.Undirected, 31))
-	want := SharedLCC(g, intersect.MethodHybrid)
-	got, err := Run(g, Options{Ranks: 4, Method: intersect.MethodHash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Triangles != want.Triangles {
-		t.Fatalf("hash engine: %d triangles, want %d", got.Triangles, want.Triangles)
 	}
 }

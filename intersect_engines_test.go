@@ -28,7 +28,7 @@ func TestEngineOrientation(t *testing.T) {
 
 	g := gen.MustLoad("fb-sim")
 	for _, m := range []intersect.Method{
-		intersect.MethodSSI, intersect.MethodBinary, intersect.MethodHybrid, intersect.MethodHash,
+		intersect.MethodSSI, intersect.MethodBinary, intersect.MethodHybrid,
 	} {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
