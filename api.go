@@ -194,16 +194,13 @@ type SharedResult = lcc.SharedResult
 func SharedLCC(g *Graph, method Method) *SharedResult { return lcc.SharedLCC(g, method) }
 
 // ScorePolicy selects the C_adj eviction score: CLaMPI's LRU+positional
-// default, the paper's degree scores (§III-B-2), or the future-work
-// alternatives (§VI iii).
+// default or the paper's degree scores (§III-B-2).
 type ScorePolicy = lcc.ScorePolicy
 
 // Eviction score policies.
 const (
-	ScoreLRU           = lcc.ScoreLRU
-	ScoreDegree        = lcc.ScoreDegree
-	ScoreCostBenefit   = lcc.ScoreCostBenefit
-	ScoreDegreeRecency = lcc.ScoreDegreeRecency
+	ScoreLRU    = lcc.ScoreLRU
+	ScoreDegree = lcc.ScoreDegree
 )
 
 // PushAggregation selects how the push-mode engine ships triangle

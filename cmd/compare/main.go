@@ -84,9 +84,8 @@ func main() {
 	cachedOpt := lcc.Options{
 		Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true,
 		Caching: true, AdjScorePolicy: lcc.ScoreDegree,
-		OffsetsCacheBytes: 16 * (2 * g.NumVertices() / 5),
-		AdjCacheBytes:     64 << 20,
 	}
+	cachedOpt.OffsetsCacheBytes, cachedOpt.AdjCacheBytes = lcc.PaperCacheBytes(g.NumVertices())
 	cached, err := lcc.Run(g, cachedOpt)
 	if err != nil {
 		fatal(err)

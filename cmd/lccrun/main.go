@@ -18,6 +18,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -146,14 +147,8 @@ func run(args []string, out io.Writer) error {
 		opt.AdjScorePolicy = lcc.ScoreDegree
 	}
 	if *caching {
-		opt.OffsetsCacheBytes = *offBytes
-		opt.AdjCacheBytes = *adjBytes
-		if opt.OffsetsCacheBytes == 0 {
-			opt.OffsetsCacheBytes = 16 * (2 * g.NumVertices() / 5)
-		}
-		if opt.AdjCacheBytes == 0 {
-			opt.AdjCacheBytes = 64 << 20
-		}
+		off, adj := lcc.PaperCacheBytes(g.NumVertices())
+		opt.OffsetsCacheBytes, opt.AdjCacheBytes = cmp.Or(*offBytes, off), cmp.Or(*adjBytes, adj)
 	}
 
 	opt.DelegateBytes = *delegate

@@ -553,24 +553,6 @@ func (c *Cache) evict(id uint32, conflict bool) {
 	c.alloc.free(id)
 }
 
-// SetScore assigns (or updates) the application-defined score of an already
-// cached entry, as the modified CLaMPI accepts from the user (§III-B-2).
-// It is a no-op if the entry is not cached.
-func (c *Cache) SetScore(target, offset, size int, score float64) {
-	c.enter()
-	if c.coder.fits(target, offset, size) {
-		// (Nothing outside the window geometry is ever cached.)
-		if slot := c.tab.lookup(c.key(target, offset, size)); slot >= 0 {
-			id := c.tab.ents[slot]
-			e := &c.alloc.recs[id]
-			e.score = score
-			c.tab.bumpStamp(e.meta)
-			c.victims.update(id, c.priority(e), c.tab.stamp(e.meta))
-		}
-	}
-	c.leave()
-}
-
 // Flush empties the cache; a degraded access (Degrade) takes it. All
 // structures are cleared in place: the heap is truncated, the slab rewinds to
 // the one record of a pristine free region, and the table keeps its arrays.

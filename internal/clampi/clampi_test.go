@@ -193,21 +193,6 @@ func TestAppScoreProtectsHighDegreeEntries(t *testing.T) {
 	}
 }
 
-func TestSetScoreChangesVictim(t *testing.T) {
-	_, _, c := testSetup(t, 1024, Config{Capacity: 80})
-	c.GetScored(1, 0, 40, 10).Wait()
-	c.GetScored(1, 40, 40, 20).Wait()
-	// Raise the first entry's score above the second's.
-	c.SetScore(1, 0, 40, 30)
-	c.GetScored(1, 80, 40, 25).Wait()
-	if !resident(c, 1, 0, 40) {
-		t.Error("re-scored entry was evicted")
-	}
-	if resident(c, 1, 40, 40) {
-		t.Error("lowest-score entry survived")
-	}
-}
-
 func TestConflictEviction(t *testing.T) {
 	// A 1-bucket, 1-way table: every distinct key conflicts.
 	_, _, c := testSetup(t, 1024, Config{Capacity: 1024, Buckets: 1, Assoc: 1})

@@ -107,25 +107,6 @@ func churnDegree(c *Cache, seed uint64, between func()) {
 	}
 }
 
-// churnUpdate: scored and unscored inserts mixed with SetScore on resident
-// regions (heap re-keys in place) and plain re-reads (stamp bumps).
-func churnUpdate(c *Cache, seed uint64, between func()) {
-	rng := rand.New(rand.NewPCG(seed, 4))
-	for i := 0; i < 12000; i++ {
-		between()
-		size := 32 + 32*rng.IntN(4)
-		off := 32 * rng.IntN(digestRegion/4/32)
-		switch rng.IntN(4) {
-		case 0:
-			c.SetScore(1, off, size, float64(rng.IntN(6)))
-		case 1:
-			churnGet(c, off, size, float64(rng.IntN(6)), between)
-		default:
-			churnGet(c, off, size, math.NaN(), between)
-		}
-	}
-}
-
 // digestCases are the churns whose eviction order TestVictimOrderDigest
 // pins — conflict and capacity, with every tie-break the victim heap's array
 // mechanics and the best-fit allocator decide. The constants were recorded at
@@ -141,7 +122,6 @@ var digestCases = []struct {
 	{"lru-positional", Config{Capacity: 1 << 13, Buckets: 128}, churnLRU, 0x7cba31266a1ce334, 8081},
 	{"lru-conflicts", Config{Capacity: 1 << 13, Buckets: 36, Assoc: 2, PosWeight: 512}, churnLRU, 0x247c0b201af2ee70, 8779},
 	{"degree-ties", Config{Capacity: 1 << 13, Buckets: 96}, churnDegree, 0xc62e066b86db7753, 2864},
-	{"score-updates", Config{Capacity: 1 << 12, Buckets: 64}, churnUpdate, 0x0bea60cfe5b3fac1, 7195},
 }
 
 // TestVictimOrderDigest holds a fresh instance and a recycled one to the

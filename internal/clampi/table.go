@@ -116,13 +116,6 @@ func (t *table) lookupTouch(k Key, tick uint64) int {
 func (t *table) tick(mi uint32) uint64  { return t.lane[mi] >> metaStampBits }
 func (t *table) stamp(mi uint32) uint32 { return uint32(t.lane[mi] & metaStampMask) }
 
-// bumpStamp invalidates outstanding heap snapshots of the entry whose meta
-// word is mi without touching its tick (score updates).
-func (t *table) bumpStamp(mi uint32) {
-	m := t.lane[mi]
-	t.lane[mi] = m&^uint64(metaStampMask) | (m+1)&metaStampMask
-}
-
 // freeWay returns a free way of k's bucket, or -1 if the bucket is full (a
 // conflict). It probes the lane's key words (0 = empty, the same line the
 // preceding lookup warmed) rather than the id array.
@@ -183,9 +176,9 @@ type heapItem struct {
 // minimum). The sift routines below therefore leave the array exactly as
 // container/heap's push (append + up) and pop (swap root/last + down from
 // the root) would: they move a hole along the same path instead of swapping
-// the travelling item into every level. up and down make container/heap's
-// comparisons — the item against its parent; the smaller child, right only
-// if strictly less, against the item — and pop walks down's path bottom-up
+// the travelling item into every level. up makes container/heap's
+// comparison — the item against its parent — and pop walks container/heap's
+// down path — the smaller child, right only if strictly less — bottom-up
 // (see pop) to the same final placement. Eviction keeps the seed's lazy
 // shape: hits bump stamps without touching the heap, dead conflict victims
 // stay as tombstones until a pop collects them. Do not "optimize" the
@@ -203,8 +196,7 @@ type victimHeap struct {
 
 func (v *victimHeap) len() int { return len(v.h) }
 
-// up sifts item x into place from index j; down from i within h[:n],
-// reporting whether it moved.
+// up sifts item x into place from index j.
 func (v *victimHeap) up(j int, x heapItem) {
 	for j > 0 {
 		i := (j - 1) / 2
@@ -219,28 +211,6 @@ func (v *victimHeap) up(j int, x heapItem) {
 	v.pos[x.id] = int32(j)
 }
 
-func (v *victimHeap) down(i0, n int, x heapItem) bool {
-	i := i0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && v.h[j2].prio < v.h[j].prio {
-			j = j2
-		}
-		if !(v.h[j].prio < x.prio) {
-			break
-		}
-		v.h[i] = v.h[j]
-		v.pos[v.h[i].id] = int32(i)
-		i = j
-	}
-	v.h[i] = x
-	v.pos[x.id] = int32(i)
-	return i > i0
-}
-
 // push adds id keyed by the given priority and stamp.
 func (v *victimHeap) push(id uint32, prio float64, stamp uint32) {
 	for int(id) >= len(v.pos) {
@@ -251,11 +221,12 @@ func (v *victimHeap) push(id uint32, prio float64, stamp uint32) {
 }
 
 // pop removes and returns the root item, sifting bottom-up: the root's hole
-// walks to a leaf along down's path (the smaller child, right only if
-// strictly less), then the last item climbs while the item above it is not
-// below it. The path's items never decrease, so the climb stops where down
-// stops — at the first path item not below the traveller — ties included,
-// in about half down's comparisons for a traveller bound for the bottom.
+// walks to a leaf along container/heap's down path (the smaller child, right
+// only if strictly less), then the last item climbs while the item above it
+// is not below it. The path's items never decrease, so the climb stops where
+// a top-down sift would — at the first path item not below the traveller —
+// ties included, in about half a top-down sift's comparisons for a
+// traveller bound for the bottom.
 func (v *victimHeap) pop() heapItem {
 	n := len(v.h) - 1
 	it, x := v.h[0], v.h[n]
@@ -285,18 +256,6 @@ func (v *victimHeap) pop() heapItem {
 	}
 	v.pos[it.id] = -1
 	return it
-}
-
-// update re-keys id in place after a score change (container/heap.Fix). This
-// is the one deliberate divergence from the seed, which pushed a duplicate
-// snapshot per update and let hit-heavy SetScore traffic grow the heap
-// without bound; no golden configuration exercises score updates.
-func (v *victimHeap) update(id uint32, prio float64, stamp uint32) {
-	i := int(v.pos[id])
-	x := heapItem{prio, stamp, id}
-	if !v.down(i, len(v.h), x) {
-		v.up(i, x)
-	}
 }
 
 // bury turns id's item, if it has one, into a tombstone.

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -190,10 +189,6 @@ func TestTableLookupInsertRemove(t *testing.T) {
 	if tab.tick(mi) != 9 || tab.stamp(mi) != 1 {
 		t.Errorf("touched slot meta = (tick %d, stamp %d), want (9, 1)", tab.tick(mi), tab.stamp(mi))
 	}
-	tab.bumpStamp(mi)
-	if tab.tick(mi) != 9 || tab.stamp(mi) != 2 {
-		t.Errorf("bumped slot meta = (tick %d, stamp %d), want (9, 2)", tab.tick(mi), tab.stamp(mi))
-	}
 	if tab.n != 1 {
 		t.Errorf("n = %d", tab.n)
 	}
@@ -286,7 +281,7 @@ func (r *refHeap) Pop() any {
 }
 
 // TestVictimHeapMatchesContainerHeap is the determinism contract's proof:
-// under random pushes, pops, re-keys and burials with priorities drawn from
+// under random pushes, pops and burials with priorities drawn from
 // a handful of values (ties everywhere), and then through deep heaps of two
 // and of one priority, the hole sifts leave the array exactly as
 // container/heap's swaps do, after every operation.
@@ -312,12 +307,6 @@ func TestVictimHeapMatchesContainerHeap(t *testing.T) {
 			if i := slices.Index(live, got.id); i >= 0 {
 				live = slices.Delete(live, i, i+1)
 			}
-		case len(live) > 0 && op < 9:
-			id := live[rng.IntN(len(live))]
-			v.update(id, prio, stamp)
-			i := ref.pos[id]
-			ref.h[i].prio, ref.h[i].stamp = prio, stamp
-			heap.Fix(ref, i)
 		case len(live) > 0:
 			j := rng.IntN(len(live))
 			id := live[j]
@@ -340,7 +329,7 @@ func TestVictimHeapMatchesContainerHeap(t *testing.T) {
 	// 2^12 items, so that pop's bottom-up climb runs a dozen levels: first
 	// over two priorities, pop-heavy once grown, then over one priority
 	// throughout. Ties are the only inputs where the climb's stop rule could
-	// differ from down's.
+	// differ from a top-down sift's.
 	for _, prios := range []int{2, 1} {
 		pop := func(step int) {
 			if got, want := v.pop(), heap.Pop(ref).(heapItem); got != want {
@@ -409,10 +398,9 @@ func TestVictimHeapOrdersByPriority(t *testing.T) {
 func TestVictimHeapSkipsDeadAndStale(t *testing.T) {
 	c, ids := scoredCache(t, 3)
 	dead, stale, live := ids[0], ids[1], ids[2]
-	c.evict(dead, true) // conflict eviction: a tombstone stays behind
-	e := &c.alloc.recs[stale]
-	e.score = 99 // priority drift: must be re-ranked, not returned at 2
-	c.tab.bumpStamp(e.meta)
+	c.evict(dead, true)            // conflict eviction: a tombstone stays behind
+	c.alloc.recs[stale].score = 99 // priority drift: must be re-ranked, not returned at 2
+	c.Get(1, 64, 64).Wait()        // a hit moves the stale entry's stamp
 	if got := popVictim(c); got != live {
 		t.Errorf("popped record %d, want the live entry %d (score 3)", got, live)
 	}
@@ -433,30 +421,5 @@ func TestVictimHeapEmptyBehaviour(t *testing.T) {
 	c.Flush()
 	if c.victims.len() != 0 || popVictim(c) != 0 {
 		t.Error("Flush did not clear the heap")
-	}
-}
-
-// TestVictimHeapUpdateKeepsOneItemPerEntry pins the in-place re-key
-// contract: re-scoring an entry moves its one item instead of stranding a
-// duplicate snapshot, and pos tracks positions through sifts.
-func TestVictimHeapUpdateKeepsOneItemPerEntry(t *testing.T) {
-	c, ids := scoredCache(t, 16)
-	for round := 0; round < 100; round++ {
-		c.SetScore(1, 64*(round%len(ids)), 64, float64((round*37)%100))
-		if c.victims.len() != len(ids) {
-			t.Fatalf("round %d: heap len %d, want %d", round, c.victims.len(), len(ids))
-		}
-	}
-	if err := c.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Popping everything yields ascending priorities.
-	last := math.Inf(-1)
-	for id := popVictim(c); id != 0; id = popVictim(c) {
-		if s := c.alloc.recs[id].score; s < last {
-			t.Fatalf("pop order not ascending: %v after %v", s, last)
-		} else {
-			last = s
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package clampi
 
 import (
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -206,39 +205,6 @@ func TestEpochFlushAllocFree(t *testing.T) {
 	}
 	if s := c.Stats(); s.Flushes == 0 || s.Hits != 0 {
 		t.Fatalf("the loop must flush every entry before its next get: %+v", s)
-	}
-}
-
-// TestVictimHeapStaysCompact is the stale-item bloat guard: across a
-// hit-heavy workload with per-hit score updates (the ScoreDegreeRecency
-// pattern), the victim heap must stay at one item per live entry. The
-// seed's snapshot heap stranded a duplicate on every SetScore and only
-// shed them on future evictions, so this workload grew it without bound.
-func TestVictimHeapStaysCompact(t *testing.T) {
-	comm := rma.NewComm(2, rma.DefaultCostModel())
-	w := comm.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1<<20)})
-	r := comm.Rank(0)
-	r.LockAll(w)
-	defer r.UnlockAll(w)
-	c := New(r, w, Config{Capacity: 1 << 14})
-	const entries = 64
-	for i := 0; i < entries; i++ {
-		q := c.GetScored(1, i*256, 256, float64(i))
-		q.Wait()
-		q.Release()
-	}
-	for round := 0; round < 10000; round++ {
-		i := round % entries
-		if c.Decide(c.KeyOf(1, i*256, 256), math.NaN(), false) != Hit { // bumps the entry's stamp
-			t.Fatalf("round %d: unexpected miss", round)
-		}
-		c.SetScore(1, i*256, 256, float64((round*31)%997)) // re-key in place
-		if got := c.victims.len(); got > c.tab.n {
-			t.Fatalf("round %d: heap holds %d items for %d live entries (stale bloat)", round, got, c.tab.n)
-		}
-	}
-	if err := c.checkInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

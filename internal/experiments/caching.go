@@ -24,16 +24,6 @@ func baseEngineOptions(ranks int) lcc.Options {
 	}
 }
 
-// paperCacheBytes returns the Fig. 9/10 cache budget scaled to this
-// reproduction: C_offsets sized to hold 40% of the vertices as (start,end)
-// pairs (the paper's 0.8·|V| allocation) and C_adj given an ample budget
-// (the paper's "rest of 16 GiB", which exceeds the small-scale graphs).
-func paperCacheBytes(g *graph.Graph) (offBytes, adjBytes int) {
-	offBytes = 16 * (2 * g.NumVertices() / 5)
-	adjBytes = 64 << 20
-	return
-}
-
 // Fig7CacheSize regenerates Fig. 7: communication time and miss rate as a
 // function of the cache size, enabling caching on one window at a time
 // (R-MAT with EF16 on 2 ranks).
@@ -112,6 +102,22 @@ func compulsoryFrac(res *lcc.Result, offsets bool) float64 {
 	return float64(comp) / float64(miss)
 }
 
+// fig8Ranks are Fig. 8's rank counts.
+var fig8Ranks = []int{4, 8, 16, 32, 64}
+
+// fig8Options is Fig. 8's run of g at p ranks under policy: both caches on,
+// C_offsets at the paper's size and C_adj capped at 25% of each rank's
+// non-local partition to force evictions.
+func fig8Options(g *graph.Graph, p int, policy lcc.ScorePolicy) lcc.Options {
+	opt := baseEngineOptions(p)
+	opt.Caching = true
+	opt.OffsetsCacheBytes, _ = lcc.PaperCacheBytes(g.NumVertices())
+	nonLocal := 4 * g.NumArcs() * (p - 1) / p
+	opt.AdjCacheBytes = nonLocal / 4
+	opt.AdjScorePolicy = policy
+	return opt
+}
+
 // Fig8Scores regenerates Fig. 8: default (LRU+positional) versus
 // application-defined degree-centrality scores, with C_adj capped at 25% of
 // each rank's non-local partition to force evictions.
@@ -123,16 +129,9 @@ func Fig8Scores() *Table {
 		Header: []string{"ranks", "scores", "avg remote read (µs)", "C_adj miss rate", "compulsory", "evictions", "sim time (ms)"},
 	}
 	g := gen.MustLoad(fig7Dataset)
-	totalAdjBytes := 4 * g.NumArcs()
-	for _, p := range []int{4, 8, 16, 32, 64} {
-		nonLocal := totalAdjBytes * (p - 1) / p
+	for _, p := range fig8Ranks {
 		for _, policy := range []lcc.ScorePolicy{lcc.ScoreLRU, lcc.ScoreDegree} {
-			opt := baseEngineOptions(p)
-			opt.Caching = true
-			opt.OffsetsCacheBytes, _ = paperCacheBytes(g)
-			opt.AdjCacheBytes = nonLocal / 4
-			opt.AdjScorePolicy = policy
-			res, err := lcc.Run(g, opt)
+			res, err := lcc.Run(g, fig8Options(g, p, policy))
 			if err != nil {
 				panic(err)
 			}

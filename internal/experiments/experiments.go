@@ -102,7 +102,6 @@ func All() []NamedExperiment {
 		{"ablation-cutoff", "Hybrid cutoff ablation (A1)", AblationCutoff},
 		{"ablation-overlap", "Double-buffering ablation (A2)", AblationOverlap},
 		{"ablation-cyclic", "Cyclic vs block 1D ablation (A3)", AblationCyclic},
-		{"ablation-scores", "Eviction score policies ablation (A4)", AblationScores},
 		{"ablation-orientation", "Orientation / forward-algorithm ablation (A5)", AblationOrientation},
 		{"ablation-noise", "Noise sensitivity, async vs BSP (A7)", AblationNoise},
 		{"ablation-disttc", "DistTC shadow-edge baseline (A8)", AblationDistTC},

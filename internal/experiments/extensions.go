@@ -242,7 +242,7 @@ func AblationPushPull() *Table {
 			}
 			cachedOpt := pullOpt
 			cachedOpt.Caching = true
-			_, adjBytes := paperCacheBytes(g)
+			_, adjBytes := lcc.PaperCacheBytes(g.NumVertices())
 			cachedOpt.OffsetsCacheBytes = 16 * g.NumVertices()
 			cachedOpt.AdjCacheBytes = adjBytes / 4
 			cachedOpt.AdjScorePolicy = lcc.ScoreDegree

@@ -34,7 +34,7 @@ func runSeries(g *graph.Graph, ranks int, withTriC, withTriCBuf bool) seriesResu
 
 	opt := baseEngineOptions(ranks)
 	opt.Caching = true
-	opt.OffsetsCacheBytes, opt.AdjCacheBytes = paperCacheBytes(g)
+	opt.OffsetsCacheBytes, opt.AdjCacheBytes = lcc.PaperCacheBytes(g.NumVertices())
 	cached, err := lcc.Run(g, opt)
 	if err != nil {
 		panic(err)
@@ -206,39 +206,6 @@ func AblationCyclic() *Table {
 	t.Notes = append(t.Notes,
 		"expect: cyclic and block-arcs both erase the imbalance; block-arcs keeps contiguous ranges",
 		"(cheap ownership arithmetic) at a similar edge cut — the practical fix for §IV-D-2")
-	return t
-}
-
-// AblationScores regenerates A4 — the paper's future-work direction (iii):
-// alternative application-specific eviction scores, compared under the
-// Fig. 8 eviction-pressure setup.
-func AblationScores() *Table {
-	t := &Table{
-		ID:     "ablation-scores",
-		Title:  "A4: C_adj eviction score policies (" + fig7Dataset + ", 16 ranks, C_adj = 25% of non-local)",
-		Paper:  "§VI future work iii: study other application-specific scores; §III-B-2 argues degree predicts reuse",
-		Header: []string{"policy", "C_adj miss rate", "avg remote read (µs)", "sim time (ms)"},
-	}
-	g := gen.MustLoad(fig7Dataset)
-	const p = 16
-	nonLocal := 4 * g.NumArcs() * (p - 1) / p
-	for _, policy := range []lcc.ScorePolicy{
-		lcc.ScoreLRU, lcc.ScoreDegree, lcc.ScoreCostBenefit, lcc.ScoreDegreeRecency,
-	} {
-		opt := baseEngineOptions(p)
-		opt.Caching = true
-		opt.OffsetsCacheBytes, _ = paperCacheBytes(g)
-		opt.AdjCacheBytes = nonLocal / 4
-		opt.AdjScorePolicy = policy
-		res, err := lcc.Run(g, opt)
-		if err != nil {
-			panic(err)
-		}
-		_, adjRate := res.CacheMissRates()
-		t.AddRow(policy.String(), adjRate, res.AvgRemoteReadTime()/1e3, res.SimTime/1e6)
-	}
-	t.Notes = append(t.Notes,
-		"expect: degree-based policies beat LRU; cost-benefit (favouring small entries) loses — small entries are the rarely-reused ones")
 	return t
 }
 

@@ -14,9 +14,10 @@ import (
 
 // This file runs the cheaper experiments end to end and asserts the
 // *shape* the paper (or DESIGN.md §3) predicts: who wins, what grows, what
-// shrinks. The expensive sweeps (fig7–fig10, A10, A11) are left to
+// shrinks. The expensive sweeps (fig7, fig9, fig10, A10, A11) are left to
 // cmd/figures; table3's wall-clock rates are too, and TestTable3Shape holds
-// its claim in modelled intersection iterations instead.
+// its claim in modelled intersection iterations instead. TestFig8Shape runs
+// fig8's configurations without its table.
 
 // cell parses the leading float of a formatted table cell ("123.4",
 // "91.9%", "1.23x", "669.9 KiB" all yield their leading number).
@@ -82,6 +83,45 @@ func TestTable3Shape(t *testing.T) {
 		}
 		if ssi >= binary {
 			t.Errorf("%s: SSI %d ops is not under binary search's %d", c.name, ssi, binary)
+		}
+	}
+}
+
+// TestFig8Shape holds Fig. 8's claim at every rank count of the table, in
+// its own configuration (fig8Options): degree scores leave at most 98% of
+// LRU+positional's C_adj misses, summed over ranks, and finish in less
+// simulated time.
+func TestFig8Shape(t *testing.T) {
+	ranks := fig8Ranks
+	if testing.Short() {
+		ranks = []int{4, 16}
+	}
+	g := gen.MustLoad(fig7Dataset)
+	adjMisses := func(res *lcc.Result) (n int64) {
+		for _, s := range res.PerRank {
+			n += s.AdjCache.Misses
+		}
+		return n
+	}
+	for _, p := range ranks {
+		lru, err := lcc.Run(g, fig8Options(g, p, lcc.ScoreLRU))
+		if err != nil {
+			t.Fatal(err)
+		}
+		deg, err := lcc.Run(g, fig8Options(g, p, lcc.ScoreDegree))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lruRate := lru.CacheMissRates()
+		_, degRate := deg.CacheMissRates()
+		lruMiss, degMiss := adjMisses(lru), adjMisses(deg)
+		t.Logf("fig 8 p=%d: C_adj misses degree %d, lru %d (%.3f); miss rate %.3f vs %.3f; sim %.1f vs %.1f ms",
+			p, degMiss, lruMiss, float64(degMiss)/float64(lruMiss), degRate, lruRate, deg.SimTime/1e6, lru.SimTime/1e6)
+		if float64(degMiss) > 0.98*float64(lruMiss) {
+			t.Errorf("p=%d: degree's %d C_adj misses are not at most 0.98 × LRU's %d", p, degMiss, lruMiss)
+		}
+		if deg.SimTime >= lru.SimTime {
+			t.Errorf("p=%d: degree's sim time %.1f ms is not below LRU's %.1f ms", p, deg.SimTime/1e6, lru.SimTime/1e6)
 		}
 	}
 }

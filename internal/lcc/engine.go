@@ -47,10 +47,7 @@ type Options struct {
 	OffsetsCacheBytes int
 	AdjCacheBytes     int
 	// AdjScorePolicy selects the C_adj eviction score; see ScorePolicy.
-	// ScoreDegree is the paper's application-defined score (§III-B-2); the
-	// other non-default policies implement its future-work direction
-	// (iii): "studying other application-specific scores for cached
-	// entries".
+	// ScoreDegree is the paper's application-defined score (§III-B-2).
 	AdjScorePolicy ScorePolicy
 
 	// DelegateBytes enables static vertex delegation (the A11 ablation):
@@ -181,16 +178,6 @@ const (
 	// out-degree, known after the offsets get, predicts reuse
 	// (Observation 3.1).
 	ScoreDegree
-	// ScoreCostBenefit scores an entry by the network time a future hit
-	// saves per cache byte it occupies, (α + s·β)/s. It favours small
-	// entries — a plausible-sounding alternative the A4 ablation shows
-	// to be inferior to degree scores for LCC, since small entries are
-	// exactly the rarely-reused ones (future work iii).
-	ScoreCostBenefit
-	// ScoreDegreeRecency refreshes the degree score with a small recency
-	// bonus on every access, so equally-hubby entries evict oldest-first
-	// (future work iii).
-	ScoreDegreeRecency
 )
 
 func (s ScorePolicy) String() string {
@@ -199,10 +186,6 @@ func (s ScorePolicy) String() string {
 		return "lru+positional"
 	case ScoreDegree:
 		return "degree"
-	case ScoreCostBenefit:
-		return "cost-benefit"
-	case ScoreDegreeRecency:
-		return "degree+recency"
 	default:
 		return "unknown"
 	}
@@ -216,6 +199,15 @@ func (o Options) withDefaults() Options {
 		o.Model = rma.DefaultCostModel()
 	}
 	return o
+}
+
+// PaperCacheBytes returns the Fig. 9/10 per-rank cache budget scaled to a
+// graph of n vertices: C_offsets holds 40% of the vertices as 16-byte
+// (start,end) pairs (the paper's 0.8·|V| allocation), and C_adj gets an
+// ample 64 MiB (the paper's "rest of 16 GiB", which exceeds the small-scale
+// graphs).
+func PaperCacheBytes(n int) (offBytes, adjBytes int) {
+	return 16 * (2 * n / 5), 64 << 20
 }
 
 // cacheConfigs sizes a rank's two CLaMPI instances for a graph of n vertices
@@ -449,7 +441,6 @@ type worker struct {
 	remoteReads    int64
 	localReads     int64
 	delegatedReads int64
-	seq            uint64 // fetch sequence number (ScoreDegreeRecency)
 
 	// edgeFilter, when set, restricts forEachEdge to the (li, vj) pairs
 	// it accepts. The push engine uses it to walk only the upper wedge
@@ -728,11 +719,11 @@ func (w *worker) decideOff(k *clampi.Key, vj graph.V, owner, li int) clampi.Verd
 }
 
 // decideAdj is decideOff for the C_adj access of vj's list [start, end) in
-// slot's adjacency region. The access carries the policy's score, derived
-// from the list's degree (§III-B-2 and future work iii); a score matters on
-// insertion, so a hit ignores it — except the recency refresh. An empty
-// list's key is its slot and start only, which every empty list at that
-// start shares, so their accesses share one first-touch bit (adjTouchVertex).
+// slot's adjacency region. Under ScoreDegree the access carries the list's
+// degree as its score (§III-B-2), otherwise none (NaN); a score matters on
+// insertion, so a hit ignores it. An empty list's key is its slot and start
+// only, which every empty list at that start shares, so their accesses share
+// one first-touch bit (adjTouchVertex).
 func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end uint64) clampi.Verdict {
 	owner, off, size := w.ownerBase+slot, 4*int(start), 4*int(end-start)
 	if start == end {
@@ -745,25 +736,15 @@ func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end u
 		w.cAdj.Degrade()
 		return clampi.Degraded
 	}
-	score, deg := math.NaN(), size/4
-	switch w.opt.AdjScorePolicy {
-	case ScoreDegree:
-		score = float64(deg)
-	case ScoreCostBenefit:
-		score = w.opt.Model.RemoteCost(size) / float64(size+1)
-	case ScoreDegreeRecency:
-		w.seq++
-		score = float64(deg) * (1 + float64(w.seq)*1e-7)
+	score := math.NaN()
+	if w.opt.AdjScorePolicy == ScoreDegree {
+		score = float64(size / 4)
 	}
 	if k == nil {
 		key := w.cAdj.KeyOf(owner, off, size)
 		k = &key
 	}
-	v := w.cAdj.Decide(*k, score, firstTouch(w.touch.adj, vj))
-	if v == clampi.Hit && w.opt.AdjScorePolicy == ScoreDegreeRecency {
-		w.cAdj.SetScore(owner, off, size, score)
-	}
-	return v
+	return w.cAdj.Decide(*k, score, firstTouch(w.touch.adj, vj))
 }
 
 // newWorker builds rank r's execution state over snapshot s, in a world of

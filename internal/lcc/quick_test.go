@@ -102,7 +102,7 @@ func matchesBruteForce(t *testing.T, seed int64, rng *rand.Rand, kind graph.Kind
 		opt.Caching = true
 		opt.OffsetsCacheBytes = 16 * (1 + rng.Intn(n)) // deliberately tiny
 		opt.AdjCacheBytes = 4 * (1 + rng.Intn(4*n))
-		opt.AdjScorePolicy = ScorePolicy(rng.Intn(4))
+		opt.AdjScorePolicy = ScorePolicy(rng.Intn(2))
 	}
 	got, err := Run(g, opt)
 	if err != nil {

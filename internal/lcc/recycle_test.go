@@ -126,9 +126,7 @@ func TestRecycledCachesMatchFresh(t *testing.T) {
 		{"lru-small", func(w int) Options { return cachedOpts(w, small/8, small, ScoreLRU) }},
 		{"degree-large", func(w int) Options { return cachedOpts(w, large/8, large, ScoreDegree) }},
 		{"resident", func(w int) Options { return cachedOpts(w, 16<<10, 256<<10, ScoreDegree) }},
-		{"costbenefit-small", func(w int) Options { return cachedOpts(w, small/8, small, ScoreCostBenefit) }},
 		{"offsets-resident", func(w int) Options { return cachedOpts(w, 16<<10, small, ScoreLRU) }},
-		{"recency-small", func(w int) Options { return cachedOpts(w, small/8, small, ScoreDegreeRecency) }},
 		{"lru-small-again", func(w int) Options { return cachedOpts(w, small/8, small, ScoreLRU) }},
 		{"cache-faults", func(w int) Options {
 			o := cachedOpts(w, small/8, small, ScoreDegree)

@@ -1,6 +1,8 @@
 package lcc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -23,7 +25,7 @@ func pressuredOptions(g *graph.Graph, p int, policy ScorePolicy) Options {
 func TestAllScorePoliciesCorrect(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 16, graph.Undirected, 33))
 	want := SharedLCC(g, intersect.MethodHybrid)
-	for _, policy := range []ScorePolicy{ScoreLRU, ScoreDegree, ScoreCostBenefit, ScoreDegreeRecency} {
+	for _, policy := range []ScorePolicy{ScoreLRU, ScoreDegree} {
 		res, err := Run(g, pressuredOptions(g, 8, policy))
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
@@ -55,9 +57,7 @@ func TestDegreeBeatsLRUUnderPressure(t *testing.T) {
 
 func TestScorePolicyString(t *testing.T) {
 	for policy, want := range map[ScorePolicy]string{
-		ScoreLRU: "lru+positional", ScoreDegree: "degree",
-		ScoreCostBenefit: "cost-benefit", ScoreDegreeRecency: "degree+recency",
-		ScorePolicy(99): "unknown",
+		ScoreLRU: "lru+positional", ScoreDegree: "degree", ScorePolicy(99): "unknown",
 	} {
 		if got := policy.String(); got != want {
 			t.Errorf("String(%d) = %q, want %q", policy, got, want)
@@ -65,24 +65,15 @@ func TestScorePolicyString(t *testing.T) {
 	}
 }
 
-func TestCostBenefitFavoursSmallEntries(t *testing.T) {
-	// On a graph with one giant hub and many small vertices under severe
-	// pressure, cost-benefit keeps small lists while degree keeps the
-	// hub: their hit patterns must differ, with degree ahead on a
-	// hub-reuse workload.
-	g := gen.BarabasiAlbert(4096, 8, graph.Undirected, 35)
-	g = gen.Prepare(g, 36)
-	cb, err := Run(g, pressuredOptions(g, 8, ScoreCostBenefit))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg, err := Run(g, pressuredOptions(g, 8, ScoreDegree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cbMiss := cb.CacheMissRates()
-	_, degMiss := deg.CacheMissRates()
-	if degMiss > cbMiss {
-		t.Errorf("degree (%.3f) should beat cost-benefit (%.3f) on hub reuse", degMiss, cbMiss)
+// TestUnknownScorePolicyRejected holds launch to rejecting a policy outside
+// ScoreLRU and ScoreDegree, which would otherwise run unscored as LRU.
+func TestUnknownScorePolicyRejected(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(8, 8, graph.Undirected, 37))
+	for _, policy := range []ScorePolicy{2, 3, 255} {
+		if _, err := Run(g, pressuredOptions(g, 4, policy)); err == nil {
+			t.Errorf("policy %d: Run succeeded, want an error", policy)
+		} else if !strings.Contains(err.Error(), fmt.Sprint(uint8(policy))) {
+			t.Errorf("policy %d: error %q does not name the value", policy, err)
+		}
 	}
 }

@@ -302,9 +302,13 @@ func (s *Snapshot) windows(comm *rma.Comm) (wOff, wAdj *rma.Window) {
 // is nil — a supervised run yields complete results or none — and the
 // snapshot itself is untouched: it holds no model-visible per-run state (the
 // caches of a rank that unwound never return to the free list), so the
-// caller can simply run again.
+// caller can simply run again. An AdjScorePolicy outside ScoreLRU and
+// ScoreDegree is an error before anything starts.
 func (s *Snapshot) launch(ctx context.Context, opt Options, c int, lccOut []float64,
 	prepare func(*rma.Comm), body func(*worker) int64) (*Result, error) {
+	if opt.AdjScorePolicy > ScoreDegree {
+		return nil, fmt.Errorf("lcc: unknown C_adj score policy %d", opt.AdjScorePolicy)
+	}
 	opt = s.options(opt)
 	comm := rma.NewCommWorkers(s.ranks*c, opt.Model, opt.Workers)
 	opt.configureCharges(comm)

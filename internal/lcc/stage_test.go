@@ -233,9 +233,8 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 	}
 }
 
-// TestDecisionPassMatchesRecorded runs each C_adj score policy — cost-benefit
-// and degree+recency, whose recency refresh the pass makes, included —
-// through every engine forEachEdge serves, single- and double-buffered,
+// TestDecisionPassMatchesRecorded runs both C_adj score policies through
+// every engine forEachEdge serves, single- and double-buffered,
 // fault-free and under cache and get faults, over two layouts, and holds a
 // digest of each run's fingerprint and per-rank cache statistics to the one
 // recorded at the commit before the decision pass existed.
@@ -266,7 +265,6 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		want   uint64
 	}{
 		{ScoreLRU, 0xb6bdeb0732c0f5b6}, {ScoreDegree, 0xd40cfce453c9a076},
-		{ScoreCostBenefit, 0xe91b635cb8e00321}, {ScoreDegreeRecency, 0xfe22331fde9d39b7},
 	} {
 		h, _ := decisionDigest(t, g, cachedOpts(2, 1<<9, 1<<12, tc.policy), []*fault.Spec{nil, cacheFaults}, false)
 		if h != tc.want {
@@ -275,11 +273,11 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		off, adj int
-		want     [4]uint64 // per policy, in ScorePolicy order
+		want     [2]uint64 // per policy, in ScorePolicy order
 	}{
-		{16 << 10, 256 << 10, [4]uint64{0x2a26fbc4264f8403, 0xbe5f997800e12668, 0xae790be0545f0e14, 0xbe5f997800e12668}},
-		{512, 256 << 10, [4]uint64{0x3785773ac0242a3a, 0xbb037d9f44ac798a, 0xa2fd10cc4c2bd0a1, 0xbb037d9f44ac798a}},
-		{16 << 10, 4 << 10, [4]uint64{0x9f36783572de1cb2, 0x65684cbc15cc7614, 0xe0b7714366c98e04, 0xb33d07253cd141a3}},
+		{16 << 10, 256 << 10, [2]uint64{0x2a26fbc4264f8403, 0xbe5f997800e12668}},
+		{512, 256 << 10, [2]uint64{0x3785773ac0242a3a, 0xbb037d9f44ac798a}},
+		{16 << 10, 4 << 10, [2]uint64{0x9f36783572de1cb2, 0x65684cbc15cc7614}},
 	} {
 		for policy, want := range tc.want {
 			opt := cachedOpts(2, tc.off, tc.adj, ScorePolicy(policy))
