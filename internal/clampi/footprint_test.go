@@ -22,15 +22,13 @@ import (
 func TestCacheFootprint(t *testing.T) {
 	const vertices = 1 << 16
 	rng := rand.New(rand.NewPCG(18, 1))
-	pairs := make([]uint64, 2*vertices)
-	for v, end := 0, uint64(0); v < vertices; v++ {
-		pairs[2*v] = end
-		end += uint64(16 + rng.IntN(33))
-		pairs[2*v+1] = end
+	offsets := make([]uint64, vertices+1)
+	for v := range vertices {
+		offsets[v+1] = offsets[v] + uint64(16+rng.IntN(33))
 	}
 	comm := rma.NewComm(2, rma.DefaultCostModel())
-	wOff := comm.CreateUint64Window("off", [][]uint64{nil, pairs})
-	wAdj := comm.CreateVertexWindow("adj", [][]graph.V{nil, make([]graph.V, pairs[len(pairs)-1])})
+	wOff := comm.CreateOffsetsWindow("off", [][]uint64{nil, offsets})
+	wAdj := comm.CreateVertexWindow("adj", [][]graph.V{nil, make([]graph.V, offsets[vertices])})
 	r := comm.Rank(0)
 	r.LockAll(wOff)
 	r.LockAll(wAdj)
@@ -44,7 +42,7 @@ func TestCacheFootprint(t *testing.T) {
 		{"offsets", New(r, wOff, Config{Capacity: 1 << 18, Buckets: 1 << 14}),
 			func(c *Cache, v int) *Request { return c.Get(1, 16*v, 16) }},
 		{"adjacency", New(r, wAdj, Config{Capacity: 1 << 22, Buckets: 1 << 15}),
-			func(c *Cache, v int) *Request { return c.Get(1, 4*int(pairs[2*v]), 4*int(pairs[2*v+1]-pairs[2*v])) }},
+			func(c *Cache, v int) *Request { return c.Get(1, 4*int(offsets[v]), 4*int(offsets[v+1]-offsets[v])) }},
 	} {
 		c, peak := tc.c, 0
 		for i := 0; i < 200_000; i++ {

@@ -10,10 +10,10 @@ import (
 )
 
 // oneSizeWorld is a three-rank world whose ranks 1 and 2 expose n offset
-// pairs each, and rank 0's handle.
+// records each, and rank 0's handle.
 func oneSizeWorld(n int) (*rma.Rank, *rma.Window) {
 	comm := rma.NewComm(3, rma.DefaultCostModel())
-	w := comm.CreateUint64Window("off", [][]uint64{nil, make([]uint64, 2*n), make([]uint64, 2*n)})
+	w := comm.CreateOffsetsWindow("off", [][]uint64{nil, make([]uint64, n+1), make([]uint64, n+1)})
 	r := comm.Rank(0)
 	r.LockAll(w)
 	return r, w

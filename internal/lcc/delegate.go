@@ -22,30 +22,30 @@ import (
 // ground wherever reuse is dynamic — and the oracle still pays its memory
 // on every rank for vertices that particular rank never touches.
 
-// Delegation is an immutable set of replicated adjacency lists, shared
-// read-only by every rank. The zero value delegates nothing.
+// Delegation is an immutable set of vertices whose lists every rank reads
+// from the owner's CSR at local-memory cost. The zero value delegates nothing.
 type Delegation struct {
-	lists map[graph.V][]graph.V
+	set   []uint64 // bit v set: v is delegated; nil until one is
+	n     int
 	bytes int
 }
 
 // delegationEntryOverhead is the per-entry bookkeeping charge (index slot
-// plus bounds), mirroring the 16-byte (start,end) pair a cached offsets
+// plus bounds), mirroring the 16-byte (start,end) record a cached offsets
 // entry occupies, so delegation and cache budgets are comparable.
 const delegationEntryOverhead = 16
 
 // BuildDelegation selects the vertices with the highest in-degree — the
 // number of adjacency lists that name them, which is what the expected
 // remote-access count of §III-B tracks — greedily until the per-rank byte
-// budget is exhausted, and returns their replicated out-adjacency lists.
-// Each entry charges 4 bytes per neighbour plus a 16-byte header. Ties are
-// broken by vertex id so the selection is deterministic.
+// budget is exhausted. Each entry charges the replica a rank would hold, 4
+// bytes per neighbour plus a 16-byte header. Ties are broken by vertex id so
+// the selection is deterministic.
 func BuildDelegation(g graph.Store, budgetBytes int) *Delegation {
 	d := &Delegation{}
 	if budgetBytes <= 0 {
 		return d
 	}
-	d.lists = make(map[graph.V][]graph.V)
 	n := g.NumVertices()
 	indeg := storeInDegrees(g)
 	order := make([]graph.V, n)
@@ -70,10 +70,11 @@ func BuildDelegation(g graph.Store, budgetBytes int) *Delegation {
 			}
 			continue
 		}
-		// AdjInto with a nil buffer aliases the CSR for plain stores and
-		// decodes a fresh owned copy for compressed ones; either way the
-		// replica is stable for the lifetime of the delegation.
-		d.lists[v] = g.AdjInto(v, nil)
+		if d.set == nil {
+			d.set = make([]uint64, (n+63)/64)
+		}
+		d.set[v/64] |= 1 << (v % 64)
+		d.n++
 		d.bytes += cost
 	}
 	return d
@@ -96,15 +97,15 @@ func storeInDegrees(g graph.Store) []int {
 	return in
 }
 
-// Lookup returns the replicated adjacency list of v, if v was delegated.
-// An empty delegation — off, or a budget nothing fits — answers from the
-// length check, without a map lookup: every remote fetch asks.
-func (d *Delegation) Lookup(v graph.V) ([]graph.V, bool) {
-	if d == nil || len(d.lists) == 0 {
-		return nil, false
+// Has reports whether v was delegated. An empty delegation — off, or a
+// budget nothing fits — has no set and answers from its length: every
+// remote fetch asks.
+func (d *Delegation) Has(v graph.V) bool {
+	if d == nil {
+		return false
 	}
-	l, ok := d.lists[v]
-	return l, ok
+	word := int(v / 64)
+	return word < len(d.set) && d.set[word]&(1<<(v%64)) != 0
 }
 
 // Len returns the number of delegated vertices.
@@ -112,11 +113,11 @@ func (d *Delegation) Len() int {
 	if d == nil {
 		return 0
 	}
-	return len(d.lists)
+	return d.n
 }
 
-// Bytes returns the per-rank memory the delegation occupies, including the
-// per-entry overhead.
+// Bytes returns the per-rank memory the delegation models — the replica a
+// rank would hold, including the per-entry overhead.
 func (d *Delegation) Bytes() int {
 	if d == nil {
 		return 0

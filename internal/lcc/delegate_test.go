@@ -42,14 +42,14 @@ func TestBuildDelegationPicksHubsFirst(t *testing.T) {
 	if d.Len() != 1 {
 		t.Fatalf("delegated %d vertices, want exactly the hub", d.Len())
 	}
-	if _, ok := d.Lookup(0); !ok {
+	if !d.Has(0) {
 		t.Error("hub vertex 0 not delegated")
 	}
 }
 
 func TestDelegationLookupNilSafe(t *testing.T) {
 	var d *Delegation
-	if _, ok := d.Lookup(3); ok {
+	if d.Has(3) {
 		t.Error("nil delegation claimed a hit")
 	}
 	if d.Len() != 0 || d.Bytes() != 0 {

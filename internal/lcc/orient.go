@@ -22,10 +22,9 @@ import (
 //
 // Entries are constants of the graph, filled by whichever rank first
 // fetches the vertex, from the fetched list itself — every source of
-// adj(v_j) (owner CSR, window view, cache hit, delegation replica, decode
-// buffer) holds the same ids — and published with atomics, so concurrent
-// runs share one index and a run's results do not depend on what ran
-// before. Host memory only: 4 bytes per vertex, and per dense hub a 72-byte
+// adj(v_j) (owner CSR, window view, cache hit, decode buffer) holds the
+// same ids — and published with atomics, so concurrent runs share one index
+// and a run's results do not depend on what ran before. Host memory only: 4 bytes per vertex, and per dense hub a 72-byte
 // entry that holds the set's header (allocated a page at a time) and the
 // set's arrays, twelve bytes per spanned 64-id word (at most twelve per id),
 // carved from 64 KiB chunks (mem); not counted by LocalBytes, freed with the

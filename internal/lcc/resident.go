@@ -85,7 +85,7 @@ func (s *Snapshot) residentCaches(w *worker, offCfg, adjCfg clampi.Config) (off,
 // targets of every arc of its slot that lie in another slot and are not
 // delegated, once each. That covers what any engine's walk fetches, and any
 // replica's share of it, so the answer holds for every run on the snapshot.
-// A target the snapshot cannot resolve to a pair makes neither cache
+// A target the snapshot cannot resolve to a record makes neither cache
 // resident: the walk faults on it as it always did. tm's map is left clear.
 func (w *worker) checkResident(tm *touchMap) uint32 {
 	seen := tm.off
@@ -102,10 +102,10 @@ func (w *worker) checkResident(tm *touchMap) uint32 {
 			if slot == w.slot {
 				continue
 			}
-			if _, ok := w.deleg.Lookup(vj); ok {
+			if w.deleg.Has(vj) {
 				continue
 			}
-			if slot >= len(w.pairs) || 2*lj+1 >= len(w.pairs[slot]) {
+			if _, _, ok := w.record(slot, lj); !ok {
 				return ansChecked
 			}
 			seen[vj/64] |= 1 << (vj % 64)
@@ -118,7 +118,7 @@ func (w *worker) checkResident(tm *touchMap) uint32 {
 					slot, li := unpackResolve(w.resolve[i*64+bits.TrailingZeros64(word)])
 					k := clampi.Coord{Target: w.ownerBase + slot, Offset: 16 * li, Size: 16}
 					if adj {
-						start, end := w.pairs[slot][2*li], w.pairs[slot][2*li+1]
+						start, end, _ := w.record(slot, li)
 						k.Offset, k.Size = 4*int(start), 4*int(end-start)
 					}
 					if !yield(k) {
@@ -153,13 +153,13 @@ func firstTouch(bits []uint64, v graph.V) bool {
 
 // adjTouchVertex is the vertex whose C_adj first-touch bit stands for the
 // empty list of vj, local index li of slot, at start: the slot's first
-// vertex with that start. Offset pairs do not decrease along a slot, and a
+// vertex with that start. Offsets do not decrease along a slot, and a
 // non-empty list moves the next start past its own, so the vertices with
 // that start are a run of empty lists (and perhaps one non-empty list after
 // them): one key, one bit.
 func (w *worker) adjTouchVertex(vj graph.V, slot, li int, start uint64) graph.V {
-	p := w.pairs[slot]
-	first := sort.Search(li, func(x int) bool { return p[2*x] >= start })
+	off := w.locals[slot].Offsets
+	first := sort.Search(li, func(x int) bool { return off[x] >= start })
 	if first == li {
 		return vj
 	}

@@ -13,12 +13,13 @@ import (
 )
 
 // Snapshot is the per-graph half of a distributed run: the partition, the
-// extracted per-rank CSRs, the precomputed (start,end) offset pairs the
-// windows expose, the packed resolve table and the static delegation
-// replica. All of it is immutable once built and — unlike the communicator,
-// the caches and the clocks — independent of any particular query, so one
-// snapshot is shared by any number of sequential or concurrent runs over
-// the same graph (the serving layer keeps exactly one per loaded instance).
+// extracted per-rank CSRs (what both windows serve and delegated reads read;
+// checksummed with the packed resolve table, see Verify), the resolve table
+// and the static delegation set. All of it is immutable once built and —
+// unlike the communicator, the caches and the clocks — independent of any
+// particular query, so one snapshot is shared by any number of sequential or
+// concurrent runs over the same graph (the serving layer keeps exactly one
+// per loaded instance).
 //
 // Every engine runs on one: the one-shot entry points (Run, RunJaccard,
 // RunPush, RunReplicated) build a snapshot and launch on it, so a run through
@@ -54,7 +55,6 @@ type Snapshot struct {
 
 	pt      *part.Partition
 	locals  []*part.LocalCSR
-	pairs   [][]uint64
 	resolve []uint64
 	deleg   *Delegation
 
@@ -193,14 +193,13 @@ func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	compressed := compressLocals(g, so.Storage, so.MemBudgetBytes)
+	compressed := compressLocals(g, so.Ranks, so.Storage, so.MemBudgetBytes)
 	s := &Snapshot{
 		src: g, kind: g.Kind(), n: g.NumVertices(),
 		ranks: so.Ranks, scheme: so.Scheme, delegateBytes: so.DelegateBytes,
 		storage: so.Storage,
 		pt:      pt,
 		locals:  make([]*part.LocalCSR, so.Ranks),
-		pairs:   make([][]uint64, so.Ranks),
 		resolve: make([]uint64, g.NumVertices()),
 		sums:    make([]rankSums, so.Ranks),
 		deleg:   BuildDelegation(g, so.DelegateBytes),
@@ -209,10 +208,9 @@ func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 	// A rank's tables are built and summed by one core while they are still
 	// in its cache, the ranks on every core at once.
 	sched.Fan(so.Ranks, g.NumVertices()+g.NumArcs(), func(r int) {
-		lc := part.Extract(g, pt, r, compressed)
-		s.locals[r], s.pairs[r] = lc, offsetPairs(lc)
+		s.locals[r] = part.Extract(g, pt, r, compressed)
 		resolveRank(s.resolve, pt, r)
-		s.sums[r] = sumsOf(lc)
+		s.sums[r] = sumsOf(s.locals[r])
 	})
 	s.resolveSum = checksum(s.resolve)
 	s.ahead = s.LocalBytes() >= stageMinBytes
@@ -258,23 +256,24 @@ func (s *Snapshot) options(opt Options) Options {
 }
 
 // windows exposes the snapshot's partitions in a fresh communicator as the
-// two typed, read-only RMA windows every engine reads: offsets as (start,end)
-// uint64 pairs — one 16-byte get fetches both bounds of an adjacency list
-// (Fig. 3 reads offsets[li] and offsets[li+1] in one operation) — and the
-// adjacency arrays as native []graph.V aliasing the partitions' own CSR
-// storage. Compressed locals get a CompressedVertices adjacency window: same
-// name, same byte geometry, same charges and cache keys — only the host-side
-// backing store differs. A communicator of c·Ranks ranks holds c replica
-// groups: rank r exposes partition r mod Ranks, and the replicas of a slot
-// share its arrays, so the window sizes — the memory accounting of the 2.5D
-// trade — are those of c copies while the host holds one.
+// two typed, read-only RMA windows every engine reads, both aliasing the
+// partitions' own CSR storage: the offsets arrays served as (start,end)
+// records — one 16-byte get fetches both bounds of an adjacency list (Fig. 3
+// reads offsets[li] and offsets[li+1] in one operation) — and the adjacency
+// arrays as native []graph.V. Compressed locals get a CompressedVertices
+// adjacency window: same name, same byte geometry, same charges and cache
+// keys — only the host-side backing store differs. A communicator of
+// c·Ranks ranks holds c replica groups: rank r exposes partition r mod
+// Ranks, and the replicas of a slot share its arrays, so the window sizes —
+// the memory accounting of the 2.5D trade — are those of c copies while the
+// host holds one.
 func (s *Snapshot) windows(comm *rma.Comm) (wOff, wAdj *rma.Window) {
 	p := comm.NumRanks()
 	offs := make([][]uint64, p)
 	for r := range offs {
-		offs[r] = s.pairs[r%s.ranks]
+		offs[r] = s.locals[r%s.ranks].Offsets
 	}
-	wOff = comm.CreateUint64Window("offsets", offs)
+	wOff = comm.CreateOffsetsWindow("offsets", offs)
 	if s.locals[0].Compressed() {
 		comps := make([]*graph.CompressedAdj, p)
 		for r := range comps {

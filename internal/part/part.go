@@ -279,8 +279,8 @@ type LocalCSR struct {
 	Adj     []graph.V // concatenated adjacency lists, global ids (nil when compressed)
 	// Comp holds the varint/delta-compressed adjacency plane when the rank's
 	// lists are stored compressed (Adj is nil then). Offsets stays plain —
-	// it backs the offsets window, whose byte image is model-visible and
-	// pinned regardless of how adjacency is stored host-side.
+	// the offsets window serves it as the (start,end) records its byte image
+	// pins, model-visible regardless of how adjacency is stored host-side.
 	Comp *graph.CompressedAdj
 }
 

@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -37,10 +38,10 @@ func TestTypedWindows(t *testing.T) {
 	c := testComm(2)
 	u := []uint64{5, 6, 7, 8}
 	v := []graph.V{1, 2, 3, 4, 5, 6}
-	wu := c.CreateUint64Window("u64", [][]uint64{nil, u})
+	wu := c.CreateOffsetsWindow("offsets", [][]uint64{nil, u})
 	wv := c.CreateVertexWindow("verts", [][]graph.V{nil, v})
-	if wu.SizeAt(1) != 32 || wv.SizeAt(1) != 24 {
-		t.Fatalf("SizeAt = %d/%d, want 32/24 bytes", wu.SizeAt(1), wv.SizeAt(1))
+	if wu.SizeAt(0) != 0 || wu.SizeAt(1) != 48 || wv.SizeAt(1) != 24 {
+		t.Fatalf("SizeAt = %d, %d/%d, want 0, 48/24 bytes", wu.SizeAt(0), wu.SizeAt(1), wv.SizeAt(1))
 	}
 	r := c.Rank(0)
 	r.LockAll(wu)
@@ -49,10 +50,15 @@ func TestTypedWindows(t *testing.T) {
 	defer r.UnlockAll(wv)
 
 	var q Request
-	r.GetInto(&q, wu, 1, 8, 16) // elements 1..2
+	r.GetInto(&q, wu, 1, 16, 16) // record 1: (offsets[1], offsets[2])
 	q.Wait()
-	if got := q.Uint64s(); len(got) != 2 || got[0] != 6 || got[1] != 7 || &got[0] != &u[1] {
+	if got := q.Uint64s(); len(got) != 2 || got[0] != 6 || got[1] != 7 || &got[0] != &u[1] || cap(got) != 2 {
 		t.Errorf("Uint64s = %v (aliased=%v)", got, len(got) == 2 && &got[0] == &u[1])
+	}
+	r.GetInto(&q, wu, 1, 48, 0)
+	q.Wait()
+	if got := q.Uint64s(); len(got) != 0 {
+		t.Errorf("zero-byte get = %v, want empty", got)
 	}
 
 	r.GetInto(&q, wv, 1, 4, 12) // elements 1..3
@@ -61,7 +67,9 @@ func TestTypedWindows(t *testing.T) {
 		t.Errorf("Vertices = %v", got)
 	}
 
-	mustPanic(t, "misaligned uint64 get", func() { r.GetInto(&q, wu, 1, 4, 8) })
+	for _, at := range [][2]int{{8, 16}, {0, 32}, {16, 8}} {
+		mustPanic(t, fmt.Sprintf("offsets get [%d:+%d)", at[0], at[1]), func() { r.GetInto(&q, wu, 1, at[0], at[1]) })
+	}
 	mustPanic(t, "Accumulate on typed window", func() { r.Accumulate(wu, 1, 0, 1) })
 }
 
@@ -92,12 +100,16 @@ func TestGetAllocFree(t *testing.T) {
 	c := testComm(2)
 	ro := c.CreateReadOnlyWindow("ro", [][]byte{nil, make([]byte, 1024)})
 	rw := c.CreateWindow("rw", [][]byte{nil, make([]byte, 1024)})
-	wu := c.CreateUint64Window("u64", [][]uint64{nil, make([]uint64, 128)})
+	wu := c.CreateOffsetsWindow("offsets", [][]uint64{nil, make([]uint64, 128)})
 	wv := c.CreateVertexWindow("verts", [][]graph.V{nil, make([]graph.V, 256)})
 	r := c.Rank(0)
 	var q Request
 	get := func(w *Window) func() {
-		return func() { r.GetInto(&q, w, 1, 64, 64); q.Wait() }
+		size := 64
+		if w == wu {
+			size = 16 // one (start,end) record
+		}
+		return func() { r.GetInto(&q, w, 1, 64, size); q.Wait() }
 	}
 	for _, row := range []struct {
 		name string
@@ -106,7 +118,7 @@ func TestGetAllocFree(t *testing.T) {
 	}{
 		{"readonly GetInto+Wait", ro, get(ro)},
 		{"writable GetInto+Wait", rw, get(rw)},
-		{"uint64 GetInto+Wait", wu, get(wu)},
+		{"offsets GetInto+Wait", wu, get(wu)},
 		{"vertices GetInto+Wait", wv, get(wv)},
 		{"Accumulate+FlushAll", rw, func() { r.Accumulate(rw, 1, 64, 1); r.FlushAll(rw) }},
 	} {

@@ -73,10 +73,9 @@ const (
 	// ReadOnlyBytes exposes immutable byte data: Get returns an aliased
 	// subslice of the target region, no copy. Accumulate panics.
 	ReadOnlyBytes
-	// ReadOnlyUint64s exposes immutable []uint64 data natively (the
-	// offset pairs of Fig. 3); Get returns an aliased []uint64 view via
-	// Request.Uint64s. Offsets and sizes remain byte-addressed.
-	ReadOnlyUint64s
+	// ReadOnlyOffsets exposes an immutable CSR offsets array as its lists'
+	// (start,end) records (Fig. 3), record i at byte 16·i; see ViewUint64s.
+	ReadOnlyOffsets
 	// ReadOnlyVertices exposes immutable []graph.V data natively (the
 	// adjacency arrays of Fig. 3); Get returns an aliased []graph.V view
 	// via Request.Vertices. Offsets and sizes remain byte-addressed.
@@ -98,8 +97,8 @@ func (k WindowKind) String() string {
 		return "writable-bytes"
 	case ReadOnlyBytes:
 		return "readonly-bytes"
-	case ReadOnlyUint64s:
-		return "readonly-uint64s"
+	case ReadOnlyOffsets:
+		return "readonly-offsets"
 	case ReadOnlyVertices:
 		return "readonly-vertices"
 	case CompressedVertices:
@@ -111,7 +110,7 @@ func (k WindowKind) String() string {
 
 // Window is a logically distributed memory region: each rank contributes a
 // local region that remote peers can read with one-sided Gets ("network
-// exposed" in Fig. 3 of the paper). Exactly one of loc/locU/locV is
+// exposed" in Fig. 3 of the paper). Exactly one of loc/locU/locV/locZ is
 // populated, according to kind; all public addressing is in bytes
 // regardless of kind, so cost accounting and cache keys are uniform.
 type Window struct {
@@ -119,7 +118,7 @@ type Window struct {
 	comm *Comm
 	kind WindowKind
 	loc  [][]byte               // WritableBytes / ReadOnlyBytes
-	locU [][]uint64             // ReadOnlyUint64s
+	locU [][]uint64             // ReadOnlyOffsets
 	locV [][]graph.V            // ReadOnlyVertices
 	locZ []*graph.CompressedAdj // CompressedVertices
 }
@@ -150,11 +149,12 @@ func (c *Comm) CreateReadOnlyWindow(name string, local [][]byte) *Window {
 	return c.register(&Window{name: name, comm: c, kind: ReadOnlyBytes, loc: local}, len(local))
 }
 
-// CreateUint64Window creates a read-only window natively exposing []uint64
-// regions, eliminating the encode copy at setup and the decode at every
-// fetch. Byte addressing: rank i exposes 8*len(local[i]) bytes.
-func (c *Comm) CreateUint64Window(name string, local [][]uint64) *Window {
-	return c.register(&Window{name: name, comm: c, kind: ReadOnlyUint64s, locU: local}, len(local))
+// CreateOffsetsWindow creates a read-only window over per-rank CSR offsets
+// arrays, served as their (start,end) records (ReadOnlyOffsets) with no copy
+// at setup and no decode at a fetch. Byte addressing: rank i exposes
+// 16*(len(local[i])-1) bytes, one record per list.
+func (c *Comm) CreateOffsetsWindow(name string, local [][]uint64) *Window {
+	return c.register(&Window{name: name, comm: c, kind: ReadOnlyOffsets, locU: local}, len(local))
 }
 
 // CreateVertexWindow creates a read-only window natively exposing []graph.V
@@ -181,8 +181,8 @@ func (w *Window) ReadOnly() bool { return w.kind != WritableBytes }
 // SizeAt returns the byte length of the region rank exposes.
 func (w *Window) SizeAt(rank int) int {
 	switch w.kind {
-	case ReadOnlyUint64s:
-		return 8 * len(w.locU[rank])
+	case ReadOnlyOffsets:
+		return 16 * max(len(w.locU[rank])-1, 0)
 	case ReadOnlyVertices:
 		return 4 * len(w.locV[rank])
 	case CompressedVertices:
@@ -192,17 +192,22 @@ func (w *Window) SizeAt(rank int) int {
 	}
 }
 
-// ViewUint64s returns the aliased typed view of a byte range in a
-// ReadOnlyUint64s window. offset and size are in bytes and must be
-// 8-aligned.
+// ViewUint64s returns the aliased view of a byte range in a ReadOnlyOffsets
+// window: the record at offset, offsets[i:i+2] for i = offset/16, when size
+// is 16 and offset 16-aligned; an empty view when size is 0. Any other range
+// panics.
 func (w *Window) ViewUint64s(target, offset, size int) []uint64 {
-	if w.kind != ReadOnlyUint64s {
+	if w.kind != ReadOnlyOffsets {
 		panic(fmt.Sprintf("rma: ViewUint64s on %v window %q", w.kind, w.name))
 	}
-	if offset%8 != 0 || size%8 != 0 {
-		panic(fmt.Sprintf("rma: misaligned uint64 view [%d:+%d) on %q", offset, size, w.name))
+	if size == 0 {
+		return nil
 	}
-	return w.locU[target][offset/8 : (offset+size)/8 : (offset+size)/8]
+	if offset%16 != 0 || size != 16 {
+		panic(fmt.Sprintf("rma: offsets window %q serves one 16-byte record, not [%d:+%d)", w.name, offset, size))
+	}
+	i := offset / 16
+	return w.locU[target][i : i+2 : i+2]
 }
 
 // ViewVertices returns the aliased typed view of a byte range in a
@@ -440,7 +445,7 @@ func (r *Rank) UnlockAll(w *Window) {
 type Request struct {
 	rank       *Rank
 	data       []byte    // byte windows: snapshot (writable) or view (read-only)
-	u64        []uint64  // ReadOnlyUint64s windows: aliased view
+	u64        []uint64  // ReadOnlyOffsets windows: aliased view
 	verts      []graph.V // ReadOnlyVertices: aliased view; CompressedVertices: decoded into vbuf
 	buf        []byte    // owned snapshot storage, reused across gets
 	vbuf       []graph.V // owned decode storage (CompressedVertices), reused across gets
@@ -461,9 +466,9 @@ func (q *Request) Data() []byte {
 	return q.data
 }
 
-// Uint64s returns the typed view read by a completed get on a
-// ReadOnlyUint64s window. The view aliases the window region and outlives
-// the request.
+// Uint64s returns the record read by a completed get on a ReadOnlyOffsets
+// window. The view aliases the window's offsets array and outlives the
+// request.
 func (q *Request) Uint64s() []uint64 {
 	if !q.done {
 		panic("rma: Uint64s() before Wait; a get completes only at its Wait")
@@ -508,7 +513,7 @@ func (q *Request) resolve(w *Window, target, offset, size int) {
 		q.data = b
 	case ReadOnlyBytes:
 		q.data = w.loc[target][offset : offset+size : offset+size]
-	case ReadOnlyUint64s:
+	case ReadOnlyOffsets:
 		q.u64 = w.ViewUint64s(target, offset, size)
 	case ReadOnlyVertices:
 		q.verts = w.ViewVertices(target, offset, size)
@@ -628,8 +633,8 @@ func MaxClock(ranks []*Rank) float64 {
 // --- typed window helpers ------------------------------------------------
 
 // EncodeUint64s serializes vals little-endian for exposure in a byte window
-// (used by serialization formats; the engines expose uint64 data natively
-// via CreateUint64Window instead).
+// (used by serialization formats; the engines expose their offsets natively
+// via CreateOffsetsWindow instead).
 func EncodeUint64s(vals []uint64) []byte {
 	out := make([]byte, 8*len(vals))
 	for i, v := range vals {

@@ -4,7 +4,7 @@
 //
 // An Instance owns one loaded graph Snapshot (internal/lcc) — the
 // immutable per-graph half of the engine setup: partition, per-rank CSRs,
-// offset pairs, resolve table, delegation replica — and serves queries
+// resolve table, delegation set — and serves queries
 // against it. Every run gets a fresh communicator, clocks and caches, so
 // queries share the snapshot and nothing else; results are bit-identical
 // to the corresponding one-shot lcc.Run.
