@@ -203,26 +203,13 @@ const (
 	ScoreDegree = lcc.ScoreDegree
 )
 
-// PushAggregation selects how the push-mode engine ships triangle
-// contributions: direct per-corner accumulates or locally combined batches.
-type PushAggregation = lcc.PushAggregation
-
-// Push aggregation modes.
-const (
-	PushDirect  = lcc.PushDirect
-	PushBatched = lcc.PushBatched
-)
-
-// LCCPushOptions configure a push-mode distributed run (future work ii:
-// the push side of the push–pull dichotomy).
-type LCCPushOptions = lcc.PushOptions
-
-// RunLCCPush computes LCC with the push-mode engine: each triangle is
-// discovered exactly once and its two non-discovering corners receive
-// their contribution through one-sided accumulates. Results are
+// RunLCCPush computes LCC with the push-mode engine (future work ii: the
+// push side of the push–pull dichotomy): each triangle is discovered
+// exactly once and its two non-discovering corners receive their
+// contribution through batched one-sided accumulates. Results are
 // bit-identical to RunLCC on undirected graphs; directed graphs are
 // rejected.
-func RunLCCPush(g GraphStore, opt LCCPushOptions) (*LCCResult, error) {
+func RunLCCPush(g GraphStore, opt LCCOptions) (*LCCResult, error) {
 	return lcc.RunPush(g, opt)
 }
 

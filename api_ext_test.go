@@ -73,10 +73,7 @@ func TestFacadePushPull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push, err := repro.RunLCCPush(g, repro.LCCPushOptions{
-		Options:     repro.LCCOptions{Ranks: 4, Method: repro.MethodHybrid},
-		Aggregation: repro.PushBatched,
-	})
+	push, err := repro.RunLCCPush(g, repro.LCCOptions{Ranks: 4, Method: repro.MethodHybrid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +86,7 @@ func TestFacadePushPull(t *testing.T) {
 		}
 	}
 	directed := repro.Prepare(repro.RMAT(8, 8, repro.Directed, 23), 23)
-	if _, err := repro.RunLCCPush(directed, repro.LCCPushOptions{
-		Options: repro.LCCOptions{Ranks: 2},
-	}); err == nil {
+	if _, err := repro.RunLCCPush(directed, repro.LCCOptions{Ranks: 2}); err == nil {
 		t.Error("RunLCCPush accepted a directed graph")
 	}
 }

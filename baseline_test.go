@@ -20,28 +20,16 @@ import (
 // those bits were recorded while p2p still deferred its charges to a tape
 // folded at clock reads, and folding each charge where it is made must
 // reproduce them exactly. Then the
-// push engine's write path under accumulate failures, direct and batched:
-// the fault draws key on the class value, and a remote write's flush waits
-// on its retried completion, so a renumbered fault class or a changed flush
-// rule moves these bits.
+// push engine's write path under accumulate failures: the fault draws key
+// on the class value, and a remote write's flush waits on its retried
+// completion, so a renumbered fault class or a changed flush rule moves
+// these bits.
 func TestBaselineSimTimeBits(t *testing.T) {
 	g := gen.MustLoad("fb-sim")
 	tricRun := func(opt tric.Options) func(int) (float64, int64) {
 		return func(workers int) (float64, int64) {
 			opt.Ranks, opt.Workers, opt.Method = 4, workers, intersect.MethodHybrid
 			res := tric.MustRun(g, opt)
-			return res.SimTime, res.Triangles
-		}
-	}
-	pushRun := func(agg lcc.PushAggregation) func(int) (float64, int64) {
-		return func(workers int) (float64, int64) {
-			opt := goldenBase()
-			opt.Workers = workers
-			opt.Faults = &fault.Spec{Seed: 5, AccFailPct: 0.05}
-			res, err := lcc.RunPush(g, lcc.PushOptions{Options: opt, Aggregation: agg})
-			if err != nil {
-				t.Fatal(err)
-			}
 			return res.SimTime, res.Triangles
 		}
 	}
@@ -56,8 +44,16 @@ func TestBaselineSimTimeBits(t *testing.T) {
 			res := disttc.MustRun(g, disttc.Options{Ranks: 4, Workers: workers})
 			return res.SimTime, res.Triangles
 		}, 0x4136d4a5cccccccc},
-		{"push-direct/acc", pushRun(lcc.PushDirect), 0x41b03b873e3324e6},
-		{"push-batched/acc", pushRun(lcc.PushBatched), 0x418f03fb880008fd},
+		{"push/acc", func(workers int) (float64, int64) {
+			opt := goldenBase()
+			opt.Workers = workers
+			opt.Faults = &fault.Spec{Seed: 5, AccFailPct: 0.05}
+			res, err := lcc.RunPush(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.SimTime, res.Triangles
+		}, 0x418f03fb880008fd},
 	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -171,7 +171,7 @@ func BenchmarkRMAAccumulate(b *testing.B) {
 	defer r.UnlockAll(w)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Accumulate(w, 1, (i%512)*8, 1)
+		r.AccumulateBatch(w, 1, []rma.Update{{Offset: (i % 512) * 8, Delta: 1}})
 		if i%64 == 63 {
 			r.FlushAll(w)
 		}

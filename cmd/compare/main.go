@@ -95,10 +95,7 @@ func main() {
 		notes: fmt.Sprintf("%.0f%% hit rate", 100*cached.HitRate())})
 
 	if g.Kind() == graph.Undirected && !skipped["push"] {
-		pushed, err := lcc.RunPush(g, lcc.PushOptions{
-			Options:     lcc.Options{Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true},
-			Aggregation: lcc.PushBatched,
-		})
+		pushed, err := lcc.RunPush(g, lcc.Options{Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true})
 		if err != nil {
 			fatal(err)
 		}

@@ -71,7 +71,6 @@ func run(args []string, out io.Writer) error {
 		degScores = fs.Bool("degree-scores", false, "use degree-centrality eviction scores for C_adj (§III-B-2)")
 		noOverlap = fs.Bool("no-overlap", false, "disable double buffering (§III-A)")
 		engine    = fs.String("engine", "pull", `engine: "pull" (Algorithm 3), "push" (§VI ii dichotomy), or "replicated" (§VI i 1.5D)`)
-		pushAgg   = fs.String("push-agg", "batched", `push contribution shipping: "batched" or "direct"`)
 		replicas  = fs.Int("replicas", 2, "graph copies c for -engine replicated (must divide -ranks)")
 		delegate  = fs.Int("delegate", 0, "static vertex-delegation budget in bytes per rank (0 = off)")
 		top       = fs.Int("top", 5, "print the top-K vertices by LCC")
@@ -104,20 +103,10 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-scheme: %w", err)
 	}
 
-	var agg lcc.PushAggregation
-	switch *pushAgg {
-	case "batched":
-		agg = lcc.PushBatched
-	case "direct":
-		agg = lcc.PushDirect
-	default:
-		return fmt.Errorf(`-push-agg: unknown value %q (want "batched" or "direct")`, *pushAgg)
-	}
-
 	// A flag for a mode the run is not in would be ignored in silence. Visit
 	// sees only the flags the command line set, so no default trips this.
 	needs := map[string]string{"cache-adj": "-cache", "cache-offsets": "-cache", "degree-scores": "-cache",
-		"push-agg": "-engine push", "replicas": "-engine replicated"}
+		"replicas": "-engine replicated"}
 	mode := map[string]bool{"-cache": *caching, "-engine " + *engine: true}
 	var stray []string
 	fs.Visit(func(f *flag.Flag) {
@@ -165,7 +154,7 @@ func run(args []string, out io.Writer) error {
 	case "pull":
 		res, err = lcc.RunCtx(ctx, g, opt)
 	case "push":
-		res, err = lcc.RunPushCtx(ctx, g, lcc.PushOptions{Options: opt, Aggregation: agg})
+		res, err = lcc.RunPushCtx(ctx, g, opt)
 	case "replicated":
 		res, err = lcc.RunReplicatedCtx(ctx, g, lcc.ReplicatedOptions{Options: opt, Replication: *replicas})
 	default:

@@ -17,7 +17,7 @@ func TestRun(t *testing.T) {
 		wantOut string // substring of a successful run's report
 	}{
 		{args: "-scheme cylic", wantErr: "-scheme"},
-		{args: "-push-agg batch", wantErr: `"batched" or "direct"`},
+		{args: "-engine push -push-agg direct", wantErr: "flag provided but not defined: -push-agg"},
 		{args: "-engine pul", wantErr: "unknown engine"},
 		{args: "-method hybird", wantErr: "-method"},
 		{args: "-method hash", wantErr: `-method: intersect: unknown method "hash" (want "hybrid", "ssi" or "binary")`},
@@ -32,14 +32,12 @@ func TestRun(t *testing.T) {
 		{args: "-engine replicated -replicas 0", wantErr: "at least 1"},
 		{args: "-ranks 2 -degree-scores -cache-adj 4096", wantErr: "-cache-adj needs -cache; -degree-scores needs -cache"},
 		{args: "-cache=false -cache-offsets 64", wantErr: "-cache-offsets needs -cache"},
-		{args: "-push-agg direct", wantErr: "-push-agg needs -engine push"},
-		{args: "-engine replicated -push-agg batched", wantErr: "-push-agg needs -engine push"},
 		{args: "-replicas 2", wantErr: "-replicas needs -engine replicated"},
-		{args: "-engine push -replicas 1 -push-agg direct", wantErr: "-replicas needs -engine replicated"},
+		{args: "-engine push -replicas 1", wantErr: "-replicas needs -engine replicated"},
 		{args: "-engine pull -scheme block-arcs", wantOut: "scheme=block-arcs"},
 		{args: "-engine pull -scheme cyclic -cache -degree-scores", wantOut: "scheme=cyclic"},
 		{args: "-cache -cache-offsets 16 -cache-adj 4096", wantOut: "% compulsory), C_adj "},
-		{args: "-engine push -push-agg direct", wantOut: "engine=push"},
+		{args: "-engine push", wantOut: "engine=push"},
 		{args: "-engine replicated -replicas 2", wantOut: "engine=replicated"},
 	} {
 		var out bytes.Buffer

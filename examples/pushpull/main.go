@@ -3,8 +3,8 @@
 // lists it is missing and counts triangles for its own vertices, so each
 // triangle is discovered three times — once per corner owner. The push
 // engine discovers each triangle exactly once (at the owner of its
-// hash-smallest corner) and scatters one-sided accumulates to the other
-// two corners, paying a single closing fence instead.
+// hash-smallest corner), ships the other two corners' contributions in
+// one combined accumulate per peer, and pays a single closing fence.
 //
 // Neither side always wins, and this example shows both regimes:
 //
@@ -41,11 +41,8 @@ func run(g *repro.Graph, name string, ranks int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	push, err := repro.RunLCCPush(g, repro.LCCPushOptions{
-		Options: repro.LCCOptions{
-			Ranks: ranks, Method: repro.MethodHybrid, DoubleBuffer: true,
-		},
-		Aggregation: repro.PushBatched,
+	push, err := repro.RunLCCPush(g, repro.LCCOptions{
+		Ranks: ranks, Method: repro.MethodHybrid, DoubleBuffer: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -66,7 +63,7 @@ func run(g *repro.Graph, name string, ranks int) {
 	fmt.Printf("  %-28s %10.1f ms   hit rate %.0f%%\n", "pull + CLaMPI cache",
 		cached.SimTime/1e6, 100*cached.HitRate())
 	fmt.Printf("  %-28s %10.1f ms   gets %.2fx of pull, %d batched accumulates\n",
-		"push (batched)", push.SimTime/1e6, float64(pushGets)/float64(pullGets), pushPuts)
+		"push", push.SimTime/1e6, float64(pushGets)/float64(pullGets), pushPuts)
 
 	best, t := "pull", pull.SimTime
 	if cached.SimTime < t {

@@ -113,7 +113,7 @@ func TestCrashFailFastDeterminism(t *testing.T) {
 			return err
 		}},
 		{"push", lateCrash, func(opt lcc.Options) error {
-			_, err := lcc.RunPush(g, lcc.PushOptions{Options: opt, Aggregation: lcc.PushBatched})
+			_, err := lcc.RunPush(g, opt)
 			return err
 		}},
 		{"replicated", lateCrash, func(opt lcc.Options) error {

@@ -65,7 +65,7 @@ type goldenRun struct {
 // TestLedgerLaws reads the ledgers from.
 var goldenPerRank []lcc.RankStats
 
-// goldenConfigs is the single source of the pinned values: the eight
+// goldenConfigs is the single source of the pinned values: the seven
 // engine configurations the individual TestGolden* tests assert and the
 // worker sweep replays. Each run function executes its engine at the
 // given worker count, performs any configuration-specific extra checks
@@ -138,24 +138,7 @@ var goldenConfigs = []struct {
 			opt := goldenBase()
 			opt.Workers = workers
 			opt.Faults = faults
-			res, err := lcc.RunPush(g, lcc.PushOptions{Options: opt, Aggregation: lcc.PushBatched})
-			if err != nil {
-				t.Fatal(err)
-			}
-			goldenPerRank = res.PerRank
-			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
-		},
-	},
-	{
-		// Direct accumulates: the one engine that flushes its counter window
-		// mid-walk, every maxOutstandingAccumulates remote writes.
-		name: "push-direct",
-		want: goldenRun{0x4190162c81333073, goldenLCCBits, goldenTriangles, goldenSumT},
-		run: func(t *testing.T, g graph.Store, workers int, faults *fault.Spec) goldenRun {
-			opt := goldenBase()
-			opt.Workers = workers
-			opt.Faults = faults
-			res, err := lcc.RunPush(g, lcc.PushOptions{Options: opt, Aggregation: lcc.PushDirect})
+			res, err := lcc.RunPush(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +225,6 @@ func TestGoldenPull(t *testing.T)       { runGoldenConfig(t, "pull") }
 func TestGoldenCached(t *testing.T)     { runGoldenConfig(t, "cached") }
 func TestGoldenNoise(t *testing.T)      { runGoldenConfig(t, "noise") }
 func TestGoldenPush(t *testing.T)       { runGoldenConfig(t, "push") }
-func TestGoldenPushDirect(t *testing.T) { runGoldenConfig(t, "push-direct") }
 func TestGoldenReplicated(t *testing.T) { runGoldenConfig(t, "replicated") }
 func TestGoldenJaccard(t *testing.T)    { runGoldenConfig(t, "jaccard") }
 func TestGoldenGrid(t *testing.T)       { runGoldenConfig(t, "grid") }

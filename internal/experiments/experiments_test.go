@@ -120,30 +120,6 @@ func TestFig5Smoke(t *testing.T) {
 	}
 }
 
-func TestAblationCutoffSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("model sweep over a full graph")
-	}
-	tab := AblationCutoff()
-	if len(tab.Rows) != 7 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Interior optimum: neither the first (cutoff 0) nor the last
-	// (sequential) row should be the best.
-	best := 0
-	var bestV float64
-	for i := range tab.Rows {
-		var v float64
-		sscan(tab.Rows[i][1], &v)
-		if v > bestV {
-			bestV, best = v, i
-		}
-	}
-	if best == 0 || best == len(tab.Rows)-1 {
-		t.Errorf("cutoff optimum at boundary row %d; expected interior", best)
-	}
-}
-
 func sscan(s string, v *float64) (int, error) {
 	return fmt.Sscan(s, v)
 }

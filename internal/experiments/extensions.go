@@ -213,75 +213,75 @@ func AblationOrientation() *Table {
 // AblationPushPull regenerates A10: the push side of the push–pull
 // dichotomy (§VI ii) against the paper's pull engine. Push discovers each
 // triangle once (at the smallest corner's owner, walking only upper
-// wedges) and scatters +1 contributions to the other two corners through
-// one-sided accumulates; pull discovers each triangle three times but
+// wedges) and ships the +1 contributions of the other two corners in one
+// batched accumulate per peer; pull discovers each triangle three times but
 // needs no write traffic and no synchronization. The table shows where
 // each side wins: caching rescues pull exactly where reuse exists
-// (scale-free), while batched push wins where there is nothing to cache
+// (scale-free), while push wins where there is nothing to cache
 // (flat degree distributions) by halving the get traffic.
 func AblationPushPull() *Table {
 	t := &Table{
 		ID:     "ablation-pushpull",
 		Title:  "Push vs pull triangle counting on the same RMA substrate (A10)",
 		Paper:  "§VI ii: 'graph problems … that can be expressed in a push-pull dichotomy'",
-		Header: []string{"dataset", "ranks", "pull (ms)", "pull+cache (ms)", "push direct (ms)", "push batched (ms)", "push/pull gets", "winner"},
+		Header: []string{"dataset", "ranks", "pull (ms)", "pull+cache (ms)", "push (ms)", "push/pull gets", "winner"},
 		Notes: []string{
-			"push = once-per-triangle discovery at the smallest corner + one-sided accumulates to the other two;",
+			"push = once-per-triangle discovery at the smallest corner + one combined accumulate per peer for the other two;",
 			"one closing fence per rank (the only synchronization in any engine here)",
-			"direct = one 8-byte accumulate per remote corner; batched = local combining, one message per peer",
 			"pull+cache uses the Fig. 7 C_adj budget (25% of the non-local partition)",
 		},
 	}
-	for _, name := range []string{"rmat-s14-ef16", "uniform"} {
+	for _, name := range pushPullGraphs {
 		g := gen.MustLoad(name)
-		for _, ranks := range []int{4, 16} {
-			pullOpt := baseEngineOptions(ranks)
-			pull, err := lcc.Run(g, pullOpt)
-			if err != nil {
-				panic(err)
-			}
-			cachedOpt := pullOpt
-			cachedOpt.Caching = true
-			_, adjBytes := lcc.PaperCacheBytes(g.NumVertices())
-			cachedOpt.OffsetsCacheBytes = 16 * g.NumVertices()
-			cachedOpt.AdjCacheBytes = adjBytes / 4
-			cachedOpt.AdjScorePolicy = lcc.ScoreDegree
-			cached, err := lcc.Run(g, cachedOpt)
-			if err != nil {
-				panic(err)
-			}
-			direct, err := lcc.RunPush(g, lcc.PushOptions{Options: pullOpt, Aggregation: lcc.PushDirect})
-			if err != nil {
-				panic(err)
-			}
-			batched, err := lcc.RunPush(g, lcc.PushOptions{Options: pullOpt, Aggregation: lcc.PushBatched})
-			if err != nil {
-				panic(err)
-			}
-			for _, r := range []*lcc.Result{cached, direct, batched} {
-				if r.Triangles != pull.Triangles {
-					panic(fmt.Sprintf("experiments: push/pull triangle mismatch on %s: %d vs %d",
-						name, r.Triangles, pull.Triangles))
-				}
-			}
-			pullGets := pull.AggregateRMA().Gets
-			pushGets := batched.AggregateRMA().Gets
-			times := map[string]float64{
-				"pull": pull.SimTime, "pull+cache": cached.SimTime,
-				"push direct": direct.SimTime, "push batched": batched.SimTime,
-			}
+		for _, ranks := range pushPullRanks {
+			pull, cached, push := pushPullRuns(g, ranks)
+			times := map[string]float64{"pull": pull.SimTime, "pull+cache": cached.SimTime, "push": push.SimTime}
 			winner := "pull"
 			for k, v := range times {
 				if v < times[winner] {
 					winner = k
 				}
 			}
-			t.AddRow(name, ranks, ms(pull.SimTime), ms(cached.SimTime),
-				ms(direct.SimTime), ms(batched.SimTime),
-				fmt.Sprintf("%.2f", float64(pushGets)/float64(pullGets)), winner)
+			t.AddRow(name, ranks, ms(pull.SimTime), ms(cached.SimTime), ms(push.SimTime),
+				fmt.Sprintf("%.2f", float64(push.AggregateRMA().Gets)/float64(pull.AggregateRMA().Gets)), winner)
 		}
 	}
 	return t
+}
+
+// A10's graphs and rank counts.
+var (
+	pushPullGraphs = []string{"rmat-s14-ef16", "uniform"}
+	pushPullRanks  = []int{4, 16}
+)
+
+// pushPullRuns is one A10 row: g at ranks under the uncached pull engine,
+// under pull with the Fig. 7 C_adj budget and degree scores, and under
+// push. It panics unless all three count the same triangles.
+func pushPullRuns(g *graph.Graph, ranks int) (pull, cached, push *lcc.Result) {
+	pullOpt := baseEngineOptions(ranks)
+	pull, err := lcc.Run(g, pullOpt)
+	if err != nil {
+		panic(err)
+	}
+	cachedOpt := pullOpt
+	cachedOpt.Caching = true
+	_, adjBytes := lcc.PaperCacheBytes(g.NumVertices())
+	cachedOpt.OffsetsCacheBytes = 16 * g.NumVertices()
+	cachedOpt.AdjCacheBytes = adjBytes / 4
+	cachedOpt.AdjScorePolicy = lcc.ScoreDegree
+	if cached, err = lcc.Run(g, cachedOpt); err != nil {
+		panic(err)
+	}
+	if push, err = lcc.RunPush(g, pullOpt); err != nil {
+		panic(err)
+	}
+	for _, r := range []*lcc.Result{cached, push} {
+		if r.Triangles != pull.Triangles {
+			panic(fmt.Sprintf("experiments: push/pull triangle mismatch: %d vs %d", r.Triangles, pull.Triangles))
+		}
+	}
+	return pull, cached, push
 }
 
 // AblationDelegation regenerates A11: static vertex delegation against

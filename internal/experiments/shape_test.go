@@ -14,10 +14,11 @@ import (
 
 // This file runs the cheaper experiments end to end and asserts the
 // *shape* the paper (or DESIGN.md §3) predicts: who wins, what grows, what
-// shrinks. The expensive sweeps (fig7, fig9, fig10, A10, A11) are left to
+// shrinks. The expensive sweeps (fig7, fig9, fig10, A11) are left to
 // cmd/figures; table3's wall-clock rates are too, and TestTable3Shape holds
-// its claim in modelled intersection iterations instead. TestFig8Shape runs
-// fig8's configurations without its table.
+// its claim in modelled intersection iterations instead. TestFig8Shape and
+// TestAblationPushPullShape run their tables' configurations without the
+// tables.
 
 // cell parses the leading float of a formatted table cell ("123.4",
 // "91.9%", "1.23x", "669.9 KiB" all yield their leading number).
@@ -123,6 +124,64 @@ func TestFig8Shape(t *testing.T) {
 		if deg.SimTime >= lru.SimTime {
 			t.Errorf("p=%d: degree's sim time %.1f ms is not below LRU's %.1f ms", p, deg.SimTime/1e6, lru.SimTime/1e6)
 		}
+	}
+}
+
+// TestAblationPushPullShape holds A10's rows (pushPullRuns; the 16-rank
+// rows under -short) to the directions measured when push lost its
+// unbatched path: push fetches exactly half of pull's lists, since each
+// cut edge is walked from one end only, and finishes in under 0.6 × the
+// uncached pull's simulated time; pull+cache beats push on R-MAT, where
+// hubs are reused, and push beats pull+cache on the uniform graph at 16
+// ranks, where there is little to reuse.
+func TestAblationPushPullShape(t *testing.T) {
+	ranks := pushPullRanks
+	if testing.Short() {
+		ranks = []int{16}
+	}
+	for _, name := range pushPullGraphs {
+		g := gen.MustLoad(name)
+		for _, p := range ranks {
+			pull, cached, push := pushPullRuns(g, p)
+			pullGets, pushGets := pull.AggregateRMA().Gets, push.AggregateRMA().Gets
+			t.Logf("push-pull %s p=%d: pull %.1f ms, pull+cache %.1f ms, push %.1f ms (%.3f of pull); gets push %d, pull %d",
+				name, p, pull.SimTime/1e6, cached.SimTime/1e6, push.SimTime/1e6, push.SimTime/pull.SimTime, pushGets, pullGets)
+			if 2*pushGets != pullGets {
+				t.Errorf("%s p=%d: push's %d gets are not half of pull's %d", name, p, pushGets, pullGets)
+			}
+			if push.SimTime >= 0.6*pull.SimTime {
+				t.Errorf("%s p=%d: push's %.1f ms is not under 0.6 × pull's %.1f ms", name, p, push.SimTime/1e6, pull.SimTime/1e6)
+			}
+			rmat := name == "rmat-s14-ef16"
+			if rmat && cached.SimTime >= push.SimTime {
+				t.Errorf("%s p=%d: pull+cache's %.1f ms does not beat push's %.1f ms", name, p, cached.SimTime/1e6, push.SimTime/1e6)
+			}
+			if !rmat && p == 16 && push.SimTime >= cached.SimTime {
+				t.Errorf("%s p=%d: push's %.1f ms does not beat pull+cache's %.1f ms", name, p, push.SimTime/1e6, cached.SimTime/1e6)
+			}
+		}
+	}
+}
+
+// TestAblationCutoffShape holds A1's claim: the sequential cutoff must be
+// chosen, with an optimum neither at cutoff 0 nor at "never parallelize",
+// and the sequential row at most 0.8 × the best row's rate.
+func TestAblationCutoffShape(t *testing.T) {
+	tab := AblationCutoff()
+	if len(tab.Rows) != 7 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	best := 0
+	for i := range tab.Rows {
+		if cell(t, tab.Rows[i][1]) > cell(t, tab.Rows[best][1]) {
+			best = i
+		}
+	}
+	if best == 0 || best == len(tab.Rows)-1 {
+		t.Errorf("cutoff optimum at boundary row %d; expected interior", best)
+	}
+	if seq, top := cell(t, tab.Rows[len(tab.Rows)-1][1]), cell(t, tab.Rows[best][1]); seq > 0.8*top {
+		t.Errorf("sequential %.2f edges/µs is above 0.8 × the best %.2f", seq, top)
 	}
 }
 

@@ -34,7 +34,7 @@ const (
 	// ClassGet covers one-sided reads (GetInto), including the fetches
 	// CLaMPI issues on a cache miss.
 	ClassGet Class = 0
-	// ClassAccumulate covers Accumulate and AccumulateBatch. Its value is
+	// ClassAccumulate covers accumulates (AccumulateBatch). Its value is
 	// spelled out rather than counted by iota: Sched.u mixes the class
 	// value into every failure draw, so renumbering a class reshuffles the
 	// schedules its pinned runs were recorded under. 1 belonged to the

@@ -155,10 +155,7 @@ func TestDelegationWorksWithPushAndJaccard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push, err := RunPush(g, PushOptions{
-		Options:     Options{Ranks: 4, DelegateBytes: 1 << 16},
-		Aggregation: PushBatched,
-	})
+	push, err := RunPush(g, Options{Ranks: 4, DelegateBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}

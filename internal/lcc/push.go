@@ -19,59 +19,24 @@ import (
 // owner of its corner that is smallest in a hashed total order (see
 // discLess), by walking only wedges v_i <h v_j and keeping common
 // neighbours v_k >h v_j — and the two non-local corners receive their +1
-// contribution through one-sided accumulates into a third RMA window of
+// contributions through one-sided accumulates into a third RMA window of
 // per-vertex counters.
 //
 // The trade this exposes (and the A10 ablation measures):
 //
 //   - pull moves large payloads (whole adjacency lists, α + deg·4β per
 //     get) but needs no write traffic and *no synchronization at all*;
-//   - push pulls only half the wedges but scatters two fine-grained
-//     writes per triangle, and must close with one fence so every
-//     contribution has landed before LCC scores are read — the single
-//     synchronization point the paper's pull design exists to avoid.
+//   - push pulls only half the wedges but owes two contributions per
+//     triangle, and must close with one fence so every contribution has
+//     landed before LCC scores are read — the single synchronization point
+//     the paper's pull design exists to avoid.
 //
-// With direct accumulates (PushDirect) the α-per-triangle cost is ruinous
-// on triangle-dense graphs; with local combining (PushBatched) the writes
-// collapse to one batched accumulate per (rank, target-rank) pair and push
-// becomes competitive exactly where caching does not help pull: flat degree
-// distributions with little reuse.
-
-// PushAggregation selects how the push engine ships triangle contributions.
-type PushAggregation uint8
-
-const (
-	// PushDirect issues one 8-byte Accumulate per remote triangle corner
-	// as soon as the triangle is found. Simple, fully overlapped, and
-	// α-bound: two messages per triangle.
-	PushDirect PushAggregation = iota
-	// PushBatched combines contributions in a per-rank local map and
-	// ships one AccumulateBatch per target rank after the wedge walk —
-	// the message-aggregation optimization every production push system
-	// applies.
-	PushBatched
-)
-
-func (a PushAggregation) String() string {
-	switch a {
-	case PushDirect:
-		return "direct"
-	case PushBatched:
-		return "batched"
-	default:
-		return "unknown"
-	}
-}
-
-// PushOptions configure a push-mode run. The embedded Options keep their
-// meaning: the caches still accelerate the (halved) pull side, the cost
-// model and scheme are shared with the pull engine so the two are directly
-// comparable.
-type PushOptions struct {
-	Options
-	// Aggregation selects direct scatters or local combining.
-	Aggregation PushAggregation
-}
+// Contributions are combined in a per-rank map during the walk and shipped
+// as one batched accumulate per target rank after it — the message
+// aggregation every production push system applies. One message per
+// triangle corner would cost an α each, which is ruinous on triangle-dense
+// graphs; combined, push is competitive exactly where caching does not help
+// pull: flat degree distributions with little reuse.
 
 // mix32 is the 32-bit murmur3 finalizer: a bijective scramble of vertex
 // ids. The discovery order must be decoupled from the partition order —
@@ -101,18 +66,11 @@ func discLess(u, v graph.V) bool {
 	return u < v
 }
 
-// maxOutstandingAccumulates bounds the queue of pending direct accumulates
-// per rank; when full, the rank flushes the counter window. Real NICs and
-// MPI implementations cap outstanding non-blocking operations the same way;
-// only the first flush in a drained queue exposes latency, so the charge
-// stays α + 8β per message amortized.
-const maxOutstandingAccumulates = 4096
-
 // RunPush executes push-mode distributed triangle counting and LCC. It
 // requires an undirected graph: the once-per-triangle discovery rule
 // totally orders corners, which has no meaning for the directed Eq. (1)
 // numerator. Results (LCC and Triangles) are bit-identical to Run's.
-func RunPush(g graph.Store, opt PushOptions) (*Result, error) {
+func RunPush(g graph.Store, opt Options) (*Result, error) {
 	return RunPushCtx(context.Background(), g, opt)
 }
 
@@ -120,7 +78,7 @@ func RunPush(g graph.Store, opt PushOptions) (*Result, error) {
 // panic-isolation and crash-stop contract as RunCtx. The push engine's
 // single fence is a cancellation point like every barrier: a canceled run
 // wakes the ranks parked in the rendezvous and unwinds them.
-func RunPushCtx(ctx context.Context, g graph.Store, opt PushOptions) (*Result, error) {
+func RunPushCtx(ctx context.Context, g graph.Store, opt Options) (*Result, error) {
 	if g.Kind() != graph.Undirected {
 		return nil, fmt.Errorf("lcc: push engine requires an undirected graph (directed LCC has no smallest-corner discovery rule)")
 	}
@@ -132,10 +90,10 @@ func RunPushCtx(ctx context.Context, g graph.Store, opt PushOptions) (*Result, e
 }
 
 // runPushCtx is RunPushCtx over a snapshot of an undirected graph.
-func (s *Snapshot) runPushCtx(ctx context.Context, opt PushOptions) (*Result, error) {
+func (s *Snapshot) runPushCtx(ctx context.Context, opt Options) (*Result, error) {
 	// The graph windows are typed and read-only; the triangle-counter
 	// window stays a writable byte window — it is the one region peers
-	// write (Accumulate), so its gets keep snapshot-copy semantics.
+	// write (AccumulateBatch), so its gets keep snapshot-copy semantics.
 	var wTri *rma.Window
 	var bar *rma.Barrier
 	prepare := func(comm *rma.Comm) {
@@ -147,41 +105,24 @@ func (s *Snapshot) runPushCtx(ctx context.Context, opt PushOptions) (*Result, er
 		bar = comm.NewBarrier()
 	}
 	lccOut := make([]float64, s.n)
-	return s.launch(ctx, opt.Options, 1, lccOut, prepare, func(w *worker) int64 {
-		return w.runPush(lccOut, wTri, bar, opt.Aggregation)
+	return s.launch(ctx, opt, 1, lccOut, prepare, func(w *worker) int64 {
+		return w.runPush(lccOut, wTri, bar)
 	})
 }
 
 // runPush walks the rank's upper wedges, discovers each triangle once,
-// keeps the smallest corner's count locally and scatters the other two
-// corners' contributions, then fences and scores the owned vertices. It
-// returns this rank's Σ t_i (after the fence, i.e. including contributions
-// pushed by peers).
-func (w *worker) runPush(lccOut []float64, wTri *rma.Window, bar *rma.Barrier, agg PushAggregation) int64 {
+// keeps the smallest corner's count locally, combines the other two
+// corners' contributions and ships them, then fences and scores the owned
+// vertices. It returns this rank's Σ t_i (after the fence, i.e. including
+// contributions pushed by peers).
+func (w *worker) runPush(lccOut []float64, wTri *rma.Window, bar *rma.Barrier) int64 {
 	w.r.LockAll(wTri)
 	nLocal := w.lc.NumLocal()
 	perVertexT := make([]uint64, nLocal)
-
-	var combined map[graph.V]uint64
-	if agg == PushBatched {
-		combined = make(map[graph.V]uint64)
-	}
-	outstanding := 0
+	combined := make(map[graph.V]uint64)
 	push := func(u graph.V) {
-		if agg == PushBatched {
-			combined[u]++
-			w.r.Compute(1)
-			return
-		}
-		owner, li := unpackResolve(w.resolve[u])
-		w.r.Accumulate(wTri, owner, 8*li, 1)
-		if owner != w.r.ID() {
-			outstanding++
-			if outstanding >= maxOutstandingAccumulates {
-				w.r.FlushAll(wTri)
-				outstanding = 0
-			}
-		}
+		combined[u]++
+		w.r.Compute(1)
 	}
 
 	// Only wedges v_i <h v_j (hashed order) are walked: the filter halves
@@ -208,10 +149,7 @@ func (w *worker) runPush(lccOut []float64, wTri *rma.Window, bar *rma.Barrier, a
 			push(vk)
 		}
 	})
-
-	if agg == PushBatched {
-		w.flushCombined(wTri, combined)
-	}
+	w.flushCombined(wTri, combined)
 
 	// One fence: every contribution — ours and our peers' — must have
 	// landed in the counter windows before scores are read. This is the

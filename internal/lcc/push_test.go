@@ -25,7 +25,7 @@ func pushTestGraphs(tb testing.TB) map[string]*graph.Graph {
 
 // TestPushEqualsPull is the central correctness claim: the push engine
 // computes bit-identical LCC scores and triangle counts to the pull engine
-// (Algorithm 3), for every aggregation mode, rank count, and cache setting.
+// (Algorithm 3), for every rank count and cache setting.
 func TestPushEqualsPull(t *testing.T) {
 	for name, g := range pushTestGraphs(t) {
 		pull, err := Run(g, Options{Ranks: 4, Method: intersect.MethodHybrid, DoubleBuffer: true})
@@ -33,32 +33,25 @@ func TestPushEqualsPull(t *testing.T) {
 			t.Fatalf("%s: pull: %v", name, err)
 		}
 		for _, ranks := range []int{1, 2, 4, 8} {
-			for _, agg := range []PushAggregation{PushDirect, PushBatched} {
-				for _, caching := range []bool{false, true} {
-					opt := PushOptions{Options: Options{
-						Ranks: ranks, Method: intersect.MethodHybrid, DoubleBuffer: true,
-					}, Aggregation: agg}
-					if caching {
-						opt.Caching = true
-						opt.OffsetsCacheBytes = 1 << 14
-						opt.AdjCacheBytes = 1 << 16
-					}
-					push, err := RunPush(g, opt)
-					if err != nil {
-						t.Fatalf("%s: push ranks=%d agg=%s: %v", name, ranks, agg, err)
-					}
-					if !lccClose(push.LCC, pull.LCC) {
-						t.Errorf("%s: push ranks=%d agg=%s caching=%v: LCC differs from pull",
-							name, ranks, agg, caching)
-					}
-					if push.Triangles != pull.Triangles {
-						t.Errorf("%s: push ranks=%d agg=%s: Triangles = %d, want %d",
-							name, ranks, agg, push.Triangles, pull.Triangles)
-					}
-					if push.SumT != pull.SumT {
-						t.Errorf("%s: push ranks=%d agg=%s: SumT = %d, want %d",
-							name, ranks, agg, push.SumT, pull.SumT)
-					}
+			for _, caching := range []bool{false, true} {
+				opt := Options{Ranks: ranks, Method: intersect.MethodHybrid, DoubleBuffer: true}
+				if caching {
+					opt.Caching = true
+					opt.OffsetsCacheBytes = 1 << 14
+					opt.AdjCacheBytes = 1 << 16
+				}
+				push, err := RunPush(g, opt)
+				if err != nil {
+					t.Fatalf("%s: push ranks=%d: %v", name, ranks, err)
+				}
+				if !lccClose(push.LCC, pull.LCC) {
+					t.Errorf("%s: push ranks=%d caching=%v: LCC differs from pull", name, ranks, caching)
+				}
+				if push.Triangles != pull.Triangles {
+					t.Errorf("%s: push ranks=%d: Triangles = %d, want %d", name, ranks, push.Triangles, pull.Triangles)
+				}
+				if push.SumT != pull.SumT {
+					t.Errorf("%s: push ranks=%d: SumT = %d, want %d", name, ranks, push.SumT, pull.SumT)
 				}
 			}
 		}
@@ -68,7 +61,7 @@ func TestPushEqualsPull(t *testing.T) {
 func TestPushMatchesSharedReference(t *testing.T) {
 	g := gen.Prepare(gen.RMAT(gen.DefaultRMAT(10, 8, graph.Undirected, 3)), 3)
 	ref := SharedLCC(g, intersect.MethodHybrid)
-	push, err := RunPush(g, PushOptions{Options: Options{Ranks: 4}, Aggregation: PushBatched})
+	push, err := RunPush(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,46 +75,37 @@ func TestPushMatchesSharedReference(t *testing.T) {
 
 func TestPushRejectsDirected(t *testing.T) {
 	g := gen.Prepare(gen.RMAT(gen.DefaultRMAT(8, 8, graph.Directed, 5)), 5)
-	if _, err := RunPush(g, PushOptions{Options: Options{Ranks: 2}}); err == nil {
+	if _, err := RunPush(g, Options{Ranks: 2}); err == nil {
 		t.Fatal("RunPush on a directed graph: want error, got nil")
 	}
 }
 
 func TestPushRejectsBadRanks(t *testing.T) {
 	g := fig1Graph()
-	if _, err := RunPush(g, PushOptions{Options: Options{Ranks: -3}}); err == nil {
+	if _, err := RunPush(g, Options{Ranks: -3}); err == nil {
 		t.Fatal("RunPush with negative ranks: want error, got nil")
 	}
 }
 
 // TestPushBatchedFewerMessages verifies the aggregation claim: on a
-// triangle-dense graph, local combining ships far fewer one-sided writes
-// than direct scatters (at most p-1 batches per rank vs two per triangle).
+// triangle-dense graph, local combining ships at most one write per peer
+// per rank, far fewer than the two contributions each triangle owes.
 func TestPushBatchedFewerMessages(t *testing.T) {
 	g := gen.Prepare(gen.BarabasiAlbert(1<<10, 12, graph.Undirected, 21), 21)
 	const ranks = 8
-	direct, err := RunPush(g, PushOptions{Options: Options{Ranks: ranks}, Aggregation: PushDirect})
+	res, err := RunPush(g, Options{Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := RunPush(g, PushOptions{Options: Options{Ranks: ranks}, Aggregation: PushBatched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var directPuts, batchedPuts int64
+	var puts int64
 	for i := 0; i < ranks; i++ {
-		directPuts += direct.PerRank[i].RMA.Puts
-		batchedPuts += batched.PerRank[i].RMA.Puts
-		if got := batched.PerRank[i].RMA.Puts; got > ranks-1 {
-			t.Errorf("rank %d: batched puts = %d, want <= %d", i, got, ranks-1)
+		puts += res.PerRank[i].RMA.Puts
+		if got := res.PerRank[i].RMA.Puts; got > ranks-1 {
+			t.Errorf("rank %d: puts = %d, want <= %d", i, got, ranks-1)
 		}
 	}
-	if directPuts <= batchedPuts {
-		t.Errorf("direct puts = %d, batched = %d: want direct >> batched", directPuts, batchedPuts)
-	}
-	if direct.SimTime <= batched.SimTime {
-		t.Errorf("direct SimTime = %v <= batched %v: α-bound scatters should be slower",
-			direct.SimTime, batched.SimTime)
+	if 100*puts > res.Triangles {
+		t.Errorf("%d puts for %d triangles: want under one per hundred triangles", puts, res.Triangles)
 	}
 }
 
@@ -135,7 +119,7 @@ func TestPushHalvesPullTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push, err := RunPush(g, PushOptions{Options: Options{Ranks: ranks}, Aggregation: PushBatched})
+	push, err := RunPush(g, Options{Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +149,7 @@ func TestPushQuickER(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		push, err := RunPush(g, PushOptions{Options: Options{Ranks: 4}, Aggregation: PushBatched})
+		push, err := RunPush(g, Options{Ranks: 4})
 		if err != nil {
 			return false
 		}
@@ -180,27 +164,16 @@ func TestPushQuickER(t *testing.T) {
 // gets, no puts, and the fence costs only the barrier latency.
 func TestPushSingleRankNoRemoteTraffic(t *testing.T) {
 	g := gen.Prepare(gen.RMAT(gen.DefaultRMAT(9, 8, graph.Undirected, 9)), 9)
-	for _, agg := range []PushAggregation{PushDirect, PushBatched} {
-		res, err := RunPush(g, PushOptions{Options: Options{Ranks: 1}, Aggregation: agg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := res.PerRank[0]
-		if s.RMA.Gets != 0 || s.RemoteReads != 0 {
-			t.Errorf("agg=%s: remote gets = %d, remote reads = %d, want 0", agg, s.RMA.Gets, s.RemoteReads)
-		}
-		if agg == PushBatched && s.RMA.Puts != 0 {
-			t.Errorf("batched single rank: puts = %d, want 0 (self-batches are local)", s.RMA.Puts)
-		}
+	res, err := RunPush(g, Options{Ranks: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPushAggregationString(t *testing.T) {
-	if PushDirect.String() != "direct" || PushBatched.String() != "batched" {
-		t.Error("PushAggregation.String mismatch")
+	s := res.PerRank[0]
+	if s.RMA.Gets != 0 || s.RemoteReads != 0 {
+		t.Errorf("remote gets = %d, remote reads = %d, want 0", s.RMA.Gets, s.RemoteReads)
 	}
-	if PushAggregation(99).String() != "unknown" {
-		t.Error("unknown PushAggregation should stringify to unknown")
+	if s.RMA.Puts != 0 {
+		t.Errorf("single rank: puts = %d, want 0 (self-batches are local)", s.RMA.Puts)
 	}
 }
 
@@ -210,7 +183,7 @@ func TestPushAggregationString(t *testing.T) {
 func TestPushBalancedAcrossRanks(t *testing.T) {
 	g := gen.Prepare(gen.ErdosRenyi(1<<12, 1<<15, graph.Undirected, 33), 33)
 	const ranks = 8
-	res, err := RunPush(g, PushOptions{Options: Options{Ranks: ranks}, Aggregation: PushBatched})
+	res, err := RunPush(g, Options{Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +212,7 @@ func TestPushFasterThanPullOnFlatGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push, err := RunPush(g, PushOptions{Options: Options{Ranks: ranks, DoubleBuffer: true}, Aggregation: PushBatched})
+	push, err := RunPush(g, Options{Ranks: ranks, DoubleBuffer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +223,7 @@ func TestPushFasterThanPullOnFlatGraph(t *testing.T) {
 
 func TestPushEmptyAndDegenerateGraphs(t *testing.T) {
 	empty := graph.MustBuild(graph.Undirected, 0, nil)
-	res, err := RunPush(empty, PushOptions{Options: Options{Ranks: 1}})
+	res, err := RunPush(empty, Options{Ranks: 1})
 	if err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
@@ -260,7 +233,7 @@ func TestPushEmptyAndDegenerateGraphs(t *testing.T) {
 
 	// Edgeless vertices: no wedges, no triangles, LCC all zero.
 	lone := graph.MustBuild(graph.Undirected, 8, []graph.Edge{{Src: 0, Dst: 1}})
-	res, err = RunPush(lone, PushOptions{Options: Options{Ranks: 4}, Aggregation: PushBatched})
+	res, err = RunPush(lone, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,14 +249,12 @@ func TestPushEmptyAndDegenerateGraphs(t *testing.T) {
 
 func TestPushMoreRanksThanVertices(t *testing.T) {
 	g := fig1Graph() // 6 vertices
-	for _, agg := range []PushAggregation{PushDirect, PushBatched} {
-		res, err := RunPush(g, PushOptions{Options: Options{Ranks: 6}, Aggregation: agg})
-		if err != nil {
-			t.Fatalf("agg=%s: %v", agg, err)
-		}
-		pull, _ := Run(g, Options{Ranks: 1})
-		if !lccClose(res.LCC, pull.LCC) {
-			t.Errorf("agg=%s: one-vertex-per-rank push differs from reference", agg)
-		}
+	res, err := RunPush(g, Options{Ranks: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pull, _ := Run(g, Options{Ranks: 1})
+	if !lccClose(res.LCC, pull.LCC) {
+		t.Error("one-vertex-per-rank push differs from reference")
 	}
 }

@@ -62,11 +62,11 @@ func TestMultipleWindowsIndependentFlush(t *testing.T) {
 	r := c.Rank(0)
 	r.LockAll(w1)
 	r.LockAll(w2)
-	r.Accumulate(w1, 1, 0, 1)
+	accumulate(r, w1, 1, 0, 1)
 	advanceBy(r, 1000)
-	r.Accumulate(w2, 1, 0, 1)
+	accumulate(r, w2, 1, 0, 1)
 	m := DefaultCostModel()
-	cost := m.RemoteCost(8)
+	cost := m.RemoteCost(updateWireBytes)
 	r.FlushAll(w1)
 	if got := r.Now(); got != cost {
 		t.Errorf("flush of w1 ended at %v, want w1's horizon %v", got, cost)

@@ -14,32 +14,6 @@ import (
 // future-work list (§VI ii) runs on: it accumulates partial results at the
 // owner instead of pulling adjacency lists.
 
-// Accumulate atomically adds delta to the uint64 at byte offset in
-// target's region (MPI_Accumulate with MPI_SUM). The operation is
-// non-blocking; its completion — and, since the parallel scheduler, its
-// effect on the target region — is observed by a flush or barrier: the
-// update is staged per (origin, target) and committed there (staged.go), so
-// issuing an accumulate is a rank-local append rather than a serializing
-// read-modify-write. A remote accumulate raises its epoch's flush horizon
-// to its completion time. Accumulates targeting the rank itself commit
-// immediately, preserving local program order.
-func (r *Rank) Accumulate(w *Window, target, offset int, delta uint64) {
-	r.checkpoint()
-	e := r.epochOf(w)
-	if e == nil {
-		panic(fmt.Sprintf("rma: rank %d: Accumulate on %q outside an access epoch", r.id, w.name))
-	}
-	if w.kind != WritableBytes {
-		panic(fmt.Sprintf("rma: rank %d: Accumulate on %v window %q", r.id, w.kind, w.name))
-	}
-	if offset < 0 || offset+8 > len(w.loc[target]) {
-		panic(fmt.Sprintf("rma: rank %d: Accumulate %q target %d [%d:+8) out of range (len %d)",
-			r.id, w.name, target, offset, len(w.loc[target])))
-	}
-	r.stage(w, target, offset, delta)
-	r.issueWrite(e, target, 8)
-}
-
 // issueWrite charges one accumulate message of size wire bytes to target
 // once its updates are staged: a local one commits and pays local-memory
 // cost here; a remote one pays whatever the fault schedule injects and
@@ -75,8 +49,14 @@ const updateWireBytes = 12
 // operation (MPI_Accumulate with an indexed datatype and MPI_SUM). The
 // whole batch is charged as a single message of 12 bytes per element —
 // this is what makes local combining pay off for push-style algorithms:
-// k scattered Accumulates cost k·(α + 8β), the combined batch α + 12k·β.
-// Like Accumulate it is non-blocking; completion is observed by a flush.
+// k updates cost α + 12k·β, not k latencies. The operation is non-blocking;
+// its completion — and, since the parallel scheduler, its effect on the
+// target region — is observed by a flush or barrier: the updates are staged
+// per (origin, target) and committed there (staged.go), so issuing a batch
+// is a rank-local append rather than a serializing read-modify-write. A
+// remote batch raises its epoch's flush horizon to its completion time; a
+// batch targeting the rank itself commits immediately, preserving local
+// program order.
 func (r *Rank) AccumulateBatch(w *Window, target int, ups []Update) {
 	r.checkpoint()
 	e := r.epochOf(w)

@@ -13,19 +13,25 @@ func twoRankComm() (*Comm, *Window) {
 	return c, w
 }
 
+// accumulate is a one-element AccumulateBatch: the tests' generic remote
+// write.
+func accumulate(r *Rank, w *Window, target, offset int, delta uint64) {
+	r.AccumulateBatch(w, target, []Update{{Offset: offset, Delta: delta}})
+}
+
 func TestAccumulate(t *testing.T) {
 	c, w := twoRankComm()
 	r := c.Rank(0)
 	r.LockAll(w)
-	r.Accumulate(w, 1, 8, 5)
-	r.Accumulate(w, 1, 8, 7)
+	accumulate(r, w, 1, 8, 5)
+	accumulate(r, w, 1, 8, 7)
 	r.FlushAll(w)
 	got := binary.LittleEndian.Uint64(w.loc[1][8:])
 	if got != 12 {
 		t.Fatalf("accumulated value = %d, want 12", got)
 	}
 	// A local accumulate lands at issue.
-	r.Accumulate(w, 0, 0, 3)
+	accumulate(r, w, 0, 0, 3)
 	if got := binary.LittleEndian.Uint64(w.loc[0][0:]); got != 3 {
 		t.Fatalf("local accumulate not applied at issue: %d, want 3", got)
 	}
@@ -44,7 +50,7 @@ func TestAccumulateConcurrentRanks(t *testing.T) {
 			r := c.Rank(id)
 			r.LockAll(w)
 			for k := 0; k < perRank; k++ {
-				r.Accumulate(w, 0, 0, 1)
+				accumulate(r, w, 0, 0, 1)
 			}
 			r.UnlockAll(w)
 		}(i)
@@ -97,7 +103,7 @@ func TestFence(t *testing.T) {
 	b := c.NewBarrier()
 	ranks := mustRun(t, c, func(r *Rank) {
 		r.LockAll(w)
-		r.Accumulate(w, 1-r.ID(), 0, uint64(r.ID())+1)
+		accumulate(r, w, 1-r.ID(), 0, uint64(r.ID())+1)
 		r.Fence(w, b)
 		if got := binary.LittleEndian.Uint64(w.loc[r.ID()]); got != uint64(2-r.ID()) {
 			t.Errorf("rank %d: fence left the peer's accumulate unapplied: %d", r.ID(), got)
@@ -115,10 +121,10 @@ func TestAccumulateOutsideEpochPanics(t *testing.T) {
 	r := c.Rank(0)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Accumulate outside an epoch did not panic")
+			t.Fatal("accumulate outside an epoch did not panic")
 		}
 	}()
-	r.Accumulate(w, 1, 0, 1)
+	accumulate(r, w, 1, 0, 1)
 }
 
 func TestAccumulateOutOfRangePanics(t *testing.T) {
@@ -127,10 +133,10 @@ func TestAccumulateOutOfRangePanics(t *testing.T) {
 	r.LockAll(w)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("out-of-range Accumulate did not panic")
+			t.Fatal("out-of-range accumulate did not panic")
 		}
 	}()
-	r.Accumulate(w, 1, 60, 1) // needs 8 bytes, only 4 left
+	accumulate(r, w, 1, 60, 1) // needs 8 bytes, only 4 left
 }
 
 // --- noise ----------------------------------------------------------------
@@ -277,46 +283,6 @@ func TestAccumulateBatchLocal(t *testing.T) {
 		t.Errorf("local batch charged remote counters: %+v", ctr)
 	}
 	r.UnlockAll(w)
-}
-
-func TestAccumulateBatchCheaperThanScatter(t *testing.T) {
-	const k = 64
-	c, w := twoRankComm()
-	scatter := c.Rank(0)
-	scatter.LockAll(w)
-	// With an unbounded queue the model pipelines all k scatters behind a
-	// single latency, so compare under a bounded outstanding-op queue --
-	// the regime every real NIC (and the push engine, see
-	// maxOutstandingAccumulates) operates in. Bound of 8: one exposed
-	// latency per 8 messages.
-	const queueBound = 8
-	for i := 0; i < k; i++ {
-		scatter.Accumulate(w, 1, (i%8)*8, 1)
-		if (i+1)%queueBound == 0 {
-			scatter.FlushAll(w)
-		}
-	}
-	scatter.FlushAll(w)
-	scatterTime := scatter.Now()
-	scatter.UnlockAll(w)
-
-	c2, w2 := twoRankComm()
-	batch := c2.Rank(0)
-	batch.LockAll(w2)
-	ups := make([]Update, k)
-	for i := range ups {
-		ups[i] = Update{Offset: (i % 8) * 8, Delta: 1}
-	}
-	batch.AccumulateBatch(w2, 1, ups)
-	batch.FlushAll(w2)
-	batchTime := batch.Now()
-	batch.UnlockAll(w2)
-
-	// The scatter exposes k/queueBound latencies; the single batch
-	// exposes one latency plus 12k wire bytes and must be cheaper.
-	if batchTime >= scatterTime {
-		t.Errorf("batch time %v >= scatter time %v, want batch cheaper", batchTime, scatterTime)
-	}
 }
 
 func TestAccumulateBatchPanics(t *testing.T) {

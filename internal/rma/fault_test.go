@@ -132,8 +132,8 @@ func TestFaultDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestFaultWriteOps: the write-side ops (Accumulate, AccumulateBatch)
-// consult the schedule too, and results are unchanged.
+// TestFaultWriteOps: the write side (AccumulateBatch) consults the
+// schedule too, and results are unchanged.
 func TestFaultWriteOps(t *testing.T) {
 	run := func(spec *fault.Spec) (Counters, float64, uint64, float64) {
 		c := NewComm(2, DefaultCostModel())
@@ -144,7 +144,7 @@ func TestFaultWriteOps(t *testing.T) {
 		ranks := mustRun(t, c, func(r *Rank) {
 			r.LockAll(w)
 			for i := 0; i < 200; i++ {
-				r.Accumulate(w, 1-r.ID(), 0, 1)
+				accumulate(r, w, 1-r.ID(), 0, 1)
 				r.AccumulateBatch(w, 1-r.ID(), []Update{{Offset: 8, Delta: 2}})
 				r.FlushAll(w)
 			}

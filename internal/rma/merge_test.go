@@ -59,7 +59,7 @@ func TestStagedAccumulateVisibility(t *testing.T) {
 	r.LockAll(w)
 
 	// Buffered at issue: the target region is untouched until a flush.
-	r.Accumulate(w, 1, 0, 5)
+	accumulate(r, w, 1, 0, 5)
 	if got := binary.LittleEndian.Uint64(w.loc[1][0:]); got != 0 {
 		t.Fatalf("region modified at issue time: %d, want 0 (staged)", got)
 	}
@@ -70,7 +70,7 @@ func TestStagedAccumulateVisibility(t *testing.T) {
 
 	// Same-origin program order: a snapshot get observes the rank's own
 	// staged accumulates.
-	r.Accumulate(w, 1, 0, 3)
+	accumulate(r, w, 1, 0, 3)
 	var q Request
 	r.GetInto(&q, w, 1, 0, 8)
 	q.Wait()
@@ -90,7 +90,7 @@ func TestBarrierCommitsStaged(t *testing.T) {
 	b := c.NewBarrier()
 	mustRun(t, c, func(r *Rank) {
 		r.LockAll(w)
-		r.Accumulate(w, 0, 0, uint64(r.ID())+1)
+		accumulate(r, w, 0, 0, uint64(r.ID())+1)
 		b.Wait(r)
 		if r.ID() == 0 {
 			var q Request
@@ -118,7 +118,7 @@ func TestRunBoundedWorkers(t *testing.T) {
 			r.LockAll(w)
 			for round := 0; round < 3; round++ {
 				advanceBy(r, float64((r.ID()+round)%5)*777)
-				r.Accumulate(w, (r.ID()+1)%6, 0, 1)
+				accumulate(r, w, (r.ID()+1)%6, 0, 1)
 				r.Fence(w, b)
 			}
 			r.UnlockAll(w)

@@ -70,7 +70,7 @@ func TestTypedWindows(t *testing.T) {
 	for _, at := range [][2]int{{8, 16}, {0, 32}, {16, 8}} {
 		mustPanic(t, fmt.Sprintf("offsets get [%d:+%d)", at[0], at[1]), func() { r.GetInto(&q, wu, 1, at[0], at[1]) })
 	}
-	mustPanic(t, "Accumulate on typed window", func() { r.Accumulate(wu, 1, 0, 1) })
+	mustPanic(t, "accumulate on typed window", func() { accumulate(r, wu, 1, 0, 1) })
 }
 
 // TestWritableGetSnapshots pins the copy semantics writable windows keep:
@@ -120,7 +120,7 @@ func TestGetAllocFree(t *testing.T) {
 		{"writable GetInto+Wait", rw, get(rw)},
 		{"offsets GetInto+Wait", wu, get(wu)},
 		{"vertices GetInto+Wait", wv, get(wv)},
-		{"Accumulate+FlushAll", rw, func() { r.Accumulate(rw, 1, 64, 1); r.FlushAll(rw) }},
+		{"AccumulateBatch+FlushAll", rw, func() { accumulate(r, rw, 1, 64, 1); r.FlushAll(rw) }},
 	} {
 		r.LockAll(row.w)
 		row.f() // warm up (the first cycle may grow the snapshot or staging buffer)

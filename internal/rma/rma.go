@@ -67,11 +67,11 @@ type WindowKind uint8
 
 const (
 	// WritableBytes is the classic window: a byte region peers may
-	// Accumulate into. Get snapshots the region at issue time into a
+	// accumulate into (AccumulateBatch). Get snapshots the region at issue time into a
 	// request-owned buffer.
 	WritableBytes WindowKind = iota
 	// ReadOnlyBytes exposes immutable byte data: Get returns an aliased
-	// subslice of the target region, no copy. Accumulate panics.
+	// subslice of the target region, no copy. AccumulateBatch panics.
 	ReadOnlyBytes
 	// ReadOnlyOffsets exposes an immutable CSR offsets array as its lists'
 	// (start,end) records (Fig. 3), record i at byte 16·i; see ViewUint64s.

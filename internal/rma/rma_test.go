@@ -87,9 +87,9 @@ func TestNonBlockingOverlap(t *testing.T) {
 	c, w := twoRankComm()
 	r := c.Rank(0)
 	r.LockAll(w)
-	r.Accumulate(w, 1, 0, 1)
+	accumulate(r, w, 1, 0, 1)
 	m := DefaultCostModel()
-	advanceBy(r, 2*m.RemoteCost(8))
+	advanceBy(r, 2*m.RemoteCost(updateWireBytes))
 	before := r.Now()
 	r.FlushAll(w)
 	if r.Now() != before {
@@ -105,10 +105,10 @@ func TestFlushWaitsForSlowTransfer(t *testing.T) {
 	c, w := twoRankComm()
 	r := c.Rank(0)
 	r.LockAll(w)
-	r.Accumulate(w, 1, 0, 1)
+	accumulate(r, w, 1, 0, 1)
 	r.FlushAll(w)
 	m := DefaultCostModel()
-	want := m.RemoteCost(8)
+	want := m.RemoteCost(updateWireBytes)
 	if got := r.Counters().FlushWait; math.Abs(got-want) > 1e-9 {
 		t.Errorf("FlushWait = %v, want %v", got, want)
 	}

@@ -8,13 +8,13 @@ import (
 // Staged accumulates — the one cross-rank shared-write path of the
 // simulated runtime, restructured for deterministic multicore execution.
 //
-// With every rank on its own goroutine, letting Accumulate read-modify-
-// write the target region at issue time would serialize all ranks on a
-// global lock (one acquire per 8-byte update) and make the byte-level
-// apply order a function of the host schedule. Instead, each rank buffers
-// its accumulates per (origin, target) in pooled slices — a purely
-// rank-local append, no lock, no false sharing — and the buffers are
-// replayed into the window regions at the points MPI makes them visible:
+// With every rank on its own goroutine, letting AccumulateBatch
+// read-modify-write the target region at issue time would serialize all
+// ranks on a global lock and make the byte-level apply order a function
+// of the host schedule. Instead, each rank buffers its accumulates per
+// (origin, target) in pooled slices — a purely rank-local append, no lock,
+// no false sharing — and the buffers are replayed into the window regions
+// at the points MPI makes them visible:
 //
 //   - the origin's own flush (MPI_Win_flush_all / unlock_all) commits
 //     that origin's buffers for the flushed window, and
@@ -36,8 +36,7 @@ import (
 // applyMu serializes the replays themselves: commits from different ranks
 // may race in host time, and the read-modify-write of one uint64 word
 // must stay atomic with respect to other commits. It is taken once per
-// commit (amortized over the whole buffer), not once per update — the
-// lock the old immediate-apply Accumulate took per operation.
+// commit (amortized over the whole buffer), not once per update.
 var applyMu sync.Mutex
 
 // stagedAcc buffers one rank's pending accumulates for one (window,
@@ -64,13 +63,6 @@ func (r *Rank) stagedFor(w *Window, target int) *stagedAcc {
 	}
 	r.staged[target] = append(lst, stagedAcc{win: w})
 	return &r.staged[target][len(r.staged[target])-1]
-}
-
-// stage buffers one update for (w, target).
-func (r *Rank) stage(w *Window, target, offset int, delta uint64) {
-	s := r.stagedFor(w, target)
-	s.ups = append(s.ups, Update{Offset: offset, Delta: delta})
-	r.stagedOps++
 }
 
 // stageBatch buffers a batch of updates for (w, target), copying them so

@@ -20,9 +20,9 @@ package sched
 //     rank unwinds immediately, every other rank is canceled, and RunCtx
 //     returns err itself — the same error on every host schedule.
 //
-//   - A body panics: a bug, not a model event. The collector wraps the
-//     value and stack into *PanicError with the rank attached, cancels
-//     the remaining ranks so nobody waits forever at a rendezvous, and
+//   - A body panics: a bug, not a model event. RunCtx wraps the value
+//     and stack into *PanicError with the rank attached, cancels the
+//     remaining ranks so nobody waits forever at a rendezvous, and
 //     returns the error instead of crashing the process. The panic is
 //     contained to the run; state owned by the run is unwound through the
 //     bodies' own defers (scratch repooling, slot release).
@@ -195,9 +195,9 @@ func (p *Pool) cancel(rs *runState, cause error) {
 // returns when all have finished — nil on a completed run,
 // ErrRunCanceled (wrapping the context cause) on cancellation, the Abort
 // error on a deterministic abort, or *PanicError when a body panics.
-// Bodies may block in Yield-routed rendezvous without deadlocking the
-// pool. On any non-nil return the
-// run's outputs must be discarded: some bodies did not finish.
+// Bodies start in index order and may block in Yield-routed rendezvous
+// without deadlocking the pool. On any non-nil return the run's outputs
+// must be discarded: some bodies did not finish.
 //
 // A pool supervises one run at a time; RunCtx panics if a run is already
 // in flight (the engines create one pool per run).
@@ -228,33 +228,37 @@ func (p *Pool) RunCtx(ctx context.Context, n int, body func(i int)) error {
 
 	results := make(chan error, n)
 	for i := 0; i < n; i++ {
+		// The slot is taken here, not in the body's goroutine, so bodies
+		// start in index order: under one worker a run whose ranks fail
+		// fails on the lowest of them, on every repeat.
+		p.acquire()
 		go func(i int) {
-			p.acquire()
 			defer p.release()
 			defer func() {
+				var err error
 				switch v := recover().(type) {
-				case nil:
-					results <- nil
-				case panicCanceled:
-					results <- nil // canceled rank: unwound cleanly, no error of its own
+				case nil, panicCanceled: // a canceled rank unwound cleanly, no error of its own
 				case runAbort:
-					results <- v.err
+					err = v.err
 				default:
-					results <- &PanicError{Rank: i, Value: v, Stack: debug.Stack()}
+					err = &PanicError{Rank: i, Value: v, Stack: debug.Stack()}
 				}
+				if err != nil {
+					// Unwind the remaining ranks: without this they would
+					// wait forever at a rendezvous for a rank that no
+					// longer exists, and those not yet started would run
+					// in full.
+					p.cancel(rs, err)
+				}
+				results <- err
 			}()
 			body(i)
 		}(i)
 	}
 	var firstErr error
 	for i := 0; i < n; i++ {
-		if err := <-results; err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			// Unwind the remaining ranks: without this they would wait
-			// forever at a rendezvous for a rank that no longer exists.
-			p.cancel(rs, err)
+		if err := <-results; err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if firstErr != nil {

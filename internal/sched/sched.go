@@ -6,14 +6,16 @@
 // must do the same to use the host's cores, but it must also keep the
 // golden-test guarantee that every simulated quantity — SimTime float
 // bits, triangle counts, cache hit counts — is bit-identical at any
-// worker count, including Workers=1. The scheduler therefore never
-// *orders* rank execution: it only bounds concurrency. Determinism is a
-// property of the workloads it runs, enforced by construction elsewhere
-// (rank-local clocks and counters, disjoint output ranges, and the staged
-// commutative window updates of internal/rma — see DESIGN.md §4). Under
-// that discipline any interleaving of rank bodies produces the same
-// results, so the pool is free to let the Go runtime schedule however it
-// likes.
+// worker count, including Workers=1. The scheduler therefore does not
+// order rank execution for the results' sake: it bounds concurrency, and
+// starts bodies in index order only so that a failing run fails the same
+// way every time (under one worker, on the lowest failing rank).
+// Determinism of results is a property of the workloads it runs, enforced
+// by construction elsewhere (rank-local clocks and counters, disjoint
+// output ranges, and the staged commutative window updates of
+// internal/rma — see DESIGN.md §4). Under that discipline any interleaving
+// of rank bodies produces the same results, so past the start order the
+// pool lets the Go runtime schedule however it likes.
 //
 // The one scheduling subtlety is blocking rendezvous: a rank that waits
 // at a simulated barrier must not pin an execution slot, or W < p worker

@@ -102,3 +102,20 @@ func TestRunMoreRanksThanWorkers(t *testing.T) {
 		t.Fatalf("sum = %d, want %d", sum, 50*49/2)
 	}
 }
+
+// TestBodiesStartInIndexOrder: under one worker the bodies start in index
+// order, so a run whose ranks fail first fails on the lowest failing rank,
+// the same way on every repeat. The slot hand-off orders the appends.
+func TestBodiesStartInIndexOrder(t *testing.T) {
+	const n = 64
+	var order []int
+	mustRun(t, New(1), n, func(i int) { order = append(order, i) })
+	for pos, i := range order {
+		if i != pos {
+			t.Fatalf("body %d started at position %d", i, pos)
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("%d bodies started, want %d", len(order), n)
+	}
+}

@@ -37,7 +37,7 @@ func TestEngineOrientation(t *testing.T) {
 			if _, err := lcc.Run(g, opt); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := lcc.RunPush(g, lcc.PushOptions{Options: opt, Aggregation: lcc.PushBatched}); err != nil {
+			if _, err := lcc.RunPush(g, opt); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := lcc.RunReplicated(g, lcc.ReplicatedOptions{Options: opt, Replication: 2}); err != nil {

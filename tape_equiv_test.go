@@ -102,17 +102,7 @@ var tapeConfigs = []struct {
 		func(t *testing.T, g *graph.Graph, obs rma.ChargeObserver) float64 {
 			opt := goldenBase()
 			opt.ChargeObserver = obs
-			res, err := lcc.RunPush(g, lcc.PushOptions{Options: opt, Aggregation: lcc.PushBatched})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.SimTime
-		}},
-	{"push-direct", [4]tapeDigest{{55128, 0x39fd3e8b6613c39b}, {57376, 0xb322123c2410b0cf}, {58609, 0xdca6ba7b3cf351ab}, {58686, 0xc79f50f5569920bc}},
-		func(t *testing.T, g *graph.Graph, obs rma.ChargeObserver) float64 {
-			opt := goldenBase()
-			opt.ChargeObserver = obs
-			res, err := lcc.RunPush(g, lcc.PushOptions{Options: opt, Aggregation: lcc.PushDirect})
+			res, err := lcc.RunPush(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
