@@ -345,6 +345,11 @@ var handlerRows = []row{
 	{name: "negative workers", path: "/v1/run", body: `{"instance":"fb","workers":-1}`, status: 400, reason: "bad-request"},
 	{name: "negative offsets cache", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_offsets_bytes":-16}`, status: 400, reason: "bad-request"},
 	{name: "negative adjacency cache", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_adj_bytes":-1}`, status: 400, reason: "bad-request"},
+	// A body is exactly one JSON value with known fields: a misspelt option
+	// or a retired one must not run or load something else in silence.
+	{name: "misspelt field", path: "/v1/run", body: `{"instance":"fb","cache":true}`, status: 400, reason: "bad-request"},
+	{name: "retired field", path: "/v1/load", body: `{"name":"fb2","dataset":"fb-sim","ranks":4,"delegate_bytes":4096}`, status: 400, reason: "bad-request"},
+	{name: "trailing second object", path: "/v1/run", body: `{"instance":"fb"}{"instance":"fb"}`, status: 400, reason: "bad-request"},
 	oversized,
 	{name: "header deadline", path: "/v1/run", body: `{"instance":"fb"}`,
 		header: []string{"Request-Timeout", "0.001"}, status: 504, reason: "canceled"},
@@ -352,7 +357,7 @@ var handlerRows = []row{
 	{name: "stop", path: "/v1/stop", body: `{"instance":"fb"}`, status: 200},
 	{name: "run after stop", path: "/v1/run", body: runFB, status: 410, reason: "instance-exited"},
 	// Fault specs parse before the instance lookup, so this row reads 400
-	// after the stop; it sits last to keep the earlier fuzz seeds numbered.
+	// after the stop.
 	{name: "retired drop fault", path: "/v1/run", body: `{"instance":"fb","faults":"drop=0.1"}`, status: 400, reason: "bad-request"},
 }
 

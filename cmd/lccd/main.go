@@ -42,8 +42,9 @@
 // unknown instance, 410 exited, 503 loading/unhealthy/memory-brownout,
 // 504 deadline, cancellation or queue timeout (the JSON body carries the
 // queue wait), 500 isolated panic or a watchdog-detected stall, 413
-// oversized request body, 400 anything malformed, a negative workers or
-// cache size, or past the limits on ranks, workers and the offsets cache.
+// oversized request body, 400 anything malformed (a body is one JSON value
+// with no unknown field), a negative workers or cache size, or past the
+// limits on ranks, workers and the offsets cache.
 // A client timeout_ms (or Request-Timeout header, in seconds) becomes the
 // run context's deadline, so queue wait and execution share one budget.
 // SIGTERM/SIGINT drains in-flight runs before exit; manifests survive the
@@ -397,12 +398,13 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// decodeBody reads one bounded JSON body; on failure it writes the error
-// reply (413 when the MaxBytesReader bound tripped, 400 otherwise) and
-// returns non-nil so the handler just returns.
+// decodeBody reads one bounded JSON body, strictly (serve.DecodeStrict: one
+// value, no unknown field); on failure it writes the error reply (413 when
+// the MaxBytesReader bound tripped, 400 otherwise) and returns non-nil so
+// the handler just returns.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := serve.DecodeStrict(r.Body, v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, "body-too-large", err)

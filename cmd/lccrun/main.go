@@ -8,7 +8,7 @@
 //	lccrun -dataset lj-sim -ranks 16 -cache -degree-scores
 //	lccrun -dataset lj-sim -ranks 16 -engine push
 //	lccrun -dataset lj-sim -ranks 16 -engine replicated -replicas 4
-//	lccrun -in graph.csr -ranks 8 -scheme cyclic -top 10 -delegate 1048576
+//	lccrun -in graph.csr -ranks 8 -scheme cyclic -top 10
 //	lccrun -dataset lj-sim -ranks 16 -timeout 30s
 //	graphgen -dataset fb-sim -format edgelist | lccrun -ranks 2 -format edgelist -in -
 //
@@ -72,7 +72,6 @@ func run(args []string, out io.Writer) error {
 		noOverlap = fs.Bool("no-overlap", false, "disable double buffering (§III-A)")
 		engine    = fs.String("engine", "pull", `engine: "pull" (Algorithm 3), "push" (§VI ii dichotomy), or "replicated" (§VI i 1.5D)`)
 		replicas  = fs.Int("replicas", 2, "graph copies c for -engine replicated (must divide -ranks)")
-		delegate  = fs.Int("delegate", 0, "static vertex-delegation budget in bytes per rank (0 = off)")
 		top       = fs.Int("top", 5, "print the top-K vertices by LCC")
 		faults    = fs.String("faults", "", `deterministic fault schedule, e.g. "seed=1,get=0.01,acc=0.02" or "chaos,seed=3" (empty = off); results are unchanged, only simulated time grows`)
 		timeout   = fs.Duration("timeout", 0, "cancel the run after this host-time budget (0 = none); a deadlined run prints nothing and exits with code 3")
@@ -83,9 +82,9 @@ func run(args []string, out io.Writer) error {
 	if *ranks < 1 || *replicas < 1 {
 		return fmt.Errorf("-ranks %d, -replicas %d: both must be at least 1", *ranks, *replicas)
 	}
-	if *workers < 0 || *offBytes < 0 || *adjBytes < 0 || *delegate < 0 || *top < 0 || *timeout < 0 {
-		return fmt.Errorf("-workers %d, -cache-offsets %d, -cache-adj %d, -delegate %d, -top %d, -timeout %v: none may be negative",
-			*workers, *offBytes, *adjBytes, *delegate, *top, *timeout)
+	if *workers < 0 || *offBytes < 0 || *adjBytes < 0 || *top < 0 || *timeout < 0 {
+		return fmt.Errorf("-workers %d, -cache-offsets %d, -cache-adj %d, -top %d, -timeout %v: none may be negative",
+			*workers, *offBytes, *adjBytes, *top, *timeout)
 	}
 
 	faultSpec, err := fault.ParseSpec(*faults)
@@ -140,8 +139,6 @@ func run(args []string, out io.Writer) error {
 		opt.OffsetsCacheBytes, opt.AdjCacheBytes = cmp.Or(*offBytes, off), cmp.Or(*adjBytes, adj)
 	}
 
-	opt.DelegateBytes = *delegate
-
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -168,10 +165,6 @@ func run(args []string, out io.Writer) error {
 		g.Kind(), g.NumVertices(), g.NumEdges(), g.CSRSizeBytes())
 	fmt.Fprintf(out, "engine=%s ranks=%d scheme=%s method=%s caching=%v overlap=%v\n",
 		*engine, *ranks, sch, *method, *caching, !*noOverlap)
-	if *delegate > 0 {
-		fmt.Fprintf(out, "delegation: %d vertices, %d bytes per rank\n",
-			res.DelegatedVertices, res.DelegationBytes)
-	}
 	fmt.Fprintf(out, "triangles: %d (closed-triplet sum %d)\n", res.Triangles, res.SumT)
 	fmt.Fprintf(out, "simulated time: %.3f ms (slowest rank)\n", res.SimTime/1e6)
 	fmt.Fprintf(out, "remote reads: %.1f%% of adjacency fetches; comm share of critical path: %.1f%%\n",

@@ -25,7 +25,7 @@ func TestRun(t *testing.T) {
 		{args: "-faults drop=0.1", wantErr: `unknown key "drop"`},
 		{args: "-engine replicated -replicas 3 -ranks 4", wantErr: "does not divide"},
 		{args: "-cache -cache-offsets -16 -cache-adj -100 -workers -3", wantErr: "none may be negative"},
-		{args: "-delegate -1", wantErr: "none may be negative"},
+		{args: "-delegate 4096", wantErr: "flag provided but not defined: -delegate"},
 		{args: "-timeout -1s", wantErr: "-timeout -1s: none may be negative"},
 		{args: "-top -1", wantErr: "-top -1,"},
 		{args: "-ranks 0", wantErr: "at least 1"},

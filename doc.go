@@ -30,9 +30,8 @@
 //   - internal/lcc — the paper's contribution: fully asynchronous
 //     distributed TC/LCC over RMA with caching (§III); shared-memory
 //     kernels, the Schank–Wagner forward algorithm and orientations (§V);
-//     distributed Jaccard and the push-mode engine (future work ii);
-//     static vertex delegation (the abstract's framing, as an oracle
-//     baseline) and the replicated-groups 1.5D engine (future work i)
+//     distributed Jaccard and the push-mode engine (future work ii); and
+//     the replicated-groups 1.5D engine (future work i)
 //   - internal/grid — future work (i): the asynchronous 2D block engine
 //   - internal/tric — the TriC query-response baseline (§IV-B)
 //   - internal/disttc — the DistTC shadow-edge baseline (§I)

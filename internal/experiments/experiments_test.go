@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -82,44 +81,4 @@ func TestLookupAndAllConsistent(t *testing.T) {
 			t.Errorf("paper artifact %s not registered", id)
 		}
 	}
-}
-
-func TestFig1Smoke(t *testing.T) {
-	tab := Fig1DataReuse()
-	if len(tab.Rows) == 0 {
-		t.Fatal("fig1 produced no rows")
-	}
-	// Reuse must exist: some bin above repetition 1 is non-empty.
-	found := false
-	for _, r := range tab.Rows[1:] {
-		if r[1] != "0" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("fig1 shows no data reuse at all")
-	}
-}
-
-func TestFig5Smoke(t *testing.T) {
-	tab := Fig5CacheEntries()
-	if len(tab.Rows) < 5 {
-		t.Fatalf("fig5 produced %d rows", len(tab.Rows))
-	}
-	// Accesses must grow from the first to the last degree decile
-	// (Observation 3.1).
-	var first, last float64
-	if _, err := sscan(tab.Rows[0][2], &first); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sscan(tab.Rows[len(tab.Rows)-1][2], &last); err != nil {
-		t.Fatal(err)
-	}
-	if last <= first {
-		t.Errorf("accesses not increasing with degree: %v -> %v", first, last)
-	}
-}
-
-func sscan(s string, v *float64) (int, error) {
-	return fmt.Sscan(s, v)
 }

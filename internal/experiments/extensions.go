@@ -284,83 +284,6 @@ func pushPullRuns(g *graph.Graph, ranks int) (pull, cached, push *lcc.Result) {
 	return pull, cached, push
 }
 
-// AblationDelegation regenerates A11: static vertex delegation against
-// dynamic CLaMPI caching under the same per-rank memory budget. The
-// abstract frames the paper's contribution as "achieving vertex delegation
-// by a caching mechanism"; this table quantifies that claim. Delegation
-// gets oracle degree knowledge and free replication (excluded from timing,
-// like the paper's distribution phase), yet dynamic caching tracks it
-// closely wherever reuse is skewed — and only the cache adapts to what a
-// rank actually touches.
-func AblationDelegation() *Table {
-	t := &Table{
-		ID:     "ablation-delegation",
-		Title:  "Static vertex delegation vs dynamic RMA caching (A11)",
-		Paper:  "abstract: 'achieving vertex delegation by a caching mechanism leads to clear performance improvements'",
-		Header: []string{"ranks", "budget", "plain (ms)", "cached (ms)", "hit rate", "delegated (ms)", "deleg share", "both (ms)"},
-		Notes: []string{
-			"budget = per-rank bytes, 25% of the mean non-local partition (the Fig. 8 eviction-pressure setup);",
-			"the same budget funds C_adj for 'cached' and the static replica for 'delegated'; 'both' splits it half/half",
-			"deleg share = fraction of would-be remote reads served by the replica",
-			"delegation picks by global in-degree (an oracle); caching discovers the working set at runtime",
-		},
-	}
-	g := gen.MustLoad(fig7Dataset)
-	csr := int(g.CSRSizeBytes())
-	for _, ranks := range []int{4, 8, 16, 32, 64} {
-		nonLocal := csr - csr/ranks
-		budget := nonLocal / 4
-
-		plain, err := lcc.Run(g, baseEngineOptions(ranks))
-		if err != nil {
-			panic(err)
-		}
-
-		cachedOpt := baseEngineOptions(ranks)
-		cachedOpt.Caching = true
-		cachedOpt.OffsetsCacheBytes = 16 * g.NumVertices()
-		cachedOpt.AdjCacheBytes = budget
-		cachedOpt.AdjScorePolicy = lcc.ScoreDegree
-		cached, err := lcc.Run(g, cachedOpt)
-		if err != nil {
-			panic(err)
-		}
-
-		delegOpt := baseEngineOptions(ranks)
-		delegOpt.DelegateBytes = budget
-		deleg, err := lcc.Run(g, delegOpt)
-		if err != nil {
-			panic(err)
-		}
-
-		bothOpt := cachedOpt
-		bothOpt.AdjCacheBytes = budget / 2
-		bothOpt.DelegateBytes = budget / 2
-		both, err := lcc.Run(g, bothOpt)
-		if err != nil {
-			panic(err)
-		}
-
-		for _, r := range []*lcc.Result{cached, deleg, both} {
-			if r.Triangles != plain.Triangles {
-				panic(fmt.Sprintf("experiments: delegation ablation triangle mismatch: %d vs %d",
-					r.Triangles, plain.Triangles))
-			}
-		}
-
-		var plainRemote, delegated int64
-		for i := 0; i < ranks; i++ {
-			plainRemote += plain.PerRank[i].RemoteReads
-			delegated += deleg.PerRank[i].DelegatedReads
-		}
-		t.AddRow(ranks, fmtBytes(int64(budget)), ms(plain.SimTime),
-			ms(cached.SimTime), fmt.Sprintf("%.0f%%", 100*cached.HitRate()),
-			ms(deleg.SimTime), fmt.Sprintf("%.0f%%", 100*float64(delegated)/float64(plainRemote)),
-			ms(both.SimTime))
-	}
-	return t
-}
-
 // AblationRelabel regenerates A12: the paper's §II-B design decision made
 // measurable. "If the input graph is stored in a degree-ordered format, we
 // use a random relabeling to avoid assigning all the highest degree

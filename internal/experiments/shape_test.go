@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"slices"
 	"strconv"
@@ -14,7 +15,7 @@ import (
 
 // This file runs the cheaper experiments end to end and asserts the
 // *shape* the paper (or DESIGN.md §3) predicts: who wins, what grows, what
-// shrinks. The expensive sweeps (fig7, fig9, fig10, A11) are left to
+// shrinks. The expensive sweeps (fig7, fig9, fig10) are left to
 // cmd/figures; table3's wall-clock rates are too, and TestTable3Shape holds
 // its claim in modelled intersection iterations instead. TestFig8Shape and
 // TestAblationPushPullShape run their tables' configurations without the
@@ -124,6 +125,60 @@ func TestFig8Shape(t *testing.T) {
 		if deg.SimTime >= lru.SimTime {
 			t.Errorf("p=%d: degree's sim time %.1f ms is not below LRU's %.1f ms", p, deg.SimTime/1e6, lru.SimTime/1e6)
 		}
+	}
+}
+
+// TestFig1Shape holds Fig. 1's claim, that rank 0's remote reads come back
+// to the same targets: each target it reads is read at least 8 times on
+// average, and the tail reaches past 64 repetitions. At the table's
+// introduction fb-sim on 2 ranks read 1,971 targets 41,129 times (20.9 each),
+// none fewer than 5 times, and 10 fell in the 65-256 bin.
+func TestFig1Shape(t *testing.T) {
+	tab := Fig1DataReuse()
+	var reads, targets int
+	if _, err := fmt.Sscanf(tab.Notes[1], "total remote reads by rank 0: %d over %d distinct targets", &reads, &targets); err != nil || targets == 0 {
+		t.Fatalf("note %q: %d targets, %v", tab.Notes[1], targets, err)
+	}
+	var tail float64
+	for _, r := range tab.Rows {
+		if r[0] == "65-256" || r[0] == ">256" {
+			tail += cell(t, r[1])
+		}
+	}
+	mean := float64(reads) / float64(targets)
+	t.Logf("fig 1: %d remote reads over %d targets (%.1f each), %.0f targets read more than 64 times", reads, targets, mean, tail)
+	if mean < 8 {
+		t.Errorf("%.1f reads per target, want at least 8", mean)
+	}
+	if tail == 0 {
+		t.Error("no target is read more than 64 times")
+	}
+}
+
+// TestFig5Shape holds Observation 3.1 on Fig. 5's table: the mean accesses
+// per degree decile never fall, the top decile's is at least twice the
+// bottom's, and degree and accesses correlate at 0.8 or more. At the table's
+// introduction the means rose from 10.6 to 32.8 and the correlation was 0.913.
+func TestFig5Shape(t *testing.T) {
+	tab := Fig5CacheEntries()
+	if len(tab.Rows) != 10 {
+		t.Fatalf("rows = %d, want 10 deciles", len(tab.Rows))
+	}
+	acc := make([]float64, len(tab.Rows))
+	for i, r := range tab.Rows {
+		acc[i] = cell(t, r[2])
+		if i > 0 && acc[i] < acc[i-1] {
+			t.Errorf("decile %d's mean accesses %.1f fall below decile %d's %.1f", i+1, acc[i], i, acc[i-1])
+		}
+	}
+	_, corr, _ := strings.Cut(tab.Notes[len(tab.Notes)-1], "= ")
+	r := cell(t, corr)
+	t.Logf("fig 5: mean accesses per degree decile %.1f .. %.1f, correlation(degree, accesses) %.3f", acc[0], acc[len(acc)-1], r)
+	if acc[len(acc)-1] < 2*acc[0] {
+		t.Errorf("top decile's %.1f accesses are not at least 2 × the bottom's %.1f", acc[len(acc)-1], acc[0])
+	}
+	if r < 0.8 {
+		t.Errorf("correlation(degree, accesses) %.3f, want at least 0.8", r)
 	}
 }
 

@@ -50,15 +50,6 @@ type Options struct {
 	// ScoreDegree is the paper's application-defined score (§III-B-2).
 	AdjScorePolicy ScorePolicy
 
-	// DelegateBytes enables static vertex delegation (the A11 ablation):
-	// before the run, the adjacency lists of the highest in-degree
-	// vertices are replicated on every rank, greedily up to this many
-	// bytes per rank, and served at local-memory cost. The replication
-	// traffic is excluded from the measured time, as the paper excludes
-	// the distribution phase (§IV-A). Composable with Caching: delegated
-	// vertices never reach the caches.
-	DelegateBytes int
-
 	// OnRemoteRead, when set, observes every remote adjacency fetch
 	// (before caching) as (rank, target vertex). Rank r only ever
 	// reports with its own id, so per-rank storage needs no locking.
@@ -251,7 +242,7 @@ type RankStats struct {
 	Ledger         rma.Ledger // where SimTime went, per charge kind
 	RemoteReads    int64      // adjacency fetches that crossed ranks
 	LocalReads     int64      // adjacency fetches served locally
-	DelegatedReads int64      // fetches of delegated lists, served at local cost
+	DelegatedReads int64      // always 0; kept only because bench/probe.go:257 reads it
 	RMA            rma.Counters
 	OffsetsCache   clampi.Stats // zero value when caching is off
 	AdjCache       clampi.Stats
@@ -264,11 +255,6 @@ type Result struct {
 	SumT      int64     // Σ t_i, the raw closed-triplet total
 	SimTime   float64   // slowest rank's finish time, ns (the paper's metric)
 	PerRank   []RankStats
-
-	// DelegatedVertices / DelegationBytes report each rank's modelled static
-	// replica when Options.DelegateBytes is set; zero otherwise.
-	DelegatedVertices int
-	DelegationBytes   int
 }
 
 // RemoteReadFraction returns remote/(remote+local) adjacency fetches — the
@@ -277,7 +263,7 @@ func (res *Result) RemoteReadFraction() float64 {
 	var rem, loc int64
 	for _, s := range res.PerRank {
 		rem += s.RemoteReads
-		loc += s.LocalReads + s.DelegatedReads
+		loc += s.LocalReads
 	}
 	if rem+loc == 0 {
 		return 0
@@ -352,7 +338,7 @@ func (o Options) snapshot(g graph.Store, c int) (*Snapshot, error) {
 		return nil, fmt.Errorf("lcc: replication factor %d does not divide %d ranks", c, o.Ranks)
 	}
 	return NewSnapshotOpts(g, SnapshotOptions{
-		Ranks: o.Ranks / c, Scheme: o.Scheme, DelegateBytes: o.DelegateBytes, Storage: o.Storage,
+		Ranks: o.Ranks / c, Scheme: o.Scheme, Storage: o.Storage,
 	})
 }
 
@@ -395,10 +381,6 @@ type worker struct {
 	cOff *clampi.OneSize
 	cAdj *clampi.Cache
 
-	// deleg is the set of delegated vertices, whose lists are read from their
-	// owners' CSRs; nil or empty when delegation is off.
-	deleg *Delegation
-
 	// orient is the snapshot's orientation index (orient.go).
 	orient *orientIndex
 
@@ -417,17 +399,15 @@ type worker struct {
 	slot      int
 	ownerBase int
 
-	// locals are the snapshot's per-slot CSRs, the memory behind both windows
-	// and delegated reads; stageAhead reads them directly when the snapshot
-	// says it pays (Snapshot.ahead), and sink is where everything it loads
-	// ends up.
+	// locals are the snapshot's per-slot CSRs, the memory behind both
+	// windows; stageAhead reads them directly when the snapshot says it pays
+	// (Snapshot.ahead), and sink is where everything it loads ends up.
 	locals []*part.LocalCSR
 	ahead  bool
 	sink   uint64
 
-	remoteReads    int64
-	localReads     int64
-	delegatedReads int64
+	remoteReads int64
+	localReads  int64
 
 	// edgeFilter, when set, restricts forEachEdge to the (li, vj) pairs
 	// it accepts. The push engine uses it to walk only the upper wedge
@@ -651,7 +631,7 @@ func (w *worker) decide(batch []pipeEdge) {
 	n := 0
 	for i := range batch {
 		slot, li := unpackResolve(batch[i].rv)
-		if slot == w.slot || w.deleg.Has(batch[i].vj) {
+		if slot == w.slot {
 			continue
 		}
 		start, end, ok := w.record(slot, li)
@@ -753,7 +733,7 @@ func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end u
 func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *worker {
 	slot := r.ID() % s.ranks
 	w := &worker{r: r, kind: s.kind, pt: s.pt, lc: s.locals[slot], wOff: wOff, wAdj: wAdj, opt: opt,
-		deleg: s.deleg, orient: s.orient, resolve: s.resolve, slot: slot, ownerBase: r.ID() - slot,
+		orient: s.orient, resolve: s.resolve, slot: slot, ownerBase: r.ID() - slot,
 		locals: s.locals, ahead: s.ahead}
 	w.compLoc = w.lc.Compressed()
 	w.scanDecLi, w.ownDecLi = -1, -1
@@ -819,21 +799,17 @@ type fetch struct {
 func (w *worker) start(f *fetch, e pipeEdge) {
 	vj := e.vj
 	slot, li := unpackResolve(e.rv)
-	if slot == w.slot || w.deleg.Has(vj) {
-		// A list of the rank's own slot, or a delegated one, is read from its
-		// owner's CSR: a local DRAM read of the plain-image bytes (the model
-		// never sees the host representation).
+	if slot == w.slot {
+		// A list of the rank's own slot is read from its CSR: a local DRAM
+		// read of the plain-image bytes (the model never sees the host
+		// representation).
 		f.local = true
-		if slot == w.slot {
-			w.localReads++
-		} else {
-			w.delegatedReads++
-		}
+		w.localReads++
 		if w.compLoc {
-			f.dec = w.locals[slot].AdjInto(li, f.dec)
+			f.dec = w.lc.AdjInto(li, f.dec)
 			f.list = f.dec
 		} else {
-			f.list = w.locals[slot].AdjOf(li)
+			f.list = w.lc.AdjOf(li)
 		}
 		w.r.ChargeLocalRead(4 * len(f.list))
 		return
@@ -1041,13 +1017,12 @@ func (w *worker) run(lccOut []float64, phase, c int) int64 {
 
 func (w *worker) stats() RankStats {
 	s := RankStats{
-		Rank:           w.r.ID(),
-		SimTime:        w.r.Now(),
-		Ledger:         w.r.Ledger(),
-		RemoteReads:    w.remoteReads,
-		LocalReads:     w.localReads,
-		DelegatedReads: w.delegatedReads,
-		RMA:            w.r.Counters(),
+		Rank:        w.r.ID(),
+		SimTime:     w.r.Now(),
+		Ledger:      w.r.Ledger(),
+		RemoteReads: w.remoteReads,
+		LocalReads:  w.localReads,
+		RMA:         w.r.Counters(),
 	}
 	if w.opt.Caching {
 		s.OffsetsCache, s.AdjCache = w.offRes.Stats(), w.adjRes.Stats()

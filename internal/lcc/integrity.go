@@ -13,8 +13,8 @@ package lcc
 // array, or the compressed stream plus both of its offset indexes), and
 // the global packed resolve table. All of it is immutable after build and
 // read on every query: the offsets window serves the offset tables
-// themselves, and a delegated list is read from its owner's plane, so no
-// query reads a copy the sums miss. The orientation index (orient.go)
+// themselves and the adjacency window the planes, so no query reads a copy
+// the sums miss. The orientation index (orient.go)
 // fills while queries run, so it has no build-time sum: Verify recomputes
 // each filled entry from the tables it has just checked. The checksums themselves are
 // host-side metadata: the model plane never observes them, so recording or

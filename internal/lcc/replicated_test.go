@@ -158,8 +158,8 @@ func TestReplicatedFetchesStayInGroup(t *testing.T) {
 	}
 }
 
-// TestReplicatedWithCachingAndDelegation: the option surface composes.
-func TestReplicatedWithCachingAndDelegation(t *testing.T) {
+// TestReplicatedWithCaching: the option surface composes.
+func TestReplicatedWithCaching(t *testing.T) {
 	g := gen.Prepare(gen.RMAT(gen.DefaultRMAT(10, 8, graph.Undirected, 57)), 57)
 	base, err := Run(g, Options{Ranks: 8})
 	if err != nil {
@@ -169,7 +169,6 @@ func TestReplicatedWithCachingAndDelegation(t *testing.T) {
 		Options: Options{
 			Ranks: 8, Caching: true,
 			OffsetsCacheBytes: 1 << 14, AdjCacheBytes: 1 << 18,
-			DelegateBytes: 1 << 14,
 		},
 		Replication: 2,
 	})
@@ -177,7 +176,7 @@ func TestReplicatedWithCachingAndDelegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !lccClose(res.LCC, base.LCC) || res.Triangles != base.Triangles {
-		t.Error("replicated+caching+delegation changed results")
+		t.Error("replicated+caching changed results")
 	}
 }
 

@@ -82,11 +82,11 @@ func (s *Snapshot) residentCaches(w *worker, offCfg, adjCfg clampi.Config) (off,
 }
 
 // checkResident applies the residency law to the rank's remote lists: the
-// targets of every arc of its slot that lie in another slot and are not
-// delegated, once each. That covers what any engine's walk fetches, and any
-// replica's share of it, so the answer holds for every run on the snapshot.
-// A target the snapshot cannot resolve to a record makes neither cache
-// resident: the walk faults on it as it always did. tm's map is left clear.
+// targets of every arc of its slot that lie in another slot, once each. That
+// covers what any engine's walk fetches, and any replica's share of it, so
+// the answer holds for every run on the snapshot. A target the snapshot
+// cannot resolve to a record makes neither cache resident: the walk faults
+// on it as it always did. tm's map is left clear.
 func (w *worker) checkResident(tm *touchMap) uint32 {
 	seen := tm.off
 	defer clear(seen)
@@ -100,9 +100,6 @@ func (w *worker) checkResident(tm *touchMap) uint32 {
 			}
 			slot, lj := unpackResolve(w.resolve[vj])
 			if slot == w.slot {
-				continue
-			}
-			if w.deleg.Has(vj) {
 				continue
 			}
 			if _, _, ok := w.record(slot, lj); !ok {

@@ -13,13 +13,12 @@ import (
 )
 
 // Snapshot is the per-graph half of a distributed run: the partition, the
-// extracted per-rank CSRs (what both windows serve and delegated reads read;
-// checksummed with the packed resolve table, see Verify), the resolve table
-// and the static delegation set. All of it is immutable once built and —
-// unlike the communicator, the caches and the clocks — independent of any
-// particular query, so one snapshot is shared by any number of sequential or
-// concurrent runs over the same graph (the serving layer keeps exactly one
-// per loaded instance).
+// extracted per-rank CSRs (what both windows serve; checksummed with the
+// packed resolve table, see Verify) and the resolve table. All of it is
+// immutable once built and — unlike the communicator, the caches and the
+// clocks — independent of any particular query, so one snapshot is shared by
+// any number of sequential or concurrent runs over the same graph (the
+// serving layer keeps exactly one per loaded instance).
 //
 // Every engine runs on one: the one-shot entry points (Run, RunJaccard,
 // RunPush, RunReplicated) build a snapshot and launch on it, so a run through
@@ -45,18 +44,16 @@ import (
 // configurations a run last asked for, filled by its first run. None is
 // counted by LocalBytes; all are freed with the snapshot.
 type Snapshot struct {
-	src           graph.Store
-	kind          graph.Kind
-	n             int
-	ranks         int
-	scheme        part.Scheme
-	delegateBytes int
-	storage       StorageMode
+	src     graph.Store
+	kind    graph.Kind
+	n       int
+	ranks   int
+	scheme  part.Scheme
+	storage StorageMode
 
 	pt      *part.Partition
 	locals  []*part.LocalCSR
 	resolve []uint64
-	deleg   *Delegation
 
 	// sums / resolveSum are the build-time CRC-32C of the resident tables
 	// (integrity.go); Verify re-checks them for the snapshot's lifetime.
@@ -164,8 +161,6 @@ type SnapshotOptions struct {
 	Ranks int
 	// Scheme is the 1D vertex distribution; Block is the paper's default.
 	Scheme part.Scheme
-	// DelegateBytes is the static-delegation budget per rank; 0 = off.
-	DelegateBytes int
 	// Storage selects the host-side representation of the per-rank
 	// adjacency plane; see StorageMode. Host-side only — results are
 	// bit-identical across modes.
@@ -180,8 +175,7 @@ type SnapshotOptions struct {
 // NewSnapshotOpts partitions g over so.Ranks ranks and precomputes every
 // per-graph table of the engine setup, extracting the per-rank CSRs in
 // so.Storage. The snapshot pins the distribution: queries executed on it
-// inherit its rank count, scheme and delegation budget regardless of what
-// their Options say.
+// inherit its rank count and scheme regardless of what their Options say.
 func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 	if so.Ranks == 0 {
 		so.Ranks = 1
@@ -196,13 +190,11 @@ func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 	compressed := compressLocals(g, so.Ranks, so.Storage, so.MemBudgetBytes)
 	s := &Snapshot{
 		src: g, kind: g.Kind(), n: g.NumVertices(),
-		ranks: so.Ranks, scheme: so.Scheme, delegateBytes: so.DelegateBytes,
-		storage: so.Storage,
+		ranks: so.Ranks, scheme: so.Scheme, storage: so.Storage,
 		pt:      pt,
 		locals:  make([]*part.LocalCSR, so.Ranks),
 		resolve: make([]uint64, g.NumVertices()),
 		sums:    make([]rankSums, so.Ranks),
-		deleg:   BuildDelegation(g, so.DelegateBytes),
 		orient:  newOrientIndex(g.NumVertices()),
 	}
 	// A rank's tables are built and summed by one core while they are still
@@ -250,8 +242,7 @@ func (s *Snapshot) Scheme() part.Scheme { return s.scheme }
 // snapshot, the method/caching/workers/faults to the query — and applies
 // the usual defaults.
 func (s *Snapshot) options(opt Options) Options {
-	opt.Ranks, opt.Scheme, opt.DelegateBytes = s.ranks, s.scheme, s.delegateBytes
-	opt.Storage = s.storage
+	opt.Ranks, opt.Scheme, opt.Storage = s.ranks, s.scheme, s.storage
 	return opt.withDefaults()
 }
 
@@ -334,8 +325,7 @@ func (s *Snapshot) launch(ctx context.Context, opt Options, c int, lccOut []floa
 		return nil, err
 	}
 
-	res := &Result{LCC: lccOut, PerRank: stats, SimTime: rma.MaxClock(ranks),
-		DelegatedVertices: s.deleg.Len(), DelegationBytes: s.deleg.Bytes()}
+	res := &Result{LCC: lccOut, PerRank: stats, SimTime: rma.MaxClock(ranks)}
 	for _, t := range triOut {
 		res.SumT += t
 	}

@@ -104,7 +104,6 @@ func TestStageAheadIsHarmless(t *testing.T) {
 		{"blockarcs/plain/cached-degree", SnapshotOptions{Ranks: 8, Scheme: part.BlockArcs}, cached(pull, ScoreDegree), run, 0x285a709281fc940c},
 		{"block/compressed/cached-lru", SnapshotOptions{Ranks: 8, Scheme: part.Block, Storage: StorageCompressed}, cached(pull, ScoreLRU), run, 0xdc5c9c6ca473be1e},
 		{"cyclic/compressed/pull", SnapshotOptions{Ranks: 8, Scheme: part.Cyclic, Storage: StorageCompressed}, pull, run, 0x523cce2be46e2bc1},
-		{"block/delegated/cached-lru", SnapshotOptions{Ranks: 8, Scheme: part.Block, DelegateBytes: 1 << 12}, cached(pull, ScoreLRU), run, 0x701276baa7e76c55},
 		{"block/single-buffer", SnapshotOptions{Ranks: 8, Scheme: part.Block},
 			func() Options { o := cached(pull, ScoreLRU); o.DoubleBuffer = false; return o }(), run, 0x1d8d72db544eb512},
 		// Cache faults flush both caches mid-run, under the lanes the stage reads.
@@ -265,7 +264,10 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 //
 // Every digest over an undirected graph folds push runs, which ran the
 // zero-value direct accumulates until those were deleted; those digests
-// were re-recorded, push batched, at the last commit that had both.
+// were re-recorded, push batched, at the last commit that had both. The
+// second layout ran a static hub-replica budget until that option was
+// deleted; every digest was re-recorded without it at the last commit that
+// had it.
 func TestDecisionPassMatchesRecorded(t *testing.T) {
 	g := stageGraph()
 	cacheFaults := &fault.Spec{Seed: 7, CacheFailPct: 0.02, GetFailPct: 0.01}
@@ -285,7 +287,7 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		policy ScorePolicy
 		want   uint64
 	}{
-		{ScoreLRU, 0xcb33866d5ae5b8ea}, {ScoreDegree, 0x6102e122f696da1e},
+		{ScoreLRU, 0x2c5304430ba162ab}, {ScoreDegree, 0xf137c5801538e265},
 	} {
 		h, _ := decisionDigest(t, g, cachedOpts(2, 1<<9, 1<<12, tc.policy), []*fault.Spec{nil, cacheFaults}, false)
 		if h != tc.want {
@@ -296,9 +298,9 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		off, adj int
 		want     [2]uint64 // per policy, in ScorePolicy order
 	}{
-		{16 << 10, 256 << 10, [2]uint64{0xac0e6cbb8fed8fab, 0x5fe4a93b4eeaa6de}},
-		{512, 256 << 10, [2]uint64{0x6f396394be7746b2, 0x1243b3ef8b7b08f8}},
-		{16 << 10, 4 << 10, [2]uint64{0x9a5e13ffada89e50, 0x40c6a6104087ff98}},
+		{16 << 10, 256 << 10, [2]uint64{0xea055d1e59f29381, 0xf41efeaaeca25587}},
+		{512, 256 << 10, [2]uint64{0x779147ed5026a074, 0xf06854d31963bd0d}},
+		{16 << 10, 4 << 10, [2]uint64{0x21142f05b7a37a16, 0xad181e26504abdab}},
 	} {
 		for policy, want := range tc.want {
 			opt := cachedOpts(2, tc.off, tc.adj, ScorePolicy(policy))
@@ -317,9 +319,9 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		off, adj int
 		want     uint64
 	}{
-		{"directed R-MAT", gen.RMAT(gen.DefaultRMAT(10, 8, graph.Directed, 3)), 512, 4 << 10, 0x83c0cfbc516b52ef},
-		{"uniform, C_offsets 100 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 100, 4 << 10, 0xa8745c0d1cc3d8a7},
-		{"uniform, C_offsets 1000 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 1000, 4 << 10, 0x7aed72cffafdcc99},
+		{"directed R-MAT", gen.RMAT(gen.DefaultRMAT(10, 8, graph.Directed, 3)), 512, 4 << 10, 0xca7ae4f124d863f9},
+		{"uniform, C_offsets 100 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 100, 4 << 10, 0x4fa0d9d334e06b56},
+		{"uniform, C_offsets 1000 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 1000, 4 << 10, 0xa31427330b38206b},
 	} {
 		opt := cachedOpts(2, tc.off, tc.adj, ScoreLRU)
 		h, _ := decisionDigest(t, tc.g, opt, []*fault.Spec{nil, cacheFaults}, true)
@@ -370,7 +372,7 @@ func decisionDigest(t *testing.T, g *graph.Graph, opt Options, faults []*fault.S
 	var resident int
 	for _, so := range []SnapshotOptions{
 		{Ranks: 8, Scheme: part.Block},
-		{Ranks: 4, Scheme: part.Cyclic, Storage: StorageCompressed, DelegateBytes: 1 << 12},
+		{Ranks: 4, Scheme: part.Cyclic, Storage: StorageCompressed},
 	} {
 		s, err := NewSnapshotOpts(g, so)
 		if err != nil {

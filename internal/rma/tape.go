@@ -188,9 +188,8 @@ func (r *Rank) charge(kind ChargeKind, bytes int, ns float64) {
 
 // ChargeLocalRead charges a local memory read of the given byte count at
 // LocalCost, the rank's own work — the engines' charge for reading an
-// adjacency list out of their own partition (or a delegated list out of
-// its owner's) without inventing the duration at the call site. fold's body, written
-// out.
+// adjacency list out of their own partition, without inventing the
+// duration at the call site. fold's body, written out.
 func (r *Rank) ChargeLocalRead(bytes int) {
 	r.checkpoint()
 	r.clock.Advance(ChargeLocalRead, r.comm.model.LocalCost(bytes))

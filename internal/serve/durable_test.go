@@ -2,8 +2,10 @@ package serve_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
@@ -26,6 +28,16 @@ func testStore(t *testing.T) *serve.ManifestStore {
 	return ms
 }
 
+// frameManifest frames payload as a version-1 manifest file, with a valid
+// length and checksum.
+func frameManifest(payload string) []byte {
+	b := append([]byte("LCCMANIF"), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(b[8:], serve.ManifestVersion)
+	binary.LittleEndian.PutUint32(b[12:], uint32(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum([]byte(payload), crc32.MakeTable(crc32.Castagnoli)))
+}
+
 func fbConfig() serve.Config {
 	return serve.Config{Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 2, QueueDepth: 4}
 }
@@ -36,7 +48,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	ms := testStore(t)
 	want := &serve.Manifest{
 		Name: "fb", Dataset: "fb-sim", Ranks: 4, Scheme: "block",
-		DelegateBytes: 1 << 16, Storage: "compressed", MemBudgetBytes: 1 << 30,
+		Storage: "compressed", MemBudgetBytes: 1 << 30,
 		MaxConcurrent: 2, QueueDepth: 8, DefaultTimeoutMS: 5000,
 	}
 	if err := ms.Save(want); err != nil {
@@ -99,6 +111,12 @@ func TestManifestCorruptionDetected(t *testing.T) {
 	corrupt("payload bit flip", func(b []byte) []byte { b[20] ^= 0x40; return b }, serve.ErrManifestCorrupt)
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, serve.ErrManifestCorrupt)
 	corrupt("truncated", func(b []byte) []byte { return b[:len(b)-3] }, serve.ErrManifestCorrupt)
+	// A well-framed, checksummed payload with a field this version does not
+	// know (delegate_bytes, a retired distribution knob) would load under a
+	// different distribution than it was written with.
+	corrupt("unknown field", func([]byte) []byte {
+		return frameManifest(`{"name":"bad","dataset":"fb-sim","ranks":4,"scheme":"block","delegate_bytes":4096}`)
+	}, serve.ErrManifestCorrupt)
 	corrupt("version skew", func(b []byte) []byte { b[8] = 99; return b }, serve.ErrManifestVersion)
 
 	all, skipped := ms.LoadAll()

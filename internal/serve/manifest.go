@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,7 +46,6 @@ type Manifest struct {
 	Dataset          string `json:"dataset"`
 	Ranks            int    `json:"ranks"`
 	Scheme           string `json:"scheme"`
-	DelegateBytes    int    `json:"delegate_bytes,omitempty"`
 	Storage          string `json:"storage,omitempty"`
 	MemBudgetBytes   int64  `json:"mem_budget_bytes,omitempty"`
 	MaxConcurrent    int    `json:"max_concurrent,omitempty"`
@@ -109,7 +110,6 @@ func (m *Manifest) Config() (Config, error) {
 		Dataset:        m.Dataset,
 		Ranks:          m.Ranks,
 		Scheme:         scheme,
-		DelegateBytes:  m.DelegateBytes,
 		Storage:        storage,
 		MemBudgetBytes: m.MemBudgetBytes,
 		MaxConcurrent:  m.MaxConcurrent,
@@ -131,7 +131,6 @@ func manifestFor(name string, cfg Config) (*Manifest, bool) {
 		Dataset:          cfg.Dataset,
 		Ranks:            cfg.Ranks,
 		Scheme:           cfg.Scheme.String(),
-		DelegateBytes:    cfg.DelegateBytes,
 		Storage:          cfg.Storage.String(),
 		MemBudgetBytes:   cfg.MemBudgetBytes,
 		MaxConcurrent:    cfg.MaxConcurrent,
@@ -274,10 +273,32 @@ func (ms *ManifestStore) Load(path string) (*Manifest, error) {
 		return nil, &ManifestError{Path: path, Reason: fmt.Sprintf("checksum mismatch (stored %#x, computed %#x)", stored, got), Err: ErrManifestCorrupt}
 	}
 	var m Manifest
-	if err := json.Unmarshal(payload, &m); err != nil {
+	if err := DecodeStrict(bytes.NewReader(payload), &m); err != nil {
 		return nil, &ManifestError{Path: path, Reason: fmt.Sprintf("payload: %v", err), Err: ErrManifestCorrupt}
 	}
 	return &m, nil
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v and fails on a
+// field v does not declare or on anything but white space after the value.
+// A manifest and an lccd request body are both read this way: a field this
+// version does not know — misspelt, or one a later or earlier version wrote —
+// must fail loudly, not be dropped while the rest loads or runs.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	var rest json.RawMessage
+	switch err := dec.Decode(&rest); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("serve: more than one JSON value")
+	default:
+		return err
+	}
 }
 
 // LoadAll reads every manifest in the state directory, sorted by instance

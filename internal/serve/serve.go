@@ -4,8 +4,7 @@
 //
 // An Instance owns one loaded graph Snapshot (internal/lcc) — the
 // immutable per-graph half of the engine setup: partition, per-rank CSRs,
-// resolve table, delegation set — and serves queries
-// against it. Every run gets a fresh communicator, clocks and caches, so
+// resolve table — and serves queries against it. Every run gets a fresh communicator, clocks and caches, so
 // queries share the snapshot and nothing else; results are bit-identical
 // to the corresponding one-shot lcc.Run.
 //
@@ -138,12 +137,11 @@ type Config struct {
 	// a manifest, so the supervisor neither persists nor parks them.
 	Graph *graph.Graph
 
-	// Ranks, Scheme and DelegateBytes pin the snapshot's distribution
+	// Ranks and Scheme pin the snapshot's distribution
 	// (lcc.NewSnapshotOpts); queries inherit them regardless of their own
 	// Options. Ranks 0 selects 1.
-	Ranks         int
-	Scheme        part.Scheme
-	DelegateBytes int
+	Ranks  int
+	Scheme part.Scheme
 
 	// Storage selects the host-side representation of the snapshot's
 	// per-rank adjacency plane (lcc.StorageMode); MemBudgetBytes is the
@@ -366,7 +364,6 @@ func (inst *Instance) load() error {
 		snap, err = lcc.NewSnapshotOpts(g, lcc.SnapshotOptions{
 			Ranks:          inst.cfg.Ranks,
 			Scheme:         inst.cfg.Scheme,
-			DelegateBytes:  inst.cfg.DelegateBytes,
 			Storage:        inst.cfg.Storage,
 			MemBudgetBytes: inst.cfg.MemBudgetBytes,
 		})
@@ -472,7 +469,7 @@ func (inst *Instance) Quiesce(ctx context.Context) error {
 }
 
 // Query selects the engine and per-run options of one supervised run. The
-// snapshot's distribution (ranks, scheme, delegation) overrides the
+// snapshot's distribution (ranks, scheme) overrides the
 // corresponding Options fields; method, caching, workers, charge plane
 // and faults belong to the query.
 type Query struct {
