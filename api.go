@@ -213,24 +213,6 @@ func RunLCCPush(g GraphStore, opt LCCOptions) (*LCCResult, error) {
 	return lcc.RunPush(g, opt)
 }
 
-// LCCReplicatedOptions configure a replicated-groups ("1.5D") run: c graph
-// copies over p ranks trade memory for communication (future work i, the
-// 2.5D idea of [41] applied to 1D distribution).
-type LCCReplicatedOptions = lcc.ReplicatedOptions
-
-// RunLCCReplicated computes LCC over the replicated-groups distribution.
-// Results are bit-identical to RunLCC; the remote-read fraction falls as
-// the replication factor grows, at a proportional per-rank memory cost.
-func RunLCCReplicated(g GraphStore, opt LCCReplicatedOptions) (*LCCResult, error) {
-	return lcc.RunReplicated(g, opt)
-}
-
-// ReplicaWindowBytes reports the per-rank window memory a replicated run
-// would need — the cost side of the memory-for-communication trade.
-func ReplicaWindowBytes(g *Graph, ranks, replication int) (int64, error) {
-	return lcc.ReplicaWindowBytes(g, ranks, replication)
-}
-
 // JaccardResult is the output of a distributed Jaccard-similarity run.
 type JaccardResult = lcc.JaccardResult
 

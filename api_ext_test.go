@@ -90,35 +90,3 @@ func TestFacadePushPull(t *testing.T) {
 		t.Error("RunLCCPush accepted a directed graph")
 	}
 }
-
-func TestFacadeReplicated(t *testing.T) {
-	g := repro.Prepare(repro.RMAT(10, 8, repro.Undirected, 61), 61)
-	base, err := repro.RunLCC(g, repro.LCCOptions{Ranks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := repro.RunLCCReplicated(g, repro.LCCReplicatedOptions{
-		Options:     repro.LCCOptions{Ranks: 8},
-		Replication: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Triangles != base.Triangles {
-		t.Errorf("replicated triangles %d != %d", rep.Triangles, base.Triangles)
-	}
-	if rep.RemoteReadFraction() >= base.RemoteReadFraction() {
-		t.Error("replication did not reduce the remote-read fraction")
-	}
-	m1, err := repro.ReplicaWindowBytes(g, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m4, err := repro.ReplicaWindowBytes(g, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m4 <= m1 {
-		t.Errorf("window bytes did not grow with replication: %d vs %d", m4, m1)
-	}
-}

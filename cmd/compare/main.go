@@ -2,8 +2,8 @@
 // one graph and one rank count, verifies that they all agree on the
 // triangle total, and prints a side-by-side comparison: the paper's
 // asynchronous RMA engine (cached and non-cached), its push-mode (§VI ii)
-// and replicated-groups 1.5D (§VI i) variants, the TriC and TriC-Buffered
-// baselines (§IV-B), the DistTC shadow-edge baseline (§I), and the
+// and 2D block (§VI i) variants, the TriC and TriC-Buffered baselines
+// (§IV-B), the DistTC shadow-edge baseline (§I), and the
 // single-node shared-memory and forward references.
 //
 // Usage:
@@ -30,25 +30,18 @@ import (
 )
 
 func main() {
-	var (
-		dataset = flag.String("dataset", "rmat-s14-ef16", "registered dataset name (see graphgen -list)")
-		ranks   = flag.Int("ranks", 8, "number of simulated computing nodes")
-		skip    = flag.String("skip", "", "comma-separated engines to skip: "+strings.Join(skippable, ","))
-	)
-	flag.Parse()
-
-	skipped, err := parseSkip(*skip)
+	dataset, ranks, skipped, err := parseArgs(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "compare:", err)
 		os.Exit(2)
 	}
 
-	g, err := gen.Load(*dataset)
+	g, err := gen.Load(dataset)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("dataset %s: |V|=%d |E|=%d (%v), %d ranks\n\n",
-		*dataset, g.NumVertices(), g.NumEdges(), g.Kind(), *ranks)
+		dataset, g.NumVertices(), g.NumEdges(), g.Kind(), ranks)
 
 	type row struct {
 		name    string
@@ -73,7 +66,7 @@ func main() {
 			checked: true, notes: fmt.Sprintf("%d merge ops", fwd.Ops)})
 	}
 
-	async, err := lcc.Run(g, lcc.Options{Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true})
+	async, err := lcc.Run(g, lcc.Options{Ranks: ranks, Method: intersect.MethodHybrid, DoubleBuffer: true})
 	if err != nil {
 		fatal(err)
 	}
@@ -82,7 +75,7 @@ func main() {
 		notes: fmt.Sprintf("%.0f%% reads remote", 100*async.RemoteReadFraction())})
 
 	cachedOpt := lcc.Options{
-		Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true,
+		Ranks: ranks, Method: intersect.MethodHybrid, DoubleBuffer: true,
 		Caching: true, AdjScorePolicy: lcc.ScoreDegree,
 	}
 	cachedOpt.OffsetsCacheBytes, cachedOpt.AdjCacheBytes = lcc.PaperCacheBytes(g.NumVertices())
@@ -95,7 +88,7 @@ func main() {
 		notes: fmt.Sprintf("%.0f%% hit rate", 100*cached.HitRate())})
 
 	if g.Kind() == graph.Undirected && !skipped["push"] {
-		pushed, err := lcc.RunPush(g, lcc.Options{Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true})
+		pushed, err := lcc.RunPush(g, lcc.Options{Ranks: ranks, Method: intersect.MethodHybrid, DoubleBuffer: true})
 		if err != nil {
 			fatal(err)
 		}
@@ -104,38 +97,25 @@ func main() {
 			notes: fmt.Sprintf("%d batched accumulates", pushed.AggregateRMA().Puts)})
 	}
 
-	if *ranks%2 == 0 && !skipped["replicated"] {
-		rep, err := lcc.RunReplicated(g, lcc.ReplicatedOptions{
-			Options:     lcc.Options{Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true},
-			Replication: 2,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		rows = append(rows, row{name: "async RMA 1.5D (c=2)", simMS: rep.SimTime / 1e6,
-			tricnt: rep.Triangles, checked: true,
-			notes: fmt.Sprintf("%.0f%% reads remote", 100*rep.RemoteReadFraction())})
-	}
-
 	if !skipped["tric"] {
-		tr := tric.MustRun(g, tric.Options{Ranks: *ranks, Method: intersect.MethodHybrid})
+		tr := tric.MustRun(g, tric.Options{Ranks: ranks, Method: intersect.MethodHybrid})
 		rows = append(rows, row{name: "TriC", simMS: tr.SimTime / 1e6, tricnt: tr.Triangles,
 			checked: true, notes: fmt.Sprintf("%d supersteps", tr.Supersteps)})
 	}
 	if !skipped["tricbuf"] {
-		tb := tric.MustRun(g, tric.Options{Ranks: *ranks, Method: intersect.MethodHybrid,
+		tb := tric.MustRun(g, tric.Options{Ranks: ranks, Method: intersect.MethodHybrid,
 			Buffered: true, BufferBytes: 256 << 10})
 		rows = append(rows, row{name: "TriC-Buffered", simMS: tb.SimTime / 1e6, tricnt: tb.Triangles,
 			checked: true, notes: fmt.Sprintf("%d supersteps", tb.Supersteps)})
 	}
-	if q := isqrt(*ranks); g.Kind() == graph.Undirected && q*q == *ranks && !skipped["2d"] {
-		td := grid.MustRun(g, grid.Options{Ranks: *ranks})
+	if q := isqrt(ranks); g.Kind() == graph.Undirected && q*q == ranks && !skipped["2d"] {
+		td := grid.MustRun(g, grid.Options{Ranks: ranks})
 		rows = append(rows, row{name: "async RMA 2D (future work i)", simMS: td.SimTime / 1e6,
 			tricnt: td.Triangles, checked: true,
 			notes: fmt.Sprintf("%.2f MB/rank max, %d block gets", float64(td.RemoteBytesMax)/1e6, td.BlockFetches)})
 	}
 	if g.Kind() == graph.Undirected && !skipped["disttc"] {
-		dt := disttc.MustRun(g, disttc.Options{Ranks: *ranks})
+		dt := disttc.MustRun(g, disttc.Options{Ranks: ranks})
 		rows = append(rows, row{name: "DistTC", simMS: dt.SimTime / 1e6, tricnt: dt.Triangles,
 			checked: true,
 			notes: fmt.Sprintf("%.0f%% precompute, %.1fx replication",
@@ -166,7 +146,22 @@ func main() {
 
 // skippable lists the engines -skip accepts. The shared-memory reference
 // every row is checked against and the two async pull runs always run.
-var skippable = []string{"tric", "tricbuf", "disttc", "forward", "push", "replicated", "2d"}
+var skippable = []string{"tric", "tricbuf", "disttc", "forward", "push", "2d"}
+
+// parseArgs parses compare's command line. A -ranks below 1 or a bad -skip
+// list is an error, returned before any dataset is loaded.
+func parseArgs(args []string) (dataset string, ranks int, skipped map[string]bool, err error) {
+	fs := flag.NewFlagSet("compare", flag.ExitOnError)
+	fs.StringVar(&dataset, "dataset", "rmat-s14-ef16", "registered dataset name (see graphgen -list)")
+	fs.IntVar(&ranks, "ranks", 8, "number of simulated computing nodes")
+	skip := fs.String("skip", "", "comma-separated engines to skip: "+strings.Join(skippable, ","))
+	_ = fs.Parse(args) // ExitOnError: a malformed flag has exited 2 already
+	if ranks < 1 {
+		return "", 0, nil, fmt.Errorf("-ranks %d: must be at least 1", ranks)
+	}
+	skipped, err = parseSkip(*skip)
+	return dataset, ranks, skipped, err
+}
 
 // parseSkip parses the -skip list: comma-separated engine names, blanks
 // ignored, any name outside skippable an error that lists the valid ones.

@@ -7,7 +7,6 @@
 //
 //	lccrun -dataset lj-sim -ranks 16 -cache -degree-scores
 //	lccrun -dataset lj-sim -ranks 16 -engine push
-//	lccrun -dataset lj-sim -ranks 16 -engine replicated -replicas 4
 //	lccrun -in graph.csr -ranks 8 -scheme cyclic -top 10
 //	lccrun -dataset lj-sim -ranks 16 -timeout 30s
 //	graphgen -dataset fb-sim -format edgelist | lccrun -ranks 2 -format edgelist -in -
@@ -70,8 +69,7 @@ func run(args []string, out io.Writer) error {
 		adjBytes  = fs.Int("cache-adj", 0, "C_adj capacity in bytes (0 = paper sizing)")
 		degScores = fs.Bool("degree-scores", false, "use degree-centrality eviction scores for C_adj (§III-B-2)")
 		noOverlap = fs.Bool("no-overlap", false, "disable double buffering (§III-A)")
-		engine    = fs.String("engine", "pull", `engine: "pull" (Algorithm 3), "push" (§VI ii dichotomy), or "replicated" (§VI i 1.5D)`)
-		replicas  = fs.Int("replicas", 2, "graph copies c for -engine replicated (must divide -ranks)")
+		engine    = fs.String("engine", "pull", `engine: "pull" (Algorithm 3) or "push" (§VI ii dichotomy)`)
 		top       = fs.Int("top", 5, "print the top-K vertices by LCC")
 		faults    = fs.String("faults", "", `deterministic fault schedule, e.g. "seed=1,get=0.01,acc=0.02" or "chaos,seed=3" (empty = off); results are unchanged, only simulated time grows`)
 		timeout   = fs.Duration("timeout", 0, "cancel the run after this host-time budget (0 = none); a deadlined run prints nothing and exits with code 3")
@@ -79,8 +77,8 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *ranks < 1 || *replicas < 1 {
-		return fmt.Errorf("-ranks %d, -replicas %d: both must be at least 1", *ranks, *replicas)
+	if *ranks < 1 {
+		return fmt.Errorf("-ranks %d: must be at least 1", *ranks)
 	}
 	if *workers < 0 || *offBytes < 0 || *adjBytes < 0 || *top < 0 || *timeout < 0 {
 		return fmt.Errorf("-workers %d, -cache-offsets %d, -cache-adj %d, -top %d, -timeout %v: none may be negative",
@@ -102,15 +100,13 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-scheme: %w", err)
 	}
 
-	// A flag for a mode the run is not in would be ignored in silence. Visit
-	// sees only the flags the command line set, so no default trips this.
-	needs := map[string]string{"cache-adj": "-cache", "cache-offsets": "-cache", "degree-scores": "-cache",
-		"replicas": "-engine replicated"}
-	mode := map[string]bool{"-cache": *caching, "-engine " + *engine: true}
+	// A cache flag without -cache would be ignored in silence. Visit sees
+	// only the flags the command line set, so no default trips this.
+	cacheFlags := map[string]bool{"cache-adj": true, "cache-offsets": true, "degree-scores": true}
 	var stray []string
 	fs.Visit(func(f *flag.Flag) {
-		if need := needs[f.Name]; need != "" && !mode[need] {
-			stray = append(stray, fmt.Sprintf("-%s needs %s", f.Name, need))
+		if cacheFlags[f.Name] && !*caching {
+			stray = append(stray, fmt.Sprintf("-%s needs -cache", f.Name))
 		}
 	})
 	if len(stray) > 0 {
@@ -152,8 +148,6 @@ func run(args []string, out io.Writer) error {
 		res, err = lcc.RunCtx(ctx, g, opt)
 	case "push":
 		res, err = lcc.RunPushCtx(ctx, g, opt)
-	case "replicated":
-		res, err = lcc.RunReplicatedCtx(ctx, g, lcc.ReplicatedOptions{Options: opt, Replication: *replicas})
 	default:
 		err = fmt.Errorf("unknown engine %q", *engine)
 	}

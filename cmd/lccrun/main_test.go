@@ -23,22 +23,19 @@ func TestRun(t *testing.T) {
 		{args: "-method hash", wantErr: `-method: intersect: unknown method "hash" (want "hybrid", "ssi" or "binary")`},
 		{args: "-faults get=2", wantErr: "-faults"},
 		{args: "-faults drop=0.1", wantErr: `unknown key "drop"`},
-		{args: "-engine replicated -replicas 3 -ranks 4", wantErr: "does not divide"},
+		{args: "-engine replicated", wantErr: `unknown engine "replicated"`},
+		{args: "-replicas 2", wantErr: "flag provided but not defined: -replicas"},
 		{args: "-cache -cache-offsets -16 -cache-adj -100 -workers -3", wantErr: "none may be negative"},
 		{args: "-delegate 4096", wantErr: "flag provided but not defined: -delegate"},
 		{args: "-timeout -1s", wantErr: "-timeout -1s: none may be negative"},
 		{args: "-top -1", wantErr: "-top -1,"},
 		{args: "-ranks 0", wantErr: "at least 1"},
-		{args: "-engine replicated -replicas 0", wantErr: "at least 1"},
 		{args: "-ranks 2 -degree-scores -cache-adj 4096", wantErr: "-cache-adj needs -cache; -degree-scores needs -cache"},
 		{args: "-cache=false -cache-offsets 64", wantErr: "-cache-offsets needs -cache"},
-		{args: "-replicas 2", wantErr: "-replicas needs -engine replicated"},
-		{args: "-engine push -replicas 1", wantErr: "-replicas needs -engine replicated"},
 		{args: "-engine pull -scheme block-arcs", wantOut: "scheme=block-arcs"},
 		{args: "-engine pull -scheme cyclic -cache -degree-scores", wantOut: "scheme=cyclic"},
 		{args: "-cache -cache-offsets 16 -cache-adj 4096", wantOut: "% compulsory), C_adj "},
 		{args: "-engine push", wantOut: "engine=push"},
-		{args: "-engine replicated -replicas 2", wantOut: "engine=replicated"},
 	} {
 		var out bytes.Buffer
 		err := run(append([]string{"-dataset", "fb-sim"}, strings.Fields(tc.args)...), &out)

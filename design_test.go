@@ -8,7 +8,7 @@ import (
 
 // designMaxLines is DESIGN.md's length when "DESIGN.md does not grow"
 // became a check: a change that adds lines to it removes as many elsewhere.
-const designMaxLines = 1213
+const designMaxLines = 1209
 
 // TestDesignDoesNotGrow holds DESIGN.md, the contract the code is kept to,
 // at or under designMaxLines lines.

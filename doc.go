@@ -30,13 +30,12 @@
 //   - internal/lcc — the paper's contribution: fully asynchronous
 //     distributed TC/LCC over RMA with caching (§III); shared-memory
 //     kernels, the Schank–Wagner forward algorithm and orientations (§V);
-//     distributed Jaccard and the push-mode engine (future work ii); and
-//     the replicated-groups 1.5D engine (future work i)
+//     and distributed Jaccard and the push-mode engine (future work ii)
 //   - internal/grid — future work (i): the asynchronous 2D block engine
 //   - internal/tric — the TriC query-response baseline (§IV-B)
 //   - internal/disttc — the DistTC shadow-edge baseline (§I)
 //   - internal/experiments — regenerates every table and figure of §IV
-//     plus the A1–A13 ablations
+//     plus the A1–A12 ablations
 //   - internal/serve — the supervised serving layer: long-lived instances
 //     over a shared graph snapshot, with run deadlines, cancellation,
 //     panic isolation, priority admission queueing, memory-budgeted LRU

@@ -116,10 +116,6 @@ func TestCrashFailFastDeterminism(t *testing.T) {
 			_, err := lcc.RunPush(g, opt)
 			return err
 		}},
-		{"replicated", lateCrash, func(opt lcc.Options) error {
-			_, err := lcc.RunReplicated(g, lcc.ReplicatedOptions{Options: opt, Replication: 2})
-			return err
-		}},
 		{"grid", fault.Spec{Seed: 17, CrashAtOp: 1, CrashRank: 0}, func(opt lcc.Options) error {
 			_, err := grid.Run(g, grid.Options{Ranks: 4, Workers: opt.Workers, Faults: opt.Faults})
 			return err

@@ -65,7 +65,7 @@ type goldenRun struct {
 // TestLedgerLaws reads the ledgers from.
 var goldenPerRank []lcc.RankStats
 
-// goldenConfigs is the single source of the pinned values: the seven
+// goldenConfigs is the single source of the pinned values: the six
 // engine configurations the individual TestGolden* tests assert and the
 // worker sweep replays. Each run function executes its engine at the
 // given worker count, performs any configuration-specific extra checks
@@ -147,21 +147,6 @@ var goldenConfigs = []struct {
 		},
 	},
 	{
-		name: "replicated",
-		want: goldenRun{0x4194d5d82066633a, goldenLCCBits, goldenTriangles, goldenSumT},
-		run: func(t *testing.T, g graph.Store, workers int, faults *fault.Spec) goldenRun {
-			opt := goldenBase()
-			opt.Workers = workers
-			opt.Faults = faults
-			res, err := lcc.RunReplicated(g, lcc.ReplicatedOptions{Options: opt, Replication: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			goldenPerRank = res.PerRank
-			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
-		},
-	},
-	{
 		name: "jaccard",
 		want: goldenRun{0x419e4086ab9986ca, 0x40d8e68d91b9c64c, -1, -1},
 		run: func(t *testing.T, g graph.Store, workers int, faults *fault.Spec) goldenRun {
@@ -221,13 +206,12 @@ func runGoldenConfig(t *testing.T, name string) {
 	t.Fatalf("unknown golden configuration %q", name)
 }
 
-func TestGoldenPull(t *testing.T)       { runGoldenConfig(t, "pull") }
-func TestGoldenCached(t *testing.T)     { runGoldenConfig(t, "cached") }
-func TestGoldenNoise(t *testing.T)      { runGoldenConfig(t, "noise") }
-func TestGoldenPush(t *testing.T)       { runGoldenConfig(t, "push") }
-func TestGoldenReplicated(t *testing.T) { runGoldenConfig(t, "replicated") }
-func TestGoldenJaccard(t *testing.T)    { runGoldenConfig(t, "jaccard") }
-func TestGoldenGrid(t *testing.T)       { runGoldenConfig(t, "grid") }
+func TestGoldenPull(t *testing.T)    { runGoldenConfig(t, "pull") }
+func TestGoldenCached(t *testing.T)  { runGoldenConfig(t, "cached") }
+func TestGoldenNoise(t *testing.T)   { runGoldenConfig(t, "noise") }
+func TestGoldenPush(t *testing.T)    { runGoldenConfig(t, "push") }
+func TestGoldenJaccard(t *testing.T) { runGoldenConfig(t, "jaccard") }
+func TestGoldenGrid(t *testing.T)    { runGoldenConfig(t, "grid") }
 
 // TestGoldenWorkerSweep re-runs the full golden table at Workers ∈
 // {1, 2, 4, 8} and asserts that every pinned quantity matches the

@@ -57,7 +57,7 @@ func Fig7CacheSize() *Table {
 		}
 		offRate, _ := res.CacheMissRates()
 		t.AddRow("C_offsets", rel, fmtBytes(int64(opt.OffsetsCacheBytes)),
-			res.MaxCommTime()/1e6,
+			ms(res.MaxCommTime()),
 			fmt.Sprintf("%+.1f%%", 100*(res.MaxCommTime()-baseComm)/baseComm),
 			offRate, compulsoryFrac(res, true))
 	}
@@ -74,12 +74,14 @@ func Fig7CacheSize() *Table {
 		}
 		_, adjRate := res.CacheMissRates()
 		t.AddRow("C_adj", rel, fmtBytes(int64(opt.AdjCacheBytes)),
-			res.MaxCommTime()/1e6,
+			ms(res.MaxCommTime()),
 			fmt.Sprintf("%+.1f%%", 100*(res.MaxCommTime()-baseComm)/baseComm),
 			adjRate, compulsoryFrac(res, false))
 	}
 	t.Notes = append(t.Notes,
-		"expect: C_adj reduces comm far more than C_offsets at equal relative size (adjacency gets move the bytes)",
+		"below 30% relative size both caches raise comm time: few accesses hit, and every miss adds CLaMPI's management charges to its get",
+		"from 40% up both cut it, C_adj by more than C_offsets (adjacency gets move the bytes)",
+		"the paper's small C_adj caches already save ~30% comm; here they cost it (open fidelity gap, DESIGN.md §3)",
 		"grey area of the paper's plot = compulsory miss floor, reported in the last column")
 	return t
 }

@@ -108,7 +108,6 @@ func All() []NamedExperiment {
 		{"ablation-2d", "1D vs 2D asynchronous distribution (A9)", Ablation2D},
 		{"ablation-pushpull", "Push vs pull dichotomy (A10)", AblationPushPull},
 		{"ablation-relabel", "Random relabeling vs degree-ordered ids (A12)", AblationRelabel},
-		{"ablation-replication", "Replicated-groups 1.5D distribution (A13)", AblationReplication},
 	}
 }
 

@@ -336,51 +336,3 @@ func AblationRelabel() *Table {
 	}
 	return t
 }
-
-// AblationReplication regenerates A13 — future-work direction (i) again,
-// from the memory side: replicated-groups "1.5D" distribution, the 2.5D
-// matmul idea [41] applied to the paper's 1D scheme. c graph copies form c
-// groups of p/c ranks; each fetch then sees a coarser 1/(p/c) partition, so
-// the remote-read fraction falls while per-rank window memory grows by c.
-func AblationReplication() *Table {
-	t := &Table{
-		ID:     "ablation-replication",
-		Title:  "Replicated-groups (1.5D) distribution at fixed p=16 (A13)",
-		Paper:  "§VI i: 'distribution schema that have lower communication costs than 1D distribution' [41]",
-		Header: []string{"c", "groups x slots", "time (ms)", "speedup", "remote frac", "window MB/rank", "memory cost"},
-		Notes: []string{
-			"c = graph copies; at c=1 this is exactly the paper's 1D engine layout",
-			"remote frac ~ (q-1)/q with q = p/c: coarser partitions mean fewer remote reads",
-			"window MB/rank is the replicated CSR each rank must hold - the 2.5D memory-for-communication trade",
-			"every configuration returns bit-identical LCC scores (asserted)",
-		},
-	}
-	g := gen.MustLoad(fig7Dataset)
-	const p = 16
-	base, err := lcc.Run(g, baseEngineOptions(p))
-	if err != nil {
-		panic(err)
-	}
-	for _, c := range []int{1, 2, 4, 8} {
-		opt := baseEngineOptions(p)
-		res, err := lcc.RunReplicated(g, lcc.ReplicatedOptions{Options: opt, Replication: c})
-		if err != nil {
-			panic(err)
-		}
-		if res.Triangles != base.Triangles {
-			panic(fmt.Sprintf("experiments: replication c=%d changed triangles: %d vs %d",
-				c, res.Triangles, base.Triangles))
-		}
-		mem, err := lcc.ReplicaWindowBytes(g, p, c)
-		if err != nil {
-			panic(err)
-		}
-		mem1, _ := lcc.ReplicaWindowBytes(g, p, 1)
-		t.AddRow(c, fmt.Sprintf("%dx%d", c, p/c), ms(res.SimTime),
-			fmt.Sprintf("%.2fx", base.SimTime/res.SimTime),
-			fmt.Sprintf("%.0f%%", 100*res.RemoteReadFraction()),
-			fmt.Sprintf("%.2f", float64(mem)/1e6),
-			fmt.Sprintf("%.1fx", float64(mem)/float64(mem1)))
-	}
-	return t
-}

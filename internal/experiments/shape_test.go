@@ -15,9 +15,10 @@ import (
 
 // This file runs the cheaper experiments end to end and asserts the
 // *shape* the paper (or DESIGN.md §3) predicts: who wins, what grows, what
-// shrinks. The expensive sweeps (fig7, fig9, fig10) are left to
-// cmd/figures; table3's wall-clock rates are too, and TestTable3Shape holds
-// its claim in modelled intersection iterations instead. TestFig8Shape and
+// shrinks. The expensive sweeps (fig9, fig10) are left to cmd/figures, and
+// TestFig7Shape runs fig7's only outside -short; table3's wall-clock rates
+// are left to cmd/figures too, and TestTable3Shape holds its claim in
+// modelled intersection iterations instead. TestFig8Shape and
 // TestAblationPushPullShape run their tables' configurations without the
 // tables.
 
@@ -125,6 +126,63 @@ func TestFig8Shape(t *testing.T) {
 		if deg.SimTime >= lru.SimTime {
 			t.Errorf("p=%d: degree's sim time %.1f ms is not below LRU's %.1f ms", p, deg.SimTime/1e6, lru.SimTime/1e6)
 		}
+	}
+}
+
+// TestFig7Shape holds Fig. 7's sweep, each cache on its own over the 11
+// relative sizes: neither comm time nor miss rate ever rises with size; at
+// full size at least 99% of the misses are compulsory; and full C_adj saves
+// at least 20% of the uncached comm time, more than full C_offsets does. At
+// the test's introduction the uncached comm time was 825.1 ms, C_offsets
+// went 1145.8 → 727.4 ms (−11.9%) and C_adj 1211.4 → 589.8 ms (−28.5%).
+//
+// It does not assert the paper's claim that small C_adj caches already save
+// ~30%: here every cache below 30% relative size costs comm time (C_adj
+// +19.0% to +46.8% at 1–20%), because few of its accesses hit and every
+// miss adds CLaMPI's management charges to its get. That gap is an open
+// fidelity claim (DESIGN.md §3), not a shape this model holds.
+func TestFig7Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("23 engine runs")
+	}
+	tab := Fig7CacheSize()
+	var uncached float64
+	if _, err := fmt.Sscanf(tab.Notes[0], "uncached communication time: %f ms", &uncached); err != nil || uncached <= 0 {
+		t.Fatalf("note %q: %v", tab.Notes[0], err)
+	}
+	full := map[string]float64{}
+	for _, cache := range []string{"C_offsets", "C_adj"} {
+		var rows [][]string
+		for _, r := range tab.Rows {
+			if r[0] == cache {
+				rows = append(rows, r)
+			}
+		}
+		if len(rows) != 11 {
+			t.Fatalf("%s: %d rows, want 11", cache, len(rows))
+		}
+		for i := 1; i < len(rows); i++ {
+			prev, r := rows[i-1], rows[i]
+			if cell(t, r[3]) > cell(t, prev[3]) {
+				t.Errorf("%s: comm time rose from %s ms at %s to %s ms at %s", cache, prev[3], prev[1], r[3], r[1])
+			}
+			if cell(t, r[5]) > cell(t, prev[5]) {
+				t.Errorf("%s: miss rate rose from %s at %s to %s at %s", cache, prev[5], prev[1], r[5], r[1])
+			}
+		}
+		first, last := rows[0], rows[len(rows)-1]
+		full[cache] = cell(t, last[3])
+		t.Logf("fig 7: %s comm %s → %s ms (%s vs uncached %.1f ms), miss rate %s → %s, compulsory share %s at full size",
+			cache, first[3], last[3], last[4], uncached, first[5], last[5], last[6])
+		if comp := cell(t, last[6]); comp < 0.99 {
+			t.Errorf("%s: compulsory share %.3f at full size, want ≥ 0.99", cache, comp)
+		}
+	}
+	if full["C_adj"] > 0.8*uncached {
+		t.Errorf("full C_adj comm %.1f ms saves under 20%% of the uncached %.1f ms", full["C_adj"], uncached)
+	}
+	if full["C_adj"] >= full["C_offsets"] {
+		t.Errorf("full C_adj comm %.1f ms is not below full C_offsets' %.1f ms", full["C_adj"], full["C_offsets"])
 	}
 }
 
@@ -488,33 +546,5 @@ func TestAblationRelabelShape(t *testing.T) {
 	}
 	if tab.Rows[0][4] != tab.Rows[1][4] {
 		t.Error("relabeling changed the triangle count")
-	}
-}
-
-func TestAblationReplicationShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("five 16-rank engine runs")
-	}
-	tab := AblationReplication()
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Remote fraction must fall monotonically with c; time must not rise;
-	// memory must grow roughly linearly in c.
-	prevFrac, prevTime := 101.0, 1e18
-	for _, r := range tab.Rows {
-		frac := cell(t, r[4])
-		tm := cell(t, r[2])
-		if frac >= prevFrac {
-			t.Errorf("c=%s: remote fraction %.0f%% did not fall (prev %.0f%%)", r[0], frac, prevFrac)
-		}
-		if tm > prevTime*1.05 {
-			t.Errorf("c=%s: time %.1f ms rose (prev %.1f ms)", r[0], tm, prevTime)
-		}
-		prevFrac, prevTime = frac, tm
-	}
-	memCost := cell(t, tab.Rows[3][6])
-	if memCost < 4 {
-		t.Errorf("c=8 memory cost %.1fx implausibly low", memCost)
 	}
 }

@@ -318,27 +318,23 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 // that keep the graph loaded across queries should build the Snapshot once
 // and call its RunCtx directly; this entry point rebuilds it per run.
 func RunCtx(ctx context.Context, g graph.Store, opt Options) (*Result, error) {
-	snap, err := opt.snapshot(g, 1)
+	snap, err := opt.snapshot(g)
 	if err != nil {
 		return nil, err
 	}
 	return snap.RunCtx(ctx, opt)
 }
 
-// snapshot builds the one-shot snapshot behind Run, RunJaccard, RunPush and
-// RunReplicated: g partitioned over the Ranks/c slots of one replica group
-// (c = 1 everywhere but the replicated engine). The rank-count default and
+// snapshot builds the one-shot snapshot behind Run, RunJaccard and RunPush:
+// g partitioned over Ranks slots, one per rank. The rank-count default and
 // checks live here and in NewSnapshotOpts, so every entry point rejects the
 // same inputs.
-func (o Options) snapshot(g graph.Store, c int) (*Snapshot, error) {
+func (o Options) snapshot(g graph.Store) (*Snapshot, error) {
 	if o.Ranks == 0 {
 		o.Ranks = 1
 	}
-	if c < 1 || o.Ranks%c != 0 {
-		return nil, fmt.Errorf("lcc: replication factor %d does not divide %d ranks", c, o.Ranks)
-	}
 	return NewSnapshotOpts(g, SnapshotOptions{
-		Ranks: o.Ranks / c, Scheme: o.Scheme, Storage: o.Storage,
+		Ranks: o.Ranks, Scheme: o.Scheme, Storage: o.Storage,
 	})
 }
 
@@ -353,9 +349,8 @@ const resolveLiBits = 40
 // word, so the per-edge cost is a single flat array load instead of two
 // function calls and a division. The rank's vertices lie at a fixed stride,
 // so filling them takes no division either. The table is immutable once
-// built and shared read-only by all ranks of a run; the replicas of a slot
-// read the slot field unchanged and redirect only the target rank
-// (worker.ownerBase).
+// built and shared read-only by all ranks of a run; the slot field is the
+// target rank of the fetch.
 func resolveRank(tbl []uint64, pt *part.Partition, rank int) {
 	v, step := pt.VertexAt(rank, 0), pt.Stride()
 	word := uint64(rank) << resolveLiBits
@@ -392,12 +387,10 @@ type worker struct {
 
 	// resolve is the snapshot's table mapping a vertex to its packed
 	// (owner slot, local index) fetch coordinate; slot is the rank's own
-	// slot in that table (fetches to it are local), and ownerBase maps a
-	// slot to the target rank id (0 for the 1D engines; group·q for the
-	// replicated-groups engine, whose fetches stay inside its group).
-	resolve   []uint64
-	slot      int
-	ownerBase int
+	// slot in that table (fetches to it are local). Rank r holds slot r, so
+	// an owner slot is the target rank of its gets.
+	resolve []uint64
+	slot    int
 
 	// locals are the snapshot's per-slot CSRs, the memory behind both
 	// windows; stageAhead reads them directly when the snapshot says it pays
@@ -411,8 +404,7 @@ type worker struct {
 
 	// edgeFilter, when set, restricts forEachEdge to the (li, vj) pairs
 	// it accepts. The push engine uses it to walk only the upper wedge
-	// vj > vi so each triangle is discovered exactly once, a replica to
-	// walk its interleaved share of the slot's vertices.
+	// vj > vi so each triangle is discovered exactly once.
 	edgeFilter func(li int, vj graph.V) bool
 
 	// Lookahead pipeline state (forEachEdge): the staged batch (ring[
@@ -644,16 +636,16 @@ func (w *worker) decide(batch []pipeEdge) {
 	var off, adj [fetchLookahead]clampi.Key
 	for j := range n {
 		slot, li := unpackResolve(batch[at[j]].rv)
-		owner, start, end := w.ownerBase+slot, pair[j][0], pair[j][1]
-		if start > end || end > uint64(w.wAdj.SizeAt(owner))/4 {
+		start, end := pair[j][0], pair[j][1]
+		if start > end || end > uint64(w.wAdj.SizeAt(slot))/4 {
 			n = j
 			break
 		}
 		if w.cOff != nil {
-			off[j] = w.cOff.KeyOf(owner, 16*li, 16)
+			off[j] = w.cOff.KeyOf(slot, 16*li, 16)
 		}
 		if w.cAdj != nil {
-			adj[j] = w.cAdj.KeyOf(owner, 4*int(start), 4*int(end-start))
+			adj[j] = w.cAdj.KeyOf(slot, 4*int(start), 4*int(end-start))
 		}
 	}
 	if w.cOff != nil {
@@ -665,7 +657,7 @@ func (w *worker) decide(batch []pipeEdge) {
 	for j := range n {
 		e := &batch[at[j]]
 		slot, li := unpackResolve(e.rv)
-		e.off = w.decideOff(&off[j], e.vj, w.ownerBase+slot, li)
+		e.off = w.decideOff(&off[j], e.vj, slot, li)
 		e.adj = w.decideAdj(&adj[j], e.vj, slot, li, pair[j][0], pair[j][1])
 	}
 }
@@ -700,12 +692,12 @@ func (w *worker) decideOff(k *clampi.Key, vj graph.V, owner, li int) clampi.Verd
 // only, which every empty list at that start shares, so their accesses share
 // one first-touch bit (adjTouchVertex).
 func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end uint64) clampi.Verdict {
-	owner, off, size := w.ownerBase+slot, 4*int(start), 4*int(end-start)
+	off, size := 4*int(start), 4*int(end-start)
 	if start == end {
 		vj = w.adjTouchVertex(vj, slot, li, start)
 	}
 	if w.cAdj == nil {
-		return w.adjRes.Decide(owner, off, size, firstTouch(w.touch.adj, vj))
+		return w.adjRes.Decide(slot, off, size, firstTouch(w.touch.adj, vj))
 	}
 	if w.r.CacheFault() {
 		w.cAdj.Degrade()
@@ -716,25 +708,22 @@ func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end u
 		score = float64(size / 4)
 	}
 	if k == nil {
-		key := w.cAdj.KeyOf(owner, off, size)
+		key := w.cAdj.KeyOf(slot, off, size)
 		k = &key
 	}
 	return w.cAdj.Decide(*k, score, firstTouch(w.touch.adj, vj))
 }
 
-// newWorker builds rank r's execution state over snapshot s, in a world of
-// one or more replica groups of s.ranks ranks each (Snapshot.windows): r
-// holds the partition of slot r mod s.ranks and fetches inside its own
-// group. With caching on, the rank takes its first-touch maps from the
-// snapshot's pool; a cache the snapshot finds resident for the rank
+// newWorker builds rank r's execution state over snapshot s: r holds the
+// partition of slot r. With caching on, the rank takes its first-touch maps
+// from the snapshot's pool; a cache the snapshot finds resident for the rank
 // (residentCaches; never under cache faults) is decided by first touch, and
 // the others are CLaMPI instances — C_offsets its one-size model — from the
 // pool, recycled or constructed.
 func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *worker {
-	slot := r.ID() % s.ranks
+	slot := r.ID()
 	w := &worker{r: r, kind: s.kind, pt: s.pt, lc: s.locals[slot], wOff: wOff, wAdj: wAdj, opt: opt,
-		orient: s.orient, resolve: s.resolve, slot: slot, ownerBase: r.ID() - slot,
-		locals: s.locals, ahead: s.ahead}
+		orient: s.orient, resolve: s.resolve, slot: slot, locals: s.locals, ahead: s.ahead}
 	w.compLoc = w.lc.Compressed()
 	w.scanDecLi, w.ownDecLi = -1, -1
 	w.its = intersect.GetScratch()
@@ -815,7 +804,7 @@ func (w *worker) start(f *fetch, e pipeEdge) {
 		return
 	}
 	f.local = false
-	f.owner = w.ownerBase + slot
+	f.owner = slot
 	w.remoteReads++
 	if w.opt.OnRemoteRead != nil {
 		w.opt.OnRemoteRead(w.r.ID(), vj)
@@ -855,7 +844,7 @@ func (w *worker) mid(f *fetch) {
 	start, end := pair[0], pair[1]
 	f.adjOff, f.adjSize = int(start)*4, int(end-start)*4
 	if f.adjV == clampi.Undecided && w.opt.Caching {
-		f.adjV = w.decideAdj(nil, f.vj, f.owner-w.ownerBase, f.li, start, end)
+		f.adjV = w.decideAdj(nil, f.vj, f.owner, f.li, start, end)
 	}
 	switch f.adjV {
 	case clampi.Hit:
@@ -979,19 +968,14 @@ func (w *worker) close() {
 	w.its = nil
 }
 
-// run executes Algorithm 3 for the rank's share of its slot's vertices —
-// local indices li ≡ phase (mod c): all of them for the 1D engine (c = 1),
-// an interleaved 1/c for a replica, whose skipped vertices never issue
-// communication — writing LCC scores into the global output slice (each
-// vertex is scored by exactly one rank) and returning Σ t_i over the share.
-func (w *worker) run(lccOut []float64, phase, c int) int64 {
+// run executes Algorithm 3 for the rank's owned vertices, writing LCC
+// scores into the global output slice (each vertex is scored by exactly one
+// rank) and returning Σ t_i over them.
+func (w *worker) run(lccOut []float64) int64 {
 	var sumT int64
 	method := w.opt.Method
 	nLocal := w.lc.NumLocal()
 	perVertexT := make([]int64, nLocal)
-	if c > 1 {
-		w.edgeFilter = func(li int, _ graph.V) bool { return li%c == phase }
-	}
 
 	w.forEachEdge(func(li int, vj graph.V, adjJ []graph.V) {
 		adjI := w.adjOwned(li)
@@ -1005,7 +989,7 @@ func (w *worker) run(lccOut []float64, phase, c int) int64 {
 		perVertexT[li] += int64(cnt)
 	})
 
-	for li := phase; li < nLocal; li += c {
+	for li := range nLocal {
 		v := w.pt.VertexAt(w.slot, li)
 		d := w.lc.DegreeOf(li)
 		lccOut[v] = Score(w.kind, perVertexT[li], d)

@@ -79,14 +79,14 @@ func newFetchHarnessStorage(tb testing.TB, caching bool, storage StorageMode, fa
 // law says.
 func harnessWorker(tb testing.TB, g graph.Store, opt Options, resident bool) *worker {
 	tb.Helper()
-	s, err := opt.snapshot(g, 1)
+	s, err := opt.snapshot(g)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	s.ahead = true
 	opt = s.options(opt)
 	if !resident {
-		forceCLaMPI(s, opt, opt.Ranks)
+		forceCLaMPI(s, opt)
 	}
 	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
 	opt.configureCharges(comm)
@@ -347,24 +347,24 @@ func TestFaultPlaneDisabledAllocFree(t *testing.T) {
 	}
 }
 
-// forceCLaMPI records for every rank of a world of the given size that
-// neither of its caches under opt is resident, so that the runs and workers
-// made after it on s use CLaMPI instances whatever the residency law says.
-func forceCLaMPI(s *Snapshot, opt Options, world int) {
+// forceCLaMPI records for every rank of s that neither of its caches under
+// opt is resident, so that the runs and workers made after it on s use
+// CLaMPI instances whatever the residency law says.
+func forceCLaMPI(s *Snapshot, opt Options) {
 	off, adj := cacheConfigs(s.n, opt)
-	set := s.residency.answers(residentKey{world, off, adj})
+	set := s.residency.answers(residentKey{off, adj}, s.ranks)
 	for i := range set.ans {
 		set.ans[i].Store(ansChecked)
 	}
 }
 
-// residentRanks counts the rank ids whose kept answers for opt's cache
-// configurations in a world of the given size make C_offsets, and C_adj,
-// resident: what a run under them without cache faults used.
-func residentRanks(s *Snapshot, opt Options, world int) (off, adj int) {
+// residentRanks counts the ranks whose kept answers for opt's cache
+// configurations make C_offsets, and C_adj, resident: what a run under them
+// without cache faults used.
+func residentRanks(s *Snapshot, opt Options) (off, adj int) {
 	o, a := cacheConfigs(s.n, opt)
 	set := s.residency.set
-	if set == nil || set.key != (residentKey{world, o, a}) {
+	if set == nil || set.key != (residentKey{o, a}) {
 		return 0, 0
 	}
 	for i := range set.ans {

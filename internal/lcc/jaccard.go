@@ -31,7 +31,7 @@ type JaccardResult struct {
 // asynchronous distributed engine as RunLCC, and the same panic-isolation
 // and crash-stop contract as RunCtx.
 func RunJaccard(g graph.Store, opt Options) (*JaccardResult, error) {
-	snap, err := opt.snapshot(g, 1)
+	snap, err := opt.snapshot(g)
 	if err != nil {
 		return nil, err
 	}

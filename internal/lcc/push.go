@@ -82,7 +82,7 @@ func RunPushCtx(ctx context.Context, g graph.Store, opt Options) (*Result, error
 	if g.Kind() != graph.Undirected {
 		return nil, fmt.Errorf("lcc: push engine requires an undirected graph (directed LCC has no smallest-corner discovery rule)")
 	}
-	s, err := opt.snapshot(g, 1)
+	s, err := opt.snapshot(g)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func (s *Snapshot) runPushCtx(ctx context.Context, opt Options) (*Result, error)
 		bar = comm.NewBarrier()
 	}
 	lccOut := make([]float64, s.n)
-	return s.launch(ctx, opt, 1, lccOut, prepare, func(w *worker) int64 {
+	return s.launch(ctx, opt, lccOut, prepare, func(w *worker) int64 {
 		return w.runPush(lccOut, wTri, bar)
 	})
 }

@@ -150,7 +150,7 @@ func TestRecycledCachesMatchFresh(t *testing.T) {
 				case "offsets-resident":
 					wantOff = recycleRanks
 				}
-				if off, adj := residentRanks(shared, q.opt(workers), recycleRanks); off != wantOff || adj != wantAdj {
+				if off, adj := residentRanks(shared, q.opt(workers)); off != wantOff || adj != wantAdj {
 					t.Errorf("%s: C_offsets resident on %d ranks, C_adj on %d, want %d and %d", name, off, adj, wantOff, wantAdj)
 				}
 				for _, c := range shared.caches.adj {
@@ -237,7 +237,7 @@ func TestConcurrentCachedRunsShareSnapshot(t *testing.T) {
 		if want[i], err = fresh.RunCtx(context.Background(), o); err != nil {
 			t.Fatal(err)
 		}
-		if off, adj := residentRanks(fresh, o, recycleRanks); (off+adj > 0) != (i == 2) {
+		if off, adj := residentRanks(fresh, o); (off+adj > 0) != (i == 2) {
 			t.Fatalf("query %d: %d resident caches", i, off+adj)
 		}
 	}
@@ -287,12 +287,12 @@ func TestCachedRunAllocationGuard(t *testing.T) {
 		}
 		opt := cachedOpts(1, 1<<18, 1<<22, ScoreLRU)
 		if !resident {
-			forceCLaMPI(s, opt, 32)
+			forceCLaMPI(s, opt)
 		}
 		if _, err := s.RunCtx(context.Background(), opt); err != nil {
 			t.Fatal(err)
 		}
-		if off, adj := residentRanks(s, opt, 32); resident != (off+adj > 0) {
+		if off, adj := residentRanks(s, opt); resident != (off+adj > 0) {
 			t.Fatalf("resident %v: %d resident caches", resident, off+adj)
 		}
 		var before, after runtime.MemStats

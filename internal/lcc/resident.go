@@ -15,11 +15,12 @@ import (
 // — a vertex's first fetch misses, every later one hits, nothing is evicted —
 // so the rank decides them with its first-touch map (firstTouch) instead of
 // CLaMPI's table, heap and allocator, and reports the same statistics.
-// Whether a rank's caches are resident depends on the snapshot, the world
-// size and the two configurations only, so a snapshot checks each rank once
-// (worker.checkResident) and keeps the answers (residency). A run with cache
-// faults never uses them: a fault flushes the cache, so a later access to a
-// list it held misses again, where first touch would say hit.
+// Whether a rank's caches are resident depends on the snapshot and the two
+// configurations only, so a snapshot checks each rank once per pair of
+// configurations (worker.checkResident) and keeps the answers (residency). A
+// run with cache faults never uses them: a fault flushes the cache, so a
+// later access to a list it held misses again, where first touch would say
+// hit.
 
 // Answer bits of one rank id: checked, then which caches are resident.
 const (
@@ -28,32 +29,31 @@ const (
 	ansAdj
 )
 
-// residency is a snapshot's kept answers: those of the last (world,
-// configurations) a run asked for, replaced when a run asks for others.
+// residency is a snapshot's kept answers: those of the last configurations
+// a run asked for, replaced when a run asks for others.
 type residency struct {
 	mu  sync.Mutex
 	set *residentSet
 }
 
 type residentKey struct {
-	world    int
 	off, adj clampi.Config
 }
 
-// residentSet holds the answers of one (world, configurations), per rank id:
-// 0 until that rank's first run has checked.
+// residentSet holds the answers of one pair of configurations, per rank: 0
+// until that rank's first run has checked.
 type residentSet struct {
 	key residentKey
 	ans []atomic.Uint32
 }
 
-// answers returns the set for k, replacing the kept one when its key is
-// another.
-func (rs *residency) answers(k residentKey) *residentSet {
+// answers returns the set for k over the given number of ranks, replacing
+// the kept one when its key is another.
+func (rs *residency) answers(k residentKey, ranks int) *residentSet {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if rs.set == nil || rs.set.key != k {
-		rs.set = &residentSet{key: k, ans: make([]atomic.Uint32, k.world)}
+		rs.set = &residentSet{key: k, ans: make([]atomic.Uint32, ranks)}
 	}
 	return rs.set
 }
@@ -72,7 +72,7 @@ type touchMap struct {
 // under them, by checking with the rank's first-touch maps and keeping the
 // answer.
 func (s *Snapshot) residentCaches(w *worker, offCfg, adjCfg clampi.Config) (off, adj bool) {
-	ans := &s.residency.answers(residentKey{w.r.NumRanks(), offCfg, adjCfg}).ans[w.r.ID()]
+	ans := &s.residency.answers(residentKey{offCfg, adjCfg}, s.ranks).ans[w.r.ID()]
 	a := ans.Load()
 	if a == 0 {
 		a = w.checkResident(w.touch)
@@ -83,10 +83,10 @@ func (s *Snapshot) residentCaches(w *worker, offCfg, adjCfg clampi.Config) (off,
 
 // checkResident applies the residency law to the rank's remote lists: the
 // targets of every arc of its slot that lie in another slot, once each. That
-// covers what any engine's walk fetches, and any replica's share of it, so
-// the answer holds for every run on the snapshot. A target the snapshot
-// cannot resolve to a record makes neither cache resident: the walk faults
-// on it as it always did. tm's map is left clear.
+// covers what any engine's walk fetches, so the answer holds for every run
+// on the snapshot. A target the snapshot cannot resolve to a record makes
+// neither cache resident: the walk faults on it as it always did. tm's map
+// is left clear.
 func (w *worker) checkResident(tm *touchMap) uint32 {
 	seen := tm.off
 	defer clear(seen)
@@ -113,7 +113,7 @@ func (w *worker) checkResident(tm *touchMap) uint32 {
 			for i, word := range seen {
 				for ; word != 0; word &= word - 1 {
 					slot, li := unpackResolve(w.resolve[i*64+bits.TrailingZeros64(word)])
-					k := clampi.Coord{Target: w.ownerBase + slot, Offset: 16 * li, Size: 16}
+					k := clampi.Coord{Target: slot, Offset: 16 * li, Size: 16}
 					if adj {
 						start, end, _ := w.record(slot, li)
 						k.Offset, k.Size = 4*int(start), 4*int(end-start)

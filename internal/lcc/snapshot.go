@@ -21,8 +21,8 @@ import (
 // serving layer keeps exactly one per loaded instance).
 //
 // Every engine runs on one: the one-shot entry points (Run, RunJaccard,
-// RunPush, RunReplicated) build a snapshot and launch on it, so a run through
-// a kept snapshot is bit-identical to the corresponding lcc.Run.
+// RunPush) build a snapshot and launch on it, so a run through a kept
+// snapshot is bit-identical to the corresponding lcc.Run.
 //
 // The three mutable things a snapshot owns are host memory, invisible to the
 // model. One is the free lists of cache instances and first-touch maps
@@ -40,9 +40,9 @@ import (
 // searching. It grows to at most 4 bytes per vertex plus, per dense hub, 80
 // bytes and twelve per spanned 64-id word. The last is the residency answers
 // (residency, see resident.go): which of each rank's caches hold every list
-// it can fetch, 4 bytes per rank id for the world size and cache
-// configurations a run last asked for, filled by its first run. None is
-// counted by LocalBytes; all are freed with the snapshot.
+// it can fetch, 4 bytes per rank for the cache configurations a run last
+// asked for, filled by its first run. None is counted by LocalBytes; all are
+// freed with the snapshot.
 type Snapshot struct {
 	src     graph.Store
 	kind    graph.Kind
@@ -253,40 +253,36 @@ func (s *Snapshot) options(opt Options) Options {
 // reads offsets[li] and offsets[li+1] in one operation) — and the adjacency
 // arrays as native []graph.V. Compressed locals get a CompressedVertices
 // adjacency window: same name, same byte geometry, same charges and cache
-// keys — only the host-side backing store differs. A communicator of
-// c·Ranks ranks holds c replica groups: rank r exposes partition r mod
-// Ranks, and the replicas of a slot share its arrays, so the window sizes —
-// the memory accounting of the 2.5D trade — are those of c copies while the
-// host holds one.
+// keys — only the host-side backing store differs. Rank r exposes
+// partition r.
 func (s *Snapshot) windows(comm *rma.Comm) (wOff, wAdj *rma.Window) {
-	p := comm.NumRanks()
-	offs := make([][]uint64, p)
+	offs := make([][]uint64, s.ranks)
 	for r := range offs {
-		offs[r] = s.locals[r%s.ranks].Offsets
+		offs[r] = s.locals[r].Offsets
 	}
 	wOff = comm.CreateOffsetsWindow("offsets", offs)
 	if s.locals[0].Compressed() {
-		comps := make([]*graph.CompressedAdj, p)
+		comps := make([]*graph.CompressedAdj, s.ranks)
 		for r := range comps {
-			comps[r] = s.locals[r%s.ranks].Comp
+			comps[r] = s.locals[r].Comp
 		}
 		return wOff, comm.CreateCompressedVertexWindow("adjacencies", comps)
 	}
-	adjs := make([][]graph.V, p)
+	adjs := make([][]graph.V, s.ranks)
 	for r := range adjs {
-		adjs[r] = s.locals[r%s.ranks].Adj
+		adjs[r] = s.locals[r].Adj
 	}
 	return wOff, comm.CreateVertexWindow("adjacencies", adjs)
 }
 
 // launch is the one body every engine's run goes through: a fresh world of
-// c replica groups over the snapshot's partitions — the communicator, the
-// diagnostic charge plane, the two graph windows, then whatever prepare adds
-// for the engine (the push engine's counter window and fence barrier) — and
-// per rank a worker, body (which returns the rank's Σ t_i and scores into
-// lccOut, the result's LCC), the rank's stats and its caches back to the
-// pool. Supervision is rma.Comm.RunCtx's: ctx cancellation unwinds every
-// rank at its next checkpoint or barrier and returns an error wrapping
+// one rank per snapshot partition — the communicator, the diagnostic charge
+// plane, the two graph windows, then whatever prepare adds for the engine
+// (the push engine's counter window and fence barrier) — and per rank a
+// worker, body (which returns the rank's Σ t_i and scores into lccOut, the
+// result's LCC), the rank's stats and its caches back to the pool.
+// Supervision is rma.Comm.RunCtx's: ctx cancellation unwinds every rank at
+// its next checkpoint or barrier and returns an error wrapping
 // sched.ErrRunCanceled; a rank panic surfaces as *sched.PanicError; a
 // fail-fast crash-stop fault as *fault.CrashError. On any error the result
 // is nil — a supervised run yields complete results or none — and the
@@ -294,20 +290,20 @@ func (s *Snapshot) windows(comm *rma.Comm) (wOff, wAdj *rma.Window) {
 // caches of a rank that unwound never return to the free list), so the
 // caller can simply run again. An AdjScorePolicy outside ScoreLRU and
 // ScoreDegree is an error before anything starts.
-func (s *Snapshot) launch(ctx context.Context, opt Options, c int, lccOut []float64,
+func (s *Snapshot) launch(ctx context.Context, opt Options, lccOut []float64,
 	prepare func(*rma.Comm), body func(*worker) int64) (*Result, error) {
 	if opt.AdjScorePolicy > ScoreDegree {
 		return nil, fmt.Errorf("lcc: unknown C_adj score policy %d", opt.AdjScorePolicy)
 	}
 	opt = s.options(opt)
-	comm := rma.NewCommWorkers(s.ranks*c, opt.Model, opt.Workers)
+	comm := rma.NewCommWorkers(s.ranks, opt.Model, opt.Workers)
 	opt.configureCharges(comm)
 	wOff, wAdj := s.windows(comm)
 	if prepare != nil {
 		prepare(comm)
 	}
-	triOut := make([]int64, s.ranks*c)
-	stats := make([]RankStats, s.ranks*c)
+	triOut := make([]int64, s.ranks)
+	stats := make([]RankStats, s.ranks)
 
 	ranks, err := comm.RunCtx(ctx, func(r *rma.Rank) {
 		w := newWorker(r, s, wOff, wAdj, opt)
@@ -337,7 +333,7 @@ func (s *Snapshot) launch(ctx context.Context, opt Options, c int, lccOut []floa
 // over the snapshot, under launch's supervision contract.
 func (s *Snapshot) RunCtx(ctx context.Context, opt Options) (*Result, error) {
 	lccOut := make([]float64, s.n)
-	return s.launch(ctx, opt, 1, lccOut, nil, func(w *worker) int64 { return w.run(lccOut, 0, 1) })
+	return s.launch(ctx, opt, lccOut, nil, func(w *worker) int64 { return w.run(lccOut) })
 }
 
 // RunJaccardCtx executes the per-edge Jaccard computation (jaccard.go)
@@ -351,7 +347,7 @@ func (s *Snapshot) RunJaccardCtx(ctx context.Context, opt Options) (*JaccardResu
 	for v := 0; v < s.n; v++ {
 		first[v+1] = first[v] + s.src.OutDegree(graph.V(v))
 	}
-	res, err := s.launch(ctx, opt, 1, nil, nil, func(w *worker) int64 {
+	res, err := s.launch(ctx, opt, nil, nil, func(w *worker) int64 {
 		// forEachEdge visits an owned vertex's arcs consecutively and in
 		// CSR order, so arc advances in lockstep within one.
 		arc, of := 0, -1

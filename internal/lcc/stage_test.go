@@ -113,10 +113,6 @@ func TestStageAheadIsHarmless(t *testing.T) {
 				o.Faults = &fault.Spec{Seed: 303, CacheFailPct: 0.01}
 				return o
 			}(), run, 0x7ba743a463fd7ca9},
-		// Two replica groups of four slots: the stage reads a slot's arrays,
-		// the gets go to the group's own rank.
-		{"replicated-c2", SnapshotOptions{Ranks: 4, Scheme: part.Block}, cached(pull, ScoreLRU),
-			func(s *Snapshot, o Options) (*Result, error) { return s.runReplicatedCtx(ctx, o, 2) }, 0xc4115c80aa28f3cf},
 		// The push engine stages through its edge filter.
 		{"push", SnapshotOptions{Ranks: 8, Scheme: part.Block}, cached(pull, ScoreLRU),
 			func(s *Snapshot, o Options) (*Result, error) { return s.runPushCtx(ctx, o) }, 0xb708de0f133853eb},
@@ -230,7 +226,7 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 						if _, err := s.RunCtx(context.Background(), opt); err != nil {
 							t.Fatal(err)
 						}
-						if off, adj := residentRanks(s, opt, 8); off+adj == 0 {
+						if off, adj := residentRanks(s, opt); off+adj == 0 {
 							t.Fatalf("%s: the clean run ran no resident rank", tc.name)
 						}
 					}
@@ -267,7 +263,9 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 // were re-recorded, push batched, at the last commit that had both. The
 // second layout ran a static hub-replica budget until that option was
 // deleted; every digest was re-recorded without it at the last commit that
-// had it.
+// had it. The digests also ran a two-group replicated engine until that
+// engine was deleted; every digest was re-recorded without it at the last
+// commit that had it.
 func TestDecisionPassMatchesRecorded(t *testing.T) {
 	g := stageGraph()
 	cacheFaults := &fault.Spec{Seed: 7, CacheFailPct: 0.02, GetFailPct: 0.01}
@@ -287,7 +285,7 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		policy ScorePolicy
 		want   uint64
 	}{
-		{ScoreLRU, 0x2c5304430ba162ab}, {ScoreDegree, 0xf137c5801538e265},
+		{ScoreLRU, 0x6863bc61066bf962}, {ScoreDegree, 0xdc04d31666a9cafc},
 	} {
 		h, _ := decisionDigest(t, g, cachedOpts(2, 1<<9, 1<<12, tc.policy), []*fault.Spec{nil, cacheFaults}, false)
 		if h != tc.want {
@@ -298,9 +296,9 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		off, adj int
 		want     [2]uint64 // per policy, in ScorePolicy order
 	}{
-		{16 << 10, 256 << 10, [2]uint64{0xea055d1e59f29381, 0xf41efeaaeca25587}},
-		{512, 256 << 10, [2]uint64{0x779147ed5026a074, 0xf06854d31963bd0d}},
-		{16 << 10, 4 << 10, [2]uint64{0x21142f05b7a37a16, 0xad181e26504abdab}},
+		{16 << 10, 256 << 10, [2]uint64{0x86954c7b211ed0d1, 0xfc92bb2c683dffc4}},
+		{512, 256 << 10, [2]uint64{0x28046a7ab4dc9bab, 0x4a77c3fcf58effbd}},
+		{16 << 10, 4 << 10, [2]uint64{0x2a22ceeba7120da2, 0xf858a8c5cfd62717}},
 	} {
 		for policy, want := range tc.want {
 			opt := cachedOpts(2, tc.off, tc.adj, ScorePolicy(policy))
@@ -319,9 +317,9 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		off, adj int
 		want     uint64
 	}{
-		{"directed R-MAT", gen.RMAT(gen.DefaultRMAT(10, 8, graph.Directed, 3)), 512, 4 << 10, 0xca7ae4f124d863f9},
-		{"uniform, C_offsets 100 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 100, 4 << 10, 0x4fa0d9d334e06b56},
-		{"uniform, C_offsets 1000 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 1000, 4 << 10, 0xa31427330b38206b},
+		{"directed R-MAT", gen.RMAT(gen.DefaultRMAT(10, 8, graph.Directed, 3)), 512, 4 << 10, 0x863365e3c27761d5},
+		{"uniform, C_offsets 100 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 100, 4 << 10, 0x90457e544fd62193},
+		{"uniform, C_offsets 1000 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 1000, 4 << 10, 0xeb081d7b0adea429},
 	} {
 		opt := cachedOpts(2, tc.off, tc.adj, ScoreLRU)
 		h, _ := decisionDigest(t, tc.g, opt, []*fault.Spec{nil, cacheFaults}, true)
@@ -365,7 +363,6 @@ func decisionDigest(t *testing.T, g *graph.Graph, opt Options, faults []*fault.S
 			}
 			return &Result{LCC: jr.Scores, SimTime: jr.SimTime, PerRank: jr.PerRank}, nil
 		},
-		"replicated-c2": func(s *Snapshot, o Options) (*Result, error) { return s.runReplicatedCtx(ctx, o, 2) },
 	}
 	h := uint64(1469598103934665603)
 	mix := func(x uint64) { h = (h ^ x) * 1099511628211 }
@@ -381,8 +378,8 @@ func decisionDigest(t *testing.T, g *graph.Graph, opt Options, faults []*fault.S
 		s.ahead = true
 		for _, faults := range faults {
 			for _, double := range []bool{true, false} {
-				for _, name := range []string{"pull", "push", "jaccard", "replicated-c2"} {
-					if name == "replicated-c2" && so.Ranks != recycleRanks/2 || name == "push" && g.Kind() == graph.Directed {
+				for _, name := range []string{"pull", "push", "jaccard"} {
+					if name == "push" && g.Kind() == graph.Directed {
 						continue
 					}
 					d := newChargeDigest()
@@ -393,7 +390,7 @@ func decisionDigest(t *testing.T, g *graph.Graph, opt Options, faults []*fault.S
 						t.Fatalf("%v, %s: %v", opt.AdjScorePolicy, name, err)
 					}
 					if faults == nil || faults.CacheFailPct <= 0 {
-						off, adj := residentRanks(s, opt, len(res.PerRank))
+						off, adj := residentRanks(s, opt)
 						resident += off + adj
 					}
 					mix(fingerprint(res, d.sum))

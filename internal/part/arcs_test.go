@@ -41,7 +41,7 @@ func TestNewArcBalancedInvariants(t *testing.T) {
 		// Ranges must tile [0, n) in order.
 		covered := 0
 		for r := 0; r < p; r++ {
-			lo, hi := pt.Range(r)
+			lo, hi := pt.rangeOf(r)
 			if int(lo) != covered || hi < lo {
 				return false
 			}
@@ -53,7 +53,7 @@ func TestNewArcBalancedInvariants(t *testing.T) {
 		// Owner / LocalIndex / VertexAt must be mutually consistent.
 		for v := 0; v < g.NumVertices(); v++ {
 			r := pt.Owner(graph.V(v))
-			lo, hi := pt.Range(r)
+			lo, hi := pt.rangeOf(r)
 			if graph.V(v) < lo || graph.V(v) >= hi {
 				return false
 			}

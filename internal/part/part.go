@@ -142,7 +142,7 @@ func (pt *Partition) NumVertices() int { return pt.n }
 func (pt *Partition) Owner(v graph.V) int {
 	switch pt.scheme {
 	case Block:
-		// Inverse of the balanced block ranges produced by Range.
+		// Inverse of the balanced block ranges produced by rangeOf.
 		return (int(v)*pt.p + pt.p - 1) / pt.n
 	case BlockArcs:
 		// Binary search for the range containing v: the largest r with
@@ -162,17 +162,17 @@ func (pt *Partition) Owner(v graph.V) int {
 	}
 }
 
-// Range returns the contiguous global-id range [lo,hi) owned by rank under
+// rangeOf returns the contiguous global-id range [lo,hi) owned by rank under
 // the Block and BlockArcs schemes. It panics for Cyclic partitions, whose
 // ownership is not contiguous.
-func (pt *Partition) Range(rank int) (lo, hi graph.V) {
+func (pt *Partition) rangeOf(rank int) (lo, hi graph.V) {
 	switch pt.scheme {
 	case Block:
 		return graph.V(rank * pt.n / pt.p), graph.V((rank + 1) * pt.n / pt.p)
 	case BlockArcs:
 		return graph.V(pt.bounds[rank]), graph.V(pt.bounds[rank+1])
 	default:
-		panic("part: Range is only defined for contiguous (Block/BlockArcs) partitions")
+		panic("part: rangeOf is only defined for contiguous (Block/BlockArcs) partitions")
 	}
 }
 
@@ -180,7 +180,7 @@ func (pt *Partition) Range(rank int) (lo, hi graph.V) {
 func (pt *Partition) Size(rank int) int {
 	switch pt.scheme {
 	case Block, BlockArcs:
-		lo, hi := pt.Range(rank)
+		lo, hi := pt.rangeOf(rank)
 		return int(hi - lo)
 	default:
 		base := pt.n / pt.p
@@ -196,7 +196,7 @@ func (pt *Partition) Size(rank int) int {
 func (pt *Partition) LocalIndex(v graph.V) int {
 	switch pt.scheme {
 	case Block, BlockArcs:
-		lo, _ := pt.Range(pt.Owner(v))
+		lo, _ := pt.rangeOf(pt.Owner(v))
 		return int(v - lo)
 	default:
 		return int(v) / pt.p
@@ -208,7 +208,7 @@ func (pt *Partition) LocalIndex(v graph.V) int {
 func (pt *Partition) VertexAt(rank, local int) graph.V {
 	switch pt.scheme {
 	case Block, BlockArcs:
-		lo, _ := pt.Range(rank)
+		lo, _ := pt.rangeOf(rank)
 		return lo + graph.V(local)
 	default:
 		return graph.V(local*pt.p + rank)
@@ -294,7 +294,7 @@ type LocalCSR struct {
 // own (serve's scrub recovery rebuilds from g).
 func extract(g graph.Store, pt *Partition, rank int) *LocalCSR {
 	if pg, ok := g.(*graph.Graph); ok && pt.scheme != Cyclic {
-		lo, hi := pt.Range(rank)
+		lo, hi := pt.rangeOf(rank)
 		src := pg.Offsets()[lo : hi+1]
 		offsets := make([]uint64, len(src))
 		for i, o := range src {

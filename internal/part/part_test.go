@@ -17,7 +17,7 @@ func TestBlockRangesCoverAndDisjoint(t *testing.T) {
 		covered := 0
 		prevHi := graph.V(0)
 		for r := 0; r < tc.p; r++ {
-			lo, hi := pt.Range(r)
+			lo, hi := pt.rangeOf(r)
 			if lo != prevHi {
 				t.Errorf("n=%d p=%d: rank %d range starts at %d, want %d", tc.n, tc.p, r, lo, prevHi)
 			}
@@ -156,10 +156,10 @@ func TestNewRejectsBadArgs(t *testing.T) {
 func TestRangePanicsForCyclic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Range on a Cyclic partition did not panic")
+			t.Error("rangeOf on a Cyclic partition did not panic")
 		}
 	}()
-	MustNew(Cyclic, 10, 2).Range(0)
+	MustNew(Cyclic, 10, 2).rangeOf(0)
 }
 
 // TestExtractBulkMatchesPerVertex holds the one-copy extraction of a plain

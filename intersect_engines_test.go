@@ -40,9 +40,6 @@ func TestEngineOrientation(t *testing.T) {
 			if _, err := lcc.RunPush(g, opt); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := lcc.RunReplicated(g, lcc.ReplicatedOptions{Options: opt, Replication: 2}); err != nil {
-				t.Fatal(err)
-			}
 			if _, err := lcc.RunJaccard(g, opt); err != nil {
 				t.Fatal(err)
 			}

@@ -108,16 +108,6 @@ var tapeConfigs = []struct {
 			}
 			return res.SimTime
 		}},
-	{"replicated", [4]tapeDigest{{103787, 0x454c1078c8275cc5}, {104124, 0x4da8e0b0e3ee691f}, {103638, 0x68bc6c6669014800}, {103058, 0x20747d80596514ba}},
-		func(t *testing.T, g *graph.Graph, obs rma.ChargeObserver) float64 {
-			opt := goldenBase()
-			opt.ChargeObserver = obs
-			res, err := lcc.RunReplicated(g, lcc.ReplicatedOptions{Options: opt, Replication: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.SimTime
-		}},
 	{"jaccard", [4]tapeDigest{{113981, 0xb882e4e8f69d0c5b}, {111928, 0xda1e5fa2e7f9d169}, {112432, 0xffd1ab7f5ef6b307}, {113367, 0x703f25ddd19778f7}},
 		func(t *testing.T, g *graph.Graph, obs rma.ChargeObserver) float64 {
 			opt := goldenBase()
