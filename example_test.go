@@ -17,11 +17,13 @@ import (
 func ExampleRunLCC() {
 	g := repro.MustLoadDataset("fb-sim")
 	res, err := repro.RunLCC(g, repro.LCCOptions{
-		Ranks:        8,
-		Workers:      0, // host cores running the ranks; 0 = GOMAXPROCS
-		Method:       repro.MethodHybrid,
-		DoubleBuffer: true,
-		Caching:      true,
+		Ranks:             8,
+		Workers:           0, // host cores running the ranks; 0 = GOMAXPROCS
+		Method:            repro.MethodHybrid,
+		DoubleBuffer:      true,
+		Caching:           true,
+		OffsetsCacheBytes: 16 * g.NumVertices(), // every (start, end) pair
+		AdjCacheBytes:     16 << 20,             // 0 would turn C_adj off
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -38,9 +40,11 @@ func ExampleSetGraphCacheDir() {
 	repro.SetGraphCacheDir(".graph-cache") // or LCC_GRAPH_CACHE=...
 	g := repro.MustLoadDataset("rmat-s21-ef256")
 	res, err := repro.RunLCC(g, repro.LCCOptions{
-		Ranks:   64,
-		Caching: true,
-		Storage: repro.StorageCompressed, // per-rank locals stay compressed too
+		Ranks:             64,
+		Caching:           true,
+		OffsetsCacheBytes: 16 * g.NumVertices(),
+		AdjCacheBytes:     64 << 20,
+		Storage:           repro.StorageCompressed, // per-rank locals stay compressed too
 	})
 	if err != nil {
 		log.Fatal(err)

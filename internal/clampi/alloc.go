@@ -56,17 +56,15 @@ func newAllocator(capacity int) *allocator {
 }
 
 // reset rewinds the slab and restores the single pristine free region of the
-// given capacity, without reallocating anything.
+// given positive capacity, without reallocating anything.
 func (a *allocator) reset(capacity int) {
 	a.recs = append(a.recs[:0], record{})
 	a.unused, a.head, a.tail = 0, 0, 0
 	a.tree.reset()
 	a.capacity, a.used = capacity, 0
-	if capacity > 0 {
-		a.head = a.newRec(record{size: capacity, slot: freeSlot})
-		a.tail = a.head
-		a.tree.insert(capacity, 0, a.head)
-	}
+	a.head = a.newRec(record{size: capacity, slot: freeSlot})
+	a.tail = a.head
+	a.tree.insert(capacity, 0, a.head)
 }
 
 func (a *allocator) newRec(r record) uint32 {
@@ -223,9 +221,7 @@ func (a *allocator) check() error {
 		treeRegions[[2]int{n.off, n.size}] = n.id
 		treeTotal += n.size
 	})
-	// A negative capacity is legal (the cache rejects every insert); its
-	// buffer holds no bytes, free or used.
-	if free := max(a.capacity, 0) - a.used; treeTotal != free {
+	if free := a.capacity - a.used; treeTotal != free {
 		return fmt.Errorf("clampi: free bytes %d != tracked %d", treeTotal, free)
 	}
 	pos, usedSum, freeCount, listed := 0, 0, 0, 0
@@ -256,7 +252,7 @@ func (a *allocator) check() error {
 		prev = id
 		listed++
 	}
-	if a.capacity > 0 && pos != a.capacity {
+	if pos != a.capacity {
 		return fmt.Errorf("clampi: extent list covers %d bytes of %d", pos, a.capacity)
 	}
 	if prev != a.tail {

@@ -106,16 +106,6 @@ func TestAllocatorAdjacentFree(t *testing.T) {
 	}
 }
 
-func TestAllocatorZeroCapacity(t *testing.T) {
-	a := newAllocator(0)
-	if _, ok := a.alloc(1); ok {
-		t.Error("alloc on zero-capacity allocator succeeded")
-	}
-	if err := a.check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllocatorRejectsNonPositive(t *testing.T) {
 	a := newAllocator(10)
 	if _, ok := a.alloc(0); ok {

@@ -31,7 +31,7 @@ type avlTree struct {
 	n    int
 	pool *avlNode // free nodes, linked through right
 	slab int      // next slab size (doubles up to a cap)
-	made int      // nodes allocated so far (MemBytes)
+	made int      // nodes allocated so far (the footprint tests read it)
 }
 
 type avlNode struct {

@@ -3,7 +3,6 @@ package clampi
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/rma"
@@ -22,7 +21,9 @@ const AlwaysCache Mode = 0
 // §III-B-1 derives them for the two caches of the LCC engine, and they hold
 // from one Reset to the next.
 type Config struct {
-	// Capacity is the memory buffer reserved for cached data, in bytes.
+	// Capacity is the memory buffer reserved for cached data, in bytes. It
+	// is positive: a cache of 0 bytes is no cache, and every constructor
+	// panics on one.
 	Capacity int
 	// Buckets is the hash-table size (number of buckets). Default 1024.
 	Buckets int
@@ -37,6 +38,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Capacity <= 0 {
+		panic(fmt.Sprintf("clampi: capacity %d: a cache needs a positive capacity", c.Capacity))
+	}
 	if c.Assoc == 0 {
 		c.Assoc = 4
 	}
@@ -84,10 +88,10 @@ type Stats struct {
 // no heap allocations: entries and buffer extents are records of one slab
 // (see record), AVL nodes recycle through a pool, requests come from a free
 // list (see Request), and the victim heap and hash table reuse their backing
-// arrays. Filling those structures is what costs memory (MemBytes; 4.6 MB
-// for a C_adj instance at the benchmark's size on its uniform graph), so an
-// instance is reusable: Reset rebinds it to another rank and window in the
-// exact state New returns, keeping every backing array the new
+// arrays. Filling those structures is what costs memory (4.6 MB for a C_adj
+// instance at the benchmark's size on its uniform graph; TestCacheFootprint),
+// so an instance is reusable: Reset rebinds it to another rank and window
+// in the exact state New returns, keeping every backing array the new
 // configuration can use.
 // What a Cache carries from one use to the next is host memory only — no
 // model-visible state (DESIGN.md §2, "Instance recycling").
@@ -135,9 +139,11 @@ func New(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 // a large cache does not pin its footprint in a pool for the pool's
 // lifetime, and a steady stream of equal queries never reallocates.
 //
-// Reset panics on a writable window, and on a cache that is mid-operation:
-// such an instance was abandoned by an unwinding rank.
+// Reset panics on a capacity that is not positive, on a writable window, and
+// on a cache that is mid-operation: such an instance was abandoned by an
+// unwinding rank.
 func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
+	cfg = cfg.withDefaults()
 	if !w.ReadOnly() {
 		panic(fmt.Sprintf("clampi: window %q is writable; a cache serves read-only windows only", w.Name()))
 	}
@@ -145,8 +151,7 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 		panic("clampi: Reset of a cache that is mid-operation")
 	}
 
-	c.rank, c.win = r, w
-	c.cfg = cfg.withDefaults()
+	c.rank, c.win, c.cfg = r, w, cfg
 	c.coder = windowCoder(w, r.NumRanks())
 
 	// The slab and the heap start at a record per bucket — the table size is
@@ -157,7 +162,7 @@ func (c *Cache) Reset(r *rma.Rank, w *rma.Window, cfg Config) *Cache {
 	// times as much, or a use grew them past four times what cfg's geometry
 	// can fill: every entry holds a slot and at least a byte of the buffer,
 	// and free regions alternate with entries.
-	most := 2*min(c.cfg.Buckets*c.cfg.Assoc, max(c.cfg.Capacity, 0)) + 2
+	most := 2*min(c.cfg.Buckets*c.cfg.Assoc, c.cfg.Capacity) + 2
 	hint := min(c.cfg.Buckets+2, most)
 	if c.sized == 0 || c.sized > 4*hint || max(cap(c.alloc.recs), cap(c.victims.h)) > 4*most {
 		c.sized = hint
@@ -183,17 +188,6 @@ func windowCoder(w *rma.Window, ranks int) keyCoder {
 // Unbind drops the cache's rank and window, so that an idle instance in a
 // pool keeps no finished run's world alive. Only Reset makes it usable again.
 func (c *Cache) Unbind() { c.rank, c.win = nil, nil }
-
-// MemBytes returns the bytes of every backing array the instance holds:
-// table lanes and slots, record slab, victim heap and positions, and
-// free-region tree nodes. (Pooled requests, a handful of small objects per
-// instance, are not arrays and not counted.) It is what an idle instance in
-// a pool costs its snapshot.
-func (c *Cache) MemBytes() int {
-	return c.tab.memBytes() +
-		int(unsafe.Sizeof(record{}))*cap(c.alloc.recs) + int(unsafe.Sizeof(avlNode{}))*c.alloc.tree.made +
-		int(unsafe.Sizeof(heapItem{}))*cap(c.victims.h) + 4*cap(c.victims.pos)
-}
 
 // Stats returns a snapshot of the cache statistics.
 func (c *Cache) Stats() Stats {
@@ -481,7 +475,7 @@ func (c *Cache) Decide(k Key, score float64, first bool) Verdict {
 // caches a missing entry only if it has (or can free) the resources to store
 // it.
 func (c *Cache) insert(k Key, size int, score float64) {
-	if c.cfg.Capacity <= 0 || size > c.cfg.Capacity || size == 0 {
+	if size > c.cfg.Capacity || size == 0 {
 		c.stats.RejectedInserts++
 		return
 	}

@@ -3,10 +3,31 @@ package clampi
 import (
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/rma"
 )
+
+// memBytes is the bytes of the table's backing arrays.
+func (t *table) memBytes() int { return 8*cap(t.lane) + 4*cap(t.ents) }
+
+// MemBytes returns the bytes of every backing array the instance holds:
+// table lanes and slots, record slab, victim heap and positions, and
+// free-region tree nodes. (Pooled requests, a handful of small objects per
+// instance, are not arrays and not counted.) It is what an idle instance in
+// a pool costs its snapshot.
+func (c *Cache) MemBytes() int {
+	return c.tab.memBytes() +
+		int(unsafe.Sizeof(record{}))*cap(c.alloc.recs) + int(unsafe.Sizeof(avlNode{}))*c.alloc.tree.made +
+		int(unsafe.Sizeof(heapItem{}))*cap(c.victims.h) + 4*cap(c.victims.pos)
+}
+
+// MemBytes returns the bytes of the model's backing arrays: the table's
+// lanes and slots, and 12 bytes a place.
+func (m *OneSize) MemBytes() int {
+	return m.tab.memBytes() + 12*cap(m.ents)
+}
 
 // TestCacheFootprint bounds the host memory of an instance at the
 // repository benchmark's two geometries (bench/workloads.go, cached-*):

@@ -65,7 +65,8 @@ func NewOneSize(w *rma.Window, ranks int, cfg Config) *OneSize {
 // filling them leaves no trail of outgrown arrays — and grow by append;
 // they are kept unless they are over four times what cfg can hold. It
 // panics on a positional weight other than the default, which the model is
-// not exact for, and on a model that is mid-operation.
+// not exact for, on a capacity that is not positive, and on a model that is
+// mid-operation.
 func (m *OneSize) Reset(w *rma.Window, ranks int, cfg Config) *OneSize {
 	cfg = cfg.withDefaults()
 	if cfg.PosWeight != 64 {
@@ -77,7 +78,7 @@ func (m *OneSize) Reset(w *rma.Window, ranks int, cfg Config) *OneSize {
 	m.coder = windowCoder(w, ranks)
 	m.capacity = cfg.Capacity
 	buckets := max(cfg.Buckets, 1)
-	most := min(buckets*max(cfg.Assoc, 1), max(m.capacity, 0)/pairBytes) + 1
+	most := min(buckets*max(cfg.Assoc, 1), m.capacity/pairBytes) + 1
 	if hint := min(buckets+1, most); cap(m.ents) < hint || cap(m.ents) > 4*most {
 		m.ents = make([]oneEntry, 0, hint)
 	}
@@ -87,22 +88,12 @@ func (m *OneSize) Reset(w *rma.Window, ranks int, cfg Config) *OneSize {
 	return m
 }
 
-// MemBytes returns the bytes of the model's backing arrays: the table's
-// lanes and slots, and 12 bytes a place.
-func (m *OneSize) MemBytes() int {
-	return m.tab.memBytes() + 12*cap(m.ents)
-}
-
 // Stats returns what Cache.Stats would: the n entries hold 16n bytes, and
-// the one free region leaves no fragmentation — but a negative capacity,
-// free bytes and no region, reports 1.
+// the one free region leaves no fragmentation.
 func (m *OneSize) Stats() Stats {
 	s := m.stats
 	s.EntriesCached = int64(m.tab.n)
 	s.BytesCached = pairBytes * int64(m.tab.n)
-	if m.capacity < 0 {
-		s.FragmentationRatio = 1
-	}
 	return s
 }
 

@@ -1,6 +1,7 @@
 package clampi
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -70,6 +71,23 @@ func TestResetRefusesAbandonedCache(t *testing.T) {
 	r, w, c := testSetup(t, 1<<12, cfg)
 	c.busy = true
 	mustPanicClampi(t, "Reset of a busy cache", func() { c.Reset(r, w, cfg) })
+}
+
+// TestConstructorsRefuseNonPositiveCapacity: a cache of 0 bytes or fewer is
+// no cache, so no constructor builds one, fresh or recycled.
+func TestConstructorsRefuseNonPositiveCapacity(t *testing.T) {
+	r, w := oneSizeWorld(16)
+	c := New(r, w, Config{Capacity: 64})
+	m := NewOneSize(w, 3, Config{Capacity: 64})
+	for _, capacity := range []int{0, -16} {
+		cfg := Config{Capacity: capacity}
+		msg := fmt.Sprintf("clampi: capacity %d: a cache needs a positive capacity", capacity)
+		mustPanicWith(t, msg, func() { New(r, w, cfg) })
+		mustPanicWith(t, msg, func() { c.Reset(r, w, cfg) })
+		mustPanicWith(t, msg, func() { NewOneSize(w, 3, cfg) })
+		mustPanicWith(t, msg, func() { m.Reset(w, 3, cfg) })
+		mustPanicWith(t, msg, func() { NewResident(cfg, w, 3) })
+	}
 }
 
 // TestResetKeepsBackingStorage: the second use of an instance allocates

@@ -15,13 +15,13 @@ type Coord struct{ Target, Offset, Size int }
 //
 // The law (Fits): a set of distinct coordinates fits a cache at once when
 // every size is in (0, Capacity] and inside the window geometry, the sizes
-// sum to at most the capacity (never negative), and no bucket — h % Buckets
-// under the pinned FNV hash — receives more than Assoc of them. Then, with
-// no Degrade, Decide on a Cache over any access sequence drawn from the set
-// is first-touch: the first access to a key misses and inserts it (a
-// compulsory miss, carved from the one free region without an eviction, its
-// bucket never full), and every later one hits, because nothing is ever
-// evicted, rejected or flushed. The final Stats are the tally Stats reports.
+// sum to at most the capacity, and no bucket — h % Buckets under the pinned
+// FNV hash — receives more than Assoc of them. Then, with no Degrade, Decide
+// on a Cache over any access sequence drawn from the set is first-touch: the
+// first access to a key misses and inserts it (a compulsory miss, carved
+// from the one free region without an eviction, its bucket never full), and
+// every later one hits, because nothing is ever evicted, rejected or
+// flushed. The final Stats are the tally Stats reports.
 //
 // The cache (Decide, Stats): a rank whose accesses the law admits decides
 // them here instead, from whether each is its key's first; nothing of a
@@ -35,7 +35,8 @@ type Resident struct {
 }
 
 // NewResident builds the law for cfg over window w in a world of ranks
-// ranks — the key geometry Cache.Reset derives — with an empty tally.
+// ranks — the key geometry Cache.Reset derives — with an empty tally. It
+// panics on a capacity that is not positive, as Cache.Reset does.
 func NewResident(cfg Config, w *rma.Window, ranks int) Resident {
 	cfg = cfg.withDefaults()
 	buckets := max(cfg.Buckets, 1) // table.clearFor's geometry
@@ -52,9 +53,6 @@ func NewResident(cfg Config, w *rma.Window, ranks int) Resident {
 // for the bucket census, four bytes a key; Fits returns it, grown, for the
 // next call.
 func (r *Resident) Fits(keys func(yield func(Coord) bool), scratch []uint32) (bool, []uint32) {
-	if r.capacity < 0 {
-		return false, scratch // a negative buffer reports fragmentation even empty
-	}
 	scratch = scratch[:0]
 	total, fits := 0, true
 	keys(func(k Coord) bool {

@@ -26,9 +26,6 @@ func lawWorld(regions []int) (*rma.Rank, *rma.Window) {
 // bucket hash of the byte-loop reference (refFNV).
 func bruteFits(cfg Config, regions []int, keys []Coord) bool {
 	cfg = cfg.withDefaults()
-	if cfg.Capacity < 0 {
-		return false
-	}
 	maxRegion := 0
 	for _, n := range regions {
 		maxRegion = max(maxRegion, n)
@@ -132,8 +129,8 @@ func sameBucket(cfg Config, regions []int, size, n int) []Coord {
 
 // TestResidentLaw holds the law at its boundaries — a capacity filled to the
 // byte and one byte past it, Assoc keys in a bucket and one more, a size-0
-// key, a key larger than the buffer, coordinates outside the geometry, a
-// negative buffer — to the brute-force check, and every set that fits to
+// key, a key larger than the buffer, coordinates outside the geometry — to
+// the brute-force check, and every set that fits to
 // first-touch decisions of a real Cache.
 func TestResidentLaw(t *testing.T) {
 	regions := []int{0, 4096, 1000}
@@ -153,8 +150,6 @@ func TestResidentLaw(t *testing.T) {
 		want bool
 	}{
 		{"empty", cfg, nil, true},
-		{"empty, no buffer", Config{Buckets: 3}, nil, true},
-		{"empty, negative buffer", Config{Capacity: -1, Buckets: 3}, nil, false},
 		{"capacity to the byte", cfg, []Coord{{1, 0, 40}, {2, 40, 40}, {1, 800, 16}}, true},
 		{"one byte past it", cfg, []Coord{{1, 0, 40}, {2, 40, 40}, {1, 800, 17}}, false},
 		{"assoc in a bucket", cfg, pair[:2], true},
@@ -206,7 +201,7 @@ func FuzzResidentLaw(f *testing.F) {
 		for t := range regions {
 			regions[t] = 16 * next()
 		}
-		cfg := Config{Buckets: 1 + next()%13, Assoc: [...]int{1, 2, 4}[next()%3], Capacity: 8*next() - 16}
+		cfg := Config{Buckets: 1 + next()%13, Assoc: [...]int{1, 2, 4}[next()%3], Capacity: 8*next() + 8}
 		var keys []Coord
 		seen := map[Coord]bool{}
 		for n := next() % 24; len(keys) < n && len(data) > 0; {

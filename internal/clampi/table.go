@@ -70,9 +70,6 @@ func (t *table) clearFor(buckets, assoc int) {
 	t.lane, t.ents = t.lane[:nl], t.ents[:ne]
 }
 
-// memBytes is the bytes of the table's backing arrays.
-func (t *table) memBytes() int { return 8*cap(t.lane) + 4*cap(t.ents) }
-
 // laneOf returns the index of the first lane word of the bucket h selects.
 func (t *table) laneOf(h uint64) uint32 { return uint32(int(t.magic.mod(h)) * 2 * t.assoc) }
 

@@ -79,9 +79,10 @@ func Fig7CacheSize() *Table {
 			adjRate, compulsoryFrac(res, false))
 	}
 	t.Notes = append(t.Notes,
-		"below 30% relative size both caches raise comm time: few accesses hit, and every miss adds CLaMPI's management charges to its get",
-		"from 40% up both cut it, C_adj by more than C_offsets (adjacency gets move the bytes)",
-		"the paper's small C_adj caches already save ~30% comm; here they cost it (open fidelity gap, DESIGN.md §3)",
+		"the cache not swept is off (0 bytes), so each row charges one cache's costs only",
+		"C_offsets breaks even between 2% and 5% relative size, C_adj between 10% and 20%; below that few accesses hit, and every miss adds CLaMPI's management charges to its get",
+		"full C_adj saves about half the comm time, as in the paper (-51.6%), and more than full C_offsets (adjacency gets move the bytes)",
+		"the paper's small C_adj caches already save ~30% comm; here C_adj at 1-10% costs it (open fidelity gap, DESIGN.md §3)",
 		"grey area of the paper's plot = compulsory miss floor, reported in the last column")
 	return t
 }

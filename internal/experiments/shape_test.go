@@ -130,17 +130,19 @@ func TestFig8Shape(t *testing.T) {
 }
 
 // TestFig7Shape holds Fig. 7's sweep, each cache on its own over the 11
-// relative sizes: neither comm time nor miss rate ever rises with size; at
-// full size at least 99% of the misses are compulsory; and full C_adj saves
-// at least 20% of the uncached comm time, more than full C_offsets does. At
-// the test's introduction the uncached comm time was 825.1 ms, C_offsets
-// went 1145.8 → 727.4 ms (−11.9%) and C_adj 1211.4 → 589.8 ms (−28.5%).
+// relative sizes with the other off: neither comm time nor miss rate ever
+// rises with size; at full size at least 99% of the misses are compulsory;
+// full C_adj saves at least 45% of the uncached comm time, more than full
+// C_offsets does, which saves at least 30%. With the other cache off the
+// uncached comm time is 825.1 ms, C_offsets goes 942.2 → 515.4 ms (−37.5%)
+// and C_adj 1025.3 → 403.7 ms (−51.1%; the paper: −51.6%).
 //
 // It does not assert the paper's claim that small C_adj caches already save
-// ~30%: here every cache below 30% relative size costs comm time (C_adj
-// +19.0% to +46.8% at 1–20%), because few of its accesses hit and every
-// miss adds CLaMPI's management charges to its get. That gap is an open
-// fidelity claim (DESIGN.md §3), not a shape this model holds.
+// ~30%: here C_adj costs comm time up to 10% relative size (+24.3% at 1%,
+// +13.1% at 10%) and breaks even before 20% (−3.6%), because few of its
+// accesses hit and every miss adds CLaMPI's management charges to its get.
+// That gap is an open fidelity claim (DESIGN.md §3), not a shape this model
+// holds.
 func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("23 engine runs")
@@ -180,6 +182,12 @@ func TestFig7Shape(t *testing.T) {
 	}
 	if full["C_adj"] > 0.8*uncached {
 		t.Errorf("full C_adj comm %.1f ms saves under 20%% of the uncached %.1f ms", full["C_adj"], uncached)
+	}
+	if full["C_adj"] > 0.55*uncached {
+		t.Errorf("full C_adj comm %.1f ms saves under 45%% of the uncached %.1f ms", full["C_adj"], uncached)
+	}
+	if full["C_offsets"] > 0.70*uncached {
+		t.Errorf("full C_offsets comm %.1f ms saves under 30%% of the uncached %.1f ms", full["C_offsets"], uncached)
 	}
 	if full["C_adj"] >= full["C_offsets"] {
 		t.Errorf("full C_adj comm %.1f ms is not below full C_offsets' %.1f ms", full["C_adj"], full["C_offsets"])

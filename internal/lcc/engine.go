@@ -44,6 +44,9 @@ type Options struct {
 	// capacities. The Fig. 9/10 configuration reserves 16 GiB per node
 	// split as 0.8·|V| bytes for C_offsets and the rest for C_adj. The
 	// hash tables are sized from them by the §III-B-1 rule (cacheConfigs).
+	// A cache of 0 bytes is no cache: under Caching, a capacity of 0 turns
+	// that cache off and its accesses are plain gets, so both at 0 is the
+	// uncached run. A negative capacity is an error.
 	OffsetsCacheBytes int
 	AdjCacheBytes     int
 	// AdjScorePolicy selects the C_adj eviction score; see ScorePolicy.
@@ -219,9 +222,6 @@ func clampOne(x int) int {
 // degree distribution, a cache holding a fraction f of the graph stores
 // about n·f^α entries; the paper found α = 2 a good approximation.
 func adjBuckets(n, capacity int) int {
-	if capacity <= 0 {
-		return 1
-	}
 	// Approximate the graph's adjacency bytes by 4 bytes per arc; the
 	// caller knows the real value, but the rule only needs the order of
 	// magnitude. We conservatively use n·32 (edge factor 8), computed in
@@ -370,11 +370,13 @@ type worker struct {
 	wAdj *rma.Window
 	opt  Options
 
-	// cOff and cAdj are the rank's caches: C_offsets, CLaMPI's exact
-	// one-size model, and C_adj, a CLaMPI instance. A cache the snapshot
-	// found resident has none (offRes, adjRes).
-	cOff *clampi.OneSize
-	cAdj *clampi.Cache
+	// offOn and adjOn say which caches the rank has: under Caching, those of
+	// positive capacity. cOff and cAdj are their CLaMPI instances: C_offsets,
+	// CLaMPI's exact one-size model, and C_adj. A cache the snapshot found
+	// resident has none (offRes, adjRes).
+	offOn, adjOn bool
+	cOff         *clampi.OneSize
+	cAdj         *clampi.Cache
 
 	// orient is the snapshot's orientation index (orient.go).
 	orient *orientIndex
@@ -593,7 +595,7 @@ func (w *worker) popEdge() (pipeEdge, bool) {
 		if w.ringLen == 0 {
 			return pipeEdge{}, false
 		}
-		if w.opt.Caching {
+		if w.offOn || w.adjOn {
 			w.decide(w.ring[:w.ringLen])
 		}
 		if w.ahead {
@@ -657,8 +659,12 @@ func (w *worker) decide(batch []pipeEdge) {
 	for j := range n {
 		e := &batch[at[j]]
 		slot, li := unpackResolve(e.rv)
-		e.off = w.decideOff(&off[j], e.vj, slot, li)
-		e.adj = w.decideAdj(&adj[j], e.vj, slot, li, pair[j][0], pair[j][1])
+		if w.offOn {
+			e.off = w.decideOff(&off[j], e.vj, slot, li)
+		}
+		if w.adjOn {
+			e.adj = w.decideAdj(&adj[j], e.vj, slot, li, pair[j][0], pair[j][1])
+		}
 	}
 }
 
@@ -669,7 +675,8 @@ func (w *worker) decide(batch []pipeEdge) {
 // undecided (k nil), under KeyOf's key, which panics on a coordinate outside
 // the window geometry as the get always did, and as the law does. The
 // first-touch bit is set only by an access that reaches the cache, so a
-// degraded access leaves the next one compulsory.
+// degraded access leaves the next one compulsory. Only a rank with the cache
+// (offOn) calls it.
 func (w *worker) decideOff(k *clampi.Key, vj graph.V, owner, li int) clampi.Verdict {
 	if w.cOff == nil {
 		return w.offRes.Decide(owner, 16*li, 16, firstTouch(w.touch.off, vj))
@@ -715,8 +722,8 @@ func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end u
 }
 
 // newWorker builds rank r's execution state over snapshot s: r holds the
-// partition of slot r. With caching on, the rank takes its first-touch maps
-// from the snapshot's pool; a cache the snapshot finds resident for the rank
+// partition of slot r. A rank with a cache takes its first-touch maps from
+// the snapshot's pool; a cache the snapshot finds resident for the rank
 // (residentCaches; never under cache faults) is decided by first touch, and
 // the others are CLaMPI instances — C_offsets its one-size model — from the
 // pool, recycled or constructed.
@@ -730,21 +737,28 @@ func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *w
 	w.its.EnsureUniverse(s.n)
 	r.LockAll(wOff)
 	r.LockAll(wAdj)
-	if opt.Caching {
-		offCfg, adjCfg := cacheConfigs(s.n, opt)
+	w.offOn = opt.Caching && opt.OffsetsCacheBytes > 0
+	w.adjOn = opt.Caching && opt.AdjCacheBytes > 0
+	if !w.offOn && !w.adjOn {
+		return w
+	}
+	offCfg, adjCfg := cacheConfigs(s.n, opt)
+	if w.offOn {
 		w.offRes = clampi.NewResident(offCfg, wOff, r.NumRanks())
+	}
+	if w.adjOn {
 		w.adjRes = clampi.NewResident(adjCfg, wAdj, r.NumRanks())
-		w.touch = s.caches.takeTouch(s.n)
-		var offIn, adjIn bool
-		if opt.Faults == nil || opt.Faults.CacheFailPct <= 0 {
-			offIn, adjIn = s.residentCaches(w, offCfg, adjCfg)
-		}
-		if !offIn {
-			w.cOff = s.caches.takeOff(wOff, r.NumRanks(), offCfg)
-		}
-		if !adjIn {
-			w.cAdj = s.caches.takeAdj(r, wAdj, adjCfg)
-		}
+	}
+	w.touch = s.caches.takeTouch(s.n)
+	var offIn, adjIn bool
+	if opt.Faults == nil || opt.Faults.CacheFailPct <= 0 {
+		offIn, adjIn = s.residentCaches(w, offCfg, adjCfg)
+	}
+	if w.offOn && !offIn {
+		w.cOff = s.caches.takeOff(wOff, r.NumRanks(), offCfg)
+	}
+	if w.adjOn && !adjIn {
+		w.cAdj = s.caches.takeAdj(r, wAdj, adjCfg)
 	}
 	return w
 }
@@ -810,7 +824,7 @@ func (w *worker) start(f *fetch, e pipeEdge) {
 		w.opt.OnRemoteRead(w.r.ID(), vj)
 	}
 	f.offV, f.adjV, f.vj, f.li = e.off, e.adj, vj, li
-	if f.offV == clampi.Undecided && w.opt.Caching {
+	if f.offV == clampi.Undecided && w.offOn {
 		f.offV = w.decideOff(nil, vj, f.owner, li)
 	}
 	// A miss charges CLaMPI's overhead ahead of the get it issues; no cache,
@@ -843,7 +857,7 @@ func (w *worker) mid(f *fetch) {
 	}
 	start, end := pair[0], pair[1]
 	f.adjOff, f.adjSize = int(start)*4, int(end-start)*4
-	if f.adjV == clampi.Undecided && w.opt.Caching {
+	if f.adjV == clampi.Undecided && w.adjOn {
 		f.adjV = w.decideAdj(nil, f.vj, f.owner, f.li, start, end)
 	}
 	switch f.adjV {
@@ -1008,9 +1022,8 @@ func (w *worker) stats() RankStats {
 		LocalReads:  w.localReads,
 		RMA:         w.r.Counters(),
 	}
-	if w.opt.Caching {
-		s.OffsetsCache, s.AdjCache = w.offRes.Stats(), w.adjRes.Stats()
-	}
+	// A law never built (no cache) reports zero statistics.
+	s.OffsetsCache, s.AdjCache = w.offRes.Stats(), w.adjRes.Stats()
 	if w.cOff != nil {
 		s.OffsetsCache = w.cOff.Stats()
 	}

@@ -188,7 +188,6 @@ func TestOptionsBucketSizing(t *testing.T) {
 		{16000, 32000, 1000, 1000}, // f = 1
 		{16, 1 << 30, 1, 1000},     // f capped at 1
 		{160, 8000, 10, 62},        // f = 1/4
-		{0, 0, 1, 1},               // empty caches still get a bucket
 	} {
 		off, adj := cacheConfigs(1000, Options{Caching: true, OffsetsCacheBytes: tc.offBytes, AdjCacheBytes: tc.adjBytes})
 		if off != (clampi.Config{Capacity: tc.offBytes, Buckets: tc.offBuckets}) {

@@ -311,9 +311,9 @@ func TestCachedRunAllocationGuard(t *testing.T) {
 // TestCachePoolFootprint is the guard's twin for what the pool holds rather
 // than what a run allocates: the uniform graph at the benchmark's sizes
 // (cached-uniform: 32 ranks, 256 KiB + 4 MiB under LRU) on two workers, two
-// runs, then every backing array of every pooled instance. The pointer-based
-// CLaMPI structures held 23.5 MB here (two pairs); the record slab must
-// stay under 70 % of that.
+// runs, then the live heap each list of pooled instances keeps, measured by
+// dropping the list. The pointer-based CLaMPI structures held 23.5 MB here
+// (two pairs); the record slab must stay under 70 % of that.
 func TestCachePoolFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two cached runs on the benchmark's uniform graph")
@@ -332,16 +332,25 @@ func TestCachePoolFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	off, adj := 0, 0
-	for _, m := range s.caches.off {
-		off += m.MemBytes()
+	// Two collections first: the second empties what sync.Pools kept
+	// through the first.
+	live := func() int {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int(ms.HeapAlloc)
 	}
-	for _, c := range s.caches.adj {
-		adj += c.MemBytes()
-	}
+	nOff, nAdj := len(s.caches.off), len(s.caches.adj)
+	all := live()
+	s.caches.adj = nil
+	noAdj := live()
+	s.caches.off = nil
+	adj, off := all-noAdj, noAdj-live()
+	runtime.KeepAlive(s)
 	held := off + adj
 	const parent = 23.5e6
-	t.Logf("%d C_offsets models hold %.1f MB, %d C_adj instances %.1f MB", len(s.caches.off), float64(off)/1e6, len(s.caches.adj), float64(adj)/1e6)
+	t.Logf("%d C_offsets models hold %.1f MB, %d C_adj instances %.1f MB", nOff, float64(off)/1e6, nAdj, float64(adj)/1e6)
 	if float64(held) > 0.7*parent {
 		t.Errorf("pool holds %.1f MB, want at most 70 %% of the %.1f MB before the record slab", float64(held)/1e6, parent/1e6)
 	}

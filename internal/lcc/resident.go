@@ -81,12 +81,12 @@ func (s *Snapshot) residentCaches(w *worker, offCfg, adjCfg clampi.Config) (off,
 	return a&ansOff != 0, a&ansAdj != 0
 }
 
-// checkResident applies the residency law to the rank's remote lists: the
-// targets of every arc of its slot that lie in another slot, once each. That
-// covers what any engine's walk fetches, so the answer holds for every run
-// on the snapshot. A target the snapshot cannot resolve to a record makes
-// neither cache resident: the walk faults on it as it always did. tm's map
-// is left clear.
+// checkResident applies the residency law of each cache the rank has to its
+// remote lists: the targets of every arc of its slot that lie in another
+// slot, once each. That covers what any engine's walk fetches, so the answer
+// holds for every run on the snapshot. A target the snapshot cannot resolve
+// to a record makes neither cache resident: the walk faults on it as it
+// always did. tm's map is left clear.
 func (w *worker) checkResident(tm *touchMap) uint32 {
 	seen := tm.off
 	defer clear(seen)
@@ -127,11 +127,15 @@ func (w *worker) checkResident(tm *touchMap) uint32 {
 	}
 	a := uint32(ansChecked)
 	var fits bool
-	if fits, tm.buckets = w.offRes.Fits(coords(false), tm.buckets); fits {
-		a |= ansOff
+	if w.offOn {
+		if fits, tm.buckets = w.offRes.Fits(coords(false), tm.buckets); fits {
+			a |= ansOff
+		}
 	}
-	if fits, tm.buckets = w.adjRes.Fits(coords(true), tm.buckets); fits {
-		a |= ansAdj
+	if w.adjOn {
+		if fits, tm.buckets = w.adjRes.Fits(coords(true), tm.buckets); fits {
+			a |= ansAdj
+		}
 	}
 	return a
 }

@@ -235,9 +235,6 @@ func (s *Snapshot) StorageRepr() string {
 // Ranks returns the pinned rank count p.
 func (s *Snapshot) Ranks() int { return s.ranks }
 
-// Scheme returns the pinned partitioning scheme.
-func (s *Snapshot) Scheme() part.Scheme { return s.scheme }
-
 // options pins the snapshot-owned fields — the distribution belongs to the
 // snapshot, the method/caching/workers/faults to the query — and applies
 // the usual defaults.
@@ -289,11 +286,16 @@ func (s *Snapshot) windows(comm *rma.Comm) (wOff, wAdj *rma.Window) {
 // snapshot itself is untouched: it holds no model-visible per-run state (the
 // caches of a rank that unwound never return to the free list), so the
 // caller can simply run again. An AdjScorePolicy outside ScoreLRU and
-// ScoreDegree is an error before anything starts.
+// ScoreDegree, or a negative cache capacity, is an error before anything
+// starts.
 func (s *Snapshot) launch(ctx context.Context, opt Options, lccOut []float64,
 	prepare func(*rma.Comm), body func(*worker) int64) (*Result, error) {
 	if opt.AdjScorePolicy > ScoreDegree {
 		return nil, fmt.Errorf("lcc: unknown C_adj score policy %d", opt.AdjScorePolicy)
+	}
+	if opt.OffsetsCacheBytes < 0 || opt.AdjCacheBytes < 0 {
+		return nil, fmt.Errorf("lcc: cache capacities %d and %d bytes: neither may be negative",
+			opt.OffsetsCacheBytes, opt.AdjCacheBytes)
 	}
 	opt = s.options(opt)
 	comm := rma.NewCommWorkers(s.ranks, opt.Model, opt.Workers)

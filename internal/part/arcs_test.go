@@ -149,8 +149,8 @@ func TestBuildDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%v): %v", s, err)
 		}
-		if pt.Scheme() != s {
-			t.Fatalf("Build(%v) produced scheme %v", s, pt.Scheme())
+		if pt.scheme != s {
+			t.Fatalf("Build(%v) produced scheme %v", s, pt.scheme)
 		}
 	}
 }

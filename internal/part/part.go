@@ -129,14 +129,8 @@ func Build(scheme Scheme, g graph.Store, p int) (*Partition, error) {
 	return New(scheme, g.NumVertices(), p)
 }
 
-// Scheme returns the partitioning scheme.
-func (pt *Partition) Scheme() Scheme { return pt.scheme }
-
 // NumRanks returns p.
 func (pt *Partition) NumRanks() int { return pt.p }
-
-// NumVertices returns n.
-func (pt *Partition) NumVertices() int { return pt.n }
 
 // Owner returns the rank that owns vertex v.
 func (pt *Partition) Owner(v graph.V) int {

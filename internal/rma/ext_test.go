@@ -313,8 +313,8 @@ func TestAccumulateBatchPanics(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	c, w := twoRankComm()
-	if c.NumRanks() != 2 {
-		t.Errorf("NumRanks = %d, want 2", c.NumRanks())
+	if c.p != 2 {
+		t.Errorf("world size = %d, want 2", c.p)
 	}
 	r := c.Rank(0)
 	if w.SizeAt(1) != 64 {

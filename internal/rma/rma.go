@@ -56,9 +56,6 @@ func NewCommWorkers(p int, model CostModel, workers int) *Comm {
 	return &Comm{p: p, model: model, pool: sched.New(workers), byID: make([][]*Rank, p)}
 }
 
-// NumRanks returns the world size p.
-func (c *Comm) NumRanks() int { return c.p }
-
 // WindowKind identifies the storage and aliasing discipline of a window.
 // The modeled communication cost is identical across kinds — only the
 // host-side behaviour of Get differs (snapshot copy vs. aliased view); see

@@ -59,9 +59,6 @@ func New(workers int) *Pool {
 	return p
 }
 
-// Workers returns the concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
 // acquire takes an execution slot, blocking until one is free.
 func (p *Pool) acquire() { <-p.slots }
 

@@ -50,14 +50,14 @@ func TestConcurrencyBounded(t *testing.T) {
 }
 
 func TestDefaultWorkersIsGOMAXPROCS(t *testing.T) {
-	if got, want := New(0).Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("New(0).Workers() = %d, want GOMAXPROCS = %d", got, want)
+	if got, want := New(0).workers, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("New(0).workers = %d, want GOMAXPROCS = %d", got, want)
 	}
-	if got := New(-3).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("New(-3).Workers() = %d, want GOMAXPROCS", got)
+	if got := New(-3).workers; got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("New(-3).workers = %d, want GOMAXPROCS", got)
 	}
-	if got := New(7).Workers(); got != 7 {
-		t.Fatalf("New(7).Workers() = %d, want 7", got)
+	if got := New(7).workers; got != 7 {
+		t.Fatalf("New(7).workers = %d, want 7", got)
 	}
 }
 
