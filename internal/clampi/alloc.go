@@ -98,7 +98,7 @@ func (a *allocator) alloc(size int) (uint32, bool) {
 	if size <= 0 {
 		return 0, false
 	}
-	n, least := a.tree.bestFit(size)
+	n, pred := a.tree.bestFit(size)
 	if n == nil {
 		return 0, false
 	}
@@ -120,14 +120,15 @@ func (a *allocator) alloc(size int) (uint32, bool) {
 		a.head = nb
 	}
 	b.prev = nb
-	if least {
-		// The tree's least region shrank: it is still the least, so its
-		// node keeps its place. Always the case before the first eviction,
-		// when the tree holds the one region every entry is carved from.
-		n.size, n.off = b.size-size, b.off+size
+	if rest, at := b.size-size, b.off+size; pred == nil || regionLess(pred.size, pred.off, rest, at) {
+		// The region shrank but still orders after its predecessor, so its
+		// node keeps its place: always so for the least region, and for a
+		// carve that leaves more than the next smaller region holds — from
+		// the tail, say, while the holes below it are smaller.
+		n.size, n.off = rest, at
 	} else {
 		a.mustRemove(b)
-		a.tree.insert(b.size-size, b.off+size, id)
+		a.tree.insert(rest, at, id)
 	}
 	b.off += size
 	b.size -= size

@@ -188,6 +188,42 @@ func TestAllocatorChurnInvariants(t *testing.T) {
 	}
 }
 
+// TestAllocatorShrinkInPlace drives random carve/free sequences, checking
+// every invariant after every step, and requires that carves which leave a
+// best fit above its predecessor — shrunk in place although it is not the
+// least region — happened.
+func TestAllocatorShrinkInPlace(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 17))
+		a := newAllocator(1 << 12)
+		var live []uint32
+		inPlace := 0
+		for i := 0; i < 3000; i++ {
+			if rng.IntN(100) < 60 {
+				size := 1 + rng.IntN(48)
+				if n, pred := a.tree.bestFit(size); n != nil && pred != nil && n.size > size &&
+					regionLess(pred.size, pred.off, n.size-size, n.off+size) {
+					inPlace++
+				}
+				if b, ok := a.alloc(size); ok {
+					live = append(live, b)
+				}
+			} else if len(live) > 0 {
+				j := rng.IntN(len(live))
+				a.free(live[j])
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if err := a.check(); err != nil {
+				t.Fatalf("seed %d, step %d: %v", seed, i, err)
+			}
+		}
+		if inPlace == 0 {
+			t.Errorf("seed %d: no best fit above its predecessor shrank in place", seed)
+		}
+	}
+}
+
 func TestAllocatedBlocksNeverOverlap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	a := newAllocator(4096)

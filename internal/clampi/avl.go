@@ -214,23 +214,23 @@ func (t *avlTree) avlRemove(n *avlNode, size, off int) (*avlNode, bool) {
 	return rebalance(n), removed
 }
 
-// bestFit returns the smallest region with size >= want, or nil, and
-// whether it is the tree's least region (the descent never went right). The
-// least region may shrink in place: it stays the least, so neither the order
-// nor the shape of the tree changes.
-func (t *avlTree) bestFit(want int) (best *avlNode, least bool) {
-	least = true
+// bestFit returns the smallest region with size >= want, or nil, and the
+// last node where the descent went right, or nil. Every step after the best
+// fit goes right, so that node is the best fit's in-order predecessor. The
+// best fit may shrink in place while it still orders after its predecessor:
+// neither the order nor the shape of the tree changes.
+func (t *avlTree) bestFit(want int) (best, pred *avlNode) {
 	n := t.root
 	for n != nil {
 		if n.size >= want {
 			best = n
 			n = n.left
 		} else {
-			least = false
+			pred = n
 			n = n.right
 		}
 	}
-	return best, least
+	return best, pred
 }
 
 // max returns the largest region in the tree, or nil if empty.

@@ -132,8 +132,8 @@ func TestAVLDuplicatePanics(t *testing.T) {
 	tr.insert(4, 4, 0)
 }
 
-// Property: bestFit always returns the minimal adequate region, and says
-// "least" exactly when that is the smallest region of all.
+// Property: bestFit always returns the minimal adequate region and its
+// in-order predecessor, nil exactly when that is the smallest region of all.
 func TestAVLBestFitProperty(t *testing.T) {
 	f := func(sizes []uint8, want uint8) bool {
 		var tr avlTree
@@ -146,14 +146,13 @@ func TestAVLBestFitProperty(t *testing.T) {
 			off += 100
 		}
 		w := int(want)%64 + 1
-		n, least := tr.bestFit(w)
+		n, pred := tr.bestFit(w)
 		// Reference scan.
-		bestSize, bestOff, refOK, smaller := 0, 0, false, false
+		bestSize, bestOff, refOK := 0, 0, false
 		for _, r := range all {
 			if r[0] >= w && (!refOK || regionLess(r[0], r[1], bestSize, bestOff)) {
 				bestSize, bestOff, refOK = r[0], r[1], true
 			}
-			smaller = smaller || r[0] < w
 		}
 		if (n != nil) != refOK {
 			return false
@@ -161,7 +160,16 @@ func TestAVLBestFitProperty(t *testing.T) {
 		if n == nil {
 			return true
 		}
-		return n.size == bestSize && n.off == bestOff && least == !smaller
+		predSize, predOff, hasPred := 0, 0, false
+		for _, r := range all {
+			if regionLess(r[0], r[1], bestSize, bestOff) && (!hasPred || regionLess(predSize, predOff, r[0], r[1])) {
+				predSize, predOff, hasPred = r[0], r[1], true
+			}
+		}
+		if (pred != nil) != hasPred || hasPred && (pred.size != predSize || pred.off != predOff) {
+			return false
+		}
+		return n.size == bestSize && n.off == bestOff
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -86,7 +86,7 @@ func TestConstructorsRefuseNonPositiveCapacity(t *testing.T) {
 		mustPanicWith(t, msg, func() { c.Reset(r, w, cfg) })
 		mustPanicWith(t, msg, func() { NewOneSize(w, 3, cfg) })
 		mustPanicWith(t, msg, func() { m.Reset(w, 3, cfg) })
-		mustPanicWith(t, msg, func() { NewResident(cfg, w, 3) })
+		mustPanicWith(t, msg, func() { new(Resident).Reset(cfg, w, 3) })
 	}
 }
 

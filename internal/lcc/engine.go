@@ -373,7 +373,7 @@ type worker struct {
 	// offOn and adjOn say which caches the rank has: under Caching, those of
 	// positive capacity. cOff and cAdj are their CLaMPI instances: C_offsets,
 	// CLaMPI's exact one-size model, and C_adj. A cache the snapshot found
-	// resident has none (offRes, adjRes).
+	// resident has none: its Resident decides (offRes, adjRes).
 	offOn, adjOn bool
 	cOff         *clampi.OneSize
 	cAdj         *clampi.Cache
@@ -432,10 +432,11 @@ type worker struct {
 	ownDec    []graph.V // visit-side adjI (run/runPush/jaccard)
 	ownDecLi  int
 
-	// A caching rank's residency laws (resident.go), which the residency
-	// check reads and a resident cache's accesses are decided by, and its
-	// first-touch maps (touch), which say which accesses are compulsory.
-	offRes, adjRes clampi.Resident
+	// A caching rank's pooled maps and Residents (touch, resident.go): the
+	// residency laws the check reads, which decide a resident cache's
+	// accesses with its first-touch and crowded maps; the first-touch maps
+	// also say which of a CLaMPI instance's misses are compulsory.
+	offRes, adjRes *clampi.Resident
 	touch          *touchMap
 }
 
@@ -669,17 +670,17 @@ func (w *worker) decide(batch []pipeEdge) {
 }
 
 // decideOff decides the C_offsets access of vertex vj, local index li of
-// owner. A resident cache (no cOff) is decided by its law, from vj's
-// first-touch bit. Otherwise it draws the rank's CacheFault — a fault
-// degrades the cache — and decides under k, or, for an access the pass left
-// undecided (k nil), under KeyOf's key, which panics on a coordinate outside
-// the window geometry as the get always did, and as the law does. The
-// first-touch bit is set only by an access that reaches the cache, so a
-// degraded access leaves the next one compulsory. Only a rank with the cache
-// (offOn) calls it.
+// owner. A resident cache (no cOff) is decided by its Resident, from vj's
+// first-touch and crowded bits. Otherwise it draws the rank's CacheFault —
+// a fault degrades the cache — and decides under k, or, for an access the
+// pass left undecided (k nil), under KeyOf's key, which panics on a
+// coordinate outside the window geometry as the get always did, and as the
+// Resident does. The first-touch bit is set only by an access that reaches
+// the cache, so a degraded access leaves the next one compulsory. Only a
+// rank with the cache (offOn) calls it.
 func (w *worker) decideOff(k *clampi.Key, vj graph.V, owner, li int) clampi.Verdict {
 	if w.cOff == nil {
-		return w.offRes.Decide(owner, 16*li, 16, firstTouch(w.touch.off, vj))
+		return w.offRes.Decide(owner, 16*li, 16, math.NaN(), firstTouch(w.touch.off, vj), isSet(w.touch.offCrowd, vj))
 	}
 	if w.r.CacheFault() {
 		w.cOff.Degrade()
@@ -703,16 +704,16 @@ func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end u
 	if start == end {
 		vj = w.adjTouchVertex(vj, slot, li, start)
 	}
+	score := math.NaN()
+	if w.opt.AdjScorePolicy == ScoreDegree {
+		score = float64(size / 4)
+	}
 	if w.cAdj == nil {
-		return w.adjRes.Decide(slot, off, size, firstTouch(w.touch.adj, vj))
+		return w.adjRes.Decide(slot, off, size, score, firstTouch(w.touch.adj, vj), isSet(w.touch.adjCrowd, vj))
 	}
 	if w.r.CacheFault() {
 		w.cAdj.Degrade()
 		return clampi.Degraded
-	}
-	score := math.NaN()
-	if w.opt.AdjScorePolicy == ScoreDegree {
-		score = float64(size / 4)
 	}
 	if k == nil {
 		key := w.cAdj.KeyOf(slot, off, size)
@@ -722,11 +723,11 @@ func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end u
 }
 
 // newWorker builds rank r's execution state over snapshot s: r holds the
-// partition of slot r. A rank with a cache takes its first-touch maps from
+// partition of slot r. A rank with a cache takes its maps and Residents from
 // the snapshot's pool; a cache the snapshot finds resident for the rank
-// (residentCaches; never under cache faults) is decided by first touch, and
-// the others are CLaMPI instances — C_offsets its one-size model — from the
-// pool, recycled or constructed.
+// (residentCaches; never under cache faults) is decided by its Resident,
+// with its crowded vertices marked, and the others are CLaMPI instances —
+// C_offsets its one-size model — from the pool, recycled or constructed.
 func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *worker {
 	slot := r.ID()
 	w := &worker{r: r, kind: s.kind, pt: s.pt, lc: s.locals[slot], wOff: wOff, wAdj: wAdj, opt: opt,
@@ -743,21 +744,23 @@ func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *w
 		return w
 	}
 	offCfg, adjCfg := cacheConfigs(s.n, opt)
+	w.touch = s.caches.takeTouch(s.n)
 	if w.offOn {
-		w.offRes = clampi.NewResident(offCfg, wOff, r.NumRanks())
+		w.offRes = w.touch.offRes.Reset(offCfg, wOff, r.NumRanks())
 	}
 	if w.adjOn {
-		w.adjRes = clampi.NewResident(adjCfg, wAdj, r.NumRanks())
+		w.adjRes = w.touch.adjRes.Reset(adjCfg, wAdj, r.NumRanks())
 	}
-	w.touch = s.caches.takeTouch(s.n)
-	var offIn, adjIn bool
+	in := &rankAnswer{}
 	if opt.Faults == nil || opt.Faults.CacheFailPct <= 0 {
-		offIn, adjIn = s.residentCaches(w, offCfg, adjCfg)
+		in = s.residentCaches(w, offCfg, adjCfg)
 	}
-	if w.offOn && !offIn {
+	setBits(w.touch.offCrowd, in.offCrowd)
+	setBits(w.touch.adjCrowd, in.adjCrowd)
+	if w.offOn && !in.off {
 		w.cOff = s.caches.takeOff(wOff, r.NumRanks(), offCfg)
 	}
-	if w.adjOn && !adjIn {
+	if w.adjOn && !in.adj {
 		w.cAdj = s.caches.takeAdj(r, wAdj, adjCfg)
 	}
 	return w
@@ -1022,13 +1025,16 @@ func (w *worker) stats() RankStats {
 		LocalReads:  w.localReads,
 		RMA:         w.r.Counters(),
 	}
-	// A law never built (no cache) reports zero statistics.
-	s.OffsetsCache, s.AdjCache = w.offRes.Stats(), w.adjRes.Stats()
+	// A cache the rank does not have reports zero statistics.
 	if w.cOff != nil {
 		s.OffsetsCache = w.cOff.Stats()
+	} else if w.offRes != nil {
+		s.OffsetsCache = w.offRes.Stats()
 	}
 	if w.cAdj != nil {
 		s.AdjCache = w.cAdj.Stats()
+	} else if w.adjRes != nil {
+		s.AdjCache = w.adjRes.Stats()
 	}
 	return s
 }

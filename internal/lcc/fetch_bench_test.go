@@ -354,7 +354,7 @@ func forceCLaMPI(s *Snapshot, opt Options) {
 	off, adj := cacheConfigs(s.n, opt)
 	set := s.residency.answers(residentKey{off, adj}, s.ranks)
 	for i := range set.ans {
-		set.ans[i].Store(ansChecked)
+		set.ans[i].Store(&rankAnswer{})
 	}
 }
 
@@ -368,12 +368,13 @@ func residentRanks(s *Snapshot, opt Options) (off, adj int) {
 		return 0, 0
 	}
 	for i := range set.ans {
-		x := set.ans[i].Load()
-		if x&ansOff != 0 {
-			off++
-		}
-		if x&ansAdj != 0 {
-			adj++
+		if x := set.ans[i].Load(); x != nil {
+			if x.off {
+				off++
+			}
+			if x.adj {
+				adj++
+			}
 		}
 	}
 	return off, adj

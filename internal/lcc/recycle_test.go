@@ -276,8 +276,8 @@ func TestConcurrentCachedRunsShareSnapshot(t *testing.T) {
 // what the instances hold: per-run construction cost 100 MB here, a
 // recycling run allocates 0.2 MB. At this scale both caches are resident
 // (resident.go) on most ranks: the guard runs once with them, where the
-// first run has also kept the residency answers and pooled the first-touch
-// maps, and once with every rank held to CLaMPI instances.
+// first run has also kept the residency answers and pooled the maps and
+// Residents, and once with every rank held to CLaMPI instances.
 func TestCachedRunAllocationGuard(t *testing.T) {
 	g := gen.ErdosRenyi(1<<12, 1<<16, graph.Undirected, 1)
 	for _, resident := range []bool{false, true} {
@@ -313,7 +313,10 @@ func TestCachedRunAllocationGuard(t *testing.T) {
 // (cached-uniform: 32 ranks, 256 KiB + 4 MiB under LRU) on two workers, two
 // runs, then the live heap each list of pooled instances keeps, measured by
 // dropping the list. The pointer-based CLaMPI structures held 23.5 MB here
-// (two pairs); the record slab must stay under 70 % of that.
+// (two pairs); the record slab must stay under 70 % of that. The residency
+// law admits every C_adj of this graph, so the runs are held to CLaMPI
+// instances (forceCLaMPI): unforced, the pool would hold no C_adj instance
+// to measure.
 func TestCachePoolFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two cached runs on the benchmark's uniform graph")
@@ -327,6 +330,7 @@ func TestCachePoolFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := cachedOpts(2, 1<<18, 1<<22, ScoreLRU)
+	forceCLaMPI(s, opt)
 	for run := 0; run < 2; run++ {
 		if _, err := s.RunCtx(context.Background(), opt); err != nil {
 			t.Fatal(err)

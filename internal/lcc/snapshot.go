@@ -118,13 +118,15 @@ func (p *cachePool) takeAdj(r *rma.Rank, w *rma.Window, cfg clampi.Config) *clam
 	return c.Reset(r, w, cfg)
 }
 
-// takeTouch returns clear first-touch maps of n bits.
+// takeTouch returns clear first-touch and crowded maps of n bits.
 func (p *cachePool) takeTouch(n int) *touchMap {
 	p.mu.Lock()
 	tm := pop(&p.touch)
 	p.mu.Unlock()
 	if tm == nil {
-		tm = &touchMap{off: make([]uint64, (n+63)/64), adj: make([]uint64, (n+63)/64)}
+		words := (n + 63) / 64
+		tm = &touchMap{off: make([]uint64, words), adj: make([]uint64, words),
+			offCrowd: make([]uint64, words), adjCrowd: make([]uint64, words)}
 	}
 	return tm
 }
@@ -138,6 +140,8 @@ func (p *cachePool) recycle(w *worker) {
 	if w.touch != nil {
 		clear(w.touch.off)
 		clear(w.touch.adj)
+		clear(w.touch.offCrowd)
+		clear(w.touch.adjCrowd)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -151,7 +155,7 @@ func (p *cachePool) recycle(w *worker) {
 		w.cAdj.Unbind()
 		p.adj = append(p.adj, w.cAdj)
 	}
-	w.cOff, w.cAdj, w.touch = nil, nil, nil
+	w.cOff, w.cAdj, w.touch, w.offRes, w.adjRes = nil, nil, nil, nil, nil
 }
 
 // SnapshotOptions are the per-graph half of Options: everything the
