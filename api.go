@@ -11,7 +11,6 @@ import (
 	"repro/internal/rma"
 	"repro/internal/sched"
 	"repro/internal/serve"
-	"repro/internal/tric"
 )
 
 // --- graphs ---------------------------------------------------------------
@@ -125,15 +124,6 @@ const (
 // defaults the evaluation uses.
 type CostModel = rma.CostModel
 
-// DefaultCostModel returns the evaluation's calibration.
-func DefaultCostModel() CostModel { return rma.DefaultCostModel() }
-
-// NoiseSpec describes deterministic per-rank execution noise (proportional
-// jitter plus periodic OS detours). Set CostModel.Noise to run any engine
-// under identical, reproducible noise; results are unaffected, only
-// simulated times change.
-type NoiseSpec = rma.NoiseSpec
-
 // FaultSpec describes a deterministic, seeded fault schedule for the RMA
 // substrate: transient Get/Accumulate failures recovered by retry with
 // capped exponential backoff, per-op latency spikes, rank stall windows,
@@ -155,7 +145,7 @@ func ParseFaultSpec(s string) (*FaultSpec, error) { return fault.ParseSpec(s) }
 // §III-B caching). The Workers field bounds how many simulated ranks
 // execute concurrently on host goroutines (0 = GOMAXPROCS); every engine
 // result is bit-identical at any worker count, so Workers is purely a
-// host-performance knob. TriCOptions carries the same field.
+// host-performance knob.
 type LCCOptions = lcc.Options
 
 // StorageMode selects the host-side representation of the per-rank local
@@ -221,16 +211,6 @@ type JaccardResult = lcc.JaccardResult
 func RunJaccard(g GraphStore, opt LCCOptions) (*JaccardResult, error) {
 	return lcc.RunJaccard(g, opt)
 }
-
-// TriCOptions configure the TriC baseline (§IV-B).
-type TriCOptions = tric.Options
-
-// TriCResult is the output of a TriC run.
-type TriCResult = tric.Result
-
-// RunTriC executes the TriC query-response baseline over the simulated BSP
-// substrate.
-func RunTriC(g GraphStore, opt TriCOptions) (*TriCResult, error) { return tric.Run(g, opt) }
 
 // --- cancellation and supervised serving ------------------------------------
 

@@ -22,29 +22,6 @@ func TestFacadeSmallWorld(t *testing.T) {
 	}
 }
 
-func TestFacadeNoise(t *testing.T) {
-	g := repro.RMAT(8, 8, repro.Undirected, 9)
-	g = repro.Prepare(g, 3)
-	quietModel := repro.DefaultCostModel()
-	noisyModel := quietModel
-	noisyModel.Noise = repro.NoiseSpec{Amp: 0.3, Seed: 2}
-
-	quiet, err := repro.RunLCC(g, repro.LCCOptions{Ranks: 4, Method: repro.MethodHybrid, Model: quietModel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy, err := repro.RunLCC(g, repro.LCCOptions{Ranks: 4, Method: repro.MethodHybrid, Model: noisyModel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noisy.Triangles != quiet.Triangles {
-		t.Error("noise changed the triangle count through the facade")
-	}
-	if noisy.SimTime <= quiet.SimTime {
-		t.Error("noise did not slow the simulated run")
-	}
-}
-
 func TestFacadeHitRate(t *testing.T) {
 	g := repro.RMAT(9, 8, repro.Undirected, 13)
 	g = repro.Prepare(g, 4)

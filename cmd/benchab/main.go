@@ -31,6 +31,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"repro/internal/stats"
 )
@@ -63,7 +64,9 @@ func main() {
 	pairs := flag.Int("pairs", 10, "pairs of runs")
 	seedList := flag.String("seeds", "0,7,11,23", "workload seeds, used in turn")
 	flag.Parse()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// kill, pkill and a CI cancellation send SIGTERM: the clone in /tmp
+	// must go then too.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, *ref, *workload, *pairs, *seedList); err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)

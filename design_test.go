@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// designMaxLines is DESIGN.md's length when "DESIGN.md does not grow"
-// became a check: a change that adds lines to it removes as many elsewhere.
-const designMaxLines = 1209
+// designMaxLines is DESIGN.md's length at its last shortening: a change
+// that adds lines to it removes as many elsewhere, and one that shortens it
+// lowers the limit.
+const designMaxLines = 1205
 
 // TestDesignDoesNotGrow holds DESIGN.md, the contract the code is kept to,
 // at or under designMaxLines lines.

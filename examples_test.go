@@ -15,7 +15,7 @@ import (
 // working directory within a minute, and prints something.
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs nine binaries")
+		t.Skip("builds and runs every example")
 	}
 	goBin, err := exec.LookPath("go")
 	if err != nil {

@@ -8,7 +8,8 @@
 //  2. produce a SimTime that is deterministically reproducible for a
 //     given (configuration, fault seed) at ANY worker count, and
 //  3. never finish before the fault-free run: every recovery charge is a
-//     non-negative clock addition folded outside the noise stream.
+//     non-negative clock addition, and completion times and barrier maxima
+//     are monotone in their inputs, so this holds by construction.
 //
 // The fault-free pins themselves stay untouched: goldenConfigs runs with
 // faults == nil remain the single source of truth for the seed values.
@@ -27,10 +28,9 @@ import (
 )
 
 // faultScenarios is the fault-injection table every golden configuration
-// is replayed under. Rates are sized so recovery penalties dominate the
-// noise-repairing fluctuation of the noise configuration (whose spike
-// schedule is time-indexed): the SimTime >= fault-free assertion is then a
-// deterministic outcome, not a statistical one.
+// is replayed under. The clock is exact, so the SimTime >= fault-free
+// assertion is a deterministic outcome at any rate, not a statistical one:
+// the rates only choose which recovery paths fire.
 var faultScenarios = []struct {
 	name string
 	spec fault.Spec

@@ -22,7 +22,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
-	"repro/internal/rma"
 )
 
 // lccBits returns the float bit pattern of the score sum: a checksum that
@@ -65,7 +64,7 @@ type goldenRun struct {
 // TestLedgerLaws reads the ledgers from.
 var goldenPerRank []lcc.RankStats
 
-// goldenConfigs is the single source of the pinned values: the six
+// goldenConfigs is the single source of the pinned values: the five
 // engine configurations the individual TestGolden* tests assert and the
 // worker sweep replays. Each run function executes its engine at the
 // given worker count, performs any configuration-specific extra checks
@@ -112,23 +111,6 @@ var goldenConfigs = []struct {
 			}
 			goldenPerRank = res.PerRank
 			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
-		},
-	},
-	{
-		name: "noise",
-		want: goldenRun{0x41a1b9b48a01a470, 0, goldenTriangles, -1},
-		run: func(t *testing.T, g graph.Store, workers int, faults *fault.Spec) goldenRun {
-			opt := goldenBase()
-			opt.Workers = workers
-			opt.Faults = faults
-			opt.Model = rma.DefaultCostModel()
-			opt.Model.Noise = rma.NoiseSpec{Amp: 0.3, SpikePeriodNS: 1e6, SpikeNS: 2e4, Seed: 42}
-			res, err := lcc.Run(g, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			goldenPerRank = res.PerRank
-			return goldenRun{math.Float64bits(res.SimTime), 0, res.Triangles, -1}
 		},
 	},
 	{
@@ -208,7 +190,6 @@ func runGoldenConfig(t *testing.T, name string) {
 
 func TestGoldenPull(t *testing.T)    { runGoldenConfig(t, "pull") }
 func TestGoldenCached(t *testing.T)  { runGoldenConfig(t, "cached") }
-func TestGoldenNoise(t *testing.T)   { runGoldenConfig(t, "noise") }
 func TestGoldenPush(t *testing.T)    { runGoldenConfig(t, "push") }
 func TestGoldenJaccard(t *testing.T) { runGoldenConfig(t, "jaccard") }
 func TestGoldenGrid(t *testing.T)    { runGoldenConfig(t, "grid") }

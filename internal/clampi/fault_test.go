@@ -61,11 +61,10 @@ func TestDegradedModeFlushes(t *testing.T) {
 // fault-draw index, never from the rank's clock, so a run of accesses may be
 // decided ahead of their charges. One seeded stream — repeats, degree
 // scores, a CacheFailPct schedule — runs through the charging request API on
-// a rank whose clock has advanced and runs under noise, and through the
-// decision pass (a window's keys derived and preloaded together, then the
-// rank's CacheFault draw and Decide or Degrade per access) on a fresh rank,
-// which it must leave at time zero. Verdicts, statistics and evictions must
-// be the same.
+// a rank whose clock has advanced, and through the decision pass (a window's
+// keys derived and preloaded together, then the rank's CacheFault draw and
+// Decide or Degrade per access) on a fresh rank, which it must leave at time
+// zero. Verdicts, statistics and evictions must be the same.
 func TestCacheDecisionsIgnoreClock(t *testing.T) {
 	type access struct {
 		off, size int
@@ -81,10 +80,8 @@ func TestCacheDecisionsIgnoreClock(t *testing.T) {
 		size := 16 + 16*rng.IntN(24)
 		stream[i] = access{16 * rng.IntN((digestRegion-size)/16), size, float64(1 + rng.IntN(12))}
 	}
-	setup := func(noise float64) (*rma.Rank, *rma.Window, *Cache, *[][3]uint64) {
-		model := rma.DefaultCostModel()
-		model.Noise = rma.NoiseSpec{Amp: noise, Seed: 5}
-		comm := rma.NewComm(2, model)
+	setup := func() (*rma.Rank, *rma.Window, *Cache, *[][3]uint64) {
+		comm := rma.NewComm(2, rma.DefaultCostModel())
 		comm.SetFaults(&fault.Spec{Seed: 17, CacheFailPct: 0.01})
 		w := comm.CreateReadOnlyWindow("data", [][]byte{nil, make([]byte, digestRegion)})
 		r := comm.Rank(0)
@@ -101,7 +98,7 @@ func TestCacheDecisionsIgnoreClock(t *testing.T) {
 		return r, w, c, &evicted
 	}
 
-	r, w, charged, chargedEv := setup(0.3)
+	r, w, charged, chargedEv := setup()
 	r.Compute(1 << 20)
 	want := make([]Verdict, len(stream))
 	var direct rma.Request
@@ -123,7 +120,7 @@ func TestCacheDecisionsIgnoreClock(t *testing.T) {
 		r.Compute(1 + i%7)
 	}
 
-	fresh, _, decided, decidedEv := setup(0)
+	fresh, _, decided, decidedEv := setup()
 	got := make([]Verdict, len(stream))
 	const window = 16
 	for lo := 0; lo < len(stream); lo += window {

@@ -29,7 +29,6 @@ import (
 // Options configure a DistTC run.
 type Options struct {
 	Ranks int
-	Model rma.CostModel
 	// Workers bounds concurrent superstep execution on the host; 0
 	// selects GOMAXPROCS. Results are bit-identical at any worker count.
 	Workers int
@@ -38,9 +37,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Ranks == 0 {
 		o.Ranks = 1
-	}
-	if o.Model == (rma.CostModel{}) {
-		o.Model = rma.DefaultCostModel()
 	}
 	return o
 }
@@ -104,7 +100,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	world := p2p.NewWorldWorkers(opt.Ranks, opt.Model, opt.Workers)
+	world := p2p.NewWorldWorkers(opt.Ranks, rma.DefaultCostModel(), opt.Workers)
 
 	res := &Result{LCC: make([]float64, n)}
 	perVertexT := make([]int64, n)

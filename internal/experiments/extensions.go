@@ -10,67 +10,13 @@ import (
 	"repro/internal/intersect"
 	"repro/internal/lcc"
 	"repro/internal/part"
-	"repro/internal/rma"
 	"repro/internal/tric"
 )
 
 // This file holds the extension experiments that go beyond the paper's own
-// evaluation: the DistTC comparison the paper argues qualitatively (§I),
-// the orientation ablation from the Schank–Wagner reference (§V), and the
-// noise-sensitivity study that quantifies the asynchrony argument. Ids
+// evaluation: the DistTC comparison the paper argues qualitatively (§I) and
+// the orientation ablation from the Schank–Wagner reference (§V). Ids
 // follow the DESIGN.md §3 index.
-
-// AblationNoise regenerates A7: identical deterministic OS-style noise is
-// injected into the asynchronous RMA engine and into the BSP TriC baseline
-// via the shared cost model; the table reports each engine's slowdown
-// relative to its own noise-free run. BSP pays the *maximum* perturbation
-// across ranks at every barrier, the async engine only its own, so TriC's
-// slowdown must grow faster with the noise level — the paper's §I argument
-// made quantitative.
-func AblationNoise() *Table {
-	t := &Table{
-		ID:     "ablation-noise",
-		Title:  "Noise sensitivity: async RMA vs BSP TriC (A7)",
-		Paper:  "§I: BSP synchronization 'as costly as communication'; asynchrony avoids straggler amplification",
-		Header: []string{"noise", "async (ms)", "async slowdown", "tric (ms)", "tric slowdown", "bsp penalty"},
-		Notes: []string{
-			"noise: proportional jitter amplitude + 25 µs OS detours at the stated period, per rank, deterministic",
-			"slowdowns are vs the same engine without noise; bsp penalty = tric slowdown / async slowdown",
-			"dataset rmat-s14-ef16 on 8 ranks (the asymmetry is scale-independent; kept small for the bench budget)",
-		},
-	}
-	g := gen.MustLoad("rmat-s14-ef16")
-	const ranks = 8
-	levels := []struct {
-		name string
-		spec rma.NoiseSpec
-	}{
-		{"off", rma.NoiseSpec{}},
-		{"low (5%, 1ms period)", rma.NoiseSpec{Amp: 0.05, SpikePeriodNS: 1e6, SpikeNS: 25000, Seed: 1}},
-		{"high (30%, 50µs)", rma.NoiseSpec{Amp: 0.30, SpikePeriodNS: 50e3, SpikeNS: 25000, Seed: 1}},
-	}
-	var asyncBase, tricBase float64
-	for i, lv := range levels {
-		model := rma.DefaultCostModel()
-		model.Noise = lv.spec
-
-		opt := baseEngineOptions(ranks)
-		opt.Model = model
-		async, err := lcc.Run(g, opt)
-		if err != nil {
-			panic(err)
-		}
-		tr := tric.MustRun(g, tric.Options{Ranks: ranks, Model: model, Method: intersect.MethodHybrid})
-		if i == 0 {
-			asyncBase, tricBase = async.SimTime, tr.SimTime
-		}
-		aSlow := async.SimTime / asyncBase
-		tSlow := tr.SimTime / tricBase
-		t.AddRow(lv.name, ms(async.SimTime), fmt.Sprintf("%.2fx", aSlow),
-			ms(tr.SimTime), fmt.Sprintf("%.2fx", tSlow), fmt.Sprintf("%.2f", tSlow/aSlow))
-	}
-	return t
-}
 
 // AblationDistTC regenerates A8: the DistTC shadow-edge baseline against
 // the asynchronous engine and TriC over a strong-scaling sweep. The paper

@@ -18,7 +18,8 @@ import (
 // shrinks. The expensive sweeps (fig9, fig10) are left to cmd/figures, and
 // TestFig7Shape runs fig7's only outside -short; table3's wall-clock rates
 // are left to cmd/figures too, and TestTable3Shape holds its claim in
-// modelled intersection iterations instead. TestFig8Shape and
+// modelled intersection iterations instead. TestFig8Shape, TestFig9Shape
+// (two of fig9's panels at the ends of its rank range) and
 // TestAblationPushPullShape run their tables' configurations without the
 // tables.
 
@@ -125,6 +126,41 @@ func TestFig8Shape(t *testing.T) {
 		}
 		if deg.SimTime >= lru.SimTime {
 			t.Errorf("p=%d: degree's sim time %.1f ms is not below LRU's %.1f ms", p, deg.SimTime/1e6, lru.SimTime/1e6)
+		}
+	}
+}
+
+// TestFig9Shape holds Fig. 9's strong scaling on two of its panels, the
+// cheapest two (one under -short), at 4 and 64 ranks through the table's own
+// runSeries: the cached engine finishes in less simulated time than the
+// non-cached one at both ends, and the non-cached engine speeds up at least
+// 6× from 4 to 64 ranks (the paper: 9.2–14.0×; here 8.1× on skitter-sim
+// and 9.2× on lj1-sim).
+func TestFig9Shape(t *testing.T) {
+	panels := []string{"skitter-sim", "lj1-sim"}
+	if testing.Short() {
+		panels = panels[:1]
+	}
+	for _, name := range panels {
+		i := slices.IndexFunc(fig9Cases, func(c struct{ name, paper string }) bool { return c.name == name })
+		if i < 0 {
+			t.Fatalf("%s is not a Fig. 9 panel", name)
+		}
+		g := gen.MustLoad(name)
+		var nonCached []float64
+		for _, p := range []int{4, 64} {
+			r := runSeries(g, p, false, false)
+			t.Logf("fig 9 %s (%s) p=%d: non-cached %.1f ms, cached %.1f ms",
+				name, fig9Cases[i].paper, p, r.NonCached/1e6, r.Cached/1e6)
+			if r.Cached >= r.NonCached {
+				t.Errorf("%s p=%d: cached %.1f ms is not below non-cached %.1f ms", name, p, r.Cached/1e6, r.NonCached/1e6)
+			}
+			nonCached = append(nonCached, r.NonCached)
+		}
+		speedup := nonCached[0] / nonCached[1]
+		t.Logf("fig 9 %s: non-cached speedup 4→64 ranks %.1fx", name, speedup)
+		if speedup < 6 {
+			t.Errorf("%s: non-cached speedup 4→64 ranks %.1fx, want ≥ 6x", name, speedup)
 		}
 	}
 }
@@ -447,23 +483,6 @@ func TestAblation2DShape(t *testing.T) {
 		if gets2D*10 > gets1D {
 			t.Errorf("p=%s: 2D gets %v not an order of magnitude below 1D %v", r[0], gets2D, gets1D)
 		}
-	}
-}
-
-func TestAblationNoiseShape(t *testing.T) {
-	tab := AblationNoise()
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// The BSP penalty (TriC's slowdown over the async engine's under the
-	// same noise) must be ≥ ~1 at every level and grow with the noise.
-	first := cell(t, tab.Rows[1][5])
-	last := cell(t, tab.Rows[2][5])
-	if first < 0.95 {
-		t.Errorf("low-noise BSP penalty %.2f < 1: barriers should amplify noise", first)
-	}
-	if last < first {
-		t.Errorf("BSP penalty fell from %.2f to %.2f as noise grew", first, last)
 	}
 }
 

@@ -9,11 +9,9 @@
 // regime reproducible: every decision is a pure function of
 // (seed, rank, channel, op-index, attempt) hashed through splitmix64, so a
 // run under faults is bit-identical across replays, host schedules and
-// worker counts — the same determinism contract the noise plane
-// (rma.NoiseSpec) already obeys. Faults are charged as raw (unperturbed)
-// clock advances: recovery is blocking, not work, so it neither stretches
-// under noise nor consumes noise-RNG draws — which is what keeps a faulted
-// run's SimTime deterministically ≥ the fault-free run's.
+// worker counts. Faults are charged as non-negative clock advances
+// inserted into the fault-free charge sequence, which is what keeps a
+// faulted run's SimTime deterministically ≥ the fault-free run's.
 //
 // The zero Spec (and a nil *Spec) disables the plane entirely: New returns
 // nil and every consumer's per-op check is a single nil comparison.
@@ -158,8 +156,8 @@ type Spec struct {
 	Retry RetryPolicy
 }
 
-// Enabled reports whether the spec can inject any fault at all.
-func (s Spec) Enabled() bool {
+// enabled reports whether the spec can inject any fault at all.
+func (s Spec) enabled() bool {
 	return s.GetFailPct > 0 || s.AccFailPct > 0 ||
 		(s.SpikePct > 0 && s.SpikeNS > 0) ||
 		(s.StallPeriodOps > 0 && s.StallNS > 0) ||
@@ -220,7 +218,7 @@ type Sched struct {
 // New binds spec to a rank. nil spec, or one that cannot inject anything,
 // returns nil.
 func New(spec *Spec, rank int) *Sched {
-	if spec == nil || !spec.Enabled() {
+	if spec == nil || !spec.enabled() {
 		return nil
 	}
 	return &Sched{spec: spec.withDefaults(), rank: rank}
@@ -229,8 +227,7 @@ func New(spec *Spec, rank int) *Sched {
 // Policy returns the schedule's effective (default-filled) retry policy.
 func (s *Sched) Policy() RetryPolicy { return s.spec.Retry }
 
-// splitmix64 is the finalizer of the splitmix64 generator — the same mixer
-// the noise plane seeds its per-rank streams with.
+// splitmix64 is the finalizer of the splitmix64 generator.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
@@ -477,7 +474,7 @@ func ParseSpec(s string) (*Spec, error) {
 			return nil, fmt.Errorf("fault: %s=%v outside [0,1)", k, f)
 		}
 	}
-	if !spec.Enabled() {
+	if !spec.enabled() {
 		return nil, fmt.Errorf("fault: %q enables no fault class", s)
 	}
 	return &spec, nil

@@ -126,7 +126,7 @@ func TestParseSpec(t *testing.T) {
 	if spec2, err := ParseSpec(spec.String()); err != nil || spec2.Seed != 42 || spec2.GetFailPct != 0.01 {
 		t.Fatalf("String round trip failed: %+v, %v", spec2, err)
 	}
-	if s, err := ParseSpec("seed=7,chaos"); err != nil || s.Seed != 7 || !s.Enabled() {
+	if s, err := ParseSpec("seed=7,chaos"); err != nil || s.Seed != 7 || !s.enabled() {
 		t.Fatalf("chaos preset: %+v, %v", s, err)
 	}
 	if s, err := ParseSpec("p=0.05"); err != nil || s.GetFailPct != 0.05 || s.AccFailPct != 0.05 {

@@ -15,7 +15,6 @@ import (
 type Options struct {
 	// Ranks is p; it must be a perfect square (the grid is √p×√p).
 	Ranks int
-	Model rma.CostModel
 	// Workers bounds concurrent rank execution on the host; 0 selects
 	// GOMAXPROCS. Results are bit-identical at any worker count.
 	Workers int
@@ -31,9 +30,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Ranks == 0 {
 		o.Ranks = 1
-	}
-	if o.Model == (rma.CostModel{}) {
-		o.Model = rma.DefaultCostModel()
 	}
 	return o
 }
@@ -82,7 +78,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	}
 	// Serialized blocks are immutable for the whole run, so the window is
 	// read-only: every block get is served as an aliased view.
-	comm := rma.NewCommWorkers(opt.Ranks, opt.Model, opt.Workers)
+	comm := rma.NewCommWorkers(opt.Ranks, rma.DefaultCostModel(), opt.Workers)
 	comm.SetChargeObserver(opt.ChargeObserver)
 	comm.SetFaults(opt.Faults)
 	win := comm.CreateReadOnlyWindow("blocks", bufs)

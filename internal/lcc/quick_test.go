@@ -5,11 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/part"
-	"repro/internal/rma"
 )
 
 // TestDistributedPropertyRandomConfigs is the engine's main property test:
@@ -119,53 +117,4 @@ func matchesBruteForce(t *testing.T, seed int64, rng *rand.Rand, kind graph.Kind
 		}
 	}
 	return true
-}
-
-// TestNoiseNeverChangesResults: injected noise perturbs simulated time
-// only; the computed triangles and LCC scores must be bit-identical to the
-// noise-free run, and the noisy run must take longer.
-func TestNoiseNeverChangesResults(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(10, 8, graph.Undirected, 21))
-	quiet, err := Run(g, Options{Ranks: 8, Method: intersect.MethodHybrid, DoubleBuffer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := rma.DefaultCostModel()
-	model.Noise = rma.NoiseSpec{Amp: 0.25, SpikePeriodNS: 100e3, SpikeNS: 30000, Seed: 5}
-	noisy, err := Run(g, Options{Ranks: 8, Method: intersect.MethodHybrid, DoubleBuffer: true, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noisy.Triangles != quiet.Triangles {
-		t.Fatalf("noise changed triangles: %d vs %d", noisy.Triangles, quiet.Triangles)
-	}
-	for v := range quiet.LCC {
-		if noisy.LCC[v] != quiet.LCC[v] {
-			t.Fatalf("noise changed LCC[%d]: %g vs %g", v, noisy.LCC[v], quiet.LCC[v])
-		}
-	}
-	if noisy.SimTime <= quiet.SimTime {
-		t.Fatalf("noisy run (%.0f ns) not slower than quiet run (%.0f ns)", noisy.SimTime, quiet.SimTime)
-	}
-}
-
-// TestNoisyRunsDeterministic: the same noise seed must give the same
-// simulated time; a different seed a different one.
-func TestNoisyRunsDeterministic(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(9, 8, graph.Undirected, 2))
-	run := func(seed uint64) float64 {
-		model := rma.DefaultCostModel()
-		model.Noise = rma.NoiseSpec{Amp: 0.2, Seed: seed}
-		res, err := Run(g, Options{Ranks: 4, Method: intersect.MethodHybrid, Model: model})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.SimTime
-	}
-	if a, b := run(1), run(1); a != b {
-		t.Fatalf("same noise seed diverged: %g vs %g", a, b)
-	}
-	if a, b := run(1), run(2); a == b {
-		t.Fatal("different noise seeds produced identical sim times")
-	}
 }

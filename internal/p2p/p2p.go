@@ -122,7 +122,6 @@ func NewWorldWorkers(p int, model rma.CostModel, workers int) *World {
 	w.ranks = make([]*Rank, p)
 	for i := range w.ranks {
 		w.ranks[i] = &Rank{id: i, world: w, outbox: make([][]Message, p)}
-		w.ranks[i].clock.SetNoise(model.Noise, i)
 	}
 	return w
 }

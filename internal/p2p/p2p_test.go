@@ -171,3 +171,45 @@ func TestManySuperstepsAccumulateBarrierCost(t *testing.T) {
 		t.Errorf("MaxClock = %v, want %v", got, want)
 	}
 }
+
+// TestLedgerBooksEveryMove: every clock move of a p2p rank is booked in its
+// ledger, so per rank the slots sum to the clock within 2 ulp, and the
+// slots' bits are the same at one worker and at four. Ranks do unequal work,
+// so each barrier books a different wait on each.
+func TestLedgerBooksEveryMove(t *testing.T) {
+	run := func(workers int) []*Rank {
+		w := NewWorldWorkers(4, rma.DefaultCostModel(), workers)
+		for s := 0; s < 5; s++ {
+			w.Superstep(func(r *Rank) {
+				r.Compute(1000 * (r.ID() + 1))
+				r.AdvanceBy(500)
+				r.SendPayload((r.ID()+1)%4, nil, 4<<10)
+			})
+		}
+		w.AllreduceSum(make([]int64, 4))
+		return w.Ranks()
+	}
+	one, four := run(1), run(4)
+	for i, r := range one {
+		l := r.Ledger()
+		var sum float64
+		for _, d := range l {
+			sum += d
+		}
+		clock := r.clock.Now()
+		if ulp := math.Nextafter(clock, math.Inf(1)) - clock; math.Abs(sum-clock) > 2*ulp {
+			t.Errorf("rank %d: slots sum to %v, clock %v (%.1f ulp apart)", i, sum, clock, math.Abs(sum-clock)/ulp)
+		}
+		for _, k := range []rma.ChargeKind{rma.ChargeOps, rma.ChargeNS, rma.ChargeSend, rma.ChargeRecv, rma.ChargeBarrierWait} {
+			if l[k] == 0 {
+				t.Errorf("rank %d: nothing booked as %v", i, k)
+			}
+		}
+		l4 := four[i].Ledger()
+		for k := range l {
+			if math.Float64bits(l4[k]) != math.Float64bits(l[k]) {
+				t.Errorf("rank %d: %v slot %v at workers=4, %v at workers=1", i, rma.ChargeKind(k), l4[k], l[k])
+			}
+		}
+	}
+}

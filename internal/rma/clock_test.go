@@ -103,20 +103,6 @@ func TestComputeVsAdvanceByCounters(t *testing.T) {
 // stand a rank's clock where it needs it.
 func advanceBy(r *Rank, ns float64) { r.fold(ChargeNS, 0, ns) }
 
-// TestComputeUnderNoiseBooksStretchedTime: the ledger books the movement
-// the clock made, noise included, so stretched work stays work rather than
-// reading as communication.
-func TestComputeUnderNoiseBooksStretchedTime(t *testing.T) {
-	m := DefaultCostModel()
-	m.Noise = NoiseSpec{Amp: 0.3}
-	r := NewComm(1, m).Rank(0)
-	r.Compute(1000)
-	if l := r.Ledger(); l[ChargeOps] != r.Now() || l[ChargeOps] <= 1000*m.ComputePerOp {
-		t.Errorf("ops slot %v, clock %v: want equal and above the unperturbed %v",
-			l[ChargeOps], r.Now(), 1000*m.ComputePerOp)
-	}
-}
-
 func TestRankIDValidation(t *testing.T) {
 	c := NewComm(2, DefaultCostModel())
 	defer func() {

@@ -27,7 +27,7 @@ func (r *Rank) issueWrite(e *epoch, target, size int) {
 	if r.faults != nil {
 		r.injectFaults(fault.ClassAccumulate, size)
 	}
-	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
+	cost := r.comm.model.RemoteCost(size)
 	e.until = max(e.until, r.clock.Now()+cost)
 	r.ctr.Puts++
 	r.ctr.RemoteBytes += int64(size)

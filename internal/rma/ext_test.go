@@ -139,109 +139,6 @@ func TestAccumulateOutOfRangePanics(t *testing.T) {
 	accumulate(r, w, 1, 60, 1) // needs 8 bytes, only 4 left
 }
 
-// --- noise ----------------------------------------------------------------
-
-func TestNoiseDisabledByDefault(t *testing.T) {
-	var spec NoiseSpec
-	if spec.Enabled() {
-		t.Fatal("zero NoiseSpec reports enabled")
-	}
-	var c Clock
-	c.Advance(ChargeNS, 100)
-	if c.Now() != 100 {
-		t.Fatalf("noise-free clock advanced to %g, want 100", c.Now())
-	}
-}
-
-func TestNoiseStretchesWork(t *testing.T) {
-	spec := NoiseSpec{Amp: 0.5, Seed: 1}
-	var noisy, exact Clock
-	noisy.SetNoise(spec, 0)
-	for i := 0; i < 1000; i++ {
-		noisy.Advance(ChargeNS, 100)
-		exact.Advance(ChargeNS, 100)
-	}
-	if noisy.Now() <= exact.Now() {
-		t.Fatalf("noisy clock %.0f not ahead of exact %.0f", noisy.Now(), exact.Now())
-	}
-	// Amp=0.5 stretches each charge by at most 50%.
-	if noisy.Now() > 1.5*exact.Now() {
-		t.Fatalf("noisy clock %.0f exceeds the amp bound %.0f", noisy.Now(), 1.5*exact.Now())
-	}
-}
-
-func TestNoiseDeterministic(t *testing.T) {
-	spec := NoiseSpec{Amp: 0.3, SpikePeriodNS: 5000, SpikeNS: 2000, Seed: 42}
-	run := func() float64 {
-		var c Clock
-		c.SetNoise(spec, 3)
-		for i := 0; i < 500; i++ {
-			c.Advance(ChargeNS, 123)
-		}
-		return c.Now()
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("identical noisy runs diverged: %g vs %g", a, b)
-	}
-}
-
-func TestNoiseDecorrelatedAcrossRanks(t *testing.T) {
-	spec := NoiseSpec{Amp: 0.3, Seed: 42}
-	finish := func(rank int) float64 {
-		var c Clock
-		c.SetNoise(spec, rank)
-		for i := 0; i < 100; i++ {
-			c.Advance(ChargeNS, 100)
-		}
-		return c.Now()
-	}
-	if finish(0) == finish(1) {
-		t.Fatal("ranks 0 and 1 drew identical noise streams")
-	}
-}
-
-func TestNoiseSpikes(t *testing.T) {
-	spec := NoiseSpec{SpikePeriodNS: 1000, SpikeNS: 500, Seed: 7}
-	var c Clock
-	c.SetNoise(spec, 0)
-	c.Advance(ChargeNS, 100000) // crosses ~100 spike periods
-	// Expected extra: ~100 spikes × ~500·(0.5+u) each ⇒ well above the
-	// noise-free duration but bounded.
-	if c.Now() < 120000 {
-		t.Fatalf("spiky clock %.0f, want visible spike contribution above 120000", c.Now())
-	}
-	if c.Now() > 400000 {
-		t.Fatalf("spiky clock %.0f implausibly large", c.Now())
-	}
-}
-
-func TestNoiseWaitsUnperturbed(t *testing.T) {
-	spec := NoiseSpec{Amp: 1.0, Seed: 9}
-	var c Clock
-	c.SetNoise(spec, 0)
-	c.AdvanceTo(ChargeGetWait, 5000)
-	if c.Now() != 5000 {
-		t.Fatalf("AdvanceTo perturbed by noise: %g, want 5000", c.Now())
-	}
-}
-
-func TestNoiseFlowsThroughCostModel(t *testing.T) {
-	model := DefaultCostModel()
-	model.Noise = NoiseSpec{Amp: 0.4, Seed: 11}
-	c := NewComm(2, model)
-	w := c.CreateWindow("w", [][]byte{make([]byte, 16), make([]byte, 16)})
-	r := c.Rank(0)
-	r.LockAll(w)
-	var q Request
-	r.GetInto(&q, w, 1, 0, 16)
-	q.Wait()
-	r.UnlockAll(w)
-	exact := model.RemoteCost(16)
-	if got := r.Now(); got <= exact {
-		t.Fatalf("noisy get finished at %.1f, want > exact %.1f", got, exact)
-	}
-}
-
 func TestAccumulateBatch(t *testing.T) {
 	c, w := twoRankComm()
 	r := c.Rank(0)

@@ -8,16 +8,15 @@ package rma
 // The recovery model: a remote one-sided operation is attempted, and each
 // failed attempt costs a timeout-detection delay (the per-op timeout
 // budget), a jittered exponential backoff sleep, and the wasted wire time
-// of the attempt (retransmit at the unperturbed α+s·β of the op's bytes).
-// After the schedule's capped number of failures the attempt is forced to
-// succeed — faults cost simulated time, never correctness. All recovery
-// charges are raw clock advances (Clock.AdvanceRaw): they are neither
-// perturbed by the noise plane nor consume its RNG draws, so the
-// fault-free run's charge and draw sequence is embedded verbatim in the
-// faulted run's — which is what makes results bit-identical, SimTime
-// reproducible at any worker count, and SimTime under faults ≥ fault-free
-// (every added charge is non-negative, and completion times and barrier
-// maxima are monotone in their inputs). DESIGN.md §7 states the contract.
+// of the attempt (retransmit at the α+s·β of the op's bytes). After the
+// schedule's capped number of failures the attempt is forced to succeed —
+// faults cost simulated time, never correctness. Every recovery charge is
+// a non-negative clock advance inserted ahead of the op's own charge, so
+// the fault-free run's charge sequence is embedded verbatim in the faulted
+// run's — which is what makes results bit-identical, SimTime reproducible
+// at any worker count, and SimTime under faults ≥ fault-free (completion
+// times and barrier maxima are monotone in their inputs). DESIGN.md §7
+// states the contract.
 
 import (
 	"repro/internal/fault"
@@ -91,8 +90,8 @@ func (r *Rank) injectFaults(cl fault.Class, size int) {
 // rank-local and every decision below the crash point is a pure function
 // of position — so the substrate never actually re-runs it; it charges
 // the redo's duration (clock at the crash minus clock at the recovery
-// point) plus the restart delay as blocked time. Both charges fold raw
-// (no noise draws), so the fault-free charge and draw sequence embeds
+// point) plus the restart delay as blocked time. Both charges are
+// non-negative additions, so the fault-free charge sequence embeds
 // verbatim in the recovered run: results bit-identical, SimTime ≥
 // fault-free, reproducible at any worker count (DESIGN.md §8).
 func (r *Rank) crashStop(o fault.Outcome) {

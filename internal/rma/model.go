@@ -46,11 +46,6 @@ type CostModel struct {
 	// BarrierLatency is the base cost of a barrier/collective step in
 	// the BSP baseline, on top of waiting for the slowest rank.
 	BarrierLatency float64
-	// Noise optionally injects deterministic per-rank execution noise
-	// (see NoiseSpec); the zero value leaves every charge exact. It is
-	// part of the cost model so that every engine taking a CostModel can
-	// be run under identical noise — the A7 ablation.
-	Noise NoiseSpec
 }
 
 // DefaultCostModel returns the Cray-Aries-like calibration used throughout
@@ -86,10 +81,9 @@ func (m *CostModel) HitCost(s int) float64 {
 
 // Clock is a rank's simulated time (rma.Rank's, p2p.Rank's) and, in its
 // Ledger, where it went: each move is booked in its kind's slot. The zero
-// value reads 0 ns and is noise-free.
+// value reads 0 ns.
 type Clock struct {
 	now    float64
-	noise  *noiseState
 	ledger Ledger
 }
 
@@ -106,25 +100,10 @@ func (c *Clock) move(k ChargeKind, t float64) {
 	c.now = t
 }
 
-// SetNoise installs a deterministic noise stream for this clock; the rank
-// id decorrelates streams within a run. A disabled spec clears the stream.
-func (c *Clock) SetNoise(spec NoiseSpec, rank int) {
-	if spec.Enabled() {
-		c.noise = newNoiseState(spec, rank)
-	} else {
-		c.noise = nil
-	}
-}
-
 // Advance moves the clock forward by d ns of kind k (negative d is
-// ignored), stretching the charge under the installed noise stream, if
-// any. Waits (AdvanceTo) are not perturbed: noise models stolen cycles
-// during work, not during blocking.
+// ignored).
 func (c *Clock) Advance(k ChargeKind, d float64) {
 	if d > 0 {
-		if c.noise != nil {
-			d = c.noise.perturb(c.now, d)
-		}
 		c.move(k, c.now+d)
 	}
 }
@@ -134,29 +113,4 @@ func (c *Clock) AdvanceTo(k ChargeKind, t float64) {
 	if t > c.now {
 		c.move(k, t)
 	}
-}
-
-// AdvanceRaw moves the clock forward by d ns without noise perturbation
-// and without consuming noise-RNG draws. The fault plane's recovery
-// charges — timeout detection, backoff sleeps, stall windows, retransmit
-// wire time — fold through here: recovery is blocking, not work, the same
-// doctrine that exempts AdvanceTo waits from noise. Leaving the noise
-// stream untouched keeps the fault-free run's draw sequence embedded
-// verbatim in the faulted run, which is what makes SimTime under faults
-// deterministically ≥ the fault-free SimTime.
-func (c *Clock) AdvanceRaw(k ChargeKind, d float64) {
-	if d > 0 {
-		c.move(k, c.now+d)
-	}
-}
-
-// PerturbDuration applies the clock's noise stream to a duration that is
-// charged indirectly — e.g. the in-flight time of a non-blocking transfer
-// whose completion a later flush observes via AdvanceTo. Noise-free clocks
-// return d unchanged.
-func (c *Clock) PerturbDuration(d float64) float64 {
-	if c.noise != nil && d > 0 {
-		return c.noise.perturb(c.now, d)
-	}
-	return d
 }

@@ -349,7 +349,6 @@ func (c *Comm) Rank(id int) *Rank {
 	// Every engine here opens at most three epochs (offsets, adjacency,
 	// and possibly a counter window); one slab keeps LockAll append-free.
 	r.epochs = make([]epoch, 0, 4)
-	r.clock.SetNoise(c.model.Noise, id)
 	r.faults = fault.New(c.faults, id)
 	r.prog = c.prog
 	c.mu.Lock()
@@ -560,7 +559,7 @@ func (r *Rank) GetInto(q *Request, w *Window, target, offset, size int) {
 	// The issue charges nothing to the clock; the in-flight duration and
 	// the completion time are established here, at the canonical issue
 	// point.
-	cost := r.clock.PerturbDuration(r.comm.model.RemoteCost(size))
+	cost := r.comm.model.RemoteCost(size)
 	q.completeAt = r.clock.Now() + cost
 	r.ctr.Gets++
 	r.ctr.RemoteBytes += int64(size)

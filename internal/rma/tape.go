@@ -7,9 +7,8 @@ package rma
 // Compute advanced the clock in place, and the CLaMPI caches reached
 // through the rank's clock on every hit. That coupling pins the host's
 // execution schedule to the model's charge order: nothing may be batched,
-// hoisted or pipelined without moving float accumulation (and, under
-// noise, the stateful RNG draws) out of the canonical order the golden
-// tests pin — and nothing can PROVE that a host-side restructuring left
+// hoisted or pipelined without moving float accumulation out of the
+// canonical order the golden tests pin — and nothing can PROVE that a host-side restructuring left
 // that order intact.
 //
 // The tape names every charge as a (kind, bytes) descriptor in canonical
@@ -44,8 +43,8 @@ const (
 	// request's completion stamp.
 	ChargeGetLocal
 	// ChargeGetRemote is a one-sided remote read: no clock advance at
-	// issue, but the in-flight duration α+s·β is perturbed and the
-	// request's completion time and the Gets/RemoteBytes/GetCost counters
+	// issue, but the in-flight duration α+s·β, the request's completion
+	// time and the Gets/RemoteBytes/GetCost counters
 	// are established at the issue point of the canonical order.
 	ChargeGetRemote
 	// ChargeCacheHit is a CLaMPI hit served from the cache: HitCost(bytes).
@@ -58,18 +57,16 @@ const (
 	// buffer — charged as LocalCost(bytes) with no counter side effects.
 	ChargeCacheManage
 	// ChargeRetryBackoff is the deterministic jittered backoff sleep
-	// before retrying a failed one-sided operation (internal/fault). All
-	// fault-plane kinds fold as raw clock advances (Clock.AdvanceRaw):
-	// recovery is blocking, not work, so it is neither stretched by noise
-	// nor consumes noise-RNG draws — which keeps the fault-free charge
-	// sequence, draw for draw, embedded in the faulted one.
+	// before retrying a failed one-sided operation (internal/fault). Every
+	// fault-plane kind adds a non-negative duration to the clock, so the
+	// fault-free charge sequence stays embedded in the faulted one.
 	ChargeRetryBackoff
 	// ChargeTimeout is time lost waiting on an attempt that did not
 	// complete within budget: the detection delay of a failed attempt, or
 	// an absorbed latency spike on the successful one.
 	ChargeTimeout
 	// ChargeRetransmit is the wasted wire time of a failed attempt,
-	// re-charged at the unperturbed remote cost of the operation's bytes;
+	// re-charged at the remote cost of the operation's bytes;
 	// it also counts one retry in the rank's counters.
 	ChargeRetransmit
 	// ChargeStall is a rank stall window (OS jitter, GC, a wedged
@@ -158,8 +155,8 @@ type ChargeObserver func(rank int, kind ChargeKind, bytes int, ns, now float64)
 // must be called before RunCtx; installing one mid-run is a race.
 func (c *Comm) SetChargeObserver(o ChargeObserver) { c.observer = o }
 
-// fold charges a modeled cost of d ns: the clock moves by d, stretched
-// under noise, booked as kind; and a tape kind is shown to the observer.
+// fold charges a modeled cost of d ns: the clock moves by d, booked as
+// kind; and a tape kind is shown to the observer.
 // Compute and ChargeLocalRead, which run once per edge, write the same body
 // out rather than pay a call.
 func (r *Rank) fold(kind ChargeKind, bytes int, d float64) {
@@ -170,11 +167,10 @@ func (r *Rank) fold(kind ChargeKind, bytes int, d float64) {
 }
 
 // charge folds one fault-plane recovery descriptor (internal/rma/fault.go) and
-// shows it to the observer. Recovery is blocking, not work: the fold is raw —
-// never perturbed, no RNG draws (see Clock.AdvanceRaw) — and its duration is
-// not a pure function of (kind, bytes), so it rides to the observer as ns.
+// shows it to the observer. Its duration is not a pure function of (kind,
+// bytes), so it rides to the observer as ns.
 func (r *Rank) charge(kind ChargeKind, bytes int, ns float64) {
-	r.clock.AdvanceRaw(kind, ns)
+	r.clock.Advance(kind, ns)
 	switch kind {
 	case ChargeRetransmit:
 		r.ctr.Retries++

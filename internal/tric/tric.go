@@ -29,7 +29,6 @@ import (
 // Options configure a TriC run.
 type Options struct {
 	Ranks int
-	Model rma.CostModel
 	// Workers bounds concurrent superstep execution on the host; 0
 	// selects GOMAXPROCS. Results are bit-identical at any worker count.
 	Workers int
@@ -44,9 +43,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Ranks == 0 {
 		o.Ranks = 1
-	}
-	if o.Model == (rma.CostModel{}) {
-		o.Model = rma.DefaultCostModel()
 	}
 	if o.Buffered && o.BufferBytes == 0 {
 		o.BufferBytes = 16 << 20 // the paper's 16 MiB cap
@@ -114,7 +110,8 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 		return nil, err
 	}
 	locals := part.ExtractAll(g, pt)
-	world := p2p.NewWorldWorkers(opt.Ranks, opt.Model, opt.Workers)
+	model := rma.DefaultCostModel()
+	world := p2p.NewWorldWorkers(opt.Ranks, model, opt.Workers)
 
 	perVertexT := make([]int64, n)
 	res := &Result{LCC: make([]float64, n)}
@@ -265,7 +262,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 				// volume at pure bandwidth cost, which no measured TriC
 				// deployment achieves.
 				r.Compute(ops + len(q.cands) + 4)
-				r.AdvanceBy(2 * opt.Model.RemoteLatency)
+				r.AdvanceBy(2 * model.RemoteLatency)
 				pendingResponses[r.ID()][from] = append(
 					pendingResponses[r.ID()][from],
 					response{vi: q.vi, count: graph.V(c)})

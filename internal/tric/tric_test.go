@@ -161,9 +161,6 @@ func TestTriCOptionsDefaults(t *testing.T) {
 	if o.Ranks != 1 {
 		t.Errorf("default ranks = %d, want 1", o.Ranks)
 	}
-	if o.Model == (rma.CostModel{}) {
-		t.Error("default model not applied")
-	}
 }
 
 func TestTriCDirectedBuffered(t *testing.T) {

@@ -1,6 +1,6 @@
 // Ledger laws: every movement of a rank's simulated clock is booked in one
 // slot of its rma.Ledger (DESIGN.md §6), on the rma substrate and on p2p.
-// Over the six golden configurations, fault-free and under fault
+// Over the five golden configurations, fault-free and under fault
 // scenarios, and over the p2p baselines (TriC, TriC-Buffered, DistTC), per
 // rank:
 //

@@ -4,9 +4,8 @@
 // for every golden engine configuration and hold its digest — kind, byte
 // count, raw duration and the folded clock's float bits of every charge, and
 // their number — to a recorded value, so any host-side reordering that leaks
-// into the model — a hoisted issue, a dropped charge, a noise draw out of
-// sequence — fails here by rank even where SimTime, a max over ranks, would
-// hide it.
+// into the model — a hoisted issue, a dropped charge — fails here by rank
+// even where SimTime, a max over ranks, would hide it.
 package repro_test
 
 import (
@@ -79,18 +78,6 @@ var tapeConfigs = []struct {
 			opt.OffsetsCacheBytes = 1 << 14
 			opt.AdjCacheBytes = 1 << 16
 			opt.AdjScorePolicy = lcc.ScoreDegree
-			opt.ChargeObserver = obs
-			res, err := lcc.Run(g, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.SimTime
-		}},
-	{"noise", [4]tapeDigest{{114966, 0x6bced7088b252ae}, {112913, 0x9333fd1494831692}, {113417, 0x7eec21ee6d19e481}, {114353, 0x78af1b2c441630d2}},
-		func(t *testing.T, g *graph.Graph, obs rma.ChargeObserver) float64 {
-			opt := goldenBase()
-			opt.Model = rma.DefaultCostModel()
-			opt.Model.Noise = rma.NoiseSpec{Amp: 0.3, SpikePeriodNS: 1e6, SpikeNS: 2e4, Seed: 42}
 			opt.ChargeObserver = obs
 			res, err := lcc.Run(g, opt)
 			if err != nil {
