@@ -87,7 +87,7 @@ func TestFacadeFuncsHaveCallers(t *testing.T) {
 
 // TestConfigFieldsHaveCallers keeps the configuration structs from carrying
 // knobs nobody turns: every field of lcc.Options, lcc.SnapshotOptions,
-// clampi.Config and the baselines' tric, disttc and grid Options must be
+// clampi.Config and the baselines' tric and grid Options must be
 // set by a non-test file outside the type's own package (bench/ included).
 // References resolve by type (types.Info.Uses): a field is set by a key of a
 // composite literal that names it (lcc.Options{…}, repro.LCCOptions{…}, an
@@ -100,7 +100,6 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 		"repro/internal/lcc":    {"Options", "SnapshotOptions"},
 		"repro/internal/clampi": {"Config"},
 		"repro/internal/tric":   {"Options"},
-		"repro/internal/disttc": {"Options"},
 		"repro/internal/grid":   {"Options"},
 	}
 	allow := map[string]bool{
@@ -114,7 +113,7 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 		// The baselines' host worker bound: the golden worker sweep and
 		// TestBaselineSimTimeBits set it to pin bit-identical results at
 		// every worker count; programs take the GOMAXPROCS default.
-		"tric.Options.Workers": true, "disttc.Options.Workers": true, "grid.Options.Workers": true,
+		"tric.Options.Workers": true, "grid.Options.Workers": true,
 		// TestChargeTapeDigests records grid's charge tape through it.
 		"grid.Options.ChargeObserver": true,
 		// TestFaultEquivalence and TestCrashFailFastDeterminism's grid row

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/disttc"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/intersect"
@@ -15,9 +14,9 @@ import (
 
 // TestBaselineSimTimeBits pins what the fault-free golden table cannot see,
 // as SimTime float bits and the triangle count on fb-sim at 4 ranks, at one
-// and at four workers. First the two-sided baselines over internal/p2p:
-// TriC, TriC-Buffered (cmd/compare's 256 KiB per-peer buffer) and DistTC;
-// those bits were recorded while p2p still deferred its charges to a tape
+// and at four workers. First the two-sided baselines: TriC and
+// TriC-Buffered (cmd/compare's 256 KiB per-peer buffer); those bits were
+// recorded while their substrate still deferred its charges to a tape
 // folded at clock reads, and folding each charge where it is made must
 // reproduce them exactly. Then the
 // push engine's write path under accumulate failures: the fault draws key
@@ -40,10 +39,6 @@ func TestBaselineSimTimeBits(t *testing.T) {
 	}{
 		{"tric", tricRun(tric.Options{}), 0x41aed6d3c1999998},
 		{"tric-buffered", tricRun(tric.Options{Buffered: true, BufferBytes: 256 << 10}), 0x41ae6c3c7a333330},
-		{"disttc", func(workers int) (float64, int64) {
-			res := disttc.MustRun(g, disttc.Options{Ranks: 4, Workers: workers})
-			return res.SimTime, res.Triangles
-		}, 0x4136d4a5cccccccc},
 		{"push/acc", func(workers int) (float64, int64) {
 			opt := goldenBase()
 			opt.Workers = workers

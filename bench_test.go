@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/clampi"
-	"repro/internal/disttc"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/grid"
@@ -150,17 +149,6 @@ func BenchmarkForwardLCC(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(g.NumArcs()), "arcs")
-}
-
-func BenchmarkDistTC(b *testing.B) {
-	g := gen.MustLoad("rmat-s14-ef16")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := disttc.Run(g, disttc.Options{Ranks: 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkRMAAccumulate(b *testing.B) {

@@ -258,10 +258,16 @@ func spread(xs []float64) string {
 }
 
 // output runs a command in dir and returns its standard output, trimmed;
-// standard error passes through, so a failing run explains itself.
+// standard error passes through, so a failing run explains itself. The
+// command runs in its own process group, and a cancel kills the whole
+// group: `go run` leaves the binary it built running when it is killed
+// alone, and that child would hold standard output open, so Run would not
+// return until it finished.
 func output(ctx context.Context, dir, name string, args ...string) (string, error) {
 	cmd := exec.CommandContext(ctx, name, args...)
 	cmd.Dir = dir
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
 	cmd.Stderr = os.Stderr
 	var out bytes.Buffer
 	cmd.Stdout = &out

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"context"
 	"math"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // rep is n copies of v.
@@ -97,5 +99,20 @@ func TestGate(t *testing.T) {
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: gate fails with %q, want it to name %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestOutputCancelKillsGroup: cancelling a command ends its children too.
+// The shell's background sleep holds standard output; were only the shell
+// killed, output would wait the 20 s out.
+func TestOutputCancelKillsGroup(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := output(ctx, t.TempDir(), "sh", "-c", "sleep 20 & wait"); err == nil {
+		t.Error("cancelled command reported success")
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("output returned %v after the cancel, want < 5 s", d.Round(time.Millisecond))
 	}
 }

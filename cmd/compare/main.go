@@ -3,8 +3,7 @@
 // triangle total, and prints a side-by-side comparison: the paper's
 // asynchronous RMA engine (cached and non-cached), its push-mode (§VI ii)
 // and 2D block (§VI i) variants, the TriC and TriC-Buffered baselines
-// (§IV-B), the DistTC shadow-edge baseline (§I), and the
-// single-node shared-memory and forward references.
+// (§IV-B), and the single-node shared-memory and forward references.
 //
 // Usage:
 //
@@ -19,7 +18,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/disttc"
 	"repro/internal/gen"
 	"repro/internal/grid"
 	"repro/internal/intersect"
@@ -114,13 +112,6 @@ func main() {
 			tricnt: td.Triangles, checked: true,
 			notes: fmt.Sprintf("%.2f MB/rank max, %d block gets", float64(td.RemoteBytesMax)/1e6, td.BlockFetches)})
 	}
-	if g.Kind() == graph.Undirected && !skipped["disttc"] {
-		dt := disttc.MustRun(g, disttc.Options{Ranks: ranks})
-		rows = append(rows, row{name: "DistTC", simMS: dt.SimTime / 1e6, tricnt: dt.Triangles,
-			checked: true,
-			notes: fmt.Sprintf("%.0f%% precompute, %.1fx replication",
-				100*dt.PrecomputeTime/dt.SimTime, dt.ReplicationFactor)})
-	}
 
 	fmt.Printf("%-34s  %12s  %12s  %s\n", "engine", "sim time", "triangles", "notes")
 	fmt.Println(strings.Repeat("-", 90))
@@ -146,7 +137,7 @@ func main() {
 
 // skippable lists the engines -skip accepts. The shared-memory reference
 // every row is checked against and the two async pull runs always run.
-var skippable = []string{"tric", "tricbuf", "disttc", "forward", "push", "2d"}
+var skippable = []string{"tric", "tricbuf", "forward", "push", "2d"}
 
 // parseArgs parses compare's command line. A -ranks below 1 or a bad -skip
 // list is an error, returned before any dataset is loaded.

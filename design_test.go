@@ -9,7 +9,7 @@ import (
 // designMaxLines is DESIGN.md's length at its last shortening: a change
 // that adds lines to it removes as many elsewhere, and one that shortens it
 // lowers the limit.
-const designMaxLines = 1205
+const designMaxLines = 1201
 
 // TestDesignDoesNotGrow holds DESIGN.md, the contract the code is kept to,
 // at or under designMaxLines lines.

@@ -12,7 +12,6 @@
 //     stand-ins) with a binary disk cache for the large scale series
 //   - internal/part — 1D block and cyclic vertex distribution (§III-A)
 //   - internal/rma — simulated MPI-3 RMA runtime with per-rank clocks (§II-E)
-//   - internal/p2p — simulated two-sided MPI / BSP substrate (TriC baseline)
 //   - internal/clampi — the CLaMPI RMA caching layer, reimplemented, with
 //     the paper's application-defined eviction scores (§II-F, §III-B);
 //     its metadata is one slab of records addressed by uint32 id under a
@@ -32,8 +31,8 @@
 //     kernels, the Schank–Wagner forward algorithm and orientations (§V);
 //     and distributed Jaccard and the push-mode engine (future work ii)
 //   - internal/grid — future work (i): the asynchronous 2D block engine
-//   - internal/tric — the TriC query-response baseline (§IV-B)
-//   - internal/disttc — the DistTC shadow-edge baseline (§I)
+//   - internal/tric — the TriC query-response baseline (§IV-B) over its
+//     simulated two-sided MPI / BSP substrate
 //   - internal/experiments — regenerates every table and figure of §IV
 //     plus the A1–A12 ablations
 //   - internal/serve — the supervised serving layer: long-lived instances

@@ -103,7 +103,6 @@ func All() []NamedExperiment {
 		{"ablation-overlap", "Double-buffering ablation (A2)", AblationOverlap},
 		{"ablation-cyclic", "Cyclic vs block 1D ablation (A3)", AblationCyclic},
 		{"ablation-orientation", "Orientation / forward-algorithm ablation (A5)", AblationOrientation},
-		{"ablation-disttc", "DistTC shadow-edge baseline (A8)", AblationDistTC},
 		{"ablation-2d", "1D vs 2D asynchronous distribution (A9)", Ablation2D},
 		{"ablation-pushpull", "Push vs pull dichotomy (A10)", AblationPushPull},
 		{"ablation-relabel", "Random relabeling vs degree-ordered ids (A12)", AblationRelabel},

@@ -3,58 +3,18 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/disttc"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/grid"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
 	"repro/internal/part"
-	"repro/internal/tric"
 )
 
 // This file holds the extension experiments that go beyond the paper's own
-// evaluation: the DistTC comparison the paper argues qualitatively (§I) and
-// the orientation ablation from the Schank–Wagner reference (§V). Ids
-// follow the DESIGN.md §3 index.
-
-// AblationDistTC regenerates A8: the DistTC shadow-edge baseline against
-// the asynchronous engine and TriC over a strong-scaling sweep. The paper
-// (§I) credits DistTC with low computation time but a total dominated by
-// precomputation; the precompute share and the shadow replication factor
-// make that visible.
-func AblationDistTC() *Table {
-	t := &Table{
-		ID:     "ablation-disttc",
-		Title:  "DistTC shadow-edge baseline vs async RMA and TriC (A8)",
-		Paper:  "§I: DistTC 'leads to a low computation time but makes the total running time dominated by this pre-computation step'",
-		Header: []string{"ranks", "async (ms)", "tric (ms)", "disttc (ms)", "disttc precompute", "replication"},
-		Notes: []string{
-			"dataset rmat-s14-ef16 (undirected scale-free); disttc precompute = share of its total time",
-			"replication = (local+shadow arcs)/local arcs over all ranks",
-			"absolute times are not the story: disttc's bulk shadow transfer amortizes latency, but its",
-			"replication factor is the graph fraction every rank must hold — at paper scale that is the",
-			"out-of-memory failure mode, and the growing precompute share is the scalability ceiling (§I)",
-		},
-	}
-	g := gen.MustLoad("rmat-s14-ef16")
-	for _, ranks := range []int{4, 8, 16, 32} {
-		async, err := lcc.Run(g, baseEngineOptions(ranks))
-		if err != nil {
-			panic(err)
-		}
-		tr := tric.MustRun(g, tric.Options{Ranks: ranks, Method: intersect.MethodHybrid})
-		dt := disttc.MustRun(g, disttc.Options{Ranks: ranks})
-		if dt.Triangles != async.Triangles {
-			panic(fmt.Sprintf("experiments: DistTC disagrees on triangles: %d vs %d",
-				dt.Triangles, async.Triangles))
-		}
-		t.AddRow(ranks, ms(async.SimTime), ms(tr.SimTime), ms(dt.SimTime),
-			fmt.Sprintf("%.0f%%", 100*dt.PrecomputeTime/dt.SimTime),
-			fmt.Sprintf("%.2fx", dt.ReplicationFactor))
-	}
-	return t
-}
+// evaluation: the 2D and push directions of its future work (§VI), the
+// orientation ablation from the Schank–Wagner reference (§V) and the
+// relabeling ablation of §II-B. Ids follow the DESIGN.md §3 index.
 
 // Ablation2D regenerates A9, the paper's future-work direction (i): the
 // asynchronous 2D block engine against the 1D engine over a strong-scaling

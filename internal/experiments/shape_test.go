@@ -165,6 +165,43 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
+// TestFig10Shape holds Fig. 10's strong scaling on its two plain-TriC panels,
+// uk-sim and wiki-sim (wiki-sim alone under -short), at 128 and 512 ranks
+// through the table's own runSeries: TriC takes at least 2× the non-cached
+// engine's simulated time on every row (here 2.5–4.6×; the paper: "up to
+// 3.6×"), and the non-cached engine speeds up at least 1.5× from 128 to 512
+// ranks (here 4.0× on wiki-sim and 1.7× on uk-sim).
+//
+// It does not assert the direction of the cache gain: here the cached
+// engine runs above the non-cached one on wiki-sim at every rank count
+// (+12…+34 %) and on uk-sim at 256 and 512 ranks (+13/+20 %), against the
+// paper's "up to −73 %". That gap is an open fidelity claim (DESIGN.md §3).
+func TestFig10Shape(t *testing.T) {
+	for _, c := range fig10Cases {
+		// The plain-TriC panels are uk-sim and wiki-sim, the cheapest.
+		if c.tricBufOnly || testing.Short() && c.name != "wiki-sim" {
+			continue
+		}
+		g := gen.MustLoad(c.name)
+		var nonCached []float64
+		for _, p := range []int{128, 512} {
+			r := runSeries(g, p, true, false)
+			t.Logf("fig 10 %s (%s) p=%d: non-cached %.1f ms, cached %.1f ms (%+.0f%%), tric %.1f ms (%.1fx)",
+				c.name, c.paper, p, r.NonCached/1e6, r.Cached/1e6,
+				100*(r.Cached-r.NonCached)/r.NonCached, r.TriC/1e6, r.TriC/r.NonCached)
+			if r.TriC < 2*r.NonCached {
+				t.Errorf("%s p=%d: TriC %.1f ms is not at least 2x non-cached %.1f ms", c.name, p, r.TriC/1e6, r.NonCached/1e6)
+			}
+			nonCached = append(nonCached, r.NonCached)
+		}
+		speedup := nonCached[0] / nonCached[1]
+		t.Logf("fig 10 %s: non-cached speedup 128→512 ranks %.1fx", c.name, speedup)
+		if speedup < 1.5 {
+			t.Errorf("%s: non-cached speedup 128→512 ranks %.1fx, want ≥ 1.5x", c.name, speedup)
+		}
+	}
+}
+
 // TestFig7Shape holds Fig. 7's sweep, each cache on its own over the 11
 // relative sizes with the other off: neither comm time nor miss rate ever
 // rises with size; at full size at least 99% of the misses are compulsory;
@@ -483,28 +520,6 @@ func TestAblation2DShape(t *testing.T) {
 		if gets2D*10 > gets1D {
 			t.Errorf("p=%s: 2D gets %v not an order of magnitude below 1D %v", r[0], gets2D, gets1D)
 		}
-	}
-}
-
-func TestAblationDistTCShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four-way engine sweep")
-	}
-	tab := AblationDistTC()
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// §I: DistTC's precompute share grows with the rank count, and the
-	// shadow replication factor grows with it.
-	firstPre := cell(t, tab.Rows[0][4])
-	lastPre := cell(t, tab.Rows[len(tab.Rows)-1][4])
-	if lastPre <= firstPre {
-		t.Errorf("precompute share did not grow with ranks: %.0f%% -> %.0f%%", firstPre, lastPre)
-	}
-	firstRep := cell(t, tab.Rows[0][5])
-	lastRep := cell(t, tab.Rows[len(tab.Rows)-1][5])
-	if lastRep <= firstRep {
-		t.Errorf("replication factor did not grow with ranks: %.2fx -> %.2fx", firstRep, lastRep)
 	}
 }
 

@@ -148,7 +148,7 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
-	// No operation issues one-sided puts or p2p messages, so no key
+	// No operation issues one-sided puts or drops two-sided messages, so no key
 	// schedules their faults.
 	for _, k := range []string{"put", "drop"} {
 		if _, err := ParseSpec(k + "=0.1"); err == nil || !strings.Contains(err.Error(), `unknown key "`+k+`"`) {

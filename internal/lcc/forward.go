@@ -57,9 +57,6 @@ func orient(g graph.Store, rank []uint64) *Orientation {
 	return o
 }
 
-// Out returns the sorted out-neighbourhood of u under the orientation.
-func (o *Orientation) Out(u graph.V) []graph.V { return o.out[u] }
-
 // MaxOutDegree returns the largest oriented out-degree; for a degree-ordered
 // orientation this is O(√m), the property that bounds the forward
 // algorithm's work.

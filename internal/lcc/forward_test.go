@@ -88,13 +88,13 @@ func TestOrientationInvariants(t *testing.T) {
 	}
 	arcs := 0
 	for u := 0; u < g.NumVertices(); u++ {
-		arcs += len(o.Out(graph.V(u)))
+		arcs += len(o.out[u])
 	}
 	if arcs != g.NumEdges() {
 		t.Fatalf("orientation has %d arcs, want m=%d", arcs, g.NumEdges())
 	}
 	for u := 0; u < g.NumVertices(); u++ {
-		outU := o.Out(graph.V(u))
+		outU := o.out[u]
 		for i, v := range outU {
 			if i > 0 && outU[i-1] >= v {
 				t.Fatalf("out(%d) not strictly sorted", u)
@@ -104,7 +104,7 @@ func TestOrientationInvariants(t *testing.T) {
 				t.Fatalf("arc %d→%d violates degree order (deg %d vs %d)", u, v, du, dv)
 			}
 			// Antisymmetry: v must not also point to u.
-			for _, w := range o.Out(v) {
+			for _, w := range o.out[v] {
 				if w == graph.V(u) {
 					t.Fatalf("both %d→%d and %d→%d oriented", u, v, v, u)
 				}
@@ -141,8 +141,8 @@ func TestOrientByOrderMatchesOrient(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 0; u < g.NumVertices(); u++ {
-			if !slices.Equal(o.Out(graph.V(u)), byOrder.Out(graph.V(u))) {
-				t.Fatalf("graph %d: out(%d) = %v by order, %v by Orient", i, u, byOrder.Out(graph.V(u)), o.Out(graph.V(u)))
+			if !slices.Equal(o.out[u], byOrder.out[u]) {
+				t.Fatalf("graph %d: out(%d) = %v by order, %v by Orient", i, u, byOrder.out[u], o.out[u])
 			}
 		}
 		fwd, err := ForwardLCC(g)
@@ -326,7 +326,7 @@ func TestMaxOutDegreeBound(t *testing.T) {
 	if got := o.MaxOutDegree(); got != 1 {
 		t.Fatalf("star max oriented out-degree = %d, want 1", got)
 	}
-	if len(o.Out(0)) != 0 {
-		t.Fatalf("star centre out-degree = %d, want 0", len(o.Out(0)))
+	if len(o.out[0]) != 0 {
+		t.Fatalf("star centre out-degree = %d, want 0", len(o.out[0]))
 	}
 }

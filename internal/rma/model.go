@@ -41,7 +41,7 @@ type CostModel struct {
 	ComputePerOp float64
 	// SendRecvOverhead is the extra per-message cost of two-sided MPI
 	// (message matching, possible extra copy) relative to RMA; §II-E
-	// motivates RMA with exactly this overhead. Used by internal/p2p.
+	// motivates RMA with exactly this overhead. Used by internal/tric.
 	SendRecvOverhead float64
 	// BarrierLatency is the base cost of a barrier/collective step in
 	// the BSP baseline, on top of waiting for the slowest rank.
@@ -79,7 +79,7 @@ func (m *CostModel) HitCost(s int) float64 {
 	return m.CacheHitLatency + float64(s)*m.LocalBytePeriod
 }
 
-// Clock is a rank's simulated time (rma.Rank's, p2p.Rank's) and, in its
+// Clock is a rank's simulated time (an rma.Rank's, a TriC rank's) and, in its
 // Ledger, where it went: each move is booked in its kind's slot. The zero
 // value reads 0 ns.
 type Clock struct {

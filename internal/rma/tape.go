@@ -33,8 +33,8 @@ const (
 	// ChargeLocalRead is a local memory read charged via LocalCost(bytes),
 	// work like ChargeOps (the engines' local adjacency reads).
 	ChargeLocalRead
-	// ChargeNS is a raw modeled duration in ns, work like ChargeOps: a p2p
-	// rank's AdvanceBy (TriC's per-query handling). On an rma rank only
+	// ChargeNS is a raw modeled duration in ns, work like ChargeOps: TriC's
+	// per-query handling on its two-sided ranks. On an rma rank only
 	// tests charge it, to stand a clock where they need it; the kind keeps
 	// its number so the kinds after it, and the tape digests, keep theirs.
 	ChargeNS
@@ -92,7 +92,8 @@ const (
 	// ... the local-memory cost of an accumulate that targets the rank
 	// itself ...
 	ChargeAccLocal
-	// ... and a p2p rank's sends and receives (matching, wire, copy).
+	// ... and a TriC rank's two-sided sends and receives (matching, wire,
+	// copy).
 	ChargeSend
 	ChargeRecv
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
-	"repro/internal/p2p"
 	"repro/internal/part"
 	"repro/internal/rma"
 )
@@ -60,7 +59,6 @@ type Result struct {
 	// MaxQueuedBytes is the peak bytes of staged queries on any rank —
 	// the memory pressure that motivates the buffered variant.
 	MaxQueuedBytes int64
-	PerRank        []p2p.Counters
 	// Ledgers is where each rank's time went; every clock ends at SimTime.
 	Ledgers []rma.Ledger
 }
@@ -68,7 +66,7 @@ type Result struct {
 // query asks the owner of vj to count |candidates ∩ adj'(vj)| and credit
 // the result to vertex vi. The modeled wire format is
 // [vi, vj, len(candidates), candidates...] as uint32 words; the payload
-// itself travels by reference (p2p.SendPayload) with wireSize charged, so
+// itself travels by reference (rank.sendPayload) with wireSize charged, so
 // the simulation does not burn wall-clock time copying the quadratic
 // candidate volume that makes real TriC run out of memory.
 type query struct {
@@ -111,7 +109,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	}
 	locals := part.ExtractAll(g, pt)
 	model := rma.DefaultCostModel()
-	world := p2p.NewWorldWorkers(opt.Ranks, model, opt.Workers)
+	world := newWorld(opt.Ranks, model, opt.Workers)
 
 	perVertexT := make([]int64, n)
 	res := &Result{LCC: make([]float64, n)}
@@ -128,24 +126,24 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	}
 
 	// Superstep 1: local counting and query generation.
-	world.Superstep(func(r *p2p.Rank) {
-		lc := locals[r.ID()]
-		st := states[r.ID()]
+	world.superstep(func(r *rank) {
+		lc := locals[r.id]
+		st := states[r.id]
 		its := intersect.GetScratch()
 		defer intersect.PutScratch(its)
 		for li := 0; li < lc.NumLocal(); li++ {
-			vi := pt.VertexAt(r.ID(), li)
+			vi := pt.VertexAt(r.id, li)
 			adjI := lc.AdjOf(li)
-			r.Compute(len(adjI))
+			r.compute(len(adjI))
 			for _, vj := range adjI {
 				owner := pt.Owner(vj)
-				if owner == r.ID() {
+				if owner == r.id {
 					adjJ := lc.AdjOf(pt.LocalIndex(vj))
 					if g.Kind() == graph.Undirected {
 						adjJ = intersect.UpperSlice(adjJ, vj)
 					}
 					c, ops := its.Count(opt.Method, adjI, adjJ)
-					r.Compute(ops + 4)
+					r.compute(ops + 4)
 					perVertexT[vi] += int64(c)
 					continue
 				}
@@ -159,7 +157,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 				q := query{vi: vi, vj: vj, cands: cands}
 				st.pendingQ[owner] = append(st.pendingQ[owner], q)
 				st.queuedB += int64(q.wireSize())
-				r.Compute(len(cands)) // staging copy
+				r.compute(len(cands)) // staging copy
 			}
 		}
 	})
@@ -188,15 +186,15 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 			act[i] = false
 		}
 		// Send a bounded batch of queries plus all pending responses.
-		world.Superstep(func(r *p2p.Rank) {
-			st := states[r.ID()]
+		world.superstep(func(r *rank) {
+			st := states[r.id]
 			for dst := 0; dst < opt.Ranks; dst++ {
 				// Responses first: they are small and unblock peers.
-				if rs := pendingResponses[r.ID()][dst]; len(rs) > 0 {
+				if rs := pendingResponses[r.id][dst]; len(rs) > 0 {
 					batch := responseBatch(rs)
-					r.SendPayload(dst, batch, batch.wireSize())
-					pendingResponses[r.ID()][dst] = nil
-					act[r.ID()] = true
+					r.sendPayload(dst, batch, batch.wireSize())
+					pendingResponses[r.id][dst] = nil
+					act[r.id] = true
 				}
 				if opt.Buffered {
 					// TriC-Buffered: aggregate queries into one
@@ -216,8 +214,8 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 						st.queuedB -= int64(q.wireSize())
 					}
 					if len(batch) > 0 {
-						r.SendPayload(dst, batch, batch.wireSize())
-						act[r.ID()] = true
+						r.sendPayload(dst, batch, batch.wireSize())
+						act[r.id] = true
 					}
 					continue
 				}
@@ -230,9 +228,9 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 				// exchanges is the synchronization cost the paper's
 				// asynchronous design removes (§I, §IV-B).
 				for _, q := range st.pendingQ[dst] {
-					r.SendPayload(dst, q, q.wireSize())
+					r.sendPayload(dst, q, q.wireSize())
 					st.queuedB -= int64(q.wireSize())
-					act[r.ID()] = true
+					act[r.id] = true
 				}
 				st.pendingQ[dst] = nil
 			}
@@ -240,8 +238,8 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 
 		// Process what arrived: queries become responses (for the next
 		// round); responses fold into per-vertex counts.
-		world.Superstep(func(r *p2p.Rank) {
-			lc := locals[r.ID()]
+		world.superstep(func(r *rank) {
+			lc := locals[r.id]
 			its := intersect.GetScratch()
 			defer intersect.PutScratch(its)
 			answer := func(q query, from int) {
@@ -261,29 +259,29 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 				// aggregated buffered variant would ship candidate
 				// volume at pure bandwidth cost, which no measured TriC
 				// deployment achieves.
-				r.Compute(ops + len(q.cands) + 4)
-				r.AdvanceBy(2 * model.RemoteLatency)
-				pendingResponses[r.ID()][from] = append(
-					pendingResponses[r.ID()][from],
+				r.compute(ops + len(q.cands) + 4)
+				r.advanceBy(2 * model.RemoteLatency)
+				pendingResponses[r.id][from] = append(
+					pendingResponses[r.id][from],
 					response{vi: q.vi, count: graph.V(c)})
 			}
-			for _, m := range r.Inbox() {
-				switch pl := m.Payload.(type) {
+			for _, m := range r.inbox {
+				switch pl := m.payload.(type) {
 				case responseBatch:
 					for _, resp := range pl {
 						perVertexT[resp.vi] += int64(resp.count)
 					}
-					r.Compute(2 * len(pl))
+					r.compute(2 * len(pl))
 				case query:
-					answer(pl, m.From)
+					answer(pl, m.from)
 				case queryBatch:
 					for _, q := range pl {
-						answer(q, m.From)
+						answer(q, m.from)
 					}
 				default:
 					panic(fmt.Sprintf("tric: unknown payload type %T", pl))
 				}
-				act[r.ID()] = true
+				act[r.id] = true
 			}
 		})
 
@@ -296,8 +294,8 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 		}
 	}
 
-	if err := world.Err(); err != nil {
-		return nil, err
+	if world.err != nil {
+		return nil, world.err
 	}
 	// Final reduction of the global triangle count (TriC reports the
 	// global value with an MPI_Reduce).
@@ -305,16 +303,15 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 	for v := 0; v < n; v++ {
 		partial[pt.Owner(graph.V(v))] += perVertexT[v]
 	}
-	res.SumT = world.AllreduceSum(partial)
+	res.SumT = world.allreduceSum(partial)
 	res.Triangles = lcc.TriangleCount(g.Kind(), res.SumT)
 	for v := 0; v < n; v++ {
 		res.LCC[v] = lcc.Score(g.Kind(), perVertexT[v], g.OutDegree(graph.V(v)))
 	}
-	res.SimTime = world.MaxClock()
-	res.Supersteps = world.Steps()
-	for _, r := range world.Ranks() {
-		res.PerRank = append(res.PerRank, r.Counters())
-		res.Ledgers = append(res.Ledgers, r.Ledger())
+	res.SimTime = world.maxClock()
+	res.Supersteps = world.steps
+	for _, r := range world.ranks {
+		res.Ledgers = append(res.Ledgers, r.clock.Ledger())
 	}
 	return res, nil
 }

@@ -124,8 +124,8 @@ func TestTriCSuperstepsCounted(t *testing.T) {
 	if res.SimTime <= 0 {
 		t.Error("SimTime not charged")
 	}
-	if len(res.PerRank) != 4 {
-		t.Errorf("PerRank size %d, want 4", len(res.PerRank))
+	if len(res.Ledgers) != 4 {
+		t.Errorf("Ledgers size %d, want 4", len(res.Ledgers))
 	}
 }
 
@@ -148,8 +148,8 @@ func TestTriCSingleRankNoComm(t *testing.T) {
 	if res.Triangles != want.Triangles {
 		t.Errorf("Triangles = %d, want %d", res.Triangles, want.Triangles)
 	}
-	if res.PerRank[0].MsgsSent != 0 {
-		t.Errorf("single rank sent %d messages", res.PerRank[0].MsgsSent)
+	if send := res.Ledgers[0][rma.ChargeSend]; send != 0 {
+		t.Errorf("single rank spent %v ns sending", send)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/disttc"
 	"repro/internal/gen"
 	"repro/internal/grid"
 	"repro/internal/intersect"
@@ -47,9 +46,6 @@ func TestEngineOrientation(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-	if _, err := disttc.Run(g, disttc.Options{Ranks: 4}); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := grid.Run(g, grid.Options{Ranks: 4}); err != nil {
 		t.Fatal(err)

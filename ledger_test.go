@@ -1,7 +1,7 @@
 // Ledger laws: every movement of a rank's simulated clock is booked in one
-// slot of its rma.Ledger (DESIGN.md §6), on the rma substrate and on p2p.
-// Over the five golden configurations, fault-free and under fault
-// scenarios, and over the p2p baselines (TriC, TriC-Buffered, DistTC), per
+// slot of its rma.Ledger (DESIGN.md §6), on the rma substrate and on TriC's
+// two-sided one. Over the five golden configurations, fault-free and under
+// fault scenarios, and over the TriC baselines (TriC, TriC-Buffered), per
 // rank:
 //
 //  1. the slots sum to the clock within 2 ulp (float sums regroup, so not
@@ -23,7 +23,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/disttc"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -110,7 +109,7 @@ type ledgerRun struct {
 	run  func(workers int) ([]rma.Ledger, []float64)
 }
 
-// ledgerBaselines are the p2p baselines on g at 4 ranks, with the options
+// ledgerBaselines are the TriC baselines on g at 4 ranks, with the options
 // TestBaselineSimTimeBits pins. After their closing allreduce every rank's
 // clock is the run's SimTime.
 func ledgerBaselines(g graph.Store) []ledgerRun {
@@ -131,10 +130,6 @@ func ledgerBaselines(g graph.Store) []ledgerRun {
 	return []ledgerRun{
 		{"tric", tricRun(tric.Options{})},
 		{"tric-buffered", tricRun(tric.Options{Buffered: true, BufferBytes: 256 << 10})},
-		{"disttc", func(workers int) ([]rma.Ledger, []float64) {
-			res := disttc.MustRun(g, disttc.Options{Ranks: 4, Workers: workers})
-			return atSimTime(res.Ledgers, res.SimTime)
-		}},
 	}
 }
 
