@@ -97,14 +97,19 @@ func BenchmarkIntersectSweep(b *testing.B) {
 
 // --- per-kernel benches of the host layer ----------------------------------
 
-// BenchmarkKernelMergeBranchFree is the 4-way unrolled branch-free merge
-// on the same pair as BenchmarkIntersectSSI (its scalar reference).
-func BenchmarkKernelMergeBranchFree(b *testing.B) {
-	x := sortedList(1024, 3)
-	y := sortedList(1024, 5)
+// BenchmarkKernelStampOneOff is a pivot that is not reused: every call
+// clears the last stamp, stamps a fresh 24-id list and probes the partner,
+// the round trip each of TriC's query candidate lists takes.
+func BenchmarkKernelStampOneOff(b *testing.B) {
+	x := [2][]graph.V{sortedList(24, 3), sortedList(24, 3)} // same ids, two identities
+	y := sortedList(24, 5)
+	s := intersect.GetScratch()
+	defer intersect.PutScratch(s)
+	s.Count(intersect.MethodSSI, x[0], y) // size the bitmap
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		intersect.MergeCount(x, y)
+		s.Count(intersect.MethodSSI, x[i&1], y)
 	}
 }
 

@@ -1,6 +1,7 @@
 package intersect
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -84,23 +85,6 @@ func TestSSIOpsAnalytic(t *testing.T) {
 	}
 }
 
-// TestMergeCountMatchesSSI pins the branch-free merge to the reference
-// loop: same count, and exit positions that reproduce the exact charge.
-func TestMergeCountMatchesSSI(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 5000; trial++ {
-		a, b := randPair(rng)
-		wantCount, wantOps := SSI(a, b)
-		count, iEnd, jEnd := MergeCount(a, b)
-		if count != wantCount {
-			t.Fatalf("trial %d: MergeCount = %d, want %d (oracle %d)", trial, count, wantCount, oracleCount(a, b))
-		}
-		if got := iEnd + jEnd - count; got != wantOps {
-			t.Fatalf("trial %d: merge exit ops = %d, want %d", trial, got, wantOps)
-		}
-	}
-}
-
 // TestDepthBinaryRandomPairs replays the reference Algorithm 1 loop against
 // the depth-table search on the randomized pair profile: identical count
 // and identical full-depth probe charge, for trees from empty to thousands
@@ -132,8 +116,8 @@ func depthTable(n int) []uint8 {
 
 // TestScratchCountMatchesReference drives Scratch.Count against the
 // reference Count for every method, including the repeat-pivot calls that
-// engage the stamp-set kernel (call 1 merges, call 2 stamps, call 3
-// probes — each must charge identically).
+// meet the stamp-set kernel's memo (call 1 stamps, calls 2 and 3 probe —
+// each must charge identically).
 func TestScratchCountMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := new(Scratch)
@@ -202,6 +186,61 @@ func checkAgainstReference(t *testing.T, s *Scratch, m Method, pivot, other []gr
 	if got, ops := s.Elements(m, pivot, other, nil); ops != wantElemOps || !equalV(got, want) {
 		t.Fatalf("%s method %v (|pivot|=%d,|other|=%d): Elements = %v/%d, want %v/%d",
 			what, m, len(pivot), len(other), got, ops, want, wantElemOps)
+	}
+}
+
+// TestShortPivotsMatchReference holds pivots of 0–40 ids, against partners
+// of 0–40 ids, to the reference loops under every method, through Count and
+// Elements on one reused Scratch: every Algorithm 2-charged pivot is
+// stamped, however short, so the memo sees a repeated pivot, a pivot that
+// alternates with its partner, and a buffer unstamped and then overwritten
+// in place under the same identity. It runs on the Go loops, and on the
+// AVX-512 bodies where the host has them.
+func TestShortPivotsMatchReference(t *testing.T) {
+	paths := []bool{false}
+	if hostAVX512 {
+		paths = []bool{true, false}
+		t.Log("short pivots: checked on the AVX-512 bodies and the Go loops")
+	} else {
+		t.Logf("short pivots: checked on the Go loops, this host lacks %s", avx512Missing())
+	}
+	defer func(on bool) { useAVX512 = on }(useAVX512)
+	methods := []Method{MethodSSI, MethodBinary, MethodHybrid}
+	for _, simd := range paths {
+		useAVX512 = simd
+		rng := rand.New(rand.NewSource(13))
+		s := new(Scratch)
+		buf := make([]graph.V, 0, 40)
+		for na := 0; na <= 40; na++ {
+			for nb := 0; nb <= 40; nb++ {
+				span := max(na, nb) + rng.Intn(3*(na+nb)+64)
+				a, b := randSet(rng, na, span), randSet(rng, nb, span)
+				if rng.Intn(3) == 0 { // the partner runs past the pivot's bitmap
+					for i := range b {
+						b[i] += graph.V(span)
+					}
+				}
+				what := fmt.Sprintf("simd %v |a|=%d |b|=%d", simd, na, nb)
+				for _, m := range methods {
+					for call := 0; call < 2; call++ { // repeated pivot
+						checkAgainstReference(t, s, m, a, b, what+" repeated")
+					}
+					for call := 0; call < 2; call++ { // alternating with its partner
+						checkAgainstReference(t, s, m, b, a, what+" swapped")
+						checkAgainstReference(t, s, m, a, b, what+" back")
+					}
+				}
+				// The buffer is stamped, unstamped and rewritten in place: the
+				// same identity with other ids must not meet the old stamp.
+				buf = append(buf[:0], a...)
+				checkAgainstReference(t, s, MethodSSI, buf, b, what+" buffer")
+				s.Unstamp()
+				copy(buf, randSet(rng, na, span+na))
+				for _, m := range methods {
+					checkAgainstReference(t, s, m, buf, b, what+" overwritten")
+				}
+			}
+		}
 	}
 }
 
@@ -297,7 +336,7 @@ func TestScratchStampedAcrossSizes(t *testing.T) {
 		a := randSet(rng, stampMinLen+rng.Intn(100), span)
 		b := randSet(rng, rng.Intn(300), 2*span)
 		wantCount, wantOps := Count(MethodSSI, a, b)
-		// Two identical calls trigger the stamp; a third probes it.
+		// The first call stamps; the next two probe the stamp.
 		for call := 0; call < 3; call++ {
 			count, ops := s.Count(MethodSSI, a, b)
 			if count != wantCount || ops != wantOps {
@@ -330,7 +369,7 @@ func TestScratchTopOfIDSpace(t *testing.T) {
 	if wantCount != oracleCount(a, b) {
 		t.Fatalf("reference disagrees with oracle")
 	}
-	for call := 0; call < 3; call++ { // merge, stamp, stamped probe
+	for call := 0; call < 3; call++ { // stamp, then stamped probes
 		count, ops := s.Count(MethodSSI, a, b)
 		if count != wantCount || ops != wantOps {
 			t.Fatalf("call %d: (%d,%d), want (%d,%d)", call, count, ops, wantCount, wantOps)

@@ -22,7 +22,7 @@ func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{0, 0, 9, 9, 200}, []byte{9}, uint8(1))
 	f.Add([]byte{}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
 	f.Add([]byte{255, 254, 253, 1, 1, 2}, []byte{253, 255, 7, 7}, uint8(3))
-	// The rank-indexed path: a dense list long enough to stamp as the
+	// The rank-indexed path: a dense list long enough to index as the
 	// tree, with keys below, inside and above it and past the bitmap, on
 	// either argument side; and a list of the same length past the span
 	// guard. (16-bit deltas cannot reach the top of the id space densely;
@@ -46,6 +46,11 @@ func FuzzIntersectKernels(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0, 100}, 80), set, uint8(0))
 	f.Add([]byte{0, 3, 0, 36, 0, 40, 1, 0, 40, 0, 200, 0}, set, uint8(1))
 	f.Add(append([]byte{20, 0}, bytes.Repeat([]byte{0, 6}, 40)...), set, uint8(2))
+	// Short pivots, stamped like any other: 20 ids under Algorithm 2 inside
+	// that set's span (the AND), and 31 ids under Eq. (3) against a partner
+	// that runs past their bitmap's extent (the probe's stop).
+	f.Add(bytes.Repeat([]byte{0, 50}, 20), set, uint8(0))
+	f.Add(bytes.Repeat([]byte{0, 3}, 31), append(bytes.Repeat([]byte{0, 2}, 24), 1, 0, 0, 1), uint8(2))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, methodByte uint8) {
 		a := setFromBytes(rawA)
 		b := setFromBytes(rawB)
@@ -103,7 +108,7 @@ func FuzzIntersectKernels(f *testing.F) {
 
 				var elems []graph.V
 				// Three rounds walk the dispatch through its states: fresh
-				// (merge or depth table), stamp, stamped probe or rank index.
+				// (stamp or depth table), stamped probe or rank index.
 				for call := 0; call < 3; call++ {
 					count, ops := s.Count(m, a, b)
 					if count != wantCount || ops != wantOps {

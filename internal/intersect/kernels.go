@@ -9,18 +9,13 @@ import (
 // This file holds the fast *host* kernels of the cost-decoupled layer
 // (DESIGN.md §5). They compute |a ∩ b| for the engines' wall-clock, while
 // the modeled compute charge — the exact Algorithm 1/2 ops counts the
-// golden tests pin — comes from cost.go or, for the merge, from the
-// kernel's own exit positions. All kernels require strictly increasing
-// inputs (adjacency lists are sorted and deduplicated sets).
+// golden tests pin — comes from cost.go or from a per-size depth table.
+// All kernels require strictly increasing inputs (adjacency lists are
+// sorted and deduplicated sets).
 //
-// Algorithm 2-charged pairs have three kernels and Algorithm 1-charged pairs
+// Algorithm 2-charged pairs have two kernels and Algorithm 1-charged pairs
 // two, with the reference loops of intersect.go behind them:
 //
-//   - MergeCount: a 4-way unrolled branch-free merge. The scalar SSI loop
-//     takes one unpredictable branch per element; on power-law adjacency
-//     data roughly half of them mispredict. The unrolled form turns the
-//     three outcomes (advance i, advance j, match) into flag arithmetic
-//     with no data-dependent branches at all.
 //   - the stamp-set probe (scratch.go): a per-rank reusable uint64 bitmap —
 //     the pivot list is stamped once and every neighbour list is counted
 //     with one bit test per element, amortizing the build over deg(pivot)
@@ -42,67 +37,6 @@ import (
 // A tree the depth cache turns away (longer than depthMaxLen, or arriving
 // after depthMaxBytes of tables) is searched by Binary/BinaryElements
 // themselves, which are also the oracle the tests hold every kernel to.
-
-// The merge kernels turn comparison flags into 0/1 with pure integer
-// arithmetic on 64-bit zero-extended operands, so the compiler emits flag
-// materialization instead of jumps. For x, y ∈ [0, 2³²):
-//
-//	eq(x,y) = ((x^y) - 1) >> 63        (1 iff x == y)
-//	le(x,y) = ((y - x) >> 63) ^ 1      (1 iff x <= y)
-//
-// both relying on the subtraction borrowing into bit 63 exactly when the
-// 32-bit operands would underflow.
-
-// mergeStep executes one iteration of Algorithm 2 branch-free. It must
-// advance i, j and count exactly like the reference SSI loop so the exit
-// positions remain a valid basis for the modeled charge (ops = i+j-count).
-func mergeStep(a, b []graph.V, i, j, count int) (int, int, int) {
-	x, y := uint64(a[i]), uint64(b[j])
-	count += int(((x ^ y) - 1) >> 63)
-	i += int(((y - x) >> 63) ^ 1)
-	j += int(((x - y) >> 63) ^ 1)
-	return i, j, count
-}
-
-// MergeCount returns |a ∩ b| by branch-free merge along with the exact
-// exit positions of the equivalent Algorithm 2 traversal. Because the
-// advancement rule is identical to SSI's, iEnd + jEnd - count equals the
-// reference loop's ops count bit for bit — the merge kernel carries its
-// own modeled charge. Inputs must be strictly increasing.
-func MergeCount(a, b []graph.V) (count, iEnd, jEnd int) {
-	i, j := 0, 0
-	na, nb := len(a), len(b)
-	// 4-way unrolled core: four merge steps advance i and j by at most
-	// four each, so one pair of bounds tests covers all four iterations.
-	for i+4 <= na && j+4 <= nb {
-		i, j, count = mergeStep(a, b, i, j, count)
-		i, j, count = mergeStep(a, b, i, j, count)
-		i, j, count = mergeStep(a, b, i, j, count)
-		i, j, count = mergeStep(a, b, i, j, count)
-	}
-	for i < na && j < nb {
-		i, j, count = mergeStep(a, b, i, j, count)
-	}
-	return count, i, j
-}
-
-// mergeElements is MergeCount's listing variant: it appends a ∩ b to dst
-// (ascending) and returns the extended slice plus the exit positions. The
-// match append is a rare, well-predicted branch; the advancement stays
-// branch-free.
-func mergeElements(a, b []graph.V, dst []graph.V) ([]graph.V, int, int) {
-	i, j := 0, 0
-	na, nb := len(a), len(b)
-	for i < na && j < nb {
-		x, y := uint64(a[i]), uint64(b[j])
-		if x == y {
-			dst = append(dst, a[i])
-		}
-		i += int(((y - x) >> 63) ^ 1)
-		j += int(((x - y) >> 63) ^ 1)
-	}
-	return dst, i, j
-}
 
 // gallop returns lowerBound(tree, x) given that every element before q is
 // below x. Short gaps walk linearly (sequential, predictor-friendly);
@@ -159,6 +93,8 @@ func depthBinary(depth []uint8, keys, tree []graph.V, wantDst bool, dst []graph.
 		}
 		hit := 0
 		if q < n {
+			// 1 iff equal, without a jump: for operands below 2³², x^y − 1
+			// borrows into bit 63 exactly when x^y is 0.
 			hit = int(((uint64(tree[q]) ^ uint64(x)) - 1) >> 63)
 		}
 		count += hit

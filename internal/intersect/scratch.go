@@ -57,8 +57,10 @@ type Scratch struct {
 	spillN   int
 }
 
-// stampMinLen is the smallest pivot worth stamping: below it the
-// branch-free merge beats the stamp+probe round trip even with reuse.
+// stampMinLen is the shortest pivot that a Binary-charged pair stamps and
+// rank-indexes as its tree (rankTree); a shorter one that is not already
+// stamped is searched by depthBinary. Algorithm 2-charged pairs stamp every
+// pivot.
 const stampMinLen = 32
 
 // rankSpanWords bounds the rank index's O(span) prefix build: the stamped
@@ -264,27 +266,23 @@ func andCountGeneric(words, stamp []uint64) (count int, sum uint64) {
 
 // hostSSI computes the Algorithm 2-charged intersection of (a, b) where a
 // is the caller's pivot side and bSet nil or a DenseSet bound to b. Host
-// dispatch (the Eq. (3) refinement that exists only on the host): a stamped
-// pivot is probed with one AND per word of the other list's DenseSet, if it
-// comes with one that holds up, or with one bit test per element of it; a
-// pivot of useful size is stamped first (the cost is linear like the
-// merge's, but every op is independent — no data-dependent branches, no
-// loop-carried load chain — and the stamp amortizes across the pivot's whole
-// adjacency walk); small pairs take the branch-free merge, whose exit
-// positions carry the charge.
+// dispatch (the Eq. (3) refinement that exists only on the host): the pivot
+// is stamped unless it or b already is, and the other list is counted
+// against the stamp with one AND per word of its DenseSet, if it comes with
+// one that holds up, or with one bit test per id. Every step is independent
+// — no data-dependent branch, no loop-carried chain — and the stamp
+// amortizes across the pivot's whole adjacency walk; ssiOps derives the
+// charge from the count.
 func (s *Scratch) hostSSI(a, b []graph.V, bSet *DenseSet) (count, ops int) {
+	if len(a) == 0 || len(b) == 0 {
+		return 0, 0
+	}
 	if !sameList(a, s.stampPtr, s.stampLen) {
-		switch {
-		case sameList(b, s.stampPtr, s.stampLen):
+		if sameList(b, s.stampPtr, s.stampLen) {
 			count = s.probeCount(a)
 			return count, ssiOps(a, b, count, nil)
-		case len(a) >= stampMinLen:
-			s.Stamp(a)
-		default:
-			var iEnd, jEnd int
-			count, iEnd, jEnd = MergeCount(a, b)
-			return count, iEnd + jEnd - count
 		}
+		s.Stamp(a)
 	}
 	ok := false
 	if bSet != nil {
@@ -299,11 +297,11 @@ func (s *Scratch) hostSSI(a, b []graph.V, bSet *DenseSet) (count, ops int) {
 // rankTree reports whether the scratch's own DenseSet (index) can serve a
 // Binary-charged pair whose longer side is tree, stamping and indexing it if
 // need be. a is the caller's pivot argument. The choice reads only the
-// input: tree must be the stamped list, or the pivot side and worth stamping,
-// and its own id span (first to last element, in bitmap words) must stay
-// within rankSpanWords per element so the prefix build amortizes like the
-// stamp does. The bitmap's capacity plays no part, so a rank sees the same
-// kernels whichever pooled Scratch it drew.
+// input: tree must be the stamped list, or the pivot side and at least
+// stampMinLen ids long, and its own id span (first to last element, in
+// bitmap words) must stay within rankSpanWords per element so the prefix
+// build amortizes like the stamp does. The bitmap's capacity plays no part,
+// so a rank sees the same kernels whichever pooled Scratch it drew.
 func (s *Scratch) rankTree(a, tree []graph.V) bool {
 	n := len(tree)
 	stamped := sameList(tree, s.stampPtr, s.stampLen)
@@ -474,19 +472,18 @@ func (s *Scratch) Elements(method Method, a, b []graph.V, dst []graph.V) ([]grap
 		_, ops, out := s.binary(a, sa, sb, nil, true, dst)
 		return out, ops
 	}
+	if len(a) == 0 || len(b) == 0 {
+		return dst, 0
+	}
 	before := len(dst)
 	switch {
 	case sameList(a, s.stampPtr, s.stampLen):
 		dst = s.probeElements(b, dst)
 	case sameList(b, s.stampPtr, s.stampLen):
 		dst = s.probeElements(a, dst)
-	case len(a) >= stampMinLen:
+	default:
 		s.Stamp(a)
 		dst = s.probeElements(b, dst)
-	default:
-		var iEnd, jEnd int
-		dst, iEnd, jEnd = mergeElements(sa, sb, dst)
-		return dst, iEnd + jEnd - (len(dst) - before)
 	}
 	return dst, ssiOps(a, b, len(dst)-before, nil)
 }

@@ -8,11 +8,11 @@ import (
 
 // Allocation guards for the scratch-based kernels, in the style of
 // clampi/zeroalloc_test.go: after warm-up (bitmap sized, stack in place)
-// the steady-state paths — branch-free merge, stamp + probe, the depth-table
-// search once its table is cached, the reference loops behind it, the rank
-// index over the stamp, both uses of a caller's DenseSet, the assembly bodies
-// and the Elements variants into a pre-grown destination — must not touch the
-// heap at all.
+// the steady-state paths — stamp + probe, short pivots included, the
+// depth-table search once its table is cached, the reference loops behind
+// it, the rank index over the stamp, both uses of a caller's DenseSet, the
+// assembly bodies and the Elements variants into a pre-grown destination —
+// must not touch the heap at all.
 
 func stride(n, step int) []graph.V {
 	out := make([]graph.V, n)
@@ -33,7 +33,7 @@ func TestScratchZeroAlloc(t *testing.T) {
 	s := new(Scratch)
 	s.EnsureUniverse(1 << 15)
 
-	small := stride(16, 3)   // below stampMinLen: merge path
+	small := stride(16, 3)   // a short pivot, stamped like any other
 	pivot := stride(1024, 3) // stamped pivot
 	other := stride(1024, 5) // SSI-charged partner
 	keys := stride(64, 37)   // Binary-charged pair
@@ -41,7 +41,7 @@ func TestScratchZeroAlloc(t *testing.T) {
 	dst := make([]graph.V, 0, 2048)
 
 	s.Count(MethodSSI, pivot, other) // warm: stamps the pivot
-	assertZeroAllocs(t, "merge", func() { s.Count(MethodSSI, small, other) })
+	assertZeroAllocs(t, "short pivot", func() { s.Count(MethodSSI, small, other) })
 	assertZeroAllocs(t, "stamped probe", func() { s.Count(MethodSSI, pivot, other) })
 	alt := stride(512, 7)
 	assertZeroAllocs(t, "restamp", func() {
@@ -84,7 +84,7 @@ func TestScratchZeroAlloc(t *testing.T) {
 		s.Count(MethodBinary, tree, keys)  // and back: rank and depth buffers are reused
 	})
 	assertZeroAllocs(t, "elements rank", func() { dst, _ = s.Elements(MethodBinary, tree, keys, dst[:0]) })
-	assertZeroAllocs(t, "elements merge", func() { dst, _ = s.Elements(MethodSSI, small, other, dst[:0]) })
+	assertZeroAllocs(t, "elements short pivot", func() { dst, _ = s.Elements(MethodSSI, small, other, dst[:0]) })
 	assertZeroAllocs(t, "elements stamped", func() { dst, _ = s.Elements(MethodSSI, pivot, other, dst[:0]) })
 	assertZeroAllocs(t, "elements depth", func() { dst, _ = s.Elements(MethodBinary, keys, tree, dst[:0]) })
 	assertZeroAllocs(t, "elements reference", func() { dst, _ = s.Elements(MethodBinary, keys, long, dst[:0]) })
