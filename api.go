@@ -124,19 +124,20 @@ const (
 // defaults the evaluation uses.
 type CostModel = rma.CostModel
 
-// FaultSpec describes a deterministic, seeded fault schedule for the RMA
-// substrate: transient Get/Accumulate failures recovered by retry with
-// capped exponential backoff, per-op latency spikes, rank stall windows,
-// and CLaMPI cache unavailability degraded to direct RMA. Set
-// LCCOptions.Faults to run under it; computed results are bit-identical to
-// the fault-free run — faults cost simulated time, never correctness — and
-// SimTime is reproducible for a given (spec, config) at any worker count.
+// FaultSpec describes a fault schedule for the RMA substrate: a crash-stop
+// of one rank at its n-th remote operation, failing the run fast or
+// recovered by restart and re-execution from the rank's last barrier, and a
+// wedge that parks one rank until the run is canceled. Set
+// LCCOptions.Faults to run under it; a recovered crash leaves computed
+// results bit-identical to the fault-free run — it costs simulated time,
+// never correctness — and SimTime is reproducible for a given (spec,
+// config) at any worker count.
 type FaultSpec = fault.Spec
 
 // ParseFaultSpec parses a command-line fault specification of the form
-// "seed=N,get=P,acc=P,spike=P:NS,stall=N:NS,cache=P" (see
-// fault.ParseSpec for the full grammar; "chaos" selects a ready-made
-// mixed-fault preset). An empty string yields (nil, nil): faults off.
+// "crashrecover=R:OP", "crash=R:OP" or "wedge=R:OP", comma-separated (see
+// fault.ParseSpec for the grammar). An empty string yields (nil, nil):
+// faults off.
 func ParseFaultSpec(s string) (*FaultSpec, error) { return fault.ParseSpec(s) }
 
 // --- LCC / TC engines -------------------------------------------------------

@@ -340,6 +340,8 @@ var handlerRows = []row{
 	{name: "unknown method", path: "/v1/run", body: `{"instance":"fb","method":"hybird"}`, status: 400, reason: "bad-request"},
 	{name: "unknown engine", path: "/v1/run", body: `{"instance":"fb","engine":"bogus"}`, status: 400, reason: "bad-request"},
 	{name: "unknown fault", path: "/v1/run", body: `{"instance":"fb","faults":"gremlins=1"}`, status: 400, reason: "bad-request"},
+	// A crash aimed at a rank the 4-rank instance lacks would never fire.
+	{name: "fault on a missing rank", path: "/v1/run", body: `{"instance":"fb","faults":"crash=9:5"}`, status: 400, reason: "bad-request"},
 	{name: "workers past the limit", path: "/v1/run", body: `{"instance":"fb","workers":1000000000}`, status: 400, reason: "bad-request"},
 	{name: "offsets cache past the limit", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_offsets_bytes":1000000000000}`, status: 400, reason: "bad-request"},
 	{name: "negative workers", path: "/v1/run", body: `{"instance":"fb","workers":-1}`, status: 400, reason: "bad-request"},
@@ -359,6 +361,20 @@ var handlerRows = []row{
 	// Fault specs parse before the instance lookup, so this row reads 400
 	// after the stop.
 	{name: "retired drop fault", path: "/v1/run", body: `{"instance":"fb","faults":"drop=0.1"}`, status: 400, reason: "bad-request"},
+	// Transient failures, spikes, stalls, cache degradation, their seed,
+	// retry policy and preset, and the restart delay are retired too.
+	{name: "retired get fault", path: "/v1/run", body: `{"instance":"fb","faults":"get=0.01"}`, status: 400, reason: "bad-request"},
+	{name: "retired acc fault", path: "/v1/run", body: `{"instance":"fb","faults":"acc=0.01"}`, status: 400, reason: "bad-request"},
+	{name: "retired p fault", path: "/v1/run", body: `{"instance":"fb","faults":"p=0.01"}`, status: 400, reason: "bad-request"},
+	{name: "retired spike fault", path: "/v1/run", body: `{"instance":"fb","faults":"spike=0.01:20000"}`, status: 400, reason: "bad-request"},
+	{name: "retired stall fault", path: "/v1/run", body: `{"instance":"fb","faults":"stall=4096:100000"}`, status: 400, reason: "bad-request"},
+	{name: "retired cache fault", path: "/v1/run", body: `{"instance":"fb","faults":"cache=0.001"}`, status: 400, reason: "bad-request"},
+	{name: "retired chaos preset", path: "/v1/run", body: `{"instance":"fb","faults":"chaos"}`, status: 400, reason: "bad-request"},
+	{name: "retired seed key", path: "/v1/run", body: `{"instance":"fb","faults":"seed=3,crashrecover=0:5"}`, status: 400, reason: "bad-request"},
+	{name: "retired retries key", path: "/v1/run", body: `{"instance":"fb","faults":"retries=4,crashrecover=0:5"}`, status: 400, reason: "bad-request"},
+	{name: "retired timeout key", path: "/v1/run", body: `{"instance":"fb","faults":"timeout=30000,crashrecover=0:5"}`, status: 400, reason: "bad-request"},
+	{name: "retired backoff key", path: "/v1/run", body: `{"instance":"fb","faults":"backoff=1000:8000,crashrecover=0:5"}`, status: 400, reason: "bad-request"},
+	{name: "retired restart key", path: "/v1/run", body: `{"instance":"fb","faults":"crashrecover=0:5,restart=1e6"}`, status: 400, reason: "bad-request"},
 }
 
 func TestDaemonHandlers(t *testing.T) { startDaemon(t).expect(handlerRows) }

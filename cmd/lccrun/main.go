@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) error {
 		noOverlap = fs.Bool("no-overlap", false, "disable double buffering (§III-A)")
 		engine    = fs.String("engine", "pull", `engine: "pull" (Algorithm 3) or "push" (§VI ii dichotomy)`)
 		top       = fs.Int("top", 5, "print the top-K vertices by LCC")
-		faults    = fs.String("faults", "", `deterministic fault schedule, e.g. "seed=1,get=0.01,acc=0.02" or "chaos,seed=3" (empty = off); results are unchanged, only simulated time grows`)
+		faults    = fs.String("faults", "", `fault schedule: "crashrecover=R:OP" (rank R crashes at its OP-th remote op and recovers; results are unchanged, only simulated time grows), "crash=R:OP" (the run fails) or "wedge=R:OP" (the rank hangs); empty = off`)
 		timeout   = fs.Duration("timeout", 0, "cancel the run after this host-time budget (0 = none); a deadlined run prints nothing and exits with code 3")
 	)
 	if err := fs.Parse(args); err != nil {

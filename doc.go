@@ -17,8 +17,8 @@
 //     its metadata is one slab of records addressed by uint32 id under a
 //     hash table, a victim heap and a free-region tree of ids, recycled
 //     across ranks and runs (DESIGN.md §2)
-//   - internal/fault — deterministic, seeded fault schedules injected
-//     into the substrates (DESIGN.md §7)
+//   - internal/fault — the crash-stop and wedge events the RMA substrate
+//     fires at a rank's n-th remote operation (DESIGN.md §7)
 //   - internal/intersect — binary search, SSI, hybrid and hash kernels
 //     (§II-C, §III-C, §V-A), split into a model plane (the reference
 //     Algorithm 1/2 loops whose iteration counts define the simulated
@@ -138,11 +138,12 @@
 // every golden configuration (DESIGN.md §6).
 //
 // A deterministic fault plane rides the same machinery: Options.Faults (or
-// lccrun -faults) installs a seeded schedule of transient RMA failures,
-// latency spikes, stall windows and cache unavailability, recovered by
-// retry with capped exponential backoff and graceful cache degradation to
-// direct RMA.
-// Faults cost simulated time, never correctness: results stay bit-identical
-// to the fault-free run and the faulted SimTime is itself reproducible at
-// any worker count (DESIGN.md §7; TestFaultEquivalence pins it).
+// lccrun -faults "crashrecover=R:OP") crashes rank R at its OP-th remote
+// operation and recovers it by restart and re-execution from its last
+// barrier, charged as simulated time; "crash=R:OP" fails the run fast
+// instead, and "wedge=R:OP" parks the rank until the run is canceled. A
+// recovered crash costs simulated time, never correctness: results stay
+// bit-identical to the fault-free run and the faulted SimTime is itself
+// reproducible at any worker count (DESIGN.md §7; TestFaultEquivalence pins
+// it).
 package repro

@@ -73,12 +73,12 @@ func main() {
 	}
 	fmt.Println("compressed CSR storage: identical results and SimTime ✓")
 
-	// The same run survives injected faults unchanged: a seeded schedule
-	// of transient RMA failures (recovered by retry with backoff —
-	// DESIGN.md §7) costs simulated time but never correctness.
-	// `lccrun -faults "seed=1,get=0.01"` exposes the same knob on the
-	// command line.
-	spec, err := repro.ParseFaultSpec("seed=1,get=0.02")
+	// The same run survives an injected crash unchanged: rank 1 dies at
+	// its 2nd remote read and is recovered by restart and re-execution
+	// from its last barrier (DESIGN.md §7), which costs simulated time but
+	// never correctness. `lccrun -faults "crashrecover=1:2"` exposes the
+	// same knob on the command line.
+	spec, err := repro.ParseFaultSpec("crashrecover=1:2")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func main() {
 	if faulted.Triangles != res.Triangles {
 		log.Fatalf("faults changed the answer: %d vs %d", faulted.Triangles, res.Triangles)
 	}
-	fmt.Printf("under injected faults: same results, SimTime %.2f µs (+%.2f µs of recovery)\n",
+	fmt.Printf("under an injected crash: same results, SimTime %.2f µs (+%.2f µs of recovery)\n",
 		faulted.SimTime/1e3, (faulted.SimTime-res.SimTime)/1e3)
 
 	// The durable serving plane (DESIGN.md §8): a supervisor with a

@@ -1,15 +1,15 @@
 // Fault-plane equivalence tests: the headline invariant of the
 // deterministic fault plane (DESIGN.md §7). Running any golden engine
-// configuration under an injected fault schedule must
+// configuration under a recovered crash must
 //
 //  1. leave every computed result — triangle counts, closed-triplet sums,
-//     LCC checksums — bit-identical to the fault-free run (faults cost
+//     LCC checksums — bit-identical to the fault-free run (a crash costs
 //     simulated time, never correctness),
 //  2. produce a SimTime that is deterministically reproducible for a
-//     given (configuration, fault seed) at ANY worker count, and
-//  3. never finish before the fault-free run: every recovery charge is a
-//     non-negative clock addition, and completion times and barrier maxima
-//     are monotone in their inputs, so this holds by construction.
+//     given (configuration, crash point) at ANY worker count, and
+//  3. never finish before the fault-free run: the restart and redo charges
+//     are non-negative clock additions, and completion times and barrier
+//     maxima are monotone in their inputs, so this holds by construction.
 //
 // The fault-free pins themselves stay untouched: goldenConfigs runs with
 // faults == nil remain the single source of truth for the seed values.
@@ -25,37 +25,25 @@ import (
 	"repro/internal/gen"
 	"repro/internal/grid"
 	"repro/internal/lcc"
+	"repro/internal/rma"
 )
 
 // faultScenarios is the fault-injection table every golden configuration
-// is replayed under. The clock is exact, so the SimTime >= fault-free
-// assertion is a deterministic outcome at any rate, not a statistical one:
-// the rates only choose which recovery paths fire.
+// is replayed under.
 var faultScenarios = []struct {
 	name string
 	spec fault.Spec
 }{
-	// Transient remote-op failures on every class: the retry/backoff/
-	// retransmit loop is the only recovery path exercised.
-	{"retry-storm", fault.Spec{Seed: 101, GetFailPct: 0.02, AccFailPct: 0.02}},
-	// Pure latency faults: spikes and periodic stall windows, no retries.
-	{"spikes-stalls", fault.Spec{Seed: 202, SpikePct: 0.01, SpikeNS: 2e4, StallPeriodOps: 4096, StallNS: 1e5}},
-	// Cache degradation riding on a low failure rate: the degraded
-	// direct-RMA fallback (cached engine) fires.
-	{"cache", fault.Spec{Seed: 303, GetFailPct: 0.005, CacheFailPct: 0.002}},
-	// Everything at once: the chaos preset the CI lane uses.
-	{"chaos", fault.ChaosSpec(7)},
 	// Crash-stop with recovery: rank 2 dies at its 1500th remote op, pays
 	// the restart delay plus a re-execution charge from its last barrier,
 	// and the run completes. Engines with fewer remote ops per rank simply
 	// never arm the crash — the >= invariant still holds with equality.
-	{"crash-recover", fault.Spec{Seed: 404, CrashAtOp: 1500, CrashRank: 2, CrashRecover: true}},
+	{"crash-recover", fault.Spec{CrashAtOp: 1500, CrashRank: 2, CrashRecover: true}},
 }
 
 // TestFaultEquivalence replays the full golden table under every fault
-// scenario and asserts the three invariants above. Worker counts 1 and 4
-// run everywhere; the chaos scenario additionally sweeps 2 and 8 in long
-// mode, mirroring TestGoldenWorkerSweep.
+// scenario and asserts the three invariants above, at worker counts 1 and
+// 4, and 2 and 8 as well in long mode, mirroring TestGoldenWorkerSweep.
 func TestFaultEquivalence(t *testing.T) {
 	g := gen.MustLoad("fb-sim")
 	for _, sc := range faultScenarios {
@@ -63,7 +51,7 @@ func TestFaultEquivalence(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, cfg := range goldenConfigs {
 				workerCounts := []int{1, 4}
-				if sc.name == "chaos" && !testing.Short() {
+				if !testing.Short() {
 					workerCounts = []int{1, 2, 4, 8}
 				}
 				var refSim uint64
@@ -102,7 +90,7 @@ func TestFaultEquivalence(t *testing.T) {
 // rank 0's first.
 func TestCrashFailFastDeterminism(t *testing.T) {
 	g := gen.MustLoad("fb-sim")
-	lateCrash := fault.Spec{Seed: 17, CrashAtOp: 1500, CrashRank: 2}
+	lateCrash := fault.Spec{CrashAtOp: 1500, CrashRank: 2}
 	engines := []struct {
 		name string
 		spec fault.Spec
@@ -116,7 +104,7 @@ func TestCrashFailFastDeterminism(t *testing.T) {
 			_, err := lcc.RunPush(g, opt)
 			return err
 		}},
-		{"grid", fault.Spec{Seed: 17, CrashAtOp: 1, CrashRank: 0}, func(opt lcc.Options) error {
+		{"grid", fault.Spec{CrashAtOp: 1, CrashRank: 0}, func(opt lcc.Options) error {
 			_, err := grid.Run(g, grid.Options{Ranks: 4, Workers: opt.Workers, Faults: opt.Faults})
 			return err
 		}},
@@ -151,20 +139,22 @@ func TestCrashFailFastDeterminism(t *testing.T) {
 	checkGoldenRun(t, "pull/after-crash", pull.run(t, g, 0, nil), pull.want)
 }
 
-// TestFaultChaos is the CI chaos lane: each golden configuration under the
-// chaos preset at its own fixed seeds, one subtest per <config>/seed=<n>.
-// Any result drift or a faulted run undercutting its fault-free pin fails
-// the lane.
+// TestFaultChaos is the CI chaos lane: each golden configuration under a
+// recovered crash at its own fixed points, one subtest per
+// <config>/crashrecover=<rank>:<op>. Op 1 crashes a rank at its first remote
+// operation, before it has issued any. The crash must fire — the crashed
+// rank's ledger books the restart — and any result drift or a crashed run
+// undercutting its fault-free pin fails the lane.
 func TestFaultChaos(t *testing.T) {
 	g := gen.MustLoad("fb-sim")
 	for _, cfg := range goldenConfigs {
-		seeds, ok := chaosSeeds[cfg.name]
+		points, ok := chaosPoints[cfg.name]
 		if !ok {
-			t.Errorf("%s: no chaos seeds", cfg.name)
+			t.Errorf("%s: no crash points", cfg.name)
 		}
-		for _, seed := range seeds {
-			t.Run(fmt.Sprintf("%s/seed=%d", cfg.name, seed), func(t *testing.T) {
-				spec := fault.ChaosSpec(seed)
+		for _, pt := range points {
+			spec := fault.Spec{CrashRank: pt[0], CrashAtOp: pt[1], CrashRecover: true}
+			t.Run(fmt.Sprintf("%s/%v", cfg.name, spec), func(t *testing.T) {
 				got := cfg.run(t, g, 0, &spec)
 				want := cfg.want
 				want.simBits = got.simBits
@@ -173,57 +163,70 @@ func TestFaultChaos(t *testing.T) {
 					t.Errorf("%s: faulted SimTime %v below fault-free %v",
 						cfg.name, math.Float64frombits(got.simBits), ff)
 				}
+				if l := goldenPerRank[spec.CrashRank].Ledger; l[rma.ChargeCrashRestart] == 0 {
+					t.Errorf("%s: rank %d booked no restart: the crash never fired", cfg.name, spec.CrashRank)
+				}
 			})
 		}
 	}
 }
 
-// chaosSeeds are TestFaultChaos's seeds per golden configuration, named so
-// that adding or deleting a golden row moves no other row's seeds.
-var chaosSeeds = map[string][]uint64{
-	"pull":    {0, 5},
-	"cached":  {1, 6},
-	"push":    {2, 7},
-	"jaccard": {3},
-	"grid":    {4},
+// chaosPoints are TestFaultChaos's (rank, op) crash points per golden
+// configuration, named so that adding or deleting a golden row moves no
+// other row's points.
+var chaosPoints = map[string][][2]int{
+	"pull":    {{0, 1}, {3, 2500}},
+	"cached":  {{1, 1}, {2, 700}},
+	"push":    {{2, 1}, {1, 3000}},
+	"jaccard": {{3, 900}},
+	"grid":    {{0, 1}},
 }
 
-// FuzzFaultSchedule throws arbitrary fault schedules at the pull
-// configuration: whatever the rates, results never change and SimTime is
-// reproducible across two replays. Inputs are folded into valid ranges
-// rather than rejected so every fuzz execution exercises the plane.
+// FuzzFaultSchedule throws arbitrary crash points at the pull
+// configuration. A recovered crash never changes results, never finishes
+// before the fault-free run, and replays to the same SimTime bits at
+// another worker count; a fail-fast one is the *fault.CrashError naming its
+// rank and op, or — when the rank never reaches that op — the clean golden
+// run. Inputs are folded into valid ranges rather than rejected so every
+// fuzz execution exercises the plane.
 func FuzzFaultSchedule(f *testing.F) {
-	f.Add(uint64(1), 0.01, 0.0, 0.0, uint64(0))
-	f.Add(uint64(2), 0.0, 0.05, 2e4, uint64(4096))
-	f.Add(uint64(3), 0.1, 0.02, 1e5, uint64(100))
-	f.Add(uint64(99), 0.3, 0.3, 5e4, uint64(1))
+	f.Add(uint8(0), uint32(0), true)
+	f.Add(uint8(2), uint32(4095), true)
+	f.Add(uint8(3), uint32(99), false)
+	f.Add(uint8(1), uint32(60000), false)
 	g := gen.MustLoad("fb-sim")
 	pull := goldenConfigs[0]
-	fold := func(p float64) float64 {
-		if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
-			return 0
-		}
-		return math.Mod(p, 0.35)
-	}
-	f.Fuzz(func(t *testing.T, seed uint64, failPct, spikePct, spikeNS float64, stallOps uint64) {
-		if math.IsNaN(spikeNS) || math.IsInf(spikeNS, 0) || spikeNS < 0 {
-			spikeNS = 0
-		}
-		spec := fault.Spec{
-			Seed:           seed,
-			GetFailPct:     fold(failPct),
-			SpikePct:       fold(spikePct),
-			SpikeNS:        math.Mod(spikeNS, 1e6),
-			StallPeriodOps: int(stallOps % 65536),
-			StallNS:        5e4,
+	ff := math.Float64frombits(pull.want.simBits)
+	f.Fuzz(func(t *testing.T, rank uint8, op uint32, recover bool) {
+		spec := fault.Spec{CrashRank: int(rank % 4), CrashAtOp: 1 + int(op%(1<<16)), CrashRecover: recover}
+		if !recover {
+			opt := goldenBase()
+			opt.Workers, opt.Faults = 1, &spec
+			res, err := lcc.Run(g, opt)
+			var ce *fault.CrashError
+			switch {
+			case errors.As(err, &ce):
+				if ce.Rank != spec.CrashRank || ce.Op != spec.CrashAtOp {
+					t.Errorf("%v: crash at rank %d op %d", spec, ce.Rank, ce.Op)
+				}
+			case err != nil:
+				t.Fatalf("%v: %v, want a *fault.CrashError or none", spec, err)
+			default:
+				got := goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
+				checkGoldenRun(t, "pull/fuzz/unreached", got, pull.want)
+			}
+			return
 		}
 		got := pull.run(t, g, 1, &spec)
 		want := pull.want
 		want.simBits = got.simBits
 		checkGoldenRun(t, "pull/fuzz", got, want)
+		if math.Float64frombits(got.simBits) < ff {
+			t.Errorf("%v: recovered SimTime %v below fault-free %v", spec, math.Float64frombits(got.simBits), ff)
+		}
 		if replay := pull.run(t, g, 2, &spec); replay.simBits != got.simBits {
 			t.Errorf("SimTime not reproducible: %#x vs %#x on replay (spec %v)",
-				got.simBits, replay.simBits, spec.String())
+				got.simBits, replay.simBits, spec)
 		}
 	})
 }

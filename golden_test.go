@@ -104,8 +104,7 @@ var goldenConfigs = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Cache faults flush entries and force direct fetches, so the
-			// hit/miss pin only holds on the fault-free runs.
+			// The hit/miss pin is asserted on the fault-free runs.
 			if h, m := res.PerRank[0].AdjCache.Hits, res.PerRank[0].AdjCache.Misses; faults == nil && (h != 3592 || m != 27335) {
 				t.Errorf("cached: rank-0 C_adj hits/misses = %d/%d, want 3592/27335", h, m)
 			}

@@ -16,7 +16,7 @@
 // record is an extent of the memory buffer and, while allocated, the entry
 // cached in it — plus three arrays of ids and words over it: the hash
 // table's lanes and slots, the victim heap with its position index, and the
-// compulsory-miss set. It is allocation-free at steady state, a flush
+// compulsory-miss set. It is allocation-free at steady state, emptying
 // rewinds it in place, and Reset hands the whole instance to another rank
 // (DESIGN.md §2).
 package clampi

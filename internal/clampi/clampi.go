@@ -66,11 +66,9 @@ type Stats struct {
 	CapacityEvictions  int64
 	Inserts            int64
 	RejectedInserts    int64
-	Flushes            int64
 	BytesCached        int64   // current buffer occupancy
 	EntriesCached      int64   // current entry count
 	FragmentationRatio float64 // 1 - largestFree/freeBytes at snapshot time
-	DegradedOps        int64   // accesses served degraded: cache fault, direct-RMA fallback
 }
 
 // Cache is one CLaMPI instance: it transparently caches the gets a single
@@ -84,7 +82,7 @@ type Stats struct {
 // compressed, decoded again). The memory buffer, eviction and fragmentation
 // behaviour are simulated exactly as if the bytes were resident.
 //
-// Steady-state operation — hit, miss, insert, evict, flush — performs
+// Steady-state operation — hit, miss, insert, evict, Reset — performs
 // no heap allocations: entries and buffer extents are records of one slab
 // (see record), AVL nodes recycle through a pool, requests come from a free
 // list (see Request), and the victim heap and hash table reuse their backing
@@ -428,17 +426,14 @@ func (c *Cache) GetScored(target, offset, size int, score float64) *Request {
 	return q
 }
 
-// Verdict is what the cache made of one access: a hit or a miss (Decide),
-// or Degraded, the access the rank's fault schedule found the cache
-// unavailable for (rma.Rank.CacheFault; Degrade). It is all the rank's
-// charges for the access depend on.
+// Verdict is what the cache made of one access: a hit or a miss (Decide).
+// It is all the rank's charges for the access depend on.
 type Verdict uint8
 
 const (
 	Undecided Verdict = iota // no access decided
 	Hit                      // ChargeCacheHit; the data is a window view
 	Miss                     // miss overhead, direct get, its wait, ChargeCacheManage
-	Degraded                 // a direct get, the cache untouched
 )
 
 // Decide makes the cache transitions of a get of k's coordinate in another
@@ -449,7 +444,7 @@ const (
 // it from its own walk (lcc keeps a first-touch bit per list), and the
 // request shell, whose callers read hits and misses only, says false. No
 // transition reads the rank's clock, so a caller may decide accesses ahead
-// of their charges, in their order, with its fault draws in theirs.
+// of their charges, in their order.
 func (c *Cache) Decide(k Key, score float64, first bool) Verdict {
 	c.enter()
 	v := Hit
@@ -534,7 +529,7 @@ func (c *Cache) insert(k Key, size int, score float64) {
 // evict removes entry id from the table and frees its extent, record
 // included. A capacity victim was already popped off the heap; a conflict
 // victim leaves a tombstone there (preserving the seed's lazy shape — see
-// the victimHeap determinism contract) that a later pop or flush collects.
+// the victimHeap determinism contract) that a later pop or Reset collects.
 // The tombstone names no record, so the extent — alone or coalesced — can
 // host a newcomer at once.
 func (c *Cache) evict(id uint32, conflict bool) {
@@ -547,34 +542,15 @@ func (c *Cache) evict(id uint32, conflict bool) {
 	c.alloc.free(id)
 }
 
-// Flush empties the cache; a degraded access (Degrade) takes it. All
-// structures are cleared in place: the heap is truncated, the slab rewinds to
-// the one record of a pristine free region, and the table keeps its arrays.
-func (c *Cache) Flush() {
-	c.empty()
-	c.stats.Flushes++
-}
-
-// empty is Flush without the count: Reset uses it under a new configuration.
-// Nothing is walked but the table's words: positions are written on push, so
-// they need no clearing.
+// empty clears every structure in place, as Reset needs under a new
+// configuration: the heap is truncated, the slab rewinds to the one record
+// of a pristine free region, and the table keeps its arrays. Nothing is
+// walked but the table's words: positions are written on push, so they need
+// no clearing.
 func (c *Cache) empty() {
 	c.victims.h = c.victims.h[:0]
 	c.tab.clearFor(c.cfg.Buckets, c.cfg.Assoc)
 	c.alloc.reset(c.cfg.Capacity)
-}
-
-// Degrade takes an injected CLaMPI fault (fault.Spec CacheFailPct, which the
-// caller draws with rma.Rank.CacheFault): the entries are flushed — their
-// state is presumed lost with the failed cache process — and the degraded
-// access is counted; the caller serves it with a direct get (the degradation
-// ladder, DESIGN.md §7), the same immutable window bytes at a higher
-// simulated cost.
-func (c *Cache) Degrade() {
-	c.enter()
-	c.stats.DegradedOps++
-	c.Flush()
-	c.leave()
 }
 
 // checkInvariants validates cross-structure consistency (tests only).

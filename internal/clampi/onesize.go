@@ -23,7 +23,7 @@ const pairBytes = 16
 // decision the n entries tile [0, 16n) and the one free region is the tail
 // of r = capacity − 16n bytes. The only positional credit is therefore the
 // top entry's — the one at the highest offset — of 64·r/17; no entry's
-// credit ever grows (n never shrinks short of a flush), so no key in the
+// credit ever grows (n never shrinks short of a Reset), so no key in the
 // Cache's lazy heap exceeds its entry's current priority; and at a capacity
 // eviction (r < 16) priorities are distinct, since ticks are unique and
 // 64·r/17 is not an integer for 0 < r < 16. The heap's settled root is the
@@ -194,23 +194,9 @@ func (m *OneSize) append(id uint32) {
 	m.ents[last].next, m.ents[0].prev = id, id
 }
 
-// Flush empties the model, as Cache.Flush empties a cache.
-func (m *OneSize) Flush() {
-	m.empty(m.tab.buckets, m.tab.assoc)
-	m.stats.Flushes++
-}
-
 // empty clears the table for the geometry and leaves the sentinel alone on
 // the LRU list.
 func (m *OneSize) empty(buckets, assoc int) {
 	m.tab.clearFor(buckets, assoc)
 	m.ents = append(m.ents[:0], oneEntry{})
-}
-
-// Degrade is Cache.Degrade: a flush and a degraded access.
-func (m *OneSize) Degrade() {
-	m.enter()
-	m.stats.DegradedOps++
-	m.Flush()
-	m.leave()
 }

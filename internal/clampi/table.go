@@ -44,7 +44,7 @@ func newTable(buckets, assoc int) *table {
 
 // clearFor empties the table for the given geometry, reusing the backing
 // arrays when they are large enough and not more than four times too large:
-// always on the steady-state flush (unchanged geometry) and when a recycled
+// always on a Reset to an unchanged geometry and when a recycled
 // cache returns to a geometry near one it has held before; a table sized by
 // a much larger configuration goes back to the collector.
 func (t *table) clearFor(buckets, assoc int) {

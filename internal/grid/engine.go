@@ -23,7 +23,7 @@ type Options struct {
 	// lcc.Options): it observes every folded charge in canonical order.
 	ChargeObserver rma.ChargeObserver
 
-	// Faults installs a deterministic fault schedule (see lcc.Options).
+	// Faults installs a fault schedule (see lcc.Options).
 	Faults *fault.Spec
 }
 
@@ -55,7 +55,8 @@ type Result struct {
 // other between setup and finish — the 2D engine keeps the paper's
 // fully-asynchronous discipline, only the distribution changes.
 // A fail-fast crash-stop (Options.Faults) returns its *fault.CrashError,
-// a rank-body panic a *sched.PanicError naming the rank.
+// a rank-body panic a *sched.PanicError naming the rank; a fault aimed at a
+// rank the grid does not have is an error before anything runs.
 func Run(g graph.Store, opt Options) (*Result, error) {
 	if g.Kind() != graph.Undirected {
 		return nil, fmt.Errorf("grid: 2D engine requires an undirected graph, got %v", g.Kind())
@@ -67,6 +68,9 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 		return nil, err
 	}
 	q := gr.Side()
+	if err := opt.Faults.Check(opt.Ranks); err != nil {
+		return nil, err
+	}
 
 	// Cut all q² blocks and expose each rank's own block in one window.
 	blocks := make([]*Block, opt.Ranks)

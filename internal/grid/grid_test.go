@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/intersect"
@@ -200,6 +201,11 @@ func TestRun2DRejectsBadInputs(t *testing.T) {
 	ug, _ := graph.Build(graph.Undirected, 4, []graph.Edge{{Src: 0, Dst: 1}})
 	if _, err := Run(ug, Options{Ranks: 8}); err == nil {
 		t.Fatal("accepted non-square rank count")
+	}
+	for _, spec := range []fault.Spec{{CrashAtOp: 1, CrashRank: 4}, {WedgeAtOp: 1, WedgeRank: 9}} {
+		if _, err := Run(ug, Options{Ranks: 4, Faults: &spec}); err == nil {
+			t.Fatalf("accepted %v on a 4-rank grid", spec)
+		}
 	}
 }
 

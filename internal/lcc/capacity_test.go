@@ -33,10 +33,10 @@ func sameBits(a, b rma.Ledger) bool {
 // TestZeroCachesAreUncached: a cache of 0 bytes is no cache, so a run with
 // Caching on and both capacities 0 is the uncached run bit for bit — SimTime,
 // the comm critical path and every rank's ledger — with no cache activity,
-// clean and under a fault schedule that degrades caches.
+// clean and under a recovered crash.
 func TestZeroCachesAreUncached(t *testing.T) {
 	g := gen.MustLoad("fb-sim")
-	for _, faults := range []*fault.Spec{nil, {Seed: 303, CacheFailPct: 0.01, GetFailPct: 0.01}} {
+	for _, faults := range []*fault.Spec{nil, {CrashAtOp: 1500, CrashRank: 2, CrashRecover: true}} {
 		base := capacityOpts(0, 0)
 		base.Caching, base.Faults = false, faults
 		want, err := Run(g, base)
@@ -112,6 +112,31 @@ func TestNegativeCapacityRejected(t *testing.T) {
 		if _, err := Run(g, opt); err == nil || reads.Load() != 0 {
 			t.Errorf("capacities %d / %d: error %v after %d remote reads, want an error before any",
 				opt.OffsetsCacheBytes, opt.AdjCacheBytes, err, reads.Load())
+		}
+	}
+}
+
+// TestFaultOffWorldRejected: a crash or wedge aimed at a rank the run does
+// not have would never fire, so every engine refuses it before any rank
+// starts, as it refuses a negative capacity.
+func TestFaultOffWorldRejected(t *testing.T) {
+	g := gen.MustLoad("fb-sim")
+	engines := map[string]func(Options) error{
+		"pull":    func(o Options) error { _, err := Run(g, o); return err },
+		"push":    func(o Options) error { _, err := RunPush(g, o); return err },
+		"jaccard": func(o Options) error { _, err := RunJaccard(g, o); return err },
+	}
+	for _, s := range []string{"crash=9:5", "crashrecover=4:5", "wedge=7:1"} {
+		spec, err := fault.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, run := range engines {
+			var reads atomic.Int64
+			opt := Options{Ranks: 4, Faults: spec, OnRemoteRead: func(int, graph.V) { reads.Add(1) }}
+			if err := run(opt); err == nil || reads.Load() != 0 {
+				t.Errorf("%s, %s on 4 ranks: error %v after %d remote reads, want an error before any", name, s, err, reads.Load())
+			}
 		}
 	}
 }

@@ -64,12 +64,11 @@ type Options struct {
 	// it (DESIGN.md §6). Observers run on rank goroutines.
 	ChargeObserver rma.ChargeObserver
 
-	// Faults installs a deterministic fault schedule on the world
-	// (internal/fault): seeded transient RMA failures, latency spikes,
-	// stall windows and CLaMPI unavailability, recovered by the
-	// substrate's retry/backoff machinery and the engine's cache
-	// degradation ladder. Results are bit-identical to the fault-free
-	// run — faults cost simulated time, never correctness. nil = off.
+	// Faults installs a fault schedule on the world (internal/fault): a
+	// crash-stop, failing the run fast or recovered at a simulated cost
+	// with results bit-identical to the fault-free run, and a wedge that
+	// only a cancel ends. An event aimed at a rank the run does not have
+	// is an error. nil = off.
 	Faults *fault.Spec
 
 	// Progress, when set, receives out-of-band run-progress ticks
@@ -615,9 +614,9 @@ func (w *worker) popEdge() (pipeEdge, bool) {
 // keys, preloads what their lookups read first (clampi.Cache.Preload) so
 // those misses overlap, then decides each access and leaves the verdicts in
 // the edges. No transition reads the clock (DESIGN.md §6): each cache's
-// operation order and the rank's fault-draw order are the walk's. An edge
-// the pass cannot key — its record or list outside the owner's regions — ends
-// the pass; the walk decides the rest itself, faulting where it always did.
+// operation order is the walk's. An edge the pass cannot key — its record or
+// list outside the owner's regions — ends the pass; the walk decides the rest
+// itself, failing where it always did.
 // A resident cache takes neither keys nor preloads: its verdicts come from
 // its first-touch map.
 func (w *worker) decide(batch []pipeEdge) {
@@ -671,20 +670,13 @@ func (w *worker) decide(batch []pipeEdge) {
 
 // decideOff decides the C_offsets access of vertex vj, local index li of
 // owner. A resident cache (no cOff) is decided by its Resident, from vj's
-// first-touch and crowded bits. Otherwise it draws the rank's CacheFault —
-// a fault degrades the cache — and decides under k, or, for an access the
-// pass left undecided (k nil), under KeyOf's key, which panics on a
-// coordinate outside the window geometry as the get always did, and as the
-// Resident does. The first-touch bit is set only by an access that reaches
-// the cache, so a degraded access leaves the next one compulsory. Only a
-// rank with the cache (offOn) calls it.
+// first-touch and crowded bits. Otherwise the access is decided under k, or,
+// for an access the pass left undecided (k nil), under KeyOf's key, which
+// panics on a coordinate outside the window geometry as the get always did,
+// and as the Resident does. Only a rank with the cache (offOn) calls it.
 func (w *worker) decideOff(k *clampi.Key, vj graph.V, owner, li int) clampi.Verdict {
 	if w.cOff == nil {
 		return w.offRes.Decide(owner, 16*li, 16, math.NaN(), firstTouch(w.touch.off, vj), isSet(w.touch.offCrowd, vj))
-	}
-	if w.r.CacheFault() {
-		w.cOff.Degrade()
-		return clampi.Degraded
 	}
 	if k == nil {
 		key := w.cOff.KeyOf(owner, 16*li, 16)
@@ -711,10 +703,6 @@ func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end u
 	if w.cAdj == nil {
 		return w.adjRes.Decide(slot, off, size, score, firstTouch(w.touch.adj, vj), isSet(w.touch.adjCrowd, vj))
 	}
-	if w.r.CacheFault() {
-		w.cAdj.Degrade()
-		return clampi.Degraded
-	}
 	if k == nil {
 		key := w.cAdj.KeyOf(slot, off, size)
 		k = &key
@@ -725,9 +713,9 @@ func (w *worker) decideAdj(k *clampi.Key, vj graph.V, slot, li int, start, end u
 // newWorker builds rank r's execution state over snapshot s: r holds the
 // partition of slot r. A rank with a cache takes its maps and Residents from
 // the snapshot's pool; a cache the snapshot finds resident for the rank
-// (residentCaches; never under cache faults) is decided by its Resident,
-// with its crowded vertices marked, and the others are CLaMPI instances —
-// C_offsets its one-size model — from the pool, recycled or constructed.
+// (residentCaches) is decided by its Resident, with its crowded vertices
+// marked, and the others are CLaMPI instances — C_offsets its one-size
+// model — from the pool, recycled or constructed.
 func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *worker {
 	slot := r.ID()
 	w := &worker{r: r, kind: s.kind, pt: s.pt, lc: s.locals[slot], wOff: wOff, wAdj: wAdj, opt: opt,
@@ -751,10 +739,7 @@ func newWorker(r *rma.Rank, s *Snapshot, wOff, wAdj *rma.Window, opt Options) *w
 	if w.adjOn {
 		w.adjRes = w.touch.adjRes.Reset(adjCfg, wAdj, r.NumRanks())
 	}
-	in := &rankAnswer{}
-	if opt.Faults == nil || opt.Faults.CacheFailPct <= 0 {
-		in = s.residentCaches(w, offCfg, adjCfg)
-	}
+	in := s.residentCaches(w, offCfg, adjCfg)
 	setBits(w.touch.offCrowd, in.offCrowd)
 	setBits(w.touch.adjCrowd, in.adjCrowd)
 	if w.offOn && !in.off {
@@ -782,9 +767,9 @@ type fetch struct {
 
 	// offV/adjV are the two accesses' verdicts (decide; Undecided without
 	// caches), which the stages charge: a hit reads the window's own view
-	// (pair, for the offsets), a miss or a degraded access the direct get
-	// offQ/adjQ, one caller-owned request per get. vj and li name the
-	// fetched vertex for an access the stages decide themselves.
+	// (pair, for the offsets), a miss the direct get offQ/adjQ, one
+	// caller-owned request per get. vj and li name the fetched vertex for an
+	// access the stages decide themselves.
 	offV, adjV clampi.Verdict
 	vj         graph.V
 	li         int
@@ -830,9 +815,8 @@ func (w *worker) start(f *fetch, e pipeEdge) {
 	if f.offV == clampi.Undecided && w.offOn {
 		f.offV = w.decideOff(nil, vj, f.owner, li)
 	}
-	// A miss charges CLaMPI's overhead ahead of the get it issues; no cache,
-	// or one the fault schedule degraded for this access, leaves the direct
-	// get to serve the same window bytes uncached.
+	// A miss charges CLaMPI's overhead ahead of the get it issues; no cache
+	// leaves the direct get to serve the same window bytes uncached.
 	switch f.offV {
 	case clampi.Hit:
 		w.r.ChargeCacheHit(16)

@@ -82,7 +82,7 @@ func runDigested(t *testing.T, s *Snapshot, opt Options) (*Result, []uint64) {
 
 // diffRuns requires two runs to agree in everything the model produces:
 // SimTime and LCC to the float bit, triangles, the full per-rank statistics
-// (RMA counters and both caches' clampi.Stats, Flushes included) and, when
+// (RMA counters and both caches' clampi.Stats) and, when
 // given, the charge digests.
 func diffRuns(t *testing.T, name string, got, want *Result, gotSum, wantSum []uint64) {
 	t.Helper()
@@ -128,9 +128,9 @@ func TestRecycledCachesMatchFresh(t *testing.T) {
 		{"resident", func(w int) Options { return cachedOpts(w, 16<<10, 256<<10, ScoreDegree) }},
 		{"offsets-resident", func(w int) Options { return cachedOpts(w, 16<<10, small, ScoreLRU) }},
 		{"lru-small-again", func(w int) Options { return cachedOpts(w, small/8, small, ScoreLRU) }},
-		{"cache-faults", func(w int) Options {
+		{"crash-recover", func(w int) Options {
 			o := cachedOpts(w, small/8, small, ScoreDegree)
-			o.Faults = &fault.Spec{Seed: 303, CacheFailPct: 0.01}
+			o.Faults = &fault.Spec{CrashAtOp: 40, CrashRank: 1, CrashRecover: true}
 			return o
 		}},
 		{"lru-large", func(w int) Options { return cachedOpts(w, large/8, large, ScoreLRU) }},
@@ -158,8 +158,8 @@ func TestRecycledCachesMatchFresh(t *testing.T) {
 						t.Errorf("%s: a pooled cache is still bound to a rank or window", name)
 					}
 				}
-				if q.name == "cache-faults" && got.PerRank[0].AdjCache.Flushes+got.PerRank[0].OffsetsCache.Flushes == 0 {
-					t.Errorf("%s: no fault flush on rank 0; the query must exercise the degraded path", name)
+				if q.name == "crash-recover" && got.PerRank[1].Ledger[rma.ChargeCrashRestart] == 0 {
+					t.Errorf("%s: rank 1 never crashed; the query must exercise the recovery", name)
 				}
 			}
 			for _, n := range []int{len(shared.caches.off), len(shared.caches.adj)} {
@@ -204,7 +204,7 @@ func TestUnwoundRankCachesNeverRecycle(t *testing.T) {
 				}
 			}
 			if wedge {
-				o.Faults = &fault.Spec{Seed: 11, WedgeRank: 0, WedgeAtOp: 40}
+				o.Faults = &fault.Spec{WedgeRank: 0, WedgeAtOp: 40}
 			}
 			_, err := s.RunCtx(ctx, o)
 			cancel()

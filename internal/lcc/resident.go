@@ -22,9 +22,6 @@ import (
 // resident, and which vertices are crowded, depends on the snapshot and the
 // two configurations only, so a snapshot checks each rank once per pair of
 // configurations (worker.checkResident) and keeps the answers (residency).
-// A run with cache faults never uses them: a fault flushes the cache, so a
-// later access to a list it held misses again, where first touch would say
-// hit.
 
 // residency is a snapshot's kept answers: those of the last configurations
 // a run asked for, replaced when a run asks for others.

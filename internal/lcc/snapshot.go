@@ -290,8 +290,8 @@ func (s *Snapshot) windows(comm *rma.Comm) (wOff, wAdj *rma.Window) {
 // snapshot itself is untouched: it holds no model-visible per-run state (the
 // caches of a rank that unwound never return to the free list), so the
 // caller can simply run again. An AdjScorePolicy outside ScoreLRU and
-// ScoreDegree, or a negative cache capacity, is an error before anything
-// starts.
+// ScoreDegree, a negative cache capacity, or a fault aimed at a rank the
+// snapshot does not have is an error before anything starts.
 func (s *Snapshot) launch(ctx context.Context, opt Options, lccOut []float64,
 	prepare func(*rma.Comm), body func(*worker) int64) (*Result, error) {
 	if opt.AdjScorePolicy > ScoreDegree {
@@ -300,6 +300,9 @@ func (s *Snapshot) launch(ctx context.Context, opt Options, lccOut []float64,
 	if opt.OffsetsCacheBytes < 0 || opt.AdjCacheBytes < 0 {
 		return nil, fmt.Errorf("lcc: cache capacities %d and %d bytes: neither may be negative",
 			opt.OffsetsCacheBytes, opt.AdjCacheBytes)
+	}
+	if err := opt.Faults.Check(s.ranks); err != nil {
+		return nil, err
 	}
 	opt = s.options(opt)
 	comm := rma.NewCommWorkers(s.ranks, opt.Model, opt.Workers)

@@ -106,13 +106,6 @@ func TestStageAheadIsHarmless(t *testing.T) {
 		{"cyclic/compressed/pull", SnapshotOptions{Ranks: 8, Scheme: part.Cyclic, Storage: StorageCompressed}, pull, run, 0x523cce2be46e2bc1},
 		{"block/single-buffer", SnapshotOptions{Ranks: 8, Scheme: part.Block},
 			func() Options { o := cached(pull, ScoreLRU); o.DoubleBuffer = false; return o }(), run, 0x1d8d72db544eb512},
-		// Cache faults flush both caches mid-run, under the lanes the stage reads.
-		{"block/cache-faults", SnapshotOptions{Ranks: 8, Scheme: part.Block},
-			func() Options {
-				o := cached(pull, ScoreDegree)
-				o.Faults = &fault.Spec{Seed: 303, CacheFailPct: 0.01}
-				return o
-			}(), run, 0x7ba743a463fd7ca9},
 		// The push engine stages through its edge filter.
 		{"push", SnapshotOptions{Ranks: 8, Scheme: part.Block}, cached(pull, ScoreLRU),
 			func(s *Snapshot, o Options) (*Result, error) { return s.runPushCtx(ctx, o) }, 0xb708de0f133853eb},
@@ -173,11 +166,12 @@ func checkStageIndex(t *testing.T, s *Snapshot, what string) {
 
 // TestDamagedSnapshotFailsAtTheAccess damages one vertex's offsets record or
 // resolve word every way the decision pass refuses to key (decide), and
-// requires the cached run to fail with the error that access's get has
-// always raised: through the cache, and with every access degraded to the
-// direct get (CacheFailPct 1). Those messages were recorded, for the same
-// damage, at the commit before the pass existed and at the last commit whose
-// offsets window served a copy of the offsets. Under one worker the ranks
+// requires the run to fail with the error that access's get has always
+// raised: through the cache, and uncached, every access a direct get. Those
+// messages were recorded, for the same damage, at the commit before the pass
+// existed and at the last commit whose offsets window served a copy of the
+// offsets — the uncached ones with every access degraded to the direct get
+// by a cache fault, which the fault plane no longer has. Under one worker the ranks
 // start in index order, so the run fails on the first rank that meets the
 // damage — rank 0, a reader of the damaged list, never its owner — with the
 // same message on every repeat. The caches are sized so that the layout's
@@ -190,7 +184,7 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
 		damage           func(s *Snapshot, slot, li int)
-		cached, degraded string
+		cached, uncached string
 	}{
 		// Raising a list's end raises the next list's start, so the damaged
 		// list is the slot's last.
@@ -214,7 +208,7 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 			"runtime error: index out of range [9] with length 8"},
 	} {
 		for _, kept := range []bool{false, true} {
-			for _, degraded := range []bool{false, true} {
+			for _, uncached := range []bool{false, true} {
 				for repeat := 0; repeat < 3; repeat++ {
 					s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 8, Scheme: part.Block})
 					if err != nil {
@@ -232,12 +226,12 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 					}
 					slot, li := unpackResolve(s.resolve[v])
 					tc.damage(s, slot, li)
-					if degraded {
-						opt.Faults, want = &fault.Spec{Seed: 9, CacheFailPct: 1}, tc.degraded
+					if uncached {
+						opt.Caching, want = false, tc.uncached
 					}
 					_, err = s.RunCtx(context.Background(), opt)
 					if want = "sched: rank 0 panicked: " + want; err == nil || err.Error() != want {
-						t.Errorf("%s, answers kept %v, degraded %v, repeat %d: error %v, want %q", tc.name, kept, degraded, repeat, err, want)
+						t.Errorf("%s, answers kept %v, uncached %v, repeat %d: error %v, want %q", tc.name, kept, uncached, repeat, err, want)
 					}
 				}
 			}
@@ -246,17 +240,20 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 }
 
 // TestDecisionPassMatchesRecorded runs both C_adj score policies through
-// every engine forEachEdge serves, single- and double-buffered,
-// fault-free and under cache and get faults, over two layouts, and holds a
-// digest of each run's fingerprint and per-rank cache statistics to the one
-// recorded at the commit before the decision pass existed.
+// every engine forEachEdge serves, single- and double-buffered, fault-free
+// and under a recovered crash, over two layouts, and holds a digest of each
+// run's fingerprint and per-rank cache statistics to the recorded one.
 //
 // The resident rows do the same at three cache sizes where the residency
-// law admits ranks — both caches, only C_adj, only C_offsets — with a run
-// under get faults alone added, every statistic in the digest, and digests
-// recorded at the commit before resident caches existed. Each must run a
-// resident rank, and no run with cache faults may: such a run never asks
-// for the answers that make a cache resident.
+// law admits ranks — both caches, only C_adj, only C_offsets — with every
+// statistic in the digest. Each must run a resident rank, the crashed runs
+// included.
+//
+// The digests were recorded at the commit before the decision pass existed
+// (the resident rows: before resident caches existed), with runs under cache
+// and get faults where the crashed runs are now. When those fault classes
+// were deleted, every digest was re-recorded at the last commit that had
+// them, on the fault-free and crashed runs alone.
 //
 // Every digest over an undirected graph folds push runs, which ran the
 // zero-value direct accumulates until those were deleted; those digests
@@ -268,26 +265,14 @@ func TestDamagedSnapshotFailsAtTheAccess(t *testing.T) {
 // commit that had it.
 func TestDecisionPassMatchesRecorded(t *testing.T) {
 	g := stageGraph()
-	cacheFaults := &fault.Spec{Seed: 7, CacheFailPct: 0.02, GetFailPct: 0.01}
-	s, err := NewSnapshotOpts(g, SnapshotOptions{Ranks: 8, Scheme: part.Block})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := cachedOpts(2, 16<<10, 256<<10, ScoreDegree)
-	opt.Faults = cacheFaults
-	if _, err := s.RunCtx(context.Background(), opt); err != nil {
-		t.Fatal(err)
-	}
-	if s.residency.set != nil {
-		t.Error("a run with cache faults asked for residency answers")
-	}
+	faults := []*fault.Spec{nil, {CrashAtOp: 50, CrashRank: 1, CrashRecover: true}}
 	for _, tc := range []struct {
 		policy ScorePolicy
 		want   uint64
 	}{
-		{ScoreLRU, 0x6863bc61066bf962}, {ScoreDegree, 0xdc04d31666a9cafc},
+		{ScoreLRU, 0x28d23941fbbe136a}, {ScoreDegree, 0x9a4aba59fb886e33},
 	} {
-		h, _ := decisionDigest(t, g, cachedOpts(2, 1<<9, 1<<12, tc.policy), []*fault.Spec{nil, cacheFaults}, false)
+		h, _ := decisionDigest(t, g, cachedOpts(2, 1<<9, 1<<12, tc.policy), faults, false)
 		if h != tc.want {
 			t.Errorf("%v: digest %#x, recorded %#x", tc.policy, h, tc.want)
 		}
@@ -296,13 +281,13 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		off, adj int
 		want     [2]uint64 // per policy, in ScorePolicy order
 	}{
-		{16 << 10, 256 << 10, [2]uint64{0x86954c7b211ed0d1, 0xfc92bb2c683dffc4}},
-		{512, 256 << 10, [2]uint64{0x28046a7ab4dc9bab, 0x4a77c3fcf58effbd}},
-		{16 << 10, 4 << 10, [2]uint64{0x2a22ceeba7120da2, 0xf858a8c5cfd62717}},
+		{16 << 10, 256 << 10, [2]uint64{0x84cca3a229f3416f, 0xcc90ef56ea6d00f3}},
+		{512, 256 << 10, [2]uint64{0x212b1039949a6f9d, 0x7be443f53968c1d}},
+		{16 << 10, 4 << 10, [2]uint64{0xb25b34c1d40e1c27, 0xa883c5a820196cc0}},
 	} {
 		for policy, want := range tc.want {
 			opt := cachedOpts(2, tc.off, tc.adj, ScorePolicy(policy))
-			h, resident := decisionDigest(t, g, opt, []*fault.Spec{nil, cacheFaults, {Seed: 7, GetFailPct: 0.01}}, true)
+			h, resident := decisionDigest(t, g, opt, faults, true)
 			if h != want {
 				t.Errorf("%d/%d bytes, %v: digest %#x, recorded %#x", tc.off, tc.adj, ScorePolicy(policy), h, want)
 			}
@@ -317,12 +302,12 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 		off, adj int
 		want     uint64
 	}{
-		{"directed R-MAT", gen.RMAT(gen.DefaultRMAT(10, 8, graph.Directed, 3)), 512, 4 << 10, 0x863365e3c27761d5},
-		{"uniform, C_offsets 100 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 100, 4 << 10, 0x90457e544fd62193},
-		{"uniform, C_offsets 1000 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 1000, 4 << 10, 0xeb081d7b0adea429},
+		{"directed R-MAT", gen.RMAT(gen.DefaultRMAT(10, 8, graph.Directed, 3)), 512, 4 << 10, 0x58effff833d67c9c},
+		{"uniform, C_offsets 100 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 100, 4 << 10, 0xf44b1ea35f47df0c},
+		{"uniform, C_offsets 1000 B", gen.ErdosRenyi(1<<10, 1<<13, graph.Undirected, 5), 1000, 4 << 10, 0x484d10e390a3b2e4},
 	} {
 		opt := cachedOpts(2, tc.off, tc.adj, ScoreLRU)
-		h, _ := decisionDigest(t, tc.g, opt, []*fault.Spec{nil, cacheFaults}, true)
+		h, _ := decisionDigest(t, tc.g, opt, faults, true)
 		if h != tc.want {
 			t.Errorf("%s: digest %#x, recorded %#x", tc.name, h, tc.want)
 		}
@@ -348,8 +333,8 @@ func TestDecisionPassMatchesRecorded(t *testing.T) {
 // decisionDigest runs opt through every engine forEachEdge serves, single-
 // and double-buffered, under each of faults, on two layouts, and folds each
 // run's fingerprint and per-rank cache statistics — all of them, or the
-// first nine — into one digest. It also returns how many resident caches
-// the runs without cache faults ran, counted per rank from the answers.
+// first eight — into one digest. It also returns how many resident caches
+// the runs ran, counted per rank from the answers.
 func decisionDigest(t *testing.T, g *graph.Graph, opt Options, faults []*fault.Spec, all bool) (uint64, int) {
 	t.Helper()
 	ctx := context.Background()
@@ -389,19 +374,17 @@ func decisionDigest(t *testing.T, g *graph.Graph, opt Options, faults []*fault.S
 					if err != nil {
 						t.Fatalf("%v, %s: %v", opt.AdjScorePolicy, name, err)
 					}
-					if faults == nil || faults.CacheFailPct <= 0 {
-						off, adj := residentRanks(s, opt)
-						resident += off + adj
-					}
+					off, adj := residentRanks(s, opt)
+					resident += off + adj
 					mix(fingerprint(res, d.sum))
 					for _, r := range res.PerRank {
 						for _, c := range []clampi.Stats{r.OffsetsCache, r.AdjCache} {
 							for _, x := range []int64{c.Hits, c.Misses, c.CompulsoryMisses, c.Inserts, c.RejectedInserts,
-								c.ConflictEvictions, c.CapacityEvictions, c.DegradedOps, c.BytesCached} {
+								c.ConflictEvictions, c.CapacityEvictions, c.BytesCached} {
 								mix(uint64(x))
 							}
 							if all {
-								for _, x := range []int64{c.HitBytes, c.MissBytes, c.EntriesCached, c.Flushes} {
+								for _, x := range []int64{c.HitBytes, c.MissBytes, c.EntriesCached} {
 									mix(uint64(x))
 								}
 								mix(math.Float64bits(c.FragmentationRatio))

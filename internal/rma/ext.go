@@ -3,8 +3,6 @@ package rma
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/fault"
 )
 
 // This file extends the simulated runtime beyond the reads the pull engine
@@ -16,8 +14,8 @@ import (
 
 // issueWrite charges one accumulate message of size wire bytes to target
 // once its updates are staged: a local one commits and pays local-memory
-// cost here; a remote one pays whatever the fault schedule injects and
-// raises e's flush horizon to its completion time.
+// cost here; a remote one fires whatever event the fault schedule reaches
+// and raises e's flush horizon to its completion time.
 func (r *Rank) issueWrite(e *epoch, target, size int) {
 	if target == r.id {
 		r.commitStaged(e.w, target)
@@ -25,7 +23,7 @@ func (r *Rank) issueWrite(e *epoch, target, size int) {
 		return
 	}
 	if r.faults != nil {
-		r.injectFaults(fault.ClassAccumulate, size)
+		r.injectFaults()
 	}
 	cost := r.comm.model.RemoteCost(size)
 	e.until = max(e.until, r.clock.Now()+cost)

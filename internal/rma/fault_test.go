@@ -1,6 +1,8 @@
 package rma
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -30,110 +32,70 @@ func faultGetRun(t *testing.T, spec *fault.Spec, obs ChargeObserver) ([]*Rank, f
 	return ranks, MaxClock(ranks)
 }
 
-// faultWait sums l's six fault-plane slots: the time lost to recovery.
-func faultWait(l Ledger) float64 {
-	var t float64
-	for k := ChargeRetryBackoff; k <= ChargeCrashRedo; k++ {
-		t += l[k]
-	}
-	return t
-}
-
-// TestFaultRetryCharges: transient get failures charge recovery time and
-// count retries, leave the logical op counts untouched, and push SimTime
-// strictly above the fault-free run.
-func TestFaultRetryCharges(t *testing.T) {
-	base, baseSim := faultGetRun(t, nil, nil)
-	spec := &fault.Spec{Seed: 5, GetFailPct: 0.05}
-	got, sim := faultGetRun(t, spec, nil)
-	for i, r := range got {
-		ctr, want := r.Counters(), base[i].Counters()
-		if ctr.Retries == 0 || faultWait(r.Ledger()) == 0 {
-			t.Fatalf("rank %d: no recovery recorded under 5%% failures: %+v", i, ctr)
-		}
-		if ctr.Gets != want.Gets || ctr.RemoteBytes != want.RemoteBytes {
-			t.Fatalf("rank %d: logical op counts changed under faults: %+v vs %+v", i, ctr, want)
-		}
-	}
-	if sim <= baseSim {
-		t.Fatalf("faulted SimTime %v not above fault-free %v", sim, baseSim)
-	}
-}
-
-// TestFaultSpikesAndStalls: latency spikes and stall windows charge
-// fault-plane time without any retransmits.
-func TestFaultSpikesAndStalls(t *testing.T) {
-	_, baseSim := faultGetRun(t, nil, nil)
-	spec := &fault.Spec{Seed: 8, SpikePct: 0.05, SpikeNS: 1e4, StallPeriodOps: 100, StallNS: 5e4}
-	got, sim := faultGetRun(t, spec, nil)
-	for i, r := range got {
-		if ctr := r.Counters(); ctr.Retries != 0 {
-			t.Fatalf("rank %d: spikes/stalls must not retransmit: %+v", i, ctr)
-		}
-		if faultWait(r.Ledger()) == 0 {
-			t.Fatalf("rank %d: no fault-plane time under spikes+stalls", i)
-		}
-	}
-	if sim <= baseSim {
-		t.Fatalf("faulted SimTime %v not above fault-free %v", sim, baseSim)
-	}
+// crashWait sums l's two crash slots: the time lost to recovery.
+func crashWait(l Ledger) float64 {
+	return l[ChargeCrashRestart] + l[ChargeCrashRedo]
 }
 
 // TestFaultChargeDigest is the fault plane's slice of the charge tape
-// contract: under faults, each rank's observed charge sequence — kinds,
-// bytes, durations and folded clock bits, and their number — matches the
-// digest recorded when both fold schedules still existed and agreed on it.
+// contract: under a recovered crash, each rank's observed charge sequence —
+// kinds, bytes, durations and folded clock bits, and their number —
+// matches the recorded digest, and the crash charges appear on the crashed
+// rank only.
 func TestFaultChargeDigest(t *testing.T) {
 	want := [2]struct {
 		ops int
 		sum uint64
-	}{{2057, 0xf978d090ebb6c644}, {2075, 0xf87110498e2ba737}}
+	}{{2000, 0x8bb54cb6a0478bf3}, {2002, 0x1d73e633525c8186}}
 	got := want
 	for r := range got {
 		got[r].ops, got[r].sum = 0, 14695981039346656037
 	}
-	var sawFault [2]bool // per rank: observers run on the rank's goroutine
+	var sawCrash [2]bool // per rank: observers run on the rank's goroutine
 	obs := func(rank int, kind ChargeKind, bytes int, ns, now float64) {
 		d := &got[rank]
 		for _, x := range [...]uint64{uint64(kind), uint64(bytes), math.Float64bits(ns), math.Float64bits(now)} {
 			d.sum = (d.sum ^ x) * 1099511628211
 		}
 		d.ops++
-		switch kind {
-		case ChargeRetryBackoff, ChargeTimeout, ChargeRetransmit, ChargeStall:
-			sawFault[rank] = true
+		if kind == ChargeCrashRestart || kind == ChargeCrashRedo {
+			sawCrash[rank] = true
 		}
 	}
-	spec := fault.ChaosSpec(21)
-	_, sim := faultGetRun(t, &spec, obs)
+	_, sim := faultGetRun(t, &fault.Spec{CrashAtOp: 1200, CrashRank: 1, CrashRecover: true}, obs)
 	if got != want {
 		t.Errorf("charge digests %+v, want %+v", got, want)
 	}
-	if bits := math.Float64bits(sim); bits != 0x4152782ae83588fc {
-		t.Errorf("SimTime bits %#x, want 0x4152782ae83588fc", bits)
+	if bits := math.Float64bits(sim); bits != 0x4165c76d33333399 {
+		t.Errorf("SimTime bits %#x, want 0x4165c76d33333399", bits)
 	}
-	if sawFault == [2]bool{} {
-		t.Fatal("chaos spec injected no fault charges")
+	if sawCrash != [2]bool{false, true} {
+		t.Fatalf("crash charges seen per rank %v, want on rank 1 only", sawCrash)
 	}
 }
 
-// TestFaultDeterministicReplay: equal specs replay bit-identical clocks.
+// TestFaultDeterministicReplay: equal specs replay bit-identical clocks,
+// a recovered crash costs time, and a crash at another op costs another.
 func TestFaultDeterministicReplay(t *testing.T) {
-	spec := fault.ChaosSpec(33)
-	_, sim1 := faultGetRun(t, &spec, nil)
-	_, sim2 := faultGetRun(t, &spec, nil)
+	_, base := faultGetRun(t, nil, nil)
+	spec := &fault.Spec{CrashAtOp: 900, CrashRank: 0, CrashRecover: true}
+	_, sim1 := faultGetRun(t, spec, nil)
+	_, sim2 := faultGetRun(t, spec, nil)
 	if math.Float64bits(sim1) != math.Float64bits(sim2) {
 		t.Fatalf("replay diverged: %x vs %x", math.Float64bits(sim1), math.Float64bits(sim2))
 	}
-	other := fault.ChaosSpec(34)
-	_, sim3 := faultGetRun(t, &other, nil)
+	if sim1 <= base {
+		t.Fatalf("recovered SimTime %v not above fault-free %v", sim1, base)
+	}
+	_, sim3 := faultGetRun(t, &fault.Spec{CrashAtOp: 1900, CrashRank: 0, CrashRecover: true}, nil)
 	if math.Float64bits(sim1) == math.Float64bits(sim3) {
-		t.Fatal("different seeds produced identical SimTime — schedule ignores the seed")
+		t.Fatal("crashes at ops 900 and 1900 produced identical SimTime — the redo ignores the crash point")
 	}
 }
 
-// TestFaultWriteOps: the write side (AccumulateBatch) consults the
-// schedule too, and results are unchanged.
+// TestFaultWriteOps: the write side (AccumulateBatch) counts toward the
+// schedule too — a crash can land on an accumulate — and a recovered one
+// leaves the accumulated values and the logical write count unchanged.
 func TestFaultWriteOps(t *testing.T) {
 	run := func(spec *fault.Spec) (Counters, float64, uint64, float64) {
 		c := NewComm(2, DefaultCostModel())
@@ -147,6 +109,9 @@ func TestFaultWriteOps(t *testing.T) {
 				accumulate(r, w, 1-r.ID(), 0, 1)
 				r.AccumulateBatch(w, 1-r.ID(), []Update{{Offset: 8, Delta: 2}})
 				r.FlushAll(w)
+				if i == 100 {
+					b.Wait(r)
+				}
 			}
 			b.Wait(r)
 			r.UnlockAll(w)
@@ -158,23 +123,36 @@ func TestFaultWriteOps(t *testing.T) {
 		ctr, wait := Counters{}, 0.0
 		for _, r := range ranks {
 			ctr.Merge(r.Counters())
-			wait += faultWait(r.Ledger())
+			wait += crashWait(r.Ledger())
 		}
 		return ctr, wait, sum, MaxClock(ranks)
 	}
 	base, _, baseSum, baseSim := run(nil)
-	spec := &fault.Spec{Seed: 2, AccFailPct: 0.05}
-	got, wait, sum, sim := run(spec)
+	got, wait, sum, sim := run(&fault.Spec{CrashAtOp: 301, CrashRank: 1, CrashRecover: true})
 	if sum != baseSum {
-		t.Fatalf("accumulated values changed under faults: %d vs %d", sum, baseSum)
+		t.Fatalf("accumulated values changed under a recovered crash: %d vs %d", sum, baseSum)
 	}
-	if got.Retries == 0 || wait == 0 {
-		t.Fatalf("write ops recorded no recovery: %+v", got)
+	if wait <= crashRestartNS {
+		t.Fatalf("write ops recorded %v ns of recovery, want the restart and a redo since the barrier", wait)
 	}
 	if got.Puts != base.Puts {
 		t.Fatalf("logical write count changed: %d vs %d", got.Puts, base.Puts)
 	}
 	if sim <= baseSim {
 		t.Fatalf("faulted SimTime %v not above fault-free %v", sim, baseSim)
+	}
+	var ce *fault.CrashError
+	c := NewComm(2, DefaultCostModel())
+	c.SetFaults(&fault.Spec{CrashAtOp: 3, CrashRank: 0})
+	w := c.CreateWindow("acc", [][]byte{make([]byte, 64), make([]byte, 64)})
+	_, err := c.RunCtx(context.Background(), func(r *Rank) {
+		r.LockAll(w)
+		for i := 0; i < 5; i++ {
+			r.AccumulateBatch(w, 1-r.ID(), []Update{{Offset: 0, Delta: 1}})
+		}
+		r.UnlockAll(w)
+	})
+	if !errors.As(err, &ce) || ce.Rank != 0 || ce.Op != 3 {
+		t.Fatalf("fail-fast crash on an accumulate: err = %v, want rank 0 op 3", err)
 	}
 }

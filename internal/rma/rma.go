@@ -22,8 +22,8 @@ type Comm struct {
 	// world (tape.go); it must be set before RunCtx.
 	observer ChargeObserver
 
-	// faults is the deterministic fault schedule every rank binds at
-	// construction (fault.go); nil leaves the plane off at zero cost.
+	// faults is the fault schedule every rank binds at construction
+	// (fault.go); nil leaves the plane off at zero cost.
 	faults *fault.Spec
 
 	// prog, when set, receives out-of-band run-progress ticks (sched
@@ -245,8 +245,6 @@ type Counters struct {
 	LocalBytes  int64   // bytes read from the local region
 	GetCost     float64 // sum of α+s·β over issued remote gets (ns)
 	FlushWait   float64 // simulated time blocked in waits, flushes and barriers (ns), read off the Ledger
-	Retries     int64   // failed one-sided attempts retransmitted (fault plane)
-	Crashes     int64   // crash-stops recovered by restart + redo (fault plane)
 }
 
 // Merge accumulates o's activity into c. It is the one end-of-run rollup
@@ -262,8 +260,6 @@ func (c *Counters) Merge(o Counters) {
 	c.LocalBytes += o.LocalBytes
 	c.GetCost += o.GetCost
 	c.FlushWait += o.FlushWait
-	c.Retries += o.Retries
-	c.Crashes += o.Crashes
 }
 
 // Rank is one process of the world. A Rank must be used from a single
@@ -290,7 +286,8 @@ type Rank struct {
 	stagedOps int
 
 	// faults is the rank's bound fault schedule (fault.go); nil — the
-	// default — keeps every issue path at one nil check of overhead.
+	// default, and every rank no armed event names — keeps every issue
+	// path at one nil check of overhead.
 	faults *fault.Sched
 
 	// ckOps counts issue points for the masked cancellation poll
@@ -525,7 +522,7 @@ func (q *Request) resolve(w *Window, target, offset, size int) {
 // background at now+α+s·β, and q.Wait waits for it (this is what makes
 // double buffering effective, §III-A). Reads targeting the rank itself are
 // served at local-memory cost and complete immediately. A remote read first
-// pays whatever the fault schedule injects at its issue point.
+// fires whatever event the fault schedule reaches at its issue point.
 func (r *Rank) GetInto(q *Request, w *Window, target, offset, size int) {
 	r.checkpoint()
 	if r.epochOf(w) == nil {
@@ -551,10 +548,10 @@ func (r *Rank) GetInto(q *Request, w *Window, target, offset, size int) {
 		q.completeAt = r.clock.now
 		return
 	}
-	// Fault plane: recovery charges land before the canonical op charge,
-	// modeling a rank blocked in its retry loop at the issue point.
+	// Fault plane: a recovered crash's charges land before the canonical
+	// op charge, at the issue point.
 	if r.faults != nil {
-		r.injectFaults(fault.ClassGet, size)
+		r.injectFaults()
 	}
 	// The issue charges nothing to the clock; the in-flight duration and
 	// the completion time are established here, at the canonical issue

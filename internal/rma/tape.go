@@ -56,25 +56,10 @@ const (
 	// count at local-memory speed — storing a fetched entry, growing the
 	// buffer — charged as LocalCost(bytes) with no counter side effects.
 	ChargeCacheManage
-	// ChargeRetryBackoff is the deterministic jittered backoff sleep
-	// before retrying a failed one-sided operation (internal/fault). Every
-	// fault-plane kind adds a non-negative duration to the clock, so the
-	// fault-free charge sequence stays embedded in the faulted one.
-	ChargeRetryBackoff
-	// ChargeTimeout is time lost waiting on an attempt that did not
-	// complete within budget: the detection delay of a failed attempt, or
-	// an absorbed latency spike on the successful one.
-	ChargeTimeout
-	// ChargeRetransmit is the wasted wire time of a failed attempt,
-	// re-charged at the remote cost of the operation's bytes;
-	// it also counts one retry in the rank's counters.
-	ChargeRetransmit
-	// ChargeStall is a rank stall window (OS jitter, GC, a wedged
-	// progress engine) the fault schedule opens between operations.
-	ChargeStall
 	// ChargeCrashRestart is the modeled restart delay of a recovered
-	// crash-stop (the rank rebooting); it also counts one crash in the
-	// rank's counters.
+	// crash-stop (the rank rebooting; internal/fault). Both crash kinds
+	// add a non-negative duration to the clock, so the fault-free charge
+	// sequence stays embedded in the faulted one.
 	ChargeCrashRestart
 	// ChargeCrashRedo is the re-execution of the work between the rank's
 	// last barrier and the crash point, charged as blocked time rather
@@ -114,7 +99,7 @@ type Ledger [NumLedgerSlots]float64
 
 // Comm returns the ledger's communication time: every slot after the
 // rank's own work (ChargeOps, ChargeLocalRead, ChargeNS). Waits, cache
-// service, local gets and accumulates, fault recovery and two-sided
+// service, local gets and accumulates, crash recovery and two-sided
 // messages all count — the split behind §IV's communication share.
 func (l *Ledger) Comm() float64 {
 	var t float64
@@ -132,8 +117,8 @@ func (l *Ledger) waits() float64 {
 
 var chargeKindNames = [NumLedgerSlots]string{
 	"ops", "local-read", "ns", "get-local", "get-remote", "cache-hit", "cache-miss",
-	"cache-manage", "retry-backoff", "timeout", "retransmit", "stall", "crash-restart",
-	"crash-redo", "get-wait", "flush-wait", "barrier-wait", "acc-local", "send", "recv",
+	"cache-manage", "crash-restart", "crash-redo", "get-wait", "flush-wait", "barrier-wait",
+	"acc-local", "send", "recv",
 }
 
 func (k ChargeKind) String() string {
@@ -167,19 +152,13 @@ func (r *Rank) fold(kind ChargeKind, bytes int, d float64) {
 	}
 }
 
-// charge folds one fault-plane recovery descriptor (internal/rma/fault.go) and
-// shows it to the observer. Its duration is not a pure function of (kind,
-// bytes), so it rides to the observer as ns.
-func (r *Rank) charge(kind ChargeKind, bytes int, ns float64) {
+// charge folds one crash-recovery descriptor (internal/rma/fault.go) and
+// shows it to the observer. Its duration is not a pure function of the
+// kind, so it rides to the observer as ns.
+func (r *Rank) charge(kind ChargeKind, ns float64) {
 	r.clock.Advance(kind, ns)
-	switch kind {
-	case ChargeRetransmit:
-		r.ctr.Retries++
-	case ChargeCrashRestart:
-		r.ctr.Crashes++
-	}
 	if r.observer != nil {
-		r.observer(r.id, kind, bytes, ns, r.clock.now)
+		r.observer(r.id, kind, 0, ns, r.clock.now)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // stuck syscall or deadlocked lock.
 func wedgeQuery(workers int) serve.Query {
 	q := pullQuery(workers)
-	q.Options.Faults = &fault.Spec{Seed: 11, WedgeRank: 0, WedgeAtOp: 40}
+	q.Options.Faults = &fault.Spec{WedgeRank: 0, WedgeAtOp: 40}
 	return q
 }
 

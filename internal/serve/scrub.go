@@ -151,8 +151,8 @@ func (s *Supervisor) StartScrubber(period time.Duration) *Scrubber {
 	return sc
 }
 
-// splitmix64 mirrors the fault plane's mixer; the scrubber only needs a
-// cheap deterministic jitter stream.
+// splitmix64 is the finalizer of the splitmix64 generator; the scrubber
+// only needs a cheap deterministic jitter stream.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

@@ -63,9 +63,9 @@ func assertPins(t *testing.T, res *serve.QueryResult) {
 	}
 }
 
-// TestRunCancellation cancels a chaos-spec run mid-flight at every worker
-// count: the run unwinds with ErrRunCanceled, the instance returns to
-// ready, and a rerun reproduces the golden pins bit for bit.
+// TestRunCancellation cancels a run under a recovered crash mid-flight at
+// every worker count: the run unwinds with ErrRunCanceled, the instance
+// returns to ready, and a rerun reproduces the golden pins bit for bit.
 func TestRunCancellation(t *testing.T) {
 	for _, w := range workerSweep {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
@@ -74,8 +74,7 @@ func TestRunCancellation(t *testing.T) {
 			defer cancel()
 			var reads int64
 			q := pullQuery(w)
-			chaos := fault.ChaosSpec(7)
-			q.Options.Faults = &chaos
+			q.Options.Faults = &fault.Spec{CrashAtOp: 300, CrashRank: 1, CrashRecover: true}
 			q.Options.OnRemoteRead = func(rank int, v graph.V) {
 				if atomic.AddInt64(&reads, 1) == 500 {
 					cancel()
@@ -177,7 +176,7 @@ func TestPanicIsolation(t *testing.T) {
 func TestCrashStopFailFast(t *testing.T) {
 	inst := fbInstance(t)
 	q := pullQuery(2)
-	q.Options.Faults = &fault.Spec{Seed: 11, CrashAtOp: 500, CrashRank: 1}
+	q.Options.Faults = &fault.Spec{CrashAtOp: 500, CrashRank: 1}
 	_, err := inst.Run(context.Background(), q)
 	var ce *fault.CrashError
 	if !errors.As(err, &ce) {
@@ -191,7 +190,7 @@ func TestCrashStopFailFast(t *testing.T) {
 	}
 	// Deterministic: same spec, same error, at a different worker count.
 	q2 := pullQuery(4)
-	q2.Options.Faults = &fault.Spec{Seed: 11, CrashAtOp: 500, CrashRank: 1}
+	q2.Options.Faults = &fault.Spec{CrashAtOp: 500, CrashRank: 1}
 	_, err2 := inst.Run(context.Background(), q2)
 	if err2 == nil || err2.Error() != err.Error() {
 		t.Errorf("crash error not deterministic: %v vs %v", err, err2)
@@ -212,7 +211,7 @@ func TestCrashStopRecovery(t *testing.T) {
 	var simBits []uint64
 	for _, w := range []int{1, 4} {
 		q := pullQuery(w)
-		q.Options.Faults = &fault.Spec{Seed: 11, CrashAtOp: 500, CrashRank: 1, CrashRecover: true}
+		q.Options.Faults = &fault.Spec{CrashAtOp: 500, CrashRank: 1, CrashRecover: true}
 		res, err := inst.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("workers=%d: recovered run: %v", w, err)

@@ -36,9 +36,7 @@ func TestLedgerLaws(t *testing.T) {
 	g := gen.MustLoad("fb-sim")
 	var specs []*fault.Spec
 	for i := range faultScenarios {
-		if n := faultScenarios[i].name; n == "chaos" || n == "crash-recover" {
-			specs = append(specs, &faultScenarios[i].spec)
-		}
+		specs = append(specs, &faultScenarios[i].spec)
 	}
 	getWait := map[string]float64{}
 	for _, spec := range append([]*fault.Spec{nil}, specs...) {
@@ -187,8 +185,8 @@ func checkLedger(t *testing.T, name string, l rma.Ledger, clock float64, faultFr
 	if l[rma.ChargeGetRemote] != 0 {
 		t.Errorf("%s: get-remote slot %v, want 0", name, l[rma.ChargeGetRemote])
 	}
-	for k := rma.ChargeRetryBackoff; faultFree && k <= rma.ChargeCrashRedo; k++ {
-		if l[k] != 0 {
+	for _, k := range []rma.ChargeKind{rma.ChargeCrashRestart, rma.ChargeCrashRedo} {
+		if faultFree && l[k] != 0 {
 			t.Errorf("%s: fault-free run booked %v ns as %v", name, l[k], k)
 		}
 	}
