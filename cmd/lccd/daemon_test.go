@@ -340,10 +340,10 @@ var handlerRows = []row{
 	{name: "unknown method", path: "/v1/run", body: `{"instance":"fb","method":"hybird"}`, status: 400, reason: "bad-request"},
 	{name: "unknown engine", path: "/v1/run", body: `{"instance":"fb","engine":"bogus"}`, status: 400, reason: "bad-request"},
 	{name: "unknown fault", path: "/v1/run", body: `{"instance":"fb","faults":"gremlins=1"}`, status: 400, reason: "bad-request"},
-	// A crash aimed at a rank the 4-rank instance lacks would never fire.
-	{name: "fault on a missing rank", path: "/v1/run", body: `{"instance":"fb","faults":"crash=9:5"}`, status: 400, reason: "bad-request"},
 	{name: "workers past the limit", path: "/v1/run", body: `{"instance":"fb","workers":1000000000}`, status: 400, reason: "bad-request"},
 	{name: "offsets cache past the limit", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_offsets_bytes":1000000000000}`, status: 400, reason: "bad-request"},
+	// A crash aimed at a rank the 4-rank instance lacks would never fire.
+	{name: "fault on a missing rank", path: "/v1/run", body: `{"instance":"fb","faults":"crash=9:5"}`, status: 400, reason: "bad-request"},
 	{name: "negative workers", path: "/v1/run", body: `{"instance":"fb","workers":-1}`, status: 400, reason: "bad-request"},
 	{name: "negative offsets cache", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_offsets_bytes":-16}`, status: 400, reason: "bad-request"},
 	{name: "negative adjacency cache", path: "/v1/run", body: `{"instance":"fb","caching":true,"cache_adj_bytes":-1}`, status: 400, reason: "bad-request"},
